@@ -517,6 +517,10 @@ impl<B: NvmBackend> BonsaiController<B> {
             .sum::<u64>();
         t.counter_set("shadow_table_writes_total", scheme, shadow);
         t.counter_set("persist_writes_total", scheme, self.domain.persist_writes());
+        // Groups per frame is the coalescing an op-scoped barrier buys;
+        // frames per acknowledged op should read at most 1.
+        t.counter_set("commit_groups_total", scheme, self.domain.commits());
+        t.counter_set("wal_frames_total", scheme, self.domain.epoch());
         t.counter_set("ecc_corrections_total", scheme, self.ecc_corrections);
         t.counter_set("stop_loss_events_total", scheme, self.stop_loss_events);
         let ctr = self.counter_cache.stats();
@@ -663,7 +667,8 @@ impl<B: NvmBackend> BonsaiController<B> {
     }
 
     /// Backend mirrors of the on-chip persistent registers, committed
-    /// (and made durable) with every group so a restart can restore them
+    /// with every group (and made durable in its frame, by the barrier
+    /// that closes the operation) so a restart can restore them
     /// via [`BonsaiController::reopen`]. The mirrors ride the same
     /// backend barrier as the group's writes: a crash before the ack
     /// drops both together.
@@ -1221,24 +1226,11 @@ impl<B: NvmBackend> BonsaiController<B> {
         }
         Ok(())
     }
-}
 
-impl<B: NvmBackend> MemoryController for BonsaiController<B> {
-    type Backend = B;
+    // Bodies of the public operations. The `MemoryController` impl below
+    // closes each with `crate::end_op`, the op's one durability barrier.
 
-    fn scheme_name(&self) -> &'static str {
-        self.scheme.name()
-    }
-
-    fn domain(&self) -> &PersistenceDomain<B> {
-        &self.domain
-    }
-
-    fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.domain
-    }
-
-    fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
+    fn read_op(&mut self, addr: DataAddr) -> Result<Block, MemError> {
         self.validate(addr)?;
         self.begin_op();
         let (leaf, line) = self.layout.counter_of(addr);
@@ -1286,7 +1278,7 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
         Ok(value)
     }
 
-    fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
+    fn write_op(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
         self.validate(addr)?;
         self.begin_op();
         self.write_inner(addr, data)?;
@@ -1295,7 +1287,7 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
         Ok(())
     }
 
-    fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
+    fn write_batch_op(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
         for (addr, _) in items {
             self.validate(*addr)?;
         }
@@ -1315,23 +1307,7 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
         self.commit()
     }
 
-    fn crash(&mut self) {
-        self.domain.power_fail();
-        self.counter_cache.invalidate_all();
-        self.tree_cache.invalidate_all();
-        self.pending.clear();
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
-        // MAC-verification cache is volatile state: it dies with power.
-        self.mac_cache.clear();
-        // `root` and `reenc_log` are on-chip persistent registers: kept.
-    }
-
-    fn recover(&mut self) -> Result<RecoveryReport, RecoveryError> {
-        recovery::recover(self, crate::parallel::recovery_lanes())
-    }
-
-    fn shutdown_flush(&mut self) -> Result<(), MemError> {
+    fn shutdown_flush_op(&mut self) -> Result<(), MemError> {
         self.begin_op();
         if self.scheme.is_lazy() {
             return self.lazy_flush();
@@ -1361,6 +1337,58 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
         self.commit()?;
         self.domain.drain_wpq();
         Ok(())
+    }
+}
+
+impl<B: NvmBackend> MemoryController for BonsaiController<B> {
+    type Backend = B;
+
+    fn scheme_name(&self) -> &'static str {
+        self.scheme.name()
+    }
+
+    fn domain(&self) -> &PersistenceDomain<B> {
+        &self.domain
+    }
+
+    fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
+        &mut self.domain
+    }
+
+    fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
+        let result = self.read_op(addr);
+        crate::end_op(&mut self.domain, result)
+    }
+
+    fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
+        let result = self.write_op(addr, data);
+        crate::end_op(&mut self.domain, result)
+    }
+
+    fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
+        let result = self.write_batch_op(items);
+        crate::end_op(&mut self.domain, result)
+    }
+
+    fn crash(&mut self) {
+        self.domain.power_fail();
+        self.counter_cache.invalidate_all();
+        self.tree_cache.invalidate_all();
+        self.pending.clear();
+        self.seal_jobs.clear();
+        self.seal_slots.clear();
+        // MAC-verification cache is volatile state: it dies with power.
+        self.mac_cache.clear();
+        // `root` and `reenc_log` are on-chip persistent registers: kept.
+    }
+
+    fn recover(&mut self) -> Result<RecoveryReport, RecoveryError> {
+        recovery::recover(self, crate::parallel::recovery_lanes())
+    }
+
+    fn shutdown_flush(&mut self) -> Result<(), MemError> {
+        let result = self.shutdown_flush_op();
+        crate::end_op(&mut self.domain, result)
     }
 
     fn last_cost(&self) -> OpCost {

@@ -80,6 +80,23 @@ use anubis_nvm::{Block, NvmBackend, PersistenceDomain};
 /// `PREG_CAPACITY` of 64.
 pub(crate) const GROUP_FLUSH_WATERMARK: usize = 24;
 
+/// Closes one public controller operation (`read`, `write`,
+/// `write_batch`, `shutdown_flush`) with its single durability barrier,
+/// on every exit: all commit groups the op produced — on an error, the
+/// ones it completed before failing, which the in-process persistent
+/// domain already holds — land in one backend frame, and the caller
+/// acknowledges only after this returns. The op's own error wins over a
+/// barrier failure.
+pub(crate) fn end_op<B: NvmBackend, T>(
+    domain: &mut PersistenceDomain<B>,
+    result: Result<T, MemError>,
+) -> Result<T, MemError> {
+    let flushed = domain.barrier();
+    let value = result?;
+    flushed?;
+    Ok(value)
+}
+
 /// The uniform controller surface shared by every scheme.
 ///
 /// A controller owns the NVM persistence domain, the metadata caches and
@@ -94,6 +111,13 @@ pub(crate) const GROUP_FLUSH_WATERMARK: usize = 24;
 /// a durable file-backed store (see `anubis_nvm::FileBackend`) for
 /// restart-survivable images. [`MemoryController::Backend`] names that
 /// choice so harnesses stay generic over both.
+///
+/// Durability across process death is scoped to the operation, not to
+/// the commit group: `read`, `write`, `write_batch` and `shutdown_flush`
+/// end with exactly one [`PersistenceDomain::barrier`] on every exit, so
+/// over a durable backend an operation that returned is on the medium —
+/// all of its commit groups in one frame — and a caller may acknowledge
+/// it to the outside world the moment the call returns.
 pub trait MemoryController {
     /// The storage backend of the controller's persistence domain.
     type Backend: NvmBackend;

@@ -382,6 +382,10 @@ impl<B: NvmBackend> SgxController<B> {
             .sum::<u64>();
         t.counter_set("shadow_table_writes_total", scheme, shadow);
         t.counter_set("persist_writes_total", scheme, self.domain.persist_writes());
+        // Groups per frame is the coalescing an op-scoped barrier buys;
+        // frames per acknowledged op should read at most 1.
+        t.counter_set("commit_groups_total", scheme, self.domain.commits());
+        t.counter_set("wal_frames_total", scheme, self.domain.epoch());
         t.counter_set("ecc_corrections_total", scheme, self.ecc_corrections);
         let cache = self.cache.stats();
         t.counter_set("cache_hits_total", "metadata", cache.hits);
@@ -565,7 +569,8 @@ impl<B: NvmBackend> SgxController<B> {
     }
 
     /// Backend mirrors of the on-chip persistent registers, committed
-    /// (and made durable) with every group so a restart can restore them
+    /// with every group (and made durable in its frame, by the barrier
+    /// that closes the operation) so a restart can restore them
     /// via [`SgxController::reopen`]. The shadow-root mirror carries the
     /// value the register will hold once this commit lands
     /// (`pending_shadow_root`), keeping the durable mirror atomic with
@@ -994,24 +999,11 @@ impl<B: NvmBackend> SgxController<B> {
         }
         Ok(())
     }
-}
 
-impl<B: NvmBackend> MemoryController for SgxController<B> {
-    type Backend = B;
+    // Bodies of the public operations. The `MemoryController` impl below
+    // closes each with `crate::end_op`, the op's one durability barrier.
 
-    fn scheme_name(&self) -> &'static str {
-        self.scheme.name()
-    }
-
-    fn domain(&self) -> &PersistenceDomain<B> {
-        &self.domain
-    }
-
-    fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.domain
-    }
-
-    fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
+    fn read_op(&mut self, addr: DataAddr) -> Result<Block, MemError> {
         self.validate(addr)?;
         self.begin_op();
         let (leaf, slot) = self.layout.leaf_of(addr);
@@ -1066,7 +1058,7 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
         Ok(value)
     }
 
-    fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
+    fn write_op(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
         self.validate(addr)?;
         self.begin_op();
         self.write_inner(addr, data)?;
@@ -1075,7 +1067,7 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
         Ok(())
     }
 
-    fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
+    fn write_batch_op(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
         for (addr, _) in items {
             self.validate(*addr)?;
         }
@@ -1091,6 +1083,63 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
             self.totals.record(true, self.cost);
         }
         self.commit()
+    }
+
+    fn shutdown_flush_op(&mut self) -> Result<(), MemError> {
+        self.begin_op();
+        // Write back every dirty node, deepest levels first so parent
+        // counter bumps target still-resident parents coherently.
+        loop {
+            let next = self
+                .cache
+                .iter_resident()
+                .filter(|(_, _, _, dirty)| *dirty)
+                .map(|(_, addr, _, _)| addr)
+                .min_by_key(|addr| {
+                    self.layout
+                        .node_of_addr(*addr)
+                        .map(|n| n.level)
+                        .unwrap_or(usize::MAX)
+                });
+            let Some(addr) = next else { break };
+            let node = self.layout.node_of_addr(addr).expect("metadata address");
+            self.writeback_node(node)?;
+            self.commit()?;
+        }
+        self.commit()?;
+        self.domain.drain_wpq();
+        Ok(())
+    }
+}
+
+impl<B: NvmBackend> MemoryController for SgxController<B> {
+    type Backend = B;
+
+    fn scheme_name(&self) -> &'static str {
+        self.scheme.name()
+    }
+
+    fn domain(&self) -> &PersistenceDomain<B> {
+        &self.domain
+    }
+
+    fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
+        &mut self.domain
+    }
+
+    fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
+        let result = self.read_op(addr);
+        crate::end_op(&mut self.domain, result)
+    }
+
+    fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
+        let result = self.write_op(addr, data);
+        crate::end_op(&mut self.domain, result)
+    }
+
+    fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
+        let result = self.write_batch_op(items);
+        crate::end_op(&mut self.domain, result)
     }
 
     fn crash(&mut self) {
@@ -1115,29 +1164,8 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
     }
 
     fn shutdown_flush(&mut self) -> Result<(), MemError> {
-        self.begin_op();
-        // Write back every dirty node, deepest levels first so parent
-        // counter bumps target still-resident parents coherently.
-        loop {
-            let next = self
-                .cache
-                .iter_resident()
-                .filter(|(_, _, _, dirty)| *dirty)
-                .map(|(_, addr, _, _)| addr)
-                .min_by_key(|addr| {
-                    self.layout
-                        .node_of_addr(*addr)
-                        .map(|n| n.level)
-                        .unwrap_or(usize::MAX)
-                });
-            let Some(addr) = next else { break };
-            let node = self.layout.node_of_addr(addr).expect("metadata address");
-            self.writeback_node(node)?;
-            self.commit()?;
-        }
-        self.commit()?;
-        self.domain.drain_wpq();
-        Ok(())
+        let result = self.shutdown_flush_op();
+        crate::end_op(&mut self.domain, result)
     }
 
     fn last_cost(&self) -> OpCost {

@@ -5,10 +5,12 @@
 //!
 //! Uses a counting wrapper around the system allocator — installing it as
 //! the test binary's global allocator lets plain assertions observe every
-//! heap round-trip the measured region makes.
+//! heap round-trip the measured region makes. The count is per thread:
+//! the tests of this binary run on parallel threads, and a process-wide
+//! counter would charge one test's set-up to another's measured region.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{DataCodec, Key, MacCache};
@@ -16,11 +18,21 @@ use anubis_nvm::{Block, BlockAddr};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor registers a TLS dtor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Charges one allocation to the calling thread (`try_with`: a thread
+/// that is tearing its TLS down still allocates, and must not panic).
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,11 +49,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Counts heap allocations performed by `f`.
+/// Counts heap allocations performed by `f` on the calling thread.
 fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn counter_sees_the_measuring_threads_allocations() {
+    // Positive control: a per-thread counter that counted nothing would
+    // make every assertion below pass vacuously.
+    let n = allocations_in(|| drop(std::hint::black_box(vec![0u8; 64])));
+    assert_eq!(n, 1);
 }
 
 #[test]

@@ -6,9 +6,10 @@
 //! * [`MemBackend`] — the original process-lifetime hash map. Zero-cost,
 //!   volatile across process death; the default everywhere.
 //! * [`FileBackend`](crate::FileBackend) — a write-ahead-logged file image
-//!   whose durability boundary matches the simulated persistence domain:
-//!   persisted bytes never reflect an unflushed commit group, so a
-//!   SIGKILLed process can be restarted against the image and recovered.
+//!   whose durability boundary is the acknowledgement: persisted bytes
+//!   are always a whole-commit-group prefix of history holding every
+//!   acknowledged operation, so a SIGKILLed process can be restarted
+//!   against the image and recovered.
 //!
 //! The backend also hosts the *persistent register file*: a small set of
 //! numbered 64-byte register images the controllers use to mirror their
@@ -47,13 +48,31 @@ pub(crate) fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
 ///
 /// # Durability contract
 ///
-/// [`NvmBackend::store`] and [`NvmBackend::journal`] may buffer; only
-/// [`NvmBackend::barrier`] makes buffered records durable, and it must do
-/// so atomically (a torn barrier must be indistinguishable from no
-/// barrier on reopen). The persistence domain calls `barrier` exactly at
-/// the points where the simulated hardware guarantees persistence: the
-/// end of a two-stage commit group, an ADR flush on power failure, and
-/// the REDO pass at power-up.
+/// [`NvmBackend::store`], [`NvmBackend::store_reg`] and
+/// [`NvmBackend::journal`] may buffer; only [`NvmBackend::barrier`] makes
+/// buffered records durable, and it must do so atomically and in order (a
+/// torn barrier must be indistinguishable from no barrier on reopen, and
+/// records replay in the order they were buffered).
+///
+/// `barrier` is called where durability becomes *observable*, not where
+/// the simulated hardware persists: a commit group is persistent against
+/// a simulated power failure the moment it is drained, but it only
+/// journals here. The callers are
+///
+/// * the controllers, exactly once at the end of every public operation
+///   (`read` / `write` / `write_batch` / `shutdown_flush`, on `Ok` and on
+///   `Err`) through [`PersistenceDomain::barrier`](crate::PersistenceDomain::barrier)
+///   — an operation is acknowledged iff that barrier returned, and all
+///   the commit groups it produced share one barrier;
+/// * the persistence domain itself on the paths that model the platform
+///   rather than an operation: the ADR flush of a (fault-injected or
+///   explicit) power failure, the REDO pass at power-up, an idle-time
+///   WPQ drain, and snapshot capture / restore.
+///
+/// Because a barrier covers a whole number of commit groups in commit
+/// order, each preceded by its register mirrors, a reopened image is
+/// always a group-prefix of history that contains every acknowledged
+/// operation; a barrier that never completed removes its operation whole.
 pub trait NvmBackend: std::fmt::Debug + Send + Sync {
     /// Loads the block at physical index `phys`, if ever stored.
     fn load(&self, phys: u64) -> Option<Block>;
@@ -100,8 +119,8 @@ pub trait NvmBackend: std::fmt::Debug + Send + Sync {
     fn suppress_flushes(&mut self) {}
 
     /// The backend's current freshness epoch: a monotonic counter bumped
-    /// on every flushing barrier, compaction, and snapshot by durable
-    /// backends. Volatile backends report 0 — within one process there is
+    /// on every flushing barrier (so: once per acknowledged operation
+    /// that wrote), compaction, and snapshot by durable backends. Volatile backends report 0 — within one process there is
     /// no restart for a rollback to hide behind.
     fn epoch(&self) -> u64 {
         0

@@ -34,6 +34,17 @@ impl WriteOp {
 /// becomes persistent atomically or not at all, regardless of where a crash
 /// lands.
 ///
+/// Two durability points, on purpose. Against a *simulated* power
+/// failure a group is persistent the moment it is drained (ADR covers the
+/// WPQ), exactly as in the paper. Against *process death* over a durable
+/// backend, groups only journal; [`PersistenceDomain::barrier`] makes
+/// every group journaled so far durable as one backend frame, and the
+/// controllers call it once at the end of each public operation — the
+/// only point at which durability is observable from outside the
+/// process. A frame therefore holds a whole number of commit groups in
+/// commit order, and a reopened image is always a group-prefix of history
+/// that contains every acknowledged operation.
+///
 /// Crash injection: call [`PersistenceDomain::power_fail`] at any point;
 /// the WPQ is flushed by ADR, in-flight staged groups are lost, and any
 /// group caught mid-drain is REDOne by [`PersistenceDomain::power_up`].
@@ -93,7 +104,7 @@ impl<B: NvmBackend> PersistenceDomain<B> {
 
     /// Stores one persistent-register image (see [`NvmDevice::set_reg`]).
     /// Controllers mirror on-chip persistent registers here *before*
-    /// committing so the image lands in the same durable flush as the
+    /// committing so the image lands in the same backend frame as the
     /// commit group.
     pub fn set_reg(&mut self, idx: u8, block: Block) {
         self.device.set_reg(idx, block);
@@ -104,7 +115,13 @@ impl<B: NvmBackend> PersistenceDomain<B> {
         self.device.reg(idx)
     }
 
-    /// Forces the backend's ordered durability point (no-op in memory).
+    /// The backend's ordered durability point (no-op in memory): every
+    /// commit group journaled since the previous barrier, its register
+    /// mirrors, and any direct device writes land in **one** checksummed
+    /// frame, one epoch bump, one fsync and one anchor seal. Controllers
+    /// end every public operation with it, so an operation is acknowledged
+    /// iff this call returned `Ok`, and a kill before it returns drops the
+    /// operation's groups together.
     ///
     /// # Errors
     ///
@@ -193,6 +210,11 @@ impl<B: NvmBackend> PersistenceDomain<B> {
     /// drained into the WPQ). A crash injected *before* this call loses the
     /// group; a crash injected *after* keeps it — there is no partial state.
     ///
+    /// The group is journaled to the backend but **not** flushed: it
+    /// survives process death once the caller's next
+    /// [`PersistenceDomain::barrier`] returns (fault-injected power cuts
+    /// and [`PersistenceDomain::power_fail`] flush on their own).
+    ///
     /// # Errors
     ///
     /// * [`NvmError::PoweredOff`] if the domain is powered off.
@@ -207,9 +229,10 @@ impl<B: NvmBackend> PersistenceDomain<B> {
 
     /// [`PersistenceDomain::commit_group`] plus persistent-register
     /// mirrors made durable **atomically with the group**: the register
-    /// images are staged after group validation and flushed in the same
-    /// backend barrier, so a reopened image never pairs a committed group
-    /// with stale registers (or vice versa).
+    /// images are staged after group validation and journaled right
+    /// before the group's writes, so both land in the same backend frame
+    /// and a reopened image never pairs a committed group with stale
+    /// registers (or vice versa).
     ///
     /// # Errors
     ///
@@ -246,11 +269,7 @@ impl<B: NvmBackend> PersistenceDomain<B> {
             self.device.set_reg(idx, block);
         }
         if staged == 0 {
-            return if regs.is_empty() {
-                Ok(())
-            } else {
-                self.device.flush_backend()
-            };
+            return Ok(());
         }
         // Commit: set DONE_BIT then drain into the WPQ. Each drained entry
         // is one counted device-level write — the granularity at which
@@ -306,9 +325,9 @@ impl<B: NvmBackend> PersistenceDomain<B> {
             self.wpq.insert(op, &mut self.device);
         }
         self.commits += 1;
-        // The ack point: once this barrier returns, the whole group (and
-        // its register mirrors) is durable across process death.
-        self.device.flush_backend()?;
+        // No backend flush here: the group is journaled, and the caller's
+        // op-closing `barrier` lands it — with every other group of the
+        // same operation — in one frame.
         Ok(())
     }
 
@@ -470,6 +489,44 @@ mod tests {
         assert_eq!(d.device().peek(BlockAddr::new(1)), Block::filled(0xAA));
         assert_eq!(d.device().peek(BlockAddr::new(2)), Block::filled(0xBB));
         assert_eq!(d.commits(), 1);
+    }
+
+    #[test]
+    fn groups_reach_a_durable_backend_at_the_barrier_as_one_frame() {
+        use crate::FileBackend;
+        let path = std::env::temp_dir().join(format!(
+            "anubis-domain-{}-op-barrier.img",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let reopen = || FileBackend::open(&path).expect("open image");
+        {
+            let mut d = PersistenceDomain::with_backend(1 << 20, reopen());
+            d.commit_group([op(1, 0xAA)]).unwrap();
+            d.commit_group_with_regs([op(2, 0xBB)], &[(0, Block::filled(0x01))])
+                .unwrap();
+            assert_eq!((d.commits(), d.epoch()), (2, 0));
+            // Dropped before any barrier: an unacknowledged op.
+        }
+        assert_eq!(reopen().touched(), 0);
+        {
+            let mut d = PersistenceDomain::with_backend(1 << 20, reopen());
+            d.commit_group([op(1, 0xAA)]).unwrap();
+            d.commit_group_with_regs([op(2, 0xBB)], &[(0, Block::filled(0x01))])
+                .unwrap();
+            d.barrier().unwrap();
+            assert_eq!((d.commits(), d.epoch()), (2, 1));
+            // A simulated power failure still flushes on its own.
+            d.commit_group([op(3, 0xCC)]).unwrap();
+            d.power_fail();
+            assert_eq!(d.epoch(), 2);
+        }
+        let b = reopen();
+        assert_eq!(b.load(1), Some(Block::filled(0xAA)));
+        assert_eq!(b.load(2), Some(Block::filled(0xBB)));
+        assert_eq!(b.load(3), Some(Block::filled(0xCC)));
+        assert_eq!(b.reg(0), Some(Block::filled(0x01)));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! Every [`NvmBackend::store`] / [`NvmBackend::journal`] /
 //! [`NvmBackend::store_reg`] appends a record to an in-memory pending
 //! buffer; [`NvmBackend::barrier`] serializes the buffer as **one**
-//! checksummed frame and fsyncs. A frame is therefore the atomicity unit:
-//! on reopen, records are replayed in append order (last write to an
-//! address wins) and a structurally torn tail frame — the signature of a
-//! process killed mid-append — is discarded and truncated away. A frame
+//! checksummed frame and fsyncs. A frame is therefore the atomicity unit,
+//! and since the controllers barrier once per public operation it is one
+//! operation's worth of commit groups (a 32-line batch, a whole page
+//! re-encryption): on reopen, records are replayed in append order (last
+//! write to an address wins) and a structurally torn tail frame — the
+//! signature of a process killed mid-append, i.e. before the operation
+//! was acknowledged — is discarded and truncated away. A frame
 //! whose checksum fails any other way is *corruption*, surfaced as a
 //! typed [`NvmError::Backend`], never a panic.
 //!
@@ -70,15 +73,36 @@ fn frame_crc(epoch: u64, payload: &[u8]) -> u64 {
     fnv1a64_seeded(fnv1a64(&epoch.to_le_bytes()), payload)
 }
 
+/// Completes `frame` — [`FRAME_HEADER_BYTES`] of reservation followed by
+/// the payload — with its header for `epoch`, appends it to `file` in one
+/// write and fsyncs. Building the frame in place keeps an op-sized
+/// payload from being copied a second time on every barrier.
+///
+/// Callers bump the epoch before and seal the anchor after: the WAL
+/// lands strictly before the anchor advances, so an honest crash between
+/// the two leaves the image *ahead* of the anchor (accepted and healed
+/// on reopen) — never behind it.
+fn write_frame(file: &mut File, path: &Path, frame: &mut [u8], epoch: u64) -> Result<(), NvmError> {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..12].copy_from_slice(&frame_crc(epoch, payload).to_le_bytes());
+    header[12..].copy_from_slice(&epoch.to_le_bytes());
+    file.write_all(frame)
+        .map_err(|e| io_err("append", path, e))?;
+    file.sync_data().map_err(|e| io_err("sync", path, e))
+}
+
 /// A durable, write-ahead-logged file backend for [`crate::NvmDevice`].
 ///
-/// Persisted bytes never reflect an unflushed commit group: stores only
-/// reach the file at [`NvmBackend::barrier`], which the persistence
-/// domain invokes exactly where the simulated hardware persists (commit
-/// group completion, ADR flush, power-up REDO). Reopening the image after
-/// a SIGKILL therefore reconstructs precisely the state an in-process
-/// `power_fail` would have left: every acknowledged commit group, nothing
-/// of any group still in flight.
+/// Persisted bytes never reflect an unflushed commit group: records only
+/// reach the file at [`NvmBackend::barrier`], which the controllers
+/// invoke once at the end of every public operation and the persistence
+/// domain on its platform paths (ADR flush, power-up REDO, WPQ drain,
+/// snapshot) — see the durability contract on [`NvmBackend`]. Reopening
+/// the image after a SIGKILL therefore reconstructs a state an in-process
+/// `power_fail` could have left at an operation boundary: every commit
+/// group of every acknowledged operation, and of the operation in flight
+/// either all groups it had completed when its barrier landed or none.
 #[derive(Debug)]
 pub struct FileBackend {
     file: File,
@@ -91,7 +115,10 @@ pub struct FileBackend {
     /// stay invisible to `load` — but those records are already durable,
     /// so compaction must rewrite from this map, never from `cache`.
     replay: HashMap<u64, Block>,
-    /// Serialized records awaiting the next barrier.
+    /// The next frame under construction: [`FRAME_HEADER_BYTES`] reserved
+    /// for the header (filled in by `write_frame`), then the serialized
+    /// records awaiting the next barrier. Truncated, never dropped, so an
+    /// op-sized frame reuses the allocation of the one before it.
     pending: Vec<u8>,
     /// Structured mirror of the block records in `pending`, applied to
     /// `replay` once the frame durably lands.
@@ -267,7 +294,7 @@ impl FileBackend {
             replay: cache.clone(),
             cache,
             regs,
-            pending: Vec::new(),
+            pending: vec![0; FRAME_HEADER_BYTES],
             pending_ops: Vec::new(),
             pending_records: 0,
             wal_records,
@@ -380,25 +407,12 @@ impl FileBackend {
         (self.replay.len() + self.regs.len()) as u64
     }
 
-    /// Appends one frame carrying `payload` at a freshly bumped epoch and
-    /// fsyncs, then seals the anchor forward to match. The WAL lands
-    /// strictly before the anchor advances, so an honest crash between
-    /// the two leaves the image *ahead* of the anchor (accepted and
-    /// healed on reopen) — never behind it.
-    fn append_frame(&mut self, payload: &[u8]) -> Result<(), NvmError> {
-        self.epoch += 1;
-        let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&frame_crc(self.epoch, payload).to_le_bytes());
-        frame.extend_from_slice(&self.epoch.to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file
-            .write_all(&frame)
-            .map_err(|e| io_err("append", &self.path.clone(), e))?;
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("sync", &self.path.clone(), e))?;
-        self.seal_anchor()
+    /// Drops the records awaiting the next barrier, keeping the header
+    /// reservation and the buffer's capacity.
+    fn clear_pending(&mut self) {
+        self.pending.truncate(FRAME_HEADER_BYTES);
+        self.pending_ops.clear();
+        self.pending_records = 0;
     }
 
     fn seal_anchor(&mut self) -> Result<(), NvmError> {
@@ -417,18 +431,20 @@ impl FileBackend {
     /// rewritten frame carries a freshly bumped epoch, sealed into the
     /// anchor after the rename.
     fn compact(&mut self) -> Result<(), NvmError> {
-        let mut payload = Vec::with_capacity(self.replay.len() * 73 + self.regs.len() * 66);
+        let mut frame =
+            Vec::with_capacity(FRAME_HEADER_BYTES + self.replay.len() * 73 + self.regs.len() * 66);
+        frame.resize(FRAME_HEADER_BYTES, 0);
         let mut entries: Vec<_> = self.replay.iter().map(|(&k, &b)| (k, b)).collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
         for (phys, block) in &entries {
-            payload.push(TAG_WRITE);
-            payload.extend_from_slice(&phys.to_le_bytes());
-            payload.extend_from_slice(block.as_bytes());
+            frame.push(TAG_WRITE);
+            frame.extend_from_slice(&phys.to_le_bytes());
+            frame.extend_from_slice(block.as_bytes());
         }
         for (&idx, block) in &self.regs {
-            payload.push(TAG_REG);
-            payload.push(idx);
-            payload.extend_from_slice(block.as_bytes());
+            frame.push(TAG_REG);
+            frame.push(idx);
+            frame.extend_from_slice(block.as_bytes());
         }
 
         self.epoch += 1;
@@ -437,15 +453,7 @@ impl FileBackend {
         out.write_all(MAGIC).map_err(|e| io_err("write", &tmp, e))?;
         out.write_all(&VERSION.to_le_bytes())
             .map_err(|e| io_err("write", &tmp, e))?;
-        out.write_all(&(payload.len() as u32).to_le_bytes())
-            .map_err(|e| io_err("write", &tmp, e))?;
-        out.write_all(&frame_crc(self.epoch, &payload).to_le_bytes())
-            .map_err(|e| io_err("write", &tmp, e))?;
-        out.write_all(&self.epoch.to_le_bytes())
-            .map_err(|e| io_err("write", &tmp, e))?;
-        out.write_all(&payload)
-            .map_err(|e| io_err("write", &tmp, e))?;
-        out.sync_data().map_err(|e| io_err("sync", &tmp, e))?;
+        write_frame(&mut out, &tmp, &mut frame, self.epoch)?;
         std::fs::rename(&tmp, &self.path).map_err(|e| io_err("rename", &tmp, e))?;
         // Best-effort directory sync so the rename itself is durable.
         if let Some(dir) = self.path.parent() {
@@ -547,21 +555,20 @@ impl NvmBackend for FileBackend {
     fn barrier(&mut self) -> Result<(), NvmError> {
         if self.suppressed {
             // The platform died: unflushed records evaporate.
-            self.pending.clear();
-            self.pending_ops.clear();
-            self.pending_records = 0;
+            self.clear_pending();
             return Ok(());
         }
-        if self.pending.is_empty() {
+        if self.pending_records == 0 {
             return Ok(());
         }
-        let payload = std::mem::take(&mut self.pending);
-        self.append_frame(&payload)?;
+        self.epoch += 1;
+        write_frame(&mut self.file, &self.path, &mut self.pending, self.epoch)?;
+        self.seal_anchor()?;
         self.wal_records += self.pending_records;
-        for (phys, block) in self.pending_ops.drain(..) {
+        for &(phys, block) in &self.pending_ops {
             self.replay.insert(phys, block);
         }
-        self.pending_records = 0;
+        self.clear_pending();
         if self.wal_records > COMPACT_FACTOR * self.live_records() + COMPACT_FLOOR {
             self.compact()?;
         }
@@ -570,9 +577,7 @@ impl NvmBackend for FileBackend {
 
     fn suppress_flushes(&mut self) {
         self.suppressed = true;
-        self.pending.clear();
-        self.pending_ops.clear();
-        self.pending_records = 0;
+        self.clear_pending();
     }
 
     fn epoch(&self) -> u64 {
@@ -590,7 +595,10 @@ impl NvmBackend for FileBackend {
         // An empty frame: nothing to replay, but the epoch advance is
         // durable and anchored, so post-snapshot state is provably newer
         // than the snapshot it feeds.
-        self.append_frame(&[])
+        self.epoch += 1;
+        let mut empty = [0; FRAME_HEADER_BYTES];
+        write_frame(&mut self.file, &self.path, &mut empty, self.epoch)?;
+        self.seal_anchor()
     }
 
     fn frames_rejected(&self) -> u64 {
@@ -632,6 +640,46 @@ mod tests {
         assert_eq!(b.touched(), 1);
         assert_eq!(b.epoch(), 1);
         assert_eq!(b.freshness(), Freshness::Untracked);
+        cleanup(&p);
+    }
+
+    #[test]
+    fn frame_bytes_follow_the_documented_layout_from_a_reused_buffer() {
+        let p = tmp("layout");
+        let mut b = FileBackend::open(&p).unwrap();
+        b.store_reg(3, Block::filled(0x33));
+        b.journal(9, Block::filled(0x99));
+        b.store(4, Block::filled(0x44));
+        b.barrier().unwrap();
+        let capacity = b.pending.capacity();
+        b.store(5, Block::filled(0x55));
+        b.barrier().unwrap();
+        assert_eq!(
+            b.pending.capacity(),
+            capacity,
+            "a barrier must keep the frame buffer for the next one"
+        );
+        b.bump_epoch().unwrap();
+
+        let write = |phys: u64, fill: u8| {
+            let mut r = vec![TAG_WRITE];
+            r.extend_from_slice(&phys.to_le_bytes());
+            r.extend_from_slice(&[fill; crate::BLOCK_BYTES]);
+            r
+        };
+        let mut first = vec![TAG_REG, 3];
+        first.extend_from_slice(&[0x33; crate::BLOCK_BYTES]);
+        first.extend(write(9, 0x99));
+        first.extend(write(4, 0x44));
+        let mut want = MAGIC.to_vec();
+        want.extend_from_slice(&VERSION.to_le_bytes());
+        for (epoch, payload) in [(1u64, first), (2, write(5, 0x55)), (3, Vec::new())] {
+            want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            want.extend_from_slice(&frame_crc(epoch, &payload).to_le_bytes());
+            want.extend_from_slice(&epoch.to_le_bytes());
+            want.extend_from_slice(&payload);
+        }
+        assert_eq!(std::fs::read(&p).unwrap(), want);
         cleanup(&p);
     }
 

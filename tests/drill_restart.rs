@@ -17,6 +17,12 @@
 //! trip; and a corrupted persisted quarantine table must surface as a
 //! typed [`RecoveryError::CorruptImage`] hint that enters the supervisor
 //! ladder at rung 3 via [`Supervisor::repair_then_recover`].
+//!
+//! The last section pins the op-scoped durability barrier: every public
+//! controller op — a 32-line `write_batch`, a write that re-encrypts a
+//! whole page — is exactly one WAL frame and one anchor seal, so a dropped
+//! process keeps every acknowledged batch and a torn tail frame removes
+//! the unacknowledged batch as a whole.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -25,8 +31,11 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController, RecoveryError,
     SgxController, SgxScheme, Supervised, Supervisor,
 };
-use anubis_nvm::{Block, FileBackend, NvmBackend, Snapshot, BLOCK_BYTES};
-use anubis_sim::drill::{drill_script, verify_dead_image, DrillFamily};
+use anubis_nvm::{
+    anchor_path_for, AnchorPolicy, Block, FileBackend, FreshnessAnchor, NvmBackend, Snapshot,
+    BLOCK_BYTES,
+};
+use anubis_sim::drill::{device_fingerprint, drill_script, verify_dead_image, DrillFamily};
 use anubis_sim::fault::{op_payload, ScriptOp};
 
 fn config() -> AnubisConfig {
@@ -44,7 +53,11 @@ fn scratch(name: &str) -> PathBuf {
 /// Runs supervised recovery on a freshly (re)opened controller, entering
 /// at rung 3 when reopen produced a corruption hint.
 fn recover_fresh<C: Supervised>(ctrl: &mut C, hint: Option<RecoveryError>) {
-    let sup = Supervisor::new();
+    recover_with(&Supervisor::new(), ctrl, hint);
+}
+
+/// [`recover_fresh`] under a caller-configured supervisor (lane count).
+fn recover_with<C: Supervised>(sup: &Supervisor, ctrl: &mut C, hint: Option<RecoveryError>) {
     match hint {
         Some(err) => {
             sup.repair_then_recover(ctrl, &err)
@@ -341,4 +354,260 @@ fn corrupt_qtable_image_is_typed_and_feeds_rung_three() {
         );
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Op-scoped durability barrier: one frame + one anchor seal per public op
+// ---------------------------------------------------------------------
+
+const BATCH_LINES: u64 = 32;
+
+type Reopen<C> = fn(FileBackend) -> (C, Option<RecoveryError>);
+
+fn reopen_agit_plus(b: FileBackend) -> (BonsaiController<FileBackend>, Option<RecoveryError>) {
+    BonsaiController::reopen(BonsaiScheme::AgitPlus, &config(), b)
+}
+
+fn reopen_asit(b: FileBackend) -> (SgxController<FileBackend>, Option<RecoveryError>) {
+    SgxController::reopen(SgxScheme::Asit, &config(), b)
+}
+
+/// Opens `image` under its sealed anchor (strict policy: a rolled-back
+/// or anchor-less image would surface as a refusal) and runs supervised
+/// recovery at `lanes`.
+fn open_anchored<C: Supervised>(reopen: Reopen<C>, image: &Path, lanes: usize) -> C {
+    let backend = FileBackend::open_with_anchor(image, config().key.0, AnchorPolicy::Strict)
+        .expect("anchored open");
+    let (mut ctrl, hint) = reopen(backend);
+    recover_with(&Supervisor::new().with_lanes(lanes), &mut ctrl, hint);
+    ctrl
+}
+
+/// Batch `b`: 32 lines nobody else writes, so a batch that never became
+/// durable reads back as zeroes and one that did as its own payloads.
+fn batch_items(b: u64) -> Vec<(DataAddr, Block)> {
+    (b * BATCH_LINES..(b + 1) * BATCH_LINES)
+        .map(|addr| (DataAddr::new(addr), op_payload(b, addr)))
+        .collect()
+}
+
+/// The contract every returned op leaves behind: the sealed anchor has
+/// caught up with the image, so no acknowledgement ever precedes its
+/// frame's fsync or its seal.
+fn assert_sealed<C: Supervised>(ctrl: &C, image: &Path, what: &str) {
+    let sealed = FreshnessAnchor::probe(&anchor_path_for(image), config().key.0)
+        .expect("anchor readable")
+        .expect("anchor present");
+    assert_eq!(
+        sealed,
+        ctrl.domain().epoch(),
+        "{what}: sealed anchor and image epoch disagree after the op returned"
+    );
+}
+
+/// Writes batches `0..n` (asserting one frame and several commit groups
+/// per batch, and the seal after each) and returns the controller.
+fn serve_batches<C: Supervised>(reopen: Reopen<C>, image: &Path, n: u64) -> C {
+    let mut ctrl = open_anchored(reopen, image, 1);
+    for b in 0..n {
+        let (epoch, groups) = (ctrl.domain().epoch(), ctrl.domain().commits());
+        ctrl.write_batch(&batch_items(b)).expect("write_batch");
+        assert_eq!(
+            ctrl.domain().epoch() - epoch,
+            1,
+            "batch {b}: a 32-line write_batch must be exactly one frame"
+        );
+        assert!(
+            ctrl.domain().commits() - groups > 1,
+            "batch {b}: 32 lines must span several commit groups"
+        );
+        assert_sealed(&ctrl, image, "write_batch");
+    }
+    ctrl
+}
+
+fn assert_batch_reads<C: Supervised>(ctrl: &mut C, b: u64, present: bool) {
+    for (addr, payload) in batch_items(b) {
+        let want = if present { payload } else { Block::zeroed() };
+        assert_eq!(
+            ctrl.read(addr).expect("post-recovery read"),
+            want,
+            "batch {b}, line {}: expected the batch wholly {}",
+            addr.index(),
+            if present { "present" } else { "absent" }
+        );
+    }
+}
+
+/// Every public op is at most one frame, and the seal follows it.
+fn one_frame_per_op<C: Supervised>(reopen: Reopen<C>, name: &str) {
+    let dir = scratch(&format!("frames-{name}"));
+    let image = dir.join("image.wal");
+    let mut ctrl = serve_batches(reopen, &image, 8);
+    for k in 0..48u64 {
+        let addr = DataAddr::new((k * 7) % (8 * BATCH_LINES));
+        let epoch = ctrl.domain().epoch();
+        ctrl.write(addr, op_payload(1_000 + k, addr.index()))
+            .expect("scalar write");
+        assert_eq!(
+            ctrl.domain().epoch() - epoch,
+            1,
+            "{name}: a scalar write is one frame"
+        );
+        assert_sealed(&ctrl, &image, "write");
+        let epoch = ctrl.domain().epoch();
+        ctrl.read(DataAddr::new(k * 5)).expect("read");
+        assert!(
+            ctrl.domain().epoch() - epoch <= 1,
+            "{name}: a read is at most one frame (its fills' shadow traffic)"
+        );
+        assert_sealed(&ctrl, &image, "read");
+    }
+    let epoch = ctrl.domain().epoch();
+    ctrl.shutdown_flush().expect("shutdown_flush");
+    assert!(
+        ctrl.domain().epoch() - epoch <= 1,
+        "{name}: shutdown_flush is at most one frame"
+    );
+    assert_sealed(&ctrl, &image, "shutdown_flush");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_op_is_one_frame_bonsai_agit_plus() {
+    one_frame_per_op(reopen_agit_plus, "agit-plus");
+}
+
+#[test]
+fn every_op_is_one_frame_sgx_asit() {
+    one_frame_per_op(reopen_asit, "asit");
+}
+
+#[test]
+fn minor_overflow_page_reencryption_is_one_frame() {
+    let dir = scratch("reenc");
+    let image = dir.join("image.wal");
+    // 1024 live lines first: the log stays far below its compaction
+    // threshold, so the only epoch bumps below are frames.
+    let mut ctrl = serve_batches(reopen_agit_plus, &image, 32);
+    let hot = DataAddr::new(5);
+    let mut reencrypted = false;
+    for k in 0..130u64 {
+        let (epoch, groups) = (ctrl.domain().epoch(), ctrl.domain().commits());
+        ctrl.write(hot, op_payload(k, hot.index()))
+            .expect("hot-line write");
+        assert_eq!(
+            ctrl.domain().epoch() - epoch,
+            1,
+            "write {k}: one frame, however many groups it took"
+        );
+        assert_sealed(&ctrl, &image, "hot-line write");
+        // 64 per-line groups plus the log set-up, besides the write's own.
+        reencrypted |= ctrl.domain().commits() - groups >= 65;
+    }
+    assert!(
+        reencrypted,
+        "130 writes to one line must overflow its 7-bit minor counter"
+    );
+    drop(ctrl);
+    let mut ctrl = open_anchored(reopen_agit_plus, &image, 2);
+    assert_eq!(
+        ctrl.read(hot).expect("hot line after restart"),
+        op_payload(129, hot.index())
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Acknowledged batches survive a process that dies without
+/// `shutdown_flush`, at every recovery lane count, identically.
+fn acked_batches_survive_drop<C: Supervised>(reopen: Reopen<C>, name: &str) {
+    const BATCHES: u64 = 12;
+    let dir = scratch(&format!("acked-{name}"));
+    let image = dir.join("image.wal");
+    drop(serve_batches(reopen, &image, BATCHES));
+
+    let mut reference = None;
+    for lanes in [1usize, 2, 8] {
+        let copy = dir.join(format!("lane{lanes}.wal"));
+        fs::copy(&image, &copy).expect("copy image");
+        fs::copy(anchor_path_for(&image), anchor_path_for(&copy)).expect("copy anchor");
+        let mut ctrl = open_anchored(reopen, &copy, lanes);
+        let fingerprint = device_fingerprint(&ctrl);
+        assert_eq!(
+            *reference.get_or_insert(fingerprint),
+            fingerprint,
+            "{name}: post-recovery image differs at {lanes} lanes"
+        );
+        for b in 0..BATCHES {
+            assert_batch_reads(&mut ctrl, b, true);
+        }
+        assert_sealed(&ctrl, &copy, "post-recovery read");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn acked_batches_survive_drop_bonsai_agit_plus() {
+    acked_batches_survive_drop(reopen_agit_plus, "agit-plus");
+}
+
+#[test]
+fn acked_batches_survive_drop_sgx_asit() {
+    acked_batches_survive_drop(reopen_asit, "asit");
+}
+
+/// A kill inside the last batch's append: the frame is torn and the
+/// anchor still holds the previous epoch. The batch must vanish as a
+/// whole — its commit groups share the frame — and nothing before it.
+fn torn_last_frame_drops_whole_batch<C: Supervised>(reopen: Reopen<C>, name: &str) {
+    const BATCHES: u64 = 6;
+    let dir = scratch(&format!("torn-{name}"));
+    let image = dir.join("image.wal");
+    let mut ctrl = serve_batches(reopen, &image, BATCHES - 1);
+    let acked_epoch = ctrl.domain().epoch();
+    let acked_len = fs::metadata(&image).expect("stat image").len();
+    let acked_anchor = fs::read(anchor_path_for(&image)).expect("read anchor");
+    ctrl.write_batch(&batch_items(BATCHES - 1))
+        .expect("last batch");
+    drop(ctrl);
+
+    let full_len = fs::metadata(&image).expect("stat image").len();
+    assert!(full_len > acked_len, "the last batch must have appended");
+    let f = fs::OpenOptions::new()
+        .write(true)
+        .open(&image)
+        .expect("open image");
+    f.set_len(acked_len + (full_len - acked_len) / 2)
+        .expect("tear the last frame");
+    drop(f);
+    fs::write(anchor_path_for(&image), &acked_anchor).expect("rewind the unsealed anchor");
+
+    let mut ctrl = open_anchored(reopen, &image, 2);
+    assert_eq!(ctrl.domain().device().backend().frames_rejected(), 1);
+    for b in 0..BATCHES - 1 {
+        assert_batch_reads(&mut ctrl, b, true);
+    }
+    assert_batch_reads(&mut ctrl, BATCHES - 1, false);
+    // The anchor moves forward again with the first frames of the new
+    // process, from the acknowledged epoch the torn frame never passed.
+    assert!(
+        ctrl.domain().epoch() >= acked_epoch,
+        "{name}: epoch went backwards"
+    );
+    assert_sealed(&ctrl, &image, "post-recovery read");
+    ctrl.write_batch(&batch_items(BATCHES - 1))
+        .expect("retry of the lost batch");
+    assert_sealed(&ctrl, &image, "retried batch");
+    assert_batch_reads(&mut ctrl, BATCHES - 1, true);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn torn_last_frame_drops_whole_batch_bonsai_agit_plus() {
+    torn_last_frame_drops_whole_batch(reopen_agit_plus, "agit-plus");
+}
+
+#[test]
+fn torn_last_frame_drops_whole_batch_sgx_asit() {
+    torn_last_frame_drops_whole_batch(reopen_asit, "asit");
 }
