@@ -386,6 +386,12 @@ impl<B: NvmBackend> SgxController<B> {
         // frames per acknowledged op should read at most 1.
         t.counter_set("commit_groups_total", scheme, self.domain.commits());
         t.counter_set("wal_frames_total", scheme, self.domain.epoch());
+        // The log's logical end, not the file's length: the file is kept
+        // longer than the log by `wal_slack_bytes` of preallocated zeros.
+        let wal = self.domain.device().backend().wal_stats();
+        t.gauge_set("wal_log_bytes", scheme, wal.log_bytes as f64);
+        t.gauge_set("wal_slack_bytes", scheme, wal.slack_bytes as f64);
+        t.counter_set("wal_records_coalesced_total", scheme, wal.records_coalesced);
         t.counter_set("ecc_corrections_total", scheme, self.ecc_corrections);
         let cache = self.cache.stats();
         t.counter_set("cache_hits_total", "metadata", cache.hits);

@@ -40,6 +40,21 @@ pub(crate) fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// Size and economy of a durable backend's write-ahead log, for the
+/// controllers' telemetry. All zero for volatile backends.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalStats {
+    /// Logical end of the log: header plus every committed frame.
+    pub log_bytes: u64,
+    /// Zero bytes already on disk past the logical end, which the next
+    /// frames land in.
+    pub slack_bytes: u64,
+    /// Records that never became frame bytes of their own: overwritten
+    /// in place by a later record of the same frame, or equal to what
+    /// the log already replays for their address.
+    pub records_coalesced: u64,
+}
+
 /// Storage abstraction behind [`NvmDevice`](crate::NvmDevice).
 ///
 /// Implementations own the sparse block map plus the persistent register
@@ -52,7 +67,15 @@ pub(crate) fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
 /// [`NvmBackend::journal`] may buffer; only [`NvmBackend::barrier`] makes
 /// buffered records durable, and it must do so atomically and in order (a
 /// torn barrier must be indistinguishable from no barrier on reopen, and
-/// records replay in the order they were buffered).
+/// replaying the barriers in order must yield, per address and per
+/// register, the last image buffered — a backend may drop a record that
+/// a later one of the same barrier supersedes, or that repeats what the
+/// log already yields). When `barrier` returns `Ok` the records are on
+/// the medium: [`FileBackend`](crate::FileBackend) has `sync_data`ed the
+/// whole frame and then sealed the freshness anchor. That sync commits
+/// file contents only — the frame lands in zero-filled slack whose
+/// length and blocks an earlier `sync_all` made durable — which makes it
+/// cheaper, not weaker.
 ///
 /// `barrier` is called where durability becomes *observable*, not where
 /// the simulated hardware persists: a commit group is persistent against
@@ -148,6 +171,13 @@ pub trait NvmBackend: std::fmt::Debug + Send + Sync {
     /// `wal_rejected_total` telemetry counter.
     fn frames_rejected(&self) -> u64 {
         0
+    }
+
+    /// Log size, preallocated slack and coalesced-record count of a
+    /// durable backend — the `wal_log_bytes` / `wal_slack_bytes` /
+    /// `wal_records_coalesced_total` telemetry.
+    fn wal_stats(&self) -> WalStats {
+        WalStats::default()
     }
 }
 

@@ -1,27 +1,44 @@
 //! File-backed NVM images: a write-ahead log with ordered flushes and a
 //! sealed freshness anchor.
 //!
-//! The on-disk format is an append-only log:
-//!
-//! ```text
-//! header:  "ANUBWAL1" (8 bytes) | version u32 LE (= 2)
-//! frame*:  payload_len u32 LE | fnv1a64(epoch ‖ payload) u64 LE | epoch u64 LE | payload
-//! record*: tag 0 (block write): phys u64 LE | 64 contents bytes
-//!          tag 1 (register):    idx u8     | 64 contents bytes
-//! ```
+//! The on-disk format — header, checksummed frames closed by a commit
+//! marker, zero slack — and the rule that tells the clean end of the log
+//! from a torn append from corruption live in [`crate::wal`]; this module
+//! owns the file.
 //!
 //! Every [`NvmBackend::store`] / [`NvmBackend::journal`] /
-//! [`NvmBackend::store_reg`] appends a record to an in-memory pending
-//! buffer; [`NvmBackend::barrier`] serializes the buffer as **one**
-//! checksummed frame and fsyncs. A frame is therefore the atomicity unit,
-//! and since the controllers barrier once per public operation it is one
-//! operation's worth of commit groups (a 32-line batch, a whole page
-//! re-encryption): on reopen, records are replayed in append order (last
-//! write to an address wins) and a structurally torn tail frame — the
-//! signature of a process killed mid-append, i.e. before the operation
-//! was acknowledged — is discarded and truncated away. A frame
-//! whose checksum fails any other way is *corruption*, surfaced as a
-//! typed [`NvmError::Backend`], never a panic.
+//! [`NvmBackend::store_reg`] adds a record to an in-memory pending
+//! frame; [`NvmBackend::barrier`] writes the frame at the log's **write
+//! position** and `sync_data`s it. A frame is therefore the atomicity
+//! unit, and since the controllers barrier once per public operation it
+//! is one operation's worth of commit groups (a 32-line batch, a whole
+//! page re-encryption): on reopen, records are replayed in append order
+//! (last write to an address wins) and a torn tail frame — the signature
+//! of a process killed mid-append, i.e. before the operation was
+//! acknowledged — is discarded and truncated away. Anything else that
+//! is not a committed, checksum-valid, in-order frame is *corruption*,
+//! surfaced as a typed [`NvmError::Backend`], never a panic and never a
+//! silent drop.
+//!
+//! **The write position is not the file length.** Appending to a file
+//! grows it, and a sync that has to commit a new length and new blocks
+//! waits for a filesystem-journal commit — several times the cost of
+//! syncing bytes that overwrite blocks already on disk. So the file is
+//! kept longer than the log: whenever the next frame does not fit, the
+//! file is first extended by writing zeros past it
+//! (`max(64 KiB, log length / 4)` of them) and `sync_all`ed, and only
+//! then does the frame land, inside blocks that exist. The durability
+//! point of every acknowledged operation is thus a data-only sync, and
+//! it is still a sync of the whole frame before the anchor seal before
+//! the reply. The invariant that makes the tail classification of
+//! [`crate::wal`] exact: **whenever no append is in progress, every byte
+//! at and after the write position is zero**, and slack is durable
+//! before a frame is written into it. Extension only ever adds zeros;
+//! a reopen truncates a torn tail away, keeps the remaining slack
+//! (`sync_all`ing it once, since the process that wrote it may have died
+//! first) and resumes at the logical end; compaction starts a new file;
+//! and an append that fails part-way poisons the backend — every later
+//! barrier is refused, and the next open sees a torn tail.
 //!
 //! Each flushed frame carries the device's **freshness epoch**, bumped on
 //! every flushing barrier, compaction, and snapshot. Replay demands
@@ -40,18 +57,15 @@
 //! replayed record count sufficiently exceeds the live footprint.
 
 use crate::anchor::{anchor_path_for, AnchorError, AnchorPolicy, Freshness, FreshnessAnchor};
-use crate::backend::{fnv1a64, fnv1a64_seeded, NvmBackend};
+use crate::backend::{NvmBackend, WalStats};
 use crate::block::Block;
 use crate::error::NvmError;
+use crate::wal::{seal_frame, WalWalker, FRAME_HEADER_BYTES, HEADER_BYTES, MAGIC, VERSION};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-const MAGIC: &[u8; 8] = b"ANUBWAL1";
-const VERSION: u32 = 2;
-const HEADER_BYTES: usize = 12;
-const FRAME_HEADER_BYTES: usize = 20;
 
 const TAG_WRITE: u8 = 0;
 const TAG_REG: u8 = 1;
@@ -61,35 +75,113 @@ const TAG_REG: u8 = 1;
 const COMPACT_FACTOR: u64 = 4;
 const COMPACT_FLOOR: u64 = 1024;
 
+/// Slack kept ahead of the log: at least this much, a quarter of the log
+/// beyond that, so extensions stay as rare for a large log as for a
+/// small one.
+const SLACK_FLOOR: u64 = 64 * 1024;
+static ZEROS: [u8; SLACK_FLOOR as usize] = [0; SLACK_FLOOR as usize];
+
 fn io_err(op: &str, path: &Path, e: std::io::Error) -> NvmError {
     NvmError::Backend {
         reason: format!("{op} {}: {e}", path.display()),
     }
 }
 
-/// The checksum of one WAL frame: an FNV-1a stream over the frame epoch
-/// followed by the payload, so neither can be altered independently.
-fn frame_crc(epoch: u64, payload: &[u8]) -> u64 {
-    fnv1a64_seeded(fnv1a64(&epoch.to_le_bytes()), payload)
+/// The image file: frames up to `end`, zeros from there to `len`.
+#[derive(Debug)]
+struct Log {
+    file: File,
+    path: PathBuf,
+    /// The write position — the logical end of the log.
+    end: u64,
+    /// The file's length; `len - end` is the slack.
+    len: u64,
+    /// An append is in progress — or failed part-way, for good: bytes
+    /// past `end` may be non-zero, so nothing more may be written
+    /// through this handle.
+    poisoned: bool,
 }
 
-/// Completes `frame` — [`FRAME_HEADER_BYTES`] of reservation followed by
-/// the payload — with its header for `epoch`, appends it to `file` in one
-/// write and fsyncs. Building the frame in place keeps an op-sized
-/// payload from being copied a second time on every barrier.
-///
-/// Callers bump the epoch before and seal the anchor after: the WAL
-/// lands strictly before the anchor advances, so an honest crash between
-/// the two leaves the image *ahead* of the anchor (accepted and healed
-/// on reopen) — never behind it.
-fn write_frame(file: &mut File, path: &Path, frame: &mut [u8], epoch: u64) -> Result<(), NvmError> {
-    let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..12].copy_from_slice(&frame_crc(epoch, payload).to_le_bytes());
-    header[12..].copy_from_slice(&epoch.to_le_bytes());
-    file.write_all(frame)
-        .map_err(|e| io_err("append", path, e))?;
-    file.sync_data().map_err(|e| io_err("sync", path, e))
+impl Log {
+    /// Starts an empty log in `file`: just the image header.
+    fn init(mut file: File, path: PathBuf) -> Result<Log, NvmError> {
+        file.write_all(MAGIC)
+            .map_err(|e| io_err("init", &path, e))?;
+        file.write_all(&VERSION.to_le_bytes())
+            .map_err(|e| io_err("init", &path, e))?;
+        Ok(Log {
+            file,
+            path,
+            end: HEADER_BYTES as u64,
+            len: HEADER_BYTES as u64,
+            poisoned: false,
+        })
+    }
+
+    /// Seals `frame` — [`FRAME_HEADER_BYTES`] of reservation followed by
+    /// the payload — for `epoch`, writes it at the write position and
+    /// `sync_data`s it. The sync is data-only in effect as well as in
+    /// name: the frame lands in slack that [`Log::reserve`] made durable.
+    ///
+    /// Callers bump the epoch before and seal the anchor after: the WAL
+    /// lands strictly before the anchor advances, so an honest crash
+    /// between the two leaves the image *ahead* of the anchor (accepted
+    /// and healed on reopen) — never behind it.
+    fn append(&mut self, frame: &mut Vec<u8>, epoch: u64) -> Result<(), NvmError> {
+        if self.poisoned {
+            return Err(NvmError::Backend {
+                reason: format!(
+                    "{}: WAL poisoned by an earlier failed append",
+                    self.path.display()
+                ),
+            });
+        }
+        seal_frame(frame, epoch);
+        // Until the whole frame is durable, bytes past `end` may be
+        // non-zero: any early return below leaves the log poisoned.
+        self.poisoned = true;
+        self.reserve(frame.len() as u64)?;
+        self.file
+            .seek(SeekFrom::Start(self.end))
+            .map_err(|e| io_err("seek", &self.path, e))?;
+        self.file
+            .write_all(frame)
+            .map_err(|e| io_err("append", &self.path, e))?;
+        self.file
+            .sync_data()
+            .map_err(|e| io_err("sync", &self.path, e))?;
+        self.end += frame.len() as u64;
+        self.poisoned = false;
+        Ok(())
+    }
+
+    /// Makes sure `bytes` fit between the write position and the end of
+    /// the file, extending it with durable zeros if not.
+    fn reserve(&mut self, bytes: u64) -> Result<(), NvmError> {
+        let need = self.end + bytes;
+        if need <= self.len {
+            return Ok(());
+        }
+        let target = need + SLACK_FLOOR.max(self.end / 4);
+        self.file
+            .seek(SeekFrom::Start(self.len))
+            .map_err(|e| io_err("seek", &self.path, e))?;
+        let mut at = self.len;
+        while at < target {
+            let n = (target - at).min(SLACK_FLOOR);
+            self.file
+                .write_all(&ZEROS[..n as usize])
+                .map_err(|e| io_err("extend", &self.path, e))?;
+            at += n;
+        }
+        // The new length and blocks are committed here, once, so that no
+        // frame sync has to.
+        self.file
+            .sync_all()
+            .map_err(|e| io_err("sync", &self.path, e))?;
+        self.len = target;
+        Ok(())
+    }
 }
 
 /// A durable, write-ahead-logged file backend for [`crate::NvmDevice`].
@@ -105,8 +197,7 @@ fn write_frame(file: &mut File, path: &Path, frame: &mut [u8], epoch: u64) -> Re
 /// either all groups it had completed when its barrier landed or none.
 #[derive(Debug)]
 pub struct FileBackend {
-    file: File,
-    path: PathBuf,
+    log: Log,
     cache: HashMap<u64, Block>,
     regs: BTreeMap<u8, Block>,
     /// Exact replay state of the flushed log: the last *flushed* record
@@ -116,14 +207,20 @@ pub struct FileBackend {
     /// so compaction must rewrite from this map, never from `cache`.
     replay: HashMap<u64, Block>,
     /// The next frame under construction: [`FRAME_HEADER_BYTES`] reserved
-    /// for the header (filled in by `write_frame`), then the serialized
-    /// records awaiting the next barrier. Truncated, never dropped, so an
-    /// op-sized frame reuses the allocation of the one before it.
+    /// for the header (filled in when the frame is sealed), then the
+    /// serialized records awaiting the next barrier. Truncated, never
+    /// dropped, so an op-sized frame reuses the allocation of the one
+    /// before it.
     pending: Vec<u8>,
-    /// Structured mirror of the block records in `pending`, applied to
-    /// `replay` once the frame durably lands.
-    pending_ops: Vec<(u64, Block)>,
-    pending_records: u64,
+    /// Where in `pending` the 64 contents bytes of each address's (resp.
+    /// register's) one record sit. The frame is the atomicity unit and
+    /// replay is last-write-wins, so only the last image of an address
+    /// within a frame matters: a later record overwrites the earlier one
+    /// in place. Applied to `replay` once the frame durably lands.
+    pending_writes: HashMap<u64, usize>,
+    pending_regs: Vec<(u8, usize)>,
+    /// Records that cost no frame bytes of their own (see [`WalStats`]).
+    coalesced: u64,
     /// Records sitting in flushed frames (reset by compaction).
     wal_records: u64,
     /// Current freshness epoch: that of the image's last intact frame,
@@ -139,16 +236,17 @@ pub struct FileBackend {
 }
 
 impl FileBackend {
-    /// Opens (or creates) a WAL image at `path`, replaying every intact
-    /// frame. A structurally torn tail frame is truncated away. No
+    /// Opens (or creates) a WAL image at `path`, replaying every
+    /// committed frame. A torn tail frame is truncated away. No
     /// freshness anchor is consulted: the image's epoch is trusted at
     /// face value ([`Freshness::Untracked`]).
     ///
     /// # Errors
     ///
     /// Returns [`NvmError::Backend`] for I/O failures, a bad magic or
-    /// version, a checksum-corrupt frame that is not a torn tail, or a
-    /// non-monotonic frame epoch.
+    /// version, and every [`crate::WalFault`]: a committed frame whose
+    /// checksum or epoch order fails, and bytes at the tail that are
+    /// neither zero slack nor a torn append.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, NvmError> {
         Self::open_inner(path.as_ref(), None)
     }
@@ -196,107 +294,60 @@ impl FileBackend {
         let mut epoch = 0u64;
         let mut rejected_frames = 0u64;
 
-        let valid_len = if bytes.is_empty() {
-            file.write_all(MAGIC)
-                .map_err(|e| io_err("init", &path, e))?;
-            file.write_all(&VERSION.to_le_bytes())
-                .map_err(|e| io_err("init", &path, e))?;
-            file.sync_data().map_err(|e| io_err("sync", &path, e))?;
-            HEADER_BYTES
+        let log = if bytes.is_empty() {
+            let log = Log::init(file, path)?;
+            log.file
+                .sync_data()
+                .map_err(|e| io_err("sync", &log.path, e))?;
+            log
         } else {
-            if bytes.len() < HEADER_BYTES || &bytes[..8] != MAGIC {
-                return Err(NvmError::Backend {
-                    reason: format!("{}: not an Anubis WAL image (bad magic)", path.display()),
-                });
+            let fault = |f| NvmError::Backend {
+                reason: format!("{}: {f}", path.display()),
+            };
+            let mut walk = WalWalker::new(&bytes).map_err(fault)?;
+            for frame in walk.by_ref() {
+                let frame = frame.map_err(fault)?;
+                epoch = frame.epoch;
+                wal_records += replay_frame(&path, frame.payload(&bytes), &mut cache, &mut regs)?;
             }
-            let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-            if version != VERSION {
-                return Err(NvmError::Backend {
-                    reason: format!(
-                        "{}: unsupported WAL version {version} (expected {VERSION})",
-                        path.display()
-                    ),
-                });
+            let (end, torn) = (walk.logical_end() as u64, walk.torn_tail());
+            let mut len = bytes.len() as u64;
+            if torn {
+                // The unacknowledged append of a killed process: dropped
+                // whole, which also restores the zero tail.
+                rejected_frames += 1;
+                len = end;
+                file.set_len(len)
+                    .map_err(|e| io_err("truncate", &path, e))?;
             }
-            let mut pos = HEADER_BYTES;
-            while pos < bytes.len() {
-                if pos + FRAME_HEADER_BYTES > bytes.len() {
-                    rejected_frames += 1;
-                    break; // torn tail: incomplete frame header
-                }
-                let len = u32::from_le_bytes([
-                    bytes[pos],
-                    bytes[pos + 1],
-                    bytes[pos + 2],
-                    bytes[pos + 3],
-                ]) as usize;
-                let crc = u64::from_le_bytes(
-                    bytes[pos + 4..pos + 12]
-                        .try_into()
-                        .expect("slice is 8 bytes"),
-                );
-                let frame_epoch = u64::from_le_bytes(
-                    bytes[pos + 12..pos + 20]
-                        .try_into()
-                        .expect("slice is 8 bytes"),
-                );
-                let start = pos + FRAME_HEADER_BYTES;
-                let Some(end) = start.checked_add(len).filter(|&e| e <= bytes.len()) else {
-                    rejected_frames += 1;
-                    break; // torn tail: payload cut short by the kill
-                };
-                let payload = &bytes[start..end];
-                if frame_crc(frame_epoch, payload) != crc {
-                    // A complete frame with a bad checksum is bit
-                    // corruption, not a torn append.
-                    return Err(NvmError::Backend {
-                        reason: format!(
-                            "{}: corrupt WAL frame at byte {pos} (checksum mismatch)",
-                            path.display()
-                        ),
-                    });
-                }
-                if frame_epoch <= epoch {
-                    // Epochs strictly increase through the log; a repeat
-                    // or regression is a reordered, duplicated, or
-                    // spliced frame — checksum-intact, still corruption.
-                    return Err(NvmError::Backend {
-                        reason: format!(
-                            "{}: non-monotonic WAL frame epoch {frame_epoch} after {epoch} \
-                             at byte {pos} (spliced or reordered frame)",
-                            path.display()
-                        ),
-                    });
-                }
-                epoch = frame_epoch;
-                wal_records += replay_frame(&path, payload, &mut cache, &mut regs)?;
-                pos = end;
+            if torn || len > end {
+                // Inherited slack may never have been synced by the
+                // process that wrote it.
+                file.sync_all().map_err(|e| io_err("sync", &path, e))?;
             }
-            pos
+            Log {
+                file,
+                path,
+                end,
+                len,
+                poisoned: false,
+            }
         };
-
-        if (valid_len as u64) < bytes.len() as u64 {
-            file.set_len(valid_len as u64)
-                .map_err(|e| io_err("truncate", &path, e))?;
-            file.sync_data().map_err(|e| io_err("sync", &path, e))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seek", &path, e))?;
 
         let (anchor, freshness) = match anchoring {
             None => (None, Freshness::Untracked),
-            Some((key, policy)) => Self::check_anchor(&path, key, policy, epoch)?,
+            Some((key, policy)) => Self::check_anchor(&log.path, key, policy, epoch)?,
         };
 
         Ok(FileBackend {
-            file,
-            path,
+            log,
             replay: cache.clone(),
             cache,
             regs,
             pending: vec![0; FRAME_HEADER_BYTES],
-            pending_ops: Vec::new(),
-            pending_records: 0,
+            pending_writes: HashMap::new(),
+            pending_regs: Vec::new(),
+            coalesced: 0,
             wal_records,
             epoch,
             anchor,
@@ -380,7 +431,7 @@ impl FileBackend {
 
     /// The image path this backend persists to.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.log.path
     }
 
     /// Whether [`NvmBackend::suppress_flushes`] has been invoked.
@@ -388,19 +439,42 @@ impl FileBackend {
         self.suppressed
     }
 
+    /// Adds a block record to the pending frame — unless the frame
+    /// already holds one for `phys`, which is overwritten in place, or
+    /// the flushed log already replays `phys` to exactly `block` (a
+    /// journaled write reaching `store` when the WPQ evicts it), which
+    /// needs no record at all.
     fn push_write(&mut self, phys: u64, block: Block) {
-        self.pending.push(TAG_WRITE);
-        self.pending.extend_from_slice(&phys.to_le_bytes());
-        self.pending.extend_from_slice(block.as_bytes());
-        self.pending_ops.push((phys, block));
-        self.pending_records += 1;
+        match self.pending_writes.entry(phys) {
+            Entry::Occupied(record) => {
+                let at = *record.get();
+                self.pending[at..at + crate::BLOCK_BYTES].copy_from_slice(block.as_bytes());
+                self.coalesced += 1;
+            }
+            Entry::Vacant(_) if self.replay.get(&phys) == Some(&block) => self.coalesced += 1,
+            Entry::Vacant(slot) => {
+                self.pending.push(TAG_WRITE);
+                self.pending.extend_from_slice(&phys.to_le_bytes());
+                slot.insert(self.pending.len());
+                self.pending.extend_from_slice(block.as_bytes());
+            }
+        }
     }
 
-    fn push_reg(&mut self, idx: u8, block: Block) {
-        self.pending.push(TAG_REG);
-        self.pending.push(idx);
-        self.pending.extend_from_slice(block.as_bytes());
-        self.pending_records += 1;
+    /// As [`FileBackend::push_write`] for a register mirror; `flushed` is
+    /// the image the log yields for `idx` when no record is pending.
+    fn push_reg(&mut self, idx: u8, block: Block, flushed: Option<Block>) {
+        if let Some(&(_, at)) = self.pending_regs.iter().find(|&&(i, _)| i == idx) {
+            self.pending[at..at + crate::BLOCK_BYTES].copy_from_slice(block.as_bytes());
+            self.coalesced += 1;
+        } else if flushed == Some(block) {
+            self.coalesced += 1;
+        } else {
+            self.pending.push(TAG_REG);
+            self.pending.push(idx);
+            self.pending_regs.push((idx, self.pending.len()));
+            self.pending.extend_from_slice(block.as_bytes());
+        }
     }
 
     fn live_records(&self) -> u64 {
@@ -411,8 +485,8 @@ impl FileBackend {
     /// reservation and the buffer's capacity.
     fn clear_pending(&mut self) {
         self.pending.truncate(FRAME_HEADER_BYTES);
-        self.pending_ops.clear();
-        self.pending_records = 0;
+        self.pending_writes.clear();
+        self.pending_regs.clear();
     }
 
     fn seal_anchor(&mut self) -> Result<(), NvmError> {
@@ -429,7 +503,9 @@ impl FileBackend {
     /// `cache`: journaled-but-undrained writes are durable in the log
     /// being discarded and must survive into its replacement. The
     /// rewritten frame carries a freshly bumped epoch, sealed into the
-    /// anchor after the rename.
+    /// anchor after the rename. The replacement is a new file written
+    /// through the same [`Log::append`], so it starts with its own slack
+    /// and the zero-tail invariant holds for it from its first byte.
     fn compact(&mut self) -> Result<(), NvmError> {
         let mut frame =
             Vec::with_capacity(FRAME_HEADER_BYTES + self.replay.len() * 73 + self.regs.len() * 66);
@@ -448,22 +524,19 @@ impl FileBackend {
         }
 
         self.epoch += 1;
-        let tmp = self.path.with_extension("compact-tmp");
-        let mut out = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-        out.write_all(MAGIC).map_err(|e| io_err("write", &tmp, e))?;
-        out.write_all(&VERSION.to_le_bytes())
-            .map_err(|e| io_err("write", &tmp, e))?;
-        write_frame(&mut out, &tmp, &mut frame, self.epoch)?;
-        std::fs::rename(&tmp, &self.path).map_err(|e| io_err("rename", &tmp, e))?;
+        let tmp = self.log.path.with_extension("compact-tmp");
+        let out = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
+        let mut out = Log::init(out, tmp)?;
+        out.append(&mut frame, self.epoch)?;
+        std::fs::rename(&out.path, &self.log.path).map_err(|e| io_err("rename", &out.path, e))?;
         // Best-effort directory sync so the rename itself is durable.
-        if let Some(dir) = self.path.parent() {
+        if let Some(dir) = self.log.path.parent() {
             if let Ok(d) = File::open(dir) {
                 let _ = d.sync_all();
             }
         }
-        out.seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seek", &tmp, e))?;
-        self.file = out;
+        out.path = std::mem::take(&mut self.log.path);
+        self.log = out;
         self.wal_records = self.live_records();
         self.seal_anchor()
     }
@@ -536,8 +609,8 @@ impl NvmBackend for FileBackend {
     }
 
     fn store_reg(&mut self, idx: u8, block: Block) {
-        self.regs.insert(idx, block);
-        self.push_reg(idx, block);
+        let previous = self.regs.insert(idx, block);
+        self.push_reg(idx, block, previous);
     }
 
     fn reg(&self, idx: u8) -> Option<Block> {
@@ -558,17 +631,21 @@ impl NvmBackend for FileBackend {
             self.clear_pending();
             return Ok(());
         }
-        if self.pending_records == 0 {
+        let records = (self.pending_writes.len() + self.pending_regs.len()) as u64;
+        if records == 0 {
             return Ok(());
         }
         self.epoch += 1;
-        write_frame(&mut self.file, &self.path, &mut self.pending, self.epoch)?;
-        self.seal_anchor()?;
-        self.wal_records += self.pending_records;
-        for &(phys, block) in &self.pending_ops {
-            self.replay.insert(phys, block);
+        self.log.append(&mut self.pending, self.epoch)?;
+        self.wal_records += records;
+        for (&phys, &at) in &self.pending_writes {
+            let contents = self.pending[at..at + crate::BLOCK_BYTES]
+                .try_into()
+                .expect("64-byte slice");
+            self.replay.insert(phys, Block::from_bytes(contents));
         }
         self.clear_pending();
+        self.seal_anchor()?;
         if self.wal_records > COMPACT_FACTOR * self.live_records() + COMPACT_FLOOR {
             self.compact()?;
         }
@@ -596,19 +673,28 @@ impl NvmBackend for FileBackend {
         // durable and anchored, so post-snapshot state is provably newer
         // than the snapshot it feeds.
         self.epoch += 1;
-        let mut empty = [0; FRAME_HEADER_BYTES];
-        write_frame(&mut self.file, &self.path, &mut empty, self.epoch)?;
+        self.log
+            .append(&mut vec![0; FRAME_HEADER_BYTES], self.epoch)?;
         self.seal_anchor()
     }
 
     fn frames_rejected(&self) -> u64 {
         self.rejected_frames
     }
+
+    fn wal_stats(&self) -> WalStats {
+        WalStats {
+            log_bytes: self.log.end,
+            slack_bytes: self.log.len - self.log.end,
+            records_coalesced: self.coalesced,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::{encode_wal_frame, WalFrame};
 
     const KEY: [u64; 2] = [7, 13];
 
@@ -623,6 +709,40 @@ mod tests {
     fn cleanup(p: &Path) {
         let _ = std::fs::remove_file(p);
         let _ = std::fs::remove_file(anchor_path_for(p));
+    }
+
+    /// The image at `p`: its bytes, committed frames and logical end.
+    fn layout(p: &Path) -> (Vec<u8>, Vec<WalFrame>, usize) {
+        let bytes = std::fs::read(p).unwrap();
+        let mut walk = WalWalker::new(&bytes).unwrap();
+        let frames = walk.by_ref().map(|f| f.unwrap()).collect();
+        let end = walk.logical_end();
+        (bytes, frames, end)
+    }
+
+    /// Two one-record frames (epochs 1 and 2) written under the anchor;
+    /// returns the anchor file as it stood before the second barrier.
+    fn two_frames(p: &Path) -> Vec<u8> {
+        let mut b = FileBackend::open_with_anchor(p, KEY, AnchorPolicy::Strict).unwrap();
+        b.store(1, Block::filled(0xAA));
+        b.barrier().unwrap();
+        let anchor = std::fs::read(anchor_path_for(p)).unwrap();
+        b.store(2, Block::filled(0xBB));
+        b.barrier().unwrap();
+        anchor
+    }
+
+    fn open_as(p: &Path, anchored: bool) -> Result<FileBackend, NvmError> {
+        if anchored {
+            FileBackend::open_with_anchor(p, KEY, AnchorPolicy::Strict)
+        } else {
+            FileBackend::open(p)
+        }
+    }
+
+    /// Both ways to open: un-anchored and under the strict anchor.
+    fn open_both(p: &Path) -> [Result<FileBackend, NvmError>; 2] {
+        [open_as(p, false), open_as(p, true)]
     }
 
     #[test]
@@ -675,12 +795,73 @@ mod tests {
         want.extend_from_slice(&VERSION.to_le_bytes());
         for (epoch, payload) in [(1u64, first), (2, write(5, 0x55)), (3, Vec::new())] {
             want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            want.extend_from_slice(&frame_crc(epoch, &payload).to_le_bytes());
+            let mut summed = epoch.to_le_bytes().to_vec();
+            summed.extend_from_slice(&payload);
+            want.extend_from_slice(&crate::backend::fnv1a64(&summed).to_le_bytes());
             want.extend_from_slice(&epoch.to_le_bytes());
             want.extend_from_slice(&payload);
+            want.push(0xC3);
         }
-        assert_eq!(std::fs::read(&p).unwrap(), want);
+        let (bytes, frames, end) = layout(&p);
+        assert_eq!(bytes[..end], want[..]);
+        assert_eq!(frames.len(), 3);
+        // The file is longer than the log, and all of the rest is zero.
+        let stats = b.wal_stats();
+        assert_eq!(stats.log_bytes, end as u64);
+        assert_eq!(stats.slack_bytes, (bytes.len() - end) as u64);
+        assert!(stats.slack_bytes > SLACK_FLOOR / 2);
+        assert!(bytes[end..].iter().all(|&x| x == 0));
         cleanup(&p);
+    }
+
+    #[test]
+    fn barriers_inside_the_slack_leave_the_file_length_alone() {
+        for anchored in [false, true] {
+            let p = tmp(if anchored { "slack-anchored" } else { "slack" });
+            let open = || open_as(&p, anchored).unwrap();
+            let file_len = || std::fs::metadata(&p).unwrap().len();
+            let mut b = open();
+            b.store(0, Block::filled(1));
+            b.barrier().unwrap(); // the first frame extends the file
+            let len = file_len();
+            for i in 1..200u64 {
+                b.store(i, Block::filled(i as u8));
+                b.store_reg(0, Block::filled(!(i as u8)));
+                b.barrier().unwrap();
+                assert_eq!(file_len(), len, "barrier {i} grew the file");
+            }
+            let (entries, regs, epoch, stats) = (b.entries(), b.regs(), b.epoch(), b.wal_stats());
+            assert_eq!(stats.log_bytes + stats.slack_bytes, len);
+            drop(b);
+
+            // Reopen: same state, same slack, and it is used up first.
+            let mut b = open();
+            assert_eq!((b.entries(), b.regs(), b.epoch()), (entries, regs, epoch));
+            assert_eq!(b.frames_rejected(), 0);
+            assert_eq!(b.wal_stats(), stats);
+            let mut grew = false;
+            for i in 200..2_000u64 {
+                let room = b.wal_stats().slack_bytes;
+                b.store(i, Block::filled(i as u8));
+                b.barrier().unwrap();
+                if file_len() != len {
+                    // Only the frame that did not fit extends the file.
+                    assert!(room < (FRAME_HEADER_BYTES + 73 + 1) as u64);
+                    grew = true;
+                    break;
+                }
+            }
+            assert!(grew, "64 KiB of slack cannot hold 1 800 more frames");
+            let (bytes, _, end) = layout(&p);
+            assert!(bytes[end..].iter().all(|&x| x == 0));
+            if anchored {
+                assert_eq!(
+                    FreshnessAnchor::probe(&anchor_path_for(&p), KEY).unwrap(),
+                    Some(b.epoch())
+                );
+            }
+            cleanup(&p);
+        }
     }
 
     #[test]
@@ -728,27 +909,299 @@ mod tests {
         cleanup(&p);
     }
 
+    /// The uncoalesced reference: every call is one record, a barrier
+    /// replays the records of its frame in call order, last write wins.
+    #[derive(Default)]
+    struct NaiveLog {
+        frame: Vec<(Option<u64>, u8, Block)>,
+        blocks: BTreeMap<u64, Block>,
+        regs: BTreeMap<u8, Block>,
+        live: BTreeMap<u64, Block>,
+        bytes: u64,
+        suppressed: bool,
+    }
+
+    impl NaiveLog {
+        fn write(&mut self, phys: u64, block: Block, stored: bool) {
+            if stored {
+                self.live.insert(phys, block);
+            }
+            self.frame.push((Some(phys), 0, block));
+        }
+
+        fn reg(&mut self, idx: u8, block: Block) {
+            self.frame.push((None, idx, block));
+        }
+
+        fn barrier(&mut self) {
+            if self.suppressed {
+                self.frame.clear();
+            }
+            if self.frame.is_empty() {
+                return;
+            }
+            self.bytes += (FRAME_HEADER_BYTES + 1) as u64;
+            for (phys, idx, block) in self.frame.drain(..) {
+                match phys {
+                    Some(phys) => {
+                        self.bytes += 73;
+                        self.blocks.insert(phys, block);
+                    }
+                    None => {
+                        self.bytes += 66;
+                        self.regs.insert(idx, block);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Applies `calls` to a fresh image and to the naive reference, and
+    /// after every barrier demands that a reopen of the image replays to
+    /// exactly the reference's state. Returns the backend's final stats
+    /// and the bytes the uncoalesced frames would have taken.
+    fn against_naive(name: &str, calls: &[(char, u64, u8)]) -> (WalStats, u64) {
+        let (p, copy) = (tmp(name), tmp(&format!("{name}-copy")));
+        let mut b = FileBackend::open(&p).unwrap();
+        let mut naive = NaiveLog::default();
+        for (n, &(call, at, fill)) in calls.iter().enumerate() {
+            let block = Block::filled(fill);
+            match call {
+                's' => {
+                    b.store(at, block);
+                    naive.write(at, block, true);
+                }
+                'j' => {
+                    b.journal(at, block);
+                    naive.write(at, block, false);
+                }
+                'r' => {
+                    b.store_reg(at as u8, block);
+                    naive.reg(at as u8, block);
+                }
+                'x' => {
+                    b.suppress_flushes();
+                    naive.suppressed = true;
+                    naive.frame.clear();
+                }
+                _ => {
+                    b.barrier().unwrap();
+                    naive.barrier();
+                    std::fs::copy(&p, &copy).unwrap();
+                    let reopened = FileBackend::open(&copy).unwrap();
+                    let blocks: Vec<_> = naive.blocks.iter().map(|(&k, &v)| (k, v)).collect();
+                    let regs: Vec<_> = naive.regs.iter().map(|(&k, &v)| (k, v)).collect();
+                    assert_eq!(reopened.entries(), blocks, "blocks after call {n}");
+                    assert_eq!(reopened.regs(), regs, "registers after call {n}");
+                    assert_eq!(reopened.frames_rejected(), 0);
+                }
+            }
+            // `load` sees every store at once, skipped record or not.
+            let live: Vec<_> = naive.live.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(b.entries(), live, "live blocks after call {n}");
+        }
+        let stats = b.wal_stats();
+        cleanup(&p);
+        cleanup(&copy);
+        (stats, naive.bytes)
+    }
+
+    #[test]
+    fn coalesced_frames_replay_like_the_uncoalesced_record_stream() {
+        let calls = [
+            // A commit group journals, the WPQ evicts the same block in a
+            // later frame: no second record.
+            ('j', 1, 0xA1),
+            ('r', 0, 0x01),
+            ('b', 0, 0),
+            ('s', 1, 0xA1),
+            ('r', 0, 0x01),
+            ('b', 0, 0), // nothing new: no frame at all
+            // Journal and eviction inside one frame, then a newer image.
+            ('j', 2, 0xB1),
+            ('s', 2, 0xB1),
+            ('j', 2, 0xB2),
+            ('b', 0, 0),
+            // A store of a *different* block than the one journaled.
+            ('j', 3, 0xC1),
+            ('b', 0, 0),
+            ('s', 3, 0xC2),
+            ('b', 0, 0),
+            // power_up's REDO: stores with no journal before them.
+            ('s', 4, 0xD1),
+            ('s', 5, 0xD2),
+            ('b', 0, 0),
+            // A register that moves away and back within one frame still
+            // needs its record once another frame changed it.
+            ('r', 0, 0x02),
+            ('r', 0, 0x01),
+            ('b', 0, 0),
+            ('r', 0, 0x03),
+            ('b', 0, 0),
+            ('r', 0, 0x01),
+            ('j', 1, 0xA2),
+            ('s', 1, 0xA1), // back to the flushed image, record pending
+            ('b', 0, 0),
+            // A dying platform: pending records evaporate for good.
+            ('s', 6, 0xE1),
+            ('x', 0, 0),
+            ('s', 6, 0xE1),
+            ('r', 1, 0x09),
+            ('b', 0, 0),
+        ];
+        let (stats, naive_bytes) = against_naive("coalesce", &calls);
+        assert_eq!(stats.records_coalesced, 6);
+        assert!(stats.log_bytes - (HEADER_BYTES as u64) < naive_bytes);
+
+        // The same check over a long seeded stream that keeps hitting a
+        // few addresses and registers with a few values.
+        let mut rng = crate::SplitMix64::new(0x0C0A_1E5C_ED00_0013);
+        let calls: Vec<_> = (0..3_000)
+            .map(|_| {
+                let fill = 1 + (rng.next_u64() % 3) as u8;
+                match rng.next_u64() % 16 {
+                    0..=5 => ('j', rng.next_u64() % 8, fill),
+                    6..=10 => ('s', rng.next_u64() % 8, fill),
+                    11..=13 => ('r', rng.next_u64() % 3, fill),
+                    _ => ('b', 0, 0),
+                }
+            })
+            .collect();
+        let (stats, naive_bytes) = against_naive("coalesce-seeded", &calls);
+        assert!(stats.records_coalesced > 500, "{stats:?}");
+        assert!(
+            stats.log_bytes < naive_bytes / 2,
+            "{stats:?} vs {naive_bytes}"
+        );
+    }
+
     #[test]
     fn torn_tail_frame_is_truncated_away() {
         let p = tmp("torn");
-        {
-            let mut b = FileBackend::open(&p).unwrap();
-            b.store(1, Block::filled(0xAA));
-            b.barrier().unwrap();
-            b.store(2, Block::filled(0xBB));
-            b.barrier().unwrap();
-        }
-        // Chop bytes off the last frame, simulating a kill mid-append.
-        let len = std::fs::metadata(&p).unwrap().len();
+        two_frames(&p);
+        // Chop the file inside the last frame: a kill mid-append whose
+        // slack an adversary (or a copy tool) trimmed as well.
+        let (_, frames, end) = layout(&p);
         let f = OpenOptions::new().write(true).open(&p).unwrap();
-        f.set_len(len - 10).unwrap();
+        f.set_len(end as u64 - 10).unwrap();
         drop(f);
         let b = FileBackend::open(&p).unwrap();
         assert_eq!(b.load(1), Some(Block::filled(0xAA)));
         assert_eq!(b.load(2), None);
         assert_eq!(b.frames_rejected(), 1);
         // The torn tail is physically gone after reopen.
-        assert!(std::fs::metadata(&p).unwrap().len() < len - 10);
+        assert_eq!(std::fs::metadata(&p).unwrap().len(), frames[1].start as u64);
+        cleanup(&p);
+    }
+
+    #[test]
+    fn a_frame_cut_anywhere_inside_the_slack_is_dropped_whole() {
+        let p = tmp("cut");
+        let acked_anchor = two_frames(&p);
+        let (bytes, frames, end) = layout(&p);
+        let last = frames[1];
+        assert_eq!(last.end(), end);
+        // A killed append leaves a prefix of the frame — cut in the
+        // header, the payload or right before the marker — and the
+        // slack's zeros where the rest would have gone.
+        for cut in last.start + 1..end {
+            let mut torn = bytes.clone();
+            torn[cut..end].fill(0);
+            for anchored in [false, true] {
+                std::fs::write(&p, &torn).unwrap();
+                std::fs::write(anchor_path_for(&p), &acked_anchor).unwrap();
+                let mut b = open_as(&p, anchored).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+                assert_eq!(b.frames_rejected(), 1, "cut at {cut}");
+                assert_eq!(b.load(1), Some(Block::filled(0xAA)));
+                assert_eq!(b.load(2), None, "cut at {cut}");
+                assert_eq!(b.epoch(), 1);
+                if anchored {
+                    assert_eq!(b.freshness(), Freshness::Fresh { epoch: 1 });
+                }
+                assert_eq!(b.wal_stats().log_bytes, last.start as u64);
+                b.store(3, Block::filled(0xCC));
+                b.barrier().unwrap();
+                drop(b);
+                let b = FileBackend::open(&p).unwrap();
+                assert_eq!(b.frames_rejected(), 0);
+                assert_eq!(b.load(3), Some(Block::filled(0xCC)));
+                assert_eq!(b.epoch(), 2);
+            }
+        }
+        cleanup(&p);
+    }
+
+    #[test]
+    fn damage_to_the_last_committed_frame_is_corruption_not_a_torn_tail() {
+        let p = tmp("lastflip");
+        two_frames(&p);
+        let (bytes, frames, end) = layout(&p);
+        let last = frames[1].start;
+        let cases = [
+            ("payload", last + FRAME_HEADER_BYTES + 20, 0x40, "checksum"),
+            ("checksum", last + 6, 0x01, "checksum"),
+            ("epoch", last + 12, 0x01, "checksum"),
+            ("marker", end - 1, 0x02, "commit marker"),
+        ];
+        for (what, off, flip, says) in cases {
+            let mut bad = bytes.clone();
+            bad[off] ^= flip;
+            std::fs::write(&p, &bad).unwrap();
+            for opened in open_both(&p) {
+                let err = opened.expect_err(what);
+                assert!(matches!(err, NvmError::Backend { .. }), "{what}: {err:?}");
+                assert!(err.to_string().contains(says), "{what}: {err}");
+            }
+            // Refused means untouched: nothing was truncated away.
+            assert_eq!(std::fs::read(&p).unwrap(), bad, "{what}");
+        }
+        cleanup(&p);
+    }
+
+    #[test]
+    fn bytes_behind_an_unmarked_frame_or_the_log_are_corruption() {
+        let p = tmp("unmarked");
+        two_frames(&p);
+        let (bytes, frames, end) = layout(&p);
+        // The first frame loses its marker; a committed frame follows.
+        let mut bad = bytes.clone();
+        bad[frames[0].end() - 1] = 0;
+        std::fs::write(&p, &bad).unwrap();
+        for opened in open_both(&p) {
+            let err = opened.unwrap_err().to_string();
+            assert!(err.contains("no commit marker"), "got {err}");
+        }
+        // One stray byte in the slack. Within a frame header's reach of
+        // the end of the log it reads as the first bytes of a torn
+        // append and is dropped like one; any deeper and nothing honest
+        // explains it.
+        for off in [
+            end,
+            end + 1,
+            end + 19,
+            end + 20,
+            end + 4_000,
+            bytes.len() - 1,
+        ] {
+            let mut bad = bytes.clone();
+            bad[off] = 0x01;
+            for anchored in [false, true] {
+                std::fs::write(&p, &bad).unwrap();
+                let opened = open_as(&p, anchored);
+                if off < end + FRAME_HEADER_BYTES {
+                    let b = opened.unwrap();
+                    assert_eq!((b.frames_rejected(), b.epoch()), (1, 2), "offset {off}");
+                    assert_eq!(b.load(2), Some(Block::filled(0xBB)));
+                } else {
+                    let err = opened.expect_err("stray slack byte").to_string();
+                    assert!(
+                        err.contains("after the end of the WAL") || err.contains("commit marker"),
+                        "offset {off}: {err}"
+                    );
+                    assert_eq!(std::fs::read(&p).unwrap(), bad);
+                }
+            }
+        }
         cleanup(&p);
     }
 
@@ -778,11 +1231,18 @@ mod tests {
             FileBackend::open(&p).unwrap_err(),
             NvmError::Backend { .. }
         ));
+        // A version-2 image (frames without commit markers, no slack) is
+        // refused by version, not misread frame by frame.
         let mut img = MAGIC.to_vec();
-        img.extend_from_slice(&99u32.to_le_bytes());
+        img.extend_from_slice(&2u32.to_le_bytes());
+        let v3 = encode_wal_frame(1, &[]);
+        img.extend_from_slice(&v3[..v3.len() - 1]);
         std::fs::write(&p, &img).unwrap();
-        let err = FileBackend::open(&p).unwrap_err();
-        assert!(err.to_string().contains("version"), "got {err}");
+        for opened in open_both(&p) {
+            let err = opened.unwrap_err().to_string();
+            assert!(err.contains("unsupported WAL version 2"), "got {err}");
+        }
+        assert_eq!(std::fs::read(&p).unwrap(), img);
         cleanup(&p);
     }
 
@@ -804,6 +1264,34 @@ mod tests {
         assert_eq!(b.load(1), Some(Block::filled(0xAA)));
         assert_eq!(b.load(2), None);
         assert_eq!(b.load(3), None);
+        cleanup(&p);
+    }
+
+    #[test]
+    fn a_failed_append_poisons_the_backend() {
+        let p = tmp("poison");
+        let mut b = FileBackend::open(&p).unwrap();
+        b.store(1, Block::filled(0xAA));
+        b.barrier().unwrap();
+        // The medium fails: every write through this handle is refused.
+        b.log.file = File::open(&p).unwrap();
+        b.store(2, Block::filled(0xBB));
+        let err = b.barrier().unwrap_err().to_string();
+        assert!(err.contains("append"), "got {err}");
+        // Bytes past the write position can no longer be trusted to be
+        // zero, so nothing more is written — not by a barrier, not by an
+        // epoch bump — even once the medium is back.
+        b.log.file = OpenOptions::new().write(true).open(&p).unwrap();
+        b.store(3, Block::filled(0xCC));
+        for refused in [b.barrier(), b.bump_epoch()] {
+            let err = refused.unwrap_err().to_string();
+            assert!(err.contains("poisoned"), "got {err}");
+        }
+        drop(b);
+        let b = FileBackend::open(&p).unwrap();
+        assert_eq!(b.load(1), Some(Block::filled(0xAA)));
+        assert_eq!((b.load(2), b.load(3)), (None, None));
+        assert_eq!((b.epoch(), b.frames_rejected()), (1, 0));
         cleanup(&p);
     }
 
@@ -862,11 +1350,11 @@ mod tests {
                 b.barrier().unwrap();
             }
             pre_epoch = b.epoch();
-            let size = std::fs::metadata(&p).unwrap().len();
+            let log = b.wal_stats().log_bytes;
             // ~2200 records × ~75 bytes would exceed 150 KiB without
             // compaction; the compacted log stays a small multiple of the
             // 2-record live footprint.
-            assert!(size < 20_000, "WAL did not compact (size {size})");
+            assert!(log < 20_000, "WAL did not compact (log {log})");
         }
         let b = FileBackend::open(&p).unwrap();
         let last = COMPACT_FLOOR + 63;
@@ -879,21 +1367,64 @@ mod tests {
     }
 
     #[test]
+    fn a_kill_right_after_compaction_reopens_clean() {
+        for anchored in [false, true] {
+            let p = tmp(if anchored {
+                "compact-kill-anchored"
+            } else {
+                "compact-kill"
+            });
+            let open = || open_as(&p, anchored).unwrap();
+            let mut b = open();
+            let mut epoch = 0;
+            let mut i = 0u64;
+            // Stop at the barrier that compacted: its epoch moves by two.
+            while b.epoch() - epoch < 2 {
+                epoch = b.epoch();
+                b.store(7, Block::filled((i % 251) as u8));
+                b.journal(1_000 + i % 3, Block::filled(i as u8));
+                b.barrier().unwrap();
+                i += 1;
+            }
+            assert!(i > COMPACT_FLOOR / 2, "compacted after only {i} barriers");
+            // What a restart must find: the replay state, WPQ-resident
+            // journal records included.
+            let mut entries: Vec<_> = b.replay.iter().map(|(&k, &v)| (k, v)).collect();
+            entries.sort_unstable_by_key(|&(k, _)| k);
+            let (epoch, stats) = (b.epoch(), b.wal_stats());
+            drop(b); // killed before any further barrier
+            assert!(!p.with_extension("compact-tmp").exists());
+
+            let (bytes, frames, end) = layout(&p);
+            assert_eq!(frames.len(), 1, "the compacted log is one frame");
+            assert_eq!(
+                (end as u64, bytes.len() as u64),
+                (stats.log_bytes, stats.log_bytes + stats.slack_bytes)
+            );
+            assert!(stats.slack_bytes >= SLACK_FLOOR && bytes[end..].iter().all(|&x| x == 0));
+            let mut b = open();
+            assert_eq!((b.frames_rejected(), b.epoch()), (0, epoch));
+            if anchored {
+                assert_eq!(b.freshness(), Freshness::Fresh { epoch });
+            }
+            assert_eq!(b.entries(), entries);
+            assert_eq!(entries.len(), 4, "address 7 and three journaled lines");
+            b.store(8, Block::filled(8));
+            b.barrier().unwrap();
+            assert_eq!(std::fs::metadata(&p).unwrap().len(), bytes.len() as u64);
+            cleanup(&p);
+        }
+    }
+
+    #[test]
     fn duplicated_frame_is_typed_epoch_corruption() {
         let p = tmp("dup");
-        {
-            let mut b = FileBackend::open(&p).unwrap();
-            b.store(1, Block::filled(0xAA));
-            b.barrier().unwrap();
-            b.store(2, Block::filled(0xBB));
-            b.barrier().unwrap();
-        }
-        let mut bytes = std::fs::read(&p).unwrap();
-        // Duplicate the last frame verbatim: checksum-valid, epoch stale.
-        let frame_len = FRAME_HEADER_BYTES + 73;
-        let last = bytes.len() - frame_len;
-        let dup = bytes[last..].to_vec();
-        bytes.extend_from_slice(&dup);
+        two_frames(&p);
+        let (mut bytes, frames, end) = layout(&p);
+        // Duplicate the last frame verbatim where the next one would go:
+        // checksum-valid, epoch stale.
+        let dup = bytes[frames[1].start..end].to_vec();
+        bytes[end..end + dup.len()].copy_from_slice(&dup);
         std::fs::write(&p, &bytes).unwrap();
         let err = FileBackend::open(&p).unwrap_err();
         assert!(err.to_string().contains("non-monotonic"), "got {err}");
@@ -903,20 +1434,12 @@ mod tests {
     #[test]
     fn reordered_frames_are_typed_epoch_corruption() {
         let p = tmp("reorder");
-        {
-            let mut b = FileBackend::open(&p).unwrap();
-            b.store(1, Block::filled(0xAA));
-            b.barrier().unwrap();
-            b.store(2, Block::filled(0xBB));
-            b.barrier().unwrap();
-        }
-        let bytes = std::fs::read(&p).unwrap();
-        let frame_len = FRAME_HEADER_BYTES + 73;
-        let f1 = HEADER_BYTES;
-        let f2 = HEADER_BYTES + frame_len;
-        let mut swapped = bytes[..HEADER_BYTES].to_vec();
-        swapped.extend_from_slice(&bytes[f2..f2 + frame_len]);
-        swapped.extend_from_slice(&bytes[f1..f1 + frame_len]);
+        two_frames(&p);
+        let (bytes, frames, _) = layout(&p);
+        let (f1, f2) = (frames[0], frames[1]);
+        let mut swapped = bytes.clone();
+        swapped[f1.start..f1.start + f2.len].copy_from_slice(&bytes[f2.start..f2.end()]);
+        swapped[f1.start + f2.len..f2.end()].copy_from_slice(&bytes[f1.start..f1.end()]);
         std::fs::write(&p, &swapped).unwrap();
         let err = FileBackend::open(&p).unwrap_err();
         assert!(err.to_string().contains("non-monotonic"), "got {err}");
@@ -1000,44 +1523,57 @@ mod tests {
     #[test]
     fn anchored_open_refuses_forged_tail_beyond_crash_window() {
         let p = tmp("forgedtail");
-        {
-            let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
-            b.store(1, Block::filled(0x01));
-            b.barrier().unwrap();
-            b.store(1, Block::filled(0x02));
-            b.barrier().unwrap();
-        }
-        // Forge two empty frames with valid (keyless) checksums at
-        // epochs 3 and 4 — what a splicing adversary who knows the frame
-        // format but cannot touch the anchor would append.
-        let mut bytes = std::fs::read(&p).unwrap();
-        for e in [3u64, 4] {
-            bytes.extend_from_slice(&0u32.to_le_bytes());
-            bytes.extend_from_slice(&frame_crc(e, &[]).to_le_bytes());
-            bytes.extend_from_slice(&e.to_le_bytes());
-        }
-        std::fs::write(&p, &bytes).unwrap();
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
-        assert_eq!(
-            b.freshness(),
-            Freshness::TailForged {
-                anchored_epoch: 2,
-                image_epoch: 4
+        two_frames(&p);
+        let apath = anchor_path_for(&p);
+        let sealed = std::fs::read(&apath).unwrap();
+        // Forge empty frames with valid (keyless) checksums into the
+        // slack — what a splicing adversary who knows the frame format
+        // but cannot touch the anchor would write at the end of the log.
+        let honest = std::fs::read(&p).unwrap();
+        let (_, _, end) = layout(&p);
+        let forge = |epochs: &[u64]| {
+            let mut bytes = honest.clone();
+            let mut at = end;
+            for &e in epochs {
+                let frame = encode_wal_frame(e, &[]);
+                bytes[at..at + frame.len()].copy_from_slice(&frame);
+                at += frame.len();
             }
-        );
-        assert!(b.freshness().is_violation());
+            bytes
+        };
+
+        // One epoch past the anchor is the crash window: indistinguishable
+        // from the in-flight barrier of a killed process, accepted, and
+        // the anchor healed forward.
+        std::fs::write(&p, forge(&[3])).unwrap();
+        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        assert_eq!(b.freshness(), Freshness::Fresh { epoch: 3 });
         drop(b);
-        // Never overridable, and the anchor evidence is left untouched.
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Override).unwrap();
-        assert!(matches!(b.freshness(), Freshness::TailForged { .. }));
-        drop(b);
-        assert_eq!(
-            FreshnessAnchor::probe(&anchor_path_for(&p), KEY).unwrap(),
-            Some(2)
-        );
+        assert_eq!(FreshnessAnchor::probe(&apath, KEY).unwrap(), Some(3));
+
+        // Two past it — by one frame that skips an epoch, or by two
+        // frames — is a forged tail.
+        for (epochs, image_epoch) in [(&[4u64][..], 4), (&[3, 4][..], 4)] {
+            std::fs::write(&apath, &sealed).unwrap();
+            std::fs::write(&p, forge(epochs)).unwrap();
+            let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+            assert_eq!(
+                b.freshness(),
+                Freshness::TailForged {
+                    anchored_epoch: 2,
+                    image_epoch
+                }
+            );
+            assert!(b.freshness().is_violation());
+            drop(b);
+            // Never overridable, and the anchor evidence is left untouched.
+            let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Override).unwrap();
+            assert!(matches!(b.freshness(), Freshness::TailForged { .. }));
+            drop(b);
+            assert_eq!(FreshnessAnchor::probe(&apath, KEY).unwrap(), Some(2));
+        }
         cleanup(&p);
     }
-
     #[test]
     fn missing_and_corrupt_anchor_are_strict_violations() {
         let p = tmp("anchorloss");

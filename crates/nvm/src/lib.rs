@@ -51,11 +51,12 @@ mod quarantine;
 mod rng;
 mod snapshot;
 mod stats;
+mod wal;
 mod wpq;
 
 pub use addr::{BlockAddr, Region, RegionAllocator, BLOCK_BYTES};
 pub use anchor::{anchor_path_for, AnchorError, AnchorPolicy, Freshness, FreshnessAnchor};
-pub use backend::{MemBackend, NvmBackend};
+pub use backend::{MemBackend, NvmBackend, WalStats};
 pub use block::Block;
 pub use device::NvmDevice;
 pub use domain::{PersistenceDomain, WriteOp};
@@ -67,4 +68,5 @@ pub use quarantine::{QuarantineError, RemapTable};
 pub use rng::SplitMix64;
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{NvmStats, StatsSnapshot};
+pub use wal::{encode_wal_frame, WalFault, WalFrame, WalWalker};
 pub use wpq::{Wpq, DEFAULT_WPQ_ENTRIES};

@@ -10,7 +10,7 @@
 //! connection is dropped — never a hang, never a panic.
 
 use std::collections::BTreeMap;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -67,8 +67,8 @@ impl From<std::io::Error> for ServeStartError {
     }
 }
 
-/// Polling tick used for reads and the accept loop; budgets (idle,
-/// stall) are enforced on top of this granularity.
+/// Polling tick used for connection reads; budgets (idle, stall) are
+/// enforced on top of this granularity.
 const TICK: Duration = Duration::from_millis(20);
 
 struct Shared {
@@ -113,7 +113,6 @@ impl Server {
             tenants.insert(spec.name.clone(), tenant);
         }
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             cfg,
@@ -156,6 +155,16 @@ impl Server {
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
+            // The accept thread blocks in `accept`: one connection, made
+            // after `stop` is set, is what wakes it to see the flag.
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake.ip() {
+                    IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, TICK);
             let _ = h.join();
         }
         let conns = match self.conn_threads.lock() {
@@ -189,8 +198,15 @@ fn accept_loop(
     shared: &Arc<Shared>,
     conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    // Blocking accept: a connection is picked up the moment it arrives,
+    // not at the next poll. `stop_and_join` connects once to end the
+    // wait.
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 shared.tel.incr("serve_connections_total", "accepted", 1);
                 let conn_shared = Arc::clone(shared);
@@ -202,9 +218,8 @@ fn accept_loop(
                     Err(p) => p.into_inner().push(handle),
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(TICK);
-            }
+            // Out of descriptors, or the peer gave up while queued: back
+            // off rather than spin.
             Err(_) => std::thread::sleep(TICK),
         }
     }
@@ -286,8 +301,10 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         return;
     }
 
-    // Steady state: one request per frame, answered in order.
-    loop {
+    // Steady state: one request per frame, answered in order. `stop` is
+    // looked at between requests as well as on idle ticks, so a client
+    // that never pauses cannot hold a shutdown up.
+    while !stop() {
         match read_frame(&mut stream, cfg.max_frame_bytes, idle, stall, &stop) {
             Ok(FrameEvent::Closed) => return,
             Ok(FrameEvent::Payload(payload)) => {

@@ -52,7 +52,10 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, RecoveryError, RecoveryOutcome,
     SgxController, SgxScheme, Supervised, Supervisor,
 };
-use anubis_nvm::{anchor_path_for, AnchorPolicy, FileBackend, FreshnessAnchor, NvmBackend};
+use anubis_nvm::{
+    anchor_path_for, encode_wal_frame, AnchorPolicy, FileBackend, FreshnessAnchor, NvmBackend,
+    WalFrame, WalWalker,
+};
 
 use crate::drill::{
     ack_expectations, drill_script, read_ack_log, AckExpectations, AckWriter, DrillError,
@@ -66,14 +69,6 @@ const ACK_RECORD_BYTES: u64 = 24;
 /// How long the parent waits for a child before declaring it hung.
 const CHILD_TIMEOUT: Duration = Duration::from_secs(300);
 
-/// WAL image header bytes (magic + version) — the adversary is an
-/// external observer of the on-disk format, so the constants are
-/// duplicated from the NVM crate rather than exported by it.
-const WAL_HEADER_BYTES: usize = 12;
-
-/// WAL frame header bytes: payload len u32 | crc u64 | epoch u64.
-const FRAME_HEADER_BYTES: usize = 20;
-
 /// Acks the capture run stops short of the base run, so the captured
 /// image is strictly older than the base image's sealed anchor even
 /// after kill-latency overshoot.
@@ -85,7 +80,7 @@ const MIN_KILL_ACKS: u64 = 45;
 
 /// Mutations evaluated per base kill point (including the unmutated
 /// control), across all classes in [`MutationClass::all`].
-pub const MUTATIONS_PER_RUN: u64 = 22;
+pub const MUTATIONS_PER_RUN: u64 = 25;
 
 /// Campaign parameters besides the family.
 #[derive(Debug, Clone)]
@@ -117,19 +112,23 @@ impl Default for AdversarySpec {
 pub enum MutationClass {
     /// The unmutated dead image — must recover and serve (baseline).
     Control,
-    /// One bit flipped somewhere past the image header.
+    /// One bit flipped somewhere in the log (image header and frames),
+    /// or one in the zero slack behind it.
     BitFlip,
-    /// Bytes sheared off the end of the image (torn or malicious tail).
+    /// Bytes sheared off the end of the log, slack included (torn or
+    /// malicious tail).
     TruncateTail,
     /// Two or more *complete acked frames* removed from the WAL tail —
     /// internally consistent older state; only the anchor can tell.
     WalRollback,
     /// Two adjacent frames swapped in place (reordered log).
     FrameReorder,
-    /// An earlier frame appended again at the tail (duplicated log).
+    /// An earlier frame written again at the end of the log (duplicated
+    /// log).
     FrameDuplicate,
     /// An old frame's payload re-framed at fresh epochs with valid
-    /// checksums — a format-aware replay splice.
+    /// checksums and written into the slack — a format-aware replay
+    /// splice, two frames deep or a single frame one or two epochs on.
     ReplaySplice,
     /// The whole image replaced by a capture taken mid-run (snapshot +
     /// WAL rollback); the anchor stays, as on-chip NVRAM would.
@@ -402,27 +401,14 @@ fn io_ctx<'a>(
     }
 }
 
-/// FNV-1a over arbitrary bytes (the WAL frame checksum primitive; the
-/// adversary knows the format, so it is duplicated here).
+/// FNV-1a over a family name: decorrelates the families' draw streams.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_seeded(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continues an FNV-1a stream from `seed`.
-fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// The keyless WAL frame checksum: FNV-1a over epoch ‖ payload. The
-/// adversary can forge it — which is exactly why the anchor, not the
-/// checksum, carries the freshness authority.
-fn frame_crc(epoch: u64, payload: &[u8]) -> u64 {
-    fnv1a64_seeded(fnv1a64(&epoch.to_le_bytes()), payload)
 }
 
 /// xorshift64* — deterministic, dependency-free randomness.
@@ -435,50 +421,42 @@ fn xorshift(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// A complete WAL frame located in an image's byte stream.
-#[derive(Debug, Clone, Copy)]
-struct FrameLoc {
-    /// Byte offset of the frame header.
-    start: usize,
-    /// Total frame length (header + payload).
-    len: usize,
-    /// The frame's epoch field.
-    epoch: u64,
+/// The logical log inside a staged image, as the backend's own walker
+/// (`anubis_nvm::WalWalker`) reads it: the committed frames and where
+/// they end. Everything from `end` to the end of the file is zero slack.
+struct LogView {
+    frames: Vec<WalFrame>,
+    end: usize,
 }
 
-impl FrameLoc {
-    fn end(&self) -> usize {
-        self.start + self.len
+/// Walks a dead image before it is mutated. The child may have died
+/// mid-append; the adversary tidies such a torn tail back to zeros — as
+/// reopen itself would — so every mutation starts from a clean log and
+/// shows its own effect only.
+fn log_view(label: &str, bytes: &mut [u8]) -> Result<LogView, AdversaryError> {
+    let fault = |e: anubis_nvm::WalFault| AdversaryError::Mutation {
+        label: label.to_string(),
+        detail: format!("dead image is not a log: {e}"),
+    };
+    let mut walk = WalWalker::new(bytes).map_err(fault)?;
+    let frames = walk
+        .by_ref()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(fault)?;
+    let end = walk.logical_end();
+    if walk.torn_tail() {
+        bytes[end..].fill(0);
     }
+    Ok(LogView { frames, end })
 }
 
-/// Locates every *complete* frame in a WAL image (a torn tail is
-/// ignored, matching the backend's own open behavior).
-fn parse_frames(bytes: &[u8]) -> Vec<FrameLoc> {
-    let mut out = Vec::new();
-    let mut pos = WAL_HEADER_BYTES;
-    while pos + FRAME_HEADER_BYTES <= bytes.len() {
-        let plen = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        let Some(end) = pos.checked_add(FRAME_HEADER_BYTES + plen) else {
-            break;
-        };
-        if end > bytes.len() {
-            break;
-        }
-        let epoch = u64::from_le_bytes(
-            bytes[pos + 12..pos + 20]
-                .try_into()
-                .expect("sliced to 8 bytes"),
-        );
-        out.push(FrameLoc {
-            start: pos,
-            len: FRAME_HEADER_BYTES + plen,
-            epoch,
-        });
-        pos = end;
+/// Writes `data` at `at`, growing the image when the slack is too short
+/// (an adversary is not bound by the slack the victim preallocated).
+fn write_at(bytes: &mut Vec<u8>, at: usize, data: &[u8]) {
+    if bytes.len() < at + data.len() {
+        bytes.resize(at + data.len(), 0);
     }
-    out
+    bytes[at..at + data.len()].copy_from_slice(data);
 }
 
 /// The byte-level operation one mutation performs on the staged copy.
@@ -486,20 +464,27 @@ fn parse_frames(bytes: &[u8]) -> Vec<FrameLoc> {
 enum MutationOp {
     /// Leave the image alone (the control point).
     Noop,
-    /// Flip one bit; `draw` selects offset and bit.
+    /// Flip one bit of the log — image header or frames; `draw` selects
+    /// offset and bit.
     FlipBit { draw: u64 },
-    /// Shear bytes off the tail; `draw` selects how many.
+    /// Flip one bit of the zero slack behind the log.
+    FlipSlackBit { draw: u64 },
+    /// Cut the file inside the log, `draw` bytes back from its logical
+    /// end (the slack goes with them).
     TruncateTail { draw: u64 },
-    /// Remove the last `frames` complete frames (≥ 2, so detection
-    /// cannot hinge on the one-barrier anchor lag).
+    /// Zero the last `frames` committed frames (≥ 2, so detection
+    /// cannot hinge on the one-barrier anchor lag), leaving an image
+    /// that looks exactly like an honest earlier one, slack and all.
     DropTailFrames { frames: usize },
     /// Swap two adjacent frames; `draw` selects which pair.
     SwapAdjacentFrames { draw: u64 },
-    /// Append a copy of an earlier frame at the tail; `draw` selects it.
+    /// Write a copy of an earlier frame at the logical end; `draw`
+    /// selects it.
     DuplicateFrame { draw: u64 },
-    /// Re-frame an earlier frame's payload at two fresh epochs with
-    /// valid checksums; `draw` selects the source frame.
-    SpliceReplay { draw: u64 },
+    /// Re-frame an earlier frame's payload with valid checksums at the
+    /// logical end, once per entry of `ahead` at that many epochs past
+    /// the last frame; `draw` selects the source frame.
+    SpliceReplay { draw: u64, ahead: &'static [u64] },
     /// Replace the image with the mid-run capture (anchor untouched).
     SubstituteCapturedImage,
     /// Replace the image with the foreign-key device's image; when
@@ -567,6 +552,18 @@ fn plan_mutations(rng: &mut u64) -> Vec<MutationSpec> {
             Requirement::AnyTyped,
         );
     }
+    // Within a frame header's reach of the log's end a stray slack bit
+    // reads as the first bytes of a torn append and is dropped like
+    // one; anywhere deeper it is refused. Both are typed.
+    push(
+        MutationClass::BitFlip,
+        "bit-flip-slack".into(),
+        MutationOp::FlipSlackBit {
+            draw: xorshift(rng),
+        },
+        AnchorPolicy::Strict,
+        Requirement::AnyTyped,
+    );
     for k in 0..3 {
         push(
             MutationClass::TruncateTail,
@@ -606,15 +603,25 @@ fn plan_mutations(rng: &mut u64) -> Vec<MutationSpec> {
         AnchorPolicy::Strict,
         Requirement::Refusal,
     );
-    push(
-        MutationClass::ReplaySplice,
-        "replay-splice".into(),
-        MutationOp::SpliceReplay {
-            draw: xorshift(rng),
-        },
-        AnchorPolicy::Strict,
-        Requirement::Refusal,
-    );
+    // One forged frame one epoch past the image is the crash window
+    // (§14.1): the anchor heals and the payload answers to the MACs and
+    // the tree. Anything reaching two epochs past it is a forged tail.
+    for (label, ahead, requirement) in [
+        ("replay-splice", &[1u64, 2][..], Requirement::Refusal),
+        ("replay-splice-slack-1", &[1][..], Requirement::AnyTyped),
+        ("replay-splice-slack-2", &[2][..], Requirement::Refusal),
+    ] {
+        push(
+            MutationClass::ReplaySplice,
+            label.into(),
+            MutationOp::SpliceReplay {
+                draw: xorshift(rng),
+                ahead,
+            },
+            AnchorPolicy::Strict,
+            requirement,
+        );
+    }
     push(
         MutationClass::StateRollback,
         "state-rollback".into(),
@@ -809,6 +816,76 @@ struct PointCtx<'a> {
     foreign_anchor: &'a Path,
 }
 
+/// Applies one of the log-level mutations to a staged image in memory.
+/// `Err` says why the image offers nothing to apply it to.
+fn mutate_log(op: &MutationOp, bytes: &mut Vec<u8>, log: &LogView) -> Result<(), String> {
+    let (Some(first), Some(last)) = (log.frames.first(), log.frames.last()) else {
+        return Err("the log holds no committed frame".into());
+    };
+    let pick = |draw: u64, among: usize| (draw % among as u64) as usize;
+    match *op {
+        MutationOp::FlipBit { draw } => {
+            bytes[pick(draw, log.end)] ^= 1 << ((draw >> 48) % 8);
+        }
+        MutationOp::FlipSlackBit { draw } => {
+            if bytes.len() == log.end {
+                // A log that fills its file exactly: the adversary
+                // supplies the slack as well as the flip.
+                bytes.resize(log.end + 4096, 0);
+            }
+            let off = log.end + pick(draw, bytes.len() - log.end);
+            bytes[off] ^= 1 << ((draw >> 48) % 8);
+        }
+        MutationOp::TruncateTail { draw } => {
+            let span = (log.end - first.start - 1).min(4096);
+            bytes.truncate(log.end - 1 - pick(draw, span));
+        }
+        MutationOp::DropTailFrames { frames } => {
+            if log.frames.len() < frames + 1 {
+                return Err(format!(
+                    "only {} committed frames, need > {frames}",
+                    log.frames.len()
+                ));
+            }
+            bytes[log.frames[log.frames.len() - frames].start..].fill(0);
+        }
+        MutationOp::SwapAdjacentFrames { draw } => {
+            if log.frames.len() < 2 {
+                return Err("fewer than two frames to swap".into());
+            }
+            let i = pick(draw, log.frames.len() - 1);
+            let (a, b) = (log.frames[i], log.frames[i + 1]);
+            let swapped = [&bytes[b.start..b.end()], &bytes[a.start..a.end()]].concat();
+            bytes[a.start..b.end()].copy_from_slice(&swapped);
+        }
+        MutationOp::DuplicateFrame { draw } => {
+            let dup = log.frames[pick(draw, log.frames.len())];
+            let frame = bytes[dup.start..dup.end()].to_vec();
+            write_at(bytes, log.end, &frame);
+        }
+        MutationOp::SpliceReplay { draw, ahead } => {
+            // Prefer a non-empty old frame so the replay carries records.
+            let donors: Vec<&WalFrame> = log
+                .frames
+                .iter()
+                .filter(|f| !f.payload(bytes).is_empty())
+                .collect();
+            if donors.is_empty() {
+                return Err("no payload-bearing frame to replay".into());
+            }
+            let payload = donors[pick(draw, donors.len())].payload(bytes).to_vec();
+            let mut at = log.end;
+            for step in ahead {
+                let forged = encode_wal_frame(last.epoch + step, &payload);
+                write_at(bytes, at, &forged);
+                at += forged.len();
+            }
+        }
+        _ => return Err(format!("{op:?} is not a log-level mutation")),
+    }
+    Ok(())
+}
+
 /// Stages one mutation into `dir` and returns the image path to
 /// evaluate. The staged copy always has its own anchor file beside it
 /// (except when the mutation removes it).
@@ -848,90 +925,16 @@ fn stage_mutation(
         | MutationOp::SubstituteCapturedImage
         | MutationOp::SwapInForeign { .. }
         | MutationOp::DeleteAnchor => {}
-        MutationOp::FlipBit { draw } => {
+        MutationOp::FlipBit { .. }
+        | MutationOp::FlipSlackBit { .. }
+        | MutationOp::TruncateTail { .. }
+        | MutationOp::DropTailFrames { .. }
+        | MutationOp::SwapAdjacentFrames { .. }
+        | MutationOp::DuplicateFrame { .. }
+        | MutationOp::SpliceReplay { .. } => {
             let mut bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            if bytes.len() <= WAL_HEADER_BYTES {
-                return Err(bad(&spec.label, "image has no body to flip".into()));
-            }
-            let span = bytes.len() - WAL_HEADER_BYTES;
-            let off = WAL_HEADER_BYTES + (draw % span as u64) as usize;
-            bytes[off] ^= 1 << ((draw >> 48) % 8);
-            fs::write(&work, &bytes).map_err(io_ctx("write image", &work))?;
-        }
-        MutationOp::TruncateTail { draw } => {
-            let bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            if bytes.len() <= WAL_HEADER_BYTES + 1 {
-                return Err(bad(&spec.label, "image too short to truncate".into()));
-            }
-            let span = (bytes.len() - WAL_HEADER_BYTES - 1).min(4096) as u64;
-            let cut = 1 + (draw % span) as usize;
-            fs::write(&work, &bytes[..bytes.len() - cut]).map_err(io_ctx("write image", &work))?;
-        }
-        MutationOp::DropTailFrames { frames } => {
-            let bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let locs = parse_frames(&bytes);
-            if locs.len() < frames + 1 {
-                return Err(bad(
-                    &spec.label,
-                    format!("only {} complete frames, need > {frames}", locs.len()),
-                ));
-            }
-            let keep = locs[locs.len() - frames].start;
-            fs::write(&work, &bytes[..keep]).map_err(io_ctx("write image", &work))?;
-        }
-        MutationOp::SwapAdjacentFrames { draw } => {
-            let bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let locs = parse_frames(&bytes);
-            if locs.len() < 2 {
-                return Err(bad(&spec.label, "fewer than two frames to swap".into()));
-            }
-            let i = (draw % (locs.len() as u64 - 1)) as usize;
-            let (a, b) = (locs[i], locs[i + 1]);
-            let mut out = Vec::with_capacity(bytes.len());
-            out.extend_from_slice(&bytes[..a.start]);
-            out.extend_from_slice(&bytes[b.start..b.end()]);
-            out.extend_from_slice(&bytes[a.start..a.end()]);
-            out.extend_from_slice(&bytes[b.end()..]);
-            fs::write(&work, &out).map_err(io_ctx("write image", &work))?;
-        }
-        MutationOp::DuplicateFrame { draw } => {
-            let mut bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let locs = parse_frames(&bytes);
-            if locs.is_empty() {
-                return Err(bad(&spec.label, "no frames to duplicate".into()));
-            }
-            let i = (draw % locs.len() as u64) as usize;
-            let frame = bytes[locs[i].start..locs[i].end()].to_vec();
-            bytes.extend_from_slice(&frame);
-            fs::write(&work, &bytes).map_err(io_ctx("write image", &work))?;
-        }
-        MutationOp::SpliceReplay { draw } => {
-            let mut bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let locs = parse_frames(&bytes);
-            let Some(last) = locs.last().copied() else {
-                return Err(bad(&spec.label, "no frames to splice".into()));
-            };
-            // Prefer a non-empty old frame so the replay carries records.
-            let donors: Vec<FrameLoc> = locs
-                .iter()
-                .copied()
-                .filter(|l| l.len > FRAME_HEADER_BYTES)
-                .collect();
-            if donors.is_empty() {
-                return Err(bad(
-                    &spec.label,
-                    "no payload-bearing frame to replay".into(),
-                ));
-            }
-            let donor = donors[(draw % donors.len() as u64) as usize];
-            let payload = bytes[donor.start + FRAME_HEADER_BYTES..donor.end()].to_vec();
-            for step in 1..=2u64 {
-                let epoch = last.epoch + step;
-                bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                bytes.extend_from_slice(&frame_crc(epoch, &payload).to_le_bytes());
-                bytes.extend_from_slice(&epoch.to_le_bytes());
-                bytes.extend_from_slice(&payload);
-            }
+            let log = log_view(&spec.label, &mut bytes)?;
+            mutate_log(&spec.op, &mut bytes, &log).map_err(|detail| bad(&spec.label, detail))?;
             fs::write(&work, &bytes).map_err(io_ctx("write image", &work))?;
         }
         MutationOp::CorruptAnchor => {
@@ -948,8 +951,8 @@ fn stage_mutation(
                 .map_err(io_ctx("copy captured anchor to", &work_anchor))?;
         }
         MutationOp::LagAnchorByOne => {
-            let bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let Some(last) = parse_frames(&bytes).last().copied() else {
+            let mut bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
+            let Some(last) = log_view(&spec.label, &mut bytes)?.frames.last().copied() else {
                 return Err(bad(&spec.label, "no frames; cannot derive epoch".into()));
             };
             if last.epoch == 0 {

@@ -22,7 +22,9 @@
 //! controller op — a 32-line `write_batch`, a write that re-encrypts a
 //! whole page — is exactly one WAL frame and one anchor seal, so a dropped
 //! process keeps every acknowledged batch and a torn tail frame removes
-//! the unacknowledged batch as a whole.
+//! the unacknowledged batch as a whole. Frames land in preallocated
+//! slack, so the image is addressed through the backend's own frame
+//! walker, never by file length.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -33,7 +35,7 @@ use anubis::{
 };
 use anubis_nvm::{
     anchor_path_for, AnchorPolicy, Block, FileBackend, FreshnessAnchor, NvmBackend, Snapshot,
-    BLOCK_BYTES,
+    WalFrame, WalWalker, BLOCK_BYTES,
 };
 use anubis_sim::drill::{device_fingerprint, drill_script, verify_dead_image, DrillFamily};
 use anubis_sim::fault::{op_payload, ScriptOp};
@@ -556,8 +558,21 @@ fn acked_batches_survive_drop_sgx_asit() {
     acked_batches_survive_drop(reopen_asit, "asit");
 }
 
-/// A kill inside the last batch's append: the frame is torn and the
-/// anchor still holds the previous epoch. The batch must vanish as a
+/// The committed frames of `image` and the logical end of its log.
+fn wal_layout(image: &Path) -> (Vec<WalFrame>, usize) {
+    let bytes = fs::read(image).expect("read image");
+    let mut walk = WalWalker::new(&bytes).expect("image header");
+    let frames = walk
+        .by_ref()
+        .collect::<Result<Vec<_>, _>>()
+        .expect("a clean log");
+    assert!(!walk.torn_tail(), "an acknowledged op left a torn tail");
+    (frames, walk.logical_end())
+}
+
+/// A kill inside the last batch's append: the frame is torn — its first
+/// half on disk, the slack's zeros where the rest would have gone — and
+/// the anchor still holds the previous epoch. The batch must vanish as a
 /// whole — its commit groups share the frame — and nothing before it.
 fn torn_last_frame_drops_whole_batch<C: Supervised>(reopen: Reopen<C>, name: &str) {
     const BATCHES: u64 = 6;
@@ -565,21 +580,22 @@ fn torn_last_frame_drops_whole_batch<C: Supervised>(reopen: Reopen<C>, name: &st
     let image = dir.join("image.wal");
     let mut ctrl = serve_batches(reopen, &image, BATCHES - 1);
     let acked_epoch = ctrl.domain().epoch();
-    let acked_len = fs::metadata(&image).expect("stat image").len();
+    let (_, acked_end) = wal_layout(&image);
     let acked_anchor = fs::read(anchor_path_for(&image)).expect("read anchor");
     ctrl.write_batch(&batch_items(BATCHES - 1))
         .expect("last batch");
     drop(ctrl);
 
-    let full_len = fs::metadata(&image).expect("stat image").len();
-    assert!(full_len > acked_len, "the last batch must have appended");
-    let f = fs::OpenOptions::new()
-        .write(true)
-        .open(&image)
-        .expect("open image");
-    f.set_len(acked_len + (full_len - acked_len) / 2)
-        .expect("tear the last frame");
-    drop(f);
+    let (frames, full_end) = wal_layout(&image);
+    let last = *frames.last().expect("the last batch's frame");
+    assert_eq!(
+        (last.start, last.end(), last.epoch),
+        (acked_end, full_end, acked_epoch + 1),
+        "the last batch must be exactly the one frame behind the acknowledged log"
+    );
+    let mut bytes = fs::read(&image).expect("read image");
+    bytes[acked_end + last.len / 2..full_end].fill(0);
+    fs::write(&image, &bytes).expect("tear the last frame");
     fs::write(anchor_path_for(&image), &acked_anchor).expect("rewind the unsealed anchor");
 
     let mut ctrl = open_anchored(reopen, &image, 2);
@@ -610,4 +626,80 @@ fn torn_last_frame_drops_whole_batch_bonsai_agit_plus() {
 #[test]
 fn torn_last_frame_drops_whole_batch_sgx_asit() {
     torn_last_frame_drops_whole_batch(reopen_asit, "asit");
+}
+
+/// Acknowledged ops land in slack that is already on disk: while they
+/// fit, the image file does not grow by a byte, and a process that dies
+/// there reopens to the same log with the rest of its slack intact.
+fn writes_inside_the_slack_leave_the_file_length_alone<C: Supervised>(
+    reopen: Reopen<C>,
+    name: &str,
+) {
+    let dir = scratch(&format!("slack-{name}"));
+    let image = dir.join("image.wal");
+    let mut ctrl = serve_batches(reopen, &image, 1);
+    let file_len = || fs::metadata(&image).expect("stat image").len();
+    let len = file_len();
+    let mut writes = 0u64;
+    // A scalar write's frame is a fraction of a KiB; stop well short of
+    // the slack's end so none of these has to extend the file.
+    while ctrl.domain().device().backend().wal_stats().slack_bytes > 16 * 1024 {
+        let addr = DataAddr::new(writes % BATCH_LINES);
+        ctrl.write(addr, op_payload(7_000 + writes, addr.index()))
+            .expect("scalar write");
+        assert_sealed(&ctrl, &image, "write into the slack");
+        assert_eq!(file_len(), len, "{name}: write {writes} grew the image");
+        writes += 1;
+    }
+    assert!(writes >= 10, "{name}: only {writes} writes fit the slack");
+    let (epoch, stats) = (
+        ctrl.domain().epoch(),
+        ctrl.domain().device().backend().wal_stats(),
+    );
+    assert_eq!(stats.log_bytes + stats.slack_bytes, len);
+    let (frames, end) = wal_layout(&image);
+    assert_eq!((frames.len() as u64, end as u64), (epoch, stats.log_bytes));
+    drop(ctrl); // no shutdown_flush: the process just dies
+
+    let backend = FileBackend::open_with_anchor(&image, config().key.0, AnchorPolicy::Strict)
+        .expect("anchored reopen");
+    let reopened = backend.wal_stats();
+    assert_eq!(
+        (backend.frames_rejected(), backend.epoch()),
+        (0, epoch),
+        "{name}: reopen must replay every acknowledged frame"
+    );
+    assert_eq!(
+        (reopened.log_bytes, reopened.slack_bytes),
+        (stats.log_bytes, stats.slack_bytes),
+        "{name}: reopen must resume at the logical end with the slack it left"
+    );
+    let (mut ctrl, hint) = reopen(backend);
+    recover_with(&Supervisor::new().with_lanes(2), &mut ctrl, hint);
+    for k in writes.saturating_sub(BATCH_LINES)..writes {
+        let addr = DataAddr::new(k % BATCH_LINES);
+        assert_eq!(
+            ctrl.read(addr).expect("post-restart read"),
+            op_payload(7_000 + k, addr.index()),
+            "{name}: write {k} lost"
+        );
+    }
+    ctrl.write(DataAddr::new(0), op_payload(9_999, 0))
+        .expect("write after restart");
+    assert_eq!(
+        file_len(),
+        len,
+        "{name}: the inherited slack was not reused"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn writes_inside_the_slack_leave_the_file_length_alone_bonsai_agit_plus() {
+    writes_inside_the_slack_leave_the_file_length_alone(reopen_agit_plus, "agit-plus");
+}
+
+#[test]
+fn writes_inside_the_slack_leave_the_file_length_alone_sgx_asit() {
+    writes_inside_the_slack_leave_the_file_length_alone(reopen_asit, "asit");
 }

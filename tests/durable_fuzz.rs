@@ -14,7 +14,7 @@ use std::path::PathBuf;
 
 use anubis_nvm::{
     anchor_path_for, AnchorPolicy, Block, FileBackend, FreshnessAnchor, NvmBackend, Snapshot,
-    SplitMix64, WriteOp,
+    SplitMix64, WalWalker, WriteOp,
 };
 
 const KEY: [u64; 2] = [7, 13];
@@ -60,9 +60,24 @@ fn mutate(bytes: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
     out
 }
 
-/// Builds a realistic WAL image: a few epochs of stores, register
-/// writes, and barriers.
-fn seed_wal_bytes(name: &str) -> Vec<u8> {
+/// A WAL image is a short log followed by far more zero slack, so a
+/// uniformly placed mutation would almost never touch a frame. Aim two
+/// in three at the log (header and frames; the slack then follows
+/// whatever is left of it, as after a kill mid-append) and one in three
+/// at the slack alone.
+fn mutate_wal(image: &[u8], log_end: usize, rng: &mut SplitMix64) -> Vec<u8> {
+    let (log, slack) = image.split_at(log_end);
+    if rng.next_u64().is_multiple_of(3) {
+        [log, &mutate(slack, rng)].concat()
+    } else {
+        [&mutate(log, rng), slack].concat()
+    }
+}
+
+/// Builds a realistic WAL image — a few epochs of stores, register
+/// writes, and barriers — and returns it with the logical end of its
+/// log.
+fn seed_wal_bytes(name: &str) -> (Vec<u8>, usize) {
     let p = tmp(name);
     cleanup(&p);
     {
@@ -75,16 +90,20 @@ fn seed_wal_bytes(name: &str) -> Vec<u8> {
     }
     let bytes = fs::read(&p).expect("read seeded WAL");
     cleanup(&p);
-    bytes
+    let mut walk = WalWalker::new(&bytes).expect("seeded WAL header");
+    assert_eq!(walk.by_ref().filter(Result::is_ok).count(), 12);
+    let log_end = walk.logical_end();
+    assert!(log_end < bytes.len(), "the seeded image must carry slack");
+    (bytes, log_end)
 }
 
 #[test]
 fn wal_parser_never_panics_on_mutated_images() {
-    let seed_bytes = seed_wal_bytes("wal");
+    let (seed_bytes, log_end) = seed_wal_bytes("wal");
     let p = tmp("wal-mut");
     let mut rng = SplitMix64::new(0xF022_DEAD_BEEF_0001);
     for round in 0..ROUNDS {
-        let mutated = mutate(&seed_bytes, &mut rng);
+        let mutated = mutate_wal(&seed_bytes, log_end, &mut rng);
         fs::write(&p, &mutated).expect("write mutated image");
         let result = panic::catch_unwind(AssertUnwindSafe(|| match FileBackend::open(&p) {
             Ok(b) => {
@@ -110,14 +129,14 @@ fn wal_parser_never_panics_on_mutated_images() {
 
 #[test]
 fn anchored_wal_open_never_panics_on_mutated_images() {
-    let seed_bytes = seed_wal_bytes("walanc");
+    let (seed_bytes, log_end) = seed_wal_bytes("walanc");
     let p = tmp("walanc-mut");
     cleanup(&p);
     // Give the mutated image a live anchor so the freshness check runs.
     FreshnessAnchor::create(anchor_path_for(&p), KEY, 3).expect("seed anchor");
     let mut rng = SplitMix64::new(0xF022_DEAD_BEEF_0002);
     for round in 0..ROUNDS {
-        let mutated = mutate(&seed_bytes, &mut rng);
+        let mutated = mutate_wal(&seed_bytes, log_end, &mut rng);
         fs::write(&p, &mutated).expect("write mutated image");
         let result =
             panic::catch_unwind(AssertUnwindSafe(|| {

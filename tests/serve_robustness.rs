@@ -295,3 +295,85 @@ fn frame_faults_are_typed_and_never_hang() {
     assert_eq!(got, [1; 64]);
     server.shutdown();
 }
+
+/// Runs `stop` (a shutdown or a drop) on its own thread and returns how
+/// long it took, failing instead of hanging if it never returns.
+fn timed_stop(what: &str, stop: impl FnOnce() + Send + 'static) -> Duration {
+    let (done, finished) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    let stopper = std::thread::spawn(move || {
+        stop();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{what} did not return within 10 s"));
+    stopper.join().expect("stopper thread");
+    started.elapsed()
+}
+
+#[test]
+fn shutdown_and_drop_return_promptly_idle_and_busy() {
+    // The accept thread blocks in `accept`; stopping must wake it — with
+    // no connection ever made, with an idle session parked in its read,
+    // and with a writer mid-stream.
+    let prompt = Duration::from_secs(2);
+
+    let server = Server::start(test_config("alpha:tok:bonsai")).expect("start");
+    let took = timed_stop("shutdown of an untouched server", move || server.shutdown());
+    assert!(took < prompt, "untouched shutdown took {took:?}");
+
+    let server = Server::start(test_config("alpha:tok:bonsai")).expect("start");
+    let addr = server.local_addr();
+    let mut idle = ServeClient::connect(addr, "alpha", "tok").expect("idle connect");
+    await_full(&mut idle, Duration::from_secs(10));
+    let writing = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let writer_ready = std::sync::Arc::clone(&writing);
+    let writer = std::thread::spawn(move || {
+        let mut c = ServeClient::connect(addr, "alpha", "tok").expect("busy connect");
+        let mut acked = 0u64;
+        // Writes until the server goes away under it.
+        while c.write(acked % 64, [acked as u8; 64], 0).is_ok() {
+            acked += 1;
+            if acked == 8 {
+                writer_ready.wait();
+            }
+        }
+        acked
+    });
+    writing.wait();
+    let took = timed_stop("shutdown under load", move || server.shutdown());
+    assert!(took < prompt, "busy shutdown took {took:?}");
+    assert!(writer.join().expect("writer thread") >= 8);
+    assert!(idle.stats().is_err(), "the idle session must be closed");
+
+    let server = Server::start(test_config("alpha:tok:sgx")).expect("start");
+    let mut idle = ServeClient::connect(server.local_addr(), "alpha", "tok").expect("connect");
+    await_full(&mut idle, Duration::from_secs(10));
+    let took = timed_stop("drop with an idle session", move || drop(server));
+    assert!(took < prompt, "drop took {took:?}");
+}
+
+#[test]
+fn a_new_connection_is_served_without_waiting_for_an_accept_tick() {
+    let server = Server::start(test_config("alpha:tok:bonsai")).expect("start");
+    let addr = server.local_addr();
+    // connect → Hello → HelloOk on an idle server, one at a time: each
+    // arrives while the accept thread has nothing else to do.
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            let c = ServeClient::connect(addr, "alpha", "tok").expect("connect");
+            let took = t.elapsed();
+            drop(c);
+            took
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median connect→HelloOk {median:?} (all: {round_trips:?})"
+    );
+    server.shutdown();
+}
