@@ -7,12 +7,6 @@
 //! per-component ns breakdown to `BENCH_hotpath.json` (override with
 //! `--out PATH`).
 //!
-//! Alongside the current implementation it times in-bin reconstructions
-//! of the pre-overhaul ("legacy") seal/open/MAC — the Davies–Meyer MAC
-//! over a heap-built word buffer and the per-lane pad calls — so the
-//! `speedup_vs_legacy` section records the optimization win on the same
-//! machine, in the same file.
-//!
 //! `--check [BASELINE]` (default `BENCH_hotpath.json`) re-times the
 //! components and fails (exit 1) if any regresses more than 10% against
 //! the committed baseline. Comparisons use speck-normalized units
@@ -69,57 +63,6 @@ fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Pre-overhaul data MAC, reconstructed for same-machine comparison: the
-/// address/counter/plaintext words gathered into a heap buffer and run
-/// through the Davies–Meyer `Hasher64` (six fresh key schedules for the
-/// 88-byte message — the cost the Carter–Wegman MAC replaced).
-fn legacy_data_mac(h: &Hasher64, addr: BlockAddr, ctr: IvCounter, pt: &Block) -> u64 {
-    let mut words: Vec<u64> = Vec::with_capacity(11);
-    words.push(addr.index());
-    words.push(ctr.major);
-    words.push(ctr.minor);
-    words.extend(pt.words());
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    h.hash(&bytes)
-}
-
-/// Pre-overhaul seal: per-lane pad calls (data pad + separate side-word
-/// pad) and the Davies–Meyer MAC.
-fn legacy_seal(
-    enc: &Speck128,
-    mac: &Hasher64,
-    addr: BlockAddr,
-    ctr: IvCounter,
-    pt: &Block,
-) -> (Block, u64, u64) {
-    let pad = otp::pad_with(enc, addr, ctr);
-    let side = otp::pad_word_with(enc, addr, ctr);
-    let ciphertext = pt.xored(&pad);
-    let ecc = ecc_block(pt) ^ side;
-    let tag = legacy_data_mac(mac, addr, ctr, pt);
-    (ciphertext, ecc, tag)
-}
-
-/// Pre-overhaul open: decrypt, ECC check, Davies–Meyer MAC verify.
-fn legacy_open(
-    enc: &Speck128,
-    mac: &Hasher64,
-    addr: BlockAddr,
-    ctr: IvCounter,
-    sealed: &(Block, u64, u64),
-) -> Option<Block> {
-    let pad = otp::pad_with(enc, addr, ctr);
-    let side = otp::pad_word_with(enc, addr, ctr);
-    let pt = sealed.0.xored(&pad);
-    if ecc_block(&pt) ^ side != sealed.1 {
-        return None;
-    }
-    if legacy_data_mac(mac, addr, ctr, &pt) != sealed.2 {
-        return None;
-    }
-    Some(pt)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke")
@@ -150,7 +93,6 @@ fn main() {
     let key = Key([0xFEED, 0xF00D]);
     let codec = DataCodec::new(key);
     let enc = Speck128::new(key.derive("data-otp"));
-    let legacy_mac_key = Hasher64::new(key.derive("data-mac"));
     let tree_hasher = Hasher64::new(key.derive("tree-hash"));
     let addr = BlockAddr::new(0x2a);
     let ctr = IvCounter::split(3, 17);
@@ -355,49 +297,6 @@ fn main() {
         });
     }
 
-    // --- legacy reconstructions ---------------------------------------
-    let legacy_sealed = legacy_seal(&enc, &legacy_mac_key, addr, ctr, &pt);
-    let legacy = vec![
-        Timed {
-            name: "legacy_data_mac",
-            ns_per_op: time_ns(micro, || {
-                black_box(legacy_data_mac(
-                    &legacy_mac_key,
-                    black_box(addr),
-                    black_box(ctr),
-                    black_box(&pt),
-                ));
-            }),
-        },
-        Timed {
-            name: "legacy_seal",
-            ns_per_op: time_ns(micro, || {
-                black_box(legacy_seal(
-                    &enc,
-                    &legacy_mac_key,
-                    black_box(addr),
-                    black_box(ctr),
-                    black_box(&pt),
-                ));
-            }),
-        },
-        Timed {
-            name: "legacy_open",
-            ns_per_op: time_ns(micro, || {
-                black_box(
-                    legacy_open(
-                        &enc,
-                        &legacy_mac_key,
-                        black_box(addr),
-                        black_box(ctr),
-                        black_box(&legacy_sealed),
-                    )
-                    .expect("legacy open"),
-                );
-            }),
-        },
-    ];
-
     // --- report --------------------------------------------------------
     println!("\n{:<30} {:>12} {:>12}", "component", "ns/op", "per-speck");
     let row_json = |t: &Timed| {
@@ -414,33 +313,6 @@ fn main() {
         ])
     };
     let component_rows: Vec<Json> = components.iter().map(&row_json).collect();
-    println!("--- legacy reconstructions ---");
-    let legacy_rows: Vec<Json> = legacy.iter().map(&row_json).collect();
-
-    let ns_of = |set: &[Timed], name: &str| -> f64 {
-        set.iter()
-            .find(|t| t.name == name)
-            .map(|t| t.ns_per_op)
-            .expect("component present")
-    };
-    let speedups = vec![
-        (
-            "seal",
-            ns_of(&legacy, "legacy_seal") / ns_of(&components, "seal"),
-        ),
-        (
-            "open",
-            ns_of(&legacy, "legacy_open") / ns_of(&components, "open"),
-        ),
-        (
-            "data_mac",
-            ns_of(&legacy, "legacy_data_mac") / ns_of(&components, "data_mac"),
-        ),
-    ];
-    println!("--- speedup vs legacy (same machine, same run) ---");
-    for (name, x) in &speedups {
-        println!("{name:<30} {x:>12.2}x");
-    }
 
     let doc = Json::obj(vec![
         ("benchmark", Json::Str("hotpath".into())),
@@ -451,16 +323,6 @@ fn main() {
             Json::obj(vec![("speck_encrypt_ns", Json::Num(speck_ns))]),
         ),
         ("components", Json::Arr(component_rows)),
-        ("legacy", Json::Arr(legacy_rows)),
-        (
-            "speedup_vs_legacy",
-            Json::Obj(
-                speedups
-                    .iter()
-                    .map(|(n, x)| (n.to_string(), Json::Num(*x)))
-                    .collect(),
-            ),
-        ),
     ]);
 
     if let Some(baseline_path) = check {

@@ -13,6 +13,7 @@ mod repair;
 
 use crate::config::AnubisConfig;
 use crate::cost::{CostAccum, OpCost};
+use crate::datapath::{self, publish_cache_stats, sealed_block, DataPath, Line, Policy};
 use crate::error::{freshness_hint, IntegrityWitness, MemError, RecoveryError};
 use crate::layout::{BonsaiLayout, DataAddr, LINES_PER_COUNTER_BLOCK};
 use crate::recovery::RecoveryReport;
@@ -20,10 +21,10 @@ use crate::shadow::ShadowAddrEntry;
 use crate::MemoryController;
 use anubis_cache::{Eviction, MetadataCache};
 use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{DataCodec, MacCache, SealedBlock, SplitCounterBlock, MINOR_MAX};
+use anubis_crypto::{SplitCounterBlock, MINOR_MAX};
 use anubis_itree::bonsai::{BonsaiHasher, Root};
 use anubis_itree::NodeId;
-use anubis_nvm::{Block, BlockAddr, MemBackend, NvmBackend, PersistenceDomain, WriteOp};
+use anubis_nvm::{Block, BlockAddr, MemBackend, NvmBackend, PersistenceDomain};
 use anubis_telemetry::Telemetry;
 
 /// Backend register slot mirroring the on-chip Merkle-root register.
@@ -171,8 +172,9 @@ pub struct BonsaiController<B: NvmBackend = MemBackend> {
     scheme: BonsaiScheme,
     config: AnubisConfig,
     layout: BonsaiLayout,
-    domain: PersistenceDomain<B>,
-    codec: DataCodec,
+    /// The shared data path: persistence domain, data codec, commit
+    /// group, cost accounting, common telemetry.
+    path: DataPath<B>,
     hasher: BonsaiHasher,
     counter_cache: MetadataCache<CtrEntry>,
     tree_cache: MetadataCache<Block>,
@@ -187,29 +189,8 @@ pub struct BonsaiController<B: NvmBackend = MemBackend> {
     edge: Vec<Block>,
     /// On-chip persistent register: interrupted page re-encryption.
     reenc_log: Option<ReencLog>,
-    /// Words repaired by the SEC-DED decoder on the data read path.
-    ecc_corrections: u64,
     /// Osiris probes that hit the stop-loss / minor-overflow boundary.
     stop_loss_events: u64,
-    /// Snapshot images the restore path rejected (parse failure or
-    /// epoch behind the sealed anchor).
-    snapshot_rejected: u64,
-    cost: OpCost,
-    totals: CostAccum,
-    pending: Vec<WriteOp>,
-    /// Volatile cache of MAC-verified line fingerprints: reads of
-    /// unmodified lines skip the MAC recomputation (cleared on crash).
-    mac_cache: MacCache,
-    /// Data seals deferred to commit time, where the whole group is
-    /// sealed through the batch crypto path: `(addr, iv, plaintext)`.
-    seal_jobs: Vec<(BlockAddr, IvCounter, Block)>,
-    /// Indices into `pending` of the placeholder (ciphertext, side) ops
-    /// each seal job fills in, parallel to `seal_jobs`.
-    seal_slots: Vec<(usize, usize)>,
-    /// Reused output buffer for the batch seal (allocation-free steady
-    /// state).
-    seal_out: Vec<SealedBlock>,
-    telemetry: Telemetry,
 }
 
 impl BonsaiController {
@@ -241,16 +222,17 @@ impl<B: NvmBackend> BonsaiController<B> {
             counter_cache.num_slots() as u64,
             tree_cache.num_slots() as u64,
         );
-        let domain = make_domain(&layout);
+        let mut domain = make_domain(&layout);
+        domain.device_mut().register_regions(layout.regions());
+        domain.device_mut().install_spare_pool(layout.spare_pool());
         let hasher = BonsaiHasher::new(config.key);
         let (canon, edge) = Self::zero_state_contents(&hasher, &layout);
         let root = Root(hasher.digest(&edge[layout.geometry().top_level()]));
-        let mut controller = BonsaiController {
+        BonsaiController {
             scheme,
             config: config.clone(),
+            path: DataPath::new(domain, config.key, layout.qtable()),
             layout,
-            domain,
-            codec: DataCodec::new(config.key),
             hasher,
             counter_cache,
             tree_cache,
@@ -258,23 +240,8 @@ impl<B: NvmBackend> BonsaiController<B> {
             canon,
             edge,
             reenc_log: None,
-            ecc_corrections: 0,
             stop_loss_events: 0,
-            snapshot_rejected: 0,
-            cost: OpCost::zero(),
-            totals: CostAccum::default(),
-            pending: Vec::new(),
-            mac_cache: MacCache::default(),
-            seal_jobs: Vec::new(),
-            seal_slots: Vec::new(),
-            seal_out: Vec::new(),
-            telemetry: Telemetry::global(),
-        };
-        let regions = controller.layout.regions();
-        controller.domain.device_mut().register_regions(regions);
-        let spares = controller.layout.spare_pool();
-        controller.domain.device_mut().install_spare_pool(spares);
-        controller
+        }
     }
 
     /// Reopens a controller over an existing device image (e.g. a
@@ -307,12 +274,16 @@ impl<B: NvmBackend> BonsaiController<B> {
         let mut c = Self::assemble(scheme, config, move |layout| {
             PersistenceDomain::with_backend(layout.device_bytes(), backend)
         });
-        if let Some(b) = c.domain.reg(REG_ROOT) {
+        if let Some(b) = c.path.domain.reg(REG_ROOT) {
             c.root = Root(b.word(0));
         }
-        if let Some(meta) = c.domain.reg(REG_REENC) {
+        if let Some(meta) = c.path.domain.reg(REG_REENC) {
             if meta.word(0) == 1 {
-                let old = c.domain.reg(REG_REENC_OLD).unwrap_or_else(Block::zeroed);
+                let old = c
+                    .path
+                    .domain
+                    .reg(REG_REENC_OLD)
+                    .unwrap_or_else(Block::zeroed);
                 c.reenc_log = Some(ReencLog {
                     leaf: meta.word(1),
                     old: SplitCounterBlock::from_block(&old),
@@ -320,7 +291,8 @@ impl<B: NvmBackend> BonsaiController<B> {
                 });
             }
         }
-        let hint = freshness_hint(c.domain.freshness()).or_else(|| c.reload_quarantine_table());
+        let hint =
+            freshness_hint(c.path.domain.freshness()).or_else(|| c.path.reload_quarantine_table());
         (c, hint)
     }
 
@@ -328,7 +300,7 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// failure or an epoch behind the sealed anchor) for the
     /// `snapshot_rejected_total` counter.
     pub fn note_snapshot_rejected(&mut self) {
-        self.snapshot_rejected += 1;
+        self.path.snapshot_rejected += 1;
     }
 
     /// Restores a captured domain snapshot, refusing one whose epoch is
@@ -345,32 +317,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         &mut self,
         snap: &anubis_nvm::Snapshot,
     ) -> Result<(), anubis_nvm::NvmError> {
-        match self.domain.apply_snapshot(snap) {
-            Err(e) => {
-                self.note_snapshot_rejected();
-                Err(e)
-            }
-            Ok(()) => Ok(()),
-        }
-    }
-
-    /// Reloads the persisted bad-block remap table from the qtable
-    /// region; returns the corrupt-image hint on parse failure.
-    fn reload_quarantine_table(&mut self) -> Option<RecoveryError> {
-        let blocks: Vec<Block> = (0..self.layout.qtable_blocks())
-            .map(|i| self.domain.device().peek(self.layout.qtable_addr(i)))
-            .collect();
-        match blocks.first() {
-            // Fresh image: no table was ever persisted.
-            None => None,
-            Some(header) if header.is_zeroed() => None,
-            Some(_) => match self.domain.device_mut().load_quarantine_table(&blocks) {
-                Ok(()) => None,
-                Err(_) => Some(RecoveryError::CorruptImage {
-                    what: "quarantine table",
-                }),
-            },
-        }
+        self.path.restore_snapshot(snap)
     }
 
     /// Computes the canonical zero-state node contents per level.
@@ -423,7 +370,7 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// interior node is all-zero only if all eight stored digests are
     /// zero — probability ≈ 2⁻⁵¹² — so the sentinel is safe.
     fn nvm_read_node(&mut self, node: NodeId) -> Result<Block, MemError> {
-        let raw = self.nvm_read(self.layout.node_addr(node))?;
+        let raw = self.path.nvm_read(self.layout.node_addr(node))?;
         if node.level >= 1 && raw.is_zeroed() {
             Ok(self.canonical_node(node))
         } else {
@@ -464,18 +411,18 @@ impl<B: NvmBackend> BonsaiController<B> {
 
     /// Direct access to the persistence domain (tamper API, device stats).
     pub fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.domain
+        &mut self.path.domain
     }
 
     /// Read-only access to the persistence domain.
     pub fn domain(&self) -> &PersistenceDomain<B> {
-        &self.domain
+        &self.path.domain
     }
 
     /// Total data words repaired by the SEC-DED decoder (correctable
     /// bit-flip faults absorbed on the read path).
     pub fn ecc_corrections(&self) -> u64 {
-        self.ecc_corrections
+        self.path.ecc_corrections
     }
 
     /// Osiris probes that hit the stop-loss / minor-overflow boundary
@@ -487,87 +434,19 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// The telemetry handle the controller records spans and counters
     /// through (defaults to the process-global registry).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.path.telemetry
     }
 
     /// Publishes current device/cache/controller counters into the
     /// telemetry registry. See [`MemoryController::publish_telemetry`].
     pub fn publish_telemetry(&self) {
-        if !self.telemetry.enabled() {
+        let scheme = self.scheme.name();
+        let Some(t) = self.path.publish_telemetry(scheme, &["sct", "smt"]) else {
             return;
-        }
-        let t = &self.telemetry;
-        let scheme = self.scheme_name();
-        let dev = self.domain.device().stats().snapshot();
-        t.counter_set("nvm_reads_total", scheme, dev.reads);
-        t.counter_set("nvm_writes_total", scheme, dev.writes);
-        t.counter_set(
-            "nvm_max_writes_to_one_block",
-            scheme,
-            dev.max_writes_to_one_block,
-        );
-        for (region, n) in &dev.writes_by_region {
-            t.counter_set("nvm_region_writes_total", region, *n);
-        }
-        let shadow = dev
-            .writes_by_region
-            .iter()
-            .filter(|(r, _)| *r == "sct" || *r == "smt")
-            .map(|(_, n)| *n)
-            .sum::<u64>();
-        t.counter_set("shadow_table_writes_total", scheme, shadow);
-        t.counter_set("persist_writes_total", scheme, self.domain.persist_writes());
-        // Groups per frame is the coalescing an op-scoped barrier buys;
-        // frames per acknowledged op should read at most 1.
-        t.counter_set("commit_groups_total", scheme, self.domain.commits());
-        t.counter_set("wal_frames_total", scheme, self.domain.epoch());
-        // The log's logical end, not the file's length: the file is kept
-        // longer than the log by `wal_slack_bytes` of preallocated zeros.
-        let wal = self.domain.device().backend().wal_stats();
-        t.gauge_set("wal_log_bytes", scheme, wal.log_bytes as f64);
-        t.gauge_set("wal_slack_bytes", scheme, wal.slack_bytes as f64);
-        t.counter_set("wal_records_coalesced_total", scheme, wal.records_coalesced);
-        t.counter_set("ecc_corrections_total", scheme, self.ecc_corrections);
+        };
         t.counter_set("stop_loss_events_total", scheme, self.stop_loss_events);
-        let ctr = self.counter_cache.stats();
-        t.counter_set("cache_hits_total", "counter", ctr.hits);
-        t.counter_set("cache_misses_total", "counter", ctr.misses);
-        if let Some(rate) = ctr.hit_rate() {
-            t.gauge_set("cache_hit_rate", "counter", rate);
-        }
-        let tree = self.tree_cache.stats();
-        t.counter_set("cache_hits_total", "tree", tree.hits);
-        t.counter_set("cache_misses_total", "tree", tree.misses);
-        if let Some(rate) = tree.hit_rate() {
-            t.gauge_set("cache_hit_rate", "tree", rate);
-        }
-        t.counter_set("cache_hits_total", "mac", self.mac_cache.hits());
-        t.counter_set("cache_misses_total", "mac", self.mac_cache.misses());
-        let quarantine = self.domain.device().quarantine_table();
-        t.gauge_set("quarantined_blocks", scheme, quarantine.len() as f64);
-        t.gauge_set(
-            "quarantine_spares_left",
-            scheme,
-            quarantine.spares_left() as f64,
-        );
-        t.counter_set(
-            "quarantine_lost_lines_total",
-            scheme,
-            quarantine.lost_lines(),
-        );
-        t.gauge_set("wpq_occupancy", scheme, self.domain.wpq_occupancy() as f64);
-        t.gauge_set("wpq_capacity", scheme, self.domain.wpq_capacity() as f64);
-        t.counter_set(
-            "wal_rejected_total",
-            scheme,
-            self.domain.device().backend().frames_rejected(),
-        );
-        t.counter_set("snapshot_rejected_total", scheme, self.snapshot_rejected);
-        let rolled_back = matches!(
-            self.domain.freshness(),
-            anubis_nvm::Freshness::RolledBack { .. }
-        );
-        t.counter_set("rollback_detected_total", scheme, rolled_back as u64);
+        publish_cache_stats(t, "counter", self.counter_cache.stats());
+        publish_cache_stats(t, "tree", self.tree_cache.stats());
     }
 
     /// Runs crash recovery with an explicit lane count. `lanes == 1` is
@@ -581,95 +460,6 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// Same classes as [`MemoryController::recover`].
     pub fn recover_with_lanes(&mut self, lanes: usize) -> Result<RecoveryReport, RecoveryError> {
         recovery::recover(self, lanes)
-    }
-
-    // ------------------------------------------------------------------
-    // Cost-counted primitives
-    // ------------------------------------------------------------------
-
-    fn nvm_read(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        self.cost.nvm_reads += 1;
-        self.read_through(addr)
-    }
-
-    /// Reads a block without charging the timing model (side blocks ride
-    /// the same DIMM transfer as their data block).
-    fn nvm_read_free(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        self.read_through(addr)
-    }
-
-    /// Store-to-load forwarding: the controller must observe writes it has
-    /// staged for the current commit group but not yet pushed to the WPQ
-    /// (e.g. a dirty tree node evicted and re-fetched within one op).
-    fn read_through(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        if let Some(op) = self.pending.iter().rev().find(|op| op.addr == addr) {
-            return Ok(op.block);
-        }
-        Ok(self.domain.read(addr)?)
-    }
-
-    fn stage(&mut self, addr: BlockAddr, block: Block) {
-        self.cost.nvm_writes += 1;
-        self.pending.push(WriteOp::new(addr, block));
-    }
-
-    /// Stages a write without charging the timing model (side blocks).
-    fn stage_free(&mut self, addr: BlockAddr, block: Block) {
-        self.pending.push(WriteOp::new(addr, block));
-    }
-
-    /// Stages a data-line seal for the current commit group without
-    /// computing it yet: placeholder ciphertext/side ops hold the group
-    /// positions, and [`resolve_seals`](Self::resolve_seals) fills them in
-    /// at commit time through the batch crypto path. This is how the write
-    /// path — scalar and batched alike — routes every seal of a commit
-    /// group through one `seal_batch_into` call.
-    fn stage_sealed(&mut self, dev: BlockAddr, side_addr: BlockAddr, iv: IvCounter, data: Block) {
-        self.cost.hash_ops += 2; // pad + MAC
-        let data_idx = self.pending.len();
-        self.stage(dev, Block::zeroed());
-        let side_idx = self.pending.len();
-        self.stage_free(side_addr, Block::zeroed());
-        self.seal_jobs.push((dev, iv, data));
-        self.seal_slots.push((data_idx, side_idx));
-    }
-
-    /// Seals every deferred data line of the current group in one batch
-    /// and patches the placeholder ops. Also primes the MAC cache: a
-    /// freshly sealed line is by construction MAC-verified.
-    fn resolve_seals(&mut self) {
-        if self.seal_jobs.is_empty() {
-            return;
-        }
-        self.codec
-            .seal_batch_into(&self.seal_jobs, &mut self.seal_out);
-        for (((dev, iv, _), (data_idx, side_idx)), sealed) in self
-            .seal_jobs
-            .iter()
-            .zip(&self.seal_slots)
-            .zip(&self.seal_out)
-        {
-            self.pending[*data_idx].block = sealed.ciphertext;
-            let mut side = Block::zeroed();
-            side.set_word(0, sealed.ecc);
-            side.set_word(1, sealed.mac);
-            self.pending[*side_idx].block = side;
-            self.codec
-                .note_sealed(&mut self.mac_cache, *dev, *iv, sealed);
-        }
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
-    }
-
-    fn commit(&mut self) -> Result<(), MemError> {
-        self.resolve_seals();
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let ops = std::mem::take(&mut self.pending);
-        let regs = self.reg_mirrors();
-        self.domain.commit_group_with_regs(ops, &regs)?;
-        Ok(())
     }
 
     /// Backend mirrors of the on-chip persistent registers, committed
@@ -693,7 +483,7 @@ impl<B: NvmBackend> BonsaiController<B> {
     }
 
     fn digest(&mut self, content: &Block) -> u64 {
-        self.cost.hash_ops += 1;
+        self.path.cost.hash_ops += 1;
         self.hasher.digest(content)
     }
 
@@ -713,7 +503,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             let slot = outcome.slot.linear(self.tree_cache.ways()) as u64;
             let entry = ShadowAddrEntry::new(node).to_block();
             let smt = self.layout.smt_slot(slot);
-            self.stage(smt, entry);
+            self.path.stage(smt, entry);
         }
     }
 
@@ -727,7 +517,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                 self.lazy_propagate_digest(node, &ev.value)
                     .expect("digest propagation only reads/writes the device");
             }
-            self.stage(ev.addr, ev.value);
+            self.path.stage(ev.addr, ev.value);
         }
     }
 
@@ -747,14 +537,14 @@ impl<B: NvmBackend> BonsaiController<B> {
                     self.lazy_propagate_digest(node, &block)
                         .expect("digest propagation only reads/writes the device");
                 }
-                self.stage(ev.addr, block);
+                self.path.stage(ev.addr, block);
             }
         }
         if self.scheme.shadows_on_fill() {
             let slot = outcome.slot.linear(self.counter_cache.ways()) as u64;
             let block = ShadowAddrEntry::new(leaf).to_block();
             let sct = self.layout.sct_slot(slot);
-            self.stage(sct, block);
+            self.path.stage(sct, block);
         }
     }
 
@@ -780,7 +570,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             .linear(self.counter_cache.ways()) as u64;
         let block = ShadowAddrEntry::new(leaf).to_block();
         let sct = self.layout.sct_slot(slot);
-        self.stage(sct, block);
+        self.path.stage(sct, block);
     }
 
     fn track_tree_node_if_first_mod(&mut self, node: NodeId, first_mod: bool) {
@@ -793,7 +583,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                 .linear(self.tree_cache.ways()) as u64;
             let block = ShadowAddrEntry::new(node).to_block();
             let smt = self.layout.smt_slot(slot);
-            self.stage(smt, block);
+            self.path.stage(smt, block);
         }
     }
 
@@ -880,7 +670,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             if self.counter_cache.contains(addr) {
                 return Ok(());
             }
-            let content = self.nvm_read(addr)?;
+            let content = self.path.nvm_read(addr)?;
             let d = self.digest(&content);
             let g = self.layout.geometry().clone();
             match g.parent(leaf) {
@@ -952,7 +742,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             self.track_tree_node_if_first_mod(parent, first_mod);
             let updated = *self.tree_cache.peek(p_addr).expect("still resident");
             if self.scheme == BonsaiScheme::StrictPersist {
-                self.stage(p_addr, updated);
+                self.path.stage(p_addr, updated);
                 self.tree_cache.mark_clean(p_addr);
             }
             child_digest = self.digest(&updated);
@@ -989,7 +779,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         p_block.set_word(slot, d);
         // Writing the parent back is a writeback of the parent: cascade.
         self.lazy_propagate_digest(parent, &p_block)?;
-        self.stage(p_addr, p_block);
+        self.path.stage(p_addr, p_block);
         Ok(())
     }
 
@@ -1019,7 +809,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             let Some((addr, block)) = next else { break };
             let node = self.layout.node_of_addr(addr).expect("metadata address");
             self.lazy_propagate_digest(node, &block)?;
-            self.stage(addr, block);
+            self.path.stage(addr, block);
             if node.level == 0 {
                 self.counter_cache.mark_clean(addr);
             } else {
@@ -1027,8 +817,6 @@ impl<B: NvmBackend> BonsaiController<B> {
             }
             self.commit()?;
         }
-        self.commit()?;
-        self.domain.drain_wpq();
         Ok(())
     }
 
@@ -1066,7 +854,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         }
         self.counter_cache.mark_dirty(leaf_addr);
         self.track_counter_if_first_mod(leaf);
-        self.stage(leaf_addr, fresh.to_block());
+        self.path.stage(leaf_addr, fresh.to_block());
         self.counter_cache.mark_clean(leaf_addr);
         self.update_path(leaf)?;
         self.commit()?;
@@ -1099,27 +887,22 @@ impl<B: NvmBackend> BonsaiController<B> {
         };
         let dev = self.layout.data_addr(data_addr);
         let side = self.layout.side_addr(data_addr);
-        let ciphertext = self.nvm_read(dev)?;
-        let side_block = self.nvm_read_free(side)?;
-        let sealed = anubis_crypto::SealedBlock {
-            ciphertext,
-            ecc: side_block.word(0),
-            mac: side_block.word(1),
-        };
+        let ciphertext = self.path.nvm_read(dev)?;
+        let sealed = sealed_block(ciphertext, &self.path.nvm_read_free(side)?);
         let new_ctr = IvCounter::split(new_major, 0);
         let plaintext = if old.major() == 0 && old.minor(line) == 0 {
             // Zero-state line: plaintext is zero by convention.
             Block::zeroed()
         } else {
             let old_ctr = IvCounter::split(old.major(), old.minor(line) as u64);
-            self.cost.hash_ops += 1;
-            match self.codec.probe(dev, old_ctr, &sealed) {
+            self.path.cost.hash_ops += 1;
+            match self.path.codec.probe(dev, old_ctr, &sealed) {
                 Some(pt) => pt,
                 None => {
                     // Already re-encrypted (recovery redoing the boundary
                     // line): verify it opens under the new counter.
-                    self.cost.hash_ops += 1;
-                    match self.codec.probe(dev, new_ctr, &sealed) {
+                    self.path.cost.hash_ops += 1;
+                    match self.path.codec.probe(dev, new_ctr, &sealed) {
                         Some(_) => return Ok(()),
                         None => {
                             return Err(MemError::Crypto(anubis_crypto::CryptoError::EccMismatch))
@@ -1128,36 +911,44 @@ impl<B: NvmBackend> BonsaiController<B> {
                 }
             }
         };
-        self.stage_sealed(dev, side, new_ctr, plaintext);
+        self.path.stage_sealed(dev, side, new_ctr, plaintext);
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Data path
-    // ------------------------------------------------------------------
-
-    fn validate(&self, addr: DataAddr) -> Result<(), MemError> {
-        if addr.index() < self.layout.data_blocks() {
-            Ok(())
-        } else {
-            Err(MemError::OutOfRange {
-                addr,
-                capacity_blocks: self.layout.data_blocks(),
-            })
+    /// Resolves a data line under `ctr`, the counter block covering it.
+    fn line_under(&self, addr: DataAddr, ctr: &SplitCounterBlock) -> Line {
+        let (_, slot) = self.layout.counter_of(addr);
+        let written = ctr.major() != 0 || ctr.minor(slot) != 0;
+        Line {
+            dev: self.layout.data_addr(addr),
+            side: self.layout.side_addr(addr),
+            iv: written.then(|| IvCounter::split(ctr.major(), ctr.minor(slot) as u64)),
         }
     }
+}
 
-    fn begin_op(&mut self) {
-        self.cost = OpCost::zero();
-        self.pending.clear();
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
+impl<B: NvmBackend> Policy for BonsaiController<B> {
+    type Backend = B;
+
+    fn path(&mut self) -> &mut DataPath<B> {
+        &mut self.path
     }
 
-    /// Body of one logical write: counter maintenance, overflow-driven
-    /// page re-encryption, the (deferred) data seal and the tree update.
-    /// The caller owns `begin_op`, the final `commit` and the cost
-    /// recording, so scalar `write` and grouped `write_batch` share it.
+    fn data_blocks(&self) -> u64 {
+        self.layout.data_blocks()
+    }
+
+    #[inline]
+    fn line_iv(&mut self, addr: DataAddr) -> Result<Line, MemError> {
+        let (leaf, _) = self.layout.counter_of(addr);
+        self.ensure_counter(leaf)?;
+        let leaf_addr = self.layout.node_addr(leaf);
+        let ctr = self.counter_cache.peek(leaf_addr).expect("ensured").ctr;
+        Ok(self.line_under(addr, &ctr))
+    }
+
+    /// Counter maintenance, overflow-driven page re-encryption, the
+    /// (deferred) data seal and the tree update.
     fn write_inner(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
         let (leaf, line) = self.layout.counter_of(addr);
         self.ensure_counter(leaf)?;
@@ -1202,7 +993,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                 .expect("resident")
                 .ctr
                 .to_block();
-            self.stage(leaf_addr, block);
+            self.path.stage(leaf_addr, block);
             self.counter_cache.mark_clean(leaf_addr);
         }
         if matches!(
@@ -1215,7 +1006,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                 .expect("resident")
                 .ctr
                 .to_block();
-            self.stage(leaf_addr, block);
+            self.path.stage(leaf_addr, block);
             self.counter_cache.mark_clean(leaf_addr);
         }
 
@@ -1223,7 +1014,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         // time, where the whole group goes through the batch seal path.
         let dev = self.layout.data_addr(addr);
         let side_addr = self.layout.side_addr(addr);
-        self.stage_sealed(dev, side_addr, iv, data);
+        self.path.stage_sealed(dev, side_addr, iv, data);
 
         // Eager tree update up to the on-chip root (lazy defers digest
         // propagation to writeback time).
@@ -1233,88 +1024,12 @@ impl<B: NvmBackend> BonsaiController<B> {
         Ok(())
     }
 
-    // Bodies of the public operations. The `MemoryController` impl below
-    // closes each with `crate::end_op`, the op's one durability barrier.
-
-    fn read_op(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        self.validate(addr)?;
-        self.begin_op();
-        let (leaf, line) = self.layout.counter_of(addr);
-        self.ensure_counter(leaf)?;
-        let leaf_addr = self.layout.node_addr(leaf);
-        let ctr = self.counter_cache.peek(leaf_addr).expect("ensured").ctr;
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-
-        let result = if ctr.major() == 0 && ctr.minor(line) == 0 {
-            // Never-written line: must still be in the zero state.
-            let stored = self.nvm_read(dev)?;
-            let side = self.nvm_read_free(side_addr)?;
-            if stored.is_zeroed() && side.is_zeroed() {
-                Ok(Block::zeroed())
-            } else {
-                Err(MemError::Crypto(
-                    anubis_crypto::CryptoError::DataMacMismatch,
-                ))
-            }
-        } else {
-            let ciphertext = self.nvm_read(dev)?;
-            let side = self.nvm_read_free(side_addr)?;
-            let sealed = anubis_crypto::SealedBlock {
-                ciphertext,
-                ecc: side.word(0),
-                mac: side.word(1),
-            };
-            self.cost.hash_ops += 2; // pad + MAC verify
-            let iv = IvCounter::split(ctr.major(), ctr.minor(line) as u64);
-            match self
-                .codec
-                .open_correcting_cached(&mut self.mac_cache, dev, iv, &sealed)
-            {
-                Ok((pt, fixed)) => {
-                    self.ecc_corrections += u64::from(fixed);
-                    Ok(pt)
-                }
-                Err(e) => Err(MemError::from(e)),
-            }
-        };
-        let value = result?;
-        self.commit()?; // persist any shadow/eviction traffic from fills
-        self.totals.record(false, self.cost);
-        Ok(value)
+    /// Commits the staged group together with the register mirrors.
+    fn commit(&mut self) -> Result<(), MemError> {
+        self.path.commit(&self.reg_mirrors())
     }
 
-    fn write_op(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        self.validate(addr)?;
-        self.begin_op();
-        self.write_inner(addr, data)?;
-        self.commit()?;
-        self.totals.record(true, self.cost);
-        Ok(())
-    }
-
-    fn write_batch_op(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
-        for (addr, _) in items {
-            self.validate(*addr)?;
-        }
-        self.begin_op();
-        for (addr, data) in items {
-            self.cost = OpCost::zero();
-            self.write_inner(*addr, *data)?;
-            // Keep the accumulated group comfortably inside the persist
-            // queue: one write stages at most a handful of ops (data +
-            // side + counters + eager tree path), so flushing at this
-            // watermark never overruns `PREG_CAPACITY`.
-            if self.pending.len() >= crate::GROUP_FLUSH_WATERMARK {
-                self.commit()?;
-            }
-            self.totals.record(true, self.cost);
-        }
-        self.commit()
-    }
-
-    fn shutdown_flush_op(&mut self) -> Result<(), MemError> {
-        self.begin_op();
+    fn flush_metadata(&mut self) -> Result<(), MemError> {
         if self.scheme.is_lazy() {
             return self.lazy_flush();
         }
@@ -1326,7 +1041,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             .map(|(_, addr, entry, _)| (addr, entry.ctr))
             .collect();
         for (addr, ctr) in dirty_ctrs {
-            self.stage(addr, ctr.to_block());
+            self.path.stage(addr, ctr.to_block());
             self.counter_cache.mark_clean(addr);
         }
         // Drain dirty tree nodes.
@@ -1337,11 +1052,9 @@ impl<B: NvmBackend> BonsaiController<B> {
             .map(|(_, addr, block, _)| (addr, *block))
             .collect();
         for (addr, block) in dirty_nodes {
-            self.stage(addr, block);
+            self.path.stage(addr, block);
             self.tree_cache.mark_clean(addr);
         }
-        self.commit()?;
-        self.domain.drain_wpq();
         Ok(())
     }
 }
@@ -1354,37 +1067,29 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
     }
 
     fn domain(&self) -> &PersistenceDomain<B> {
-        &self.domain
+        &self.path.domain
     }
 
     fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.domain
+        &mut self.path.domain
     }
 
     fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        let result = self.read_op(addr);
-        crate::end_op(&mut self.domain, result)
+        datapath::read(self, addr)
     }
 
     fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        let result = self.write_op(addr, data);
-        crate::end_op(&mut self.domain, result)
+        datapath::write(self, addr, data)
     }
 
     fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
-        let result = self.write_batch_op(items);
-        crate::end_op(&mut self.domain, result)
+        datapath::write_batch(self, items)
     }
 
     fn crash(&mut self) {
-        self.domain.power_fail();
+        self.path.crash();
         self.counter_cache.invalidate_all();
         self.tree_cache.invalidate_all();
-        self.pending.clear();
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
-        // MAC-verification cache is volatile state: it dies with power.
-        self.mac_cache.clear();
         // `root` and `reenc_log` are on-chip persistent registers: kept.
     }
 
@@ -1393,27 +1098,25 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
     }
 
     fn shutdown_flush(&mut self) -> Result<(), MemError> {
-        let result = self.shutdown_flush_op();
-        crate::end_op(&mut self.domain, result)
+        datapath::shutdown_flush(self)
     }
 
     fn last_cost(&self) -> OpCost {
-        self.cost
+        self.path.cost
     }
 
     fn total_cost(&self) -> &CostAccum {
-        &self.totals
+        &self.path.totals
     }
 
     fn reset_costs(&mut self) {
-        self.totals.reset();
+        self.path.reset_costs();
         self.counter_cache.reset_stats();
         self.tree_cache.reset_stats();
-        self.domain.device_mut().reset_stats();
     }
 
     fn set_telemetry(&mut self, t: Telemetry) {
-        self.telemetry = t;
+        self.path.telemetry = t;
     }
 
     fn publish_telemetry(&self) {

@@ -24,6 +24,7 @@
 
 use super::{BonsaiController, BonsaiScheme, ReencLog};
 use crate::config::AnubisConfig;
+use crate::datapath::{sealed_block, side_block};
 use crate::error::RecoveryError;
 use crate::layout::{BonsaiLayout, LINES_PER_COUNTER_BLOCK};
 use crate::parallel;
@@ -31,7 +32,7 @@ use crate::recovery::RecoveryReport;
 use crate::shadow::ShadowAddrEntry;
 use crate::MemoryController;
 use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{DataCodec, SealedBlock, SplitCounterBlock};
+use anubis_crypto::{DataCodec, SplitCounterBlock};
 use anubis_itree::bonsai::{BonsaiHasher, Root};
 use anubis_itree::NodeId;
 use anubis_nvm::{Block, BlockAddr, NvmBackend, NvmDevice};
@@ -74,9 +75,9 @@ pub(super) struct Ctx<'a, B: NvmBackend> {
 impl<'a, B: NvmBackend> Ctx<'a, B> {
     pub(super) fn of(c: &'a BonsaiController<B>) -> Self {
         Ctx {
-            dev: c.domain.device(),
+            dev: c.path.domain.device(),
             layout: &c.layout,
-            codec: &c.codec,
+            codec: &c.path.codec,
             hasher: &c.hasher,
             config: &c.config,
             canon: &c.canon,
@@ -122,9 +123,9 @@ pub(super) fn recover<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     lanes: usize,
 ) -> Result<RecoveryReport, RecoveryError> {
-    let tel = c.telemetry.clone();
+    let tel = c.path.telemetry.clone();
     let _recovery_span = tel.span("recovery", c.scheme_name());
-    let redo_writes = c.domain.power_up() as u64;
+    let redo_writes = c.path.domain.power_up() as u64;
     let mut t = Tally::default();
 
     // Complete any interrupted page re-encryption first; it also tells
@@ -174,7 +175,7 @@ pub(super) fn recover<B: NvmBackend>(
 
 fn dev_read<B: NvmBackend>(c: &mut BonsaiController<B>, addr: BlockAddr, t: &mut Tally) -> Block {
     t.reads += 1;
-    c.domain.device_mut().read(addr)
+    c.path.domain.device_mut().read(addr)
 }
 
 pub(super) fn dev_write<B: NvmBackend>(
@@ -184,7 +185,7 @@ pub(super) fn dev_write<B: NvmBackend>(
     t: &mut Tally,
 ) {
     t.writes += 1;
-    c.domain.device_mut().write(addr, block);
+    c.path.domain.device_mut().write(addr, block);
 }
 
 /// Completes an interrupted page re-encryption from the on-chip log
@@ -219,23 +220,19 @@ pub(super) fn complete_reencryption<B: NvmBackend>(
         let dev = c.layout.data_addr(data_addr);
         let side_addr = c.layout.side_addr(data_addr);
         let ciphertext = dev_read(c, dev, t);
-        let side = c.domain.device_mut().read(side_addr);
-        let sealed = SealedBlock {
-            ciphertext,
-            ecc: side.word(0),
-            mac: side.word(1),
-        };
+        let side = c.path.domain.device_mut().read(side_addr);
+        let sealed = sealed_block(ciphertext, &side);
         let new_iv = IvCounter::split(new_major, 0);
         let plaintext = if old.major() == 0 && old.minor(line) == 0 {
             Block::zeroed()
         } else {
             t.hashes += 1;
             let old_iv = IvCounter::split(old.major(), old.minor(line) as u64);
-            match c.codec.probe(dev, old_iv, &sealed) {
+            match c.path.codec.probe(dev, old_iv, &sealed) {
                 Some(pt) => pt,
                 None => {
                     t.hashes += 1;
-                    if c.codec.probe(dev, new_iv, &sealed).is_some() {
+                    if c.path.codec.probe(dev, new_iv, &sealed).is_some() {
                         continue; // already re-encrypted before the crash
                     }
                     return Err(RecoveryError::CounterNotRecovered { addr: dev });
@@ -243,12 +240,12 @@ pub(super) fn complete_reencryption<B: NvmBackend>(
             }
         };
         t.hashes += 2;
-        let resealed = c.codec.seal(dev, new_iv, &plaintext);
+        let resealed = c.path.codec.seal(dev, new_iv, &plaintext);
         dev_write(c, dev, resealed.ciphertext, t);
-        let mut side_new = Block::zeroed();
-        side_new.set_word(0, resealed.ecc);
-        side_new.set_word(1, resealed.mac);
-        c.domain.device_mut().write(side_addr, side_new);
+        c.path
+            .domain
+            .device_mut()
+            .write(side_addr, side_block(&resealed));
     }
     c.reenc_log = None;
     Ok(Some(leaf_node))
@@ -274,11 +271,7 @@ pub(super) fn probe_counter_block<B: NvmBackend>(
         let side_addr = ctx.layout.side_addr(data_addr);
         let ciphertext = ctx.read(dev, &mut t);
         let side = ctx.dev.read(side_addr);
-        let sealed = SealedBlock {
-            ciphertext,
-            ecc: side.word(0),
-            mac: side.word(1),
-        };
+        let sealed = sealed_block(ciphertext, &side);
         let base_minor = stale.minor(line) as u64;
         // Candidate 0: the zero state (never-written line).
         if stale.major() == 0 && base_minor == 0 && ciphertext.is_zeroed() && side.is_zeroed() {
@@ -356,7 +349,7 @@ fn fix_counter_blocks<B: NvmBackend>(
     leaves: &[u64],
     lanes: usize,
 ) -> Result<(), RecoveryError> {
-    let tel = c.telemetry.clone();
+    let tel = c.path.telemetry.clone();
     let _phase = tel
         .span("recovery_phase", "osiris_probe")
         .items(leaves.len() as u64);
@@ -397,7 +390,7 @@ fn fix_node_level<B: NvmBackend>(
     indices: &[u64],
     lanes: usize,
 ) {
-    let tel = c.telemetry.clone();
+    let tel = c.path.telemetry.clone();
     let _phase = tel
         .span("recovery_phase", &format!("level_rebuild_{level}"))
         .items(indices.len() as u64);
@@ -419,7 +412,7 @@ fn check_root<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     t: &mut Tally,
 ) -> Result<(), RecoveryError> {
-    let tel = c.telemetry.clone();
+    let tel = c.path.telemetry.clone();
     let _span = tel.span("recovery_phase", "root_check");
     let top = c.layout.geometry().top();
     let top_block = {
@@ -491,7 +484,7 @@ fn recover_agit<B: NvmBackend>(
     // Scan the SCT and SMT across lanes; slot reads are independent and
     // the per-slot parse is pure. Merging into ordered sets in slot order
     // yields the same sets as the serial scan.
-    let tel = c.telemetry.clone();
+    let tel = c.path.telemetry.clone();
     let (sct_entries, smt_entries) = {
         let _span = tel.span("recovery_phase", "shadow_scan");
         let ctx = Ctx::of(c);

@@ -18,16 +18,17 @@
 //!   counter, counting committed content as lost.
 
 use super::{recovery, BonsaiController};
+use crate::datapath::{sealed_block, Line};
 use crate::error::RecoveryError;
 use crate::layout::{DataAddr, LINES_PER_COUNTER_BLOCK};
 use crate::parallel;
 use crate::recovery::RecoveryReport;
 use crate::supervisor::{RepairSummary, Supervised};
 use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{SealedBlock, SplitCounterBlock, MINOR_MAX};
+use anubis_crypto::{SplitCounterBlock, MINOR_MAX};
 use anubis_itree::bonsai::Root;
 use anubis_itree::NodeId;
-use anubis_nvm::{Block, NvmBackend};
+use anubis_nvm::NvmBackend;
 use anubis_telemetry::Telemetry;
 
 impl<B: NvmBackend> Supervised for BonsaiController<B> {
@@ -40,70 +41,13 @@ impl<B: NvmBackend> Supervised for BonsaiController<B> {
     }
 
     fn repair_line(&mut self, addr: DataAddr) -> Result<u32, RecoveryError> {
-        let (leaf, slot) = self.layout.counter_of(addr);
-        let leaf_addr = self.layout.node_addr(leaf);
-        let stale = SplitCounterBlock::from_block(&self.domain.device_mut().read(leaf_addr));
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-        let ciphertext = self.domain.device_mut().read(dev);
-        let side = self.domain.device_mut().read(side_addr);
-        if stale.major() == 0 && stale.minor(slot) == 0 {
-            // Zero state: clean media is all-zero; anything else cannot
-            // be opened (there is no counter to verify against).
-            return if ciphertext.is_zeroed() && side.is_zeroed() {
-                Ok(0)
-            } else {
-                Err(RecoveryError::CounterNotRecovered { addr: dev })
-            };
-        }
-        let sealed = SealedBlock {
-            ciphertext,
-            ecc: side.word(0),
-            mac: side.word(1),
-        };
-        let iv = IvCounter::split(stale.major(), stale.minor(slot) as u64);
-        match self.codec.open_correcting(dev, iv, &sealed) {
-            Ok((plaintext, fixed)) => {
-                if fixed > 0 {
-                    let resealed = self.codec.seal(dev, iv, &plaintext);
-                    self.domain.device_mut().write(dev, resealed.ciphertext);
-                    let mut side_new = Block::zeroed();
-                    side_new.set_word(0, resealed.ecc);
-                    side_new.set_word(1, resealed.mac);
-                    self.domain.device_mut().write(side_addr, side_new);
-                    self.ecc_corrections += u64::from(fixed);
-                }
-                Ok(fixed)
-            }
-            Err(_) => Err(RecoveryError::CounterNotRecovered { addr: dev }),
-        }
+        let line = self.stale_line(addr);
+        self.path.repair_line(line)
     }
 
     fn quarantine_line(&mut self, addr: DataAddr) -> Result<bool, RecoveryError> {
-        let (leaf, slot) = self.layout.counter_of(addr);
-        let leaf_addr = self.layout.node_addr(leaf);
-        let stale = SplitCounterBlock::from_block(&self.domain.device_mut().read(leaf_addr));
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-        let had_content = stale.major() != 0 || stale.minor(slot) != 0;
-        self.domain.device_mut().quarantine_block(dev);
-        if had_content {
-            // Leave the line readable as an explicit zero under its
-            // current counter (the counter itself stays untouched so the
-            // tree digests remain valid).
-            let iv = IvCounter::split(stale.major(), stale.minor(slot) as u64);
-            let resealed = self.codec.seal(dev, iv, &Block::zeroed());
-            self.domain.device_mut().write(dev, resealed.ciphertext);
-            let mut side_new = Block::zeroed();
-            side_new.set_word(0, resealed.ecc);
-            side_new.set_word(1, resealed.mac);
-            self.domain.device_mut().write(side_addr, side_new);
-            self.domain.device_mut().record_lost_lines(1);
-        } else {
-            self.domain.device_mut().write(dev, Block::zeroed());
-            self.domain.device_mut().write(side_addr, Block::zeroed());
-        }
-        Ok(had_content)
+        let line = self.stale_line(addr);
+        Ok(self.path.quarantine_line(line))
     }
 
     fn targeted_repair(
@@ -115,7 +59,7 @@ impl<B: NvmBackend> Supervised for BonsaiController<B> {
         // volatile state needs resetting before the slow rebuild.
         self.counter_cache.invalidate_all();
         self.tree_cache.invalidate_all();
-        self.pending.clear();
+        self.path.reset_group();
         // Best-effort replay of an interrupted re-encryption: if even the
         // replay fails the log is dropped and the scrub pass deals with
         // the affected lines individually.
@@ -131,29 +75,34 @@ impl<B: NvmBackend> Supervised for BonsaiController<B> {
     fn reconcile_metadata(&mut self, lanes: usize) -> Result<RepairSummary, RecoveryError> {
         self.counter_cache.invalidate_all();
         self.tree_cache.invalidate_all();
-        self.pending.clear();
+        self.path.reset_group();
         Ok(rebuild_interior(self, lanes))
     }
 
     fn persist_quarantine(&mut self) {
-        let blocks = self.domain.device().quarantine_table_blocks();
-        let cap = self.layout.qtable_blocks();
-        for (i, block) in blocks.into_iter().enumerate() {
-            if (i as u64) < cap {
-                let addr = self.layout.qtable_addr(i as u64);
-                self.domain.device_mut().write(addr, block);
-            }
-        }
+        self.path.persist_quarantine();
     }
 
     fn is_line_quarantined(&self, addr: DataAddr) -> bool {
-        self.domain
+        self.path
+            .domain
             .device()
             .is_quarantined(self.layout.data_addr(addr))
     }
 
     fn supervisor_telemetry(&self) -> Telemetry {
-        self.telemetry.clone()
+        self.path.telemetry.clone()
+    }
+}
+
+impl<B: NvmBackend> BonsaiController<B> {
+    /// Resolves a line under its counter block's NVM copy, unverified:
+    /// degraded mode runs with the caches down and the tree suspect.
+    fn stale_line(&mut self, addr: DataAddr) -> Line {
+        let (leaf, _) = self.layout.counter_of(addr);
+        let leaf_addr = self.layout.node_addr(leaf);
+        let stale = SplitCounterBlock::from_block(&self.path.domain.device_mut().read(leaf_addr));
+        self.line_under(addr, &stale)
     }
 }
 
@@ -192,7 +141,7 @@ fn salvage_counters<B: NvmBackend>(c: &mut BonsaiController<B>, lanes: usize) ->
 fn salvage_leaf<B: NvmBackend>(c: &mut BonsaiController<B>, leaf: u64, sum: &mut RepairSummary) {
     let leaf_node = NodeId::new(0, leaf);
     let leaf_addr = c.layout.node_addr(leaf_node);
-    let stale = SplitCounterBlock::from_block(&c.domain.device_mut().read(leaf_addr));
+    let stale = SplitCounterBlock::from_block(&c.path.domain.device_mut().read(leaf_addr));
     let mut fixed = stale;
     let mut changed = false;
     for line in 0..LINES_PER_COUNTER_BLOCK as usize {
@@ -201,17 +150,13 @@ fn salvage_leaf<B: NvmBackend>(c: &mut BonsaiController<B>, leaf: u64, sum: &mut
         };
         let dev = c.layout.data_addr(data_addr);
         let side_addr = c.layout.side_addr(data_addr);
-        let ciphertext = c.domain.device_mut().read(dev);
-        let side = c.domain.device_mut().read(side_addr);
+        let ciphertext = c.path.domain.device_mut().read(dev);
+        let side = c.path.domain.device_mut().read(side_addr);
         let base = stale.minor(line) as u64;
         if stale.major() == 0 && base == 0 && ciphertext.is_zeroed() && side.is_zeroed() {
             continue;
         }
-        let sealed = SealedBlock {
-            ciphertext,
-            ecc: side.word(0),
-            mac: side.word(1),
-        };
+        let sealed = sealed_block(ciphertext, &side);
         let mut hit = None;
         for gap in 0..=c.config.stop_loss as u64 {
             let minor = base + gap;
@@ -222,7 +167,7 @@ fn salvage_leaf<B: NvmBackend>(c: &mut BonsaiController<B>, leaf: u64, sum: &mut
                 continue;
             }
             let iv = IvCounter::split(stale.major(), minor);
-            if c.codec.probe(dev, iv, &sealed).is_some() {
+            if c.path.codec.probe(dev, iv, &sealed).is_some() {
                 hit = Some(gap as u8);
                 break;
             }
@@ -239,43 +184,19 @@ fn salvage_leaf<B: NvmBackend>(c: &mut BonsaiController<B>, leaf: u64, sum: &mut
             _ => false,
         };
         if !advanced {
-            retire_line(c, data_addr, &stale, line, sum);
+            // Retire it: remap the backing block, zero-seal the line under
+            // its (unadvanced) counter bits, count committed content lost.
+            let line = c.line_under(data_addr, &stale);
+            sum.lost += u64::from(c.path.quarantine_line(line));
+            sum.quarantined += 1;
         }
     }
     if changed {
-        c.domain.device_mut().write(leaf_addr, fixed.to_block());
+        c.path
+            .domain
+            .device_mut()
+            .write(leaf_addr, fixed.to_block());
     }
-}
-
-/// Retires one data line whose content cannot be opened under any
-/// counter candidate: remap the backing block, zero-seal the line under
-/// its (unadvanced) counter bits, and count committed content as lost.
-fn retire_line<B: NvmBackend>(
-    c: &mut BonsaiController<B>,
-    data_addr: DataAddr,
-    stale: &SplitCounterBlock,
-    line: usize,
-    sum: &mut RepairSummary,
-) {
-    let dev = c.layout.data_addr(data_addr);
-    let side_addr = c.layout.side_addr(data_addr);
-    let had_content = stale.major() != 0 || stale.minor(line) != 0;
-    c.domain.device_mut().quarantine_block(dev);
-    if had_content {
-        let iv = IvCounter::split(stale.major(), stale.minor(line) as u64);
-        let resealed = c.codec.seal(dev, iv, &Block::zeroed());
-        c.domain.device_mut().write(dev, resealed.ciphertext);
-        let mut side_new = Block::zeroed();
-        side_new.set_word(0, resealed.ecc);
-        side_new.set_word(1, resealed.mac);
-        c.domain.device_mut().write(side_addr, side_new);
-        c.domain.device_mut().record_lost_lines(1);
-        sum.lost += 1;
-    } else {
-        c.domain.device_mut().write(dev, Block::zeroed());
-        c.domain.device_mut().write(side_addr, Block::zeroed());
-    }
-    sum.quarantined += 1;
 }
 
 /// Rebuilds every interior level bottom-up from the (salvaged) leaves and
@@ -296,14 +217,14 @@ fn rebuild_interior<B: NvmBackend>(c: &mut BonsaiController<B>, lanes: usize) ->
         for (&index, (block, _tally)) in indices.iter().zip(results) {
             let node = NodeId::new(level, index);
             let addr = c.layout.node_addr(node);
-            let old = c.domain.device_mut().read(addr);
+            let old = c.path.domain.device_mut().read(addr);
             let effective_old = if old.is_zeroed() {
                 c.canonical_node(node)
             } else {
                 old
             };
             if effective_old != block {
-                c.domain.device_mut().write(addr, block);
+                c.path.domain.device_mut().write(addr, block);
                 sum.rebuilt += 1;
             }
         }
@@ -314,7 +235,7 @@ fn rebuild_interior<B: NvmBackend>(c: &mut BonsaiController<B>, lanes: usize) ->
     // and the scrub pass still vouch for.
     let top = g.top();
     let top_addr = c.layout.node_addr(top);
-    let raw = c.domain.device_mut().read(top_addr);
+    let raw = c.path.domain.device_mut().read(top_addr);
     let top_block = if top.level >= 1 && raw.is_zeroed() {
         c.canonical_node(top)
     } else {

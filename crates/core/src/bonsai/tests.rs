@@ -633,7 +633,7 @@ fn recovery_completes_reencryption_interrupted_at_any_line() {
         }
         c.counter_cache.mark_dirty(leaf_addr);
         c.track_counter_if_first_mod(leaf);
-        c.stage(leaf_addr, fresh.to_block());
+        c.path.stage(leaf_addr, fresh.to_block());
         c.counter_cache.mark_clean(leaf_addr);
         c.update_path(leaf).unwrap();
         c.commit().unwrap();

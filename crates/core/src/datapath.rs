@@ -1,0 +1,589 @@
+//! The data path every controller family shares.
+//!
+//! The paper's schemes differ in *metadata policy* — which counter and
+//! tree blocks are cached, shadowed and persisted when (§4.2, §4.3). What
+//! happens to the data line itself is one mechanism: counter-mode seal
+//! with the ECC and MAC words in the line's side block, an atomic commit
+//! group through the persistent registers into the WPQ, verify-on-read.
+//! [`DataPath`] is that mechanism, once; a controller embeds it and
+//! supplies only the [`Policy`] hooks.
+//!
+//! The module owns one invariant by construction. A deferred seal is
+//! three entries that refer to each other by index — two placeholder ops
+//! in `pending`, one `seal_jobs` entry and one `seal_slots` entry — so
+//! the three buffers are private here and only ever move together:
+//! [`DataPath::stage_sealed`] pushes to all three, [`DataPath::commit`]
+//! resolves and drains all three on every exit, and
+//! [`DataPath::reset_group`] clears all three.
+
+use crate::cost::{CostAccum, OpCost};
+use crate::error::{MemError, RecoveryError};
+use crate::layout::DataAddr;
+use anubis_crypto::otp::IvCounter;
+use anubis_crypto::{CryptoError, DataCodec, Key, MacCache, SealedBlock};
+use anubis_nvm::{
+    Block, BlockAddr, Freshness, NvmBackend, NvmError, PersistenceDomain, Region, Snapshot, WriteOp,
+};
+use anubis_telemetry::Telemetry;
+
+/// Pending-op watermark at which [`write_batch`] flushes its accumulated
+/// commit group. One write stages at most a handful of ops (data + side +
+/// counters + an eager tree path), so flushing here keeps the group
+/// safely inside the persist queue's `PREG_CAPACITY` of 64.
+const GROUP_FLUSH_WATERMARK: usize = 24;
+
+/// One data line as the data path sees it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Line {
+    /// Device address of the ciphertext block.
+    pub(crate) dev: BlockAddr,
+    /// Device address of the side block (word 0 = ECC, word 1 = MAC).
+    pub(crate) side: BlockAddr,
+    /// The IV the line's counter currently yields; `None` for a
+    /// never-written line, which has no counter to verify against and
+    /// must still be in the all-zero state.
+    pub(crate) iv: Option<IvCounter>,
+}
+
+/// The side-block image of a sealed line.
+#[inline]
+pub(crate) fn side_block(sealed: &SealedBlock) -> Block {
+    let mut side = Block::zeroed();
+    side.set_word(0, sealed.ecc);
+    side.set_word(1, sealed.mac);
+    side
+}
+
+/// Reassembles a sealed line from its ciphertext and side block.
+#[inline]
+pub(crate) fn sealed_block(ciphertext: Block, side: &Block) -> SealedBlock {
+    SealedBlock {
+        ciphertext,
+        ecc: side.word(0),
+        mac: side.word(1),
+    }
+}
+
+/// Everything both controller families own identically: the persistence
+/// domain, the data codec with its MAC-verification cache, the staged
+/// commit group with its deferred seals, cost accounting and the common
+/// telemetry.
+#[derive(Clone, Debug)]
+pub(crate) struct DataPath<B: NvmBackend> {
+    pub(crate) domain: PersistenceDomain<B>,
+    pub(crate) codec: DataCodec,
+    /// Volatile cache of MAC-verified line fingerprints: reads of
+    /// unmodified lines skip the MAC recomputation (cleared on crash).
+    mac_cache: MacCache,
+    /// The persisted bad-block remap table's home.
+    qtable: Region,
+    /// The commit group being staged.
+    pending: Vec<WriteOp>,
+    /// Data seals deferred to commit time, where the whole group is
+    /// sealed through the batch crypto path: `(addr, iv, plaintext)`.
+    seal_jobs: Vec<(BlockAddr, IvCounter, Block)>,
+    /// Indices into `pending` of the placeholder (ciphertext, side) ops
+    /// each seal job fills in, parallel to `seal_jobs`.
+    seal_slots: Vec<(usize, usize)>,
+    /// Reused output buffer for the batch seal (allocation-free steady
+    /// state).
+    seal_out: Vec<SealedBlock>,
+    /// Cost of the operation in flight (or the last one completed).
+    pub(crate) cost: OpCost,
+    pub(crate) totals: CostAccum,
+    /// Words repaired by the SEC-DED decoder on the data read path.
+    pub(crate) ecc_corrections: u64,
+    /// Snapshot images the restore path rejected (parse failure or
+    /// epoch behind the sealed anchor).
+    pub(crate) snapshot_rejected: u64,
+    pub(crate) telemetry: Telemetry,
+}
+
+impl<B: NvmBackend> DataPath<B> {
+    pub(crate) fn new(domain: PersistenceDomain<B>, key: Key, qtable: Region) -> Self {
+        DataPath {
+            domain,
+            codec: DataCodec::new(key),
+            mac_cache: MacCache::default(),
+            qtable,
+            pending: Vec::new(),
+            seal_jobs: Vec::new(),
+            seal_slots: Vec::new(),
+            seal_out: Vec::new(),
+            cost: OpCost::zero(),
+            totals: CostAccum::default(),
+            ecc_corrections: 0,
+            snapshot_rejected: 0,
+            telemetry: Telemetry::global(),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Cost-counted primitives
+    // ------------------------------------------------------------------
+
+    #[inline]
+    pub(crate) fn nvm_read(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
+        self.cost.nvm_reads += 1;
+        self.read_through(addr)
+    }
+
+    /// Reads a block without charging the timing model (side blocks ride
+    /// the same DIMM transfer as their data block).
+    #[inline]
+    pub(crate) fn nvm_read_free(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
+        self.read_through(addr)
+    }
+
+    /// Store-to-load forwarding: the controller must observe writes it has
+    /// staged for the current commit group but not yet pushed to the WPQ
+    /// (e.g. a dirty tree node evicted and re-fetched within one op).
+    #[inline]
+    fn read_through(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
+        if let Some(op) = self.pending.iter().rev().find(|op| op.addr == addr) {
+            return Ok(op.block);
+        }
+        Ok(self.domain.read(addr)?)
+    }
+
+    pub(crate) fn stage(&mut self, addr: BlockAddr, block: Block) {
+        self.cost.nvm_writes += 1;
+        self.pending.push(WriteOp::new(addr, block));
+    }
+
+    /// Stages a data-line seal for the current commit group without
+    /// computing it yet: placeholder ciphertext/side ops hold the group
+    /// positions, and [`resolve_seals`](Self::resolve_seals) fills them in
+    /// at commit time through the batch crypto path. This is how the write
+    /// path — scalar and batched alike — routes every seal of a commit
+    /// group through one `seal_batch_into` call.
+    pub(crate) fn stage_sealed(
+        &mut self,
+        dev: BlockAddr,
+        side_addr: BlockAddr,
+        iv: IvCounter,
+        data: Block,
+    ) {
+        self.cost.hash_ops += 2; // pad + MAC
+        let data_idx = self.pending.len();
+        self.stage(dev, Block::zeroed());
+        // The side block rides the data block's transfer: not charged.
+        self.pending.push(WriteOp::new(side_addr, Block::zeroed()));
+        self.seal_jobs.push((dev, iv, data));
+        self.seal_slots.push((data_idx, data_idx + 1));
+    }
+
+    /// Seals every deferred data line of the current group in one batch
+    /// and patches the placeholder ops. Also primes the MAC cache: a
+    /// freshly sealed line is by construction MAC-verified.
+    fn resolve_seals(&mut self) {
+        if self.seal_jobs.is_empty() {
+            return;
+        }
+        self.codec
+            .seal_batch_into(&self.seal_jobs, &mut self.seal_out);
+        for (((dev, iv, _), (data_idx, side_idx)), sealed) in self
+            .seal_jobs
+            .iter()
+            .zip(&self.seal_slots)
+            .zip(&self.seal_out)
+        {
+            self.pending[*data_idx].block = sealed.ciphertext;
+            self.pending[*side_idx].block = side_block(sealed);
+            self.codec
+                .note_sealed(&mut self.mac_cache, *dev, *iv, sealed);
+        }
+        self.seal_jobs.clear();
+        self.seal_slots.clear();
+    }
+
+    /// Commits the staged group atomically with `regs`, the backend
+    /// mirrors of the family's on-chip persistent registers. The group
+    /// buffers are empty afterwards whatever the outcome: a group the
+    /// domain refused or lost to a power cut is not retried.
+    ///
+    /// What the registers hold, and what happens to them once the group
+    /// has landed, is policy — so the controller's own `commit` builds
+    /// `regs` and wraps this call.
+    pub(crate) fn commit(&mut self, regs: &[(u8, Block)]) -> Result<(), MemError> {
+        self.resolve_seals();
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        Ok(self
+            .domain
+            .commit_group_with_regs(self.pending.drain(..), regs)?)
+    }
+
+    /// Drops the group being staged: the ops and the deferred seals that
+    /// index into them, together.
+    pub(crate) fn reset_group(&mut self) {
+        self.pending.clear();
+        self.seal_jobs.clear();
+        self.seal_slots.clear();
+    }
+
+    /// Power failure: the domain keeps what ADR keeps; the staged group
+    /// and the MAC-verification cache are volatile and die with power.
+    pub(crate) fn crash(&mut self) {
+        self.domain.power_fail();
+        self.reset_group();
+        self.mac_cache.clear();
+    }
+
+    pub(crate) fn reset_costs(&mut self) {
+        self.totals.reset();
+        self.domain.device_mut().reset_stats();
+    }
+
+    // ------------------------------------------------------------------
+    // Line open / repair
+    // ------------------------------------------------------------------
+
+    /// The shared tail of a read: fetches the line and verifies it —
+    /// against the all-zero state if it was never written, otherwise by
+    /// decrypting under its IV with ECC correction and the MAC check.
+    ///
+    /// Inlined into [`read`] (like the other `#[inline]` items here): a
+    /// `Result<Block, _>` crossing a call boundary is a 70-byte copy, and
+    /// a cache-hit read is short enough to feel each one.
+    #[inline]
+    fn open_line(&mut self, line: Line) -> Result<Block, MemError> {
+        let stored = self.nvm_read(line.dev)?;
+        let side = self.nvm_read_free(line.side)?;
+        let Some(iv) = line.iv else {
+            return if stored.is_zeroed() && side.is_zeroed() {
+                Ok(Block::zeroed())
+            } else {
+                Err(MemError::Crypto(CryptoError::DataMacMismatch))
+            };
+        };
+        self.cost.hash_ops += 2; // pad + MAC verify
+        let sealed = sealed_block(stored, &side);
+        let (plaintext, fixed) =
+            self.codec
+                .open_correcting_cached(&mut self.mac_cache, line.dev, iv, &sealed)?;
+        self.ecc_corrections += u64::from(fixed);
+        Ok(plaintext)
+    }
+
+    /// Seals `plaintext` under `iv` straight onto the device, outside any
+    /// commit group (degraded-mode repair runs with the caches down).
+    fn reseal_in_place(&mut self, line: Line, iv: IvCounter, plaintext: &Block) {
+        let resealed = self.codec.seal(line.dev, iv, plaintext);
+        let device = self.domain.device_mut();
+        device.write(line.dev, resealed.ciphertext);
+        device.write(line.side, side_block(&resealed));
+    }
+
+    /// Per-line repair rung: re-opens the line through the ECC-correcting
+    /// decoder and reseals it when correction moved any words. Returns
+    /// the number of corrected words.
+    pub(crate) fn repair_line(&mut self, line: Line) -> Result<u32, RecoveryError> {
+        let ciphertext = self.domain.device_mut().read(line.dev);
+        let side = self.domain.device_mut().read(line.side);
+        let lost = RecoveryError::CounterNotRecovered { addr: line.dev };
+        let Some(iv) = line.iv else {
+            // Zero state: clean media is all-zero; anything else cannot
+            // be opened (there is no counter to verify against).
+            return if ciphertext.is_zeroed() && side.is_zeroed() {
+                Ok(0)
+            } else {
+                Err(lost)
+            };
+        };
+        let sealed = sealed_block(ciphertext, &side);
+        let Ok((plaintext, fixed)) = self.codec.open_correcting(line.dev, iv, &sealed) else {
+            return Err(lost);
+        };
+        if fixed > 0 {
+            self.reseal_in_place(line, iv, &plaintext);
+            self.ecc_corrections += u64::from(fixed);
+        }
+        Ok(fixed)
+    }
+
+    /// Quarantine rung: retires the line's backing block into the spare
+    /// region. A line that held content stays readable as an explicit
+    /// zero under its current counter (the counter itself is untouched,
+    /// so tree digests and node MACs remain valid) and is counted lost.
+    /// Returns whether committed content was lost.
+    pub(crate) fn quarantine_line(&mut self, line: Line) -> bool {
+        self.domain.device_mut().quarantine_block(line.dev);
+        match line.iv {
+            Some(iv) => {
+                self.reseal_in_place(line, iv, &Block::zeroed());
+                self.domain.device_mut().record_lost_lines(1);
+            }
+            None => {
+                self.domain.device_mut().write(line.dev, Block::zeroed());
+                self.domain.device_mut().write(line.side, Block::zeroed());
+            }
+        }
+        line.iv.is_some()
+    }
+
+    // ------------------------------------------------------------------
+    // Quarantine table and snapshots
+    // ------------------------------------------------------------------
+
+    /// Persists the device's bad-block remap table into its region.
+    pub(crate) fn persist_quarantine(&mut self) {
+        let blocks = self.domain.device().quarantine_table_blocks();
+        for (addr, block) in self.qtable.iter().zip(blocks) {
+            self.domain.device_mut().write(addr, block);
+        }
+    }
+
+    /// Reloads the persisted bad-block remap table from the qtable
+    /// region; returns the corrupt-image hint on parse failure.
+    pub(crate) fn reload_quarantine_table(&mut self) -> Option<RecoveryError> {
+        let blocks: Vec<Block> = self
+            .qtable
+            .iter()
+            .map(|addr| self.domain.device().peek(addr))
+            .collect();
+        // A fresh image never persisted a table: its header is zero.
+        if blocks.first().is_none_or(Block::is_zeroed) {
+            return None;
+        }
+        self.domain
+            .device_mut()
+            .load_quarantine_table(&blocks)
+            .err()
+            .map(|_| RecoveryError::CorruptImage {
+                what: "quarantine table",
+            })
+    }
+
+    /// Restores a captured domain snapshot, refusing one whose epoch is
+    /// behind the device's current freshness epoch — a substituted stale
+    /// snapshot must never silently replace newer committed state. A
+    /// refusal is counted in `snapshot_rejected_total`.
+    pub(crate) fn restore_snapshot(&mut self, snap: &Snapshot) -> Result<(), NvmError> {
+        let applied = self.domain.apply_snapshot(snap);
+        if applied.is_err() {
+            self.snapshot_rejected += 1;
+        }
+        applied
+    }
+
+    // ------------------------------------------------------------------
+    // Telemetry
+    // ------------------------------------------------------------------
+
+    /// Publishes the metrics every scheme reports under the same names,
+    /// so a new one is added here once. `shadow_regions` names the
+    /// family's shadow-table regions for `shadow_table_writes_total`.
+    /// Returns the registry handle for the family's own rows, or `None`
+    /// when telemetry is off.
+    pub(crate) fn publish_telemetry(
+        &self,
+        scheme: &'static str,
+        shadow_regions: &[&str],
+    ) -> Option<&Telemetry> {
+        let t = &self.telemetry;
+        if !t.enabled() {
+            return None;
+        }
+        let dev = self.domain.device().stats().snapshot();
+        t.counter_set("nvm_reads_total", scheme, dev.reads);
+        t.counter_set("nvm_writes_total", scheme, dev.writes);
+        t.counter_set(
+            "nvm_max_writes_to_one_block",
+            scheme,
+            dev.max_writes_to_one_block,
+        );
+        for (region, n) in &dev.writes_by_region {
+            t.counter_set("nvm_region_writes_total", region, *n);
+        }
+        let shadow = dev
+            .writes_by_region
+            .iter()
+            .filter(|(r, _)| shadow_regions.contains(r))
+            .map(|(_, n)| *n)
+            .sum::<u64>();
+        t.counter_set("shadow_table_writes_total", scheme, shadow);
+        t.counter_set("persist_writes_total", scheme, self.domain.persist_writes());
+        // Groups per frame is the coalescing an op-scoped barrier buys;
+        // frames per acknowledged op should read at most 1.
+        t.counter_set("commit_groups_total", scheme, self.domain.commits());
+        t.counter_set("wal_frames_total", scheme, self.domain.epoch());
+        // The log's logical end, not the file's length: the file is kept
+        // longer than the log by `wal_slack_bytes` of preallocated zeros.
+        let backend = self.domain.device().backend();
+        let wal = backend.wal_stats();
+        t.gauge_set("wal_log_bytes", scheme, wal.log_bytes as f64);
+        t.gauge_set("wal_slack_bytes", scheme, wal.slack_bytes as f64);
+        t.counter_set("wal_records_coalesced_total", scheme, wal.records_coalesced);
+        t.counter_set("wal_rejected_total", scheme, backend.frames_rejected());
+        t.counter_set("ecc_corrections_total", scheme, self.ecc_corrections);
+        t.counter_set("cache_hits_total", "mac", self.mac_cache.hits());
+        t.counter_set("cache_misses_total", "mac", self.mac_cache.misses());
+        let quarantine = self.domain.device().quarantine_table();
+        t.gauge_set("quarantined_blocks", scheme, quarantine.len() as f64);
+        t.gauge_set(
+            "quarantine_spares_left",
+            scheme,
+            quarantine.spares_left() as f64,
+        );
+        t.counter_set(
+            "quarantine_lost_lines_total",
+            scheme,
+            quarantine.lost_lines(),
+        );
+        t.gauge_set("wpq_occupancy", scheme, self.domain.wpq_occupancy() as f64);
+        t.gauge_set("wpq_capacity", scheme, self.domain.wpq_capacity() as f64);
+        t.counter_set("snapshot_rejected_total", scheme, self.snapshot_rejected);
+        let rolled_back = matches!(self.domain.freshness(), Freshness::RolledBack { .. });
+        t.counter_set("rollback_detected_total", scheme, rolled_back as u64);
+        Some(t)
+    }
+}
+
+/// Publishes one metadata cache's rows under `label`.
+pub(crate) fn publish_cache_stats(t: &Telemetry, label: &str, stats: &anubis_cache::CacheStats) {
+    t.counter_set("cache_hits_total", label, stats.hits);
+    t.counter_set("cache_misses_total", label, stats.misses);
+    if let Some(rate) = stats.hit_rate() {
+        t.gauge_set("cache_hit_rate", label, rate);
+    }
+}
+
+// ----------------------------------------------------------------------
+// The public operations, once, over a scheme's policy hooks
+// ----------------------------------------------------------------------
+
+/// What a scheme supplies on top of the shared data path: where a line's
+/// counter lives and how it advances, and which on-chip registers ride
+/// each commit. Statically dispatched — the in-process call is a few
+/// microseconds and stays monomorphised.
+pub(crate) trait Policy {
+    type Backend: NvmBackend;
+
+    fn path(&mut self) -> &mut DataPath<Self::Backend>;
+
+    /// Number of data lines.
+    fn data_blocks(&self) -> u64;
+
+    /// Brings the line's counter in verified (fetching and checking the
+    /// metadata path as the scheme requires) and resolves the line.
+    fn line_iv(&mut self, addr: DataAddr) -> Result<Line, MemError>;
+
+    /// Body of one logical write: counter maintenance, the (deferred)
+    /// data seal and the scheme's tree update. The caller owns the group
+    /// reset, the final commit and the cost recording, so scalar `write`
+    /// and grouped `write_batch` share it.
+    fn write_inner(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError>;
+
+    /// Commits the staged group with the scheme's register mirrors.
+    fn commit(&mut self) -> Result<(), MemError>;
+
+    /// Stages (and commits as it goes, if it must) every dirty metadata
+    /// block for an orderly shutdown.
+    fn flush_metadata(&mut self) -> Result<(), MemError>;
+
+    /// Drops the group being staged, with whatever scheme state is
+    /// scoped to it.
+    fn reset_group(&mut self) {
+        self.path().reset_group();
+    }
+}
+
+#[inline]
+fn validate(addr: DataAddr, capacity_blocks: u64) -> Result<(), MemError> {
+    if addr.index() < capacity_blocks {
+        Ok(())
+    } else {
+        Err(MemError::OutOfRange {
+            addr,
+            capacity_blocks,
+        })
+    }
+}
+
+fn begin_op<C: Policy>(c: &mut C) {
+    c.path().cost = OpCost::zero();
+    c.reset_group();
+}
+
+fn record_op<C: Policy>(c: &mut C, is_write: bool) {
+    let path = c.path();
+    path.totals.record(is_write, path.cost);
+}
+
+/// Runs one public controller operation (`read`, `write`, `write_batch`,
+/// `shutdown_flush`) and closes it with its single durability barrier, on
+/// every exit: all commit groups the op produced — on an error, the ones
+/// it completed before failing, which the in-process persistent domain
+/// already holds — land in one backend frame, and the caller acknowledges
+/// only after this returns. The op's own error wins over a barrier
+/// failure.
+#[inline]
+fn op<C: Policy, T>(
+    c: &mut C,
+    body: impl FnOnce(&mut C) -> Result<T, MemError>,
+) -> Result<T, MemError> {
+    let result = body(c);
+    let flushed = c.path().domain.barrier();
+    let value = result?;
+    flushed?;
+    Ok(value)
+}
+
+pub(crate) fn read<C: Policy>(c: &mut C, addr: DataAddr) -> Result<Block, MemError> {
+    op(c, |c| {
+        validate(addr, c.data_blocks())?;
+        begin_op(c);
+        let line = c.line_iv(addr)?;
+        let value = c.path().open_line(line)?;
+        c.commit()?; // persist any shadow/eviction traffic from fills
+        record_op(c, false);
+        Ok(value)
+    })
+}
+
+pub(crate) fn write<C: Policy>(c: &mut C, addr: DataAddr, data: Block) -> Result<(), MemError> {
+    op(c, |c| {
+        validate(addr, c.data_blocks())?;
+        begin_op(c);
+        c.write_inner(addr, data)?;
+        c.commit()?;
+        record_op(c, true);
+        Ok(())
+    })
+}
+
+pub(crate) fn write_batch<C: Policy>(
+    c: &mut C,
+    items: &[(DataAddr, Block)],
+) -> Result<(), MemError> {
+    op(c, |c| {
+        for (addr, _) in items {
+            validate(*addr, c.data_blocks())?;
+        }
+        begin_op(c);
+        for (addr, data) in items {
+            c.path().cost = OpCost::zero();
+            c.write_inner(*addr, *data)?;
+            if c.path().pending.len() >= GROUP_FLUSH_WATERMARK {
+                c.commit()?;
+            }
+            record_op(c, true);
+        }
+        c.commit()
+    })
+}
+
+pub(crate) fn shutdown_flush<C: Policy>(c: &mut C) -> Result<(), MemError> {
+    op(c, |c| {
+        begin_op(c);
+        c.flush_metadata()?;
+        c.commit()?;
+        c.path().domain.drain_wpq();
+        Ok(())
+    })
+}
+
+#[cfg(test)]
+mod tests;

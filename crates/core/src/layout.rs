@@ -204,6 +204,11 @@ impl BonsaiLayout {
     pub fn qtable_blocks(&self) -> u64 {
         self.qtable.len()
     }
+
+    /// The remap-table region, for the shared data path.
+    pub(crate) fn qtable(&self) -> Region {
+        self.qtable.clone()
+    }
 }
 
 /// NVM layout for the SGX-style controller family.
@@ -355,6 +360,11 @@ impl SgxLayout {
     /// Capacity of the remap-table region, in blocks.
     pub fn qtable_blocks(&self) -> u64 {
         self.qtable.len()
+    }
+
+    /// The remap-table region, for the shared data path.
+    pub(crate) fn qtable(&self) -> Region {
+        self.qtable.clone()
     }
 }
 

@@ -48,6 +48,7 @@
 
 mod config;
 mod cost;
+mod datapath;
 mod error;
 mod layout;
 mod shadow;
@@ -72,30 +73,6 @@ pub use supervisor::{RecoveryOutcome, RepairSummary, Supervised, SupervisedRecov
 pub use anubis_telemetry as telemetry;
 
 use anubis_nvm::{Block, NvmBackend, PersistenceDomain};
-
-/// Pending-op watermark at which [`MemoryController::write_batch`]
-/// overrides flush their accumulated commit group. One write stages at
-/// most a handful of ops (data + side + counters + an eager tree path),
-/// so flushing here keeps the group safely inside the persist queue's
-/// `PREG_CAPACITY` of 64.
-pub(crate) const GROUP_FLUSH_WATERMARK: usize = 24;
-
-/// Closes one public controller operation (`read`, `write`,
-/// `write_batch`, `shutdown_flush`) with its single durability barrier,
-/// on every exit: all commit groups the op produced — on an error, the
-/// ones it completed before failing, which the in-process persistent
-/// domain already holds — land in one backend frame, and the caller
-/// acknowledges only after this returns. The op's own error wins over a
-/// barrier failure.
-pub(crate) fn end_op<B: NvmBackend, T>(
-    domain: &mut PersistenceDomain<B>,
-    result: Result<T, MemError>,
-) -> Result<T, MemError> {
-    let flushed = domain.barrier();
-    let value = result?;
-    flushed?;
-    Ok(value)
-}
 
 /// The uniform controller surface shared by every scheme.
 ///

@@ -15,6 +15,7 @@ mod tests;
 
 use crate::config::AnubisConfig;
 use crate::cost::{CostAccum, OpCost};
+use crate::datapath::{self, publish_cache_stats, DataPath, Line, Policy};
 use crate::error::{freshness_hint, IntegrityWitness, MemError, RecoveryError};
 use crate::layout::{DataAddr, SgxLayout};
 use crate::recovery::RecoveryReport;
@@ -24,10 +25,10 @@ use crate::MemoryController;
 use anubis_cache::MetadataCache;
 use anubis_crypto::hash::Hasher64;
 use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{DataCodec, MacCache, SealedBlock, SgxCounterNode, SGX_COUNTERS_PER_NODE};
+use anubis_crypto::{SgxCounterNode, SGX_COUNTERS_PER_NODE};
 use anubis_itree::bonsai::Root;
 use anubis_itree::NodeId;
-use anubis_nvm::{Block, BlockAddr, MemBackend, NvmBackend, PersistenceDomain, WriteOp};
+use anubis_nvm::{Block, BlockAddr, MemBackend, NvmBackend, PersistenceDomain};
 use anubis_telemetry::Telemetry;
 
 /// Backend register slot mirroring the on-chip top counter node.
@@ -112,8 +113,9 @@ pub struct SgxController<B: NvmBackend = MemBackend> {
     scheme: SgxScheme,
     config: AnubisConfig,
     layout: SgxLayout,
-    domain: PersistenceDomain<B>,
-    codec: DataCodec,
+    /// The shared data path: persistence domain, data codec, commit
+    /// group, cost accounting, common telemetry.
+    path: DataPath<B>,
     mac_key: Hasher64,
     cache: MetadataCache<SgxEntry>,
     /// On-chip persistent register: the top node's eight version counters.
@@ -129,27 +131,6 @@ pub struct SgxController<B: NvmBackend = MemBackend> {
     /// Root value to install at commit time (keeps the register update
     /// atomic with the ST write group).
     pending_shadow_root: Option<Root>,
-    /// Words repaired by the SEC-DED decoder on the data read path.
-    ecc_corrections: u64,
-    /// Snapshot images the restore path rejected (parse failure or
-    /// epoch behind the sealed anchor).
-    snapshot_rejected: u64,
-    cost: OpCost,
-    totals: CostAccum,
-    pending: Vec<WriteOp>,
-    /// Volatile cache of MAC-verified line fingerprints: reads of
-    /// unmodified lines skip the MAC recomputation (cleared on crash).
-    mac_cache: MacCache,
-    /// Data seals deferred to commit time, where the whole group is
-    /// sealed through the batch crypto path: `(addr, iv, plaintext)`.
-    seal_jobs: Vec<(BlockAddr, IvCounter, Block)>,
-    /// Indices into `pending` of the placeholder (ciphertext, side) ops
-    /// each seal job fills in, parallel to `seal_jobs`.
-    seal_slots: Vec<(usize, usize)>,
-    /// Reused output buffer for the batch seal (allocation-free steady
-    /// state).
-    seal_out: Vec<SealedBlock>,
-    telemetry: Telemetry,
     /// Simulation oracle: whether the last crash destroyed dirty cached
     /// metadata. Write-back and Osiris cannot recover an SGX tree in that
     /// case (paper §3); in hardware the failure surfaces as stale or
@@ -188,9 +169,8 @@ impl<B: NvmBackend> SgxController<B> {
         SgxController {
             scheme,
             config: config.clone(),
+            path: DataPath::new(domain, config.key, layout.qtable()),
             layout,
-            domain,
-            codec: DataCodec::new(config.key),
             mac_key,
             cache,
             top: SgxCounterNode::new(),
@@ -198,16 +178,6 @@ impl<B: NvmBackend> SgxController<B> {
             shadow_tree,
             shadow_root,
             pending_shadow_root: None,
-            ecc_corrections: 0,
-            snapshot_rejected: 0,
-            cost: OpCost::zero(),
-            totals: CostAccum::default(),
-            pending: Vec::new(),
-            mac_cache: MacCache::default(),
-            seal_jobs: Vec::new(),
-            seal_slots: Vec::new(),
-            seal_out: Vec::new(),
-            telemetry: Telemetry::global(),
             lost_dirty_metadata: false,
         }
     }
@@ -240,10 +210,10 @@ impl<B: NvmBackend> SgxController<B> {
         let mut c = Self::assemble(scheme, config, move |layout| {
             PersistenceDomain::with_backend(layout.device_bytes(), backend)
         });
-        if let Some(b) = c.domain.reg(REG_TOP) {
+        if let Some(b) = c.path.domain.reg(REG_TOP) {
             c.top = SgxCounterNode::from_block(&b);
         }
-        if let Some(b) = c.domain.reg(REG_SHADOW) {
+        if let Some(b) = c.path.domain.reg(REG_SHADOW) {
             c.shadow_root = Root(b.word(0));
         }
         // The volatile shadow-tree interior did not survive the process;
@@ -256,7 +226,8 @@ impl<B: NvmBackend> SgxController<B> {
             scheme,
             SgxScheme::WriteBack | SgxScheme::EagerWriteBack | SgxScheme::Osiris
         );
-        let hint = freshness_hint(c.domain.freshness()).or_else(|| c.reload_quarantine_table());
+        let hint =
+            freshness_hint(c.path.domain.freshness()).or_else(|| c.path.reload_quarantine_table());
         (c, hint)
     }
 
@@ -264,7 +235,7 @@ impl<B: NvmBackend> SgxController<B> {
     /// failure or an epoch behind the sealed anchor) for the
     /// `snapshot_rejected_total` counter.
     pub fn note_snapshot_rejected(&mut self) {
-        self.snapshot_rejected += 1;
+        self.path.snapshot_rejected += 1;
     }
 
     /// Restores a captured domain snapshot, refusing one whose epoch is
@@ -281,31 +252,7 @@ impl<B: NvmBackend> SgxController<B> {
         &mut self,
         snap: &anubis_nvm::Snapshot,
     ) -> Result<(), anubis_nvm::NvmError> {
-        match self.domain.apply_snapshot(snap) {
-            Err(e) => {
-                self.note_snapshot_rejected();
-                Err(e)
-            }
-            Ok(()) => Ok(()),
-        }
-    }
-
-    /// Reloads the persisted bad-block remap table from the qtable
-    /// region; returns the corrupt-image hint on parse failure.
-    fn reload_quarantine_table(&mut self) -> Option<RecoveryError> {
-        let blocks: Vec<Block> = (0..self.layout.qtable_blocks())
-            .map(|i| self.domain.device().peek(self.layout.qtable_addr(i)))
-            .collect();
-        match blocks.first() {
-            None => None,
-            Some(header) if header.is_zeroed() => None,
-            Some(_) => match self.domain.device_mut().load_quarantine_table(&blocks) {
-                Ok(()) => None,
-                Err(_) => Some(RecoveryError::CorruptImage {
-                    what: "quarantine table",
-                }),
-            },
-        }
+        self.path.restore_snapshot(snap)
     }
 
     /// The scheme this controller runs.
@@ -330,12 +277,12 @@ impl<B: NvmBackend> SgxController<B> {
 
     /// Direct access to the persistence domain (tamper API, device stats).
     pub fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.domain
+        &mut self.path.domain
     }
 
     /// Read-only access to the persistence domain.
     pub fn domain(&self) -> &PersistenceDomain<B> {
-        &self.domain
+        &self.path.domain
     }
 
     /// The on-chip `SHADOW_TREE_ROOT` register (ASIT).
@@ -346,86 +293,21 @@ impl<B: NvmBackend> SgxController<B> {
     /// Total data words repaired by the SEC-DED decoder (correctable
     /// bit-flip faults absorbed on the read path).
     pub fn ecc_corrections(&self) -> u64 {
-        self.ecc_corrections
+        self.path.ecc_corrections
     }
 
     /// The telemetry handle the controller records spans and counters
     /// through (defaults to the process-global registry).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.path.telemetry
     }
 
     /// Publishes current device/cache/controller counters into the
     /// telemetry registry. See [`MemoryController::publish_telemetry`].
     pub fn publish_telemetry(&self) {
-        if !self.telemetry.enabled() {
-            return;
+        if let Some(t) = self.path.publish_telemetry(self.scheme.name(), &["st"]) {
+            publish_cache_stats(t, "metadata", self.cache.stats());
         }
-        let t = &self.telemetry;
-        let scheme = self.scheme_name();
-        let dev = self.domain.device().stats().snapshot();
-        t.counter_set("nvm_reads_total", scheme, dev.reads);
-        t.counter_set("nvm_writes_total", scheme, dev.writes);
-        t.counter_set(
-            "nvm_max_writes_to_one_block",
-            scheme,
-            dev.max_writes_to_one_block,
-        );
-        for (region, n) in &dev.writes_by_region {
-            t.counter_set("nvm_region_writes_total", region, *n);
-        }
-        let shadow = dev
-            .writes_by_region
-            .iter()
-            .filter(|(r, _)| *r == "st")
-            .map(|(_, n)| *n)
-            .sum::<u64>();
-        t.counter_set("shadow_table_writes_total", scheme, shadow);
-        t.counter_set("persist_writes_total", scheme, self.domain.persist_writes());
-        // Groups per frame is the coalescing an op-scoped barrier buys;
-        // frames per acknowledged op should read at most 1.
-        t.counter_set("commit_groups_total", scheme, self.domain.commits());
-        t.counter_set("wal_frames_total", scheme, self.domain.epoch());
-        // The log's logical end, not the file's length: the file is kept
-        // longer than the log by `wal_slack_bytes` of preallocated zeros.
-        let wal = self.domain.device().backend().wal_stats();
-        t.gauge_set("wal_log_bytes", scheme, wal.log_bytes as f64);
-        t.gauge_set("wal_slack_bytes", scheme, wal.slack_bytes as f64);
-        t.counter_set("wal_records_coalesced_total", scheme, wal.records_coalesced);
-        t.counter_set("ecc_corrections_total", scheme, self.ecc_corrections);
-        let cache = self.cache.stats();
-        t.counter_set("cache_hits_total", "metadata", cache.hits);
-        t.counter_set("cache_misses_total", "metadata", cache.misses);
-        if let Some(rate) = cache.hit_rate() {
-            t.gauge_set("cache_hit_rate", "metadata", rate);
-        }
-        t.counter_set("cache_hits_total", "mac", self.mac_cache.hits());
-        t.counter_set("cache_misses_total", "mac", self.mac_cache.misses());
-        let quarantine = self.domain.device().quarantine_table();
-        t.gauge_set("quarantined_blocks", scheme, quarantine.len() as f64);
-        t.gauge_set(
-            "quarantine_spares_left",
-            scheme,
-            quarantine.spares_left() as f64,
-        );
-        t.counter_set(
-            "quarantine_lost_lines_total",
-            scheme,
-            quarantine.lost_lines(),
-        );
-        t.gauge_set("wpq_occupancy", scheme, self.domain.wpq_occupancy() as f64);
-        t.gauge_set("wpq_capacity", scheme, self.domain.wpq_capacity() as f64);
-        t.counter_set(
-            "wal_rejected_total",
-            scheme,
-            self.domain.device().backend().frames_rejected(),
-        );
-        t.counter_set("snapshot_rejected_total", scheme, self.snapshot_rejected);
-        let rolled_back = matches!(
-            self.domain.freshness(),
-            anubis_nvm::Freshness::RolledBack { .. }
-        );
-        t.counter_set("rollback_detected_total", scheme, rolled_back as u64);
     }
 
     /// Runs post-crash recovery with an explicit lane count, bypassing
@@ -467,111 +349,11 @@ impl<B: NvmBackend> SgxController<B> {
     #[doc(hidden)]
     pub fn debug_refresh_shadow_root_from_nvm(&mut self) {
         let st_blocks: Vec<Block> = (0..self.layout.st_slots())
-            .map(|s| self.domain.device().read(self.layout.st_slot(s)))
+            .map(|s| self.path.domain.device().read(self.layout.st_slot(s)))
             .collect();
         let tree = ShadowTree::rebuild(self.config.key, st_blocks);
         self.shadow_root = tree.root();
         self.shadow_tree = Some(tree);
-    }
-
-    // ------------------------------------------------------------------
-    // Cost-counted primitives
-    // ------------------------------------------------------------------
-
-    fn nvm_read(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        self.cost.nvm_reads += 1;
-        self.read_through(addr)
-    }
-
-    fn nvm_read_free(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        self.read_through(addr)
-    }
-
-    /// Store-to-load forwarding: the controller must observe writes it has
-    /// staged for the current commit group but not yet pushed to the WPQ.
-    fn read_through(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        if let Some(op) = self.pending.iter().rev().find(|op| op.addr == addr) {
-            return Ok(op.block);
-        }
-        Ok(self.domain.read(addr)?)
-    }
-
-    fn stage(&mut self, addr: BlockAddr, block: Block) {
-        self.cost.nvm_writes += 1;
-        self.pending.push(WriteOp::new(addr, block));
-    }
-
-    fn stage_free(&mut self, addr: BlockAddr, block: Block) {
-        self.pending.push(WriteOp::new(addr, block));
-    }
-
-    /// Stages a data-line seal for the current commit group without
-    /// computing it yet: placeholder ciphertext/side ops hold the group
-    /// positions, and [`resolve_seals`](Self::resolve_seals) fills them
-    /// in at commit time through the batch crypto path.
-    fn stage_sealed(&mut self, dev: BlockAddr, side_addr: BlockAddr, iv: IvCounter, data: Block) {
-        self.cost.hash_ops += 2; // pad + MAC
-        let data_idx = self.pending.len();
-        self.stage(dev, Block::zeroed());
-        let side_idx = self.pending.len();
-        self.stage_free(side_addr, Block::zeroed());
-        self.seal_jobs.push((dev, iv, data));
-        self.seal_slots.push((data_idx, side_idx));
-    }
-
-    /// Seals every deferred data line of the current group in one batch
-    /// and patches the placeholder ops. Also primes the MAC cache: a
-    /// freshly sealed line is by construction MAC-verified.
-    fn resolve_seals(&mut self) {
-        if self.seal_jobs.is_empty() {
-            return;
-        }
-        self.codec
-            .seal_batch_into(&self.seal_jobs, &mut self.seal_out);
-        for (((dev, iv, _), (data_idx, side_idx)), sealed) in self
-            .seal_jobs
-            .iter()
-            .zip(&self.seal_slots)
-            .zip(&self.seal_out)
-        {
-            self.pending[*data_idx].block = sealed.ciphertext;
-            let mut side = Block::zeroed();
-            side.set_word(0, sealed.ecc);
-            side.set_word(1, sealed.mac);
-            self.pending[*side_idx].block = side;
-            self.codec
-                .note_sealed(&mut self.mac_cache, *dev, *iv, sealed);
-        }
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
-    }
-
-    fn commit(&mut self) -> Result<(), MemError> {
-        self.resolve_seals();
-        let result = if self.pending.is_empty() {
-            Ok(())
-        } else {
-            let ops = std::mem::take(&mut self.pending);
-            let regs = self.reg_mirrors();
-            self.domain
-                .commit_group_with_regs(ops, &regs)
-                .map_err(MemError::from)
-        };
-        // The SHADOW_TREE_ROOT register update rides the commit: atomic
-        // with the ST writes from the hardware's perspective. A power cut
-        // mid-drain leaves the group in the persistent REDO registers, so
-        // its ST writes are replayed at power-up — the on-chip root must
-        // move with them (a torn group that discards the REDO log instead
-        // surfaces at recovery as ShadowTableTampered).
-        match &result {
-            Ok(()) | Err(MemError::Nvm(anubis_nvm::NvmError::PowerLost)) => {
-                if let Some(root) = self.pending_shadow_root.take() {
-                    self.shadow_root = root;
-                }
-            }
-            Err(_) => {}
-        }
-        result
     }
 
     /// Backend mirrors of the on-chip persistent registers, committed
@@ -612,7 +394,7 @@ impl<B: NvmBackend> SgxController<B> {
         // Not resident: NVM copy is current (lazy scheme invariant — a
         // parent counter only changes when this child is written back,
         // which marks the parent dirty and resident).
-        let block = self.nvm_read(p_addr)?;
+        let block = self.path.nvm_read(p_addr)?;
         Ok(SgxCounterNode::from_block(&block).counter(slot))
     }
 
@@ -648,14 +430,14 @@ impl<B: NvmBackend> SgxController<B> {
             return Ok(new);
         }
         // Non-resident parent: its NVM copy is current (lazy invariant).
-        let block = self.nvm_read(p_addr)?;
+        let block = self.path.nvm_read(p_addr)?;
         let mut p_node = if block.is_zeroed() {
             self.canonical_zero
         } else {
             SgxCounterNode::from_block(&block)
         };
         let pc_check = self.parent_counter(parent)?;
-        self.cost.hash_ops += 1;
+        self.path.cost.hash_ops += 1;
         if !p_node.verify(&self.mac_key, pc_check) {
             return Err(MemError::Integrity {
                 node: parent,
@@ -666,8 +448,8 @@ impl<B: NvmBackend> SgxController<B> {
         // Writing the parent back is itself a writeback: bump upward.
         let pc_new = self.bump_parent_counter(parent)?;
         p_node.seal(&self.mac_key, pc_new);
-        self.cost.hash_ops += 1;
-        self.stage(p_addr, p_node.to_block());
+        self.path.cost.hash_ops += 1;
+        self.path.stage(p_addr, p_node.to_block());
         Ok(p_node.counter(slot))
     }
 
@@ -723,17 +505,17 @@ impl<B: NvmBackend> SgxController<B> {
                 .linear(self.cache.ways()) as u64;
             (cs, slot)
         };
-        self.cost.hash_ops += 1;
+        self.path.cost.hash_ops += 1;
         let mac = SgxCounterNode::compute_mac(&self.mac_key, &counters, pc);
         let lsb_mask = (1u64 << self.config.st_lsb_bits) - 1;
         let lsbs = counters.map(|c| c & lsb_mask);
         let entry = StEntry::new(addr, mac, lsbs);
         let st_addr = self.layout.st_slot(slot);
-        self.stage(st_addr, entry.to_block());
+        self.path.stage(st_addr, entry.to_block());
         let tree = self.shadow_tree.as_mut().expect("ASIT has a shadow tree");
         // The shadow-protection tree is maintained by a dedicated on-chip
         // engine off the data path.
-        self.cost.bg_hash_ops += tree.update_hash_ops();
+        self.path.cost.bg_hash_ops += tree.update_hash_ops();
         let root = tree.update(slot, entry.to_block());
         self.pending_shadow_root = Some(root);
         Ok(())
@@ -769,8 +551,8 @@ impl<B: NvmBackend> SgxController<B> {
             entry.node.seal(&self.mac_key, pc);
             entry.node
         };
-        self.cost.hash_ops += 1;
-        self.stage(addr, sealed.to_block());
+        self.path.cost.hash_ops += 1;
+        self.path.stage(addr, sealed.to_block());
         self.cache.mark_clean(addr);
         if self.scheme == SgxScheme::Asit {
             self.stage_st_entry(node)?;
@@ -819,7 +601,7 @@ impl<B: NvmBackend> SgxController<B> {
             if self.cache.contains(addr) {
                 continue; // an eviction cascade may have fetched it already
             }
-            let block = self.nvm_read(addr)?;
+            let block = self.path.nvm_read(addr)?;
             let fetched = if block.is_zeroed() {
                 // Never-written node: canonical zero state (a real node's
                 // MAC is zero only with probability 2^-56).
@@ -828,7 +610,7 @@ impl<B: NvmBackend> SgxController<B> {
                 SgxCounterNode::from_block(&block)
             };
             let pc = self.parent_counter(n)?;
-            self.cost.hash_ops += 1;
+            self.path.cost.hash_ops += 1;
             if !fetched.verify(&self.mac_key, pc) {
                 return Err(MemError::Integrity {
                     node: n,
@@ -870,8 +652,8 @@ impl<B: NvmBackend> SgxController<B> {
                 let pc = self.bump_parent_counter(victim)?;
                 let mut sealed = ev.value.node;
                 sealed.seal(&self.mac_key, pc);
-                self.cost.hash_ops += 1;
-                self.stage(ev.addr, sealed.to_block());
+                self.path.cost.hash_ops += 1;
+                self.path.stage(ev.addr, sealed.to_block());
             }
         }
         Ok(())
@@ -884,9 +666,9 @@ impl<B: NvmBackend> SgxController<B> {
     /// exist only for currently resident nodes (see DESIGN.md).
     fn clear_st_slot(&mut self, slot: u64) {
         let st_addr = self.layout.st_slot(slot);
-        self.stage(st_addr, Block::zeroed());
+        self.path.stage(st_addr, Block::zeroed());
         let tree = self.shadow_tree.as_mut().expect("ASIT has a shadow tree");
-        self.cost.bg_hash_ops += tree.update_hash_ops();
+        self.path.cost.bg_hash_ops += tree.update_hash_ops();
         let root = tree.update(slot, Block::zeroed());
         self.pending_shadow_root = Some(root);
     }
@@ -895,29 +677,101 @@ impl<B: NvmBackend> SgxController<B> {
     // Data path
     // ------------------------------------------------------------------
 
-    fn validate(&self, addr: DataAddr) -> Result<(), MemError> {
-        if addr.index() < self.layout.data_blocks() {
-            Ok(())
-        } else {
-            Err(MemError::OutOfRange {
-                addr,
-                capacity_blocks: self.layout.data_blocks(),
-            })
+    /// The strict-persistence write path: eagerly bump and persist the
+    /// whole path (every node sealed against its just-bumped parent).
+    fn strict_propagate(&mut self, leaf: NodeId) -> Result<(), MemError> {
+        let g = self.layout.geometry().clone();
+        let mut node = leaf;
+        loop {
+            let pc = self.bump_parent_counter(node)?;
+            let addr = self.layout.node_addr(node);
+            let sealed = {
+                let entry = self.cache.peek_mut(addr).expect("resident");
+                entry.node.seal(&self.mac_key, pc);
+                entry.node
+            };
+            self.path.cost.hash_ops += 1;
+            self.path.stage(addr, sealed.to_block());
+            self.cache.mark_clean(addr);
+            match g.parent(node) {
+                Some(p) if !self.layout.is_on_chip(p) => {
+                    self.ensure_node(p)?;
+                    node = p;
+                }
+                _ => break,
+            }
+        }
+        Ok(())
+    }
+
+    /// Eager in-cache propagation (no persistence): bump every ancestor's
+    /// version counter and re-seal each node against its new parent
+    /// counter, keeping everything dirty in the cache. The on-chip top
+    /// node is always fresh — and yet a crash still loses the interior
+    /// (paper §2.6: eager update is insufficient for SGX-style trees).
+    fn eager_propagate(&mut self, leaf: NodeId) -> Result<(), MemError> {
+        let g = self.layout.geometry().clone();
+        let mut node = leaf;
+        loop {
+            let pc = self.bump_parent_counter(node)?;
+            let addr = self.layout.node_addr(node);
+            {
+                let entry = self.cache.peek_mut(addr).expect("resident on the path");
+                entry.node.seal(&self.mac_key, pc);
+            }
+            self.path.cost.hash_ops += 1;
+            self.cache.mark_dirty(addr);
+            match g.parent(node) {
+                Some(p) if !self.layout.is_on_chip(p) => {
+                    self.ensure_node(p)?;
+                    node = p;
+                }
+                _ => break,
+            }
+        }
+        Ok(())
+    }
+
+    /// Resolves a data line under `ctr`, its current version counter.
+    fn line_under(&self, addr: DataAddr, ctr: u64) -> Line {
+        Line {
+            dev: self.layout.data_addr(addr),
+            side: self.layout.side_addr(addr),
+            iv: (ctr != 0).then(|| IvCounter::monolithic(ctr)),
         }
     }
+}
 
-    fn begin_op(&mut self) {
-        self.cost = OpCost::zero();
-        self.pending.clear();
-        self.pending_shadow_root = None;
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
+impl<B: NvmBackend> Policy for SgxController<B> {
+    type Backend = B;
+
+    fn path(&mut self) -> &mut DataPath<B> {
+        &mut self.path
     }
 
-    /// Body of one logical write: counter bump, scheme-specific
-    /// propagation and the (deferred) data seal. The caller owns
-    /// `begin_op`, the final `commit` and the cost recording, so scalar
-    /// `write` and grouped `write_batch` share it.
+    fn data_blocks(&self) -> u64 {
+        self.layout.data_blocks()
+    }
+
+    #[inline]
+    fn line_iv(&mut self, addr: DataAddr) -> Result<Line, MemError> {
+        let (leaf, slot) = self.layout.leaf_of(addr);
+        // Degenerate single-leaf tree: the leaf IS the on-chip top node.
+        let ctr = if self.layout.is_on_chip(leaf) {
+            self.top.counter(slot)
+        } else {
+            self.ensure_node(leaf)?;
+            self.cache
+                .peek(self.layout.node_addr(leaf))
+                .expect("ensured")
+                .node
+                .counter(slot)
+        };
+        Ok(self.line_under(addr, ctr))
+    }
+
+    /// Counter bump, scheme-specific propagation and the (deferred)
+    /// data seal.
     fn write_inner(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
         let (leaf, slot) = self.layout.leaf_of(addr);
         let ctr = if self.layout.is_on_chip(leaf) {
@@ -947,152 +801,31 @@ impl<B: NvmBackend> SgxController<B> {
         // time, where the whole group goes through the batch seal path.
         let dev = self.layout.data_addr(addr);
         let side_addr = self.layout.side_addr(addr);
-        self.stage_sealed(dev, side_addr, IvCounter::monolithic(ctr), data);
+        self.path
+            .stage_sealed(dev, side_addr, IvCounter::monolithic(ctr), data);
         Ok(())
     }
 
-    /// The strict-persistence write path: eagerly bump and persist the
-    /// whole path (every node sealed against its just-bumped parent).
-    fn strict_propagate(&mut self, leaf: NodeId) -> Result<(), MemError> {
-        let g = self.layout.geometry().clone();
-        let mut node = leaf;
-        loop {
-            let pc = self.bump_parent_counter(node)?;
-            let addr = self.layout.node_addr(node);
-            let sealed = {
-                let entry = self.cache.peek_mut(addr).expect("resident");
-                entry.node.seal(&self.mac_key, pc);
-                entry.node
-            };
-            self.cost.hash_ops += 1;
-            self.stage(addr, sealed.to_block());
-            self.cache.mark_clean(addr);
-            match g.parent(node) {
-                Some(p) if !self.layout.is_on_chip(p) => {
-                    self.ensure_node(p)?;
-                    node = p;
+    fn commit(&mut self) -> Result<(), MemError> {
+        let result = self.path.commit(&self.reg_mirrors());
+        // The SHADOW_TREE_ROOT register update rides the commit: atomic
+        // with the ST writes from the hardware's perspective. A power cut
+        // mid-drain leaves the group in the persistent REDO registers, so
+        // its ST writes are replayed at power-up — the on-chip root must
+        // move with them (a torn group that discards the REDO log instead
+        // surfaces at recovery as ShadowTableTampered).
+        match &result {
+            Ok(()) | Err(MemError::Nvm(anubis_nvm::NvmError::PowerLost)) => {
+                if let Some(root) = self.pending_shadow_root.take() {
+                    self.shadow_root = root;
                 }
-                _ => break,
             }
+            Err(_) => {}
         }
-        Ok(())
+        result
     }
 
-    /// Eager in-cache propagation (no persistence): bump every ancestor's
-    /// version counter and re-seal each node against its new parent
-    /// counter, keeping everything dirty in the cache. The on-chip top
-    /// node is always fresh — and yet a crash still loses the interior
-    /// (paper §2.6: eager update is insufficient for SGX-style trees).
-    fn eager_propagate(&mut self, leaf: NodeId) -> Result<(), MemError> {
-        let g = self.layout.geometry().clone();
-        let mut node = leaf;
-        loop {
-            let pc = self.bump_parent_counter(node)?;
-            let addr = self.layout.node_addr(node);
-            {
-                let entry = self.cache.peek_mut(addr).expect("resident on the path");
-                entry.node.seal(&self.mac_key, pc);
-            }
-            self.cost.hash_ops += 1;
-            self.cache.mark_dirty(addr);
-            match g.parent(node) {
-                Some(p) if !self.layout.is_on_chip(p) => {
-                    self.ensure_node(p)?;
-                    node = p;
-                }
-                _ => break,
-            }
-        }
-        Ok(())
-    }
-
-    // Bodies of the public operations. The `MemoryController` impl below
-    // closes each with `crate::end_op`, the op's one durability barrier.
-
-    fn read_op(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        self.validate(addr)?;
-        self.begin_op();
-        let (leaf, slot) = self.layout.leaf_of(addr);
-        // Degenerate single-leaf tree: the leaf IS the on-chip top node.
-        let ctr = if self.layout.is_on_chip(leaf) {
-            self.top.counter(slot)
-        } else {
-            self.ensure_node(leaf)?;
-            self.cache
-                .peek(self.layout.node_addr(leaf))
-                .expect("ensured")
-                .node
-                .counter(slot)
-        };
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-        let result = if ctr == 0 {
-            let stored = self.nvm_read(dev)?;
-            let side = self.nvm_read_free(side_addr)?;
-            if stored.is_zeroed() && side.is_zeroed() {
-                Ok(Block::zeroed())
-            } else {
-                Err(MemError::Crypto(
-                    anubis_crypto::CryptoError::DataMacMismatch,
-                ))
-            }
-        } else {
-            let ciphertext = self.nvm_read(dev)?;
-            let side = self.nvm_read_free(side_addr)?;
-            let sealed = anubis_crypto::SealedBlock {
-                ciphertext,
-                ecc: side.word(0),
-                mac: side.word(1),
-            };
-            self.cost.hash_ops += 2;
-            match self.codec.open_correcting_cached(
-                &mut self.mac_cache,
-                dev,
-                IvCounter::monolithic(ctr),
-                &sealed,
-            ) {
-                Ok((pt, fixed)) => {
-                    self.ecc_corrections += u64::from(fixed);
-                    Ok(pt)
-                }
-                Err(e) => Err(MemError::from(e)),
-            }
-        };
-        let value = result?;
-        self.commit()?;
-        self.totals.record(false, self.cost);
-        Ok(value)
-    }
-
-    fn write_op(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        self.validate(addr)?;
-        self.begin_op();
-        self.write_inner(addr, data)?;
-        self.commit()?;
-        self.totals.record(true, self.cost);
-        Ok(())
-    }
-
-    fn write_batch_op(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
-        for (addr, _) in items {
-            self.validate(*addr)?;
-        }
-        self.begin_op();
-        for (addr, data) in items {
-            self.cost = OpCost::zero();
-            self.write_inner(*addr, *data)?;
-            // Flush before the accumulated group can overrun the persist
-            // queue's `PREG_CAPACITY`.
-            if self.pending.len() >= crate::GROUP_FLUSH_WATERMARK {
-                self.commit()?;
-            }
-            self.totals.record(true, self.cost);
-        }
-        self.commit()
-    }
-
-    fn shutdown_flush_op(&mut self) -> Result<(), MemError> {
-        self.begin_op();
+    fn flush_metadata(&mut self) -> Result<(), MemError> {
         // Write back every dirty node, deepest levels first so parent
         // counter bumps target still-resident parents coherently.
         loop {
@@ -1112,9 +845,13 @@ impl<B: NvmBackend> SgxController<B> {
             self.writeback_node(node)?;
             self.commit()?;
         }
-        self.commit()?;
-        self.domain.drain_wpq();
         Ok(())
+    }
+
+    /// The root a staged ST write installs at commit belongs to the group.
+    fn reset_group(&mut self) {
+        self.path.reset_group();
+        self.pending_shadow_root = None;
     }
 }
 
@@ -1126,38 +863,30 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
     }
 
     fn domain(&self) -> &PersistenceDomain<B> {
-        &self.domain
+        &self.path.domain
     }
 
     fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.domain
+        &mut self.path.domain
     }
 
     fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        let result = self.read_op(addr);
-        crate::end_op(&mut self.domain, result)
+        datapath::read(self, addr)
     }
 
     fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        let result = self.write_op(addr, data);
-        crate::end_op(&mut self.domain, result)
+        datapath::write(self, addr, data)
     }
 
     fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
-        let result = self.write_batch_op(items);
-        crate::end_op(&mut self.domain, result)
+        datapath::write_batch(self, items)
     }
 
     fn crash(&mut self) {
-        self.domain.power_fail();
+        self.path.crash();
+        self.pending_shadow_root = None;
         self.lost_dirty_metadata = self.cache.iter_resident().any(|(_, _, _, dirty)| dirty);
         self.cache.invalidate_all();
-        self.pending.clear();
-        self.pending_shadow_root = None;
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
-        // MAC-verification cache is volatile state: it dies with power.
-        self.mac_cache.clear();
         // Volatile shadow-tree interior is lost; rebuilt during recovery.
         if self.scheme == SgxScheme::Asit {
             self.shadow_tree = None;
@@ -1170,26 +899,24 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
     }
 
     fn shutdown_flush(&mut self) -> Result<(), MemError> {
-        let result = self.shutdown_flush_op();
-        crate::end_op(&mut self.domain, result)
+        datapath::shutdown_flush(self)
     }
 
     fn last_cost(&self) -> OpCost {
-        self.cost
+        self.path.cost
     }
 
     fn total_cost(&self) -> &CostAccum {
-        &self.totals
+        &self.path.totals
     }
 
     fn reset_costs(&mut self) {
-        self.totals.reset();
+        self.path.reset_costs();
         self.cache.reset_stats();
-        self.domain.device_mut().reset_stats();
     }
 
     fn set_telemetry(&mut self, t: Telemetry) {
-        self.telemetry = t;
+        self.path.telemetry = t;
     }
 
     fn publish_telemetry(&self) {

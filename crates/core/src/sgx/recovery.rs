@@ -43,9 +43,9 @@ pub(super) fn recover<B: NvmBackend>(
     c: &mut SgxController<B>,
     lanes: usize,
 ) -> Result<RecoveryReport, RecoveryError> {
-    let tel = c.telemetry.clone();
+    let tel = c.path.telemetry.clone();
     let _recovery_span = tel.span("recovery", c.scheme_name());
-    let redo_writes = c.domain.power_up() as u64;
+    let redo_writes = c.path.domain.power_up() as u64;
     let mut t = Tally::default();
     match c.scheme {
         SgxScheme::StrictPersist => {
@@ -81,13 +81,13 @@ fn recover_asit<B: NvmBackend>(
     t: &mut Tally,
     lanes: usize,
 ) -> Result<(), RecoveryError> {
-    let tel = c.telemetry.clone();
+    let tel = c.path.telemetry.clone();
     // Step 1: read the whole Shadow Table — independent slot reads, fanned
     // out across lanes, collected in slot order.
     let st_slots = c.layout.st_slots();
     let st_blocks = {
         let _span = tel.span("recovery_phase", "st_scan").items(st_slots);
-        let dev = c.domain.device();
+        let dev = c.path.domain.device();
         let layout = &c.layout;
         parallel::map_range_traced(lanes, st_slots, &tel, "st_scan_lane", |slot| {
             dev.read(layout.st_slot(slot))
@@ -119,7 +119,7 @@ fn recover_asit<B: NvmBackend>(
         .span("recovery_phase", "splice")
         .items(entries.len() as u64);
     let recovered: Vec<(BlockAddr, SgxCounterNode)> = {
-        let dev = c.domain.device();
+        let dev = c.path.domain.device();
         parallel::map_slice_traced(
             lanes,
             &entries,
@@ -163,7 +163,7 @@ fn recover_asit<B: NvmBackend>(
         .span("recovery_phase", "mac_verify")
         .items(recovered.len() as u64);
     let verdicts: Vec<(u64, bool, BlockAddr)> = {
-        let dev = c.domain.device();
+        let dev = c.path.domain.device();
         let layout = &c.layout;
         let cache = &c.cache;
         let top = c.top;
@@ -236,7 +236,8 @@ fn recover_asit<B: NvmBackend>(
         }
         let entry = StEntry::new(*addr, node.mac(), lsbs);
         t.writes += 1;
-        c.domain
+        c.path
+            .domain
             .device_mut()
             .write(c.layout.st_slot(slot), entry.to_block());
         fresh_tree.update(slot, entry.to_block());
@@ -245,7 +246,8 @@ fn recover_asit<B: NvmBackend>(
     for slot in 0..st_slots {
         if !occupied[slot as usize] && !st_blocks[slot as usize].is_zeroed() {
             t.writes += 1;
-            c.domain
+            c.path
+                .domain
                 .device_mut()
                 .write(c.layout.st_slot(slot), anubis_nvm::Block::zeroed());
         }

@@ -23,6 +23,7 @@
 //!   region, readable as zero under their current leaf counter.
 
 use super::{recovery, SgxController, SgxScheme};
+use crate::datapath::{Line, Policy};
 use crate::error::RecoveryError;
 use crate::layout::DataAddr;
 use crate::parallel;
@@ -30,8 +31,7 @@ use crate::recovery::RecoveryReport;
 use crate::shadow_tree::ShadowTree;
 use crate::supervisor::{RepairSummary, Supervised};
 use crate::MemoryController;
-use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{SealedBlock, SgxCounterNode};
+use anubis_crypto::SgxCounterNode;
 use anubis_itree::NodeId;
 use anubis_nvm::{Block, NvmBackend};
 use anubis_telemetry::Telemetry;
@@ -46,64 +46,13 @@ impl<B: NvmBackend> Supervised for SgxController<B> {
     }
 
     fn repair_line(&mut self, addr: DataAddr) -> Result<u32, RecoveryError> {
-        let ctr = self.line_counter(addr);
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-        let ciphertext = self.domain.device_mut().read(dev);
-        let side = self.domain.device_mut().read(side_addr);
-        if ctr == 0 {
-            return if ciphertext.is_zeroed() && side.is_zeroed() {
-                Ok(0)
-            } else {
-                Err(RecoveryError::CounterNotRecovered { addr: dev })
-            };
-        }
-        let sealed = SealedBlock {
-            ciphertext,
-            ecc: side.word(0),
-            mac: side.word(1),
-        };
-        let iv = IvCounter::monolithic(ctr);
-        match self.codec.open_correcting(dev, iv, &sealed) {
-            Ok((plaintext, fixed)) => {
-                if fixed > 0 {
-                    let resealed = self.codec.seal(dev, iv, &plaintext);
-                    self.domain.device_mut().write(dev, resealed.ciphertext);
-                    let mut side_new = Block::zeroed();
-                    side_new.set_word(0, resealed.ecc);
-                    side_new.set_word(1, resealed.mac);
-                    self.domain.device_mut().write(side_addr, side_new);
-                    self.ecc_corrections += u64::from(fixed);
-                }
-                Ok(fixed)
-            }
-            Err(_) => Err(RecoveryError::CounterNotRecovered { addr: dev }),
-        }
+        let line = self.current_line(addr);
+        self.path.repair_line(line)
     }
 
     fn quarantine_line(&mut self, addr: DataAddr) -> Result<bool, RecoveryError> {
-        let ctr = self.line_counter(addr);
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-        let had_content = ctr != 0;
-        self.domain.device_mut().quarantine_block(dev);
-        if had_content {
-            // Readable as an explicit zero under the current counter; the
-            // leaf counter itself stays untouched so node MACs hold.
-            let resealed = self
-                .codec
-                .seal(dev, IvCounter::monolithic(ctr), &Block::zeroed());
-            self.domain.device_mut().write(dev, resealed.ciphertext);
-            let mut side_new = Block::zeroed();
-            side_new.set_word(0, resealed.ecc);
-            side_new.set_word(1, resealed.mac);
-            self.domain.device_mut().write(side_addr, side_new);
-            self.domain.device_mut().record_lost_lines(1);
-        } else {
-            self.domain.device_mut().write(dev, Block::zeroed());
-            self.domain.device_mut().write(side_addr, Block::zeroed());
-        }
-        Ok(had_content)
+        let line = self.current_line(addr);
+        Ok(self.path.quarantine_line(line))
     }
 
     fn targeted_repair(
@@ -126,41 +75,38 @@ impl<B: NvmBackend> Supervised for SgxController<B> {
     }
 
     fn persist_quarantine(&mut self) {
-        let blocks = self.domain.device().quarantine_table_blocks();
-        let cap = self.layout.qtable_blocks();
-        for (i, block) in blocks.into_iter().enumerate() {
-            if (i as u64) < cap {
-                let addr = self.layout.qtable_addr(i as u64);
-                self.domain.device_mut().write(addr, block);
-            }
-        }
+        self.path.persist_quarantine();
     }
 
     fn is_line_quarantined(&self, addr: DataAddr) -> bool {
-        self.domain
+        self.path
+            .domain
             .device()
             .is_quarantined(self.layout.data_addr(addr))
     }
 
     fn supervisor_telemetry(&self) -> Telemetry {
-        self.telemetry.clone()
+        self.path.telemetry.clone()
     }
 }
 
 impl<B: NvmBackend> SgxController<B> {
-    /// The current counter for a data line: from the resident leaf if
-    /// cached (recovered nodes live there dirty), the on-chip top node
-    /// for the degenerate single-leaf tree, or the NVM copy.
-    fn line_counter(&mut self, addr: DataAddr) -> u64 {
+    /// Resolves a line under its current counter, unverified: from the
+    /// resident leaf if cached (recovered nodes live there dirty), the
+    /// on-chip top node for the degenerate single-leaf tree, or the NVM
+    /// copy.
+    fn current_line(&mut self, addr: DataAddr) -> Line {
         let (leaf, slot) = self.layout.leaf_of(addr);
         if self.layout.is_on_chip(leaf) {
-            return self.top.counter(slot);
+            return self.line_under(addr, self.top.counter(slot));
         }
         let leaf_addr = self.layout.node_addr(leaf);
-        if let Some(entry) = self.cache.peek(leaf_addr) {
-            return entry.node.counter(slot);
-        }
-        SgxCounterNode::from_block(&self.domain.device_mut().read(leaf_addr)).counter(slot)
+        let ctr = match self.cache.peek(leaf_addr) {
+            Some(entry) => entry.node.counter(slot),
+            None => SgxCounterNode::from_block(&self.path.domain.device_mut().read(leaf_addr))
+                .counter(slot),
+        };
+        self.line_under(addr, ctr)
     }
 }
 
@@ -172,7 +118,7 @@ fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> Repair
     let mut sum = RepairSummary::default();
     let st_slots = c.layout.st_slots();
     let st_blocks: Vec<Block> = {
-        let dev = c.domain.device();
+        let dev = c.path.domain.device();
         let layout = &c.layout;
         parallel::map_range(lanes, st_slots, |slot| dev.read(layout.st_slot(slot)))
     };
@@ -190,19 +136,19 @@ fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> Repair
         let Some(id) = c.layout.node_of_addr(addr) else {
             continue;
         };
-        let stale = SgxCounterNode::from_block(&c.domain.device_mut().read(addr));
+        let stale = SgxCounterNode::from_block(&c.path.domain.device_mut().read(addr));
         let node = recovery::splice_node(&stale, &entry, lsb_bits);
         let pc = match g.parent(id) {
             None => 0,
             Some(p) if c.layout.is_on_chip(p) => c.top.counter(g.child_slot(id)),
             Some(p) => {
                 let p_addr = c.layout.node_addr(p);
-                SgxCounterNode::from_block(&c.domain.device_mut().read(p_addr))
+                SgxCounterNode::from_block(&c.path.domain.device_mut().read(p_addr))
                     .counter(g.child_slot(id))
             }
         };
         if node.verify(&c.mac_key, pc) {
-            c.domain.device_mut().write(addr, node.to_block());
+            c.path.domain.device_mut().write(addr, node.to_block());
             sum.rebuilt += 1;
         }
     }
@@ -223,15 +169,14 @@ fn degrade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> RepairSumma
     // exactly what the cascade then repairs.
     let _ = c.shutdown_flush();
     c.cache.invalidate_all();
-    c.pending.clear();
-    c.pending_shadow_root = None;
+    c.reset_group();
     let sum = verify_reseal_cascade(c, lanes);
     if c.scheme == SgxScheme::Asit {
         // ST invariant: entries exist only for resident nodes — none now.
         for slot in 0..c.layout.st_slots() {
             let st_addr = c.layout.st_slot(slot);
-            if !c.domain.device_mut().read(st_addr).is_zeroed() {
-                c.domain.device_mut().write(st_addr, Block::zeroed());
+            if !c.path.domain.device_mut().read(st_addr).is_zeroed() {
+                c.path.domain.device_mut().write(st_addr, Block::zeroed());
             }
         }
         let fresh = ShadowTree::new(c.config.key, c.layout.st_slots());
@@ -252,7 +197,7 @@ fn verify_reseal_cascade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) 
     let top_level = g.num_levels() - 1;
     for level in (0..top_level).rev() {
         let fixes: Vec<Option<Block>> = {
-            let dev = c.domain.device();
+            let dev = c.path.domain.device();
             let layout = &c.layout;
             let mac_key = &c.mac_key;
             let top = c.top;
@@ -286,7 +231,7 @@ fn verify_reseal_cascade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) 
         for (index, fix) in fixes.into_iter().enumerate() {
             if let Some(block) = fix {
                 let addr = c.layout.node_addr(NodeId::new(level, index as u64));
-                c.domain.device_mut().write(addr, block);
+                c.path.domain.device_mut().write(addr, block);
                 sum.rebuilt += 1;
             }
         }

@@ -221,8 +221,8 @@ impl DataCodec {
     }
 
     /// Records a freshly sealed line as MAC-verified, so the next read of
-    /// the unmodified line takes the [`open_correcting_cached`]
-    /// (Self::open_correcting_cached) fast path.
+    /// the unmodified line takes the
+    /// [`open_correcting_cached`](Self::open_correcting_cached) fast path.
     pub fn note_sealed(
         &self,
         cache: &mut MacCache,

@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// simulator with spurious exclusive borrows.
 ///
 /// The per-region breakdown is a flat array of `AtomicU64` slots indexed
-/// by region number (regions are fixed at [`configure_regions`]
-/// (Self::configure_regions) time), so recording an access is a single
+/// by region number (regions are fixed at `configure_regions` time), so
+/// recording an access is a single
 /// `Relaxed` fetch-add into one slot — the mutex-guarded `BTreeMap` this
 /// replaced serialized every counted access in the hot path. Totals are
 /// not kept as separate counters at all: they are the sum of the region
@@ -40,8 +40,7 @@ pub struct NvmStats {
 
 impl NvmStats {
     /// Creates zeroed statistics with no regions configured (every access
-    /// counts as unattributed until [`configure_regions`]
-    /// (Self::configure_regions)).
+    /// counts as unattributed until `configure_regions`).
     pub fn new() -> Self {
         let mut s = Self::default();
         s.configure_regions(Vec::new());

@@ -194,7 +194,7 @@ struct Counters {
     last_outcome: String,
 }
 
-/// One tenant: identity, admission gate, and the locked [`Core`].
+/// One tenant: identity, admission gate, and the locked `Core`.
 pub struct Tenant {
     name: String,
     token_hash: u64,

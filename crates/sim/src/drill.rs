@@ -136,7 +136,7 @@ pub enum DrillError {
         /// Exit code, if the child exited (rather than died on signal).
         code: Option<i32>,
     },
-    /// The child made no progress within [`CHILD_TIMEOUT`].
+    /// The child made no progress within `CHILD_TIMEOUT`.
     Hung,
     /// Post-restart recovery failed outright.
     Recovery(RecoveryError),
