@@ -61,6 +61,12 @@ fn serve_child() -> ExitCode {
     }
 }
 
+/// The `_ms` keys older readers of the artifact know: the microsecond
+/// measurement, rounded.
+fn rounded_ms(us: u64) -> u64 {
+    (us + 500) / 1000
+}
+
 fn report_json(r: &ChaosReport, seed: u64, sweep: bool) -> Json {
     let outcomes: Vec<Json> = r
         .outcomes
@@ -71,7 +77,11 @@ fn report_json(r: &ChaosReport, seed: u64, sweep: bool) -> Json {
                 ("acked", Json::Int(o.acked)),
                 ("completed", Json::Bool(o.completed)),
                 ("fault", Json::Str(o.fault.into())),
-                ("time_to_healthy_ms", Json::Int(o.time_to_healthy_ms)),
+                ("time_to_healthy_us", Json::Int(o.time_to_healthy_us)),
+                (
+                    "time_to_healthy_ms",
+                    Json::Int(rounded_ms(o.time_to_healthy_us)),
+                ),
                 ("verified_addrs", Json::Int(o.verified_addrs)),
                 ("inflight_tolerated", Json::Int(o.inflight_tolerated)),
             ])
@@ -99,8 +109,16 @@ fn report_json(r: &ChaosReport, seed: u64, sweep: bool) -> Json {
         ("acked_write_losses", Json::Int(0)),
         ("completed_runs", Json::Int(r.completed_runs)),
         ("inflight_tolerated", Json::Int(r.inflight_tolerated)),
-        ("time_to_healthy_p50_ms", Json::Int(r.tth_p50_ms)),
-        ("time_to_healthy_p95_ms", Json::Int(r.tth_p95_ms)),
+        ("time_to_healthy_p50_us", Json::Int(r.tth_p50_us)),
+        ("time_to_healthy_p95_us", Json::Int(r.tth_p95_us)),
+        (
+            "time_to_healthy_p50_ms",
+            Json::Int(rounded_ms(r.tth_p50_us)),
+        ),
+        (
+            "time_to_healthy_p95_ms",
+            Json::Int(rounded_ms(r.tth_p95_us)),
+        ),
         (
             "kill_range",
             Json::Arr(vec![Json::Int(r.kill_range.0), Json::Int(r.kill_range.1)]),
@@ -154,12 +172,12 @@ fn main() -> ExitCode {
     };
     println!(
         "  {} points, {} acked writes verified ({} in-flight tolerated), \
-         time-to-healthy p50 {} ms / p95 {} ms",
+         time-to-healthy p50 {} us / p95 {} us",
         report.points,
         report.verified_total,
         report.inflight_tolerated,
-        report.tth_p50_ms,
-        report.tth_p95_ms
+        report.tth_p50_us,
+        report.tth_p95_us
     );
     for (fault, n) in &report.fault_counts {
         println!("  fault {fault:<22} injected {n}x, all typed");

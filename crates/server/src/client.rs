@@ -1,13 +1,15 @@
-//! A blocking client for the `anubis-serve` protocol: handshake, typed
-//! request/response round-trips, and direct stream access for fault
-//! injection by the chaos harness.
+//! A blocking client for the `anubis-serve` protocol: handshake and typed
+//! request/response round-trips. Each request is built in the session's
+//! `tx` buffer and sent in one `write`; replies are parsed in its
+//! [`FrameReader`], which may hold bytes read ahead, so the socket itself
+//! is not exposed (fault injection opens its own `TcpStream`).
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame, token_hash, write_frame, FrameEvent, Inject, ProtoError, Request, Response,
-    ServeError, ServeMode, TenantStats, PROTO_VERSION,
+    send_frame, token_hash, FrameReader, Inject, ProtoError, Request, Response, ServeError,
+    ServeMode, TenantStats, PROTO_VERSION,
 };
 
 /// Client-side failure: either the transport/protocol broke, or the
@@ -53,6 +55,8 @@ impl From<std::io::Error> for ClientError {
 /// A connected, authenticated session with one tenant.
 pub struct ServeClient {
     stream: TcpStream,
+    rx: FrameReader,
+    tx: Vec<u8>,
     max_frame: u32,
     idle: Duration,
     stall: Duration,
@@ -79,6 +83,8 @@ impl ServeClient {
         let _ = stream.set_nodelay(true);
         let mut client = ServeClient {
             stream,
+            rx: FrameReader::new(),
+            tx: Vec::new(),
             max_frame: 1 << 20,
             idle: Duration::from_secs(60),
             stall: Duration::from_secs(10),
@@ -117,12 +123,6 @@ impl ServeClient {
         self.idle = idle;
     }
 
-    /// Direct access to the underlying stream — the chaos harness uses
-    /// this to inject malformed bytes mid-session.
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
-
     /// One raw request/response round-trip.
     ///
     /// # Errors
@@ -130,16 +130,17 @@ impl ServeClient {
     /// [`ClientError`] on transport or protocol failure; typed server
     /// rejections are returned *inside* [`Response::Err`], not as `Err`.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &req.encode())?;
-        match read_frame(
+        send_frame(&mut self.stream, &mut self.tx, |out| req.encode_into(out))?;
+        let reply = self.rx.next_frame(
             &mut self.stream,
             self.max_frame,
             self.idle,
             self.stall,
             &|| false,
-        )? {
-            FrameEvent::Closed => Err(ClientError::Disconnected),
-            FrameEvent::Payload(payload) => Ok(Response::decode(&payload)?),
+        )?;
+        match reply {
+            None => Err(ClientError::Disconnected),
+            Some(payload) => Ok(Response::decode(payload)?),
         }
     }
 

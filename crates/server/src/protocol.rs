@@ -426,13 +426,16 @@ impl ServeError {
 // Payload encoding
 // ---------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+/// Appends a payload to a caller-owned buffer (a fresh `Vec` for
+/// `encode()`, the connection's `tx` frame buffer on the served path).
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Enc {
-    fn new(opcode: u8) -> Self {
-        Enc { buf: vec![opcode] }
+impl<'a> Enc<'a> {
+    fn new(buf: &'a mut Vec<u8>, opcode: u8) -> Self {
+        buf.push(opcode);
+        Enc { buf }
     }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -555,50 +558,53 @@ const ERR_INTERNAL: u8 = 10;
 impl Request {
     /// Serializes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the request's frame payload to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Hello {
                 version,
                 tenant,
                 token,
             } => {
-                let mut e = Enc::new(OP_HELLO);
+                let mut e = Enc::new(out, OP_HELLO);
                 e.u32(*version);
                 e.str(tenant);
                 e.u64(*token);
-                e.buf
             }
             Request::Read { addr, deadline_ms } => {
-                let mut e = Enc::new(OP_READ);
+                let mut e = Enc::new(out, OP_READ);
                 e.u64(*addr);
                 e.u32(*deadline_ms);
-                e.buf
             }
             Request::Write {
                 addr,
                 deadline_ms,
                 data,
             } => {
-                let mut e = Enc::new(OP_WRITE);
+                let mut e = Enc::new(out, OP_WRITE);
                 e.u64(*addr);
                 e.u32(*deadline_ms);
                 e.bytes(data);
-                e.buf
             }
             Request::WriteBatch { deadline_ms, items } => {
-                let mut e = Enc::new(OP_WRITE_BATCH);
+                let mut e = Enc::new(out, OP_WRITE_BATCH);
                 e.u32(*deadline_ms);
                 e.u32(items.len() as u32);
                 for (addr, data) in items {
                     e.u64(*addr);
                     e.bytes(data);
                 }
-                e.buf
             }
-            Request::Flush => Enc::new(OP_FLUSH).buf,
-            Request::Recover => Enc::new(OP_RECOVER).buf,
-            Request::Stats => Enc::new(OP_STATS).buf,
+            Request::Flush => out.push(OP_FLUSH),
+            Request::Recover => out.push(OP_RECOVER),
+            Request::Stats => out.push(OP_STATS),
             Request::Inject(inj) => {
-                let mut e = Enc::new(OP_INJECT);
+                let mut e = Enc::new(out, OP_INJECT);
                 match inj {
                     Inject::CorruptLine { addr, bit } => {
                         e.u8(INJ_CORRUPT);
@@ -618,7 +624,6 @@ impl Request {
                         e.u32(*ms);
                     }
                 }
-                e.buf
             }
         }
     }
@@ -686,7 +691,7 @@ impl Request {
     }
 }
 
-fn encode_stats(e: &mut Enc, s: &TenantStats) {
+fn encode_stats(e: &mut Enc<'_>, s: &TenantStats) {
     e.u8(s.mode);
     e.u64(s.inflight);
     e.u64(s.reads_total);
@@ -725,39 +730,41 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<TenantStats, ProtoError> {
 impl Response {
     /// Serializes the response into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the response's frame payload to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::HelloOk { session, mode } => {
-                let mut e = Enc::new(RE_HELLO_OK);
+                let mut e = Enc::new(out, RE_HELLO_OK);
                 e.u64(*session);
                 e.u8(mode.code());
-                e.buf
             }
             Response::ReadOk { data, mode } => {
-                let mut e = Enc::new(RE_READ_OK);
+                let mut e = Enc::new(out, RE_READ_OK);
                 e.bytes(data);
                 e.u8(mode.code());
-                e.buf
             }
-            Response::WriteOk => Enc::new(RE_WRITE_OK).buf,
+            Response::WriteOk => out.push(RE_WRITE_OK),
             Response::BatchOk { written } => {
-                let mut e = Enc::new(RE_BATCH_OK);
+                let mut e = Enc::new(out, RE_BATCH_OK);
                 e.u32(*written);
-                e.buf
             }
-            Response::FlushOk => Enc::new(RE_FLUSH_OK).buf,
+            Response::FlushOk => out.push(RE_FLUSH_OK),
             Response::RecoverOk { outcome } => {
-                let mut e = Enc::new(RE_RECOVER_OK);
+                let mut e = Enc::new(out, RE_RECOVER_OK);
                 e.str(outcome);
-                e.buf
             }
             Response::StatsOk(s) => {
-                let mut e = Enc::new(RE_STATS_OK);
+                let mut e = Enc::new(out, RE_STATS_OK);
                 encode_stats(&mut e, s);
-                e.buf
             }
-            Response::InjectOk => Enc::new(RE_INJECT_OK).buf,
+            Response::InjectOk => out.push(RE_INJECT_OK),
             Response::Err(err) => {
-                let mut e = Enc::new(RE_ERR);
+                let mut e = Enc::new(out, RE_ERR);
                 match err {
                     ServeError::BadFrame { detail } => {
                         e.u8(ERR_BAD_FRAME);
@@ -797,7 +804,6 @@ impl Response {
                         e.str(detail);
                     }
                 }
-                e.buf
             }
         }
     }
@@ -861,19 +867,47 @@ impl Response {
 // Frame transport
 // ---------------------------------------------------------------------
 
-/// Writes one frame (header + payload + checksum) to `w`.
+/// Builds one frame in `tx` — header reserved, payload appended by
+/// `fill`, length back-patched, checksum appended — and hands it to `w`
+/// whole, so a frame is one `write` (one TCP segment on a `TCP_NODELAY`
+/// socket, one wake-up of the peer). `tx` is cleared first and keeps its
+/// capacity: a connection owns one and reuses it for every frame.
+///
+/// # Errors
+///
+/// Propagates transport I/O failures; a payload that does not fit the
+/// `u32` length field is `InvalidInput`.
+pub fn send_frame(
+    w: &mut impl Write,
+    tx: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    tx.clear();
+    tx.extend_from_slice(&MAGIC.to_le_bytes());
+    tx.extend_from_slice(&[0u8; 4]);
+    fill(tx);
+    let len = u32::try_from(tx.len() - HEADER_BYTES).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "frame payload exceeds the u32 length field",
+        )
+    })?;
+    tx[4..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    let crc = fnv1a64(&tx[HEADER_BYTES..]);
+    tx.extend_from_slice(&crc.to_le_bytes());
+    w.write_all(tx)?;
+    w.flush()
+}
+
+/// Writes one frame (header + payload + checksum) to `w` in a single
+/// write.
 ///
 /// # Errors
 ///
 /// Propagates transport I/O failures.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let mut head = [0u8; HEADER_BYTES];
-    head[..4].copy_from_slice(&MAGIC.to_le_bytes());
-    head[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&head)?;
-    w.write_all(payload)?;
-    w.write_all(&fnv1a64(payload).to_le_bytes())?;
-    w.flush()
+    let mut tx = Vec::with_capacity(HEADER_BYTES + payload.len() + TRAILER_BYTES);
+    send_frame(w, &mut tx, |out| out.extend_from_slice(payload))
 }
 
 /// What [`read_frame`] observed on the stream.
@@ -892,49 +926,195 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// Reads exactly `buf.len()` bytes, tolerating read-timeout ticks up to
-/// `stall_budget` of *cumulative silence*, so a stalled peer surfaces as
-/// [`ProtoError::TimedOutMidFrame`] instead of a hang. `had_bytes` says
-/// whether the frame already started (affects Truncated vs Closed).
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stall_budget: Duration,
-    stop: &dyn Fn() -> bool,
-) -> Result<usize, ProtoError> {
-    let mut filled = 0usize;
-    let mut silent_since = Instant::now();
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(filled),
-            Ok(n) => {
-                filled += n;
-                silent_since = Instant::now();
-            }
-            Err(e) if is_timeout(&e) => {
-                if stop() {
-                    return Ok(filled);
-                }
-                if silent_since.elapsed() > stall_budget {
-                    return Err(ProtoError::TimedOutMidFrame);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
+/// Capacity a [`FrameReader`] starts at and returns to: covers a
+/// 32-line `WriteBatch` (2.3 KiB) several times over.
+const READ_BUF_FLOOR: usize = 16 << 10;
+
+/// The most a [`FrameReader`] grows beyond the bytes it has actually
+/// received, whatever length a header declares.
+const READ_BUF_STEP: usize = 64 << 10;
+
+/// A connection's receive side: one buffer that `read`s whatever has
+/// arrived, parses frames in place and hands each payload out as a
+/// borrowed slice. Bytes past the returned frame (a pipelined next
+/// request, or the front of one) stay buffered for the next call, so a
+/// frame that arrives whole costs one `read` and frames that arrive
+/// together cost one `read` between them.
+///
+/// The buffer is never sized from a length field alone: it starts at
+/// 16 KiB, grows toward a larger declared frame only once it is full of
+/// received bytes and then by at most 64 KiB at a time, and drops back to
+/// 16 KiB when the large frame has been consumed.
+pub struct FrameReader {
+    /// Fully initialised; `buf[start..end]` holds received, unconsumed
+    /// bytes and `buf[end..]` is where the next `read` lands.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        FrameReader::new()
+    }
+}
+
+impl FrameReader {
+    /// An empty reader at the floor capacity.
+    pub fn new() -> Self {
+        FrameReader::with_len(READ_BUF_FLOOR)
+    }
+
+    fn with_len(len: usize) -> Self {
+        FrameReader {
+            buf: vec![0u8; len],
+            start: 0,
+            end: 0,
         }
     }
-    Ok(filled)
+
+    /// Reads the next frame from `r`, whose `read` must time out
+    /// periodically (`WouldBlock` / `TimedOut` is the polling tick;
+    /// budgets are enforced here). `Ok(None)` is the clean end of
+    /// conversation: the peer closed, stayed silent past the idle
+    /// budget, or `stop` fired — each before the first byte of a frame.
+    ///
+    /// * `max_len` — maximum accepted payload length.
+    /// * `idle_budget` — how long the peer may be silent *before the first
+    ///   byte* of a frame.
+    /// * `stall_budget` — how long the peer may be silent *mid-frame*;
+    ///   exceeding it is the slowloris guard,
+    ///   [`ProtoError::TimedOutMidFrame`].
+    /// * `stop` — cooperative shutdown check polled on every tick.
+    ///
+    /// # Errors
+    ///
+    /// Every connection-layer fault maps to a typed [`ProtoError`]; the
+    /// connection is not usable afterwards.
+    pub fn next_frame(
+        &mut self,
+        r: &mut impl Read,
+        max_len: u32,
+        idle_budget: Duration,
+        stall_budget: Duration,
+        stop: &dyn Fn() -> bool,
+    ) -> Result<Option<&[u8]>, ProtoError> {
+        let frame = self.fill(r, max_len, idle_budget, stall_budget, stop)?;
+        Ok(frame.map(|payload| &self.buf[payload]))
+    }
+
+    /// [`FrameReader::next_frame`], returning the payload's range in `buf`
+    /// (already consumed) for the caller to borrow. Each `read` may take
+    /// everything the buffer has room for.
+    fn fill(
+        &mut self,
+        r: &mut impl Read,
+        max_len: u32,
+        idle_budget: Duration,
+        stall_budget: Duration,
+        stop: &dyn Fn() -> bool,
+    ) -> Result<Option<std::ops::Range<usize>>, ProtoError> {
+        self.reclaim();
+        // Last time the peer made progress; silence is measured from here.
+        let mut heard = Instant::now();
+        loop {
+            let have = self.end - self.start;
+            // Bytes the frame at `start` needs in all, as far as is known.
+            let mut need = HEADER_BYTES;
+            if have >= HEADER_BYTES {
+                let head = &self.buf[self.start..self.start + HEADER_BYTES];
+                let magic = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
+                if magic != MAGIC {
+                    return Err(ProtoError::BadMagic(magic));
+                }
+                let len = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
+                if len > max_len {
+                    return Err(ProtoError::Oversize { len, max: max_len });
+                }
+                need += len as usize + TRAILER_BYTES;
+                if have >= need {
+                    let payload = self.start + HEADER_BYTES..self.start + need - TRAILER_BYTES;
+                    let mut crc = [0u8; TRAILER_BYTES];
+                    crc.copy_from_slice(&self.buf[payload.end..self.start + need]);
+                    let got = u64::from_le_bytes(crc);
+                    let want = fnv1a64(&self.buf[payload.clone()]);
+                    if got != want {
+                        return Err(ProtoError::BadChecksum { got, want });
+                    }
+                    self.start += need;
+                    return Ok(Some(payload));
+                }
+            }
+            self.make_room(need);
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if have == 0 => return Ok(None),
+                Ok(0) => return Err(ProtoError::Truncated),
+                Ok(n) => {
+                    self.end += n;
+                    heard = Instant::now();
+                }
+                Err(e) if is_timeout(&e) => {
+                    if have == 0 {
+                        if stop() || heard.elapsed() > idle_budget {
+                            return Ok(None);
+                        }
+                    } else if stop() {
+                        return Err(ProtoError::Truncated);
+                    } else if heard.elapsed() > stall_budget {
+                        return Err(ProtoError::TimedOutMidFrame);
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ProtoError::Io(e)),
+            }
+        }
+    }
+
+    /// Between frames: rewinds an empty buffer, and gives back the memory
+    /// of an oversized frame once what is left fits the floor again.
+    fn reclaim(&mut self) {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        if self.buf.len() > READ_BUF_FLOOR && self.end - self.start <= READ_BUF_FLOOR {
+            self.compact();
+            self.buf.truncate(READ_BUF_FLOOR);
+            self.buf.shrink_to_fit();
+        }
+    }
+
+    fn compact(&mut self) {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+    }
+
+    /// Makes sure the next `read` has somewhere to land while the frame
+    /// at `start` still lacks bytes of its `need`.
+    fn make_room(&mut self, need: usize) {
+        if self.start > 0 && self.start + need > self.buf.len() {
+            self.compact();
+        }
+        if self.end == self.buf.len() {
+            // Full of bytes that really arrived, and the frame wants more:
+            // grow, but only a bounded step past what has been received
+            // and never past the frame (`read_frame` relies on that).
+            let target = need.min(self.end + READ_BUF_STEP);
+            self.buf.reserve_exact(target - self.buf.len());
+            self.buf.resize(target, 0);
+        }
+    }
 }
 
 /// Reads one frame from `stream`, which must have a read timeout set
-/// (the timeout is the polling tick; budgets are enforced here).
-///
-/// * `max_len` — maximum accepted payload length.
-/// * `idle_budget` — how long the peer may be silent *before the first
-///   byte* of a frame; exceeding it returns [`FrameEvent::Closed`].
-/// * `stall_budget` — how long the peer may be silent *mid-frame*;
-///   exceeding it is the slowloris guard, [`ProtoError::TimedOutMidFrame`].
-/// * `stop` — cooperative shutdown check polled on every tick.
+/// (the timeout is the polling tick; budgets are enforced here). The
+/// budgets, `stop` and the typed faults are those of
+/// [`FrameReader::next_frame`], whose parser this runs. It owns nothing
+/// to carry bytes over in, so it must not take a byte past the frame it
+/// returns: its buffer starts at the header's size and grows only to the
+/// frame's, which makes header and body two reads, and the payload is
+/// copied out.
 ///
 /// # Errors
 ///
@@ -946,156 +1126,226 @@ pub fn read_frame(
     stall_budget: Duration,
     stop: &dyn Fn() -> bool,
 ) -> Result<FrameEvent, ProtoError> {
-    // Phase 1: wait for the first header byte within the idle budget.
-    let mut head = [0u8; HEADER_BYTES];
-    let idle_since = Instant::now();
-    let mut got = 0usize;
-    while got == 0 {
-        match stream.read(&mut head) {
-            Ok(0) => return Ok(FrameEvent::Closed),
-            Ok(n) => got = n,
-            Err(e) if is_timeout(&e) => {
-                if stop() || idle_since.elapsed() > idle_budget {
-                    return Ok(FrameEvent::Closed);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    }
-    // Phase 2: the frame has started; everything else is on the clock.
-    let n = read_full(stream, &mut head[got..], stall_budget, stop)?;
-    if got + n < HEADER_BYTES {
-        return Err(ProtoError::Truncated);
-    }
-    let magic = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-    if magic != MAGIC {
-        return Err(ProtoError::BadMagic(magic));
-    }
-    let len = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-    if len > max_len {
-        return Err(ProtoError::Oversize { len, max: max_len });
-    }
-    let mut body = vec![0u8; len as usize + TRAILER_BYTES];
-    let n = read_full(stream, &mut body, stall_budget, stop)?;
-    if n < body.len() {
-        return Err(ProtoError::Truncated);
-    }
-    let payload = body[..len as usize].to_vec();
-    let got_crc = u64::from_le_bytes(
-        body[len as usize..]
-            .try_into()
-            .map_err(|_| ProtoError::Truncated)?,
-    );
-    let want_crc = fnv1a64(&payload);
-    if got_crc != want_crc {
-        return Err(ProtoError::BadChecksum {
-            got: got_crc,
-            want: want_crc,
-        });
-    }
-    Ok(FrameEvent::Payload(payload))
+    read_frame_from(stream, max_len, idle_budget, stall_budget, stop)
+}
+
+fn read_frame_from(
+    r: &mut impl Read,
+    max_len: u32,
+    idle_budget: Duration,
+    stall_budget: Duration,
+    stop: &dyn Fn() -> bool,
+) -> Result<FrameEvent, ProtoError> {
+    let mut reader = FrameReader::with_len(HEADER_BYTES);
+    let frame = reader.next_frame(r, max_len, idle_budget, stall_budget, stop)?;
+    Ok(match frame {
+        Some(payload) => FrameEvent::Payload(payload.to_vec()),
+        None => FrameEvent::Closed,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip_req(req: Request) {
+    /// `golden` is the payload's wire bytes, part by part, written out
+    /// by hand from the PR 7 format: the encoder may not drift from it.
+    fn roundtrip_req(req: Request, golden: &[&[u8]]) {
         let enc = req.encode();
+        assert_eq!(enc, golden.concat(), "wire bytes of {req:?}");
+        let mut appended = vec![0xEE];
+        req.encode_into(&mut appended);
+        assert_eq!(appended[1..], enc[..], "encode_into appends");
         let dec = Request::decode(&enc).expect("decode");
         assert_eq!(req, dec);
     }
 
-    fn roundtrip_resp(resp: Response) {
+    fn roundtrip_resp(resp: Response, golden: &[&[u8]]) {
         let enc = resp.encode();
+        assert_eq!(enc, golden.concat(), "wire bytes of {resp:?}");
+        let mut appended = vec![0xEE];
+        resp.encode_into(&mut appended);
+        assert_eq!(appended[1..], enc[..], "encode_into appends");
         let dec = Response::decode(&enc).expect("decode");
         assert_eq!(resp, dec);
     }
 
     #[test]
     fn requests_roundtrip() {
-        roundtrip_req(Request::Hello {
-            version: PROTO_VERSION,
-            tenant: "tenant-0".into(),
-            token: token_hash("hunter2"),
-        });
-        roundtrip_req(Request::Read {
-            addr: 7,
-            deadline_ms: 25,
-        });
-        roundtrip_req(Request::Write {
-            addr: 9,
-            deadline_ms: 0,
-            data: [0xAB; 64],
-        });
-        roundtrip_req(Request::WriteBatch {
-            deadline_ms: 5,
-            items: vec![(1, [1; 64]), (2, [2; 64]), (3, [3; 64])],
-        });
-        roundtrip_req(Request::Flush);
-        roundtrip_req(Request::Recover);
-        roundtrip_req(Request::Stats);
-        roundtrip_req(Request::Inject(Inject::CorruptLine { addr: 3, bit: 77 }));
-        roundtrip_req(Request::Inject(Inject::TransientFaults { count: 2 }));
-        roundtrip_req(Request::Inject(Inject::Stall { ms: 50 }));
-        roundtrip_req(Request::Inject(Inject::RecoveryStall { ms: 120 }));
+        roundtrip_req(
+            Request::Hello {
+                version: PROTO_VERSION,
+                tenant: "tenant-0".into(),
+                token: token_hash("hunter2"),
+            },
+            &[
+                &[0x01],
+                &1u32.to_le_bytes(),
+                &8u32.to_le_bytes(),
+                b"tenant-0",
+                &token_hash("hunter2").to_le_bytes(),
+            ],
+        );
+        roundtrip_req(
+            Request::Read {
+                addr: 7,
+                deadline_ms: 25,
+            },
+            &[&[0x02, 7, 0, 0, 0, 0, 0, 0, 0, 25, 0, 0, 0]],
+        );
+        roundtrip_req(
+            Request::Write {
+                addr: 9,
+                deadline_ms: 0,
+                data: [0xAB; 64],
+            },
+            &[
+                &[0x03],
+                &9u64.to_le_bytes(),
+                &0u32.to_le_bytes(),
+                &[0xAB; 64],
+            ],
+        );
+        roundtrip_req(
+            Request::WriteBatch {
+                deadline_ms: 5,
+                items: vec![(1, [1; 64]), (2, [2; 64]), (3, [3; 64])],
+            },
+            &[
+                &[0x04],
+                &5u32.to_le_bytes(),
+                &3u32.to_le_bytes(),
+                &1u64.to_le_bytes(),
+                &[1; 64],
+                &2u64.to_le_bytes(),
+                &[2; 64],
+                &3u64.to_le_bytes(),
+                &[3; 64],
+            ],
+        );
+        roundtrip_req(Request::Flush, &[&[0x05]]);
+        roundtrip_req(Request::Recover, &[&[0x06]]);
+        roundtrip_req(Request::Stats, &[&[0x07]]);
+        roundtrip_req(
+            Request::Inject(Inject::CorruptLine { addr: 3, bit: 77 }),
+            &[&[0x08, 1], &3u64.to_le_bytes(), &77u32.to_le_bytes()],
+        );
+        roundtrip_req(
+            Request::Inject(Inject::TransientFaults { count: 2 }),
+            &[&[0x08, 2], &2u32.to_le_bytes()],
+        );
+        roundtrip_req(
+            Request::Inject(Inject::Stall { ms: 50 }),
+            &[&[0x08, 3], &50u32.to_le_bytes()],
+        );
+        roundtrip_req(
+            Request::Inject(Inject::RecoveryStall { ms: 120 }),
+            &[&[0x08, 4], &120u32.to_le_bytes()],
+        );
     }
 
     #[test]
     fn responses_roundtrip() {
-        roundtrip_resp(Response::HelloOk {
-            session: 42,
-            mode: ServeMode::Full,
-        });
-        roundtrip_resp(Response::ReadOk {
-            data: [9; 64],
-            mode: ServeMode::ReadOnly,
-        });
-        roundtrip_resp(Response::WriteOk);
-        roundtrip_resp(Response::BatchOk { written: 17 });
-        roundtrip_resp(Response::FlushOk);
-        roundtrip_resp(Response::RecoverOk {
-            outcome: "recovered".into(),
-        });
-        roundtrip_resp(Response::StatsOk(TenantStats {
-            mode: 1,
-            inflight: 2,
-            reads_total: 3,
-            writes_acked_total: 4,
-            rejected_overload: 5,
-            rejected_circuit: 6,
-            rejected_deadline: 7,
-            degraded_writes: 8,
-            degraded_reads: 9,
-            recoveries: 10,
-            retries_total: 11,
-            breaker_trips: 12,
-            quarantined_blocks: 13,
-            last_outcome: "degraded (repaired 1, rebuilt 2)".into(),
-        }));
-        roundtrip_resp(Response::InjectOk);
-        for err in [
-            ServeError::BadFrame { detail: "x".into() },
-            ServeError::AuthFailed,
-            ServeError::BadRequest { detail: "y".into() },
-            ServeError::DeadlineExceeded { budget_ms: 5 },
-            ServeError::Overloaded { retry_after_ms: 9 },
-            ServeError::CircuitOpen { retry_after_ms: 11 },
-            ServeError::Degraded {
+        roundtrip_resp(
+            Response::HelloOk {
+                session: 42,
+                mode: ServeMode::Full,
+            },
+            &[&[0x81], &42u64.to_le_bytes(), &[0]],
+        );
+        roundtrip_resp(
+            Response::ReadOk {
+                data: [9; 64],
                 mode: ServeMode::ReadOnly,
             },
-            ServeError::Integrity {
-                detail: "node".into(),
+            &[&[0x82], &[9; 64], &[1]],
+        );
+        roundtrip_resp(Response::WriteOk, &[&[0x83]]);
+        roundtrip_resp(
+            Response::BatchOk { written: 17 },
+            &[&[0x84], &17u32.to_le_bytes()],
+        );
+        roundtrip_resp(Response::FlushOk, &[&[0x85]]);
+        roundtrip_resp(
+            Response::RecoverOk {
+                outcome: "recovered".into(),
             },
-            ServeError::Unavailable {
-                detail: "gone".into(),
-            },
-            ServeError::Internal {
-                detail: "bug".into(),
-            },
+            &[&[0x86], &9u32.to_le_bytes(), b"recovered"],
+        );
+        let outcome = "degraded (repaired 1, rebuilt 2)";
+        let mut stats = vec![0x87, 1];
+        for counter in 2..=13u64 {
+            stats.extend_from_slice(&counter.to_le_bytes());
+        }
+        roundtrip_resp(
+            Response::StatsOk(TenantStats {
+                mode: 1,
+                inflight: 2,
+                reads_total: 3,
+                writes_acked_total: 4,
+                rejected_overload: 5,
+                rejected_circuit: 6,
+                rejected_deadline: 7,
+                degraded_writes: 8,
+                degraded_reads: 9,
+                recoveries: 10,
+                retries_total: 11,
+                breaker_trips: 12,
+                quarantined_blocks: 13,
+                last_outcome: outcome.into(),
+            }),
+            &[
+                &stats,
+                &(outcome.len() as u32).to_le_bytes(),
+                outcome.as_bytes(),
+            ],
+        );
+        roundtrip_resp(Response::InjectOk, &[&[0x88]]);
+        let text = |code: u8, s: &str| {
+            [
+                &[0xE0, code][..],
+                &(s.len() as u32).to_le_bytes(),
+                s.as_bytes(),
+            ]
+            .concat()
+        };
+        let number = |code: u8, v: u32| [&[0xE0, code][..], &v.to_le_bytes()].concat();
+        for (err, golden) in [
+            (ServeError::BadFrame { detail: "x".into() }, text(1, "x")),
+            (ServeError::AuthFailed, vec![0xE0, 2]),
+            (ServeError::BadRequest { detail: "y".into() }, text(3, "y")),
+            (ServeError::DeadlineExceeded { budget_ms: 5 }, number(4, 5)),
+            (ServeError::Overloaded { retry_after_ms: 9 }, number(5, 9)),
+            (
+                ServeError::CircuitOpen { retry_after_ms: 11 },
+                number(6, 11),
+            ),
+            (
+                ServeError::Degraded {
+                    mode: ServeMode::ReadOnly,
+                },
+                vec![0xE0, 7, 1],
+            ),
+            (
+                ServeError::Integrity {
+                    detail: "node".into(),
+                },
+                text(8, "node"),
+            ),
+            (
+                ServeError::Unavailable {
+                    detail: "gone".into(),
+                },
+                text(9, "gone"),
+            ),
+            (
+                ServeError::Internal {
+                    detail: "bug".into(),
+                },
+                text(10, "bug"),
+            ),
         ] {
-            roundtrip_resp(Response::Err(err));
+            roundtrip_resp(Response::Err(err), &[&golden]);
         }
     }
 
@@ -1149,5 +1399,469 @@ mod tests {
             .kind(),
             "degraded"
         );
+    }
+    // -----------------------------------------------------------------
+    // Frame layer, against counting `Read` / `Write` doubles
+    // -----------------------------------------------------------------
+
+    use anubis_nvm::SplitMix64;
+    use std::collections::VecDeque;
+
+    const MAX: u32 = 1 << 20;
+    const LONG: Duration = Duration::from_secs(5);
+    const SHORT: Duration = Duration::from_millis(4);
+
+    /// A `Write` that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What one `read` call on a [`Script`] does.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// Delivers up to this many of the stream's next bytes (fewer if
+        /// the caller's buffer is smaller: the rest stays queued, as in a
+        /// socket).
+        Bytes(usize),
+        /// One read-timeout tick.
+        Tick,
+        /// Read-timeout ticks for ever.
+        Silence,
+    }
+
+    /// A scripted peer: a byte stream and the pieces it arrives in, with
+    /// every `read` counted. The end of the plan is end-of-stream.
+    struct Script {
+        stream: Vec<u8>,
+        taken: usize,
+        plan: VecDeque<Step>,
+        reads: usize,
+    }
+
+    impl Script {
+        fn new(stream: &[u8], plan: &[Step]) -> Self {
+            Script {
+                stream: stream.to_vec(),
+                taken: 0,
+                plan: plan.iter().copied().collect(),
+                reads: 0,
+            }
+        }
+
+        /// The whole stream, `chunk` bytes per `read`, then end-of-stream.
+        fn chunked(stream: &[u8], mut chunk: impl FnMut() -> usize) -> Self {
+            let mut plan = Vec::new();
+            let mut planned = 0;
+            while planned < stream.len() {
+                let n = chunk().clamp(1, stream.len() - planned);
+                plan.push(Step::Bytes(n));
+                planned += n;
+            }
+            Script::new(stream, &plan)
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            assert!(!buf.is_empty(), "a read must have somewhere to land");
+            self.reads += 1;
+            let tick = || {
+                // A socket blocks for its read timeout before saying so.
+                std::thread::sleep(Duration::from_millis(1));
+                Err(std::io::ErrorKind::WouldBlock.into())
+            };
+            match self.plan.front_mut() {
+                None => Ok(0),
+                Some(Step::Silence) => tick(),
+                Some(Step::Tick) => {
+                    self.plan.pop_front();
+                    tick()
+                }
+                Some(Step::Bytes(left)) => {
+                    let n = (*left).min(buf.len());
+                    buf[..n].copy_from_slice(&self.stream[self.taken..self.taken + n]);
+                    self.taken += n;
+                    *left -= n;
+                    if *left == 0 {
+                        self.plan.pop_front();
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn frame_of(payload: &[u8]) -> Vec<u8> {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, payload).expect("write to a Vec");
+        w.bytes
+    }
+
+    fn batch32() -> Request {
+        Request::WriteBatch {
+            deadline_ms: 0,
+            items: (0..32).map(|i| (i, [i as u8; 64])).collect(),
+        }
+    }
+
+    /// One receive through the connection-owned reader.
+    fn recv(
+        reader: &mut FrameReader,
+        script: &mut Script,
+        idle: Duration,
+        stall: Duration,
+        stop: &dyn Fn() -> bool,
+    ) -> Result<Option<Vec<u8>>, ProtoError> {
+        let frame = reader.next_frame(script, MAX, idle, stall, stop)?;
+        Ok(frame.map(<[u8]>::to_vec))
+    }
+
+    /// One receive through the free function's body.
+    fn recv_free(
+        script: &mut Script,
+        idle: Duration,
+        stall: Duration,
+        stop: &dyn Fn() -> bool,
+    ) -> Result<Option<Vec<u8>>, ProtoError> {
+        Ok(match read_frame_from(script, MAX, idle, stall, stop)? {
+            FrameEvent::Payload(p) => Some(p),
+            FrameEvent::Closed => None,
+        })
+    }
+
+    /// Runs the first receive of `stream`/`plan` through both entry points
+    /// of the parser and hands each outcome, with the script, to `check`.
+    fn first_recv_both_ways(
+        stream: &[u8],
+        plan: &[Step],
+        (idle, stall): (Duration, Duration),
+        stop: &dyn Fn() -> bool,
+        check: impl Fn(Result<Option<Vec<u8>>, ProtoError>, &Script),
+    ) {
+        let mut script = Script::new(stream, plan);
+        let got = recv(&mut FrameReader::new(), &mut script, idle, stall, stop);
+        check(got, &script);
+        let mut script = Script::new(stream, plan);
+        let got = recv_free(&mut script, idle, stall, stop);
+        check(got, &script);
+    }
+
+    #[test]
+    fn a_frame_sent_is_one_write() {
+        for req in [
+            Request::Read {
+                addr: 7,
+                deadline_ms: 0,
+            },
+            batch32(),
+        ] {
+            let payload = req.encode();
+            let want = [
+                &MAGIC.to_le_bytes()[..],
+                &(payload.len() as u32).to_le_bytes(),
+                &payload,
+                &fnv1a64(&payload).to_le_bytes(),
+            ]
+            .concat();
+
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).expect("write_frame");
+            assert_eq!((w.writes, &w.bytes), (1, &want), "write_frame of {req:?}");
+
+            // The served path: encoded straight into a reused `tx`, which
+            // still holds the previous frame.
+            let mut w = CountingWriter::default();
+            let mut tx = frame_of(b"the frame before");
+            send_frame(&mut w, &mut tx, |out| req.encode_into(out)).expect("send_frame");
+            assert_eq!((w.writes, &w.bytes), (1, &want), "tx path of {req:?}");
+        }
+    }
+
+    #[test]
+    fn a_frame_that_arrives_whole_is_one_read() {
+        for payload in [Request::Stats.encode(), batch32().encode(), Vec::new()] {
+            let frame = frame_of(&payload);
+            let mut script = Script::new(&frame, &[Step::Bytes(frame.len()), Step::Silence]);
+            let got = recv(&mut FrameReader::new(), &mut script, LONG, LONG, &|| false);
+            assert_eq!(got.expect("frame"), Some(payload));
+            assert_eq!(script.reads, 1);
+        }
+    }
+
+    #[test]
+    fn frames_that_arrive_together_are_served_in_order_without_reading_again() {
+        let payloads: Vec<Vec<u8>> = (0..3u64)
+            .map(|addr| {
+                Request::Read {
+                    addr,
+                    deadline_ms: 0,
+                }
+                .encode()
+            })
+            .collect();
+        for together in [2, 3] {
+            let stream: Vec<u8> = payloads[..together]
+                .iter()
+                .flat_map(|p| frame_of(p))
+                .collect();
+            let mut script = Script::new(&stream, &[Step::Bytes(stream.len()), Step::Silence]);
+            let mut reader = FrameReader::new();
+            for payload in &payloads[..together] {
+                let got = recv(&mut reader, &mut script, LONG, LONG, &|| false);
+                assert_eq!(got.expect("frame").as_ref(), Some(payload));
+                assert_eq!(script.reads, 1, "{together} frames, one segment");
+            }
+        }
+
+        // A frame and the front half of the next: the half is carried over
+        // and completed by the next call's one read.
+        let (first, second) = (frame_of(&payloads[0]), frame_of(&batch32().encode()));
+        let stream = [&first[..], &second[..]].concat();
+        let cut = first.len() + second.len() / 2;
+        let plan = [
+            Step::Bytes(cut),
+            Step::Bytes(stream.len() - cut),
+            Step::Silence,
+        ];
+        let mut script = Script::new(&stream, &plan);
+        let mut reader = FrameReader::new();
+        let got = recv(&mut reader, &mut script, LONG, LONG, &|| false);
+        assert_eq!(got.expect("first").as_ref(), Some(&payloads[0]));
+        assert_eq!(script.reads, 1);
+        let got = recv(&mut reader, &mut script, LONG, LONG, &|| false);
+        assert_eq!(got.expect("second"), Some(batch32().encode()));
+        assert_eq!(script.reads, 2);
+    }
+
+    #[test]
+    fn any_chunking_yields_exactly_the_payloads_sent() {
+        for seed in 0..1_000u64 {
+            let mut rng = SplitMix64::new(0xF4A3_0000 + seed);
+            let payloads: Vec<Vec<u8>> = (0..rng.gen_range(1..5))
+                .map(|_| {
+                    let len = match rng.gen_range(0..10) {
+                        0 => rng.gen_range(0..70_001),
+                        1..=3 => rng.gen_range(0..5_000),
+                        _ => rng.gen_range(0..200),
+                    };
+                    (0..len).map(|_| rng.next_u64() as u8).collect()
+                })
+                .collect();
+            let stream: Vec<u8> = payloads.iter().flat_map(|p| frame_of(p)).collect();
+            // Byte at a time, or pieces from a few bytes to several frames.
+            let widest = [1, 7, 300, 20_000, 200_000][(seed % 5) as usize];
+            let mut chunks = SplitMix64::new(seed);
+            let mut chunk = || chunks.gen_range(0..widest) as usize + 1;
+
+            let mut script = Script::chunked(&stream, &mut chunk);
+            let mut reader = FrameReader::new();
+            for payload in &payloads {
+                let got = recv(&mut reader, &mut script, LONG, LONG, &|| false);
+                assert_eq!(got.expect("frame").as_ref(), Some(payload), "seed {seed}");
+            }
+            let end = recv(&mut reader, &mut script, LONG, LONG, &|| false);
+            assert_eq!(end.expect("clean end"), None, "seed {seed}");
+            assert_eq!(script.taken, stream.len());
+
+            // The free function, call after call on the same stream, stops
+            // at each frame's last byte.
+            let mut script = Script::chunked(&stream, &mut chunk);
+            let mut frames_end = 0;
+            for payload in &payloads {
+                let got = recv_free(&mut script, LONG, LONG, &|| false);
+                assert_eq!(got.expect("frame").as_ref(), Some(payload), "seed {seed}");
+                frames_end += HEADER_BYTES + payload.len() + TRAILER_BYTES;
+                assert_eq!(script.taken, frames_end, "seed {seed}: read past the frame");
+            }
+            let end = recv_free(&mut script, LONG, LONG, &|| false);
+            assert_eq!(end.expect("clean end"), None, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_bad_header_is_rejected_before_any_payload_is_awaited() {
+        let mut bad_magic = frame_of(&batch32().encode());
+        bad_magic[0] ^= 0x40;
+        let mut oversize = MAGIC.to_le_bytes().to_vec();
+        oversize.extend_from_slice(&(MAX + 1).to_le_bytes());
+        // Only the header ever arrives; a reader that waited for the body
+        // would run into the silence and report a stall instead.
+        let plan = [Step::Bytes(HEADER_BYTES), Step::Silence];
+        first_recv_both_ways(
+            &bad_magic,
+            &plan,
+            (LONG, SHORT),
+            &|| false,
+            |got, script| {
+                assert!(matches!(got, Err(ProtoError::BadMagic(m)) if m == MAGIC ^ 0x40));
+                assert_eq!(script.reads, 1);
+            },
+        );
+        first_recv_both_ways(&oversize, &plan, (LONG, SHORT), &|| false, |got, script| {
+            assert!(matches!(
+                got,
+                Err(ProtoError::Oversize { len, max }) if len == MAX + 1 && max == MAX
+            ));
+            assert_eq!(script.reads, 1);
+        });
+    }
+
+    #[test]
+    fn a_flipped_bit_anywhere_behind_the_header_is_a_bad_checksum() {
+        let frame = frame_of(&Request::Stats.encode());
+        for byte in HEADER_BYTES..frame.len() {
+            let mut bent = frame.clone();
+            bent[byte] ^= 0x10;
+            let plan = [Step::Bytes(bent.len()), Step::Silence];
+            first_recv_both_ways(&bent, &plan, (LONG, LONG), &|| false, |got, _| {
+                assert!(
+                    matches!(got, Err(ProtoError::BadChecksum { .. })),
+                    "flip in byte {byte}"
+                );
+            });
+        }
+    }
+
+    #[test]
+    fn end_of_stream_is_closed_before_a_frame_and_truncated_inside_one() {
+        let frame = frame_of(
+            &Request::Read {
+                addr: 1,
+                deadline_ms: 2,
+            }
+            .encode(),
+        );
+        for cut in 0..frame.len() {
+            let plan = if cut == 0 {
+                vec![]
+            } else {
+                vec![Step::Bytes(cut)]
+            };
+            first_recv_both_ways(
+                &frame[..cut],
+                &plan,
+                (LONG, LONG),
+                &|| false,
+                |got, _| match cut {
+                    0 => assert!(matches!(got, Ok(None))),
+                    _ => assert!(matches!(got, Err(ProtoError::Truncated)), "cut {cut}"),
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn silence_is_charged_to_the_idle_budget_before_a_frame_and_the_stall_budget_inside_one() {
+        let payload = Request::Stats.encode();
+        let frame = frame_of(&payload);
+        let quiet = |got: Result<Option<Vec<u8>>, ProtoError>, _: &Script| {
+            assert!(matches!(got, Ok(None)), "idle budget spent: a clean close");
+        };
+        first_recv_both_ways(&frame, &[Step::Silence], (SHORT, LONG), &|| false, quiet);
+        for started in [1, HEADER_BYTES, frame.len() - 1] {
+            let plan = [Step::Bytes(started), Step::Silence];
+            first_recv_both_ways(&frame, &plan, (LONG, SHORT), &|| false, |got, _| {
+                assert!(
+                    matches!(got, Err(ProtoError::TimedOutMidFrame)),
+                    "stalled {started} bytes in"
+                );
+            });
+        }
+        // Neither budget is charged for the other phase's silence, and the
+        // stall budget is of silence, not of the frame's total time.
+        let ticks = [Step::Tick; 8];
+        let slow = [
+            &ticks[..],
+            &[Step::Bytes(3)],
+            &ticks[..3],
+            &[Step::Bytes(frame.len() - 3)],
+        ]
+        .concat();
+        first_recv_both_ways(&frame, &slow, (LONG, SHORT), &|| false, |got, _| {
+            assert_eq!(got.expect("frame").as_ref(), Some(&payload));
+        });
+        let slower = [
+            &[Step::Bytes(3)][..],
+            &ticks[..],
+            &[Step::Bytes(frame.len() - 3)],
+        ]
+        .concat();
+        first_recv_both_ways(&frame, &slower, (SHORT, LONG), &|| false, |got, _| {
+            assert_eq!(got.expect("frame").as_ref(), Some(&payload));
+        });
+    }
+
+    #[test]
+    fn stop_is_honoured_on_the_first_tick_of_either_phase() {
+        let frame = frame_of(&Request::Stats.encode());
+        first_recv_both_ways(
+            &frame,
+            &[Step::Silence],
+            (LONG, LONG),
+            &|| true,
+            |got, script| {
+                assert!(matches!(got, Ok(None)));
+                assert_eq!(script.reads, 1);
+            },
+        );
+        let plan = [Step::Bytes(5), Step::Silence];
+        first_recv_both_ways(&frame, &plan, (LONG, LONG), &|| true, |got, script| {
+            assert!(matches!(got, Err(ProtoError::Truncated)));
+            assert_eq!(script.reads, 2);
+        });
+    }
+
+    #[test]
+    fn the_receive_buffer_follows_received_bytes_not_the_length_field() {
+        let mut stream = MAGIC.to_le_bytes().to_vec();
+        stream.extend_from_slice(&MAX.to_le_bytes());
+        stream.resize(HEADER_BYTES + 20_000, 0x5A);
+
+        // Eight bytes that promise a MiB, then nothing.
+        let mut reader = FrameReader::new();
+        let mut script = Script::new(&stream, &[Step::Bytes(HEADER_BYTES), Step::Silence]);
+        let got = recv(&mut reader, &mut script, LONG, SHORT, &|| false);
+        assert!(matches!(got, Err(ProtoError::TimedOutMidFrame)));
+        assert!(reader.buf.capacity() <= READ_BUF_FLOOR + READ_BUF_STEP);
+        assert_eq!(
+            reader.buf.capacity(),
+            READ_BUF_FLOOR,
+            "nothing arrived to grow for"
+        );
+
+        // The same promise with 20 000 bytes behind it: one step, no more.
+        let mut reader = FrameReader::new();
+        let mut script = Script::new(&stream, &[Step::Bytes(stream.len()), Step::Silence]);
+        let got = recv(&mut reader, &mut script, LONG, SHORT, &|| false);
+        assert!(matches!(got, Err(ProtoError::TimedOutMidFrame)));
+        assert_eq!(script.taken, stream.len());
+        assert!(reader.buf.capacity() <= stream.len() + READ_BUF_STEP);
+
+        // A frame larger than the floor is served, and the memory it
+        // needed is given back before the next one.
+        let big = vec![0xC3; 70_000];
+        let small = Request::Stats.encode();
+        let stream = [frame_of(&big), frame_of(&small)].concat();
+        let mut reader = FrameReader::new();
+        let mut script = Script::chunked(&stream, || 9_000);
+        let got = recv(&mut reader, &mut script, LONG, LONG, &|| false);
+        assert_eq!(got.expect("big frame"), Some(big));
+        assert!(reader.buf.capacity() > READ_BUF_FLOOR);
+        let got = recv(&mut reader, &mut script, LONG, LONG, &|| false);
+        assert_eq!(got.expect("small frame"), Some(small));
+        assert_eq!(reader.buf.capacity(), READ_BUF_FLOOR);
     }
 }

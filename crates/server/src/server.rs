@@ -4,7 +4,10 @@
 //! Every connection must open with [`Request::Hello`]; anything else is
 //! answered with a typed rejection and the connection is closed. After a
 //! successful handshake the connection serves one request per frame,
-//! strictly in order. Connection-layer faults (bad magic, bad checksum,
+//! strictly in order — including requests a client pipelines into one
+//! segment, which wait in the connection's [`FrameReader`] — and each
+//! reply is built in the connection's `tx` buffer and leaves in one
+//! `write`. Connection-layer faults (bad magic, bad checksum,
 //! truncation, slowloris stalls) are answered with
 //! [`ServeError::BadFrame`] where the transport still permits, and the
 //! connection is dropped — never a hang, never a panic.
@@ -21,7 +24,7 @@ use anubis_telemetry::Telemetry;
 
 use crate::config::{ConfigError, ServeConfig};
 use crate::protocol::{
-    read_frame, write_frame, FrameEvent, ProtoError, Request, Response, ServeError, PROTO_VERSION,
+    send_frame, FrameReader, ProtoError, Request, Response, ServeError, PROTO_VERSION,
 };
 use crate::tenant::{Tenant, ThreadReg};
 
@@ -141,6 +144,16 @@ impl Server {
         self.local_addr
     }
 
+    /// Connection threads the server still tracks: the live ones, plus
+    /// any that finished since the last accept.
+    #[doc(hidden)]
+    pub fn tracked_connections(&self) -> usize {
+        self.conn_threads
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .len()
+    }
+
     /// The tenant registry (for in-process tests and health checks).
     pub fn tenant(&self, name: &str) -> Option<Arc<Tenant>> {
         self.shared.tenants.get(name).cloned()
@@ -213,10 +226,13 @@ fn accept_loop(
                 let handle = std::thread::spawn(move || {
                     serve_connection(stream, &conn_shared);
                 });
-                match conns.lock() {
-                    Ok(mut v) => v.push(handle),
-                    Err(p) => p.into_inner().push(handle),
-                }
+                // Keep only handles `stop_and_join` still has to wait for,
+                // or a client that reconnects leaks one per connection.
+                let mut live = conns
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                live.retain(|h| !h.is_finished());
+                live.push(handle);
             }
             // Out of descriptors, or the peer gave up while queued: back
             // off rather than spin.
@@ -225,13 +241,23 @@ fn accept_loop(
     }
 }
 
-/// Best-effort response write; a peer that vanished mid-response is not
-/// an error worth keeping the connection for.
-fn send(stream: &mut TcpStream, resp: &Response) -> bool {
-    write_frame(stream, &resp.encode()).is_ok()
+/// One accepted connection: the socket, the buffer request frames are
+/// parsed in, and the buffer every reply frame is built in.
+struct Conn {
+    stream: TcpStream,
+    rx: FrameReader,
+    tx: Vec<u8>,
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+impl Conn {
+    /// Best-effort response write; a peer that vanished mid-response is
+    /// not an error worth keeping the connection for.
+    fn send(&mut self, resp: &Response) -> bool {
+        send_frame(&mut self.stream, &mut self.tx, |out| resp.encode_into(out)).is_ok()
+    }
+}
+
+fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     if stream.set_read_timeout(Some(TICK)).is_err() {
         return;
     }
@@ -240,64 +266,63 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let idle = Duration::from_millis(u64::from(cfg.idle_ms));
     let stall = Duration::from_millis(u64::from(cfg.stall_ms));
     let stop = || shared.stop.load(Ordering::SeqCst);
+    let mut conn = Conn {
+        stream,
+        rx: FrameReader::new(),
+        tx: Vec::new(),
+    };
 
     // Handshake: the first frame must be a valid, authenticated Hello.
-    let tenant = match read_frame(&mut stream, cfg.max_frame_bytes, idle, stall, &stop) {
-        Ok(FrameEvent::Closed) => return,
-        Ok(FrameEvent::Payload(payload)) => match Request::decode(&payload) {
+    let hello = conn
+        .rx
+        .next_frame(&mut conn.stream, cfg.max_frame_bytes, idle, stall, &stop);
+    let tenant = match hello {
+        Ok(None) => return,
+        Ok(Some(payload)) => match Request::decode(payload) {
             Ok(Request::Hello {
                 version,
                 tenant,
                 token,
             }) => {
                 if version != PROTO_VERSION {
-                    send(
-                        &mut stream,
-                        &Response::Err(ServeError::BadRequest {
-                            detail: format!(
-                                "protocol version {version} unsupported (want {PROTO_VERSION})"
-                            ),
-                        }),
-                    );
+                    conn.send(&Response::Err(ServeError::BadRequest {
+                        detail: format!(
+                            "protocol version {version} unsupported (want {PROTO_VERSION})"
+                        ),
+                    }));
                     return;
                 }
                 match shared.tenants.get(&tenant) {
                     Some(t) if t.authenticate(token) => Arc::clone(t),
                     _ => {
                         shared.tel.incr("serve_rejects_total", "auth_failed", 1);
-                        send(&mut stream, &Response::Err(ServeError::AuthFailed));
+                        conn.send(&Response::Err(ServeError::AuthFailed));
                         return;
                     }
                 }
             }
             Ok(_) => {
-                send(
-                    &mut stream,
-                    &Response::Err(ServeError::BadRequest {
-                        detail: "first frame must be Hello".to_string(),
-                    }),
-                );
+                conn.send(&Response::Err(ServeError::BadRequest {
+                    detail: "first frame must be Hello".to_string(),
+                }));
                 return;
             }
             Err(e) => {
-                reject_frame(&mut stream, shared, &e);
+                reject_frame(&mut conn, shared, &e);
                 return;
             }
         },
         Err(e) => {
-            reject_frame(&mut stream, shared, &e);
+            reject_frame(&mut conn, shared, &e);
             return;
         }
     };
 
     let session = shared.sessions.fetch_add(1, Ordering::Relaxed);
-    if !send(
-        &mut stream,
-        &Response::HelloOk {
-            session,
-            mode: tenant.mode(),
-        },
-    ) {
+    if !conn.send(&Response::HelloOk {
+        session,
+        mode: tenant.mode(),
+    }) {
         return;
     }
 
@@ -305,23 +330,26 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     // looked at between requests as well as on idle ticks, so a client
     // that never pauses cannot hold a shutdown up.
     while !stop() {
-        match read_frame(&mut stream, cfg.max_frame_bytes, idle, stall, &stop) {
-            Ok(FrameEvent::Closed) => return,
-            Ok(FrameEvent::Payload(payload)) => {
+        let request = conn
+            .rx
+            .next_frame(&mut conn.stream, cfg.max_frame_bytes, idle, stall, &stop);
+        match request {
+            Ok(None) => return,
+            Ok(Some(payload)) => {
                 let received = Instant::now();
-                let resp = match Request::decode(&payload) {
+                let resp = match Request::decode(payload) {
                     Ok(req) => tenant.handle(&req, received, cfg, &shared.recovery_threads),
                     Err(e) => {
-                        reject_frame(&mut stream, shared, &e);
+                        reject_frame(&mut conn, shared, &e);
                         return;
                     }
                 };
-                if !send(&mut stream, &resp) {
+                if !conn.send(&resp) {
                     return;
                 }
             }
             Err(e) => {
-                reject_frame(&mut stream, shared, &e);
+                reject_frame(&mut conn, shared, &e);
                 return;
             }
         }
@@ -330,16 +358,13 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 
 /// Answers a connection-layer fault with a typed `BadFrame` (best
 /// effort — the transport may already be gone) and counts it.
-fn reject_frame(stream: &mut TcpStream, shared: &Arc<Shared>, e: &ProtoError) {
+fn reject_frame(conn: &mut Conn, shared: &Arc<Shared>, e: &ProtoError) {
     shared
         .tel
         .incr("serve_frame_faults_total", frame_fault_label(e), 1);
-    send(
-        stream,
-        &Response::Err(ServeError::BadFrame {
-            detail: e.to_string(),
-        }),
-    );
+    conn.send(&Response::Err(ServeError::BadFrame {
+        detail: e.to_string(),
+    }));
 }
 
 fn frame_fault_label(e: &ProtoError) -> &'static str {

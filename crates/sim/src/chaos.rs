@@ -178,8 +178,8 @@ pub struct PointOutcome {
     pub completed: bool,
     /// Connection fault class injected this point.
     pub fault: &'static str,
-    /// Milliseconds from restart until every tenant served in full mode.
-    pub time_to_healthy_ms: u64,
+    /// Microseconds from restart until every tenant served in full mode.
+    pub time_to_healthy_us: u64,
     /// Acknowledged `(tenant, addr)` pairs verified after restart.
     pub verified_addrs: u64,
     /// Reads that matched the in-flight-at-kill value instead of the
@@ -202,10 +202,10 @@ pub struct ChaosReport {
     pub completed_runs: u64,
     /// Total in-flight-tolerance hits.
     pub inflight_tolerated: u64,
-    /// Median time-to-healthy across points, milliseconds.
-    pub tth_p50_ms: u64,
-    /// 95th-percentile time-to-healthy across points, milliseconds.
-    pub tth_p95_ms: u64,
+    /// Median time-to-healthy across points, microseconds.
+    pub tth_p50_us: u64,
+    /// 95th-percentile time-to-healthy across points, microseconds.
+    pub tth_p95_us: u64,
     /// `(fault class, injections)` counts — every one surfaced typed.
     pub fault_counts: Vec<(&'static str, u64)>,
     /// Kill-threshold range exercised.
@@ -483,12 +483,17 @@ fn inject_connection_fault(addr: &str, fault: &'static str) -> Result<(), ChaosE
 }
 
 /// Polls every tenant until it reports full serving mode; returns the
-/// elapsed milliseconds (time-to-healthy for the point).
+/// elapsed microseconds (time-to-healthy for the point). Each tenant is
+/// polled over one kept session, re-made only when it breaks, at a pause
+/// far below the recovery times being measured, so the poll does not
+/// quantise the reading.
 fn await_all_healthy(addr: &str, spec: &ChaosSpec) -> Result<u64, ChaosError> {
+    const POLL: Duration = Duration::from_micros(200);
     let start = Instant::now();
     let budget = Duration::from_millis(spec.healthy_budget_ms);
     for i in 0..spec.tenants {
         let name = tenant_name(i);
+        let mut session: Option<ServeClient> = None;
         loop {
             if start.elapsed() > budget {
                 return Err(ChaosError::NotHealthy {
@@ -496,16 +501,18 @@ fn await_all_healthy(addr: &str, spec: &ChaosSpec) -> Result<u64, ChaosError> {
                     waited_ms: start.elapsed().as_millis() as u64,
                 });
             }
-            match ServeClient::connect(addr, &name, &tenant_token(i)) {
-                Ok(mut c) => match c.stats() {
-                    Ok(s) if s.mode == ServeMode::Full.code() => break,
-                    _ => std::thread::sleep(Duration::from_millis(5)),
-                },
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            if session.is_none() {
+                session = ServeClient::connect(addr, &name, &tenant_token(i)).ok();
             }
+            match session.as_mut().map(ServeClient::stats) {
+                Some(Ok(s)) if s.mode == ServeMode::Full.code() => break,
+                Some(Ok(_)) => {}
+                _ => session = None,
+            }
+            std::thread::sleep(POLL);
         }
     }
-    Ok(start.elapsed().as_millis() as u64)
+    Ok(start.elapsed().as_micros() as u64)
 }
 
 /// Verifies every acknowledged write for one tenant, honoring the
@@ -612,8 +619,8 @@ fn run_point(
 
     // Phase 2: restart on the same images, measure time-to-healthy.
     let restart = spawn_server(exe, serve_args, &point_dir, spec)?;
-    let time_to_healthy_ms = match await_all_healthy(&restart.addr, spec) {
-        Ok(ms) => ms,
+    let time_to_healthy_us = match await_all_healthy(&restart.addr, spec) {
+        Ok(us) => us,
         Err(e) => {
             let mut child = restart.child;
             let _ = child.kill();
@@ -653,7 +660,7 @@ fn run_point(
         acked: ledgers.iter().map(|l| l.acks).sum(),
         completed,
         fault,
-        time_to_healthy_ms,
+        time_to_healthy_us,
         verified_addrs,
         inflight_tolerated,
     })
@@ -697,7 +704,7 @@ pub fn run_chaos_campaign(
         *fault_counts.entry(fault).or_insert(0) += 1;
         outcomes.push(outcome);
     }
-    let mut tth: Vec<u64> = outcomes.iter().map(|o| o.time_to_healthy_ms).collect();
+    let mut tth: Vec<u64> = outcomes.iter().map(|o| o.time_to_healthy_us).collect();
     tth.sort_unstable();
     Ok(ChaosReport {
         points,
@@ -706,8 +713,8 @@ pub fn run_chaos_campaign(
         verified_total: outcomes.iter().map(|o| o.verified_addrs).sum(),
         completed_runs: outcomes.iter().filter(|o| o.completed).count() as u64,
         inflight_tolerated: outcomes.iter().map(|o| o.inflight_tolerated).sum(),
-        tth_p50_ms: anubis::telemetry::percentile_of_sorted(&tth, 0.50),
-        tth_p95_ms: anubis::telemetry::percentile_of_sorted(&tth, 0.95),
+        tth_p50_us: anubis::telemetry::percentile_of_sorted(&tth, 0.50),
+        tth_p95_us: anubis::telemetry::percentile_of_sorted(&tth, 0.95),
         fault_counts: fault_counts.into_iter().collect(),
         kill_range: if kill_lo == u64::MAX {
             (0, 0)

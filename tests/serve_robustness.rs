@@ -4,7 +4,7 @@
 //! deadlines, retries, overload, circuit breaking, degraded-mode reads,
 //! and connection-layer frame faults.
 
-use std::io::Write as IoWrite;
+use std::io::{Read as IoRead, Write as IoWrite};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -293,6 +293,84 @@ fn frame_faults_are_typed_and_never_hang() {
     c.write(1, [1; 64], 0).expect("write");
     let (got, _) = c.read(1, 0).expect("read");
     assert_eq!(got, [1; 64]);
+    server.shutdown();
+}
+
+#[test]
+fn requests_pipelined_into_one_write_are_answered_in_order() {
+    use anubis_server::protocol::{write_frame, FrameReader};
+
+    let server = Server::start(test_config("alpha:tok:bonsai")).expect("start");
+    let addr = server.local_addr();
+    let mut seed = ServeClient::connect(addr, "alpha", "tok").expect("connect");
+    await_full(&mut seed, Duration::from_secs(10));
+    for line in 0..3u64 {
+        seed.write(line, [0x10 + line as u8; 64], 0).expect("write");
+    }
+
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_millis(20)))
+        .expect("read timeout");
+    let mut rx = FrameReader::new();
+    let budget = Duration::from_secs(5);
+    let mut reply = |raw: &mut TcpStream| {
+        let payload = rx
+            .next_frame(raw, 1 << 20, budget, budget, &|| false)
+            .expect("reply frame")
+            .expect("a reply, not a close");
+        Response::decode(payload).expect("reply decodes")
+    };
+    let hello = Request::Hello {
+        version: PROTO_VERSION,
+        tenant: "alpha".into(),
+        token: anubis_server::token_hash("tok"),
+    };
+    write_frame(&mut raw, &hello.encode()).expect("hello");
+    assert!(matches!(reply(&mut raw), Response::HelloOk { .. }));
+
+    // Three requests, one segment: the server finds the second and third
+    // already in its buffer and must still serve them, in order.
+    let mut segment = Vec::new();
+    for addr in [2u64, 0, 1] {
+        let read = Request::Read {
+            addr,
+            deadline_ms: 0,
+        };
+        write_frame(&mut segment, &read.encode()).expect("frame into a Vec");
+    }
+    raw.write_all(&segment).expect("pipelined requests");
+    for line in [2u8, 0, 1] {
+        match reply(&mut raw) {
+            Response::ReadOk { data, .. } => assert_eq!(data, [0x10 + line; 64]),
+            other => panic!("expected ReadOk for line {line}, got {other:?}"),
+        }
+    }
+    // Nothing more was sent: the connection is quiet, not closed.
+    let mut spare = [0u8; 1];
+    let e = raw.read(&mut spare).expect_err("no unsolicited bytes");
+    assert!(matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    ));
+    server.shutdown();
+}
+
+#[test]
+fn finished_connections_are_not_tracked_for_ever() {
+    let server = Server::start(test_config("alpha:tok:bonsai")).expect("start");
+    let addr = server.local_addr();
+    // A poller that reconnects for every look, as health checks do.
+    for _ in 0..200 {
+        let mut c = ServeClient::connect(addr, "alpha", "tok").expect("connect");
+        c.stats().expect("stats");
+    }
+    // Each accept drops the handles of threads that have ended, so what
+    // is left is the few whose thread had not yet seen its peer leave.
+    let tracked = server.tracked_connections();
+    assert!(
+        tracked <= 32,
+        "{tracked} connection handles after 200 sessions"
+    );
     server.shutdown();
 }
 
