@@ -1086,6 +1086,18 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
         datapath::write_batch(self, items)
     }
 
+    fn read_deferred(&mut self, addr: DataAddr) -> Result<Block, MemError> {
+        datapath::read_deferred(self, addr)
+    }
+
+    fn write_deferred(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
+        datapath::write_deferred(self, addr, data)
+    }
+
+    fn write_batch_deferred(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
+        datapath::write_batch_deferred(self, items)
+    }
+
     fn crash(&mut self) {
         self.path.crash();
         self.counter_cache.invalidate_all();

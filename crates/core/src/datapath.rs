@@ -512,13 +512,21 @@ fn record_op<C: Policy>(c: &mut C, is_write: bool) {
     path.totals.record(is_write, path.cost);
 }
 
-/// Runs one public controller operation (`read`, `write`, `write_batch`,
-/// `shutdown_flush`) and closes it with its single durability barrier, on
+/// The durable half of a fused public operation. `body` is the execute
+/// half — one of the `*_deferred` functions below: it stages, commits
+/// groups and leaves their records in the backend's pending frame — and
+/// this closes it with the operation's single durability barrier, on
 /// every exit: all commit groups the op produced — on an error, the ones
 /// it completed before failing, which the in-process persistent domain
 /// already holds — land in one backend frame, and the caller acknowledges
 /// only after this returns. The op's own error wins over a barrier
 /// failure.
+///
+/// This is the only place the two halves are joined, for both families.
+/// A caller that wants them apart (a server sharing one barrier between
+/// several operations) runs the deferred half alone and takes the
+/// barrier itself; what it must then guarantee is on
+/// [`crate::MemoryController::read_deferred`].
 #[inline]
 fn op<C: Policy, T>(
     c: &mut C,
@@ -531,48 +539,64 @@ fn op<C: Policy, T>(
     Ok(value)
 }
 
+#[inline]
+pub(crate) fn read_deferred<C: Policy>(c: &mut C, addr: DataAddr) -> Result<Block, MemError> {
+    validate(addr, c.data_blocks())?;
+    begin_op(c);
+    let line = c.line_iv(addr)?;
+    let value = c.path().open_line(line)?;
+    c.commit()?; // persist any shadow/eviction traffic from fills
+    record_op(c, false);
+    Ok(value)
+}
+
+#[inline]
+pub(crate) fn write_deferred<C: Policy>(
+    c: &mut C,
+    addr: DataAddr,
+    data: Block,
+) -> Result<(), MemError> {
+    validate(addr, c.data_blocks())?;
+    begin_op(c);
+    c.write_inner(addr, data)?;
+    c.commit()?;
+    record_op(c, true);
+    Ok(())
+}
+
+#[inline]
+pub(crate) fn write_batch_deferred<C: Policy>(
+    c: &mut C,
+    items: &[(DataAddr, Block)],
+) -> Result<(), MemError> {
+    for (addr, _) in items {
+        validate(*addr, c.data_blocks())?;
+    }
+    begin_op(c);
+    for (addr, data) in items {
+        c.path().cost = OpCost::zero();
+        c.write_inner(*addr, *data)?;
+        if c.path().pending.len() >= GROUP_FLUSH_WATERMARK {
+            c.commit()?;
+        }
+        record_op(c, true);
+    }
+    c.commit()
+}
+
 pub(crate) fn read<C: Policy>(c: &mut C, addr: DataAddr) -> Result<Block, MemError> {
-    op(c, |c| {
-        validate(addr, c.data_blocks())?;
-        begin_op(c);
-        let line = c.line_iv(addr)?;
-        let value = c.path().open_line(line)?;
-        c.commit()?; // persist any shadow/eviction traffic from fills
-        record_op(c, false);
-        Ok(value)
-    })
+    op(c, |c| read_deferred(c, addr))
 }
 
 pub(crate) fn write<C: Policy>(c: &mut C, addr: DataAddr, data: Block) -> Result<(), MemError> {
-    op(c, |c| {
-        validate(addr, c.data_blocks())?;
-        begin_op(c);
-        c.write_inner(addr, data)?;
-        c.commit()?;
-        record_op(c, true);
-        Ok(())
-    })
+    op(c, |c| write_deferred(c, addr, data))
 }
 
 pub(crate) fn write_batch<C: Policy>(
     c: &mut C,
     items: &[(DataAddr, Block)],
 ) -> Result<(), MemError> {
-    op(c, |c| {
-        for (addr, _) in items {
-            validate(*addr, c.data_blocks())?;
-        }
-        begin_op(c);
-        for (addr, data) in items {
-            c.path().cost = OpCost::zero();
-            c.write_inner(*addr, *data)?;
-            if c.path().pending.len() >= GROUP_FLUSH_WATERMARK {
-                c.commit()?;
-            }
-            record_op(c, true);
-        }
-        c.commit()
-    })
+    op(c, |c| write_batch_deferred(c, items))
 }
 
 pub(crate) fn shutdown_flush<C: Policy>(c: &mut C) -> Result<(), MemError> {

@@ -28,6 +28,10 @@ pub enum MemError {
         /// Data capacity in blocks.
         capacity_blocks: u64,
     },
+    /// The controller's volatile state did not survive a crash or a
+    /// restart and `recover()` has not rebuilt it yet (ASIT without its
+    /// shadow tree). Nothing was staged or changed.
+    RecoveryPending,
 }
 
 /// What a failed integrity check was verified against.
@@ -62,6 +66,9 @@ impl fmt::Display for MemError {
                     f,
                     "data address {addr} beyond capacity of {capacity_blocks} blocks"
                 )
+            }
+            MemError::RecoveryPending => {
+                write!(f, "volatile controller state is gone: run recover() first")
             }
         }
     }

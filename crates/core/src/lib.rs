@@ -95,6 +95,15 @@ use anubis_nvm::{Block, NvmBackend, PersistenceDomain};
 /// over a durable backend an operation that returned is on the medium —
 /// all of its commit groups in one frame — and a caller may acknowledge
 /// it to the outside world the moment the call returns.
+///
+/// Each of those *fused* operations is two halves back to back, and the
+/// halves are callable apart: [`MemoryController::read_deferred`],
+/// [`MemoryController::write_deferred`] and
+/// [`MemoryController::write_batch_deferred`] execute only, and
+/// [`MemoryController::barrier`] makes everything executed so far
+/// durable. A caller that serializes controller access behind a lock
+/// uses the split to keep the slow half out of the lock and to let one
+/// barrier cover several operations (group commit).
 pub trait MemoryController {
     /// The storage backend of the controller's persistence domain.
     type Backend: NvmBackend;
@@ -137,6 +146,74 @@ pub trait MemoryController {
             self.write(*addr, *data)?;
         }
         Ok(())
+    }
+
+    /// The execute half of [`MemoryController::read`]: verifies and
+    /// decrypts the line, commits whatever metadata traffic the fills
+    /// caused, and returns **without a durability barrier** — the
+    /// records of those commit groups sit in the backend's pending
+    /// frame.
+    ///
+    /// The contract a caller of the deferred operations takes over from
+    /// the fused ones, over a durable backend:
+    ///
+    /// * nothing an operation did may be acknowledged to the outside
+    ///   world before a barrier taken *after* it executed has returned
+    ///   `Ok` — [`MemoryController::barrier`], or the backend's
+    ///   `cut` / `commit` pair with
+    ///   [`NvmBackend::ticket`] read
+    ///   right after the operation as the epoch to wait for;
+    /// * that includes a *read*: the value returned here may come from a
+    ///   `write_deferred` that is not durable yet, and must not be shown
+    ///   to anyone before that write's barrier (a crash would otherwise
+    ///   un-happen data a client already saw). The read's own metadata
+    ///   records need no wait: nothing a client sees depends on them,
+    ///   and they ride the next barrier;
+    /// * barriers are taken between operations, never inside one, so a
+    ///   frame holds whole operations in execution order.
+    ///
+    /// The default is the fused operation, which satisfies all of this
+    /// trivially; both controller families override it.
+    ///
+    /// # Errors
+    ///
+    /// Same classes as [`MemoryController::read`].
+    fn read_deferred(&mut self, addr: DataAddr) -> Result<Block, MemError> {
+        self.read(addr)
+    }
+
+    /// The execute half of [`MemoryController::write`]; see
+    /// [`MemoryController::read_deferred`] for what the caller owes.
+    ///
+    /// # Errors
+    ///
+    /// Same classes as [`MemoryController::write`].
+    fn write_deferred(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
+        self.write(addr, data)
+    }
+
+    /// The execute half of [`MemoryController::write_batch`]; see
+    /// [`MemoryController::read_deferred`] for what the caller owes.
+    ///
+    /// # Errors
+    ///
+    /// Same classes as [`MemoryController::write_batch`].
+    fn write_batch_deferred(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
+        self.write_batch(items)
+    }
+
+    /// The durable half: makes every commit group executed so far — by
+    /// deferred operations, recovery's direct writes, tamper hooks —
+    /// durable as one backend frame, one epoch, one seal. The fused
+    /// operations are exactly their deferred half followed by this, on
+    /// `Ok` and on `Err`.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::Nvm`] when the medium fails; the backend then refuses
+    /// every later barrier, and nothing is retried.
+    fn barrier(&mut self) -> Result<(), MemError> {
+        Ok(self.domain_mut().barrier()?)
     }
 
     /// Simulates a power failure: every volatile structure (caches,

@@ -512,7 +512,7 @@ impl<B: NvmBackend> SgxController<B> {
         let entry = StEntry::new(addr, mac, lsbs);
         let st_addr = self.layout.st_slot(slot);
         self.path.stage(st_addr, entry.to_block());
-        let tree = self.shadow_tree.as_mut().expect("ASIT has a shadow tree");
+        let tree = self.shadow_tree.as_mut().ok_or(MemError::RecoveryPending)?;
         // The shadow-protection tree is maintained by a dedicated on-chip
         // engine off the data path.
         self.path.cost.bg_hash_ops += tree.update_hash_ops();
@@ -647,7 +647,7 @@ impl<B: NvmBackend> SgxController<B> {
                 // slot — clearing afterwards would wipe it, leaving a
                 // dirty resident node untracked (unrecoverable bump).
                 if self.scheme == SgxScheme::Asit {
-                    self.clear_st_slot(ev.slot.linear(self.cache.ways()) as u64);
+                    self.clear_st_slot(ev.slot.linear(self.cache.ways()) as u64)?;
                 }
                 let pc = self.bump_parent_counter(victim)?;
                 let mut sealed = ev.value.node;
@@ -664,13 +664,14 @@ impl<B: NvmBackend> SgxController<B> {
     /// keeping it would let a later *non-resident* writeback (the upward
     /// counter cascade) silently invalidate its MAC. Invariant: ST entries
     /// exist only for currently resident nodes (see DESIGN.md).
-    fn clear_st_slot(&mut self, slot: u64) {
+    fn clear_st_slot(&mut self, slot: u64) -> Result<(), MemError> {
+        let tree = self.shadow_tree.as_mut().ok_or(MemError::RecoveryPending)?;
         let st_addr = self.layout.st_slot(slot);
         self.path.stage(st_addr, Block::zeroed());
-        let tree = self.shadow_tree.as_mut().expect("ASIT has a shadow tree");
         self.path.cost.bg_hash_ops += tree.update_hash_ops();
         let root = tree.update(slot, Block::zeroed());
         self.pending_shadow_root = Some(root);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -773,6 +774,12 @@ impl<B: NvmBackend> Policy for SgxController<B> {
     /// Counter bump, scheme-specific propagation and the (deferred)
     /// data seal.
     fn write_inner(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
+        // A crash or a restart took the shadow tree with it and only
+        // recovery rebuilds it: refuse before a counter is bumped that
+        // the Shadow Table could then not track.
+        if self.scheme == SgxScheme::Asit && self.shadow_tree.is_none() {
+            return Err(MemError::RecoveryPending);
+        }
         let (leaf, slot) = self.layout.leaf_of(addr);
         let ctr = if self.layout.is_on_chip(leaf) {
             // Degenerate single-leaf tree: counters live in the persistent
@@ -880,6 +887,18 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
 
     fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
         datapath::write_batch(self, items)
+    }
+
+    fn read_deferred(&mut self, addr: DataAddr) -> Result<Block, MemError> {
+        datapath::read_deferred(self, addr)
+    }
+
+    fn write_deferred(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
+        datapath::write_deferred(self, addr, data)
+    }
+
+    fn write_batch_deferred(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
+        datapath::write_batch_deferred(self, items)
     }
 
     fn crash(&mut self) {

@@ -55,6 +55,64 @@ pub struct WalStats {
     pub records_coalesced: u64,
 }
 
+/// One barrier's worth of records, cut out of a backend's in-memory half
+/// ([`NvmBackend::cut`]) and not yet durable: the frame, its epoch, and
+/// the way to the medium. It holds no reference to the backend, so the
+/// lock that guards the controller can be released before the slow half
+/// — [`Cut::commit`] — runs.
+#[must_use = "a cut that is dropped uncommitted breaks its backend"]
+pub struct Cut {
+    epoch: u64,
+    wants_settle: bool,
+    commit: Box<dyn FnOnce() -> Result<(), NvmError> + Send>,
+}
+
+impl Cut {
+    /// A cut of `epoch` that `commit` makes durable. `wants_settle`:
+    /// [`NvmBackend::settle`] has work to do once this cut is committed.
+    pub fn new(
+        epoch: u64,
+        wants_settle: bool,
+        commit: impl FnOnce() -> Result<(), NvmError> + Send + 'static,
+    ) -> Self {
+        Cut {
+            epoch,
+            wants_settle,
+            commit: Box::new(commit),
+        }
+    }
+
+    /// The epoch this cut's frame carries.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Whether the backend asked for [`NvmBackend::settle`] after this
+    /// cut has been committed.
+    pub fn wants_settle(&self) -> bool {
+        self.wants_settle
+    }
+
+    /// Makes the frame durable, after every frame of a lower epoch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NvmError::Backend`] when the medium fails or an earlier
+    /// commit did; the backend is broken from then on.
+    pub fn commit(self) -> Result<(), NvmError> {
+        (self.commit)()
+    }
+}
+
+impl std::fmt::Debug for Cut {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Cut")
+            .field("epoch", &self.epoch)
+            .field("wants_settle", &self.wants_settle)
+            .finish_non_exhaustive()
+    }
+}
+
 /// Storage abstraction behind [`NvmDevice`](crate::NvmDevice).
 ///
 /// Implementations own the sparse block map plus the persistent register
@@ -64,38 +122,65 @@ pub struct WalStats {
 /// # Durability contract
 ///
 /// [`NvmBackend::store`], [`NvmBackend::store_reg`] and
-/// [`NvmBackend::journal`] may buffer; only [`NvmBackend::barrier`] makes
-/// buffered records durable, and it must do so atomically and in order (a
-/// torn barrier must be indistinguishable from no barrier on reopen, and
+/// [`NvmBackend::journal`] may buffer; only a **barrier** makes buffered
+/// records durable, and it must do so atomically and in order (a torn
+/// barrier must be indistinguishable from no barrier on reopen, and
 /// replaying the barriers in order must yield, per address and per
 /// register, the last image buffered — a backend may drop a record that
 /// a later one of the same barrier supersedes, or that repeats what the
-/// log already yields). When `barrier` returns `Ok` the records are on
-/// the medium: [`FileBackend`](crate::FileBackend) has `sync_data`ed the
-/// whole frame and then sealed the freshness anchor. That sync commits
-/// file contents only — the frame lands in zero-filled slack whose
-/// length and blocks an earlier `sync_all` made durable — which makes it
-/// cheaper, not weaker.
+/// log already yields).
 ///
-/// `barrier` is called where durability becomes *observable*, not where
+/// A barrier has two halves, because only one of them needs the backend:
+///
+/// * [`NvmBackend::cut`] — under `&mut self`, so under whatever lock
+///   guards the controller — takes everything buffered since the
+///   previous cut out of the in-memory half as **one frame with one
+///   epoch**, and leaves the backend ready to buffer the next one. From
+///   this moment the in-memory half describes the log *as if the frame
+///   had landed*; that is safe because the only alternative outcome
+///   breaks the backend for good (below).
+/// * [`Cut::commit`] — on any thread, with no reference to the backend —
+///   makes that frame durable: [`FileBackend`](crate::FileBackend)
+///   reserves slack, writes the frame, `sync_data`s it and then seals
+///   the freshness anchor. That sync commits file contents only — the
+///   frame lands in zero-filled slack whose length and blocks an earlier
+///   `sync_all` made durable — which makes it cheaper, not weaker.
+///
+/// [`NvmBackend::barrier`] is the two in one call and returns when the
+/// records are on the medium. Whoever carries them, **frames reach the
+/// medium in epoch order**: a commit waits for the frame before it, so a
+/// fused `barrier` racing a detached [`Cut`] queues behind it. A commit
+/// that fails, and a `Cut` dropped uncommitted, break the backend: every
+/// later commit is refused and [`NvmBackend::durable_epoch`] reports the
+/// failure, since the in-memory half now runs ahead of a log that will
+/// never catch up. Nothing is retried.
+///
+/// A barrier is taken where durability becomes *observable*, not where
 /// the simulated hardware persists: a commit group is persistent against
 /// a simulated power failure the moment it is drained, but it only
 /// journals here. The callers are
 ///
-/// * the controllers, exactly once at the end of every public operation
-///   (`read` / `write` / `write_batch` / `shutdown_flush`, on `Ok` and on
-///   `Err`) through [`PersistenceDomain::barrier`](crate::PersistenceDomain::barrier)
-///   — an operation is acknowledged iff that barrier returned, and all
-///   the commit groups it produced share one barrier;
+/// * the controllers, exactly once at the end of every fused public
+///   operation (`read` / `write` / `write_batch` / `shutdown_flush`, on
+///   `Ok` and on `Err`) through
+///   [`PersistenceDomain::barrier`](crate::PersistenceDomain::barrier) —
+///   a fused operation is acknowledged iff that barrier returned, and
+///   all the commit groups it produced share one barrier;
+/// * a server that executes operations *deferred* and cuts once for
+///   several of them (group commit): an operation is acknowledged iff
+///   [`NvmBackend::durable_epoch`] has reached the
+///   [`NvmBackend::ticket`] it left its execution with;
 /// * the persistence domain itself on the paths that model the platform
 ///   rather than an operation: the ADR flush of a (fault-injected or
 ///   explicit) power failure, the REDO pass at power-up, an idle-time
 ///   WPQ drain, and snapshot capture / restore.
 ///
-/// Because a barrier covers a whole number of commit groups in commit
-/// order, each preceded by its register mirrors, a reopened image is
-/// always a group-prefix of history that contains every acknowledged
-/// operation; a barrier that never completed removes its operation whole.
+/// Because a cut covers a whole number of commit groups in commit order,
+/// each preceded by its register mirrors — and, taken between
+/// operations, a whole number of *operations* in execution order — a
+/// reopened image is always a group-prefix (resp. op-prefix) of history
+/// that contains every acknowledged operation; a frame that never
+/// completed removes its operations whole.
 pub trait NvmBackend: std::fmt::Debug + Send + Sync {
     /// Loads the block at physical index `phys`, if ever stored.
     fn load(&self, phys: u64) -> Option<Block>;
@@ -127,12 +212,60 @@ pub trait NvmBackend: std::fmt::Debug + Send + Sync {
         let _ = (phys, block);
     }
 
-    /// Makes everything stored/journaled so far durable.
+    /// Makes everything stored/journaled so far durable: [`NvmBackend::cut`]
+    /// and [`Cut::commit`] in one call, plus [`NvmBackend::settle`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NvmError::Backend`] when the underlying medium fails,
+    /// or failed at an earlier barrier.
+    fn barrier(&mut self) -> Result<(), NvmError> {
+        match self.cut() {
+            Some(cut) => {
+                cut.commit()?;
+                self.settle()
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Takes everything stored/journaled since the previous cut out of
+    /// the backend as one frame under the next epoch, for the caller to
+    /// [`Cut::commit`] — with or without this backend at hand. `None`
+    /// when nothing is buffered (and always for volatile backends, which
+    /// have no durable half).
+    fn cut(&mut self) -> Option<Cut> {
+        None
+    }
+
+    /// The epoch whose durability covers everything stored/journaled so
+    /// far: that of the next cut while records are buffered, else that
+    /// of the last one. An operation that leaves its execution with this
+    /// ticket may be acknowledged once [`NvmBackend::durable_epoch`]
+    /// reaches it.
+    fn ticket(&self) -> u64 {
+        self.epoch()
+    }
+
+    /// The last epoch durably on the medium, anchor seal included. Equal
+    /// to [`NvmBackend::epoch`] whenever no [`Cut`] is in flight.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NvmError::Backend`] once a barrier has failed: what was
+    /// cut since will never become durable through this backend.
+    fn durable_epoch(&self) -> Result<u64, NvmError> {
+        Ok(self.epoch())
+    }
+
+    /// Housekeeping that a committed cut left due and that needs both
+    /// halves of the backend at rest (log compaction). Cheap when
+    /// nothing is due; [`Cut::wants_settle`] says when something is.
     ///
     /// # Errors
     ///
     /// Returns [`NvmError::Backend`] when the underlying medium fails.
-    fn barrier(&mut self) -> Result<(), NvmError> {
+    fn settle(&mut self) -> Result<(), NvmError> {
         Ok(())
     }
 
@@ -142,9 +275,12 @@ pub trait NvmBackend: std::fmt::Debug + Send + Sync {
     fn suppress_flushes(&mut self) {}
 
     /// The backend's current freshness epoch: a monotonic counter bumped
-    /// on every flushing barrier (so: once per acknowledged operation
-    /// that wrote), compaction, and snapshot by durable backends. Volatile backends report 0 — within one process there is
-    /// no restart for a rollback to hide behind.
+    /// on every cut (so: once per fused operation that wrote, once per
+    /// group of deferred ones), compaction, and snapshot by durable
+    /// backends — the epoch of the last frame *cut*, which
+    /// [`NvmBackend::durable_epoch`] trails while a [`Cut`] is in flight.
+    /// Volatile backends report 0 — within one process there is no
+    /// restart for a rollback to hide behind.
     fn epoch(&self) -> u64 {
         0
     }

@@ -39,11 +39,13 @@ impl WriteOp {
 /// WPQ), exactly as in the paper. Against *process death* over a durable
 /// backend, groups only journal; [`PersistenceDomain::barrier`] makes
 /// every group journaled so far durable as one backend frame, and the
-/// controllers call it once at the end of each public operation — the
-/// only point at which durability is observable from outside the
-/// process. A frame therefore holds a whole number of commit groups in
-/// commit order, and a reopened image is always a group-prefix of history
-/// that contains every acknowledged operation.
+/// controllers call it once at the end of each fused public operation —
+/// the only point at which durability is observable from outside the
+/// process (a caller of the controllers' deferred operations takes the
+/// barrier itself, through the backend's `cut` / `commit` halves). A
+/// frame therefore holds a whole number of commit groups in commit
+/// order, and a reopened image is always a group-prefix of history that
+/// contains every acknowledged operation.
 ///
 /// Crash injection: call [`PersistenceDomain::power_fail`] at any point;
 /// the WPQ is flushed by ADR, in-flight staged groups are lost, and any

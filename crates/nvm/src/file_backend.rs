@@ -8,17 +8,29 @@
 //!
 //! Every [`NvmBackend::store`] / [`NvmBackend::journal`] /
 //! [`NvmBackend::store_reg`] adds a record to an in-memory pending
-//! frame; [`NvmBackend::barrier`] writes the frame at the log's **write
-//! position** and `sync_data`s it. A frame is therefore the atomicity
-//! unit, and since the controllers barrier once per public operation it
-//! is one operation's worth of commit groups (a 32-line batch, a whole
-//! page re-encryption): on reopen, records are replayed in append order
-//! (last write to an address wins) and a torn tail frame — the signature
-//! of a process killed mid-append, i.e. before the operation was
+//! frame; a barrier writes the frame at the log's **write position** and
+//! `sync_data`s it. A frame is therefore the atomicity unit, and since
+//! barriers are taken between public operations it is a whole number of
+//! operations' worth of commit groups (a 32-line batch, a whole page
+//! re-encryption, or several served writes that shared one group
+//! commit): on reopen, records are replayed in append order (last write
+//! to an address wins) and a torn tail frame — the signature of a
+//! process killed mid-append, i.e. before any operation in it was
 //! acknowledged — is discarded and truncated away. Anything else that
 //! is not a committed, checksum-valid, in-order frame is *corruption*,
 //! surfaced as a typed [`NvmError::Backend`], never a panic and never a
 //! silent drop.
+//!
+//! **Two halves.** The backend is split where a barrier is: the
+//! *in-memory half* — live block map, register file, replay map and the
+//! pending frame — is the [`FileBackend`] itself and lives under the
+//! controller; the *file half* — the log file and the anchor — is a
+//! `WalSink` behind an `Arc`. [`NvmBackend::cut`] moves the pending
+//! frame out of the first, [`Cut::commit`] carries it into the second
+//! with no reference to the first, and [`NvmBackend::barrier`] is the
+//! two back to back. The sink admits frames strictly in epoch order and
+//! refuses everything after a failure, so the in-memory half may account
+//! for a frame from the moment it is cut.
 //!
 //! **The write position is not the file length.** Appending to a file
 //! grows it, and a sync that has to commit a new length and new blocks
@@ -37,8 +49,8 @@
 //! a reopen truncates a torn tail away, keeps the remaining slack
 //! (`sync_all`ing it once, since the process that wrote it may have died
 //! first) and resumes at the logical end; compaction starts a new file;
-//! and an append that fails part-way poisons the backend — every later
-//! barrier is refused, and the next open sees a torn tail.
+//! and a commit that fails poisons the backend — every later barrier is
+//! refused, and the next open sees at worst a torn tail.
 //!
 //! Each flushed frame carries the device's **freshness epoch**, bumped on
 //! every flushing barrier, compaction, and snapshot. Replay demands
@@ -57,7 +69,7 @@
 //! replayed record count sufficiently exceeds the live footprint.
 
 use crate::anchor::{anchor_path_for, AnchorError, AnchorPolicy, Freshness, FreshnessAnchor};
-use crate::backend::{NvmBackend, WalStats};
+use crate::backend::{Cut, NvmBackend, WalStats};
 use crate::block::Block;
 use crate::error::NvmError;
 use crate::wal::{seal_frame, WalWalker, FRAME_HEADER_BYTES, HEADER_BYTES, MAGIC, VERSION};
@@ -66,6 +78,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 const TAG_WRITE: u8 = 0;
 const TAG_REG: u8 = 1;
@@ -96,10 +109,6 @@ struct Log {
     end: u64,
     /// The file's length; `len - end` is the slack.
     len: u64,
-    /// An append is in progress — or failed part-way, for good: bytes
-    /// past `end` may be non-zero, so nothing more may be written
-    /// through this handle.
-    poisoned: bool,
 }
 
 impl Log {
@@ -114,7 +123,6 @@ impl Log {
             path,
             end: HEADER_BYTES as u64,
             len: HEADER_BYTES as u64,
-            poisoned: false,
         })
     }
 
@@ -123,23 +131,11 @@ impl Log {
     /// `sync_data`s it. The sync is data-only in effect as well as in
     /// name: the frame lands in slack that [`Log::reserve`] made durable.
     ///
-    /// Callers bump the epoch before and seal the anchor after: the WAL
-    /// lands strictly before the anchor advances, so an honest crash
-    /// between the two leaves the image *ahead* of the anchor (accepted
-    /// and healed on reopen) — never behind it.
+    /// Until the whole frame is durable, bytes past `end` may be
+    /// non-zero: after an `Err` nothing more may be written through this
+    /// log, which is what [`WalSink::in_turn`] enforces.
     fn append(&mut self, frame: &mut Vec<u8>, epoch: u64) -> Result<(), NvmError> {
-        if self.poisoned {
-            return Err(NvmError::Backend {
-                reason: format!(
-                    "{}: WAL poisoned by an earlier failed append",
-                    self.path.display()
-                ),
-            });
-        }
         seal_frame(frame, epoch);
-        // Until the whole frame is durable, bytes past `end` may be
-        // non-zero: any early return below leaves the log poisoned.
-        self.poisoned = true;
         self.reserve(frame.len() as u64)?;
         self.file
             .seek(SeekFrom::Start(self.end))
@@ -151,7 +147,6 @@ impl Log {
             .sync_data()
             .map_err(|e| io_err("sync", &self.path, e))?;
         self.end += frame.len() as u64;
-        self.poisoned = false;
         Ok(())
     }
 
@@ -184,50 +179,195 @@ impl Log {
     }
 }
 
+/// The file half of a [`FileBackend`]: the log and the sealed anchor,
+/// shared between the backend (fused barriers, compaction) and whatever
+/// thread carries a detached [`Cut`].
+///
+/// Two locks, so that asking *how far* the log is durable never waits
+/// for the I/O that moves it: `io` is held across a frame's `write_all`,
+/// `sync_data` and anchor seal, `progress` only to read or publish an
+/// epoch. Lock order: `progress` is never held while taking `io`.
+#[derive(Debug)]
+struct WalSink {
+    io: Mutex<FileHalf>,
+    progress: Mutex<Progress>,
+    /// Signalled whenever `progress` changes.
+    turn: Condvar,
+}
+
+#[derive(Debug)]
+struct FileHalf {
+    log: Log,
+    /// Sealed epoch register, present for anchored opens.
+    anchor: Option<FreshnessAnchor>,
+}
+
+#[derive(Debug)]
+struct Progress {
+    /// Epoch of the last frame in the file, synced and sealed. Frames
+    /// are admitted in epoch order, so everything up to it is durable.
+    durable: u64,
+    /// Why nothing more will be written: a commit failed (bytes past the
+    /// write position may be non-zero, or the anchor lags) or a cut was
+    /// dropped (the in-memory half accounts for a frame that never
+    /// landed). Permanent for this handle.
+    broken: Option<String>,
+}
+
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Every update under these locks is a single assignment, so a guard
+    // recovered from a panicking holder still protects valid data.
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl FileHalf {
+    fn seal(&mut self, epoch: u64) -> Result<(), NvmError> {
+        if let Some(anchor) = &mut self.anchor {
+            anchor.seal(epoch).map_err(|e| NvmError::Backend {
+                reason: e.to_string(),
+            })?;
+        }
+        Ok(())
+    }
+}
+
+impl WalSink {
+    /// Runs `io` on the file half as the step that takes the log from
+    /// epoch `epoch - 1` to `epoch`: waits until every earlier frame is
+    /// durable, and publishes `epoch` — or the failure, for good — when
+    /// `io` returns. This is the one place the log, the anchor and the
+    /// durable epoch move, so frames land in epoch order whichever
+    /// thread carries them.
+    fn in_turn(
+        &self,
+        epoch: u64,
+        io: impl FnOnce(&mut FileHalf) -> Result<(), NvmError>,
+    ) -> Result<(), NvmError> {
+        {
+            let mut progress = relock(&self.progress);
+            while progress.broken.is_none() && progress.durable + 1 < epoch {
+                progress = self
+                    .turn
+                    .wait(progress)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            if let Some(reason) = &progress.broken {
+                return Err(NvmError::Backend {
+                    reason: reason.clone(),
+                });
+            }
+        }
+        let result = io(&mut relock(&self.io));
+        let mut progress = relock(&self.progress);
+        match &result {
+            Ok(()) => progress.durable = epoch,
+            Err(e) => {
+                progress.broken = Some(format!("WAL poisoned by an earlier failed barrier ({e})"));
+            }
+        }
+        self.turn.notify_all();
+        result
+    }
+
+    /// One frame: append + `sync_data`, then the anchor seal. The WAL
+    /// lands strictly before the anchor advances, so an honest crash
+    /// between the two leaves the image *ahead* of the anchor (accepted
+    /// and healed on reopen) — never behind it.
+    fn commit(&self, epoch: u64, frame: &mut Vec<u8>) -> Result<(), NvmError> {
+        self.in_turn(epoch, |file| {
+            file.log.append(frame, epoch)?;
+            file.seal(epoch)
+        })
+    }
+}
+
+/// A frame on its way to the sink without the backend. Dropping it
+/// uncommitted breaks the sink: the in-memory half already counts the
+/// frame as part of the log, and frames behind it must not wait for a
+/// turn that never comes.
+struct Detached {
+    sink: Arc<WalSink>,
+    epoch: u64,
+    frame: Vec<u8>,
+    committed: bool,
+}
+
+impl Detached {
+    fn commit(mut self) -> Result<(), NvmError> {
+        self.committed = true;
+        self.sink.commit(self.epoch, &mut self.frame)
+    }
+}
+
+impl Drop for Detached {
+    fn drop(&mut self) {
+        if !self.committed {
+            let mut progress = relock(&self.sink.progress);
+            progress.broken.get_or_insert_with(|| {
+                format!(
+                    "WAL poisoned: the frame of epoch {} was cut and never committed",
+                    self.epoch
+                )
+            });
+            self.sink.turn.notify_all();
+        }
+    }
+}
+
 /// A durable, write-ahead-logged file backend for [`crate::NvmDevice`].
 ///
 /// Persisted bytes never reflect an unflushed commit group: records only
-/// reach the file at [`NvmBackend::barrier`], which the controllers
-/// invoke once at the end of every public operation and the persistence
-/// domain on its platform paths (ADR flush, power-up REDO, WPQ drain,
-/// snapshot) — see the durability contract on [`NvmBackend`]. Reopening
-/// the image after a SIGKILL therefore reconstructs a state an in-process
-/// `power_fail` could have left at an operation boundary: every commit
-/// group of every acknowledged operation, and of the operation in flight
-/// either all groups it had completed when its barrier landed or none.
+/// reach the file at a barrier, which the controllers take once at the
+/// end of every fused public operation, a serving layer once per group
+/// of deferred ones, and the persistence domain on its platform paths
+/// (ADR flush, power-up REDO, WPQ drain, snapshot) — see the durability
+/// contract on [`NvmBackend`]. Reopening the image after a SIGKILL
+/// therefore reconstructs a state an in-process `power_fail` could have
+/// left at an operation boundary: every commit group of every
+/// acknowledged operation, and of the operations in flight either all
+/// groups they had completed when their barrier was cut or none.
+///
+/// This struct is the in-memory half; the log file and the anchor live
+/// in a shared sink (module docs), which is why `epoch` here is the
+/// epoch of the last frame *cut* and may run one detached [`Cut`] ahead
+/// of what [`NvmBackend::durable_epoch`] reports.
 #[derive(Debug)]
 pub struct FileBackend {
-    log: Log,
+    sink: Arc<WalSink>,
+    path: PathBuf,
     cache: HashMap<u64, Block>,
     regs: BTreeMap<u8, Block>,
-    /// Exact replay state of the flushed log: the last *flushed* record
-    /// (store or journal) per address. `cache` deliberately excludes
-    /// journaled-but-undrained writes — they are WPQ-resident and must
-    /// stay invisible to `load` — but those records are already durable,
-    /// so compaction must rewrite from this map, never from `cache`.
+    /// Exact replay state of the log as cut: the last record (store or
+    /// journal) per address in any frame cut so far. `cache`
+    /// deliberately excludes journaled-but-undrained writes — they are
+    /// WPQ-resident and must stay invisible to `load` — but those
+    /// records are in the log, so compaction must rewrite from this
+    /// map, never from `cache`. It is updated at the cut, not at the
+    /// commit: [`FileBackend::push_write`] consults it for the *next*
+    /// frame while this one may still be in flight, and a frame that
+    /// fails to land ends the log (the sink breaks), so the map never
+    /// describes a log that goes on without it.
     replay: HashMap<u64, Block>,
     /// The next frame under construction: [`FRAME_HEADER_BYTES`] reserved
     /// for the header (filled in when the frame is sealed), then the
-    /// serialized records awaiting the next barrier. Truncated, never
-    /// dropped, so an op-sized frame reuses the allocation of the one
-    /// before it.
+    /// serialized records awaiting the next cut. A fused barrier hands
+    /// the buffer back, so an op-sized frame reuses the allocation of
+    /// the one before it.
     pending: Vec<u8>,
     /// Where in `pending` the 64 contents bytes of each address's (resp.
     /// register's) one record sit. The frame is the atomicity unit and
     /// replay is last-write-wins, so only the last image of an address
     /// within a frame matters: a later record overwrites the earlier one
-    /// in place. Applied to `replay` once the frame durably lands.
+    /// in place. Applied to `replay` when the frame is cut.
     pending_writes: HashMap<u64, usize>,
     pending_regs: Vec<(u8, usize)>,
     /// Records that cost no frame bytes of their own (see [`WalStats`]).
     coalesced: u64,
-    /// Records sitting in flushed frames (reset by compaction).
+    /// Records sitting in cut frames (reset by compaction).
     wal_records: u64,
-    /// Current freshness epoch: that of the image's last intact frame,
-    /// bumped before each flushed frame / compaction / snapshot.
+    /// Current freshness epoch: that of the image's last intact frame at
+    /// open, bumped by each cut / compaction / snapshot.
     epoch: u64,
-    /// Sealed epoch register, present for anchored opens.
-    anchor: Option<FreshnessAnchor>,
     /// The anchor check's verdict at open time.
     freshness: Freshness,
     /// Torn tail frames discarded (and truncated away) at open.
@@ -295,7 +435,7 @@ impl FileBackend {
         let mut rejected_frames = 0u64;
 
         let log = if bytes.is_empty() {
-            let log = Log::init(file, path)?;
+            let log = Log::init(file, path.clone())?;
             log.file
                 .sync_data()
                 .map_err(|e| io_err("sync", &log.path, e))?;
@@ -327,10 +467,9 @@ impl FileBackend {
             }
             Log {
                 file,
-                path,
+                path: path.clone(),
                 end,
                 len,
-                poisoned: false,
             }
         };
 
@@ -340,7 +479,15 @@ impl FileBackend {
         };
 
         Ok(FileBackend {
-            log,
+            sink: Arc::new(WalSink {
+                io: Mutex::new(FileHalf { log, anchor }),
+                progress: Mutex::new(Progress {
+                    durable: epoch,
+                    broken: None,
+                }),
+                turn: Condvar::new(),
+            }),
+            path,
             replay: cache.clone(),
             cache,
             regs,
@@ -350,7 +497,6 @@ impl FileBackend {
             coalesced: 0,
             wal_records,
             epoch,
-            anchor,
             freshness,
             rejected_frames,
             suppressed: false,
@@ -431,7 +577,7 @@ impl FileBackend {
 
     /// The image path this backend persists to.
     pub fn path(&self) -> &Path {
-        &self.log.path
+        &self.path
     }
 
     /// Whether [`NvmBackend::suppress_flushes`] has been invoked.
@@ -481,7 +627,7 @@ impl FileBackend {
         (self.replay.len() + self.regs.len()) as u64
     }
 
-    /// Drops the records awaiting the next barrier, keeping the header
+    /// Drops the records awaiting the next cut, keeping the header
     /// reservation and the buffer's capacity.
     fn clear_pending(&mut self) {
         self.pending.truncate(FRAME_HEADER_BYTES);
@@ -489,13 +635,52 @@ impl FileBackend {
         self.pending_regs.clear();
     }
 
-    fn seal_anchor(&mut self) -> Result<(), NvmError> {
-        if let Some(anchor) = &mut self.anchor {
-            anchor.seal(self.epoch).map_err(|e| NvmError::Backend {
-                reason: e.to_string(),
-            })?;
+    /// The in-memory half of a barrier: bumps the epoch, accounts for
+    /// the pending records as part of the log (`replay`, `wal_records`)
+    /// and returns the frame — header reservation plus payload, to be
+    /// sealed for the new epoch — leaving an empty pending frame behind.
+    /// `None` when there is nothing to cut, unless `even_if_empty`.
+    fn cut_frame(&mut self, even_if_empty: bool) -> Option<Vec<u8>> {
+        if self.suppressed {
+            // The platform died: unflushed records evaporate.
+            self.clear_pending();
+            return None;
         }
-        Ok(())
+        let records = (self.pending_writes.len() + self.pending_regs.len()) as u64;
+        if records == 0 && !even_if_empty {
+            return None;
+        }
+        self.epoch += 1;
+        self.wal_records += records;
+        for (&phys, &at) in &self.pending_writes {
+            let contents = self.pending[at..at + crate::BLOCK_BYTES]
+                .try_into()
+                .expect("64-byte slice");
+            self.replay.insert(phys, Block::from_bytes(contents));
+        }
+        self.pending_writes.clear();
+        self.pending_regs.clear();
+        Some(std::mem::replace(
+            &mut self.pending,
+            vec![0; FRAME_HEADER_BYTES],
+        ))
+    }
+
+    /// A fused barrier: cut and commit back to back, after which the
+    /// frame's buffer — nothing was buffered in between — serves the
+    /// next frame.
+    fn flush(&mut self, even_if_empty: bool) -> Result<(), NvmError> {
+        let Some(mut frame) = self.cut_frame(even_if_empty) else {
+            return Ok(());
+        };
+        let committed = self.sink.commit(self.epoch, &mut frame);
+        frame.truncate(FRAME_HEADER_BYTES);
+        self.pending = frame;
+        committed
+    }
+
+    fn compaction_due(&self) -> bool {
+        self.wal_records > COMPACT_FACTOR * self.live_records() + COMPACT_FLOOR
     }
 
     /// Rewrites the log as header + one frame of the replay state and
@@ -506,6 +691,11 @@ impl FileBackend {
     /// anchor after the rename. The replacement is a new file written
     /// through the same [`Log::append`], so it starts with its own slack
     /// and the zero-tail invariant holds for it from its first byte.
+    ///
+    /// Both halves are at rest for it: `&mut self` holds the in-memory
+    /// half, and the rewrite takes its turn in the sink like a frame, so
+    /// it starts only once every frame cut before it — all of which
+    /// `replay` already describes — is in the file it replaces.
     fn compact(&mut self) -> Result<(), NvmError> {
         let mut frame =
             Vec::with_capacity(FRAME_HEADER_BYTES + self.replay.len() * 73 + self.regs.len() * 66);
@@ -524,21 +714,26 @@ impl FileBackend {
         }
 
         self.epoch += 1;
-        let tmp = self.log.path.with_extension("compact-tmp");
-        let out = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-        let mut out = Log::init(out, tmp)?;
-        out.append(&mut frame, self.epoch)?;
-        std::fs::rename(&out.path, &self.log.path).map_err(|e| io_err("rename", &out.path, e))?;
-        // Best-effort directory sync so the rename itself is durable.
-        if let Some(dir) = self.log.path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
+        let epoch = self.epoch;
+        let path = &self.path;
+        self.sink.in_turn(epoch, |file| {
+            let tmp = path.with_extension("compact-tmp");
+            let out = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
+            let mut out = Log::init(out, tmp)?;
+            out.append(&mut frame, epoch)?;
+            std::fs::rename(&out.path, path).map_err(|e| io_err("rename", &out.path, e))?;
+            // Best-effort directory sync so the rename itself is durable.
+            if let Some(dir) = path.parent() {
+                if let Ok(d) = File::open(dir) {
+                    let _ = d.sync_all();
+                }
             }
-        }
-        out.path = std::mem::take(&mut self.log.path);
-        self.log = out;
+            out.path.clone_from(path);
+            file.log = out;
+            file.seal(epoch)
+        })?;
         self.wal_records = self.live_records();
-        self.seal_anchor()
+        Ok(())
     }
 }
 
@@ -626,27 +821,39 @@ impl NvmBackend for FileBackend {
     }
 
     fn barrier(&mut self) -> Result<(), NvmError> {
-        if self.suppressed {
-            // The platform died: unflushed records evaporate.
-            self.clear_pending();
-            return Ok(());
+        self.flush(false)?;
+        self.settle()
+    }
+
+    fn cut(&mut self) -> Option<Cut> {
+        let detached = Detached {
+            frame: self.cut_frame(false)?,
+            sink: Arc::clone(&self.sink),
+            epoch: self.epoch,
+            committed: false,
+        };
+        Some(Cut::new(self.epoch, self.compaction_due(), move || {
+            detached.commit()
+        }))
+    }
+
+    fn ticket(&self) -> u64 {
+        let buffered = !(self.pending_writes.is_empty() && self.pending_regs.is_empty());
+        self.epoch + u64::from(buffered)
+    }
+
+    fn durable_epoch(&self) -> Result<u64, NvmError> {
+        let progress = relock(&self.sink.progress);
+        match &progress.broken {
+            Some(reason) => Err(NvmError::Backend {
+                reason: format!("{}: {reason}", self.path.display()),
+            }),
+            None => Ok(progress.durable),
         }
-        let records = (self.pending_writes.len() + self.pending_regs.len()) as u64;
-        if records == 0 {
-            return Ok(());
-        }
-        self.epoch += 1;
-        self.log.append(&mut self.pending, self.epoch)?;
-        self.wal_records += records;
-        for (&phys, &at) in &self.pending_writes {
-            let contents = self.pending[at..at + crate::BLOCK_BYTES]
-                .try_into()
-                .expect("64-byte slice");
-            self.replay.insert(phys, Block::from_bytes(contents));
-        }
-        self.clear_pending();
-        self.seal_anchor()?;
-        if self.wal_records > COMPACT_FACTOR * self.live_records() + COMPACT_FLOOR {
+    }
+
+    fn settle(&mut self) -> Result<(), NvmError> {
+        if self.compaction_due() {
             self.compact()?;
         }
         Ok(())
@@ -666,16 +873,11 @@ impl NvmBackend for FileBackend {
     }
 
     fn bump_epoch(&mut self) -> Result<(), NvmError> {
-        if self.suppressed {
-            return Ok(());
-        }
-        // An empty frame: nothing to replay, but the epoch advance is
-        // durable and anchored, so post-snapshot state is provably newer
-        // than the snapshot it feeds.
-        self.epoch += 1;
-        self.log
-            .append(&mut vec![0; FRAME_HEADER_BYTES], self.epoch)?;
-        self.seal_anchor()
+        // A frame even when nothing is buffered: nothing to replay, but
+        // the epoch advance is durable and anchored, so post-snapshot
+        // state is provably newer than the snapshot it feeds. (A dead
+        // platform cuts nothing, so this is a no-op on it as well.)
+        self.flush(true)
     }
 
     fn frames_rejected(&self) -> u64 {
@@ -683,9 +885,10 @@ impl NvmBackend for FileBackend {
     }
 
     fn wal_stats(&self) -> WalStats {
+        let file = relock(&self.sink.io);
         WalStats {
-            log_bytes: self.log.end,
-            slack_bytes: self.log.len - self.log.end,
+            log_bytes: file.log.end,
+            slack_bytes: file.log.len - file.log.end,
             records_coalesced: self.coalesced,
         }
     }
@@ -1274,14 +1477,14 @@ mod tests {
         b.store(1, Block::filled(0xAA));
         b.barrier().unwrap();
         // The medium fails: every write through this handle is refused.
-        b.log.file = File::open(&p).unwrap();
+        relock(&b.sink.io).log.file = File::open(&p).unwrap();
         b.store(2, Block::filled(0xBB));
         let err = b.barrier().unwrap_err().to_string();
         assert!(err.contains("append"), "got {err}");
         // Bytes past the write position can no longer be trusted to be
         // zero, so nothing more is written — not by a barrier, not by an
         // epoch bump — even once the medium is back.
-        b.log.file = OpenOptions::new().write(true).open(&p).unwrap();
+        relock(&b.sink.io).log.file = OpenOptions::new().write(true).open(&p).unwrap();
         b.store(3, Block::filled(0xCC));
         for refused in [b.barrier(), b.bump_epoch()] {
             let err = refused.unwrap_err().to_string();
@@ -1291,6 +1494,140 @@ mod tests {
         let b = FileBackend::open(&p).unwrap();
         assert_eq!(b.load(1), Some(Block::filled(0xAA)));
         assert_eq!((b.load(2), b.load(3)), (None, None));
+        assert_eq!((b.epoch(), b.frames_rejected()), (1, 0));
+        cleanup(&p);
+    }
+
+    /// A barrier in its two halves, as a group-commit leader takes it.
+    fn split_barrier(b: &mut FileBackend) -> Result<(), NvmError> {
+        let Some(cut) = b.cut() else { return Ok(()) };
+        let settle = cut.wants_settle();
+        cut.commit()?;
+        if settle {
+            b.settle()?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn cut_then_commit_writes_the_bytes_a_fused_barrier_writes() {
+        let (fused, split) = (tmp("halves-fused"), tmp("halves-split"));
+        let mut a = FileBackend::open_with_anchor(&fused, KEY, AnchorPolicy::Strict).unwrap();
+        let mut b = FileBackend::open_with_anchor(&split, KEY, AnchorPolicy::Strict).unwrap();
+        // Long enough to cross the compaction threshold once.
+        for i in 0..(COMPACT_FLOOR + 64) {
+            for backend in [&mut a, &mut b] {
+                backend.store(7, Block::filled((i % 251) as u8));
+                backend.journal(1_000 + i % 3, Block::filled(i as u8));
+                backend.store_reg(1, Block::filled((i % 13) as u8));
+            }
+            a.barrier().unwrap();
+            assert_eq!(b.ticket(), b.epoch() + 1, "records are buffered");
+            split_barrier(&mut b).unwrap();
+            assert_eq!(
+                (b.ticket(), b.durable_epoch().unwrap()),
+                (b.epoch(), b.epoch())
+            );
+            assert_eq!(a.epoch(), b.epoch(), "after barrier {i}");
+        }
+        assert!(a.epoch() > COMPACT_FLOOR + 64, "no compaction happened");
+        split_barrier(&mut b).unwrap(); // nothing buffered: no cut, no frame
+        assert_eq!(a.epoch(), b.epoch());
+        assert_eq!(
+            std::fs::read(&fused).unwrap(),
+            std::fs::read(&split).unwrap()
+        );
+        assert_eq!(
+            FreshnessAnchor::probe(&anchor_path_for(&split), KEY).unwrap(),
+            Some(b.epoch())
+        );
+        cleanup(&fused);
+        cleanup(&split);
+    }
+
+    #[test]
+    fn a_cut_accounts_for_its_frame_before_the_frame_lands() {
+        let p = tmp("optimistic");
+        let mut b = FileBackend::open(&p).unwrap();
+        b.store(1, Block::filled(0xAA));
+        b.barrier().unwrap();
+        b.store(1, Block::filled(0xBB));
+        let in_flight = b.cut().expect("a record is buffered");
+        assert_eq!((in_flight.epoch(), b.epoch(), b.ticket()), (2, 2, 2));
+        assert_eq!(b.durable_epoch().unwrap(), 1, "cut, not yet durable");
+        // A write back to the value the *file* still holds is not a
+        // repeat of what the log replays — the log includes the frame in
+        // flight — so it must get its record.
+        b.store(1, Block::filled(0xAA));
+        assert_eq!(b.ticket(), 3);
+        in_flight.commit().unwrap();
+        assert_eq!(b.durable_epoch().unwrap(), 2);
+        b.barrier().unwrap();
+        drop(b);
+        let b = FileBackend::open(&p).unwrap();
+        assert_eq!((b.load(1), b.epoch()), (Some(Block::filled(0xAA)), 3));
+        cleanup(&p);
+    }
+
+    #[test]
+    fn a_fused_barrier_queues_behind_a_cut_in_flight() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let p = tmp("in-order");
+        let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        b.store(1, Block::filled(0x01));
+        let first = b.cut().expect("frame 1");
+        b.store(2, Block::filled(0x02));
+        let (started, on_start) = channel();
+        let (finished, on_finish) = channel();
+        let racer = std::thread::spawn(move || {
+            started.send(()).unwrap();
+            let result = b.barrier(); // frame 2
+            finished.send(()).unwrap();
+            (b, result)
+        });
+        on_start.recv().unwrap();
+        // Frame 2 must not reach the file while frame 1 has not.
+        assert!(on_finish.recv_timeout(Duration::from_millis(150)).is_err());
+        let (_, frames, _) = layout(&p);
+        assert!(frames.is_empty(), "frame 2 overtook frame 1");
+        first.commit().unwrap();
+        on_finish.recv().unwrap();
+        let (b, result) = racer.join().unwrap();
+        result.unwrap();
+        assert_eq!(b.durable_epoch().unwrap(), 2);
+        let (_, frames, _) = layout(&p);
+        assert_eq!(frames.iter().map(|f| f.epoch).collect::<Vec<_>>(), [1, 2]);
+        drop(b);
+        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        assert_eq!(b.freshness(), Freshness::Fresh { epoch: 2 });
+        assert_eq!(b.load(2), Some(Block::filled(0x02)));
+        cleanup(&p);
+    }
+
+    #[test]
+    fn a_cut_dropped_uncommitted_breaks_the_backend() {
+        let p = tmp("dropped-cut");
+        let mut b = FileBackend::open(&p).unwrap();
+        b.store(1, Block::filled(0xAA));
+        b.barrier().unwrap();
+        b.store(2, Block::filled(0xBB));
+        drop(b.cut().expect("a record is buffered"));
+        // The in-memory half counts frame 2 as part of the log; nothing
+        // may be appended behind the hole, and nobody may wait for it.
+        let err = b.durable_epoch().unwrap_err().to_string();
+        assert!(err.contains("never committed"), "got {err}");
+        b.store(3, Block::filled(0xCC));
+        for refused in [b.barrier(), b.bump_epoch()] {
+            let err = refused.unwrap_err().to_string();
+            assert!(err.contains("poisoned"), "got {err}");
+        }
+        drop(b);
+        let b = FileBackend::open(&p).unwrap();
+        assert_eq!(
+            (b.load(1), b.load(2), b.load(3)),
+            (Some(Block::filled(0xAA)), None, None)
+        );
         assert_eq!((b.epoch(), b.frames_rejected()), (1, 0));
         cleanup(&p);
     }

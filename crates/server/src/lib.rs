@@ -52,3 +52,5 @@ pub use protocol::{
 };
 pub use server::{ServeStartError, Server};
 pub use tenant::Tenant;
+#[doc(hidden)]
+pub use tenant::{Executed, ThreadReg, VERIFIED_SLOTS};

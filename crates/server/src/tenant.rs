@@ -23,9 +23,28 @@
 //! the last verified state while rung 1–4 of the supervisor work the
 //! domain. Re-entry into full service happens only on a structured
 //! [`anubis::RecoveryOutcome`].
+//!
+//! # Execute / durable
+//!
+//! A data operation is served in two steps (`DESIGN.md` §10, "execute /
+//! durable"). It **executes** under `Mutex<Core>` — admission, the
+//! controller's `*_deferred` call, a *ticket*: the backend epoch whose
+//! durability covers it — and the lock is released. It is **durable**
+//! once the tenant's durable epoch reaches the ticket, and only then is
+//! it answered. Whoever finds no barrier running becomes the *leader*:
+//! it re-takes the lock just long enough to cut everything executed so
+//! far into one frame, commits that frame — `write` + `sync_data` +
+//! anchor seal — with the lock released, publishes the epoch and wakes
+//! the rest. A read waits only if the line it read has a write that is
+//! executed but not durable yet, and then for that write's ticket only.
+//!
+//! Lock order: `Mutex<Core>` → group state → (inside the backend) WAL
+//! sink. The group state is never held while taking the core lock, and
+//! nothing below holds a lock across a call back up.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -33,44 +52,46 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemError, MemoryController,
     RecoveryError, SgxController, SgxScheme, Supervisor,
 };
-use anubis_nvm::{Block, FileBackend, NvmError};
+use anubis_nvm::{Block, FileBackend, NvmBackend, NvmError};
 use anubis_telemetry::Telemetry;
 
-use crate::admission::{InflightGate, TokenBucket};
+use crate::admission::{InflightGate, InflightPermit, TokenBucket};
 use crate::breaker::Breaker;
 use crate::config::{ServeConfig, TenantFamily, TenantSpec};
 use crate::protocol::{Inject, Request, Response, ServeError, ServeMode, TenantStats};
 
 /// Registry of in-flight recovery threads, joined at server shutdown.
-pub(crate) type ThreadReg = Arc<Mutex<Vec<JoinHandle<()>>>>;
+pub type ThreadReg = Arc<Mutex<Vec<JoinHandle<()>>>>;
 
 /// Either controller family behind one dispatch surface.
-pub(crate) enum Ctrl {
+pub(crate) enum Ctrl<B: NvmBackend> {
     /// Bonsai-style tree under AGIT+.
-    Bonsai(Box<BonsaiController<FileBackend>>),
+    Bonsai(Box<BonsaiController<B>>),
     /// SGX-style tree under ASIT.
-    Sgx(Box<SgxController<FileBackend>>),
+    Sgx(Box<SgxController<B>>),
 }
 
-impl Ctrl {
-    fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
+impl<B: NvmBackend> Ctrl<B> {
+    fn read_deferred(&mut self, addr: DataAddr) -> Result<Block, MemError> {
         match self {
-            Ctrl::Bonsai(c) => c.read(addr),
-            Ctrl::Sgx(c) => c.read(addr),
+            Ctrl::Bonsai(c) => c.read_deferred(addr),
+            Ctrl::Sgx(c) => c.read_deferred(addr),
         }
     }
 
-    fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        match self {
-            Ctrl::Bonsai(c) => c.write(addr, data),
-            Ctrl::Sgx(c) => c.write(addr, data),
+    fn write_deferred(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
+        match (self, items) {
+            (Ctrl::Bonsai(c), [(addr, data)]) => c.write_deferred(*addr, *data),
+            (Ctrl::Bonsai(c), _) => c.write_batch_deferred(items),
+            (Ctrl::Sgx(c), [(addr, data)]) => c.write_deferred(*addr, *data),
+            (Ctrl::Sgx(c), _) => c.write_batch_deferred(items),
         }
     }
 
-    fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
+    fn barrier(&mut self) -> Result<(), MemError> {
         match self {
-            Ctrl::Bonsai(c) => c.write_batch(items),
-            Ctrl::Sgx(c) => c.write_batch(items),
+            Ctrl::Bonsai(c) => c.barrier(),
+            Ctrl::Sgx(c) => c.barrier(),
         }
     }
 
@@ -78,6 +99,20 @@ impl Ctrl {
         match self {
             Ctrl::Bonsai(c) => c.shutdown_flush(),
             Ctrl::Sgx(c) => c.shutdown_flush(),
+        }
+    }
+
+    fn backend(&self) -> &B {
+        match self {
+            Ctrl::Bonsai(c) => c.domain().device().backend(),
+            Ctrl::Sgx(c) => c.domain().device().backend(),
+        }
+    }
+
+    fn backend_mut(&mut self) -> &mut B {
+        match self {
+            Ctrl::Bonsai(c) => c.domain_mut().device_mut().backend_mut(),
+            Ctrl::Sgx(c) => c.domain_mut().device_mut().backend_mut(),
         }
     }
 
@@ -151,23 +186,64 @@ fn classify(e: &MemError) -> FailClass {
     match e {
         MemError::OutOfRange { .. } => FailClass::BadRequest,
         MemError::Crypto(_) | MemError::Integrity { .. } => FailClass::Corruption,
-        // Power-related device errors mean the domain lost state and
-        // must run the ladder; other device errors get a retry.
-        MemError::Nvm(NvmError::PowerLost) | MemError::Nvm(NvmError::PoweredOff) => {
-            FailClass::Corruption
-        }
+        // Power-related device errors, and a controller whose volatile
+        // state is gone, mean the domain must run the ladder; other
+        // device errors get a retry.
+        MemError::Nvm(NvmError::PowerLost)
+        | MemError::Nvm(NvmError::PoweredOff)
+        | MemError::RecoveryPending => FailClass::Corruption,
         _ => FailClass::Transient,
+    }
+}
+
+/// Lines the degraded-mode read table holds: one constant, so a tenant's
+/// footprint does not grow with the lines it has ever served.
+pub const VERIFIED_SLOTS: usize = 4096;
+
+/// Last *durable* payload per data line — the degraded-mode read source
+/// while the ladder owns the controller. Direct-mapped by line address:
+/// a colliding line evicts, and a miss in the degraded window is the
+/// typed `Degraded` it always was.
+struct Verified {
+    slots: Vec<Option<(u64, Block)>>,
+}
+
+impl Verified {
+    fn new() -> Self {
+        Verified {
+            slots: vec![None; VERIFIED_SLOTS],
+        }
+    }
+
+    fn insert(&mut self, line: u64, block: Block) {
+        self.slots[line as usize % VERIFIED_SLOTS] = Some((line, block));
+    }
+
+    fn get(&self, line: u64) -> Option<Block> {
+        match self.slots[line as usize % VERIFIED_SLOTS] {
+            Some((held, block)) if held == line => Some(block),
+            _ => None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.iter().flatten().count()
     }
 }
 
 /// Mutable tenant state, all behind one mutex. The controller leaves
 /// (`ctrl: None`) while a recovery ladder owns it.
-struct Core {
-    ctrl: Option<Ctrl>,
+struct Core<B: NvmBackend> {
+    ctrl: Option<Ctrl<B>>,
     mode: ServeMode,
-    /// Last verified payload per data line — the degraded-mode read
-    /// source while the ladder owns the controller.
-    verified: BTreeMap<u64, Block>,
+    verified: Verified,
+    /// Data lines whose last executed write is not known durable yet:
+    /// that write's ticket and payload. A read of such a line waits for
+    /// the ticket; the entry leaves when the write is answered.
+    unsynced: HashMap<u64, (u64, Block)>,
+    /// Write requests executed since the last cut — what the next group
+    /// commit covers (`serve_barrier_ops_total`).
+    uncut_ops: u64,
     breaker: Breaker,
     bucket: TokenBucket,
     /// Injected synthetic transient failures remaining (chaos hook).
@@ -194,20 +270,110 @@ struct Counters {
     last_outcome: String,
 }
 
-/// One tenant: identity, admission gate, and the locked `Core`.
-pub struct Tenant {
+/// How far the tenant's log is durable, and who is moving it. Outside
+/// `Mutex<Core>` so that waiting for a barrier never holds up execution.
+struct Group {
+    state: Mutex<GroupState>,
+    /// Signalled whenever `state` changes.
+    moved: Condvar,
+}
+
+struct GroupState {
+    /// Every frame up to this epoch is durable and sealed: a ticket at
+    /// or below it may be answered.
+    durable: u64,
+    /// A leader is between taking the cut and publishing its outcome.
+    leader: bool,
+    /// A barrier failed: the backend takes no more frames, so every
+    /// ticket above `durable` fails with this reason.
+    failed: Option<String>,
+}
+
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The locked `Core`, timing how long it is held when telemetry listens.
+struct Held<'a, B: NvmBackend> {
+    core: MutexGuard<'a, Core<B>>,
+    since: Option<Instant>,
+    tenant: &'a Tenant<B>,
+}
+
+fn observe_us(tel: &Telemetry, name: &'static str, tenant: &str, since: Instant) {
+    tel.observe(name, tenant, since.elapsed().as_secs_f64() * 1e6);
+}
+
+impl<B: NvmBackend> Deref for Held<'_, B> {
+    type Target = Core<B>;
+    fn deref(&self) -> &Core<B> {
+        &self.core
+    }
+}
+
+impl<B: NvmBackend> DerefMut for Held<'_, B> {
+    fn deref_mut(&mut self) -> &mut Core<B> {
+        &mut self.core
+    }
+}
+
+impl<B: NvmBackend> Drop for Held<'_, B> {
+    fn drop(&mut self) {
+        if let Some(since) = self.since {
+            let tenant = self.tenant;
+            observe_us(&tenant.tel, "serve_lock_hold_us", &tenant.name, since);
+        }
+    }
+}
+
+/// One tenant: identity, admission gate, the locked `Core` and the
+/// group-commit state beside it.
+pub struct Tenant<B: NvmBackend = FileBackend> {
     name: String,
     token_hash: u64,
     family: TenantFamily,
     gate: InflightGate,
-    core: Mutex<Core>,
+    core: Mutex<Core<B>>,
+    group: Group,
     tel: Telemetry,
 }
 
-fn lock_core<'a>(m: &'a Mutex<Core>) -> MutexGuard<'a, Core> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+/// A request that has executed and may still have to wait for its
+/// barrier: what [`Tenant::begin`] hands to [`Tenant::finish`]. Holds
+/// the in-flight permit, so the gate counts waiting requests too.
+#[doc(hidden)]
+pub struct Executed {
+    _permit: Option<InflightPermit>,
+    state: Awaiting,
+}
+
+enum Awaiting {
+    /// Answered at execution: nothing it shows depends on a barrier.
+    Nothing(Response),
+    /// A read that observed a write not durable yet.
+    Read { ticket: u64, data: [u8; 64] },
+    /// A write (scalar or batch) executed under `ticket`.
+    Write {
+        ticket: u64,
+        items: Vec<(DataAddr, Block)>,
+        batch: bool,
+    },
+}
+
+impl Executed {
+    fn answered(resp: Response) -> Self {
+        Executed {
+            _permit: None,
+            state: Awaiting::Nothing(resp),
+        }
+    }
+
+    /// The backend epoch this request waits for, if it waits at all.
+    pub fn ticket(&self) -> Option<u64> {
+        match self.state {
+            Awaiting::Nothing(_) => None,
+            Awaiting::Read { ticket, .. } | Awaiting::Write { ticket, .. } => Some(ticket),
+        }
     }
 }
 
@@ -221,6 +387,12 @@ fn injected_fault() -> MemError {
     MemError::Nvm(NvmError::Backend {
         reason: "injected transient fault".to_string(),
     })
+}
+
+fn degraded() -> ServeError {
+    ServeError::Degraded {
+        mode: ServeMode::ReadOnly,
+    }
 }
 
 impl Tenant {
@@ -248,9 +420,25 @@ impl Tenant {
         } else {
             anubis_nvm::AnchorPolicy::Strict
         };
-        let mem = &cfg.mem_config;
-        let backend = FileBackend::open_with_anchor(&image, mem.key.0, policy)?;
-        let (ctrl, hint) = open_family(spec.family, mem, backend);
+        let backend = FileBackend::open_with_anchor(&image, cfg.mem_config.key.0, policy)?;
+        Ok(Tenant::over(spec, cfg, tel, backend, threads))
+    }
+}
+
+impl<B: NvmBackend + 'static> Tenant<B> {
+    /// A tenant over an already opened backend, entering the boot ladder
+    /// as [`Tenant::open`] does. Public for in-process harnesses that
+    /// serve over a backend of their own (a gated durable half).
+    #[doc(hidden)]
+    pub fn over(
+        spec: &TenantSpec,
+        cfg: &ServeConfig,
+        tel: Telemetry,
+        backend: B,
+        threads: &ThreadReg,
+    ) -> Arc<Self> {
+        let durable = backend.epoch();
+        let (ctrl, hint) = open_family(spec.family, &cfg.mem_config, backend);
         let tenant = Arc::new(Tenant {
             name: spec.name.clone(),
             token_hash: spec.token_hash,
@@ -259,7 +447,9 @@ impl Tenant {
             core: Mutex::new(Core {
                 ctrl: Some(ctrl),
                 mode: ServeMode::ReadOnly,
-                verified: BTreeMap::new(),
+                verified: Verified::new(),
+                unsynced: HashMap::new(),
+                uncut_ops: 0,
                 breaker: Breaker::new(
                     cfg.breaker_threshold,
                     Duration::from_millis(u64::from(cfg.breaker_cooldown_ms)),
@@ -271,15 +461,23 @@ impl Tenant {
                 unavailable_reason: String::new(),
                 stats: Counters::default(),
             }),
+            group: Group {
+                state: Mutex::new(GroupState {
+                    durable,
+                    leader: false,
+                    failed: None,
+                }),
+                moved: Condvar::new(),
+            },
             tel,
         });
         {
-            let mut core = lock_core(&tenant.core);
+            let mut core = tenant.lock();
             // Boot ladder: reopen restored registers; recovery restores
             // verified state (with the corrupt-image hint feeding rung 3).
             tenant.spawn_recovery(&mut core, hint, false, threads);
         }
-        Ok(tenant)
+        tenant
     }
 
     /// Tenant name.
@@ -299,22 +497,174 @@ impl Tenant {
 
     /// Current serving mode (for handshakes and health checks).
     pub fn mode(&self) -> ServeMode {
-        lock_core(&self.core).mode
+        self.lock().mode
     }
 
-    fn set_mode(core: &mut Core, tel: &Telemetry, tenant: &str, mode: ServeMode) {
+    /// Lines the degraded-mode read table currently holds; at most
+    /// [`VERIFIED_SLOTS`] however many were served.
+    #[doc(hidden)]
+    pub fn verified_lines(&self) -> usize {
+        self.lock().verified.len()
+    }
+
+    /// The backend's (cut epoch, durable epoch) — frames taken vs frames
+    /// known to have landed — or `None` while a ladder owns it.
+    #[doc(hidden)]
+    pub fn epochs(&self) -> Option<(u64, u64)> {
+        let core = self.lock();
+        let backend = core.ctrl.as_ref()?.backend();
+        Some((backend.epoch(), backend.durable_epoch().ok()?))
+    }
+
+    /// Takes the core lock. Clocks are read only when telemetry listens.
+    fn lock(&self) -> Held<'_, B> {
+        let asked = self.tel.enabled().then(Instant::now);
+        let core = relock(&self.core);
+        let since = asked.map(|asked| {
+            observe_us(&self.tel, "serve_lock_wait_us", &self.name, asked);
+            Instant::now()
+        });
+        Held {
+            core,
+            since,
+            tenant: self,
+        }
+    }
+
+    fn set_mode(core: &mut Core<B>, tel: &Telemetry, tenant: &str, mode: ServeMode) {
         core.mode = mode;
         tel.gauge_set("serve_mode", tenant, f64::from(mode.code()));
     }
+
+    // ------------------------------------------------------------------
+    // Group commit
+    // ------------------------------------------------------------------
+
+    /// Tells the waiters how far the backend says the log is durable.
+    /// Called with the core lock held, after a fused barrier ran under
+    /// it: fused commits queue behind any frame in flight, so whatever
+    /// was cut before this call has landed or failed.
+    fn publish(&self, backend: &B) {
+        let mut group = relock(&self.group.state);
+        match backend.durable_epoch() {
+            Ok(durable) => group.durable = group.durable.max(durable),
+            Err(e) => {
+                group.failed.get_or_insert(e.to_string());
+            }
+        }
+        self.group.moved.notify_all();
+    }
+
+    /// One group commit. The cut is taken under the core lock — so the
+    /// frame holds whole operations, in execution order — and committed
+    /// with the lock released.
+    fn lead(&self) {
+        let (cut, ops) = {
+            let mut core = self.lock();
+            let ops = std::mem::take(&mut core.uncut_ops);
+            // No controller: the ladder has it, and `spawn_recovery` made
+            // everything executed durable before handing it over.
+            let Some(ctrl) = core.ctrl.as_mut() else {
+                return;
+            };
+            match ctrl.backend_mut().cut() {
+                Some(cut) => (cut, ops),
+                // Nothing buffered: a fused barrier under this lock
+                // (Flush, a platform path) carried it. The backend knows.
+                None => return self.publish(ctrl.backend()),
+            }
+        };
+        let (epoch, wants_settle) = (cut.epoch(), cut.wants_settle());
+        let mut outcome = cut.commit();
+        self.tel.incr("serve_barriers_total", &self.name, 1);
+        self.tel.incr("serve_barrier_ops_total", &self.name, ops);
+        if outcome.is_ok() {
+            let mut group = relock(&self.group.state);
+            group.durable = group.durable.max(epoch);
+            self.group.moved.notify_all();
+            drop(group);
+            if wants_settle {
+                // Compaction needs both halves of the backend at rest,
+                // so it runs under the core lock (one of the listed
+                // exceptions, DESIGN §10) — after the frame's own
+                // tickets have been let go.
+                outcome = match self.lock().ctrl.as_mut() {
+                    Some(ctrl) => ctrl.backend_mut().settle(),
+                    None => Ok(()),
+                };
+            }
+        }
+        if let Err(e) = outcome {
+            relock(&self.group.state)
+                .failed
+                .get_or_insert(e.to_string());
+        }
+    }
+
+    /// Blocks until `ticket` is durable, leading a group commit if
+    /// nobody else is. `Err` carries why the barrier covering the
+    /// ticket failed; the operation is not re-executed.
+    fn await_durable(&self, ticket: u64) -> Result<(), String> {
+        let asked = self.tel.enabled().then(Instant::now);
+        let mut led = false;
+        let mut group = relock(&self.group.state);
+        let verdict = loop {
+            if group.durable >= ticket {
+                break Ok(());
+            }
+            if let Some(why) = &group.failed {
+                break Err(why.clone());
+            }
+            if group.leader {
+                group = self
+                    .group
+                    .moved
+                    .wait(group)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+            if led {
+                // A cut takes everything executed before it, this
+                // ticket's operation included, so one turn as leader
+                // settles it — unless the backend has stopped cutting
+                // (a platform that died flushes nothing more).
+                break Err(format!("no frame was cut for ticket {ticket}"));
+            }
+            led = true;
+            group.leader = true;
+            drop(group);
+            {
+                let _leading = Leading(&self.group);
+                self.lead();
+            }
+            group = relock(&self.group.state);
+        };
+        drop(group);
+        if let Some(asked) = asked {
+            observe_us(&self.tel, "serve_durable_wait_us", &self.name, asked);
+        }
+        verdict
+    }
+
+    // ------------------------------------------------------------------
+    // Recovery hand-off
+    // ------------------------------------------------------------------
 
     /// Takes the controller out of the core and runs the supervisor
     /// ladder on a background thread; the tenant serves reads from the
     /// last verified state meanwhile. `crash_first` distinguishes the
     /// in-process fault path (volatile state must be dropped) from the
     /// boot path (the process restart already dropped it).
+    ///
+    /// Operations that executed and still wait for their barrier must
+    /// not be left pointing into a controller this thread no longer
+    /// has: one fused barrier here, under the lock, makes everything
+    /// executed so far durable — or fails it, typed — before the
+    /// hand-off. (It queues behind a leader's frame in flight; the fault
+    /// path may wait for one barrier under the lock.)
     fn spawn_recovery(
         self: &Arc<Self>,
-        core: &mut Core,
+        core: &mut Core<B>,
         hint: Option<RecoveryError>,
         crash_first: bool,
         threads: &ThreadReg,
@@ -322,6 +672,9 @@ impl Tenant {
         let Some(mut ctrl) = core.ctrl.take() else {
             return; // A ladder is already running.
         };
+        let _ = ctrl.barrier(); // the verdict reaches the tickets via `publish`
+        core.uncut_ops = 0;
+        self.publish(ctrl.backend());
         Self::set_mode(core, &self.tel, &self.name, ServeMode::ReadOnly);
         let stall = Duration::from_millis(u64::from(core.recovery_stall_ms));
         core.recovery_stall_ms = 0;
@@ -336,7 +689,7 @@ impl Tenant {
             let sup = Supervisor::new();
             let result = ctrl.supervised_recover(&sup, hint.as_ref());
             ctrl.publish_telemetry();
-            let mut core = lock_core(&tenant.core);
+            let mut core = relock(&tenant.core);
             core.ctrl = Some(ctrl);
             core.stats.recoveries += 1;
             match result {
@@ -344,7 +697,7 @@ impl Tenant {
                     core.stats.last_outcome = out.outcome.to_string();
                     core.breaker.record_ok();
                     tenant.tel.incr("serve_recoveries_total", &tenant.name, 1);
-                    Tenant::set_mode(&mut core, &tenant.tel, &tenant.name, ServeMode::Full);
+                    Self::set_mode(&mut core, &tenant.tel, &tenant.name, ServeMode::Full);
                 }
                 Err(e) => {
                     core.stats.last_outcome = format!("failed: {e}");
@@ -353,17 +706,19 @@ impl Tenant {
                     tenant
                         .tel
                         .incr("serve_recovery_failures_total", &tenant.name, 1);
-                    Tenant::set_mode(&mut core, &tenant.tel, &tenant.name, ServeMode::Unavailable);
+                    Self::set_mode(&mut core, &tenant.tel, &tenant.name, ServeMode::Unavailable);
                 }
             }
         });
-        match threads.lock() {
-            Ok(mut v) => v.push(handle),
-            Err(poisoned) => poisoned.into_inner().push(handle),
-        }
+        relock(threads).push(handle);
     }
 
-    /// Serves one already-authenticated request.
+    // ------------------------------------------------------------------
+    // Requests
+    // ------------------------------------------------------------------
+
+    /// Serves one already-authenticated request: executes it, then waits
+    /// for whatever barrier its reply depends on.
     pub(crate) fn handle(
         self: &Arc<Self>,
         req: &Request,
@@ -371,66 +726,130 @@ impl Tenant {
         cfg: &ServeConfig,
         threads: &ThreadReg,
     ) -> Response {
-        self.tel.incr("serve_requests_total", &self.name, 1);
-        let resp = self.dispatch(req, received, cfg, threads);
-        if let Response::Err(e) = &resp {
-            self.tel.incr("serve_rejects_total", e.kind(), 1);
-        }
-        resp
+        let executed = self.begin(req, received, cfg, threads);
+        self.finish(executed)
     }
 
-    fn dispatch(
+    /// The execute step of [`Tenant::handle`]: admission and the
+    /// controller call, under the tenant lock; returns with the lock
+    /// released and nothing answered yet.
+    #[doc(hidden)]
+    pub fn begin(
         self: &Arc<Self>,
         req: &Request,
         received: Instant,
         cfg: &ServeConfig,
         threads: &ThreadReg,
-    ) -> Response {
+    ) -> Executed {
+        self.tel.incr("serve_requests_total", &self.name, 1);
         match req {
             Request::Read { addr, deadline_ms } => {
-                self.op_read(*addr, *deadline_ms, received, cfg, threads)
+                self.exec_read(*addr, *deadline_ms, received, cfg, threads)
             }
             Request::Write {
                 addr,
                 deadline_ms,
                 data,
             } => {
-                let items = [(DataAddr::new(*addr), block_from_bytes(data))];
-                match self.op_write(&items, *deadline_ms, received, cfg, threads) {
-                    Ok(_) => Response::WriteOk,
-                    Err(e) => Response::Err(e),
-                }
+                let items = vec![(DataAddr::new(*addr), block_from_bytes(data))];
+                self.exec_write(items, false, *deadline_ms, received, cfg, threads)
             }
             Request::WriteBatch { deadline_ms, items } => {
-                let converted: Vec<(DataAddr, Block)> = items
+                let items = items
                     .iter()
                     .map(|(a, d)| (DataAddr::new(*a), block_from_bytes(d)))
                     .collect();
-                match self.op_write(&converted, *deadline_ms, received, cfg, threads) {
-                    Ok(n) => Response::BatchOk { written: n },
-                    Err(e) => Response::Err(e),
-                }
+                self.exec_write(items, true, *deadline_ms, received, cfg, threads)
             }
-            Request::Flush => self.op_flush(),
-            Request::Recover => self.op_recover(threads),
-            Request::Stats => Response::StatsOk(self.stats_snapshot()),
-            Request::Inject(inj) => self.op_inject(inj, cfg),
-            Request::Hello { .. } => Response::Err(ServeError::BadRequest {
+            Request::Flush => Executed::answered(self.op_flush()),
+            Request::Recover => Executed::answered(self.op_recover(threads)),
+            Request::Stats => Executed::answered(Response::StatsOk(self.stats_snapshot())),
+            Request::Inject(inj) => Executed::answered(self.op_inject(inj, cfg)),
+            Request::Hello { .. } => Executed::answered(Response::Err(ServeError::BadRequest {
                 detail: "duplicate handshake".to_string(),
-            }),
+            })),
         }
     }
 
+    /// The durable step of [`Tenant::handle`]: blocks until the barrier
+    /// the request depends on has landed (leading it if need be) and
+    /// builds the reply. A write is counted, remembered for degraded
+    /// reads and credited to the breaker only here — once it is durable.
+    #[doc(hidden)]
+    pub fn finish(&self, executed: Executed) -> Response {
+        let resp = match executed.state {
+            Awaiting::Nothing(resp) => resp,
+            Awaiting::Read { ticket, data } => match self.await_durable(ticket) {
+                Ok(()) => Response::ReadOk {
+                    data,
+                    mode: ServeMode::Full,
+                },
+                Err(why) => Response::Err(ServeError::Internal {
+                    detail: format!("the write this read observed is not durable: {why}"),
+                }),
+            },
+            Awaiting::Write {
+                ticket,
+                items,
+                batch,
+            } => {
+                let durable = self.await_durable(ticket);
+                let mut core = self.lock();
+                match durable {
+                    Ok(()) => {
+                        for (addr, block) in &items {
+                            let line = addr.index();
+                            // While the line has a write on record —
+                            // this one, or a later one still on its way —
+                            // this payload is its newest durable one.
+                            // Once the last write has answered, earlier
+                            // ones have nothing to add.
+                            if let Some(&last) = core.unsynced.get(&line) {
+                                core.verified.insert(line, *block);
+                                if last == (ticket, *block) {
+                                    core.unsynced.remove(&line);
+                                }
+                            }
+                        }
+                        let written = items.len() as u32;
+                        core.stats.writes_acked_total += u64::from(written);
+                        core.breaker.record_ok();
+                        self.tel
+                            .incr("serve_writes_acked_total", &self.name, u64::from(written));
+                        if batch {
+                            Response::BatchOk { written }
+                        } else {
+                            Response::WriteOk
+                        }
+                    }
+                    Err(why) => {
+                        core.breaker.record_fault(Instant::now());
+                        Response::Err(ServeError::Internal {
+                            detail: format!("durability barrier failed: {why}"),
+                        })
+                    }
+                }
+            }
+        };
+        if let Response::Err(e) = &resp {
+            self.tel.incr("serve_rejects_total", e.kind(), 1);
+        }
+        resp
+    }
+
     /// Common admission steps: in-flight gate (done by caller), ops/s
-    /// bucket, circuit breaker, deadline. Returns the locked core.
-    fn admit<'a>(
-        &'a self,
+    /// bucket, circuit breaker, deadline. Returns the locked core. A
+    /// request coming back from a retry backoff is the same request: it
+    /// is re-checked against everything but the bucket.
+    fn admit(
+        &self,
         deadline: Duration,
         received: Instant,
-    ) -> Result<MutexGuard<'a, Core>, ServeError> {
-        let mut core = lock_core(&self.core);
+        retry: bool,
+    ) -> Result<Held<'_, B>, ServeError> {
+        let mut core = self.lock();
         let now = Instant::now();
-        if !core.bucket.try_take(now) {
+        if !retry && !core.bucket.try_take(now) {
             core.stats.rejected_overload += 1;
             let retry_after_ms = core.bucket.retry_after_ms();
             return Err(ServeError::Overloaded { retry_after_ms });
@@ -451,37 +870,44 @@ impl Tenant {
                 budget_ms: deadline.as_millis().min(u128::from(u32::MAX)) as u32,
             });
         }
-        Ok(core)
+        match core.mode {
+            ServeMode::Unavailable => Err(ServeError::Unavailable {
+                detail: core.unavailable_reason.clone(),
+            }),
+            _ => Ok(core),
+        }
     }
 
-    fn op_read(
+    /// The gate's permit, or the typed overload.
+    fn permit(&self) -> Result<InflightPermit, ServeError> {
+        self.gate.acquire().ok_or_else(|| {
+            self.lock().stats.rejected_overload += 1;
+            ServeError::Overloaded { retry_after_ms: 1 }
+        })
+    }
+
+    fn exec_read(
         self: &Arc<Self>,
         addr: u64,
         deadline_ms: u32,
         received: Instant,
         cfg: &ServeConfig,
         threads: &ThreadReg,
-    ) -> Response {
-        let Some(_permit) = self.gate.acquire() else {
-            let mut core = lock_core(&self.core);
-            core.stats.rejected_overload += 1;
-            return Response::Err(ServeError::Overloaded { retry_after_ms: 1 });
+    ) -> Executed {
+        let permit = match self.permit() {
+            Ok(permit) => permit,
+            Err(e) => return Executed::answered(Response::Err(e)),
         };
         let deadline = cfg.effective_deadline(deadline_ms);
-        let mut core = match self.admit(deadline, received) {
-            Ok(c) => c,
-            Err(e) => return Response::Err(e),
-        };
-        match core.mode {
-            ServeMode::Unavailable => {
-                return Response::Err(ServeError::Unavailable {
-                    detail: core.unavailable_reason.clone(),
-                })
-            }
-            ServeMode::ReadOnly => {
+        let mut attempt = 0u32;
+        let state = loop {
+            let mut core = match self.admit(deadline, received, attempt > 0) {
+                Ok(core) => core,
+                Err(e) => break Awaiting::Nothing(Response::Err(e)),
+            };
+            if core.mode == ServeMode::ReadOnly {
                 // Degraded path: serve the last verified payload.
-                let hit = core.verified.get(&addr).copied();
-                return match hit {
+                break Awaiting::Nothing(match core.verified.get(addr) {
                     Some(b) => {
                         core.stats.reads_total += 1;
                         core.stats.degraded_reads += 1;
@@ -490,64 +916,76 @@ impl Tenant {
                             mode: ServeMode::ReadOnly,
                         }
                     }
-                    None => Response::Err(ServeError::Degraded {
-                        mode: ServeMode::ReadOnly,
-                    }),
-                };
+                    None => Response::Err(degraded()),
+                });
             }
-            ServeMode::Full => {}
-        }
-        let core = &mut *core;
-        let mut attempt = 0u32;
-        loop {
             let result = if core.force_transient > 0 {
                 core.force_transient -= 1;
                 Err(injected_fault())
             } else {
                 match core.ctrl.as_mut() {
-                    Some(ctrl) => ctrl.read(DataAddr::new(addr)),
-                    None => {
-                        return Response::Err(ServeError::Degraded {
-                            mode: ServeMode::ReadOnly,
-                        })
-                    }
+                    Some(ctrl) => ctrl.read_deferred(DataAddr::new(addr)),
+                    None => break Awaiting::Nothing(Response::Err(degraded())),
                 }
             };
             match result {
                 Ok(block) => {
-                    core.verified.insert(addr, block);
                     core.stats.reads_total += 1;
                     core.breaker.record_ok();
-                    return Response::ReadOk {
-                        data: *block.as_bytes(),
-                        mode: ServeMode::Full,
+                    // The read's own metadata records ride the next
+                    // frame and nobody waits for them; what it must not
+                    // run ahead of is a write it observed.
+                    let observed = core.unsynced.get(&addr).map(|&(ticket, _)| ticket);
+                    let unsynced =
+                        observed.filter(|&ticket| relock(&self.group.state).durable < ticket);
+                    break match unsynced {
+                        Some(ticket) => Awaiting::Read {
+                            ticket,
+                            data: *block.as_bytes(),
+                        },
+                        None => {
+                            core.verified.insert(addr, block);
+                            Awaiting::Nothing(Response::ReadOk {
+                                data: *block.as_bytes(),
+                                mode: ServeMode::Full,
+                            })
+                        }
                     };
                 }
                 Err(e) => match classify(&e) {
                     FailClass::BadRequest => {
-                        return Response::Err(ServeError::BadRequest {
+                        break Awaiting::Nothing(Response::Err(ServeError::BadRequest {
                             detail: e.to_string(),
-                        })
+                        }))
                     }
                     FailClass::Transient => {
                         match self.backoff_or_fail(core, &mut attempt, deadline, received, cfg, &e)
                         {
                             Ok(()) => continue,
-                            Err(err) => return Response::Err(err),
+                            Err(err) => break Awaiting::Nothing(Response::Err(err)),
                         }
                     }
                     FailClass::Corruption => {
-                        return self.fault_to_recovery(core, threads, &e, addr);
+                        break Awaiting::Nothing(Response::Err(
+                            self.fault_to_recovery(&mut core, threads, &e),
+                        ))
                     }
                 },
             }
+        };
+        Executed {
+            _permit: Some(permit),
+            state,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Counts a transient failure against the retry budget and sleeps
+    /// the backoff **with the tenant lock released** (`core` is consumed
+    /// here; the caller re-admits): one request's hiccup must not stall
+    /// every other request of the tenant for the length of its backoff.
     fn backoff_or_fail(
         &self,
-        core: &mut Core,
+        mut core: Held<'_, B>,
         attempt: &mut u32,
         deadline: Duration,
         received: Instant,
@@ -570,6 +1008,7 @@ impl Tenant {
                 budget_ms: deadline.as_millis().min(u128::from(u32::MAX)) as u32,
             });
         }
+        drop(core);
         std::thread::sleep(backoff);
         Ok(())
     }
@@ -579,120 +1018,120 @@ impl Tenant {
     /// what happened; subsequent callers see `Degraded`).
     fn fault_to_recovery(
         self: &Arc<Self>,
-        core: &mut Core,
+        core: &mut Core<B>,
         threads: &ThreadReg,
         e: &MemError,
-        _addr: u64,
-    ) -> Response {
+    ) -> ServeError {
         core.breaker.record_fault(Instant::now());
         self.tel.incr("serve_integrity_faults_total", &self.name, 1);
         self.spawn_recovery(core, None, true, threads);
-        Response::Err(ServeError::Integrity {
+        ServeError::Integrity {
             detail: e.to_string(),
-        })
+        }
     }
 
-    fn op_write(
+    fn exec_write(
         self: &Arc<Self>,
-        items: &[(DataAddr, Block)],
+        items: Vec<(DataAddr, Block)>,
+        batch: bool,
         deadline_ms: u32,
         received: Instant,
         cfg: &ServeConfig,
         threads: &ThreadReg,
-    ) -> Result<u32, ServeError> {
-        let Some(_permit) = self.gate.acquire() else {
-            let mut core = lock_core(&self.core);
-            core.stats.rejected_overload += 1;
-            return Err(ServeError::Overloaded { retry_after_ms: 1 });
+    ) -> Executed {
+        let permit = match self.permit() {
+            Ok(permit) => permit,
+            Err(e) => return Executed::answered(Response::Err(e)),
         };
         let deadline = cfg.effective_deadline(deadline_ms);
-        let mut core = self.admit(deadline, received)?;
-        match core.mode {
-            ServeMode::Unavailable => {
-                return Err(ServeError::Unavailable {
-                    detail: core.unavailable_reason.clone(),
-                })
-            }
-            ServeMode::ReadOnly => {
+        let mut attempt = 0u32;
+        let failed = loop {
+            let mut core = match self.admit(deadline, received, attempt > 0) {
+                Ok(core) => core,
+                Err(e) => break e,
+            };
+            if core.mode == ServeMode::ReadOnly {
                 core.stats.degraded_writes += 1;
                 self.tel.incr("serve_degraded_writes_total", &self.name, 1);
-                return Err(ServeError::Degraded {
-                    mode: ServeMode::ReadOnly,
-                });
+                break degraded();
             }
-            ServeMode::Full => {}
-        }
-        let core = &mut *core;
-        let mut attempt = 0u32;
-        loop {
             let result = if core.force_transient > 0 {
                 core.force_transient -= 1;
                 Err(injected_fault())
             } else {
                 match core.ctrl.as_mut() {
-                    Some(ctrl) if items.len() == 1 => ctrl.write(items[0].0, items[0].1),
-                    Some(ctrl) => ctrl.write_batch(items),
-                    None => {
-                        return Err(ServeError::Degraded {
-                            mode: ServeMode::ReadOnly,
-                        })
-                    }
+                    Some(ctrl) => ctrl
+                        .write_deferred(&items)
+                        .map(|()| ctrl.backend().ticket()),
+                    None => break degraded(),
                 }
             };
             match result {
-                Ok(()) => {
-                    for (a, b) in items {
-                        core.verified.insert(a.index(), *b);
+                Ok(ticket) => {
+                    for (addr, block) in &items {
+                        core.unsynced.insert(addr.index(), (ticket, *block));
                     }
-                    core.stats.writes_acked_total += items.len() as u64;
-                    core.breaker.record_ok();
-                    self.tel
-                        .incr("serve_writes_acked_total", &self.name, items.len() as u64);
-                    return Ok(items.len() as u32);
+                    core.uncut_ops += 1;
+                    drop(core);
+                    return Executed {
+                        _permit: Some(permit),
+                        state: Awaiting::Write {
+                            ticket,
+                            items,
+                            batch,
+                        },
+                    };
                 }
                 Err(e) => match classify(&e) {
                     FailClass::BadRequest => {
-                        return Err(ServeError::BadRequest {
+                        break ServeError::BadRequest {
                             detail: e.to_string(),
-                        })
+                        }
                     }
                     FailClass::Transient => {
-                        self.backoff_or_fail(core, &mut attempt, deadline, received, cfg, &e)?
+                        match self.backoff_or_fail(core, &mut attempt, deadline, received, cfg, &e)
+                        {
+                            Ok(()) => continue,
+                            Err(err) => break err,
+                        }
                     }
-                    FailClass::Corruption => {
-                        core.breaker.record_fault(Instant::now());
-                        self.tel.incr("serve_integrity_faults_total", &self.name, 1);
-                        self.spawn_recovery(core, None, true, threads);
-                        return Err(ServeError::Integrity {
-                            detail: e.to_string(),
-                        });
-                    }
+                    FailClass::Corruption => break self.fault_to_recovery(&mut core, threads, &e),
                 },
             }
+        };
+        Executed {
+            _permit: Some(permit),
+            state: Awaiting::Nothing(Response::Err(failed)),
         }
     }
 
+    /// `Flush` is fused on purpose: it asks for everything — dirty
+    /// metadata, the WPQ — to be on the medium when it returns, and runs
+    /// its barriers under the lock (they queue behind a leader's frame
+    /// in flight). Whatever executed operations it carried along learn
+    /// of it through `publish`.
     fn op_flush(self: &Arc<Self>) -> Response {
-        let mut core = lock_core(&self.core);
+        let mut core = self.lock();
         match core.mode {
             ServeMode::Full => {}
             mode => return Response::Err(ServeError::Degraded { mode }),
         }
-        match core.ctrl.as_mut() {
-            Some(ctrl) => match ctrl.shutdown_flush() {
-                Ok(()) => Response::FlushOk,
-                Err(e) => Response::Err(ServeError::Internal {
-                    detail: e.to_string(),
-                }),
-            },
-            None => Response::Err(ServeError::Degraded {
-                mode: ServeMode::ReadOnly,
+        let Some(ctrl) = core.ctrl.as_mut() else {
+            return Response::Err(degraded());
+        };
+        let flushed = ctrl.shutdown_flush();
+        self.publish(ctrl.backend());
+        core.uncut_ops = 0;
+        match flushed {
+            Ok(()) => Response::FlushOk,
+            Err(e) => Response::Err(ServeError::Internal {
+                detail: e.to_string(),
             }),
         }
     }
 
     fn op_recover(self: &Arc<Self>, threads: &ThreadReg) -> Response {
-        let mut core = lock_core(&self.core);
+        let mut core = self.lock();
         if core.ctrl.is_none() {
             return Response::RecoverOk {
                 outcome: "already recovering".to_string(),
@@ -710,16 +1149,14 @@ impl Tenant {
                 detail: "chaos injection disabled (set ANUBIS_SERVE_CHAOS=1)".to_string(),
             });
         }
-        let mut core = lock_core(&self.core);
+        let mut core = self.lock();
         match inj {
             Inject::CorruptLine { addr, bit } => match core.ctrl.as_mut() {
                 Some(ctrl) => match ctrl.tamper_data_line(*addr, *bit as usize) {
                     Ok(()) => Response::InjectOk,
                     Err(e) => Response::Err(e),
                 },
-                None => Response::Err(ServeError::Degraded {
-                    mode: ServeMode::ReadOnly,
-                }),
+                None => Response::Err(degraded()),
             },
             Inject::TransientFaults { count } => {
                 core.force_transient = *count;
@@ -740,7 +1177,7 @@ impl Tenant {
     /// in full service (a recovering or failed tenant is left as-is for
     /// the next boot ladder).
     pub(crate) fn orderly_flush(&self) {
-        let mut core = lock_core(&self.core);
+        let mut core = self.lock();
         if core.mode == ServeMode::Full {
             if let Some(ctrl) = core.ctrl.as_mut() {
                 let _ = ctrl.shutdown_flush();
@@ -749,7 +1186,7 @@ impl Tenant {
     }
 
     fn stats_snapshot(&self) -> TenantStats {
-        let core = lock_core(&self.core);
+        let core = self.lock();
         TenantStats {
             mode: core.mode.code(),
             inflight: u64::from(self.gate.in_flight()),
@@ -762,24 +1199,31 @@ impl Tenant {
             degraded_reads: core.stats.degraded_reads,
             recoveries: core.stats.recoveries,
             retries_total: core.stats.retries_total,
-            breaker_trips: core.breaker_trips(),
+            breaker_trips: core.breaker.trips(),
             quarantined_blocks: core.ctrl.as_ref().map_or(0, |c| c.quarantined_blocks()),
             last_outcome: core.stats.last_outcome.clone(),
         }
     }
 }
 
-impl Core {
-    fn breaker_trips(&self) -> u64 {
-        self.breaker.trips()
+/// Gives the leadership back when the leader is done — also if it
+/// unwinds: its frame is lost with it (the backend breaks on a dropped
+/// cut), and the waiters must get to find that out instead of waiting
+/// for a leader that is gone.
+struct Leading<'a>(&'a Group);
+
+impl Drop for Leading<'_> {
+    fn drop(&mut self) {
+        relock(&self.0.state).leader = false;
+        self.0.moved.notify_all();
     }
 }
 
-fn open_family(
+fn open_family<B: NvmBackend>(
     family: TenantFamily,
     mem: &AnubisConfig,
-    backend: FileBackend,
-) -> (Ctrl, Option<RecoveryError>) {
+    backend: B,
+) -> (Ctrl<B>, Option<RecoveryError>) {
     match family {
         TenantFamily::BonsaiAgitPlus => {
             let (c, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, mem, backend);
@@ -789,5 +1233,25 @@ fn open_family(
             let (c, hint) = SgxController::reopen(SgxScheme::Asit, mem, backend);
             (Ctrl::Sgx(Box::new(c)), hint)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_verified_table_stops_growing_at_its_bound() {
+        let mut table = Verified::new();
+        assert_eq!(table.len(), 0);
+        for line in 0..3 * VERIFIED_SLOTS as u64 {
+            table.insert(line, Block::filled(line as u8));
+            assert!(table.len() <= VERIFIED_SLOTS);
+        }
+        assert_eq!(table.len(), VERIFIED_SLOTS);
+        // The latest line of each slot is the one it answers for.
+        let last = 3 * VERIFIED_SLOTS as u64 - 1;
+        assert_eq!(table.get(last), Some(Block::filled(last as u8)));
+        assert_eq!(table.get(last - VERIFIED_SLOTS as u64), None);
     }
 }

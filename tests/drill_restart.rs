@@ -24,18 +24,22 @@
 //! process keeps every acknowledged batch and a torn tail frame removes
 //! the unacknowledged batch as a whole. Frames land in preallocated
 //! slack, so the image is addressed through the backend's own frame
-//! walker, never by file length.
+//! walker, never by file length. With the barrier split from execution
+//! (`*_deferred` + `barrier`): a process that dies between the two
+//! leaves not a byte of the executed op behind, several ops behind one
+//! barrier are one frame and are torn away together, and a write before
+//! `recover()` on a reopened image is a typed refusal, not a panic.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use anubis::{
-    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController, RecoveryError,
-    SgxController, SgxScheme, Supervised, Supervisor,
+    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemError, MemoryController,
+    RecoveryError, SgxController, SgxScheme, Supervised, Supervisor,
 };
 use anubis_nvm::{
-    anchor_path_for, AnchorPolicy, Block, FileBackend, FreshnessAnchor, NvmBackend, Snapshot,
-    WalFrame, WalWalker, BLOCK_BYTES,
+    anchor_path_for, AnchorPolicy, Block, FileBackend, Freshness, FreshnessAnchor, NvmBackend,
+    Snapshot, WalFrame, WalWalker, BLOCK_BYTES,
 };
 use anubis_sim::drill::{device_fingerprint, drill_script, verify_dead_image, DrillFamily};
 use anubis_sim::fault::{op_payload, ScriptOp};
@@ -626,6 +630,180 @@ fn torn_last_frame_drops_whole_batch_bonsai_agit_plus() {
 #[test]
 fn torn_last_frame_drops_whole_batch_sgx_asit() {
     torn_last_frame_drops_whole_batch(reopen_asit, "asit");
+}
+
+/// A kill between execute and barrier: the op ran to completion inside
+/// the controller (`write_batch_deferred` returned) and the process died
+/// before anyone took the barrier that would have acknowledged it. Not a
+/// byte of it may be on the medium: the anchored reopen is `Fresh` at
+/// the last acknowledged epoch with no rejected frame, the op is wholly
+/// absent, and every acknowledged op before it reads back.
+fn kill_between_execute_and_barrier<C: Supervised>(reopen: Reopen<C>, name: &str) {
+    const ACKED: u64 = 4;
+    let dir = scratch(&format!("unbarriered-{name}"));
+    let image = dir.join("image.wal");
+    let mut ctrl = serve_batches(reopen, &image, ACKED);
+    let acked_epoch = ctrl.domain().epoch();
+    let on_disk = (
+        fs::read(&image).expect("read image"),
+        fs::read(anchor_path_for(&image)).expect("read anchor"),
+    );
+
+    ctrl.write_batch_deferred(&batch_items(ACKED))
+        .expect("execute");
+    ctrl.write_deferred(DataAddr::new(3), op_payload(77, 3))
+        .expect("execute");
+    let backend = ctrl.domain().device().backend();
+    assert_eq!(
+        (backend.epoch(), backend.ticket()),
+        (acked_epoch, acked_epoch + 1),
+        "{name}: executed ops wait for the next frame, which nobody cut"
+    );
+    drop(ctrl); // the process dies here
+
+    assert_eq!(
+        (
+            fs::read(&image).expect("read image"),
+            fs::read(anchor_path_for(&image)).expect("read anchor")
+        ),
+        on_disk,
+        "{name}: an op that was never barriered reached the medium"
+    );
+    let mut ctrl = open_anchored(reopen, &image, 2);
+    let backend = ctrl.domain().device().backend();
+    assert_eq!(backend.frames_rejected(), 0);
+    assert_eq!(
+        backend.freshness(),
+        Freshness::Fresh { epoch: acked_epoch },
+        "{name}: the image stops at the last acknowledged epoch"
+    );
+    for b in 0..ACKED {
+        assert_batch_reads(&mut ctrl, b, true);
+    }
+    assert_batch_reads(&mut ctrl, ACKED, false);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn kill_between_execute_and_barrier_bonsai_agit_plus() {
+    kill_between_execute_and_barrier(reopen_agit_plus, "agit-plus");
+}
+
+#[test]
+fn kill_between_execute_and_barrier_sgx_asit() {
+    kill_between_execute_and_barrier(reopen_asit, "asit");
+}
+
+/// Group commit puts several ops into one frame: three executed behind
+/// one barrier are one epoch, and a kill inside that frame's append
+/// removes all three together — none of them was acknowledged — and
+/// nothing before them.
+fn torn_group_frame_drops_every_op_in_it<C: Supervised>(reopen: Reopen<C>, name: &str) {
+    const ACKED: u64 = 3;
+    let dir = scratch(&format!("torn-group-{name}"));
+    let image = dir.join("image.wal");
+    let mut ctrl = serve_batches(reopen, &image, ACKED);
+    let acked_epoch = ctrl.domain().epoch();
+    let (_, acked_end) = wal_layout(&image);
+    let acked_anchor = fs::read(anchor_path_for(&image)).expect("read anchor");
+    // A line of batch 0 overwritten, and two new batches: k = 3 ops.
+    let rewritten = DataAddr::new(5);
+    ctrl.write_batch_deferred(&batch_items(ACKED))
+        .expect("execute");
+    ctrl.write_deferred(rewritten, op_payload(99, rewritten.index()))
+        .expect("execute");
+    ctrl.write_batch_deferred(&batch_items(ACKED + 1))
+        .expect("execute");
+    ctrl.barrier().expect("one barrier for the three");
+    assert_eq!(ctrl.domain().epoch(), acked_epoch + 1, "{name}: one frame");
+    assert_sealed(&ctrl, &image, "group barrier");
+    drop(ctrl);
+
+    let (frames, full_end) = wal_layout(&image);
+    let last = *frames.last().expect("the group's frame");
+    assert_eq!(
+        (last.start, last.end(), last.epoch),
+        (acked_end, full_end, acked_epoch + 1)
+    );
+    let mut bytes = fs::read(&image).expect("read image");
+    bytes[acked_end + last.len / 2..full_end].fill(0);
+    fs::write(&image, &bytes).expect("tear the group's frame");
+    fs::write(anchor_path_for(&image), &acked_anchor).expect("rewind the unsealed anchor");
+
+    let mut ctrl = open_anchored(reopen, &image, 2);
+    assert_eq!(ctrl.domain().device().backend().frames_rejected(), 1);
+    for b in 0..ACKED {
+        assert_batch_reads(&mut ctrl, b, true); // line 5 holds batch 0's payload again
+    }
+    assert_batch_reads(&mut ctrl, ACKED, false);
+    assert_batch_reads(&mut ctrl, ACKED + 1, false);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn torn_group_frame_drops_every_op_in_it_bonsai_agit_plus() {
+    torn_group_frame_drops_every_op_in_it(reopen_agit_plus, "agit-plus");
+}
+
+#[test]
+fn torn_group_frame_drops_every_op_in_it_sgx_asit() {
+    torn_group_frame_drops_every_op_in_it(reopen_asit, "asit");
+}
+
+/// A reopened image has lost its volatile metadata; until `recover()`
+/// has rebuilt it a write must be refused with a typed error — ASIT's
+/// shadow tree is gone, and staging a Shadow Table entry against it used
+/// to panic — and must leave the image exactly as it found it.
+fn write_before_recover_is_refused<C: Supervised>(
+    reopen: Reopen<C>,
+    name: &str,
+    want: Option<MemError>,
+) {
+    let dir = scratch(&format!("unrecovered-{name}"));
+    let image = dir.join("image.wal");
+    drop(serve_batches(reopen, &image, 2)); // dies with dirty metadata cached
+    let on_disk = (
+        fs::read(&image).expect("read image"),
+        fs::read(anchor_path_for(&image)).expect("read anchor"),
+    );
+    let backend = FileBackend::open_with_anchor(&image, config().key.0, AnchorPolicy::Strict)
+        .expect("anchored open");
+    let (mut ctrl, hint) = reopen(backend);
+    assert!(hint.is_none(), "{name}: a clean image");
+    let scalar = ctrl.write(DataAddr::new(3), op_payload(7, 3));
+    let batch = ctrl.write_batch(&batch_items(1));
+    for refused in [scalar, batch] {
+        let err = refused.expect_err("a write before recover() must be refused");
+        if let Some(want) = &want {
+            assert_eq!(&err, want, "{name}");
+        }
+    }
+    drop(ctrl);
+    assert_eq!(
+        (
+            fs::read(&image).expect("read image"),
+            fs::read(anchor_path_for(&image)).expect("read anchor")
+        ),
+        on_disk,
+        "{name}: a refused write changed the image"
+    );
+    // Refusing cost nothing: the image still recovers and serves.
+    let mut ctrl = open_anchored(reopen, &image, 1);
+    assert_batch_reads(&mut ctrl, 0, true);
+    assert_batch_reads(&mut ctrl, 1, true);
+    ctrl.write(DataAddr::new(3), op_payload(7, 3))
+        .expect("write after recover()");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn write_before_recover_is_refused_bonsai_agit_plus() {
+    write_before_recover_is_refused(reopen_agit_plus, "agit-plus", None);
+}
+
+#[test]
+fn write_before_recover_is_refused_sgx_asit() {
+    write_before_recover_is_refused(reopen_asit, "asit", Some(MemError::RecoveryPending));
 }
 
 /// Acknowledged ops land in slack that is already on disk: while they

@@ -455,3 +455,132 @@ fn a_new_connection_is_served_without_waiting_for_an_accept_tick() {
     );
     server.shutdown();
 }
+
+#[test]
+fn a_retry_backoff_does_not_hold_the_tenant_lock() {
+    let mut cfg = test_config("alpha:tok:bonsai");
+    cfg.retry_backoff_ms = 400;
+    let backoff = Duration::from_millis(u64::from(cfg.retry_backoff_ms));
+    let server = Server::start(cfg).expect("start");
+    let addr = server.local_addr();
+    let mut slow = ServeClient::connect(addr, "alpha", "tok").expect("connect");
+    let mut other = ServeClient::connect(addr, "alpha", "tok").expect("connect");
+    await_full(&mut slow, Duration::from_secs(10));
+    slow.write(1, [1; 64], 0).expect("seed write");
+
+    // One transient fault: the next write takes it and backs off 400 ms.
+    slow.inject(Inject::TransientFaults { count: 1 })
+        .expect("inject transient");
+    let writer = std::thread::spawn(move || {
+        let sent = Instant::now();
+        slow.write(2, [2; 64], 0).expect("write absorbs the fault");
+        sent.elapsed()
+    });
+    // `Stats` takes the tenant lock too: it only gets to report the
+    // retry while the backoff is running if the backoff does not hold it.
+    let waiting = Instant::now();
+    while other.stats().expect("stats").retries_total == 0 {
+        assert!(waiting.elapsed() < Duration::from_secs(5), "no retry seen");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let asked = Instant::now();
+    let (got, _) = other.read(1, 0).expect("read beside the backoff");
+    let read_took = asked.elapsed();
+    assert_eq!(got, [1; 64]);
+    assert!(
+        !writer.is_finished(),
+        "the read was meant to run during the other request's backoff"
+    );
+    assert!(
+        read_took < backoff / 4,
+        "a read beside a {backoff:?} backoff took {read_took:?}"
+    );
+    let write_took = writer.join().expect("writer thread");
+    assert!(write_took >= backoff, "the write backed off {write_took:?}");
+    server.shutdown();
+}
+
+#[test]
+fn the_degraded_read_table_is_bounded() {
+    let server = Server::start(test_config("alpha:tok:bonsai")).expect("start");
+    let mut c = ServeClient::connect(server.local_addr(), "alpha", "tok").expect("connect");
+    await_full(&mut c, Duration::from_secs(10));
+    let tenant = server.tenant("alpha").expect("tenant");
+    let bound = anubis_server::VERIFIED_SLOTS;
+    // Three times as many distinct lines as the table holds, acked.
+    let mut held = Vec::new();
+    for chunk in (0..3 * bound as u64).collect::<Vec<_>>().chunks(512) {
+        let items = chunk.iter().map(|&line| (line, [line as u8; 64])).collect();
+        c.write_batch(items, 0).expect("batch");
+        held.push(tenant.verified_lines());
+    }
+    assert!(held.iter().all(|&n| n <= bound), "{held:?}");
+    assert_eq!(held[bound / 512 - 1], bound, "full after one table's worth");
+    assert_eq!(
+        *held.last().expect("batches"),
+        bound,
+        "and no larger after three"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn four_writers_on_one_tenant_share_barriers_and_lose_nothing() {
+    const WRITERS: u64 = 4;
+    const EACH: u64 = 64;
+    let cfg = test_config("alpha:tok:bonsai");
+    let server = Server::start(cfg.clone()).expect("start");
+    let addr = server.local_addr();
+    let mut c = ServeClient::connect(addr, "alpha", "tok").expect("connect");
+    await_full(&mut c, Duration::from_secs(10));
+    let tenant = server.tenant("alpha").expect("tenant");
+    let (cut_before, _) = tenant.epochs().expect("controller present");
+
+    // Each connection hammers its own lines, several versions per line;
+    // what it reports back is the last payload it saw acknowledged.
+    let payload = |w: u64, k: u64| [(w * 64 + k) as u8; 64];
+    let go = std::sync::Arc::new(std::sync::Barrier::new(WRITERS as usize));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let go = std::sync::Arc::clone(&go);
+            std::thread::spawn(move || {
+                let mut c = ServeClient::connect(addr, "alpha", "tok").expect("connect");
+                go.wait();
+                let mut acked = std::collections::BTreeMap::new();
+                for k in 0..EACH {
+                    let line = w * 1_000 + k % 16;
+                    c.write(line, payload(w, k), 0).expect("write");
+                    acked.insert(line, payload(w, k));
+                }
+                acked
+            })
+        })
+        .collect();
+    let acked: Vec<_> = writers
+        .into_iter()
+        .flat_map(|w| w.join().expect("writer thread"))
+        .collect();
+    let stats = c.stats().expect("stats");
+    assert!(stats.writes_acked_total >= WRITERS * EACH);
+    let (cut_after, durable_after) = tenant.epochs().expect("controller present");
+    assert_eq!(cut_after, durable_after, "every reply followed its frame");
+    assert!(
+        cut_after - cut_before < WRITERS * EACH,
+        "{} frames for {} acknowledged writes: no barrier was shared",
+        cut_after - cut_before,
+        WRITERS * EACH
+    );
+
+    // The process goes away without an orderly shutdown request; a new
+    // one over the same data dir serves every acknowledged write.
+    drop((c, tenant));
+    drop(server);
+    let server = Server::start(cfg).expect("restart");
+    let mut c = ServeClient::connect(server.local_addr(), "alpha", "tok").expect("connect");
+    await_full(&mut c, Duration::from_secs(10));
+    for (line, want) in acked {
+        let (got, _) = c.read(line, 0).expect("read back");
+        assert_eq!(got, want, "line {line}");
+    }
+    server.shutdown();
+}
