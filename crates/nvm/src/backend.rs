@@ -20,6 +20,7 @@ use crate::anchor::Freshness;
 use crate::block::Block;
 use crate::error::NvmError;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -55,30 +56,209 @@ pub struct WalStats {
     pub records_coalesced: u64,
 }
 
+/// How far a backend's log is durable — the one record of it, shared by
+/// the backend (which hands out clones through
+/// [`NvmBackend::durability`]), the threads that carry its [`Cut`]s and
+/// whoever waits for a [`NvmBackend::ticket`]. A waiter needs no
+/// reference to the backend, so the lock that guards the controller is
+/// not held while it waits.
+///
+/// Three things live behind its one mutex: the last durable epoch, the
+/// reason nothing more will become durable (permanent once set), and
+/// whether somebody has taken it upon themselves to lead the next
+/// barrier. The mutex is held to read or publish those, never across
+/// I/O.
+#[derive(Clone, Debug)]
+pub struct Durability {
+    shared: Arc<Shared>,
+}
+
+#[derive(Debug)]
+struct Shared {
+    progress: Mutex<Progress>,
+    /// Signalled whenever `progress` changes.
+    moved: Condvar,
+}
+
+#[derive(Debug)]
+struct Progress {
+    /// Epoch of the last frame on the medium, synced and sealed. Steps
+    /// are admitted in epoch order, so everything up to it is durable.
+    durable: u64,
+    /// Why nothing more will be written: a step failed (the medium is in
+    /// an unknown state past the last durable frame) or a cut was
+    /// dropped (the in-memory half accounts for a frame that never
+    /// landed).
+    broken: Option<String>,
+    /// A [`Lead`] is out.
+    leader: bool,
+}
+
+impl Durability {
+    /// A log that is durable up to `epoch` and in working order.
+    pub fn at(epoch: u64) -> Self {
+        Durability {
+            shared: Arc::new(Shared {
+                progress: Mutex::new(Progress {
+                    durable: epoch,
+                    broken: None,
+                    leader: false,
+                }),
+                moved: Condvar::new(),
+            }),
+        }
+    }
+
+    fn progress(&self) -> MutexGuard<'_, Progress> {
+        // Every update under this lock is a single assignment, so a
+        // guard recovered from a panicking holder protects valid data.
+        (self.shared.progress.lock()).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, progress: MutexGuard<'a, Progress>) -> MutexGuard<'a, Progress> {
+        (self.shared.moved.wait(progress)).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The last epoch durably on the medium, anchor seal included.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NvmError::Backend`] once the log is broken: what was
+    /// cut since will never become durable through this backend.
+    pub fn reached(&self) -> Result<u64, NvmError> {
+        let progress = self.progress();
+        match &progress.broken {
+            Some(reason) => Err(NvmError::Backend {
+                reason: reason.clone(),
+            }),
+            None => Ok(progress.durable),
+        }
+    }
+
+    /// Whether `ticket` is durable. Stays true after a later failure.
+    pub fn covers(&self, ticket: u64) -> bool {
+        self.progress().durable >= ticket
+    }
+
+    /// Runs `step` as what takes the log from `epoch - 1` to `epoch`:
+    /// waits until every earlier epoch is durable, then publishes
+    /// `epoch` — or the failure, for good — when `step` returns. Every
+    /// frame, compaction and epoch bump of a backend goes through here,
+    /// which is what makes them land in epoch order whichever thread
+    /// carries them.
+    ///
+    /// # Errors
+    ///
+    /// Returns what `step` returned, or why the log was broken already.
+    pub fn in_turn(
+        &self,
+        epoch: u64,
+        step: impl FnOnce() -> Result<(), NvmError>,
+    ) -> Result<(), NvmError> {
+        {
+            let mut progress = self.progress();
+            while progress.broken.is_none() && progress.durable + 1 < epoch {
+                progress = self.wait(progress);
+            }
+            if let Some(reason) = &progress.broken {
+                return Err(NvmError::Backend {
+                    reason: reason.clone(),
+                });
+            }
+        }
+        let result = step();
+        let mut progress = self.progress();
+        match &result {
+            Ok(()) => progress.durable = epoch,
+            Err(e) => {
+                progress.broken = Some(format!("log poisoned by an earlier failed barrier ({e})"));
+            }
+        }
+        self.shared.moved.notify_all();
+        result
+    }
+
+    /// Breaks the log without a step having failed; the first reason
+    /// given stays.
+    fn abandon(&self, reason: impl FnOnce() -> String) {
+        self.progress().broken.get_or_insert_with(reason);
+        self.shared.moved.notify_all();
+    }
+
+    /// Blocks until `ticket` is durable (`Ok(None)`), the log is broken
+    /// (`Err`), or nobody is leading a barrier — then the caller is made
+    /// leader (`Ok(Some(lead))`): it is to carry one barrier, give the
+    /// [`Lead`] back by dropping it, and ask again. Group commit: every
+    /// waiter but one sleeps through the barrier that covers it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NvmError::Backend`] when the log broke at or before the
+    /// frame that would have covered `ticket`.
+    pub fn await_or_lead(&self, ticket: u64) -> Result<Option<Lead>, NvmError> {
+        let mut progress = self.progress();
+        loop {
+            if progress.durable >= ticket {
+                return Ok(None);
+            }
+            if let Some(reason) = &progress.broken {
+                return Err(NvmError::Backend {
+                    reason: reason.clone(),
+                });
+            }
+            if !progress.leader {
+                progress.leader = true;
+                return Ok(Some(Lead(self.clone())));
+            }
+            progress = self.wait(progress);
+        }
+    }
+}
+
+/// The leadership of one barrier ([`Durability::await_or_lead`]), given
+/// back when dropped — also if the leader unwinds: its frame is lost
+/// with it (a dropped [`Cut`] breaks the log), and the waiters must get
+/// to find that out instead of waiting for a leader that is gone.
+#[derive(Debug)]
+pub struct Lead(Durability);
+
+impl Drop for Lead {
+    fn drop(&mut self) {
+        self.0.progress().leader = false;
+        self.0.shared.moved.notify_all();
+    }
+}
+
 /// One barrier's worth of records, cut out of a backend's in-memory half
 /// ([`NvmBackend::cut`]) and not yet durable: the frame, its epoch, and
 /// the way to the medium. It holds no reference to the backend, so the
 /// lock that guards the controller can be released before the slow half
-/// — [`Cut::commit`] — runs.
+/// — [`Cut::commit`] — runs. Dropping it uncommitted breaks the log: the
+/// in-memory half already counts the frame, and frames behind it must
+/// not wait for a turn that never comes.
 #[must_use = "a cut that is dropped uncommitted breaks its backend"]
 pub struct Cut {
     epoch: u64,
     wants_settle: bool,
-    commit: Box<dyn FnOnce() -> Result<(), NvmError> + Send>,
+    durability: Durability,
+    write: Option<Box<dyn FnOnce() -> Result<(), NvmError> + Send>>,
 }
 
 impl Cut {
-    /// A cut of `epoch` that `commit` makes durable. `wants_settle`:
+    /// A cut of `epoch` that `write` puts on the medium; the outcome is
+    /// published through `durability`, in epoch order. `wants_settle`:
     /// [`NvmBackend::settle`] has work to do once this cut is committed.
     pub fn new(
         epoch: u64,
         wants_settle: bool,
-        commit: impl FnOnce() -> Result<(), NvmError> + Send + 'static,
+        durability: Durability,
+        write: impl FnOnce() -> Result<(), NvmError> + Send + 'static,
     ) -> Self {
         Cut {
             epoch,
             wants_settle,
-            commit: Box::new(commit),
+            durability,
+            write: Some(Box::new(write)),
         }
     }
 
@@ -99,8 +279,22 @@ impl Cut {
     ///
     /// Returns [`NvmError::Backend`] when the medium fails or an earlier
     /// commit did; the backend is broken from then on.
-    pub fn commit(self) -> Result<(), NvmError> {
-        (self.commit)()
+    pub fn commit(mut self) -> Result<(), NvmError> {
+        match self.write.take() {
+            Some(write) => self.durability.in_turn(self.epoch, write),
+            None => Ok(()),
+        }
+    }
+}
+
+impl Drop for Cut {
+    fn drop(&mut self) {
+        if self.write.is_some() {
+            let epoch = self.epoch;
+            self.durability.abandon(|| {
+                format!("log poisoned: the frame of epoch {epoch} was cut and never committed")
+            });
+        }
     }
 }
 
@@ -151,7 +345,7 @@ impl std::fmt::Debug for Cut {
 /// medium in epoch order**: a commit waits for the frame before it, so a
 /// fused `barrier` racing a detached [`Cut`] queues behind it. A commit
 /// that fails, and a `Cut` dropped uncommitted, break the backend: every
-/// later commit is refused and [`NvmBackend::durable_epoch`] reports the
+/// later commit is refused and [`Durability::reached`] reports the
 /// failure, since the in-memory half now runs ahead of a log that will
 /// never catch up. Nothing is retried.
 ///
@@ -168,7 +362,7 @@ impl std::fmt::Debug for Cut {
 ///   all the commit groups it produced share one barrier;
 /// * a server that executes operations *deferred* and cuts once for
 ///   several of them (group commit): an operation is acknowledged iff
-///   [`NvmBackend::durable_epoch`] has reached the
+///   the backend's [`Durability`] has reached the
 ///   [`NvmBackend::ticket`] it left its execution with;
 /// * the persistence domain itself on the paths that model the platform
 ///   rather than an operation: the ADR flush of a (fault-injected or
@@ -241,26 +435,26 @@ pub trait NvmBackend: std::fmt::Debug + Send + Sync {
     /// The epoch whose durability covers everything stored/journaled so
     /// far: that of the next cut while records are buffered, else that
     /// of the last one. An operation that leaves its execution with this
-    /// ticket may be acknowledged once [`NvmBackend::durable_epoch`]
-    /// reaches it.
+    /// ticket may be acknowledged once [`NvmBackend::durability`]
+    /// [covers](Durability::covers) it.
     fn ticket(&self) -> u64 {
         self.epoch()
     }
 
-    /// The last epoch durably on the medium, anchor seal included. Equal
-    /// to [`NvmBackend::epoch`] whenever no [`Cut`] is in flight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NvmError::Backend`] once a barrier has failed: what was
-    /// cut since will never become durable through this backend.
-    fn durable_epoch(&self) -> Result<u64, NvmError> {
-        Ok(self.epoch())
+    /// How far this backend's log is durable: a handle onto the one
+    /// record of it, to wait on without the backend. Its epoch equals
+    /// [`NvmBackend::epoch`] whenever no [`Cut`] is in flight. A backend
+    /// with no durable half is durable as far as it has got.
+    fn durability(&self) -> Durability {
+        Durability::at(self.epoch())
     }
 
     /// Housekeeping that a committed cut left due and that needs both
-    /// halves of the backend at rest (log compaction). Cheap when
-    /// nothing is due; [`Cut::wants_settle`] says when something is.
+    /// halves of the backend at rest (log compaction). Whatever was
+    /// buffered since that cut is made durable first, as a frame of its
+    /// own, so the log is never rewritten — nor its epoch moved — under
+    /// records that are still waiting for theirs. Cheap when nothing is
+    /// due; [`Cut::wants_settle`] says when something is.
     ///
     /// # Errors
     ///
@@ -278,7 +472,7 @@ pub trait NvmBackend: std::fmt::Debug + Send + Sync {
     /// on every cut (so: once per fused operation that wrote, once per
     /// group of deferred ones), compaction, and snapshot by durable
     /// backends — the epoch of the last frame *cut*, which
-    /// [`NvmBackend::durable_epoch`] trails while a [`Cut`] is in flight.
+    /// [`NvmBackend::durability`] trails while a [`Cut`] is in flight.
     /// Volatile backends report 0 — within one process there is no
     /// restart for a rollback to hide behind.
     fn epoch(&self) -> u64 {

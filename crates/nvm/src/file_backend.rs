@@ -28,9 +28,11 @@
 //! `WalSink` behind an `Arc`. [`NvmBackend::cut`] moves the pending
 //! frame out of the first, [`Cut::commit`] carries it into the second
 //! with no reference to the first, and [`NvmBackend::barrier`] is the
-//! two back to back. The sink admits frames strictly in epoch order and
-//! refuses everything after a failure, so the in-memory half may account
-//! for a frame from the moment it is cut.
+//! two back to back. Every step that moves the file — a frame, a
+//! compaction, an epoch bump — takes its turn through the backend's
+//! [`Durability`], which admits them strictly in epoch order and refuses
+//! everything after a failure, so the in-memory half may account for a
+//! frame from the moment it is cut.
 //!
 //! **The write position is not the file length.** Appending to a file
 //! grows it, and a sync that has to commit a new length and new blocks
@@ -69,7 +71,7 @@
 //! replayed record count sufficiently exceeds the live footprint.
 
 use crate::anchor::{anchor_path_for, AnchorError, AnchorPolicy, Freshness, FreshnessAnchor};
-use crate::backend::{Cut, NvmBackend, WalStats};
+use crate::backend::{Cut, Durability, NvmBackend, WalStats};
 use crate::block::Block;
 use crate::error::NvmError;
 use crate::wal::{seal_frame, WalWalker, FRAME_HEADER_BYTES, HEADER_BYTES, MAGIC, VERSION};
@@ -78,7 +80,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const TAG_WRITE: u8 = 0;
 const TAG_REG: u8 = 1;
@@ -133,7 +135,7 @@ impl Log {
     ///
     /// Until the whole frame is durable, bytes past `end` may be
     /// non-zero: after an `Err` nothing more may be written through this
-    /// log, which is what [`WalSink::in_turn`] enforces.
+    /// log, which is what [`Durability::in_turn`] enforces.
     fn append(&mut self, frame: &mut Vec<u8>, epoch: u64) -> Result<(), NvmError> {
         seal_frame(frame, epoch);
         self.reserve(frame.len() as u64)?;
@@ -183,16 +185,13 @@ impl Log {
 /// shared between the backend (fused barriers, compaction) and whatever
 /// thread carries a detached [`Cut`].
 ///
-/// Two locks, so that asking *how far* the log is durable never waits
-/// for the I/O that moves it: `io` is held across a frame's `write_all`,
-/// `sync_data` and anchor seal, `progress` only to read or publish an
-/// epoch. Lock order: `progress` is never held while taking `io`.
+/// `file` is held across a frame's `write_all`, `sync_data` and anchor
+/// seal; how far that has got is the [`Durability`]'s to say, under a
+/// lock of its own, so asking never waits for the I/O that moves it.
 #[derive(Debug)]
 struct WalSink {
-    io: Mutex<FileHalf>,
-    progress: Mutex<Progress>,
-    /// Signalled whenever `progress` changes.
-    turn: Condvar,
+    file: Mutex<FileHalf>,
+    durability: Durability,
 }
 
 #[derive(Debug)]
@@ -200,24 +199,6 @@ struct FileHalf {
     log: Log,
     /// Sealed epoch register, present for anchored opens.
     anchor: Option<FreshnessAnchor>,
-}
-
-#[derive(Debug)]
-struct Progress {
-    /// Epoch of the last frame in the file, synced and sealed. Frames
-    /// are admitted in epoch order, so everything up to it is durable.
-    durable: u64,
-    /// Why nothing more will be written: a commit failed (bytes past the
-    /// write position may be non-zero, or the anchor lags) or a cut was
-    /// dropped (the in-memory half accounts for a frame that never
-    /// landed). Permanent for this handle.
-    broken: Option<String>,
-}
-
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Every update under these locks is a single assignment, so a guard
-    // recovered from a panicking holder still protects valid data.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl FileHalf {
@@ -232,85 +213,21 @@ impl FileHalf {
 }
 
 impl WalSink {
-    /// Runs `io` on the file half as the step that takes the log from
-    /// epoch `epoch - 1` to `epoch`: waits until every earlier frame is
-    /// durable, and publishes `epoch` — or the failure, for good — when
-    /// `io` returns. This is the one place the log, the anchor and the
-    /// durable epoch move, so frames land in epoch order whichever
-    /// thread carries them.
-    fn in_turn(
-        &self,
-        epoch: u64,
-        io: impl FnOnce(&mut FileHalf) -> Result<(), NvmError>,
-    ) -> Result<(), NvmError> {
-        {
-            let mut progress = relock(&self.progress);
-            while progress.broken.is_none() && progress.durable + 1 < epoch {
-                progress = self
-                    .turn
-                    .wait(progress)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            if let Some(reason) = &progress.broken {
-                return Err(NvmError::Backend {
-                    reason: reason.clone(),
-                });
-            }
-        }
-        let result = io(&mut relock(&self.io));
-        let mut progress = relock(&self.progress);
-        match &result {
-            Ok(()) => progress.durable = epoch,
-            Err(e) => {
-                progress.broken = Some(format!("WAL poisoned by an earlier failed barrier ({e})"));
-            }
-        }
-        self.turn.notify_all();
-        result
+    fn file(&self) -> MutexGuard<'_, FileHalf> {
+        // A holder that panicked mid-frame broke the log through its
+        // `in_turn`; the guard is only ever used again to read offsets.
+        self.file.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// One frame: append + `sync_data`, then the anchor seal. The WAL
     /// lands strictly before the anchor advances, so an honest crash
     /// between the two leaves the image *ahead* of the anchor (accepted
-    /// and healed on reopen) — never behind it.
-    fn commit(&self, epoch: u64, frame: &mut Vec<u8>) -> Result<(), NvmError> {
-        self.in_turn(epoch, |file| {
-            file.log.append(frame, epoch)?;
-            file.seal(epoch)
-        })
-    }
-}
-
-/// A frame on its way to the sink without the backend. Dropping it
-/// uncommitted breaks the sink: the in-memory half already counts the
-/// frame as part of the log, and frames behind it must not wait for a
-/// turn that never comes.
-struct Detached {
-    sink: Arc<WalSink>,
-    epoch: u64,
-    frame: Vec<u8>,
-    committed: bool,
-}
-
-impl Detached {
-    fn commit(mut self) -> Result<(), NvmError> {
-        self.committed = true;
-        self.sink.commit(self.epoch, &mut self.frame)
-    }
-}
-
-impl Drop for Detached {
-    fn drop(&mut self) {
-        if !self.committed {
-            let mut progress = relock(&self.sink.progress);
-            progress.broken.get_or_insert_with(|| {
-                format!(
-                    "WAL poisoned: the frame of epoch {} was cut and never committed",
-                    self.epoch
-                )
-            });
-            self.sink.turn.notify_all();
-        }
+    /// and healed on reopen) — never behind it. To be run in the
+    /// frame's turn ([`Durability::in_turn`]).
+    fn write(&self, epoch: u64, frame: &mut Vec<u8>) -> Result<(), NvmError> {
+        let mut file = self.file();
+        file.log.append(frame, epoch)?;
+        file.seal(epoch)
     }
 }
 
@@ -330,7 +247,7 @@ impl Drop for Detached {
 /// This struct is the in-memory half; the log file and the anchor live
 /// in a shared sink (module docs), which is why `epoch` here is the
 /// epoch of the last frame *cut* and may run one detached [`Cut`] ahead
-/// of what [`NvmBackend::durable_epoch`] reports.
+/// of what [`NvmBackend::durability`] has reached.
 #[derive(Debug)]
 pub struct FileBackend {
     sink: Arc<WalSink>,
@@ -350,9 +267,8 @@ pub struct FileBackend {
     replay: HashMap<u64, Block>,
     /// The next frame under construction: [`FRAME_HEADER_BYTES`] reserved
     /// for the header (filled in when the frame is sealed), then the
-    /// serialized records awaiting the next cut. A fused barrier hands
-    /// the buffer back, so an op-sized frame reuses the allocation of
-    /// the one before it.
+    /// serialized records awaiting the next cut, which takes the buffer
+    /// with it.
     pending: Vec<u8>,
     /// Where in `pending` the 64 contents bytes of each address's (resp.
     /// register's) one record sit. The frame is the atomicity unit and
@@ -480,12 +396,8 @@ impl FileBackend {
 
         Ok(FileBackend {
             sink: Arc::new(WalSink {
-                io: Mutex::new(FileHalf { log, anchor }),
-                progress: Mutex::new(Progress {
-                    durable: epoch,
-                    broken: None,
-                }),
-                turn: Condvar::new(),
+                file: Mutex::new(FileHalf { log, anchor }),
+                durability: Durability::at(epoch),
             }),
             path,
             replay: cache.clone(),
@@ -666,17 +578,14 @@ impl FileBackend {
         ))
     }
 
-    /// A fused barrier: cut and commit back to back, after which the
-    /// frame's buffer — nothing was buffered in between — serves the
-    /// next frame.
+    /// Cut and commit back to back, for the paths that hold `&mut self`
+    /// throughout anyway: the frame queues behind any cut in flight.
     fn flush(&mut self, even_if_empty: bool) -> Result<(), NvmError> {
         let Some(mut frame) = self.cut_frame(even_if_empty) else {
             return Ok(());
         };
-        let committed = self.sink.commit(self.epoch, &mut frame);
-        frame.truncate(FRAME_HEADER_BYTES);
-        self.pending = frame;
-        committed
+        let (sink, epoch) = (&self.sink, self.epoch);
+        (sink.durability).in_turn(epoch, || sink.write(epoch, &mut frame))
     }
 
     fn compaction_due(&self) -> bool {
@@ -693,10 +602,14 @@ impl FileBackend {
     /// and the zero-tail invariant holds for it from its first byte.
     ///
     /// Both halves are at rest for it: `&mut self` holds the in-memory
-    /// half, and the rewrite takes its turn in the sink like a frame, so
-    /// it starts only once every frame cut before it — all of which
-    /// `replay` already describes — is in the file it replaces.
+    /// half, and the rewrite takes its turn like a frame, so it starts
+    /// only once every frame cut before it — all of which `replay`
+    /// already describes — is in the file it replaces. Nothing may be
+    /// buffered: `replay` is the log as cut but `regs` is live, and the
+    /// epoch taken here must not be one a buffered record holds a
+    /// [`NvmBackend::ticket`] for — [`NvmBackend::settle`] flushes first.
     fn compact(&mut self) -> Result<(), NvmError> {
+        debug_assert!(self.pending_writes.is_empty() && self.pending_regs.is_empty());
         let mut frame =
             Vec::with_capacity(FRAME_HEADER_BYTES + self.replay.len() * 73 + self.regs.len() * 66);
         frame.resize(FRAME_HEADER_BYTES, 0);
@@ -715,8 +628,9 @@ impl FileBackend {
 
         self.epoch += 1;
         let epoch = self.epoch;
-        let path = &self.path;
-        self.sink.in_turn(epoch, |file| {
+        let (path, sink) = (&self.path, &self.sink);
+        sink.durability.in_turn(epoch, || {
+            let mut file = sink.file();
             let tmp = path.with_extension("compact-tmp");
             let out = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
             let mut out = Log::init(out, tmp)?;
@@ -820,21 +734,15 @@ impl NvmBackend for FileBackend {
         self.push_write(phys, block);
     }
 
-    fn barrier(&mut self) -> Result<(), NvmError> {
-        self.flush(false)?;
-        self.settle()
-    }
-
     fn cut(&mut self) -> Option<Cut> {
-        let detached = Detached {
-            frame: self.cut_frame(false)?,
-            sink: Arc::clone(&self.sink),
-            epoch: self.epoch,
-            committed: false,
-        };
-        Some(Cut::new(self.epoch, self.compaction_due(), move || {
-            detached.commit()
-        }))
+        let mut frame = self.cut_frame(false)?;
+        let (sink, epoch) = (Arc::clone(&self.sink), self.epoch);
+        Some(Cut::new(
+            epoch,
+            self.compaction_due(),
+            self.sink.durability.clone(),
+            move || sink.write(epoch, &mut frame),
+        ))
     }
 
     fn ticket(&self) -> u64 {
@@ -842,21 +750,17 @@ impl NvmBackend for FileBackend {
         self.epoch + u64::from(buffered)
     }
 
-    fn durable_epoch(&self) -> Result<u64, NvmError> {
-        let progress = relock(&self.sink.progress);
-        match &progress.broken {
-            Some(reason) => Err(NvmError::Backend {
-                reason: format!("{}: {reason}", self.path.display()),
-            }),
-            None => Ok(progress.durable),
-        }
+    fn durability(&self) -> Durability {
+        self.sink.durability.clone()
     }
 
     fn settle(&mut self) -> Result<(), NvmError> {
-        if self.compaction_due() {
-            self.compact()?;
+        if self.suppressed || !self.compaction_due() {
+            return Ok(());
         }
-        Ok(())
+        // Operations may have executed since the cut that left this due.
+        self.flush(false)?;
+        self.compact()
     }
 
     fn suppress_flushes(&mut self) {
@@ -885,7 +789,7 @@ impl NvmBackend for FileBackend {
     }
 
     fn wal_stats(&self) -> WalStats {
-        let file = relock(&self.sink.io);
+        let file = self.sink.file();
         WalStats {
             log_bytes: file.log.end,
             slack_bytes: file.log.len - file.log.end,
@@ -967,21 +871,15 @@ mod tests {
     }
 
     #[test]
-    fn frame_bytes_follow_the_documented_layout_from_a_reused_buffer() {
+    fn frame_bytes_follow_the_documented_layout() {
         let p = tmp("layout");
         let mut b = FileBackend::open(&p).unwrap();
         b.store_reg(3, Block::filled(0x33));
         b.journal(9, Block::filled(0x99));
         b.store(4, Block::filled(0x44));
         b.barrier().unwrap();
-        let capacity = b.pending.capacity();
         b.store(5, Block::filled(0x55));
         b.barrier().unwrap();
-        assert_eq!(
-            b.pending.capacity(),
-            capacity,
-            "a barrier must keep the frame buffer for the next one"
-        );
         b.bump_epoch().unwrap();
 
         let write = |phys: u64, fill: u8| {
@@ -1477,14 +1375,14 @@ mod tests {
         b.store(1, Block::filled(0xAA));
         b.barrier().unwrap();
         // The medium fails: every write through this handle is refused.
-        relock(&b.sink.io).log.file = File::open(&p).unwrap();
+        b.sink.file().log.file = File::open(&p).unwrap();
         b.store(2, Block::filled(0xBB));
         let err = b.barrier().unwrap_err().to_string();
         assert!(err.contains("append"), "got {err}");
         // Bytes past the write position can no longer be trusted to be
         // zero, so nothing more is written — not by a barrier, not by an
         // epoch bump — even once the medium is back.
-        relock(&b.sink.io).log.file = OpenOptions::new().write(true).open(&p).unwrap();
+        b.sink.file().log.file = OpenOptions::new().write(true).open(&p).unwrap();
         b.store(3, Block::filled(0xCC));
         for refused in [b.barrier(), b.bump_epoch()] {
             let err = refused.unwrap_err().to_string();
@@ -1525,7 +1423,7 @@ mod tests {
             assert_eq!(b.ticket(), b.epoch() + 1, "records are buffered");
             split_barrier(&mut b).unwrap();
             assert_eq!(
-                (b.ticket(), b.durable_epoch().unwrap()),
+                (b.ticket(), b.durability().reached().unwrap()),
                 (b.epoch(), b.epoch())
             );
             assert_eq!(a.epoch(), b.epoch(), "after barrier {i}");
@@ -1554,14 +1452,14 @@ mod tests {
         b.store(1, Block::filled(0xBB));
         let in_flight = b.cut().expect("a record is buffered");
         assert_eq!((in_flight.epoch(), b.epoch(), b.ticket()), (2, 2, 2));
-        assert_eq!(b.durable_epoch().unwrap(), 1, "cut, not yet durable");
+        assert_eq!(b.durability().reached().unwrap(), 1, "cut, not yet durable");
         // A write back to the value the *file* still holds is not a
         // repeat of what the log replays — the log includes the frame in
         // flight — so it must get its record.
         b.store(1, Block::filled(0xAA));
         assert_eq!(b.ticket(), 3);
         in_flight.commit().unwrap();
-        assert_eq!(b.durable_epoch().unwrap(), 2);
+        assert_eq!(b.durability().reached().unwrap(), 2);
         b.barrier().unwrap();
         drop(b);
         let b = FileBackend::open(&p).unwrap();
@@ -1595,7 +1493,7 @@ mod tests {
         on_finish.recv().unwrap();
         let (b, result) = racer.join().unwrap();
         result.unwrap();
-        assert_eq!(b.durable_epoch().unwrap(), 2);
+        assert_eq!(b.durability().reached().unwrap(), 2);
         let (_, frames, _) = layout(&p);
         assert_eq!(frames.iter().map(|f| f.epoch).collect::<Vec<_>>(), [1, 2]);
         drop(b);
@@ -1615,7 +1513,7 @@ mod tests {
         drop(b.cut().expect("a record is buffered"));
         // The in-memory half counts frame 2 as part of the log; nothing
         // may be appended behind the hole, and nobody may wait for it.
-        let err = b.durable_epoch().unwrap_err().to_string();
+        let err = b.durability().reached().unwrap_err().to_string();
         assert!(err.contains("never committed"), "got {err}");
         b.store(3, Block::filled(0xCC));
         for refused in [b.barrier(), b.bump_epoch()] {
@@ -1629,6 +1527,58 @@ mod tests {
             (Some(Block::filled(0xAA)), None, None)
         );
         assert_eq!((b.epoch(), b.frames_rejected()), (1, 0));
+        cleanup(&p);
+    }
+
+    #[test]
+    fn settling_with_operations_executed_since_the_cut_keeps_the_image_an_op_prefix() {
+        // A group-commit leader commits its frame with the backend
+        // unlocked, so by the time it settles, later operations have
+        // buffered records — and moved the live registers. Whatever a
+        // kill then leaves must pair the registers of one operation
+        // with the blocks of the same one.
+        let p = tmp("settle-pending");
+        let op = |b: &mut FileBackend, i: u64| {
+            b.store(7, Block::filled(i as u8));
+            b.store_reg(1, Block::filled(i as u8)); // the "root" over block 7
+        };
+        let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let mut i = 0;
+        let due = loop {
+            i += 1;
+            op(&mut b, i);
+            let cut = b.cut().expect("records are buffered");
+            if cut.wants_settle() {
+                break cut;
+            }
+            cut.commit().unwrap();
+            // Nothing is due: settling leaves what is buffered alone.
+            i += 1;
+            op(&mut b, i);
+            let buffered = b.ticket();
+            b.settle().unwrap();
+            assert_eq!((b.ticket(), b.epoch() + 1), (buffered, buffered));
+        };
+        // Two more operations execute while the leader's frame lands.
+        let cut_epoch = due.epoch();
+        op(&mut b, i + 1);
+        op(&mut b, i + 2);
+        let ticket = b.ticket();
+        assert_eq!(ticket, cut_epoch + 1);
+        due.commit().unwrap();
+        b.settle().unwrap();
+        // Their records went in as the frame their ticket names, and the
+        // rewrite took the epoch after it.
+        assert_eq!(b.epoch(), ticket + 1);
+        assert_eq!(b.durability().reached().unwrap(), ticket + 1);
+        let (_, frames, _) = layout(&p);
+        assert_eq!(frames.len(), 1, "the log was compacted");
+        drop(b); // killed: no barrier
+
+        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        assert_eq!(b.freshness(), Freshness::Fresh { epoch: ticket + 1 });
+        let newest = Block::filled((i + 2) as u8);
+        assert_eq!((b.load(7), b.reg(1)), (Some(newest), Some(newest)));
         cleanup(&p);
     }
 

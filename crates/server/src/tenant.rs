@@ -30,21 +30,27 @@
 //! durable"). It **executes** under `Mutex<Core>` — admission, the
 //! controller's `*_deferred` call, a *ticket*: the backend epoch whose
 //! durability covers it — and the lock is released. It is **durable**
-//! once the tenant's durable epoch reaches the ticket, and only then is
-//! it answered. Whoever finds no barrier running becomes the *leader*:
+//! once the backend's [`Durability`] reaches the ticket, and only then
+//! is it answered. Whoever finds no barrier running becomes the *leader*:
 //! it re-takes the lock just long enough to cut everything executed so
 //! far into one frame, commits that frame — `write` + `sync_data` +
 //! anchor seal — with the lock released, publishes the epoch and wakes
 //! the rest. A read waits only if the line it read has a write that is
 //! executed but not durable yet, and then for that write's ticket only.
 //!
-//! Lock order: `Mutex<Core>` → group state → (inside the backend) WAL
-//! sink. The group state is never held while taking the core lock, and
-//! nothing below holds a lock across a call back up.
+//! How far the log is durable, why it stopped and who leads are kept
+//! once, by the backend, behind the `Durability` handle the tenant took
+//! from it when it opened — so a fused barrier under the lock (`Flush`,
+//! the recovery hand-off, compaction) moves the waiters like a leader's
+//! does, with nothing to tell them.
+//!
+//! Lock order: `Mutex<Core>` → durability → (inside the backend) log
+//! file. The durability lock is never held across I/O nor while taking
+//! the core lock, and nothing below holds a lock across a call back up.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -52,7 +58,7 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemError, MemoryController,
     RecoveryError, SgxController, SgxScheme, Supervisor,
 };
-use anubis_nvm::{Block, FileBackend, NvmBackend, NvmError};
+use anubis_nvm::{Block, Durability, FileBackend, NvmBackend, NvmError};
 use anubis_telemetry::Telemetry;
 
 use crate::admission::{InflightGate, InflightPermit, TokenBucket};
@@ -203,9 +209,12 @@ pub const VERIFIED_SLOTS: usize = 4096;
 /// Last *durable* payload per data line — the degraded-mode read source
 /// while the ladder owns the controller. Direct-mapped by line address:
 /// a colliding line evicts, and a miss in the degraded window is the
-/// typed `Degraded` it always was.
+/// typed `Degraded` it always was. Each payload is held with the
+/// sequence number of the write that produced it, because writes of one
+/// line get here in the order their threads wake up: an older one never
+/// replaces a newer one.
 struct Verified {
-    slots: Vec<Option<(u64, Block)>>,
+    slots: Vec<Option<(u64, u64, Block)>>,
 }
 
 impl Verified {
@@ -215,13 +224,16 @@ impl Verified {
         }
     }
 
-    fn insert(&mut self, line: u64, block: Block) {
-        self.slots[line as usize % VERIFIED_SLOTS] = Some((line, block));
+    fn insert(&mut self, line: u64, seq: u64, block: Block) {
+        let slot = &mut self.slots[line as usize % VERIFIED_SLOTS];
+        if !matches!(slot, Some((held, newest, _)) if *held == line && *newest > seq) {
+            *slot = Some((line, seq, block));
+        }
     }
 
     fn get(&self, line: u64) -> Option<Block> {
         match self.slots[line as usize % VERIFIED_SLOTS] {
-            Some((held, block)) if held == line => Some(block),
+            Some((held, _, block)) if held == line => Some(block),
             _ => None,
         }
     }
@@ -238,9 +250,12 @@ struct Core<B: NvmBackend> {
     mode: ServeMode,
     verified: Verified,
     /// Data lines whose last executed write is not known durable yet:
-    /// that write's ticket and payload. A read of such a line waits for
-    /// the ticket; the entry leaves when the write is answered.
-    unsynced: HashMap<u64, (u64, Block)>,
+    /// that write's ticket, sequence number and payload. A read of such
+    /// a line waits for the ticket; the entry leaves with the first
+    /// answer to a write of the line that finds the ticket durable.
+    unsynced: HashMap<u64, Unsynced>,
+    /// Writes executed so far: orders the payloads of one line.
+    write_seq: u64,
     /// Write requests executed since the last cut — what the next group
     /// commit covers (`serve_barrier_ops_total`).
     uncut_ops: u64,
@@ -256,6 +271,13 @@ struct Core<B: NvmBackend> {
     stats: Counters,
 }
 
+#[derive(Clone, Copy)]
+struct Unsynced {
+    ticket: u64,
+    seq: u64,
+    block: Block,
+}
+
 #[derive(Default)]
 struct Counters {
     reads_total: u64,
@@ -268,25 +290,6 @@ struct Counters {
     recoveries: u64,
     retries_total: u64,
     last_outcome: String,
-}
-
-/// How far the tenant's log is durable, and who is moving it. Outside
-/// `Mutex<Core>` so that waiting for a barrier never holds up execution.
-struct Group {
-    state: Mutex<GroupState>,
-    /// Signalled whenever `state` changes.
-    moved: Condvar,
-}
-
-struct GroupState {
-    /// Every frame up to this epoch is durable and sealed: a ticket at
-    /// or below it may be answered.
-    durable: u64,
-    /// A leader is between taking the cut and publishing its outcome.
-    leader: bool,
-    /// A barrier failed: the backend takes no more frames, so every
-    /// ticket above `durable` fails with this reason.
-    failed: Option<String>,
 }
 
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -326,15 +329,15 @@ impl<B: NvmBackend> Drop for Held<'_, B> {
     }
 }
 
-/// One tenant: identity, admission gate, the locked `Core` and the
-/// group-commit state beside it.
+/// One tenant: identity, admission gate, the locked `Core` and, beside
+/// it, the backend's durability handle that requests wait on.
 pub struct Tenant<B: NvmBackend = FileBackend> {
     name: String,
     token_hash: u64,
     family: TenantFamily,
     gate: InflightGate,
     core: Mutex<Core<B>>,
-    group: Group,
+    durability: Durability,
     tel: Telemetry,
 }
 
@@ -355,6 +358,7 @@ enum Awaiting {
     /// A write (scalar or batch) executed under `ticket`.
     Write {
         ticket: u64,
+        seq: u64,
         items: Vec<(DataAddr, Block)>,
         batch: bool,
     },
@@ -437,7 +441,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
         backend: B,
         threads: &ThreadReg,
     ) -> Arc<Self> {
-        let durable = backend.epoch();
+        let durability = backend.durability();
         let (ctrl, hint) = open_family(spec.family, &cfg.mem_config, backend);
         let tenant = Arc::new(Tenant {
             name: spec.name.clone(),
@@ -449,6 +453,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
                 mode: ServeMode::ReadOnly,
                 verified: Verified::new(),
                 unsynced: HashMap::new(),
+                write_seq: 0,
                 uncut_ops: 0,
                 breaker: Breaker::new(
                     cfg.breaker_threshold,
@@ -461,14 +466,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
                 unavailable_reason: String::new(),
                 stats: Counters::default(),
             }),
-            group: Group {
-                state: Mutex::new(GroupState {
-                    durable,
-                    leader: false,
-                    failed: None,
-                }),
-                moved: Condvar::new(),
-            },
+            durability,
             tel,
         });
         {
@@ -512,8 +510,8 @@ impl<B: NvmBackend + 'static> Tenant<B> {
     #[doc(hidden)]
     pub fn epochs(&self) -> Option<(u64, u64)> {
         let core = self.lock();
-        let backend = core.ctrl.as_ref()?.backend();
-        Some((backend.epoch(), backend.durable_epoch().ok()?))
+        let cut = core.ctrl.as_ref()?.backend().epoch();
+        Some((cut, self.durability.reached().ok()?))
     }
 
     /// Takes the core lock. Clocks are read only when telemetry listens.
@@ -540,64 +538,37 @@ impl<B: NvmBackend + 'static> Tenant<B> {
     // Group commit
     // ------------------------------------------------------------------
 
-    /// Tells the waiters how far the backend says the log is durable.
-    /// Called with the core lock held, after a fused barrier ran under
-    /// it: fused commits queue behind any frame in flight, so whatever
-    /// was cut before this call has landed or failed.
-    fn publish(&self, backend: &B) {
-        let mut group = relock(&self.group.state);
-        match backend.durable_epoch() {
-            Ok(durable) => group.durable = group.durable.max(durable),
-            Err(e) => {
-                group.failed.get_or_insert(e.to_string());
-            }
-        }
-        self.group.moved.notify_all();
-    }
-
     /// One group commit. The cut is taken under the core lock — so the
     /// frame holds whole operations, in execution order — and committed
-    /// with the lock released.
+    /// with the lock released. The outcome reaches the waiters through
+    /// the backend's [`Durability`], which is why nothing is returned.
     fn lead(&self) {
         let (cut, ops) = {
             let mut core = self.lock();
             let ops = std::mem::take(&mut core.uncut_ops);
             // No controller: the ladder has it, and `spawn_recovery` made
-            // everything executed durable before handing it over.
-            let Some(ctrl) = core.ctrl.as_mut() else {
+            // everything executed durable before handing it over. Nothing
+            // buffered: a fused barrier under this lock carried it.
+            let Some(cut) = core.ctrl.as_mut().and_then(|c| c.backend_mut().cut()) else {
                 return;
             };
-            match ctrl.backend_mut().cut() {
-                Some(cut) => (cut, ops),
-                // Nothing buffered: a fused barrier under this lock
-                // (Flush, a platform path) carried it. The backend knows.
-                None => return self.publish(ctrl.backend()),
-            }
+            (cut, ops)
         };
-        let (epoch, wants_settle) = (cut.epoch(), cut.wants_settle());
-        let mut outcome = cut.commit();
+        let wants_settle = cut.wants_settle();
+        let committed = cut.commit();
         self.tel.incr("serve_barriers_total", &self.name, 1);
         self.tel.incr("serve_barrier_ops_total", &self.name, ops);
-        if outcome.is_ok() {
-            let mut group = relock(&self.group.state);
-            group.durable = group.durable.max(epoch);
-            self.group.moved.notify_all();
-            drop(group);
-            if wants_settle {
-                // Compaction needs both halves of the backend at rest,
-                // so it runs under the core lock (one of the listed
-                // exceptions, DESIGN §10) — after the frame's own
-                // tickets have been let go.
-                outcome = match self.lock().ctrl.as_mut() {
-                    Some(ctrl) => ctrl.backend_mut().settle(),
-                    None => Ok(()),
-                };
+        if committed.is_ok() && wants_settle {
+            // Compaction needs both halves of the backend at rest, so it
+            // runs under the core lock (one of the listed exceptions,
+            // DESIGN §10) — after the frame's own tickets have been let
+            // go, and behind a frame of whatever executed meanwhile. A
+            // failure breaks the log, which is how the tickets hear.
+            let mut core = self.lock();
+            if let Some(ctrl) = core.ctrl.as_mut() {
+                let _ = ctrl.backend_mut().settle();
+                core.uncut_ops = 0;
             }
-        }
-        if let Err(e) = outcome {
-            relock(&self.group.state)
-                .failed
-                .get_or_insert(e.to_string());
         }
     }
 
@@ -607,39 +578,21 @@ impl<B: NvmBackend + 'static> Tenant<B> {
     fn await_durable(&self, ticket: u64) -> Result<(), String> {
         let asked = self.tel.enabled().then(Instant::now);
         let mut led = false;
-        let mut group = relock(&self.group.state);
         let verdict = loop {
-            if group.durable >= ticket {
-                break Ok(());
-            }
-            if let Some(why) = &group.failed {
-                break Err(why.clone());
-            }
-            if group.leader {
-                group = self
-                    .group
-                    .moved
-                    .wait(group)
-                    .unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-            if led {
+            match self.durability.await_or_lead(ticket) {
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e.to_string()),
                 // A cut takes everything executed before it, this
                 // ticket's operation included, so one turn as leader
                 // settles it — unless the backend has stopped cutting
                 // (a platform that died flushes nothing more).
-                break Err(format!("no frame was cut for ticket {ticket}"));
+                Ok(Some(_)) if led => break Err(format!("no frame was cut for ticket {ticket}")),
+                Ok(Some(_lead)) => {
+                    led = true;
+                    self.lead();
+                }
             }
-            led = true;
-            group.leader = true;
-            drop(group);
-            {
-                let _leading = Leading(&self.group);
-                self.lead();
-            }
-            group = relock(&self.group.state);
         };
-        drop(group);
         if let Some(asked) = asked {
             observe_us(&self.tel, "serve_durable_wait_us", &self.name, asked);
         }
@@ -672,9 +625,8 @@ impl<B: NvmBackend + 'static> Tenant<B> {
         let Some(mut ctrl) = core.ctrl.take() else {
             return; // A ladder is already running.
         };
-        let _ = ctrl.barrier(); // the verdict reaches the tickets via `publish`
+        let _ = ctrl.barrier(); // the tickets hear of it from the backend
         core.uncut_ops = 0;
-        self.publish(ctrl.backend());
         Self::set_mode(core, &self.tel, &self.name, ServeMode::ReadOnly);
         let stall = Duration::from_millis(u64::from(core.recovery_stall_ms));
         core.recovery_stall_ms = 0;
@@ -790,6 +742,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             },
             Awaiting::Write {
                 ticket,
+                seq,
                 items,
                 batch,
             } => {
@@ -799,16 +752,18 @@ impl<B: NvmBackend + 'static> Tenant<B> {
                     Ok(()) => {
                         for (addr, block) in &items {
                             let line = addr.index();
-                            // While the line has a write on record —
-                            // this one, or a later one still on its way —
-                            // this payload is its newest durable one.
-                            // Once the last write has answered, earlier
-                            // ones have nothing to add.
-                            if let Some(&last) = core.unsynced.get(&line) {
-                                core.verified.insert(line, *block);
-                                if last == (ticket, *block) {
+                            match core.unsynced.get(&line).copied() {
+                                // The line's last write rode this frame
+                                // or an earlier one: durable as well,
+                                // and what a reader may have been shown.
+                                Some(last) if last.ticket <= ticket => {
+                                    core.verified.insert(line, last.seq, last.block);
                                     core.unsynced.remove(&line);
                                 }
+                                // A later write is still on its way.
+                                Some(_) => core.verified.insert(line, seq, *block),
+                                // A later write has answered already.
+                                None => {}
                             }
                         }
                         let written = items.len() as u32;
@@ -935,16 +890,16 @@ impl<B: NvmBackend + 'static> Tenant<B> {
                     // The read's own metadata records ride the next
                     // frame and nobody waits for them; what it must not
                     // run ahead of is a write it observed.
-                    let observed = core.unsynced.get(&addr).map(|&(ticket, _)| ticket);
-                    let unsynced =
-                        observed.filter(|&ticket| relock(&self.group.state).durable < ticket);
+                    let observed = core.unsynced.get(&addr).map(|last| last.ticket);
+                    let unsynced = observed.filter(|&ticket| !self.durability.covers(ticket));
                     break match unsynced {
                         Some(ticket) => Awaiting::Read {
                             ticket,
                             data: *block.as_bytes(),
                         },
                         None => {
-                            core.verified.insert(addr, block);
+                            let seq = core.write_seq;
+                            core.verified.insert(addr, seq, block);
                             Awaiting::Nothing(Response::ReadOk {
                                 data: *block.as_bytes(),
                                 mode: ServeMode::Full,
@@ -1068,8 +1023,11 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             };
             match result {
                 Ok(ticket) => {
-                    for (addr, block) in &items {
-                        core.unsynced.insert(addr.index(), (ticket, *block));
+                    core.write_seq += 1;
+                    let seq = core.write_seq;
+                    for &(addr, block) in &items {
+                        let last = Unsynced { ticket, seq, block };
+                        core.unsynced.insert(addr.index(), last);
                     }
                     core.uncut_ops += 1;
                     drop(core);
@@ -1077,6 +1035,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
                         _permit: Some(permit),
                         state: Awaiting::Write {
                             ticket,
+                            seq,
                             items,
                             batch,
                         },
@@ -1109,7 +1068,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
     /// metadata, the WPQ — to be on the medium when it returns, and runs
     /// its barriers under the lock (they queue behind a leader's frame
     /// in flight). Whatever executed operations it carried along learn
-    /// of it through `publish`.
+    /// of it from the backend like everyone else.
     fn op_flush(self: &Arc<Self>) -> Response {
         let mut core = self.lock();
         match core.mode {
@@ -1120,7 +1079,6 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             return Response::Err(degraded());
         };
         let flushed = ctrl.shutdown_flush();
-        self.publish(ctrl.backend());
         core.uncut_ops = 0;
         match flushed {
             Ok(()) => Response::FlushOk,
@@ -1206,19 +1164,6 @@ impl<B: NvmBackend + 'static> Tenant<B> {
     }
 }
 
-/// Gives the leadership back when the leader is done — also if it
-/// unwinds: its frame is lost with it (the backend breaks on a dropped
-/// cut), and the waiters must get to find that out instead of waiting
-/// for a leader that is gone.
-struct Leading<'a>(&'a Group);
-
-impl Drop for Leading<'_> {
-    fn drop(&mut self) {
-        relock(&self.0.state).leader = false;
-        self.0.moved.notify_all();
-    }
-}
-
 fn open_family<B: NvmBackend>(
     family: TenantFamily,
     mem: &AnubisConfig,
@@ -1245,7 +1190,7 @@ mod tests {
         let mut table = Verified::new();
         assert_eq!(table.len(), 0);
         for line in 0..3 * VERIFIED_SLOTS as u64 {
-            table.insert(line, Block::filled(line as u8));
+            table.insert(line, line, Block::filled(line as u8));
             assert!(table.len() <= VERIFIED_SLOTS);
         }
         assert_eq!(table.len(), VERIFIED_SLOTS);
@@ -1253,5 +1198,22 @@ mod tests {
         let last = 3 * VERIFIED_SLOTS as u64 - 1;
         assert_eq!(table.get(last), Some(Block::filled(last as u8)));
         assert_eq!(table.get(last - VERIFIED_SLOTS as u64), None);
+    }
+
+    #[test]
+    fn an_older_write_never_replaces_a_newer_one_of_the_same_line() {
+        let mut table = Verified::new();
+        table.insert(5, 8, Block::filled(0xBB));
+        table.insert(5, 7, Block::filled(0xAA)); // answered later, executed earlier
+        assert_eq!(table.get(5), Some(Block::filled(0xBB)));
+        table.insert(5, 8, Block::filled(0xCC)); // a read of the settled line
+        assert_eq!(table.get(5), Some(Block::filled(0xCC)));
+        // Another line's sequence numbers have no say over the slot.
+        let other = 5 + VERIFIED_SLOTS as u64;
+        table.insert(other, 1, Block::filled(0xDD));
+        assert_eq!(
+            (table.get(5), table.get(other)),
+            (None, Some(Block::filled(0xDD)))
+        );
     }
 }

@@ -11,7 +11,9 @@
 //! * a failed barrier fails every ticket it covered with the typed
 //!   error, none it did not cover, and nothing is re-executed;
 //! * a read that observed a write not durable yet waits for exactly that
-//!   write's barrier; a read of a settled line never waits.
+//!   write's barrier; a read of a settled line never waits;
+//! * the degraded-read table takes the newest durable payload of a line,
+//!   whichever of the line's writes is answered first.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -19,14 +21,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use anubis::telemetry::Telemetry;
-use anubis_nvm::{Block, Cut, MemBackend, NvmBackend, NvmError};
+use anubis_nvm::{Block, Cut, Durability, MemBackend, NvmBackend, NvmError};
 use anubis_server::{
-    Request, Response, ServeConfig, ServeError, ServeMode, Tenant, TenantFamily, TenantSpec,
-    ThreadReg,
+    Inject, Request, Response, ServeConfig, ServeError, ServeMode, Tenant, TenantFamily,
+    TenantSpec, ThreadReg,
 };
 
-/// The durable half: counts commits, and while `closed` parks each one
-/// until the test sends its verdict.
+/// The durable half: counts the frames that reach it, and while
+/// `closed` parks each one until the test sends its verdict.
 #[derive(Debug)]
 struct Gate {
     closed: AtomicBool,
@@ -34,34 +36,21 @@ struct Gate {
     /// Announces "the commit of this epoch is parked".
     parked: Mutex<Sender<u64>>,
     verdicts: Mutex<Receiver<Result<(), &'static str>>>,
-    /// `Ok(last durable epoch)`, or why nothing more will be.
-    durable: Mutex<Result<u64, String>>,
+    durability: Durability,
 }
 
 impl Gate {
-    fn commit(&self, epoch: u64) -> Result<(), NvmError> {
+    /// What a `FileBackend` does with the file, in the frame's turn.
+    fn write(&self, epoch: u64) -> Result<(), NvmError> {
         self.commits.fetch_add(1, Ordering::SeqCst);
-        let refused = |reason: String| Err(NvmError::Backend { reason });
-        if let Err(why) = &*self.durable.lock().unwrap() {
-            return refused(format!("poisoned by an earlier failed barrier ({why})"));
+        if !self.closed.load(Ordering::SeqCst) {
+            return Ok(());
         }
-        let verdict = if self.closed.load(Ordering::SeqCst) {
-            self.parked.lock().unwrap().send(epoch).unwrap();
-            self.verdicts.lock().unwrap().recv().unwrap()
-        } else {
-            Ok(())
-        };
-        let mut durable = self.durable.lock().unwrap();
-        match verdict {
-            Ok(()) => {
-                *durable = Ok(epoch);
-                Ok(())
-            }
-            Err(why) => {
-                *durable = Err(why.to_string());
-                refused(why.to_string())
-            }
-        }
+        self.parked.lock().unwrap().send(epoch).unwrap();
+        let verdict = self.verdicts.lock().unwrap().recv().unwrap();
+        verdict.map_err(|why| NvmError::Backend {
+            reason: why.to_string(),
+        })
     }
 }
 
@@ -108,7 +97,10 @@ impl NvmBackend for GatedBackend {
         }
         self.epoch += 1;
         let (gate, epoch) = (Arc::clone(&self.gate), self.epoch);
-        Some(Cut::new(epoch, false, move || gate.commit(epoch)))
+        let durability = gate.durability.clone();
+        Some(Cut::new(epoch, false, durability, move || {
+            gate.write(epoch)
+        }))
     }
     fn epoch(&self) -> u64 {
         self.epoch
@@ -116,8 +108,8 @@ impl NvmBackend for GatedBackend {
     fn ticket(&self) -> u64 {
         self.epoch + u64::from(self.buffered)
     }
-    fn durable_epoch(&self) -> Result<u64, NvmError> {
-        (self.gate.durable.lock().unwrap().clone()).map_err(|reason| NvmError::Backend { reason })
+    fn durability(&self) -> Durability {
+        self.gate.durability.clone()
     }
 }
 
@@ -143,7 +135,7 @@ impl Rig {
             commits: AtomicU64::new(0),
             parked: Mutex::new(parked_tx),
             verdicts: Mutex::new(verdicts_rx),
-            durable: Mutex::new(Ok(0)),
+            durability: Durability::at(0),
         });
         let backend = GatedBackend {
             blocks: MemBackend::new(),
@@ -154,6 +146,7 @@ impl Rig {
         let cfg = ServeConfig {
             // The failures below are the subject, not load to be shed.
             breaker_threshold: 1_000,
+            chaos: true,
             ..ServeConfig::default()
         };
         let threads: ThreadReg = Arc::new(Mutex::new(Vec::new()));
@@ -408,4 +401,39 @@ fn a_failed_barrier_fails_the_tickets_it_covered_and_no_others() {
             mode: ServeMode::Full
         }
     );
+}
+
+#[test]
+fn a_degraded_read_never_steps_back_behind_a_write_that_shared_the_frame() {
+    let rig = Rig::new();
+    rig.gate.closed.store(false, Ordering::SeqCst);
+    // Two writes of one line execute back to back and share a frame.
+    let (older, newer) = ([0xA1; 64], [0xB2; 64]);
+    let [first, second] = [older, newer].map(|data| {
+        rig.begin(&Request::Write {
+            addr: 3,
+            deadline_ms: 0,
+            data,
+        })
+    });
+    assert_eq!(first.ticket(), second.ticket());
+    // The older one is answered first; the frame it led holds both, so
+    // a reader may have been shown the newer payload already.
+    assert_eq!(rig.tenant.finish(first), Response::WriteOk);
+    // The tenant degrades before the newer write's thread gets to run.
+    let stall = Request::Inject(Inject::RecoveryStall { ms: 300 });
+    assert_eq!(rig.call(&stall), Response::InjectOk);
+    assert!(matches!(
+        rig.call(&Request::Recover),
+        Response::RecoverOk { .. }
+    ));
+    assert_eq!(
+        rig.call(&read(3)),
+        Response::ReadOk {
+            data: newer,
+            mode: ServeMode::ReadOnly
+        }
+    );
+    // Its ticket resolves although the ladder has the controller.
+    assert_eq!(rig.tenant.finish(second), Response::WriteOk);
 }
