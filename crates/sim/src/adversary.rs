@@ -1378,3 +1378,65 @@ pub fn child_main(args: &[String]) -> Result<(), DrillError> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed `BENCH_adversary.json` is reproducible from its seed
+    /// only while the first base run of each family kills where it did
+    /// (the cross-swap donor ends at epoch 8, so the window opens at
+    /// [`MIN_KILL_ACKS`]) and draws the mutations it did.
+    #[test]
+    fn committed_seed_produces_the_recorded_kill_points_and_mutations() {
+        let spec = AdversarySpec::default();
+        let script = drill_script(spec.script_len, spec.lines, spec.seed);
+        let max_acks = script.iter().filter(|op| op.0).count() as u64;
+        let (lo, hi) = (MIN_KILL_ACKS.max(8 + 2), max_acks * 3 / 4);
+        for (family, kill, rollbacks) in [
+            (DrillFamily::BonsaiAgitPlus, 470, ["0x3", "1x9", "2x7"]),
+            (DrillFamily::SgxAsit, 102, ["0x2", "1x3", "2x5"]),
+        ] {
+            let mut rng = (spec.seed ^ fnv1a64(family.name().as_bytes())) | 1;
+            assert_eq!(
+                lo + xorshift(&mut rng) % (hi - lo),
+                kill,
+                "{}",
+                family.name()
+            );
+            let labels: Vec<String> = plan_mutations(&mut rng)
+                .into_iter()
+                .map(|m| m.label)
+                .collect();
+            let rb = |k: usize| format!("wal-rollback-{}", rollbacks[k]);
+            let want = [
+                "control",
+                "bit-flip-0",
+                "bit-flip-1",
+                "bit-flip-2",
+                "bit-flip-3",
+                "bit-flip-slack",
+                "truncate-tail-0",
+                "truncate-tail-1",
+                "truncate-tail-2",
+                &rb(0),
+                &rb(1),
+                &rb(2),
+                "frame-reorder",
+                "frame-duplicate",
+                "replay-splice",
+                "replay-splice-slack-1",
+                "replay-splice-slack-2",
+                "state-rollback",
+                "cross-swap-image",
+                "cross-swap-pair",
+                "anchor-delete-strict",
+                "anchor-delete-override",
+                "anchor-corrupt-strict",
+                "anchor-rollback",
+                "anchor-lag-one",
+            ];
+            assert_eq!(labels, want, "{}", family.name());
+        }
+    }
+}

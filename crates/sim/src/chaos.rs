@@ -724,3 +724,19 @@ pub fn run_chaos_campaign(
         outcomes,
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed `BENCH_serve.json` is reproducible from its seed only
+    /// while the kill-threshold draw stays what it was.
+    #[test]
+    fn committed_seed_produces_the_recorded_kill_thresholds() {
+        let spec = ChaosSpec::default();
+        let max_acks = spec.tenants as u64 * spec.script_len;
+        let mut rng = XorShift::new(spec.seed);
+        let planned: Vec<u64> = (0..12).map(|_| 1 + rng.next() % max_acks).collect();
+        assert_eq!(planned, [49, 59, 21, 1, 74, 32, 77, 44, 72, 4, 56, 41]);
+    }
+}

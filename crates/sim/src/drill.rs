@@ -815,3 +815,48 @@ pub fn run_campaign(
     }
     Ok(report)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed `BENCH_drill.json` is reproducible from its seed only
+    /// while the script and the kill-point draw stay what they were.
+    #[test]
+    fn committed_seed_produces_the_recorded_script_and_kill_points() {
+        let spec = DrillSpec::default();
+        let script = drill_script(1_200, 300, 0xA17B_05E7);
+        assert_eq!(
+            script[..6],
+            [
+                (false, 284),
+                (true, 257),
+                (true, 64),
+                (false, 77),
+                (true, 210),
+                (true, 139)
+            ]
+        );
+        let max_acks = script.iter().filter(|op| op.0).count() as u64;
+        assert_eq!(max_acks, 840);
+        let mut bytes = Vec::new();
+        for &(is_write, addr) in &script {
+            bytes.push(u8::from(is_write));
+            bytes.extend_from_slice(&addr.to_le_bytes());
+        }
+        assert_eq!(fnv1a64(&bytes), 0x738d_ad14_aca6_1818);
+
+        let planned = |family: DrillFamily| -> Vec<u64> {
+            let mut rng = (spec.seed ^ fnv1a64(family.name().as_bytes())) | 1;
+            (0..13).map(|_| 1 + xorshift(&mut rng) % max_acks).collect()
+        };
+        assert_eq!(
+            planned(DrillFamily::BonsaiAgitPlus),
+            [605, 548, 674, 425, 260, 801, 403, 360, 703, 518, 160, 761, 523]
+        );
+        assert_eq!(
+            planned(DrillFamily::SgxAsit),
+            [13, 266, 175, 435, 820, 33, 3, 740, 760, 157, 610, 391, 68]
+        );
+    }
+}

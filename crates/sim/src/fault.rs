@@ -400,4 +400,53 @@ mod tests {
         assert!(report.injection_points > 0);
         assert_eq!(report.recovered + report.detected, report.injection_points);
     }
+
+    /// `(injection points, recovered, detected, not triggered)`.
+    fn counts(r: &CampaignReport) -> (u64, u64, u64, u64) {
+        (r.injection_points, r.recovered, r.detected, r.not_triggered)
+    }
+
+    /// The four sweeps over one fixed script, in the order power cut,
+    /// torn write (1 and 4 words), bit flip (bit 1), bit flip (bits 3 and
+    /// 200).
+    fn sweep_counts<C: MemoryController>(make: impl Fn() -> C) -> [(u64, u64, u64, u64); 4] {
+        let s = script(40);
+        [
+            counts(&power_cut_sweep(&make, &s, 1)),
+            counts(&torn_write_sweep(&make, &s, 1, &[1, 4])),
+            counts(&bit_flip_sweep(&make, &s, 1, &[1])),
+            counts(&bit_flip_sweep(&make, &s, 1, &[3, 200])),
+        ]
+    }
+
+    /// Pinned outcomes: the script driver and the acked-write audit decide
+    /// every one of these verdicts, so a change to either that moved an
+    /// outcome shows here as a changed count.
+    #[test]
+    fn campaign_reports_are_pinned_agit_plus() {
+        let make = || BonsaiController::new(BonsaiScheme::AgitPlus, &AnubisConfig::small_test());
+        assert_eq!(
+            sweep_counts(make),
+            [
+                (66, 66, 0, 0),
+                (132, 53, 79, 0),
+                (66, 0, 66, 0),
+                (66, 0, 66, 0)
+            ]
+        );
+    }
+
+    #[test]
+    fn campaign_reports_are_pinned_asit() {
+        let make = || SgxController::new(SgxScheme::Asit, &AnubisConfig::small_test());
+        assert_eq!(
+            sweep_counts(make),
+            [
+                (81, 81, 0, 0),
+                (162, 113, 49, 0),
+                (81, 62, 19, 0),
+                (81, 62, 19, 0)
+            ]
+        );
+    }
 }

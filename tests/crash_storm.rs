@@ -72,6 +72,48 @@ fn crash_storm_smoke_sgx_family() {
     );
 }
 
+/// The six fingerprints `bench_campaign storm --smoke` prints (six plans
+/// per scheme, 24 ops over 256 lines, the bench's per-scheme seeds). A
+/// fingerprint digests every run's outcome and repair counts, so the
+/// script driver, the fault plans and the supervisor ladder all have to
+/// do exactly what they did for these to hold.
+#[test]
+fn crash_storm_smoke_fingerprints_are_pinned() {
+    let storm = |seed| StormConfig {
+        runs: 6,
+        ops: 24,
+        addr_space: 256,
+        seed,
+        lanes: 1,
+        max_retries: 3,
+        recovery_faults: true,
+    };
+    let bonsai = |scheme, seed| {
+        crash_storm(|| BonsaiController::new(scheme, &config()), &storm(seed)).fingerprint
+    };
+    let sgx = |scheme, seed| {
+        crash_storm(|| SgxController::new(scheme, &config()), &storm(seed)).fingerprint
+    };
+    assert_eq!(
+        [
+            bonsai(BonsaiScheme::Osiris, 0x05),
+            bonsai(BonsaiScheme::AgitRead, 0xA6),
+            bonsai(BonsaiScheme::AgitPlus, 0xA7),
+            bonsai(BonsaiScheme::StrictPersist, 0xB5),
+            sgx(SgxScheme::Asit, 0x51),
+            sgx(SgxScheme::StrictPersist, 0x55),
+        ],
+        [
+            0xebee_428f_fbf7_5ce8,
+            0xdd34_8ad7_d1b8_42aa,
+            0x0571_dc3f_611e_0a1c,
+            0x5a45_d187_b863_06d2,
+            0x9275_78ce_5a27_8924,
+            0x7535_0f21_a647_e961,
+        ]
+    );
+}
+
 #[test]
 fn crash_storm_exhaustive_sweep() {
     // >1000 randomized plans across the six recoverable schemes; gated
