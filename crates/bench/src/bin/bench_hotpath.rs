@@ -65,10 +65,7 @@ fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke")
-        || std::env::var("ANUBIS_SMOKE")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let smoke = anubis_bench::smoke_requested();
     let check = args.iter().position(|a| a == "--check").map(|pos| {
         args.get(pos + 1)
             .filter(|next| !next.starts_with("--"))

@@ -29,20 +29,18 @@ use anubis_workloads::{spec2006, TraceGenerator};
 /// Device capacity for the replayed traces (matches `bench_throughput`).
 const CAPACITY_BYTES: u64 = 8 << 20;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn scale_from_env(smoke: bool) -> Scale {
-    let default_ops = if smoke { 4_000 } else { 40_000 };
-    let ops = env_u64("ANUBIS_LATENCY_OPS", default_ops) as usize;
+    let knob = |name: &str, default: u64| {
+        std::env::var(name)
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    };
+    let ops = knob("ANUBIS_LATENCY_OPS", if smoke { 4_000 } else { 40_000 }) as usize;
     Scale {
         ops,
         warmup_ops: ops / 10,
-        seed: env_u64("ANUBIS_LATENCY_SEED", 1907),
+        seed: knob("ANUBIS_LATENCY_SEED", 1907),
     }
 }
 
@@ -97,10 +95,7 @@ fn scheme_row(r: &RunResult) -> Json {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke")
-        || std::env::var("ANUBIS_SMOKE")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let smoke = anubis_bench::smoke_requested();
     let check: Option<String> = args.iter().position(|a| a == "--check").map(|pos| {
         args.get(pos + 1)
             .filter(|n| !n.starts_with("--"))

@@ -30,10 +30,7 @@ struct Measured {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("ANUBIS_SMOKE")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let smoke = anubis_bench::smoke_requested();
     let (capacity, dirty_ops, reps) = if smoke {
         (4u64 << 20, 3_000usize, 2u32)
     } else {

@@ -22,10 +22,7 @@ use std::time::Instant;
 const SHARDS: usize = 4;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("ANUBIS_SMOKE")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let smoke = anubis_bench::smoke_requested();
     let (ops, reps) = if smoke {
         (5_000usize, 2u32)
     } else {

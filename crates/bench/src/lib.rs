@@ -10,17 +10,22 @@
 
 use anubis_sim::experiments::Scale;
 
+/// Whether `--smoke` on the command line or `ANUBIS_SMOKE=1` asks for
+/// the reduced scale.
+pub fn smoke_requested() -> bool {
+    std::env::args().any(|a| a == "--smoke")
+        || std::env::var("ANUBIS_SMOKE")
+            .map(|v| v == "1")
+            .unwrap_or(false)
+}
+
 /// Resolves the run scale from CLI args and the environment.
 ///
 /// `--smoke` or `ANUBIS_SMOKE=1` selects the reduced scale; `--ops N`
 /// overrides the operation count explicitly.
 pub fn scale_from_args() -> Scale {
     let args: Vec<String> = std::env::args().collect();
-    let mut scale = if args.iter().any(|a| a == "--smoke")
-        || std::env::var("ANUBIS_SMOKE")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    {
+    let mut scale = if smoke_requested() {
         Scale::smoke()
     } else {
         Scale::full()

@@ -28,7 +28,7 @@ use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{SplitCounterBlock, MINOR_MAX};
 use anubis_itree::bonsai::Root;
 use anubis_itree::NodeId;
-use anubis_nvm::NvmBackend;
+use anubis_nvm::{BlockAddr, NvmBackend};
 use anubis_telemetry::Telemetry;
 
 impl<B: NvmBackend> Supervised for BonsaiController<B> {
@@ -38,6 +38,10 @@ impl<B: NvmBackend> Supervised for BonsaiController<B> {
 
     fn data_lines(&self) -> u64 {
         self.layout.data_blocks()
+    }
+
+    fn data_block(&self, addr: DataAddr) -> BlockAddr {
+        self.layout.data_addr(addr)
     }
 
     fn repair_line(&mut self, addr: DataAddr) -> Result<u32, RecoveryError> {

@@ -50,6 +50,7 @@ mod config;
 mod cost;
 mod datapath;
 mod error;
+mod family;
 mod layout;
 mod shadow;
 mod shadow_tree;
@@ -64,6 +65,7 @@ pub use bonsai::{BonsaiController, BonsaiScheme};
 pub use config::AnubisConfig;
 pub use cost::{CostAccum, OpCost};
 pub use error::{freshness_hint, MemError, RecoveryError};
+pub use family::{Family, Reopened};
 pub use layout::{BonsaiLayout, DataAddr, SgxLayout, LINES_PER_COUNTER_BLOCK};
 pub use recovery::RecoveryReport;
 pub use sgx::{SgxController, SgxScheme};

@@ -33,7 +33,7 @@ use crate::supervisor::{RepairSummary, Supervised};
 use crate::MemoryController;
 use anubis_crypto::SgxCounterNode;
 use anubis_itree::NodeId;
-use anubis_nvm::{Block, NvmBackend};
+use anubis_nvm::{Block, BlockAddr, NvmBackend};
 use anubis_telemetry::Telemetry;
 
 impl<B: NvmBackend> Supervised for SgxController<B> {
@@ -43,6 +43,10 @@ impl<B: NvmBackend> Supervised for SgxController<B> {
 
     fn data_lines(&self) -> u64 {
         self.layout.data_blocks()
+    }
+
+    fn data_block(&self, addr: DataAddr) -> BlockAddr {
+        self.layout.data_addr(addr)
     }
 
     fn repair_line(&mut self, addr: DataAddr) -> Result<u32, RecoveryError> {

@@ -31,6 +31,7 @@ use crate::layout::DataAddr;
 use crate::parallel;
 use crate::recovery::RecoveryReport;
 use crate::MemoryController;
+use anubis_nvm::BlockAddr;
 use anubis_telemetry::Telemetry;
 
 /// Environment override for the rung-2 retry budget (default
@@ -148,6 +149,10 @@ pub trait Supervised: MemoryController {
 
     /// Number of data lines the scrub pass must walk.
     fn data_lines(&self) -> u64;
+
+    /// The device block holding the line's ciphertext — where a tamper
+    /// hook that knows only the controller's family-neutral surface aims.
+    fn data_block(&self, addr: DataAddr) -> BlockAddr;
 
     /// Per-line media repair: re-read ciphertext and side block,
     /// ECC-correct against the stored code, reseal and write back.
@@ -380,6 +385,24 @@ impl Supervisor {
         }
         out.outcome = outcome_of(&out);
         Ok(out)
+    }
+
+    /// The restart path over a reopened image: [`Supervisor::recover`],
+    /// or [`Supervisor::repair_then_recover`] when reopen handed back a
+    /// `hint`.
+    ///
+    /// # Errors
+    ///
+    /// Same classes as [`Supervisor::recover`].
+    pub fn resume<C: Supervised + ?Sized>(
+        &self,
+        ctrl: &mut C,
+        hint: Option<&RecoveryError>,
+    ) -> Result<SupervisedRecovery, RecoveryError> {
+        match hint {
+            Some(err) => self.repair_then_recover(ctrl, err),
+            None => self.recover(ctrl),
+        }
     }
 
     /// Counts a freshness refusal in telemetry and hands the error back

@@ -7,34 +7,8 @@ use anubis::AnubisConfig;
 
 use crate::protocol::token_hash;
 
-/// The two controller families a tenant's persistence domain can run —
-/// the paper's recoverable schemes, one per tree style.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TenantFamily {
-    /// Bonsai-style general Merkle tree under AGIT+.
-    BonsaiAgitPlus,
-    /// SGX-style counter tree under ASIT.
-    SgxAsit,
-}
-
-impl TenantFamily {
-    /// Stable identifier used in tenant specs and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            TenantFamily::BonsaiAgitPlus => "bonsai",
-            TenantFamily::SgxAsit => "sgx",
-        }
-    }
-
-    /// Parses a spec identifier (`"bonsai"` / `"sgx"`).
-    pub fn parse(s: &str) -> Option<TenantFamily> {
-        match s {
-            "bonsai" | "bonsai-agit-plus" | "agit-plus" => Some(TenantFamily::BonsaiAgitPlus),
-            "sgx" | "sgx-asit" | "asit" => Some(TenantFamily::SgxAsit),
-            _ => None,
-        }
-    }
-}
+/// The controller family of a tenant's persistence domain.
+pub use anubis::Family as TenantFamily;
 
 /// One tenant's identity: name, session-token hash, controller family.
 #[derive(Clone, Debug)]

@@ -54,10 +54,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use anubis::{
-    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemError, MemoryController,
-    RecoveryError, SgxController, SgxScheme, Supervisor,
-};
+use anubis::{DataAddr, MemError, RecoveryError, Supervisor};
 use anubis_nvm::{Block, Durability, FileBackend, NvmBackend, NvmError};
 use anubis_telemetry::Telemetry;
 
@@ -69,112 +66,27 @@ use crate::protocol::{Inject, Request, Response, ServeError, ServeMode, TenantSt
 /// Registry of in-flight recovery threads, joined at server shutdown.
 pub type ThreadReg = Arc<Mutex<Vec<JoinHandle<()>>>>;
 
-/// Either controller family behind one dispatch surface.
-pub(crate) enum Ctrl<B: NvmBackend> {
-    /// Bonsai-style tree under AGIT+.
-    Bonsai(Box<BonsaiController<B>>),
-    /// SGX-style tree under ASIT.
-    Sgx(Box<SgxController<B>>),
+/// A tenant's controller: either family, reopened over its image.
+type Ctrl<B> = anubis::Reopened<B>;
+
+/// Scalar or batch, as the request was.
+fn write_deferred<B: NvmBackend>(
+    ctrl: &mut Ctrl<B>,
+    items: &[(DataAddr, Block)],
+) -> Result<(), MemError> {
+    match items {
+        [(addr, data)] => ctrl.write_deferred(*addr, *data),
+        _ => ctrl.write_batch_deferred(items),
+    }
 }
 
-impl<B: NvmBackend> Ctrl<B> {
-    fn read_deferred(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        match self {
-            Ctrl::Bonsai(c) => c.read_deferred(addr),
-            Ctrl::Sgx(c) => c.read_deferred(addr),
-        }
-    }
-
-    fn write_deferred(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
-        match (self, items) {
-            (Ctrl::Bonsai(c), [(addr, data)]) => c.write_deferred(*addr, *data),
-            (Ctrl::Bonsai(c), _) => c.write_batch_deferred(items),
-            (Ctrl::Sgx(c), [(addr, data)]) => c.write_deferred(*addr, *data),
-            (Ctrl::Sgx(c), _) => c.write_batch_deferred(items),
-        }
-    }
-
-    fn barrier(&mut self) -> Result<(), MemError> {
-        match self {
-            Ctrl::Bonsai(c) => c.barrier(),
-            Ctrl::Sgx(c) => c.barrier(),
-        }
-    }
-
-    fn shutdown_flush(&mut self) -> Result<(), MemError> {
-        match self {
-            Ctrl::Bonsai(c) => c.shutdown_flush(),
-            Ctrl::Sgx(c) => c.shutdown_flush(),
-        }
-    }
-
-    fn backend(&self) -> &B {
-        match self {
-            Ctrl::Bonsai(c) => c.domain().device().backend(),
-            Ctrl::Sgx(c) => c.domain().device().backend(),
-        }
-    }
-
-    fn backend_mut(&mut self) -> &mut B {
-        match self {
-            Ctrl::Bonsai(c) => c.domain_mut().device_mut().backend_mut(),
-            Ctrl::Sgx(c) => c.domain_mut().device_mut().backend_mut(),
-        }
-    }
-
-    fn crash(&mut self) {
-        match self {
-            Ctrl::Bonsai(c) => c.crash(),
-            Ctrl::Sgx(c) => c.crash(),
-        }
-    }
-
-    fn supervised_recover(
-        &mut self,
-        sup: &Supervisor,
-        hint: Option<&RecoveryError>,
-    ) -> Result<anubis::SupervisedRecovery, RecoveryError> {
-        match (self, hint) {
-            (Ctrl::Bonsai(c), Some(e)) => sup.repair_then_recover(c.as_mut(), e),
-            (Ctrl::Bonsai(c), None) => sup.recover(c.as_mut()),
-            (Ctrl::Sgx(c), Some(e)) => sup.repair_then_recover(c.as_mut(), e),
-            (Ctrl::Sgx(c), None) => sup.recover(c.as_mut()),
-        }
-    }
-
-    fn quarantined_blocks(&self) -> u64 {
-        match self {
-            Ctrl::Bonsai(c) => c.domain().device().quarantine_table().len() as u64,
-            Ctrl::Sgx(c) => c.domain().device().quarantine_table().len() as u64,
-        }
-    }
-
-    /// Flips a *pair* of bits in the same word of the stored ciphertext:
-    /// a single flip is silently repaired by the device ECC model, so a
-    /// detectable corruption needs two bits in one word.
-    fn tamper_data_line(&mut self, addr: u64, bit: usize) -> Result<(), ServeError> {
-        let line = DataAddr::new(addr);
-        match self {
-            Ctrl::Bonsai(c) => {
-                let dev = c.layout().data_addr(line);
-                c.domain_mut().device_mut().tamper_flip_bit(dev, bit);
-                c.domain_mut().device_mut().tamper_flip_bit(dev, bit ^ 1);
-            }
-            Ctrl::Sgx(c) => {
-                let dev = c.layout().data_addr(line);
-                c.domain_mut().device_mut().tamper_flip_bit(dev, bit);
-                c.domain_mut().device_mut().tamper_flip_bit(dev, bit ^ 1);
-            }
-        }
-        Ok(())
-    }
-
-    fn publish_telemetry(&self) {
-        match self {
-            Ctrl::Bonsai(c) => MemoryController::publish_telemetry(c.as_ref()),
-            Ctrl::Sgx(c) => MemoryController::publish_telemetry(c.as_ref()),
-        }
-    }
+/// Flips a *pair* of bits in the same word of the stored ciphertext: a
+/// single flip is silently repaired by the device ECC model, so a
+/// detectable corruption needs two bits in one word.
+fn tamper_data_line<B: NvmBackend>(ctrl: &mut Ctrl<B>, addr: u64, bit: usize) {
+    let dev = ctrl.data_block(DataAddr::new(addr));
+    ctrl.domain_mut().device_mut().tamper_flip_bit(dev, bit);
+    ctrl.domain_mut().device_mut().tamper_flip_bit(dev, bit ^ 1);
 }
 
 /// How a controller-op failure is handled.
@@ -442,7 +354,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
         threads: &ThreadReg,
     ) -> Arc<Self> {
         let durability = backend.durability();
-        let (ctrl, hint) = open_family(spec.family, &cfg.mem_config, backend);
+        let (ctrl, hint) = spec.family.reopen(&cfg.mem_config, backend);
         let tenant = Arc::new(Tenant {
             name: spec.name.clone(),
             token_hash: spec.token_hash,
@@ -510,7 +422,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
     #[doc(hidden)]
     pub fn epochs(&self) -> Option<(u64, u64)> {
         let core = self.lock();
-        let cut = core.ctrl.as_ref()?.backend().epoch();
+        let cut = core.ctrl.as_ref()?.domain().device().backend().epoch();
         Some((cut, self.durability.reached().ok()?))
     }
 
@@ -549,7 +461,11 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             // No controller: the ladder has it, and `spawn_recovery` made
             // everything executed durable before handing it over. Nothing
             // buffered: a fused barrier under this lock carried it.
-            let Some(cut) = core.ctrl.as_mut().and_then(|c| c.backend_mut().cut()) else {
+            let cut = core
+                .ctrl
+                .as_mut()
+                .and_then(|c| c.domain_mut().device_mut().backend_mut().cut());
+            let Some(cut) = cut else {
                 return;
             };
             (cut, ops)
@@ -566,7 +482,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             // failure breaks the log, which is how the tickets hear.
             let mut core = self.lock();
             if let Some(ctrl) = core.ctrl.as_mut() {
-                let _ = ctrl.backend_mut().settle();
+                let _ = ctrl.domain_mut().device_mut().backend_mut().settle();
                 core.uncut_ops = 0;
             }
         }
@@ -638,8 +554,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             if crash_first {
                 ctrl.crash();
             }
-            let sup = Supervisor::new();
-            let result = ctrl.supervised_recover(&sup, hint.as_ref());
+            let result = Supervisor::new().resume(ctrl.as_mut(), hint.as_ref());
             ctrl.publish_telemetry();
             let mut core = relock(&tenant.core);
             core.ctrl = Some(ctrl);
@@ -1015,9 +930,8 @@ impl<B: NvmBackend + 'static> Tenant<B> {
                 Err(injected_fault())
             } else {
                 match core.ctrl.as_mut() {
-                    Some(ctrl) => ctrl
-                        .write_deferred(&items)
-                        .map(|()| ctrl.backend().ticket()),
+                    Some(ctrl) => write_deferred(ctrl, &items)
+                        .map(|()| ctrl.domain().device().backend().ticket()),
                     None => break degraded(),
                 }
             };
@@ -1110,10 +1024,10 @@ impl<B: NvmBackend + 'static> Tenant<B> {
         let mut core = self.lock();
         match inj {
             Inject::CorruptLine { addr, bit } => match core.ctrl.as_mut() {
-                Some(ctrl) => match ctrl.tamper_data_line(*addr, *bit as usize) {
-                    Ok(()) => Response::InjectOk,
-                    Err(e) => Response::Err(e),
-                },
+                Some(ctrl) => {
+                    tamper_data_line(ctrl, *addr, *bit as usize);
+                    Response::InjectOk
+                }
                 None => Response::Err(degraded()),
             },
             Inject::TransientFaults { count } => {
@@ -1158,25 +1072,11 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             recoveries: core.stats.recoveries,
             retries_total: core.stats.retries_total,
             breaker_trips: core.breaker.trips(),
-            quarantined_blocks: core.ctrl.as_ref().map_or(0, |c| c.quarantined_blocks()),
+            quarantined_blocks: core
+                .ctrl
+                .as_ref()
+                .map_or(0, |c| c.domain().device().quarantine_table().len() as u64),
             last_outcome: core.stats.last_outcome.clone(),
-        }
-    }
-}
-
-fn open_family<B: NvmBackend>(
-    family: TenantFamily,
-    mem: &AnubisConfig,
-    backend: B,
-) -> (Ctrl<B>, Option<RecoveryError>) {
-    match family {
-        TenantFamily::BonsaiAgitPlus => {
-            let (c, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, mem, backend);
-            (Ctrl::Bonsai(Box::new(c)), hint)
-        }
-        TenantFamily::SgxAsit => {
-            let (c, hint) = SgxController::reopen(SgxScheme::Asit, mem, backend);
-            (Ctrl::Sgx(Box::new(c)), hint)
         }
     }
 }

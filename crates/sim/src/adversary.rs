@@ -45,29 +45,17 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
 
-use anubis::{
-    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, RecoveryError, RecoveryOutcome,
-    SgxController, SgxScheme, Supervised, Supervisor,
-};
+use anubis::{AnubisConfig, DataAddr, Family, RecoveryError, RecoveryOutcome};
 use anubis_nvm::{
-    anchor_path_for, encode_wal_frame, AnchorPolicy, FileBackend, FreshnessAnchor, NvmBackend,
-    WalFrame, WalWalker,
+    anchor_path_for, encode_wal_frame, AnchorPolicy, FreshnessAnchor, NvmBackend, WalFrame,
+    WalWalker,
 };
 
-use crate::drill::{
-    ack_expectations, drill_script, read_ack_log, AckExpectations, AckWriter, DrillError,
-    DrillFamily,
+use crate::campaign::{
+    drill_script, io_ctx, op_payload, restart, Acked, HarnessError, ReadBack, ScriptChild,
+    XorShift64,
 };
-use crate::fault::op_payload;
-
-/// Bytes per ack record (same format as the drill's ack log).
-const ACK_RECORD_BYTES: u64 = 24;
-
-/// How long the parent waits for a child before declaring it hung.
-const CHILD_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Acks the capture run stops short of the base run, so the captured
 /// image is strictly older than the base image's sealed anchor even
@@ -260,18 +248,10 @@ impl Verdict {
 /// class was met with zero panics and zero silent-stale serves.
 #[derive(Debug)]
 pub enum AdversaryError {
-    /// Harness filesystem or process-control failure.
-    Io {
-        /// What the harness was doing.
-        op: &'static str,
-        /// The file or executable involved.
-        path: PathBuf,
-        /// The underlying OS error.
-        source: std::io::Error,
-    },
-    /// A base or capture child run failed (spawn, serve, or hang) —
-    /// infrastructure, not a finding.
-    Child(DrillError),
+    /// The harness itself failed — its filesystem or process control, a
+    /// base or capture child run (spawn, serve, or hang), the foreign
+    /// donor's image — infrastructure, not a finding.
+    Harness(HarnessError),
     /// A mutation could not be applied (e.g. too few frames to splice);
     /// indicates a bad spec, not a finding.
     Mutation {
@@ -330,14 +310,14 @@ pub enum AdversaryError {
 impl std::fmt::Display for AdversaryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AdversaryError::Io { op, path, source } => {
+            AdversaryError::Harness(HarnessError::Io { op, path, source }) => {
                 write!(
                     f,
                     "adversary harness I/O: {op} {}: {source}",
                     path.display()
                 )
             }
-            AdversaryError::Child(e) => write!(f, "adversary child run failed: {e}"),
+            AdversaryError::Harness(e) => write!(f, "adversary child run failed: {e}"),
             AdversaryError::Mutation { label, detail } => {
                 write!(f, "mutation {label} could not be applied: {detail}")
             }
@@ -375,50 +355,17 @@ impl std::fmt::Display for AdversaryError {
 impl std::error::Error for AdversaryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            AdversaryError::Io { source, .. } => Some(source),
-            AdversaryError::Child(e) => Some(e),
+            AdversaryError::Harness(e) => Some(e),
             AdversaryError::Point { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }
 }
 
-impl From<DrillError> for AdversaryError {
-    fn from(e: DrillError) -> Self {
-        AdversaryError::Child(e)
+impl From<HarnessError> for AdversaryError {
+    fn from(e: HarnessError) -> Self {
+        AdversaryError::Harness(e)
     }
-}
-
-/// Stamps `op` and `path` onto a raw I/O error.
-fn io_ctx<'a>(
-    op: &'static str,
-    path: &'a Path,
-) -> impl FnOnce(std::io::Error) -> AdversaryError + 'a {
-    move |source| AdversaryError::Io {
-        op,
-        path: path.to_path_buf(),
-        source,
-    }
-}
-
-/// FNV-1a over a family name: decorrelates the families' draw streams.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// xorshift64* — deterministic, dependency-free randomness.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 /// The logical log inside a staged image, as the backend's own walker
@@ -518,7 +465,7 @@ struct MutationSpec {
 
 /// Draws the per-base-run mutation plan: [`MUTATIONS_PER_RUN`] specs
 /// covering every class in [`MutationClass::all`].
-fn plan_mutations(rng: &mut u64) -> Vec<MutationSpec> {
+fn plan_mutations(rng: &mut XorShift64) -> Vec<MutationSpec> {
     let mut plan = Vec::with_capacity(MUTATIONS_PER_RUN as usize);
     let mut push = |class: MutationClass,
                     label: String,
@@ -546,7 +493,7 @@ fn plan_mutations(rng: &mut u64) -> Vec<MutationSpec> {
             MutationClass::BitFlip,
             format!("bit-flip-{k}"),
             MutationOp::FlipBit {
-                draw: xorshift(rng),
+                draw: rng.next_star(),
             },
             AnchorPolicy::Strict,
             Requirement::AnyTyped,
@@ -559,7 +506,7 @@ fn plan_mutations(rng: &mut u64) -> Vec<MutationSpec> {
         MutationClass::BitFlip,
         "bit-flip-slack".into(),
         MutationOp::FlipSlackBit {
-            draw: xorshift(rng),
+            draw: rng.next_star(),
         },
         AnchorPolicy::Strict,
         Requirement::AnyTyped,
@@ -569,14 +516,14 @@ fn plan_mutations(rng: &mut u64) -> Vec<MutationSpec> {
             MutationClass::TruncateTail,
             format!("truncate-tail-{k}"),
             MutationOp::TruncateTail {
-                draw: xorshift(rng),
+                draw: rng.next_star(),
             },
             AnchorPolicy::Strict,
             Requirement::AnyTyped,
         );
     }
     for k in 0..3 {
-        let frames = 2 + (xorshift(rng) % 8) as usize;
+        let frames = 2 + (rng.next_star() % 8) as usize;
         push(
             MutationClass::WalRollback,
             format!("wal-rollback-{k}x{frames}"),
@@ -589,7 +536,7 @@ fn plan_mutations(rng: &mut u64) -> Vec<MutationSpec> {
         MutationClass::FrameReorder,
         "frame-reorder".into(),
         MutationOp::SwapAdjacentFrames {
-            draw: xorshift(rng),
+            draw: rng.next_star(),
         },
         AnchorPolicy::Strict,
         Requirement::Refusal,
@@ -598,7 +545,7 @@ fn plan_mutations(rng: &mut u64) -> Vec<MutationSpec> {
         MutationClass::FrameDuplicate,
         "frame-duplicate".into(),
         MutationOp::DuplicateFrame {
-            draw: xorshift(rng),
+            draw: rng.next_star(),
         },
         AnchorPolicy::Strict,
         Requirement::Refusal,
@@ -615,7 +562,7 @@ fn plan_mutations(rng: &mut u64) -> Vec<MutationSpec> {
             MutationClass::ReplaySplice,
             label.into(),
             MutationOp::SpliceReplay {
-                draw: xorshift(rng),
+                draw: rng.next_star(),
                 ahead,
             },
             AnchorPolicy::Strict,
@@ -690,122 +637,68 @@ struct DeadRun {
     acked: Vec<(u64, u64)>,
 }
 
-/// Spawns the child (`exe --child family image ack len lines seed`),
-/// SIGKILLs it once `kill_after` acks are durable, and returns the dead
-/// artifacts. The child must not finish: `kill_after` stays below the
-/// script's total writes.
+/// Runs the anchored script child over a fresh image in `dir`, SIGKILLs
+/// it once `kill_after` acks are durable, and returns the dead artifacts.
+/// The child must not finish: `kill_after` stays below the script's
+/// total writes, so a clean exit means it failed early.
 fn run_killed_child(
     exe: &Path,
-    family: DrillFamily,
+    family: Family,
     spec: &AdversarySpec,
     dir: &Path,
     kill_after: u64,
 ) -> Result<DeadRun, AdversaryError> {
     fs::create_dir_all(dir).map_err(io_ctx("create scratch dir", dir))?;
-    let image = dir.join("image.wal");
-    let ack = dir.join("acks.bin");
-    for stale in [&image, &ack, &anchor_path_for(&image)] {
+    let child = ScriptChild {
+        family,
+        image: dir.join("image.wal"),
+        ack: dir.join("acks.bin"),
+        script_len: spec.script_len,
+        lines: spec.lines,
+        seed: spec.seed,
+        anchored: true,
+    };
+    let anchor = anchor_path_for(&child.image);
+    for stale in [&child.image, &child.ack, &anchor] {
         let _ = fs::remove_file(stale);
     }
-    let mut child = Command::new(exe)
-        .arg("--child")
-        .arg(family.name())
-        .arg(&image)
-        .arg(&ack)
-        .arg(spec.script_len.to_string())
-        .arg(spec.lines.to_string())
-        .arg(spec.seed.to_string())
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .spawn()
-        .map_err(io_ctx("spawn child", exe))?;
-
-    let started = Instant::now();
-    let threshold = kill_after.saturating_mul(ACK_RECORD_BYTES);
-    loop {
-        if let Some(status) = child.try_wait().map_err(io_ctx("poll child", exe))? {
-            // The kill thresholds are capped below the script's write
-            // count, so a clean exit means the child failed early.
-            return Err(AdversaryError::Child(DrillError::Child {
-                code: status.code().filter(|_| !status.success()),
-            }));
-        }
-        let acked_bytes = fs::metadata(&ack).map(|m| m.len()).unwrap_or(0);
-        if acked_bytes >= threshold {
-            child.kill().map_err(io_ctx("kill child", exe))?;
-            child.wait().map_err(io_ctx("wait for child", exe))?;
-            break;
-        }
-        if started.elapsed() > CHILD_TIMEOUT {
-            child.kill().map_err(io_ctx("kill child", exe))?;
-            child.wait().map_err(io_ctx("wait for child", exe))?;
-            return Err(AdversaryError::Child(DrillError::Hung));
-        }
-        std::thread::sleep(Duration::from_micros(200));
+    let (completed, acked) = child.run_killed(exe, kill_after)?;
+    if completed {
+        return Err(HarnessError::Child { code: None }.into());
     }
-    let acked = read_ack_log(&ack).map_err(io_ctx("read ack log", &ack))?;
-    let anchor = anchor_path_for(&image);
     Ok(DeadRun {
-        image,
+        image: child.image,
         anchor,
         acked,
     })
 }
 
 /// Builds a small healthy device of the same family under a *different
-/// key* — the cross-swap donor. Returns its image, anchor, and final
+/// key* — the cross-swap donor — with a handful of distinct lines
+/// written so it has real history. Returns its image, anchor, and final
 /// epoch (the campaign keeps every kill threshold above it so a swapped
 /// foreign image always reads as rolled back).
 fn build_foreign(
-    family: DrillFamily,
+    family: Family,
     dir: &Path,
     spec: &AdversarySpec,
 ) -> Result<(PathBuf, PathBuf, u64), AdversaryError> {
     fs::create_dir_all(dir).map_err(io_ctx("create foreign dir", dir))?;
     let image = dir.join("foreign.wal");
-    for stale in [&image, &anchor_path_for(&image)] {
+    let anchor = anchor_path_for(&image);
+    for stale in [&image, &anchor] {
         let _ = fs::remove_file(stale);
     }
     let mut config = AnubisConfig::small_test();
     config.key.0 = [0x0F0E_1617_C0FF_EE00, 0x5EED_0000_0000_0042];
-    let backend = FileBackend::open_with_anchor(&image, config.key.0, AnchorPolicy::Strict)
-        .map_err(|e| AdversaryError::Child(DrillError::Nvm(e)))?;
-    let epoch = match family {
-        DrillFamily::BonsaiAgitPlus => {
-            let (mut ctrl, hint) =
-                BonsaiController::reopen(BonsaiScheme::AgitPlus, &config, backend);
-            foreign_writes(&mut ctrl, hint, spec)?;
-            ctrl.domain().device().backend().epoch()
-        }
-        DrillFamily::SgxAsit => {
-            let (mut ctrl, hint) = SgxController::reopen(SgxScheme::Asit, &config, backend);
-            foreign_writes(&mut ctrl, hint, spec)?;
-            ctrl.domain().device().backend().epoch()
-        }
-    };
-    let anchor = anchor_path_for(&image);
-    Ok((image, anchor, epoch))
-}
-
-/// Recovers a freshly-built foreign controller and writes a handful of
-/// distinct lines so the donor image has real history.
-fn foreign_writes<C: Supervised>(
-    ctrl: &mut C,
-    hint: Option<RecoveryError>,
-    spec: &AdversarySpec,
-) -> Result<(), AdversaryError> {
-    let sup = Supervisor::new().with_lanes(1);
-    let res = match hint {
-        Some(ref e) => sup.repair_then_recover(ctrl, e),
-        None => sup.recover(ctrl),
-    };
-    res.map_err(|e| AdversaryError::Child(DrillError::Recovery(e)))?;
+    let (mut ctrl, _) = restart(family, &config, &image, Some(AnchorPolicy::Strict), 1)?;
     for i in 0..8u64 {
         let addr = i % spec.lines.max(1);
         ctrl.write(DataAddr::new(addr), op_payload(0xF0_0000 + i, addr))
-            .map_err(|err| AdversaryError::Child(DrillError::Serve { op_index: i, err }))?;
+            .map_err(|err| HarnessError::Serve { op_index: i, err })?;
     }
-    Ok(())
+    let epoch = ctrl.domain().device().backend().epoch();
+    Ok((image, anchor, epoch))
 }
 
 /// Everything a mutation can draw on when staging its files.
@@ -977,80 +870,47 @@ enum EvalFailure {
     SilentStale { addr: u64 },
 }
 
-/// Reopens a mutated image and drives it to a verdict: typed refusal,
-/// degraded-with-declared-damage, or full recovery. Panics are caught
-/// by the caller; silent staleness is returned as [`EvalFailure`].
+/// Restarts over a mutated image and drives it to a verdict: typed
+/// refusal (the image does not open, or the supervisor refuses),
+/// degraded-with-declared-damage, or full recovery. Panics are caught by
+/// the caller; silent staleness is returned as [`EvalFailure`].
 fn evaluate(
-    family: DrillFamily,
+    family: Family,
     image: &Path,
     policy: AnchorPolicy,
-    expected: &AckExpectations,
-    inflight: Option<(u64, u64)>,
+    model: &Acked,
 ) -> Result<Verdict, EvalFailure> {
     let config = AnubisConfig::small_test();
-    let backend = match FileBackend::open_with_anchor(image, config.key.0, policy) {
-        Ok(b) => b,
-        Err(e) => {
-            return Ok(Verdict::Refused {
-                rollback: false,
-                reason: e.to_string(),
-            })
-        }
-    };
-    match family {
-        DrillFamily::BonsaiAgitPlus => {
-            let (ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &config, backend);
-            verdict_for(ctrl, hint, expected, inflight)
-        }
-        DrillFamily::SgxAsit => {
-            let (ctrl, hint) = SgxController::reopen(SgxScheme::Asit, &config, backend);
-            verdict_for(ctrl, hint, expected, inflight)
-        }
-    }
-}
-
-/// Runs supervised recovery and the acked-write audit on a reopened
-/// controller.
-fn verdict_for<C: Supervised>(
-    mut ctrl: C,
-    hint: Option<RecoveryError>,
-    expected: &AckExpectations,
-    inflight: Option<(u64, u64)>,
-) -> Result<Verdict, EvalFailure> {
-    let sup = Supervisor::new().with_lanes(1);
-    let rec = match hint {
-        Some(ref e) => sup.repair_then_recover(&mut ctrl, e),
-        None => sup.recover(&mut ctrl),
-    };
-    let rec = match rec {
-        Ok(r) => r,
-        Err(e) => {
+    let (mut ctrl, rec) = match restart(family, &config, image, Some(policy), 1) {
+        Ok(restarted) => restarted,
+        Err(HarnessError::Recovery(e)) => {
             return Ok(Verdict::Refused {
                 rollback: matches!(e, RecoveryError::RollbackDetected { .. }),
                 reason: e.to_string(),
             })
         }
+        Err(HarnessError::Nvm(e)) => {
+            return Ok(Verdict::Refused {
+                rollback: false,
+                reason: e.to_string(),
+            })
+        }
+        Err(other) => unreachable!("restart() opens and recovers only: {other}"),
     };
+    // Wrong data is tolerable only as *declared* loss: the supervisor
+    // quarantined the line and says so.
+    let findings = model.audit(
+        ctrl.as_mut(),
+        |c, addr| c.read(DataAddr::new(addr)),
+        |c, addr, _| rec.quarantined_lines > 0 && c.is_line_quarantined(DataAddr::new(addr)),
+    );
     let mut damage = 0u64;
-    for (&addr, &(_, want)) in expected {
-        match ctrl.read(DataAddr::new(addr)) {
-            Ok(got) if got == want => {}
-            Ok(got) => {
-                if let Some((j, aj)) = inflight {
-                    if aj == addr && got == op_payload(j, aj) {
-                        continue;
-                    }
-                }
-                // Wrong data is tolerable only as *declared* loss: the
-                // supervisor quarantined the line and says so.
-                if rec.quarantined_lines > 0 && ctrl.is_line_quarantined(DataAddr::new(addr)) {
-                    damage += 1;
-                } else {
-                    return Err(EvalFailure::SilentStale { addr });
-                }
-            }
+    for found in findings {
+        match found.readback {
+            ReadBack::Matched | ReadBack::InFlight => {}
             // A typed read error is detected damage, never silent.
-            Err(_) => damage += 1,
+            ReadBack::Excused | ReadBack::Failed(_) => damage += 1,
+            ReadBack::Wrong { .. } => return Err(EvalFailure::SilentStale { addr: found.addr }),
         }
     }
     if damage == 0 && matches!(rec.outcome, RecoveryOutcome::Recovered) {
@@ -1097,7 +957,7 @@ pub struct ClassStats {
 #[derive(Debug, Clone)]
 pub struct FamilyAdvReport {
     /// The drilled family.
-    pub family: DrillFamily,
+    pub family: Family,
     /// Base kill points executed (each spawns a base + capture child).
     pub base_runs: u64,
     /// Mutated-restart points evaluated (including controls).
@@ -1125,7 +985,7 @@ pub struct FamilyAdvReport {
 /// zero panics, zero silent-stale serves, and 100 % rollback detection.
 pub fn run_campaign(
     exe: &Path,
-    family: DrillFamily,
+    family: Family,
     spec: &AdversarySpec,
     dir: &Path,
     base_runs: u64,
@@ -1149,7 +1009,7 @@ pub fn run_campaign(
         });
     }
 
-    let mut rng = (spec.seed ^ fnv1a64(family.name().as_bytes())) | 1;
+    let mut rng = XorShift64::for_family(spec.seed, family);
     let mut stats: BTreeMap<MutationClass, ClassStats> = BTreeMap::new();
     let mut report = FamilyAdvReport {
         family,
@@ -1170,7 +1030,7 @@ pub fn run_campaign(
             spec,
             &rdir,
             &script,
-            lo + xorshift(&mut rng) % (hi - lo),
+            lo + rng.next_star() % (hi - lo),
             &foreign_image,
             &foreign_anchor,
             &mut rng,
@@ -1205,14 +1065,14 @@ pub fn run_campaign(
 #[allow(clippy::too_many_arguments)]
 fn run_base_point(
     exe: &Path,
-    family: DrillFamily,
+    family: Family,
     spec: &AdversarySpec,
     rdir: &Path,
     script: &[(bool, u64)],
     kill_after: u64,
     foreign_image: &Path,
     foreign_anchor: &Path,
-    rng: &mut u64,
+    rng: &mut XorShift64,
     stats: &mut BTreeMap<MutationClass, ClassStats>,
     report: &mut FamilyAdvReport,
 ) -> Result<(), AdversaryError> {
@@ -1224,7 +1084,7 @@ fn run_base_point(
         &rdir.join("capture"),
         kill_after - CAPTURE_MARGIN_ACKS,
     )?;
-    let (expected, inflight) = ack_expectations(&base.acked, script);
+    let model = Acked::from_log(&base.acked, script);
     let ctx = PointCtx {
         base: &base,
         capture: &capture,
@@ -1235,7 +1095,7 @@ fn run_base_point(
         let mdir = rdir.join(format!("m{mi}-{}", m.label));
         let image = stage_mutation(&m, &ctx, &mdir)?;
         let verdict = match panic::catch_unwind(AssertUnwindSafe(|| {
-            evaluate(family, &image, m.policy, &expected, inflight)
+            evaluate(family, &image, m.policy, &model)
         })) {
             Ok(Ok(v)) => v,
             Ok(Err(EvalFailure::SilentStale { addr })) => {
@@ -1277,7 +1137,7 @@ fn run_base_point(
             }
         }
         report.points += 1;
-        report.audited_reads += expected.len() as u64;
+        report.audited_reads += model.len() as u64;
         report.kill_range.0 = report.kill_range.0.min(kill_after);
         report.kill_range.1 = report.kill_range.1.max(kill_after);
         report.outcomes.push(MutationOutcome {
@@ -1289,94 +1149,6 @@ fn run_base_point(
         });
     }
     Ok(())
-}
-
-/// The serve loop for the anchored child: recover, then play the script
-/// appending fsynced ack records — identical to the drill's child except
-/// that the image is opened under the freshness anchor.
-fn serve<C: Supervised>(
-    mut ctrl: C,
-    hint: Option<RecoveryError>,
-    ack: &Path,
-    script: &[(bool, u64)],
-) -> Result<(), DrillError> {
-    let sup = Supervisor::new().with_lanes(1);
-    let res = match hint {
-        Some(ref e) => sup.repair_then_recover(&mut ctrl, e),
-        None => sup.recover(&mut ctrl),
-    };
-    res.map_err(DrillError::Recovery)?;
-    let mut log = AckWriter::create(ack).map_err(|source| DrillError::Io {
-        op: "create ack log",
-        path: ack.to_path_buf(),
-        source,
-    })?;
-    for (i, &(is_write, addr)) in script.iter().enumerate() {
-        if is_write {
-            ctrl.write(DataAddr::new(addr), op_payload(i as u64, addr))
-                .map_err(|err| DrillError::Serve {
-                    op_index: i as u64,
-                    err,
-                })?;
-            log.append(i as u64, addr)
-                .map_err(|source| DrillError::Io {
-                    op: "append ack record to",
-                    path: ack.to_path_buf(),
-                    source,
-                })?;
-        } else {
-            ctrl.read(DataAddr::new(addr))
-                .map_err(|err| DrillError::Serve {
-                    op_index: i as u64,
-                    err,
-                })?;
-        }
-    }
-    Ok(())
-}
-
-/// Child-process entry point; `args` is the tail of the command line
-/// after `--child`: `family image ack script_len lines seed`. Unlike
-/// the plain drill child, the image is opened under the freshness
-/// anchor with the strict policy.
-///
-/// # Errors
-///
-/// Any [`DrillError`] from opening, recovering, or serving.
-pub fn child_main(args: &[String]) -> Result<(), DrillError> {
-    let bad = |what: &'static str| DrillError::BadChildArg { what };
-    let family = args
-        .first()
-        .and_then(|s| DrillFamily::parse(s))
-        .ok_or_else(|| bad("family"))?;
-    let image = PathBuf::from(args.get(1).ok_or_else(|| bad("image path"))?);
-    let ack = PathBuf::from(args.get(2).ok_or_else(|| bad("ack path"))?);
-    let script_len: usize = args
-        .get(3)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("script len"))?;
-    let lines: u64 = args
-        .get(4)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("lines"))?;
-    let seed: u64 = args
-        .get(5)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("seed"))?;
-    let script = drill_script(script_len, lines, seed);
-    let config = AnubisConfig::small_test();
-    let backend = FileBackend::open_with_anchor(&image, config.key.0, AnchorPolicy::Strict)
-        .map_err(DrillError::Nvm)?;
-    match family {
-        DrillFamily::BonsaiAgitPlus => {
-            let (ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &config, backend);
-            serve(ctrl, hint, &ack, &script)
-        }
-        DrillFamily::SgxAsit => {
-            let (ctrl, hint) = SgxController::reopen(SgxScheme::Asit, &config, backend);
-            serve(ctrl, hint, &ack, &script)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1394,16 +1166,11 @@ mod tests {
         let max_acks = script.iter().filter(|op| op.0).count() as u64;
         let (lo, hi) = (MIN_KILL_ACKS.max(8 + 2), max_acks * 3 / 4);
         for (family, kill, rollbacks) in [
-            (DrillFamily::BonsaiAgitPlus, 470, ["0x3", "1x9", "2x7"]),
-            (DrillFamily::SgxAsit, 102, ["0x2", "1x3", "2x5"]),
+            (Family::BonsaiAgitPlus, 470, ["0x3", "1x9", "2x7"]),
+            (Family::SgxAsit, 102, ["0x2", "1x3", "2x5"]),
         ] {
-            let mut rng = (spec.seed ^ fnv1a64(family.name().as_bytes())) | 1;
-            assert_eq!(
-                lo + xorshift(&mut rng) % (hi - lo),
-                kill,
-                "{}",
-                family.name()
-            );
+            let mut rng = XorShift64::for_family(spec.seed, family);
+            assert_eq!(lo + rng.next_star() % (hi - lo), kill, "{}", family.name());
             let labels: Vec<String> = plan_mutations(&mut rng)
                 .into_iter()
                 .map(|m| m.label)

@@ -1,0 +1,335 @@
+//! The campaign kernel: what the crash / restart harnesses share.
+//!
+//! [`crate::fault`], [`crate::storm`], [`crate::drill`],
+//! [`crate::adversary`] and [`crate::chaos`] each plan faults of their
+//! own and turn what they find into verdicts of their own. Three things
+//! they all do the same way live here, once:
+//!
+//! * **the script driver** — [`drive`] plays a [`ScriptOp`] script on a
+//!   controller and says how the run stopped ([`Stop`]);
+//! * **the oracle** — [`Acked`], the reference model of the Triad-NVM
+//!   rule *acknowledged ⇒ durable and verifiable after any crash*: the
+//!   last acknowledged payload per address plus at most one write in
+//!   flight, and the one audit that holds a recovered system to it;
+//! * **the victim** — [`Victim`], a child process that is polled,
+//!   SIGKILLed and reaped on every path, and [`ScriptChild`], the one
+//!   child that serves a script over a file-backed image and logs its
+//!   acknowledgements.
+//!
+//! The kernel classifies and reports; what a finding *means* — a panic
+//! with the plan label, `AckedWriteLost`, `SilentStale`, declared damage
+//! — stays with the harness that asked (`DESIGN.md`, "Campaign kernel").
+
+mod oracle;
+mod victim;
+
+use std::convert::Infallible;
+use std::path::{Path, PathBuf};
+
+use anubis::{DataAddr, Family, MemError, MemoryController, RecoveryError};
+use anubis_nvm::{Block, NvmError};
+
+use crate::engine::payload;
+
+pub use oracle::{Acked, Finding, Judged, ReadBack};
+pub use victim::{child_main, restart, Fate, ScriptChild, Victim};
+
+/// One step of a scripted workload: `(is_write, data-line address)`.
+///
+/// Write payloads are derived from the op's position in the script via
+/// [`op_payload`], so re-running the same script is fully deterministic
+/// and overwrites are visible (the same address carries different data at
+/// different script positions).
+pub type ScriptOp = (bool, u64);
+
+/// Deterministic payload for the write at script position `op_index`
+/// targeting `addr`. Distinct per (position, address) pair.
+pub fn op_payload(op_index: u64, addr: u64) -> Block {
+    payload(op_index * 1009 + addr)
+}
+
+/// The FNV-1a offset basis: the digest of nothing, where [`fnv1a64`]
+/// starts.
+pub const FNV1A64_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a: folds `bytes` into the digest `h` (same constants as the NVM
+/// crate's WAL checksums; kept apart because a campaign is an external
+/// observer of the image, not part of it).
+pub fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// xorshift64 — deterministic, dependency-free randomness for scripts,
+/// kill points and mutation draws. One state, two outputs, because the
+/// committed campaign files were recorded with both: the restart drills
+/// draw xorshift64\* ([`XorShift64::next_star`]), the serving campaign
+/// the raw state ([`XorShift64::next_raw`]).
+#[derive(Clone, Debug)]
+pub struct XorShift64(u64);
+
+impl XorShift64 {
+    /// A generator over `seed` (zero, the one fixed point, becomes 1).
+    pub fn new(seed: u64) -> Self {
+        XorShift64(seed.max(1))
+    }
+
+    /// The generator of one family's kill points and mutations: the
+    /// campaign seed decorrelated by the family's [`Family::name`].
+    pub fn for_family(seed: u64, family: Family) -> Self {
+        XorShift64::new((seed ^ fnv1a64(FNV1A64_EMPTY, family.name().as_bytes())) | 1)
+    }
+
+    /// Steps the state and returns it.
+    pub fn next_raw(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
+
+    /// Steps the state and returns its xorshift64\* scramble.
+    pub fn next_star(&mut self) -> u64 {
+        self.next_raw().wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+/// The deterministic restart-drill workload: `len` operations over
+/// `lines` data lines, roughly 70 % writes, fully determined by `seed`.
+/// Payloads come from [`op_payload`], keyed by script position, so
+/// overwrites of the same address are distinguishable.
+pub fn drill_script(len: usize, lines: u64, seed: u64) -> Vec<ScriptOp> {
+    let mut rng = XorShift64::new(seed | 1);
+    (0..len)
+        .map(|_| {
+            let is_write = rng.next_star() % 10 < 7;
+            let addr = rng.next_star() % lines.max(1);
+            (is_write, addr)
+        })
+        .collect()
+}
+
+/// A failure of the harness machinery itself — filesystem, process
+/// control, the script child — as opposed to a finding about the system
+/// under test. Each harness wraps it (`From`) beside its own findings.
+#[derive(Debug)]
+pub enum HarnessError {
+    /// Filesystem or process-control failure, annotated with the
+    /// operation that failed and the path involved.
+    Io {
+        /// What the harness was doing (e.g. `"spawn child"`).
+        op: &'static str,
+        /// The file or executable the operation targeted.
+        path: PathBuf,
+        /// The underlying OS error.
+        source: std::io::Error,
+    },
+    /// The child process was handed a malformed command line.
+    BadChildArg {
+        /// Which argument was missing or unparseable.
+        what: &'static str,
+    },
+    /// The device image failed to open or replay.
+    Nvm(NvmError),
+    /// The child process exited *before* being killed where the harness
+    /// needed it alive — its serve loop hit an unexpected error.
+    Child {
+        /// Exit code, if the child failed (rather than died on a signal
+        /// or, where a clean exit is itself the failure, left cleanly).
+        code: Option<i32>,
+    },
+    /// The child made no progress within the harness's timeout.
+    Hung,
+    /// Post-restart recovery failed outright.
+    Recovery(RecoveryError),
+    /// An unexpected controller error inside the child serve loop,
+    /// reported with its script position.
+    Serve {
+        /// Script index of the failing operation.
+        op_index: u64,
+        /// The controller error.
+        err: MemError,
+    },
+}
+
+impl std::fmt::Display for HarnessError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HarnessError::Io { op, path, source } => {
+                write!(f, "harness I/O error: {op} {}: {source}", path.display())
+            }
+            HarnessError::BadChildArg { what } => write!(f, "child: bad argument: {what}"),
+            HarnessError::Nvm(e) => write!(f, "device image error: {e}"),
+            HarnessError::Child { code: Some(c) } => {
+                write!(f, "child failed before kill (exit code {c})")
+            }
+            HarnessError::Child { code: None } => {
+                write!(f, "child died on an unexpected signal before kill")
+            }
+            HarnessError::Hung => write!(f, "child made no progress before timeout"),
+            HarnessError::Recovery(e) => write!(f, "post-restart recovery failed: {e}"),
+            HarnessError::Serve { op_index, err } => {
+                write!(f, "child serve loop failed at op {op_index}: {err}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for HarnessError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            HarnessError::Io { source, .. } => Some(source),
+            _ => None,
+        }
+    }
+}
+
+impl From<NvmError> for HarnessError {
+    fn from(e: NvmError) -> Self {
+        HarnessError::Nvm(e)
+    }
+}
+
+impl From<RecoveryError> for HarnessError {
+    fn from(e: RecoveryError) -> Self {
+        HarnessError::Recovery(e)
+    }
+}
+
+/// Builds a [`HarnessError::Io`] mapper that stamps `op` and `path` onto
+/// a raw I/O error. There is deliberately no blanket
+/// `From<std::io::Error>`: every call site must say what it was doing
+/// and to which file.
+pub fn io_ctx<'a>(
+    op: &'static str,
+    path: &'a Path,
+) -> impl FnOnce(std::io::Error) -> HarnessError + 'a {
+    move |source| HarnessError::Io {
+        op,
+        path: path.to_path_buf(),
+        source,
+    }
+}
+
+/// What one completed script op did, as [`drive`] reports it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Done {
+    /// A write was acknowledged; this is the payload it carried.
+    Wrote(Block),
+    /// A read returned this.
+    Read(Block),
+}
+
+/// How a [`drive`] run stopped.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Stop {
+    /// Every op of the script completed.
+    Completed,
+    /// Power was lost inside op `op_index`; nothing after it ran.
+    PowerLost {
+        /// Script index of the interrupted op.
+        op_index: u64,
+        /// The `(addr, payload)` it was writing — unacknowledged, and
+        /// possibly on the medium all the same; `None` for a read.
+        attempted: Option<(u64, Block)>,
+        /// The power-loss error as the controller reported it.
+        err: MemError,
+    },
+    /// Op `op_index` failed with any other error (detected corruption,
+    /// or something the caller did not expect); nothing after it ran.
+    Failed {
+        /// Script index of the failing op.
+        op_index: u64,
+        /// The controller error.
+        err: MemError,
+    },
+}
+
+/// Plays `script` on `ctrl`: position `i` writes [`op_payload`]`(i,
+/// addr)` or reads `addr`, and every op that completes is handed to
+/// `done(i, addr, ..)`. Stops at the first controller error and says
+/// which kind it was; an `Err` from `done` aborts the run as it is.
+///
+/// # Errors
+///
+/// Only what `done` returns.
+pub fn drive<C: MemoryController + ?Sized, E>(
+    ctrl: &mut C,
+    script: &[ScriptOp],
+    mut done: impl FnMut(u64, u64, Done) -> Result<(), E>,
+) -> Result<Stop, E> {
+    for (i, &(is_write, addr)) in script.iter().enumerate() {
+        let data = op_payload(i as u64, addr);
+        let op_index = i as u64;
+        let result = if is_write {
+            ctrl.write(DataAddr::new(addr), data)
+                .map(|()| Done::Wrote(data))
+        } else {
+            ctrl.read(DataAddr::new(addr)).map(Done::Read)
+        };
+        match result {
+            Ok(what) => done(op_index, addr, what)?,
+            Err(err) if err.is_power_loss() => {
+                return Ok(Stop::PowerLost {
+                    op_index,
+                    attempted: is_write.then_some((addr, data)),
+                    err,
+                })
+            }
+            Err(err) => return Ok(Stop::Failed { op_index, err }),
+        }
+    }
+    Ok(Stop::Completed)
+}
+
+/// [`drive`] for the in-process fault campaigns: builds the [`Acked`]
+/// model as writes are acknowledged (the write a power loss interrupted
+/// becomes its in-flight one) and holds every *live* read to it.
+///
+/// # Panics
+///
+/// With `label` in the message: a live read of an acknowledged address
+/// that returns anything but its acknowledged payload, or an op that
+/// fails with an error that is neither a power loss nor — when `lenient`,
+/// i.e. under a fault class that only owes detection — a typed
+/// corruption error.
+pub fn drive_checked<C: MemoryController + ?Sized>(
+    ctrl: &mut C,
+    script: &[ScriptOp],
+    lenient: bool,
+    label: &str,
+) -> (Acked, Stop) {
+    let mut model = Acked::default();
+    let Ok(stop) = drive(ctrl, script, |i, addr, what| {
+        match what {
+            Done::Wrote(data) => model.ack(i, addr, data),
+            Done::Read(got) => assert!(
+                model.judge(addr, got) != Some(Judged::Other),
+                "[{label}] op {i}: live read of acknowledged addr {addr} returned wrong data"
+            ),
+        }
+        Ok::<(), Infallible>(())
+    });
+    match &stop {
+        Stop::PowerLost {
+            attempted: Some((addr, data)),
+            ..
+        } => model.attempt(*addr, *data),
+        Stop::Failed { op_index, err } if !(lenient && err.is_detected_corruption()) => {
+            let kind = if script[*op_index as usize].0 {
+                "write"
+            } else {
+                "read"
+            };
+            panic!("[{label}] op {op_index}: unexpected {kind} error: {err}")
+        }
+        _ => {}
+    }
+    (model, stop)
+}
+
+#[cfg(test)]
+mod tests;

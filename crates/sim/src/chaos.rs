@@ -27,30 +27,27 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use anubis_nvm::Block;
 use anubis_server::protocol::{
     fnv1a64, read_frame, write_frame, FrameEvent, Request, Response, MAGIC,
 };
 use anubis_server::{ClientError, ServeClient, ServeError, ServeMode};
 
+use crate::campaign::{io_ctx, Acked, Fate, HarnessError, ReadBack, Victim, XorShift64};
+
 /// Campaign-level failure. Everything carries enough context to
 /// reproduce: the tenant, the address, the fault class, the path.
 #[derive(Debug)]
 pub enum ChaosError {
-    /// Filesystem or process-management failure, with operation and path.
-    Io {
-        /// What the harness was doing.
-        op: &'static str,
-        /// The path involved.
-        path: PathBuf,
-        /// The underlying error.
-        source: std::io::Error,
-    },
+    /// Filesystem or process-management failure, with operation and
+    /// path; or a server that left before its kill.
+    Harness(HarnessError),
     /// The server child did not print its listening line.
     ServerSpawn {
         /// What went wrong.
@@ -94,13 +91,14 @@ pub enum ChaosError {
 impl std::fmt::Display for ChaosError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ChaosError::Io { op, path, source } => {
+            ChaosError::Harness(HarnessError::Io { op, path, source }) => {
                 write!(
                     f,
                     "chaos I/O failure while {op} at {}: {source}",
                     path.display()
                 )
             }
+            ChaosError::Harness(e) => write!(f, "{e}"),
             ChaosError::ServerSpawn { detail } => write!(f, "server spawn failed: {detail}"),
             ChaosError::AckedWriteLost {
                 tenant,
@@ -127,11 +125,9 @@ impl std::fmt::Display for ChaosError {
 
 impl std::error::Error for ChaosError {}
 
-fn io_ctx<'a>(op: &'static str, path: &'a Path) -> impl FnOnce(std::io::Error) -> ChaosError + 'a {
-    move |source| ChaosError::Io {
-        op,
-        path: path.to_path_buf(),
-        source,
+impl From<HarnessError> for ChaosError {
+    fn from(e: HarnessError) -> Self {
+        ChaosError::Harness(e)
     }
 }
 
@@ -214,22 +210,6 @@ pub struct ChaosReport {
     pub outcomes: Vec<PointOutcome>,
 }
 
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        XorShift(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-}
-
 const FAULTS: [&str; 5] = [
     "bad_magic",
     "bad_checksum",
@@ -268,7 +248,7 @@ fn payload_for(tenant: usize, op: u64, nonce: u64) -> [u8; 64] {
 
 /// A spawned server child plus its parsed listen address.
 struct ServerProc {
-    child: Child,
+    victim: Victim,
     addr: String,
 }
 
@@ -278,53 +258,40 @@ fn spawn_server(
     data_dir: &Path,
     spec: &ChaosSpec,
 ) -> Result<ServerProc, ChaosError> {
-    let mut child = Command::new(exe)
-        .args(serve_args)
-        .env("ANUBIS_SERVE_ADDR", "127.0.0.1:0")
-        .env("ANUBIS_SERVE_DATA", data_dir)
-        .env("ANUBIS_SERVE_TENANTS", roster(spec))
-        .env("ANUBIS_SERVE_STALL_MS", spec.server_stall_ms.to_string())
-        .env("ANUBIS_SERVE_IDLE_MS", "10000")
-        .env("ANUBIS_SERVE_CHAOS", "0")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(io_ctx("spawning server", exe))?;
-    let stdout = child.stdout.take().ok_or_else(|| ChaosError::ServerSpawn {
-        detail: "no stdout pipe".to_string(),
-    })?;
-    let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
-        match lines.next() {
-            Some(Ok(line)) => {
-                if let Some(rest) = line.strip_prefix("ANUBIS_SERVE_LISTENING ") {
-                    break rest.trim().to_string();
-                }
-            }
-            Some(Err(e)) => {
-                let _ = child.kill();
-                return Err(ChaosError::ServerSpawn {
-                    detail: format!("stdout read failed: {e}"),
-                });
-            }
-            None => {
-                let _ = child.kill();
-                return Err(ChaosError::ServerSpawn {
-                    detail: "server exited before printing listen address".to_string(),
-                });
-            }
+    let mut victim = Victim::spawn(
+        Command::new(exe)
+            .args(serve_args)
+            .env("ANUBIS_SERVE_ADDR", "127.0.0.1:0")
+            .env("ANUBIS_SERVE_DATA", data_dir)
+            .env("ANUBIS_SERVE_TENANTS", roster(spec))
+            .env("ANUBIS_SERVE_STALL_MS", spec.server_stall_ms.to_string())
+            .env("ANUBIS_SERVE_IDLE_MS", "10000")
+            .env("ANUBIS_SERVE_CHAOS", "0")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null()),
+    )?;
+    let spawn_failed = |detail: String| ChaosError::ServerSpawn { detail };
+    let stdout = victim
+        .take_stdout()
+        .ok_or_else(|| spawn_failed("no stdout pipe".to_string()))?;
+    for line in BufReader::new(stdout).lines() {
+        let line = line.map_err(|e| spawn_failed(format!("stdout read failed: {e}")))?;
+        if let Some(rest) = line.strip_prefix("ANUBIS_SERVE_LISTENING ") {
+            let addr = rest.trim().to_string();
+            return Ok(ServerProc { victim, addr });
         }
-    };
-    Ok(ServerProc { child, addr })
+    }
+    Err(spawn_failed(
+        "server exited before printing listen address".to_string(),
+    ))
 }
 
-/// What one tenant client learned before the kill.
+/// What one tenant client learned before the kill: the model of its
+/// acknowledged writes (the write in flight when the connection died
+/// stays in flight) and how many acknowledgements built it.
 #[derive(Default)]
 struct TenantLedger {
-    /// Last acknowledged payload per address.
-    acked: BTreeMap<u64, [u8; 64]>,
-    /// The write that was in flight when the connection died, if any.
-    inflight: Option<(u64, [u8; 64])>,
+    model: Acked,
     acks: u64,
 }
 
@@ -346,18 +313,17 @@ fn run_tenant_script(
     else {
         return ledger;
     };
-    let mut rng = XorShift::new(
+    let mut rng = XorShift64::new(
         spec.seed ^ point_nonce.rotate_left(23) ^ (tenant_idx as u64).rotate_left(41),
     );
     let mut op = 0u64;
     while op < spec.script_len && !stop.load(Ordering::Relaxed) {
-        let line = rng.next() % spec.lines;
-        let payload = payload_for(tenant_idx, op, rng.next());
-        ledger.inflight = Some((line, payload));
+        let line = rng.next_raw() % spec.lines;
+        let payload = payload_for(tenant_idx, op, rng.next_raw());
+        ledger.model.attempt(line, Block::from_bytes(payload));
         match client.write(line, payload, 200) {
             Ok(()) => {
-                ledger.inflight = None;
-                ledger.acked.insert(line, payload);
+                ledger.model.ack(op, line, Block::from_bytes(payload));
                 ledger.acks += 1;
                 acks_global.fetch_add(1, Ordering::Relaxed);
                 op += 1;
@@ -369,7 +335,7 @@ fn run_tenant_script(
                 | ServeError::DeadlineExceeded { .. },
             )) => {
                 // Typed backpressure: the write was not executed.
-                ledger.inflight = None;
+                ledger.model.settle();
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => break, // Connection died (the kill); keep inflight.
@@ -531,29 +497,33 @@ fn verify_tenant(
     })?;
     let mut verified = 0u64;
     let mut inflight_hits = 0u64;
-    for (&line, want) in &ledger.acked {
-        let (got, _mode) = client.read(line, 0).map_err(|e| ChaosError::Verify {
-            tenant: name.clone(),
-            detail: format!("read addr {line}: {e}"),
-        })?;
-        if got == *want {
-            verified += 1;
-            continue;
-        }
-        // The one in-flight write at kill time may have landed instead.
-        if let Some((infl_addr, infl_payload)) = &ledger.inflight {
-            if *infl_addr == line && got == *infl_payload {
-                verified += 1;
-                inflight_hits += 1;
-                continue;
+    let findings = ledger.model.audit(
+        &mut client,
+        |c, line| c.read(line, 0).map(|(data, _mode)| Block::from_bytes(data)),
+        |_, _, _| false,
+    );
+    for found in findings {
+        match found.readback {
+            ReadBack::Matched => {}
+            // The one in-flight write at kill time may have landed instead.
+            ReadBack::InFlight => inflight_hits += 1,
+            ReadBack::Failed(e) => {
+                return Err(ChaosError::Verify {
+                    tenant: name,
+                    detail: format!("read addr {}: {e}", found.addr),
+                })
             }
+            ReadBack::Wrong { got } => {
+                return Err(ChaosError::AckedWriteLost {
+                    tenant: name,
+                    addr: found.addr,
+                    want: found.want.as_bytes()[0],
+                    got: got.as_bytes()[0],
+                })
+            }
+            ReadBack::Excused => unreachable!("this audit excuses nothing"),
         }
-        return Err(ChaosError::AckedWriteLost {
-            tenant: name,
-            addr: line,
-            want: want[0],
-            got: got[0],
-        });
+        verified += 1;
     }
     Ok((verified, inflight_hits))
 }
@@ -590,69 +560,50 @@ fn run_point(
     // The saboteur runs while the tenants stream.
     let fault_result = inject_connection_fault(&server.addr, fault);
 
-    // Kill when the ack threshold is crossed (or all scripts finish).
-    let kill_deadline = Instant::now() + Duration::from_secs(30);
-    let completed = loop {
-        let total = acks.load(Ordering::Relaxed);
-        if total >= kill_after_acks {
-            break false;
-        }
-        if workers.iter().all(|w| w.is_finished()) {
-            break true;
-        }
-        if Instant::now() > kill_deadline {
-            break true; // Stuck scripts: kill anyway; verification decides.
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    };
-    server
-        .child
-        .kill()
-        .map_err(io_ctx("SIGKILLing server", exe))?;
-    let _ = server.child.wait();
+    // Kill when the ack threshold is crossed, or all scripts finish, or
+    // — stuck scripts — after 30 s anyway: verification decides.
+    let mut completed = false;
+    let fate = server.victim.kill_when(Duration::from_secs(30), || {
+        let due = acks.load(Ordering::Relaxed) >= kill_after_acks;
+        completed = !due && workers.iter().all(|w| w.is_finished());
+        Ok(due || completed)
+    });
+    // Dead already, or killed and reaped here: either way the scripts'
+    // connections end with it and the workers can be joined.
+    drop(server);
     stop.store(true, Ordering::Relaxed);
     let ledgers: Vec<TenantLedger> = workers
         .into_iter()
         .map(|w| w.join().unwrap_or_default())
         .collect();
+    match fate? {
+        Fate::Killed => {}
+        Fate::Hung => completed = true,
+        Fate::Exited(status) => {
+            let code = status.code();
+            return Err(HarnessError::Child { code }.into());
+        }
+    }
     fault_result?;
 
-    // Phase 2: restart on the same images, measure time-to-healthy.
+    // Phase 2: restart on the same images, measure time-to-healthy. The
+    // restarted server is killed and reaped when `restart` drops,
+    // whichever way this function returns.
     let restart = spawn_server(exe, serve_args, &point_dir, spec)?;
-    let time_to_healthy_us = match await_all_healthy(&restart.addr, spec) {
-        Ok(us) => us,
-        Err(e) => {
-            let mut child = restart.child;
-            let _ = child.kill();
-            return Err(e);
-        }
-    };
+    let time_to_healthy_us = await_all_healthy(&restart.addr, spec)?;
 
     // Phase 3: every acknowledged write must read back.
     let mut verified_addrs = 0u64;
     let mut inflight_tolerated = 0u64;
-    let mut verify_err = None;
     for (i, ledger) in ledgers.iter().enumerate() {
-        if ledger.acked.is_empty() {
+        if ledger.model.is_empty() {
             continue;
         }
-        match verify_tenant(&restart.addr, i, ledger) {
-            Ok((v, t)) => {
-                verified_addrs += v;
-                inflight_tolerated += t;
-            }
-            Err(e) => {
-                verify_err = Some(e);
-                break;
-            }
-        }
+        let (verified, tolerated) = verify_tenant(&restart.addr, i, ledger)?;
+        verified_addrs += verified;
+        inflight_tolerated += tolerated;
     }
-    let mut child = restart.child;
-    let _ = child.kill();
-    let _ = child.wait();
-    if let Some(e) = verify_err {
-        return Err(e);
-    }
+    drop(restart);
     let _ = std::fs::remove_dir_all(&point_dir);
 
     Ok(PointOutcome {
@@ -664,6 +615,18 @@ fn run_point(
         verified_addrs,
         inflight_tolerated,
     })
+}
+
+/// The kill thresholds of a campaign, a pure function of the spec's
+/// seed: `points` draws from `1..=max_acks`, or (`sweep`) the first
+/// `points` of them in order.
+fn planned_kills(spec: &ChaosSpec, points: u64, sweep: bool) -> Vec<u64> {
+    let max_acks = (spec.tenants as u64) * spec.script_len;
+    if sweep {
+        return (1..=points.min(max_acks)).collect();
+    }
+    let mut rng = XorShift64::new(spec.seed);
+    (0..points).map(|_| 1 + rng.next_raw() % max_acks).collect()
 }
 
 /// Runs a chaos campaign of `points` kill points against the server
@@ -684,19 +647,12 @@ pub fn run_chaos_campaign(
     sweep: bool,
 ) -> Result<ChaosReport, ChaosError> {
     std::fs::create_dir_all(dir).map_err(io_ctx("creating campaign dir", dir))?;
-    let max_acks = (spec.tenants as u64) * spec.script_len;
-    let points = if sweep { points.min(max_acks) } else { points };
-    let mut rng = XorShift::new(spec.seed);
+    let planned = planned_kills(spec, points, sweep);
     let mut outcomes = Vec::new();
     let mut fault_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut kill_lo = u64::MAX;
     let mut kill_hi = 0u64;
-    for point in 0..points {
-        let kill_after_acks = if sweep {
-            point + 1
-        } else {
-            1 + rng.next() % max_acks
-        };
+    for (point, kill_after_acks) in (0..).zip(planned) {
         let fault = FAULTS[(point as usize) % FAULTS.len()];
         let outcome = run_point(exe, serve_args, spec, dir, point, kill_after_acks, fault)?;
         kill_lo = kill_lo.min(kill_after_acks);
@@ -707,7 +663,7 @@ pub fn run_chaos_campaign(
     let mut tth: Vec<u64> = outcomes.iter().map(|o| o.time_to_healthy_us).collect();
     tth.sort_unstable();
     Ok(ChaosReport {
-        points,
+        points: outcomes.len() as u64,
         tenants: spec.tenants as u64,
         acked_total: outcomes.iter().map(|o| o.acked).sum(),
         verified_total: outcomes.iter().map(|o| o.verified_addrs).sum(),
@@ -733,10 +689,9 @@ mod tests {
     /// while the kill-threshold draw stays what it was.
     #[test]
     fn committed_seed_produces_the_recorded_kill_thresholds() {
-        let spec = ChaosSpec::default();
-        let max_acks = spec.tenants as u64 * spec.script_len;
-        let mut rng = XorShift::new(spec.seed);
-        let planned: Vec<u64> = (0..12).map(|_| 1 + rng.next() % max_acks).collect();
-        assert_eq!(planned, [49, 59, 21, 1, 74, 32, 77, 44, 72, 4, 56, 41]);
+        assert_eq!(
+            planned_kills(&ChaosSpec::default(), 12, false),
+            [49, 59, 21, 1, 74, 32, 77, 44, 72, 4, 56, 41]
+        );
     }
 }

@@ -26,26 +26,14 @@
 //!   transparently by SEC-DED, or surface after a later crash/recovery.
 //!   Again: wrong data panics, typed errors count as detection.
 
-use std::collections::HashMap;
+use std::convert::Infallible;
 
 use anubis::{DataAddr, MemoryController};
-use anubis_nvm::{Block, FaultKind, FaultPlan};
+use anubis_nvm::{FaultKind, FaultPlan};
 
-use crate::engine::payload;
+use crate::campaign::{drive, drive_checked, ReadBack, Stop};
 
-/// One step of a scripted workload: `(is_write, data-line address)`.
-///
-/// Write payloads are derived from the op's position in the script via
-/// [`op_payload`], so re-running the same script is fully deterministic
-/// and overwrites are visible (the same address carries different data at
-/// different script positions).
-pub type ScriptOp = (bool, u64);
-
-/// Deterministic payload for the write at script position `op_index`
-/// targeting `addr`. Distinct per (position, address) pair.
-pub fn op_payload(op_index: u64, addr: u64) -> Block {
-    payload(op_index * 1009 + addr)
-}
+pub use crate::campaign::{op_payload, ScriptOp};
 
 /// How a single fault injection resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,15 +103,8 @@ where
     F: Fn() -> C,
 {
     let mut ctrl = make();
-    for (i, &(is_write, addr)) in script.iter().enumerate() {
-        if is_write {
-            ctrl.write(DataAddr::new(addr), op_payload(i as u64, addr))
-                .unwrap_or_else(|e| panic!("dry run: write op {i} failed: {e}"));
-        } else {
-            ctrl.read(DataAddr::new(addr))
-                .unwrap_or_else(|e| panic!("dry run: read op {i} failed: {e}"));
-        }
-    }
+    let Ok(stop) = drive(&mut ctrl, script, |_, _, _| Ok::<(), Infallible>(()));
+    assert_eq!(stop, Stop::Completed, "dry run failed");
     ctrl.domain().persist_writes()
 }
 
@@ -147,107 +128,54 @@ where
 
     let mut ctrl = make();
     ctrl.domain_mut().arm_fault(plan);
-
-    let mut model: HashMap<u64, Block> = HashMap::new();
-    let mut attempted: Option<(u64, Block)> = None;
-    let mut power_lost = false;
-
-    for (i, &(is_write, addr)) in script.iter().enumerate() {
-        if is_write {
-            let data = op_payload(i as u64, addr);
-            match ctrl.write(DataAddr::new(addr), data) {
-                Ok(()) => {
-                    model.insert(addr, data);
-                }
-                Err(e) if e.is_power_loss() => {
-                    attempted = Some((addr, data));
-                    power_lost = true;
-                    break;
-                }
-                Err(e) if lenient && e.is_detected_corruption() => {
-                    return FaultVerdict::Detected;
-                }
-                Err(e) => panic!("[{label}] op {i}: unexpected write error: {e}"),
-            }
-        } else {
-            match ctrl.read(DataAddr::new(addr)) {
-                Ok(got) => {
-                    if let Some(expect) = model.get(&addr) {
-                        assert_eq!(
-                            got, *expect,
-                            "[{label}] op {i}: live read of acknowledged addr {addr} \
-                             returned wrong data"
-                        );
-                    }
-                }
-                Err(e) if e.is_power_loss() => {
-                    power_lost = true;
-                    break;
-                }
-                Err(e) if lenient && e.is_detected_corruption() => {
-                    return FaultVerdict::Detected;
-                }
-                Err(e) => panic!("[{label}] op {i}: unexpected read error: {e}"),
-            }
+    let model = match drive_checked(&mut ctrl, script, lenient, &label) {
+        (_, Stop::Failed { .. }) => return FaultVerdict::Detected,
+        (_, Stop::Completed) if ctrl.domain().fault_fired().is_none() => {
+            return FaultVerdict::NotTriggered
         }
-    }
-
-    if !power_lost && ctrl.domain().fault_fired().is_none() {
-        return FaultVerdict::NotTriggered;
-    }
+        (model, _) => model,
+    };
 
     // The machine died (power cut / torn write) or carries a latent flip:
     // crash it and run recovery against the damaged device image.
     ctrl.crash();
-    match ctrl.recover() {
-        Err(err) => {
-            assert!(
-                lenient,
-                "[{label}] recovery after a pure power cut must succeed, got: {err}"
-            );
-            FaultVerdict::Detected
-        }
-        Ok(_) => {
-            let in_flight = attempted.map(|(a, _)| a);
-            let mut any_detected = false;
-            for (&addr, expect) in &model {
-                match ctrl.read(DataAddr::new(addr)) {
-                    Ok(got) => {
-                        if in_flight == Some(addr) {
-                            let new = attempted.expect("in_flight implies attempted").1;
-                            assert!(
-                                got == *expect || got == new,
-                                "[{label}] post-recovery read of in-flight addr {addr} \
-                                 returned neither the old nor the new value"
-                            );
-                        } else {
-                            assert_eq!(
-                                got, *expect,
-                                "[{label}] post-recovery read of acknowledged addr {addr} \
-                                 returned wrong data"
-                            );
-                        }
-                    }
-                    // The in-flight op's address may surface a typed error
-                    // under any fault class; other addresses only under the
-                    // detection-only classes.
-                    Err(e)
-                        if e.is_detected_corruption() && (lenient || in_flight == Some(addr)) =>
-                    {
-                        any_detected = true;
-                    }
-                    Err(e) => panic!(
-                        "[{label}] post-recovery read of addr {addr} failed unexpectedly: {e}"
-                    ),
-                }
+    if let Err(err) = ctrl.recover() {
+        assert!(
+            lenient,
+            "[{label}] recovery after a pure power cut must succeed, got: {err}"
+        );
+        return FaultVerdict::Detected;
+    }
+    let mut verdict = FaultVerdict::Recovered;
+    let findings = model.audit(
+        &mut ctrl,
+        |c, addr| c.read(DataAddr::new(addr)),
+        |_, _, _| false,
+    );
+    for found in findings {
+        let addr = found.addr;
+        let in_flight = model.inflight_addr() == Some(addr);
+        match found.readback {
+            ReadBack::Matched | ReadBack::InFlight => {}
+            // The in-flight op's address may surface a typed error under
+            // any fault class; other addresses only under the
+            // detection-only classes.
+            ReadBack::Failed(e) if e.is_detected_corruption() && (lenient || in_flight) => {
+                verdict = FaultVerdict::Detected;
             }
-            if any_detected {
-                FaultVerdict::Detected
-            } else {
-                FaultVerdict::Recovered
+            ReadBack::Failed(e) => {
+                panic!("[{label}] post-recovery read of addr {addr} failed unexpectedly: {e}")
             }
+            _ if in_flight => panic!(
+                "[{label}] post-recovery read of in-flight addr {addr} returned neither the \
+                 old nor the new value"
+            ),
+            _ => panic!(
+                "[{label}] post-recovery read of acknowledged addr {addr} returned wrong data"
+            ),
         }
     }
+    verdict
 }
 
 /// Exhaustively (or with `stride > 1`, sparsely) cuts power after every
@@ -267,15 +195,9 @@ where
     C: MemoryController,
     F: Fn() -> C,
 {
-    assert!(stride >= 1, "stride must be at least 1");
-    let total = count_persist_writes(&make, script);
-    let mut report = CampaignReport::new(make().scheme_name());
-    let mut k = 0;
-    while k < total {
-        report.absorb(run_with_fault(&make, script, FaultPlan::power_cut_after(k)));
-        k += stride;
-    }
-    report
+    sweep(&make, script, stride, |k| {
+        vec![FaultPlan::power_cut_after(k)]
+    })
 }
 
 /// Sweeps torn writes: for each injection index (stepped by `stride`) and
@@ -296,21 +218,12 @@ where
     C: MemoryController,
     F: Fn() -> C,
 {
-    assert!(stride >= 1, "stride must be at least 1");
-    let total = count_persist_writes(&make, script);
-    let mut report = CampaignReport::new(make().scheme_name());
-    let mut k = 0;
-    while k < total {
-        for &w in words {
-            report.absorb(run_with_fault(
-                &make,
-                script,
-                FaultPlan::torn_write_after(k, w),
-            ));
-        }
-        k += stride;
-    }
-    report
+    sweep(&make, script, stride, |k| {
+        words
+            .iter()
+            .map(|&w| FaultPlan::torn_write_after(k, w))
+            .collect()
+    })
 }
 
 /// Sweeps bit flips: the k-th device write (stepped by `stride`) lands
@@ -331,17 +244,31 @@ where
     C: MemoryController,
     F: Fn() -> C,
 {
+    sweep(&make, script, stride, |k| {
+        vec![FaultPlan::bit_flip_after(k, bits.to_vec())]
+    })
+}
+
+/// The sweep all three classes share: every `stride`-th counted device
+/// write `k` of a dry run, each plan of `plans_at(k)` on a fresh
+/// controller.
+fn sweep<C, F>(
+    make: &F,
+    script: &[ScriptOp],
+    stride: u64,
+    plans_at: impl Fn(u64) -> Vec<FaultPlan>,
+) -> CampaignReport
+where
+    C: MemoryController,
+    F: Fn() -> C,
+{
     assert!(stride >= 1, "stride must be at least 1");
-    let total = count_persist_writes(&make, script);
+    let total = count_persist_writes(make, script);
     let mut report = CampaignReport::new(make().scheme_name());
-    let mut k = 0;
-    while k < total {
-        report.absorb(run_with_fault(
-            &make,
-            script,
-            FaultPlan::bit_flip_after(k, bits.to_vec()),
-        ));
-        k += stride;
+    for k in (0..total).step_by(stride as usize) {
+        for plan in plans_at(k) {
+            report.absorb(run_with_fault(make, script, plan));
+        }
     }
     report
 }

@@ -46,6 +46,7 @@ mod report;
 mod timing;
 
 pub mod adversary;
+pub mod campaign;
 pub mod chaos;
 pub mod drill;
 pub mod experiments;

@@ -33,12 +33,11 @@
 //! (e.g. `AnubisConfig::small_test().with_spare_blocks(256)`) so
 //! quarantine never runs out of remap capacity mid-campaign.
 
-use std::collections::BTreeMap;
-
 use anubis::{DataAddr, RecoveryOutcome, Supervised, SupervisedRecovery, Supervisor};
-use anubis_nvm::{Block, FaultKind, FaultPlan, SplitMix64};
+use anubis_nvm::{FaultKind, FaultPlan, SplitMix64};
 
-use crate::fault::{count_persist_writes, op_payload, ScriptOp};
+use crate::campaign::{drive_checked, ReadBack, ScriptOp};
+use crate::fault::count_persist_writes;
 
 /// Maximum consecutive crash-during-recovery injections per run before
 /// the final, uninterrupted recovery attempt.
@@ -215,33 +214,9 @@ where
     let mut ctrl = make();
     ctrl.domain_mut().arm_fault(plan);
 
-    let mut model: BTreeMap<u64, Block> = BTreeMap::new();
-    let mut attempted: Option<(u64, Block)> = None;
-    for (i, &(is_write, addr)) in script.iter().enumerate() {
-        if is_write {
-            let data = op_payload(i as u64, addr);
-            match ctrl.write(DataAddr::new(addr), data) {
-                Ok(()) => {
-                    model.insert(addr, data);
-                }
-                Err(e) if e.is_power_loss() => {
-                    attempted = Some((addr, data));
-                    break;
-                }
-                // Damage detected live: stop driving the workload and
-                // hand the machine to the supervisor below.
-                Err(e) if lenient && e.is_detected_corruption() => break,
-                Err(e) => panic!("[{label}] op {i}: unexpected write error: {e}"),
-            }
-        } else {
-            match ctrl.read(DataAddr::new(addr)) {
-                Ok(_) => {}
-                Err(e) if e.is_power_loss() => break,
-                Err(e) if lenient && e.is_detected_corruption() => break,
-                Err(e) => panic!("[{label}] op {i}: unexpected read error: {e}"),
-            }
-        }
-    }
+    // Damage detected live stops the workload like a power loss does:
+    // either way the machine goes to the supervisor below.
+    let (model, _) = drive_checked(&mut ctrl, script, lenient, &label);
 
     ctrl.crash();
     let supervisor = Supervisor::new()
@@ -284,20 +259,20 @@ where
     // explicit zero on a quarantined line. The supervisor's scrub scans
     // with full `read()` verification, so a read *error* here means the
     // ladder lied about converging.
-    let in_flight = attempted.map(|(a, _)| a);
-    for (&addr, expect) in &model {
-        let da = DataAddr::new(addr);
-        match ctrl.read(da) {
-            Ok(got) => {
-                let new_ok = in_flight == Some(addr) && attempted.map(|(_, d)| d) == Some(got);
-                let quarantined_zero = got.is_zeroed() && ctrl.is_line_quarantined(da);
-                assert!(
-                    got == *expect || new_ok || quarantined_zero,
-                    "[{label}] post-supervision read of acknowledged addr {addr} returned \
-                     wrong data (not committed, not in-flight, not quarantined-zero)"
-                );
-            }
-            Err(e) => panic!(
+    let findings = model.audit(
+        &mut ctrl,
+        |c, addr| c.read(DataAddr::new(addr)),
+        |c, addr, got| got.is_zeroed() && c.is_line_quarantined(DataAddr::new(addr)),
+    );
+    for found in findings {
+        let addr = found.addr;
+        match found.readback {
+            ReadBack::Matched | ReadBack::InFlight | ReadBack::Excused => {}
+            ReadBack::Wrong { .. } => panic!(
+                "[{label}] post-supervision read of acknowledged addr {addr} returned \
+                 wrong data (not committed, not in-flight, not quarantined-zero)"
+            ),
+            ReadBack::Failed(e) => panic!(
                 "[{label}] post-supervision read of addr {addr} failed: {e} \
                  (outcome was {}, every line must stay readable)",
                 sup.outcome

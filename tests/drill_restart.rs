@@ -34,14 +34,15 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use anubis::{
-    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemError, MemoryController,
+    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, Family, MemError, MemoryController,
     RecoveryError, SgxController, SgxScheme, Supervised, Supervisor,
 };
 use anubis_nvm::{
     anchor_path_for, AnchorPolicy, Block, FileBackend, Freshness, FreshnessAnchor, NvmBackend,
     Snapshot, WalFrame, WalWalker, BLOCK_BYTES,
 };
-use anubis_sim::drill::{device_fingerprint, drill_script, verify_dead_image, DrillFamily};
+use anubis_sim::campaign::{drive, fnv1a64, Done, Stop, FNV1A64_EMPTY};
+use anubis_sim::drill::{device_fingerprint, drill_script, verify_dead_image};
 use anubis_sim::fault::{op_payload, ScriptOp};
 
 fn config() -> AnubisConfig {
@@ -58,79 +59,65 @@ fn scratch(name: &str) -> PathBuf {
 
 /// Runs supervised recovery on a freshly (re)opened controller, entering
 /// at rung 3 when reopen produced a corruption hint.
-fn recover_fresh<C: Supervised>(ctrl: &mut C, hint: Option<RecoveryError>) {
+fn recover_fresh<C: Supervised + ?Sized>(ctrl: &mut C, hint: Option<RecoveryError>) {
     recover_with(&Supervisor::new(), ctrl, hint);
 }
 
 /// [`recover_fresh`] under a caller-configured supervisor (lane count).
-fn recover_with<C: Supervised>(sup: &Supervisor, ctrl: &mut C, hint: Option<RecoveryError>) {
-    match hint {
-        Some(err) => {
-            sup.repair_then_recover(ctrl, &err)
-                .expect("rung-3 recovery of reopened image");
+fn recover_with<C: Supervised + ?Sized>(
+    sup: &Supervisor,
+    ctrl: &mut C,
+    hint: Option<RecoveryError>,
+) {
+    sup.resume(ctrl, hint.as_ref())
+        .expect("recovery of reopened image");
+}
+
+/// Plays `script` to its end, panicking on any controller error, and
+/// returns the ack log: `(op index, addr)` per acknowledged write.
+/// `acked(n)` runs right after the `n`-th acknowledgement.
+fn serve<C: MemoryController + ?Sized>(
+    ctrl: &mut C,
+    script: &[ScriptOp],
+    mut acked: impl FnMut(usize),
+) -> Vec<(u64, u64)> {
+    let mut log = Vec::new();
+    let stop = drive(ctrl, script, |i, addr, what| {
+        if let Done::Wrote(_) = what {
+            log.push((i, addr));
+            acked(log.len());
         }
-        None => {
-            sup.recover(ctrl).expect("recovery of reopened image");
-        }
-    }
+        Ok::<(), std::convert::Infallible>(())
+    });
+    assert_eq!(stop, Ok(Stop::Completed), "drill script failed");
+    log
 }
 
 /// Image copies taken mid-run, as `(path, acks-at-copy)` pairs.
 type ImageCopies = Vec<(PathBuf, usize)>;
 
-/// Serves `script`, copying the image file at the given ack counts.
-/// Returns the ack log and the copies (path, acks-at-copy).
-fn serve_with_copies<C: Supervised>(
-    mut ctrl: C,
-    hint: Option<RecoveryError>,
-    image: &Path,
-    script: &[ScriptOp],
-    copy_at: &[u64],
-    dir: &Path,
-) -> (Vec<(u64, u64)>, ImageCopies) {
-    recover_fresh(&mut ctrl, hint);
-    let mut acked = Vec::new();
-    let mut copies = Vec::new();
-    for (i, &(is_write, addr)) in script.iter().enumerate() {
-        if is_write {
-            ctrl.write(DataAddr::new(addr), op_payload(i as u64, addr))
-                .unwrap_or_else(|e| panic!("drill write op {i} failed: {e}"));
-            acked.push((i as u64, addr));
-            if copy_at.contains(&(acked.len() as u64)) {
-                let copy = dir.join(format!("at{}.wal", acked.len()));
-                fs::copy(image, &copy).expect("copy image mid-run");
-                copies.push((copy, acked.len()));
-            }
-        } else {
-            ctrl.read(DataAddr::new(addr))
-                .unwrap_or_else(|e| panic!("drill read op {i} failed: {e}"));
-        }
-    }
-    let fin = dir.join("final.wal");
-    fs::copy(image, &fin).expect("copy final image");
-    copies.push((fin, acked.len()));
-    (acked, copies)
-}
-
-/// The in-process restart drill: every image copy must recover in a
-/// fresh controller at 1/2/8 lanes with identical fingerprints and no
+/// The in-process restart drill: the image file is copied at the given
+/// ack counts and at the end, and every copy must recover in a fresh
+/// controller at 1/2/8 lanes with identical fingerprints and no
 /// acknowledged write lost.
-fn in_process_drill(family: DrillFamily) {
+fn in_process_drill(family: Family) {
     let dir = scratch(family.name());
     let image = dir.join("image.wal");
     let script = drill_script(400, 300, 0xD1A7);
-    let cfg = config();
     let backend = FileBackend::open(&image).expect("open fresh image");
-    let (acked, copies) = match family {
-        DrillFamily::BonsaiAgitPlus => {
-            let (ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &cfg, backend);
-            serve_with_copies(ctrl, hint, &image, &script, &[5, 60, 200], &dir)
+    let (mut ctrl, hint) = family.reopen(&config(), backend);
+    recover_fresh(ctrl.as_mut(), hint);
+    let mut copies: ImageCopies = Vec::new();
+    let acked = serve(ctrl.as_mut(), &script, |n| {
+        if [5, 60, 200].contains(&n) {
+            let copy = dir.join(format!("at{n}.wal"));
+            fs::copy(&image, &copy).expect("copy image mid-run");
+            copies.push((copy, n));
         }
-        DrillFamily::SgxAsit => {
-            let (ctrl, hint) = SgxController::reopen(SgxScheme::Asit, &cfg, backend);
-            serve_with_copies(ctrl, hint, &image, &script, &[5, 60, 200], &dir)
-        }
-    };
+    });
+    let fin = dir.join("final.wal");
+    fs::copy(&image, &fin).expect("copy final image");
+    copies.push((fin, acked.len()));
     assert!(acked.len() > 200, "script should ack >200 writes");
     for (copy, n) in &copies {
         verify_dead_image(family, copy, &[1, 2, 8], &acked[..*n], &script)
@@ -141,32 +128,24 @@ fn in_process_drill(family: DrillFamily) {
 
 #[test]
 fn restart_drill_in_process_bonsai_agit_plus() {
-    in_process_drill(DrillFamily::BonsaiAgitPlus);
+    in_process_drill(Family::BonsaiAgitPlus);
 }
 
 #[test]
 fn restart_drill_in_process_sgx_asit() {
-    in_process_drill(DrillFamily::SgxAsit);
+    in_process_drill(Family::SgxAsit);
 }
 
 /// Raw fingerprint of an image file: its replayed blocks and registers,
 /// independent of any controller.
 fn raw_fingerprint(image: &Path) -> u64 {
     let backend = FileBackend::open(image).expect("reopen image for fingerprint");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV1A64_EMPTY;
     for (phys, block) in backend.entries() {
-        mix(&phys.to_le_bytes());
-        mix(block.as_bytes());
+        h = fnv1a64(fnv1a64(h, &phys.to_le_bytes()), block.as_bytes());
     }
     for (idx, block) in backend.regs() {
-        mix(&[idx]);
-        mix(block.as_bytes());
+        h = fnv1a64(fnv1a64(h, &[idx]), block.as_bytes());
     }
     h
 }
@@ -177,20 +156,12 @@ fn write_cut_mid_recovery_suppresses_file_backend_flushes() {
     let image = dir.join("image.wal");
     let cfg = config();
     let script = drill_script(150, 100, 0xC07);
-    let mut acked = Vec::new();
+    let acked;
     {
         let backend = FileBackend::open(&image).expect("open fresh image");
         let (mut ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &cfg, backend);
         recover_fresh(&mut ctrl, hint);
-        for (i, &(is_write, addr)) in script.iter().enumerate() {
-            if is_write {
-                ctrl.write(DataAddr::new(addr), op_payload(i as u64, addr))
-                    .expect("drill write");
-                acked.push((i as u64, addr));
-            } else {
-                ctrl.read(DataAddr::new(addr)).expect("drill read");
-            }
-        }
+        acked = serve(&mut ctrl, &script, |_| {});
 
         // Power dies again one device write into the recovery attempt:
         // everything the aborted recovery does past that instant must
@@ -221,14 +192,8 @@ fn write_cut_mid_recovery_suppresses_file_backend_flushes() {
     // The restarted machine reopens the half-recovered image and must
     // still serve every write acknowledged before the first crash, at
     // every lane count, with identical fingerprints.
-    verify_dead_image(
-        DrillFamily::BonsaiAgitPlus,
-        &image,
-        &[1, 2, 8],
-        &acked,
-        &script,
-    )
-    .unwrap_or_else(|e| panic!("restart after mid-recovery cut: {e}"));
+    verify_dead_image(Family::BonsaiAgitPlus, &image, &[1, 2, 8], &acked, &script)
+        .unwrap_or_else(|e| panic!("restart after mid-recovery cut: {e}"));
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -241,15 +206,7 @@ where
 {
     let script = drill_script(300, 200, 0x5EED);
     let mut base = make();
-    for (i, &(is_write, addr)) in script.iter().enumerate() {
-        if is_write {
-            base.write(DataAddr::new(addr), op_payload(i as u64, addr))
-                .unwrap_or_else(|e| panic!("{name}: write op {i} failed: {e}"));
-        } else {
-            base.read(DataAddr::new(addr))
-                .unwrap_or_else(|e| panic!("{name}: read op {i} failed: {e}"));
-        }
-    }
+    serve(&mut base, &script, |_| {});
     // A non-trivial remap table, persisted, so the snapshot carries it.
     base.quarantine_line(DataAddr::new(3)).expect("quarantine");
     base.persist_quarantine();
@@ -303,20 +260,12 @@ fn corrupt_qtable_image_is_typed_and_feeds_rung_three() {
     let image = dir.join("image.wal");
     let cfg = config();
     let script = drill_script(120, 80, 0xBAD5EED);
-    let mut acked = Vec::new();
+    let acked;
     {
         let backend = FileBackend::open(&image).expect("open fresh image");
         let (mut ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &cfg, backend);
         recover_fresh(&mut ctrl, hint);
-        for (i, &(is_write, addr)) in script.iter().enumerate() {
-            if is_write {
-                ctrl.write(DataAddr::new(addr), op_payload(i as u64, addr))
-                    .expect("drill write");
-                acked.push((i as u64, addr));
-            } else {
-                ctrl.read(DataAddr::new(addr)).expect("drill read");
-            }
-        }
+        acked = serve(&mut ctrl, &script, |_| {});
         // Poison the persisted quarantine-table header in the image.
         let qaddr = ctrl.layout().qtable_addr(0);
         ctrl.domain_mut()
