@@ -6,8 +6,8 @@
 //! The contract being drilled, per campaign point:
 //!
 //! 1. Spawn the server on a fresh data directory with ≥4 tenants.
-//! 2. One client thread per tenant streams writes, recording every
-//!    acknowledged `(addr, payload)`.
+//! 2. One client thread per tenant streams writes, entering every
+//!    acknowledgement into the tenant's [`Acked`] model.
 //! 3. A saboteur connection injects one connection-layer fault class
 //!    (garbage magic, corrupted checksum, truncated frame, slowloris
 //!    stall, mid-stream disconnect) and asserts it surfaces as a typed
@@ -16,9 +16,10 @@
 //!    threshold, the server is SIGKILLed mid-flight.
 //! 5. The server restarts on the same images; the harness measures
 //!    **time-to-healthy** (every tenant back in full serving mode).
-//! 6. Every acknowledged write must read back exactly; the single
+//! 6. Each tenant's model is audited through the restarted server:
+//!    every acknowledged write must read back exactly; the single
 //!    in-flight-at-kill write per tenant may read as either its old or
-//!    new value (same tolerance as the single-process drill).
+//!    new value (the oracle every campaign shares, [`crate::campaign`]).
 //!
 //! Any acknowledged-write loss, untyped connection fault, or tenant that
 //! never returns to full service fails the campaign with a typed

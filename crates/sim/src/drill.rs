@@ -3,13 +3,13 @@
 //! The fault campaigns in [`crate::fault`] crash a controller *in
 //! process*: the device image survives because it lives in the same
 //! address space. This module removes that safety net. A **child
-//! process** serves a deterministic script against a
-//! [`anubis_nvm::FileBackend`] image and appends a checksummed,
-//! fsynced *ack record* after every acknowledged write. The **parent**
-//! SIGKILLs the child at a randomized point, then — in its own address
-//! space, exactly like a machine restart — reopens the image, runs the
-//! recovery supervisor, and verifies that every acknowledged write reads
-//! back its last acknowledged payload.
+//! process** — the script child of [`crate::campaign`] — serves a
+//! deterministic script against a [`anubis_nvm::FileBackend`] image and
+//! appends a checksummed, fsynced *ack record* after every acknowledged
+//! write. The **parent** SIGKILLs the child at a randomized point, then —
+//! in its own address space, exactly like a machine restart — reopens the
+//! image, runs the recovery supervisor, and audits the result against the
+//! model the ack log implies ([`Acked::from_log`]).
 //!
 //! The contract under test is the durability side of the Anubis
 //! recovery story: an acknowledged write (one whose commit group reached
@@ -20,9 +20,10 @@
 //! Tolerance window: the child logs the ack *after* the controller
 //! acknowledges, so a kill can land between the durable barrier and the
 //! ack append. At most **one** write (the first scripted write past the
-//! highest logged ack) may therefore be durable-but-unlogged; its
-//! address may read either its old acknowledged payload or the in-flight
-//! one. Everything else must match the ack log exactly.
+//! highest logged ack) may therefore be durable-but-unlogged — the
+//! model's in-flight write; its address may read either its old
+//! acknowledged payload or the in-flight one. Everything else must match
+//! the ack log exactly.
 //!
 //! Verification re-runs at several recovery lane counts and demands a
 //! bit-identical post-recovery device fingerprint at every count — the

@@ -11,7 +11,9 @@
 //! since controller construction, and [`power_cut_sweep`] walks `k` across
 //! every such write the workload performs.
 //!
-//! Verdict rules, per fault class:
+//! The script loop and the audit of acknowledged writes are the shared
+//! ones of [`crate::campaign`]; what follows is this harness's policy
+//! over their findings. Verdict rules, per fault class:
 //!
 //! * **Power cut** — recovery *must* succeed and every acknowledged write
 //!   must read back exactly. The address of the one in-flight (errored,

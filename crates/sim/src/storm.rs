@@ -9,7 +9,10 @@
 //! accepts exactly three states for an acknowledged write after
 //! supervision: its committed value, the in-flight value of the one
 //! interrupted op, or an explicit zero on a line the supervisor
-//! quarantined. Anything else aborts the campaign.
+//! quarantined. Anything else aborts the campaign — as does a *live*
+//! read, before the crash, that returns anything but the acknowledged
+//! value (the driver and the oracle are [`crate::campaign`]'s, shared
+//! with [`crate::fault`]).
 //!
 //! Each run draws a fresh scripted workload, a fault class (power cut,
 //! torn write, bit flip) and an injection point from a [`SplitMix64`]
@@ -23,7 +26,7 @@
 //! None of the per-run randomness depends on the lane count, and every
 //! supervisor rung applies its writes in deterministic item order, so the
 //! campaign [`StormReport::fingerprint`] is bit-identical across 1/2/8
-//! recovery lanes — the invariant `bench_recovery_degraded` enforces.
+//! recovery lanes — the invariant `bench_campaign storm` enforces.
 //!
 //! Only schemes whose ladder terminates can ride a storm: the Bonsai
 //! family (all four schemes) and SGX `StrictPersist`/`Asit`. SGX

@@ -6,7 +6,7 @@
 //!
 //! The smoke-sized campaign always runs; set `ANUBIS_CRASH_SWEEP=1` for
 //! the exhaustive sweep (>1000 randomized plans, the scale
-//! `bench_recovery_degraded` ships as an artifact).
+//! `bench_campaign storm` ships as an artifact).
 
 use anubis::{AnubisConfig, BonsaiController, BonsaiScheme, SgxController, SgxScheme, Supervised};
 use anubis_sim::{crash_storm, StormConfig, StormReport};

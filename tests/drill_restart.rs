@@ -3,7 +3,7 @@
 //! `tests/crash_matrix.rs` and friends crash controllers *in process*:
 //! the device image survives because it shares the address space. These
 //! tests cross the process-death boundary instead (without actually
-//! spawning processes — `bench_drill` does that): a controller serves a
+//! spawning processes — `bench_campaign drill` does that): a controller serves a
 //! deterministic script against a [`FileBackend`] image, the image file
 //! is copied at arbitrary acknowledgement points (byte-identical to what
 //! a SIGKILL at that instant would leave on disk, since every ack rides
