@@ -33,7 +33,7 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, Family, SgxController, SgxScheme, Supervised,
 };
 use anubis_bench::json::Json;
-use anubis_bench::{host_info_json, host_parallelism, smoke_requested};
+use anubis_bench::{host_info_json, host_parallelism, out_path_from_args, smoke_requested};
 use anubis_sim::adversary::{self, AdversarySpec, FamilyAdvReport, Verdict, MUTATIONS_PER_RUN};
 use anubis_sim::chaos::{run_chaos_campaign, ChaosReport, ChaosSpec};
 use anubis_sim::drill::{self, DrillSpec, FamilyReport};
@@ -49,7 +49,6 @@ struct Flags {
     seed: Option<u64>,
     dir: Option<PathBuf>,
     sweep: bool,
-    out: Option<PathBuf>,
 }
 
 impl Flags {
@@ -78,9 +77,13 @@ impl Flags {
                 "--points" => flags.points = Some(number(value()?)?),
                 "--seed" => flags.seed = Some(number(value()?)?),
                 "--dir" => flags.dir = Some(PathBuf::from(value()?)),
-                "--out" => flags.out = Some(PathBuf::from(value()?)),
                 "--sweep" => flags.sweep = true,
-                _ => {} // `--smoke`: read by `smoke_requested`, like every bench bin
+                // Read where every bench bin reads them: `out_path_from_args`
+                // and `smoke_requested`.
+                "--out" => {
+                    value()?;
+                }
+                _ => {}
             }
         }
         Ok(flags)
@@ -91,32 +94,32 @@ impl Flags {
             .clone()
             .unwrap_or_else(|| std::env::temp_dir().join(name))
     }
+}
 
-    /// Writes the report to `--out` (or `default`) and returns the path.
-    fn write(&self, default: &str, doc: &Json) -> Result<PathBuf, String> {
-        let out = self.out.clone().unwrap_or_else(|| PathBuf::from(default));
-        std::fs::write(&out, doc.render())
-            .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-        Ok(out)
-    }
+/// Writes the report to `--out` (or `default`) and returns the path.
+fn write_report(default: &str, doc: &Json) -> Result<PathBuf, String> {
+    let out = out_path_from_args(default);
+    std::fs::write(&out, doc.render())
+        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    Ok(out)
 }
 
 const PROCESS_FLAGS: [&str; 5] = ["--points", "--seed", "--dir", "--sweep", "--out"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let run = match args.get(1).map(String::as_str) {
-        Some("--child") => {
-            anubis_sim::campaign::child_main(&args[2..]).map_err(|e| format!("campaign child: {e}"))
-        }
-        Some("--serve") => serve_child(),
-        Some("drill") => with_exe(&args[2..], "drill", drill_campaign),
-        Some("adversary") => with_exe(&args[2..], "adversary", adversary_campaign),
-        Some("serve") => with_exe(&args[2..], "serve", serve_campaign),
-        Some("storm") => Flags::parse("storm", &["--smoke", "--out"], &args[2..])
-            .and_then(|f| storm_campaign(&f)),
-        _ => Err(USAGE.to_string()),
-    };
+    let run =
+        match args.get(1).map(String::as_str) {
+            Some("--child") => anubis_sim::campaign::child_main(&args[2..])
+                .map_err(|e| format!("campaign child: {e}")),
+            Some("--serve") => serve_child(),
+            Some("drill") => with_exe(&args[2..], "drill", drill_campaign),
+            Some("adversary") => with_exe(&args[2..], "adversary", adversary_campaign),
+            Some("serve") => with_exe(&args[2..], "serve", serve_campaign),
+            Some("storm") => Flags::parse("storm", &["--smoke", "--out"], &args[2..])
+                .and_then(|_| storm_campaign()),
+            _ => Err(USAGE.to_string()),
+        };
     match run {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -198,7 +201,7 @@ fn drill_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
         ("acked_write_losses", Json::Int(0)),
         ("families", Json::Arr(families)),
     ]);
-    let out = flags.write("BENCH_drill.json", &doc)?;
+    let out = write_report("BENCH_drill.json", &doc)?;
     println!(
         "{total_points} kill points, {total_acked} acked writes verified, zero losses -> {}",
         out.display()
@@ -304,7 +307,7 @@ fn adversary_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
         ("requirement_misses", Json::Int(0)),
         ("families", Json::Arr(families)),
     ]);
-    let out = flags.write("BENCH_adversary.json", &doc)?;
+    let out = write_report("BENCH_adversary.json", &doc)?;
     println!(
         "{total_points} mutated restarts, {total_audited} acked reads audited, \
          zero silent-stale, zero panics -> {}",
@@ -416,7 +419,7 @@ fn serve_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
         println!("  fault {fault:<22} injected {n}x, all typed");
     }
 
-    let out = flags.write("BENCH_serve.json", &serve_json(&report, seed, sweep))?;
+    let out = write_report("BENCH_serve.json", &serve_json(&report, seed, sweep))?;
     println!(
         "{} kill points, {} acked writes verified, zero losses -> {}",
         report.points,
@@ -496,7 +499,7 @@ fn serve_json(r: &ChaosReport, seed: u64, sweep: bool) -> Json {
 
 const LANE_COUNTS: [usize; 3] = [1, 2, 8];
 
-fn storm_campaign(flags: &Flags) -> Result<(), String> {
+fn storm_campaign() -> Result<(), String> {
     let smoke = smoke_requested();
     let runs_per_scheme: u64 = if smoke { 6 } else { 170 };
     let config = AnubisConfig::small_test().with_spare_blocks(256);
@@ -559,7 +562,7 @@ fn storm_campaign(flags: &Flags) -> Result<(), String> {
         ),
         ("cases", Json::Arr(cases)),
     ]);
-    let out = flags.write("BENCH_recovery_degraded.json", &doc)?;
+    let out = write_report("BENCH_recovery_degraded.json", &doc)?;
     println!("wrote {}", out.display());
     anubis_bench::telemetry::finish(&telemetry, &out, "bench_recovery_degraded");
 

@@ -134,11 +134,12 @@ pub enum HarnessError {
     },
     /// The device image failed to open or replay.
     Nvm(NvmError),
-    /// The child process exited *before* being killed where the harness
-    /// needed it alive — its serve loop hit an unexpected error.
+    /// The child process left *before* its kill, where the harness
+    /// needed it alive — its serve loop hit an unexpected error, or it
+    /// finished a script it was never meant to finish.
     Child {
-        /// Exit code, if the child failed (rather than died on a signal
-        /// or, where a clean exit is itself the failure, left cleanly).
+        /// Its exit code when it exited with a failure; `None` when it
+        /// died on a signal or left cleanly.
         code: Option<i32>,
     },
     /// The child made no progress within the harness's timeout.

@@ -321,10 +321,11 @@ fn run_tenant_script(
     while op < spec.script_len && !stop.load(Ordering::Relaxed) {
         let line = rng.next_raw() % spec.lines;
         let payload = payload_for(tenant_idx, op, rng.next_raw());
-        ledger.model.attempt(line, Block::from_bytes(payload));
+        let block = Block::from_bytes(payload);
+        ledger.model.attempt(line, block);
         match client.write(line, payload, 200) {
             Ok(()) => {
-                ledger.model.ack(op, line, Block::from_bytes(payload));
+                ledger.model.ack(op, line, block);
                 ledger.acks += 1;
                 acks_global.fetch_add(1, Ordering::Relaxed);
                 op += 1;
