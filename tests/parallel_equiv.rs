@@ -273,3 +273,48 @@ fn reencryption_crash_recovery_is_lane_invariant() {
         }
     }
 }
+
+#[test]
+fn recovery_after_a_trace_replay_is_lane_invariant() {
+    // The scale the script above never reaches: a 4 MiB memory behind
+    // 32 KiB caches dirtied by 3 000 milc ops, so every lane of an
+    // 8-lane recovery has work (over the 48-op script most lane chunks
+    // are empty).
+    use anubis_sim::{run_trace, TimingModel};
+    use anubis_workloads::{spec2006, TraceGenerator};
+
+    fn reports_agree<C: MemoryController + Clone>(
+        mut ctrl: C,
+        trace: &anubis_workloads::Trace,
+        recover_lanes: impl Fn(&mut C, usize) -> Result<RecoveryReport, RecoveryError>,
+    ) {
+        let name = ctrl.scheme_name();
+        run_trace(&mut ctrl, trace, &TimingModel::paper())
+            .unwrap_or_else(|e| panic!("{name}: dirtying replay failed: {e}"));
+        ctrl.crash();
+        let report_at = |lanes: usize| {
+            recover_lanes(&mut ctrl.clone(), lanes)
+                .unwrap_or_else(|e| panic!("{name}: {lanes}-lane recovery failed: {e}"))
+        };
+        let serial = report_at(1);
+        assert!(serial.total_ops() > 0, "{name}: recovery had nothing to do");
+        for lanes in [2, 4, 8] {
+            assert_eq!(report_at(lanes), serial, "{name}: lanes={lanes}");
+        }
+    }
+
+    let cfg = AnubisConfig::small_test()
+        .with_capacity(4 << 20)
+        .with_cache_bytes(32 << 10);
+    let trace = TraceGenerator::new(spec2006::milc(), cfg.capacity_bytes).generate(3_000, 1907);
+    for scheme in [BonsaiScheme::Osiris, BonsaiScheme::AgitPlus] {
+        reports_agree(BonsaiController::new(scheme, &cfg), &trace, |c, lanes| {
+            c.recover_with_lanes(lanes)
+        });
+    }
+    reports_agree(
+        SgxController::new(SgxScheme::Asit, &cfg),
+        &trace,
+        |c, lanes| c.recover_with_lanes(lanes),
+    );
+}
