@@ -1,9 +1,14 @@
 //! Micro-benchmarks for the cryptographic substrate: the per-operation
 //! primitives whose latencies the timing model abstracts as
 //! `read_ns`/`hash_ns` constants. Run with `cargo bench -p anubis-bench`.
+//!
+//! Ungated: nothing compares these numbers to a baseline. The gated
+//! host-time rows are the ledger's (`benchmark/`, `crypto.*` probes).
 
-use anubis_bench::time_case;
-use anubis_crypto::{ecc, hash::Hasher64, otp, DataCodec, Key, SplitCounterBlock};
+use anubis_bench::{time_case, time_case_per_op};
+use anubis_crypto::{
+    ecc, hash::Hasher64, otp, DataCodec, Key, MacCache, SealedBlock, Speck128, SplitCounterBlock,
+};
 use anubis_nvm::{Block, BlockAddr};
 use std::hint::black_box;
 
@@ -41,6 +46,64 @@ fn main() {
     });
     time_case("osiris_probe_miss", 100_000, || {
         black_box(codec.probe(addr, otp::IvCounter::split(1, 4), black_box(&sealed)));
+    });
+
+    // The codec's stages one by one, and its variants (correcting open,
+    // MAC-cache hit, commit-group-sized batches).
+    let key = Key([0xFEED, 0xF00D]);
+    let codec = DataCodec::new(key);
+    let enc = Speck128::new(key.derive("data-otp"));
+    let addr = BlockAddr::new(0x2a);
+    let ctr = otp::IvCounter::split(3, 17);
+    let pt = Block::from_words([1, 2, 3, 4, 5, 6, 7, 8]);
+    let sealed = codec.seal(addr, ctr, &pt);
+    let pads = otp::pad_set_with(&enc, addr, ctr);
+    time_case("otp_pad_set", 100_000, || {
+        black_box(otp::pad_set_with(&enc, black_box(addr), black_box(ctr)));
+    });
+    time_case("data_mac", 100_000, || {
+        black_box(codec.data_mac(black_box(pads.tweak), black_box(&pt)));
+    });
+    time_case("open_correcting_clean", 100_000, || {
+        black_box(
+            codec
+                .open_correcting(addr, ctr, black_box(&sealed))
+                .unwrap(),
+        );
+    });
+    let mut macs = MacCache::default();
+    codec
+        .open_correcting_cached(&mut macs, addr, ctr, &sealed)
+        .unwrap();
+    time_case("open_cached_hit", 100_000, || {
+        black_box(
+            codec
+                .open_correcting_cached(&mut macs, addr, ctr, black_box(&sealed))
+                .unwrap(),
+        );
+    });
+    let items: Vec<(BlockAddr, otp::IvCounter, Block)> = (0..64u64)
+        .map(|i| {
+            (
+                BlockAddr::new(i),
+                otp::IvCounter::split(2, i),
+                Block::filled(i as u8),
+            )
+        })
+        .collect();
+    let mut sealed_batch = Vec::new();
+    codec.seal_batch_into(&items, &mut sealed_batch);
+    let to_open: Vec<(BlockAddr, otp::IvCounter, SealedBlock)> = items
+        .iter()
+        .zip(&sealed_batch)
+        .map(|((a, c, _), s)| (*a, *c, *s))
+        .collect();
+    let mut opened = Vec::new();
+    time_case_per_op("seal_batch64_per_op", 2_000, 64, || {
+        codec.seal_batch_into(black_box(&items), &mut sealed_batch);
+    });
+    time_case_per_op("open_batch64_per_op", 2_000, 64, || {
+        codec.open_batch_into(black_box(&to_open), &mut opened);
     });
 
     let mut ctr_block = SplitCounterBlock::new();

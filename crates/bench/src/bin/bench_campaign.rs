@@ -10,7 +10,7 @@
 //! | `drill` | SIGKILLs a child serving a deterministic script over the file-backed device at `N` randomized ack counts **per family** (default 100; `--sweep`: one per possible ack count), restarts in a fresh address space, recovers at 1/2/8 lanes | `BENCH_drill.json` | an acknowledged write lost, a lane-divergent post-recovery fingerprint, a recovery failure |
 //! | `adversary` | kills the anchored child, mutates the durable artifacts while it is dead (bit flips, truncations, WAL splices / reorders / duplicates, rollback to a captured state, cross-key swaps, anchor attacks), restarts; `N` mutated restarts **per family** rounded up to whole base runs (default 120; `--sweep`: at least 440) | `BENCH_adversary.json` | a panic in the recovery path, a silent stale serve, a class that missed its verdict floor |
 //! | `serve` | concurrent tenant clients against a child server, one injected connection fault per point, SIGKILL at `N` randomized fleet-wide ack thresholds (default 100; `--sweep`: the first `N` thresholds in order), restart, time-to-healthy | `BENCH_serve.json` | an acknowledged write lost, an untyped connection fault, a tenant that never returned to full service |
-//! | `storm` | supervised recovery under randomized fault plans (power cuts, torn writes, bit flips, write cuts *during* recovery), 170 plans per scheme (`--smoke` / `ANUBIS_SMOKE=1`: 6), six schemes, 1/2/8 lanes | `BENCH_recovery_degraded.json` | a lane count whose campaign fingerprint differs from the serial one |
+//! | `storm` | supervised recovery under randomized fault plans (power cuts, torn writes, bit flips, write cuts *during* recovery), 170 plans per scheme (`--smoke`: 6), six schemes, 1/2/8 lanes | `BENCH_recovery_degraded.json` | a lane count whose campaign fingerprint differs from the serial one |
 //!
 //! `--seed S` (decimal or `0x…`) seeds scripts, kill points and mutation
 //! draws — each campaign's default is the seed its committed
@@ -33,7 +33,9 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, Family, SgxController, SgxScheme, Supervised,
 };
 use anubis_bench::json::Json;
-use anubis_bench::{host_info_json, host_parallelism, out_path_from_args, smoke_requested};
+use anubis_bench::{
+    host_info_json, host_parallelism, out_path_from_args, parse_number, smoke_requested,
+};
 use anubis_sim::adversary::{self, AdversarySpec, FamilyAdvReport, Verdict, MUTATIONS_PER_RUN};
 use anubis_sim::chaos::{run_chaos_campaign, ChaosReport, ChaosSpec};
 use anubis_sim::drill::{self, DrillSpec, FamilyReport};
@@ -67,11 +69,7 @@ impl Flags {
                     .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
             };
             let number = |v: &String| {
-                let parsed = match v.strip_prefix("0x") {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => v.parse(),
-                };
-                parsed.map_err(|_| format!("{flag}: {v:?} is not a number"))
+                parse_number(v).ok_or_else(|| format!("{flag}: {v:?} is not a number"))
             };
             match flag.as_str() {
                 "--points" => flags.points = Some(number(value()?)?),

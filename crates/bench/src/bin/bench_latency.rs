@@ -15,32 +15,26 @@
 //! Gate runs replay at the scale recorded in the baseline, so `--smoke`
 //! does not change what `--check` compares.
 //!
-//! Knobs: `ANUBIS_LATENCY_OPS` (measured ops, default 40 000; warm-up is
-//! a tenth of that) and `ANUBIS_LATENCY_SEED` (trace seed, default 1907).
-//! `--smoke` (or `ANUBIS_SMOKE=1`) drops to 4 000 measured ops.
+//! Flags: `--ops N` (measured ops, default 40 000; warm-up is a tenth of
+//! that), `--seed S` (trace seed, default 1907), `--smoke` (4 000
+//! measured ops unless `--ops` says otherwise).
 
 use anubis::{AnubisConfig, BonsaiController, BonsaiScheme, SgxController, SgxScheme};
 use anubis_bench::json::{self, Json};
-use anubis_bench::{host_info_json, out_path_from_args};
+use anubis_bench::{host_info_json, number_flag, out_path_from_args};
 use anubis_sim::experiments::{run_measured, Scale};
 use anubis_sim::{RunResult, TimingModel};
 use anubis_workloads::{spec2006, TraceGenerator};
 
-/// Device capacity for the replayed traces (matches `bench_throughput`).
+/// Device capacity for the replayed traces.
 const CAPACITY_BYTES: u64 = 8 << 20;
 
-fn scale_from_env(smoke: bool) -> Scale {
-    let knob = |name: &str, default: u64| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let ops = knob("ANUBIS_LATENCY_OPS", if smoke { 4_000 } else { 40_000 }) as usize;
+fn scale_from_flags(smoke: bool) -> Scale {
+    let ops = number_flag("--ops").unwrap_or(if smoke { 4_000 } else { 40_000 }) as usize;
     Scale {
         ops,
         warmup_ops: ops / 10,
-        seed: knob("ANUBIS_LATENCY_SEED", 1907),
+        seed: number_flag("--seed").unwrap_or(1907),
     }
 }
 
@@ -120,7 +114,7 @@ fn main() {
         return;
     }
 
-    let scale = scale_from_env(smoke);
+    let scale = scale_from_flags(smoke);
     println!(
         "{} measured ops (+{} warm-up), seed {}",
         scale.ops, scale.warmup_ops, scale.seed
@@ -169,7 +163,7 @@ fn run_gate(baseline_path: &str) -> Result<(), Vec<String>> {
         Err(e) => return Err(vec![format!("cannot parse baseline {baseline_path}: {e}")]),
     };
     // Replay at the baseline's own scale so the comparison is meaningful
-    // whatever --smoke / env knobs this invocation carries.
+    // whatever --smoke / --ops / --seed this invocation carries.
     let cfg = doc.get("config");
     let field = |key: &str| cfg.and_then(|c| c.get(key)).and_then(Json::as_f64);
     let (Some(ops), Some(warmup_ops), Some(seed)) =

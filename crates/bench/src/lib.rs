@@ -1,8 +1,8 @@
 //! Shared plumbing for the per-figure harness binaries.
 //!
-//! Every binary accepts `--smoke` (or `ANUBIS_SMOKE=1`) to run at reduced
-//! trace length for quick checks; the default is the full figure scale.
-//! Run with `--release` — the full figures replay 200 k operations per
+//! Every binary accepts `--smoke` to run at reduced trace length for
+//! quick checks; the default is the full figure scale. Run with
+//! `--release` — the full figures replay 200 k operations per
 //! (workload, scheme) pair.
 
 #![forbid(unsafe_code)]
@@ -10,30 +10,54 @@
 
 use anubis_sim::experiments::Scale;
 
-/// Whether `--smoke` on the command line or `ANUBIS_SMOKE=1` asks for
-/// the reduced scale.
+/// Whether `--smoke` on the command line asks for the reduced scale.
 pub fn smoke_requested() -> bool {
     std::env::args().any(|a| a == "--smoke")
-        || std::env::var("ANUBIS_SMOKE")
-            .map(|v| v == "1")
-            .unwrap_or(false)
 }
 
-/// Resolves the run scale from CLI args and the environment.
-///
-/// `--smoke` or `ANUBIS_SMOKE=1` selects the reduced scale; `--ops N`
-/// overrides the operation count explicitly.
-pub fn scale_from_args() -> Scale {
+/// A command-line number: decimal, or hexadecimal after `0x`.
+pub fn parse_number(text: &str) -> Option<u64> {
+    match text.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => text.parse().ok(),
+    }
+}
+
+/// [`number_flag`] over `args`; `Err` is the usage line for a flag that
+/// is last on the line or whose value [`parse_number`] refuses.
+fn number_flag_in(args: &[String], flag: &str) -> Result<Option<u64>, String> {
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(pos + 1) {
+        None => Err(format!("usage: {flag} N ({flag} needs a value)")),
+        Some(v) => parse_number(v)
+            .map(Some)
+            .ok_or_else(|| format!("usage: {flag} N ({v:?} is not a number)")),
+    }
+}
+
+/// The value of `flag` on the command line (`None` when absent). A
+/// malformed value ends the process with the usage line and exit code
+/// 2: ignoring it ran the full 200 000-op figure for `--ops abc`.
+pub fn number_flag(flag: &str) -> Option<u64> {
     let args: Vec<String> = std::env::args().collect();
+    number_flag_in(&args, flag).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    })
+}
+
+/// Resolves the run scale from CLI args: `--smoke` selects the reduced
+/// scale, `--ops N` overrides the operation count explicitly.
+pub fn scale_from_args() -> Scale {
     let mut scale = if smoke_requested() {
         Scale::smoke()
     } else {
         Scale::full()
     };
-    if let Some(pos) = args.iter().position(|a| a == "--ops") {
-        if let Some(n) = args.get(pos + 1).and_then(|v| v.parse::<usize>().ok()) {
-            scale.ops = n;
-        }
+    if let Some(n) = number_flag("--ops") {
+        scale.ops = n as usize;
     }
     scale
 }
@@ -51,7 +75,13 @@ pub fn banner(figure: &str, what: &str, scale: Scale) {
 /// A minimal wall-clock micro-benchmark: warm up, time `iters` calls of
 /// `f`, and print ns/op. Used by the `benches/` targets so the workspace
 /// needs no external benchmark framework (the repo must build offline).
-pub fn time_case(name: &str, iters: u32, mut f: impl FnMut()) {
+pub fn time_case(name: &str, iters: u32, f: impl FnMut()) {
+    time_case_per_op(name, iters, 1, f);
+}
+
+/// [`time_case`] for an `f` that performs `ops_per_call` operations per
+/// call (a batch): the printed figure is per operation.
+pub fn time_case_per_op(name: &str, iters: u32, ops_per_call: u32, mut f: impl FnMut()) {
     for _ in 0..iters / 10 {
         f();
     }
@@ -59,7 +89,8 @@ pub fn time_case(name: &str, iters: u32, mut f: impl FnMut()) {
     for _ in 0..iters {
         f();
     }
-    let ns = start.elapsed().as_nanos() as f64 / f64::from(iters.max(1));
+    let ops = f64::from(iters.max(1)) * f64::from(ops_per_call.max(1));
+    let ns = start.elapsed().as_nanos() as f64 / ops;
     println!("{name:<32} {ns:>12.1} ns/op");
 }
 
@@ -84,7 +115,7 @@ pub fn time_case_batched<S>(
 }
 
 /// Minimal JSON document builder for the machine-readable baseline files
-/// (`BENCH_recovery.json`, `BENCH_throughput.json`). The workspace builds
+/// (`BENCH_latency.json` and the campaign reports). The workspace builds
 /// offline, so no serde — this covers exactly the shapes the harnesses
 /// emit.
 pub mod json {
@@ -92,7 +123,7 @@ pub mod json {
     ///
     /// Besides rendering, the module also parses the documents it emits
     /// (see [`parse`]) so harnesses can diff a fresh run against a
-    /// committed baseline — the `bench_hotpath --check` regression gate.
+    /// committed baseline — the `bench_latency --check` gate.
     #[derive(Clone, Debug)]
     pub enum Json {
         /// `null`.
@@ -446,24 +477,30 @@ pub mod telemetry {
 }
 
 /// The host's available parallelism, recorded in the baseline JSON so a
-/// speedup of ~1x on a single-core runner is interpretable.
+/// reader knows how many lanes could really run at once.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// The toolchain version that built/ran the benchmark (`rustc --version`
-/// of the toolchain on `PATH`; `"unknown"` if it cannot be queried).
-pub fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("--version")
+/// Trimmed stdout of `program args…`; `None` when it cannot be run,
+/// exits nonzero, or prints nothing.
+fn command_stdout(program: &str, args: &[&str]) -> Option<String> {
+    std::process::Command::new(program)
+        .args(args)
         .output()
         .ok()
+        .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The toolchain version that built/ran the benchmark (`rustc --version`
+/// of the toolchain on `PATH`; `"unknown"` if it cannot be queried).
+pub fn rustc_version() -> String {
+    command_stdout("rustc", &["--version"]).unwrap_or_else(|| "unknown".into())
 }
 
 /// The CPU model name from `/proc/cpuinfo` (`"unknown"` off Linux or when
@@ -481,31 +518,31 @@ pub fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
+/// The source revision that produced a report: `git rev-parse --short
+/// HEAD` of the checkout the bin runs in, with `-dirty` appended when
+/// tracked files differ from it (`"unknown"` outside a checkout or
+/// without `git` on `PATH`).
+pub fn revision() -> String {
+    let Some(head) = command_stdout("git", &["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".into();
+    };
+    match command_stdout("git", &["status", "--porcelain", "--untracked-files=no"]) {
+        Some(_changed) => format!("{head}-dirty"),
+        None => head,
+    }
+}
+
 /// The standard `"host"` header object every `BENCH_*.json` carries:
-/// toolchain, CPU model and available core count, so a committed baseline
-/// states the machine its numbers came from.
+/// toolchain, CPU model, available core count and source revision, so a
+/// committed baseline states the machine and the code its numbers came
+/// from.
 pub fn host_info_json() -> json::Json {
     json::Json::obj(vec![
         ("rustc", json::Json::Str(rustc_version())),
         ("cpu_model", json::Json::Str(cpu_model())),
         ("cores", json::Json::Int(host_parallelism() as u64)),
+        ("revision", json::Json::Str(revision())),
     ])
-}
-
-/// Prints a loud warning when the host has a single available core —
-/// `speedup_vs_serial` figures are meaningless without real parallelism.
-/// Returns `true` when the warning fired (for tests).
-pub fn warn_if_single_core() -> bool {
-    if host_parallelism() > 1 {
-        return false;
-    }
-    eprintln!("+----------------------------------------------------------------+");
-    eprintln!("| WARNING: only 1 core available on this host.                   |");
-    eprintln!("| Threaded lanes serialize onto one CPU, so any                  |");
-    eprintln!("| speedup_vs_serial recorded in this run is meaningless.         |");
-    eprintln!("| Re-run on a multi-core host before comparing speedups.         |");
-    eprintln!("+----------------------------------------------------------------+");
-    true
 }
 
 /// Parses `--out PATH` from the CLI, defaulting to `default` in the
@@ -526,9 +563,26 @@ mod tests {
     #[test]
     fn default_scale_is_full() {
         // Cargo test harness args contain no --smoke.
-        std::env::remove_var("ANUBIS_SMOKE");
         let s = scale_from_args();
         assert!(s.ops >= Scale::smoke().ops);
+    }
+
+    #[test]
+    fn a_malformed_number_flag_is_a_usage_error_not_the_default() {
+        let args = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        assert_eq!(number_flag_in(&args(&["bin"]), "--ops"), Ok(None));
+        assert_eq!(
+            number_flag_in(&args(&["bin", "--ops", "500"]), "--ops"),
+            Ok(Some(500))
+        );
+        assert_eq!(
+            number_flag_in(&args(&["bin", "--seed", "0x773"]), "--seed"),
+            Ok(Some(1907))
+        );
+        for bad in [&["bin", "--ops", "abc"][..], &["bin", "--ops"][..]] {
+            let usage = number_flag_in(&args(bad), "--ops").expect_err("must be refused");
+            assert!(usage.starts_with("usage: --ops N"), "{usage}");
+        }
     }
 
     #[test]
@@ -581,6 +635,8 @@ mod tests {
         assert!(info.get("rustc").and_then(json::Json::as_str).is_some());
         assert!(info.get("cpu_model").and_then(json::Json::as_str).is_some());
         assert!(info.get("cores").and_then(json::Json::as_f64).unwrap() >= 1.0);
+        let revision = info.get("revision").and_then(json::Json::as_str).unwrap();
+        assert!(!revision.is_empty());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{SgxCounterNode, SGX_COUNTERS_PER_NODE};
 use anubis_itree::bonsai::Root;
 use anubis_itree::NodeId;
-use anubis_nvm::{Block, BlockAddr, MemBackend, NvmBackend, PersistenceDomain};
+use anubis_nvm::{Block, MemBackend, NvmBackend, PersistenceDomain};
 use anubis_telemetry::Telemetry;
 
 /// Backend register slot mirroring the on-chip top counter node.
@@ -321,24 +321,6 @@ impl<B: NvmBackend> SgxController<B> {
     /// Same classes as [`MemoryController::recover`].
     pub fn recover_with_lanes(&mut self, lanes: usize) -> Result<RecoveryReport, RecoveryError> {
         recovery::recover(self, lanes)
-    }
-
-    /// Test/debug hook: every resident metadata node as
-    /// `(device address, node, dirty)`.
-    #[doc(hidden)]
-    pub fn debug_resident(&self) -> Vec<(BlockAddr, SgxCounterNode, bool)> {
-        self.cache
-            .iter_resident()
-            .map(|(_, addr, entry, dirty)| (addr, entry.node, dirty))
-            .collect()
-    }
-
-    /// Test/debug hook: the slot a resident node occupies.
-    #[doc(hidden)]
-    pub fn debug_slot_of(&self, addr: BlockAddr) -> Option<u64> {
-        self.cache
-            .slot_of(addr)
-            .map(|s| s.linear(self.cache.ways()) as u64)
     }
 
     /// Test/debug hook: re-anchors `SHADOW_TREE_ROOT` (and the volatile

@@ -34,12 +34,8 @@ use crate::MemoryController;
 use anubis_nvm::BlockAddr;
 use anubis_telemetry::Telemetry;
 
-/// Environment override for the rung-2 retry budget (default
-/// [`DEFAULT_MAX_RETRIES`]). Part of the `ANUBIS_*` knob family
-/// documented in the README.
-pub const MAX_RETRIES_ENV: &str = "ANUBIS_MAX_RETRIES";
-
-/// Rung-2 retry budget when [`MAX_RETRIES_ENV`] is unset.
+/// Rung-2 retry budget unless [`Supervisor::with_max_retries`] sets
+/// another.
 pub const DEFAULT_MAX_RETRIES: u32 = 3;
 
 /// Simulated backoff before the first retry; doubles per attempt.
@@ -212,12 +208,12 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// A supervisor with the environment's lane count
-    /// (`ANUBIS_RECOVERY_THREADS`), the environment's retry budget
-    /// (`ANUBIS_MAX_RETRIES`, default 3), and the scrub pass enabled.
+    /// (`ANUBIS_RECOVERY_THREADS`), the default retry budget
+    /// ([`DEFAULT_MAX_RETRIES`]), and the scrub pass enabled.
     pub fn new() -> Self {
         Supervisor {
             lanes: parallel::recovery_lanes(),
-            max_retries: max_retries_from_env(),
+            max_retries: DEFAULT_MAX_RETRIES,
             scrub: true,
         }
     }
@@ -551,13 +547,6 @@ fn is_structural(err: &RecoveryError) -> bool {
         err,
         RecoveryError::SchemeCannotRecover { .. } | RecoveryError::Nvm(_)
     )
-}
-
-fn max_retries_from_env() -> u32 {
-    std::env::var(MAX_RETRIES_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_MAX_RETRIES)
 }
 
 #[cfg(test)]

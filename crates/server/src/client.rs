@@ -117,12 +117,6 @@ impl ServeClient {
         self.mode_at_hello
     }
 
-    /// Overrides the response-wait budget (how long a request may take
-    /// before the client gives up).
-    pub fn set_response_budget(&mut self, idle: Duration) {
-        self.idle = idle;
-    }
-
     /// One raw request/response round-trip.
     ///
     /// # Errors

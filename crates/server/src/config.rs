@@ -50,7 +50,8 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Everything the server needs to run. Defaults are production-shaped;
-/// [`ServeConfig::from_env`] overrides from `ANUBIS_SERVE_*` knobs.
+/// [`ServeConfig::from_env`] overrides the fields that name an
+/// `ANUBIS_SERVE_*` knob, the others are set in code.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Listen address (`ANUBIS_SERVE_ADDR`, default `127.0.0.1:0` — an
@@ -62,31 +63,28 @@ pub struct ServeConfig {
     /// Tenant roster (`ANUBIS_SERVE_TENANTS`,
     /// `name:token:family[,name:token:family...]`).
     pub tenants: Vec<TenantSpec>,
-    /// Per-tenant concurrent-request cap (`ANUBIS_SERVE_MAX_INFLIGHT`,
-    /// default 32). Exceeding it is a typed `Overloaded`, never a queue.
+    /// Per-tenant concurrent-request cap (default 32). Exceeding it is
+    /// a typed `Overloaded`, never a queue.
     pub max_inflight: u32,
     /// Per-tenant ops/s quota (`ANUBIS_SERVE_OPS_PER_SEC`, default
     /// 50 000).
     pub ops_per_sec: f64,
     /// Token-bucket burst capacity (`ANUBIS_SERVE_BURST`, default 256).
     pub burst: u32,
-    /// Default per-request deadline when the client passes 0
-    /// (`ANUBIS_SERVE_DEADLINE_MS`, default 1 000).
+    /// Default per-request deadline in ms when the client passes 0
+    /// (default 1 000).
     pub default_deadline_ms: u32,
-    /// Hard cap on client-requested deadlines
-    /// (`ANUBIS_SERVE_MAX_DEADLINE_MS`, default 10 000).
+    /// Hard cap on client-requested deadlines in ms (default 10 000).
     pub max_deadline_ms: u32,
-    /// Retry budget for transient controller errors
-    /// (`ANUBIS_SERVE_RETRIES`, default 3).
+    /// Retry budget for transient controller errors (default 3).
     pub retry_budget: u32,
-    /// Base backoff between retries, doubling per attempt
-    /// (`ANUBIS_SERVE_BACKOFF_MS`, default 1).
+    /// Base backoff between retries in ms, doubling per attempt
+    /// (default 1).
     pub retry_backoff_ms: u32,
     /// Consecutive faults before the tenant's circuit breaker opens
-    /// (`ANUBIS_SERVE_BREAKER_THRESHOLD`, default 5).
+    /// (default 5).
     pub breaker_threshold: u32,
-    /// Breaker cooldown before a half-open probe
-    /// (`ANUBIS_SERVE_BREAKER_COOLDOWN_MS`, default 250).
+    /// Breaker cooldown in ms before a half-open probe (default 250).
     pub breaker_cooldown_ms: u32,
     /// Idle budget before the first byte of a frame; a silent connection
     /// is closed after this (`ANUBIS_SERVE_IDLE_MS`, default 30 000).
@@ -94,8 +92,7 @@ pub struct ServeConfig {
     /// Mid-frame stall budget — the slowloris guard
     /// (`ANUBIS_SERVE_STALL_MS`, default 2 000).
     pub stall_ms: u32,
-    /// Maximum frame payload bytes (`ANUBIS_SERVE_MAX_FRAME`, default
-    /// 1 MiB).
+    /// Maximum frame payload bytes (default 1 MiB).
     pub max_frame_bytes: u32,
     /// Whether chaos-injection requests are honored
     /// (`ANUBIS_SERVE_CHAOS=1`; default off).
@@ -176,8 +173,8 @@ pub fn parse_tenants(spec: &str) -> Result<Vec<TenantSpec>, ConfigError> {
 }
 
 impl ServeConfig {
-    /// Builds a config from the defaults overridden by every
-    /// `ANUBIS_SERVE_*` environment knob.
+    /// Builds a config from the defaults overridden by the
+    /// `ANUBIS_SERVE_*` environment knobs.
     ///
     /// # Errors
     ///
@@ -193,21 +190,10 @@ impl ServeConfig {
         if let Ok(v) = std::env::var("ANUBIS_SERVE_TENANTS") {
             c.tenants = parse_tenants(&v)?;
         }
-        env_parse("ANUBIS_SERVE_MAX_INFLIGHT", &mut c.max_inflight)?;
         env_parse("ANUBIS_SERVE_OPS_PER_SEC", &mut c.ops_per_sec)?;
         env_parse("ANUBIS_SERVE_BURST", &mut c.burst)?;
-        env_parse("ANUBIS_SERVE_DEADLINE_MS", &mut c.default_deadline_ms)?;
-        env_parse("ANUBIS_SERVE_MAX_DEADLINE_MS", &mut c.max_deadline_ms)?;
-        env_parse("ANUBIS_SERVE_RETRIES", &mut c.retry_budget)?;
-        env_parse("ANUBIS_SERVE_BACKOFF_MS", &mut c.retry_backoff_ms)?;
-        env_parse("ANUBIS_SERVE_BREAKER_THRESHOLD", &mut c.breaker_threshold)?;
-        env_parse(
-            "ANUBIS_SERVE_BREAKER_COOLDOWN_MS",
-            &mut c.breaker_cooldown_ms,
-        )?;
         env_parse("ANUBIS_SERVE_IDLE_MS", &mut c.idle_ms)?;
         env_parse("ANUBIS_SERVE_STALL_MS", &mut c.stall_ms)?;
-        env_parse("ANUBIS_SERVE_MAX_FRAME", &mut c.max_frame_bytes)?;
         c.chaos = std::env::var("ANUBIS_SERVE_CHAOS").map(|v| v == "1") == Ok(true);
         c.anchor_override = std::env::var("ANUBIS_ANCHOR_OVERRIDE").map(|v| v == "1") == Ok(true);
         Ok(c)

@@ -8,8 +8,9 @@
 //! clock — two replays that push the same events in the same program
 //! order pop them in the same total order, and a replay that pushes
 //! events in a *different* order but with explicit `(time, seq)` keys
-//! still pops them sorted by key. That property is what makes the
-//! sharded/laned replays bit-identical (see `tests/latency_engine.rs`).
+//! still pops them sorted by key. That property is what makes
+//! identical replays bit-identical
+//! (`tests::shuffled_insertion_orders_pop_identically`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -55,9 +55,7 @@ pub mod storm;
 
 pub use endurance::EnduranceModel;
 pub use engine::{
-    payload, run_trace, run_trace_latencies, run_trace_sharded, run_trace_sharded_with_telemetry,
-    run_trace_with_epochs, shard_of, LatencySummary, RunResult, ShardedRunResult,
-    OP_LATENCY_METRIC,
+    payload, run_trace, run_trace_latencies, LatencySummary, RunResult, OP_LATENCY_METRIC,
 };
 pub use fault::{
     bit_flip_sweep, count_persist_writes, op_payload, power_cut_sweep, run_with_fault,

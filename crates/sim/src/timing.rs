@@ -3,9 +3,8 @@
 //! [`TimingModel`] keeps the paper's Table 1 parameters as an `f64`
 //! configuration surface; internally every replay runs on an integer
 //! nanosecond clock (see [`LatNs`]) driven by the event queue in
-//! [`crate::event`]. Integer time makes shard merges exactly
-//! associative — 1-shard and 8-shard replays of the same trace produce
-//! bit-identical totals, not epsilon-close ones — and lets the engine
+//! [`crate::event`]. Integer time makes identical replays produce
+//! bit-identical totals, not epsilon-close ones, and lets the engine
 //! record exact per-op latencies for tail (p95/p99) reporting.
 
 use std::collections::VecDeque;
@@ -285,8 +284,7 @@ impl Channel {
 
     /// Retires every scheduled and queued access, emptying the event
     /// heap and the WPQ. End-of-run only: a drained channel has lost its
-    /// backlog, so mid-run snapshots must use [`Channel::drained_stats`]
-    /// (which drains a clone) instead.
+    /// backlog.
     pub fn drain(&mut self) {
         while let Some(ev) = self.events.pop() {
             self.complete(ev, None);
@@ -304,80 +302,12 @@ impl Channel {
         self.now.max(self.horizon)
     }
 
-    /// Statistics as if the run ended now: drains a clone so the live
-    /// channel keeps its backlog. Used for both end-of-run results and
-    /// mid-run epoch snapshots.
-    pub fn drained_stats(&self) -> ChannelStats {
-        let mut c = self.clone();
-        c.drain();
-        ChannelStats::of(&c)
-    }
-}
-
-/// Occupancy statistics distilled from one channel, mergeable across the
-/// per-shard channels of a sharded replay.
-///
-/// Sharded mode gives every address shard its own [`Channel`] — the shards
-/// model independent memory channels, so threading one channel's state
-/// through all shards would falsely serialize them. Merging takes the
-/// *slowest* shard's wall clock (shards run concurrently) and sums the
-/// stall, occupancy, and channel-time fields (work performed, not elapsed
-/// time, so it adds across channels). All fields are integer nanoseconds:
-/// `max` and `+` on `u64` are exactly associative, so any merge order —
-/// and any lane count — produces bit-identical totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct ChannelStats {
-    /// Wall-clock end of the shard's run (ns).
-    pub total_ns: u64,
-    /// Total read-stall work on this channel (ns).
-    pub read_stall_ns: u64,
-    /// Total write-queue back-pressure work on this channel (ns).
-    pub write_stall_ns: u64,
-    /// Total bank occupancy across the merged channels (ns, summed).
-    pub busy_ns: u64,
-    /// Total bank-time across the merged channels (ns, summed): each
-    /// channel contributes `wall clock × banks`, so an idle shard adds
-    /// nothing. This is the utilization denominator — with banked
-    /// parallelism `busy_ns` can exceed the wall clock, and dividing by
-    /// the *max* wall clock would inflate utilization by up to the
-    /// shard count.
-    pub channel_time_ns: u64,
-}
-
-impl ChannelStats {
-    /// Snapshots a drained channel.
-    pub fn of(ch: &Channel) -> Self {
-        ChannelStats {
-            total_ns: ch.finish(),
-            read_stall_ns: ch.read_stall_ns,
-            write_stall_ns: ch.write_stall_ns,
-            busy_ns: ch.busy_ns,
-            channel_time_ns: ch.finish() * ch.bank_free.len() as u64,
-        }
-    }
-
-    /// Folds another shard's stats in: max wall clock, summed stalls,
-    /// summed occupancy and channel-time.
-    pub fn merge(&mut self, other: &ChannelStats) {
-        self.total_ns = self.total_ns.max(other.total_ns);
-        self.read_stall_ns += other.read_stall_ns;
-        self.write_stall_ns += other.write_stall_ns;
-        self.busy_ns += other.busy_ns;
-        self.channel_time_ns += other.channel_time_ns;
-    }
-
-    /// Fraction of bank-time spent transferring, in `[0, 1]`. Defined
-    /// as exactly `0.0` for an empty trace (`channel_time_ns == 0`) so
-    /// no NaN reaches telemetry gauges or BENCH JSON. Invariant under
-    /// sharding: a trace confined to one shard reports the same
-    /// utilization at `shards == 1` and `shards == N`, because idle
-    /// shards contribute zero to both numerator and denominator.
-    pub fn utilization(&self) -> f64 {
-        if self.channel_time_ns == 0 {
-            0.0
-        } else {
-            (self.busy_ns as f64 / self.channel_time_ns as f64).clamp(0.0, 1.0)
-        }
+    /// Total bank-time (ns): `wall clock × banks`, the utilization
+    /// denominator. With banked parallelism `busy_ns` can exceed the
+    /// wall clock, so dividing by [`Channel::finish`] alone would
+    /// inflate utilization by up to the bank count.
+    pub fn channel_time_ns(&self) -> u64 {
+        self.finish() * self.bank_free.len() as u64
     }
 }
 
@@ -517,53 +447,15 @@ mod tests {
     }
 
     #[test]
-    fn drained_stats_leaves_the_live_channel_intact() {
-        let mut ch = Channel::new(&serial());
-        ch.execute(cost(0, 3, 0));
-        let stats = ch.drained_stats();
-        assert_eq!(stats.total_ns, 450);
-        assert_eq!(stats.busy_ns, 450);
-        // The live channel still has its backlog: a following read must
-        // queue behind all three writes.
-        let lat = ch.execute(cost(1, 0, 0));
-        assert_eq!(lat, 210, "read waits for the in-flight write only");
-    }
-
-    #[test]
-    fn channel_stats_merge_takes_max_clock_and_sums_stalls() {
-        let mut a = ChannelStats {
-            total_ns: 100,
-            read_stall_ns: 10,
-            write_stall_ns: 1,
-            busy_ns: 50,
-            channel_time_ns: 100,
-        };
-        let b = ChannelStats {
-            total_ns: 250,
-            read_stall_ns: 5,
-            write_stall_ns: 2,
-            busy_ns: 100,
-            channel_time_ns: 250,
-        };
-        a.merge(&b);
-        assert_eq!(a.total_ns, 250);
-        assert_eq!(a.read_stall_ns, 15);
-        assert_eq!(a.write_stall_ns, 3);
-        assert_eq!(a.busy_ns, 150);
-        assert_eq!(a.channel_time_ns, 350);
-        assert!((a.utilization() - 150.0 / 350.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn busy_tracks_occupancy_and_bounds_utilization() {
         let mut ch = Channel::new(&serial());
         ch.execute(cost(2, 3, 0));
-        let s = ch.drained_stats();
+        ch.drain();
         // 2 reads * 60 + 3 writes * 150 of occupancy, back-to-back on
         // one bank: the channel never idles.
-        assert_eq!(s.busy_ns, 120 + 450);
-        assert_eq!(s.total_ns, 570);
-        assert_eq!(s.utilization(), 1.0);
+        assert_eq!(ch.busy_ns, 120 + 450);
+        assert_eq!(ch.finish(), 570);
+        assert_eq!(ch.channel_time_ns(), 570);
     }
 
     #[test]
@@ -574,31 +466,19 @@ mod tests {
         };
         let mut ch = Channel::new(&m);
         ch.execute(cost(4, 0, 0)); // fully overlapped: 60 ns wall clock
-        let s = ch.drained_stats();
-        assert_eq!(s.total_ns, 60);
-        assert_eq!(s.busy_ns, 240);
-        assert_eq!(s.channel_time_ns, 240);
-        assert_eq!(s.utilization(), 1.0);
+        ch.drain();
+        assert_eq!(ch.finish(), 60);
+        assert_eq!(ch.busy_ns, 240);
+        assert_eq!(ch.channel_time_ns(), 240);
     }
 
     #[test]
-    fn idle_channel_reports_zero_utilization() {
-        let s = Channel::new(&TimingModel::paper()).drained_stats();
-        assert_eq!(s.utilization(), 0.0);
-        assert_eq!(s.channel_time_ns, 0);
-        assert_eq!(s.total_ns, 0);
-    }
-
-    #[test]
-    fn idle_shards_do_not_dilute_or_inflate_utilization() {
-        let mut ch = Channel::new(&serial());
-        ch.execute(cost(4, 4, 0));
-        let active = ch.drained_stats();
-        let mut merged = active;
-        for _ in 0..7 {
-            merged.merge(&Channel::new(&serial()).drained_stats());
-        }
-        assert_eq!(merged.utilization(), active.utilization());
+    fn idle_channel_reports_zero_channel_time() {
+        let mut ch = Channel::new(&TimingModel::paper());
+        ch.drain();
+        assert_eq!(ch.busy_ns, 0);
+        assert_eq!(ch.channel_time_ns(), 0);
+        assert_eq!(ch.finish(), 0);
     }
 
     #[test]
@@ -612,7 +492,9 @@ mod tests {
                 ch.advance(u64::from(i % 7) * 10);
                 lats.push(ch.execute(cost(1 + i % 3, i % 5, i % 2)));
             }
-            (ch.drained_stats(), lats)
+            ch.drain();
+            let totals = (ch.finish(), ch.read_stall_ns, ch.write_stall_ns, ch.busy_ns);
+            (totals, lats)
         };
         assert_eq!(run(), run());
     }

@@ -475,18 +475,6 @@ impl Snapshot {
         self.gauges.get(name).and_then(|m| m.get(label)).copied()
     }
 
-    /// The deterministic portion of the snapshot — everything except the
-    /// sequence number, timestamp and span tally. Two runs of the same
-    /// deterministic workload must agree on this value.
-    pub fn deterministic_view(&self) -> (&BTreeMap<String, BTreeMap<String, u64>>, Vec<String>) {
-        let gauge_keys = self
-            .gauges
-            .iter()
-            .flat_map(|(n, m)| m.keys().map(move |l| format!("{n}{{{l}}}")))
-            .collect();
-        (&self.counters, gauge_keys)
-    }
-
     /// Renders the snapshot as one `{"type":"snapshot",...}` JSON line.
     pub fn to_jsonl(&self) -> String {
         let mut out = format!(
@@ -685,11 +673,6 @@ impl Telemetry {
             },
         }
     }
-
-    /// Takes a snapshot (`None` when the handle is off/disabled).
-    pub fn take_snapshot(&self) -> Option<Snapshot> {
-        self.registry().map(Registry::snapshot)
-    }
 }
 
 #[cfg(test)]
@@ -735,7 +718,7 @@ mod tests {
         assert!(!t.enabled());
         t.incr("events", "x", 1);
         drop(t.span("phase", "x"));
-        assert!(t.take_snapshot().is_none());
+        assert!(t.registry().is_none());
     }
 
     #[test]
