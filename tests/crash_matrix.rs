@@ -284,6 +284,14 @@ fn shadow_capacity_exceeded_is_lane_invariant() {
             Ok(_) => panic!("lanes {lanes}: over-capacity shadow table must not recover"),
         }
     }
+    // Entries are placed in node-address order: the first one that
+    // cannot fit is the last of the ways + 1.
+    assert_eq!(
+        failing[0],
+        c.layout()
+            .node_addr(NodeId::new(0, (conflicting - 1) * sets)),
+        "not the address of the node that found its set full"
+    );
     assert_eq!(
         failing[0], failing[1],
         "lanes 1 vs 2 disagree on the address"

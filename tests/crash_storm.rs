@@ -2,7 +2,9 @@
 //! plans (power cuts, torn writes, bit flips, plus write cuts injected
 //! *during* recovery) must all terminate in a structured
 //! `RecoveryOutcome` with the acknowledged-write contract intact, and the
-//! campaign fingerprint must be bit-identical across lane counts.
+//! campaign fingerprint — a digest of every run's outcome and repair
+//! counts — must be the one recorded when recovery still took a thread
+//! count and 1, 2 and 8 threads agreed on it.
 //!
 //! The smoke-sized campaign always runs; set `ANUBIS_CRASH_SWEEP=1` for
 //! the exhaustive sweep (>1000 randomized plans, the scale
@@ -15,7 +17,7 @@ fn config() -> AnubisConfig {
     AnubisConfig::small_test().with_spare_blocks(256)
 }
 
-fn storm_lane_pair<C, F>(make: F, cfg: &StormConfig, lanes: usize) -> StormReport
+fn storm_lane_pair<C, F>(make: F, cfg: &StormConfig, lanes: usize, pin: u64) -> StormReport
 where
     C: Supervised,
     F: Fn() -> C,
@@ -25,6 +27,12 @@ where
         serial.recovered + serial.degraded + serial.quarantined,
         serial.runs,
         "{}: every run must end in a structured outcome",
+        serial.scheme
+    );
+    assert_eq!(
+        format!("{:#018x}", serial.fingerprint),
+        format!("{pin:#018x}"),
+        "{}: storm fingerprint moved",
         serial.scheme
     );
     let wide = crash_storm(&make, &cfg.clone().with_lanes(lanes));
@@ -43,32 +51,42 @@ fn crash_storm_smoke_bonsai_family() {
         || BonsaiController::new(BonsaiScheme::Osiris, &config()),
         &cfg,
         2,
+        0x554a_40ba_f8f7_28aa,
     );
     storm_lane_pair(
         || BonsaiController::new(BonsaiScheme::AgitRead, &config()),
         &cfg,
         8,
+        0xde5c_b443_3306_d5c3,
     );
     storm_lane_pair(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &config()),
         &cfg,
         2,
+        0x5fae_b102_2fcf_22e3,
     );
     storm_lane_pair(
         || BonsaiController::new(BonsaiScheme::StrictPersist, &config()),
         &cfg,
         8,
+        0x601c_1a45_96db_35e8,
     );
 }
 
 #[test]
 fn crash_storm_smoke_sgx_family() {
     let cfg = StormConfig::smoke(0x5C).with_runs(6);
-    storm_lane_pair(|| SgxController::new(SgxScheme::Asit, &config()), &cfg, 8);
+    storm_lane_pair(
+        || SgxController::new(SgxScheme::Asit, &config()),
+        &cfg,
+        8,
+        0x2347_8ac9_b7f9_6a77,
+    );
     storm_lane_pair(
         || SgxController::new(SgxScheme::StrictPersist, &config()),
         &cfg,
         2,
+        0xdd31_a2bc_e4ef_39a6,
     );
 }
 
@@ -135,31 +153,42 @@ fn crash_storm_exhaustive_sweep() {
         || BonsaiController::new(BonsaiScheme::Osiris, &config()),
         &cfg,
         8,
+        0x823a_5d21_2508_3b31,
     )
     .runs;
     plans += storm_lane_pair(
         || BonsaiController::new(BonsaiScheme::AgitRead, &config()),
         &cfg,
         8,
+        0x60b7_ef36_29b8_51d1,
     )
     .runs;
     plans += storm_lane_pair(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &config()),
         &cfg,
         8,
+        0x0f57_038a_2902_4159,
     )
     .runs;
     plans += storm_lane_pair(
         || BonsaiController::new(BonsaiScheme::StrictPersist, &config()),
         &cfg,
         8,
+        0xf187_ed84_0b55_5011,
     )
     .runs;
-    plans += storm_lane_pair(|| SgxController::new(SgxScheme::Asit, &config()), &cfg, 8).runs;
+    plans += storm_lane_pair(
+        || SgxController::new(SgxScheme::Asit, &config()),
+        &cfg,
+        8,
+        0x14af_875c_cacc_05ee,
+    )
+    .runs;
     plans += storm_lane_pair(
         || SgxController::new(SgxScheme::StrictPersist, &config()),
         &cfg,
         8,
+        0x664d_cc22_3ff1_4aa7,
     )
     .runs;
     assert!(plans >= 1000, "sweep must exercise at least 1000 plans");

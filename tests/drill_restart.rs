@@ -198,8 +198,9 @@ fn write_cut_mid_recovery_suppresses_file_backend_flushes() {
 }
 
 /// Snapshot→restore→snapshot must be bit-identical, and the
-/// post-recovery snapshot itself must not depend on the lane count.
-fn snapshot_roundtrip<C, F>(make: F, name: &str)
+/// post-recovery snapshot itself must be the pinned one (FNV-1a of its
+/// bytes) at every lane count.
+fn snapshot_roundtrip<C, F>(make: F, name: &str, pin: u64)
 where
     C: Supervised + Clone,
     F: Fn() -> C,
@@ -231,6 +232,11 @@ where
             b1, b2,
             "{name}: snapshot→restore→snapshot diverged at {lanes} lanes"
         );
+        assert_eq!(
+            format!("{:#018x}", fnv1a64(FNV1A64_EMPTY, &b1)),
+            format!("{pin:#018x}"),
+            "{name}: post-recovery snapshot moved at {lanes} lanes"
+        );
         match &reference {
             None => reference = Some(b1),
             Some(r) => assert_eq!(
@@ -246,12 +252,17 @@ fn snapshot_roundtrip_is_lane_invariant_bonsai_agit_plus() {
     snapshot_roundtrip(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &config()),
         "agit-plus",
+        0x85cd_705e_be5b_3804,
     );
 }
 
 #[test]
 fn snapshot_roundtrip_is_lane_invariant_sgx_asit() {
-    snapshot_roundtrip(|| SgxController::new(SgxScheme::Asit, &config()), "asit");
+    snapshot_roundtrip(
+        || SgxController::new(SgxScheme::Asit, &config()),
+        "asit",
+        0xc65b_46bc_2bc2_e6b5,
+    );
 }
 
 #[test]
