@@ -7,10 +7,10 @@
 //!
 //! | campaign | what it does | default `--out` | exit code 1 on |
 //! |---|---|---|---|
-//! | `drill` | SIGKILLs a child serving a deterministic script over the file-backed device at `N` randomized ack counts **per family** (default 100; `--sweep`: one per possible ack count), restarts in a fresh address space, recovers at 1/2/8 lanes | `BENCH_drill.json` | an acknowledged write lost, a lane-divergent post-recovery fingerprint, a recovery failure |
+//! | `drill` | SIGKILLs a child serving a deterministic script over the file-backed device at `N` randomized ack counts **per family** (default 100; `--sweep`: one per possible ack count), restarts in a fresh address space over a copy of the dead image, recovers, audits every acknowledged write | `BENCH_drill.json` | an acknowledged write lost, a recovery failure |
 //! | `adversary` | kills the anchored child, mutates the durable artifacts while it is dead (bit flips, truncations, WAL splices / reorders / duplicates, rollback to a captured state, cross-key swaps, anchor attacks), restarts; `N` mutated restarts **per family** rounded up to whole base runs (default 120; `--sweep`: at least 440) | `BENCH_adversary.json` | a panic in the recovery path, a silent stale serve, a class that missed its verdict floor |
 //! | `serve` | concurrent tenant clients against a child server, one injected connection fault per point, SIGKILL at `N` randomized fleet-wide ack thresholds (default 100; `--sweep`: the first `N` thresholds in order), restart, time-to-healthy | `BENCH_serve.json` | an acknowledged write lost, an untyped connection fault, a tenant that never returned to full service |
-//! | `storm` | supervised recovery under randomized fault plans (power cuts, torn writes, bit flips, write cuts *during* recovery), 170 plans per scheme (`--smoke`: 6), six schemes, 1/2/8 lanes | `BENCH_recovery_degraded.json` | a lane count whose campaign fingerprint differs from the serial one |
+//! | `storm` | supervised recovery under randomized fault plans (power cuts, torn writes, bit flips, write cuts *during* recovery), 170 plans per scheme (`--smoke`: 6), six schemes | `BENCH_recovery_degraded.json` | nothing of its own: a plan that ends without a structured outcome, or serves wrong data after one, panics inside `crash_storm` with the plan's label (exit code 101) |
 //!
 //! `--seed S` (decimal or `0x…`) seeds scripts, kill points and mutation
 //! draws — each campaign's default is the seed its committed
@@ -33,13 +33,11 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, Family, SgxController, SgxScheme, Supervised,
 };
 use anubis_bench::json::Json;
-use anubis_bench::{
-    host_info_json, host_parallelism, out_path_from_args, parse_number, smoke_requested,
-};
+use anubis_bench::{host_info_json, out_path_from_args, parse_number, smoke_requested};
 use anubis_sim::adversary::{self, AdversarySpec, FamilyAdvReport, Verdict, MUTATIONS_PER_RUN};
 use anubis_sim::chaos::{run_chaos_campaign, ChaosReport, ChaosSpec};
 use anubis_sim::drill::{self, DrillSpec, FamilyReport};
-use anubis_sim::{crash_storm, StormConfig, StormReport};
+use anubis_sim::{crash_storm, StormConfig};
 
 const USAGE: &str = "usage: bench_campaign <drill|adversary|serve|storm> \
                      [--points N] [--seed S] [--dir D] [--sweep] [--smoke] [--out PATH]";
@@ -158,14 +156,12 @@ fn drill_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
 
     println!("== Anubis reproduction :: kill -9 restart drill ==");
     println!(
-        "{} kill points/family{}, seed {seed:#x}, lanes {:?}, scratch {}",
+        "{} kill points/family{}, seed {seed:#x}, scratch {}",
         points,
         if sweep { " (exhaustive sweep)" } else { "" },
-        spec.lanes,
         dir.display()
     );
 
-    let lanes_json = || Json::Arr(spec.lanes.iter().map(|&l| Json::Int(l as u64)).collect());
     let mut families = Vec::new();
     let mut total_points = 0u64;
     let mut total_acked = 0u64;
@@ -183,7 +179,7 @@ fn drill_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
         );
         total_points += report.points;
         total_acked += report.acked_total;
-        families.push(drill_family_json(&report, lanes_json()));
+        families.push(drill_family_json(&report));
     }
 
     let doc = Json::obj(vec![
@@ -193,7 +189,6 @@ fn drill_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
         ("sweep", Json::Bool(sweep)),
         ("script_len", Json::Int(spec.script_len as u64)),
         ("lines", Json::Int(spec.lines)),
-        ("lanes", lanes_json()),
         ("total_kill_points", Json::Int(total_points)),
         ("total_acked_verified", Json::Int(total_acked)),
         ("acked_write_losses", Json::Int(0)),
@@ -207,7 +202,7 @@ fn drill_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn drill_family_json(r: &FamilyReport, lanes: Json) -> Json {
+fn drill_family_json(r: &FamilyReport) -> Json {
     let outcomes: Vec<Json> = r
         .outcomes
         .iter()
@@ -230,9 +225,7 @@ fn drill_family_json(r: &FamilyReport, lanes: Json) -> Json {
         ("acked_total", Json::Int(r.acked_total)),
         ("inflight_observed", Json::Int(r.inflight_observed)),
         ("kill_range", kill_range_json(r.kill_range)),
-        ("lanes_verified", lanes),
         ("acked_write_losses", Json::Int(0)),
-        ("fingerprint_mismatches", Json::Int(0)),
         ("points_detail", Json::Arr(outcomes)),
     ])
 }
@@ -495,19 +488,13 @@ fn serve_json(r: &ChaosReport, seed: u64, sweep: bool) -> Json {
 // storm
 // ---------------------------------------------------------------------
 
-const LANE_COUNTS: [usize; 3] = [1, 2, 8];
-
 fn storm_campaign() -> Result<(), String> {
     let smoke = smoke_requested();
     let runs_per_scheme: u64 = if smoke { 6 } else { 170 };
     let config = AnubisConfig::small_test().with_spare_blocks(256);
 
     println!("== Anubis reproduction :: degraded-mode recovery storm ==");
-    println!(
-        "{runs_per_scheme} randomized fault plans per scheme at lanes {LANE_COUNTS:?}, \
-         host parallelism {}",
-        host_parallelism()
-    );
+    println!("{runs_per_scheme} randomized fault plans per scheme");
 
     let telemetry = anubis_bench::telemetry::start();
     let bonsai = |scheme| {
@@ -523,11 +510,10 @@ fn storm_campaign() -> Result<(), String> {
         ops: 24,
         addr_space: 256,
         seed,
-        lanes: 1,
         max_retries: 3,
         recovery_faults: true,
     };
-    let results = [
+    let cases = vec![
         storm_case("osiris", &storm(0x05), bonsai(BonsaiScheme::Osiris)),
         storm_case("agit-read", &storm(0xA6), bonsai(BonsaiScheme::AgitRead)),
         storm_case("agit-plus", &storm(0xA7), bonsai(BonsaiScheme::AgitPlus)),
@@ -539,14 +525,11 @@ fn storm_campaign() -> Result<(), String> {
         storm_case("asit", &storm(0x51), sgx(SgxScheme::Asit)),
         storm_case("sgx-strict", &storm(0x55), sgx(SgxScheme::StrictPersist)),
     ];
-    let plans_total = runs_per_scheme * results.len() as u64;
-    let diverged = results.iter().any(|(_, all_match)| !all_match);
-    let cases = results.into_iter().map(|(case, _)| case).collect();
+    let plans_total = runs_per_scheme * cases.len() as u64;
 
     let doc = Json::obj(vec![
         ("benchmark", Json::Str("recovery_degraded".into())),
         ("host", host_info_json()),
-        ("host_parallelism", Json::Int(host_parallelism() as u64)),
         ("smoke", Json::Bool(smoke)),
         (
             "config",
@@ -563,55 +546,31 @@ fn storm_campaign() -> Result<(), String> {
     let out = write_report("BENCH_recovery_degraded.json", &doc)?;
     println!("wrote {}", out.display());
     anubis_bench::telemetry::finish(&telemetry, &out, "bench_recovery_degraded");
-
-    if diverged {
-        return Err("FAIL: storm fingerprints diverged across lane counts".into());
-    }
-    println!("all lane counts produced bit-identical storm fingerprints");
+    println!("{plans_total} plans, every one ended in a structured outcome");
     Ok(())
 }
 
-/// Runs the same campaign at every lane count and checks the fingerprint
-/// against the serial (lanes = 1) one. Returns the case JSON and whether
-/// all lane counts agreed.
-fn storm_case<C, F>(name: &str, storm: &StormConfig, make: F) -> (Json, bool)
+/// Runs one scheme's campaign and renders its report.
+fn storm_case<C, F>(name: &str, storm: &StormConfig, make: F) -> Json
 where
     C: Supervised,
     F: Fn() -> C,
 {
-    let mut rows = Vec::new();
-    let mut serial_fingerprint = None;
-    let mut all_match = true;
-    for &lanes in &LANE_COUNTS {
-        let cfg = storm.clone().with_lanes(lanes);
-        let t0 = Instant::now();
-        let report = crash_storm(&make, &cfg);
-        let wall_ns = t0.elapsed().as_nanos() as f64;
-        let matches = *serial_fingerprint.get_or_insert(report.fingerprint) == report.fingerprint;
-        all_match &= matches;
-        println!(
-            "{name:>14} lanes={lanes}: {:>4} recovered / {:>3} degraded / {:>3} quarantined, \
-             {} lost lines, {} recovery faults, fp {:016x}{}",
-            report.recovered,
-            report.degraded,
-            report.quarantined,
-            report.lost_lines,
-            report.recovery_faults_injected,
-            report.fingerprint,
-            if matches { "" } else { "  ** DIVERGED **" }
-        );
-        rows.push(storm_lane_json(lanes, wall_ns, &report, matches));
-    }
-    let case = Json::obj(vec![
-        ("scheme", Json::Str(name.into())),
-        ("lanes", Json::Arr(rows)),
-    ]);
-    (case, all_match)
-}
-
-fn storm_lane_json(lanes: usize, wall_ns: f64, r: &StormReport, matches: bool) -> Json {
+    let t0 = Instant::now();
+    let r = crash_storm(&make, storm);
+    let wall_ns = t0.elapsed().as_nanos() as f64;
+    println!(
+        "{name:>14}: {:>4} recovered / {:>3} degraded / {:>3} quarantined, \
+         {} lost lines, {} recovery faults, fp {:016x}",
+        r.recovered,
+        r.degraded,
+        r.quarantined,
+        r.lost_lines,
+        r.recovery_faults_injected,
+        r.fingerprint,
+    );
     Json::obj(vec![
-        ("lanes", Json::Int(lanes as u64)),
+        ("scheme", Json::Str(name.into())),
         ("wall_ns", Json::Num(wall_ns)),
         ("runs", Json::Int(r.runs)),
         ("recovered", Json::Int(r.recovered)),
@@ -628,6 +587,5 @@ fn storm_lane_json(lanes: usize, wall_ns: f64, r: &StormReport, matches: bool) -
             Json::Int(r.recovery_faults_injected),
         ),
         ("fingerprint", Json::Str(format!("{:016x}", r.fingerprint))),
-        ("fingerprint_matches_serial", Json::Bool(matches)),
     ])
 }

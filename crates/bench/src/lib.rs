@@ -477,8 +477,8 @@ pub mod telemetry {
 }
 
 /// The host's available parallelism, recorded in the baseline JSON so a
-/// reader knows how many lanes could really run at once.
-pub fn host_parallelism() -> usize {
+/// reader knows how many threads could really run at once.
+fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

@@ -449,19 +449,6 @@ impl<B: NvmBackend> BonsaiController<B> {
         publish_cache_stats(t, "tree", self.tree_cache.stats());
     }
 
-    /// Runs crash recovery with an explicit lane count. `lanes == 1` is
-    /// the serial path; any lane count produces a bit-identical
-    /// [`RecoveryReport`] and final NVM image (see [`crate::parallel`]).
-    /// [`MemoryController::recover`] resolves the lane count from
-    /// [`crate::parallel::recovery_lanes`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`MemoryController::recover`].
-    pub fn recover_with_lanes(&mut self, lanes: usize) -> Result<RecoveryReport, RecoveryError> {
-        recovery::recover(self, lanes)
-    }
-
     /// Backend mirrors of the on-chip persistent registers, committed
     /// with every group (and made durable in its frame, by the barrier
     /// that closes the operation) so a restart can restore them
@@ -1106,7 +1093,7 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
     }
 
     fn recover(&mut self) -> Result<RecoveryReport, RecoveryError> {
-        recovery::recover(self, crate::parallel::recovery_lanes())
+        recovery::recover(self)
     }
 
     fn shutdown_flush(&mut self) -> Result<(), MemError> {

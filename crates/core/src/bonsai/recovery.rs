@@ -12,30 +12,23 @@
 //!   tracked counter blocks, recompute only the tracked tree nodes level
 //!   by level, then compare with the root register.
 //!
-//! The heavy sweeps (counter probing, per-level node rebuilds, shadow
-//! scans) fan out across recovery lanes (see [`crate::parallel`]): lanes
-//! compute over a shared read-only view of the device, the main thread
-//! applies the resulting writes in item order. Levels stay sequential
-//! bottom-up — parents hash their children's repaired contents — but
-//! nodes within a level are independent. Tallies are merged in item order
-//! and writes applied in item order, so the [`RecoveryReport`], the final
-//! NVM image and the device statistics are bit-identical to the serial
-//! path (`lanes == 1`) at any lane count.
+//! Recovery is one serial pass (DESIGN.md §7). Levels are rebuilt
+//! bottom-up — parents hash their children's repaired contents — and
+//! within a sweep every block is read, repaired and written before the
+//! next one is touched, in index order.
 
 use super::{BonsaiController, BonsaiScheme, ReencLog};
-use crate::config::AnubisConfig;
 use crate::datapath::{sealed_block, side_block};
 use crate::error::RecoveryError;
-use crate::layout::{BonsaiLayout, LINES_PER_COUNTER_BLOCK};
-use crate::parallel;
+use crate::layout::LINES_PER_COUNTER_BLOCK;
 use crate::recovery::RecoveryReport;
 use crate::shadow::ShadowAddrEntry;
 use crate::MemoryController;
 use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{DataCodec, SplitCounterBlock};
-use anubis_itree::bonsai::{BonsaiHasher, Root};
+use anubis_crypto::SplitCounterBlock;
+use anubis_itree::bonsai::Root;
 use anubis_itree::NodeId;
-use anubis_nvm::{Block, BlockAddr, NvmBackend, NvmDevice};
+use anubis_nvm::{Block, BlockAddr, NvmBackend};
 use std::collections::BTreeSet;
 
 /// Tallies recovery work separately from the run-time cost model.
@@ -48,80 +41,8 @@ pub(super) struct Tally {
     pub(super) nodes_fixed: u64,
 }
 
-impl Tally {
-    fn merge(&mut self, other: &Tally) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.hashes += other.hashes;
-        self.counters_fixed += other.counters_fixed;
-        self.nodes_fixed += other.nodes_fixed;
-    }
-}
-
-/// Shared read-only view of the controller for recovery lanes. Lanes only
-/// *read* the device (access counting is atomic — see `NvmStats`); all
-/// writes are deferred to the main thread, which applies them in item
-/// order.
-pub(super) struct Ctx<'a, B: NvmBackend> {
-    pub(super) dev: &'a NvmDevice<B>,
-    pub(super) layout: &'a BonsaiLayout,
-    pub(super) codec: &'a DataCodec,
-    pub(super) hasher: &'a BonsaiHasher,
-    pub(super) config: &'a AnubisConfig,
-    canon: &'a [Block],
-    edge: &'a [Block],
-}
-
-impl<'a, B: NvmBackend> Ctx<'a, B> {
-    pub(super) fn of(c: &'a BonsaiController<B>) -> Self {
-        Ctx {
-            dev: c.path.domain.device(),
-            layout: &c.layout,
-            codec: &c.path.codec,
-            hasher: &c.hasher,
-            config: &c.config,
-            canon: &c.canon,
-            edge: &c.edge,
-        }
-    }
-
-    pub(super) fn read(&self, addr: BlockAddr, t: &mut Tally) -> Block {
-        t.reads += 1;
-        self.dev.read(addr)
-    }
-
-    /// Reads a tree node, substituting the canonical zero-state content
-    /// for never-written interior nodes (see
-    /// `BonsaiController::nvm_read_node`).
-    pub(super) fn read_node(&self, node: NodeId, t: &mut Tally) -> Block {
-        let raw = self.read(self.layout.node_addr(node), t);
-        if node.level >= 1 && raw.is_zeroed() {
-            self.canonical_node(node)
-        } else {
-            raw
-        }
-    }
-
-    pub(super) fn canonical_node(&self, node: NodeId) -> Block {
-        let g = self.layout.geometry();
-        if node.index == g.nodes_at(node.level) - 1 {
-            self.edge[node.level]
-        } else {
-            self.canon[node.level]
-        }
-    }
-}
-
-/// One lane's result for one counter block: the repaired block to write
-/// back (if anything moved) plus the work tally.
-pub(super) struct LeafFix {
-    pub(super) write: Option<Block>,
-    pub(super) tally: Tally,
-}
-
 pub(super) fn recover<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    lanes: usize,
 ) -> Result<RecoveryReport, RecoveryError> {
     let tel = c.path.telemetry.clone();
     let _recovery_span = tel.span("recovery", c.scheme_name());
@@ -151,13 +72,13 @@ pub(super) fn recover<B: NvmBackend>(
             // Counters as-is (write-through keeps them current; plain
             // write-back only recovers if nothing dirty was lost), whole
             // tree rebuilt, root compared.
-            rebuild_whole_tree(c, &mut t, false, lanes)?;
+            rebuild_whole_tree(c, &mut t, false)?;
         }
         BonsaiScheme::Osiris => {
-            rebuild_whole_tree(c, &mut t, true, lanes)?;
+            rebuild_whole_tree(c, &mut t, true)?;
         }
         BonsaiScheme::AgitRead | BonsaiScheme::AgitPlus => {
-            recover_agit(c, &mut t, reenc_leaf, lanes)?;
+            recover_agit(c, &mut t, reenc_leaf)?;
         }
     }
 
@@ -178,7 +99,18 @@ fn dev_read<B: NvmBackend>(c: &mut BonsaiController<B>, addr: BlockAddr, t: &mut
     c.path.domain.device_mut().read(addr)
 }
 
-pub(super) fn dev_write<B: NvmBackend>(
+/// Reads a tree node, substituting the canonical zero-state content for
+/// never-written interior nodes (see `BonsaiController::nvm_read_node`).
+fn read_node<B: NvmBackend>(c: &mut BonsaiController<B>, node: NodeId, t: &mut Tally) -> Block {
+    let raw = dev_read(c, c.layout.node_addr(node), t);
+    if node.level >= 1 && raw.is_zeroed() {
+        c.canonical_node(node)
+    } else {
+        raw
+    }
+}
+
+fn dev_write<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     addr: BlockAddr,
     block: Block,
@@ -190,8 +122,8 @@ pub(super) fn dev_write<B: NvmBackend>(
 
 /// Completes an interrupted page re-encryption from the on-chip log
 /// (counter block first, then the remaining lines). Returns the affected
-/// leaf so tree recovery can repair its path. Inherently serial: at most
-/// one page (64 lines) of sequential REDO work.
+/// leaf so tree recovery can repair its path. At most one page (64 lines)
+/// of sequential REDO work.
 pub(super) fn complete_reencryption<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     t: &mut Tally,
@@ -252,25 +184,25 @@ pub(super) fn complete_reencryption<B: NvmBackend>(
 }
 
 /// Osiris-fixes every counter of one counter block against its data
-/// lines. Pure with respect to the device: the repaired block is returned
-/// for the main thread to write, so lanes can run this concurrently.
-pub(super) fn probe_counter_block<B: NvmBackend>(
-    ctx: &Ctx<'_, B>,
+/// lines and writes the repaired block back if anything moved (the
+/// return value). On an error nothing of this block has been written.
+pub(super) fn fix_counter_block<B: NvmBackend>(
+    c: &mut BonsaiController<B>,
     leaf: NodeId,
-) -> Result<LeafFix, RecoveryError> {
-    let mut t = Tally::default();
-    let leaf_addr = ctx.layout.node_addr(leaf);
-    let stale = SplitCounterBlock::from_block(&ctx.read(leaf_addr, &mut t));
+    t: &mut Tally,
+) -> Result<bool, RecoveryError> {
+    let leaf_addr = c.layout.node_addr(leaf);
+    let stale = SplitCounterBlock::from_block(&dev_read(c, leaf_addr, t));
     let mut fixed = stale;
     let mut changed = false;
     for line in 0..LINES_PER_COUNTER_BLOCK as usize {
-        let Some(data_addr) = ctx.layout.line_of(leaf.index, line) else {
+        let Some(data_addr) = c.layout.line_of(leaf.index, line) else {
             break;
         };
-        let dev = ctx.layout.data_addr(data_addr);
-        let side_addr = ctx.layout.side_addr(data_addr);
-        let ciphertext = ctx.read(dev, &mut t);
-        let side = ctx.dev.read(side_addr);
+        let dev = c.layout.data_addr(data_addr);
+        let side_addr = c.layout.side_addr(data_addr);
+        let ciphertext = dev_read(c, dev, t);
+        let side = c.path.domain.device_mut().read(side_addr);
         let sealed = sealed_block(ciphertext, &side);
         let base_minor = stale.minor(line) as u64;
         // Candidate 0: the zero state (never-written line).
@@ -278,7 +210,7 @@ pub(super) fn probe_counter_block<B: NvmBackend>(
             continue;
         }
         let mut recovered = None;
-        for gap in 0..=ctx.config.stop_loss as u64 {
+        for gap in 0..=c.config.stop_loss as u64 {
             let minor = base_minor + gap;
             if minor > anubis_crypto::MINOR_MAX as u64 {
                 break; // overflow would have persisted the block
@@ -288,7 +220,7 @@ pub(super) fn probe_counter_block<B: NvmBackend>(
             }
             t.hashes += 1;
             let iv = IvCounter::split(stale.major(), minor);
-            if ctx.codec.probe(dev, iv, &sealed).is_some() {
+            if c.path.codec.probe(dev, iv, &sealed).is_some() {
                 recovered = Some(gap as u8);
                 break;
             }
@@ -313,96 +245,72 @@ pub(super) fn probe_counter_block<B: NvmBackend>(
             None => return Err(RecoveryError::CounterNotRecovered { addr: dev }),
         }
     }
-    Ok(LeafFix {
-        write: changed.then(|| fixed.to_block()),
-        tally: t,
-    })
+    if changed {
+        dev_write(c, leaf_addr, fixed.to_block(), t);
+    }
+    Ok(changed)
 }
 
-/// Recomputes one interior node from its children in NVM. Pure: returns
-/// the rebuilt block for the main thread to write.
+/// Recomputes one interior node from its children in NVM; the caller
+/// writes it.
 pub(super) fn compute_interior_node<B: NvmBackend>(
-    ctx: &Ctx<'_, B>,
+    c: &mut BonsaiController<B>,
     node: NodeId,
-) -> (Block, Tally) {
-    let mut t = Tally::default();
-    let g = ctx.layout.geometry();
-    let children: Vec<NodeId> = g.children(node).collect();
+    t: &mut Tally,
+) -> Block {
+    let children: Vec<NodeId> = c.layout.geometry().children(node).collect();
     let mut digests = Vec::with_capacity(children.len());
     for child in children {
-        let child_block = ctx.read_node(child, &mut t);
+        let child_block = read_node(c, child, t);
         t.hashes += 1;
-        digests.push(ctx.hasher.digest(&child_block));
+        digests.push(c.hasher.digest(&child_block));
     }
-    let block = ctx.hasher.parent_block(&digests);
     t.nodes_fixed += 1;
-    (block, t)
+    c.hasher.parent_block(&digests)
 }
 
-/// Osiris-fixes the given counter blocks across recovery lanes, applying
-/// repairs in leaf order. On a probe failure the repairs of preceding
-/// leaves are still applied (matching the serial sweep's partial
-/// progress) before the error is returned.
+/// Osiris-fixes the given counter blocks in leaf order. A probe failure
+/// stops the sweep: the leaves before it stay repaired, the error is
+/// returned.
 fn fix_counter_blocks<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     t: &mut Tally,
     leaves: &[u64],
-    lanes: usize,
 ) -> Result<(), RecoveryError> {
     let tel = c.path.telemetry.clone();
     let _phase = tel
         .span("recovery_phase", "osiris_probe")
         .items(leaves.len() as u64);
-    let results = {
-        let ctx = Ctx::of(c);
-        parallel::map_slice_traced(lanes, leaves, &tel, "osiris_probe_lane", |&leaf| {
-            probe_counter_block(&ctx, NodeId::new(0, leaf))
-        })
-    };
-    for (&leaf, result) in leaves.iter().zip(results) {
-        let fix = match result {
-            Ok(fix) => fix,
-            Err(e) => {
-                if matches!(e, RecoveryError::StopLossExceeded { .. }) {
-                    c.stop_loss_events += 1;
-                    tel.incr("stop_loss_events_total", c.scheme_name(), 1);
-                }
-                return Err(e);
+    for &leaf in leaves {
+        if let Err(e) = fix_counter_block(c, NodeId::new(0, leaf), t) {
+            if matches!(e, RecoveryError::StopLossExceeded { .. }) {
+                c.stop_loss_events += 1;
+                tel.incr("stop_loss_events_total", c.scheme_name(), 1);
             }
-        };
-        t.merge(&fix.tally);
-        if let Some(block) = fix.write {
-            dev_write(c, c.layout.node_addr(NodeId::new(0, leaf)), block, t);
+            return Err(e);
         }
     }
     Ok(())
 }
 
-/// Rebuilds the given nodes of one tree level across recovery lanes,
-/// writing the results in index order. The caller sequences levels
-/// bottom-up: a parent must hash its children's *repaired* contents, so
-/// the level boundary is a hard barrier (unlike ASIT ST verification,
-/// where nodes verify independently against parent counters).
+/// Rebuilds the given nodes of one tree level in index order. The caller
+/// sequences levels bottom-up: a parent must hash its children's
+/// *repaired* contents (unlike ASIT ST verification, where nodes verify
+/// independently against parent counters).
 fn fix_node_level<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     t: &mut Tally,
     level: usize,
     indices: &[u64],
-    lanes: usize,
 ) {
     let tel = c.path.telemetry.clone();
     let _phase = tel
         .span("recovery_phase", &format!("level_rebuild_{level}"))
         .items(indices.len() as u64);
-    let results = {
-        let ctx = Ctx::of(c);
-        parallel::map_slice_traced(lanes, indices, &tel, "level_rebuild_lane", |&index| {
-            compute_interior_node(&ctx, NodeId::new(level, index))
-        })
-    };
-    for (&index, (block, tally)) in indices.iter().zip(results) {
-        t.merge(&tally);
-        dev_write(c, c.layout.node_addr(NodeId::new(level, index)), block, t);
+    for &index in indices {
+        let node = NodeId::new(level, index);
+        let block = compute_interior_node(c, node, t);
+        dev_write(c, c.layout.node_addr(node), block, t);
     }
 }
 
@@ -415,13 +323,7 @@ fn check_root<B: NvmBackend>(
     let tel = c.path.telemetry.clone();
     let _span = tel.span("recovery_phase", "root_check");
     let top = c.layout.geometry().top();
-    let top_block = {
-        let ctx = Ctx::of(c);
-        let mut local = Tally::default();
-        let b = ctx.read_node(top, &mut local);
-        t.merge(&local);
-        b
-    };
+    let top_block = read_node(c, top, t);
     t.hashes += 1;
     let computed = Root(c.hasher.digest(&top_block));
     if computed == c.root {
@@ -432,8 +334,7 @@ fn check_root<B: NvmBackend>(
 }
 
 /// Recomputes the ancestors of `leaf` from NVM, bottom-up (used after an
-/// interrupted re-encryption under strict persistence). A single path is
-/// a strict chain — nothing to parallelize.
+/// interrupted re-encryption under strict persistence).
 fn fix_path<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     leaf: NodeId,
@@ -441,11 +342,7 @@ fn fix_path<B: NvmBackend>(
 ) -> Result<(), RecoveryError> {
     let g = c.layout.geometry().clone();
     for node in g.path_to_top(leaf) {
-        let (block, tally) = {
-            let ctx = Ctx::of(c);
-            compute_interior_node(&ctx, node)
-        };
-        t.merge(&tally);
+        let block = compute_interior_node(c, node, t);
         dev_write(c, c.layout.node_addr(node), block, t);
     }
     Ok(())
@@ -457,16 +354,15 @@ fn rebuild_whole_tree<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     t: &mut Tally,
     probe_counters: bool,
-    lanes: usize,
 ) -> Result<(), RecoveryError> {
     let g = c.layout.geometry().clone();
     if probe_counters {
         let leaves: Vec<u64> = (0..g.num_leaves()).collect();
-        fix_counter_blocks(c, t, &leaves, lanes)?;
+        fix_counter_blocks(c, t, &leaves)?;
     }
     for level in 1..g.num_levels() {
         let indices: Vec<u64> = (0..g.nodes_at(level)).collect();
-        fix_node_level(c, t, level, &indices, lanes);
+        fix_node_level(c, t, level, &indices);
     }
     check_root(c, t)
 }
@@ -477,50 +373,33 @@ fn recover_agit<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     t: &mut Tally,
     reenc_leaf: Option<NodeId>,
-    lanes: usize,
 ) -> Result<(), RecoveryError> {
     let g = c.layout.geometry().clone();
 
-    // Scan the SCT and SMT across lanes; slot reads are independent and
-    // the per-slot parse is pure. Merging into ordered sets in slot order
-    // yields the same sets as the serial scan.
+    // Scan the SCT and SMT in slot order into ordered sets.
     let tel = c.path.telemetry.clone();
-    let (sct_entries, smt_entries) = {
-        let _span = tel.span("recovery_phase", "shadow_scan");
-        let ctx = Ctx::of(c);
-        let sct = parallel::map_range_traced(
-            lanes,
-            ctx.layout.sct_slots(),
-            &tel,
-            "shadow_scan_lane",
-            |slot| {
-                ShadowAddrEntry::from_block(&ctx.dev.read(ctx.layout.sct_slot(slot)))
-                    .map(|e| e.node())
-            },
-        );
-        let smt = parallel::map_range_traced(
-            lanes,
-            ctx.layout.smt_slots(),
-            &tel,
-            "shadow_scan_lane",
-            |slot| {
-                ShadowAddrEntry::from_block(&ctx.dev.read(ctx.layout.smt_slot(slot)))
-                    .map(|e| e.node())
-            },
-        );
-        (sct, smt)
-    };
-    t.reads += c.layout.sct_slots() + c.layout.smt_slots();
     let mut tracked_counters: BTreeSet<u64> = BTreeSet::new();
-    for node in sct_entries.into_iter().flatten() {
-        if node.level == 0 && node.index < g.num_leaves() {
-            tracked_counters.insert(node.index);
-        }
-    }
     let mut tracked_nodes: BTreeSet<(usize, u64)> = BTreeSet::new();
-    for node in smt_entries.into_iter().flatten() {
-        if node.level >= 1 && node.level < g.num_levels() && node.index < g.nodes_at(node.level) {
-            tracked_nodes.insert((node.level, node.index));
+    {
+        let _span = tel.span("recovery_phase", "shadow_scan");
+        for slot in 0..c.layout.sct_slots() {
+            let block = dev_read(c, c.layout.sct_slot(slot), t);
+            if let Some(node) = ShadowAddrEntry::from_block(&block).map(|e| e.node()) {
+                if node.level == 0 && node.index < g.num_leaves() {
+                    tracked_counters.insert(node.index);
+                }
+            }
+        }
+        for slot in 0..c.layout.smt_slots() {
+            let block = dev_read(c, c.layout.smt_slot(slot), t);
+            if let Some(node) = ShadowAddrEntry::from_block(&block).map(|e| e.node()) {
+                if node.level >= 1
+                    && node.level < g.num_levels()
+                    && node.index < g.nodes_at(node.level)
+                {
+                    tracked_nodes.insert((node.level, node.index));
+                }
+            }
         }
     }
     // An interrupted re-encryption repairs its own leaf path regardless of
@@ -532,9 +411,9 @@ fn recover_agit<B: NvmBackend>(
         }
     }
 
-    // Phase 1: fix tracked counter blocks across lanes.
+    // Phase 1: fix tracked counter blocks.
     let leaves: Vec<u64> = tracked_counters.into_iter().collect();
-    fix_counter_blocks(c, t, &leaves, lanes)?;
+    fix_counter_blocks(c, t, &leaves)?;
 
     // Phase 2: fix tracked nodes level by level (order matters: upper
     // levels hash the already-repaired lower levels).
@@ -544,7 +423,7 @@ fn recover_agit<B: NvmBackend>(
             .filter(|(l, _)| *l == level)
             .map(|(_, i)| *i)
             .collect();
-        fix_node_level(c, t, level, &at_level, lanes);
+        fix_node_level(c, t, level, &at_level);
     }
 
     // Phase 3: root check.

@@ -21,8 +21,6 @@ use super::{recovery, BonsaiController};
 use crate::datapath::{sealed_block, Line};
 use crate::error::RecoveryError;
 use crate::layout::{DataAddr, LINES_PER_COUNTER_BLOCK};
-use crate::parallel;
-use crate::recovery::RecoveryReport;
 use crate::supervisor::{RepairSummary, Supervised};
 use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{SplitCounterBlock, MINOR_MAX};
@@ -32,10 +30,6 @@ use anubis_nvm::{BlockAddr, NvmBackend};
 use anubis_telemetry::Telemetry;
 
 impl<B: NvmBackend> Supervised for BonsaiController<B> {
-    fn fast_recover(&mut self, lanes: usize) -> Result<RecoveryReport, RecoveryError> {
-        self.recover_with_lanes(lanes)
-    }
-
     fn data_lines(&self) -> u64 {
         self.layout.data_blocks()
     }
@@ -54,11 +48,7 @@ impl<B: NvmBackend> Supervised for BonsaiController<B> {
         Ok(self.path.quarantine_line(line))
     }
 
-    fn targeted_repair(
-        &mut self,
-        _err: &RecoveryError,
-        lanes: usize,
-    ) -> Result<RepairSummary, RecoveryError> {
+    fn targeted_repair(&mut self, _err: &RecoveryError) -> Result<RepairSummary, RecoveryError> {
         // The domain is already powered up (rung 1 ran `power_up`); only
         // volatile state needs resetting before the slow rebuild.
         self.counter_cache.invalidate_all();
@@ -71,16 +61,16 @@ impl<B: NvmBackend> Supervised for BonsaiController<B> {
         if recovery::complete_reencryption(self, &mut t).is_err() {
             self.reenc_log = None;
         }
-        let mut sum = salvage_counters(self, lanes);
-        sum.absorb(rebuild_interior(self, lanes));
+        let mut sum = salvage_counters(self);
+        sum.absorb(rebuild_interior(self));
         Ok(sum)
     }
 
-    fn reconcile_metadata(&mut self, lanes: usize) -> Result<RepairSummary, RecoveryError> {
+    fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError> {
         self.counter_cache.invalidate_all();
         self.tree_cache.invalidate_all();
         self.path.reset_group();
-        Ok(rebuild_interior(self, lanes))
+        Ok(rebuild_interior(self))
     }
 
     fn persist_quarantine(&mut self) {
@@ -110,29 +100,15 @@ impl<B: NvmBackend> BonsaiController<B> {
     }
 }
 
-/// Osiris-salvages every counter block: whole-block probing across lanes
-/// first, then a serial per-line salvage for blocks where probing failed
-/// (retiring only the individual lines that cannot be opened, instead of
-/// aborting recovery).
-fn salvage_counters<B: NvmBackend>(c: &mut BonsaiController<B>, lanes: usize) -> RepairSummary {
-    let leaves: Vec<u64> = (0..c.layout.geometry().num_leaves()).collect();
-    let results = {
-        let ctx = recovery::Ctx::of(c);
-        parallel::map_slice(lanes, &leaves, |&leaf| {
-            recovery::probe_counter_block(&ctx, NodeId::new(0, leaf))
-        })
-    };
+/// Osiris-salvages every counter block: whole-block probing first, then
+/// a per-line salvage for blocks where probing failed (retiring only the
+/// individual lines that cannot be opened, instead of aborting recovery).
+fn salvage_counters<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary {
     let mut sum = RepairSummary::default();
     let mut t = recovery::Tally::default();
-    for (&leaf, result) in leaves.iter().zip(results) {
-        match result {
-            Ok(fix) => {
-                if let Some(block) = fix.write {
-                    let addr = c.layout.node_addr(NodeId::new(0, leaf));
-                    recovery::dev_write(c, addr, block, &mut t);
-                    sum.rebuilt += 1;
-                }
-            }
+    for leaf in 0..c.layout.geometry().num_leaves() {
+        match recovery::fix_counter_block(c, NodeId::new(0, leaf), &mut t) {
+            Ok(rewritten) => sum.rebuilt += u64::from(rewritten),
             Err(_) => salvage_leaf(c, leaf, &mut sum),
         }
     }
@@ -207,19 +183,14 @@ fn salvage_leaf<B: NvmBackend>(c: &mut BonsaiController<B>, leaf: u64, sum: &mut
 /// re-anchors the on-chip root to the result. Only nodes whose stored
 /// content differs from the recomputation are written — the zero-state
 /// tree stays unmaterialized — so `rebuilt` counts genuine reconstruction.
-fn rebuild_interior<B: NvmBackend>(c: &mut BonsaiController<B>, lanes: usize) -> RepairSummary {
+fn rebuild_interior<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary {
     let g = c.layout.geometry().clone();
     let mut sum = RepairSummary::default();
+    let mut t = recovery::Tally::default();
     for level in 1..g.num_levels() {
-        let indices: Vec<u64> = (0..g.nodes_at(level)).collect();
-        let results = {
-            let ctx = recovery::Ctx::of(c);
-            parallel::map_slice(lanes, &indices, |&index| {
-                recovery::compute_interior_node(&ctx, NodeId::new(level, index))
-            })
-        };
-        for (&index, (block, _tally)) in indices.iter().zip(results) {
+        for index in 0..g.nodes_at(level) {
             let node = NodeId::new(level, index);
+            let block = recovery::compute_interior_node(c, node, &mut t);
             let addr = c.layout.node_addr(node);
             let old = c.path.domain.device_mut().read(addr);
             let effective_old = if old.is_zeroed() {

@@ -56,7 +56,6 @@ mod shadow;
 mod shadow_tree;
 
 pub mod bonsai;
-pub mod parallel;
 pub mod recovery;
 pub mod sgx;
 pub mod supervisor;

@@ -310,19 +310,6 @@ impl<B: NvmBackend> SgxController<B> {
         }
     }
 
-    /// Runs post-crash recovery with an explicit lane count, bypassing
-    /// the `ANUBIS_RECOVERY_THREADS` resolution in
-    /// [`MemoryController::recover`]. `lanes == 1` is the serial path;
-    /// any lane count produces a bit-identical [`RecoveryReport`] and
-    /// final device state (see [`crate::parallel`]).
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`MemoryController::recover`].
-    pub fn recover_with_lanes(&mut self, lanes: usize) -> Result<RecoveryReport, RecoveryError> {
-        recovery::recover(self, lanes)
-    }
-
     /// Test/debug hook: re-anchors `SHADOW_TREE_ROOT` (and the volatile
     /// shadow tree) to the Shadow Table image currently in NVM, as if
     /// every slot had been written through the normal ST path. Lets
@@ -896,7 +883,7 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
     }
 
     fn recover(&mut self) -> Result<RecoveryReport, RecoveryError> {
-        recovery::recover(self, crate::parallel::recovery_lanes())
+        recovery::recover(self)
     }
 
     fn shutdown_flush(&mut self) -> Result<(), MemError> {

@@ -11,18 +11,15 @@
 //!   cache (dirty, so they lazily propagate), and verify every recovered
 //!   node's MAC against its parent counter.
 //!
-//! The ST scan, the per-entry splice reads and the MAC re-checks fan out
-//! across recovery lanes (see [`crate::parallel`]). Unlike the Bonsai
-//! rebuild, no level barriers are needed: each SGX node's MAC verifies
-//! against its *parent counter* — already current in the cache, the
-//! on-chip top node or NVM — not against sibling or child contents, so
-//! every recovered node verifies independently. Entries are processed in
-//! node-address order, making cache placement and the rewritten ST
-//! deterministic at any lane count (including 1).
+//! Unlike the Bonsai rebuild, no level ordering is needed: each SGX
+//! node's MAC verifies against its *parent counter* — already current in
+//! the cache, the on-chip top node or NVM — not against sibling or child
+//! contents, so every recovered node verifies independently. Entries are
+//! processed in node-address order, which fixes cache placement and the
+//! rewritten ST.
 
 use super::{SgxController, SgxEntry, SgxScheme};
 use crate::error::RecoveryError;
-use crate::parallel;
 use crate::recovery::RecoveryReport;
 use crate::shadow::StEntry;
 use crate::shadow_tree::ShadowTree;
@@ -41,7 +38,6 @@ struct Tally {
 
 pub(super) fn recover<B: NvmBackend>(
     c: &mut SgxController<B>,
-    lanes: usize,
 ) -> Result<RecoveryReport, RecoveryError> {
     let tel = c.path.telemetry.clone();
     let _recovery_span = tel.span("recovery", c.scheme_name());
@@ -61,7 +57,7 @@ pub(super) fn recover<B: NvmBackend>(
                 });
             }
         }
-        SgxScheme::Asit => recover_asit(c, &mut t, lanes)?,
+        SgxScheme::Asit => recover_asit(c, &mut t)?,
     }
     tel.incr("recovery_runs_total", c.scheme_name(), 1);
     Ok(RecoveryReport {
@@ -79,19 +75,15 @@ pub(super) fn recover<B: NvmBackend>(
 fn recover_asit<B: NvmBackend>(
     c: &mut SgxController<B>,
     t: &mut Tally,
-    lanes: usize,
 ) -> Result<(), RecoveryError> {
     let tel = c.path.telemetry.clone();
-    // Step 1: read the whole Shadow Table — independent slot reads, fanned
-    // out across lanes, collected in slot order.
+    // Step 1: read the whole Shadow Table in slot order.
     let st_slots = c.layout.st_slots();
     let st_blocks = {
         let _span = tel.span("recovery_phase", "st_scan").items(st_slots);
-        let dev = c.path.domain.device();
-        let layout = &c.layout;
-        parallel::map_range_traced(lanes, st_slots, &tel, "st_scan_lane", |slot| {
-            dev.read(layout.st_slot(slot))
-        })
+        (0..st_slots)
+            .map(|slot| c.path.domain.device().read(c.layout.st_slot(slot)))
+            .collect::<Vec<_>>()
     };
     t.reads += st_slots;
 
@@ -112,31 +104,19 @@ fn recover_asit<B: NvmBackend>(
     let entries = dedup_st_entries(c, &st_blocks);
 
     // Step 3: recover each tracked node: stale NVM MSBs + shadow LSBs,
-    // MAC replaced from the shadow entry. The stale reads and splices are
-    // independent per entry — lanes compute them, results land in address
-    // order; only the cache inserts stay serial.
+    // MAC replaced from the shadow entry.
     let splice_span = tel
         .span("recovery_phase", "splice")
         .items(entries.len() as u64);
-    let recovered: Vec<(BlockAddr, SgxCounterNode)> = {
-        let dev = c.path.domain.device();
-        parallel::map_slice_traced(
-            lanes,
-            &entries,
-            &tel,
-            "splice_lane",
-            |&(addr, ref entry)| {
-                let stale = SgxCounterNode::from_block(&dev.read(addr));
-                (addr, splice_node(&stale, entry, lsb_bits))
-            },
-        )
-    };
-    t.reads += recovered.len() as u64;
-    for (addr, node) in &recovered {
+    let mut recovered: Vec<(BlockAddr, SgxCounterNode)> = Vec::with_capacity(entries.len());
+    for (addr, entry) in &entries {
+        t.reads += 1;
+        let stale = SgxCounterNode::from_block(&c.path.domain.device().read(*addr));
+        let node = splice_node(&stale, entry, lsb_bits);
         let outcome = c.cache.insert(
             *addr,
             SgxEntry {
-                node: *node,
+                node,
                 since_persist: 0,
             },
         );
@@ -150,57 +130,38 @@ fn recover_asit<B: NvmBackend>(
         }
         c.cache.mark_dirty(*addr);
         t.nodes_fixed += 1;
+        recovered.push((*addr, node));
     }
     drop(splice_span);
 
     // Step 4: verify every recovered node's MAC against its parent
     // counter (recovered parent from the cache, the on-chip top node, or
-    // the — necessarily current — NVM copy). Each check is independent —
-    // parent counters are never *contents being repaired here* — so the
-    // lanes verify concurrently with no ordering barrier.
+    // the — necessarily current — NVM copy). Parent counters are never
+    // *contents being repaired here*, so the checks need no order.
     let g = c.layout.geometry().clone();
     let mac_span = tel
         .span("recovery_phase", "mac_verify")
         .items(recovered.len() as u64);
-    let verdicts: Vec<(u64, bool, BlockAddr)> = {
-        let dev = c.path.domain.device();
-        let layout = &c.layout;
-        let cache = &c.cache;
-        let top = c.top;
-        let mac_key = &c.mac_key;
-        let geom = &g;
-        parallel::map_slice_traced(
-            lanes,
-            &recovered,
-            &tel,
-            "mac_verify_lane",
-            |&(addr, ref node)| {
-                let id = layout.node_of_addr(addr).expect("validated above");
-                let mut extra_reads = 0u64;
-                let pc = match geom.parent(id) {
-                    None => 0,
-                    Some(p) if layout.is_on_chip(p) => top.counter(geom.child_slot(id)),
-                    Some(p) => {
-                        let p_addr = layout.node_addr(p);
-                        if let Some(entry) = cache.peek(p_addr) {
-                            entry.node.counter(geom.child_slot(id))
-                        } else {
-                            extra_reads += 1;
-                            let b = dev.read(p_addr);
-                            SgxCounterNode::from_block(&b).counter(geom.child_slot(id))
-                        }
-                    }
-                };
-                (extra_reads, node.verify(mac_key, pc), addr)
-            },
-        )
-    };
-    for (extra_reads, ok, addr) in verdicts {
-        t.reads += extra_reads;
+    for (addr, node) in &recovered {
+        let id = c.layout.node_of_addr(*addr).expect("validated above");
+        let pc = match g.parent(id) {
+            None => 0,
+            Some(p) if c.layout.is_on_chip(p) => c.top.counter(g.child_slot(id)),
+            Some(p) => {
+                let p_addr = c.layout.node_addr(p);
+                if let Some(entry) = c.cache.peek(p_addr) {
+                    entry.node.counter(g.child_slot(id))
+                } else {
+                    t.reads += 1;
+                    let b = c.path.domain.device().read(p_addr);
+                    SgxCounterNode::from_block(&b).counter(g.child_slot(id))
+                }
+            }
+        };
         t.hashes += 1;
-        if !ok {
+        if !node.verify(&c.mac_key, pc) {
             tel.incr("recovery_errors_total", "node_mac_mismatch", 1);
-            return Err(RecoveryError::NodeMacMismatch { addr });
+            return Err(RecoveryError::NodeMacMismatch { addr: *addr });
         }
     }
     drop(mac_span);

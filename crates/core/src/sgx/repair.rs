@@ -26,8 +26,6 @@ use super::{recovery, SgxController, SgxScheme};
 use crate::datapath::{Line, Policy};
 use crate::error::RecoveryError;
 use crate::layout::DataAddr;
-use crate::parallel;
-use crate::recovery::RecoveryReport;
 use crate::shadow_tree::ShadowTree;
 use crate::supervisor::{RepairSummary, Supervised};
 use crate::MemoryController;
@@ -37,10 +35,6 @@ use anubis_nvm::{Block, BlockAddr, NvmBackend};
 use anubis_telemetry::Telemetry;
 
 impl<B: NvmBackend> Supervised for SgxController<B> {
-    fn fast_recover(&mut self, lanes: usize) -> Result<RecoveryReport, RecoveryError> {
-        self.recover_with_lanes(lanes)
-    }
-
     fn data_lines(&self) -> u64 {
         self.layout.data_blocks()
     }
@@ -59,23 +53,19 @@ impl<B: NvmBackend> Supervised for SgxController<B> {
         Ok(self.path.quarantine_line(line))
     }
 
-    fn targeted_repair(
-        &mut self,
-        err: &RecoveryError,
-        lanes: usize,
-    ) -> Result<RepairSummary, RecoveryError> {
+    fn targeted_repair(&mut self, err: &RecoveryError) -> Result<RepairSummary, RecoveryError> {
         let mut sum = RepairSummary::default();
         if self.scheme == SgxScheme::Asit
             && matches!(err, RecoveryError::ShadowCapacityExceeded { .. })
         {
-            sum.absorb(spill_splice(self, lanes));
+            sum.absorb(spill_splice(self));
         }
-        sum.absorb(degrade(self, lanes));
+        sum.absorb(degrade(self));
         Ok(sum)
     }
 
-    fn reconcile_metadata(&mut self, lanes: usize) -> Result<RepairSummary, RecoveryError> {
-        Ok(degrade(self, lanes))
+    fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError> {
+        Ok(degrade(self))
     }
 
     fn persist_quarantine(&mut self) {
@@ -118,14 +108,11 @@ impl<B: NvmBackend> SgxController<B> {
 /// bypassing the cache: parents before children, each splice kept only if
 /// it MAC-verifies against its (already-spliced) parent counter. Entries
 /// that fail are left stale for the cascade.
-fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> RepairSummary {
+fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
     let mut sum = RepairSummary::default();
-    let st_slots = c.layout.st_slots();
-    let st_blocks: Vec<Block> = {
-        let dev = c.path.domain.device();
-        let layout = &c.layout;
-        parallel::map_range(lanes, st_slots, |slot| dev.read(layout.st_slot(slot)))
-    };
+    let st_blocks: Vec<Block> = (0..c.layout.st_slots())
+        .map(|slot| c.path.domain.device().read(c.layout.st_slot(slot)))
+        .collect();
     // Only splice from a table the on-chip root still vouches for.
     if ShadowTree::rebuild(c.config.key, st_blocks.clone()).root() != c.shadow_root {
         return sum;
@@ -162,7 +149,7 @@ fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> Repair
 /// The shared degraded-mode path: flush whatever the cache still holds,
 /// run the verify-and-reseal cascade over the whole tree, and (ASIT)
 /// reset the Shadow Table to match the now-empty cache.
-fn degrade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> RepairSummary {
+fn degrade<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
     // The ASIT flush path stages ST entries through the volatile shadow
     // tree; after a crash it is gone until recovery succeeds.
     if c.scheme == SgxScheme::Asit && c.shadow_tree.is_none() {
@@ -174,7 +161,7 @@ fn degrade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> RepairSumma
     let _ = c.shutdown_flush();
     c.cache.invalidate_all();
     c.reset_group();
-    let sum = verify_reseal_cascade(c, lanes);
+    let sum = verify_reseal_cascade(c);
     if c.scheme == SgxScheme::Asit {
         // ST invariant: entries exist only for resident nodes — none now.
         for slot in 0..c.layout.st_slots() {
@@ -191,51 +178,38 @@ fn degrade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> RepairSumma
     sum
 }
 
-/// Walks every level below the on-chip top node, top-down. Lanes verify
+/// Walks every level below the on-chip top node, top-down, verifying
 /// each node's MAC against its parent counter (finalized by the level
-/// above); failures are re-sealed in place over their stored counters,
-/// applied serially in index order — bit-identical at any lane count.
-fn verify_reseal_cascade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> RepairSummary {
+/// above); a failure is re-sealed in place over its stored counters.
+fn verify_reseal_cascade<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
     let g = c.layout.geometry().clone();
     let mut sum = RepairSummary::default();
     let top_level = g.num_levels() - 1;
     for level in (0..top_level).rev() {
-        let fixes: Vec<Option<Block>> = {
-            let dev = c.path.domain.device();
-            let layout = &c.layout;
-            let mac_key = &c.mac_key;
-            let top = c.top;
-            let geom = &g;
-            parallel::map_range(lanes, g.nodes_at(level), |index| {
-                let node = NodeId::new(level, index);
-                let raw = dev.read(layout.node_addr(node));
-                let pc = match geom.parent(node) {
-                    None => 0,
-                    Some(p) if layout.is_on_chip(p) => top.counter(geom.child_slot(node)),
-                    Some(p) => SgxCounterNode::from_block(&dev.read(layout.node_addr(p)))
-                        .counter(geom.child_slot(node)),
-                };
-                let mut val = if raw.is_zeroed() {
-                    if pc == 0 {
-                        // Canonical zero state verifies implicitly.
-                        return None;
-                    }
-                    SgxCounterNode::new()
-                } else {
-                    SgxCounterNode::from_block(&raw)
-                };
-                if val.verify(mac_key, pc) {
-                    None
-                } else {
-                    val.seal(mac_key, pc);
-                    Some(val.to_block())
+        for index in 0..g.nodes_at(level) {
+            let node = NodeId::new(level, index);
+            let addr = c.layout.node_addr(node);
+            let raw = c.path.domain.device().read(addr);
+            let pc = match g.parent(node) {
+                None => 0,
+                Some(p) if c.layout.is_on_chip(p) => c.top.counter(g.child_slot(node)),
+                Some(p) => {
+                    let parent = c.path.domain.device().read(c.layout.node_addr(p));
+                    SgxCounterNode::from_block(&parent).counter(g.child_slot(node))
                 }
-            })
-        };
-        for (index, fix) in fixes.into_iter().enumerate() {
-            if let Some(block) = fix {
-                let addr = c.layout.node_addr(NodeId::new(level, index as u64));
-                c.path.domain.device_mut().write(addr, block);
+            };
+            let mut val = if raw.is_zeroed() {
+                if pc == 0 {
+                    // Canonical zero state verifies implicitly.
+                    continue;
+                }
+                SgxCounterNode::new()
+            } else {
+                SgxCounterNode::from_block(&raw)
+            };
+            if !val.verify(&c.mac_key, pc) {
+                val.seal(&c.mac_key, pc);
+                c.path.domain.device_mut().write(addr, val.to_block());
                 sum.rebuilt += 1;
             }
         }

@@ -22,13 +22,11 @@
 //!
 //! The ladder always terminates in a structured [`RecoveryOutcome`]
 //! (`Recovered`, `Degraded`, or `Quarantined`) unless the scheme is
-//! structurally unable to recover at all (`SchemeCannotRecover`), and is
-//! deterministic across recovery lane counts: parallel stages only
-//! compute, writes are applied in item order on the supervising thread.
+//! structurally unable to recover at all (`SchemeCannotRecover`). Every
+//! rung runs on the calling thread and applies its writes in item order.
 
 use crate::error::RecoveryError;
 use crate::layout::DataAddr;
-use crate::parallel;
 use crate::recovery::RecoveryReport;
 use crate::MemoryController;
 use anubis_nvm::BlockAddr;
@@ -131,18 +129,11 @@ impl RepairSummary {
     }
 }
 
-/// The per-scheme hooks the supervisor drives. Implemented by
+/// The per-scheme hooks the supervisor drives past rung 1 (which is
+/// [`MemoryController::recover`] itself). Implemented by
 /// [`crate::BonsaiController`] and [`crate::SgxController`] (in their
 /// `repair` submodules, which have access to controller internals).
 pub trait Supervised: MemoryController {
-    /// Rung 1: the scheme's fast shadow-assisted recovery.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the scheme's [`RecoveryError`] untouched; the
-    /// supervisor decides whether to retry or escalate.
-    fn fast_recover(&mut self, lanes: usize) -> Result<RecoveryReport, RecoveryError>;
-
     /// Number of data lines the scrub pass must walk.
     fn data_lines(&self) -> u64;
 
@@ -174,11 +165,7 @@ pub trait Supervised: MemoryController {
     /// # Errors
     ///
     /// Fails only when the scheme has no slower path for `err`.
-    fn targeted_repair(
-        &mut self,
-        err: &RecoveryError,
-        lanes: usize,
-    ) -> Result<RepairSummary, RecoveryError>;
+    fn targeted_repair(&mut self, err: &RecoveryError) -> Result<RepairSummary, RecoveryError>;
 
     /// Restores metadata self-consistency after per-line repairs and
     /// quarantines (tree digests recomputed, caches invalidated).
@@ -186,7 +173,7 @@ pub trait Supervised: MemoryController {
     /// # Errors
     ///
     /// Propagates reconstruction failures.
-    fn reconcile_metadata(&mut self, lanes: usize) -> Result<RepairSummary, RecoveryError>;
+    fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError>;
 
     /// Persists the bad-block remap table into the `qtable` region.
     fn persist_quarantine(&mut self);
@@ -201,27 +188,18 @@ pub trait Supervised: MemoryController {
 /// Drives a [`Supervised`] controller through the escalation ladder.
 #[derive(Clone, Debug)]
 pub struct Supervisor {
-    lanes: usize,
     max_retries: u32,
     scrub: bool,
 }
 
 impl Supervisor {
-    /// A supervisor with the environment's lane count
-    /// (`ANUBIS_RECOVERY_THREADS`), the default retry budget
-    /// ([`DEFAULT_MAX_RETRIES`]), and the scrub pass enabled.
+    /// A supervisor with the default retry budget
+    /// ([`DEFAULT_MAX_RETRIES`]) and the scrub pass enabled.
     pub fn new() -> Self {
         Supervisor {
-            lanes: parallel::recovery_lanes(),
             max_retries: DEFAULT_MAX_RETRIES,
             scrub: true,
         }
-    }
-
-    /// Overrides the recovery lane count.
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.clamp(1, parallel::MAX_LANES);
-        self
     }
 
     /// Overrides the rung-2 retry budget.
@@ -237,11 +215,6 @@ impl Supervisor {
     pub fn with_scrub(mut self, scrub: bool) -> Self {
         self.scrub = scrub;
         self
-    }
-
-    /// The configured lane count.
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// The configured retry budget.
@@ -279,7 +252,7 @@ impl Supervisor {
         // Rung 1: fast shadow-assisted recovery.
         let first_err = {
             let _g = tel.span("supervisor_rung", "fast");
-            match ctrl.fast_recover(self.lanes) {
+            match ctrl.recover() {
                 Ok(r) => {
                     out.report = r;
                     None
@@ -300,7 +273,7 @@ impl Supervisor {
                 tel.incr("supervisor_retries_total", scheme, 1);
                 ctrl.crash();
                 let _g = tel.span("supervisor_rung", "retry");
-                match ctrl.fast_recover(self.lanes) {
+                match ctrl.recover() {
                     Ok(r) => {
                         out.report = r;
                         fast_ok = true;
@@ -316,7 +289,7 @@ impl Supervisor {
                 out.escalations += 1;
                 tel.incr("supervisor_escalations_total", scheme, 1);
                 let _g = tel.span("supervisor_rung", "targeted");
-                let sum = ctrl.targeted_repair(&last, self.lanes)?;
+                let sum = ctrl.targeted_repair(&last)?;
                 self.absorb(&mut out, sum, &tel, scheme);
             }
         }
@@ -368,7 +341,7 @@ impl Supervisor {
         tel.incr("supervisor_escalations_total", scheme, 1);
         let pre = {
             let _g = tel.span("supervisor_rung", "targeted");
-            ctrl.targeted_repair(err, self.lanes)?
+            ctrl.targeted_repair(err)?
         };
         let mut out = self.recover(ctrl)?;
         out.escalations += 1;
@@ -460,8 +433,6 @@ impl Supervisor {
             .items(ctrl.data_lines());
         let mut did_targeted = out.escalations > 0;
         for pass in 1..=MAX_SCRUB_PASSES {
-            // Serial scan: reads mutate caches, and serial order keeps
-            // the pass bit-identical across lane counts.
             let mut failures: Vec<DataAddr> = Vec::new();
             for i in 0..ctrl.data_lines() {
                 let addr = DataAddr::new(i);
@@ -480,7 +451,7 @@ impl Supervisor {
                 out.escalations += 1;
                 tel.incr("supervisor_escalations_total", scheme, 1);
                 let hint = RecoveryError::ScrubFailed { addr: failures[0] };
-                if let Ok(sum) = ctrl.targeted_repair(&hint, self.lanes) {
+                if let Ok(sum) = ctrl.targeted_repair(&hint) {
                     self.absorb(out, sum, tel, scheme);
                     continue;
                 }
@@ -502,7 +473,7 @@ impl Supervisor {
                     }
                 }
             }
-            let rec = ctrl.reconcile_metadata(self.lanes)?;
+            let rec = ctrl.reconcile_metadata()?;
             sum.absorb(rec);
             self.absorb(out, sum, tel, scheme);
         }
@@ -592,11 +563,7 @@ mod tests {
 
     #[test]
     fn supervisor_builders() {
-        let s = Supervisor::new()
-            .with_lanes(2)
-            .with_max_retries(5)
-            .with_scrub(false);
-        assert_eq!(s.lanes(), 2);
+        let s = Supervisor::new().with_max_retries(5).with_scrub(false);
         assert_eq!(s.max_retries(), 5);
     }
 }

@@ -91,11 +91,11 @@ impl DataCodec {
     }
 
     /// Seals a batch of blocks in input order, writing into a caller-owned
-    /// buffer — the bulk path for commit groups, re-encryption sweeps and
-    /// parallel recovery lanes. The whole group runs under the one
-    /// precomputed key schedule with fused per-item pad generation, and a
-    /// reused `out` makes the steady state allocation-free. Bit-identical
-    /// to calling [`seal`](Self::seal) per element.
+    /// buffer — the bulk path for commit groups and re-encryption sweeps.
+    /// The whole group runs under the one precomputed key schedule with
+    /// fused per-item pad generation, and a reused `out` makes the steady
+    /// state allocation-free. Bit-identical to calling
+    /// [`seal`](Self::seal) per element.
     pub fn seal_batch_into(
         &self,
         items: &[(BlockAddr, IvCounter, Block)],

@@ -310,8 +310,8 @@ impl std::fmt::Debug for Cut {
 /// Storage abstraction behind [`NvmDevice`](crate::NvmDevice).
 ///
 /// Implementations own the sparse block map plus the persistent register
-/// file. The `Send + Sync` supertraits let recovery lanes share a device
-/// reference across threads.
+/// file. The `Send + Sync` supertraits keep a device — and the controller
+/// over it — movable to and shareable between threads.
 ///
 /// # Durability contract
 ///

@@ -50,7 +50,7 @@ impl std::error::Error for QuarantineError {}
 /// Deterministic by construction: mappings iterate in address order
 /// (`BTreeMap`) and spares are consumed in pool order, so two runs that
 /// quarantine the same blocks in the same order produce bit-identical
-/// tables regardless of recovery lane count.
+/// tables.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RemapTable {
     map: BTreeMap<u64, u64>,

@@ -21,9 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// replaced serialized every counted access in the hot path. Totals are
 /// not kept as separate counters at all: they are the sum of the region
 /// slots plus one unattributed slot, aggregated once per query instead of
-/// incremented once per access. Totals are order-independent sums, so a
-/// parallel sweep reports exactly the same statistics as its serial
-/// equivalent.
+/// incremented once per access.
 #[derive(Debug, Default)]
 pub struct NvmStats {
     /// Region labels, indexed by region number. Fixed between

@@ -1409,7 +1409,11 @@ mod tests {
 
     const MAX: u32 = 1 << 20;
     const LONG: Duration = Duration::from_secs(5);
-    const SHORT: Duration = Duration::from_millis(4);
+    /// A budget a test means to see spent — or to stay far inside: a
+    /// scripted tick sleeps 1 ms and a sleep may overshoot by several on a
+    /// busy host, so a case that must fit the budget spends 3 ticks of
+    /// its 50 ms.
+    const SHORT: Duration = Duration::from_millis(50);
 
     /// A `Write` that counts `write` calls and keeps the bytes.
     #[derive(Default)]
@@ -1781,8 +1785,10 @@ mod tests {
             });
         }
         // Neither budget is charged for the other phase's silence, and the
-        // stall budget is of silence, not of the frame's total time.
-        let ticks = [Step::Tick; 8];
+        // stall budget is of silence, not of the frame's total time: 64
+        // ticks (at least 64 ms, more than `SHORT`) go to the long budget
+        // each time, 3 to the short one.
+        let ticks = [Step::Tick; 64];
         let slow = [
             &ticks[..],
             &[Step::Bytes(3)],

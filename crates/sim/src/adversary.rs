@@ -691,7 +691,7 @@ fn build_foreign(
     }
     let mut config = AnubisConfig::small_test();
     config.key.0 = [0x0F0E_1617_C0FF_EE00, 0x5EED_0000_0000_0042];
-    let (mut ctrl, _) = restart(family, &config, &image, Some(AnchorPolicy::Strict), 1)?;
+    let (mut ctrl, _) = restart(family, &config, &image, Some(AnchorPolicy::Strict))?;
     for i in 0..8u64 {
         let addr = i % spec.lines.max(1);
         ctrl.write(DataAddr::new(addr), op_payload(0xF0_0000 + i, addr))
@@ -881,7 +881,7 @@ fn evaluate(
     model: &Acked,
 ) -> Result<Verdict, EvalFailure> {
     let config = AnubisConfig::small_test();
-    let (mut ctrl, rec) = match restart(family, &config, image, Some(policy), 1) {
+    let (mut ctrl, rec) = match restart(family, &config, image, Some(policy)) {
         Ok(restarted) => restarted,
         Err(HarnessError::Recovery(e)) => {
             return Ok(Verdict::Refused {

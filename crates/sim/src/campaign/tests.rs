@@ -413,8 +413,7 @@ fn script_child_serves_logs_and_leaves_a_verifiable_image() {
         let model = Acked::from_log(&acked, &script);
         let anchor = anchored.then_some(anubis_nvm::AnchorPolicy::Strict);
         let config = AnubisConfig::small_test();
-        let (mut ctrl, _) =
-            restart(child.family, &config, &child.image, anchor, 2).expect("restart");
+        let (mut ctrl, _) = restart(child.family, &config, &child.image, anchor).expect("restart");
         let bad = model
             .audit(
                 ctrl.as_mut(),

@@ -176,8 +176,8 @@ pub(super) fn read_ack_log(path: &Path) -> std::io::Result<Vec<(u64, u64)>> {
 }
 
 /// Opens `image` — under its freshness anchor when a policy is given —
-/// reopens `family`'s controller over it and runs supervised recovery at
-/// `lanes`: what a restarted machine does, whoever restarts it.
+/// reopens `family`'s controller over it and runs supervised recovery:
+/// what a restarted machine does, whoever restarts it.
 ///
 /// # Errors
 ///
@@ -188,16 +188,13 @@ pub fn restart(
     config: &AnubisConfig,
     image: &Path,
     anchor: Option<AnchorPolicy>,
-    lanes: usize,
 ) -> Result<(Reopened<FileBackend>, SupervisedRecovery), HarnessError> {
     let backend = match anchor {
         Some(policy) => FileBackend::open_with_anchor(image, config.key.0, policy)?,
         None => FileBackend::open(image)?,
     };
     let (mut ctrl, hint) = family.reopen(config, backend);
-    let recovery = Supervisor::new()
-        .with_lanes(lanes)
-        .resume(ctrl.as_mut(), hint.as_ref())?;
+    let recovery = Supervisor::new().resume(ctrl.as_mut(), hint.as_ref())?;
     Ok((ctrl, recovery))
 }
 
@@ -317,7 +314,7 @@ pub fn child_main(args: &[String]) -> Result<(), HarnessError> {
     let job = ScriptChild::parse(args)?;
     let anchor = job.anchored.then_some(AnchorPolicy::Strict);
     let config = AnubisConfig::small_test();
-    let (mut ctrl, _) = restart(job.family, &config, &job.image, anchor, 1)?;
+    let (mut ctrl, _) = restart(job.family, &config, &job.image, anchor)?;
     let mut log = AckWriter::create(&job.ack).map_err(io_ctx("create ack log", &job.ack))?;
     let stop = drive(ctrl.as_mut(), &job.script(), |i, addr, what| match what {
         Done::Wrote(_) => log

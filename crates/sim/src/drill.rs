@@ -25,10 +25,8 @@
 //! acknowledged payload or the in-flight one. Everything else must match
 //! the ack log exactly.
 //!
-//! Verification re-runs at several recovery lane counts and demands a
-//! bit-identical post-recovery device fingerprint at every count — the
-//! determinism contract of [`anubis::parallel`], now checked across a
-//! real process restart.
+//! Every point is restarted and audited once, over a copy: the dead image
+//! itself is the evidence a failing point keeps.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -53,9 +51,6 @@ pub struct DrillSpec {
     pub lines: u64,
     /// Seed for the script and for the kill-point sequence.
     pub seed: u64,
-    /// Recovery lane counts verified per kill point; fingerprints must
-    /// agree across all of them.
-    pub lanes: Vec<usize>,
 }
 
 impl Default for DrillSpec {
@@ -64,7 +59,6 @@ impl Default for DrillSpec {
             script_len: 1_200,
             lines: 300,
             seed: 0xA17B_05E7,
-            lanes: vec![1, 2, 8],
         }
     }
 }
@@ -82,8 +76,6 @@ pub enum DrillError {
         addr: u64,
         /// The script index of the last acknowledged write to it.
         op_index: u64,
-        /// Lane count of the verification run that caught it.
-        lanes: usize,
     },
     /// A read of an acknowledged address errored after recovery.
     AckedReadFailed {
@@ -91,15 +83,6 @@ pub enum DrillError {
         addr: u64,
         /// The controller error.
         err: MemError,
-    },
-    /// Two lane counts produced different post-recovery device images.
-    FingerprintMismatch {
-        /// Fingerprint at one lane count.
-        got: u64,
-        /// Fingerprint at the reference (first) lane count.
-        want: u64,
-        /// The lane count that diverged.
-        lanes: usize,
     },
     /// A campaign point failed; wraps the underlying error with enough
     /// context to reproduce it (the point's scratch dir is kept).
@@ -122,24 +105,15 @@ impl std::fmt::Display for DrillError {
                 e @ (HarnessError::Io { .. } | HarnessError::BadChildArg { .. }),
             ) => write!(f, "drill {e}"),
             DrillError::Harness(e) => write!(f, "{e}"),
-            DrillError::AckedWriteLost {
-                addr,
-                op_index,
-                lanes,
-            } => write!(
-                f,
-                "acknowledged write lost: addr {addr} (op {op_index}) at {lanes} lanes"
-            ),
+            DrillError::AckedWriteLost { addr, op_index } => {
+                write!(f, "acknowledged write lost: addr {addr} (op {op_index})")
+            }
             DrillError::AckedReadFailed { addr, err } => {
                 write!(
                     f,
                     "post-recovery read of acknowledged addr {addr} failed: {err}"
                 )
             }
-            DrillError::FingerprintMismatch { got, want, lanes } => write!(
-                f,
-                "post-recovery fingerprint {got:#018x} at {lanes} lanes differs from {want:#018x}"
-            ),
             DrillError::Point {
                 index,
                 kill_after,
@@ -171,8 +145,7 @@ impl<E: Into<HarnessError>> From<E> for DrillError {
 }
 
 /// A stable fingerprint of the persistent device state: every touched
-/// block and every register mirror, hashed in address order. Two
-/// recoveries that leave different fingerprints observably diverged.
+/// block and every register mirror, hashed in address order.
 pub fn device_fingerprint<C: MemoryController + ?Sized>(ctrl: &C) -> u64 {
     let backend = ctrl.domain().device().backend();
     let mut entries = backend.entries();
@@ -205,21 +178,20 @@ pub struct PointOutcome {
     /// Whether the single durable-but-unlogged in-flight write was
     /// observed (kill landed between barrier and ack append).
     pub inflight_observed: bool,
-    /// The supervised outcome at the first lane count, rendered.
+    /// The supervised outcome, rendered.
     pub outcome: String,
-    /// The (lane-invariant) post-recovery device fingerprint.
+    /// The post-recovery device fingerprint.
     pub fingerprint: u64,
 }
 
-/// Restarts one family over a copy of the image at one lane count and
-/// audits it against the ack log's model.
-fn verify_image(
+/// Restarts one family over `image` and audits it against the ack log's
+/// model.
+fn audited_restart(
     family: Family,
     image: &Path,
-    lanes: usize,
     model: &Acked,
 ) -> Result<(u64, String, bool), DrillError> {
-    let (mut ctrl, sup) = restart(family, &AnubisConfig::small_test(), image, None, lanes)?;
+    let (mut ctrl, sup) = restart(family, &AnubisConfig::small_test(), image, None)?;
     let fingerprint = device_fingerprint(ctrl.as_ref());
     let mut inflight_observed = false;
     let findings = model.audit(
@@ -236,60 +208,42 @@ fn verify_image(
             ReadBack::InFlight => inflight_observed = true,
             ReadBack::Failed(err) => return Err(DrillError::AckedReadFailed { addr, err }),
             ReadBack::Excused | ReadBack::Wrong { .. } => {
-                return Err(DrillError::AckedWriteLost {
-                    addr,
-                    op_index,
-                    lanes,
-                })
+                return Err(DrillError::AckedWriteLost { addr, op_index })
             }
         }
     }
     Ok((fingerprint, sup.outcome.to_string(), inflight_observed))
 }
 
-/// Verifies every configured lane count over copies of a dead image and
-/// demands fingerprint agreement. Shared by the process drill and the
-/// in-process restart tests. `acked` is the parsed ack log — `(op index,
-/// addr)` per acknowledged write — of the run over `script` that left
-/// the image.
+/// Verifies a dead image: one supervised restart and one audit, over a
+/// copy — recovery and the audit write, and the dead image is the
+/// evidence a failing point keeps. Returns the post-recovery fingerprint,
+/// the rendered supervised outcome and whether the in-flight write was
+/// observed. Shared by the process drill and the in-process restart
+/// tests. `acked` is the parsed ack log — `(op index, addr)` per
+/// acknowledged write — of the run over `script` that left the image.
 ///
 /// # Errors
 ///
 /// Any verification failure ([`DrillError::AckedWriteLost`],
-/// [`DrillError::FingerprintMismatch`], recovery or read errors).
+/// [`DrillError::AckedReadFailed`], recovery errors).
 pub fn verify_dead_image(
     family: Family,
     image: &Path,
-    lanes: &[usize],
     acked: &[(u64, u64)],
     script: &[ScriptOp],
 ) -> Result<(u64, String, bool), DrillError> {
     let model = Acked::from_log(acked, script);
-    let mut reference: Option<(u64, String, bool)> = None;
-    for &l in lanes {
-        let copy = image.with_extension(format!("lane{l}.wal"));
-        fs::copy(image, &copy).map_err(io_ctx("copy image to", &copy))?;
-        let result = verify_image(family, &copy, l, &model);
-        let _ = fs::remove_file(&copy);
-        let (fp, outcome, observed) = result?;
-        match reference {
-            None => reference = Some((fp, outcome, observed)),
-            Some((want, _, _)) if fp != want => {
-                return Err(DrillError::FingerprintMismatch {
-                    got: fp,
-                    want,
-                    lanes: l,
-                });
-            }
-            Some(r) => reference = Some(r),
-        }
-    }
-    Ok(reference.unwrap_or((0, String::from("no lanes configured"), false)))
+    let copy = image.with_extension("restart.wal");
+    fs::copy(image, &copy).map_err(io_ctx("copy image to", &copy))?;
+    let result = audited_restart(family, &copy, &model);
+    let _ = fs::remove_file(&copy);
+    result
 }
 
 /// Runs one kill point: spawn the script child over a fresh image,
 /// SIGKILL it once `kill_after_acks` acknowledgements are durable, then
-/// verify the dead image at every configured lane count.
+/// verify the dead image.
 ///
 /// `exe` is the campaign binary itself (see [`ScriptChild`] for the
 /// child's command line).
@@ -319,7 +273,7 @@ pub fn run_point(
     }
     let (completed, acked) = child.run_killed(exe, kill_after_acks)?;
     let (fingerprint, outcome, inflight_observed) =
-        verify_dead_image(family, &child.image, &spec.lanes, &acked, &child.script())?;
+        verify_dead_image(family, &child.image, &acked, &child.script())?;
     let verified_addrs = acked.iter().map(|&(_, a)| a).collect::<BTreeSet<_>>();
     Ok(PointOutcome {
         kill_after_acks,
@@ -342,7 +296,7 @@ pub struct FamilyReport {
     /// Points where the child outran the kill threshold and exited
     /// cleanly (the restart then exercised a quiescent image).
     pub completed_runs: u64,
-    /// Total acknowledged writes verified across all points and lanes.
+    /// Total acknowledged writes verified across all points.
     pub acked_total: u64,
     /// Points where the durable-but-unlogged in-flight write surfaced.
     pub inflight_observed: u64,
@@ -374,7 +328,7 @@ fn planned_kills(family: Family, spec: &DrillSpec, points: u64, sweep: bool) -> 
 /// # Errors
 ///
 /// Stops at the first [`DrillError`]; a completed campaign means zero
-/// acknowledged-write loss at every point and lane count.
+/// acknowledged-write loss at every point.
 pub fn run_campaign(
     exe: &Path,
     family: Family,
@@ -427,6 +381,62 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{drive, Done, Stop};
+
+    /// A point's verdict always comes from an audited restart — there is
+    /// no way to get `Ok` out of [`verify_dead_image`] without one — and
+    /// the dead image is still what the kill left afterwards.
+    #[test]
+    fn a_verdict_always_comes_from_an_audited_restart_of_a_copy() {
+        let dir = std::env::temp_dir().join(format!("anubis-drill-unit-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("scratch dir");
+        let (family, config) = (Family::SgxAsit, AnubisConfig::small_test());
+        let script = drill_script(80, 40, 0xD1A7);
+
+        // Serve the script in process; dropping the controller without a
+        // shutdown is the kill.
+        let image = dir.join("image.wal");
+        let mut acked = Vec::new();
+        {
+            let (mut ctrl, _) = restart(family, &config, &image, None).expect("fresh image");
+            let stop = drive(ctrl.as_mut(), &script, |i, addr, what| {
+                if let Done::Wrote(_) = what {
+                    acked.push((i, addr));
+                }
+                Ok::<(), std::convert::Infallible>(())
+            });
+            assert_eq!(stop, Ok(Stop::Completed));
+        }
+        let dead = fs::read(&image).expect("dead image");
+
+        // An empty ack log is restarted like any other: the outcome is the
+        // supervisor's and the fingerprint the recovered image's.
+        let (fingerprint, outcome, _) =
+            verify_dead_image(family, &image, &[], &script).expect("nothing acknowledged");
+        assert_eq!(outcome, "recovered");
+        let full = verify_dead_image(family, &image, &acked, &script).expect("whole log");
+        assert_eq!(full, (fingerprint, outcome, false));
+
+        // Both restarts ran over a copy that is gone again; the dead
+        // image is byte for byte what the kill left.
+        assert!(!image.with_extension("restart.wal").exists());
+        assert_eq!(fs::read(&image).expect("dead image"), dead);
+        let (ctrl, _) = restart(family, &config, &image, None).expect("restart by hand");
+        assert_eq!(fingerprint, device_fingerprint(ctrl.as_ref()));
+        drop(ctrl);
+
+        // The audit reads: the same log over an image that holds none of
+        // its writes is a loss, not a pass.
+        let empty = dir.join("empty.wal");
+        drop(restart(family, &config, &empty, None).expect("empty image"));
+        let lost = verify_dead_image(family, &empty, &acked, &script);
+        assert!(
+            matches!(lost, Err(DrillError::AckedWriteLost { .. })),
+            "{lost:?}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
 
     /// The committed `BENCH_drill.json` is reproducible from its seed only
     /// while the script and the kill-point draw stay what they were.

@@ -5,8 +5,7 @@
 //! overhead), so the reproduction needs more than end-of-run aggregates:
 //! this crate provides a [`Registry`] of counters, gauges and histograms
 //! that can be snapshotted *mid-run* at epoch boundaries, plus phase
-//! [`SpanGuard`]s with monotonic timestamps and lane attribution for the
-//! recovery engine.
+//! [`SpanGuard`]s with monotonic timestamps for the recovery engine.
 //!
 //! # Cost model
 //!
@@ -22,8 +21,8 @@
 //! # Determinism
 //!
 //! Counter, gauge and histogram values written by deterministic code are
-//! themselves deterministic (lanes merge through commutative updates into
-//! ordered maps). Span *durations* and snapshot timestamps come from the
+//! themselves deterministic (threads merge through commutative updates
+//! into ordered maps). Span *durations* and snapshot timestamps come from the
 //! host monotonic clock and are explicitly excluded from determinism
 //! contracts; span *counts per phase name* are deterministic.
 //!
@@ -142,16 +141,13 @@ pub fn percentile_of_sorted(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, n) - 1]
 }
 
-/// One completed span: a named phase with monotonic timestamps and
-/// optional lane attribution.
+/// One completed span: a named phase with monotonic timestamps.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// Phase name (e.g. `"recovery.osiris_probe"`).
     pub name: &'static str,
     /// Free-form label, typically the scheme name.
     pub label: String,
-    /// Lane index for per-lane spans (`None` for whole-phase spans).
-    pub lane: Option<usize>,
     /// Start offset from the registry's creation, in nanoseconds
     /// (monotonic, **not** deterministic).
     pub start_ns: u64,
@@ -284,7 +280,6 @@ impl Registry {
             reg: self.is_enabled().then_some(self),
             name,
             label: label.to_string(),
-            lane: None,
             items: 0,
             start: Instant::now(),
         }
@@ -311,11 +306,11 @@ impl Registry {
         }
     }
 
-    /// Completed spans, sorted by `(name, label, lane)` so the export
-    /// order is stable regardless of lane interleaving.
+    /// Completed spans, sorted by `(name, label)` (equal keys stay in
+    /// completion order) so the export order is stable.
     pub fn spans(&self) -> Vec<SpanRecord> {
         let mut spans = self.lock().spans.clone();
-        spans.sort_by(|a, b| (a.name, &a.label, a.lane).cmp(&(b.name, &b.label, b.lane)));
+        spans.sort_by(|a, b| (a.name, &a.label).cmp(&(b.name, &b.label)));
         spans
     }
 
@@ -325,11 +320,10 @@ impl Registry {
         let mut out = String::new();
         for s in self.spans() {
             out.push_str(&format!(
-                "{{\"type\":\"span\",\"name\":\"{}\",\"label\":\"{}\",\"lane\":{},\
+                "{{\"type\":\"span\",\"name\":\"{}\",\"label\":\"{}\",\
                  \"start_ns\":{},\"dur_ns\":{},\"items\":{}}}\n",
                 escape(s.name),
                 escape(&s.label),
-                s.lane.map_or("null".to_string(), |l| l.to_string()),
                 s.start_ns,
                 s.dur_ns,
                 s.items,
@@ -408,18 +402,11 @@ pub struct SpanGuard<'a> {
     reg: Option<&'a Registry>,
     name: &'static str,
     label: String,
-    lane: Option<usize>,
     items: u64,
     start: Instant,
 }
 
 impl SpanGuard<'_> {
-    /// Attributes the span to a recovery/replay lane.
-    pub fn lane(mut self, lane: usize) -> Self {
-        self.lane = Some(lane);
-        self
-    }
-
     /// Records how many work items the span covered.
     pub fn items(mut self, n: u64) -> Self {
         self.items = n;
@@ -433,7 +420,6 @@ impl Drop for SpanGuard<'_> {
         let record = SpanRecord {
             name: self.name,
             label: std::mem::take(&mut self.label),
-            lane: self.lane,
             start_ns: (self.start - reg.anchor).as_nanos() as u64,
             dur_ns: self.start.elapsed().as_nanos() as u64,
             items: self.items,
@@ -559,7 +545,7 @@ fn escape(s: &str) -> String {
 }
 
 /// A cheap, cloneable handle to a registry — the only telemetry type
-/// threaded through the controllers, the lane pool and the simulator.
+/// threaded through the controllers and the simulator.
 ///
 /// The handle is the compile-out point: without the `enabled` cargo
 /// feature, [`Telemetry::registry`] is a compile-time `None` and every
@@ -667,7 +653,6 @@ impl Telemetry {
                 reg: None,
                 name,
                 label: String::new(),
-                lane: None,
                 items: 0,
                 start: Instant::now(),
             },
@@ -773,16 +758,14 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_lane_and_items() {
+    fn spans_record_items_and_sort_by_name_then_label() {
         let reg = Registry::new();
-        drop(reg.span("recovery.probe", "osiris").lane(3).items(64));
-        drop(reg.span("recovery.probe", "osiris").lane(1).items(64));
+        drop(reg.span("recovery.probe", "osiris").items(64));
+        drop(reg.span("recovery.probe", "agit-plus").items(8));
         let spans = reg.spans();
         assert_eq!(spans.len(), 2);
-        // Sorted by (name, label, lane) — lane 1 first.
-        assert_eq!(spans[0].lane, Some(1));
-        assert_eq!(spans[1].lane, Some(3));
-        assert_eq!(spans[0].items, 64);
+        assert_eq!((spans[0].label.as_str(), spans[0].items), ("agit-plus", 8));
+        assert_eq!((spans[1].label.as_str(), spans[1].items), ("osiris", 64));
         assert_eq!(reg.span_count("recovery.probe"), 2);
         assert_eq!(reg.span_count("missing"), 0);
     }
@@ -791,19 +774,19 @@ mod tests {
     fn concurrent_updates_merge_deterministically() {
         let reg = Registry::new();
         std::thread::scope(|scope| {
-            for lane in 0..4 {
+            for _ in 0..4 {
                 let reg = &reg;
                 scope.spawn(move || {
                     for _ in 0..100 {
                         reg.incr("items", "osiris", 1);
                     }
-                    drop(reg.span("lane", "osiris").lane(lane));
+                    drop(reg.span("worker", "osiris"));
                 });
             }
         });
         let s = reg.snapshot();
         assert_eq!(s.counter("items", "osiris"), 400);
-        assert_eq!(reg.span_count("lane"), 4);
+        assert_eq!(reg.span_count("worker"), 4);
     }
 
     #[test]

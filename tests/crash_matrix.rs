@@ -255,8 +255,9 @@ fn stale_counter_beyond_stop_loss_errs_without_panic() {
 fn shadow_capacity_exceeded_is_lane_invariant() {
     // A verified Shadow Table tracking more same-set nodes than the
     // metadata cache's associativity can hold must fail ASIT recovery
-    // with `ShadowCapacityExceeded` — and the same offending address —
-    // at 1, 2, and 8 recovery lanes.
+    // with `ShadowCapacityExceeded`, naming the offending address. (The
+    // test keeps the name the tier-1 floor lists it under; see
+    // `parallel_equiv.rs` for what "lane" was.)
     use anubis::{RecoveryError, StEntry};
     use anubis_itree::NodeId;
 
@@ -274,32 +275,19 @@ fn shadow_capacity_exceeded_is_lane_invariant() {
     }
     c.debug_refresh_shadow_root_from_nvm();
 
-    let mut failing = Vec::new();
-    for lanes in [1usize, 2, 8] {
-        let mut run = c.clone();
-        run.crash();
-        match run.recover_with_lanes(lanes) {
-            Err(RecoveryError::ShadowCapacityExceeded { addr }) => failing.push(addr),
-            Err(e) => panic!("lanes {lanes}: expected ShadowCapacityExceeded, got {e}"),
-            Ok(_) => panic!("lanes {lanes}: over-capacity shadow table must not recover"),
-        }
+    c.crash();
+    match c.recover() {
+        // Entries are placed in node-address order: the first one that
+        // cannot fit is the last of the ways + 1.
+        Err(RecoveryError::ShadowCapacityExceeded { addr }) => assert_eq!(
+            addr,
+            c.layout()
+                .node_addr(NodeId::new(0, (conflicting - 1) * sets)),
+            "not the address of the node that found its set full"
+        ),
+        Err(e) => panic!("expected ShadowCapacityExceeded, got {e}"),
+        Ok(_) => panic!("over-capacity shadow table must not recover"),
     }
-    // Entries are placed in node-address order: the first one that
-    // cannot fit is the last of the ways + 1.
-    assert_eq!(
-        failing[0],
-        c.layout()
-            .node_addr(NodeId::new(0, (conflicting - 1) * sets)),
-        "not the address of the node that found its set full"
-    );
-    assert_eq!(
-        failing[0], failing[1],
-        "lanes 1 vs 2 disagree on the address"
-    );
-    assert_eq!(
-        failing[0], failing[2],
-        "lanes 1 vs 8 disagree on the address"
-    );
 }
 
 #[test]

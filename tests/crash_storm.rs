@@ -3,8 +3,7 @@
 //! *during* recovery) must all terminate in a structured
 //! `RecoveryOutcome` with the acknowledged-write contract intact, and the
 //! campaign fingerprint — a digest of every run's outcome and repair
-//! counts — must be the one recorded when recovery still took a thread
-//! count and 1, 2 and 8 threads agreed on it.
+//! counts — must be the pinned one.
 //!
 //! The smoke-sized campaign always runs; set `ANUBIS_CRASH_SWEEP=1` for
 //! the exhaustive sweep (>1000 randomized plans, the scale
@@ -17,58 +16,47 @@ fn config() -> AnubisConfig {
     AnubisConfig::small_test().with_spare_blocks(256)
 }
 
-fn storm_lane_pair<C, F>(make: F, cfg: &StormConfig, lanes: usize, pin: u64) -> StormReport
+fn pinned_storm<C, F>(make: F, cfg: &StormConfig, pin: u64) -> StormReport
 where
     C: Supervised,
     F: Fn() -> C,
 {
-    let serial = crash_storm(&make, cfg);
+    let report = crash_storm(&make, cfg);
     assert_eq!(
-        serial.recovered + serial.degraded + serial.quarantined,
-        serial.runs,
+        report.recovered + report.degraded + report.quarantined,
+        report.runs,
         "{}: every run must end in a structured outcome",
-        serial.scheme
+        report.scheme
     );
     assert_eq!(
-        format!("{:#018x}", serial.fingerprint),
-        format!("{pin:#018x}"),
-        "{}: storm fingerprint moved",
-        serial.scheme
+        report.fingerprint, pin,
+        "{}: storm fingerprint is now {:#018x}",
+        report.scheme, report.fingerprint
     );
-    let wide = crash_storm(&make, &cfg.clone().with_lanes(lanes));
-    assert_eq!(
-        serial.fingerprint, wide.fingerprint,
-        "{}: storm fingerprint diverged between 1 and {lanes} lanes",
-        serial.scheme
-    );
-    serial
+    report
 }
 
 #[test]
 fn crash_storm_smoke_bonsai_family() {
     let cfg = StormConfig::smoke(0xC5).with_runs(6);
-    storm_lane_pair(
+    pinned_storm(
         || BonsaiController::new(BonsaiScheme::Osiris, &config()),
         &cfg,
-        2,
         0x554a_40ba_f8f7_28aa,
     );
-    storm_lane_pair(
+    pinned_storm(
         || BonsaiController::new(BonsaiScheme::AgitRead, &config()),
         &cfg,
-        8,
         0xde5c_b443_3306_d5c3,
     );
-    storm_lane_pair(
+    pinned_storm(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &config()),
         &cfg,
-        2,
         0x5fae_b102_2fcf_22e3,
     );
-    storm_lane_pair(
+    pinned_storm(
         || BonsaiController::new(BonsaiScheme::StrictPersist, &config()),
         &cfg,
-        8,
         0x601c_1a45_96db_35e8,
     );
 }
@@ -76,16 +64,14 @@ fn crash_storm_smoke_bonsai_family() {
 #[test]
 fn crash_storm_smoke_sgx_family() {
     let cfg = StormConfig::smoke(0x5C).with_runs(6);
-    storm_lane_pair(
+    pinned_storm(
         || SgxController::new(SgxScheme::Asit, &config()),
         &cfg,
-        8,
         0x2347_8ac9_b7f9_6a77,
     );
-    storm_lane_pair(
+    pinned_storm(
         || SgxController::new(SgxScheme::StrictPersist, &config()),
         &cfg,
-        2,
         0xdd31_a2bc_e4ef_39a6,
     );
 }
@@ -102,7 +88,6 @@ fn crash_storm_smoke_fingerprints_are_pinned() {
         ops: 24,
         addr_space: 256,
         seed,
-        lanes: 1,
         max_retries: 3,
         recovery_faults: true,
     };
@@ -144,50 +129,43 @@ fn crash_storm_exhaustive_sweep() {
         ops: 24,
         addr_space: 256,
         seed: 0xEE,
-        lanes: 1,
         max_retries: 3,
         recovery_faults: true,
     };
     let mut plans = 0;
-    plans += storm_lane_pair(
+    plans += pinned_storm(
         || BonsaiController::new(BonsaiScheme::Osiris, &config()),
         &cfg,
-        8,
         0x823a_5d21_2508_3b31,
     )
     .runs;
-    plans += storm_lane_pair(
+    plans += pinned_storm(
         || BonsaiController::new(BonsaiScheme::AgitRead, &config()),
         &cfg,
-        8,
         0x60b7_ef36_29b8_51d1,
     )
     .runs;
-    plans += storm_lane_pair(
+    plans += pinned_storm(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &config()),
         &cfg,
-        8,
         0x0f57_038a_2902_4159,
     )
     .runs;
-    plans += storm_lane_pair(
+    plans += pinned_storm(
         || BonsaiController::new(BonsaiScheme::StrictPersist, &config()),
         &cfg,
-        8,
         0xf187_ed84_0b55_5011,
     )
     .runs;
-    plans += storm_lane_pair(
+    plans += pinned_storm(
         || SgxController::new(SgxScheme::Asit, &config()),
         &cfg,
-        8,
         0x14af_875c_cacc_05ee,
     )
     .runs;
-    plans += storm_lane_pair(
+    plans += pinned_storm(
         || SgxController::new(SgxScheme::StrictPersist, &config()),
         &cfg,
-        8,
         0x664d_cc22_3ff1_4aa7,
     )
     .runs;

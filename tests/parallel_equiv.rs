@@ -4,26 +4,24 @@
 //! Every case folds one FNV-1a digest over ([`RecoveryReport`], the
 //! device's `StatsSnapshot`, the persist-write count, the recovered
 //! image) at every crash point of a scripted workload and compares it
-//! with a constant recorded when recovery still fanned out over 1, 2 and
-//! 8 threads that all agreed on it. The two telemetry cases pin the
-//! published counters and gauges and the phase spans by value. A change
-//! to a recovery algorithm moves these constants on purpose or not at
-//! all.
+//! with a constant. The constants were recorded when recovery still
+//! fanned out over a pool of 1, 2 or 8 threads ("lanes") and every lane
+//! count agreed on them; recovery has been one serial pass since, and
+//! they did not move. The two telemetry cases pin the published counters
+//! and gauges and the phase spans by value. A change to a recovery
+//! algorithm moves these constants on purpose or not at all.
 //!
-//! (File and test names are the ones the tier-1 floor lists; "lane" in
-//! them is the thread count recovery used to take.)
+//! (File and test names are the ones the tier-1 floor lists them under.)
 
 use anubis::telemetry::{Registry, Telemetry};
 use anubis::{
-    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController, RecoveryError,
-    RecoveryReport, SgxController, SgxScheme,
+    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController, RecoveryReport,
+    SgxController, SgxScheme,
 };
 use anubis_nvm::Block;
 use anubis_sim::campaign::{fnv1a64, FNV1A64_EMPTY};
 use anubis_sim::drill::device_fingerprint;
 use std::collections::HashMap;
-
-const LANE_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn payload(op: u64) -> Block {
     Block::from_words([
@@ -72,25 +70,13 @@ fn fold_recovery<C: MemoryController>(h: u64, report: &RecoveryReport, ctrl: &C)
     h
 }
 
-/// Every lane count's digest must be the pinned one.
-fn assert_pinned(digests: &[u64], lanes: &[usize], pin: u64, name: &str) {
-    for (h, lanes) in digests.iter().zip(lanes) {
-        assert_eq!(
-            format!("{h:#018x}"),
-            format!("{pin:#018x}"),
-            "{name}: recovery digest at {lanes} lanes"
-        );
-    }
+fn assert_pinned(digest: u64, pin: u64, name: &str) {
+    assert_eq!(digest, pin, "{name}: recovery digest is now {digest:#018x}");
 }
 
-fn pinned_matrix<C, F, R>(make: F, recover_lanes: R, name: &str, pin: u64)
-where
-    C: MemoryController + Clone,
-    F: Fn() -> C,
-    R: Fn(&mut C, usize) -> Result<RecoveryReport, RecoveryError>,
-{
+fn pinned_matrix<C: MemoryController>(make: impl Fn() -> C, name: &str, pin: u64) {
     let ops = script(48);
-    let mut digests = [FNV1A64_EMPTY; LANE_COUNTS.len()];
+    let mut digest = FNV1A64_EMPTY;
     for k in 0..=ops.len() {
         let mut ctrl = make();
         let mut model: HashMap<u64, Block> = HashMap::new();
@@ -107,23 +93,18 @@ where
         }
         ctrl.crash();
 
-        for (h, lanes) in digests.iter_mut().zip(LANE_COUNTS) {
-            let mut run = ctrl.clone();
-            let report = recover_lanes(&mut run, lanes)
-                .unwrap_or_else(|e| panic!("{name}: {lanes}-lane recovery at k={k} failed: {e}"));
-            *h = fold_recovery(*h, &report, &run);
-            for (addr, expect) in &model {
-                let got = run.read(DataAddr::new(*addr)).unwrap_or_else(|e| {
-                    panic!("{name}: post-recovery read {addr} failed at k={k} lanes={lanes}: {e}")
-                });
-                assert_eq!(
-                    &got, expect,
-                    "{name}: addr {addr} diverged at k={k} lanes={lanes}"
-                );
-            }
+        let report = ctrl
+            .recover()
+            .unwrap_or_else(|e| panic!("{name}: recovery at k={k} failed: {e}"));
+        digest = fold_recovery(digest, &report, &ctrl);
+        for (addr, expect) in &model {
+            let got = ctrl.read(DataAddr::new(*addr)).unwrap_or_else(|e| {
+                panic!("{name}: post-recovery read {addr} failed at k={k}: {e}")
+            });
+            assert_eq!(&got, expect, "{name}: addr {addr} diverged at k={k}");
         }
     }
-    assert_pinned(&digests, &LANE_COUNTS, pin, name);
+    assert_pinned(digest, pin, name);
 }
 
 #[test]
@@ -131,7 +112,6 @@ fn osiris_whole_memory_sweep_is_lane_invariant() {
     let cfg = AnubisConfig::small_test();
     pinned_matrix(
         || BonsaiController::new(BonsaiScheme::Osiris, &cfg),
-        |c, lanes| c.recover_with_lanes(lanes),
         "osiris",
         0x1f6e_baff_fced_fa4e,
     );
@@ -142,7 +122,6 @@ fn agit_read_recovery_is_lane_invariant() {
     let cfg = AnubisConfig::small_test();
     pinned_matrix(
         || BonsaiController::new(BonsaiScheme::AgitRead, &cfg),
-        |c, lanes| c.recover_with_lanes(lanes),
         "agit-read",
         0xc74d_5eb1_d42f_ed4e,
     );
@@ -153,7 +132,6 @@ fn agit_plus_recovery_is_lane_invariant() {
     let cfg = AnubisConfig::small_test();
     pinned_matrix(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &cfg),
-        |c, lanes| c.recover_with_lanes(lanes),
         "agit-plus",
         0xdfad_5956_63c5_c924,
     );
@@ -164,7 +142,6 @@ fn asit_recovery_is_lane_invariant() {
     let cfg = AnubisConfig::small_test();
     pinned_matrix(
         || SgxController::new(SgxScheme::Asit, &cfg),
-        |c, lanes| c.recover_with_lanes(lanes),
         "asit",
         0xfcb2_3ef2_ad63_c551,
     );
@@ -177,7 +154,6 @@ fn strict_persist_recovery_is_lane_invariant() {
     let cfg = AnubisConfig::small_test();
     pinned_matrix(
         || BonsaiController::new(BonsaiScheme::StrictPersist, &cfg),
-        |c, lanes| c.recover_with_lanes(lanes),
         "strict-persist",
         0xfa27_c9f1_09bb_67e6,
     );
@@ -185,8 +161,8 @@ fn strict_persist_recovery_is_lane_invariant() {
 
 /// What one recovery published: every counter and gauge as
 /// `name{label}=value`, and the whole-phase spans as `label x items` in
-/// the registry's sorted order. Span durations are wall-clock and the
-/// per-thread spans varied with the thread count — both left out.
+/// the registry's sorted order. Span durations are wall-clock and left
+/// out.
 fn published(reg: &Registry) -> (Vec<String>, Vec<String>) {
     let snap = reg.snapshot();
     let mut values = Vec::new();
@@ -210,12 +186,9 @@ fn published(reg: &Registry) -> (Vec<String>, Vec<String>) {
     (values, phases)
 }
 
-/// Runs the script, crashes, recovers at `lanes` under a private registry
-/// and returns what [`published`] sees.
-fn recovery_telemetry<C: MemoryController>(
-    mut ctrl: C,
-    recover: impl Fn(&mut C) -> Result<RecoveryReport, RecoveryError>,
-) -> (Vec<String>, Vec<String>) {
+/// Runs the script, crashes, recovers under a private registry and
+/// returns what [`published`] sees.
+fn recovery_telemetry<C: MemoryController>(mut ctrl: C) -> (Vec<String>, Vec<String>) {
     for (i, (is_write, addr)) in script(48).iter().enumerate() {
         if *is_write {
             ctrl.write(DataAddr::new(*addr), payload(i as u64)).unwrap();
@@ -226,7 +199,7 @@ fn recovery_telemetry<C: MemoryController>(
     ctrl.crash();
     let (reg, tel) = Telemetry::private();
     ctrl.set_telemetry(tel);
-    recover(&mut ctrl).unwrap();
+    ctrl.recover().unwrap();
     ctrl.publish_telemetry();
     published(&reg)
 }
@@ -239,119 +212,106 @@ fn strs(v: &[String]) -> Vec<&str> {
 fn telemetry_snapshot_is_lane_invariant() {
     // Bonsai: Osiris probe + whole-tree rebuild.
     let cfg = AnubisConfig::small_test();
-    for lanes in LANE_COUNTS {
-        let (values, phases) =
-            recovery_telemetry(BonsaiController::new(BonsaiScheme::Osiris, &cfg), |c| {
-                c.recover_with_lanes(lanes)
-            });
-        assert_eq!(
-            strs(&values),
-            [
-                "cache_hits_total{counter}=43",
-                "cache_hits_total{mac}=0",
-                "cache_hits_total{tree}=100",
-                "cache_misses_total{counter}=5",
-                "cache_misses_total{mac}=0",
-                "cache_misses_total{tree}=1",
-                "commit_groups_total{osiris}=32",
-                "ecc_corrections_total{osiris}=0",
-                "nvm_max_writes_to_one_block{osiris}=2",
-                "nvm_reads_total{osiris}=33357",
-                "nvm_region_writes_total{counters}=9",
-                "nvm_region_writes_total{data}=32",
-                "nvm_region_writes_total{side}=32",
-                "nvm_region_writes_total{tree}=37",
-                "nvm_writes_total{osiris}=110",
-                "persist_writes_total{osiris}=70",
-                "quarantine_lost_lines_total{osiris}=0",
-                "recovery_runs_total{osiris}=1",
-                "rollback_detected_total{osiris}=0",
-                "shadow_table_writes_total{osiris}=0",
-                "snapshot_rejected_total{osiris}=0",
-                "stop_loss_events_total{osiris}=0",
-                "wal_frames_total{osiris}=0",
-                "wal_records_coalesced_total{osiris}=0",
-                "wal_rejected_total{osiris}=0",
-                "cache_hit_rate{counter}=0.8958333333333334",
-                "cache_hit_rate{tree}=0.9900990099009901",
-                "quarantine_spares_left{osiris}=64",
-                "quarantined_blocks{osiris}=0",
-                "wal_log_bytes{osiris}=0",
-                "wal_slack_bytes{osiris}=0",
-                "wpq_capacity{osiris}=32",
-                "wpq_occupancy{osiris}=0",
-            ],
-            "lanes={lanes}"
-        );
-        assert_eq!(
-            strs(&phases),
-            [
-                "level_rebuild_1 x 32",
-                "level_rebuild_2 x 4",
-                "level_rebuild_3 x 1",
-                "osiris_probe x 256",
-                "reencryption_replay x 0",
-                "root_check x 0",
-            ],
-            "lanes={lanes}"
-        );
-    }
+    let (values, phases) = recovery_telemetry(BonsaiController::new(BonsaiScheme::Osiris, &cfg));
+    assert_eq!(
+        strs(&values),
+        [
+            "cache_hits_total{counter}=43",
+            "cache_hits_total{mac}=0",
+            "cache_hits_total{tree}=100",
+            "cache_misses_total{counter}=5",
+            "cache_misses_total{mac}=0",
+            "cache_misses_total{tree}=1",
+            "commit_groups_total{osiris}=32",
+            "ecc_corrections_total{osiris}=0",
+            "nvm_max_writes_to_one_block{osiris}=2",
+            "nvm_reads_total{osiris}=33357",
+            "nvm_region_writes_total{counters}=9",
+            "nvm_region_writes_total{data}=32",
+            "nvm_region_writes_total{side}=32",
+            "nvm_region_writes_total{tree}=37",
+            "nvm_writes_total{osiris}=110",
+            "persist_writes_total{osiris}=70",
+            "quarantine_lost_lines_total{osiris}=0",
+            "recovery_runs_total{osiris}=1",
+            "rollback_detected_total{osiris}=0",
+            "shadow_table_writes_total{osiris}=0",
+            "snapshot_rejected_total{osiris}=0",
+            "stop_loss_events_total{osiris}=0",
+            "wal_frames_total{osiris}=0",
+            "wal_records_coalesced_total{osiris}=0",
+            "wal_rejected_total{osiris}=0",
+            "cache_hit_rate{counter}=0.8958333333333334",
+            "cache_hit_rate{tree}=0.9900990099009901",
+            "quarantine_spares_left{osiris}=64",
+            "quarantined_blocks{osiris}=0",
+            "wal_log_bytes{osiris}=0",
+            "wal_slack_bytes{osiris}=0",
+            "wpq_capacity{osiris}=32",
+            "wpq_occupancy{osiris}=0",
+        ]
+    );
+    assert_eq!(
+        strs(&phases),
+        [
+            "level_rebuild_1 x 32",
+            "level_rebuild_2 x 4",
+            "level_rebuild_3 x 1",
+            "osiris_probe x 256",
+            "reencryption_replay x 0",
+            "root_check x 0",
+        ]
+    );
 }
 
 #[test]
 fn sgx_telemetry_snapshot_is_lane_invariant() {
     // SGX: ST scan, splice, MAC verify, ST rewrite.
     let cfg = AnubisConfig::small_test();
-    for lanes in LANE_COUNTS {
-        let (values, phases) = recovery_telemetry(SgxController::new(SgxScheme::Asit, &cfg), |c| {
-            c.recover_with_lanes(lanes)
-        });
-        assert_eq!(
-            strs(&values),
-            [
-                "cache_hits_total{mac}=0",
-                "cache_hits_total{metadata}=20",
-                "cache_misses_total{mac}=0",
-                "cache_misses_total{metadata}=28",
-                "commit_groups_total{asit}=32",
-                "ecc_corrections_total{asit}=0",
-                "nvm_max_writes_to_one_block{asit}=2",
-                "nvm_reads_total{asit}=243",
-                "nvm_region_writes_total{data}=32",
-                "nvm_region_writes_total{side}=32",
-                "nvm_region_writes_total{st}=52",
-                "nvm_writes_total{asit}=116",
-                "persist_writes_total{asit}=96",
-                "quarantine_lost_lines_total{asit}=0",
-                "recovery_runs_total{asit}=1",
-                "rollback_detected_total{asit}=0",
-                "shadow_table_writes_total{asit}=52",
-                "snapshot_rejected_total{asit}=0",
-                "wal_frames_total{asit}=0",
-                "wal_records_coalesced_total{asit}=0",
-                "wal_rejected_total{asit}=0",
-                "cache_hit_rate{metadata}=0.4166666666666667",
-                "quarantine_spares_left{asit}=64",
-                "quarantined_blocks{asit}=0",
-                "wal_log_bytes{asit}=0",
-                "wal_slack_bytes{asit}=0",
-                "wpq_capacity{asit}=32",
-                "wpq_occupancy{asit}=0",
-            ],
-            "lanes={lanes}"
-        );
-        assert_eq!(
-            strs(&phases),
-            [
-                "mac_verify x 24",
-                "shadow_verify x 0",
-                "splice x 24",
-                "st_rewrite x 24",
-                "st_scan x 128",
-            ],
-            "lanes={lanes}"
-        );
-    }
+    let (values, phases) = recovery_telemetry(SgxController::new(SgxScheme::Asit, &cfg));
+    assert_eq!(
+        strs(&values),
+        [
+            "cache_hits_total{mac}=0",
+            "cache_hits_total{metadata}=20",
+            "cache_misses_total{mac}=0",
+            "cache_misses_total{metadata}=28",
+            "commit_groups_total{asit}=32",
+            "ecc_corrections_total{asit}=0",
+            "nvm_max_writes_to_one_block{asit}=2",
+            "nvm_reads_total{asit}=243",
+            "nvm_region_writes_total{data}=32",
+            "nvm_region_writes_total{side}=32",
+            "nvm_region_writes_total{st}=52",
+            "nvm_writes_total{asit}=116",
+            "persist_writes_total{asit}=96",
+            "quarantine_lost_lines_total{asit}=0",
+            "recovery_runs_total{asit}=1",
+            "rollback_detected_total{asit}=0",
+            "shadow_table_writes_total{asit}=52",
+            "snapshot_rejected_total{asit}=0",
+            "wal_frames_total{asit}=0",
+            "wal_records_coalesced_total{asit}=0",
+            "wal_rejected_total{asit}=0",
+            "cache_hit_rate{metadata}=0.4166666666666667",
+            "quarantine_spares_left{asit}=64",
+            "quarantined_blocks{asit}=0",
+            "wal_log_bytes{asit}=0",
+            "wal_slack_bytes{asit}=0",
+            "wpq_capacity{asit}=32",
+            "wpq_occupancy{asit}=0",
+        ]
+    );
+    assert_eq!(
+        strs(&phases),
+        [
+            "mac_verify x 24",
+            "shadow_verify x 0",
+            "splice x 24",
+            "st_rewrite x 24",
+            "st_scan x 128",
+        ]
+    );
 }
 
 #[test]
@@ -360,7 +320,7 @@ fn reencryption_crash_recovery_is_lane_invariant() {
     // line overflows its minor counter): the whole-tree rebuild and
     // AGIT's tracked rebuild over a counter block with a bumped major.
     let cfg = AnubisConfig::small_test();
-    let mut digests = [FNV1A64_EMPTY; LANE_COUNTS.len()];
+    let mut digest = FNV1A64_EMPTY;
     for scheme in [BonsaiScheme::Osiris, BonsaiScheme::AgitPlus] {
         let mut ctrl = BonsaiController::new(scheme, &cfg);
         let hot = DataAddr::new(70);
@@ -369,21 +329,13 @@ fn reencryption_crash_recovery_is_lane_invariant() {
             ctrl.write(hot, payload(i)).unwrap();
         }
         ctrl.crash();
-        for (h, lanes) in digests.iter_mut().zip(LANE_COUNTS) {
-            let mut run = ctrl.clone();
-            let report = run
-                .recover_with_lanes(lanes)
-                .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
-            *h = fold_recovery(*h, &report, &run);
-            assert_eq!(run.read(hot).unwrap(), payload(127), "{}", scheme.name());
-        }
+        let report = ctrl
+            .recover()
+            .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
+        digest = fold_recovery(digest, &report, &ctrl);
+        assert_eq!(ctrl.read(hot).unwrap(), payload(127), "{}", scheme.name());
     }
-    assert_pinned(
-        &digests,
-        &LANE_COUNTS,
-        0x24fe_afa8_0da1_f57b,
-        "re-encryption crash",
-    );
+    assert_pinned(digest, 0x24fe_afa8_0da1_f57b, "re-encryption crash");
 }
 
 #[test]
@@ -394,50 +346,30 @@ fn recovery_after_a_trace_replay_is_lane_invariant() {
     use anubis_sim::{run_trace, TimingModel};
     use anubis_workloads::{spec2006, TraceGenerator};
 
-    const REPLAY_LANES: [usize; 4] = [1, 2, 4, 8];
-
-    fn fold_replay<C: MemoryController + Clone>(
-        digests: &mut [u64; REPLAY_LANES.len()],
+    fn fold_replay<C: MemoryController>(
+        digest: u64,
         mut ctrl: C,
         trace: &anubis_workloads::Trace,
-        recover_lanes: impl Fn(&mut C, usize) -> Result<RecoveryReport, RecoveryError>,
-    ) {
+    ) -> u64 {
         let name = ctrl.scheme_name();
         run_trace(&mut ctrl, trace, &TimingModel::paper())
             .unwrap_or_else(|e| panic!("{name}: dirtying replay failed: {e}"));
         ctrl.crash();
-        for (h, lanes) in digests.iter_mut().zip(REPLAY_LANES) {
-            let mut run = ctrl.clone();
-            let report = recover_lanes(&mut run, lanes)
-                .unwrap_or_else(|e| panic!("{name}: {lanes}-lane recovery failed: {e}"));
-            assert!(report.total_ops() > 0, "{name}: recovery had nothing to do");
-            *h = fold_recovery(*h, &report, &run);
-        }
+        let report = ctrl
+            .recover()
+            .unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
+        assert!(report.total_ops() > 0, "{name}: recovery had nothing to do");
+        fold_recovery(digest, &report, &ctrl)
     }
 
     let cfg = AnubisConfig::small_test()
         .with_capacity(4 << 20)
         .with_cache_bytes(32 << 10);
     let trace = TraceGenerator::new(spec2006::milc(), cfg.capacity_bytes).generate(3_000, 1907);
-    let mut digests = [FNV1A64_EMPTY; REPLAY_LANES.len()];
+    let mut digest = FNV1A64_EMPTY;
     for scheme in [BonsaiScheme::Osiris, BonsaiScheme::AgitPlus] {
-        fold_replay(
-            &mut digests,
-            BonsaiController::new(scheme, &cfg),
-            &trace,
-            |c, lanes| c.recover_with_lanes(lanes),
-        );
+        digest = fold_replay(digest, BonsaiController::new(scheme, &cfg), &trace);
     }
-    fold_replay(
-        &mut digests,
-        SgxController::new(SgxScheme::Asit, &cfg),
-        &trace,
-        |c, lanes| c.recover_with_lanes(lanes),
-    );
-    assert_pinned(
-        &digests,
-        &REPLAY_LANES,
-        0x5f8c_1d68_4453_09c2,
-        "milc replay",
-    );
+    digest = fold_replay(digest, SgxController::new(SgxScheme::Asit, &cfg), &trace);
+    assert_pinned(digest, 0x5f8c_1d68_4453_09c2, "milc replay");
 }

@@ -132,7 +132,7 @@ where
         // First recovery attempt, cut short by a write cut at a random
         // point — a second power cut landing at whichever rung the
         // ladder had reached.
-        let supervisor = Supervisor::new().with_lanes(2).with_max_retries(2);
+        let supervisor = Supervisor::new().with_max_retries(2);
         let cut_after = 1 + rng.next_u64() % 200;
         ctrl.domain_mut().device_mut().arm_write_cut(cut_after);
         let _ = supervisor.recover(&mut ctrl);
@@ -176,7 +176,7 @@ fn supervisor_recovers_distinct_domains_concurrently() {
     use std::sync::{Arc, Barrier};
 
     const THREADS: usize = 6;
-    let supervisor = Arc::new(Supervisor::new().with_lanes(2).with_max_retries(2));
+    let supervisor = Arc::new(Supervisor::new().with_max_retries(2));
     let barrier = Arc::new(Barrier::new(THREADS));
 
     let handles: Vec<_> = (0..THREADS)
