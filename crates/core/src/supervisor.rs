@@ -24,6 +24,29 @@
 //! (`Recovered`, `Degraded`, or `Quarantined`) unless the scheme is
 //! structurally unable to recover at all (`SchemeCannotRecover`). Every
 //! rung runs on the calling thread and applies its writes in item order.
+//!
+//! # Two entries: the scrub runs on evidence
+//!
+//! Rung 1 is the paper's recovery and costs O(metadata cache); rung 4 is
+//! O(memory) — the pass Anubis exists to remove from a restart. Which
+//! of them a caller pays for is decided by what it knows, not by an
+//! option:
+//!
+//! * [`Supervisor::resume`] is the restart entry (a server's boot, a
+//!   campaign's restart of a killed process). Rung 1 passing on the
+//!   first attempt, over an image whose reopen raised no hint, ends it:
+//!   the metadata is verified against the root, and each data line is
+//!   verified against that metadata when it is first read, as every
+//!   read is. Anything else — a reopen hint, any rung-1 error — is
+//!   evidence, and takes the whole ladder, scrub included.
+//! * [`Supervisor::recover`] is the full ladder, always: the entry for a
+//!   caller that already has evidence (a read that failed verification
+//!   while serving, an operator's request) and for fault campaigns.
+//!
+//! So a damaged data line on an otherwise clean image is found at its
+//! first access instead of at boot — typed, never served — and that
+//! access is what sends the caller into [`Supervisor::recover`], which
+//! repairs or quarantines and counts it as the boot-time scrub did.
 
 use crate::error::RecoveryError;
 use crate::layout::DataAddr;
@@ -47,8 +70,11 @@ const MAX_SCRUB_PASSES: u32 = 6;
 /// How a supervised recovery ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryOutcome {
-    /// Every line verified through the fast path (possibly after
-    /// retries); nothing was rebuilt or lost.
+    /// The metadata verified against the root through the fast path
+    /// (possibly after retries); nothing was rebuilt or lost. Out of
+    /// [`Supervisor::recover`] every data line has been read and
+    /// verified as well; out of a [`Supervisor::resume`] that stopped at
+    /// rung 1, data lines are verified on access.
     Recovered,
     /// All committed data survives, but slower rungs had to repair media
     /// (`repaired` lines resealed after ECC correction) or rebuild
@@ -189,16 +215,14 @@ pub trait Supervised: MemoryController {
 #[derive(Clone, Debug)]
 pub struct Supervisor {
     max_retries: u32,
-    scrub: bool,
 }
 
 impl Supervisor {
     /// A supervisor with the default retry budget
-    /// ([`DEFAULT_MAX_RETRIES`]) and the scrub pass enabled.
+    /// ([`DEFAULT_MAX_RETRIES`]).
     pub fn new() -> Self {
         Supervisor {
             max_retries: DEFAULT_MAX_RETRIES,
-            scrub: true,
         }
     }
 
@@ -208,21 +232,20 @@ impl Supervisor {
         self
     }
 
-    /// Enables or disables the O(memory) scrub pass. With scrub off the
-    /// supervisor trusts the fast path's verdict and never quarantines —
-    /// recovery stays O(cache) but latent data damage goes undetected
-    /// until the next read.
-    pub fn with_scrub(mut self, scrub: bool) -> Self {
-        self.scrub = scrub;
-        self
-    }
-
     /// The configured retry budget.
     pub fn max_retries(&self) -> u32 {
         self.max_retries
     }
 
-    /// Runs the full ladder.
+    /// Runs the full ladder: rung 1, rungs 2–3 when it fails, and the
+    /// rung-4 scrub over every data line in either case. This is the
+    /// entry for a machine that *knows* something went wrong — a
+    /// serve-time integrity fault, an operator's request, a fault
+    /// campaign — and O(memory) by design; a restart with no such
+    /// evidence goes through [`Supervisor::resume`].
+    ///
+    /// Returns with nothing left buffered in the backend: what the
+    /// ladder wrote is durable when it hands the controller back.
     ///
     /// # Errors
     ///
@@ -235,8 +258,18 @@ impl Supervisor {
         &self,
         ctrl: &mut C,
     ) -> Result<SupervisedRecovery, RecoveryError> {
+        let (out, first_err) = self.fast(ctrl)?;
+        self.climb(ctrl, out, first_err)
+    }
+
+    /// Rung 1: fast shadow-assisted recovery. Hands back the accounting
+    /// it starts and, when the fast path failed in a way a slower rung
+    /// can improve on, the error that defeated it.
+    fn fast<C: Supervised + ?Sized>(
+        &self,
+        ctrl: &mut C,
+    ) -> Result<(SupervisedRecovery, Option<RecoveryError>), RecoveryError> {
         let tel = ctrl.supervisor_telemetry();
-        let scheme = ctrl.scheme_name();
         let mut out = SupervisedRecovery {
             outcome: RecoveryOutcome::Recovered,
             report: RecoveryReport::default(),
@@ -248,20 +281,28 @@ impl Supervisor {
             quarantined_lines: 0,
             lost_lines: 0,
         };
-
-        // Rung 1: fast shadow-assisted recovery.
-        let first_err = {
-            let _g = tel.span("supervisor_rung", "fast");
-            match ctrl.recover() {
-                Ok(r) => {
-                    out.report = r;
-                    None
-                }
-                Err(e) if e.is_refusal() => return Err(self.note_refusal(e, &tel, scheme)),
-                Err(e) if is_structural(&e) => return Err(e),
-                Err(e) => Some(e),
+        let _g = tel.span("supervisor_rung", "fast");
+        match ctrl.recover() {
+            Ok(r) => {
+                out.report = r;
+                Ok((out, None))
             }
-        };
+            Err(e) if e.is_refusal() => Err(self.note_refusal(e, &tel, ctrl.scheme_name())),
+            Err(e) if is_structural(&e) => Err(e),
+            Err(e) => Ok((out, Some(e))),
+        }
+    }
+
+    /// Rungs 2–4, after rung 1 left `first_err` (or nothing: the scrub
+    /// runs either way).
+    fn climb<C: Supervised + ?Sized>(
+        &self,
+        ctrl: &mut C,
+        mut out: SupervisedRecovery,
+        first_err: Option<RecoveryError>,
+    ) -> Result<SupervisedRecovery, RecoveryError> {
+        let tel = ctrl.supervisor_telemetry();
+        let scheme = ctrl.scheme_name();
 
         if let Some(first) = first_err {
             // Rung 2: bounded retries with exponential simulated backoff.
@@ -296,12 +337,11 @@ impl Supervisor {
 
         // Rung 4: scrub — every line must verify, be repaired, or be
         // explicitly quarantined and counted.
-        if self.scrub {
-            self.scrub_pass(ctrl, &mut out, &tel, scheme)?;
-        }
+        self.scrub_pass(ctrl, &mut out, &tel, scheme)?;
 
         if out.quarantined_lines > 0 {
             ctrl.persist_quarantine();
+            ctrl.domain_mut().barrier()?;
         }
         out.outcome = outcome_of(&out);
         Ok(out)
@@ -351,14 +391,25 @@ impl Supervisor {
         out.lost_lines += pre.lost;
         if pre.quarantined > 0 {
             ctrl.persist_quarantine();
+            ctrl.domain_mut().barrier()?;
         }
         out.outcome = outcome_of(&out);
         Ok(out)
     }
 
-    /// The restart path over a reopened image: [`Supervisor::recover`],
-    /// or [`Supervisor::repair_then_recover`] when reopen handed back a
-    /// `hint`.
+    /// The restart path over a reopened image, and the paper's recovery:
+    /// it scrubs on evidence. With a `hint` from reopen the corruption is
+    /// already known and [`Supervisor::repair_then_recover`] runs the
+    /// whole ladder. Without one it runs rung 1, and when that passes on
+    /// the first attempt it is done — O(metadata cache), no data line
+    /// read: the outcome is `Recovered`, meaning the metadata verified
+    /// against the root; a data line is verified against that metadata
+    /// when it is first read, as every read is, and a line that fails
+    /// then is the caller's cue for [`Supervisor::recover`]. Any rung-1
+    /// error takes rungs 2–4, scrub included.
+    ///
+    /// Returns with nothing left buffered in the backend, like
+    /// [`Supervisor::recover`].
     ///
     /// # Errors
     ///
@@ -368,9 +419,15 @@ impl Supervisor {
         ctrl: &mut C,
         hint: Option<&RecoveryError>,
     ) -> Result<SupervisedRecovery, RecoveryError> {
-        match hint {
-            Some(err) => self.repair_then_recover(ctrl, err),
-            None => self.recover(ctrl),
+        if let Some(err) = hint {
+            return self.repair_then_recover(ctrl, err);
+        }
+        match self.fast(ctrl)? {
+            (out, None) => {
+                ctrl.domain_mut().barrier()?;
+                Ok(out)
+            }
+            (out, first_err) => self.climb(ctrl, out, first_err),
         }
     }
 
@@ -433,13 +490,7 @@ impl Supervisor {
             .items(ctrl.data_lines());
         let mut did_targeted = out.escalations > 0;
         for pass in 1..=MAX_SCRUB_PASSES {
-            let mut failures: Vec<DataAddr> = Vec::new();
-            for i in 0..ctrl.data_lines() {
-                let addr = DataAddr::new(i);
-                if ctrl.read(addr).is_err() {
-                    failures.push(addr);
-                }
-            }
+            let failures = sweep(ctrl)?;
             if failures.is_empty() {
                 return Ok(());
             }
@@ -478,8 +529,7 @@ impl Supervisor {
             self.absorb(out, sum, tel, scheme);
         }
         // One last check after the final pass's reconcile.
-        let clean = (0..ctrl.data_lines()).all(|i| ctrl.read(DataAddr::new(i)).is_ok());
-        if clean {
+        if sweep(ctrl)?.is_empty() {
             Ok(())
         } else {
             Err(RecoveryError::SchemeCannotRecover {
@@ -493,6 +543,20 @@ impl Default for Supervisor {
     fn default() -> Self {
         Supervisor::new()
     }
+}
+
+/// One scrub sweep: reads and verifies every data line, returning the
+/// ones that fail. The ladder owns the controller and nobody is shown a
+/// value, so the reads are deferred and the sweep ends in one barrier
+/// for whatever the fills and the repairs before it left buffered,
+/// instead of one per line.
+fn sweep<C: Supervised + ?Sized>(ctrl: &mut C) -> Result<Vec<DataAddr>, RecoveryError> {
+    let failures = (0..ctrl.data_lines())
+        .map(DataAddr::new)
+        .filter(|&addr| ctrl.read_deferred(addr).is_err())
+        .collect();
+    ctrl.domain_mut().barrier()?;
+    Ok(failures)
 }
 
 /// Synthesizes the outcome from the accumulated repair accounting.
@@ -561,9 +625,166 @@ mod tests {
         assert_eq!(a.lost, 5);
     }
 
+    use crate::{AnubisConfig, Family, Reopened};
+    use anubis_nvm::{Block, FaultPlan, MemBackend};
+    use anubis_telemetry::Registry;
+    use std::sync::Arc;
+
+    const LINES: u64 = 96;
+
+    fn payload(addr: u64) -> Block {
+        Block::from_words([addr, !addr, addr * 7, 1, 2, 3, 4, 0x5CAB])
+    }
+
+    /// A controller over a fresh in-memory image, booted as a server
+    /// boots one, with `LINES` lines written — under `plan` when given,
+    /// stopping at the write the fault interrupts.
+    fn served(family: Family, plan: Option<FaultPlan>) -> Reopened<MemBackend> {
+        let (mut ctrl, hint) = family.reopen(&AnubisConfig::small_test(), MemBackend::new());
+        Supervisor::new()
+            .resume(ctrl.as_mut(), hint.as_ref())
+            .expect("boot of a fresh image");
+        if let Some(plan) = plan {
+            ctrl.domain_mut().arm_fault(plan);
+        }
+        for addr in 0..LINES {
+            // Strided so the writes dirty many counter blocks and nodes.
+            if ctrl.write(DataAddr::new(addr * 67), payload(addr)).is_err() {
+                break;
+            }
+        }
+        ctrl
+    }
+
+    /// What `kill -9` leaves of [`served`]: the backend with the WPQ
+    /// drained into it, every volatile structure gone.
+    fn killed_image(family: Family) -> MemBackend {
+        let mut ctrl = served(family, None);
+        ctrl.domain_mut().drain_wpq();
+        ctrl.domain().device().backend().clone()
+    }
+
+    fn reopened(family: Family, image: MemBackend) -> (Reopened<MemBackend>, Arc<Registry>) {
+        let (mut ctrl, hint) = family.reopen(&AnubisConfig::small_test(), image);
+        assert_eq!(hint, None, "{}: a clean image has no hint", family.name());
+        let (reg, tel) = Telemetry::private();
+        ctrl.set_telemetry(tel);
+        (ctrl, reg)
+    }
+
+    /// Labels of the `supervisor_rung` spans, in the order they began.
+    fn rungs(reg: &Registry) -> Vec<String> {
+        let mut spans = reg.spans();
+        spans.retain(|s| s.name == "supervisor_rung");
+        spans.sort_by_key(|s| s.start_ns);
+        spans.into_iter().map(|s| s.label).collect()
+    }
+
+    fn device_reads(ctrl: &Reopened<MemBackend>) -> u64 {
+        ctrl.domain().device().stats().reads()
+    }
+
     #[test]
-    fn supervisor_builders() {
-        let s = Supervisor::new().with_max_retries(5).with_scrub(false);
-        assert_eq!(s.max_retries(), 5);
+    fn a_clean_restart_is_rung_one_and_reads_no_data_line() {
+        for family in Family::all() {
+            let name = family.name();
+            let image = killed_image(family);
+
+            // The paper's recovery alone: the controller call, no ladder.
+            let (mut bare, _) = reopened(family, image.clone());
+            bare.recover().expect("bare recovery of a clean image");
+
+            let (mut ctrl, reg) = reopened(family, image);
+            let out = Supervisor::new()
+                .resume(ctrl.as_mut(), None)
+                .expect("resume of a clean image");
+            assert_eq!(out.outcome, RecoveryOutcome::Recovered, "{name}");
+            assert_eq!(rungs(&reg), ["fast"], "{name}: no scrub span");
+            assert_eq!(
+                device_reads(&ctrl),
+                device_reads(&bare),
+                "{name}: a clean boot reads what recover() reads and not a line more"
+            );
+            // Verified on access instead: every line is there.
+            for addr in 0..LINES {
+                let got = ctrl
+                    .read(DataAddr::new(addr * 67))
+                    .expect("read after boot");
+                assert_eq!(got, payload(addr), "{name}: line {addr}");
+            }
+        }
+    }
+
+    #[test]
+    fn recover_always_scrubs_and_so_does_resume_with_a_reopen_hint() {
+        for family in Family::all() {
+            let name = family.name();
+            let image = killed_image(family);
+
+            let (mut ctrl, reg) = reopened(family, image.clone());
+            let lines = ctrl.data_lines();
+            let out = Supervisor::new()
+                .recover(ctrl.as_mut())
+                .expect("full ladder over a clean image");
+            assert_eq!(out.outcome, RecoveryOutcome::Recovered, "{name}");
+            assert_eq!(rungs(&reg), ["fast", "scrub"], "{name}: recover()");
+            let scrub = reg.spans().into_iter().find(|s| s.label == "scrub");
+            assert_eq!(scrub.map(|s| s.items), Some(lines), "{name}: every line");
+
+            let (mut ctrl, reg) = reopened(family, image);
+            let hint = RecoveryError::CorruptImage {
+                what: "quarantine table",
+            };
+            Supervisor::new()
+                .resume(ctrl.as_mut(), Some(&hint))
+                .expect("resume with a hint");
+            assert_eq!(
+                rungs(&reg),
+                ["targeted", "fast", "scrub"],
+                "{name}: a reopen hint is evidence"
+            );
+        }
+    }
+
+    /// The first torn write (counted persist index) after which the
+    /// scheme's own `recover()` fails in a way the ladder can climb past.
+    fn plan_that_defeats_rung_one(family: Family) -> FaultPlan {
+        (0..)
+            .map(|k| FaultPlan::torn_write_after(k, 3))
+            .find(|plan| {
+                let mut ctrl = served(family, Some(plan.clone()));
+                assert!(
+                    ctrl.domain().fault_fired().is_some(),
+                    "{}: no torn write defeats rung 1",
+                    family.name()
+                );
+                ctrl.crash();
+                matches!(ctrl.recover(), Err(e) if !e.is_refusal() && !is_structural(&e))
+            })
+            .expect("the search ends in the assertion above")
+    }
+
+    #[test]
+    fn a_rung_one_error_on_restart_takes_the_whole_ladder() {
+        for family in Family::all() {
+            let name = family.name();
+            let plan = plan_that_defeats_rung_one(family);
+            let mut ctrl = served(family, Some(plan));
+            ctrl.crash();
+            let (reg, tel) = Telemetry::private();
+            ctrl.set_telemetry(tel);
+
+            let supervisor = Supervisor::new().with_max_retries(5);
+            assert_eq!(supervisor.max_retries(), 5);
+            let out = supervisor
+                .resume(ctrl.as_mut(), None)
+                .expect("the ladder ends in a structured outcome");
+            // A torn block stays torn: every retry fails as rung 1 did.
+            assert_eq!((out.retries, out.escalations >= 1), (5, true), "{name}");
+            let mut want = vec!["fast"];
+            want.extend(["retry"; 5]);
+            want.extend(["targeted", "scrub"]);
+            assert_eq!(rungs(&reg), want, "{name}: rung-1 error is evidence");
+        }
     }
 }

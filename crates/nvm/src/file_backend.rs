@@ -340,7 +340,8 @@ impl FileBackend {
             .truncate(false)
             .open(&path)
             .map_err(|e| io_err("open", &path, e))?;
-        let mut bytes = Vec::new();
+        let size = file.metadata().map_err(|e| io_err("stat", &path, e))?.len();
+        let mut bytes = Vec::with_capacity(usize::try_from(size).unwrap_or(0));
         file.read_to_end(&mut bytes)
             .map_err(|e| io_err("read", &path, e))?;
 

@@ -5,13 +5,13 @@
 //! # Serving-mode state machine
 //!
 //! ```text
-//!            boot (reopen + ladder)        integrity fault
+//!            boot (reopen + resume)        integrity fault
 //!   ReadOnly ◄──────────────────── Full ◄──────────────── Full
 //!      │ ladder done: Outcome         │                      │
 //!      ▼                              ▼                      ▼
-//!    Full                      (writes rejected        ReadOnly + ladder
-//!                               as Degraded while       in background
-//!                               ReadOnly; reads served
+//!    Full                      (writes rejected        ReadOnly + recover
+//!                               as Degraded while       (the full ladder)
+//!                               ReadOnly; reads served  in background
 //!                               from last verified state)
 //! ```
 //!
@@ -20,9 +20,19 @@
 //!
 //! The recovery ladder runs on a **background thread that owns the
 //! controller** (taken out of the tenant), so reads keep flowing from
-//! the last verified state while rung 1–4 of the supervisor work the
-//! domain. Re-entry into full service happens only on a structured
+//! the last verified state while the supervisor works the domain.
+//! Re-entry into full service happens only on a structured
 //! [`anubis::RecoveryOutcome`].
+//!
+//! The two arrows into the ladder are not the same ladder. **Boot** is
+//! [`Supervisor::resume`]: the paper's recovery (rung 1, O(metadata
+//! cache)), and rungs 2–4 with their O(memory) scrub only when reopen
+//! raised a hint or rung 1 failed. An **integrity fault** while serving
+//! (or a `Recover` request) is [`Supervisor::recover`], the whole
+//! ladder. A data line damaged at rest is therefore found by its first
+//! read, not by the boot: that read fails typed — every read verifies
+//! MAC and tree, so the payload is never served — and takes the fault
+//! arrow, which repairs or quarantines the line and counts it.
 //!
 //! # Execute / durable
 //!
@@ -219,6 +229,32 @@ fn observe_us(tel: &Telemetry, name: &'static str, tenant: &str, since: Instant)
     tel.observe(name, tenant, since.elapsed().as_secs_f64() * 1e6);
 }
 
+/// Runs one phase of a tenant's boot — `open` (the image: read, WAL
+/// walk, replay, anchor), `reopen` (the controller over it) or `ladder`
+/// (the supervisor, up to `Full`) — and accounts for it in
+/// `serve_boot_us{<tenant>/<phase>}`. Clocks are read only when
+/// telemetry listens.
+fn boot_phase<T>(tel: &Telemetry, tenant: &str, phase: &str, work: impl FnOnce() -> T) -> T {
+    let asked = tel.enabled().then(Instant::now);
+    let done = work();
+    if let Some(asked) = asked {
+        observe_us(tel, "serve_boot_us", &format!("{tenant}/{phase}"), asked);
+    }
+    done
+}
+
+/// Why a ladder starts, which is what decides how much of it runs.
+enum Entry {
+    /// Boot over a reopened image, with whatever hint reopen raised:
+    /// [`Supervisor::resume`] — rung 1, and the rest only on evidence.
+    Boot(Option<RecoveryError>),
+    /// A serve-time integrity fault or an explicit `Recover`: evidence
+    /// already. Volatile state is dropped (the restart that would have
+    /// dropped it did not happen) and [`Supervisor::recover`] runs the
+    /// whole ladder, scrub included.
+    Fault,
+}
+
 impl<B: NvmBackend> Deref for Held<'_, B> {
     type Target = Core<B>;
     fn deref(&self) -> &Core<B> {
@@ -336,7 +372,9 @@ impl Tenant {
         } else {
             anubis_nvm::AnchorPolicy::Strict
         };
-        let backend = FileBackend::open_with_anchor(&image, cfg.mem_config.key.0, policy)?;
+        let backend = boot_phase(&tel, &spec.name, "open", || {
+            FileBackend::open_with_anchor(&image, cfg.mem_config.key.0, policy)
+        })?;
         Ok(Tenant::over(spec, cfg, tel, backend, threads))
     }
 }
@@ -354,7 +392,9 @@ impl<B: NvmBackend + 'static> Tenant<B> {
         threads: &ThreadReg,
     ) -> Arc<Self> {
         let durability = backend.durability();
-        let (ctrl, hint) = spec.family.reopen(&cfg.mem_config, backend);
+        let (ctrl, hint) = boot_phase(&tel, &spec.name, "reopen", || {
+            spec.family.reopen(&cfg.mem_config, backend)
+        });
         let tenant = Arc::new(Tenant {
             name: spec.name.clone(),
             token_hash: spec.token_hash,
@@ -385,7 +425,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             let mut core = tenant.lock();
             // Boot ladder: reopen restored registers; recovery restores
             // verified state (with the corrupt-image hint feeding rung 3).
-            tenant.spawn_recovery(&mut core, hint, false, threads);
+            tenant.spawn_recovery(&mut core, Entry::Boot(hint), threads);
         }
         tenant
     }
@@ -521,9 +561,9 @@ impl<B: NvmBackend + 'static> Tenant<B> {
 
     /// Takes the controller out of the core and runs the supervisor
     /// ladder on a background thread; the tenant serves reads from the
-    /// last verified state meanwhile. `crash_first` distinguishes the
-    /// in-process fault path (volatile state must be dropped) from the
-    /// boot path (the process restart already dropped it).
+    /// last verified state meanwhile. `entry` tells the boot path (the
+    /// paper's recovery; the scrub only on evidence) from the in-process
+    /// fault path (the full ladder).
     ///
     /// Operations that executed and still wait for their barrier must
     /// not be left pointing into a controller this thread no longer
@@ -531,13 +571,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
     /// executed so far durable — or fails it, typed — before the
     /// hand-off. (It queues behind a leader's frame in flight; the fault
     /// path may wait for one barrier under the lock.)
-    fn spawn_recovery(
-        self: &Arc<Self>,
-        core: &mut Core<B>,
-        hint: Option<RecoveryError>,
-        crash_first: bool,
-        threads: &ThreadReg,
-    ) {
+    fn spawn_recovery(self: &Arc<Self>, core: &mut Core<B>, entry: Entry, threads: &ThreadReg) {
         let Some(mut ctrl) = core.ctrl.take() else {
             return; // A ladder is already running.
         };
@@ -551,10 +585,16 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             if !stall.is_zero() {
                 std::thread::sleep(stall);
             }
-            if crash_first {
-                ctrl.crash();
-            }
-            let result = Supervisor::new().resume(ctrl.as_mut(), hint.as_ref());
+            let supervisor = Supervisor::new();
+            let result = match entry {
+                Entry::Boot(hint) => boot_phase(&tenant.tel, &tenant.name, "ladder", || {
+                    supervisor.resume(ctrl.as_mut(), hint.as_ref())
+                }),
+                Entry::Fault => {
+                    ctrl.crash();
+                    supervisor.recover(ctrl.as_mut())
+                }
+            };
             ctrl.publish_telemetry();
             let mut core = relock(&tenant.core);
             core.ctrl = Some(ctrl);
@@ -894,7 +934,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
     ) -> ServeError {
         core.breaker.record_fault(Instant::now());
         self.tel.incr("serve_integrity_faults_total", &self.name, 1);
-        self.spawn_recovery(core, None, true, threads);
+        self.spawn_recovery(core, Entry::Fault, threads);
         ServeError::Integrity {
             detail: e.to_string(),
         }
@@ -1009,7 +1049,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
                 outcome: "already recovering".to_string(),
             };
         }
-        self.spawn_recovery(&mut core, None, true, threads);
+        self.spawn_recovery(&mut core, Entry::Fault, threads);
         Response::RecoverOk {
             outcome: "started".to_string(),
         }
@@ -1084,6 +1124,54 @@ impl<B: NvmBackend + 'static> Tenant<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn join_ladders(threads: &ThreadReg) {
+        for ladder in std::mem::take(&mut *relock(threads)) {
+            ladder.join().expect("ladder thread");
+        }
+    }
+
+    #[test]
+    fn a_boot_accounts_for_its_three_phases_and_a_fault_ladder_is_not_a_boot() {
+        let data_dir =
+            std::env::temp_dir().join(format!("anubis-tenant-boot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&data_dir);
+        std::fs::create_dir_all(&data_dir).expect("data dir");
+        let cfg = ServeConfig {
+            data_dir: data_dir.clone(),
+            tenants: crate::config::parse_tenants("alpha:tok:sgx").expect("tenant spec"),
+            ..ServeConfig::default()
+        };
+        let (reg, tel) = Telemetry::private();
+        let threads = ThreadReg::default();
+        let phases = || {
+            let snap = reg.snapshot();
+            let boot = snap.histograms.get("serve_boot_us");
+            boot.map_or_else(Vec::new, |labels| {
+                labels.iter().map(|(l, h)| (l.clone(), h.count)).collect()
+            })
+        };
+
+        let tenant = Tenant::open(&cfg.tenants[0], &cfg, tel, &threads).expect("open");
+        join_ladders(&threads);
+        assert_eq!(tenant.mode(), ServeMode::Full);
+        let booted = [
+            ("alpha/ladder".to_string(), 1),
+            ("alpha/open".to_string(), 1),
+            ("alpha/reopen".to_string(), 1),
+        ];
+        assert_eq!(phases(), booted);
+
+        tenant.op_recover(&threads);
+        join_ladders(&threads);
+        assert_eq!(tenant.stats_snapshot().recoveries, 2);
+        assert_eq!(
+            phases(),
+            booted,
+            "a Recover request runs a ladder, not a boot"
+        );
+        let _ = std::fs::remove_dir_all(&data_dir);
+    }
 
     #[test]
     fn the_verified_table_stops_growing_at_its_bound() {

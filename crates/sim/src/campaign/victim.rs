@@ -177,7 +177,11 @@ pub(super) fn read_ack_log(path: &Path) -> std::io::Result<Vec<(u64, u64)>> {
 
 /// Opens `image` — under its freshness anchor when a policy is given —
 /// reopens `family`'s controller over it and runs supervised recovery:
-/// what a restarted machine does, whoever restarts it.
+/// what a restarted machine does, whoever restarts it. That is
+/// [`Supervisor::resume`]: rung 1, and the rest of the ladder with its
+/// scrub only when reopen raised a hint or rung 1 failed — so a
+/// campaign's audit is the first reader of every line it checks, and a
+/// line damaged at rest must fail that read typed.
 ///
 /// # Errors
 ///

@@ -187,6 +187,61 @@ fn write_cut_mid_recovery_suppresses_file_backend_flushes() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The scrub reads every line deferred and takes one barrier per pass.
+/// Held against the fused scrub it replaced — rung 1, then a fused
+/// `read()` of every line, one barrier each — over two copies of one
+/// killed image: the durable image afterwards (what a reopen of the file
+/// replays, so anything left buffered would be missing from it) is
+/// block-for-block and register-for-register the same, and the ladder
+/// cut at most as many frames.
+#[test]
+fn the_scrub_takes_one_barrier_per_pass_and_leaves_the_fused_image() {
+    for family in Family::all() {
+        let name = family.name();
+        let dir = scratch(&format!("scrub-{name}"));
+        let killed = dir.join("killed.wal");
+        {
+            let backend = FileBackend::open(&killed).expect("open fresh image");
+            let (mut ctrl, hint) = family.reopen(&config(), backend);
+            recover_fresh(ctrl.as_mut(), hint);
+            serve(ctrl.as_mut(), &drill_script(400, 300, 0x5C2B), |_| {});
+        }
+        let frames = |copy: &str, ladder: &dyn Fn(&mut dyn Supervised<Backend = FileBackend>)| {
+            let image = dir.join(copy);
+            fs::copy(&killed, &image).expect("copy the killed image");
+            let backend = FileBackend::open(&image).expect("reopen the copy");
+            let (mut ctrl, hint) = family.reopen(&config(), backend);
+            assert_eq!(hint, None, "{name}: a killed image raises no hint");
+            let before = ctrl.domain().epoch();
+            ladder(ctrl.as_mut());
+            let backend = ctrl.domain().device().backend();
+            assert_eq!(
+                backend.ticket(),
+                backend.epoch(),
+                "{name} {copy}: nothing is left buffered"
+            );
+            (backend.epoch() - before, raw_fingerprint(&image))
+        };
+        let (ladder_frames, ladder_image) = frames("ladder.wal", &|ctrl| {
+            Supervisor::new().recover(ctrl).expect("full ladder");
+        });
+        let (fused_frames, fused_image) = frames("fused.wal", &|ctrl| {
+            ctrl.recover().expect("rung 1");
+            for line in 0..ctrl.data_lines() {
+                ctrl.read(DataAddr::new(line)).expect("fused scrub read");
+            }
+        });
+        assert_eq!(ladder_image, fused_image, "{name}: durable image");
+        // Rung 1's power-up and the one clean pass: two barriers at most
+        // (sgx-asit's fused scrub of this image cuts 40 frames).
+        assert!(
+            ladder_frames <= fused_frames.min(2),
+            "{name}: the ladder cut {ladder_frames} frames, the fused scrub {fused_frames}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 /// Snapshot→restore→snapshot must be bit-identical, and the
 /// post-recovery snapshot itself must be the pinned one (FNV-1a of its
 /// bytes). The two tests keep the names the tier-1 floor lists them

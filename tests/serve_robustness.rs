@@ -247,6 +247,97 @@ fn degraded_mode_serves_verified_reads_during_recovery() {
     server.shutdown();
 }
 
+/// Boot is the paper's recovery — metadata against the root, no sweep
+/// over the data — so a data line damaged at rest is found by its first
+/// read instead: typed, never served, and that read is what sends the
+/// tenant through the full ladder.
+#[test]
+fn a_line_damaged_at_rest_is_found_by_its_first_read_not_by_the_boot() {
+    // The damaged line is written first and 96 lines of 96 other counter
+    // blocks after it — more than the counter cache holds — so that at
+    // the restart its counter block is cold: AGIT's rung 1 re-derives the
+    // counters of the blocks its shadow table tracks from their data
+    // lines, and damage under one of *those* is a rung-1 error, which is
+    // evidence, and scrubs.
+    // (`block / 64` keeps the lines in distinct slots of the 4096-line
+    // degraded-read table, which is direct-mapped by line address.)
+    const DAMAGED: u64 = 11;
+    let others = || (1..=96u64).map(|block| block * 64 + block / 64);
+    let tenants = ["alpha", "beta"];
+    let payload = |tenant: usize, line: u64| [(0x40 << tenant) | line as u8; 64];
+    let cfg = test_config("alpha:tok:bonsai,beta:tok:sgx");
+
+    let server = Server::start(cfg.clone()).expect("start");
+    for (t, tenant) in tenants.iter().enumerate() {
+        let mut c = ServeClient::connect(server.local_addr(), tenant, "tok").expect("connect");
+        await_full(&mut c, Duration::from_secs(10));
+        for (n, line) in std::iter::once(DAMAGED).chain(others()).enumerate() {
+            c.write(line, payload(t, line), 0).expect("write");
+            if n % 16 == 15 {
+                // `Flush` drains every dirty metadata block as one commit
+                // group, and a group is at most 64 blocks.
+                c.flush().expect("flush");
+            }
+        }
+        // Out of the WPQ and onto the device, where the damage lands; the
+        // second flush journals the damaged block: it is in the image.
+        c.flush().expect("flush");
+        c.inject(Inject::CorruptLine {
+            addr: DAMAGED,
+            bit: 3,
+        })
+        .expect("corrupt");
+        c.flush().expect("flush the damage");
+    }
+    server.shutdown();
+
+    let server = Server::start(cfg).expect("restart on the same data dir");
+    for (t, tenant) in tenants.iter().enumerate() {
+        let mut c = ServeClient::connect(server.local_addr(), tenant, "tok").expect("connect");
+        await_full(&mut c, Duration::from_secs(10));
+        let boot = c.stats().expect("stats");
+        assert_eq!(
+            (boot.recoveries, boot.last_outcome.as_str()),
+            (1, "recovered"),
+            "{tenant}: the boot verifies metadata and does not sweep the data"
+        );
+        assert_eq!(boot.quarantined_blocks, 0, "{tenant}");
+        let others_hold = |c: &mut ServeClient, when: &str| {
+            for line in others() {
+                // Full, or from the last verified state while the ladder
+                // has the controller: the acknowledged payload either way.
+                let (got, _) = c
+                    .read(line, 0)
+                    .unwrap_or_else(|e| panic!("{tenant}: line {line} {when}: {e:?}"));
+                assert_eq!(got, payload(t, line), "{tenant}: line {line} {when}");
+            }
+        };
+        others_hold(&mut c, "after the boot");
+
+        match c.read(DAMAGED, 0) {
+            Err(ClientError::Server(ServeError::Integrity { .. })) => {}
+            other => {
+                panic!("{tenant}: the damaged line's first read must fail typed, got {other:?}")
+            }
+        }
+        others_hold(&mut c, "while the ladder runs");
+
+        await_full(&mut c, Duration::from_secs(10));
+        let after = c.stats().expect("stats");
+        assert_eq!(after.recoveries, 2, "{tenant}: the fault ran one ladder");
+        let (got, mode) = c.read(DAMAGED, 0).expect("read after the ladder");
+        assert_eq!(mode, ServeMode::Full);
+        assert!(
+            got == payload(t, DAMAGED) || (got == [0; 64] && after.quarantined_blocks >= 1),
+            "{tenant}: the line is repaired, or retired and counted ({}; {} quarantined)",
+            after.last_outcome,
+            after.quarantined_blocks
+        );
+        others_hold(&mut c, "after the ladder");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn frame_faults_are_typed_and_never_hang() {
     let cfg = test_config("alpha:tok:bonsai");
