@@ -19,6 +19,15 @@ pub(crate) type AddrMap<V> = HashMap<u64, V, AddrHash>;
 /// Odd, with its bits spread over the whole word: ⌊2⁶⁴ / φ⌋.
 const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// One step of the multiply-fold: `word` mixed into the state `hash` as
+/// the full 128-bit product of `hash ^ word` and [`MUL`], its high half
+/// folded onto its low half. Also the step of the WAL's frame tag.
+#[inline]
+pub(crate) fn fold(hash: u64, word: u64) -> u64 {
+    let product = u128::from(hash ^ word) * u128::from(MUL);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
 /// Builds [`AddrHasher`]s under the process's key.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct AddrHash {
@@ -49,11 +58,11 @@ impl BuildHasher for AddrHash {
     }
 }
 
-/// The full 128-bit product of the keyed word and [`MUL`], its high half
-/// folded onto its low half: hashbrown picks the bucket from the low
-/// bits, and the low half of a product depends only on the low bits of
-/// its factors — addresses that differ only above them (one per page,
-/// one per node) would otherwise share a bucket.
+/// One [`fold`] per word from the key: the full 128-bit product because
+/// hashbrown picks the bucket from the low bits, and the low half of a
+/// product depends only on the low bits of its factors — addresses that
+/// differ only above them (one per page, one per node) would otherwise
+/// share a bucket.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct AddrHasher {
     hash: u64,
@@ -61,8 +70,7 @@ pub(crate) struct AddrHasher {
 
 impl Hasher for AddrHasher {
     fn write_u64(&mut self, word: u64) {
-        let product = u128::from(self.hash ^ word) * u128::from(MUL);
-        self.hash = (product as u64) ^ ((product >> 64) as u64);
+        self.hash = fold(self.hash, word);
     }
 
     fn write(&mut self, bytes: &[u8]) {

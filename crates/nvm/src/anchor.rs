@@ -153,8 +153,9 @@ fn io_reason(op: &str, path: &Path, e: std::io::Error) -> AnchorError {
 }
 
 /// Seals `epoch` under `key` — a keyed-FNV sandwich over
-/// `key || epoch || key'`, the same simulation-grade MAC construction
-/// strength as the WAL/snapshot checksums but unforgeable without the key.
+/// `key || epoch || key'`, simulation-grade like the WAL's frame tag
+/// (whose key words are derived apart from these) and, like it,
+/// unforgeable without the key.
 fn seal_mac(key: [u64; 2], epoch: u64) -> u64 {
     let mut buf = [0u8; 32];
     buf[0..8].copy_from_slice(&key[0].to_le_bytes());

@@ -23,23 +23,12 @@ use crate::error::NvmError;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a 64-bit checksum — the in-tree integrity check for WAL frames and
-/// snapshot images (no external dependencies).
+/// FNV-1a 64-bit checksum — the in-tree checksum of snapshot images and
+/// of the anchor's seal (no external dependencies).
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_seeded(FNV_OFFSET, bytes)
-}
-
-/// Continues an FNV-1a 64-bit stream from `seed`, so multi-part inputs
-/// (frame epoch ‖ payload) checksum without concatenating buffers.
-pub(crate) fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Size and economy of a durable backend's write-ahead log, for the

@@ -69,5 +69,5 @@ pub use quarantine::{QuarantineError, RemapTable};
 pub use rng::SplitMix64;
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{NvmStats, StatsSnapshot};
-pub use wal::{encode_wal_frame, WalFault, WalFrame, WalWalker};
+pub use wal::{encode_wal_frame, WalFault, WalFrame, WalWalker, PUBLIC_WAL_KEY};
 pub use wpq::{Wpq, DEFAULT_WPQ_ENTRIES};

@@ -541,10 +541,11 @@ fn acked_batches_survive_drop_sgx_asit() {
     acked_batches_survive_drop(reopen_asit, "asit");
 }
 
-/// The committed frames of `image` and the logical end of its log.
+/// The committed frames of `image` — anchored, so tagged under the
+/// device key — and the logical end of its log.
 fn wal_layout(image: &Path) -> (Vec<WalFrame>, usize) {
     let bytes = fs::read(image).expect("read image");
-    let mut walk = WalWalker::new(&bytes).expect("image header");
+    let mut walk = WalWalker::new(&bytes, config().key.0).expect("image header");
     let frames = walk
         .by_ref()
         .collect::<Result<Vec<_>, _>>()

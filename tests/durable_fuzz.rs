@@ -14,7 +14,7 @@ use std::path::PathBuf;
 
 use anubis_nvm::{
     anchor_path_for, AnchorPolicy, Block, FileBackend, FreshnessAnchor, NvmBackend, Snapshot,
-    SplitMix64, WalWalker, WriteOp,
+    SplitMix64, WalWalker, WriteOp, PUBLIC_WAL_KEY,
 };
 
 const KEY: [u64; 2] = [7, 13];
@@ -76,12 +76,18 @@ fn mutate_wal(image: &[u8], log_end: usize, rng: &mut SplitMix64) -> Vec<u8> {
 
 /// Builds a realistic WAL image — a few epochs of stores, register
 /// writes, and barriers — and returns it with the logical end of its
-/// log.
-fn seed_wal_bytes(name: &str) -> (Vec<u8>, usize) {
+/// log. `anchored` images are written under [`KEY`] (and open only under
+/// it), the others under the public key.
+fn seed_wal_bytes(name: &str, anchored: bool) -> (Vec<u8>, usize) {
     let p = tmp(name);
     cleanup(&p);
     {
-        let mut b = FileBackend::open(&p).expect("fresh WAL image opens");
+        let mut b = if anchored {
+            FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict)
+        } else {
+            FileBackend::open(&p)
+        }
+        .expect("fresh WAL image opens");
         for i in 0..12u64 {
             b.store(i * 7, Block::filled(i as u8));
             b.store_reg(0, Block::filled(0xA0 | i as u8));
@@ -90,7 +96,8 @@ fn seed_wal_bytes(name: &str) -> (Vec<u8>, usize) {
     }
     let bytes = fs::read(&p).expect("read seeded WAL");
     cleanup(&p);
-    let mut walk = WalWalker::new(&bytes).expect("seeded WAL header");
+    let key = if anchored { KEY } else { PUBLIC_WAL_KEY };
+    let mut walk = WalWalker::new(&bytes, key).expect("seeded WAL header");
     assert_eq!(walk.by_ref().filter(Result::is_ok).count(), 12);
     let log_end = walk.logical_end();
     assert!(log_end < bytes.len(), "the seeded image must carry slack");
@@ -99,7 +106,7 @@ fn seed_wal_bytes(name: &str) -> (Vec<u8>, usize) {
 
 #[test]
 fn wal_parser_never_panics_on_mutated_images() {
-    let (seed_bytes, log_end) = seed_wal_bytes("wal");
+    let (seed_bytes, log_end) = seed_wal_bytes("wal", false);
     let p = tmp("wal-mut");
     let mut rng = SplitMix64::new(0xF022_DEAD_BEEF_0001);
     for round in 0..ROUNDS {
@@ -129,7 +136,7 @@ fn wal_parser_never_panics_on_mutated_images() {
 
 #[test]
 fn anchored_wal_open_never_panics_on_mutated_images() {
-    let (seed_bytes, log_end) = seed_wal_bytes("walanc");
+    let (seed_bytes, log_end) = seed_wal_bytes("walanc", true);
     let p = tmp("walanc-mut");
     cleanup(&p);
     // Give the mutated image a live anchor so the freshness check runs.
