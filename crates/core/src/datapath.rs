@@ -21,9 +21,7 @@ use crate::error::{MemError, RecoveryError};
 use crate::layout::DataAddr;
 use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{CryptoError, DataCodec, Key, MacCache, SealedBlock};
-use anubis_nvm::{
-    Block, BlockAddr, Freshness, NvmBackend, NvmError, PersistenceDomain, Region, Snapshot, WriteOp,
-};
+use anubis_nvm::{Block, BlockAddr, Freshness, NvmBackend, PersistenceDomain, Region, WriteOp};
 use anubis_telemetry::Telemetry;
 
 /// Pending-op watermark at which [`write_batch`] flushes its accumulated
@@ -93,9 +91,6 @@ pub(crate) struct DataPath<B: NvmBackend> {
     pub(crate) totals: CostAccum,
     /// Words repaired by the SEC-DED decoder on the data read path.
     pub(crate) ecc_corrections: u64,
-    /// Snapshot images the restore path rejected (parse failure or
-    /// epoch behind the sealed anchor).
-    pub(crate) snapshot_rejected: u64,
     pub(crate) telemetry: Telemetry,
 }
 
@@ -113,7 +108,6 @@ impl<B: NvmBackend> DataPath<B> {
             cost: OpCost::zero(),
             totals: CostAccum::default(),
             ecc_corrections: 0,
-            snapshot_rejected: 0,
             telemetry: Telemetry::global(),
         }
     }
@@ -324,7 +318,7 @@ impl<B: NvmBackend> DataPath<B> {
     }
 
     // ------------------------------------------------------------------
-    // Quarantine table and snapshots
+    // Quarantine table
     // ------------------------------------------------------------------
 
     /// Persists the device's bad-block remap table into its region.
@@ -354,18 +348,6 @@ impl<B: NvmBackend> DataPath<B> {
             .map(|_| RecoveryError::CorruptImage {
                 what: "quarantine table",
             })
-    }
-
-    /// Restores a captured domain snapshot, refusing one whose epoch is
-    /// behind the device's current freshness epoch — a substituted stale
-    /// snapshot must never silently replace newer committed state. A
-    /// refusal is counted in `snapshot_rejected_total`.
-    pub(crate) fn restore_snapshot(&mut self, snap: &Snapshot) -> Result<(), NvmError> {
-        let applied = self.domain.apply_snapshot(snap);
-        if applied.is_err() {
-            self.snapshot_rejected += 1;
-        }
-        applied
     }
 
     // ------------------------------------------------------------------
@@ -434,7 +416,6 @@ impl<B: NvmBackend> DataPath<B> {
         );
         t.gauge_set("wpq_occupancy", scheme, self.domain.wpq_occupancy() as f64);
         t.gauge_set("wpq_capacity", scheme, self.domain.wpq_capacity() as f64);
-        t.counter_set("snapshot_rejected_total", scheme, self.snapshot_rejected);
         let rolled_back = matches!(self.domain.freshness(), Freshness::RolledBack { .. });
         t.counter_set("rollback_detected_total", scheme, rolled_back as u64);
         Some(t)

@@ -2,7 +2,7 @@
 //! the staged-seal mechanics, without a controller on top.
 
 use super::*;
-use anubis_nvm::{MemBackend, RegionAllocator};
+use anubis_nvm::{MemBackend, NvmError, RegionAllocator};
 
 const KEY: Key = Key([7, 13]);
 

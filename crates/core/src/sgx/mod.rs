@@ -231,30 +231,6 @@ impl<B: NvmBackend> SgxController<B> {
         (c, hint)
     }
 
-    /// Records a snapshot image rejected by the restore path (parse
-    /// failure or an epoch behind the sealed anchor) for the
-    /// `snapshot_rejected_total` counter.
-    pub fn note_snapshot_rejected(&mut self) {
-        self.path.snapshot_rejected += 1;
-    }
-
-    /// Restores a captured domain snapshot, refusing one whose epoch is
-    /// behind the device's current freshness epoch — a substituted stale
-    /// snapshot must never silently replace newer committed state. A
-    /// refusal is counted in `snapshot_rejected_total`.
-    ///
-    /// # Errors
-    ///
-    /// [`anubis_nvm::NvmError::Snapshot`] with
-    /// [`anubis_nvm::SnapshotError::StaleEpoch`] for a rolled-back
-    /// snapshot; other [`anubis_nvm::NvmError`]s from the apply itself.
-    pub fn restore_snapshot(
-        &mut self,
-        snap: &anubis_nvm::Snapshot,
-    ) -> Result<(), anubis_nvm::NvmError> {
-        self.path.restore_snapshot(snap)
-    }
-
     /// The scheme this controller runs.
     pub fn scheme(&self) -> SgxScheme {
         self.scheme

@@ -4,8 +4,8 @@
 //! registers the adversary cannot touch. In this reproduction the process
 //! dies but the host filesystem survives, so the stand-in is a tiny
 //! anchor file beside the WAL image holding the device's **freshness
-//! epoch** — a monotonic counter bumped on every flushing WAL barrier,
-//! compaction, and snapshot. On reopen the WAL image's epoch is compared
+//! epoch** — a monotonic counter bumped on every flushing WAL barrier
+//! and compaction. On reopen the WAL image's epoch is compared
 //! against the anchor: an image *behind* the anchor is a rollback to
 //! stale state and must be refused, never silently served.
 //!

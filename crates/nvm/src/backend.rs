@@ -23,8 +23,8 @@ use crate::error::NvmError;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// FNV-1a 64-bit checksum — the in-tree checksum of snapshot images and
-/// of the anchor's seal (no external dependencies).
+/// FNV-1a 64-bit checksum — the in-tree checksum under the anchor's seal
+/// (no external dependencies).
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -133,9 +133,8 @@ impl Durability {
     /// Runs `step` as what takes the log from `epoch - 1` to `epoch`:
     /// waits until every earlier epoch is durable, then publishes
     /// `epoch` — or the failure, for good — when `step` returns. Every
-    /// frame, compaction and epoch bump of a backend goes through here,
-    /// which is what makes them land in epoch order whichever thread
-    /// carries them.
+    /// frame and compaction of a backend goes through here, which is
+    /// what makes them land in epoch order whichever thread carries them.
     ///
     /// # Errors
     ///
@@ -356,8 +355,8 @@ impl std::fmt::Debug for Cut {
 ///   [`NvmBackend::ticket`] it left its execution with;
 /// * the persistence domain itself on the paths that model the platform
 ///   rather than an operation: the ADR flush of a (fault-injected or
-///   explicit) power failure, the REDO pass at power-up, an idle-time
-///   WPQ drain, and snapshot capture / restore.
+///   explicit) power failure, the REDO pass at power-up, and an
+///   idle-time WPQ drain.
 ///
 /// Because a cut covers a whole number of commit groups in commit order,
 /// each preceded by its register mirrors — and, taken between
@@ -460,8 +459,8 @@ pub trait NvmBackend: std::fmt::Debug + Send + Sync {
 
     /// The backend's current freshness epoch: a monotonic counter bumped
     /// on every cut (so: once per fused operation that wrote, once per
-    /// group of deferred ones), compaction, and snapshot by durable
-    /// backends — the epoch of the last frame *cut*, which
+    /// group of deferred ones) and compaction by durable backends — the
+    /// epoch of the last frame *cut*, which
     /// [`NvmBackend::durability`] trails while a [`Cut`] is in flight.
     /// Volatile backends report 0 — within one process there is no
     /// restart for a rollback to hide behind.
@@ -474,16 +473,6 @@ pub trait NvmBackend: std::fmt::Debug + Send + Sync {
     /// backends.
     fn freshness(&self) -> Freshness {
         Freshness::Untracked
-    }
-
-    /// Explicitly advances the freshness epoch (snapshot capture point),
-    /// making the bump durable. No-op for volatile backends.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NvmError::Backend`] when the underlying medium fails.
-    fn bump_epoch(&mut self) -> Result<(), NvmError> {
-        Ok(())
     }
 
     /// Structurally damaged WAL frames discarded when the image was

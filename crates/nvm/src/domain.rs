@@ -7,7 +7,6 @@ use crate::device::NvmDevice;
 use crate::error::NvmError;
 use crate::fault::{tear_block, FaultKind, FaultPlan};
 use crate::pregs::{PersistentRegisters, PREG_CAPACITY};
-use crate::snapshot::{Snapshot, SnapshotError};
 use crate::wpq::Wpq;
 
 /// One block write destined for NVM.
@@ -378,72 +377,6 @@ impl<B: NvmBackend> PersistenceDomain<B> {
     /// ([`crate::Freshness::Untracked`] for volatile backends).
     pub fn freshness(&self) -> crate::Freshness {
         self.device.backend().freshness()
-    }
-
-    /// Captures the full persistent state — device contents, register
-    /// file, persistent-register commit machinery, and the serialized
-    /// quarantine table. Drains the WPQ first so the image is
-    /// self-contained, and bumps the freshness epoch so live state is
-    /// provably newer than the snapshot it feeds (best-effort, like the
-    /// drain's flush).
-    pub fn snapshot(&mut self) -> Snapshot {
-        self.drain_wpq();
-        let _ = self.device.backend_mut().bump_epoch();
-        Snapshot {
-            epoch: self.device.backend().epoch(),
-            entries: self.device.backend().entries(),
-            regs: self.device.backend().regs(),
-            pregs_entries: self.pregs.entries().to_vec(),
-            pregs_done: self.pregs.done_bit(),
-            pregs_drained: self.pregs.drained() as u64,
-            qtable: self.device.quarantine_table_blocks(),
-        }
-    }
-
-    /// Restores a snapshot into this domain: block contents and registers
-    /// are written into the backend, the quarantine table and the
-    /// persistent-register state are reinstated, and the result is made
-    /// durable with one barrier.
-    ///
-    /// A snapshot whose captured epoch is *behind* the epoch this
-    /// domain's backend already reached is refused before any byte is
-    /// applied: substituting it would roll committed state back to a
-    /// stale version, which is exactly the freshness violation the
-    /// sealed anchor exists to prevent.
-    ///
-    /// # Errors
-    ///
-    /// [`NvmError::Snapshot`] with [`SnapshotError::StaleEpoch`] for a
-    /// rolled-back snapshot (nothing applied), or with
-    /// [`SnapshotError::BadQuarantineTable`] if the embedded quarantine
-    /// table fails to parse; [`NvmError::Backend`] if the final barrier
-    /// fails. The device contents may be partially restored on the
-    /// latter two errors.
-    pub fn apply_snapshot(&mut self, snap: &Snapshot) -> Result<(), NvmError> {
-        let current_epoch = self.device.backend().epoch();
-        if snap.epoch < current_epoch {
-            return Err(NvmError::Snapshot(SnapshotError::StaleEpoch {
-                snapshot_epoch: snap.epoch,
-                current_epoch,
-            }));
-        }
-        for &(phys, block) in &snap.entries {
-            self.device.backend_mut().store(phys, block);
-        }
-        for &(idx, block) in &snap.regs {
-            self.device.set_reg(idx, block);
-        }
-        if !snap.qtable.is_empty() {
-            self.device
-                .load_quarantine_table(&snap.qtable)
-                .map_err(|_| NvmError::Snapshot(SnapshotError::BadQuarantineTable))?;
-        }
-        self.pregs = PersistentRegisters::from_parts(
-            snap.pregs_entries.clone(),
-            snap.pregs_done,
-            snap.pregs_drained as usize,
-        );
-        self.device.flush_backend()
     }
 
     /// Test hook: leaves a group staged (resp. draining) so crash tests can

@@ -1,7 +1,6 @@
 //! Error types for the persistence domain.
 
 use crate::addr::BlockAddr;
-use crate::snapshot::SnapshotError;
 use core::fmt;
 
 /// Errors raised by the NVM persistence domain.
@@ -34,20 +33,12 @@ pub enum NvmError {
         /// Queue capacity in entries.
         capacity: usize,
     },
-    /// A snapshot image failed validation (see [`SnapshotError`]).
-    Snapshot(SnapshotError),
     /// The storage backend behind the device failed — an I/O error or a
     /// corrupt on-disk image for [`crate::FileBackend`].
     Backend {
         /// Human-readable cause, including the image path when known.
         reason: String,
     },
-}
-
-impl From<SnapshotError> for NvmError {
-    fn from(e: SnapshotError) -> Self {
-        NvmError::Snapshot(e)
-    }
 }
 
 impl fmt::Display for NvmError {
@@ -68,7 +59,6 @@ impl fmt::Display for NvmError {
             NvmError::WpqFull { capacity } => {
                 write!(f, "write pending queue is full ({capacity} entries)")
             }
-            NvmError::Snapshot(e) => write!(f, "snapshot: {e}"),
             NvmError::Backend { reason } => write!(f, "storage backend: {reason}"),
         }
     }

@@ -29,8 +29,8 @@
 //! `WalSink` behind an `Arc`. [`NvmBackend::cut`] moves the pending
 //! frame out of the first, [`Cut::commit`] carries it into the second
 //! with no reference to the first, and [`NvmBackend::barrier`] is the
-//! two back to back. Every step that moves the file — a frame, a
-//! compaction, an epoch bump — takes its turn through the backend's
+//! two back to back. Every step that moves the file — a frame or a
+//! compaction — takes its turn through the backend's
 //! [`Durability`], which admits them strictly in epoch order and refuses
 //! everything after a failure, so the in-memory half may account for a
 //! frame from the moment it is cut.
@@ -56,7 +56,7 @@
 //! refused, and the next open sees at worst a torn tail.
 //!
 //! Each flushed frame carries the device's **freshness epoch**, bumped on
-//! every flushing barrier, compaction, and snapshot, and a **tag** keyed
+//! every flushing barrier and compaction, and a **tag** keyed
 //! with the device key over its epoch, its payload and the previous
 //! frame's tag. Replay demands a tag that verifies at the frame's place
 //! in the chain and strictly increasing epochs, so a forged, spliced,
@@ -266,7 +266,7 @@ impl WalSink {
 /// reach the file at a barrier, which the controllers take once at the
 /// end of every fused public operation, a serving layer once per group
 /// of deferred ones, and the persistence domain on its platform paths
-/// (ADR flush, power-up REDO, WPQ drain, snapshot) — see the durability
+/// (ADR flush, power-up REDO, WPQ drain) — see the durability
 /// contract on [`NvmBackend`]. Reopening the image after a SIGKILL
 /// therefore reconstructs a state an in-process `power_fail` could have
 /// left at an operation boundary: every commit group of every
@@ -318,7 +318,7 @@ pub struct FileBackend {
     /// Records sitting in cut frames (reset by compaction).
     wal_records: u64,
     /// Current freshness epoch: that of the image's last intact frame at
-    /// open, bumped by each cut / compaction / snapshot.
+    /// open, bumped by each cut and compaction.
     epoch: u64,
     /// The anchor check's verdict at open time.
     freshness: Freshness,
@@ -638,15 +638,15 @@ impl FileBackend {
     /// the pending records as part of the log (`log_diff`, `wal_records`)
     /// and returns the frame — header reservation plus payload, to be
     /// sealed for the new epoch — leaving an empty pending frame behind.
-    /// `None` when there is nothing to cut, unless `even_if_empty`.
-    fn cut_frame(&mut self, even_if_empty: bool) -> Option<Vec<u8>> {
+    /// `None` when there is nothing to cut.
+    fn cut_frame(&mut self) -> Option<Vec<u8>> {
         if self.suppressed {
             // The platform died: unflushed records evaporate.
             self.clear_pending();
             return None;
         }
         let records = (self.pending_writes.len() + self.pending_regs.len()) as u64;
-        if records == 0 && !even_if_empty {
+        if records == 0 {
             return None;
         }
         self.epoch += 1;
@@ -672,8 +672,8 @@ impl FileBackend {
 
     /// Cut and commit back to back, for the paths that hold `&mut self`
     /// throughout anyway: the frame queues behind any cut in flight.
-    fn flush(&mut self, even_if_empty: bool) -> Result<(), NvmError> {
-        let Some(mut frame) = self.cut_frame(even_if_empty) else {
+    fn flush(&mut self) -> Result<(), NvmError> {
+        let Some(mut frame) = self.cut_frame() else {
             return Ok(());
         };
         let (sink, epoch) = (&self.sink, self.epoch);
@@ -837,7 +837,7 @@ impl NvmBackend for FileBackend {
     }
 
     fn cut(&mut self) -> Option<Cut> {
-        let mut frame = self.cut_frame(false)?;
+        let mut frame = self.cut_frame()?;
         let (sink, epoch) = (Arc::clone(&self.sink), self.epoch);
         Some(Cut::new(
             epoch,
@@ -861,7 +861,7 @@ impl NvmBackend for FileBackend {
             return Ok(());
         }
         // Operations may have executed since the cut that left this due.
-        self.flush(false)?;
+        self.flush()?;
         self.compact()
     }
 
@@ -876,14 +876,6 @@ impl NvmBackend for FileBackend {
 
     fn freshness(&self) -> Freshness {
         self.freshness
-    }
-
-    fn bump_epoch(&mut self) -> Result<(), NvmError> {
-        // A frame even when nothing is buffered: nothing to replay, but
-        // the epoch advance is durable and anchored, so post-snapshot
-        // state is provably newer than the snapshot it feeds. (A dead
-        // platform cuts nothing, so this is a no-op on it as well.)
-        self.flush(true)
     }
 
     fn frames_rejected(&self) -> u64 {
@@ -990,7 +982,6 @@ mod tests {
         b.barrier().unwrap();
         b.store(5, Block::filled(0x55));
         b.barrier().unwrap();
-        b.bump_epoch().unwrap();
 
         let write = |phys: u64, fill: u8| {
             let mut r = vec![TAG_WRITE];
@@ -1025,7 +1016,7 @@ mod tests {
         let mut prev = tag(0, 0, &[]);
         let mut want = MAGIC.to_vec();
         want.extend_from_slice(&4u32.to_le_bytes());
-        for (epoch, payload) in [(1u64, first), (2, write(5, 0x55)), (3, Vec::new())] {
+        for (epoch, payload) in [(1u64, first), (2, write(5, 0x55))] {
             want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             prev = tag(prev, epoch, &payload);
             want.extend_from_slice(&prev.to_le_bytes());
@@ -1035,7 +1026,7 @@ mod tests {
         }
         let (bytes, frames, end) = layout(&p, false);
         assert_eq!(bytes[..end], want[..]);
-        assert_eq!(frames.len(), 3);
+        assert_eq!(frames.len(), 2);
         // The file is longer than the log, and all of the rest is zero.
         let stats = b.wal_stats();
         assert_eq!(stats.log_bytes, end as u64);
@@ -1693,7 +1684,6 @@ mod tests {
             b.suppress_flushes();
             b.store(3, Block::filled(0xCC));
             b.barrier().unwrap(); // no-op
-            b.bump_epoch().unwrap(); // also a no-op on a dead platform
             assert!(b.flushes_suppressed());
         }
         let b = FileBackend::open(&p).unwrap();
@@ -1715,14 +1705,11 @@ mod tests {
         let err = b.barrier().unwrap_err().to_string();
         assert!(err.contains("append"), "got {err}");
         // Bytes past the write position can no longer be trusted to be
-        // zero, so nothing more is written — not by a barrier, not by an
-        // epoch bump — even once the medium is back.
+        // zero, so nothing more is written, even once the medium is back.
         b.sink.file().log.file = OpenOptions::new().write(true).open(&p).unwrap();
         b.store(3, Block::filled(0xCC));
-        for refused in [b.barrier(), b.bump_epoch()] {
-            let err = refused.unwrap_err().to_string();
-            assert!(err.contains("poisoned"), "got {err}");
-        }
+        let err = b.barrier().unwrap_err().to_string();
+        assert!(err.contains("poisoned"), "got {err}");
         drop(b);
         let b = FileBackend::open(&p).unwrap();
         assert_eq!(b.load(1), Some(Block::filled(0xAA)));
@@ -1851,10 +1838,8 @@ mod tests {
         let err = b.durability().reached().unwrap_err().to_string();
         assert!(err.contains("never committed"), "got {err}");
         b.store(3, Block::filled(0xCC));
-        for refused in [b.barrier(), b.bump_epoch()] {
-            let err = refused.unwrap_err().to_string();
-            assert!(err.contains("poisoned"), "got {err}");
-        }
+        let err = b.barrier().unwrap_err().to_string();
+        assert!(err.contains("poisoned"), "got {err}");
         drop(b);
         let b = FileBackend::open(&p).unwrap();
         assert_eq!(
@@ -2271,23 +2256,6 @@ mod tests {
         // Resealed: the next strict open is clean again.
         let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
         assert_eq!(b.freshness(), Freshness::Fresh { epoch: 1 });
-        cleanup(&p);
-    }
-
-    #[test]
-    fn bump_epoch_is_durable_and_anchored() {
-        let p = tmp("bump");
-        {
-            let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
-            b.store(1, Block::filled(0x01));
-            b.barrier().unwrap();
-            b.bump_epoch().unwrap();
-            assert_eq!(b.epoch(), 2);
-        }
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
-        assert_eq!(b.epoch(), 2);
-        assert_eq!(b.freshness(), Freshness::Fresh { epoch: 2 });
-        assert_eq!(b.load(1), Some(Block::filled(0x01)));
         cleanup(&p);
     }
 }

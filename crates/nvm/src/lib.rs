@@ -50,7 +50,6 @@ mod file_backend;
 mod pregs;
 mod quarantine;
 mod rng;
-mod snapshot;
 mod stats;
 mod wal;
 mod wpq;
@@ -67,7 +66,6 @@ pub use file_backend::FileBackend;
 pub use pregs::{CommitPhase, PersistentRegisters, PREG_CAPACITY};
 pub use quarantine::{QuarantineError, RemapTable};
 pub use rng::SplitMix64;
-pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{NvmStats, StatsSnapshot};
 pub use wal::{encode_wal_frame, WalFault, WalFrame, WalWalker, PUBLIC_WAL_KEY};
 pub use wpq::{Wpq, DEFAULT_WPQ_ENTRIES};

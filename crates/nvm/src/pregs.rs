@@ -104,31 +104,6 @@ impl PersistentRegisters {
         }
     }
 
-    /// The staged entries, in staging order — snapshot support.
-    pub fn entries(&self) -> &[WriteOp] {
-        &self.entries
-    }
-
-    /// How many staged entries have already drained — snapshot support.
-    pub fn drained(&self) -> usize {
-        self.drained
-    }
-
-    /// Reconstructs a register file from snapshot parts. `drained` is
-    /// clamped to the entry count; `done_bit` without entries is
-    /// normalized back to an idle file.
-    pub fn from_parts(entries: Vec<WriteOp>, done_bit: bool, drained: usize) -> Self {
-        let mut entries = entries;
-        entries.truncate(PREG_CAPACITY);
-        let drained = drained.min(entries.len());
-        let done_bit = done_bit && !entries.is_empty();
-        PersistentRegisters {
-            entries,
-            done_bit,
-            drained,
-        }
-    }
-
     /// What a crash at this instant would observe.
     pub fn phase(&self) -> CommitPhase {
         if self.done_bit {

@@ -149,9 +149,11 @@ impl RemapTable {
         self.lost_lines
     }
 
-    /// Records `n` permanently lost data lines.
+    /// Records `n` permanently lost data lines. Saturates: the count is
+    /// reloaded from the image unverified, so it may already be at the
+    /// top of its range.
     pub fn record_lost(&mut self, n: u64) {
-        self.lost_lines += n;
+        self.lost_lines = self.lost_lines.saturating_add(n);
     }
 
     /// Iterates `(original, spare)` mappings in address order.
@@ -316,6 +318,15 @@ mod tests {
             RemapTable::from_blocks(&blocks),
             Err(QuarantineError::Truncated)
         );
+    }
+
+    #[test]
+    fn a_lost_line_count_at_the_top_of_its_range_saturates() {
+        let mut header = RemapTable::new().to_blocks();
+        header[0].set_word(2, u64::MAX);
+        let mut t = RemapTable::from_blocks(&header).unwrap();
+        t.record_lost(1);
+        assert_eq!(t.lost_lines(), u64::MAX);
     }
 
     #[test]

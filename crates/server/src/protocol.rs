@@ -37,7 +37,7 @@ pub const HEADER_BYTES: usize = 8;
 pub const TRAILER_BYTES: usize = 8;
 
 /// FNV-1a over arbitrary bytes — the frame checksum (same constants as
-/// the NVM crate's snapshot checksum; the protocol is an external
+/// the NVM crate's anchor-seal checksum; the protocol is an external
 /// observer, not part of the device image).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -25,7 +25,7 @@
 //! stale serve** — a read of an acknowledged address returning wrong
 //! data without a typed error or declared quarantine loss. A completed
 //! campaign therefore certifies: zero panics, zero silent staleness,
-//! and 100 % detection of snapshot/WAL rollback.
+//! and 100 % detection of image rollback.
 //!
 //! ## Threat-model boundary
 //!
@@ -122,8 +122,8 @@ pub enum MutationClass {
     /// checksums and written into the slack — a format-aware replay
     /// splice, two frames deep or a single frame one or two epochs on.
     ReplaySplice,
-    /// The whole image replaced by a capture taken mid-run (snapshot +
-    /// WAL rollback); the anchor stays, as on-chip NVRAM would.
+    /// The whole image file replaced by a copy taken mid-run (image
+    /// rollback); the anchor stays, as on-chip NVRAM would.
     StateRollback,
     /// The image (and optionally anchor) of a *different device with a
     /// different key* swapped in.

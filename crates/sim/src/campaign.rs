@@ -53,7 +53,7 @@ pub fn op_payload(op_index: u64, addr: u64) -> Block {
 pub const FNV1A64_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a: folds `bytes` into the digest `h` (same constants as the NVM
-/// crate's snapshot checksum; kept apart because a campaign is an
+/// crate's anchor-seal checksum; kept apart because a campaign is an
 /// external observer of the image, not part of it).
 pub fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| {

@@ -14,7 +14,7 @@ use anubis_nvm::Block;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The names every scheme reports, whatever its metadata policy.
-const COMMON: [&str; 23] = [
+const COMMON: [&str; 22] = [
     "cache_hits_total",
     "cache_misses_total",
     "commit_groups_total",
@@ -28,7 +28,6 @@ const COMMON: [&str; 23] = [
     "quarantine_spares_left",
     "quarantined_blocks",
     "rollback_detected_total",
-    "snapshot_rejected_total",
     "wal_frames_total",
     "wal_log_bytes",
     "wal_records_coalesced_total",

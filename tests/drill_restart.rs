@@ -12,8 +12,8 @@
 //!
 //! Also covered here: the write-cut (dying platform) primitive must
 //! suppress file-backend flushes so an unacknowledged tail never leaks
-//! into the image; a post-recovery snapshot must be the pinned one and
-//! survive a snapshot→restore→snapshot round trip bit for bit; and a
+//! into the image; a post-recovery image, copied and reopened, must
+//! replay to the pinned state and reload its remap table; and a
 //! corrupted persisted quarantine table must surface as a
 //! typed [`RecoveryError::CorruptImage`] hint that enters the supervisor
 //! ladder at rung 3 via [`Supervisor::repair_then_recover`].
@@ -39,7 +39,7 @@ use anubis::{
 };
 use anubis_nvm::{
     anchor_path_for, AnchorPolicy, Block, FileBackend, Freshness, FreshnessAnchor, NvmBackend,
-    Snapshot, WalFrame, WalWalker, BLOCK_BYTES,
+    WalFrame, WalWalker, BLOCK_BYTES,
 };
 use anubis_sim::campaign::{drive, fnv1a64, Done, Stop, FNV1A64_EMPTY};
 use anubis_sim::drill::{drill_script, verify_dead_image};
@@ -242,58 +242,59 @@ fn the_scrub_takes_one_barrier_per_pass_and_leaves_the_fused_image() {
     }
 }
 
-/// Snapshot→restore→snapshot must be bit-identical, and the
-/// post-recovery snapshot itself must be the pinned one (FNV-1a of its
-/// bytes). The two tests keep the names the tier-1 floor lists them
-/// under; see `parallel_equiv.rs` for what "lane" was.
-fn snapshot_roundtrip<C, F>(make: F, name: &str, pin: u64)
-where
-    C: Supervised,
-    F: Fn() -> C,
-{
+/// What a recovered image leaves on disk is what the next process
+/// opens. After a drill script, a persisted quarantine, a crash and the
+/// whole ladder, a copy of the image reopens in a fresh controller with
+/// no hint and the recovered remap table, replays to the pinned raw
+/// fingerprint, and serves every acknowledged write (the script never
+/// writes the quarantined line, so no acknowledged content is retired).
+fn post_recovery_image_reopens(family: Family, pin: u64) {
+    let name = family.name();
+    let dir = scratch(&format!("post-recovery-{name}"));
+    let image = dir.join("image.wal");
     let script = drill_script(300, 200, 0x5EED);
-    let mut base = make();
-    serve(&mut base, &script, |_| {});
-    // A non-trivial remap table, persisted, so the snapshot carries it.
-    base.quarantine_line(DataAddr::new(3)).expect("quarantine");
-    base.persist_quarantine();
-    base.crash();
-
+    let backend = FileBackend::open(&image).expect("open fresh image");
+    let (mut ctrl, hint) = family.reopen(&config(), backend);
+    recover_fresh(ctrl.as_mut(), hint);
+    let acked = serve(ctrl.as_mut(), &script, |_| {});
+    // A non-trivial remap table, persisted, so the image carries it.
+    ctrl.quarantine_line(DataAddr::new(3)).expect("quarantine");
+    ctrl.persist_quarantine();
+    ctrl.crash();
     Supervisor::new()
-        .recover(&mut base)
+        .recover(ctrl.as_mut())
         .unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
-    let b1 = base.domain_mut().snapshot().to_bytes();
-    let snap = Snapshot::from_bytes(&b1).expect("parse own snapshot");
-    let mut fresh = make();
-    fresh
-        .domain_mut()
-        .apply_snapshot(&snap)
-        .expect("apply snapshot to fresh domain");
-    let b2 = fresh.domain_mut().snapshot().to_bytes();
-    assert_eq!(b1, b2, "{name}: snapshot→restore→snapshot diverged");
-    let digest = fnv1a64(FNV1A64_EMPTY, &b1);
+    let table = |c: &dyn Supervised<Backend = FileBackend>| {
+        let t = c.domain().device().quarantine_table();
+        (t.mappings().collect::<Vec<_>>(), t.lost_lines())
+    };
+    let recovered = table(ctrl.as_ref());
+    assert_eq!(recovered.0.len(), 1, "{name}: one line quarantined");
+    let copy = dir.join("copy.wal");
+    fs::copy(&image, &copy).expect("copy the recovered image");
+
+    let digest = raw_fingerprint(&copy);
+    let (fresh, hint) = family.reopen(&config(), FileBackend::open(&copy).expect("reopen copy"));
+    assert_eq!(hint, None, "{name}: a recovered image raises no hint");
+    assert_eq!(table(fresh.as_ref()), recovered, "{name}: remap table");
+    drop(fresh);
     assert_eq!(
         digest, pin,
-        "{name}: post-recovery snapshot digest is now {digest:#018x}"
+        "{name}: post-recovery image fingerprint is now {digest:#018x}"
     );
+    verify_dead_image(family, &copy, &acked, &script)
+        .unwrap_or_else(|e| panic!("{name}: reopened copy: {e}"));
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn snapshot_roundtrip_is_lane_invariant_bonsai_agit_plus() {
-    snapshot_roundtrip(
-        || BonsaiController::new(BonsaiScheme::AgitPlus, &config()),
-        "agit-plus",
-        0x85cd_705e_be5b_3804,
-    );
+fn post_recovery_image_reopens_to_its_pinned_state_bonsai_agit_plus() {
+    post_recovery_image_reopens(Family::BonsaiAgitPlus, 0x391f_f0ac_9973_adef);
 }
 
 #[test]
-fn snapshot_roundtrip_is_lane_invariant_sgx_asit() {
-    snapshot_roundtrip(
-        || SgxController::new(SgxScheme::Asit, &config()),
-        "asit",
-        0xc65b_46bc_2bc2_e6b5,
-    );
+fn post_recovery_image_reopens_to_its_pinned_state_sgx_asit() {
+    post_recovery_image_reopens(Family::SgxAsit, 0x9738_c777_692a_aa4b);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The at-rest adversary model says: *anything* on disk may be garbage
 //! when the process comes back. Every parser of durable bytes — the WAL
-//! image replay, the snapshot decoder, and the freshness-anchor probe —
+//! image replay, the quarantine table, and the freshness-anchor probe —
 //! must therefore terminate with `Ok` or a *typed* error on arbitrary
 //! mutations, and never panic. The mutations here are driven by the
 //! in-tree SplitMix64, so any failure reproduces bit-for-bit from the
@@ -13,8 +13,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use anubis_nvm::{
-    anchor_path_for, AnchorPolicy, Block, FileBackend, FreshnessAnchor, NvmBackend, Snapshot,
-    SplitMix64, WalWalker, WriteOp, PUBLIC_WAL_KEY,
+    anchor_path_for, AnchorPolicy, Block, BlockAddr, FileBackend, FreshnessAnchor, NvmBackend,
+    NvmDevice, RemapTable, SplitMix64, WalWalker, BLOCK_BYTES, PUBLIC_WAL_KEY,
 };
 
 const KEY: [u64; 2] = [7, 13];
@@ -169,32 +169,48 @@ fn anchored_wal_open_never_panics_on_mutated_images() {
     cleanup(&p);
 }
 
+/// The remap table is the durable parser every reopen reaches: the
+/// controllers reload it from the image's qtable region without any
+/// other check. An accepted table must also survive what recovery does
+/// with it next — quarantine a block, count a lost line, persist again.
 #[test]
-fn snapshot_parser_never_panics_on_mutated_images() {
-    let snap = Snapshot {
-        epoch: 17,
-        entries: (0..20).map(|i| (i * 3, Block::filled(i as u8))).collect(),
-        regs: vec![(0, Block::filled(1)), (2, Block::filled(9))],
-        pregs_entries: vec![WriteOp::new(
-            anubis_nvm::BlockAddr::new(5),
-            Block::filled(5),
-        )],
-        pregs_done: true,
-        pregs_drained: 1,
-        qtable: vec![Block::filled(0x51)],
-    };
-    let seed_bytes = snap.to_bytes();
+fn quarantine_table_parser_never_panics_on_mutated_images() {
+    let spares = || (1_000..1_008).map(BlockAddr::new).collect::<Vec<_>>();
+    let mut table = RemapTable::new();
+    table.install_spares(spares());
+    for addr in [3u64, 17, 40, 41, 99] {
+        table.quarantine(BlockAddr::new(addr));
+    }
+    table.record_lost(2);
+    let seed_bytes: Vec<u8> = table
+        .to_blocks()
+        .iter()
+        .flat_map(|b| *b.as_bytes())
+        .collect();
     let mut rng = SplitMix64::new(0xF022_DEAD_BEEF_0003);
     for round in 0..ROUNDS {
-        let mutated = mutate(&seed_bytes, &mut rng);
-        let result =
-            panic::catch_unwind(AssertUnwindSafe(|| match Snapshot::from_bytes(&mutated) {
-                Ok(s) => {
-                    let _ = s.to_bytes();
+        let mut mutated = mutate(&seed_bytes, &mut rng);
+        mutated.resize(mutated.len().div_ceil(BLOCK_BYTES) * BLOCK_BYTES, 0);
+        let blocks: Vec<Block> = mutated
+            .chunks(BLOCK_BYTES)
+            .map(|c| Block::from_bytes(c.try_into().expect("one block")))
+            .collect();
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut device = NvmDevice::new(1 << 20);
+            device.install_spare_pool(spares());
+            match device.load_quarantine_table(&blocks) {
+                Ok(()) => {
+                    let _ = device.quarantine_block(BlockAddr::new(7));
+                    device.record_lost_lines(1);
+                    let _ = device.quarantine_table_blocks();
                 }
                 Err(e) => assert!(!e.to_string().is_empty()),
-            }));
-        assert!(result.is_ok(), "snapshot parse panicked at round {round}");
+            }
+        }));
+        assert!(
+            result.is_ok(),
+            "quarantine table parse panicked at round {round}"
+        );
     }
 }
 

@@ -236,7 +236,6 @@ fn telemetry_snapshot_is_lane_invariant() {
             "recovery_runs_total{osiris}=1",
             "rollback_detected_total{osiris}=0",
             "shadow_table_writes_total{osiris}=0",
-            "snapshot_rejected_total{osiris}=0",
             "stop_loss_events_total{osiris}=0",
             "wal_frames_total{osiris}=0",
             "wal_records_coalesced_total{osiris}=0",
@@ -289,7 +288,6 @@ fn sgx_telemetry_snapshot_is_lane_invariant() {
             "recovery_runs_total{asit}=1",
             "rollback_detected_total{asit}=0",
             "shadow_table_writes_total{asit}=52",
-            "snapshot_rejected_total{asit}=0",
             "wal_frames_total{asit}=0",
             "wal_records_coalesced_total{asit}=0",
             "wal_rejected_total{asit}=0",
