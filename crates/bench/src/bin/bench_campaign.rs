@@ -8,7 +8,7 @@
 //! | campaign | what it does | default `--out` | exit code 1 on |
 //! |---|---|---|---|
 //! | `drill` | SIGKILLs a child serving a deterministic script over the file-backed device at `N` randomized ack counts **per family** (default 100; `--sweep`: one per possible ack count), restarts in a fresh address space over a copy of the dead image, recovers, audits every acknowledged write | `BENCH_drill.json` | an acknowledged write lost, a recovery failure |
-//! | `adversary` | kills the anchored child, mutates the durable artifacts while it is dead (bit flips, truncations, WAL splices / reorders / duplicates, rollback to a captured state, cross-key swaps, anchor attacks), restarts; `N` mutated restarts **per family** rounded up to whole base runs (default 120; `--sweep`: at least 440) | `BENCH_adversary.json` | a panic in the recovery path, a silent stale serve, a class that missed its verdict floor |
+//! | `adversary` | in process: drives the script over an anchored image to a seeded ack count, mutates the dead image and its anchor (bit flips, truncations, WAL splices / reorders / duplicates, rollback to a state captured on the way, cross-key swaps, anchor attacks), restarts; `N` mutated restarts **per family** rounded up to whole base runs (default 120; `--sweep`: at least 440); the report is a pure function of the seed | `BENCH_adversary.json` | a panic in the recovery path, a silent stale serve, a class that missed its verdict floor |
 //! | `serve` | concurrent tenant clients against a child server, one injected connection fault per point, SIGKILL at `N` randomized fleet-wide ack thresholds (default 100; `--sweep`: the first `N` thresholds in order), restart, time-to-healthy | `BENCH_serve.json` | an acknowledged write lost, an untyped connection fault, a tenant that never returned to full service |
 //! | `storm` | supervised recovery under randomized fault plans (power cuts, torn writes, bit flips, write cuts *during* recovery), 170 plans per scheme (`--smoke`: 6), six schemes | `BENCH_recovery_degraded.json` | nothing of its own: a plan that ends without a structured outcome, or serves wrong data after one, panics inside `crash_storm` with the plan's label (exit code 101) |
 //!
@@ -20,7 +20,7 @@
 //! `--out`.
 //!
 //! The process campaigns re-execute this binary as their victim:
-//! `--child …` is the script child of `drill` and `adversary`
+//! `--child …` is the script child of `drill`
 //! (`anubis_sim::campaign::ScriptChild`), `--serve` the server of
 //! `serve`, configured through the `ANUBIS_SERVE_*` knobs its parent
 //! sets. Both are killed mid-flight on purpose.
@@ -100,7 +100,7 @@ fn write_report(default: &str, doc: &Json) -> Result<PathBuf, String> {
     Ok(out)
 }
 
-const PROCESS_FLAGS: [&str; 5] = ["--points", "--seed", "--dir", "--sweep", "--out"];
+const SCRIPT_FLAGS: [&str; 5] = ["--points", "--seed", "--dir", "--sweep", "--out"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
@@ -110,7 +110,8 @@ fn main() -> ExitCode {
                 .map_err(|e| format!("campaign child: {e}")),
             Some("--serve") => serve_child(),
             Some("drill") => with_exe(&args[2..], "drill", drill_campaign),
-            Some("adversary") => with_exe(&args[2..], "adversary", adversary_campaign),
+            Some("adversary") => Flags::parse("adversary", &SCRIPT_FLAGS, &args[2..])
+                .and_then(|flags| adversary_campaign(&flags)),
             Some("serve") => with_exe(&args[2..], "serve", serve_campaign),
             Some("storm") => Flags::parse("storm", &["--smoke", "--out"], &args[2..])
                 .and_then(|_| storm_campaign()),
@@ -131,7 +132,7 @@ fn with_exe(
     campaign: &str,
     run: fn(&Path, &Flags) -> Result<(), String>,
 ) -> Result<(), String> {
-    let flags = Flags::parse(campaign, &PROCESS_FLAGS, words)?;
+    let flags = Flags::parse(campaign, &SCRIPT_FLAGS, words)?;
     let exe = std::env::current_exe()
         .map_err(|e| format!("{campaign}: cannot locate own executable: {e}"))?;
     run(&exe, &flags)
@@ -234,7 +235,7 @@ fn drill_family_json(r: &FamilyReport) -> Json {
 // adversary
 // ---------------------------------------------------------------------
 
-fn adversary_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
+fn adversary_campaign(flags: &Flags) -> Result<(), String> {
     let defaults = AdversarySpec::default();
     let spec = AdversarySpec {
         seed: flags.seed.unwrap_or(defaults.seed),
@@ -259,7 +260,7 @@ fn adversary_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
     let mut total_audited = 0u64;
     let mut total_rollback_refusals = 0u64;
     for family in Family::all() {
-        let report = adversary::run_campaign(exe, family, &spec, &dir, base_runs)
+        let report = adversary::run_campaign(family, &spec, &dir, base_runs)
             .map_err(|e| format!("adversary campaign FAILED for {}: {e}", family.name()))?;
         let rb: u64 = report
             .classes
@@ -588,4 +589,47 @@ where
         ),
         ("fingerprint", Json::Str(format!("{:016x}", r.fingerprint))),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use anubis_bench::json;
+
+    /// One rendered point with the scratch root its reason may name cut
+    /// off, down to the base run's own directory.
+    fn unrooted(point: &str, family: &str) -> String {
+        let run = format!("/{family}-r0/");
+        let Some(at) = point.find(&run) else {
+            return point.to_string();
+        };
+        let root = point[..at].rfind(' ').map_or(0, |space| space + 1);
+        format!("{}{}", &point[..root], &point[at + 1..])
+    }
+
+    /// The committed `BENCH_adversary.json` is what this binary writes:
+    /// the first base run of each family in it is, point for point, a
+    /// fresh run of the default spec.
+    #[test]
+    fn the_committed_adversary_report_starts_with_a_fresh_base_run() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adversary.json");
+        let text = std::fs::read_to_string(&path).expect("the committed report");
+        let committed = json::parse(&text).expect("it parses");
+        let families = committed.get("families").and_then(Json::as_arr);
+        let dir = std::env::temp_dir().join(format!("anubis-bench-adv-{}", std::process::id()));
+        for (family, recorded) in Family::all().into_iter().zip(families.expect("families")) {
+            let fresh = adversary::run_campaign(family, &AdversarySpec::default(), &dir, 1)
+                .map(|report| adversary_family_json(&report))
+                .expect("a fresh base run");
+            let first_run = |doc: &Json| -> Vec<String> {
+                let points = doc.get("points_detail").and_then(Json::as_arr);
+                (points.expect("points_detail").iter())
+                    .take(MUTATIONS_PER_RUN as usize)
+                    .map(|p| unrooted(&p.render(), family.name()))
+                    .collect()
+            };
+            assert_eq!(first_run(&fresh), first_run(recorded), "{}", family.name());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -103,14 +103,6 @@ impl<B: NvmBackend> PersistenceDomain<B> {
         &mut self.device
     }
 
-    /// Stores one persistent-register image (see [`NvmDevice::set_reg`]).
-    /// Controllers mirror on-chip persistent registers here *before*
-    /// committing so the image lands in the same backend frame as the
-    /// commit group.
-    pub fn set_reg(&mut self, idx: u8, block: Block) {
-        self.device.set_reg(idx, block);
-    }
-
     /// Loads a persistent-register image.
     pub fn reg(&self, idx: u8) -> Option<Block> {
         self.device.reg(idx)

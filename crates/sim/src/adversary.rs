@@ -2,13 +2,12 @@
 //!
 //! The kill −9 drills in [`crate::drill`] prove that an *honest* crash
 //! loses no acknowledged write. This module drops the honesty
-//! assumption: between the child's death and the restart, an adversary
-//! with full filesystem access **mutates the durable artifacts** — bit
-//! flips, truncations, frame splices and reorders, wholesale rollback to
-//! an earlier captured state, cross-domain image swaps, and attacks on
-//! the freshness anchor itself — and the campaign demands that every
-//! single mutated restart terminates in one of exactly three typed
-//! verdicts:
+//! assumption: between a crash and the restart, an adversary with full
+//! filesystem access **mutates the durable artifacts** — bit flips,
+//! truncations, frame splices and reorders, wholesale rollback to an
+//! earlier captured state, cross-domain image swaps, and attacks on the
+//! freshness anchor itself — and the campaign demands that every single
+//! mutated restart terminates in one of exactly three typed verdicts:
 //!
 //! 1. **Full recovery** — every acknowledged write reads back intact
 //!    (only allowed when the mutation could not have removed acked
@@ -26,6 +25,13 @@
 //! data without a typed error or declared quarantine loss. A completed
 //! campaign therefore certifies: zero panics, zero silent staleness,
 //! and 100 % detection of image rollback.
+//!
+//! The dead images are made in process: the script is driven over a
+//! fresh anchored image and stopped at an exact ack count, where image
+//! and anchor are what a kill there leaves, and the model of what was
+//! acknowledged is exact. A campaign is therefore a pure function of its
+//! seed. The real SIGKILL stays with [`crate::drill`] and the served
+//! campaign of [`crate::chaos`].
 //!
 //! ## Threat-model boundary
 //!
@@ -45,8 +51,8 @@
 //! device key itself is NVRAM forgery, out of scope as in the paper; a
 //! unit test pins what such a forger could still do.
 
-use std::collections::BTreeMap;
 use std::fs;
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -57,13 +63,12 @@ use anubis_nvm::{
 };
 
 use crate::campaign::{
-    drill_script, drive, io_ctx, op_payload, restart, Acked, Done, HarnessError, ReadBack,
-    ScriptChild, Stop, XorShift64,
+    drill_script, drive, io_ctx, op_payload, restart, Acked, Done, HarnessError, ReadBack, Stop,
+    XorShift64,
 };
 
-/// Acks the capture run stops short of the base run, so the captured
-/// image is strictly older than the base image's sealed anchor even
-/// after kill-latency overshoot.
+/// Acks before the base's last that the capture is taken at, so the
+/// captured image is well behind the base image's sealed anchor.
 const CAPTURE_MARGIN_ACKS: u64 = 35;
 
 /// Smallest kill threshold: enough acked frames for every frame-level
@@ -252,8 +257,8 @@ impl Verdict {
 /// class was met with zero panics and zero silent-stale serves.
 #[derive(Debug)]
 pub enum AdversaryError {
-    /// The harness itself failed — its filesystem or process control, a
-    /// base or capture child run (spawn, serve, or hang), the foreign
+    /// The harness itself failed — its filesystem, the drive that makes
+    /// the base and capture images (an open or a script op), the foreign
     /// donor's image — infrastructure, not a finding.
     Harness(HarnessError),
     /// A mutation could not be applied (e.g. too few frames to splice);
@@ -321,7 +326,7 @@ impl std::fmt::Display for AdversaryError {
                     path.display()
                 )
             }
-            AdversaryError::Harness(e) => write!(f, "adversary child run failed: {e}"),
+            AdversaryError::Harness(e) => write!(f, "adversary harness failed: {e}"),
             AdversaryError::Mutation { label, detail } => {
                 write!(f, "mutation {label} could not be applied: {detail}")
             }
@@ -373,7 +378,7 @@ impl From<HarnessError> for AdversaryError {
 }
 
 /// The key every image the campaign attacks is written under: the device
-/// key of [`AnubisConfig::small_test`], which its child serves with.
+/// key of [`AnubisConfig::small_test`], which its script is served with.
 fn device_key() -> [u64; 2] {
     AnubisConfig::small_test().key.0
 }
@@ -387,11 +392,8 @@ struct LogView {
     end: usize,
 }
 
-/// Walks a dead image before it is mutated. The child may have died
-/// mid-append; the adversary tidies such a torn tail back to zeros — as
-/// reopen itself would — so every mutation starts from a clean log and
-/// shows its own effect only.
-fn log_view(label: &str, bytes: &mut [u8]) -> Result<LogView, AdversaryError> {
+/// Walks a dead image before it is mutated.
+fn log_view(label: &str, bytes: &[u8]) -> Result<LogView, AdversaryError> {
     let fault = |e: anubis_nvm::WalFault| AdversaryError::Mutation {
         label: label.to_string(),
         detail: format!("dead image is not a log: {e}"),
@@ -401,11 +403,10 @@ fn log_view(label: &str, bytes: &mut [u8]) -> Result<LogView, AdversaryError> {
         .by_ref()
         .collect::<Result<Vec<_>, _>>()
         .map_err(fault)?;
-    let end = walk.logical_end();
-    if walk.torn_tail() {
-        bytes[end..].fill(0);
-    }
-    Ok(LogView { frames, end })
+    Ok(LogView {
+        frames,
+        end: walk.logical_end(),
+    })
 }
 
 /// Writes `data` at `at`, growing the image when the slack is too short
@@ -644,64 +645,63 @@ fn plan_mutations(rng: &mut XorShift64) -> Vec<MutationSpec> {
     plan
 }
 
-/// Artifacts of one killed child run: the dead image, its anchor, and
-/// the parsed ack log.
-struct DeadRun {
-    image: PathBuf,
-    anchor: PathBuf,
-    acked: Vec<(u64, u64)>,
-}
-
-/// Runs the anchored script child over a fresh image in `dir`, SIGKILLs
-/// it once `kill_after` acks are durable, and returns the dead artifacts.
-/// The child must not finish: `kill_after` stays below the script's
-/// total writes, so a clean exit means it failed early.
-fn run_killed_child(
-    exe: &Path,
+/// The one way the campaign makes a dead image: drives `spec`'s script
+/// over a fresh anchored image at `image` and builds the exact model as
+/// writes are acknowledged. After every op, `after(model, acks, epoch)`
+/// sees that model, the writes acknowledged so far and the epoch the
+/// backend has sealed; the image and its anchor are then exactly what a
+/// kill there leaves. The drive stops where `after` breaks, or at the
+/// end of the script, and returns the model of that point.
+fn drive_anchored(
     family: Family,
     spec: &AdversarySpec,
-    dir: &Path,
-    kill_after: u64,
-) -> Result<DeadRun, AdversaryError> {
-    fs::create_dir_all(dir).map_err(io_ctx("create scratch dir", dir))?;
-    let child = ScriptChild {
-        family,
-        image: dir.join("image.wal"),
-        ack: dir.join("acks.bin"),
-        script_len: spec.script_len,
-        lines: spec.lines,
-        seed: spec.seed,
-        anchored: true,
-    };
-    let anchor = anchor_path_for(&child.image);
-    for stale in [&child.image, &child.ack, &anchor] {
+    image: &Path,
+    mut after: impl FnMut(&Acked, u64, u64) -> Result<ControlFlow<()>, AdversaryError>,
+) -> Result<Acked, AdversaryError> {
+    for stale in [image, &anchor_path_for(image)] {
         let _ = fs::remove_file(stale);
     }
-    let (completed, acked) = child.run_killed(exe, kill_after)?;
-    if completed {
-        return Err(HarnessError::Child { code: None }.into());
+    let config = AnubisConfig::small_test();
+    let (mut ctrl, _) = restart(family, &config, image, Some(AnchorPolicy::Strict))?;
+    let sealed = ctrl.domain().device().backend().durability();
+    let script = drill_script(spec.script_len, spec.lines, spec.seed);
+    let (mut model, mut acks) = (Acked::default(), 0);
+    // `Err(None)`: `after` stopped the drive.
+    let stop = drive(ctrl.as_mut(), &script, |i, addr, done| {
+        if let Done::Wrote(data) = done {
+            model.ack(i, addr, data);
+            acks += 1;
+        }
+        let epoch = sealed
+            .reached()
+            .map_err(|e| Some(HarnessError::from(e).into()))?;
+        match after(&model, acks, epoch).map_err(Some)? {
+            ControlFlow::Continue(()) => Ok(()),
+            ControlFlow::Break(()) => Err(None),
+        }
+    });
+    match stop {
+        Ok(Stop::Completed) | Err(None) => Ok(model),
+        Ok(Stop::PowerLost { op_index, err, .. } | Stop::Failed { op_index, err }) => {
+            Err(HarnessError::Serve { op_index, err }.into())
+        }
+        Err(Some(e)) => Err(e),
     }
-    Ok(DeadRun {
-        image: child.image,
-        anchor,
-        acked,
-    })
 }
 
 /// Builds a small healthy device of the same family under a *different
 /// key* — the cross-swap donor — with a handful of distinct lines
-/// written so it has real history. Returns its image, anchor, and final
-/// epoch (the campaign keeps every kill threshold above it so a swapped
-/// foreign image always reads as rolled back).
+/// written so it has real history. Returns its image (its anchor beside
+/// it) and final epoch (the campaign keeps every kill threshold above it
+/// so a swapped foreign image always reads as rolled back).
 fn build_foreign(
     family: Family,
     dir: &Path,
     spec: &AdversarySpec,
-) -> Result<(PathBuf, PathBuf, u64), AdversaryError> {
+) -> Result<(PathBuf, u64), AdversaryError> {
     fs::create_dir_all(dir).map_err(io_ctx("create foreign dir", dir))?;
     let image = dir.join("foreign.wal");
-    let anchor = anchor_path_for(&image);
-    for stale in [&image, &anchor] {
+    for stale in [&image, &anchor_path_for(&image)] {
         let _ = fs::remove_file(stale);
     }
     let mut config = AnubisConfig::small_test();
@@ -713,15 +713,15 @@ fn build_foreign(
             .map_err(|err| HarnessError::Serve { op_index: i, err })?;
     }
     let epoch = ctrl.domain().device().backend().epoch();
-    Ok((image, anchor, epoch))
+    Ok((image, epoch))
 }
 
-/// Everything a mutation can draw on when staging its files.
+/// Everything a mutation can draw on when staging its files: three
+/// images, each with its anchor beside it.
 struct PointCtx<'a> {
-    base: &'a DeadRun,
-    capture: &'a DeadRun,
-    foreign_image: &'a Path,
-    foreign_anchor: &'a Path,
+    base: &'a Path,
+    capture: &'a Path,
+    foreign: &'a Path,
 }
 
 /// Applies one of the log-level mutations to a staged image in memory.
@@ -825,20 +825,18 @@ fn stage_mutation(
     for stale in [&work, &work_anchor] {
         let _ = fs::remove_file(stale);
     }
-    let (src_image, src_anchor): (&Path, Option<&Path>) = match &spec.op {
-        MutationOp::SubstituteCapturedImage => (&ctx.capture.image, Some(&ctx.base.anchor)),
-        MutationOp::SwapInForeign { with_anchor: false } => {
-            (ctx.foreign_image, Some(&ctx.base.anchor))
-        }
-        MutationOp::SwapInForeign { with_anchor: true } => {
-            (ctx.foreign_image, Some(ctx.foreign_anchor))
-        }
-        MutationOp::DeleteAnchor => (&ctx.base.image, None),
-        _ => (&ctx.base.image, Some(&ctx.base.anchor)),
+    // The image to copy, and the image whose anchor goes beside it.
+    let (src_image, src_anchor) = match &spec.op {
+        MutationOp::SubstituteCapturedImage => (ctx.capture, Some(ctx.base)),
+        MutationOp::SwapInForeign { with_anchor: false } => (ctx.foreign, Some(ctx.base)),
+        MutationOp::SwapInForeign { with_anchor: true } => (ctx.foreign, Some(ctx.foreign)),
+        MutationOp::DeleteAnchor => (ctx.base, None),
+        _ => (ctx.base, Some(ctx.base)),
     };
     fs::copy(src_image, &work).map_err(io_ctx("copy image to", &work))?;
-    if let Some(a) = src_anchor {
-        fs::copy(a, &work_anchor).map_err(io_ctx("copy anchor to", &work_anchor))?;
+    if let Some(of) = src_anchor {
+        fs::copy(anchor_path_for(of), &work_anchor)
+            .map_err(io_ctx("copy anchor to", &work_anchor))?;
     }
 
     let bad = |label: &str, detail: String| AdversaryError::Mutation {
@@ -858,7 +856,7 @@ fn stage_mutation(
         | MutationOp::DuplicateFrame { .. }
         | MutationOp::SpliceReplay { .. } => {
             let mut bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let log = log_view(&spec.label, &mut bytes)?;
+            let log = log_view(&spec.label, &bytes)?;
             mutate_log(&spec.op, &mut bytes, &log).map_err(|detail| bad(&spec.label, detail))?;
             fs::write(&work, &bytes).map_err(io_ctx("write image", &work))?;
         }
@@ -872,12 +870,12 @@ fn stage_mutation(
             fs::write(&work_anchor, &garbage).map_err(io_ctx("write anchor", &work_anchor))?;
         }
         MutationOp::RollBackAnchor => {
-            fs::copy(&ctx.capture.anchor, &work_anchor)
+            fs::copy(anchor_path_for(ctx.capture), &work_anchor)
                 .map_err(io_ctx("copy captured anchor to", &work_anchor))?;
         }
         MutationOp::LagAnchorByOne => {
-            let mut bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let Some(last) = log_view(&spec.label, &mut bytes)?.frames.last().copied() else {
+            let bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
+            let Some(last) = log_view(&spec.label, &bytes)?.frames.last().copied() else {
                 return Err(bad(&spec.label, "no frames; cannot derive epoch".into()));
             };
             if last.epoch == 0 {
@@ -997,9 +995,9 @@ fn splice_every_donor(
     model: &Acked,
 ) -> Result<Vec<SplicePoint>, AdversaryError> {
     let (anchor, work_anchor) = (anchor_path_for(image), anchor_path_for(work));
-    let mut bytes = fs::read(image).map_err(io_ctx("read image", image))?;
+    let bytes = fs::read(image).map_err(io_ctx("read image", image))?;
     let seal = fs::read(&anchor).map_err(io_ctx("read anchor", &anchor))?;
-    let log = log_view("splice-sweep", &mut bytes)?;
+    let log = log_view("splice-sweep", &bytes)?;
     let Some((last, older)) = log.frames.split_last() else {
         return Ok(Vec::new());
     };
@@ -1044,16 +1042,14 @@ pub struct SplicePoint {
     pub verdict: Result<Verdict, AdversaryError>,
 }
 
-/// The one-epoch replay splice, every donor, no SIGKILL. Drives `spec`'s
-/// script in-process over an anchored image in `dir`; whenever an op
-/// seals an epoch *e* in `drops` — the image and anchor are then exactly
-/// what a kill there leaves — every earlier payload-bearing frame *d* is
-/// re-framed under the `forger` key at *e* + 1 (`replay-splice-slack-1`,
-/// inside the heal window) on a copy, which is restarted and audited
-/// against the writes acknowledged so far. Exhaustive and replayable
-/// where the process campaign samples one donor at a kill point that
-/// moves with the SIGKILL. The script stops at the end of `drops` or of
-/// itself.
+/// The one-epoch replay splice, every donor. Drives `spec`'s script over
+/// an anchored image in `dir` (the campaign's own driver); whenever an op
+/// seals an epoch *e* in `drops`, every earlier payload-bearing frame *d*
+/// is re-framed under the `forger` key at *e* + 1
+/// (`replay-splice-slack-1`, inside the heal window) on a copy, which is
+/// restarted and audited against the writes acknowledged so far.
+/// Exhaustive where the campaign samples one donor per kill point. The
+/// script stops at the end of `drops` or of itself.
 ///
 /// # Errors
 ///
@@ -1068,41 +1064,17 @@ pub fn splice_sweep(
 ) -> Result<Vec<SplicePoint>, AdversaryError> {
     fs::create_dir_all(dir).map_err(io_ctx("create sweep dir", dir))?;
     let (image, work) = (dir.join("image.wal"), dir.join("spliced.wal"));
-    let anchor = anchor_path_for(&image);
-    for stale in [&image, &anchor] {
-        let _ = fs::remove_file(stale);
-    }
-    let config = AnubisConfig::small_test();
-    let (mut ctrl, _) = restart(family, &config, &image, Some(AnchorPolicy::Strict))?;
-    let script = drill_script(spec.script_len, spec.lines, spec.seed);
-    let mut model = Acked::default();
-    let mut points = Vec::new();
-    let mut sealed = 0;
-    // `Err(None)`: past the last drop, nothing more to drive.
-    let stop = drive(ctrl.as_mut(), &script, |i, addr, done| {
-        if let Done::Wrote(data) = done {
-            model.ack(i, addr, data);
-        }
-        let epoch = FreshnessAnchor::probe(&anchor, config.key.0)
-            .ok()
-            .flatten()
-            .unwrap_or(0);
+    let (mut points, mut sealed) = (Vec::new(), 0);
+    drive_anchored(family, spec, &image, |model, _, epoch| {
         if epoch >= drops.end {
-            return Err(None);
+            return Ok(ControlFlow::Break(()));
         }
         if std::mem::replace(&mut sealed, epoch) != epoch && drops.contains(&epoch) {
-            let found = splice_every_donor(family, forger, &image, &work, &model);
-            points.extend(found.map_err(Some)?);
+            points.extend(splice_every_donor(family, forger, &image, &work, model)?);
         }
-        Ok(())
-    });
-    match stop {
-        Ok(Stop::Completed) | Err(None) => Ok(points),
-        Ok(Stop::PowerLost { op_index, err, .. } | Stop::Failed { op_index, err }) => {
-            Err(HarnessError::Serve { op_index, err }.into())
-        }
-        Err(Some(e)) => Err(e),
-    }
+        Ok(ControlFlow::Continue(()))
+    })?;
+    Ok(points)
 }
 
 /// One evaluated mutation point.
@@ -1140,7 +1112,7 @@ pub struct ClassStats {
 pub struct FamilyAdvReport {
     /// The drilled family.
     pub family: Family,
-    /// Base kill points executed (each spawns a base + capture child).
+    /// Base kill points executed (one drive each).
     pub base_runs: u64,
     /// Mutated-restart points evaluated (including controls).
     pub points: u64,
@@ -1158,7 +1130,7 @@ pub struct FamilyAdvReport {
 
 /// Runs one family's full adversary campaign: `base_runs` randomized
 /// kill points, each mutated [`MUTATIONS_PER_RUN`] ways and driven to a
-/// verdict.
+/// verdict. A pure function of `spec` and `base_runs`.
 ///
 /// # Errors
 ///
@@ -1166,7 +1138,6 @@ pub struct FamilyAdvReport {
 /// every point reached a typed verdict meeting its class requirement,
 /// zero panics, zero silent-stale serves, and 100 % rollback detection.
 pub fn run_campaign(
-    exe: &Path,
     family: Family,
     spec: &AdversarySpec,
     dir: &Path,
@@ -1174,14 +1145,12 @@ pub fn run_campaign(
 ) -> Result<FamilyAdvReport, AdversaryError> {
     let script = drill_script(spec.script_len, spec.lines, spec.seed);
     let max_acks = script.iter().filter(|op| op.0).count() as u64;
-    let (foreign_image, foreign_anchor, foreign_epoch) = build_foreign(
-        family,
-        &dir.join(format!("{}-foreign", family.name())),
-        spec,
-    )?;
+    let foreign_dir = dir.join(format!("{}-foreign", family.name()));
+    let (foreign, foreign_epoch) = build_foreign(family, &foreign_dir, spec)?;
     // Every kill threshold stays above both the capture margin and the
     // foreign donor's epoch, so state-rollback and cross-swap points are
-    // *guaranteed* behind the base anchor.
+    // *guaranteed* behind the base anchor; below `hi` the script always
+    // reaches it.
     let lo = MIN_KILL_ACKS.max(foreign_epoch + 2);
     let hi = max_acks.saturating_mul(3) / 4;
     if hi <= lo {
@@ -1192,7 +1161,6 @@ pub fn run_campaign(
     }
 
     let mut rng = XorShift64::for_family(spec.seed, family);
-    let mut stats: BTreeMap<MutationClass, ClassStats> = BTreeMap::new();
     let mut report = FamilyAdvReport {
         family,
         base_runs: 0,
@@ -1200,23 +1168,22 @@ pub fn run_campaign(
         audited_reads: 0,
         kill_range: (u64::MAX, 0),
         foreign_epoch,
-        classes: Vec::new(),
+        classes: (MutationClass::all().into_iter())
+            .map(|c| (c, ClassStats::default()))
+            .collect(),
         outcomes: Vec::new(),
     };
 
     for run in 0..base_runs {
         let rdir = dir.join(format!("{}-r{run}", family.name()));
+        let kill_after = lo + rng.next_star() % (hi - lo);
         let result = run_base_point(
-            exe,
             family,
             spec,
             &rdir,
-            &script,
-            lo + rng.next_star() % (hi - lo),
-            &foreign_image,
-            &foreign_anchor,
+            kill_after,
+            &foreign,
             &mut rng,
-            &mut stats,
             &mut report,
         );
         match result {
@@ -1234,44 +1201,43 @@ pub fn run_campaign(
         }
         report.base_runs += 1;
     }
-    let _ = fs::remove_dir_all(dir.join(format!("{}-foreign", family.name())));
-    report.classes = MutationClass::all()
-        .into_iter()
-        .map(|c| (c, stats.get(&c).copied().unwrap_or_default()))
-        .collect();
+    let _ = fs::remove_dir_all(&foreign_dir);
     Ok(report)
 }
 
-/// One base kill point: base + capture children, then every planned
-/// mutation staged and evaluated.
-#[allow(clippy::too_many_arguments)]
+/// One base kill point: one drive, which copies the image and its anchor
+/// aside as the capture [`CAPTURE_MARGIN_ACKS`] acks before it stops at
+/// exactly `kill_after`, then every planned mutation staged and
+/// evaluated.
 fn run_base_point(
-    exe: &Path,
     family: Family,
     spec: &AdversarySpec,
     rdir: &Path,
-    script: &[(bool, u64)],
     kill_after: u64,
-    foreign_image: &Path,
-    foreign_anchor: &Path,
+    foreign: &Path,
     rng: &mut XorShift64,
-    stats: &mut BTreeMap<MutationClass, ClassStats>,
     report: &mut FamilyAdvReport,
 ) -> Result<(), AdversaryError> {
-    let base = run_killed_child(exe, family, spec, &rdir.join("base"), kill_after)?;
-    let capture = run_killed_child(
-        exe,
-        family,
-        spec,
-        &rdir.join("capture"),
-        kill_after - CAPTURE_MARGIN_ACKS,
-    )?;
-    let model = Acked::from_log(&base.acked, script);
+    fs::create_dir_all(rdir).map_err(io_ctx("create scratch dir", rdir))?;
+    let (base, capture) = (rdir.join("base.wal"), rdir.join("capture.wal"));
+    let mut captured = false;
+    let model = drive_anchored(family, spec, &base, |_, acks, _| {
+        if acks == kill_after - CAPTURE_MARGIN_ACKS && !captured {
+            let anchor = anchor_path_for(&capture);
+            fs::copy(&base, &capture).map_err(io_ctx("copy image to", &capture))?;
+            fs::copy(anchor_path_for(&base), &anchor).map_err(io_ctx("copy anchor to", &anchor))?;
+            captured = true;
+        }
+        Ok(if acks == kill_after {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        })
+    })?;
     let ctx = PointCtx {
         base: &base,
         capture: &capture,
-        foreign_image,
-        foreign_anchor,
+        foreign,
     };
     for (mi, m) in plan_mutations(rng).into_iter().enumerate() {
         let mdir = rdir.join(format!("m{mi}-{}", m.label));
@@ -1285,7 +1251,8 @@ fn run_base_point(
                 got: format!("{} ({:?})", verdict.name(), verdict),
             });
         }
-        let s = stats.entry(m.class).or_default();
+        // `classes` is in declaration order.
+        let s = &mut report.classes[m.class as usize].1;
         s.points += 1;
         match &verdict {
             Verdict::FullRecovery => s.full += 1,

@@ -135,19 +135,18 @@ pub enum HarnessError {
     /// The device image failed to open or replay.
     Nvm(NvmError),
     /// The child process left *before* its kill, where the harness
-    /// needed it alive — its serve loop hit an unexpected error, or it
-    /// finished a script it was never meant to finish.
+    /// needed it alive — the script child's serve loop hit an unexpected
+    /// error, or the server child exited at all.
     Child {
-        /// Its exit code when it exited with a failure; `None` when it
-        /// died on a signal or left cleanly.
+        /// Its exit code; `None` when it died on a signal.
         code: Option<i32>,
     },
     /// The child made no progress within the harness's timeout.
     Hung,
     /// Post-restart recovery failed outright.
     Recovery(RecoveryError),
-    /// An unexpected controller error inside the child serve loop,
-    /// reported with its script position.
+    /// An unexpected controller error while a script was served — by
+    /// the script child or an in-process drive — with its position.
     Serve {
         /// Script index of the failing operation.
         op_index: u64,
@@ -173,7 +172,7 @@ impl std::fmt::Display for HarnessError {
             HarnessError::Hung => write!(f, "child made no progress before timeout"),
             HarnessError::Recovery(e) => write!(f, "post-restart recovery failed: {e}"),
             HarnessError::Serve { op_index, err } => {
-                write!(f, "child serve loop failed at op {op_index}: {err}")
+                write!(f, "script serve loop failed at op {op_index}: {err}")
             }
         }
     }

@@ -357,7 +357,6 @@ fn script_child_command_line_round_trips() {
         script_len: 1_200,
         lines: 300,
         seed: 0xA17B_05E7,
-        anchored: true,
     };
     let cmd = child.command(Path::new("/bin/campaign"));
     let words: Vec<String> = cmd
@@ -365,9 +364,9 @@ fn script_child_command_line_round_trips() {
         .map(|a| a.to_string_lossy().into_owned())
         .collect();
     assert_eq!(words[0], "--child");
-    assert_eq!(words.len(), 8);
+    assert_eq!(words.len(), 7);
     assert_eq!(ScriptChild::parse(&words[1..]).expect("parse"), child);
-    for cut in 0..7 {
+    for cut in 0..6 {
         let err = ScriptChild::parse(&words[1..1 + cut]).expect_err("a word is missing");
         assert!(matches!(err, HarnessError::BadChildArg { .. }), "{err}");
     }
@@ -378,52 +377,48 @@ fn script_child_command_line_round_trips() {
 
 /// The child's own loop, in process: it serves the whole script, logs
 /// every acknowledgement, and the image it leaves satisfies the model
-/// its log implies — under the anchor and without.
+/// its log implies.
 #[test]
 fn script_child_serves_logs_and_leaves_a_verifiable_image() {
-    for anchored in [false, true] {
-        let dir = scratch(if anchored { "child-anchored" } else { "child" });
-        let child = ScriptChild {
-            family: Family::BonsaiAgitPlus,
-            image: dir.join("image.wal"),
-            ack: dir.join("acks.bin"),
-            script_len: 60,
-            lines: 40,
-            seed: 0xC41D,
-            anchored,
-        };
-        let cmd = child.command(Path::new("unused"));
-        let words: Vec<String> = cmd
-            .get_args()
-            .skip(1)
-            .map(|a| a.to_string_lossy().into_owned())
-            .collect();
-        child_main(&words).expect("child serves the script");
+    let dir = scratch("child");
+    let child = ScriptChild {
+        family: Family::BonsaiAgitPlus,
+        image: dir.join("image.wal"),
+        ack: dir.join("acks.bin"),
+        script_len: 60,
+        lines: 40,
+        seed: 0xC41D,
+    };
+    let cmd = child.command(Path::new("unused"));
+    let words: Vec<String> = cmd
+        .get_args()
+        .skip(1)
+        .map(|a| a.to_string_lossy().into_owned())
+        .collect();
+    child_main(&words).expect("child serves the script");
 
-        let script = child.script();
-        let acked = read_ack_log(&child.ack).expect("ack log");
-        let writes: Vec<(u64, u64)> = (0..)
-            .zip(&script)
-            .filter(|(_, op)| op.0)
-            .map(|(i, op)| (i, op.1))
-            .collect();
-        assert_eq!(acked, writes, "one record per acknowledged write, in order");
-        assert_eq!(anubis_nvm::anchor_path_for(&child.image).exists(), anchored);
+    let script = child.script();
+    let acked = read_ack_log(&child.ack).expect("ack log");
+    let writes: Vec<(u64, u64)> = (0..)
+        .zip(&script)
+        .filter(|(_, op)| op.0)
+        .map(|(i, op)| (i, op.1))
+        .collect();
+    assert_eq!(acked, writes, "one record per acknowledged write, in order");
+    assert!(!anubis_nvm::anchor_path_for(&child.image).exists());
 
-        let model = Acked::from_log(&acked, &script);
-        let anchor = anchored.then_some(anubis_nvm::AnchorPolicy::Strict);
-        let config = AnubisConfig::small_test();
-        let (mut ctrl, _) = restart(child.family, &config, &child.image, anchor).expect("restart");
-        let bad = model
-            .audit(
-                ctrl.as_mut(),
-                |c, addr| c.read(anubis::DataAddr::new(addr)),
-                |_, _, _| false,
-            )
-            .find(|f| f.readback != ReadBack::Matched);
-        assert_eq!(bad, None);
-        let _ = fs::remove_dir_all(&dir);
-    }
+    let model = Acked::from_log(&acked, &script);
+    let config = AnubisConfig::small_test();
+    let (mut ctrl, _) = restart(child.family, &config, &child.image, None).expect("restart");
+    let bad = model
+        .audit(
+            ctrl.as_mut(),
+            |c, addr| c.read(anubis::DataAddr::new(addr)),
+            |_, _, _| false,
+        )
+        .find(|f| f.readback != ReadBack::Matched);
+    assert_eq!(bad, None);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------

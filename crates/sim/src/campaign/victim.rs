@@ -203,9 +203,9 @@ pub fn restart(
 }
 
 /// The script child's command line, as a value: `--child <family>
-/// <image> <ack> <script_len> <lines> <seed> <anchored>`. The harness
-/// fills it in and [`ScriptChild::run_killed`] spawns it; the re-executed
-/// binary hands the same words to [`child_main`].
+/// <image> <ack> <script_len> <lines> <seed>`. The harness fills it in
+/// and [`ScriptChild::run_killed`] spawns it; the re-executed binary
+/// hands the same words to [`child_main`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScriptChild {
     /// Controller family to serve with.
@@ -220,10 +220,6 @@ pub struct ScriptChild {
     pub lines: u64,
     /// Script seed.
     pub seed: u64,
-    /// Whether the image is opened under its freshness anchor (strict
-    /// policy). The harness decides — an adversary campaign needs the
-    /// anchor it is about to attack — not an option anyone sets.
-    pub anchored: bool,
 }
 
 fn arg<T: FromStr>(args: &[String], at: usize, what: &'static str) -> Result<T, HarnessError> {
@@ -239,7 +235,7 @@ impl ScriptChild {
             .arg(self.family.name())
             .args([&self.image, &self.ack])
             .args([self.script_len.to_string(), self.lines.to_string()])
-            .args([self.seed.to_string(), self.anchored.to_string()])
+            .arg(self.seed.to_string())
             .stdout(Stdio::null());
         cmd
     }
@@ -254,7 +250,6 @@ impl ScriptChild {
             script_len: arg(args, 3, "script len")?,
             lines: arg(args, 4, "lines")?,
             seed: arg(args, 5, "seed")?,
-            anchored: arg(args, 6, "anchored")?,
         })
     }
 
@@ -305,9 +300,9 @@ impl ScriptChild {
 
 /// Entry point of the re-executed binary's `--child` mode; `args` are
 /// the words after the marker (see [`ScriptChild`]). Recovers whatever
-/// state the image holds, then plays the script, appending an fsynced
-/// ack record after each acknowledged write — until it finishes or, as
-/// intended, is killed.
+/// state the image holds (unanchored), then plays the script, appending
+/// an fsynced ack record after each acknowledged write — until it
+/// finishes or, as intended, is killed.
 ///
 /// # Errors
 ///
@@ -316,9 +311,8 @@ impl ScriptChild {
 /// the script position).
 pub fn child_main(args: &[String]) -> Result<(), HarnessError> {
     let job = ScriptChild::parse(args)?;
-    let anchor = job.anchored.then_some(AnchorPolicy::Strict);
     let config = AnubisConfig::small_test();
-    let (mut ctrl, _) = restart(job.family, &config, &job.image, anchor)?;
+    let (mut ctrl, _) = restart(job.family, &config, &job.image, None)?;
     let mut log = AckWriter::create(&job.ack).map_err(io_ctx("create ack log", &job.ack))?;
     let stop = drive(ctrl.as_mut(), &job.script(), |i, addr, what| match what {
         Done::Wrote(_) => log

@@ -243,15 +243,9 @@ pub fn verify_dead_image(
 
 /// Runs one kill point: spawn the script child over a fresh image,
 /// SIGKILL it once `kill_after_acks` acknowledgements are durable, then
-/// verify the dead image.
-///
-/// `exe` is the campaign binary itself (see [`ScriptChild`] for the
-/// child's command line).
-///
-/// # Errors
-///
-/// Any [`DrillError`]; every contract violation is typed, never a panic.
-pub fn run_point(
+/// verify the dead image. `exe` is the campaign binary itself (see
+/// [`ScriptChild`] for the child's command line).
+fn run_point(
     exe: &Path,
     family: Family,
     spec: &DrillSpec,
@@ -266,7 +260,6 @@ pub fn run_point(
         script_len: spec.script_len,
         lines: spec.lines,
         seed: spec.seed,
-        anchored: false,
     };
     for stale in [&child.image, &child.ack] {
         let _ = fs::remove_file(stale);
