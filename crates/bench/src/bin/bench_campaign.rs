@@ -511,7 +511,6 @@ fn storm_campaign() -> Result<(), String> {
         ops: 24,
         addr_space: 256,
         seed,
-        max_retries: 3,
         recovery_faults: true,
     };
     let cases = vec![
@@ -581,7 +580,6 @@ where
         ("rebuilt_nodes", Json::Int(r.rebuilt_nodes)),
         ("quarantined_lines", Json::Int(r.quarantined_lines)),
         ("lost_lines", Json::Int(r.lost_lines)),
-        ("retries_total", Json::Int(r.retries_total)),
         ("escalations_total", Json::Int(r.escalations_total)),
         (
             "recovery_faults_injected",

@@ -1,6 +1,6 @@
 //! Degraded-mode repair hooks for the Bonsai controller family: the
 //! [`Supervised`] implementation the recovery supervisor drives when the
-//! fast path (and its retries) cannot restore a verified state.
+//! fast path cannot restore a verified state.
 //!
 //! The rungs map onto the general-tree design like this:
 //!

@@ -170,7 +170,8 @@ pub enum RecoveryError {
     /// (e.g. a quarantine table whose header or payload failed to parse).
     /// Non-structural: the controller proceeds with a fresh copy of the
     /// structure and the supervisor feeds this hint into targeted repair
-    /// (rung 3) to rebuild whatever the corrupt structure protected.
+    /// (the `targeted` rung) to rebuild whatever the corrupt structure
+    /// protected.
     CorruptImage {
         /// Which persistent structure failed to parse.
         what: &'static str,

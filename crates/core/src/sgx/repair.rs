@@ -1,6 +1,6 @@
 //! Degraded-mode repair hooks for the SGX-style controller family: the
 //! [`Supervised`] implementation the recovery supervisor drives when
-//! Algorithm 2 (and its retries) cannot restore a verified state.
+//! Algorithm 2 cannot restore a verified state.
 //!
 //! SGX-style trees cannot be rebuilt bottom-up — interior version
 //! counters are not derivable from leaves — so degraded mode works

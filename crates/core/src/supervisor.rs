@@ -4,21 +4,21 @@
 //! The paper's recovery algorithms (and `MemoryController::recover`) are
 //! all-or-nothing: the first unverifiable block aborts recovery even when
 //! a slower path could still restore, or at least bound, the damage. The
-//! supervisor drives a [`Supervised`] controller through four rungs:
+//! supervisor drives a [`Supervised`] controller through three rungs,
+//! named here as their `supervisor_rung` spans are labelled:
 //!
-//! 1. **Fast** — the scheme's shadow-assisted recovery (AGIT SCT/SMT
-//!    scan or ASIT ST splice), exactly as `recover()` runs it today.
-//! 2. **Retry** — bounded re-runs with exponential backoff accounted in
-//!    *simulated* nanoseconds, for transiently correctable media errors
-//!    (each retry re-reads and ECC-corrects through the normal path).
-//! 3. **Targeted repair** — scheme-specific reconstruction: Osiris-style
-//!    counter probing plus bottom-up tree rebuild for the general-tree
-//!    family; shadow-table spill-splice or top-down MAC-verify-and-reset
-//!    for the SGX family.
-//! 4. **Quarantine** — a scrub pass walks every data line; lines that
-//!    still cannot be verified are ECC-repaired in place when possible
-//!    and otherwise remapped into the spare region by the bad-block
-//!    layer in `anubis-nvm`, with permanently lost content counted.
+//! * **`fast`** — the scheme's shadow-assisted recovery (AGIT SCT/SMT
+//!   scan or ASIT ST splice), exactly as `recover()` runs it. It reads
+//!   only the image and the on-chip roots, so it is never re-run: over
+//!   the same image it would fail the same way.
+//! * **`targeted`** — scheme-specific reconstruction, entered with the
+//!   error that defeated `fast`: Osiris-style counter probing plus
+//!   bottom-up tree rebuild for the general-tree family; shadow-table
+//!   spill-splice or top-down MAC-verify-and-reset for the SGX family.
+//! * **`scrub`** — a pass over every data line; lines that still cannot
+//!   be verified are ECC-repaired in place when possible and otherwise
+//!   quarantined (remapped into the spare region by the bad-block layer
+//!   in `anubis-nvm`), with permanently lost content counted.
 //!
 //! The ladder always terminates in a structured [`RecoveryOutcome`]
 //! (`Recovered`, `Degraded`, or `Quarantined`) unless the scheme is
@@ -27,17 +27,17 @@
 //!
 //! # Two entries: the scrub runs on evidence
 //!
-//! Rung 1 is the paper's recovery and costs O(metadata cache); rung 4 is
+//! `fast` is the paper's recovery and costs O(metadata cache); `scrub` is
 //! O(memory) — the pass Anubis exists to remove from a restart. Which
 //! of them a caller pays for is decided by what it knows, not by an
 //! option:
 //!
 //! * [`Supervisor::resume`] is the restart entry (a server's boot, a
-//!   campaign's restart of a killed process). Rung 1 passing on the
-//!   first attempt, over an image whose reopen raised no hint, ends it:
+//!   campaign's restart of a killed process). `fast` passing, over an
+//!   image whose reopen raised no hint, ends it:
 //!   the metadata is verified against the root, and each data line is
 //!   verified against that metadata when it is first read, as every
-//!   read is. Anything else — a reopen hint, any rung-1 error — is
+//!   read is. Anything else — a reopen hint, any `fast` error — is
 //!   evidence, and takes the whole ladder, scrub included.
 //! * [`Supervisor::recover`] is the full ladder, always: the entry for a
 //!   caller that already has evidence (a read that failed verification
@@ -55,13 +55,6 @@ use crate::MemoryController;
 use anubis_nvm::BlockAddr;
 use anubis_telemetry::Telemetry;
 
-/// Rung-2 retry budget unless [`Supervisor::with_max_retries`] sets
-/// another.
-pub const DEFAULT_MAX_RETRIES: u32 = 3;
-
-/// Simulated backoff before the first retry; doubles per attempt.
-pub const BASE_BACKOFF_NS: u64 = 1_000;
-
 /// Scrub passes before the supervisor gives up on convergence. Each pass
 /// quarantines every still-failing line, so two passes normally suffice;
 /// the cap is a defense against a repair rung that loses ground.
@@ -70,11 +63,11 @@ const MAX_SCRUB_PASSES: u32 = 6;
 /// How a supervised recovery ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryOutcome {
-    /// The metadata verified against the root through the fast path
-    /// (possibly after retries); nothing was rebuilt or lost. Out of
-    /// [`Supervisor::recover`] every data line has been read and
-    /// verified as well; out of a [`Supervisor::resume`] that stopped at
-    /// rung 1, data lines are verified on access.
+    /// The metadata verified against the root through the fast path;
+    /// nothing was rebuilt or lost. Out of [`Supervisor::recover`] every
+    /// data line has been read and verified as well; out of a
+    /// [`Supervisor::resume`] that stopped at `fast`, data lines are
+    /// verified on access.
     Recovered,
     /// All committed data survives, but slower rungs had to repair media
     /// (`repaired` lines resealed after ECC correction) or rebuild
@@ -113,18 +106,14 @@ impl core::fmt::Display for RecoveryOutcome {
 pub struct SupervisedRecovery {
     /// The structured outcome (see [`RecoveryOutcome`]).
     pub outcome: RecoveryOutcome,
-    /// The report of the last successful fast-recovery attempt (zeroed
-    /// when recovery only succeeded through targeted repair).
+    /// The report of the fast recovery (zeroed when it failed and
+    /// recovery only succeeded through targeted repair).
     pub report: RecoveryReport,
-    /// Rung-2 attempts consumed.
-    pub retries: u32,
-    /// Times the ladder escalated past rung 2.
+    /// Times the ladder entered targeted repair.
     pub escalations: u32,
-    /// Simulated backoff time accumulated by rung 2.
-    pub backoff_ns: u64,
     /// Data lines resealed after ECC repair.
     pub repaired_lines: u64,
-    /// Metadata blocks reconstructed by rungs 3/4.
+    /// Metadata blocks reconstructed by `targeted` and `scrub`.
     pub rebuilt_nodes: u64,
     /// Lines remapped into the spare region.
     pub quarantined_lines: u64,
@@ -155,7 +144,7 @@ impl RepairSummary {
     }
 }
 
-/// The per-scheme hooks the supervisor drives past rung 1 (which is
+/// The per-scheme hooks the supervisor drives past `fast` (which is
 /// [`MemoryController::recover`] itself). Implemented by
 /// [`crate::BonsaiController`] and [`crate::SgxController`] (in their
 /// `repair` submodules, which have access to controller internals).
@@ -185,8 +174,8 @@ pub trait Supervised: MemoryController {
     /// Propagates device-level failures only.
     fn quarantine_line(&mut self, addr: DataAddr) -> Result<bool, RecoveryError>;
 
-    /// Rung 3: scheme-specific metadata reconstruction, driven by the
-    /// error that defeated the fast path.
+    /// `targeted`: scheme-specific metadata reconstruction, driven by
+    /// the error that defeated the fast path.
     ///
     /// # Errors
     ///
@@ -211,34 +200,20 @@ pub trait Supervised: MemoryController {
     fn supervisor_telemetry(&self) -> Telemetry;
 }
 
-/// Drives a [`Supervised`] controller through the escalation ladder.
-#[derive(Clone, Debug)]
-pub struct Supervisor {
-    max_retries: u32,
-}
+/// Drives a [`Supervised`] controller through the escalation ladder. It
+/// holds no state: one supervisor may drive any number of controllers,
+/// concurrently.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Supervisor;
 
 impl Supervisor {
-    /// A supervisor with the default retry budget
-    /// ([`DEFAULT_MAX_RETRIES`]).
+    /// A supervisor.
     pub fn new() -> Self {
-        Supervisor {
-            max_retries: DEFAULT_MAX_RETRIES,
-        }
+        Supervisor
     }
 
-    /// Overrides the rung-2 retry budget.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// The configured retry budget.
-    pub fn max_retries(&self) -> u32 {
-        self.max_retries
-    }
-
-    /// Runs the full ladder: rung 1, rungs 2–3 when it fails, and the
-    /// rung-4 scrub over every data line in either case. This is the
+    /// Runs the full ladder: `fast`, `targeted` when it fails, and the
+    /// `scrub` over every data line in either case. This is the
     /// entry for a machine that *knows* something went wrong — a
     /// serve-time integrity fault, an operator's request, a fault
     /// campaign — and O(memory) by design; a restart with no such
@@ -262,7 +237,7 @@ impl Supervisor {
         self.climb(ctrl, out, first_err)
     }
 
-    /// Rung 1: fast shadow-assisted recovery. Hands back the accounting
+    /// `fast`: shadow-assisted recovery. Hands back the accounting
     /// it starts and, when the fast path failed in a way a slower rung
     /// can improve on, the error that defeated it.
     fn fast<C: Supervised + ?Sized>(
@@ -273,9 +248,7 @@ impl Supervisor {
         let mut out = SupervisedRecovery {
             outcome: RecoveryOutcome::Recovered,
             report: RecoveryReport::default(),
-            retries: 0,
             escalations: 0,
-            backoff_ns: 0,
             repaired_lines: 0,
             rebuilt_nodes: 0,
             quarantined_lines: 0,
@@ -293,8 +266,8 @@ impl Supervisor {
         }
     }
 
-    /// Rungs 2–4, after rung 1 left `first_err` (or nothing: the scrub
-    /// runs either way).
+    /// `targeted` and `scrub`, after `fast` left `first_err` (or
+    /// nothing: the scrub runs either way).
     fn climb<C: Supervised + ?Sized>(
         &self,
         ctrl: &mut C,
@@ -305,38 +278,15 @@ impl Supervisor {
         let scheme = ctrl.scheme_name();
 
         if let Some(first) = first_err {
-            // Rung 2: bounded retries with exponential simulated backoff.
-            let mut last = first;
-            let mut fast_ok = false;
-            for attempt in 0..self.max_retries {
-                out.retries += 1;
-                out.backoff_ns += BASE_BACKOFF_NS << attempt;
-                tel.incr("supervisor_retries_total", scheme, 1);
-                ctrl.crash();
-                let _g = tel.span("supervisor_rung", "retry");
-                match ctrl.recover() {
-                    Ok(r) => {
-                        out.report = r;
-                        fast_ok = true;
-                        break;
-                    }
-                    Err(e) if e.is_refusal() => return Err(self.note_refusal(e, &tel, scheme)),
-                    Err(e) if is_structural(&e) => return Err(e),
-                    Err(e) => last = e,
-                }
-            }
-            if !fast_ok {
-                // Rung 3: targeted repair.
-                out.escalations += 1;
-                tel.incr("supervisor_escalations_total", scheme, 1);
-                let _g = tel.span("supervisor_rung", "targeted");
-                let sum = ctrl.targeted_repair(&last)?;
-                self.absorb(&mut out, sum, &tel, scheme);
-            }
+            out.escalations += 1;
+            tel.incr("supervisor_escalations_total", scheme, 1);
+            let _g = tel.span("supervisor_rung", "targeted");
+            let sum = ctrl.targeted_repair(&first)?;
+            self.absorb(&mut out, sum, &tel, scheme);
         }
 
-        // Rung 4: scrub — every line must verify, be repaired, or be
-        // explicitly quarantined and counted.
+        // Scrub: every line must verify, be repaired, or be explicitly
+        // quarantined and counted.
         self.scrub_pass(ctrl, &mut out, &tel, scheme)?;
 
         if out.quarantined_lines > 0 {
@@ -347,14 +297,14 @@ impl Supervisor {
         Ok(out)
     }
 
-    /// Enters the ladder at rung 3 with a known corruption hint, then
-    /// runs the full ladder.
+    /// Enters the ladder at `targeted` with a known corruption hint,
+    /// then runs the full ladder.
     ///
     /// This is the restart path for a reopened device image whose
     /// controller reported a non-structural [`RecoveryError`] at reopen
     /// (e.g. [`RecoveryError::CorruptImage`] for an unparseable persisted
-    /// quarantine table): the corruption is already known, so waiting for
-    /// the fast path to trip over it wastes the retry budget. Targeted
+    /// quarantine table): the corruption is already known, so there is
+    /// no point waiting for the fast path to trip over it. Targeted
     /// repair runs first with the hint — valid on a freshly reopened,
     /// powered device — and its repair work is merged into the accounting
     /// of the subsequent [`Supervisor::recover`] run.
@@ -376,7 +326,7 @@ impl Supervisor {
             return Err(self.note_refusal(err.clone(), &tel, scheme));
         }
         // Drain any REDO group left in the persistent registers before
-        // repairing over the image (idempotent; rung 1 repeats it).
+        // repairing over the image (idempotent; `fast` repeats it).
         let _ = ctrl.domain_mut().power_up();
         tel.incr("supervisor_escalations_total", scheme, 1);
         let pre = {
@@ -400,13 +350,13 @@ impl Supervisor {
     /// The restart path over a reopened image, and the paper's recovery:
     /// it scrubs on evidence. With a `hint` from reopen the corruption is
     /// already known and [`Supervisor::repair_then_recover`] runs the
-    /// whole ladder. Without one it runs rung 1, and when that passes on
-    /// the first attempt it is done — O(metadata cache), no data line
-    /// read: the outcome is `Recovered`, meaning the metadata verified
-    /// against the root; a data line is verified against that metadata
-    /// when it is first read, as every read is, and a line that fails
-    /// then is the caller's cue for [`Supervisor::recover`]. Any rung-1
-    /// error takes rungs 2–4, scrub included.
+    /// whole ladder. Without one it runs `fast`, and when that passes it
+    /// is done — O(metadata cache), no data line read: the outcome is
+    /// `Recovered`, meaning the metadata verified against the root; a
+    /// data line is verified against that metadata when it is first
+    /// read, as every read is, and a line that fails then is the
+    /// caller's cue for [`Supervisor::recover`]. Any `fast` error takes
+    /// `targeted` and `scrub`.
     ///
     /// Returns with nothing left buffered in the backend, like
     /// [`Supervisor::recover`].
@@ -494,7 +444,7 @@ impl Supervisor {
             if failures.is_empty() {
                 return Ok(());
             }
-            // First failing pass without a rung-3 run yet: give the
+            // First failing pass without a `targeted` run yet: give the
             // scheme one shot at wholesale metadata reconstruction
             // before retiring lines one by one.
             if !did_targeted {
@@ -536,12 +486,6 @@ impl Supervisor {
                 reason: "scrub did not converge",
             })
         }
-    }
-}
-
-impl Default for Supervisor {
-    fn default() -> Self {
-        Supervisor::new()
     }
 }
 
@@ -774,17 +718,17 @@ mod tests {
             let (reg, tel) = Telemetry::private();
             ctrl.set_telemetry(tel);
 
-            let supervisor = Supervisor::new().with_max_retries(5);
-            assert_eq!(supervisor.max_retries(), 5);
-            let out = supervisor
+            let out = Supervisor::new()
                 .resume(ctrl.as_mut(), None)
                 .expect("the ladder ends in a structured outcome");
-            // A torn block stays torn: every retry fails as rung 1 did.
-            assert_eq!((out.retries, out.escalations >= 1), (5, true), "{name}");
-            let mut want = vec!["fast"];
-            want.extend(["retry"; 5]);
-            want.extend(["targeted", "scrub"]);
-            assert_eq!(rungs(&reg), want, "{name}: rung-1 error is evidence");
+            // A torn block stays torn: `fast` runs once and the ladder
+            // goes straight to targeted repair.
+            assert!(out.escalations >= 1, "{name}");
+            assert_eq!(
+                rungs(&reg),
+                ["fast", "targeted", "scrub"],
+                "{name}: a rung-1 error is evidence"
+            );
         }
     }
 }

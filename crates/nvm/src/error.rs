@@ -27,12 +27,6 @@ pub enum NvmError {
     /// propagate this without caching inconsistent state; the domain
     /// requires [`crate::PersistenceDomain::power_up`] before further use.
     PowerLost,
-    /// A bounded insert found the WPQ full (used by back-pressure-aware
-    /// callers; the plain insert path force-drains instead).
-    WpqFull {
-        /// Queue capacity in entries.
-        capacity: usize,
-    },
     /// The storage backend behind the device failed — an I/O error or a
     /// corrupt on-disk image for [`crate::FileBackend`].
     Backend {
@@ -55,9 +49,6 @@ impl fmt::Display for NvmError {
             NvmError::PoweredOff => write!(f, "persistence domain is powered off"),
             NvmError::PowerLost => {
                 write!(f, "power lost mid-operation by an injected fault")
-            }
-            NvmError::WpqFull { capacity } => {
-                write!(f, "write pending queue is full ({capacity} entries)")
             }
             NvmError::Backend { reason } => write!(f, "storage backend: {reason}"),
         }
@@ -84,8 +75,5 @@ mod tests {
         assert!(e.to_string().contains("99"));
         assert!(NvmError::PoweredOff.to_string().contains("powered off"));
         assert!(NvmError::PowerLost.to_string().contains("power lost"));
-        assert!(NvmError::WpqFull { capacity: 32 }
-            .to_string()
-            .contains("32"));
     }
 }

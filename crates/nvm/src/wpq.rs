@@ -82,28 +82,6 @@ impl Wpq {
         self.entries.push_back(op);
     }
 
-    /// Bounded insert: coalesces like [`Wpq::insert`], but refuses a new
-    /// entry when the queue is full instead of force-draining the oldest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::NvmError::WpqFull`] when the queue is at capacity
-    /// and `op` does not coalesce onto an existing entry; the queue is
-    /// unchanged in that case.
-    pub fn try_insert(&mut self, op: WriteOp) -> Result<(), crate::NvmError> {
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.addr == op.addr) {
-            existing.block = op.block;
-            return Ok(());
-        }
-        if self.entries.len() == self.capacity {
-            return Err(crate::NvmError::WpqFull {
-                capacity: self.capacity,
-            });
-        }
-        self.entries.push_back(op);
-        Ok(())
-    }
-
     /// Drains every pending entry to the device (ADR flush or idle drain).
     pub fn flush<B: NvmBackend>(&mut self, device: &mut NvmDevice<B>) {
         for op in self.entries.drain(..) {
@@ -190,23 +168,5 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_capacity_panics() {
         Wpq::new(0);
-    }
-
-    #[test]
-    fn try_insert_refuses_when_full_but_coalesces() {
-        let mut dev = NvmDevice::new(1 << 20);
-        let mut wpq = Wpq::new(2);
-        wpq.try_insert(op(1)).unwrap();
-        wpq.try_insert(op(2)).unwrap();
-        let err = wpq.try_insert(op(3)).unwrap_err();
-        assert_eq!(err, crate::NvmError::WpqFull { capacity: 2 });
-        assert_eq!(wpq.len(), 2);
-        // Coalescing onto a resident entry still succeeds at capacity.
-        wpq.try_insert(WriteOp::new(BlockAddr::new(1), Block::filled(0xEE)))
-            .unwrap();
-        assert_eq!(wpq.pending(BlockAddr::new(1)), Some(Block::filled(0xEE)));
-        assert_eq!(wpq.forced_drains(), 0);
-        wpq.flush(&mut dev);
-        assert_eq!(dev.peek(BlockAddr::new(1)), Block::filled(0xEE));
     }
 }

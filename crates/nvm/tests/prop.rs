@@ -6,9 +6,7 @@
 //! checked over many independently seeded random cases, and every failure
 //! message carries the seed for exact reproduction.
 
-use anubis_nvm::{
-    Block, BlockAddr, NvmDevice, NvmError, PersistenceDomain, SplitMix64, Wpq, WriteOp,
-};
+use anubis_nvm::{Block, BlockAddr, NvmDevice, PersistenceDomain, SplitMix64, Wpq, WriteOp};
 use std::collections::HashMap;
 
 fn rand_block(rng: &mut SplitMix64) -> Block {
@@ -135,9 +133,9 @@ fn wpq_read_after_write_consistency() {
 }
 
 /// The ADR guarantee under randomized op sequences: every write accepted
-/// into the WPQ before `power_fail()` reaches the device afterwards, the
-/// bounded insert path refuses entries beyond capacity (queue occupancy
-/// never exceeds it), and pending lookups always serve the newest value.
+/// into the WPQ before `power_fail()` reaches the device afterwards, a
+/// full queue force-drains its oldest entry (occupancy never exceeds
+/// capacity), and pending lookups always serve the newest value.
 #[test]
 fn wpq_adr_guarantee_under_random_sequences() {
     for seed in 0..128u64 {
@@ -148,28 +146,12 @@ fn wpq_adr_guarantee_under_random_sequences() {
         // What the persistent domain must hold after ADR: every accepted
         // write's newest value (whether still queued or force-drained).
         let mut accepted: HashMap<u64, Block> = HashMap::new();
-        let mut refused = 0u32;
         let n_ops = rng.gen_range(10..120) as usize;
         for _ in 0..n_ops {
             let addr = rng.gen_range(0..24);
             let block = rand_block(&mut rng);
-            let op = WriteOp::new(BlockAddr::new(addr), block);
-            if rng.gen_bool(0.5) {
-                wpq.insert(op, &mut dev);
-                accepted.insert(addr, block);
-            } else {
-                match wpq.try_insert(op) {
-                    Ok(()) => {
-                        accepted.insert(addr, block);
-                    }
-                    Err(NvmError::WpqFull { capacity: c }) => {
-                        assert_eq!(c, capacity, "seed {seed}");
-                        assert_eq!(wpq.len(), capacity, "refusal only when full, seed {seed}");
-                        refused += 1;
-                    }
-                    Err(e) => panic!("unexpected error {e} (seed {seed})"),
-                }
-            }
+            wpq.insert(WriteOp::new(BlockAddr::new(addr), block), &mut dev);
+            accepted.insert(addr, block);
             assert!(
                 wpq.len() <= capacity,
                 "occupancy bound violated, seed {seed}"
@@ -191,10 +173,10 @@ fn wpq_adr_guarantee_under_random_sequences() {
                 "accepted write lost across power_fail, seed {seed} addr {a}"
             );
         }
-        // Sanity: small queues under 120 ops must actually exercise refusal
-        // at least once in aggregate (guards against a vacuous test).
+        // Sanity: small queues under 120 ops must actually force a drain
+        // at least once (guards against a vacuous test).
         if capacity == 1 && n_ops > 40 {
-            assert!(refused > 0, "refusal path never exercised, seed {seed}");
+            assert!(wpq.forced_drains() > 0, "no forced drain, seed {seed}");
         }
     }
 }

@@ -76,11 +76,6 @@ pub struct ServeConfig {
     pub default_deadline_ms: u32,
     /// Hard cap on client-requested deadlines in ms (default 10 000).
     pub max_deadline_ms: u32,
-    /// Retry budget for transient controller errors (default 3).
-    pub retry_budget: u32,
-    /// Base backoff between retries in ms, doubling per attempt
-    /// (default 1).
-    pub retry_backoff_ms: u32,
     /// Consecutive faults before the tenant's circuit breaker opens
     /// (default 5).
     pub breaker_threshold: u32,
@@ -116,8 +111,6 @@ impl Default for ServeConfig {
             burst: 256,
             default_deadline_ms: 1_000,
             max_deadline_ms: 10_000,
-            retry_budget: 3,
-            retry_backoff_ms: 1,
             breaker_threshold: 5,
             breaker_cooldown_ms: 250,
             idle_ms: 30_000,

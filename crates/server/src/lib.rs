@@ -13,9 +13,10 @@
 //! * **Per-request deadlines** — every read/write carries a budget;
 //!   blowing it is a typed [`ServeError::DeadlineExceeded`], and the
 //!   operation is *not* executed past its deadline.
-//! * **Bounded retries** — transient device errors are retried with
-//!   exponential backoff inside the deadline; integrity failures are
-//!   never retried.
+//! * **No retries** — a controller op is deterministic, so a failed one
+//!   is answered at once: integrity failures enter the recovery ladder,
+//!   any other failure is a typed [`ServeError::Internal`] that counts
+//!   against the circuit breaker.
 //! * **Admission control** — a per-tenant in-flight cap and ops/s token
 //!   bucket; overload is a typed [`ServeError::Overloaded`] with a
 //!   `retry_after_ms` hint, never a silently growing queue.

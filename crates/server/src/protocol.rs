@@ -28,7 +28,7 @@ pub const MAGIC: u32 = 0xA17B_5E1F;
 
 /// Protocol version carried in [`Request::Hello`]; the server rejects
 /// mismatches with [`ServeError::BadRequest`].
-pub const PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 2;
 
 /// Frame header bytes on the wire (magic + payload length).
 pub const HEADER_BYTES: usize = 8;
@@ -176,8 +176,10 @@ pub enum Inject {
         /// flipped too).
         bit: u32,
     },
-    /// Make the next `count` controller ops fail with a synthetic
-    /// transient error (exercises retry-with-backoff deterministically).
+    /// Make the next `count` controller ops fail with a synthetic device
+    /// error: each fails its one request as [`ServeError::Internal`] and
+    /// counts against the circuit breaker (exercises the breaker
+    /// deterministically).
     TransientFaults {
         /// Number of ops to fail.
         count: u32,
@@ -266,8 +268,6 @@ pub struct TenantStats {
     pub degraded_reads: u64,
     /// Recovery ladders completed on this tenant.
     pub recoveries: u64,
-    /// Transient-error retries performed.
-    pub retries_total: u64,
     /// Circuit-breaker trips.
     pub breaker_trips: u64,
     /// Blocks currently quarantined in the tenant's remap table.
@@ -370,8 +370,9 @@ pub enum ServeError {
         /// Why.
         detail: String,
     },
-    /// Retry budget exhausted on transient errors, or an unexpected
-    /// internal failure.
+    /// The operation failed for a reason that is neither a bad request
+    /// nor detected corruption (a device error, a failed durability
+    /// barrier); nothing was retried. Counts against the breaker.
     Internal {
         /// Rendered underlying error.
         detail: String,
@@ -702,7 +703,6 @@ fn encode_stats(e: &mut Enc<'_>, s: &TenantStats) {
     e.u64(s.degraded_writes);
     e.u64(s.degraded_reads);
     e.u64(s.recoveries);
-    e.u64(s.retries_total);
     e.u64(s.breaker_trips);
     e.u64(s.quarantined_blocks);
     e.str(&s.last_outcome);
@@ -720,7 +720,6 @@ fn decode_stats(d: &mut Dec<'_>) -> Result<TenantStats, ProtoError> {
         degraded_writes: d.u64()?,
         degraded_reads: d.u64()?,
         recoveries: d.u64()?,
-        retries_total: d.u64()?,
         breaker_trips: d.u64()?,
         quarantined_blocks: d.u64()?,
         last_outcome: d.str()?,
@@ -1180,7 +1179,7 @@ mod tests {
             },
             &[
                 &[0x01],
-                &1u32.to_le_bytes(),
+                &2u32.to_le_bytes(),
                 &8u32.to_le_bytes(),
                 b"tenant-0",
                 &token_hash("hunter2").to_le_bytes(),
@@ -1274,7 +1273,7 @@ mod tests {
         );
         let outcome = "degraded (repaired 1, rebuilt 2)";
         let mut stats = vec![0x87, 1];
-        for counter in 2..=13u64 {
+        for counter in 2..=12u64 {
             stats.extend_from_slice(&counter.to_le_bytes());
         }
         roundtrip_resp(
@@ -1289,9 +1288,8 @@ mod tests {
                 degraded_writes: 8,
                 degraded_reads: 9,
                 recoveries: 10,
-                retries_total: 11,
-                breaker_trips: 12,
-                quarantined_blocks: 13,
+                breaker_trips: 11,
+                quarantined_blocks: 12,
                 last_outcome: outcome.into(),
             }),
             &[

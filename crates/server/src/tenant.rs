@@ -25,9 +25,9 @@
 //! [`anubis::RecoveryOutcome`].
 //!
 //! The two arrows into the ladder are not the same ladder. **Boot** is
-//! [`Supervisor::resume`]: the paper's recovery (rung 1, O(metadata
-//! cache)), and rungs 2–4 with their O(memory) scrub only when reopen
-//! raised a hint or rung 1 failed. An **integrity fault** while serving
+//! [`Supervisor::resume`]: the paper's recovery (`fast`, O(metadata
+//! cache)), and `targeted` and the O(memory) `scrub` only when reopen
+//! raised a hint or `fast` failed. An **integrity fault** while serving
 //! (or a `Recover` request) is [`Supervisor::recover`], the whole
 //! ladder. A data line damaged at rest is therefore found by its first
 //! read, not by the boot: that read fails typed — every read verifies
@@ -101,13 +101,14 @@ fn tamper_data_line<B: NvmBackend>(ctrl: &mut Ctrl<B>, addr: u64, bit: usize) {
 
 /// How a controller-op failure is handled.
 enum FailClass {
-    /// Worth retrying with backoff (device-level hiccup or an injected
-    /// synthetic fault).
-    Transient,
     /// Detected corruption: the tenant must enter the recovery ladder.
     Corruption,
     /// The request itself is invalid (e.g. address out of range).
     BadRequest,
+    /// Anything else (an injected synthetic fault): answered `Internal`
+    /// and recorded by the breaker. The controller op is deterministic,
+    /// so running it again would fail the same way.
+    Other,
 }
 
 fn classify(e: &MemError) -> FailClass {
@@ -115,12 +116,11 @@ fn classify(e: &MemError) -> FailClass {
         MemError::OutOfRange { .. } => FailClass::BadRequest,
         MemError::Crypto(_) | MemError::Integrity { .. } => FailClass::Corruption,
         // Power-related device errors, and a controller whose volatile
-        // state is gone, mean the domain must run the ladder; other
-        // device errors get a retry.
+        // state is gone, mean the domain must run the ladder.
         MemError::Nvm(NvmError::PowerLost)
         | MemError::Nvm(NvmError::PoweredOff)
         | MemError::RecoveryPending => FailClass::Corruption,
-        _ => FailClass::Transient,
+        _ => FailClass::Other,
     }
 }
 
@@ -183,7 +183,8 @@ struct Core<B: NvmBackend> {
     uncut_ops: u64,
     breaker: Breaker,
     bucket: TokenBucket,
-    /// Injected synthetic transient failures remaining (chaos hook).
+    /// Injected synthetic failures remaining, one request each (chaos
+    /// hook).
     force_transient: u32,
     /// Injected per-request stall in ms (chaos hook).
     stall_ms: u32,
@@ -210,7 +211,6 @@ struct Counters {
     degraded_writes: u64,
     degraded_reads: u64,
     recoveries: u64,
-    retries_total: u64,
     last_outcome: String,
 }
 
@@ -246,7 +246,7 @@ fn boot_phase<T>(tel: &Telemetry, tenant: &str, phase: &str, work: impl FnOnce()
 /// Why a ladder starts, which is what decides how much of it runs.
 enum Entry {
     /// Boot over a reopened image, with whatever hint reopen raised:
-    /// [`Supervisor::resume`] — rung 1, and the rest only on evidence.
+    /// [`Supervisor::resume`] — `fast`, and the rest only on evidence.
     Boot(Option<RecoveryError>),
     /// A serve-time integrity fault or an explicit `Recover`: evidence
     /// already. Volatile state is dropped (the restart that would have
@@ -424,7 +424,8 @@ impl<B: NvmBackend + 'static> Tenant<B> {
         {
             let mut core = tenant.lock();
             // Boot ladder: reopen restored registers; recovery restores
-            // verified state (with the corrupt-image hint feeding rung 3).
+            // verified state (with the corrupt-image hint feeding
+            // targeted repair).
             tenant.spawn_recovery(&mut core, Entry::Boot(hint), threads);
         }
         tenant
@@ -748,18 +749,11 @@ impl<B: NvmBackend + 'static> Tenant<B> {
     }
 
     /// Common admission steps: in-flight gate (done by caller), ops/s
-    /// bucket, circuit breaker, deadline. Returns the locked core. A
-    /// request coming back from a retry backoff is the same request: it
-    /// is re-checked against everything but the bucket.
-    fn admit(
-        &self,
-        deadline: Duration,
-        received: Instant,
-        retry: bool,
-    ) -> Result<Held<'_, B>, ServeError> {
+    /// bucket, circuit breaker, deadline. Returns the locked core.
+    fn admit(&self, deadline: Duration, received: Instant) -> Result<Held<'_, B>, ServeError> {
         let mut core = self.lock();
         let now = Instant::now();
-        if !retry && !core.bucket.try_take(now) {
+        if !core.bucket.try_take(now) {
             core.stats.rejected_overload += 1;
             let retry_after_ms = core.bucket.retry_after_ms();
             return Err(ServeError::Overloaded { retry_after_ms });
@@ -809,118 +803,95 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             Err(e) => return Executed::answered(Response::Err(e)),
         };
         let deadline = cfg.effective_deadline(deadline_ms);
-        let mut attempt = 0u32;
-        let state = loop {
-            let mut core = match self.admit(deadline, received, attempt > 0) {
-                Ok(core) => core,
-                Err(e) => break Awaiting::Nothing(Response::Err(e)),
-            };
-            if core.mode == ServeMode::ReadOnly {
-                // Degraded path: serve the last verified payload.
-                break Awaiting::Nothing(match core.verified.get(addr) {
-                    Some(b) => {
-                        core.stats.reads_total += 1;
-                        core.stats.degraded_reads += 1;
-                        Response::ReadOk {
-                            data: *b.as_bytes(),
-                            mode: ServeMode::ReadOnly,
-                        }
-                    }
-                    None => Response::Err(degraded()),
-                });
-            }
-            let result = if core.force_transient > 0 {
-                core.force_transient -= 1;
-                Err(injected_fault())
-            } else {
-                match core.ctrl.as_mut() {
-                    Some(ctrl) => ctrl.read_deferred(DataAddr::new(addr)),
-                    None => break Awaiting::Nothing(Response::Err(degraded())),
-                }
-            };
-            match result {
-                Ok(block) => {
-                    core.stats.reads_total += 1;
-                    core.breaker.record_ok();
-                    // The read's own metadata records ride the next
-                    // frame and nobody waits for them; what it must not
-                    // run ahead of is a write it observed.
-                    let observed = core.unsynced.get(&addr).map(|last| last.ticket);
-                    let unsynced = observed.filter(|&ticket| !self.durability.covers(ticket));
-                    break match unsynced {
-                        Some(ticket) => Awaiting::Read {
-                            ticket,
-                            data: *block.as_bytes(),
-                        },
-                        None => {
-                            let seq = core.write_seq;
-                            core.verified.insert(addr, seq, block);
-                            Awaiting::Nothing(Response::ReadOk {
-                                data: *block.as_bytes(),
-                                mode: ServeMode::Full,
-                            })
-                        }
-                    };
-                }
-                Err(e) => match classify(&e) {
-                    FailClass::BadRequest => {
-                        break Awaiting::Nothing(Response::Err(ServeError::BadRequest {
-                            detail: e.to_string(),
-                        }))
-                    }
-                    FailClass::Transient => {
-                        match self.backoff_or_fail(core, &mut attempt, deadline, received, cfg, &e)
-                        {
-                            Ok(()) => continue,
-                            Err(err) => break Awaiting::Nothing(Response::Err(err)),
-                        }
-                    }
-                    FailClass::Corruption => {
-                        break Awaiting::Nothing(Response::Err(
-                            self.fault_to_recovery(&mut core, threads, &e),
-                        ))
-                    }
-                },
-            }
-        };
+        let state = self.read_line(addr, deadline, received, threads);
         Executed {
             _permit: Some(permit),
             state,
         }
     }
 
-    /// Counts a transient failure against the retry budget and sleeps
-    /// the backoff **with the tenant lock released** (`core` is consumed
-    /// here; the caller re-admits): one request's hiccup must not stall
-    /// every other request of the tenant for the length of its backoff.
-    fn backoff_or_fail(
-        &self,
-        mut core: Held<'_, B>,
-        attempt: &mut u32,
+    fn read_line(
+        self: &Arc<Self>,
+        addr: u64,
         deadline: Duration,
         received: Instant,
-        cfg: &ServeConfig,
+        threads: &ThreadReg,
+    ) -> Awaiting {
+        let mut core = match self.admit(deadline, received) {
+            Ok(core) => core,
+            Err(e) => return Awaiting::Nothing(Response::Err(e)),
+        };
+        if core.mode == ServeMode::ReadOnly {
+            // Degraded path: serve the last verified payload.
+            return Awaiting::Nothing(match core.verified.get(addr) {
+                Some(b) => {
+                    core.stats.reads_total += 1;
+                    core.stats.degraded_reads += 1;
+                    Response::ReadOk {
+                        data: *b.as_bytes(),
+                        mode: ServeMode::ReadOnly,
+                    }
+                }
+                None => Response::Err(degraded()),
+            });
+        }
+        let result = if core.force_transient > 0 {
+            core.force_transient -= 1;
+            Err(injected_fault())
+        } else {
+            match core.ctrl.as_mut() {
+                Some(ctrl) => ctrl.read_deferred(DataAddr::new(addr)),
+                None => return Awaiting::Nothing(Response::Err(degraded())),
+            }
+        };
+        match result {
+            Ok(block) => {
+                core.stats.reads_total += 1;
+                core.breaker.record_ok();
+                // The read's own metadata records ride the next frame and
+                // nobody waits for them; what it must not run ahead of is
+                // a write it observed.
+                let observed = core.unsynced.get(&addr).map(|last| last.ticket);
+                match observed.filter(|&ticket| !self.durability.covers(ticket)) {
+                    Some(ticket) => Awaiting::Read {
+                        ticket,
+                        data: *block.as_bytes(),
+                    },
+                    None => {
+                        let seq = core.write_seq;
+                        core.verified.insert(addr, seq, block);
+                        Awaiting::Nothing(Response::ReadOk {
+                            data: *block.as_bytes(),
+                            mode: ServeMode::Full,
+                        })
+                    }
+                }
+            }
+            Err(e) => Awaiting::Nothing(Response::Err(self.failed(&mut core, threads, &e))),
+        }
+    }
+
+    /// The typed answer to a controller op that failed, with what the
+    /// failure sets in motion: corruption enters the ladder, anything but
+    /// a bad request is recorded by the breaker.
+    fn failed(
+        self: &Arc<Self>,
+        core: &mut Core<B>,
+        threads: &ThreadReg,
         e: &MemError,
-    ) -> Result<(), ServeError> {
-        if *attempt >= cfg.retry_budget {
-            core.breaker.record_fault(Instant::now());
-            return Err(ServeError::Internal {
-                detail: format!("retry budget exhausted: {e}"),
-            });
+    ) -> ServeError {
+        match classify(e) {
+            FailClass::BadRequest => ServeError::BadRequest {
+                detail: e.to_string(),
+            },
+            FailClass::Corruption => self.fault_to_recovery(core, threads, e),
+            FailClass::Other => {
+                core.breaker.record_fault(Instant::now());
+                ServeError::Internal {
+                    detail: e.to_string(),
+                }
+            }
         }
-        let backoff = Duration::from_millis(u64::from(cfg.retry_backoff_ms) << *attempt);
-        *attempt += 1;
-        core.stats.retries_total += 1;
-        self.tel.incr("serve_retries_total", &self.name, 1);
-        if received.elapsed() + backoff >= deadline {
-            core.stats.rejected_deadline += 1;
-            return Err(ServeError::DeadlineExceeded {
-                budget_ms: deadline.as_millis().min(u128::from(u32::MAX)) as u32,
-            });
-        }
-        drop(core);
-        std::thread::sleep(backoff);
-        Ok(())
     }
 
     /// An op hit detected corruption: count the fault, enter the ladder,
@@ -954,67 +925,59 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             Err(e) => return Executed::answered(Response::Err(e)),
         };
         let deadline = cfg.effective_deadline(deadline_ms);
-        let mut attempt = 0u32;
-        let failed = loop {
-            let mut core = match self.admit(deadline, received, attempt > 0) {
-                Ok(core) => core,
-                Err(e) => break e,
-            };
-            if core.mode == ServeMode::ReadOnly {
-                core.stats.degraded_writes += 1;
-                self.tel.incr("serve_degraded_writes_total", &self.name, 1);
-                break degraded();
-            }
-            let result = if core.force_transient > 0 {
-                core.force_transient -= 1;
-                Err(injected_fault())
-            } else {
-                match core.ctrl.as_mut() {
-                    Some(ctrl) => write_deferred(ctrl, &items)
-                        .map(|()| ctrl.domain().device().backend().ticket()),
-                    None => break degraded(),
-                }
-            };
-            match result {
-                Ok(ticket) => {
-                    core.write_seq += 1;
-                    let seq = core.write_seq;
-                    for &(addr, block) in &items {
-                        let last = Unsynced { ticket, seq, block };
-                        core.unsynced.insert(addr.index(), last);
-                    }
-                    core.uncut_ops += 1;
-                    drop(core);
-                    return Executed {
-                        _permit: Some(permit),
-                        state: Awaiting::Write {
-                            ticket,
-                            seq,
-                            items,
-                            batch,
-                        },
-                    };
-                }
-                Err(e) => match classify(&e) {
-                    FailClass::BadRequest => {
-                        break ServeError::BadRequest {
-                            detail: e.to_string(),
-                        }
-                    }
-                    FailClass::Transient => {
-                        match self.backoff_or_fail(core, &mut attempt, deadline, received, cfg, &e)
-                        {
-                            Ok(()) => continue,
-                            Err(err) => break err,
-                        }
-                    }
-                    FailClass::Corruption => break self.fault_to_recovery(&mut core, threads, &e),
-                },
-            }
+        let state = match self.write_lines(&items, deadline, received, threads) {
+            Ok((ticket, seq)) => Awaiting::Write {
+                ticket,
+                seq,
+                items,
+                batch,
+            },
+            Err(e) => Awaiting::Nothing(Response::Err(e)),
         };
         Executed {
             _permit: Some(permit),
-            state: Awaiting::Nothing(Response::Err(failed)),
+            state,
+        }
+    }
+
+    /// Executes a write under the lock; returns its ticket and sequence
+    /// number.
+    fn write_lines(
+        self: &Arc<Self>,
+        items: &[(DataAddr, Block)],
+        deadline: Duration,
+        received: Instant,
+        threads: &ThreadReg,
+    ) -> Result<(u64, u64), ServeError> {
+        let mut core = self.admit(deadline, received)?;
+        if core.mode == ServeMode::ReadOnly {
+            core.stats.degraded_writes += 1;
+            self.tel.incr("serve_degraded_writes_total", &self.name, 1);
+            return Err(degraded());
+        }
+        let result = if core.force_transient > 0 {
+            core.force_transient -= 1;
+            Err(injected_fault())
+        } else {
+            match core.ctrl.as_mut() {
+                Some(ctrl) => {
+                    write_deferred(ctrl, items).map(|()| ctrl.domain().device().backend().ticket())
+                }
+                None => return Err(degraded()),
+            }
+        };
+        match result {
+            Ok(ticket) => {
+                core.write_seq += 1;
+                let seq = core.write_seq;
+                for &(addr, block) in items {
+                    let last = Unsynced { ticket, seq, block };
+                    core.unsynced.insert(addr.index(), last);
+                }
+                core.uncut_ops += 1;
+                Ok((ticket, seq))
+            }
+            Err(e) => Err(self.failed(&mut core, threads, &e)),
         }
     }
 
@@ -1118,7 +1081,6 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             degraded_writes: core.stats.degraded_writes,
             degraded_reads: core.stats.degraded_reads,
             recoveries: core.stats.recoveries,
-            retries_total: core.stats.retries_total,
             breaker_trips: core.breaker.trips(),
             quarantined_blocks: core
                 .ctrl

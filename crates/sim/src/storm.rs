@@ -58,8 +58,6 @@ pub struct StormConfig {
     pub addr_space: u64,
     /// Campaign seed; run `i` derives its stream from `(seed, i)`.
     pub seed: u64,
-    /// Rung-2 retry budget handed to the supervisor.
-    pub max_retries: u32,
     /// Arm write cuts *during* recovery on half the runs.
     pub recovery_faults: bool,
 }
@@ -72,7 +70,6 @@ impl StormConfig {
             ops: 16,
             addr_space: 200,
             seed,
-            max_retries: 3,
             recovery_faults: true,
         }
     }
@@ -105,8 +102,6 @@ pub struct StormReport {
     pub quarantined_lines: u64,
     /// Total quarantined lines whose committed content was lost.
     pub lost_lines: u64,
-    /// Total rung-2 retries across all runs.
-    pub retries_total: u64,
     /// Total ladder escalations across all runs.
     pub escalations_total: u64,
     /// Write cuts that actually fired during recovery attempts.
@@ -141,7 +136,6 @@ where
         rebuilt_nodes: 0,
         quarantined_lines: 0,
         lost_lines: 0,
-        retries_total: 0,
         escalations_total: 0,
         recovery_faults_injected: 0,
         fingerprint: mix(0xA17B_0B15_5707_12C4, cfg.seed),
@@ -162,7 +156,6 @@ where
         report.rebuilt_nodes += one.sup.rebuilt_nodes;
         report.quarantined_lines += one.sup.quarantined_lines;
         report.lost_lines += one.sup.lost_lines;
-        report.retries_total += u64::from(one.sup.retries);
         report.escalations_total += u64::from(one.sup.escalations);
         report.recovery_faults_injected += u64::from(one.recovery_crashes);
         for v in [
@@ -172,7 +165,6 @@ where
             one.sup.rebuilt_nodes,
             one.sup.quarantined_lines,
             one.sup.lost_lines,
-            u64::from(one.sup.retries),
             u64::from(one.sup.escalations),
             u64::from(one.recovery_crashes),
         ] {
@@ -214,7 +206,7 @@ where
     let (model, _) = drive_checked(&mut ctrl, script, lenient, &label);
 
     ctrl.crash();
-    let supervisor = Supervisor::new().with_max_retries(cfg.max_retries);
+    let supervisor = Supervisor::new();
 
     // Crash-during-recovery: arm a write cut so device persists silently
     // stop partway through the supervisor's work, then power-fail and
@@ -344,7 +336,7 @@ mod tests {
         let make = || BonsaiController::new(BonsaiScheme::AgitPlus, &config());
         let one = crash_storm(make, &cfg);
         assert_eq!(one.recovered + one.degraded + one.quarantined, one.runs);
-        assert_eq!(one.fingerprint, 0xc0fd_5864_7adb_e948);
+        assert_eq!(one.fingerprint, 0xde2a_cd78_6e79_3e70);
     }
 
     #[test]
@@ -353,7 +345,7 @@ mod tests {
         let make = || SgxController::new(SgxScheme::Asit, &config());
         let one = crash_storm(make, &cfg);
         assert_eq!(one.recovered + one.degraded + one.quarantined, one.runs);
-        assert_eq!(one.fingerprint, 0x9f33_6bcf_b81f_0ade);
+        assert_eq!(one.fingerprint, 0x19a4_552c_2819_08fe);
     }
 
     #[test]

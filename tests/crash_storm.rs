@@ -42,22 +42,22 @@ fn crash_storm_smoke_bonsai_family() {
     pinned_storm(
         || BonsaiController::new(BonsaiScheme::Osiris, &config()),
         &cfg,
-        0x554a_40ba_f8f7_28aa,
+        0x88e3_ab2a_6338_3493,
     );
     pinned_storm(
         || BonsaiController::new(BonsaiScheme::AgitRead, &config()),
         &cfg,
-        0xde5c_b443_3306_d5c3,
+        0x9a05_c378_3258_579c,
     );
     pinned_storm(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &config()),
         &cfg,
-        0x5fae_b102_2fcf_22e3,
+        0x48fb_19e3_6a70_d642,
     );
     pinned_storm(
         || BonsaiController::new(BonsaiScheme::StrictPersist, &config()),
         &cfg,
-        0x601c_1a45_96db_35e8,
+        0x4399_a7d5_fac6_de26,
     );
 }
 
@@ -67,12 +67,12 @@ fn crash_storm_smoke_sgx_family() {
     pinned_storm(
         || SgxController::new(SgxScheme::Asit, &config()),
         &cfg,
-        0x2347_8ac9_b7f9_6a77,
+        0xcfa1_818b_c97d_dd57,
     );
     pinned_storm(
         || SgxController::new(SgxScheme::StrictPersist, &config()),
         &cfg,
-        0xdd31_a2bc_e4ef_39a6,
+        0xa9a7_7018_3781_e46c,
     );
 }
 
@@ -88,7 +88,6 @@ fn crash_storm_smoke_fingerprints_are_pinned() {
         ops: 24,
         addr_space: 256,
         seed,
-        max_retries: 3,
         recovery_faults: true,
     };
     let bonsai = |scheme, seed| {
@@ -107,12 +106,12 @@ fn crash_storm_smoke_fingerprints_are_pinned() {
             sgx(SgxScheme::StrictPersist, 0x55),
         ],
         [
-            0xebee_428f_fbf7_5ce8,
-            0xdd34_8ad7_d1b8_42aa,
-            0x0571_dc3f_611e_0a1c,
-            0x5a45_d187_b863_06d2,
-            0x9275_78ce_5a27_8924,
-            0x7535_0f21_a647_e961,
+            0x749a_9ccc_5388_bc8a,
+            0x8fae_4931_6d4e_e68f,
+            0x54ba_28d4_11c8_7510,
+            0x7a06_11f4_b4d6_032a,
+            0x54cb_da65_2b8e_01c5,
+            0xd7c2_bf20_bbcd_be69,
         ]
     );
 }
@@ -129,44 +128,43 @@ fn crash_storm_exhaustive_sweep() {
         ops: 24,
         addr_space: 256,
         seed: 0xEE,
-        max_retries: 3,
         recovery_faults: true,
     };
     let mut plans = 0;
     plans += pinned_storm(
         || BonsaiController::new(BonsaiScheme::Osiris, &config()),
         &cfg,
-        0x823a_5d21_2508_3b31,
+        0xc3ea_6759_62e6_030b,
     )
     .runs;
     plans += pinned_storm(
         || BonsaiController::new(BonsaiScheme::AgitRead, &config()),
         &cfg,
-        0x60b7_ef36_29b8_51d1,
+        0xbf66_49f0_36b8_6c37,
     )
     .runs;
     plans += pinned_storm(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &config()),
         &cfg,
-        0x0f57_038a_2902_4159,
+        0x98ee_f700_f9e9_3a1c,
     )
     .runs;
     plans += pinned_storm(
         || BonsaiController::new(BonsaiScheme::StrictPersist, &config()),
         &cfg,
-        0xf187_ed84_0b55_5011,
+        0xea80_618a_358d_e4ba,
     )
     .runs;
     plans += pinned_storm(
         || SgxController::new(SgxScheme::Asit, &config()),
         &cfg,
-        0x14af_875c_cacc_05ee,
+        0xc7f4_fd66_0a90_d7d5,
     )
     .runs;
     plans += pinned_storm(
         || SgxController::new(SgxScheme::StrictPersist, &config()),
         &cfg,
-        0x664d_cc22_3ff1_4aa7,
+        0x8b3e_c753_b71d_0f03,
     )
     .runs;
     assert!(plans >= 1000, "sweep must exercise at least 1000 plans");

@@ -16,7 +16,7 @@
 //! replay to the pinned state and reload its remap table; and a
 //! corrupted persisted quarantine table must surface as a
 //! typed [`RecoveryError::CorruptImage`] hint that enters the supervisor
-//! ladder at rung 3 via [`Supervisor::repair_then_recover`].
+//! ladder at `targeted` via [`Supervisor::repair_then_recover`].
 //!
 //! The last section pins the op-scoped durability barrier: every public
 //! controller op — a 32-line `write_batch`, a write that re-encrypts a
@@ -58,7 +58,7 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// Runs supervised recovery on a freshly (re)opened controller, entering
-/// at rung 3 when reopen produced a corruption hint.
+/// at `targeted` when reopen produced a corruption hint.
 fn recover_fresh<C: Supervised + ?Sized>(ctrl: &mut C, hint: Option<RecoveryError>) {
     Supervisor::new()
         .resume(ctrl, hint.as_ref())
@@ -330,10 +330,10 @@ fn corrupt_qtable_image_is_typed_and_feeds_rung_three() {
     );
     let out = Supervisor::new()
         .repair_then_recover(&mut ctrl, &err)
-        .expect("rung-3 entry must still recover the image");
+        .expect("a `targeted` entry must still recover the image");
     assert!(
         out.escalations >= 1,
-        "rung-3 entry must count an escalation"
+        "a `targeted` entry must count an escalation"
     );
     for &(i, addr) in &acked {
         let want = op_payload(i, addr);
@@ -348,7 +348,7 @@ fn corrupt_qtable_image_is_typed_and_feeds_rung_three() {
         assert_eq!(
             ctrl.read(DataAddr::new(addr)).expect("post-recovery read"),
             want,
-            "acked write at op {i} lost after rung-3 recovery"
+            "acked write at op {i} lost after a `targeted` entry"
         );
     }
     let _ = fs::remove_dir_all(&dir);

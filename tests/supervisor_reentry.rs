@@ -132,7 +132,7 @@ where
         // First recovery attempt, cut short by a write cut at a random
         // point — a second power cut landing at whichever rung the
         // ladder had reached.
-        let supervisor = Supervisor::new().with_max_retries(2);
+        let supervisor = Supervisor::new();
         let cut_after = 1 + rng.next_u64() % 200;
         ctrl.domain_mut().device_mut().arm_write_cut(cut_after);
         let _ = supervisor.recover(&mut ctrl);
@@ -164,11 +164,11 @@ where
     }
 }
 
-/// One shared supervisor driving ladders over *distinct* persistence
-/// domains concurrently: each thread owns a controller of a different
+/// One supervisor driving ladders over *distinct* persistence domains
+/// concurrently: each thread owns a controller of a different
 /// family/scheme mix, takes a mid-workload fault, crashes, then all
 /// threads release at a barrier and recover at the same time. The
-/// supervisor holds no per-domain state, so concurrent ladders must
+/// supervisor holds no state, so concurrent ladders must
 /// neither interfere nor deadlock, and each domain must independently
 /// honor the acknowledged-write contract and reach the clean fixpoint.
 #[test]
@@ -176,12 +176,11 @@ fn supervisor_recovers_distinct_domains_concurrently() {
     use std::sync::{Arc, Barrier};
 
     const THREADS: usize = 6;
-    let supervisor = Arc::new(Supervisor::new().with_max_retries(2));
+    let supervisor = Supervisor::new();
     let barrier = Arc::new(Barrier::new(THREADS));
 
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let supervisor = Arc::clone(&supervisor);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let trial_seed = 0xC0_FFEE ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
