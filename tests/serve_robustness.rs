@@ -334,11 +334,36 @@ fn a_line_damaged_at_rest_is_found_by_its_first_read_not_by_the_boot() {
     server.shutdown();
 }
 
+/// Reads the server's reaction to a frame fault on `raw`: a typed
+/// `BadFrame` or a close, within `budget`, and nothing else.
+fn typed_or_closed(raw: &mut TcpStream, budget: Duration, fault: &str) {
+    use anubis_server::protocol::FrameReader;
+    raw.set_read_timeout(Some(Duration::from_millis(20)))
+        .expect("read timeout");
+    match FrameReader::new().next_frame(raw, 1 << 20, budget, budget, &|| false) {
+        Ok(None) => {}
+        Ok(Some(payload)) => match Response::decode(payload) {
+            Ok(Response::Err(ServeError::BadFrame { .. })) => {}
+            other => panic!("{fault}: expected BadFrame or a close, got {other:?}"),
+        },
+        Err(e) => panic!("{fault}: expected BadFrame or a close, got {e}"),
+    }
+}
+
 #[test]
 fn frame_faults_are_typed_and_never_hang() {
-    let cfg = test_config("alpha:tok:bonsai");
+    let mut cfg = test_config("alpha:tok:bonsai");
+    cfg.stall_ms = 150;
+    let stall = Duration::from_millis(u64::from(cfg.stall_ms));
     let server = Server::start(cfg).expect("start");
     let addr = server.local_addr();
+    let partial_frame = |promised: u32, sent: &[u8]| {
+        let mut head = Vec::new();
+        head.extend_from_slice(&anubis_server::protocol::MAGIC.to_le_bytes());
+        head.extend_from_slice(&promised.to_le_bytes());
+        head.extend_from_slice(sent);
+        head
+    };
 
     // Garbage magic: the server answers BadFrame (best effort) and
     // closes; it must keep serving other connections.
@@ -352,11 +377,8 @@ fn frame_faults_are_typed_and_never_hang() {
     // Truncated frame: declare a payload then disconnect mid-frame.
     {
         let mut raw = TcpStream::connect(addr).expect("connect");
-        let mut head = Vec::new();
-        head.extend_from_slice(&anubis_server::protocol::MAGIC.to_le_bytes());
-        head.extend_from_slice(&64u32.to_le_bytes());
-        head.extend_from_slice(&[1, 2, 3]); // 3 of 64 promised bytes
-        raw.write_all(&head).expect("truncated");
+        raw.write_all(&partial_frame(64, &[1, 2, 3])) // 3 of 64 promised bytes
+            .expect("truncated");
         raw.flush().expect("flush");
     }
 
@@ -372,6 +394,48 @@ fn frame_faults_are_typed_and_never_hang() {
         frame.extend_from_slice(&crc.to_le_bytes());
         raw.write_all(&frame).expect("bad crc");
         raw.flush().expect("flush");
+    }
+
+    // Disconnect mid-frame on an established session: the server meets
+    // the end of the stream inside a frame after a good Hello.
+    {
+        use anubis_server::protocol::{write_frame, FrameReader};
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_millis(20)))
+            .expect("read timeout");
+        let hello = Request::Hello {
+            version: PROTO_VERSION,
+            tenant: "alpha".into(),
+            token: anubis_server::token_hash("tok"),
+        };
+        write_frame(&mut raw, &hello.encode()).expect("hello");
+        let budget = Duration::from_secs(5);
+        let reply = FrameReader::new()
+            .next_frame(&mut raw, 1 << 20, budget, budget, &|| false)
+            .expect("hello reply")
+            .map(Response::decode);
+        assert!(
+            matches!(reply, Some(Ok(Response::HelloOk { .. }))),
+            "{reply:?}"
+        );
+        raw.write_all(&partial_frame(77, &[1, 2, 3, 4]))
+            .expect("partial frame");
+        raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+        typed_or_closed(&mut raw, budget, "mid-stream disconnect");
+    }
+
+    // Slowloris: part of a frame, then silence past the stall budget.
+    {
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        let started = Instant::now();
+        raw.write_all(&partial_frame(64, &[0x55; 8]))
+            .expect("partial frame");
+        typed_or_closed(&mut raw, Duration::from_secs(5), "slowloris");
+        assert!(
+            started.elapsed() >= stall,
+            "the stall was answered after {:?}, inside its {stall:?} budget",
+            started.elapsed()
+        );
     }
 
     // After all that abuse, a healthy client still gets served.
