@@ -9,23 +9,21 @@
 //! |---|---|---|---|
 //! | `drill` | SIGKILLs a child serving a deterministic script over the file-backed device at `N` randomized ack counts **per family** (default 100; `--sweep`: one per possible ack count), restarts in a fresh address space over a copy of the dead image, recovers, audits every acknowledged write | `BENCH_drill.json` | an acknowledged write lost, a recovery failure |
 //! | `adversary` | in process: drives the script over an anchored image to a seeded ack count, mutates the dead image and its anchor (bit flips, truncations, WAL splices / reorders / duplicates, rollback to a state captured on the way, cross-key swaps, anchor attacks), restarts; `N` mutated restarts **per family** rounded up to whole base runs (default 120; `--sweep`: at least 440); the report is a pure function of the seed | `BENCH_adversary.json` | a panic in the recovery path, a silent stale serve, a class that missed its verdict floor |
-//! | `serve` | concurrent tenant clients against a child server, one injected connection fault per point, SIGKILL at `N` randomized fleet-wide ack thresholds (default 100; `--sweep`: the first `N` thresholds in order), restart, time-to-healthy | `BENCH_serve.json` | an acknowledged write lost, an untyped connection fault, a tenant that never returned to full service |
+//! | `serve` | in process: four tenants of the server's own boot play one seeded schedule of writes on one thread through the execute / durable seam, are killed at `N` drawn event indices (default 100; `--sweep`: every index), copied, restarted and audited line by line against the exact model; the report is a pure function of the seed apart from time-to-healthy | `BENCH_serve.json` | a durable or answered write lost, a not-durable write visible, a typed refusal, a tenant not back in full service |
 //! | `storm` | supervised recovery under randomized fault plans (power cuts, torn writes, bit flips, write cuts *during* recovery), 170 plans per scheme (`--smoke`: 6), six schemes | `BENCH_recovery_degraded.json` | nothing of its own: a plan that ends without a structured outcome, or serves wrong data after one, panics inside `crash_storm` with the plan's label (exit code 101) |
 //!
-//! `--seed S` (decimal or `0x…`) seeds scripts, kill points and mutation
-//! draws — each campaign's default is the seed its committed
+//! `--seed S` (decimal or `0x…`) seeds scripts, schedules, kill points
+//! and mutation draws — each campaign's default is the seed its committed
 //! `BENCH_*.json` was recorded with — and `--dir D` is the scratch
 //! directory for images and logs (default: a campaign-named directory
 //! under `$TMPDIR`). `storm` runs in process and takes only `--smoke` and
 //! `--out`.
 //!
-//! The process campaigns re-execute this binary as their victim:
-//! `--child …` is the script child of `drill`
-//! (`anubis_sim::campaign::ScriptChild`), `--serve` the server of
-//! `serve`, configured through the `ANUBIS_SERVE_*` knobs its parent
-//! sets. Both are killed mid-flight on purpose.
+//! `drill` re-executes this binary as its victim: `--child …` is its
+//! script child (`anubis_sim::campaign::ScriptChild`), killed mid-flight
+//! on purpose.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -35,8 +33,8 @@ use anubis::{
 use anubis_bench::json::Json;
 use anubis_bench::{host_info_json, out_path_from_args, parse_number, smoke_requested};
 use anubis_sim::adversary::{self, AdversarySpec, FamilyAdvReport, Verdict, MUTATIONS_PER_RUN};
-use anubis_sim::chaos::{run_chaos_campaign, ChaosReport, ChaosSpec};
 use anubis_sim::drill::{self, DrillSpec, FamilyReport};
+use anubis_sim::serve::{self, ServeReport, ServeSpec};
 use anubis_sim::{crash_storm, StormConfig};
 
 const USAGE: &str = "usage: bench_campaign <drill|adversary|serve|storm> \
@@ -104,15 +102,16 @@ const SCRIPT_FLAGS: [&str; 5] = ["--points", "--seed", "--dir", "--sweep", "--ou
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    let script_campaign = |campaign: &str, run: fn(&Flags) -> Result<(), String>| {
+        Flags::parse(campaign, &SCRIPT_FLAGS, &args[2..]).and_then(|flags| run(&flags))
+    };
     let run =
         match args.get(1).map(String::as_str) {
             Some("--child") => anubis_sim::campaign::child_main(&args[2..])
                 .map_err(|e| format!("campaign child: {e}")),
-            Some("--serve") => serve_child(),
-            Some("drill") => with_exe(&args[2..], "drill", drill_campaign),
-            Some("adversary") => Flags::parse("adversary", &SCRIPT_FLAGS, &args[2..])
-                .and_then(|flags| adversary_campaign(&flags)),
-            Some("serve") => with_exe(&args[2..], "serve", serve_campaign),
+            Some("drill") => script_campaign("drill", drill_campaign),
+            Some("adversary") => script_campaign("adversary", adversary_campaign),
+            Some("serve") => script_campaign("serve", serve_campaign),
             Some("storm") => Flags::parse("storm", &["--smoke", "--out"], &args[2..])
                 .and_then(|_| storm_campaign()),
             _ => Err(USAGE.to_string()),
@@ -126,18 +125,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// A process campaign: its flags, and this binary's path to re-execute.
-fn with_exe(
-    words: &[String],
-    campaign: &str,
-    run: fn(&Path, &Flags) -> Result<(), String>,
-) -> Result<(), String> {
-    let flags = Flags::parse(campaign, &SCRIPT_FLAGS, words)?;
-    let exe = std::env::current_exe()
-        .map_err(|e| format!("{campaign}: cannot locate own executable: {e}"))?;
-    run(&exe, &flags)
-}
-
 fn kill_range_json(range: (u64, u64)) -> Json {
     Json::Arr(vec![Json::Int(range.0), Json::Int(range.1)])
 }
@@ -146,7 +133,10 @@ fn kill_range_json(range: (u64, u64)) -> Json {
 // drill
 // ---------------------------------------------------------------------
 
-fn drill_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
+fn drill_campaign(flags: &Flags) -> Result<(), String> {
+    // The drill's victim is this binary, re-executed as `--child`.
+    let exe =
+        std::env::current_exe().map_err(|e| format!("drill: cannot locate own executable: {e}"))?;
     let defaults = DrillSpec::default();
     let spec = DrillSpec {
         seed: flags.seed.unwrap_or(defaults.seed),
@@ -167,7 +157,7 @@ fn drill_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
     let mut total_points = 0u64;
     let mut total_acked = 0u64;
     for family in Family::all() {
-        let report = drill::run_campaign(exe, family, &spec, &dir, points, sweep)
+        let report = drill::run_campaign(&exe, family, &spec, &dir, points, sweep)
             .map_err(|e| format!("drill FAILED for {}: {e}", family.name()))?;
         println!(
             "  {:<18} {:>4} points, {:>6} acked writes verified, \
@@ -364,123 +354,98 @@ fn adversary_family_json(r: &FamilyAdvReport) -> Json {
 // serve
 // ---------------------------------------------------------------------
 
-/// The `--serve` victim mode: a plain `anubis-serve` daemon configured
-/// from the environment, printing its listen address for the parent.
-fn serve_child() -> Result<(), String> {
-    use std::io::Write;
-    let server = anubis_server::ServeConfig::from_env()
-        .map_err(|e| e.to_string())
-        .and_then(|cfg| anubis_server::Server::start(cfg).map_err(|e| e.to_string()))
-        .map_err(|e| format!("bench_campaign --serve: {e}"))?;
-    println!("ANUBIS_SERVE_LISTENING {}", server.local_addr());
-    let _ = std::io::stdout().flush();
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
-    }
-}
-
-fn serve_campaign(exe: &Path, flags: &Flags) -> Result<(), String> {
-    let defaults = ChaosSpec::default();
-    let spec = ChaosSpec {
+fn serve_campaign(flags: &Flags) -> Result<(), String> {
+    let defaults = ServeSpec::default();
+    let spec = ServeSpec {
         seed: flags.seed.unwrap_or(defaults.seed),
         ..defaults
     };
-    let (points, sweep, seed) = (flags.points.unwrap_or(100), flags.sweep, spec.seed);
-    let dir = flags.scratch("anubis-serve-chaos");
+    let (points, sweep) = (flags.points.unwrap_or(100), flags.sweep);
+    let dir = flags.scratch("anubis-serve");
 
-    println!("== Anubis reproduction :: multi-tenant serving chaos drill ==");
+    println!("== Anubis reproduction :: in-process serve campaign ==");
+    let kills = if sweep {
+        "a kill at every event (exhaustive sweep)".to_string()
+    } else {
+        format!("{points} kill points")
+    };
     println!(
-        "{points} kill points{}, {} tenants, seed {seed:#x}, scratch {}",
-        if sweep { " (exhaustive sweep)" } else { "" },
+        "{kills}, {} tenants, seed {:#x}, scratch {}",
         spec.tenants,
+        spec.seed,
         dir.display()
     );
 
-    let report = run_chaos_campaign(exe, &["--serve"], &spec, &dir, points, sweep)
-        .map_err(|e| format!("serve drill FAILED: {e}"))?;
+    let report = serve::run_campaign(&spec, &dir, points, sweep)
+        .map_err(|e| format!("serve campaign FAILED: {e}"))?;
     println!(
-        "  {} points, {} acked writes verified ({} in-flight tolerated), \
-         time-to-healthy p50 {} us / p95 {} us",
-        report.points,
+        "  {} points over a {}-event schedule: {} writes durable at the kill ({} answered), \
+         {} not durable, {} lines verified; time-to-healthy p50 {} us / p95 {} us",
+        report.outcomes.len(),
+        report.events,
+        report.durable_total,
+        report.acked_total,
+        report.not_durable_total,
         report.verified_total,
-        report.inflight_tolerated,
         report.tth_p50_us,
         report.tth_p95_us
     );
-    for (fault, n) in &report.fault_counts {
-        println!("  fault {fault:<22} injected {n}x, all typed");
-    }
 
-    let out = write_report("BENCH_serve.json", &serve_json(&report, seed, sweep))?;
+    let out = write_report("BENCH_serve.json", &serve_json(&report, &spec, sweep))?;
     println!(
-        "{} kill points, {} acked writes verified, zero losses -> {}",
-        report.points,
-        report.verified_total,
+        "{} kill points, zero durable or answered writes lost, no not-durable write \
+         visible, every tenant back in full service -> {}",
+        report.outcomes.len(),
         out.display()
     );
     Ok(())
 }
 
-/// The `_ms` keys older readers of the artifact know: the microsecond
-/// measurement, rounded.
-fn rounded_ms(us: u64) -> u64 {
-    (us + 500) / 1000
-}
-
-fn serve_json(r: &ChaosReport, seed: u64, sweep: bool) -> Json {
+fn serve_json(r: &ServeReport, spec: &ServeSpec, sweep: bool) -> Json {
     let outcomes: Vec<Json> = r
         .outcomes
         .iter()
         .map(|o| {
+            let sum = |field: fn(&serve::TenantOutcome) -> u64| -> u64 {
+                o.tenants.iter().map(field).sum()
+            };
+            let epochs = o.tenants.iter().map(|t| Json::Int(t.durable_epoch));
             Json::obj(vec![
-                ("kill_after_acks", Json::Int(o.kill_after_acks)),
-                ("acked", Json::Int(o.acked)),
-                ("completed", Json::Bool(o.completed)),
-                ("fault", Json::Str(o.fault.into())),
+                ("kill_at_event", Json::Int(o.kill_at)),
+                ("durable_epochs", Json::Arr(epochs.collect())),
+                ("acked", Json::Int(sum(|t| t.acked))),
+                ("durable", Json::Int(sum(|t| t.durable))),
+                ("not_durable", Json::Int(sum(|t| t.not_durable))),
+                ("verified_lines", Json::Int(sum(|t| t.verified_lines))),
                 ("time_to_healthy_us", Json::Int(o.time_to_healthy_us)),
-                (
-                    "time_to_healthy_ms",
-                    Json::Int(rounded_ms(o.time_to_healthy_us)),
-                ),
-                ("verified_addrs", Json::Int(o.verified_addrs)),
-                ("inflight_tolerated", Json::Int(o.inflight_tolerated)),
             ])
         })
         .collect();
-    let faults: Vec<Json> = r
-        .fault_counts
-        .iter()
-        .map(|(k, v)| {
-            Json::obj(vec![
-                ("fault", Json::Str((*k).into())),
-                ("injected", Json::Int(*v)),
-            ])
-        })
-        .collect();
+    let points = r.outcomes.len() as u64;
     Json::obj(vec![
         ("benchmark", Json::Str("serve".into())),
         ("host", host_info_json()),
-        ("seed", Json::Int(seed)),
+        ("seed", Json::Int(spec.seed)),
         ("sweep", Json::Bool(sweep)),
-        ("points", Json::Int(r.points)),
-        ("tenants", Json::Int(r.tenants)),
+        ("points", Json::Int(points)),
+        ("tenants", Json::Int(spec.tenants as u64)),
+        ("lines", Json::Int(spec.lines)),
+        ("script_len", Json::Int(spec.script_len)),
+        ("events", Json::Int(r.events)),
         ("acked_total", Json::Int(r.acked_total)),
+        ("durable_total", Json::Int(r.durable_total)),
+        ("not_durable_total", Json::Int(r.not_durable_total)),
         ("verified_total", Json::Int(r.verified_total)),
         ("acked_write_losses", Json::Int(0)),
-        ("completed_runs", Json::Int(r.completed_runs)),
-        ("inflight_tolerated", Json::Int(r.inflight_tolerated)),
+        ("durable_write_losses", Json::Int(0)),
+        ("not_durable_writes_visible", Json::Int(0)),
+        (
+            "tenant_restarts_full",
+            Json::Int(points * spec.tenants as u64),
+        ),
         ("time_to_healthy_p50_us", Json::Int(r.tth_p50_us)),
         ("time_to_healthy_p95_us", Json::Int(r.tth_p95_us)),
-        (
-            "time_to_healthy_p50_ms",
-            Json::Int(rounded_ms(r.tth_p50_us)),
-        ),
-        (
-            "time_to_healthy_p95_ms",
-            Json::Int(rounded_ms(r.tth_p95_us)),
-        ),
         ("kill_range", kill_range_json(r.kill_range)),
-        ("connection_faults", Json::Arr(faults)),
         ("points_detail", Json::Arr(outcomes)),
     ])
 }
@@ -610,7 +575,8 @@ mod tests {
     /// fresh run of the default spec.
     #[test]
     fn the_committed_adversary_report_starts_with_a_fresh_base_run() {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adversary.json");
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adversary.json");
         let text = std::fs::read_to_string(&path).expect("the committed report");
         let committed = json::parse(&text).expect("it parses");
         let families = committed.get("families").and_then(Json::as_arr);

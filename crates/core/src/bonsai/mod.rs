@@ -251,13 +251,13 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// are restored from the register mirrors the previous incarnation
     /// committed alongside each group; the bad-block remap table is
     /// reloaded from its persisted region. The caller must still run
-    /// recovery ([`crate::Supervisor::recover`]) before serving reads:
+    /// recovery ([`crate::supervisor::recover`]) before serving reads:
     /// reopen restores *registers*, recovery restores *verified state*.
     ///
     /// A corrupt persisted quarantine table does not fail the reopen; the
     /// controller proceeds with an empty table and the second element
     /// carries [`RecoveryError::CorruptImage`] for the supervisor to feed
-    /// into targeted repair ([`crate::Supervisor::repair_then_recover`]).
+    /// into targeted repair ([`crate::supervisor::repair_then_recover`]).
     ///
     /// A backend opened against a sealed freshness anchor (see
     /// `anubis_nvm::FileBackend::open_with_anchor`) may instead report a

@@ -51,7 +51,7 @@ impl Family {
     /// Reopens the family's controller over a durable `backend`, as
     /// [`BonsaiController::reopen`] / [`SgxController::reopen`] do; the
     /// second element is the corruption or freshness hint for
-    /// [`crate::Supervisor::resume`].
+    /// [`crate::supervisor::resume`].
     pub fn reopen<B: NvmBackend + 'static>(
         self,
         config: &AnubisConfig,

@@ -69,7 +69,7 @@ pub use layout::{BonsaiLayout, DataAddr, SgxLayout, LINES_PER_COUNTER_BLOCK};
 pub use recovery::RecoveryReport;
 pub use sgx::{SgxController, SgxScheme};
 pub use shadow::{ShadowAddrEntry, StEntry};
-pub use supervisor::{RecoveryOutcome, RepairSummary, Supervised, SupervisedRecovery, Supervisor};
+pub use supervisor::{RecoveryOutcome, RepairSummary, Supervised, SupervisedRecovery};
 
 pub use anubis_telemetry as telemetry;
 

@@ -201,7 +201,7 @@ impl<B: NvmBackend> SgxController<B> {
     /// A corrupt persisted quarantine table does not fail the reopen; the
     /// controller proceeds with an empty table and the second element
     /// carries [`RecoveryError::CorruptImage`] for
-    /// [`crate::Supervisor::repair_then_recover`].
+    /// [`crate::supervisor::repair_then_recover`].
     pub fn reopen(
         scheme: SgxScheme,
         config: &AnubisConfig,

@@ -32,20 +32,20 @@
 //! of them a caller pays for is decided by what it knows, not by an
 //! option:
 //!
-//! * [`Supervisor::resume`] is the restart entry (a server's boot, a
+//! * [`resume`] is the restart entry (a server's boot, a
 //!   campaign's restart of a killed process). `fast` passing, over an
 //!   image whose reopen raised no hint, ends it:
 //!   the metadata is verified against the root, and each data line is
 //!   verified against that metadata when it is first read, as every
 //!   read is. Anything else — a reopen hint, any `fast` error — is
 //!   evidence, and takes the whole ladder, scrub included.
-//! * [`Supervisor::recover`] is the full ladder, always: the entry for a
+//! * [`recover`] is the full ladder, always: the entry for a
 //!   caller that already has evidence (a read that failed verification
 //!   while serving, an operator's request) and for fault campaigns.
 //!
 //! So a damaged data line on an otherwise clean image is found at its
 //! first access instead of at boot — typed, never served — and that
-//! access is what sends the caller into [`Supervisor::recover`], which
+//! access is what sends the caller into [`recover`], which
 //! repairs or quarantines and counts it as the boot-time scrub did.
 
 use crate::error::RecoveryError;
@@ -64,9 +64,9 @@ const MAX_SCRUB_PASSES: u32 = 6;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryOutcome {
     /// The metadata verified against the root through the fast path;
-    /// nothing was rebuilt or lost. Out of [`Supervisor::recover`] every
+    /// nothing was rebuilt or lost. Out of [`recover`] every
     /// data line has been read and verified as well; out of a
-    /// [`Supervisor::resume`] that stopped at `fast`, data lines are
+    /// [`resume`] that stopped at `fast`, data lines are
     /// verified on access.
     Recovered,
     /// All committed data survives, but slower rungs had to repair media
@@ -200,292 +200,260 @@ pub trait Supervised: MemoryController {
     fn supervisor_telemetry(&self) -> Telemetry;
 }
 
-/// Drives a [`Supervised`] controller through the escalation ladder. It
-/// holds no state: one supervisor may drive any number of controllers,
-/// concurrently.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Supervisor;
+/// Runs the full ladder: `fast`, `targeted` when it fails, and the
+/// `scrub` over every data line in either case. This is the
+/// entry for a machine that *knows* something went wrong — a
+/// serve-time integrity fault, an operator's request, a fault
+/// campaign — and O(memory) by design; a restart with no such
+/// evidence goes through [`resume`].
+///
+/// Returns with nothing left buffered in the backend: what the
+/// ladder wrote is durable when it hands the controller back.
+///
+/// # Errors
+///
+/// [`RecoveryError::SchemeCannotRecover`] when the scheme is
+/// structurally unrecoverable (no shadow information at all) or the
+/// scrub fails to converge; [`RecoveryError::Nvm`] for device-level
+/// failures. Every *content* problem ends in a structured
+/// [`RecoveryOutcome`] instead of an error.
+pub fn recover<C: Supervised + ?Sized>(ctrl: &mut C) -> Result<SupervisedRecovery, RecoveryError> {
+    let (out, first_err) = fast(ctrl)?;
+    climb(ctrl, out, first_err)
+}
 
-impl Supervisor {
-    /// A supervisor.
-    pub fn new() -> Self {
-        Supervisor
-    }
-
-    /// Runs the full ladder: `fast`, `targeted` when it fails, and the
-    /// `scrub` over every data line in either case. This is the
-    /// entry for a machine that *knows* something went wrong — a
-    /// serve-time integrity fault, an operator's request, a fault
-    /// campaign — and O(memory) by design; a restart with no such
-    /// evidence goes through [`Supervisor::resume`].
-    ///
-    /// Returns with nothing left buffered in the backend: what the
-    /// ladder wrote is durable when it hands the controller back.
-    ///
-    /// # Errors
-    ///
-    /// [`RecoveryError::SchemeCannotRecover`] when the scheme is
-    /// structurally unrecoverable (no shadow information at all) or the
-    /// scrub fails to converge; [`RecoveryError::Nvm`] for device-level
-    /// failures. Every *content* problem ends in a structured
-    /// [`RecoveryOutcome`] instead of an error.
-    pub fn recover<C: Supervised + ?Sized>(
-        &self,
-        ctrl: &mut C,
-    ) -> Result<SupervisedRecovery, RecoveryError> {
-        let (out, first_err) = self.fast(ctrl)?;
-        self.climb(ctrl, out, first_err)
-    }
-
-    /// `fast`: shadow-assisted recovery. Hands back the accounting
-    /// it starts and, when the fast path failed in a way a slower rung
-    /// can improve on, the error that defeated it.
-    fn fast<C: Supervised + ?Sized>(
-        &self,
-        ctrl: &mut C,
-    ) -> Result<(SupervisedRecovery, Option<RecoveryError>), RecoveryError> {
-        let tel = ctrl.supervisor_telemetry();
-        let mut out = SupervisedRecovery {
-            outcome: RecoveryOutcome::Recovered,
-            report: RecoveryReport::default(),
-            escalations: 0,
-            repaired_lines: 0,
-            rebuilt_nodes: 0,
-            quarantined_lines: 0,
-            lost_lines: 0,
-        };
-        let _g = tel.span("supervisor_rung", "fast");
-        match ctrl.recover() {
-            Ok(r) => {
-                out.report = r;
-                Ok((out, None))
-            }
-            Err(e) if e.is_refusal() => Err(self.note_refusal(e, &tel, ctrl.scheme_name())),
-            Err(e) if is_structural(&e) => Err(e),
-            Err(e) => Ok((out, Some(e))),
+/// `fast`: shadow-assisted recovery. Hands back the accounting
+/// it starts and, when the fast path failed in a way a slower rung
+/// can improve on, the error that defeated it.
+fn fast<C: Supervised + ?Sized>(
+    ctrl: &mut C,
+) -> Result<(SupervisedRecovery, Option<RecoveryError>), RecoveryError> {
+    let tel = ctrl.supervisor_telemetry();
+    let mut out = SupervisedRecovery {
+        outcome: RecoveryOutcome::Recovered,
+        report: RecoveryReport::default(),
+        escalations: 0,
+        repaired_lines: 0,
+        rebuilt_nodes: 0,
+        quarantined_lines: 0,
+        lost_lines: 0,
+    };
+    let _g = tel.span("supervisor_rung", "fast");
+    match ctrl.recover() {
+        Ok(r) => {
+            out.report = r;
+            Ok((out, None))
         }
+        Err(e) if e.is_refusal() => Err(note_refusal(e, &tel, ctrl.scheme_name())),
+        Err(e) if is_structural(&e) => Err(e),
+        Err(e) => Ok((out, Some(e))),
+    }
+}
+
+/// `targeted` and `scrub`, after `fast` left `first_err` (or
+/// nothing: the scrub runs either way).
+fn climb<C: Supervised + ?Sized>(
+    ctrl: &mut C,
+    mut out: SupervisedRecovery,
+    first_err: Option<RecoveryError>,
+) -> Result<SupervisedRecovery, RecoveryError> {
+    let tel = ctrl.supervisor_telemetry();
+    let scheme = ctrl.scheme_name();
+
+    if let Some(first) = first_err {
+        out.escalations += 1;
+        tel.incr("supervisor_escalations_total", scheme, 1);
+        let _g = tel.span("supervisor_rung", "targeted");
+        let sum = ctrl.targeted_repair(&first)?;
+        absorb(&mut out, sum, &tel, scheme);
     }
 
-    /// `targeted` and `scrub`, after `fast` left `first_err` (or
-    /// nothing: the scrub runs either way).
-    fn climb<C: Supervised + ?Sized>(
-        &self,
-        ctrl: &mut C,
-        mut out: SupervisedRecovery,
-        first_err: Option<RecoveryError>,
-    ) -> Result<SupervisedRecovery, RecoveryError> {
-        let tel = ctrl.supervisor_telemetry();
-        let scheme = ctrl.scheme_name();
+    // Scrub: every line must verify, be repaired, or be explicitly
+    // quarantined and counted.
+    scrub_pass(ctrl, &mut out, &tel, scheme)?;
 
-        if let Some(first) = first_err {
+    if out.quarantined_lines > 0 {
+        ctrl.persist_quarantine();
+        ctrl.domain_mut().barrier()?;
+    }
+    out.outcome = outcome_of(&out);
+    Ok(out)
+}
+
+/// Enters the ladder at `targeted` with a known corruption hint,
+/// then runs the full ladder.
+///
+/// This is the restart path for a reopened device image whose
+/// controller reported a non-structural [`RecoveryError`] at reopen
+/// (e.g. [`RecoveryError::CorruptImage`] for an unparseable persisted
+/// quarantine table): the corruption is already known, so there is
+/// no point waiting for the fast path to trip over it. Targeted
+/// repair runs first with the hint — valid on a freshly reopened,
+/// powered device — and its repair work is merged into the accounting
+/// of the subsequent [`recover`] run.
+///
+/// # Errors
+///
+/// Same classes as [`recover`].
+pub fn repair_then_recover<C: Supervised + ?Sized>(
+    ctrl: &mut C,
+    err: &RecoveryError,
+) -> Result<SupervisedRecovery, RecoveryError> {
+    let tel = ctrl.supervisor_telemetry();
+    let scheme = ctrl.scheme_name();
+    // A freshness refusal from reopen is not a corruption hint: no
+    // ladder rung may repair its way into serving rolled-back or
+    // unverifiable-epoch state. Refuse before touching the image.
+    if err.is_refusal() {
+        return Err(note_refusal(err.clone(), &tel, scheme));
+    }
+    // Drain any REDO group left in the persistent registers before
+    // repairing over the image (idempotent; `fast` repeats it).
+    let _ = ctrl.domain_mut().power_up();
+    tel.incr("supervisor_escalations_total", scheme, 1);
+    let pre = {
+        let _g = tel.span("supervisor_rung", "targeted");
+        ctrl.targeted_repair(err)?
+    };
+    let mut out = recover(ctrl)?;
+    out.escalations += 1;
+    out.repaired_lines += pre.repaired;
+    out.rebuilt_nodes += pre.rebuilt;
+    out.quarantined_lines += pre.quarantined;
+    out.lost_lines += pre.lost;
+    if pre.quarantined > 0 {
+        ctrl.persist_quarantine();
+        ctrl.domain_mut().barrier()?;
+    }
+    out.outcome = outcome_of(&out);
+    Ok(out)
+}
+
+/// The restart path over a reopened image, and the paper's recovery:
+/// it scrubs on evidence. With a `hint` from reopen the corruption is
+/// already known and [`repair_then_recover`] runs the
+/// whole ladder. Without one it runs `fast`, and when that passes it
+/// is done — O(metadata cache), no data line read: the outcome is
+/// `Recovered`, meaning the metadata verified against the root; a
+/// data line is verified against that metadata when it is first
+/// read, as every read is, and a line that fails then is the
+/// caller's cue for [`recover`]. Any `fast` error takes
+/// `targeted` and `scrub`.
+///
+/// Returns with nothing left buffered in the backend, like
+/// [`recover`].
+///
+/// # Errors
+///
+/// Same classes as [`recover`].
+pub fn resume<C: Supervised + ?Sized>(
+    ctrl: &mut C,
+    hint: Option<&RecoveryError>,
+) -> Result<SupervisedRecovery, RecoveryError> {
+    if let Some(err) = hint {
+        return repair_then_recover(ctrl, err);
+    }
+    match fast(ctrl)? {
+        (out, None) => {
+            ctrl.domain_mut().barrier()?;
+            Ok(out)
+        }
+        (out, first_err) => climb(ctrl, out, first_err),
+    }
+}
+
+/// Counts a freshness refusal in telemetry and hands the error back
+/// unchanged — the caller's decision (refuse service, surface to the
+/// operator) happens above the ladder.
+fn note_refusal(err: RecoveryError, tel: &Telemetry, scheme: &'static str) -> RecoveryError {
+    match &err {
+        RecoveryError::RollbackDetected { .. } => {
+            tel.incr("supervisor_rollback_refusals_total", scheme, 1);
+        }
+        RecoveryError::FreshnessAnchorViolation { .. } => {
+            tel.incr("supervisor_anchor_refusals_total", scheme, 1);
+        }
+        _ => {}
+    }
+    err
+}
+
+fn absorb(out: &mut SupervisedRecovery, sum: RepairSummary, tel: &Telemetry, scheme: &'static str) {
+    out.repaired_lines += sum.repaired;
+    out.rebuilt_nodes += sum.rebuilt;
+    out.quarantined_lines += sum.quarantined;
+    out.lost_lines += sum.lost;
+    if sum.repaired > 0 {
+        tel.incr("supervisor_repaired_lines_total", scheme, sum.repaired);
+    }
+    if sum.quarantined > 0 {
+        tel.incr(
+            "supervisor_quarantined_lines_total",
+            scheme,
+            sum.quarantined,
+        );
+    }
+    if sum.lost > 0 {
+        tel.incr("supervisor_lost_lines_total", scheme, sum.lost);
+    }
+}
+
+fn scrub_pass<C: Supervised + ?Sized>(
+    ctrl: &mut C,
+    out: &mut SupervisedRecovery,
+    tel: &Telemetry,
+    scheme: &'static str,
+) -> Result<(), RecoveryError> {
+    let _g = tel
+        .span("supervisor_rung", "scrub")
+        .items(ctrl.data_lines());
+    let mut did_targeted = out.escalations > 0;
+    for pass in 1..=MAX_SCRUB_PASSES {
+        let failures = sweep(ctrl)?;
+        if failures.is_empty() {
+            return Ok(());
+        }
+        // First failing pass without a `targeted` run yet: give the
+        // scheme one shot at wholesale metadata reconstruction
+        // before retiring lines one by one.
+        if !did_targeted {
+            did_targeted = true;
             out.escalations += 1;
             tel.incr("supervisor_escalations_total", scheme, 1);
-            let _g = tel.span("supervisor_rung", "targeted");
-            let sum = ctrl.targeted_repair(&first)?;
-            self.absorb(&mut out, sum, &tel, scheme);
-        }
-
-        // Scrub: every line must verify, be repaired, or be explicitly
-        // quarantined and counted.
-        self.scrub_pass(ctrl, &mut out, &tel, scheme)?;
-
-        if out.quarantined_lines > 0 {
-            ctrl.persist_quarantine();
-            ctrl.domain_mut().barrier()?;
-        }
-        out.outcome = outcome_of(&out);
-        Ok(out)
-    }
-
-    /// Enters the ladder at `targeted` with a known corruption hint,
-    /// then runs the full ladder.
-    ///
-    /// This is the restart path for a reopened device image whose
-    /// controller reported a non-structural [`RecoveryError`] at reopen
-    /// (e.g. [`RecoveryError::CorruptImage`] for an unparseable persisted
-    /// quarantine table): the corruption is already known, so there is
-    /// no point waiting for the fast path to trip over it. Targeted
-    /// repair runs first with the hint — valid on a freshly reopened,
-    /// powered device — and its repair work is merged into the accounting
-    /// of the subsequent [`Supervisor::recover`] run.
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`Supervisor::recover`].
-    pub fn repair_then_recover<C: Supervised + ?Sized>(
-        &self,
-        ctrl: &mut C,
-        err: &RecoveryError,
-    ) -> Result<SupervisedRecovery, RecoveryError> {
-        let tel = ctrl.supervisor_telemetry();
-        let scheme = ctrl.scheme_name();
-        // A freshness refusal from reopen is not a corruption hint: no
-        // ladder rung may repair its way into serving rolled-back or
-        // unverifiable-epoch state. Refuse before touching the image.
-        if err.is_refusal() {
-            return Err(self.note_refusal(err.clone(), &tel, scheme));
-        }
-        // Drain any REDO group left in the persistent registers before
-        // repairing over the image (idempotent; `fast` repeats it).
-        let _ = ctrl.domain_mut().power_up();
-        tel.incr("supervisor_escalations_total", scheme, 1);
-        let pre = {
-            let _g = tel.span("supervisor_rung", "targeted");
-            ctrl.targeted_repair(err)?
-        };
-        let mut out = self.recover(ctrl)?;
-        out.escalations += 1;
-        out.repaired_lines += pre.repaired;
-        out.rebuilt_nodes += pre.rebuilt;
-        out.quarantined_lines += pre.quarantined;
-        out.lost_lines += pre.lost;
-        if pre.quarantined > 0 {
-            ctrl.persist_quarantine();
-            ctrl.domain_mut().barrier()?;
-        }
-        out.outcome = outcome_of(&out);
-        Ok(out)
-    }
-
-    /// The restart path over a reopened image, and the paper's recovery:
-    /// it scrubs on evidence. With a `hint` from reopen the corruption is
-    /// already known and [`Supervisor::repair_then_recover`] runs the
-    /// whole ladder. Without one it runs `fast`, and when that passes it
-    /// is done — O(metadata cache), no data line read: the outcome is
-    /// `Recovered`, meaning the metadata verified against the root; a
-    /// data line is verified against that metadata when it is first
-    /// read, as every read is, and a line that fails then is the
-    /// caller's cue for [`Supervisor::recover`]. Any `fast` error takes
-    /// `targeted` and `scrub`.
-    ///
-    /// Returns with nothing left buffered in the backend, like
-    /// [`Supervisor::recover`].
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`Supervisor::recover`].
-    pub fn resume<C: Supervised + ?Sized>(
-        &self,
-        ctrl: &mut C,
-        hint: Option<&RecoveryError>,
-    ) -> Result<SupervisedRecovery, RecoveryError> {
-        if let Some(err) = hint {
-            return self.repair_then_recover(ctrl, err);
-        }
-        match self.fast(ctrl)? {
-            (out, None) => {
-                ctrl.domain_mut().barrier()?;
-                Ok(out)
+            let hint = RecoveryError::ScrubFailed { addr: failures[0] };
+            if let Ok(sum) = ctrl.targeted_repair(&hint) {
+                absorb(out, sum, tel, scheme);
+                continue;
             }
-            (out, first_err) => self.climb(ctrl, out, first_err),
         }
-    }
-
-    /// Counts a freshness refusal in telemetry and hands the error back
-    /// unchanged — the caller's decision (refuse service, surface to the
-    /// operator) happens above the ladder.
-    fn note_refusal(
-        &self,
-        err: RecoveryError,
-        tel: &Telemetry,
-        scheme: &'static str,
-    ) -> RecoveryError {
-        match &err {
-            RecoveryError::RollbackDetected { .. } => {
-                tel.incr("supervisor_rollback_refusals_total", scheme, 1);
-            }
-            RecoveryError::FreshnessAnchorViolation { .. } => {
-                tel.incr("supervisor_anchor_refusals_total", scheme, 1);
-            }
-            _ => {}
-        }
-        err
-    }
-
-    fn absorb(
-        &self,
-        out: &mut SupervisedRecovery,
-        sum: RepairSummary,
-        tel: &Telemetry,
-        scheme: &'static str,
-    ) {
-        out.repaired_lines += sum.repaired;
-        out.rebuilt_nodes += sum.rebuilt;
-        out.quarantined_lines += sum.quarantined;
-        out.lost_lines += sum.lost;
-        if sum.repaired > 0 {
-            tel.incr("supervisor_repaired_lines_total", scheme, sum.repaired);
-        }
-        if sum.quarantined > 0 {
-            tel.incr(
-                "supervisor_quarantined_lines_total",
-                scheme,
-                sum.quarantined,
-            );
-        }
-        if sum.lost > 0 {
-            tel.incr("supervisor_lost_lines_total", scheme, sum.lost);
-        }
-    }
-
-    fn scrub_pass<C: Supervised + ?Sized>(
-        &self,
-        ctrl: &mut C,
-        out: &mut SupervisedRecovery,
-        tel: &Telemetry,
-        scheme: &'static str,
-    ) -> Result<(), RecoveryError> {
-        let _g = tel
-            .span("supervisor_rung", "scrub")
-            .items(ctrl.data_lines());
-        let mut did_targeted = out.escalations > 0;
-        for pass in 1..=MAX_SCRUB_PASSES {
-            let failures = sweep(ctrl)?;
-            if failures.is_empty() {
-                return Ok(());
-            }
-            // First failing pass without a `targeted` run yet: give the
-            // scheme one shot at wholesale metadata reconstruction
-            // before retiring lines one by one.
-            if !did_targeted {
-                did_targeted = true;
-                out.escalations += 1;
-                tel.incr("supervisor_escalations_total", scheme, 1);
-                let hint = RecoveryError::ScrubFailed { addr: failures[0] };
-                if let Ok(sum) = ctrl.targeted_repair(&hint) {
-                    self.absorb(out, sum, tel, scheme);
-                    continue;
-                }
-            }
-            let mut sum = RepairSummary::default();
-            let final_passes = pass >= MAX_SCRUB_PASSES - 2;
-            for addr in &failures {
-                match ctrl.repair_line(*addr) {
-                    Ok(w) if w > 0 => sum.repaired += 1,
-                    // Media-clean but unverifiable: on early passes let
-                    // reconcile try to re-anchor the metadata first; on
-                    // the late passes retire the line.
-                    Ok(_) if !final_passes => {}
-                    _ => {
-                        sum.quarantined += 1;
-                        if ctrl.quarantine_line(*addr)? {
-                            sum.lost += 1;
-                        }
+        let mut sum = RepairSummary::default();
+        let final_passes = pass >= MAX_SCRUB_PASSES - 2;
+        for addr in &failures {
+            match ctrl.repair_line(*addr) {
+                Ok(w) if w > 0 => sum.repaired += 1,
+                // Media-clean but unverifiable: on early passes let
+                // reconcile try to re-anchor the metadata first; on
+                // the late passes retire the line.
+                Ok(_) if !final_passes => {}
+                _ => {
+                    sum.quarantined += 1;
+                    if ctrl.quarantine_line(*addr)? {
+                        sum.lost += 1;
                     }
                 }
             }
-            let rec = ctrl.reconcile_metadata()?;
-            sum.absorb(rec);
-            self.absorb(out, sum, tel, scheme);
         }
-        // One last check after the final pass's reconcile.
-        if sweep(ctrl)?.is_empty() {
-            Ok(())
-        } else {
-            Err(RecoveryError::SchemeCannotRecover {
-                reason: "scrub did not converge",
-            })
-        }
+        let rec = ctrl.reconcile_metadata()?;
+        sum.absorb(rec);
+        absorb(out, sum, tel, scheme);
+    }
+    // One last check after the final pass's reconcile.
+    if sweep(ctrl)?.is_empty() {
+        Ok(())
+    } else {
+        Err(RecoveryError::SchemeCannotRecover {
+            reason: "scrub did not converge",
+        })
     }
 }
 
@@ -585,9 +553,7 @@ mod tests {
     /// stopping at the write the fault interrupts.
     fn served(family: Family, plan: Option<FaultPlan>) -> Reopened<MemBackend> {
         let (mut ctrl, hint) = family.reopen(&AnubisConfig::small_test(), MemBackend::new());
-        Supervisor::new()
-            .resume(ctrl.as_mut(), hint.as_ref())
-            .expect("boot of a fresh image");
+        resume(ctrl.as_mut(), hint.as_ref()).expect("boot of a fresh image");
         if let Some(plan) = plan {
             ctrl.domain_mut().arm_fault(plan);
         }
@@ -639,9 +605,7 @@ mod tests {
             bare.recover().expect("bare recovery of a clean image");
 
             let (mut ctrl, reg) = reopened(family, image);
-            let out = Supervisor::new()
-                .resume(ctrl.as_mut(), None)
-                .expect("resume of a clean image");
+            let out = resume(ctrl.as_mut(), None).expect("resume of a clean image");
             assert_eq!(out.outcome, RecoveryOutcome::Recovered, "{name}");
             assert_eq!(rungs(&reg), ["fast"], "{name}: no scrub span");
             assert_eq!(
@@ -667,9 +631,7 @@ mod tests {
 
             let (mut ctrl, reg) = reopened(family, image.clone());
             let lines = ctrl.data_lines();
-            let out = Supervisor::new()
-                .recover(ctrl.as_mut())
-                .expect("full ladder over a clean image");
+            let out = recover(ctrl.as_mut()).expect("full ladder over a clean image");
             assert_eq!(out.outcome, RecoveryOutcome::Recovered, "{name}");
             assert_eq!(rungs(&reg), ["fast", "scrub"], "{name}: recover()");
             let scrub = reg.spans().into_iter().find(|s| s.label == "scrub");
@@ -679,9 +641,7 @@ mod tests {
             let hint = RecoveryError::CorruptImage {
                 what: "quarantine table",
             };
-            Supervisor::new()
-                .resume(ctrl.as_mut(), Some(&hint))
-                .expect("resume with a hint");
+            resume(ctrl.as_mut(), Some(&hint)).expect("resume with a hint");
             assert_eq!(
                 rungs(&reg),
                 ["targeted", "fast", "scrub"],
@@ -718,9 +678,7 @@ mod tests {
             let (reg, tel) = Telemetry::private();
             ctrl.set_telemetry(tel);
 
-            let out = Supervisor::new()
-                .resume(ctrl.as_mut(), None)
-                .expect("the ladder ends in a structured outcome");
+            let out = resume(ctrl.as_mut(), None).expect("the ladder ends in a structured outcome");
             // A torn block stays torn: `fast` runs once and the ladder
             // goes straight to targeted repair.
             assert!(out.escalations >= 1, "{name}");

@@ -7,10 +7,10 @@
 //! ANUBIS_SERVE_LISTENING <addr>
 //! ```
 //!
-//! on stdout — the chaos harness parses this line to find the ephemeral
-//! port — then serves until killed. The harness kills it with SIGKILL
-//! on purpose: durability of acknowledged writes must not depend on an
-//! orderly shutdown.
+//! on stdout — the ledger (`benchmark/`) starts its server child the same
+//! way and parses this line to find the ephemeral port — then serves
+//! until killed. Durability of acknowledged writes must not depend on an
+//! orderly shutdown: the ledger's `crash_recover` SIGKILLs that child.
 
 use std::io::Write;
 use std::process::ExitCode;

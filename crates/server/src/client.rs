@@ -2,14 +2,14 @@
 //! request/response round-trips. Each request is built in the session's
 //! `tx` buffer and sent in one `write`; replies are parsed in its
 //! [`FrameReader`], which may hold bytes read ahead, so the socket itself
-//! is not exposed (fault injection opens its own `TcpStream`).
+//! is not exposed (a test that sends raw bytes opens its own `TcpStream`).
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{
-    send_frame, token_hash, FrameReader, Inject, ProtoError, Request, Response, ServeError,
-    ServeMode, TenantStats, PROTO_VERSION,
+    send_frame, token_hash, FrameReader, ProtoError, Request, Response, ServeError, ServeMode,
+    TenantStats, PROTO_VERSION,
 };
 
 /// Client-side failure: either the transport/protocol broke, or the
@@ -228,20 +228,6 @@ impl ServeClient {
     pub fn stats(&mut self) -> Result<TenantStats, ClientError> {
         match self.call(&Request::Stats)? {
             Response::StatsOk(s) => Ok(s),
-            Response::Err(e) => Err(ClientError::Server(e)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
-    }
-
-    /// Sends a chaos-injection request (server must run with
-    /// `ANUBIS_SERVE_CHAOS=1`).
-    ///
-    /// # Errors
-    ///
-    /// Typed [`ClientError::Server`] rejections or transport failures.
-    pub fn inject(&mut self, inj: Inject) -> Result<(), ClientError> {
-        match self.call(&Request::Inject(inj))? {
-            Response::InjectOk => Ok(()),
             Response::Err(e) => Err(ClientError::Server(e)),
             _ => Err(ClientError::UnexpectedResponse),
         }

@@ -89,9 +89,6 @@ pub struct ServeConfig {
     pub stall_ms: u32,
     /// Maximum frame payload bytes (default 1 MiB).
     pub max_frame_bytes: u32,
-    /// Whether chaos-injection requests are honored
-    /// (`ANUBIS_SERVE_CHAOS=1`; default off).
-    pub chaos: bool,
     /// Explicit operator override for a missing or corrupt freshness
     /// anchor (`ANUBIS_ANCHOR_OVERRIDE=1`; default off). Never applies
     /// to a valid anchor proving rollback — that is always refused.
@@ -116,7 +113,6 @@ impl Default for ServeConfig {
             idle_ms: 30_000,
             stall_ms: 2_000,
             max_frame_bytes: 1 << 20,
-            chaos: false,
             anchor_override: false,
             mem_config: AnubisConfig::small_test(),
         }
@@ -187,7 +183,6 @@ impl ServeConfig {
         env_parse("ANUBIS_SERVE_BURST", &mut c.burst)?;
         env_parse("ANUBIS_SERVE_IDLE_MS", &mut c.idle_ms)?;
         env_parse("ANUBIS_SERVE_STALL_MS", &mut c.stall_ms)?;
-        c.chaos = std::env::var("ANUBIS_SERVE_CHAOS").map(|v| v == "1") == Ok(true);
         c.anchor_override = std::env::var("ANUBIS_ANCHOR_OVERRIDE").map(|v| v == "1") == Ok(true);
         Ok(c)
     }

@@ -48,10 +48,9 @@ pub use breaker::{Breaker, BreakerState};
 pub use client::{ClientError, ServeClient};
 pub use config::{parse_tenants, ConfigError, ServeConfig, TenantFamily, TenantSpec};
 pub use protocol::{
-    token_hash, Inject, ProtoError, Request, Response, ServeError, ServeMode, TenantStats,
-    PROTO_VERSION,
+    token_hash, ProtoError, Request, Response, ServeError, ServeMode, TenantStats, PROTO_VERSION,
 };
 pub use server::{ServeStartError, Server};
-pub use tenant::Tenant;
 #[doc(hidden)]
 pub use tenant::{Executed, ThreadReg, VERIFIED_SLOTS};
+pub use tenant::{Inject, Tenant};

@@ -28,7 +28,7 @@ pub const MAGIC: u32 = 0xA17B_5E1F;
 
 /// Protocol version carried in [`Request::Hello`]; the server rejects
 /// mismatches with [`ServeError::BadRequest`].
-pub const PROTO_VERSION: u32 = 2;
+pub const PROTO_VERSION: u32 = 3;
 
 /// Frame header bytes on the wire (magic + payload length).
 pub const HEADER_BYTES: usize = 8;
@@ -160,45 +160,6 @@ impl std::fmt::Display for ServeMode {
     }
 }
 
-/// Chaos-injection operations, accepted only when the server runs with
-/// `ANUBIS_SERVE_CHAOS=1` (the harness and the example use them; a
-/// production server rejects them as [`ServeError::BadRequest`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Inject {
-    /// Flip a bit pair in the tenant's stored ciphertext for data line
-    /// `addr` (two flips in one word defeat the ECC model) — the next
-    /// touch of that line fails verification and drives the tenant into
-    /// the recovery ladder.
-    CorruptLine {
-        /// Data-line address to corrupt.
-        addr: u64,
-        /// Bit index within the 64-byte block (its partner `bit ^ 1` is
-        /// flipped too).
-        bit: u32,
-    },
-    /// Make the next `count` controller ops fail with a synthetic device
-    /// error: each fails its one request as [`ServeError::Internal`] and
-    /// counts against the circuit breaker (exercises the breaker
-    /// deterministically).
-    TransientFaults {
-        /// Number of ops to fail.
-        count: u32,
-    },
-    /// Stall every subsequent request by `ms` while holding the tenant
-    /// lock (exercises deadlines and admission control).
-    Stall {
-        /// Injected per-request delay in milliseconds.
-        ms: u32,
-    },
-    /// Delay the *next* recovery ladder by `ms` before it starts, holding
-    /// the tenant in read-only mode long enough to observe degraded
-    /// serving.
-    RecoveryStall {
-        /// Injected pre-ladder delay in milliseconds.
-        ms: u32,
-    },
-}
-
 /// A client request frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
@@ -241,8 +202,6 @@ pub enum Request {
     Recover,
     /// Fetch the tenant's serving statistics.
     Stats,
-    /// Chaos injection (gated behind `ANUBIS_SERVE_CHAOS`).
-    Inject(Inject),
 }
 
 /// Per-tenant serving statistics returned by [`Request::Stats`].
@@ -312,8 +271,6 @@ pub enum Response {
     },
     /// Statistics snapshot.
     StatsOk(TenantStats),
-    /// Chaos injection applied.
-    InjectOk,
     /// A typed rejection or failure.
     Err(ServeError),
 }
@@ -331,7 +288,7 @@ pub enum ServeError {
     /// Unknown tenant or wrong session token.
     AuthFailed,
     /// Structurally valid frame, semantically invalid request (bad
-    /// version, missing handshake, chaos op while chaos is disabled…).
+    /// version, missing handshake, a second `Hello`…).
     BadRequest {
         /// What was wrong.
         detail: String,
@@ -528,7 +485,6 @@ const OP_WRITE_BATCH: u8 = 0x04;
 const OP_FLUSH: u8 = 0x05;
 const OP_RECOVER: u8 = 0x06;
 const OP_STATS: u8 = 0x07;
-const OP_INJECT: u8 = 0x08;
 
 const RE_HELLO_OK: u8 = 0x81;
 const RE_READ_OK: u8 = 0x82;
@@ -537,13 +493,7 @@ const RE_BATCH_OK: u8 = 0x84;
 const RE_FLUSH_OK: u8 = 0x85;
 const RE_RECOVER_OK: u8 = 0x86;
 const RE_STATS_OK: u8 = 0x87;
-const RE_INJECT_OK: u8 = 0x88;
 const RE_ERR: u8 = 0xE0;
-
-const INJ_CORRUPT: u8 = 1;
-const INJ_TRANSIENT: u8 = 2;
-const INJ_STALL: u8 = 3;
-const INJ_RECOVERY_STALL: u8 = 4;
 
 const ERR_BAD_FRAME: u8 = 1;
 const ERR_AUTH: u8 = 2;
@@ -604,28 +554,6 @@ impl Request {
             Request::Flush => out.push(OP_FLUSH),
             Request::Recover => out.push(OP_RECOVER),
             Request::Stats => out.push(OP_STATS),
-            Request::Inject(inj) => {
-                let mut e = Enc::new(out, OP_INJECT);
-                match inj {
-                    Inject::CorruptLine { addr, bit } => {
-                        e.u8(INJ_CORRUPT);
-                        e.u64(*addr);
-                        e.u32(*bit);
-                    }
-                    Inject::TransientFaults { count } => {
-                        e.u8(INJ_TRANSIENT);
-                        e.u32(*count);
-                    }
-                    Inject::Stall { ms } => {
-                        e.u8(INJ_STALL);
-                        e.u32(*ms);
-                    }
-                    Inject::RecoveryStall { ms } => {
-                        e.u8(INJ_RECOVERY_STALL);
-                        e.u32(*ms);
-                    }
-                }
-            }
         }
     }
 
@@ -671,20 +599,6 @@ impl Request {
             OP_FLUSH => Request::Flush,
             OP_RECOVER => Request::Recover,
             OP_STATS => Request::Stats,
-            OP_INJECT => {
-                let kind = d.u8()?;
-                let inj = match kind {
-                    INJ_CORRUPT => Inject::CorruptLine {
-                        addr: d.u64()?,
-                        bit: d.u32()?,
-                    },
-                    INJ_TRANSIENT => Inject::TransientFaults { count: d.u32()? },
-                    INJ_STALL => Inject::Stall { ms: d.u32()? },
-                    INJ_RECOVERY_STALL => Inject::RecoveryStall { ms: d.u32()? },
-                    _ => return Err(ProtoError::Malformed("unknown inject kind")),
-                };
-                Request::Inject(inj)
-            }
             other => return Err(ProtoError::UnknownOpcode(other)),
         };
         d.done()?;
@@ -761,7 +675,6 @@ impl Response {
                 let mut e = Enc::new(out, RE_STATS_OK);
                 encode_stats(&mut e, s);
             }
-            Response::InjectOk => out.push(RE_INJECT_OK),
             Response::Err(err) => {
                 let mut e = Enc::new(out, RE_ERR);
                 match err {
@@ -829,7 +742,6 @@ impl Response {
             RE_FLUSH_OK => Response::FlushOk,
             RE_RECOVER_OK => Response::RecoverOk { outcome: d.str()? },
             RE_STATS_OK => Response::StatsOk(decode_stats(&mut d)?),
-            RE_INJECT_OK => Response::InjectOk,
             RE_ERR => {
                 let code = d.u8()?;
                 let err = match code {
@@ -1179,7 +1091,7 @@ mod tests {
             },
             &[
                 &[0x01],
-                &2u32.to_le_bytes(),
+                &3u32.to_le_bytes(),
                 &8u32.to_le_bytes(),
                 b"tenant-0",
                 &token_hash("hunter2").to_le_bytes(),
@@ -1225,22 +1137,11 @@ mod tests {
         roundtrip_req(Request::Flush, &[&[0x05]]);
         roundtrip_req(Request::Recover, &[&[0x06]]);
         roundtrip_req(Request::Stats, &[&[0x07]]);
-        roundtrip_req(
-            Request::Inject(Inject::CorruptLine { addr: 3, bit: 77 }),
-            &[&[0x08, 1], &3u64.to_le_bytes(), &77u32.to_le_bytes()],
-        );
-        roundtrip_req(
-            Request::Inject(Inject::TransientFaults { count: 2 }),
-            &[&[0x08, 2], &2u32.to_le_bytes()],
-        );
-        roundtrip_req(
-            Request::Inject(Inject::Stall { ms: 50 }),
-            &[&[0x08, 3], &50u32.to_le_bytes()],
-        );
-        roundtrip_req(
-            Request::Inject(Inject::RecoveryStall { ms: 120 }),
-            &[&[0x08, 4], &120u32.to_le_bytes()],
-        );
+        // The opcode after `Stats` is free: nothing on the wire injects.
+        assert!(matches!(
+            Request::decode(&[0x08]),
+            Err(ProtoError::UnknownOpcode(0x08))
+        ));
     }
 
     #[test]
@@ -1298,7 +1199,6 @@ mod tests {
                 outcome.as_bytes(),
             ],
         );
-        roundtrip_resp(Response::InjectOk, &[&[0x88]]);
         let text = |code: u8, s: &str| {
             [
                 &[0xE0, code][..],

@@ -25,10 +25,10 @@
 //! [`anubis::RecoveryOutcome`].
 //!
 //! The two arrows into the ladder are not the same ladder. **Boot** is
-//! [`Supervisor::resume`]: the paper's recovery (`fast`, O(metadata
+//! [`supervisor::resume`]: the paper's recovery (`fast`, O(metadata
 //! cache)), and `targeted` and the O(memory) `scrub` only when reopen
 //! raised a hint or `fast` failed. An **integrity fault** while serving
-//! (or a `Recover` request) is [`Supervisor::recover`], the whole
+//! (or a `Recover` request) is [`supervisor::recover`], the whole
 //! ladder. A data line damaged at rest is therefore found by its first
 //! read, not by the boot: that read fails typed — every read verifies
 //! MAC and tree, so the payload is never served — and takes the fault
@@ -64,20 +64,57 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use anubis::{DataAddr, MemError, RecoveryError, Supervisor};
+use anubis::{supervisor, DataAddr, MemError, RecoveryError};
 use anubis_nvm::{Block, Durability, FileBackend, NvmBackend, NvmError};
 use anubis_telemetry::Telemetry;
 
 use crate::admission::{InflightGate, InflightPermit, TokenBucket};
 use crate::breaker::Breaker;
 use crate::config::{ServeConfig, TenantFamily, TenantSpec};
-use crate::protocol::{Inject, Request, Response, ServeError, ServeMode, TenantStats};
+use crate::protocol::{Request, Response, ServeError, ServeMode, TenantStats};
 
 /// Registry of in-flight recovery threads, joined at server shutdown.
 pub type ThreadReg = Arc<Mutex<Vec<JoinHandle<()>>>>;
 
 /// A tenant's controller: either family, reopened over its image.
 type Ctrl<B> = anubis::Reopened<B>;
+
+/// The fault hooks of [`Tenant::inject`], for in-process tests: none of
+/// them is reachable from the wire.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Inject {
+    /// Flip a bit pair in the tenant's stored ciphertext for data line
+    /// `addr` (two flips in one word defeat the ECC model) — the next
+    /// touch of that line fails verification and drives the tenant into
+    /// the recovery ladder.
+    CorruptLine {
+        /// Data-line address to corrupt.
+        addr: u64,
+        /// Bit index within the 64-byte block (its partner `bit ^ 1` is
+        /// flipped too).
+        bit: u32,
+    },
+    /// Make the next `count` controller ops fail with a synthetic device
+    /// error: each fails its one request as [`ServeError::Internal`] and
+    /// counts against the circuit breaker.
+    TransientFaults {
+        /// Number of ops to fail.
+        count: u32,
+    },
+    /// Stall every subsequent request by `ms` while holding the tenant
+    /// lock (exercises deadlines and admission control).
+    Stall {
+        /// Per-request delay in milliseconds.
+        ms: u32,
+    },
+    /// Delay the *next* recovery ladder by `ms` before it starts, holding
+    /// the tenant in read-only mode long enough to observe degraded
+    /// serving.
+    RecoveryStall {
+        /// Pre-ladder delay in milliseconds.
+        ms: u32,
+    },
+}
 
 /// Scalar or batch, as the request was.
 fn write_deferred<B: NvmBackend>(
@@ -183,12 +220,11 @@ struct Core<B: NvmBackend> {
     uncut_ops: u64,
     breaker: Breaker,
     bucket: TokenBucket,
-    /// Injected synthetic failures remaining, one request each (chaos
-    /// hook).
+    /// [`Inject::TransientFaults`] remaining, one request each.
     force_transient: u32,
-    /// Injected per-request stall in ms (chaos hook).
+    /// [`Inject::Stall`], in ms.
     stall_ms: u32,
-    /// Injected delay before the next ladder starts (chaos hook).
+    /// [`Inject::RecoveryStall`], in ms: spent before the next ladder.
     recovery_stall_ms: u32,
     unavailable_reason: String,
     stats: Counters,
@@ -246,11 +282,11 @@ fn boot_phase<T>(tel: &Telemetry, tenant: &str, phase: &str, work: impl FnOnce()
 /// Why a ladder starts, which is what decides how much of it runs.
 enum Entry {
     /// Boot over a reopened image, with whatever hint reopen raised:
-    /// [`Supervisor::resume`] — `fast`, and the rest only on evidence.
+    /// [`supervisor::resume`] — `fast`, and the rest only on evidence.
     Boot(Option<RecoveryError>),
     /// A serve-time integrity fault or an explicit `Recover`: evidence
     /// already. Volatile state is dropped (the restart that would have
-    /// dropped it did not happen) and [`Supervisor::recover`] runs the
+    /// dropped it did not happen) and [`supervisor::recover`] runs the
     /// whole ladder, scrub included.
     Fault,
 }
@@ -351,12 +387,15 @@ impl Tenant {
     /// Opens (or creates) the tenant's device image under the config's
     /// data dir and immediately enters the boot recovery ladder: the
     /// tenant starts in [`ServeMode::ReadOnly`] and transitions to full
-    /// service only on a structured outcome.
+    /// service only on a structured outcome. Public for in-process
+    /// harnesses that boot tenants as the server does; the boot ladder's
+    /// thread is registered in `threads`, for the caller to join.
     ///
     /// # Errors
     ///
     /// Propagates image-open failures ([`NvmError`]).
-    pub(crate) fn open(
+    #[doc(hidden)]
+    pub fn open(
         spec: &TenantSpec,
         cfg: &ServeConfig,
         tel: Telemetry,
@@ -586,14 +625,13 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             if !stall.is_zero() {
                 std::thread::sleep(stall);
             }
-            let supervisor = Supervisor::new();
             let result = match entry {
                 Entry::Boot(hint) => boot_phase(&tenant.tel, &tenant.name, "ladder", || {
-                    supervisor.resume(ctrl.as_mut(), hint.as_ref())
+                    supervisor::resume(ctrl.as_mut(), hint.as_ref())
                 }),
                 Entry::Fault => {
                     ctrl.crash();
-                    supervisor.recover(ctrl.as_mut())
+                    supervisor::recover(ctrl.as_mut())
                 }
             };
             ctrl.publish_telemetry();
@@ -672,7 +710,6 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             Request::Flush => Executed::answered(self.op_flush()),
             Request::Recover => Executed::answered(self.op_recover(threads)),
             Request::Stats => Executed::answered(Response::StatsOk(self.stats_snapshot())),
-            Request::Inject(inj) => Executed::answered(self.op_inject(inj, cfg)),
             Request::Hello { .. } => Executed::answered(Response::Err(ServeError::BadRequest {
                 detail: "duplicate handshake".to_string(),
             })),
@@ -1018,34 +1055,26 @@ impl<B: NvmBackend + 'static> Tenant<B> {
         }
     }
 
-    fn op_inject(self: &Arc<Self>, inj: &Inject, cfg: &ServeConfig) -> Response {
-        if !cfg.chaos {
-            return Response::Err(ServeError::BadRequest {
-                detail: "chaos injection disabled (set ANUBIS_SERVE_CHAOS=1)".to_string(),
-            });
-        }
+    /// Arms one of the fault hooks. It is reachable only in process:
+    /// the wire has no opcode for it.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Degraded`] for [`Inject::CorruptLine`] while a
+    /// ladder has the controller.
+    #[doc(hidden)]
+    pub fn inject(&self, inj: Inject) -> Result<(), ServeError> {
         let mut core = self.lock();
         match inj {
-            Inject::CorruptLine { addr, bit } => match core.ctrl.as_mut() {
-                Some(ctrl) => {
-                    tamper_data_line(ctrl, *addr, *bit as usize);
-                    Response::InjectOk
-                }
-                None => Response::Err(degraded()),
-            },
-            Inject::TransientFaults { count } => {
-                core.force_transient = *count;
-                Response::InjectOk
+            Inject::CorruptLine { addr, bit } => {
+                let ctrl = core.ctrl.as_mut().ok_or_else(degraded)?;
+                tamper_data_line(ctrl, addr, bit as usize);
             }
-            Inject::Stall { ms } => {
-                core.stall_ms = *ms;
-                Response::InjectOk
-            }
-            Inject::RecoveryStall { ms } => {
-                core.recovery_stall_ms = *ms;
-                Response::InjectOk
-            }
+            Inject::TransientFaults { count } => core.force_transient = count,
+            Inject::Stall { ms } => core.stall_ms = ms,
+            Inject::RecoveryStall { ms } => core.recovery_stall_ms = ms,
         }
+        Ok(())
     }
 
     /// Orderly-shutdown hook: drains dirty metadata when the tenant is

@@ -30,8 +30,7 @@
 //! fresh anchored image and stopped at an exact ack count, where image
 //! and anchor are what a kill there leaves, and the model of what was
 //! acknowledged is exact. A campaign is therefore a pure function of its
-//! seed. The real SIGKILL stays with [`crate::drill`] and the served
-//! campaign of [`crate::chaos`].
+//! seed. The real SIGKILL stays with [`crate::drill`].
 //!
 //! ## Threat-model boundary
 //!

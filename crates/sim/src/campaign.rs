@@ -1,7 +1,7 @@
 //! The campaign kernel: what the crash / restart harnesses share.
 //!
 //! [`crate::fault`], [`crate::storm`], [`crate::drill`],
-//! [`crate::adversary`] and [`crate::chaos`] each plan faults of their
+//! [`crate::adversary`] and [`crate::serve`] each plan faults of their
 //! own and turn what they find into verdicts of their own. Three things
 //! they all do the same way live here, once:
 //!
@@ -61,11 +61,8 @@ pub fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-/// xorshift64 — deterministic, dependency-free randomness for scripts,
-/// kill points and mutation draws. One state, two outputs, because the
-/// committed campaign files were recorded with both: the restart drills
-/// draw xorshift64\* ([`XorShift64::next_star`]), the serving campaign
-/// the raw state ([`XorShift64::next_raw`]).
+/// xorshift64\* — deterministic, dependency-free randomness for scripts,
+/// schedules, kill points and mutation draws.
 #[derive(Clone, Debug)]
 pub struct XorShift64(u64);
 
@@ -82,7 +79,7 @@ impl XorShift64 {
     }
 
     /// Steps the state and returns it.
-    pub fn next_raw(&mut self) -> u64 {
+    fn next_raw(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x << 13;
         x ^= x >> 7;
@@ -134,9 +131,8 @@ pub enum HarnessError {
     },
     /// The device image failed to open or replay.
     Nvm(NvmError),
-    /// The child process left *before* its kill, where the harness
-    /// needed it alive — the script child's serve loop hit an unexpected
-    /// error, or the server child exited at all.
+    /// The script child exited with a failure before its kill: its serve
+    /// loop hit an unexpected error.
     Child {
         /// Its exit code; `None` when it died on a signal.
         code: Option<i32>,

@@ -12,8 +12,9 @@ use super::{op_payload, ScriptOp};
 /// and free to have landed or not.
 ///
 /// Built either as the acknowledgements arrive ([`Acked::ack`],
-/// [`Acked::attempt`], [`Acked::settle`]) or afterwards from an ack log
-/// and the script that produced it ([`Acked::from_log`]).
+/// [`Acked::attempt`]) or afterwards from an ack log and the script that
+/// produced it ([`Acked::from_log`]). A model that starts
+/// [`Acked::fresh`] owes every line of an address space.
 #[derive(Clone, Debug, Default)]
 pub struct Acked {
     /// Address → `(op index, payload)` of its last acknowledged write.
@@ -38,7 +39,8 @@ pub enum Judged {
 pub struct Finding<E> {
     /// The acknowledged address.
     pub addr: u64,
-    /// Op index of its last acknowledged write.
+    /// Op index of its last acknowledged write (`u64::MAX`: none, the
+    /// zeros of [`Acked::fresh`] are owed).
     pub op_index: u64,
     /// That write's payload.
     pub want: Block,
@@ -67,6 +69,19 @@ pub enum ReadBack<E> {
 }
 
 impl Acked {
+    /// The model of a fresh address space of `lines` lines: each owes
+    /// zeros until a write to it is acknowledged. Its audit reads every
+    /// line, so a write that was never acknowledged is wrong wherever it
+    /// shows — the exact model of a harness that knows which of its
+    /// writes are durable.
+    pub fn fresh(lines: u64) -> Acked {
+        let zeros = (0..lines).map(|addr| (addr, (u64::MAX, Block::zeroed())));
+        Acked {
+            last: zeros.collect(),
+            inflight: None,
+        }
+    }
+
     /// Records an acknowledged write; whatever was in flight has been
     /// settled by it.
     pub fn ack(&mut self, op_index: u64, addr: u64, payload: Block) {
@@ -77,11 +92,6 @@ impl Acked {
     /// Marks `payload` → `addr` as sent but not acknowledged.
     pub fn attempt(&mut self, addr: u64, payload: Block) {
         self.inflight = Some((addr, payload));
-    }
-
-    /// The write in flight was refused before it executed.
-    pub fn settle(&mut self) {
-        self.inflight = None;
     }
 
     /// The model a script child's ack log implies: every logged `(op

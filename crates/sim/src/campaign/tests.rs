@@ -134,6 +134,24 @@ fn audit_of_an_empty_model_reads_nothing() {
 }
 
 #[test]
+fn a_fresh_model_owes_zeros_on_every_line_until_an_ack() {
+    let mut model = Acked::fresh(3);
+    model.ack(7, 1, Block::filled(1));
+    let (zero, one, stray) = (Block::zeroed(), Block::filled(1), Block::filled(9));
+    let findings = audit(&model, &[(0, Ok(zero)), (1, Ok(one)), (2, Ok(stray))], None);
+    let got: Vec<_> = findings.iter().map(|f| (f.addr, f.op_index)).collect();
+    assert_eq!(
+        got,
+        [(0, u64::MAX), (1, 7), (2, u64::MAX)],
+        "every line read"
+    );
+    assert_eq!(findings[0].readback, ReadBack::Matched);
+    assert_eq!(findings[1].readback, ReadBack::Matched);
+    // A write nobody acknowledged shows on a line that owes zeros.
+    assert_eq!(findings[2].readback, ReadBack::Wrong { got: stray });
+}
+
+#[test]
 fn audit_is_lazy() {
     let mut model = Acked::default();
     for addr in 0..4 {

@@ -3,11 +3,11 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-use anubis::{AnubisConfig, Family, Reopened, SupervisedRecovery, Supervisor};
+use anubis::{supervisor, AnubisConfig, Family, Reopened, SupervisedRecovery};
 use anubis_nvm::{AnchorPolicy, FileBackend};
 
 use super::{
@@ -63,11 +63,6 @@ impl Victim {
     /// The child's process id.
     pub fn pid(&self) -> u32 {
         self.child.id()
-    }
-
-    /// The child's stdout, if the command piped it (once).
-    pub fn take_stdout(&mut self) -> Option<ChildStdout> {
-        self.child.stdout.take()
     }
 
     /// Polls until `due()` holds and SIGKILLs the child there — or
@@ -178,7 +173,7 @@ pub(super) fn read_ack_log(path: &Path) -> std::io::Result<Vec<(u64, u64)>> {
 /// Opens `image` — under its freshness anchor when a policy is given —
 /// reopens `family`'s controller over it and runs supervised recovery:
 /// what a restarted machine does, whoever restarts it. That is
-/// [`Supervisor::resume`]: rung 1, and the rest of the ladder with its
+/// [`supervisor::resume`]: rung 1, and the rest of the ladder with its
 /// scrub only when reopen raised a hint or rung 1 failed — so a
 /// campaign's audit is the first reader of every line it checks, and a
 /// line damaged at rest must fail that read typed.
@@ -198,7 +193,7 @@ pub fn restart(
         None => FileBackend::open(image)?,
     };
     let (mut ctrl, hint) = family.reopen(config, backend);
-    let recovery = Supervisor::new().resume(ctrl.as_mut(), hint.as_ref())?;
+    let recovery = supervisor::resume(ctrl.as_mut(), hint.as_ref())?;
     Ok((ctrl, recovery))
 }
 

@@ -47,10 +47,10 @@ mod timing;
 
 pub mod adversary;
 pub mod campaign;
-pub mod chaos;
 pub mod drill;
 pub mod experiments;
 pub mod fault;
+pub mod serve;
 pub mod storm;
 
 pub use endurance::EnduranceModel;

@@ -3,7 +3,7 @@
 //!
 //! Where [`crate::fault`] sweeps a single deterministic fault and asks the
 //! scheme's own `recover()` for a verdict, a storm drives the full
-//! [`anubis::Supervisor`] escalation ladder: every run must terminate in a
+//! [`anubis::supervisor`] escalation ladder: every run must terminate in a
 //! structured [`anubis::RecoveryOutcome`] (`Recovered`, `Degraded`, or
 //! `Quarantined`) — never a panic, never silently wrong data. The checker
 //! accepts exactly three states for an acknowledged write after
@@ -37,7 +37,8 @@
 //! (e.g. `AnubisConfig::small_test().with_spare_blocks(256)`) so
 //! quarantine never runs out of remap capacity mid-campaign.
 
-use anubis::{DataAddr, RecoveryOutcome, Supervised, SupervisedRecovery, Supervisor};
+use anubis::supervisor::recover;
+use anubis::{DataAddr, RecoveryOutcome, Supervised, SupervisedRecovery};
 use anubis_nvm::{FaultKind, FaultPlan, SplitMix64};
 
 use crate::campaign::{drive_checked, ReadBack, ScriptOp};
@@ -206,8 +207,6 @@ where
     let (model, _) = drive_checked(&mut ctrl, script, lenient, &label);
 
     ctrl.crash();
-    let supervisor = Supervisor::new();
-
     // Crash-during-recovery: arm a write cut so device persists silently
     // stop partway through the supervisor's work, then power-fail and
     // restart the ladder from scratch. The final attempt always runs
@@ -218,7 +217,7 @@ where
         for _ in 0..MAX_RECOVERY_CRASHES {
             let cut_after = 1 + rng.next_u64() % 256;
             ctrl.domain_mut().device_mut().arm_write_cut(cut_after);
-            let attempt = supervisor.recover(&mut ctrl);
+            let attempt = recover(&mut ctrl);
             let fired = ctrl.domain().device().write_cut_fired();
             ctrl.domain_mut().device_mut().clear_write_cut();
             if fired {
@@ -234,7 +233,7 @@ where
     }
     let result = match result {
         Some(r) => r,
-        None => supervisor.recover(&mut ctrl),
+        None => recover(&mut ctrl),
     };
     let sup =
         result.unwrap_or_else(|e| panic!("[{label}] supervised recovery must terminate, got: {e}"));

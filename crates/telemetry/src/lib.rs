@@ -125,8 +125,9 @@ impl Histogram {
 
 /// Nearest-rank percentile of an already **sorted ascending** slice.
 ///
-/// The convention, used everywhere in this repo (chaos drills, the
-/// serving bench, the discrete-event latency engine): the `p`-th
+/// The convention, used everywhere in this repo (the serve campaign's
+/// time-to-healthy, the serving bench, the discrete-event latency
+/// engine): the `p`-th
 /// percentile is the value at 1-based rank `⌈p · n⌉`, clamped to
 /// `[1, n]` — i.e. the smallest element such that at least `p · n`
 /// observations are ≤ it. This always returns an observed value (no

@@ -1,21 +1,18 @@
 //! Serving-layer walkthrough: handshake, durable writes over the wire,
-//! then a *forced recovery episode* observed from the client side —
-//! degraded reads from the last verified state, typed `Degraded` write
-//! rejections, and the return to full service once the supervisor's
-//! ladder finishes.
+//! then a *recovery episode* the client forces with a `Recover` request
+//! and observes from its side — reads served from the last verified
+//! state, typed `Degraded` write rejections while the supervisor's
+//! ladder runs, and the return to full service once it finishes.
 //!
 //! ```sh
 //! cargo run --release --example serve_client
 //! ```
 //!
-//! The example starts an in-process [`anubis_server::Server`] with chaos
-//! injection enabled (so it can corrupt its own device image on
-//! request); a real deployment runs `anubis_serve` as a daemon and
-//! never sets `ANUBIS_SERVE_CHAOS`.
+//! The example starts an in-process [`anubis_server::Server`]; a real
+//! deployment runs `anubis_serve` as a daemon.
 
 use anubis_server::{
-    ClientError, Inject, ServeClient, ServeConfig, ServeError, ServeMode, Server, TenantFamily,
-    TenantSpec,
+    ClientError, ServeClient, ServeConfig, ServeError, ServeMode, Server, TenantFamily, TenantSpec,
 };
 use std::time::{Duration, Instant};
 
@@ -36,7 +33,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             TenantSpec::new("alpha", "alpha-token", TenantFamily::BonsaiAgitPlus),
             TenantSpec::new("beta", "beta-token", TenantFamily::SgxAsit),
         ],
-        chaos: true, // unlocks the Inject opcode for the forced episode
         ..ServeConfig::default()
     };
     let server = Server::start(cfg)?;
@@ -67,35 +63,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (data, mode) = alpha.read(3, 500)?;
     assert_eq!(data, payload(3));
     println!("alpha: 8 lines written + read back (mode {mode:?})");
-    // Drain the write-pending queue so the device image — not the WPQ's
-    // read-through — backs the next reads; the forced corruption below
-    // must hit persisted state to be detectable.
-    alpha.flush()?;
 
     // -- 4. Force a recovery episode. ----------------------------------
-    // Slow the ladder down so the degraded window is observable, then
-    // corrupt a data line on the device (a bit pair in one 64-bit word —
-    // a single flip would be silently ECC-corrected).
-    alpha.inject(Inject::RecoveryStall { ms: 400 })?;
-    alpha.inject(Inject::CorruptLine { addr: 5, bit: 9 })?;
-    match alpha.read(5, 500) {
-        Err(ClientError::Server(ServeError::Integrity { .. })) => {
-            println!("alpha: tampered read -> typed Integrity, tenant entered recovery");
-        }
-        other => println!("alpha: unexpected tampered-read result: {other:?}"),
-    }
+    // `Recover` hands the controller to the supervisor's full ladder on
+    // a background thread and answers at once.
+    println!("alpha: recover -> {}", alpha.recover()?);
 
-    // -- 5. The degraded window, from the client's seat. ---------------
-    // Reads still answer — from the last verified state, flagged by the
-    // serving mode — while writes fail fast with a typed Degraded.
+    // -- 5. The episode, from the client's seat. -----------------------
+    // While the ladder runs, reads answer from the last verified state
+    // (mode ReadOnly) and writes fail fast with a typed Degraded; a
+    // ladder that has already finished serves both in Full mode.
     let (data, mode) = alpha.read(3, 500)?;
     assert_eq!(data, payload(3));
-    println!("alpha: degraded read of line 3 served from verified state (mode {mode:?})");
+    println!("alpha: read of line 3 during the episode served in mode {mode:?}");
     match alpha.write(6, payload(0x66), 500) {
         Err(ClientError::Server(ServeError::Degraded { mode })) => {
             println!("alpha: write during recovery -> typed Degraded (mode {mode:?})");
         }
-        other => println!("alpha: unexpected degraded-write result: {other:?}"),
+        Ok(()) => println!("alpha: write landed: the ladder had already finished"),
+        Err(e) => return Err(e.into()),
     }
 
     // -- 6. Wait for the ladder, then full service again. --------------

@@ -13,7 +13,7 @@
 //! fails on any silent stale serve, any panic in the recovery path, and
 //! any mutation class that missed its required verdict — e.g. a rollback
 //! not refused as rollback (DESIGN.md §14). Each restart is
-//! `Supervisor::resume`: refusals come from reopen and rung 1, and a
+//! `supervisor::resume`: refusals come from reopen and rung 1, and a
 //! surviving image is audited line by line.
 //!
 //! Nothing in it moves with timing, so two runs give the same verdicts,

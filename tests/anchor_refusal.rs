@@ -12,8 +12,8 @@ use std::path::PathBuf;
 
 use anubis::telemetry::Telemetry;
 use anubis::{
-    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController, RecoveryError,
-    Supervisor,
+    supervisor, AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController,
+    RecoveryError,
 };
 use anubis_nvm::{anchor_path_for, AnchorPolicy, Block, FileBackend, FreshnessAnchor, NvmBackend};
 
@@ -55,10 +55,9 @@ fn recover_with_hint(
     ctrl: &mut BonsaiController<FileBackend>,
     hint: &Option<RecoveryError>,
 ) -> Result<(), RecoveryError> {
-    let sup = Supervisor::new();
     match hint {
-        Some(e) => sup.repair_then_recover(ctrl, e).map(|_| ()),
-        None => sup.recover(ctrl).map(|_| ()),
+        Some(e) => supervisor::repair_then_recover(ctrl, e).map(|_| ()),
+        None => supervisor::recover(ctrl).map(|_| ()),
     }
 }
 

@@ -16,7 +16,7 @@
 //! replay to the pinned state and reload its remap table; and a
 //! corrupted persisted quarantine table must surface as a
 //! typed [`RecoveryError::CorruptImage`] hint that enters the supervisor
-//! ladder at `targeted` via [`Supervisor::repair_then_recover`].
+//! ladder at `targeted` via [`supervisor::repair_then_recover`].
 //!
 //! The last section pins the op-scoped durability barrier: every public
 //! controller op — a 32-line `write_batch`, a write that re-encrypts a
@@ -34,8 +34,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use anubis::{
-    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, Family, MemError, MemoryController,
-    RecoveryError, SgxController, SgxScheme, Supervised, Supervisor,
+    supervisor, AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, Family, MemError,
+    MemoryController, RecoveryError, SgxController, SgxScheme, Supervised,
 };
 use anubis_nvm::{
     anchor_path_for, AnchorPolicy, Block, FileBackend, Freshness, FreshnessAnchor, NvmBackend,
@@ -60,9 +60,7 @@ fn scratch(name: &str) -> PathBuf {
 /// Runs supervised recovery on a freshly (re)opened controller, entering
 /// at `targeted` when reopen produced a corruption hint.
 fn recover_fresh<C: Supervised + ?Sized>(ctrl: &mut C, hint: Option<RecoveryError>) {
-    Supervisor::new()
-        .resume(ctrl, hint.as_ref())
-        .expect("recovery of reopened image");
+    supervisor::resume(ctrl, hint.as_ref()).expect("recovery of reopened image");
 }
 
 /// Plays `script` to its end, panicking on any controller error, and
@@ -159,7 +157,7 @@ fn write_cut_mid_recovery_suppresses_file_backend_flushes() {
         // stay off the image.
         ctrl.crash();
         ctrl.domain_mut().device_mut().arm_write_cut(1);
-        let _ = Supervisor::new().recover(&mut ctrl);
+        let _ = supervisor::recover(&mut ctrl);
         assert!(
             ctrl.domain().device().write_cut_fired(),
             "recovery of a dirty crash must write (cut never fired)"
@@ -223,7 +221,7 @@ fn the_scrub_takes_one_barrier_per_pass_and_leaves_the_fused_image() {
             (backend.epoch() - before, raw_fingerprint(&image))
         };
         let (ladder_frames, ladder_image) = frames("ladder.wal", &|ctrl| {
-            Supervisor::new().recover(ctrl).expect("full ladder");
+            supervisor::recover(ctrl).expect("full ladder");
         });
         let (fused_frames, fused_image) = frames("fused.wal", &|ctrl| {
             ctrl.recover().expect("rung 1");
@@ -261,9 +259,7 @@ fn post_recovery_image_reopens(family: Family, pin: u64) {
     ctrl.quarantine_line(DataAddr::new(3)).expect("quarantine");
     ctrl.persist_quarantine();
     ctrl.crash();
-    Supervisor::new()
-        .recover(ctrl.as_mut())
-        .unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
+    supervisor::recover(ctrl.as_mut()).unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
     let table = |c: &dyn Supervised<Backend = FileBackend>| {
         let t = c.domain().device().quarantine_table();
         (t.mappings().collect::<Vec<_>>(), t.lost_lines())
@@ -328,8 +324,7 @@ fn corrupt_qtable_image_is_typed_and_feeds_rung_three() {
         ),
         "unexpected hint: {err}"
     );
-    let out = Supervisor::new()
-        .repair_then_recover(&mut ctrl, &err)
+    let out = supervisor::repair_then_recover(&mut ctrl, &err)
         .expect("a `targeted` entry must still recover the image");
     assert!(
         out.escalations >= 1,

@@ -146,7 +146,6 @@ impl Rig {
         let cfg = ServeConfig {
             // The failures below are the subject, not load to be shed.
             breaker_threshold: 1_000,
-            chaos: true,
             ..ServeConfig::default()
         };
         let threads: ThreadReg = Arc::new(Mutex::new(Vec::new()));
@@ -421,8 +420,8 @@ fn a_degraded_read_never_steps_back_behind_a_write_that_shared_the_frame() {
     // a reader may have been shown the newer payload already.
     assert_eq!(rig.tenant.finish(first), Response::WriteOk);
     // The tenant degrades before the newer write's thread gets to run.
-    let stall = Request::Inject(Inject::RecoveryStall { ms: 300 });
-    assert_eq!(rig.call(&stall), Response::InjectOk);
+    let stall = Inject::RecoveryStall { ms: 300 };
+    assert_eq!(rig.tenant.inject(stall), Ok(()));
     assert!(matches!(
         rig.call(&Request::Recover),
         Response::RecoverOk { .. }

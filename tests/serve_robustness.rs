@@ -1,8 +1,9 @@
 //! End-to-end robustness tests for `anubis-server`, run fully
 //! in-process: a real TCP server on an ephemeral port, real client
-//! connections, and chaos injection driving every typed failure path —
-//! deadlines, injected device faults, overload, circuit breaking,
-//! degraded-mode reads, and connection-layer frame faults.
+//! connections, and the tenant's in-process fault hooks
+//! (`Tenant::inject`, which no wire request reaches) driving every typed
+//! failure path — deadlines, injected device faults, overload, circuit
+//! breaking, degraded-mode reads, and connection-layer frame faults.
 
 use std::io::{Read as IoRead, Write as IoWrite};
 use std::net::TcpStream;
@@ -24,7 +25,6 @@ fn test_config(tenants: &str) -> ServeConfig {
     ServeConfig {
         data_dir,
         tenants: parse_tenants(tenants).expect("tenant spec"),
-        chaos: true,
         breaker_threshold: 2,
         breaker_cooldown_ms: 150,
         idle_ms: 5_000,
@@ -102,25 +102,29 @@ fn handshake_auth_and_roundtrip() {
 fn deadlines_and_retries_are_typed() {
     let cfg = test_config("alpha:tok:bonsai");
     let server = Server::start(cfg).expect("start");
+    let tenant = server.tenant("alpha").expect("tenant");
     let mut c = ServeClient::connect(server.local_addr(), "alpha", "tok").expect("connect");
     await_full(&mut c, Duration::from_secs(10));
     c.write(3, [9; 64], 0).expect("seed write");
 
     // A request whose deadline is shorter than the injected stall is
     // rejected as DeadlineExceeded and NOT executed.
-    c.inject(Inject::Stall { ms: 60 }).expect("inject stall");
+    tenant
+        .inject(Inject::Stall { ms: 60 })
+        .expect("inject stall");
     match c.read(3, 20) {
         Err(ClientError::Server(ServeError::DeadlineExceeded { budget_ms })) => {
             assert_eq!(budget_ms, 20);
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-    c.inject(Inject::Stall { ms: 0 }).expect("clear stall");
+    tenant.inject(Inject::Stall { ms: 0 }).expect("clear stall");
 
     // One injected fault fails its one request as Internal — a retry
     // would have absorbed it — and the write it failed is not executed;
     // the next write lands.
-    c.inject(Inject::TransientFaults { count: 1 })
+    tenant
+        .inject(Inject::TransientFaults { count: 1 })
         .expect("inject transient");
     match c.write(4, [4; 64], 0) {
         Err(ClientError::Server(ServeError::Internal { .. })) => {}
@@ -139,12 +143,14 @@ fn breaker_trips_and_recovers_via_probe() {
     let cfg = test_config("alpha:tok:sgx");
     let cooldown = Duration::from_millis(u64::from(cfg.breaker_cooldown_ms));
     let server = Server::start(cfg).expect("start");
+    let tenant = server.tenant("alpha").expect("tenant");
     let mut c = ServeClient::connect(server.local_addr(), "alpha", "tok").expect("connect");
     await_full(&mut c, Duration::from_secs(10));
 
     // Two injected faults, one Internal each (threshold = 2): breaker
     // opens.
-    c.inject(Inject::TransientFaults { count: 100 })
+    tenant
+        .inject(Inject::TransientFaults { count: 100 })
         .expect("inject");
     for _ in 0..2 {
         match c.write(1, [1; 64], 0) {
@@ -162,7 +168,8 @@ fn breaker_trips_and_recovers_via_probe() {
 
     // Clear the fault source; after the cooldown the half-open probe
     // succeeds and service resumes.
-    c.inject(Inject::TransientFaults { count: 0 })
+    tenant
+        .inject(Inject::TransientFaults { count: 0 })
         .expect("clear");
     std::thread::sleep(cooldown + Duration::from_millis(50));
     c.write(1, [2; 64], 0).expect("probe write closes breaker");
@@ -202,6 +209,7 @@ fn overload_is_typed_not_queued() {
 fn degraded_mode_serves_verified_reads_during_recovery() {
     let cfg = test_config("alpha:tok:bonsai");
     let server = Server::start(cfg).expect("start");
+    let tenant = server.tenant("alpha").expect("tenant");
     let mut c = ServeClient::connect(server.local_addr(), "alpha", "tok").expect("connect");
     await_full(&mut c, Duration::from_secs(10));
 
@@ -214,8 +222,11 @@ fn degraded_mode_serves_verified_reads_during_recovery() {
 
     // Stall the next ladder so the degraded window is observable, then
     // corrupt the line. The next read detects the tampering.
-    c.inject(Inject::RecoveryStall { ms: 400 }).expect("stall");
-    c.inject(Inject::CorruptLine { addr: 5, bit: 3 })
+    tenant
+        .inject(Inject::RecoveryStall { ms: 400 })
+        .expect("stall");
+    tenant
+        .inject(Inject::CorruptLine { addr: 5, bit: 3 })
         .expect("corrupt");
     match c.read(5, 0) {
         Err(ClientError::Server(ServeError::Integrity { .. })) => {}
@@ -278,11 +289,13 @@ fn a_line_damaged_at_rest_is_found_by_its_first_read_not_by_the_boot() {
         // Out of the WPQ and onto the device, where the damage lands; the
         // second flush journals the damaged block: it is in the image.
         c.flush().expect("flush");
-        c.inject(Inject::CorruptLine {
-            addr: DAMAGED,
-            bit: 3,
-        })
-        .expect("corrupt");
+        let hooks = server.tenant(tenant).expect("tenant");
+        hooks
+            .inject(Inject::CorruptLine {
+                addr: DAMAGED,
+                bit: 3,
+            })
+            .expect("corrupt");
         c.flush().expect("flush the damage");
     }
     server.shutdown();

@@ -10,8 +10,8 @@
 //! from the trial seed alone.
 
 use anubis::{
-    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, RecoveryOutcome, SgxController,
-    SgxScheme, Supervised, Supervisor,
+    supervisor::recover, AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, RecoveryOutcome,
+    SgxController, SgxScheme, Supervised,
 };
 use anubis_nvm::{Block, FaultPlan, MemBackend, SplitMix64};
 use std::collections::BTreeMap;
@@ -132,10 +132,9 @@ where
         // First recovery attempt, cut short by a write cut at a random
         // point — a second power cut landing at whichever rung the
         // ladder had reached.
-        let supervisor = Supervisor::new();
         let cut_after = 1 + rng.next_u64() % 200;
         ctrl.domain_mut().device_mut().arm_write_cut(cut_after);
-        let _ = supervisor.recover(&mut ctrl);
+        let _ = recover(&mut ctrl);
         let fired = ctrl.domain().device().write_cut_fired();
         ctrl.domain_mut().device_mut().clear_write_cut();
         if fired {
@@ -144,17 +143,15 @@ where
 
         // Re-entry: the ladder restarted from scratch must terminate in
         // a structured outcome and honor the acknowledged-write contract.
-        supervisor
-            .recover(&mut ctrl)
+        recover(&mut ctrl)
             .unwrap_or_else(|e| panic!("{ctx}: re-entered supervised recovery failed: {e}"));
         check_model(&mut ctrl, &model, attempted, &ctx);
 
         // Fixpoint: with no new faults, another full cycle finds nothing
         // left to repair.
         ctrl.crash();
-        let again = supervisor
-            .recover(&mut ctrl)
-            .unwrap_or_else(|e| panic!("{ctx}: clean re-recovery failed: {e}"));
+        let again =
+            recover(&mut ctrl).unwrap_or_else(|e| panic!("{ctx}: clean re-recovery failed: {e}"));
         assert_eq!(
             again.outcome,
             RecoveryOutcome::Recovered,
@@ -176,7 +173,6 @@ fn supervisor_recovers_distinct_domains_concurrently() {
     use std::sync::{Arc, Barrier};
 
     const THREADS: usize = 6;
-    let supervisor = Supervisor::new();
     let barrier = Arc::new(Barrier::new(THREADS));
 
     let handles: Vec<_> = (0..THREADS)
@@ -221,15 +217,13 @@ fn supervisor_recovers_distinct_domains_concurrently() {
 
                 // Everyone crashes first, then everyone recovers at once.
                 barrier.wait();
-                supervisor
-                    .recover(&mut *ctrl)
+                recover(&mut *ctrl)
                     .unwrap_or_else(|e| panic!("{ctx}: concurrent recovery failed: {e}"));
                 check_model(&mut *ctrl, &model, attempted, &ctx);
 
                 ctrl.crash();
                 barrier.wait();
-                let again = supervisor
-                    .recover(&mut *ctrl)
+                let again = recover(&mut *ctrl)
                     .unwrap_or_else(|e| panic!("{ctx}: clean re-recovery failed: {e}"));
                 assert_eq!(
                     again.outcome,
