@@ -7,7 +7,7 @@
 //!
 //! | campaign | what it does | default `--out` | exit code 1 on |
 //! |---|---|---|---|
-//! | `drill` | SIGKILLs a child serving a deterministic script over the file-backed device at `N` randomized ack counts **per family** (default 100; `--sweep`: one per possible ack count), restarts in a fresh address space over a copy of the dead image, recovers, audits every acknowledged write | `BENCH_drill.json` | an acknowledged write lost, a recovery failure |
+//! | `drill` | SIGKILLs a child serving a deterministic script over an anchored file-backed image once its anchor has sealed one of `N` randomized epochs **per family** (default 100; `--sweep`: every epoch of the script), restarts in a fresh address space over a copy of the dead image and its anchor, recovers, audits every line against the exact model of the epoch it opens at | `BENCH_drill.json` | an owed write lost, a write not owed visible, anything short of full recovery |
 //! | `adversary` | in process: drives the script over an anchored image to a seeded ack count, mutates the dead image and its anchor (bit flips, truncations, WAL splices / reorders / duplicates, rollback to a state captured on the way, cross-key swaps, anchor attacks), restarts; `N` mutated restarts **per family** rounded up to whole base runs (default 120; `--sweep`: at least 440); the report is a pure function of the seed | `BENCH_adversary.json` | a panic in the recovery path, a silent stale serve, a class that missed its verdict floor |
 //! | `serve` | in process: four tenants of the server's own boot play one seeded schedule of writes on one thread through the execute / durable seam, are killed at `N` drawn event indices (default 100; `--sweep`: every index), copied, restarted and audited line by line against the exact model; the report is a pure function of the seed apart from time-to-healthy | `BENCH_serve.json` | a durable or answered write lost, a not-durable write visible, a typed refusal, a tenant not back in full service |
 //! | `storm` | supervised recovery under randomized fault plans (power cuts, torn writes, bit flips, write cuts *during* recovery), 170 plans per scheme (`--smoke`: 6), six schemes | `BENCH_recovery_degraded.json` | nothing of its own: a plan that ends without a structured outcome, or serves wrong data after one, panics inside `crash_storm` with the plan's label (exit code 101) |
@@ -32,7 +32,8 @@ use anubis::{
 };
 use anubis_bench::json::Json;
 use anubis_bench::{host_info_json, out_path_from_args, parse_number, smoke_requested};
-use anubis_sim::adversary::{self, AdversarySpec, FamilyAdvReport, Verdict, MUTATIONS_PER_RUN};
+use anubis_sim::adversary::{self, AdversarySpec, FamilyAdvReport, MUTATIONS_PER_RUN};
+use anubis_sim::campaign::Verdict;
 use anubis_sim::drill::{self, DrillSpec, FamilyReport};
 use anubis_sim::serve::{self, ServeReport, ServeSpec};
 use anubis_sim::{crash_storm, StormConfig};
@@ -155,21 +156,22 @@ fn drill_campaign(flags: &Flags) -> Result<(), String> {
 
     let mut families = Vec::new();
     let mut total_points = 0u64;
-    let mut total_acked = 0u64;
+    let mut total_owed = 0u64;
     for family in Family::all() {
         let report = drill::run_campaign(&exe, family, &spec, &dir, points, sweep)
             .map_err(|e| format!("drill FAILED for {}: {e}", family.name()))?;
         println!(
-            "  {:<18} {:>4} points, {:>6} acked writes verified, \
-             {} clean-exit runs, in-flight observed {}x",
+            "  {:<18} {:>4} points over {} epochs, {:>6} owed writes verified, \
+             {} clean-exit runs, anchor one frame behind {}x",
             family.name(),
-            report.points,
-            report.acked_total,
+            report.outcomes.len(),
+            report.final_epoch,
+            report.owed_total,
             report.completed_runs,
-            report.inflight_observed
+            report.anchor_behind
         );
-        total_points += report.points;
-        total_acked += report.acked_total;
+        total_points += report.outcomes.len() as u64;
+        total_owed += report.owed_total;
         families.push(drill_family_json(&report));
     }
 
@@ -181,13 +183,15 @@ fn drill_campaign(flags: &Flags) -> Result<(), String> {
         ("script_len", Json::Int(spec.script_len as u64)),
         ("lines", Json::Int(spec.lines)),
         ("total_kill_points", Json::Int(total_points)),
-        ("total_acked_verified", Json::Int(total_acked)),
-        ("acked_write_losses", Json::Int(0)),
+        ("total_owed_verified", Json::Int(total_owed)),
+        ("owed_write_losses", Json::Int(0)),
+        ("not_owed_writes_visible", Json::Int(0)),
         ("families", Json::Arr(families)),
     ]);
     let out = write_report("BENCH_drill.json", &doc)?;
     println!(
-        "{total_points} kill points, {total_acked} acked writes verified, zero losses -> {}",
+        "{total_points} kill points, {total_owed} owed writes verified, zero lost, \
+         none visible that was not owed -> {}",
         out.display()
     );
     Ok(())
@@ -199,24 +203,22 @@ fn drill_family_json(r: &FamilyReport) -> Json {
         .iter()
         .map(|o| {
             Json::obj(vec![
-                ("kill_after_acks", Json::Int(o.kill_after_acks)),
-                ("acked", Json::Int(o.acked)),
+                ("kill_at_epoch", Json::Int(o.kill_at)),
                 ("completed", Json::Bool(o.completed)),
-                ("verified_addrs", Json::Int(o.verified_addrs)),
-                ("inflight_observed", Json::Bool(o.inflight_observed)),
-                ("outcome", Json::Str(o.outcome.clone())),
-                ("fingerprint", Json::Str(format!("{:#018x}", o.fingerprint))),
+                ("image_epoch", Json::Int(o.image_epoch)),
+                ("anchor_behind", Json::Bool(o.anchor_behind)),
+                ("owed", Json::Int(o.owed)),
             ])
         })
         .collect();
     Json::obj(vec![
         ("family", Json::Str(r.family.name().into())),
-        ("points", Json::Int(r.points)),
+        ("final_epoch", Json::Int(r.final_epoch)),
+        ("points", Json::Int(r.outcomes.len() as u64)),
         ("completed_runs", Json::Int(r.completed_runs)),
-        ("acked_total", Json::Int(r.acked_total)),
-        ("inflight_observed", Json::Int(r.inflight_observed)),
+        ("owed_total", Json::Int(r.owed_total)),
+        ("anchor_behind", Json::Int(r.anchor_behind)),
         ("kill_range", kill_range_json(r.kill_range)),
-        ("acked_write_losses", Json::Int(0)),
         ("points_detail", Json::Arr(outcomes)),
     ])
 }

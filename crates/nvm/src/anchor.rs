@@ -84,8 +84,8 @@ pub enum AnchorPolicy {
 /// What the anchor check concluded about a reopened image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Freshness {
-    /// No anchor is associated with this backend (plain volatile or
-    /// un-anchored file open); no freshness claim is made.
+    /// No anchor is associated with this backend (a volatile one); no
+    /// freshness claim is made.
     Untracked,
     /// The image is at (or exactly one barrier ahead of, after an honest
     /// crash between the WAL fsync and the seal — healed on open) the

@@ -469,8 +469,7 @@ pub trait NvmBackend: std::fmt::Debug + Send + Sync {
     }
 
     /// What the freshness-anchor check concluded when this backend was
-    /// opened. [`Freshness::Untracked`] for volatile or un-anchored
-    /// backends.
+    /// opened. [`Freshness::Untracked`] for volatile backends.
     fn freshness(&self) -> Freshness {
         Freshness::Untracked
     }

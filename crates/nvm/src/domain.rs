@@ -425,8 +425,13 @@ mod tests {
             "anubis-domain-{}-op-barrier.img",
             std::process::id()
         ));
+        let anchor = crate::anchor_path_for(&path);
         let _ = std::fs::remove_file(&path);
-        let reopen = || FileBackend::open(&path).expect("open image");
+        let _ = std::fs::remove_file(&anchor);
+        let reopen = || {
+            FileBackend::open_with_anchor(&path, [7, 13], crate::AnchorPolicy::Strict)
+                .expect("open image")
+        };
         {
             let mut d = PersistenceDomain::with_backend(1 << 20, reopen());
             d.commit_group([op(1, 0xAA)]).unwrap();
@@ -454,6 +459,7 @@ mod tests {
         assert_eq!(b.load(3), Some(Block::filled(0xCC)));
         assert_eq!(b.reg(0), Some(Block::filled(0x01)));
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&anchor);
     }
 
     #[test]

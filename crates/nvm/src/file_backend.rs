@@ -60,18 +60,16 @@
 //! with the device key over its epoch, its payload and the previous
 //! frame's tag. Replay demands a tag that verifies at the frame's place
 //! in the chain and strictly increasing epochs, so a forged, spliced,
-//! reordered or duplicated frame is typed corruption. When the image is
-//! opened with [`FileBackend::open_with_anchor`], the last epoch is
-//! compared against the sealed [`FreshnessAnchor`] beside the image: an
-//! image *behind* the anchor is a rollback to stale state and is reported
-//! as [`Freshness::RolledBack`] for the recovery layer to refuse; one
-//! *ahead* of it by the one frame an honest crash can leave unsealed is
-//! healed — and since no one without the key can write that frame, it is
-//! the honest in-flight frame. The chain starts afresh, from the key, in
-//! every new file (the first, and each compaction's), and the un-anchored
-//! [`FileBackend::open`] tags under the public [`PUBLIC_WAL_KEY`]: such
-//! an image makes no authenticity claim. Content authenticity of the data
-//! itself stays with the crypto layer above.
+//! reordered or duplicated frame is typed corruption. The one open,
+//! [`FileBackend::open_with_anchor`], compares the last epoch against the
+//! sealed [`FreshnessAnchor`] beside the image: an image *behind* the
+//! anchor is a rollback to stale state and is reported as
+//! [`Freshness::RolledBack`] for the recovery layer to refuse; one *ahead*
+//! of it by the one frame an honest crash can leave unsealed is healed —
+//! and since no one without the key can write that frame, it is the
+//! honest in-flight frame. The chain starts afresh, from the key, in every
+//! new file (the first, and each compaction's). Content authenticity of
+//! the data itself stays with the crypto layer above.
 //!
 //! The log is compacted (rewritten as one frame holding just the live
 //! blocks and registers, then atomically renamed into place) once the
@@ -88,9 +86,7 @@ use crate::anchor::{anchor_path_for, AnchorError, AnchorPolicy, Freshness, Fresh
 use crate::backend::{Cut, Durability, NvmBackend, WalStats};
 use crate::block::Block;
 use crate::error::NvmError;
-use crate::wal::{
-    seal_frame, TagKey, WalWalker, FRAME_HEADER_BYTES, HEADER_BYTES, MAGIC, PUBLIC_WAL_KEY, VERSION,
-};
+use crate::wal::{seal_frame, TagKey, WalWalker, FRAME_HEADER_BYTES, HEADER_BYTES, MAGIC, VERSION};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -226,7 +222,8 @@ struct WalSink {
 #[derive(Debug)]
 struct FileHalf {
     log: Log,
-    /// Sealed epoch register, present for anchored opens.
+    /// Sealed epoch register; absent when the open found a violation,
+    /// so the evidence stays untouched.
     anchor: Option<FreshnessAnchor>,
 }
 
@@ -328,29 +325,13 @@ pub struct FileBackend {
 }
 
 impl FileBackend {
-    /// Opens (or creates) a WAL image at `path`, replaying every
-    /// committed frame. A torn tail frame is truncated away. No
-    /// freshness anchor is consulted: the image's epoch is trusted at
-    /// face value ([`Freshness::Untracked`]), and frames are tagged under
-    /// the public [`PUBLIC_WAL_KEY`] — an image written here opens only
-    /// here, not under [`FileBackend::open_with_anchor`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NvmError::Backend`] for I/O failures, a bad magic or
-    /// version, and every [`crate::WalFault`]: a committed frame whose
-    /// tag or epoch order fails, and bytes at the tail that are neither
-    /// zero slack nor a torn append.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, NvmError> {
-        Self::open_inner(path.as_ref(), PUBLIC_WAL_KEY, None)
-    }
-
-    /// Opens a WAL image whose frames are tagged under `key`, and
-    /// verifies its epoch against the sealed freshness anchor beside it
-    /// (`<path>.anchor`, sealed under the same key), creating the anchor
-    /// for a fresh image. The verdict is reported through
-    /// [`NvmBackend::freshness`]; an image behind the anchor still opens
-    /// (so the damage can be inspected) but reports
+    /// Opens (or creates) a WAL image at `path` whose frames are tagged
+    /// under `key`, replaying every committed frame (a torn tail frame is
+    /// truncated away), and verifies its epoch against the sealed
+    /// freshness anchor beside it (`<path>.anchor`, sealed under the same
+    /// key), creating the anchor for a fresh image. The verdict is
+    /// reported through [`NvmBackend::freshness`]; an image behind the
+    /// anchor still opens (so the damage can be inspected) but reports
     /// [`Freshness::RolledBack`], which the recovery layer must refuse.
     /// Under [`AnchorPolicy::Override`] a missing or corrupt anchor is
     /// resealed from the image's epoch instead of reported as a
@@ -358,22 +339,17 @@ impl FileBackend {
     ///
     /// # Errors
     ///
-    /// As [`FileBackend::open`] — a frame not tagged under `key` is a
-    /// tag fault — plus anchor I/O failures.
+    /// Returns [`NvmError::Backend`] for I/O failures (the anchor's
+    /// included), a bad magic or version, and every [`crate::WalFault`]:
+    /// a committed frame whose tag (under `key`) or epoch order fails,
+    /// and bytes at the tail that are neither zero slack nor a torn
+    /// append.
     pub fn open_with_anchor(
         path: impl AsRef<Path>,
         key: [u64; 2],
         policy: AnchorPolicy,
     ) -> Result<Self, NvmError> {
-        Self::open_inner(path.as_ref(), key, Some(policy))
-    }
-
-    fn open_inner(
-        path: &Path,
-        key: [u64; 2],
-        anchoring: Option<AnchorPolicy>,
-    ) -> Result<Self, NvmError> {
-        let path = path.to_path_buf();
+        let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -439,10 +415,7 @@ impl FileBackend {
             }
         };
 
-        let (anchor, freshness) = match anchoring {
-            None => (None, Freshness::Untracked),
-            Some(policy) => Self::check_anchor(&log.path, key, policy, epoch)?,
-        };
+        let (anchor, freshness) = Self::check_anchor(&log.path, key, policy, epoch)?;
 
         Ok(FileBackend {
             sink: Arc::new(WalSink {
@@ -899,15 +872,6 @@ mod tests {
 
     const KEY: [u64; 2] = [7, 13];
 
-    /// What an image written through [`open_as`] is tagged under.
-    fn key_of(anchored: bool) -> [u64; 2] {
-        if anchored {
-            KEY
-        } else {
-            PUBLIC_WAL_KEY
-        }
-    }
-
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("anubis-walt-{}-{name}.img", std::process::id()));
@@ -921,61 +885,62 @@ mod tests {
         let _ = std::fs::remove_file(anchor_path_for(p));
     }
 
-    /// The image at `p`, written through [`open_as`]: its bytes,
-    /// committed frames and logical end.
-    fn layout(p: &Path, anchored: bool) -> (Vec<u8>, Vec<WalFrame>, usize) {
+    /// The image at `p`, written under [`KEY`]: its bytes, committed
+    /// frames and logical end.
+    fn layout(p: &Path) -> (Vec<u8>, Vec<WalFrame>, usize) {
         let bytes = std::fs::read(p).unwrap();
-        let mut walk = WalWalker::new(&bytes, key_of(anchored)).unwrap();
+        let mut walk = WalWalker::new(&bytes, KEY).unwrap();
         let frames = walk.by_ref().map(|f| f.unwrap()).collect();
         let end = walk.logical_end();
         (bytes, frames, end)
     }
 
-    /// Two one-record frames (epochs 1 and 2) written through
-    /// [`open_as`]; returns the anchor file as it stood before the second
-    /// barrier (nothing when un-anchored).
-    fn two_frames(p: &Path, anchored: bool) -> Vec<u8> {
-        let mut b = open_as(p, anchored).unwrap();
+    /// Two one-record frames (epochs 1 and 2); returns the anchor file as
+    /// it stood before the second barrier.
+    fn two_frames(p: &Path) -> Vec<u8> {
+        let mut b = open(p).unwrap();
         b.store(1, Block::filled(0xAA));
         b.barrier().unwrap();
-        let anchor = std::fs::read(anchor_path_for(p)).unwrap_or_default();
+        let anchor = std::fs::read(anchor_path_for(p)).unwrap();
         b.store(2, Block::filled(0xBB));
         b.barrier().unwrap();
         anchor
     }
 
-    /// The two ways to open an image — un-anchored, or under the strict
-    /// anchor — each of which reopens only what it wrote.
-    fn open_as(p: &Path, anchored: bool) -> Result<FileBackend, NvmError> {
-        if anchored {
-            FileBackend::open_with_anchor(p, KEY, AnchorPolicy::Strict)
-        } else {
-            FileBackend::open(p)
-        }
+    /// The open every image gets: under [`KEY`] and the strict anchor.
+    fn open(p: &Path) -> Result<FileBackend, NvmError> {
+        FileBackend::open_with_anchor(p, KEY, AnchorPolicy::Strict)
+    }
+
+    /// Copies the image at `from` and its anchor to `to`: what a restart
+    /// over a copy opens.
+    fn copy_image(from: &Path, to: &Path) {
+        std::fs::copy(from, to).unwrap();
+        std::fs::copy(anchor_path_for(from), anchor_path_for(to)).unwrap();
     }
 
     #[test]
     fn store_barrier_reopen_roundtrips() {
         let p = tmp("roundtrip");
         {
-            let mut b = FileBackend::open(&p).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(5, Block::filled(0x11));
             b.store_reg(2, Block::filled(0x22));
             b.barrier().unwrap();
         }
-        let b = FileBackend::open(&p).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.load(5), Some(Block::filled(0x11)));
         assert_eq!(b.reg(2), Some(Block::filled(0x22)));
         assert_eq!(b.touched(), 1);
         assert_eq!(b.epoch(), 1);
-        assert_eq!(b.freshness(), Freshness::Untracked);
+        assert_eq!(b.freshness(), Freshness::Fresh { epoch: 1 });
         cleanup(&p);
     }
 
     #[test]
     fn frame_bytes_follow_the_documented_layout() {
         let p = tmp("layout");
-        let mut b = FileBackend::open(&p).unwrap();
+        let mut b = open(&p).unwrap();
         b.store_reg(3, Block::filled(0x33));
         b.journal(9, Block::filled(0x99));
         b.store(4, Block::filled(0x44));
@@ -997,13 +962,13 @@ mod tests {
         // the frame tag — keyed, chained behind the previous frame's tag,
         // folded a word at a time (`wal.rs`) — where version 3 had FNV-1a
         // over epoch ‖ payload. Stated here once more, over the zero-padded
-        // message, under the public key `open` tags with.
+        // message, under the image's key.
         let f = |h: u64, w: u64| {
             let product = u128::from(h ^ w) * 0x9E37_79B9_7F4A_7C15u128;
             (product as u64) ^ ((product >> 64) as u64)
         };
         let domain = u64::from_le_bytes(*b"WAL-TAG4");
-        let k0 = f(f(domain, PUBLIC_WAL_KEY[0]), PUBLIC_WAL_KEY[1]);
+        let k0 = f(f(domain, KEY[0]), KEY[1]);
         let k1 = f(k0, domain);
         let tag = |prev: u64, epoch: u64, payload: &[u8]| {
             let mut words = payload.to_vec();
@@ -1024,7 +989,7 @@ mod tests {
             want.extend_from_slice(&payload);
             want.push(0xC3);
         }
-        let (bytes, frames, end) = layout(&p, false);
+        let (bytes, frames, end) = layout(&p);
         assert_eq!(bytes[..end], want[..]);
         assert_eq!(frames.len(), 2);
         // The file is longer than the log, and all of the rest is zero.
@@ -1038,64 +1003,59 @@ mod tests {
 
     #[test]
     fn barriers_inside_the_slack_leave_the_file_length_alone() {
-        for anchored in [false, true] {
-            let p = tmp(if anchored { "slack-anchored" } else { "slack" });
-            let open = || open_as(&p, anchored).unwrap();
-            let file_len = || std::fs::metadata(&p).unwrap().len();
-            let mut b = open();
-            b.store(0, Block::filled(1));
-            b.barrier().unwrap(); // the first frame extends the file
-            let len = file_len();
-            for i in 1..200u64 {
-                b.store(i, Block::filled(i as u8));
-                b.store_reg(0, Block::filled(!(i as u8)));
-                b.barrier().unwrap();
-                assert_eq!(file_len(), len, "barrier {i} grew the file");
-            }
-            let (entries, regs, epoch, stats) = (b.entries(), b.regs(), b.epoch(), b.wal_stats());
-            assert_eq!(stats.log_bytes + stats.slack_bytes, len);
-            drop(b);
-
-            // Reopen: same state, same slack, and it is used up first.
-            let mut b = open();
-            assert_eq!((b.entries(), b.regs(), b.epoch()), (entries, regs, epoch));
-            assert_eq!(b.frames_rejected(), 0);
-            assert_eq!(b.wal_stats(), stats);
-            let mut grew = false;
-            for i in 200..2_000u64 {
-                let room = b.wal_stats().slack_bytes;
-                b.store(i, Block::filled(i as u8));
-                b.barrier().unwrap();
-                if file_len() != len {
-                    // Only the frame that did not fit extends the file.
-                    assert!(room < (FRAME_HEADER_BYTES + 73 + 1) as u64);
-                    grew = true;
-                    break;
-                }
-            }
-            assert!(grew, "64 KiB of slack cannot hold 1 800 more frames");
-            let (bytes, _, end) = layout(&p, anchored);
-            assert!(bytes[end..].iter().all(|&x| x == 0));
-            if anchored {
-                assert_eq!(
-                    FreshnessAnchor::probe(&anchor_path_for(&p), KEY).unwrap(),
-                    Some(b.epoch())
-                );
-            }
-            cleanup(&p);
+        let p = tmp("slack");
+        let file_len = || std::fs::metadata(&p).unwrap().len();
+        let mut b = open(&p).unwrap();
+        b.store(0, Block::filled(1));
+        b.barrier().unwrap(); // the first frame extends the file
+        let len = file_len();
+        for i in 1..200u64 {
+            b.store(i, Block::filled(i as u8));
+            b.store_reg(0, Block::filled(!(i as u8)));
+            b.barrier().unwrap();
+            assert_eq!(file_len(), len, "barrier {i} grew the file");
         }
+        let (entries, regs, epoch, stats) = (b.entries(), b.regs(), b.epoch(), b.wal_stats());
+        assert_eq!(stats.log_bytes + stats.slack_bytes, len);
+        drop(b);
+
+        // Reopen: same state, same slack, and it is used up first.
+        let mut b = open(&p).unwrap();
+        assert_eq!((b.entries(), b.regs(), b.epoch()), (entries, regs, epoch));
+        assert_eq!(b.frames_rejected(), 0);
+        assert_eq!(b.wal_stats(), stats);
+        let mut grew = false;
+        for i in 200..2_000u64 {
+            let room = b.wal_stats().slack_bytes;
+            b.store(i, Block::filled(i as u8));
+            b.barrier().unwrap();
+            if file_len() != len {
+                // Only the frame that did not fit extends the file.
+                assert!(room < (FRAME_HEADER_BYTES + 73 + 1) as u64);
+                grew = true;
+                break;
+            }
+        }
+        assert!(grew, "64 KiB of slack cannot hold 1 800 more frames");
+        let (bytes, _, end) = layout(&p);
+        assert!(bytes[end..].iter().all(|&x| x == 0));
+        assert_eq!(
+            FreshnessAnchor::probe(&anchor_path_for(&p), KEY).unwrap(),
+            Some(b.epoch())
+        );
+        cleanup(&p);
     }
 
     #[test]
     fn unflushed_stores_do_not_persist() {
         let p = tmp("unflushed");
         {
-            let mut b = FileBackend::open(&p).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(1, Block::filled(0xAA));
             b.barrier().unwrap();
             b.store(2, Block::filled(0xBB)); // never barriered
         }
-        let b = FileBackend::open(&p).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.load(1), Some(Block::filled(0xAA)));
         assert_eq!(b.load(2), None);
         cleanup(&p);
@@ -1105,12 +1065,12 @@ mod tests {
     fn journal_records_replay_without_live_store() {
         let p = tmp("journal");
         {
-            let mut b = FileBackend::open(&p).unwrap();
+            let mut b = open(&p).unwrap();
             b.journal(9, Block::filled(0x99));
             assert_eq!(b.load(9), None); // WPQ-resident in this process
             b.barrier().unwrap();
         }
-        let b = FileBackend::open(&p).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.load(9), Some(Block::filled(0x99)));
         cleanup(&p);
     }
@@ -1119,14 +1079,14 @@ mod tests {
     fn last_record_wins_on_replay() {
         let p = tmp("lastwins");
         {
-            let mut b = FileBackend::open(&p).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(4, Block::filled(1));
             b.barrier().unwrap();
             b.journal(4, Block::filled(2));
             b.store(4, Block::filled(3));
             b.barrier().unwrap();
         }
-        let b = FileBackend::open(&p).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.load(4), Some(Block::filled(3)));
         cleanup(&p);
     }
@@ -1185,7 +1145,7 @@ mod tests {
     /// of barriers that compacted the log.
     fn against_naive(name: &str, calls: &[(char, u64, u8)]) -> (WalStats, u64, u32) {
         let (p, copy) = (tmp(name), tmp(&format!("{name}-copy")));
-        let mut b = FileBackend::open(&p).unwrap();
+        let mut b = open(&p).unwrap();
         let mut naive = NaiveLog::default();
         let mut compactions = 0;
         for (n, &(call, at, fill)) in calls.iter().enumerate() {
@@ -1214,8 +1174,8 @@ mod tests {
                     // A compaction takes an epoch of its own.
                     compactions += u32::from(b.epoch() == epoch + 2);
                     naive.barrier();
-                    std::fs::copy(&p, &copy).unwrap();
-                    let reopened = FileBackend::open(&copy).unwrap();
+                    copy_image(&p, &copy);
+                    let reopened = open(&copy).unwrap();
                     let blocks: Vec<_> = naive.blocks.iter().map(|(&k, &v)| (k, v)).collect();
                     let regs: Vec<_> = naive.regs.iter().map(|(&k, &v)| (k, v)).collect();
                     assert_eq!(reopened.entries(), blocks, "blocks after call {n}");
@@ -1368,7 +1328,7 @@ mod tests {
         // same length, same epoch, same frames (version 3 read
         // 0x650b_1f3c_a1be_6ffa).
         let p = tmp("byte-pin");
-        let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let mut b = open(&p).unwrap();
         let mut rng = crate::SplitMix64::new(0x000B_17E0_F1A6_0021);
         let mut in_flight: Option<Cut> = None;
         let land = |b: &mut FileBackend, cut: Option<Cut>| {
@@ -1414,7 +1374,7 @@ mod tests {
         );
         // And it replays to what the backend held live, less what never
         // left the WPQ.
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.freshness(), Freshness::Fresh { epoch });
         assert!(entries.iter().all(|&(k, _)| b.load(k).is_some()));
         cleanup(&p);
@@ -1423,14 +1383,17 @@ mod tests {
     #[test]
     fn torn_tail_frame_is_truncated_away() {
         let p = tmp("torn");
-        two_frames(&p, false);
+        let acked_anchor = two_frames(&p);
         // Chop the file inside the last frame: a kill mid-append whose
-        // slack an adversary (or a copy tool) trimmed as well.
-        let (_, frames, end) = layout(&p, false);
+        // slack an adversary (or a copy tool) trimmed as well, before the
+        // anchor was sealed.
+        let (_, frames, end) = layout(&p);
         let f = OpenOptions::new().write(true).open(&p).unwrap();
         f.set_len(end as u64 - 10).unwrap();
         drop(f);
-        let b = FileBackend::open(&p).unwrap();
+        std::fs::write(anchor_path_for(&p), &acked_anchor).unwrap();
+        let b = open(&p).unwrap();
+        assert_eq!(b.freshness(), Freshness::Fresh { epoch: 1 });
         assert_eq!(b.load(1), Some(Block::filled(0xAA)));
         assert_eq!(b.load(2), None);
         assert_eq!(b.frames_rejected(), 1);
@@ -1442,40 +1405,33 @@ mod tests {
     #[test]
     fn a_frame_cut_anywhere_inside_the_slack_is_dropped_whole() {
         let p = tmp("cut");
-        for anchored in [false, true] {
-            cleanup(&p);
-            let acked_anchor = two_frames(&p, anchored);
-            let (bytes, frames, end) = layout(&p, anchored);
-            let last = frames[1];
-            assert_eq!(last.end(), end);
-            // A killed append leaves a prefix of the frame — cut in the
-            // header, the payload or right before the marker — and the
-            // slack's zeros where the rest would have gone.
-            for cut in last.start + 1..end {
-                let mut torn = bytes.clone();
-                torn[cut..end].fill(0);
-                std::fs::write(&p, &torn).unwrap();
-                if anchored {
-                    std::fs::write(anchor_path_for(&p), &acked_anchor).unwrap();
-                }
-                let mut b = open_as(&p, anchored).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
-                assert_eq!(b.frames_rejected(), 1, "cut at {cut}");
-                assert_eq!(b.load(1), Some(Block::filled(0xAA)));
-                assert_eq!(b.load(2), None, "cut at {cut}");
-                assert_eq!(b.epoch(), 1);
-                if anchored {
-                    assert_eq!(b.freshness(), Freshness::Fresh { epoch: 1 });
-                }
-                assert_eq!(b.wal_stats().log_bytes, last.start as u64);
-                // The chain resumes behind the last frame that stayed.
-                b.store(3, Block::filled(0xCC));
-                b.barrier().unwrap();
-                drop(b);
-                let b = open_as(&p, anchored).unwrap();
-                assert_eq!(b.frames_rejected(), 0);
-                assert_eq!(b.load(3), Some(Block::filled(0xCC)));
-                assert_eq!(b.epoch(), 2);
-            }
+        let acked_anchor = two_frames(&p);
+        let (bytes, frames, end) = layout(&p);
+        let last = frames[1];
+        assert_eq!(last.end(), end);
+        // A killed append leaves a prefix of the frame — cut in the
+        // header, the payload or right before the marker — and the
+        // slack's zeros where the rest would have gone.
+        for cut in last.start + 1..end {
+            let mut torn = bytes.clone();
+            torn[cut..end].fill(0);
+            std::fs::write(&p, &torn).unwrap();
+            std::fs::write(anchor_path_for(&p), &acked_anchor).unwrap();
+            let mut b = open(&p).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            assert_eq!(b.frames_rejected(), 1, "cut at {cut}");
+            assert_eq!(b.load(1), Some(Block::filled(0xAA)));
+            assert_eq!(b.load(2), None, "cut at {cut}");
+            assert_eq!(b.epoch(), 1);
+            assert_eq!(b.freshness(), Freshness::Fresh { epoch: 1 });
+            assert_eq!(b.wal_stats().log_bytes, last.start as u64);
+            // The chain resumes behind the last frame that stayed.
+            b.store(3, Block::filled(0xCC));
+            b.barrier().unwrap();
+            drop(b);
+            let b = open(&p).unwrap();
+            assert_eq!(b.frames_rejected(), 0);
+            assert_eq!(b.load(3), Some(Block::filled(0xCC)));
+            assert_eq!(b.epoch(), 2);
         }
         cleanup(&p);
     }
@@ -1483,27 +1439,24 @@ mod tests {
     #[test]
     fn damage_to_the_last_committed_frame_is_corruption_not_a_torn_tail() {
         let p = tmp("lastflip");
-        for anchored in [false, true] {
-            cleanup(&p);
-            two_frames(&p, anchored);
-            let (bytes, frames, end) = layout(&p, anchored);
-            let last = frames[1].start;
-            let cases = [
-                ("payload", last + FRAME_HEADER_BYTES + 20, 0x40, "frame tag"),
-                ("tag", last + 6, 0x01, "frame tag"),
-                ("epoch", last + 12, 0x01, "frame tag"),
-                ("marker", end - 1, 0x02, "commit marker"),
-            ];
-            for (what, off, flip, says) in cases {
-                let mut bad = bytes.clone();
-                bad[off] ^= flip;
-                std::fs::write(&p, &bad).unwrap();
-                let err = open_as(&p, anchored).expect_err(what);
-                assert!(matches!(err, NvmError::Backend { .. }), "{what}: {err:?}");
-                assert!(err.to_string().contains(says), "{what}: {err}");
-                // Refused means untouched: nothing was truncated away.
-                assert_eq!(std::fs::read(&p).unwrap(), bad, "{what}");
-            }
+        two_frames(&p);
+        let (bytes, frames, end) = layout(&p);
+        let last = frames[1].start;
+        let cases = [
+            ("payload", last + FRAME_HEADER_BYTES + 20, 0x40, "frame tag"),
+            ("tag", last + 6, 0x01, "frame tag"),
+            ("epoch", last + 12, 0x01, "frame tag"),
+            ("marker", end - 1, 0x02, "commit marker"),
+        ];
+        for (what, off, flip, says) in cases {
+            let mut bad = bytes.clone();
+            bad[off] ^= flip;
+            std::fs::write(&p, &bad).unwrap();
+            let err = open(&p).expect_err(what);
+            assert!(matches!(err, NvmError::Backend { .. }), "{what}: {err:?}");
+            assert!(err.to_string().contains(says), "{what}: {err}");
+            // Refused means untouched: nothing was truncated away.
+            assert_eq!(std::fs::read(&p).unwrap(), bad, "{what}");
         }
         cleanup(&p);
     }
@@ -1511,44 +1464,41 @@ mod tests {
     #[test]
     fn bytes_behind_an_unmarked_frame_or_the_log_are_corruption() {
         let p = tmp("unmarked");
-        for anchored in [false, true] {
-            cleanup(&p);
-            two_frames(&p, anchored);
-            let (bytes, frames, end) = layout(&p, anchored);
-            // The first frame loses its marker; a committed frame follows.
+        two_frames(&p);
+        let (bytes, frames, end) = layout(&p);
+        // The first frame loses its marker; a committed frame follows.
+        let mut bad = bytes.clone();
+        bad[frames[0].end() - 1] = 0;
+        std::fs::write(&p, &bad).unwrap();
+        let err = open(&p).unwrap_err().to_string();
+        assert!(err.contains("no commit marker"), "got {err}");
+        // One stray byte in the slack. Within a frame header's reach of
+        // the end of the log it reads as the first bytes of a torn append
+        // and is dropped like one; any deeper and nothing honest explains
+        // it.
+        for off in [
+            end,
+            end + 1,
+            end + 19,
+            end + 20,
+            end + 4_000,
+            bytes.len() - 1,
+        ] {
             let mut bad = bytes.clone();
-            bad[frames[0].end() - 1] = 0;
+            bad[off] = 0x01;
             std::fs::write(&p, &bad).unwrap();
-            let err = open_as(&p, anchored).unwrap_err().to_string();
-            assert!(err.contains("no commit marker"), "got {err}");
-            // One stray byte in the slack. Within a frame header's reach of
-            // the end of the log it reads as the first bytes of a torn
-            // append and is dropped like one; any deeper and nothing honest
-            // explains it.
-            for off in [
-                end,
-                end + 1,
-                end + 19,
-                end + 20,
-                end + 4_000,
-                bytes.len() - 1,
-            ] {
-                let mut bad = bytes.clone();
-                bad[off] = 0x01;
-                std::fs::write(&p, &bad).unwrap();
-                let opened = open_as(&p, anchored);
-                if off < end + FRAME_HEADER_BYTES {
-                    let b = opened.unwrap();
-                    assert_eq!((b.frames_rejected(), b.epoch()), (1, 2), "offset {off}");
-                    assert_eq!(b.load(2), Some(Block::filled(0xBB)));
-                } else {
-                    let err = opened.expect_err("stray slack byte").to_string();
-                    assert!(
-                        err.contains("after the end of the WAL") || err.contains("commit marker"),
-                        "offset {off}: {err}"
-                    );
-                    assert_eq!(std::fs::read(&p).unwrap(), bad);
-                }
+            let opened = open(&p);
+            if off < end + FRAME_HEADER_BYTES {
+                let b = opened.unwrap();
+                assert_eq!((b.frames_rejected(), b.epoch()), (1, 2), "offset {off}");
+                assert_eq!(b.load(2), Some(Block::filled(0xBB)));
+            } else {
+                let err = opened.expect_err("stray slack byte").to_string();
+                assert!(
+                    err.contains("after the end of the WAL") || err.contains("commit marker"),
+                    "offset {off}: {err}"
+                );
+                assert_eq!(std::fs::read(&p).unwrap(), bad);
             }
         }
         cleanup(&p);
@@ -1558,7 +1508,7 @@ mod tests {
     fn bit_flipped_frame_is_typed_corruption() {
         let p = tmp("flip");
         {
-            let mut b = FileBackend::open(&p).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(1, Block::filled(0xAA));
             b.barrier().unwrap();
         }
@@ -1566,7 +1516,7 @@ mod tests {
         let mid = HEADER_BYTES + FRAME_HEADER_BYTES + 20;
         bytes[mid] ^= 0x40;
         std::fs::write(&p, &bytes).unwrap();
-        let err = FileBackend::open(&p).unwrap_err();
+        let err = open(&p).unwrap_err();
         assert!(matches!(err, NvmError::Backend { .. }), "got {err:?}");
         assert!(err.to_string().contains("frame tag"), "got {err}");
         cleanup(&p);
@@ -1576,21 +1526,16 @@ mod tests {
     fn bad_magic_and_version_are_typed_errors() {
         let p = tmp("magic");
         std::fs::write(&p, b"NOTAWAL!....").unwrap();
-        assert!(matches!(
-            FileBackend::open(&p).unwrap_err(),
-            NvmError::Backend { .. }
-        ));
+        assert!(matches!(open(&p).unwrap_err(), NvmError::Backend { .. }));
         // A version-2 image (frames without commit markers, no slack) is
         // refused by version, not misread frame by frame.
         let mut img = MAGIC.to_vec();
         img.extend_from_slice(&2u32.to_le_bytes());
-        let frame = encode_wal_frame(PUBLIC_WAL_KEY, 0, 1, &[]);
+        let frame = encode_wal_frame(KEY, 0, 1, &[]);
         img.extend_from_slice(&frame[..frame.len() - 1]);
         std::fs::write(&p, &img).unwrap();
-        for anchored in [false, true] {
-            let err = open_as(&p, anchored).unwrap_err().to_string();
-            assert!(err.contains("unsupported WAL version 2"), "got {err}");
-        }
+        let err = open(&p).unwrap_err().to_string();
+        assert!(err.contains("unsupported WAL version 2"), "got {err}");
         assert_eq!(std::fs::read(&p).unwrap(), img);
         cleanup(&p);
     }
@@ -1615,19 +1560,17 @@ mod tests {
         img.push(0xC3);
         img.resize(img.len() + 64, 0);
         assert_eq!(
-            WalWalker::new(&img, PUBLIC_WAL_KEY).unwrap_err(),
+            WalWalker::new(&img, KEY).unwrap_err(),
             WalFault::UnsupportedVersion(3)
         );
         std::fs::write(&p, &img).unwrap();
-        for anchored in [false, true] {
-            let err = open_as(&p, anchored).unwrap_err();
-            assert!(matches!(err, NvmError::Backend { .. }), "got {err:?}");
-            assert!(
-                err.to_string()
-                    .contains("unsupported WAL version 3 (expected 4)"),
-                "got {err}"
-            );
-        }
+        let err = open(&p).unwrap_err();
+        assert!(matches!(err, NvmError::Backend { .. }), "got {err:?}");
+        assert!(
+            err.to_string()
+                .contains("unsupported WAL version 3 (expected 4)"),
+            "got {err}"
+        );
         assert_eq!(
             std::fs::read(&p).unwrap(),
             img,
@@ -1638,38 +1581,30 @@ mod tests {
 
     #[test]
     fn opening_under_the_wrong_key_is_a_typed_tag_fault() {
-        // An image opens only under the key it was written with: one
-        // written under the anchor's key does not open un-anchored or
-        // under another device key, and one written un-anchored does not
-        // open under the anchor — each a tag fault at the first frame.
+        // An image opens only under the key it was written with: under
+        // any other device key — even with the anchor overridden — it is a
+        // tag fault at the first frame.
         let p = tmp("wrong-key");
-        for (anchored, others) in [(true, [PUBLIC_WAL_KEY, [7, 14]]), (false, [KEY, [13, 7]])] {
-            cleanup(&p);
-            two_frames(&p, anchored);
-            let bytes = std::fs::read(&p).unwrap();
-            for key in others {
-                let first = WalWalker::new(&bytes, key).unwrap().next();
-                assert_eq!(
-                    first,
-                    Some(Err(WalFault::Checksum { at: HEADER_BYTES })),
-                    "{key:?}"
-                );
-                let opened = if key == PUBLIC_WAL_KEY {
-                    FileBackend::open(&p)
-                } else {
-                    FileBackend::open_with_anchor(&p, key, AnchorPolicy::Override)
-                };
-                let err = opened.expect_err("wrong key").to_string();
-                assert!(
-                    err.contains(&format!("WAL frame at byte {HEADER_BYTES} (frame tag")),
-                    "{key:?}: {err}"
-                );
-                assert_eq!(std::fs::read(&p).unwrap(), bytes);
-            }
-            // Under its own key it opens as written.
-            let b = open_as(&p, anchored).unwrap();
-            assert_eq!((b.epoch(), b.load(2)), (2, Some(Block::filled(0xBB))));
+        two_frames(&p);
+        let bytes = std::fs::read(&p).unwrap();
+        for key in [[7, 14], [13, 7]] {
+            let first = WalWalker::new(&bytes, key).unwrap().next();
+            assert_eq!(
+                first,
+                Some(Err(WalFault::Checksum { at: HEADER_BYTES })),
+                "{key:?}"
+            );
+            let opened = FileBackend::open_with_anchor(&p, key, AnchorPolicy::Override);
+            let err = opened.expect_err("wrong key").to_string();
+            assert!(
+                err.contains(&format!("WAL frame at byte {HEADER_BYTES} (frame tag")),
+                "{key:?}: {err}"
+            );
+            assert_eq!(std::fs::read(&p).unwrap(), bytes);
         }
+        // Under its own key it opens as written.
+        let b = open(&p).unwrap();
+        assert_eq!((b.epoch(), b.load(2)), (2, Some(Block::filled(0xBB))));
         cleanup(&p);
     }
 
@@ -1677,7 +1612,7 @@ mod tests {
     fn suppress_drops_pending_and_future_barriers() {
         let p = tmp("suppress");
         {
-            let mut b = FileBackend::open(&p).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(1, Block::filled(0xAA));
             b.barrier().unwrap();
             b.store(2, Block::filled(0xBB)); // pending when the cut fires
@@ -1686,7 +1621,7 @@ mod tests {
             b.barrier().unwrap(); // no-op
             assert!(b.flushes_suppressed());
         }
-        let b = FileBackend::open(&p).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.load(1), Some(Block::filled(0xAA)));
         assert_eq!(b.load(2), None);
         assert_eq!(b.load(3), None);
@@ -1696,7 +1631,7 @@ mod tests {
     #[test]
     fn a_failed_append_poisons_the_backend() {
         let p = tmp("poison");
-        let mut b = FileBackend::open(&p).unwrap();
+        let mut b = open(&p).unwrap();
         b.store(1, Block::filled(0xAA));
         b.barrier().unwrap();
         // The medium fails: every write through this handle is refused.
@@ -1711,7 +1646,7 @@ mod tests {
         let err = b.barrier().unwrap_err().to_string();
         assert!(err.contains("poisoned"), "got {err}");
         drop(b);
-        let b = FileBackend::open(&p).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.load(1), Some(Block::filled(0xAA)));
         assert_eq!((b.load(2), b.load(3)), (None, None));
         assert_eq!((b.epoch(), b.frames_rejected()), (1, 0));
@@ -1732,8 +1667,8 @@ mod tests {
     #[test]
     fn cut_then_commit_writes_the_bytes_a_fused_barrier_writes() {
         let (fused, split) = (tmp("halves-fused"), tmp("halves-split"));
-        let mut a = FileBackend::open_with_anchor(&fused, KEY, AnchorPolicy::Strict).unwrap();
-        let mut b = FileBackend::open_with_anchor(&split, KEY, AnchorPolicy::Strict).unwrap();
+        let mut a = open(&fused).unwrap();
+        let mut b = open(&split).unwrap();
         // Long enough to cross the compaction threshold once.
         for i in 0..(COMPACT_FLOOR + 64) {
             for backend in [&mut a, &mut b] {
@@ -1768,7 +1703,7 @@ mod tests {
     #[test]
     fn a_cut_accounts_for_its_frame_before_the_frame_lands() {
         let p = tmp("optimistic");
-        let mut b = FileBackend::open(&p).unwrap();
+        let mut b = open(&p).unwrap();
         b.store(1, Block::filled(0xAA));
         b.barrier().unwrap();
         b.store(1, Block::filled(0xBB));
@@ -1784,7 +1719,7 @@ mod tests {
         assert_eq!(b.durability().reached().unwrap(), 2);
         b.barrier().unwrap();
         drop(b);
-        let b = FileBackend::open(&p).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!((b.load(1), b.epoch()), (Some(Block::filled(0xAA)), 3));
         cleanup(&p);
     }
@@ -1794,7 +1729,7 @@ mod tests {
         use std::sync::mpsc::channel;
         use std::time::Duration;
         let p = tmp("in-order");
-        let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let mut b = open(&p).unwrap();
         b.store(1, Block::filled(0x01));
         let first = b.cut().expect("frame 1");
         b.store(2, Block::filled(0x02));
@@ -1809,17 +1744,17 @@ mod tests {
         on_start.recv().unwrap();
         // Frame 2 must not reach the file while frame 1 has not.
         assert!(on_finish.recv_timeout(Duration::from_millis(150)).is_err());
-        let (_, frames, _) = layout(&p, true);
+        let (_, frames, _) = layout(&p);
         assert!(frames.is_empty(), "frame 2 overtook frame 1");
         first.commit().unwrap();
         on_finish.recv().unwrap();
         let (b, result) = racer.join().unwrap();
         result.unwrap();
         assert_eq!(b.durability().reached().unwrap(), 2);
-        let (_, frames, _) = layout(&p, true);
+        let (_, frames, _) = layout(&p);
         assert_eq!(frames.iter().map(|f| f.epoch).collect::<Vec<_>>(), [1, 2]);
         drop(b);
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.freshness(), Freshness::Fresh { epoch: 2 });
         assert_eq!(b.load(2), Some(Block::filled(0x02)));
         cleanup(&p);
@@ -1828,7 +1763,7 @@ mod tests {
     #[test]
     fn a_cut_dropped_uncommitted_breaks_the_backend() {
         let p = tmp("dropped-cut");
-        let mut b = FileBackend::open(&p).unwrap();
+        let mut b = open(&p).unwrap();
         b.store(1, Block::filled(0xAA));
         b.barrier().unwrap();
         b.store(2, Block::filled(0xBB));
@@ -1841,7 +1776,7 @@ mod tests {
         let err = b.barrier().unwrap_err().to_string();
         assert!(err.contains("poisoned"), "got {err}");
         drop(b);
-        let b = FileBackend::open(&p).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(
             (b.load(1), b.load(2), b.load(3)),
             (Some(Block::filled(0xAA)), None, None)
@@ -1862,7 +1797,7 @@ mod tests {
             b.store(7, Block::filled(i as u8));
             b.store_reg(1, Block::filled(i as u8)); // the "root" over block 7
         };
-        let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let mut b = open(&p).unwrap();
         let mut i = 0;
         let due = loop {
             i += 1;
@@ -1891,11 +1826,11 @@ mod tests {
         // rewrite took the epoch after it.
         assert_eq!(b.epoch(), ticket + 1);
         assert_eq!(b.durability().reached().unwrap(), ticket + 1);
-        let (_, frames, _) = layout(&p, true);
+        let (_, frames, _) = layout(&p);
         assert_eq!(frames.len(), 1, "the log was compacted");
         drop(b); // killed: no barrier
 
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.freshness(), Freshness::Fresh { epoch: ticket + 1 });
         let newest = Block::filled((i + 2) as u8);
         assert_eq!((b.load(7), b.reg(1)), (Some(newest), Some(newest)));
@@ -1909,7 +1844,7 @@ mod tests {
         // They are not in the log yet, so they do not raise the live
         // footprint the rewrite is measured against: it still runs.
         let p = tmp("settle-fresh");
-        let mut b = FileBackend::open(&p).unwrap();
+        let mut b = open(&p).unwrap();
         let mut i = 0u64;
         let due = loop {
             i += 1;
@@ -1929,7 +1864,7 @@ mod tests {
         b.settle().unwrap();
         assert_eq!(b.epoch(), epoch + 2, "the buffered frame, then the rewrite");
         drop(b);
-        let (_, frames, _) = layout(&p, false);
+        let (_, frames, _) = layout(&p);
         assert_eq!(frames.len(), 1, "the log was compacted");
         cleanup(&p);
     }
@@ -1942,7 +1877,7 @@ mod tests {
         // find the journaled record in the reopened image.
         let p = tmp("compact-journal");
         {
-            let mut b = FileBackend::open(&p).unwrap();
+            let mut b = open(&p).unwrap();
             b.journal(42, Block::filled(0x5A));
             b.barrier().unwrap();
             for i in 0..(COMPACT_FLOOR + 64) {
@@ -1951,7 +1886,7 @@ mod tests {
             }
             assert_eq!(b.load(42), None, "journaled write must stay WPQ-resident");
         }
-        let b = FileBackend::open(&p).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.load(42), Some(Block::filled(0x5A)));
         cleanup(&p);
     }
@@ -1960,7 +1895,7 @@ mod tests {
     fn compaction_keeps_last_wins_across_journal_and_store() {
         let p = tmp("compact-order");
         {
-            let mut b = FileBackend::open(&p).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(4, Block::filled(1));
             b.barrier().unwrap();
             b.journal(4, Block::filled(2)); // later record: wins on replay
@@ -1970,7 +1905,7 @@ mod tests {
                 b.barrier().unwrap();
             }
         }
-        let b = FileBackend::open(&p).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.load(4), Some(Block::filled(2)));
         cleanup(&p);
     }
@@ -1980,7 +1915,7 @@ mod tests {
         let p = tmp("compact");
         let pre_epoch;
         {
-            let mut b = FileBackend::open(&p).unwrap();
+            let mut b = open(&p).unwrap();
             // Hammer one address so the WAL grows far beyond the live
             // footprint and compaction triggers.
             for i in 0..(COMPACT_FLOOR + 64) {
@@ -1995,7 +1930,7 @@ mod tests {
             // 2-record live footprint.
             assert!(log < 20_000, "WAL did not compact (log {log})");
         }
-        let b = FileBackend::open(&p).unwrap();
+        let b = open(&p).unwrap();
         let last = COMPACT_FLOOR + 63;
         assert_eq!(b.load(7), Some(Block::filled((last % 251) as u8)));
         assert_eq!(b.reg(1), Some(Block::filled((last % 13) as u8)));
@@ -2007,58 +1942,49 @@ mod tests {
 
     #[test]
     fn a_kill_right_after_compaction_reopens_clean() {
-        for anchored in [false, true] {
-            let p = tmp(if anchored {
-                "compact-kill-anchored"
-            } else {
-                "compact-kill"
-            });
-            let open = || open_as(&p, anchored).unwrap();
-            let mut b = open();
-            let mut epoch = 0;
-            let mut i = 0u64;
-            // Stop at the barrier that compacted: its epoch moves by two.
-            while b.epoch() - epoch < 2 {
-                epoch = b.epoch();
-                b.store(7, Block::filled((i % 251) as u8));
-                b.journal(1_000 + i % 3, Block::filled(i as u8));
-                b.barrier().unwrap();
-                i += 1;
-            }
-            assert!(i > COMPACT_FLOOR / 2, "compacted after only {i} barriers");
-            // What a restart must find: the log as cut, WPQ-resident
-            // journal records included.
-            let entries = b.logged_blocks();
-            let (epoch, stats) = (b.epoch(), b.wal_stats());
-            drop(b); // killed before any further barrier
-            assert!(!p.with_extension("compact-tmp").exists());
-
-            let (bytes, frames, end) = layout(&p, anchored);
-            assert_eq!(frames.len(), 1, "the compacted log is one frame");
-            assert_eq!(
-                (end as u64, bytes.len() as u64),
-                (stats.log_bytes, stats.log_bytes + stats.slack_bytes)
-            );
-            assert!(stats.slack_bytes >= SLACK_FLOOR && bytes[end..].iter().all(|&x| x == 0));
-            let mut b = open();
-            assert_eq!((b.frames_rejected(), b.epoch()), (0, epoch));
-            if anchored {
-                assert_eq!(b.freshness(), Freshness::Fresh { epoch });
-            }
-            assert_eq!(b.entries(), entries);
-            assert_eq!(entries.len(), 4, "address 7 and three journaled lines");
-            b.store(8, Block::filled(8));
+        let p = tmp("compact-kill");
+        let mut b = open(&p).unwrap();
+        let mut epoch = 0;
+        let mut i = 0u64;
+        // Stop at the barrier that compacted: its epoch moves by two.
+        while b.epoch() - epoch < 2 {
+            epoch = b.epoch();
+            b.store(7, Block::filled((i % 251) as u8));
+            b.journal(1_000 + i % 3, Block::filled(i as u8));
             b.barrier().unwrap();
-            assert_eq!(std::fs::metadata(&p).unwrap().len(), bytes.len() as u64);
-            cleanup(&p);
+            i += 1;
         }
+        assert!(i > COMPACT_FLOOR / 2, "compacted after only {i} barriers");
+        // What a restart must find: the log as cut, WPQ-resident journal
+        // records included.
+        let entries = b.logged_blocks();
+        let (epoch, stats) = (b.epoch(), b.wal_stats());
+        drop(b); // killed before any further barrier
+        assert!(!p.with_extension("compact-tmp").exists());
+
+        let (bytes, frames, end) = layout(&p);
+        assert_eq!(frames.len(), 1, "the compacted log is one frame");
+        assert_eq!(
+            (end as u64, bytes.len() as u64),
+            (stats.log_bytes, stats.log_bytes + stats.slack_bytes)
+        );
+        assert!(stats.slack_bytes >= SLACK_FLOOR && bytes[end..].iter().all(|&x| x == 0));
+        let mut b = open(&p).unwrap();
+        assert_eq!((b.frames_rejected(), b.epoch()), (0, epoch));
+        assert_eq!(b.freshness(), Freshness::Fresh { epoch });
+        assert_eq!(b.entries(), entries);
+        assert_eq!(entries.len(), 4, "address 7 and three journaled lines");
+        b.store(8, Block::filled(8));
+        b.barrier().unwrap();
+        assert_eq!(std::fs::metadata(&p).unwrap().len(), bytes.len() as u64);
+        cleanup(&p);
     }
 
     #[test]
     fn duplicated_and_reordered_frames_break_the_tag_chain() {
         let p = tmp("dup");
-        two_frames(&p, false);
-        let (bytes, frames, end) = layout(&p, false);
+        two_frames(&p);
+        let (bytes, frames, end) = layout(&p);
         let (f1, f2) = (frames[0], frames[1]);
         // The last frame again where the next one would go, and the two
         // frames swapped: each is tagged behind another frame than the
@@ -2070,7 +1996,7 @@ mod tests {
         swapped[f1.start + f2.len..f2.end()].copy_from_slice(&bytes[f1.start..f1.end()]);
         for (bad, at) in [(dup, end), (swapped, f1.start)] {
             std::fs::write(&p, &bad).unwrap();
-            let err = FileBackend::open(&p).unwrap_err().to_string();
+            let err = open(&p).unwrap_err().to_string();
             assert!(
                 err.contains(&format!("frame at byte {at} (frame tag mismatch)")),
                 "got {err}"
@@ -2079,10 +2005,10 @@ mod tests {
         // Epoch order is still checked: a stale epoch in a frame whose tag
         // verifies in its place — which only a holder of the key writes.
         let mut stale = bytes;
-        let frame = encode_wal_frame(PUBLIC_WAL_KEY, f2.tag, 2, &[]);
+        let frame = encode_wal_frame(KEY, f2.tag, 2, &[]);
         stale[end..end + frame.len()].copy_from_slice(&frame);
         std::fs::write(&p, &stale).unwrap();
-        let err = FileBackend::open(&p).unwrap_err();
+        let err = open(&p).unwrap_err();
         assert!(err.to_string().contains("non-monotonic"), "got {err}");
         cleanup(&p);
     }
@@ -2091,7 +2017,7 @@ mod tests {
     fn tampered_frame_epoch_fails_the_tag() {
         let p = tmp("epochtamper");
         {
-            let mut b = FileBackend::open(&p).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(1, Block::filled(0xAA));
             b.barrier().unwrap();
         }
@@ -2100,7 +2026,7 @@ mod tests {
         // re-tagging must be detected.
         bytes[HEADER_BYTES + 12] ^= 0x01;
         std::fs::write(&p, &bytes).unwrap();
-        let err = FileBackend::open(&p).unwrap_err();
+        let err = open(&p).unwrap_err();
         assert!(err.to_string().contains("frame tag"), "got {err}");
         cleanup(&p);
     }
@@ -2109,13 +2035,13 @@ mod tests {
     fn anchored_open_detects_rollback() {
         let p = tmp("rollback");
         {
-            let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(1, Block::filled(0x01));
             b.barrier().unwrap();
         }
         let early = std::fs::read(&p).unwrap();
         {
-            let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(1, Block::filled(0x02));
             b.barrier().unwrap();
             b.store(1, Block::filled(0x03));
@@ -2123,7 +2049,7 @@ mod tests {
         }
         // Roll the image (but not the anchor — on-chip NVRAM) back.
         std::fs::write(&p, &early).unwrap();
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(
             b.freshness(),
             Freshness::RolledBack {
@@ -2142,7 +2068,7 @@ mod tests {
     fn anchored_open_accepts_and_heals_image_ahead() {
         let p = tmp("heal");
         {
-            let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(1, Block::filled(0x01));
             b.barrier().unwrap();
             b.store(1, Block::filled(0x02));
@@ -2153,7 +2079,7 @@ mod tests {
         let apath = anchor_path_for(&p);
         let _ = std::fs::remove_file(&apath);
         FreshnessAnchor::create(apath.clone(), KEY, 1).unwrap();
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.freshness(), Freshness::Fresh { epoch: 2 });
         drop(b);
         // The heal resealed the anchor at the image epoch.
@@ -2164,13 +2090,13 @@ mod tests {
     #[test]
     fn anchored_open_refuses_forged_tail_beyond_crash_window() {
         let p = tmp("forgedtail");
-        two_frames(&p, true);
+        two_frames(&p);
         let apath = anchor_path_for(&p);
         let sealed = std::fs::read(&apath).unwrap();
         // Empty frames written into the slack, chained behind the last
         // one, under `key` — at the end of the log, where a splicing
         // adversary who cannot touch the anchor would write them.
-        let (honest, frames, end) = layout(&p, true);
+        let (honest, frames, end) = layout(&p);
         let forge = |key: [u64; 2], epochs: &[u64]| {
             let mut bytes = honest.clone();
             let (mut at, mut prev) = (end, frames[1].tag);
@@ -2185,14 +2111,14 @@ mod tests {
 
         // Without the key no frame verifies, not even in the crash window.
         std::fs::write(&p, forge([7, 14], &[3])).unwrap();
-        let err = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap_err();
+        let err = open(&p).unwrap_err();
         assert!(err.to_string().contains("frame tag"), "got {err}");
 
         // With it, one epoch past the anchor is the crash window: the
         // in-flight barrier of a killed process, which only a holder of
         // the key can have written — accepted, the anchor healed forward.
         std::fs::write(&p, forge(KEY, &[3])).unwrap();
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.freshness(), Freshness::Fresh { epoch: 3 });
         drop(b);
         assert_eq!(FreshnessAnchor::probe(&apath, KEY).unwrap(), Some(3));
@@ -2202,7 +2128,7 @@ mod tests {
         for (epochs, image_epoch) in [(&[4u64][..], 4), (&[3, 4][..], 4)] {
             std::fs::write(&apath, &sealed).unwrap();
             std::fs::write(&p, forge(KEY, epochs)).unwrap();
-            let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+            let b = open(&p).unwrap();
             assert_eq!(
                 b.freshness(),
                 Freshness::TailForged {
@@ -2224,18 +2150,18 @@ mod tests {
     fn missing_and_corrupt_anchor_are_strict_violations() {
         let p = tmp("anchorloss");
         {
-            let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(1, Block::filled(0x01));
             b.barrier().unwrap();
         }
         let apath = anchor_path_for(&p);
         std::fs::remove_file(&apath).unwrap();
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.freshness(), Freshness::AnchorMissing { image_epoch: 1 });
         assert!(b.freshness().is_violation());
         drop(b);
         std::fs::write(&apath, b"garbage anchor bytes........................").unwrap();
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.freshness(), Freshness::AnchorCorrupt { image_epoch: 1 });
         cleanup(&p);
     }
@@ -2244,7 +2170,7 @@ mod tests {
     fn override_reseals_missing_anchor_from_image() {
         let p = tmp("override");
         {
-            let mut b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+            let mut b = open(&p).unwrap();
             b.store(1, Block::filled(0x01));
             b.barrier().unwrap();
         }
@@ -2254,7 +2180,7 @@ mod tests {
         assert_eq!(b.freshness(), Freshness::Overridden { image_epoch: 1 });
         drop(b);
         // Resealed: the next strict open is clean again.
-        let b = FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict).unwrap();
+        let b = open(&p).unwrap();
         assert_eq!(b.freshness(), Freshness::Fresh { epoch: 1 });
         cleanup(&p);
     }

@@ -67,5 +67,5 @@ pub use pregs::{CommitPhase, PersistentRegisters, PREG_CAPACITY};
 pub use quarantine::{QuarantineError, RemapTable};
 pub use rng::SplitMix64;
 pub use stats::{NvmStats, StatsSnapshot};
-pub use wal::{encode_wal_frame, WalFault, WalFrame, WalWalker, PUBLIC_WAL_KEY};
+pub use wal::{encode_wal_frame, WalFault, WalFrame, WalWalker};
 pub use wpq::{Wpq, DEFAULT_WPQ_ENTRIES};

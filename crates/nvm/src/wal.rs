@@ -28,11 +28,8 @@
 //! tag is another log's. Simulation-grade like the anchor's `seal_mac`
 //! (and, like it, no cryptographic MAC), and under key words of its own.
 //! [`FileBackend::open_with_anchor`](crate::FileBackend::open_with_anchor)
-//! tags under the device key it is given; the un-anchored
-//! [`FileBackend::open`](crate::FileBackend::open) under
-//! [`PUBLIC_WAL_KEY`], which everyone knows — such an image makes no
-//! authenticity claim. An image opens only under the key it was written
-//! with.
+//! tags under the device key it is given, and an image opens only under
+//! the key it was written with.
 //!
 //! The file is longer than the log: frames are appended into slack that
 //! is already on disk as zeros, so **end-of-file does not mark
@@ -65,15 +62,6 @@ pub(crate) const FRAME_HEADER_BYTES: usize = 20;
 /// Closes every frame. Two or more set bits, so no single bit flip
 /// turns a committed frame into an unmarked one.
 const COMMIT_MARKER: u8 = 0xC3;
-
-/// The key un-anchored images are tagged under
-/// ([`FileBackend::open`](crate::FileBackend::open)). Public by design:
-/// such an image reports [`crate::Freshness::Untracked`] and makes no
-/// authenticity claim; its tags still catch damage and misplaced frames.
-pub const PUBLIC_WAL_KEY: [u64; 2] = [
-    u64::from_le_bytes(*b"ANUBWAL4"),
-    u64::from_le_bytes(*b"PUBLIC!!"),
-];
 
 /// Separates the tag key words from the device key words the anchor's
 /// `seal_mac` takes.
@@ -278,9 +266,8 @@ pub struct WalWalker<'a> {
 }
 
 impl<'a> WalWalker<'a> {
-    /// Starts a walk behind the image header, verifying tags under `key`
-    /// (the device key of an anchored image, [`PUBLIC_WAL_KEY`] of an
-    /// un-anchored one).
+    /// Starts a walk behind the image header, verifying tags under `key`,
+    /// the device key the image was written with.
     ///
     /// # Errors
     ///
@@ -470,7 +457,7 @@ mod tests {
     #[test]
     fn a_frame_verifies_only_under_its_key() {
         let img = image(&[(1, b"first"), (2, b"second")], 8);
-        for other in [PUBLIC_WAL_KEY, [7, 14], [13, 7]] {
+        for other in [[0, 0], [7, 14], [13, 7]] {
             let mut w = WalWalker::new(&img, other).expect("header");
             assert_eq!(
                 w.next(),

@@ -1,7 +1,8 @@
 //! Per-tenant circuit breaker: repeated faults trip the circuit open so
 //! a failing domain sheds load instead of grinding every caller through
-//! the same failure, then a half-open probe re-closes it once the domain
-//! proves healthy again.
+//! the same failure. Once the cooldown has passed the circuit is
+//! half-open: requests are admitted again, and the first outcome recorded
+//! re-closes it (the domain proved healthy) or reopens it.
 
 use std::time::{Duration, Instant};
 
@@ -12,8 +13,11 @@ pub enum BreakerState {
     Closed,
     /// Tripped: every request is rejected until the cooldown elapses.
     Open,
-    /// Cooldown elapsed: exactly one probe request is admitted; its
-    /// outcome decides between `Closed` and another `Open` round.
+    /// Cooldown elapsed: every request is admitted as a probe until the
+    /// first outcome is recorded, which decides between `Closed` and
+    /// another `Open` round. Admission does not stop at one: a request
+    /// that ends without an outcome (deadline, degraded mode, a bad
+    /// request) would otherwise hold the only probe slot.
     HalfOpen,
 }
 
@@ -30,7 +34,7 @@ pub struct Breaker {
 
 impl Breaker {
     /// A breaker tripping after `threshold` consecutive faults, cooling
-    /// down for `cooldown` before the half-open probe.
+    /// down for `cooldown` before it goes half-open.
     pub fn new(threshold: u32, cooldown: Duration) -> Self {
         Breaker {
             threshold: threshold.max(1),
@@ -42,9 +46,10 @@ impl Breaker {
         }
     }
 
-    /// Admission check. `Ok(())` admits the request (and claims the
-    /// half-open probe slot when cooling down); `Err(retry_after_ms)`
-    /// means the circuit is open.
+    /// Admission check. `Ok(())` admits the request — an open circuit
+    /// whose cooldown has passed goes half-open, and a half-open one
+    /// admits every request until an outcome is recorded;
+    /// `Err(retry_after_ms)` means the circuit is open.
     pub fn check(&mut self, now: Instant) -> Result<(), u32> {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => Ok(()),
@@ -113,7 +118,7 @@ mod tests {
         assert!(b.check(t0).is_err(), "open circuit rejects");
         assert_eq!(b.trips(), 1);
 
-        // Cooldown elapses: one probe is admitted.
+        // Cooldown elapses: the circuit admits again.
         let t1 = t0 + Duration::from_millis(150);
         assert!(b.check(t1).is_ok());
         assert_eq!(b.state(), BreakerState::HalfOpen);
@@ -132,6 +137,21 @@ mod tests {
         b.record_fault(t1);
         assert_eq!(b.state(), BreakerState::Open, "failed probe reopens");
         assert_eq!(b.trips(), 2);
+    }
+
+    #[test]
+    fn half_open_admits_every_request_until_the_first_outcome() {
+        let mut b = Breaker::new(1, Duration::from_millis(50));
+        let t0 = Instant::now();
+        b.record_fault(t0);
+        let t1 = t0 + Duration::from_millis(60);
+        assert!(b.check(t1).is_ok());
+        assert!(b.check(t1).is_ok(), "a second request is admitted too");
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        // The first outcome decides: one fault reopens the circuit.
+        b.record_fault(t1);
+        assert_eq!(b.state(), BreakerState::Open);
+        assert!(b.check(t1).is_err());
     }
 
     #[test]

@@ -10,6 +10,15 @@ use crate::protocol::token_hash;
 /// The controller family of a tenant's persistence domain.
 pub use anubis::Family as TenantFamily;
 
+/// Per-request deadline in ms when the client passes 0.
+pub(crate) const DEFAULT_DEADLINE_MS: u32 = 1_000;
+
+/// Hard cap on client-requested deadlines, in ms.
+pub(crate) const MAX_DEADLINE_MS: u32 = 10_000;
+
+/// Maximum frame payload bytes (1 MiB).
+pub(crate) const MAX_FRAME_BYTES: u32 = 1 << 20;
+
 /// One tenant's identity: name, session-token hash, controller family.
 #[derive(Clone, Debug)]
 pub struct TenantSpec {
@@ -71,11 +80,6 @@ pub struct ServeConfig {
     pub ops_per_sec: f64,
     /// Token-bucket burst capacity (`ANUBIS_SERVE_BURST`, default 256).
     pub burst: u32,
-    /// Default per-request deadline in ms when the client passes 0
-    /// (default 1 000).
-    pub default_deadline_ms: u32,
-    /// Hard cap on client-requested deadlines in ms (default 10 000).
-    pub max_deadline_ms: u32,
     /// Consecutive faults before the tenant's circuit breaker opens
     /// (default 5).
     pub breaker_threshold: u32,
@@ -87,8 +91,6 @@ pub struct ServeConfig {
     /// Mid-frame stall budget — the slowloris guard
     /// (`ANUBIS_SERVE_STALL_MS`, default 2 000).
     pub stall_ms: u32,
-    /// Maximum frame payload bytes (default 1 MiB).
-    pub max_frame_bytes: u32,
     /// Explicit operator override for a missing or corrupt freshness
     /// anchor (`ANUBIS_ANCHOR_OVERRIDE=1`; default off). Never applies
     /// to a valid anchor proving rollback — that is always refused.
@@ -106,13 +108,10 @@ impl Default for ServeConfig {
             max_inflight: 32,
             ops_per_sec: 50_000.0,
             burst: 256,
-            default_deadline_ms: 1_000,
-            max_deadline_ms: 10_000,
             breaker_threshold: 5,
             breaker_cooldown_ms: 250,
             idle_ms: 30_000,
             stall_ms: 2_000,
-            max_frame_bytes: 1 << 20,
             anchor_override: false,
             mem_config: AnubisConfig::small_test(),
         }
@@ -187,12 +186,13 @@ impl ServeConfig {
         Ok(c)
     }
 
-    /// Clamps a client-requested deadline into the configured bounds.
+    /// Clamps a client-requested deadline: 0 asks for
+    /// `DEFAULT_DEADLINE_MS`, and none runs past `MAX_DEADLINE_MS`.
     pub fn effective_deadline(&self, requested_ms: u32) -> Duration {
         let ms = if requested_ms == 0 {
-            self.default_deadline_ms
+            DEFAULT_DEADLINE_MS
         } else {
-            requested_ms.min(self.max_deadline_ms)
+            requested_ms.min(MAX_DEADLINE_MS)
         };
         Duration::from_millis(u64::from(ms.max(1)))
     }
@@ -227,13 +227,9 @@ mod tests {
 
     #[test]
     fn deadlines_clamp() {
-        let c = ServeConfig {
-            default_deadline_ms: 100,
-            max_deadline_ms: 500,
-            ..ServeConfig::default()
-        };
-        assert_eq!(c.effective_deadline(0), Duration::from_millis(100));
+        let c = ServeConfig::default();
+        assert_eq!(c.effective_deadline(0), Duration::from_millis(1_000));
         assert_eq!(c.effective_deadline(50), Duration::from_millis(50));
-        assert_eq!(c.effective_deadline(9_999), Duration::from_millis(500));
+        assert_eq!(c.effective_deadline(99_999), Duration::from_millis(10_000));
     }
 }

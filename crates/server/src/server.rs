@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use anubis_nvm::NvmError;
 use anubis_telemetry::Telemetry;
 
-use crate::config::{ConfigError, ServeConfig};
+use crate::config::{ConfigError, ServeConfig, MAX_FRAME_BYTES};
 use crate::protocol::{
     send_frame, FrameReader, ProtoError, Request, Response, ServeError, PROTO_VERSION,
 };
@@ -275,7 +275,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     // Handshake: the first frame must be a valid, authenticated Hello.
     let hello = conn
         .rx
-        .next_frame(&mut conn.stream, cfg.max_frame_bytes, idle, stall, &stop);
+        .next_frame(&mut conn.stream, MAX_FRAME_BYTES, idle, stall, &stop);
     let tenant = match hello {
         Ok(None) => return,
         Ok(Some(payload)) => match Request::decode(payload) {
@@ -332,7 +332,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     while !stop() {
         let request = conn
             .rx
-            .next_frame(&mut conn.stream, cfg.max_frame_bytes, idle, stall, &stop);
+            .next_frame(&mut conn.stream, MAX_FRAME_BYTES, idle, stall, &stop);
         match request {
             Ok(None) => return,
             Ok(Some(payload)) => {

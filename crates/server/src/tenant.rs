@@ -60,6 +60,7 @@
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -320,6 +321,9 @@ pub struct Tenant<B: NvmBackend = FileBackend> {
     token_hash: u64,
     family: TenantFamily,
     gate: InflightGate,
+    /// Requests the gate bounced, counted without the lock: a bounce
+    /// never waits for it.
+    gate_bounces: AtomicU64,
     core: Mutex<Core<B>>,
     durability: Durability,
     tel: Telemetry,
@@ -439,6 +443,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             token_hash: spec.token_hash,
             family: spec.family,
             gate: InflightGate::new(cfg.max_inflight),
+            gate_bounces: AtomicU64::new(0),
             core: Mutex::new(Core {
                 ctrl: Some(ctrl),
                 mode: ServeMode::ReadOnly,
@@ -822,7 +827,7 @@ impl<B: NvmBackend + 'static> Tenant<B> {
     /// The gate's permit, or the typed overload.
     fn permit(&self) -> Result<InflightPermit, ServeError> {
         self.gate.acquire().ok_or_else(|| {
-            self.lock().stats.rejected_overload += 1;
+            self.gate_bounces.fetch_add(1, Ordering::Relaxed);
             ServeError::Overloaded { retry_after_ms: 1 }
         })
     }
@@ -1104,7 +1109,8 @@ impl<B: NvmBackend + 'static> Tenant<B> {
             inflight: u64::from(self.gate.in_flight()),
             reads_total: core.stats.reads_total,
             writes_acked_total: core.stats.writes_acked_total,
-            rejected_overload: core.stats.rejected_overload,
+            rejected_overload: core.stats.rejected_overload
+                + self.gate_bounces.load(Ordering::Relaxed),
             rejected_circuit: core.stats.rejected_circuit,
             rejected_deadline: core.stats.rejected_deadline,
             degraded_writes: core.stats.degraded_writes,

@@ -16,8 +16,8 @@
 //! 2. **Degraded** — the system serves, but damage is *declared*
 //!    through typed read errors or quarantine loss accounting;
 //! 3. **Refusal** — reopen or supervised recovery returns a typed
-//!    error ([`RecoveryError::RollbackDetected`] for freshness
-//!    violations) and nothing is served.
+//!    error ([`anubis::RecoveryError::RollbackDetected`] for
+//!    freshness violations) and nothing is served.
 //!
 //! Two outcomes are campaign-stopping findings, not verdicts: a
 //! **panic** anywhere in the reopen/recover/read path, and a **silent
@@ -43,7 +43,7 @@
 //! rewinding the on-chip register in lockstep with external NVM is out
 //! of scope for Anubis itself. The same key tags every WAL frame,
 //! chained behind the frame before it: the adversary frames under the
-//! one key it knows, the public one, so a forged or re-framed frame is
+//! one key it knows, [`PUBLIC_WAL_KEY`], so a forged or re-framed frame is
 //! refused wherever it lands — one epoch past the anchor, where only the
 //! honest in-flight frame of a crash may be, included — and so is a
 //! genuine frame moved to another place in the chain. Forging with the
@@ -52,19 +52,26 @@
 
 use std::fs;
 use std::ops::ControlFlow;
-use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use anubis::{AnubisConfig, DataAddr, Family, RecoveryError, RecoveryOutcome};
+use anubis::{AnubisConfig, DataAddr, Family};
 use anubis_nvm::{
     anchor_path_for, encode_wal_frame, AnchorPolicy, FreshnessAnchor, NvmBackend, WalFrame,
-    WalWalker, PUBLIC_WAL_KEY,
+    WalWalker,
 };
 
 use crate::campaign::{
-    drill_script, drive, io_ctx, op_payload, restart, Acked, Done, HarnessError, ReadBack, Stop,
-    XorShift64,
+    drill_script, drive_anchored, io_ctx, judge, op_payload, remove_image, restart, Acked, Breach,
+    HarnessError, Verdict, XorShift64,
 };
+
+/// The forger's key: the one a format-aware adversary frames under. It is
+/// public — written here, in the clear — and is not the device key, so
+/// no frame tagged under it verifies in an image.
+pub const PUBLIC_WAL_KEY: [u64; 2] = [
+    u64::from_le_bytes(*b"ANUBWAL4"),
+    u64::from_le_bytes(*b"PUBLIC!!"),
+];
 
 /// Acks before the base's last that the capture is taken at, so the
 /// captured image is well behind the base image's sealed anchor.
@@ -181,7 +188,7 @@ pub enum Requirement {
     /// error and nothing is served.
     Refusal,
     /// Recovery must refuse *specifically* with
-    /// [`RecoveryError::RollbackDetected`].
+    /// [`anubis::RecoveryError::RollbackDetected`].
     RollbackRefusal,
     /// The system must serve (full or degraded recovery) — refusing
     /// would mean the legitimate path is broken.
@@ -212,45 +219,6 @@ impl Requirement {
     }
 }
 
-/// How one mutated restart terminated. Every point lands in exactly one
-/// of these; silent staleness and panics are *errors*, never verdicts.
-#[derive(Debug, Clone)]
-pub enum Verdict {
-    /// Recovery succeeded and every acknowledged write read back its
-    /// acknowledged payload (the one in-flight tolerance of the drill
-    /// applies).
-    FullRecovery,
-    /// The system serves, but some acknowledged state was damaged — and
-    /// said so, through typed read errors or declared quarantine loss.
-    Degraded {
-        /// Acknowledged addresses whose reads errored or were declared
-        /// lost by quarantine.
-        damage: u64,
-        /// The supervised recovery outcome, rendered.
-        outcome: String,
-    },
-    /// Reopen or supervised recovery returned a typed error; nothing
-    /// was served.
-    Refused {
-        /// Whether the refusal was specifically
-        /// [`RecoveryError::RollbackDetected`].
-        rollback: bool,
-        /// The refusal, rendered.
-        reason: String,
-    },
-}
-
-impl Verdict {
-    /// Stable identifier used in reports and JSON.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Verdict::FullRecovery => "full-recovery",
-            Verdict::Degraded { .. } => "degraded",
-            Verdict::Refused { .. } => "refused",
-        }
-    }
-}
-
 /// An adversary-campaign failure. Every variant is typed and campaign
 /// stopping; a completed campaign means every requirement in every
 /// class was met with zero panics and zero silent-stale serves.
@@ -268,25 +236,15 @@ pub enum AdversaryError {
         /// Why it could not be applied.
         detail: String,
     },
-    /// THE FINDING: a read of an acknowledged address returned wrong
-    /// data with no typed error and no declared quarantine loss.
-    SilentStale {
+    /// THE FINDING: a mutated restart served an acknowledged line wrong
+    /// with no typed error and no declared quarantine loss, or panicked.
+    Breach {
         /// The mutation class that slipped through.
         class: &'static str,
         /// The specific mutation label.
         label: String,
-        /// The acknowledged data-line address served stale.
-        addr: u64,
-    },
-    /// THE FINDING: the reopen/recover/read path panicked instead of
-    /// returning a typed error.
-    Panicked {
-        /// The mutation class that triggered it.
-        class: &'static str,
-        /// The specific mutation label.
-        label: String,
-        /// The panic payload, rendered.
-        what: String,
+        /// What the restart did.
+        breach: Breach,
     },
     /// THE FINDING: the point terminated in a typed verdict, but not
     /// the one its class requires (e.g. a WAL rollback that was not
@@ -329,14 +287,11 @@ impl std::fmt::Display for AdversaryError {
             AdversaryError::Mutation { label, detail } => {
                 write!(f, "mutation {label} could not be applied: {detail}")
             }
-            AdversaryError::SilentStale { class, label, addr } => write!(
-                f,
-                "SILENT STALE SERVE: class {class} ({label}) read acked addr {addr} \
-                 wrong with no typed error and no declared loss"
-            ),
-            AdversaryError::Panicked { class, label, what } => {
-                write!(f, "PANIC in recovery path: class {class} ({label}): {what}")
-            }
+            AdversaryError::Breach {
+                class,
+                label,
+                breach,
+            } => write!(f, "class {class} ({label}): {breach}"),
             AdversaryError::MissedRequirement {
                 class,
                 label,
@@ -644,50 +599,6 @@ fn plan_mutations(rng: &mut XorShift64) -> Vec<MutationSpec> {
     plan
 }
 
-/// The one way the campaign makes a dead image: drives `spec`'s script
-/// over a fresh anchored image at `image` and builds the exact model as
-/// writes are acknowledged. After every op, `after(model, acks, epoch)`
-/// sees that model, the writes acknowledged so far and the epoch the
-/// backend has sealed; the image and its anchor are then exactly what a
-/// kill there leaves. The drive stops where `after` breaks, or at the
-/// end of the script, and returns the model of that point.
-fn drive_anchored(
-    family: Family,
-    spec: &AdversarySpec,
-    image: &Path,
-    mut after: impl FnMut(&Acked, u64, u64) -> Result<ControlFlow<()>, AdversaryError>,
-) -> Result<Acked, AdversaryError> {
-    for stale in [image, &anchor_path_for(image)] {
-        let _ = fs::remove_file(stale);
-    }
-    let config = AnubisConfig::small_test();
-    let (mut ctrl, _) = restart(family, &config, image, Some(AnchorPolicy::Strict))?;
-    let sealed = ctrl.domain().device().backend().durability();
-    let script = drill_script(spec.script_len, spec.lines, spec.seed);
-    let (mut model, mut acks) = (Acked::default(), 0);
-    // `Err(None)`: `after` stopped the drive.
-    let stop = drive(ctrl.as_mut(), &script, |i, addr, done| {
-        if let Done::Wrote(data) = done {
-            model.ack(i, addr, data);
-            acks += 1;
-        }
-        let epoch = sealed
-            .reached()
-            .map_err(|e| Some(HarnessError::from(e).into()))?;
-        match after(&model, acks, epoch).map_err(Some)? {
-            ControlFlow::Continue(()) => Ok(()),
-            ControlFlow::Break(()) => Err(None),
-        }
-    });
-    match stop {
-        Ok(Stop::Completed) | Err(None) => Ok(model),
-        Ok(Stop::PowerLost { op_index, err, .. } | Stop::Failed { op_index, err }) => {
-            Err(HarnessError::Serve { op_index, err }.into())
-        }
-        Err(Some(e)) => Err(e),
-    }
-}
-
 /// Builds a small healthy device of the same family under a *different
 /// key* — the cross-swap donor — with a handful of distinct lines
 /// written so it has real history. Returns its image (its anchor beside
@@ -700,12 +611,10 @@ fn build_foreign(
 ) -> Result<(PathBuf, u64), AdversaryError> {
     fs::create_dir_all(dir).map_err(io_ctx("create foreign dir", dir))?;
     let image = dir.join("foreign.wal");
-    for stale in [&image, &anchor_path_for(&image)] {
-        let _ = fs::remove_file(stale);
-    }
+    remove_image(&image);
     let mut config = AnubisConfig::small_test();
     config.key.0 = [0x0F0E_1617_C0FF_EE00, 0x5EED_0000_0000_0042];
-    let (mut ctrl, _) = restart(family, &config, &image, Some(AnchorPolicy::Strict))?;
+    let (mut ctrl, _) = restart(family, &config, &image, AnchorPolicy::Strict)?;
     for i in 0..8u64 {
         let addr = i % spec.lines.max(1);
         ctrl.write(DataAddr::new(addr), op_payload(0xF0_0000 + i, addr))
@@ -821,9 +730,7 @@ fn stage_mutation(
     fs::create_dir_all(dir).map_err(io_ctx("create mutation dir", dir))?;
     let work = dir.join("image.wal");
     let work_anchor = anchor_path_for(&work);
-    for stale in [&work, &work_anchor] {
-        let _ = fs::remove_file(stale);
-    }
+    remove_image(&work);
     // The image to copy, and the image whose anchor goes beside it.
     let (src_image, src_anchor) = match &spec.op {
         MutationOp::SubstituteCapturedImage => (ctx.capture, Some(ctx.base)),
@@ -892,68 +799,9 @@ fn stage_mutation(
     Ok(work)
 }
 
-/// Why an evaluation failed the campaign rather than reaching a verdict.
-enum EvalFailure {
-    /// Wrong data served for an acked address with nothing typed.
-    SilentStale { addr: u64 },
-}
-
-/// Restarts over a mutated image and drives it to a verdict: typed
-/// refusal (the image does not open, or the supervisor refuses),
-/// degraded-with-declared-damage, or full recovery. Panics are caught by
-/// the caller; silent staleness is returned as [`EvalFailure`].
-fn evaluate(
-    family: Family,
-    image: &Path,
-    policy: AnchorPolicy,
-    model: &Acked,
-) -> Result<Verdict, EvalFailure> {
-    let config = AnubisConfig::small_test();
-    let (mut ctrl, rec) = match restart(family, &config, image, Some(policy)) {
-        Ok(restarted) => restarted,
-        Err(HarnessError::Recovery(e)) => {
-            return Ok(Verdict::Refused {
-                rollback: matches!(e, RecoveryError::RollbackDetected { .. }),
-                reason: e.to_string(),
-            })
-        }
-        Err(HarnessError::Nvm(e)) => {
-            return Ok(Verdict::Refused {
-                rollback: false,
-                reason: e.to_string(),
-            })
-        }
-        Err(other) => unreachable!("restart() opens and recovers only: {other}"),
-    };
-    // Wrong data is tolerable only as *declared* loss: the supervisor
-    // quarantined the line and says so.
-    let findings = model.audit(
-        ctrl.as_mut(),
-        |c, addr| c.read(DataAddr::new(addr)),
-        |c, addr, _| rec.quarantined_lines > 0 && c.is_line_quarantined(DataAddr::new(addr)),
-    );
-    let mut damage = 0u64;
-    for found in findings {
-        match found.readback {
-            ReadBack::Matched | ReadBack::InFlight => {}
-            // A typed read error is detected damage, never silent.
-            ReadBack::Excused | ReadBack::Failed(_) => damage += 1,
-            ReadBack::Wrong { .. } => return Err(EvalFailure::SilentStale { addr: found.addr }),
-        }
-    }
-    if damage == 0 && matches!(rec.outcome, RecoveryOutcome::Recovered) {
-        Ok(Verdict::FullRecovery)
-    } else {
-        Ok(Verdict::Degraded {
-            damage: damage.max(rec.lost_lines),
-            outcome: rec.outcome.to_string(),
-        })
-    }
-}
-
-/// [`evaluate`] with the findings that stop a campaign typed: a silent
-/// stale serve, or a panic anywhere in the restart.
-fn judge(
+/// [`judge`] with what stops a campaign typed for the mutation that
+/// found it: a silent stale serve, or a panic anywhere in the restart.
+fn judge_mutation(
     class: MutationClass,
     label: &str,
     family: Family,
@@ -961,26 +809,11 @@ fn judge(
     policy: AnchorPolicy,
     model: &Acked,
 ) -> Result<Verdict, AdversaryError> {
-    match panic::catch_unwind(AssertUnwindSafe(|| evaluate(family, image, policy, model))) {
-        Ok(Ok(verdict)) => Ok(verdict),
-        Ok(Err(EvalFailure::SilentStale { addr })) => Err(AdversaryError::SilentStale {
-            class: class.name(),
-            label: label.to_string(),
-            addr,
-        }),
-        Err(payload) => {
-            let what = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Err(AdversaryError::Panicked {
-                class: class.name(),
-                label: label.to_string(),
-                what,
-            })
-        }
-    }
+    judge(family, image, policy, |_| model.clone()).map_err(|breach| AdversaryError::Breach {
+        class: class.name(),
+        label: label.to_string(),
+        breach,
+    })
 }
 
 /// Every payload-bearing frame of `image` but its last re-framed under
@@ -1010,7 +843,7 @@ fn splice_every_donor(
         fs::write(work, &spliced).map_err(io_ctx("write image", work))?;
         fs::write(&work_anchor, &seal).map_err(io_ctx("write anchor", &work_anchor))?;
         let label = format!("replay-splice-slack-1-e{}-d{}", last.epoch, donor.epoch);
-        let verdict = judge(
+        let verdict = judge_mutation(
             MutationClass::ReplaySplice,
             &label,
             family,
@@ -1063,15 +896,16 @@ pub fn splice_sweep(
 ) -> Result<Vec<SplicePoint>, AdversaryError> {
     fs::create_dir_all(dir).map_err(io_ctx("create sweep dir", dir))?;
     let (image, work) = (dir.join("image.wal"), dir.join("spliced.wal"));
+    let script = drill_script(spec.script_len, spec.lines, spec.seed);
     let (mut points, mut sealed) = (Vec::new(), 0);
-    drive_anchored(family, spec, &image, |model, _, epoch| {
+    drive_anchored(family, &script, &image, |model, _, (_, epoch)| {
         if epoch >= drops.end {
             return Ok(ControlFlow::Break(()));
         }
         if std::mem::replace(&mut sealed, epoch) != epoch && drops.contains(&epoch) {
             points.extend(splice_every_donor(family, forger, &image, &work, model)?);
         }
-        Ok(ControlFlow::Continue(()))
+        Ok::<_, AdversaryError>(ControlFlow::Continue(()))
     })?;
     Ok(points)
 }
@@ -1219,15 +1053,16 @@ fn run_base_point(
 ) -> Result<(), AdversaryError> {
     fs::create_dir_all(rdir).map_err(io_ctx("create scratch dir", rdir))?;
     let (base, capture) = (rdir.join("base.wal"), rdir.join("capture.wal"));
+    let script = drill_script(spec.script_len, spec.lines, spec.seed);
     let mut captured = false;
-    let model = drive_anchored(family, spec, &base, |_, acks, _| {
+    let model = drive_anchored(family, &script, &base, |_, acks, _| {
         if acks == kill_after - CAPTURE_MARGIN_ACKS && !captured {
             let anchor = anchor_path_for(&capture);
             fs::copy(&base, &capture).map_err(io_ctx("copy image to", &capture))?;
             fs::copy(anchor_path_for(&base), &anchor).map_err(io_ctx("copy anchor to", &anchor))?;
             captured = true;
         }
-        Ok(if acks == kill_after {
+        Ok::<_, AdversaryError>(if acks == kill_after {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
@@ -1241,7 +1076,7 @@ fn run_base_point(
     for (mi, m) in plan_mutations(rng).into_iter().enumerate() {
         let mdir = rdir.join(format!("m{mi}-{}", m.label));
         let image = stage_mutation(&m, &ctx, &mdir)?;
-        let verdict = judge(m.class, &m.label, family, &image, m.policy, &model)?;
+        let verdict = judge_mutation(m.class, &m.label, family, &image, m.policy, &model)?;
         if !m.requirement.met(&verdict) {
             return Err(AdversaryError::MissedRequirement {
                 class: m.class.name(),
@@ -1355,7 +1190,13 @@ mod tests {
             assert!(matches!(p.verdict, Ok(Verdict::Refused { .. })), "{p:?}");
         }
         for p in &keyed {
-            let stale = matches!(p.verdict, Err(AdversaryError::SilentStale { .. }));
+            let stale = matches!(
+                p.verdict,
+                Err(AdversaryError::Breach {
+                    breach: Breach::SilentStale { .. },
+                    ..
+                })
+            );
             assert_eq!(stale, p.donor == 4, "{p:?}");
             assert!(!matches!(p.verdict, Ok(Verdict::Refused { .. })), "{p:?}");
         }

@@ -2,37 +2,46 @@
 //!
 //! [`crate::fault`], [`crate::storm`], [`crate::drill`],
 //! [`crate::adversary`] and [`crate::serve`] each plan faults of their
-//! own and turn what they find into verdicts of their own. Three things
+//! own and turn what they find into verdicts of their own. Four things
 //! they all do the same way live here, once:
 //!
 //! * **the script driver** — [`drive`] plays a [`ScriptOp`] script on a
 //!   controller and says how the run stopped ([`Stop`]);
+//!   [`drive_anchored`] plays one over a fresh anchored image, where a
+//!   copy of the image and its anchor between two ops is what a kill
+//!   there leaves;
 //! * **the oracle** — [`Acked`], the reference model of the Triad-NVM
 //!   rule *acknowledged ⇒ durable and verifiable after any crash*: the
-//!   last acknowledged payload per address plus at most one write in
-//!   flight, and the one audit that holds a recovered system to it;
+//!   last acknowledged payload per address (plus, for an in-process
+//!   power cut, at most one write in flight), and the one audit that
+//!   holds a recovered system to it;
+//! * **the restart verdict** — [`judge`] restarts a dead image as the
+//!   server would and audits it into a [`Verdict`], or a [`Breach`];
 //! * **the victim** — [`Victim`], a child process that is polled,
 //!   SIGKILLed and reaped on every path, and [`ScriptChild`], the one
-//!   child that serves a script over a file-backed image and logs its
-//!   acknowledgements.
+//!   child, which serves a script over an anchored file-backed image.
 //!
 //! The kernel classifies and reports; what a finding *means* — a panic
-//! with the plan label, `AckedWriteLost`, `SilentStale`, declared damage
-//! — stays with the harness that asked (`DESIGN.md`, "Campaign kernel").
+//! with the plan label, a verdict below a mutation's floor, a drill point
+//! short of full recovery — stays with the harness that asked
+//! (`DESIGN.md`, "Campaign kernel").
 
 mod oracle;
+mod restart;
 mod victim;
 
 use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
-use anubis::{DataAddr, Family, MemError, MemoryController, RecoveryError};
-use anubis_nvm::{Block, NvmError};
+use anubis::{AnubisConfig, DataAddr, Family, MemError, MemoryController, RecoveryError};
+use anubis_nvm::{anchor_path_for, AnchorPolicy, Block, NvmBackend, NvmError};
 
 use crate::engine::payload;
 
 pub use oracle::{Acked, Finding, Judged, ReadBack};
-pub use victim::{child_main, restart, Fate, ScriptChild, Victim};
+pub use restart::{judge, restart, Breach, Verdict};
+pub use victim::{child_main, Fate, ScriptChild, Victim};
 
 /// One step of a scripted workload: `(is_write, data-line address)`.
 ///
@@ -325,6 +334,62 @@ pub fn drive_checked<C: MemoryController + ?Sized>(
         _ => {}
     }
     (model, stop)
+}
+
+/// Removes an image and the anchor beside it, where they exist: the pair
+/// is what a restart opens, so neither may outlive the other.
+pub fn remove_image(image: &Path) {
+    for stale in [image, &anchor_path_for(image)] {
+        let _ = std::fs::remove_file(stale);
+    }
+}
+
+/// The one way the in-process campaigns make a dead image: drives
+/// `script` over a fresh anchored image at `image` and builds the exact
+/// model as writes are acknowledged. After every op, `after(model, acks,
+/// (before, sealed))` sees that model, the writes acknowledged so far and
+/// the epochs the backend had sealed before the op and has sealed after
+/// it; the image and its anchor are then exactly what a kill there
+/// leaves. The drive stops where `after` breaks, or at the end of the
+/// script, and returns the model of that point.
+///
+/// # Errors
+///
+/// Whatever `after` returns; [`HarnessError`] when the image does not
+/// open, a barrier breaks or a script op fails.
+pub fn drive_anchored<E: From<HarnessError>>(
+    family: Family,
+    script: &[ScriptOp],
+    image: &Path,
+    mut after: impl FnMut(&Acked, u64, (u64, u64)) -> Result<ControlFlow<()>, E>,
+) -> Result<Acked, E> {
+    remove_image(image);
+    let config = AnubisConfig::small_test();
+    let (mut ctrl, _) = restart(family, &config, image, AnchorPolicy::Strict)?;
+    let durability = ctrl.domain().device().backend().durability();
+    let reached = || (durability.reached()).map_err(|e| E::from(HarnessError::from(e)));
+    let (mut model, mut acks, mut before) = (Acked::default(), 0, reached()?);
+    // `Err(None)`: `after` stopped the drive.
+    let stop = drive(ctrl.as_mut(), script, |i, addr, done| {
+        if let Done::Wrote(data) = done {
+            model.ack(i, addr, data);
+            acks += 1;
+        }
+        let sealed = reached().map_err(Some)?;
+        let flow = after(&model, acks, (before, sealed)).map_err(Some)?;
+        before = sealed;
+        match flow {
+            ControlFlow::Continue(()) => Ok(()),
+            ControlFlow::Break(()) => Err(None),
+        }
+    });
+    match stop {
+        Ok(Stop::Completed) | Err(None) => Ok(model),
+        Ok(Stop::PowerLost { op_index, err, .. } | Stop::Failed { op_index, err }) => {
+            Err(HarnessError::Serve { op_index, err }.into())
+        }
+        Err(Some(e)) => Err(e),
+    }
 }
 
 #[cfg(test)]

@@ -4,17 +4,16 @@ use std::collections::BTreeMap;
 
 use anubis_nvm::Block;
 
-use super::{op_payload, ScriptOp};
-
 /// What a system owes after a crash, as far as one client can know it:
 /// for every address the last write it saw **acknowledged**, and at most
 /// one write that was **in flight** when the crash came — unacknowledged,
 /// and free to have landed or not.
 ///
-/// Built either as the acknowledgements arrive ([`Acked::ack`],
-/// [`Acked::attempt`]) or afterwards from an ack log and the script that
-/// produced it ([`Acked::from_log`]). A model that starts
-/// [`Acked::fresh`] owes every line of an address space.
+/// Built as the acknowledgements arrive ([`Acked::ack`], and
+/// [`Acked::attempt`] for the write a power cut interrupted), or by a
+/// harness that knows exactly which writes are durable, over
+/// [`Acked::fresh`]: that model owes every line of an address space and
+/// has nothing in flight.
 #[derive(Clone, Debug, Default)]
 pub struct Acked {
     /// Address → `(op index, payload)` of its last acknowledged write.
@@ -92,23 +91,6 @@ impl Acked {
     /// Marks `payload` → `addr` as sent but not acknowledged.
     pub fn attempt(&mut self, addr: u64, payload: Block) {
         self.inflight = Some((addr, payload));
-    }
-
-    /// The model a script child's ack log implies: every logged `(op
-    /// index, addr)` acknowledged with its [`op_payload`], and the first
-    /// scripted write past the last logged one in flight — the child
-    /// logs *after* the controller acknowledges, so a kill between the
-    /// two leaves that one write durable and unlogged.
-    pub fn from_log(acked: &[(u64, u64)], script: &[ScriptOp]) -> Acked {
-        let mut model = Acked::default();
-        for &(idx, addr) in acked {
-            model.ack(idx, addr, op_payload(idx, addr));
-        }
-        let next = acked.last().map_or(0, |&(idx, _)| idx as usize + 1);
-        if let Some((j, op)) = script.iter().enumerate().skip(next).find(|(_, op)| op.0) {
-            model.attempt(op.1, op_payload(j as u64, op.1));
-        }
-        model
     }
 
     /// Distinct acknowledged addresses.

@@ -1,5 +1,5 @@
 //! Behaviour of the kernel on its own: the oracle's five outcomes, the
-//! ack log's torn tail, the driver's stop reasons, the victim's fates.
+//! driver's stop reasons, the victim's fates, the script child's image.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -7,9 +7,8 @@ use std::process::Command;
 use std::time::Duration;
 
 use anubis::{AnubisConfig, BonsaiController, BonsaiScheme, Family};
-use anubis_nvm::{Block, FaultPlan};
+use anubis_nvm::{anchor_path_for, AnchorPolicy, Block, FaultPlan, Freshness, FreshnessAnchor};
 
-use super::victim::{read_ack_log, AckWriter};
 use super::*;
 
 fn scratch(name: &str) -> PathBuf {
@@ -172,59 +171,6 @@ fn audit_is_lazy() {
     assert_eq!((first_wrong, reads), (Some(0), 1));
 }
 
-#[test]
-fn the_model_of_an_ack_log_puts_the_next_scripted_write_in_flight() {
-    let script = [
-        (true, 5),
-        (false, 5),
-        (true, 6),
-        (false, 1),
-        (true, 5),
-        (true, 7),
-    ];
-    let model = Acked::from_log(&[(0, 5), (2, 6)], &script);
-    assert_eq!((model.len(), model.inflight_addr()), (2, Some(5)));
-    assert_eq!(model.judge(5, op_payload(0, 5)), Some(Judged::Matched));
-    assert_eq!(model.judge(5, op_payload(4, 5)), Some(Judged::InFlight));
-    assert_eq!(model.judge(6, op_payload(4, 5)), Some(Judged::Other));
-    assert_eq!(model.judge(7, op_payload(5, 7)), None);
-    // Nothing logged: the first scripted write is the one in flight.
-    assert_eq!(Acked::from_log(&[], &script).inflight_addr(), Some(5));
-    // Everything logged: nothing is.
-    let all = [(0, 5), (2, 6), (4, 5), (5, 7)];
-    assert_eq!(Acked::from_log(&all, &script).inflight_addr(), None);
-}
-
-// ---------------------------------------------------------------------
-// Ack log
-// ---------------------------------------------------------------------
-
-#[test]
-fn ack_log_reader_drops_only_a_torn_tail() {
-    let dir = scratch("acklog");
-    let path = dir.join("acks.bin");
-    assert_eq!(read_ack_log(&path).expect("missing log"), []);
-    let mut log = AckWriter::create(&path).expect("create");
-    let records = [(0u64, 17u64), (3, 4), (9, 17)];
-    for (i, addr) in records {
-        log.append(i, addr).expect("append");
-    }
-    let whole = fs::read(&path).expect("read log");
-    assert_eq!(whole.len(), 3 * 24);
-    assert_eq!(read_ack_log(&path).expect("whole log"), records);
-
-    // A short tail record — the append the kill interrupted.
-    fs::write(&path, &whole[..2 * 24 + 11]).expect("shear");
-    assert_eq!(read_ack_log(&path).expect("short tail"), records[..2]);
-
-    // A full-length tail record that fails its checksum.
-    let mut bad = whole;
-    bad[2 * 24 + 3] ^= 0x40;
-    fs::write(&path, &bad).expect("corrupt");
-    assert_eq!(read_ack_log(&path).expect("bad tail"), records[..2]);
-    let _ = fs::remove_dir_all(&dir);
-}
-
 // ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
@@ -303,7 +249,7 @@ fn alive(pid: u32) -> bool {
 #[test]
 fn victim_is_killed_at_the_threshold() {
     let dir = scratch("killed");
-    let log = dir.join("acks.bin");
+    let log = dir.join("log.bin");
     let mut victim = Victim::spawn(&mut sh(APPEND_FOREVER, &log)).expect("spawn");
     let pid = victim.pid();
     let reached = || Ok(fs::metadata(&log).map(|m| m.len()).unwrap_or(0) >= 5 * 24);
@@ -350,7 +296,7 @@ fn victim_that_never_gets_there_is_killed_as_hung() {
 #[test]
 fn victim_is_reaped_when_the_point_fails_after_spawn() {
     let dir = scratch("reaped");
-    let log = dir.join("acks.bin");
+    let log = dir.join("log.bin");
     let point = || -> Result<Fate, (u32, HarnessError)> {
         let mut victim = Victim::spawn(&mut sh(APPEND_FOREVER, &log)).expect("spawn");
         let pid = victim.pid();
@@ -371,7 +317,6 @@ fn script_child_command_line_round_trips() {
     let child = ScriptChild {
         family: Family::SgxAsit,
         image: PathBuf::from("/tmp/some dir/image.wal"),
-        ack: PathBuf::from("acks.bin"),
         script_len: 1_200,
         lines: 300,
         seed: 0xA17B_05E7,
@@ -382,9 +327,9 @@ fn script_child_command_line_round_trips() {
         .map(|a| a.to_string_lossy().into_owned())
         .collect();
     assert_eq!(words[0], "--child");
-    assert_eq!(words.len(), 7);
+    assert_eq!(words.len(), 6);
     assert_eq!(ScriptChild::parse(&words[1..]).expect("parse"), child);
-    for cut in 0..6 {
+    for cut in 0..5 {
         let err = ScriptChild::parse(&words[1..1 + cut]).expect_err("a word is missing");
         assert!(matches!(err, HarnessError::BadChildArg { .. }), "{err}");
     }
@@ -393,16 +338,15 @@ fn script_child_command_line_round_trips() {
     assert!(ScriptChild::parse(&bad).is_err());
 }
 
-/// The child's own loop, in process: it serves the whole script, logs
-/// every acknowledgement, and the image it leaves satisfies the model
-/// its log implies.
+/// The child's own loop, in process: it serves the whole script over an
+/// anchored image, seals every frame, and the image it leaves restarts
+/// to full recovery against every write it served.
 #[test]
-fn script_child_serves_logs_and_leaves_a_verifiable_image() {
+fn script_child_serves_the_script_over_an_anchored_image() {
     let dir = scratch("child");
     let child = ScriptChild {
         family: Family::BonsaiAgitPlus,
         image: dir.join("image.wal"),
-        ack: dir.join("acks.bin"),
         script_len: 60,
         lines: 40,
         seed: 0xC41D,
@@ -415,27 +359,24 @@ fn script_child_serves_logs_and_leaves_a_verifiable_image() {
         .collect();
     child_main(&words).expect("child serves the script");
 
-    let script = child.script();
-    let acked = read_ack_log(&child.ack).expect("ack log");
-    let writes: Vec<(u64, u64)> = (0..)
-        .zip(&script)
-        .filter(|(_, op)| op.0)
-        .map(|(i, op)| (i, op.1))
-        .collect();
-    assert_eq!(acked, writes, "one record per acknowledged write, in order");
-    assert!(!anubis_nvm::anchor_path_for(&child.image).exists());
-
-    let model = Acked::from_log(&acked, &script);
-    let config = AnubisConfig::small_test();
-    let (mut ctrl, _) = restart(child.family, &config, &child.image, None).expect("restart");
-    let bad = model
-        .audit(
-            ctrl.as_mut(),
-            |c, addr| c.read(anubis::DataAddr::new(addr)),
-            |_, _, _| false,
-        )
-        .find(|f| f.readback != ReadBack::Matched);
-    assert_eq!(bad, None);
+    let key = AnubisConfig::small_test().key.0;
+    let sealed = FreshnessAnchor::probe(&anchor_path_for(&child.image), key);
+    let mut model = Acked::fresh(child.lines);
+    for (i, &(is_write, addr)) in (0..).zip(&child.script()) {
+        if is_write {
+            model.ack(i, addr, op_payload(i, addr));
+        }
+    }
+    let mut opened = None;
+    let verdict = judge(child.family, &child.image, AnchorPolicy::Strict, |fresh| {
+        opened = Some(fresh);
+        model
+    });
+    assert!(matches!(verdict, Ok(Verdict::FullRecovery)), "{verdict:?}");
+    let Some(Freshness::Fresh { epoch }) = opened else {
+        panic!("the anchored open reported {opened:?}");
+    };
+    assert_eq!(sealed, Ok(Some(epoch)), "every frame sealed");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -1,21 +1,18 @@
-//! The victim process, the script child, and the ack log between them.
+//! The victim process, and the script child that is the drill's.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-use anubis::{supervisor, AnubisConfig, Family, Reopened, SupervisedRecovery};
-use anubis_nvm::{AnchorPolicy, FileBackend};
+use anubis::{AnubisConfig, Family};
+use anubis_nvm::{anchor_path_for, AnchorPolicy, FreshnessAnchor};
 
-use super::{
-    drill_script, drive, fnv1a64, io_ctx, Done, HarnessError, ScriptOp, Stop, FNV1A64_EMPTY,
-};
+use super::{drill_script, drive, io_ctx, restart, HarnessError, ScriptOp, Stop};
 
 /// Pause between two looks at a live victim: far below the time between
-/// two fsynced acknowledgements, so a kill lands close to its threshold.
+/// two sealed epochs, so a kill lands close to its threshold.
 const POLL: Duration = Duration::from_micros(200);
 
 /// How long a script child may run before it is declared hung.
@@ -109,106 +106,16 @@ impl Drop for Victim {
     }
 }
 
-/// Bytes per ack record: op index, address, FNV-1a checksum of the two.
-const ACK_RECORD_BYTES: usize = 24;
-
-/// Append-only, fsync-per-record acknowledgement log the script child
-/// maintains.
-///
-/// Each record is `[op_index u64 LE][addr u64 LE][fnv1a64 of the first
-/// 16 bytes]`. `sync_data` after every append makes the log a durable
-/// lower bound on what the device image must contain: a record is only
-/// readable if the write it describes was already acknowledged (and the
-/// acknowledgement barrier precedes the append in program order).
-pub(super) struct AckWriter {
-    file: File,
-}
-
-impl AckWriter {
-    /// Creates (truncating) the ack log at `path`.
-    pub(super) fn create(path: &Path) -> std::io::Result<AckWriter> {
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(AckWriter { file })
-    }
-
-    /// Appends and fsyncs one acknowledgement record.
-    pub(super) fn append(&mut self, op_index: u64, addr: u64) -> std::io::Result<()> {
-        let mut rec = [0u8; ACK_RECORD_BYTES];
-        rec[..8].copy_from_slice(&op_index.to_le_bytes());
-        rec[8..16].copy_from_slice(&addr.to_le_bytes());
-        let crc = fnv1a64(FNV1A64_EMPTY, &rec[..16]);
-        rec[16..].copy_from_slice(&crc.to_le_bytes());
-        self.file.write_all(&rec)?;
-        self.file.sync_data()
-    }
-}
-
-/// Parses an ack log into `(op index, addr)` pairs, dropping a torn tail
-/// record (short or failing its checksum — both only possible for the
-/// final append in flight when the child died). A missing file parses as
-/// an empty log: the child may have been killed before creating it.
-pub(super) fn read_ack_log(path: &Path) -> std::io::Result<Vec<(u64, u64)>> {
-    let mut raw = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut raw)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    }
-    let word = |rec: &[u8], at: usize| {
-        u64::from_le_bytes(rec[at..at + 8].try_into().expect("sliced to 8 bytes"))
-    };
-    Ok(raw
-        .chunks_exact(ACK_RECORD_BYTES)
-        .take_while(|rec| word(rec, 16) == fnv1a64(FNV1A64_EMPTY, &rec[..16]))
-        .map(|rec| (word(rec, 0), word(rec, 8)))
-        .collect())
-}
-
-/// Opens `image` — under its freshness anchor when a policy is given —
-/// reopens `family`'s controller over it and runs supervised recovery:
-/// what a restarted machine does, whoever restarts it. That is
-/// [`supervisor::resume`]: rung 1, and the rest of the ladder with its
-/// scrub only when reopen raised a hint or rung 1 failed — so a
-/// campaign's audit is the first reader of every line it checks, and a
-/// line damaged at rest must fail that read typed.
-///
-/// # Errors
-///
-/// [`HarnessError::Nvm`] when the image does not open,
-/// [`HarnessError::Recovery`] when the supervisor refuses or fails.
-pub fn restart(
-    family: Family,
-    config: &AnubisConfig,
-    image: &Path,
-    anchor: Option<AnchorPolicy>,
-) -> Result<(Reopened<FileBackend>, SupervisedRecovery), HarnessError> {
-    let backend = match anchor {
-        Some(policy) => FileBackend::open_with_anchor(image, config.key.0, policy)?,
-        None => FileBackend::open(image)?,
-    };
-    let (mut ctrl, hint) = family.reopen(config, backend);
-    let recovery = supervisor::resume(ctrl.as_mut(), hint.as_ref())?;
-    Ok((ctrl, recovery))
-}
-
 /// The script child's command line, as a value: `--child <family>
-/// <image> <ack> <script_len> <lines> <seed>`. The harness fills it in
-/// and [`ScriptChild::run_killed`] spawns it; the re-executed binary
-/// hands the same words to [`child_main`].
+/// <image> <script_len> <lines> <seed>`. The harness fills it in and
+/// [`ScriptChild::run_killed`] spawns it; the re-executed binary hands the
+/// same words to [`child_main`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScriptChild {
     /// Controller family to serve with.
     pub family: Family,
-    /// Device image path (created if absent).
+    /// Device image path (created, with its anchor, if absent).
     pub image: PathBuf,
-    /// Ack log path (truncated).
-    pub ack: PathBuf,
     /// Script length in operations.
     pub script_len: usize,
     /// Data-line address range of the script.
@@ -228,7 +135,7 @@ impl ScriptChild {
         let mut cmd = Command::new(exe);
         cmd.arg("--child")
             .arg(self.family.name())
-            .args([&self.image, &self.ack])
+            .arg(&self.image)
             .args([self.script_len.to_string(), self.lines.to_string()])
             .arg(self.seed.to_string())
             .stdout(Stdio::null());
@@ -241,10 +148,9 @@ impl ScriptChild {
         Ok(ScriptChild {
             family: family.ok_or(HarnessError::BadChildArg { what: "family" })?,
             image: arg(args, 1, "image path")?,
-            ack: arg(args, 2, "ack path")?,
-            script_len: arg(args, 3, "script len")?,
-            lines: arg(args, 4, "lines")?,
-            seed: arg(args, 5, "seed")?,
+            script_len: arg(args, 2, "script len")?,
+            lines: arg(args, 3, "lines")?,
+            seed: arg(args, 4, "seed")?,
         })
     }
 
@@ -253,51 +159,43 @@ impl ScriptChild {
         drill_script(self.script_len, self.lines, self.seed)
     }
 
-    /// Spawns `exe --child …` and SIGKILLs it once `kill_after` ack
-    /// records are durable. Returns whether the child instead finished
-    /// the whole script first (a clean exit — a pass or a failure, as
-    /// the caller sees it) and the acknowledgements its log holds.
+    /// Spawns `exe --child …` and SIGKILLs it once its anchor reads a
+    /// sealed epoch of at least `kill_at`. Returns whether the child
+    /// instead finished the whole script first (a clean exit — a pass or
+    /// a failure, as the caller sees it).
     ///
-    /// Stale artifacts are the caller's to clear first: it knows which
-    /// files its campaign leaves beside the image.
+    /// Stale images are the caller's to clear first.
     ///
     /// # Errors
     ///
     /// [`HarnessError::Child`] when the child exits with a failure,
     /// [`HarnessError::Hung`] after 300 s without reaching the
-    /// threshold, [`HarnessError::Io`] from process control or the log.
-    pub fn run_killed(
-        &self,
-        exe: &Path,
-        kill_after: u64,
-    ) -> Result<(bool, Vec<(u64, u64)>), HarnessError> {
+    /// threshold, [`HarnessError::Io`] from process control.
+    pub fn run_killed(&self, exe: &Path, kill_at: u64) -> Result<bool, HarnessError> {
         let mut victim = Victim::spawn(&mut self.command(exe))?;
-        let threshold = kill_after.saturating_mul(ACK_RECORD_BYTES as u64);
-        let fate = victim.kill_when(SCRIPT_CHILD_TIMEOUT, || match fs::metadata(&self.ack) {
-            Ok(meta) => Ok(meta.len() >= threshold),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(threshold == 0),
-            Err(e) => Err(io_ctx("poll ack log", &self.ack)(e)),
+        let anchor = anchor_path_for(&self.image);
+        let key = AnubisConfig::small_test().key.0;
+        // While the child bootstraps the anchor a read finds it missing
+        // or torn: not yet.
+        let fate = victim.kill_when(SCRIPT_CHILD_TIMEOUT, || {
+            let sealed = FreshnessAnchor::probe(&anchor, key);
+            Ok(matches!(sealed, Ok(Some(epoch)) if epoch >= kill_at))
         })?;
-        let completed = match fate {
-            Fate::Killed => false,
-            Fate::Exited(status) if status.success() => true,
-            Fate::Exited(status) => {
-                return Err(HarnessError::Child {
-                    code: status.code(),
-                })
-            }
-            Fate::Hung => return Err(HarnessError::Hung),
-        };
-        let acked = read_ack_log(&self.ack).map_err(io_ctx("read ack log", &self.ack))?;
-        Ok((completed, acked))
+        match fate {
+            Fate::Killed => Ok(false),
+            Fate::Exited(status) if status.success() => Ok(true),
+            Fate::Exited(status) => Err(HarnessError::Child {
+                code: status.code(),
+            }),
+            Fate::Hung => Err(HarnessError::Hung),
+        }
     }
 }
 
 /// Entry point of the re-executed binary's `--child` mode; `args` are
-/// the words after the marker (see [`ScriptChild`]). Recovers whatever
-/// state the image holds (unanchored), then plays the script, appending
-/// an fsynced ack record after each acknowledged write — until it
-/// finishes or, as intended, is killed.
+/// the words after the marker (see [`ScriptChild`]). Opens the image under
+/// its anchor as the server does, recovers whatever state it holds, then
+/// plays the script — until it finishes or, as intended, is killed.
 ///
 /// # Errors
 ///
@@ -307,14 +205,10 @@ impl ScriptChild {
 pub fn child_main(args: &[String]) -> Result<(), HarnessError> {
     let job = ScriptChild::parse(args)?;
     let config = AnubisConfig::small_test();
-    let (mut ctrl, _) = restart(job.family, &config, &job.image, None)?;
-    let mut log = AckWriter::create(&job.ack).map_err(io_ctx("create ack log", &job.ack))?;
-    let stop = drive(ctrl.as_mut(), &job.script(), |i, addr, what| match what {
-        Done::Wrote(_) => log
-            .append(i, addr)
-            .map_err(io_ctx("append ack record to", &job.ack)),
-        Done::Read(_) => Ok(()),
-    })?;
+    let (mut ctrl, _) = restart(job.family, &config, &job.image, AnchorPolicy::Strict)?;
+    let Ok(stop) = drive(ctrl.as_mut(), &job.script(), |_, _, _| {
+        Ok::<(), Infallible>(())
+    });
     match stop {
         Stop::Completed => Ok(()),
         Stop::PowerLost { op_index, err, .. } | Stop::Failed { op_index, err } => {

@@ -88,12 +88,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a float with 3 decimals (the normalized-overhead convention).
-#[allow(dead_code)]
-pub fn fmt3(v: f64) -> String {
-    format!("{v:.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,10 +110,5 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
         Table::new(vec!["a".into()]).row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn fmt3_rounds() {
-        assert_eq!(fmt3(1.23456), "1.235");
     }
 }

@@ -23,8 +23,8 @@ use std::fs;
 use std::path::Path;
 
 use anubis::Family;
-use anubis_sim::adversary::{run_campaign, AdversarySpec, MutationOutcome, Verdict};
-use anubis_sim::campaign::{fnv1a64, FNV1A64_EMPTY};
+use anubis_sim::adversary::{run_campaign, AdversarySpec, MutationOutcome};
+use anubis_sim::campaign::{fnv1a64, Verdict, FNV1A64_EMPTY};
 
 /// One point as the pin sees it: label, verdict, reason (the refusal's,
 /// or the degraded outcome), damage. The scratch directory a reason

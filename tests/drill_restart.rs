@@ -4,11 +4,12 @@
 //! the device image survives because it shares the address space. These
 //! tests cross the process-death boundary instead (without actually
 //! spawning processes — `bench_campaign drill` does that): a controller serves a
-//! deterministic script against a [`FileBackend`] image, the image file
-//! is copied at arbitrary acknowledgement points (byte-identical to what
-//! a SIGKILL at that instant would leave on disk, since every ack rides
-//! a synced barrier), and a **fresh controller in a fresh device** must
-//! reopen the copy, recover, and serve every acknowledged write.
+//! deterministic script against an anchored [`FileBackend`] image, the
+//! image and its anchor are copied at arbitrary acknowledgement points
+//! (byte-identical to what a SIGKILL at that instant would leave on disk,
+//! since every ack rides a synced barrier and seal), and a **fresh
+//! controller in a fresh device** must reopen the copy, recover, and
+//! serve exactly what the drill's epoch table says the copy owes.
 //!
 //! Also covered here: the write-cut (dying platform) primitive must
 //! suppress file-backend flushes so an unacknowledged tail never leaks
@@ -42,7 +43,7 @@ use anubis_nvm::{
     WalFrame, WalWalker, BLOCK_BYTES,
 };
 use anubis_sim::campaign::{drive, fnv1a64, Done, Stop, FNV1A64_EMPTY};
-use anubis_sim::drill::{drill_script, verify_dead_image};
+use anubis_sim::drill::{drill_script, verify_dead_image, EpochTable};
 use anubis_sim::fault::{op_payload, ScriptOp};
 
 fn config() -> AnubisConfig {
@@ -57,6 +58,27 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
+/// Opens `image` under the device key and the strict anchor: the one open.
+fn open(image: &Path) -> FileBackend {
+    FileBackend::open_with_anchor(image, config().key.0, AnchorPolicy::Strict)
+        .expect("anchored open")
+}
+
+/// Copies an image and its anchor: what a kill at that instant leaves.
+fn copy_image(from: &Path, to: &Path) {
+    fs::copy(from, to).expect("copy image");
+    fs::copy(anchor_path_for(from), anchor_path_for(to)).expect("copy anchor");
+}
+
+/// Restarts a dead image over a copy and demands full recovery against
+/// the exact model `table` gives at the epoch it opens at. Returns that
+/// epoch.
+fn verify(family: Family, image: &Path, table: &EpochTable, lines: u64) -> u64 {
+    let (epoch, _) = verify_dead_image(family, image, |epoch| table.model(epoch, lines))
+        .unwrap_or_else(|e| panic!("{} {}: {e}", family.name(), image.display()));
+    epoch
+}
+
 /// Runs supervised recovery on a freshly (re)opened controller, entering
 /// at `targeted` when reopen produced a corruption hint.
 fn recover_fresh<C: Supervised + ?Sized>(ctrl: &mut C, hint: Option<RecoveryError>) {
@@ -64,7 +86,7 @@ fn recover_fresh<C: Supervised + ?Sized>(ctrl: &mut C, hint: Option<RecoveryErro
 }
 
 /// Plays `script` to its end, panicking on any controller error, and
-/// returns the ack log: `(op index, addr)` per acknowledged write.
+/// returns `(op index, addr)` per acknowledged write.
 /// `acked(n)` runs right after the `n`-th acknowledgement.
 fn serve<C: MemoryController + ?Sized>(
     ctrl: &mut C,
@@ -86,31 +108,38 @@ fn serve<C: MemoryController + ?Sized>(
 /// Image copies taken mid-run, as `(path, acks-at-copy)` pairs.
 type ImageCopies = Vec<(PathBuf, usize)>;
 
-/// The in-process restart drill: the image file is copied at the given
-/// ack counts and at the end, and every copy must recover in a fresh
-/// controller with no acknowledged write lost.
+/// The in-process restart drill: the image and its anchor are copied at
+/// the given ack counts and at the end, and every copy must recover in a
+/// fresh controller to exactly the writes acknowledged before it — the
+/// epoch table of a dry run of the same script says so from the epoch
+/// the copy opens at.
 fn in_process_drill(family: Family) {
     let dir = scratch(family.name());
     let image = dir.join("image.wal");
     let script = drill_script(400, 300, 0xD1A7);
-    let backend = FileBackend::open(&image).expect("open fresh image");
-    let (mut ctrl, hint) = family.reopen(&config(), backend);
+    let table = EpochTable::dry_run(family, &script, &dir.join("dry.wal")).expect("dry run");
+    let (mut ctrl, hint) = family.reopen(&config(), open(&image));
     recover_fresh(ctrl.as_mut(), hint);
     let mut copies: ImageCopies = Vec::new();
     let acked = serve(ctrl.as_mut(), &script, |n| {
         if [5, 60, 200].contains(&n) {
             let copy = dir.join(format!("at{n}.wal"));
-            fs::copy(&image, &copy).expect("copy image mid-run");
+            copy_image(&image, &copy);
             copies.push((copy, n));
         }
     });
     let fin = dir.join("final.wal");
-    fs::copy(&image, &fin).expect("copy final image");
+    copy_image(&image, &fin);
     copies.push((fin, acked.len()));
     assert!(acked.len() > 200, "script should ack >200 writes");
     for (copy, n) in &copies {
-        verify_dead_image(family, copy, &acked[..*n], &script)
-            .unwrap_or_else(|e| panic!("{} image at {n} acks: {e}", family.name()));
+        let epoch = verify(family, copy, &table, 300);
+        assert_eq!(
+            table.owed(epoch),
+            *n as u64,
+            "{}: copy at {n} acks",
+            family.name()
+        );
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -126,9 +155,15 @@ fn restart_drill_in_process_sgx_asit() {
 }
 
 /// Raw fingerprint of an image file: its replayed blocks and registers,
-/// independent of any controller.
+/// independent of any controller. Taken over a copy: the image may be
+/// live, and an anchored open of it could reseal its anchor.
 fn raw_fingerprint(image: &Path) -> u64 {
-    let backend = FileBackend::open(image).expect("reopen image for fingerprint");
+    let copy = image.with_extension("fingerprint.wal");
+    copy_image(image, &copy);
+    let backend = open(&copy);
+    for stale in [&copy, &anchor_path_for(&copy)] {
+        let _ = fs::remove_file(stale);
+    }
     let mut h = FNV1A64_EMPTY;
     for (phys, block) in backend.entries() {
         h = fnv1a64(fnv1a64(h, &phys.to_le_bytes()), block.as_bytes());
@@ -145,12 +180,12 @@ fn write_cut_mid_recovery_suppresses_file_backend_flushes() {
     let image = dir.join("image.wal");
     let cfg = config();
     let script = drill_script(150, 100, 0xC07);
-    let acked;
+    let table = EpochTable::dry_run(Family::BonsaiAgitPlus, &script, &dir.join("dry.wal"))
+        .expect("dry run");
     {
-        let backend = FileBackend::open(&image).expect("open fresh image");
-        let (mut ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &cfg, backend);
+        let (mut ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &cfg, open(&image));
         recover_fresh(&mut ctrl, hint);
-        acked = serve(&mut ctrl, &script, |_| {});
+        serve(&mut ctrl, &script, |_| {});
 
         // Power dies again one device write into the recovery attempt:
         // everything the aborted recovery does past that instant must
@@ -180,8 +215,11 @@ fn write_cut_mid_recovery_suppresses_file_backend_flushes() {
     }
     // The restarted machine reopens the half-recovered image and must
     // still serve every write acknowledged before the first crash.
-    verify_dead_image(Family::BonsaiAgitPlus, &image, &acked, &script)
-        .unwrap_or_else(|e| panic!("restart after mid-recovery cut: {e}"));
+    let epoch = verify(Family::BonsaiAgitPlus, &image, &table, 100);
+    assert!(
+        epoch >= table.final_epoch(),
+        "restart after mid-recovery cut"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -199,16 +237,14 @@ fn the_scrub_takes_one_barrier_per_pass_and_leaves_the_fused_image() {
         let dir = scratch(&format!("scrub-{name}"));
         let killed = dir.join("killed.wal");
         {
-            let backend = FileBackend::open(&killed).expect("open fresh image");
-            let (mut ctrl, hint) = family.reopen(&config(), backend);
+            let (mut ctrl, hint) = family.reopen(&config(), open(&killed));
             recover_fresh(ctrl.as_mut(), hint);
             serve(ctrl.as_mut(), &drill_script(400, 300, 0x5C2B), |_| {});
         }
         let frames = |copy: &str, ladder: &dyn Fn(&mut dyn Supervised<Backend = FileBackend>)| {
             let image = dir.join(copy);
-            fs::copy(&killed, &image).expect("copy the killed image");
-            let backend = FileBackend::open(&image).expect("reopen the copy");
-            let (mut ctrl, hint) = family.reopen(&config(), backend);
+            copy_image(&killed, &image);
+            let (mut ctrl, hint) = family.reopen(&config(), open(&image));
             assert_eq!(hint, None, "{name}: a killed image raises no hint");
             let before = ctrl.domain().epoch();
             ladder(ctrl.as_mut());
@@ -251,10 +287,10 @@ fn post_recovery_image_reopens(family: Family, pin: u64) {
     let dir = scratch(&format!("post-recovery-{name}"));
     let image = dir.join("image.wal");
     let script = drill_script(300, 200, 0x5EED);
-    let backend = FileBackend::open(&image).expect("open fresh image");
-    let (mut ctrl, hint) = family.reopen(&config(), backend);
+    let epochs = EpochTable::dry_run(family, &script, &dir.join("dry.wal")).expect("dry run");
+    let (mut ctrl, hint) = family.reopen(&config(), open(&image));
     recover_fresh(ctrl.as_mut(), hint);
-    let acked = serve(ctrl.as_mut(), &script, |_| {});
+    serve(ctrl.as_mut(), &script, |_| {});
     // A non-trivial remap table, persisted, so the image carries it.
     ctrl.quarantine_line(DataAddr::new(3)).expect("quarantine");
     ctrl.persist_quarantine();
@@ -267,10 +303,10 @@ fn post_recovery_image_reopens(family: Family, pin: u64) {
     let recovered = table(ctrl.as_ref());
     assert_eq!(recovered.0.len(), 1, "{name}: one line quarantined");
     let copy = dir.join("copy.wal");
-    fs::copy(&image, &copy).expect("copy the recovered image");
+    copy_image(&image, &copy);
 
     let digest = raw_fingerprint(&copy);
-    let (fresh, hint) = family.reopen(&config(), FileBackend::open(&copy).expect("reopen copy"));
+    let (fresh, hint) = family.reopen(&config(), open(&copy));
     assert_eq!(hint, None, "{name}: a recovered image raises no hint");
     assert_eq!(table(fresh.as_ref()), recovered, "{name}: remap table");
     drop(fresh);
@@ -278,8 +314,7 @@ fn post_recovery_image_reopens(family: Family, pin: u64) {
         digest, pin,
         "{name}: post-recovery image fingerprint is now {digest:#018x}"
     );
-    verify_dead_image(family, &copy, &acked, &script)
-        .unwrap_or_else(|e| panic!("{name}: reopened copy: {e}"));
+    verify(family, &copy, &epochs, 200);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -301,8 +336,7 @@ fn corrupt_qtable_image_is_typed_and_feeds_rung_three() {
     let script = drill_script(120, 80, 0xBAD5EED);
     let acked;
     {
-        let backend = FileBackend::open(&image).expect("open fresh image");
-        let (mut ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &cfg, backend);
+        let (mut ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &cfg, open(&image));
         recover_fresh(&mut ctrl, hint);
         acked = serve(&mut ctrl, &script, |_| {});
         // Poison the persisted quarantine-table header in the image.
@@ -312,8 +346,7 @@ fn corrupt_qtable_image_is_typed_and_feeds_rung_three() {
             .poke(qaddr, Block::from_bytes([0xFF; BLOCK_BYTES]));
         ctrl.domain_mut().drain_wpq();
     }
-    let backend = FileBackend::open(&image).expect("reopen image");
-    let (mut ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &cfg, backend);
+    let (mut ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &cfg, open(&image));
     let err = hint.expect("corrupt qtable must surface a typed reopen hint");
     assert!(
         matches!(
@@ -369,9 +402,7 @@ fn reopen_asit(b: FileBackend) -> (SgxController<FileBackend>, Option<RecoveryEr
 /// or anchor-less image would surface as a refusal) and runs supervised
 /// recovery.
 fn open_anchored<C: Supervised>(reopen: Reopen<C>, image: &Path) -> C {
-    let backend = FileBackend::open_with_anchor(image, config().key.0, AnchorPolicy::Strict)
-        .expect("anchored open");
-    let (mut ctrl, hint) = reopen(backend);
+    let (mut ctrl, hint) = reopen(open(image));
     recover_fresh(&mut ctrl, hint);
     ctrl
 }
@@ -742,9 +773,7 @@ fn write_before_recover_is_refused<C: Supervised>(
         fs::read(&image).expect("read image"),
         fs::read(anchor_path_for(&image)).expect("read anchor"),
     );
-    let backend = FileBackend::open_with_anchor(&image, config().key.0, AnchorPolicy::Strict)
-        .expect("anchored open");
-    let (mut ctrl, hint) = reopen(backend);
+    let (mut ctrl, hint) = reopen(open(&image));
     assert!(hint.is_none(), "{name}: a clean image");
     let scalar = ctrl.write(DataAddr::new(3), op_payload(7, 3));
     let batch = ctrl.write_batch(&batch_items(1));
@@ -815,8 +844,7 @@ fn writes_inside_the_slack_leave_the_file_length_alone<C: Supervised>(
     assert_eq!((frames.len() as u64, end as u64), (epoch, stats.log_bytes));
     drop(ctrl); // no shutdown_flush: the process just dies
 
-    let backend = FileBackend::open_with_anchor(&image, config().key.0, AnchorPolicy::Strict)
-        .expect("anchored reopen");
+    let backend = open(&image);
     let reopened = backend.wal_stats();
     assert_eq!(
         (backend.frames_rejected(), backend.epoch()),

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 
 use anubis_nvm::{
     anchor_path_for, AnchorPolicy, Block, BlockAddr, FileBackend, FreshnessAnchor, NvmBackend,
-    NvmDevice, RemapTable, SplitMix64, WalWalker, BLOCK_BYTES, PUBLIC_WAL_KEY,
+    NvmDevice, RemapTable, SplitMix64, WalWalker, BLOCK_BYTES,
 };
 
 const KEY: [u64; 2] = [7, 13];
@@ -74,20 +74,19 @@ fn mutate_wal(image: &[u8], log_end: usize, rng: &mut SplitMix64) -> Vec<u8> {
     }
 }
 
+/// The one open: under [`KEY`] and the strict anchor.
+fn open(p: &PathBuf) -> Result<FileBackend, anubis_nvm::NvmError> {
+    FileBackend::open_with_anchor(p, KEY, AnchorPolicy::Strict)
+}
+
 /// Builds a realistic WAL image — a few epochs of stores, register
-/// writes, and barriers — and returns it with the logical end of its
-/// log. `anchored` images are written under [`KEY`] (and open only under
-/// it), the others under the public key.
-fn seed_wal_bytes(name: &str, anchored: bool) -> (Vec<u8>, usize) {
+/// writes, and barriers, under [`KEY`] — and returns it with the logical
+/// end of its log.
+fn seed_wal_bytes(name: &str) -> (Vec<u8>, usize) {
     let p = tmp(name);
     cleanup(&p);
     {
-        let mut b = if anchored {
-            FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict)
-        } else {
-            FileBackend::open(&p)
-        }
-        .expect("fresh WAL image opens");
+        let mut b = open(&p).expect("fresh WAL image opens");
         for i in 0..12u64 {
             b.store(i * 7, Block::filled(i as u8));
             b.store_reg(0, Block::filled(0xA0 | i as u8));
@@ -96,23 +95,26 @@ fn seed_wal_bytes(name: &str, anchored: bool) -> (Vec<u8>, usize) {
     }
     let bytes = fs::read(&p).expect("read seeded WAL");
     cleanup(&p);
-    let key = if anchored { KEY } else { PUBLIC_WAL_KEY };
-    let mut walk = WalWalker::new(&bytes, key).expect("seeded WAL header");
+    let mut walk = WalWalker::new(&bytes, KEY).expect("seeded WAL header");
     assert_eq!(walk.by_ref().filter(Result::is_ok).count(), 12);
     let log_end = walk.logical_end();
     assert!(log_end < bytes.len(), "the seeded image must carry slack");
     (bytes, log_end)
 }
 
+/// The parser alone: every round's image opens with no anchor beside
+/// it, so the walk and the replay are all that run before the verdict
+/// (a strict open never creates an anchor for an image with history).
 #[test]
 fn wal_parser_never_panics_on_mutated_images() {
-    let (seed_bytes, log_end) = seed_wal_bytes("wal", false);
+    let (seed_bytes, log_end) = seed_wal_bytes("wal");
     let p = tmp("wal-mut");
     let mut rng = SplitMix64::new(0xF022_DEAD_BEEF_0001);
     for round in 0..ROUNDS {
         let mutated = mutate_wal(&seed_bytes, log_end, &mut rng);
+        cleanup(&p);
         fs::write(&p, &mutated).expect("write mutated image");
-        let result = panic::catch_unwind(AssertUnwindSafe(|| match FileBackend::open(&p) {
+        let result = panic::catch_unwind(AssertUnwindSafe(|| match open(&p) {
             Ok(b) => {
                 // An accepted image must be internally consistent enough
                 // to serve loads without panicking either.
@@ -136,7 +138,7 @@ fn wal_parser_never_panics_on_mutated_images() {
 
 #[test]
 fn anchored_wal_open_never_panics_on_mutated_images() {
-    let (seed_bytes, log_end) = seed_wal_bytes("walanc", true);
+    let (seed_bytes, log_end) = seed_wal_bytes("walanc");
     let p = tmp("walanc-mut");
     cleanup(&p);
     // Give the mutated image a live anchor so the freshness check runs.
@@ -145,16 +147,13 @@ fn anchored_wal_open_never_panics_on_mutated_images() {
     for round in 0..ROUNDS {
         let mutated = mutate_wal(&seed_bytes, log_end, &mut rng);
         fs::write(&p, &mutated).expect("write mutated image");
-        let result =
-            panic::catch_unwind(AssertUnwindSafe(|| {
-                match FileBackend::open_with_anchor(&p, KEY, AnchorPolicy::Strict) {
-                    Ok(b) => {
-                        let _ = b.freshness();
-                        let _ = b.epoch();
-                    }
-                    Err(e) => assert!(!e.to_string().is_empty()),
-                }
-            }));
+        let result = panic::catch_unwind(AssertUnwindSafe(|| match open(&p) {
+            Ok(b) => {
+                let _ = b.freshness();
+                let _ = b.epoch();
+            }
+            Err(e) => assert!(!e.to_string().is_empty()),
+        }));
         assert!(
             result.is_ok(),
             "anchored WAL open panicked at round {round}"

@@ -18,9 +18,8 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController, RecoveryReport,
     SgxController, SgxScheme,
 };
-use anubis_nvm::Block;
+use anubis_nvm::{Block, NvmBackend};
 use anubis_sim::campaign::{fnv1a64, FNV1A64_EMPTY};
-use anubis_sim::drill::device_fingerprint;
 use std::collections::HashMap;
 
 fn payload(op: u64) -> Block {
@@ -41,6 +40,25 @@ fn script(n: usize) -> Vec<(bool, u64)> {
     (0..n as u64)
         .map(|i| (i % 3 != 2, (i * 37) % 300))
         .collect()
+}
+
+/// A stable fingerprint of the persistent device state: every touched
+/// block and every register mirror, hashed in address order.
+fn device_fingerprint<C: MemoryController + ?Sized>(ctrl: &C) -> u64 {
+    let backend = ctrl.domain().device().backend();
+    let mut entries = backend.entries();
+    entries.sort_by_key(|&(a, _)| a);
+    let mut regs = backend.regs();
+    regs.sort_by_key(|&(i, _)| i);
+    let mut h = FNV1A64_EMPTY;
+    for (addr, block) in &entries {
+        h = fnv1a64(fnv1a64(h, &addr.to_le_bytes()), block.as_bytes());
+    }
+    h = fnv1a64(h, b"|regs|");
+    for (idx, block) in &regs {
+        h = fnv1a64(fnv1a64(h, &[*idx]), block.as_bytes());
+    }
+    h
 }
 
 /// Folds one recovery into `h`: the report, the device statistics, the

@@ -23,9 +23,9 @@ use std::path::{Path, PathBuf};
 use anubis::Family;
 use anubis_nvm::{
     anchor_path_for, AnchorPolicy, Block, FileBackend, Freshness, NvmBackend, WalFrame, WalWalker,
-    PUBLIC_WAL_KEY,
 };
-use anubis_sim::adversary::{splice_sweep, AdversarySpec, Verdict};
+use anubis_sim::adversary::{splice_sweep, AdversarySpec, PUBLIC_WAL_KEY};
+use anubis_sim::campaign::Verdict;
 
 /// A device key, for the histories built here by hand.
 const KEY: [u64; 2] = [0x5EED_0000_0000_0022, 0x0000_5A1C_E000_0022];

@@ -205,6 +205,44 @@ fn overload_is_typed_not_queued() {
     server.shutdown();
 }
 
+/// The in-flight gate is checked before the tenant lock, and a request
+/// it bounces is answered and counted without ever taking that lock —
+/// here held for 500 ms by the one request the gate admits.
+#[test]
+fn a_request_the_gate_bounces_never_waits_for_the_tenant_lock() {
+    let mut cfg = test_config("alpha:tok:bonsai");
+    cfg.max_inflight = 1;
+    let server = Server::start(cfg).expect("start");
+    let tenant = server.tenant("alpha").expect("tenant");
+    let addr = server.local_addr();
+    let mut c = ServeClient::connect(addr, "alpha", "tok").expect("connect");
+    await_full(&mut c, Duration::from_secs(10));
+    let before = c.stats().expect("stats").rejected_overload;
+
+    let mut holder = ServeClient::connect(addr, "alpha", "tok").expect("connect");
+    tenant
+        .inject(Inject::Stall { ms: 500 })
+        .expect("inject stall");
+    let held = std::thread::spawn(move || holder.write(1, [1; 64], 0));
+    std::thread::sleep(Duration::from_millis(100));
+    let asked = Instant::now();
+    match c.write(2, [2; 64], 0) {
+        Err(ClientError::Server(ServeError::Overloaded { .. })) => {}
+        other => panic!("the gate must bounce the second write, got {other:?}"),
+    }
+    let waited = asked.elapsed();
+    assert!(
+        waited < Duration::from_millis(200),
+        "the bounce waited {waited:?} for the lock"
+    );
+    held.join()
+        .expect("holder thread")
+        .expect("the admitted write lands after the stall");
+    tenant.inject(Inject::Stall { ms: 0 }).expect("clear stall");
+    assert_eq!(c.stats().expect("stats").rejected_overload, before + 1);
+    server.shutdown();
+}
+
 #[test]
 fn degraded_mode_serves_verified_reads_during_recovery() {
     let cfg = test_config("alpha:tok:bonsai");
