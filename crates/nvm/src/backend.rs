@@ -133,8 +133,8 @@ impl Durability {
     /// Runs `step` as what takes the log from `epoch - 1` to `epoch`:
     /// waits until every earlier epoch is durable, then publishes
     /// `epoch` — or the failure, for good — when `step` returns. Every
-    /// frame and compaction of a backend goes through here, which is
-    /// what makes them land in epoch order whichever thread carries them.
+    /// frame of a backend goes through here, which is what makes frames
+    /// land in epoch order whichever thread carries them.
     ///
     /// # Errors
     ///
@@ -144,9 +144,32 @@ impl Durability {
         epoch: u64,
         step: impl FnOnce() -> Result<(), NvmError>,
     ) -> Result<(), NvmError> {
+        self.turn(epoch.saturating_sub(1), epoch, step)
+    }
+
+    /// Runs `step` once `epoch` itself is durable, as work that moves the
+    /// medium but not the log's epoch (a checkpoint): it waits for every
+    /// frame up to `epoch`, and a failure breaks the log as a frame's
+    /// does.
+    pub(crate) fn at_rest(
+        &self,
+        epoch: u64,
+        step: impl FnOnce() -> Result<(), NvmError>,
+    ) -> Result<(), NvmError> {
+        self.turn(epoch, epoch, step)
+    }
+
+    /// Waits until `after` is durable, runs `step`, and publishes
+    /// `epoch` or the failure.
+    fn turn(
+        &self,
+        after: u64,
+        epoch: u64,
+        step: impl FnOnce() -> Result<(), NvmError>,
+    ) -> Result<(), NvmError> {
         {
             let mut progress = self.progress();
-            while progress.broken.is_none() && progress.durable + 1 < epoch {
+            while progress.broken.is_none() && progress.durable < after {
                 progress = self.wait(progress);
             }
             if let Some(reason) = &progress.broken {

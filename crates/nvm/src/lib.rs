@@ -62,7 +62,7 @@ pub use device::NvmDevice;
 pub use domain::{PersistenceDomain, WriteOp};
 pub use error::NvmError;
 pub use fault::{FaultKind, FaultPlan, FaultPlanError};
-pub use file_backend::FileBackend;
+pub use file_backend::{copy_image, home_path_for, FileBackend, CHECKPOINT_BYTES, HOME_SLOT_BYTES};
 pub use pregs::{CommitPhase, PersistentRegisters, PREG_CAPACITY};
 pub use quarantine::{QuarantineError, RemapTable};
 pub use rng::SplitMix64;

@@ -35,7 +35,7 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use anubis::{AnubisConfig, DataAddr, Family, MemError, MemoryController, RecoveryError};
-use anubis_nvm::{anchor_path_for, AnchorPolicy, Block, NvmBackend, NvmError};
+use anubis_nvm::{anchor_path_for, home_path_for, AnchorPolicy, Block, NvmBackend, NvmError};
 
 use crate::engine::payload;
 
@@ -336,10 +336,11 @@ pub fn drive_checked<C: MemoryController + ?Sized>(
     (model, stop)
 }
 
-/// Removes an image and the anchor beside it, where they exist: the pair
-/// is what a restart opens, so neither may outlive the other.
+/// Removes an image — its log, its home area and its anchor — where they
+/// exist: the three are what a restart opens, so none may outlive the
+/// others.
 pub fn remove_image(image: &Path) {
-    for stale in [image, &anchor_path_for(image)] {
+    for stale in [image, &home_path_for(image), &anchor_path_for(image)] {
         let _ = std::fs::remove_file(stale);
     }
 }

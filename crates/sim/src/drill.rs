@@ -15,14 +15,15 @@
 //! The model is exact because the script is deterministic. An in-process
 //! dry run over a fresh anchored image records the epoch of the frame
 //! that holds every write ([`EpochTable`]): the epoch sealed before the
-//! op, plus one — not the epoch after it, since a write that leaves
-//! compaction due takes a second epoch for the rewrite within the same
-//! op. After the kill a write is owed exactly when its frame epoch is at
-//! most the image epoch the anchored open reports in
-//! [`Freshness::Fresh`], which is one frame past the sealed anchor when
-//! the kill landed between a frame's fsync and its seal. Every line is
-//! audited ([`Acked::fresh`]): an owed write that does not read back and
-//! a write that is not owed but shows both fail the point. Nothing is
+//! op, plus one — also for a write that leaves a checkpoint due, since a
+//! checkpoint takes no epoch of its own, and a kill between the write's
+//! frame and its checkpoint still owes it. After the kill a write is owed
+//! exactly when its frame epoch is at most the image epoch the anchored
+//! open reports in [`Freshness::Fresh`], which is one frame past the
+//! sealed anchor when the kill landed between a frame's fsync and its
+//! seal. Every line is audited ([`Acked::fresh`]): an owed write that
+//! does not read back and a write that is not owed but shows both fail
+//! the point. Nothing is
 //! tolerated as in flight: the contract under test is the Triad-NVM rule,
 //! *acknowledged ⇒ durable*, held from the durable side.
 //!
@@ -34,7 +35,7 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use anubis::{AnubisConfig, Family};
-use anubis_nvm::{anchor_path_for, AnchorPolicy, Freshness, FreshnessAnchor};
+use anubis_nvm::{anchor_path_for, copy_image, AnchorPolicy, Freshness, FreshnessAnchor};
 
 use crate::campaign::{
     drive_anchored, io_ctx, judge, op_payload, remove_image, Acked, Breach, HarnessError,
@@ -231,10 +232,8 @@ pub fn verify_dead_image(
     model: impl FnOnce(u64) -> Acked,
 ) -> Result<(u64, bool), DrillError> {
     let copy = image.with_extension("restart.wal");
-    let anchor = anchor_path_for(&copy);
-    fs::copy(image, &copy).map_err(io_ctx("copy image to", &copy))?;
-    fs::copy(anchor_path_for(image), &anchor).map_err(io_ctx("copy anchor to", &anchor))?;
-    let sealed = FreshnessAnchor::probe(&anchor, AnubisConfig::small_test().key.0);
+    copy_image(image, &copy).map_err(io_ctx("copy image to", &copy))?;
+    let sealed = FreshnessAnchor::probe(&anchor_path_for(&copy), AnubisConfig::small_test().key.0);
     let mut image_epoch = 0;
     let verdict = judge(family, &copy, AnchorPolicy::Strict, |fresh| {
         // The strict open lets no other verdict reach the audit.
@@ -390,7 +389,7 @@ mod tests {
     use super::*;
     use crate::campaign::{drive, fnv1a64, restart, Stop, FNV1A64_EMPTY};
     use anubis::DataAddr;
-    use anubis_nvm::NvmBackend;
+    use anubis_nvm::{home_path_for, NvmBackend};
     use std::convert::Infallible;
 
     fn scratch(name: &str) -> PathBuf {
@@ -400,11 +399,9 @@ mod tests {
         dir
     }
 
-    /// Copies an image and its anchor: what a kill there leaves.
-    fn copy_image(from: &Path, to: &Path) -> Result<(), DrillError> {
-        fs::copy(from, to).map_err(io_ctx("copy image to", to))?;
-        let anchor = anchor_path_for(to);
-        fs::copy(anchor_path_for(from), &anchor).map_err(io_ctx("copy anchor to", &anchor))?;
+    /// Copies an image: what a kill there leaves.
+    fn copy(from: &Path, to: &Path) -> Result<(), DrillError> {
+        copy_image(from, to).map_err(io_ctx("copy image to", to))?;
         Ok(())
     }
 
@@ -420,9 +417,9 @@ mod tests {
         let image = dir.join("image.wal");
         drive_anchored(family, &script, &image, |_, acks, _| {
             match acks {
-                9 => copy_image(&image, &dir.join("early.wal"))?,
+                9 => copy(&image, &dir.join("early.wal"))?,
                 10 => {
-                    copy_image(&image, &dir.join("at.wal"))?;
+                    copy(&image, &dir.join("at.wal"))?;
                     return Ok(ControlFlow::Break(()));
                 }
                 _ => {}
@@ -479,33 +476,30 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A write that leaves compaction due seals its own frame, then the
-    /// rewrite's epoch in the same op. A kill between the two leaves the
-    /// image at the write's frame, which owes it — the epoch after the
-    /// op would not.
+    /// A write that leaves a checkpoint due seals its own frame, then
+    /// checkpoints in the same op, taking no epoch. A kill between the two
+    /// leaves the image at the write's frame, over the home area as it
+    /// was, which owes the write.
     #[test]
-    fn an_image_cut_between_a_compacting_writes_frame_and_its_compaction_still_owes_that_write() {
-        let dir = scratch("compaction-cut");
+    fn an_image_cut_between_a_writes_frame_and_its_checkpoint_still_owes_that_write() {
+        let dir = scratch("checkpoint-cut");
         let (family, lines) = (Family::BonsaiAgitPlus, LINES);
-        let script = drill_script(1_200, lines, 0xC0A1);
-        let table = EpochTable::dry_run(family, &script, &dir.join("dry.wal")).expect("dry run");
-        // The first write whose op moved the sealed epoch by two.
-        let (mut seen, mut compacting) = (0, None);
-        drive_anchored(
-            family,
-            &script,
-            &dir.join("dry.wal"),
-            |_, acks, (before, sealed)| {
-                let wrote = std::mem::replace(&mut seen, acks) < acks;
-                if wrote && sealed == before + 2 {
-                    compacting = Some(table.writes[acks as usize - 1]);
-                    return Ok(ControlFlow::Break(()));
-                }
-                Ok::<_, DrillError>(ControlFlow::Continue(()))
-            },
-        )
-        .expect("drive to a compaction");
-        let (op, addr, frame) = compacting.expect("the script compacts");
+        let script = drill_script(2_400, lines, 0xC0A1);
+        let dry = dir.join("dry.wal");
+        let table = EpochTable::dry_run(family, &script, &dry).expect("dry run");
+        // The first write whose op checkpointed: the home area appears.
+        let (mut seen, mut checkpointing) = (0, None);
+        drive_anchored(family, &script, &dry, |_, acks, (before, sealed)| {
+            let wrote = std::mem::replace(&mut seen, acks) < acks;
+            if wrote && home_path_for(&dry).exists() {
+                assert_eq!(sealed, before + 1, "the checkpoint took no epoch");
+                checkpointing = Some(table.writes[acks as usize - 1]);
+                return Ok(ControlFlow::Break(()));
+            }
+            Ok::<_, DrillError>(ControlFlow::Continue(()))
+        })
+        .expect("drive to a checkpoint");
+        let (op, addr, frame) = checkpointing.expect("the script checkpoints");
 
         // Serve every op before it, then the write itself up to its
         // frame: executed, cut and committed, and never settled.
@@ -520,10 +514,11 @@ mod tests {
             .expect("execute");
         let cut = ctrl.domain_mut().device_mut().backend_mut().cut();
         let cut = cut.expect("the write's records");
-        assert!(cut.wants_settle(), "the write leaves compaction due");
+        assert!(cut.wants_settle(), "the write leaves a checkpoint due");
         assert_eq!(cut.epoch(), frame);
         cut.commit().expect("the write's frame");
-        drop(ctrl); // killed before the compaction
+        drop(ctrl); // killed before the checkpoint
+        assert!(!home_path_for(&image).exists());
 
         let exact = |epoch| table.model(epoch, lines);
         assert_eq!(
@@ -623,9 +618,9 @@ mod tests {
             let kills = planned_kills(family, &spec, table.final_epoch(), 13, false);
             (table.final_epoch(), kills)
         };
-        // One frame per write, none per read, and no compaction: the final
-        // epochs are the write counts, so the draws are the ones the ack
-        // thresholds drew.
+        // One frame per write, none per read, and no epoch for a
+        // checkpoint: the final epochs are the write counts, so the draws
+        // are the ones the ack thresholds drew.
         assert_eq!(
             planned(Family::BonsaiAgitPlus),
             (

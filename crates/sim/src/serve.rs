@@ -44,7 +44,7 @@ use std::time::Instant;
 
 use anubis::telemetry::{percentile_of_sorted, Telemetry};
 use anubis::Family;
-use anubis_nvm::{anchor_path_for, Block};
+use anubis_nvm::{copy_image, Block};
 use anubis_server::{Request, Response, ServeConfig, ServeMode, Tenant, TenantSpec, ThreadReg};
 
 use crate::campaign::{io_ctx, op_payload, Acked, HarnessError, ReadBack, XorShift64};
@@ -443,9 +443,7 @@ fn play(
     let kill = |(tenant, writes): (&Arc<Tenant>, Vec<Write>)| {
         let name = tenant.name();
         let (from, to) = (fleet.cfg.image_path(name), dead_cfg.image_path(name));
-        for (from, to) in [(anchor_path_for(&from), anchor_path_for(&to)), (from, to)] {
-            fs::copy(&from, &to).map_err(io_ctx("copy a killed image to", &to))?;
-        }
+        copy_image(&from, &to).map_err(io_ctx("copy a killed image to", &to))?;
         let epochs = tenant.epochs();
         let (_, durable_epoch) =
             epochs.ok_or_else(|| refused(tenant, "no durable epoch".into()))?;

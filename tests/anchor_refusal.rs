@@ -5,17 +5,21 @@
 //! default epoch; an anchor lagging exactly one barrier behind (the
 //! honest crash window) heals forward. Refusals must also land in the
 //! supervisor's telemetry counters, and a refused image must be left on
-//! disk exactly as the refusal found it.
+//! disk exactly as the refusal found it. An image with no history at all
+//! bootstraps its anchor whether it is missing or torn.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use anubis::telemetry::Telemetry;
 use anubis::{
     supervisor, AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController,
     RecoveryError,
 };
-use anubis_nvm::{anchor_path_for, AnchorPolicy, Block, FileBackend, FreshnessAnchor, NvmBackend};
+use anubis_nvm::{
+    anchor_path_for, home_path_for, AnchorPolicy, Block, FileBackend, Freshness, FreshnessAnchor,
+    NvmBackend,
+};
 
 const SCHEME_LABEL: &str = "agit-plus";
 
@@ -35,9 +39,14 @@ fn tmp(name: &str) -> PathBuf {
     ))
 }
 
-fn cleanup(image: &PathBuf) {
-    let _ = fs::remove_file(image);
-    let _ = fs::remove_file(anchor_path_for(image));
+fn cleanup(image: &Path) {
+    for file in [
+        image.to_path_buf(),
+        home_path_for(image),
+        anchor_path_for(image),
+    ] {
+        let _ = fs::remove_file(file);
+    }
 }
 
 /// Opens the image under the anchor and reopens a controller on it.
@@ -236,6 +245,36 @@ fn anchor_lagging_one_barrier_heals_forward() {
         FreshnessAnchor::probe(&apath, key()),
         Ok(Some(healed)),
         "heal must reseal the anchor at the image epoch"
+    );
+    cleanup(&image);
+}
+
+#[test]
+fn a_first_boot_killed_inside_the_anchor_creation_boots_again() {
+    // Creating the anchor truncates its file, then writes it: a kill in
+    // between, on a tenant's very first boot, leaves it with no valid
+    // slot. The image beside it has no frame and no home block, so there
+    // is nothing a torn anchor could hide — exactly as when the anchor is
+    // deleted — and the next strict open bootstraps it.
+    let image = tmp("anchor-torn-bootstrap");
+    cleanup(&image);
+    drop(FileBackend::open_with_anchor(&image, key(), AnchorPolicy::Strict).expect("first boot"));
+    fs::File::create(anchor_path_for(&image)).expect("truncate the anchor");
+    let b = FileBackend::open_with_anchor(&image, key(), AnchorPolicy::Strict).expect("reopen");
+    assert_eq!(b.freshness(), Freshness::Fresh { epoch: 0 });
+    drop(b);
+    assert_eq!(
+        FreshnessAnchor::probe(&anchor_path_for(&image), key()),
+        Ok(Some(0))
+    );
+    // With history, a torn anchor is still a refusal.
+    seed_generation(&image, 0..4, 0xE0);
+    fs::File::create(anchor_path_for(&image)).expect("truncate the anchor");
+    let b = FileBackend::open_with_anchor(&image, key(), AnchorPolicy::Strict).expect("reopen");
+    assert!(
+        matches!(b.freshness(), Freshness::AnchorCorrupt { .. }),
+        "{:?}",
+        b.freshness()
     );
     cleanup(&image);
 }

@@ -39,8 +39,8 @@ use anubis::{
     MemoryController, RecoveryError, SgxController, SgxScheme, Supervised,
 };
 use anubis_nvm::{
-    anchor_path_for, AnchorPolicy, Block, FileBackend, Freshness, FreshnessAnchor, NvmBackend,
-    WalFrame, WalWalker, BLOCK_BYTES,
+    anchor_path_for, home_path_for, AnchorPolicy, Block, FileBackend, Freshness, FreshnessAnchor,
+    NvmBackend, WalFrame, WalWalker, BLOCK_BYTES,
 };
 use anubis_sim::campaign::{drive, fnv1a64, Done, Stop, FNV1A64_EMPTY};
 use anubis_sim::drill::{drill_script, verify_dead_image, EpochTable};
@@ -64,10 +64,9 @@ fn open(image: &Path) -> FileBackend {
         .expect("anchored open")
 }
 
-/// Copies an image and its anchor: what a kill at that instant leaves.
+/// Copies an image: what a kill at that instant leaves.
 fn copy_image(from: &Path, to: &Path) {
-    fs::copy(from, to).expect("copy image");
-    fs::copy(anchor_path_for(from), anchor_path_for(to)).expect("copy anchor");
+    anubis_nvm::copy_image(from, to).expect("copy image");
 }
 
 /// Restarts a dead image over a copy and demands full recovery against
@@ -161,7 +160,7 @@ fn raw_fingerprint(image: &Path) -> u64 {
     let copy = image.with_extension("fingerprint.wal");
     copy_image(image, &copy);
     let backend = open(&copy);
-    for stale in [&copy, &anchor_path_for(&copy)] {
+    for stale in [&copy, &home_path_for(&copy), &anchor_path_for(&copy)] {
         let _ = fs::remove_file(stale);
     }
     let mut h = FNV1A64_EMPTY;

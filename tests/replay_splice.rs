@@ -14,15 +14,15 @@
 //! pair, replayable. Since version 4 a frame's tag is keyed and chained
 //! behind the frame before it, and every such splice is refused at open —
 //! as are the two *genuine* frames an adversary could still move: one of
-//! another history under the same key, and one of the log a compaction
-//! replaced.
+//! another history under the same key, and one of the log a checkpoint
+//! replaced (a compaction, before version 5).
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use anubis::Family;
 use anubis_nvm::{
-    anchor_path_for, AnchorPolicy, Block, FileBackend, Freshness, NvmBackend, WalFrame, WalWalker,
+    copy_image, AnchorPolicy, Block, FileBackend, Freshness, NvmBackend, WalFrame, WalWalker,
 };
 use anubis_sim::adversary::{splice_sweep, AdversarySpec, PUBLIC_WAL_KEY};
 use anubis_sim::campaign::Verdict;
@@ -142,45 +142,47 @@ fn a_genuine_frame_of_a_foreign_history_is_refused_by_the_chain() {
 
 #[test]
 fn a_pre_compaction_frame_spliced_after_a_compaction_is_refused() {
-    // One history up to the barrier that compacts its log; a copy of the
-    // image from just before that barrier is then continued — with new
-    // addresses, so it never compacts — past the compacted log's epoch.
-    // Its frame at the compacted log's epoch + 1 is genuine and sits in
-    // the heal window, but it chains behind the old file, and the
-    // compaction started a new chain. (Version 3 opened it as `Fresh`.)
+    // One history up to the barrier that checkpoints its log (the
+    // checkpoint of format 5 took the place of compaction; the name is
+    // kept); a copy of the image from just before that barrier is then
+    // continued, with other blocks, past the checkpointed log's epoch. Its
+    // frame at that epoch + 1 is genuine and sits in the heal window, but
+    // it chains behind another log than the checkpoint's: the checkpoint
+    // frame opens with the tag of the frame it checkpointed, which the
+    // copy's history does not share. (Version 3 opened such a splice as
+    // `Fresh`.)
     let dir = scratch("compaction");
     let (image, old) = (dir.join("image.wal"), dir.join("old.wal"));
     let mut b = FileBackend::open_with_anchor(&image, KEY, AnchorPolicy::Strict).expect("open");
     for i in 0u64.. {
-        fs::copy(&image, &old).expect("copy the pre-compaction image");
-        fs::copy(anchor_path_for(&image), anchor_path_for(&old)).expect("and its anchor");
-        let epoch = b.epoch();
-        b.store(0, Block::filled(i as u8));
+        copy_image(&image, &old).expect("copy the image before the checkpoint");
+        let log = b.wal_stats().log_bytes;
+        b.store(i % 64, Block::filled(i as u8));
         b.barrier().expect("barrier");
-        if b.epoch() == epoch + 2 {
-            break; // the frame, then the compaction's epoch
+        if b.wal_stats().log_bytes < log {
+            break;
         }
     }
-    let compacted = b.epoch();
+    let checkpointed = b.epoch();
     drop(b);
-    assert_eq!(layout(&image).1.len(), 1, "the log was compacted");
+    let frames = layout(&image).1;
+    assert_eq!(frames.len(), 1, "the log was checkpointed");
+    assert_eq!(frames[0].epoch, checkpointed, "at the epoch it checkpoints");
 
     let mut c = FileBackend::open_with_anchor(&old, KEY, AnchorPolicy::Strict).expect("reopen");
     assert_eq!(
         c.freshness(),
         Freshness::Fresh {
-            epoch: compacted - 2
+            epoch: checkpointed - 1
         }
     );
-    while c.epoch() <= compacted {
+    while c.epoch() <= checkpointed {
         c.store(1_000 + c.epoch(), Block::filled(0xC0));
         c.barrier().expect("barrier");
     }
     drop(c);
-    let frames = layout(&old).1;
-    assert!(frames.len() > 1_000, "the old log never compacted");
-    let donor = *frames.last().expect("the old log's last frame");
-    let err = splice_genuine(&old, donor, &image).expect_err("a pre-compaction frame");
+    let donor = *layout(&old).1.last().expect("the old log's last frame");
+    let err = splice_genuine(&old, donor, &image).expect_err("a frame of another chain");
     assert!(err.contains("frame tag mismatch"), "{err}");
     let _ = fs::remove_dir_all(&dir);
 }
