@@ -525,8 +525,13 @@ pub(crate) fn read_deferred<C: Policy>(c: &mut C, addr: DataAddr) -> Result<Bloc
     validate(addr, c.data_blocks())?;
     begin_op(c);
     let line = c.line_iv(addr)?;
-    let value = c.path().open_line(line)?;
-    c.commit()?; // persist any shadow/eviction traffic from fills
+    let opened = c.path().open_line(line);
+    // Persist the shadow/eviction traffic of the fills even when the line
+    // is refused: the cache has already let the victims go and their
+    // parents' counters have moved, so this group is the only copy.
+    let committed = c.commit();
+    let value = opened?;
+    committed?;
     record_op(c, false);
     Ok(value)
 }

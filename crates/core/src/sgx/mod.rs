@@ -432,8 +432,9 @@ impl<B: NvmBackend> SgxController<B> {
         Ok(())
     }
 
-    /// Stages the ST entry for a resident node and eagerly updates the
-    /// shadow-protection tree (root installed at commit).
+    /// Stages the ST entry for a resident node and its leaf in the
+    /// shadow-protection tree (settled, and the root installed, at
+    /// commit).
     fn stage_st_entry(&mut self, node: NodeId) -> Result<(), MemError> {
         let addr = self.layout.node_addr(node);
         let pc = self.parent_counter(node)?;
@@ -454,15 +455,19 @@ impl<B: NvmBackend> SgxController<B> {
         let mac = SgxCounterNode::compute_mac(&self.mac_key, &counters, pc);
         let lsb_mask = (1u64 << self.config.st_lsb_bits) - 1;
         let lsbs = counters.map(|c| c & lsb_mask);
-        let entry = StEntry::new(addr, mac, lsbs);
-        let st_addr = self.layout.st_slot(slot);
-        self.path.stage(st_addr, entry.to_block());
+        let block = StEntry::new(addr, mac, lsbs).to_block();
+        self.path.stage(self.layout.st_slot(slot), block);
+        self.stage_shadow_leaf(slot, block)
+    }
+
+    /// Stages `block` as the shadow-protection tree's leaf `slot`. The
+    /// paper's dedicated on-chip engine updates the tree eagerly, off the
+    /// data path, and the cost model charges exactly that; the host
+    /// re-hashes once per group in [`Policy::commit`].
+    fn stage_shadow_leaf(&mut self, slot: u64, block: Block) -> Result<(), MemError> {
         let tree = self.shadow_tree.as_mut().ok_or(MemError::RecoveryPending)?;
-        // The shadow-protection tree is maintained by a dedicated on-chip
-        // engine off the data path.
         self.path.cost.bg_hash_ops += tree.update_hash_ops();
-        let root = tree.update(slot, entry.to_block());
-        self.pending_shadow_root = Some(root);
+        tree.stage(slot, block);
         Ok(())
     }
 
@@ -610,12 +615,8 @@ impl<B: NvmBackend> SgxController<B> {
     /// counter cascade) silently invalidate its MAC. Invariant: ST entries
     /// exist only for currently resident nodes (see DESIGN.md).
     fn clear_st_slot(&mut self, slot: u64) -> Result<(), MemError> {
-        let tree = self.shadow_tree.as_mut().ok_or(MemError::RecoveryPending)?;
-        let st_addr = self.layout.st_slot(slot);
-        self.path.stage(st_addr, Block::zeroed());
-        self.path.cost.bg_hash_ops += tree.update_hash_ops();
-        let root = tree.update(slot, Block::zeroed());
-        self.pending_shadow_root = Some(root);
+        self.stage_shadow_leaf(slot, Block::zeroed())?;
+        self.path.stage(self.layout.st_slot(slot), Block::zeroed());
         Ok(())
     }
 
@@ -759,6 +760,11 @@ impl<B: NvmBackend> Policy for SgxController<B> {
     }
 
     fn commit(&mut self) -> Result<(), MemError> {
+        // Settle the ST writes staged since the last commit: the root
+        // they give is the one the register mirror carries.
+        if let Some(root) = self.shadow_tree.as_mut().and_then(ShadowTree::settle) {
+            self.pending_shadow_root = Some(root);
+        }
         let result = self.path.commit(&self.reg_mirrors());
         // The SHADOW_TREE_ROOT register update rides the commit: atomic
         // with the ST writes from the hardware's perspective. A power cut
@@ -801,8 +807,14 @@ impl<B: NvmBackend> Policy for SgxController<B> {
     }
 
     /// The root a staged ST write installs at commit belongs to the group.
+    /// The dropped group's leaves stay in the volatile tree; settling them
+    /// here keeps a later commit that stages nothing from installing a
+    /// root for them.
     fn reset_group(&mut self) {
         self.path.reset_group();
+        if let Some(tree) = self.shadow_tree.as_mut() {
+            tree.settle();
+        }
         self.pending_shadow_root = None;
     }
 }

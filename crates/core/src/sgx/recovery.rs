@@ -195,13 +195,13 @@ fn recover_asit<B: NvmBackend>(
         for (i, l) in lsbs.iter_mut().enumerate() {
             *l = node.counter(i) & lsb_mask;
         }
-        let entry = StEntry::new(*addr, node.mac(), lsbs);
+        let block = StEntry::new(*addr, node.mac(), lsbs).to_block();
         t.writes += 1;
         c.path
             .domain
             .device_mut()
-            .write(c.layout.st_slot(slot), entry.to_block());
-        fresh_tree.update(slot, entry.to_block());
+            .write(c.layout.st_slot(slot), block);
+        fresh_tree.stage(slot, block);
         occupied[slot as usize] = true;
     }
     for slot in 0..st_slots {
@@ -213,6 +213,7 @@ fn recover_asit<B: NvmBackend>(
                 .write(c.layout.st_slot(slot), anubis_nvm::Block::zeroed());
         }
     }
+    fresh_tree.settle();
     c.shadow_root = fresh_tree.root();
     c.shadow_tree = Some(fresh_tree);
     c.lost_dirty_metadata = false;

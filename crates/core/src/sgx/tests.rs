@@ -495,3 +495,91 @@ fn a_flush_of_more_dirty_metadata_than_one_group_holds_reopens_whole() {
         assert_eq!(reopened.read(DataAddr::new(line)).unwrap(), pattern(line));
     }
 }
+
+#[test]
+fn the_shadow_root_register_matches_the_st_region_after_every_op() {
+    // `SHADOW_TREE_ROOT` after each op of a mixed script is the root of
+    // the Shadow Table the device holds, read through the write queue —
+    // what a crash right then would make recovery rebuild and check.
+    let mut c = controller(SgxScheme::Asit);
+    let st_root = |c: &SgxController| {
+        let st = (0..c.layout.st_slots())
+            .map(|s| c.domain().read(c.layout.st_slot(s)).unwrap())
+            .collect();
+        ShadowTree::rebuild(c.config.key, st).root()
+    };
+    let check = |c: &mut SgxController, what: &str| {
+        assert_eq!(c.shadow_root(), st_root(c), "after {what}");
+    };
+    let mut read_evictions = 0;
+    for i in 0..120u64 {
+        c.write(DataAddr::new(i * 37 % 4000), pattern(i)).unwrap();
+        check(&mut c, &format!("write {i}"));
+        if i % 10 == 9 {
+            let batch: Vec<_> = (0..32u64)
+                .map(|k| (DataAddr::new((i * 101 + k * 53) % 4000), pattern(i + k)))
+                .collect();
+            c.write_batch(&batch).unwrap();
+            check(&mut c, &format!("batch {i}"));
+        }
+        if i % 7 == 6 {
+            // Reads far away pull in nodes and evict dirty ones.
+            let before = c.cache_stats().dirty_evictions;
+            for k in 0..6u64 {
+                c.read(DataAddr::new((i * 613 + k * 977) % 4000)).unwrap();
+                check(&mut c, &format!("read {i}/{k}"));
+            }
+            read_evictions += c.cache_stats().dirty_evictions - before;
+        }
+        if i % 40 == 39 {
+            c.shutdown_flush().unwrap();
+            check(&mut c, &format!("flush {i}"));
+        }
+    }
+    assert!(read_evictions > 0, "the reads evicted no dirty node");
+    // The cost model charges the paper's eager engine whatever the host
+    // does: these totals were taken with the tree re-hashed per ST write.
+    let t = c.total_cost();
+    assert_eq!(
+        (t.reads, t.writes, t.nvm_reads, t.nvm_writes),
+        (102, 504, 1126, 1981)
+    );
+    assert_eq!((t.hash_ops, t.bg_hash_ops), (3135, 4164));
+}
+
+#[test]
+fn a_fill_refused_mid_chain_drops_its_group_and_moves_no_shadow_root() {
+    // The parent is fetched and inserted (evicting dirty metadata, which
+    // stages ST writes) before the damaged leaf under it is refused. The
+    // next op drops that group; its ST writes stay in the volatile tree,
+    // but a commit that stages none must not install a root for them.
+    let mut c = controller(SgxScheme::Asit);
+    for i in 0..400u64 {
+        c.write(DataAddr::new(i * 37 % 4000), pattern(i)).unwrap();
+    }
+    c.domain_mut().drain_wpq();
+    let g = c.layout.geometry().clone();
+    let resident = |c: &SgxController, n| c.cache.contains(c.layout.node_addr(n));
+    let line = (0..c.layout.data_blocks())
+        .map(DataAddr::new)
+        .find(|&a| {
+            let (leaf, _) = c.layout.leaf_of(a);
+            let parent = g.parent(leaf).expect("a multi-level tree");
+            !c.layout.is_on_chip(parent) && !resident(&c, leaf) && !resident(&c, parent)
+        })
+        .expect("a line under two cold levels");
+    let (leaf, _) = c.layout.leaf_of(line);
+    let leaf_addr = c.layout.node_addr(leaf);
+    c.domain_mut().device_mut().tamper_flip_bit(leaf_addr, 9);
+
+    let (root, evicted) = (c.shadow_root(), c.cache_stats().dirty_evictions);
+    assert!(matches!(c.read(line), Err(MemError::Integrity { .. })));
+    assert!(
+        c.cache_stats().dirty_evictions > evicted,
+        "the parent's fetch evicted dirty metadata"
+    );
+    assert_eq!(c.shadow_root(), root, "the refused group did not commit");
+    let hot = DataAddr::new(399 * 37 % 4000);
+    assert_eq!(c.read(hot).unwrap(), pattern(399));
+    assert_eq!(c.shadow_root(), root, "a commit with no ST write");
+}

@@ -71,6 +71,11 @@ impl ShadowAddrEntry {
 /// Width of the per-counter LSB field in an ST entry.
 pub const ST_LSB_FIELD_BITS: u32 = 49;
 
+const LSB_FIELD_MASK: u64 = (1 << ST_LSB_FIELD_BITS) - 1;
+
+/// Byte offset of the packed LSB fields in an ST entry block.
+const LSB_START: usize = 15;
+
 /// One ASIT Shadow Table entry: everything needed to restore the mirrored
 /// metadata-cache slot after a crash.
 ///
@@ -135,11 +140,20 @@ impl StEntry {
         let bytes = b.as_bytes_mut();
         bytes[0..8].copy_from_slice(&self.addr.index().to_le_bytes());
         bytes[8..15].copy_from_slice(&self.mac.to_le_bytes()[..7]);
-        // Pack 8 × 49-bit fields bitwise starting at byte 15.
-        for (i, &v) in self.lsbs.iter().enumerate() {
-            let start_bit = i as u32 * ST_LSB_FIELD_BITS;
-            write_bits(&mut bytes[15..], start_bit, ST_LSB_FIELD_BITS, v);
+        // The eight 49-bit fields, as one little-endian bit stream from
+        // byte 15, go out through an accumulator 8 bytes at a time.
+        let out = &mut bytes[LSB_START..];
+        let (mut acc, mut bits, mut next) = (0u128, 0, 0);
+        for &v in &self.lsbs {
+            acc |= u128::from(v) << bits;
+            bits += ST_LSB_FIELD_BITS;
+            if bits >= 64 {
+                out[next..next + 8].copy_from_slice(&(acc as u64).to_le_bytes());
+                (acc, bits, next) = (acc >> 64, bits - 64, next + 8);
+            }
         }
+        let tail = out.len() - next;
+        out[next..].copy_from_slice(&(acc as u64).to_le_bytes()[..tail]);
         b
     }
 
@@ -153,10 +167,19 @@ impl StEntry {
         let mut mac_bytes = [0u8; 8];
         mac_bytes[..7].copy_from_slice(&bytes[8..15]);
         let mac = u64::from_le_bytes(mac_bytes);
+        let input = &bytes[LSB_START..];
+        let (mut acc, mut bits, mut next) = (0u128, 0, 0);
         let mut lsbs = [0u64; 8];
-        for (i, l) in lsbs.iter_mut().enumerate() {
-            let start_bit = i as u32 * ST_LSB_FIELD_BITS;
-            *l = read_bits(&bytes[15..], start_bit, ST_LSB_FIELD_BITS);
+        for l in &mut lsbs {
+            if bits < ST_LSB_FIELD_BITS {
+                let n = (input.len() - next).min(8);
+                let mut word = [0u8; 8];
+                word[..n].copy_from_slice(&input[next..next + n]);
+                acc |= u128::from(u64::from_le_bytes(word)) << bits;
+                (bits, next) = (bits + 8 * n as u32, next + n);
+            }
+            *l = acc as u64 & LSB_FIELD_MASK;
+            (acc, bits) = (acc >> ST_LSB_FIELD_BITS, bits - ST_LSB_FIELD_BITS);
         }
         Some(StEntry {
             addr: BlockAddr::new(addr),
@@ -166,35 +189,75 @@ impl StEntry {
     }
 }
 
-/// Writes `width` bits of `value` at bit offset `start` into `buf`.
-fn write_bits(buf: &mut [u8], start: u32, width: u32, value: u64) {
-    debug_assert!(width <= 57, "value plus shift must fit in u64 chunks");
-    for bit in 0..width {
-        let v = (value >> bit) & 1;
-        let pos = (start + bit) as usize;
-        if v == 1 {
-            buf[pos / 8] |= 1 << (pos % 8);
-        } else {
-            buf[pos / 8] &= !(1 << (pos % 8));
-        }
-    }
-}
-
-/// Reads `width` bits at bit offset `start` from `buf`.
-fn read_bits(buf: &[u8], start: u32, width: u32) -> u64 {
-    let mut out = 0u64;
-    for bit in 0..width {
-        let pos = (start + bit) as usize;
-        if buf[pos / 8] & (1 << (pos % 8)) != 0 {
-            out |= 1 << bit;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anubis_nvm::SplitMix64;
+
+    /// Writes `width` bits of `value` at bit offset `start` into `buf`,
+    /// one bit at a time: the reference for the word-wise packing.
+    fn write_bits(buf: &mut [u8], start: u32, width: u32, value: u64) {
+        for bit in 0..width {
+            let v = (value >> bit) & 1;
+            let pos = (start + bit) as usize;
+            if v == 1 {
+                buf[pos / 8] |= 1 << (pos % 8);
+            } else {
+                buf[pos / 8] &= !(1 << (pos % 8));
+            }
+        }
+    }
+
+    /// Reads `width` bits at bit offset `start` from `buf`, one at a time.
+    fn read_bits(buf: &[u8], start: u32, width: u32) -> u64 {
+        let mut out = 0u64;
+        for bit in 0..width {
+            let pos = (start + bit) as usize;
+            if buf[pos / 8] & (1 << (pos % 8)) != 0 {
+                out |= 1 << bit;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn st_entry_packs_as_the_bitwise_reference_does() {
+        let mut rng = SplitMix64::new(0x57E7);
+        for round in 0..500 {
+            // Mix full-width, zero and narrow fields.
+            let lsbs: [u64; 8] = core::array::from_fn(|_| match rng.gen_index(3) {
+                0 => rng.next_u64() & LSB_FIELD_MASK,
+                1 => 0,
+                _ => rng.next_u64() & 0xFF,
+            });
+            let addr = BlockAddr::new(rng.next_u64() | 1);
+            let mac = rng.next_u64() >> 8;
+            let e = StEntry::new(addr, mac, lsbs);
+            let block = e.to_block();
+            let mut want = [0u8; 64];
+            want[0..8].copy_from_slice(&addr.index().to_le_bytes());
+            want[8..15].copy_from_slice(&mac.to_le_bytes()[..7]);
+            for (i, &v) in lsbs.iter().enumerate() {
+                let start = i as u32 * ST_LSB_FIELD_BITS;
+                write_bits(&mut want[LSB_START..], start, ST_LSB_FIELD_BITS, v);
+            }
+            assert_eq!(block.as_bytes(), &want, "round {round}");
+            // Parsing any block, not only an encoded one, agrees too.
+            let mut noise = Block::from_words(core::array::from_fn(|_| rng.next_u64()));
+            noise.set_word(0, addr.index());
+            let parsed = StEntry::from_block(&noise).expect("nonzero addr");
+            for (i, l) in parsed.lsbs().iter().enumerate() {
+                let start = i as u32 * ST_LSB_FIELD_BITS;
+                let bytes = &noise.as_bytes()[LSB_START..];
+                assert_eq!(
+                    *l,
+                    read_bits(bytes, start, ST_LSB_FIELD_BITS),
+                    "round {round}"
+                );
+            }
+            assert_eq!(StEntry::from_block(&block), Some(e), "round {round}");
+        }
+    }
 
     #[test]
     fn shadow_addr_roundtrip_all_levels() {

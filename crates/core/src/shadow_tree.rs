@@ -3,9 +3,19 @@
 //!
 //! The tree's *interior* lives in volatile storage (the paper reserves a
 //! slice of the metadata cache for it); only its root — `SHADOW_TREE_ROOT`
-//! — is kept in an on-chip persistent register. It is updated **eagerly**
-//! on every Shadow Table write, so after a crash the register attests the
-//! exact last-committed ST contents, which recovery re-hashes and checks.
+//! — is kept in an on-chip persistent register. The paper's engine
+//! updates it **eagerly** on every Shadow Table write, so after a crash
+//! the register attests the exact last-committed ST contents, which
+//! recovery re-hashes and checks.
+//!
+//! The cost model charges that eager update ([`ShadowTree::update_hash_ops`]
+//! per ST write). The host does the same work once per commit group
+//! instead: [`ShadowTree::stage`] writes a leaf, and
+//! [`ShadowTree::settle`], which the controller calls before it builds a
+//! group's register mirrors, hashes each node on the union of the staged
+//! paths once. The register only moves at commit, and the tree's content
+//! is a pure function of its leaves, so every committed root is the one
+//! the eager updates give.
 
 use anubis_crypto::Key;
 use anubis_itree::bonsai::{ReferenceTree, Root};
@@ -16,6 +26,9 @@ use anubis_nvm::Block;
 pub struct ShadowTree {
     tree: ReferenceTree,
     levels: u32,
+    /// Slots staged since the last settle (repeats allowed); reused, so
+    /// a steady state allocates nothing.
+    dirty: Vec<u64>,
 }
 
 impl ShadowTree {
@@ -26,12 +39,7 @@ impl ShadowTree {
     /// Panics if `slots == 0`.
     pub fn new(master: Key, slots: u64) -> Self {
         assert!(slots > 0, "shadow table must have at least one slot");
-        let tree = ReferenceTree::build(
-            master.derive("shadow-table-tree"),
-            vec![Block::zeroed(); slots as usize],
-        );
-        let levels = tree.geometry().num_levels() as u32;
-        ShadowTree { tree, levels }
+        Self::over(master, vec![Block::zeroed(); slots as usize])
     }
 
     /// Rebuilds from an ST image read back from NVM (recovery path) and
@@ -41,27 +49,50 @@ impl ShadowTree {
             !st_blocks.is_empty(),
             "shadow table must have at least one slot"
         );
-        let tree = ReferenceTree::build(master.derive("shadow-table-tree"), st_blocks);
-        let levels = tree.geometry().num_levels() as u32;
-        ShadowTree { tree, levels }
+        Self::over(master, st_blocks)
     }
 
-    /// Records a new ST block at `slot` and returns the new root.
+    fn over(master: Key, st_blocks: Vec<Block>) -> Self {
+        let tree = ReferenceTree::build(master.derive("shadow-table-tree"), st_blocks);
+        let levels = tree.geometry().num_levels() as u32;
+        ShadowTree {
+            tree,
+            levels,
+            dirty: Vec::new(),
+        }
+    }
+
+    /// Records a new ST block at `slot`; the path above it is re-hashed
+    /// at the next [`settle`](Self::settle).
     ///
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
-    pub fn update(&mut self, slot: u64, block: Block) -> Root {
-        self.tree.update_leaf(slot, block);
-        self.tree.root()
+    pub fn stage(&mut self, slot: u64, block: Block) {
+        self.tree.set_leaf(slot, block);
+        self.dirty.push(slot);
     }
 
-    /// The current root.
+    /// Re-hashes the paths of every slot staged since the last settle,
+    /// each node once, then the root. Returns the new root, or `None`
+    /// when nothing was staged.
+    pub fn settle(&mut self) -> Option<Root> {
+        if self.dirty.is_empty() {
+            return None;
+        }
+        self.tree.rehash(&mut self.dirty);
+        Some(self.tree.root())
+    }
+
+    /// The root as of the last [`settle`](Self::settle) (or the build).
     pub fn root(&self) -> Root {
         self.tree.root()
     }
 
-    /// Hash computations charged per eager update (one digest per level).
+    /// Hash computations the cost model charges per ST write: one digest
+    /// per level, as the paper's eager engine spends them. The host
+    /// settles once per group, which hashes a shared ancestor once; the
+    /// charge is per logical write all the same.
     pub fn update_hash_ops(&self) -> u32 {
         self.levels
     }
@@ -82,9 +113,12 @@ mod tests {
         let mut a = ShadowTree::new(Key([1, 2]), 16);
         let mut b = ShadowTree::new(Key([1, 2]), 16);
         assert_eq!(a.root(), b.root());
-        let ra = a.update(3, Block::filled(0xAA));
-        let rb = b.update(3, Block::filled(0xAA));
-        assert_eq!(ra, rb);
+        a.stage(3, Block::filled(0xAA));
+        b.stage(3, Block::filled(0xAA));
+        let ra = a.settle().expect("a slot was staged");
+        assert_eq!(Some(ra), b.settle());
+        assert_eq!(a.settle(), None, "nothing staged since");
+        assert_eq!(a.root(), ra);
         assert_ne!(ra, ShadowTree::new(Key([1, 2]), 16).root());
     }
 
@@ -94,8 +128,9 @@ mod tests {
         let mut image = vec![Block::zeroed(); 32];
         for (slot, fill) in [(0u64, 1u8), (31, 2), (7, 3), (7, 4)] {
             image[slot as usize] = Block::filled(fill);
-            inc.update(slot, Block::filled(fill));
+            inc.stage(slot, Block::filled(fill));
         }
+        inc.settle();
         let rebuilt = ShadowTree::rebuild(Key([5, 6]), image);
         assert_eq!(rebuilt.root(), inc.root());
     }
@@ -103,7 +138,8 @@ mod tests {
     #[test]
     fn tampered_image_mismatches() {
         let mut inc = ShadowTree::new(Key([5, 6]), 8);
-        inc.update(2, Block::filled(9));
+        inc.stage(2, Block::filled(9));
+        inc.settle();
         let mut image = vec![Block::zeroed(); 8];
         image[2] = Block::filled(9);
         image[2].flip_bit(0); // attacker flips one ST bit

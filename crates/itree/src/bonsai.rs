@@ -162,6 +162,50 @@ impl ReferenceTree {
         }
     }
 
+    /// Replaces leaf `index` without touching the interior: the path
+    /// above it is stale until a [`rehash`](Self::rehash) covers `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn set_leaf(&mut self, index: u64, content: Block) {
+        self.levels[0][index as usize] = content;
+    }
+
+    /// Re-hashes the union of the paths above the leaves in `dirty`,
+    /// bottom-up, hashing each node on it once: the interior ends as
+    /// [`update_leaf`](Self::update_leaf) per write would leave it.
+    /// `dirty` may hold repeats and any order; it is left empty with its
+    /// capacity kept, so a caller that reuses it allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index in `dirty` is out of range.
+    pub fn rehash(&mut self, dirty: &mut Vec<u64>) {
+        dirty.sort_unstable();
+        dirty.dedup();
+        for level in 0..self.geometry.top_level() {
+            // Parents of sorted children come out sorted, so consecutive
+            // repeats are the only ones and the list is rewritten in place.
+            let mut parents = 0;
+            for i in 0..dirty.len() {
+                let child = NodeId::new(level, dirty[i]);
+                let digest = self
+                    .hasher
+                    .digest(&self.levels[level][child.index as usize]);
+                let parent = self.geometry.parent(child).expect("below the top");
+                let slot = self.geometry.child_slot(child);
+                self.levels[level + 1][parent.index as usize].set_word(slot, digest);
+                if parents == 0 || dirty[parents - 1] != parent.index {
+                    dirty[parents] = parent.index;
+                    parents += 1;
+                }
+            }
+            dirty.truncate(parents);
+        }
+        dirty.clear();
+    }
+
     /// Verifies that every interior node matches its children and returns
     /// the root if consistent, or the first inconsistent node.
     ///

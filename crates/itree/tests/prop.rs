@@ -33,6 +33,44 @@ fn bonsai_incremental_equals_rebuild() {
     }
 }
 
+/// Any sequence of `set_leaf` calls, repeats included, followed by one
+/// `rehash` leaves every node and the root as `update_leaf` per write
+/// does — on one-leaf trees, full trees and ragged ones.
+#[test]
+fn bonsai_set_leaf_then_rehash_equals_update_per_write() {
+    let mut sizes = vec![1u64, 8, 64, 65, 513];
+    let mut rng = SplitMix64::new(0x5E7);
+    sizes.extend((0..19).map(|_| rng.gen_range(1..300)));
+    for (seed, n_leaves) in sizes.into_iter().enumerate() {
+        let mut rng = SplitMix64::new(seed as u64 ^ 0x2EA);
+        let mut eager = ReferenceTree::build(Key([8, 9]), vec![Block::zeroed(); n_leaves as usize]);
+        let mut lazy = eager.clone();
+        let mut dirty = Vec::new();
+        for _ in 0..rng.gen_range(0..40) {
+            // Draw from a few leaves half the time, so repeats are common.
+            let i = if rng.gen_index(2) == 0 {
+                rng.next_u64() % n_leaves.min(3)
+            } else {
+                rng.next_u64() % n_leaves
+            };
+            let content = rand_block(&mut rng);
+            eager.update_leaf(i, content);
+            lazy.set_leaf(i, content);
+            dirty.push(i);
+        }
+        lazy.rehash(&mut dirty);
+        assert!(dirty.is_empty(), "seed {seed}");
+        assert_eq!(lazy.root(), eager.root(), "seed {seed}, {n_leaves} leaves");
+        let g = eager.geometry().clone();
+        for level in 0..g.num_levels() {
+            for index in 0..g.nodes_at(level) {
+                let node = NodeId::new(level, index);
+                assert_eq!(lazy.node(node), eager.node(node), "seed {seed}: {node}");
+            }
+        }
+    }
+}
+
 /// Any single-bit tamper of any node or leaf breaks verification or
 /// changes the root.
 #[test]

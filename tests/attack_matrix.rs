@@ -254,3 +254,55 @@ fn agit_shadow_table_lies_caught_by_root() {
     }
     assert_eq!(c.recover(), Err(RecoveryError::RootMismatch));
 }
+
+/// One honest line's content.
+fn line_pattern(i: u64) -> Block {
+    Block::from_words([i, !i, i << 7, 0xA5, i, !i, i.rotate_left(17), 3])
+}
+
+/// Writes 1 821 lines at stride 9 over the whole of `small_test`, then
+/// reads 12 of them corrupted beyond ECC, and counts the honest lines
+/// that afterwards cannot be read back, or rewritten, as written.
+fn honest_lines_lost_after_refused_reads<C: MemoryController>(
+    c: &mut C,
+    dev: impl Fn(&C, DataAddr) -> anubis_nvm::BlockAddr,
+) -> usize {
+    let lines: Vec<u64> = (0..1821u64).map(|i| i * 9).collect();
+    for (i, &line) in lines.iter().enumerate() {
+        c.write(DataAddr::new(line), line_pattern(i as u64))
+            .unwrap();
+    }
+    c.domain_mut().drain_wpq();
+    let bad: Vec<u64> = (0..12).map(|k| lines[k * 151 + 75]).collect();
+    for &line in &bad {
+        let at = dev(c, DataAddr::new(line));
+        c.domain_mut().device_mut().tamper_flip_bit(at, 3);
+        c.domain_mut().device_mut().tamper_flip_bit(at, 4);
+        assert!(c.read(DataAddr::new(line)).is_err(), "line {line}");
+    }
+    lines
+        .iter()
+        .enumerate()
+        .filter(|(_, line)| !bad.contains(line))
+        .filter(|&(i, &line)| {
+            let a = DataAddr::new(line);
+            let read_ok = matches!(c.read(a), Ok(b) if b == line_pattern(i as u64));
+            !read_ok || c.write(a, line_pattern(i as u64 + 1)).is_err()
+        })
+        .count()
+}
+
+#[test]
+fn a_refused_data_read_keeps_the_metadata_traffic_of_its_fill() {
+    // The fill that brought the refused line's counter in has already
+    // evicted dirty metadata and bumped the victims' parent counters in
+    // the cache or on chip: its commit group (the victims' writebacks,
+    // the bumps, the shadow entries) must land even though the read
+    // fails, or honest metadata no longer verifies.
+    let mut bonsai = BonsaiController::new(BonsaiScheme::AgitPlus, &cfg());
+    let lost = honest_lines_lost_after_refused_reads(&mut bonsai, |c, a| c.layout().data_addr(a));
+    assert_eq!(lost, 0, "agit-plus");
+    let mut sgx = SgxController::new(SgxScheme::Asit, &cfg());
+    let lost = honest_lines_lost_after_refused_reads(&mut sgx, |c, a| c.layout().data_addr(a));
+    assert_eq!(lost, 0, "asit");
+}
