@@ -108,3 +108,108 @@ fn both_families_publish_the_same_common_metric_names() {
         "published by both but not listed as common: {uncommon:?}"
     );
 }
+
+/// What one family's recovery leaves in its spans, in the order the
+/// spans began: the `recovery` span's label, the `recovery_phase`
+/// labels (with their item counts) of one crash + `recover()`, the
+/// `recovery_runs_total` counter, and the `supervisor_rung` labels of one
+/// `supervisor::resume` and then one `supervisor::recover`, each after
+/// its own crash.
+struct RecoverySpans {
+    recovery: Vec<String>,
+    phases: Vec<String>,
+    runs: u64,
+    resume_rungs: Vec<String>,
+    recover_rungs: Vec<String>,
+}
+
+/// Labels (and, where `with_items`, item counts) of the spans named
+/// `name`, in the order they began.
+fn span_labels(reg: &anubis::telemetry::Registry, name: &str, with_items: bool) -> Vec<String> {
+    let mut spans = reg.spans();
+    spans.retain(|s| s.name == name);
+    spans.sort_by_key(|s| s.start_ns);
+    spans
+        .into_iter()
+        .map(|s| {
+            if with_items {
+                format!("{} x {}", s.label, s.items)
+            } else {
+                s.label
+            }
+        })
+        .collect()
+}
+
+fn recovery_spans<C: anubis::Supervised>(mut c: C) -> RecoverySpans {
+    for i in 0..96u64 {
+        c.write(DataAddr::new((i * 37) % 300), Block::filled(i as u8 + 1))
+            .expect("write");
+    }
+    c.crash();
+    let (reg, tel) = Telemetry::private();
+    c.set_telemetry(tel);
+    c.recover().expect("recover");
+    let recovery = span_labels(&reg, "recovery", false);
+    let phases = span_labels(&reg, "recovery_phase", true);
+    let runs = reg
+        .snapshot()
+        .counter("recovery_runs_total", c.scheme_name());
+
+    c.crash();
+    let (reg, tel) = Telemetry::private();
+    c.set_telemetry(tel);
+    anubis::supervisor::resume(&mut c, None).expect("resume");
+    let resume_rungs = span_labels(&reg, "supervisor_rung", false);
+
+    c.crash();
+    let (reg, tel) = Telemetry::private();
+    c.set_telemetry(tel);
+    anubis::supervisor::recover(&mut c).expect("supervised recover");
+    let recover_rungs = span_labels(&reg, "supervisor_rung", false);
+    RecoverySpans {
+        recovery,
+        phases,
+        runs,
+        resume_rungs,
+        recover_rungs,
+    }
+}
+
+#[test]
+fn recovery_spans_of_both_families_are_pinned() {
+    let cfg = AnubisConfig::small_test();
+    let agit = recovery_spans(BonsaiController::new(BonsaiScheme::AgitPlus, &cfg));
+    assert_eq!(agit.recovery, ["agit-plus"]);
+    assert_eq!(
+        agit.phases,
+        [
+            "reencryption_replay x 0",
+            "shadow_scan x 0",
+            "osiris_probe x 5",
+            "level_rebuild_1 x 1",
+            "level_rebuild_2 x 1",
+            "level_rebuild_3 x 1",
+            "root_check x 0",
+        ]
+    );
+    assert_eq!(agit.runs, 1);
+    assert_eq!(agit.resume_rungs, ["fast"]);
+    assert_eq!(agit.recover_rungs, ["fast", "scrub"]);
+
+    let asit = recovery_spans(SgxController::new(SgxScheme::Asit, &cfg));
+    assert_eq!(asit.recovery, ["asit"]);
+    assert_eq!(
+        asit.phases,
+        [
+            "st_scan x 128",
+            "shadow_verify x 0",
+            "splice x 38",
+            "mac_verify x 38",
+            "st_rewrite x 38",
+        ]
+    );
+    assert_eq!(asit.runs, 1);
+    assert_eq!(asit.resume_rungs, ["fast"]);
+    assert_eq!(asit.recover_rungs, ["fast", "scrub"]);
+}
