@@ -3,7 +3,7 @@
 //! spectrum — locating the crossover the paper's MCF/LBM discussion
 //! implies (§6.1).
 
-use anubis::{AnubisConfig, BonsaiController, BonsaiScheme};
+use anubis::{AnubisConfig, BonsaiController, BonsaiScheme, MemoryController};
 use anubis_bench::{banner, scale_from_args};
 use anubis_sim::{run_trace, Table, TimingModel};
 use anubis_workloads::{TraceGenerator, WorkloadSpec};

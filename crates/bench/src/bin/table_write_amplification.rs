@@ -6,7 +6,9 @@
 //! per memory write". This table measures writes-per-data-write for every
 //! scheme, plus the worst single-block wear the device saw.
 
-use anubis::{AnubisConfig, BonsaiController, BonsaiScheme, SgxController, SgxScheme};
+use anubis::{
+    AnubisConfig, BonsaiController, BonsaiScheme, MemoryController, SgxController, SgxScheme,
+};
 use anubis_bench::{banner, scale_from_args};
 use anubis_sim::{run_trace, Table, TimingModel};
 use anubis_workloads::{spec2006, TraceGenerator};

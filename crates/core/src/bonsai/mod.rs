@@ -12,13 +12,12 @@ mod recovery;
 mod repair;
 
 use crate::config::AnubisConfig;
-use crate::cost::{CostAccum, OpCost};
-use crate::datapath::{self, publish_cache_stats, sealed_block, DataPath, Line, Policy};
+use crate::datapath::{publish_cache_stats, sealed_block, Backed, DataPath, Line, Policy};
 use crate::error::{freshness_hint, IntegrityWitness, MemError, RecoveryError};
 use crate::layout::{BonsaiLayout, DataAddr, LINES_PER_COUNTER_BLOCK};
 use crate::recovery::RecoveryReport;
 use crate::shadow::ShadowAddrEntry;
-use crate::MemoryController;
+use crate::supervisor::RepairSummary;
 use anubis_cache::{Eviction, MetadataCache};
 use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{SplitCounterBlock, MINOR_MAX};
@@ -231,7 +230,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         BonsaiController {
             scheme,
             config: config.clone(),
-            path: DataPath::new(domain, config.key, layout.qtable()),
+            path: DataPath::new(domain, config.key, layout.data(), layout.qtable()),
             layout,
             hasher,
             counter_cache,
@@ -354,16 +353,6 @@ impl<B: NvmBackend> BonsaiController<B> {
         }
     }
 
-    /// The scheme this controller runs.
-    pub fn scheme(&self) -> BonsaiScheme {
-        self.scheme
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AnubisConfig {
-        &self.config
-    }
-
     /// The memory layout (for experiments that tamper with NVM directly).
     pub fn layout(&self) -> &BonsaiLayout {
         &self.layout
@@ -383,46 +372,6 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// Tree-cache statistics.
     pub fn tree_cache_stats(&self) -> &anubis_cache::CacheStats {
         self.tree_cache.stats()
-    }
-
-    /// Direct access to the persistence domain (tamper API, device stats).
-    pub fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.path.domain
-    }
-
-    /// Read-only access to the persistence domain.
-    pub fn domain(&self) -> &PersistenceDomain<B> {
-        &self.path.domain
-    }
-
-    /// Total data words repaired by the SEC-DED decoder (correctable
-    /// bit-flip faults absorbed on the read path).
-    pub fn ecc_corrections(&self) -> u64 {
-        self.path.ecc_corrections
-    }
-
-    /// Osiris probes that hit the stop-loss / minor-overflow boundary
-    /// (each one surfaced as [`RecoveryError::StopLossExceeded`]).
-    pub fn stop_loss_events(&self) -> u64 {
-        self.stop_loss_events
-    }
-
-    /// The telemetry handle the controller records spans and counters
-    /// through (defaults to the process-global registry).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.path.telemetry
-    }
-
-    /// Publishes current device/cache/controller counters into the
-    /// telemetry registry. See [`MemoryController::publish_telemetry`].
-    pub fn publish_telemetry(&self) {
-        let scheme = self.scheme.name();
-        let Some(t) = self.path.publish_telemetry(scheme, &["sct", "smt"]) else {
-            return;
-        };
-        t.counter_set("stop_loss_events_total", scheme, self.stop_loss_events);
-        publish_cache_stats(t, "counter", self.counter_cache.stats());
-        publish_cache_stats(t, "tree", self.tree_cache.stats());
     }
 
     /// Backend mirrors of the on-chip persistent registers, committed
@@ -890,15 +839,23 @@ impl<B: NvmBackend> BonsaiController<B> {
     }
 }
 
-impl<B: NvmBackend> Policy for BonsaiController<B> {
+impl<B: NvmBackend> Backed for BonsaiController<B> {
     type Backend = B;
+}
 
-    fn path(&mut self) -> &mut DataPath<B> {
+impl<B: NvmBackend> Policy for BonsaiController<B> {
+    const SHADOW_REGIONS: &'static [&'static str] = &["sct", "smt"];
+
+    fn path(&self) -> &DataPath<B> {
+        &self.path
+    }
+
+    fn path_mut(&mut self) -> &mut DataPath<B> {
         &mut self.path
     }
 
-    fn data_blocks(&self) -> u64 {
-        self.layout.data_blocks()
+    fn name(&self) -> &'static str {
+        self.scheme.name()
     }
 
     #[inline]
@@ -908,6 +865,15 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
         let leaf_addr = self.layout.node_addr(leaf);
         let ctr = self.counter_cache.peek(leaf_addr).expect("ensured").ctr;
         Ok(self.line_under(addr, &ctr))
+    }
+
+    /// Resolves a line under its counter block's NVM copy: degraded mode
+    /// runs with the caches down and the tree suspect.
+    fn unverified_line(&mut self, addr: DataAddr) -> Line {
+        let (leaf, _) = self.layout.counter_of(addr);
+        let leaf_addr = self.layout.node_addr(leaf);
+        let stale = SplitCounterBlock::from_block(&self.path.domain.device_mut().read(leaf_addr));
+        self.line_under(addr, &stale)
     }
 
     /// Counter maintenance, overflow-driven page re-encryption, the
@@ -1022,82 +988,34 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
         }
         Ok(())
     }
-}
 
-impl<B: NvmBackend> MemoryController for BonsaiController<B> {
-    type Backend = B;
-
-    fn scheme_name(&self) -> &'static str {
-        self.scheme.name()
-    }
-
-    fn domain(&self) -> &PersistenceDomain<B> {
-        &self.path.domain
-    }
-
-    fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.path.domain
-    }
-
-    fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        datapath::read(self, addr)
-    }
-
-    fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        datapath::write(self, addr, data)
-    }
-
-    fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
-        datapath::write_batch(self, items)
-    }
-
-    fn read_deferred(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        datapath::read_deferred(self, addr)
-    }
-
-    fn write_deferred(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        datapath::write_deferred(self, addr, data)
-    }
-
-    fn write_batch_deferred(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
-        datapath::write_batch_deferred(self, items)
-    }
-
-    fn crash(&mut self) {
-        self.path.crash();
+    fn drop_volatile(&mut self) {
         self.counter_cache.invalidate_all();
         self.tree_cache.invalidate_all();
         // `root` and `reenc_log` are on-chip persistent registers: kept.
     }
 
-    fn recover(&mut self) -> Result<RecoveryReport, RecoveryError> {
-        recovery::recover(self)
-    }
-
-    fn shutdown_flush(&mut self) -> Result<(), MemError> {
-        datapath::shutdown_flush(self)
-    }
-
-    fn last_cost(&self) -> OpCost {
-        self.path.cost
-    }
-
-    fn total_cost(&self) -> &CostAccum {
-        &self.path.totals
-    }
-
-    fn reset_costs(&mut self) {
-        self.path.reset_costs();
+    fn reset_cache_stats(&mut self) {
         self.counter_cache.reset_stats();
         self.tree_cache.reset_stats();
     }
 
-    fn set_telemetry(&mut self, t: Telemetry) {
-        self.path.telemetry = t;
+    fn publish_own(&self, t: &Telemetry) {
+        t.counter_set("stop_loss_events_total", self.name(), self.stop_loss_events);
+        publish_cache_stats(t, "counter", self.counter_cache.stats());
+        publish_cache_stats(t, "tree", self.tree_cache.stats());
     }
 
-    fn publish_telemetry(&self) {
-        Self::publish_telemetry(self);
+    fn recover_metadata(&mut self, t: &mut RecoveryReport) -> Result<(), RecoveryError> {
+        recovery::recover(self, t)
+    }
+
+    fn targeted_repair(&mut self, _err: &RecoveryError) -> Result<RepairSummary, RecoveryError> {
+        Ok(repair::targeted(self))
+    }
+
+    fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError> {
+        Ok(repair::reconcile(self))
     }
 }
 

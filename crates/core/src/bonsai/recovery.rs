@@ -20,10 +20,9 @@
 use super::{BonsaiController, BonsaiScheme, ReencLog};
 use crate::datapath::{sealed_block, side_block};
 use crate::error::RecoveryError;
-use crate::layout::LINES_PER_COUNTER_BLOCK;
+use crate::layout::{DataAddr, LINES_PER_COUNTER_BLOCK};
 use crate::recovery::RecoveryReport;
 use crate::shadow::ShadowAddrEntry;
-use crate::MemoryController;
 use anubis_crypto::otp::IvCounter;
 use anubis_crypto::SplitCounterBlock;
 use anubis_itree::bonsai::Root;
@@ -31,77 +30,60 @@ use anubis_itree::NodeId;
 use anubis_nvm::{Block, BlockAddr, NvmBackend};
 use std::collections::BTreeSet;
 
-/// Tallies recovery work separately from the run-time cost model.
-#[derive(Default)]
-pub(super) struct Tally {
-    pub(super) reads: u64,
-    pub(super) writes: u64,
-    pub(super) hashes: u64,
-    pub(super) counters_fixed: u64,
-    pub(super) nodes_fixed: u64,
-}
-
+/// The scheme's recovery, after power-up (`crate::recovery::run`).
 pub(super) fn recover<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-) -> Result<RecoveryReport, RecoveryError> {
-    let tel = c.path.telemetry.clone();
-    let _recovery_span = tel.span("recovery", c.scheme_name());
-    let redo_writes = c.path.domain.power_up() as u64;
-    let mut t = Tally::default();
-
+    t: &mut RecoveryReport,
+) -> Result<(), RecoveryError> {
     // Complete any interrupted page re-encryption first; it also tells
     // AGIT recovery which extra path must be repaired.
     let reenc_leaf = {
+        let tel = c.path.telemetry.clone();
         let _span = tel.span("recovery_phase", "reencryption_replay");
-        complete_reencryption(c, &mut t)?
+        complete_reencryption(c, t)?
     };
+    t.reencryption_completed = reenc_leaf.is_some();
 
     match c.scheme {
-        BonsaiScheme::StrictPersist => {
-            // All metadata persisted eagerly. If a re-encryption was
-            // interrupted, its leaf path must be recomputed (the path
-            // writes may have been lost with the commit group).
-            if let Some(leaf) = reenc_leaf {
-                fix_path(c, leaf, &mut t)?;
-                check_root(c, &mut t)?;
+        // All metadata persisted eagerly. If a re-encryption was
+        // interrupted, its leaf path must be recomputed (the path writes
+        // may have been lost with the commit group).
+        BonsaiScheme::StrictPersist => match reenc_leaf {
+            Some(leaf) => {
+                fix_path(c, leaf, t)?;
+                check_root(c, t)
             }
-        }
+            None => Ok(()),
+        },
         BonsaiScheme::WriteBack
         | BonsaiScheme::CounterWriteThrough
         | BonsaiScheme::LazyWriteBack => {
             // Counters as-is (write-through keeps them current; plain
             // write-back only recovers if nothing dirty was lost), whole
             // tree rebuilt, root compared.
-            rebuild_whole_tree(c, &mut t, false)?;
+            rebuild_whole_tree(c, t, false)
         }
-        BonsaiScheme::Osiris => {
-            rebuild_whole_tree(c, &mut t, true)?;
-        }
-        BonsaiScheme::AgitRead | BonsaiScheme::AgitPlus => {
-            recover_agit(c, &mut t, reenc_leaf)?;
-        }
+        BonsaiScheme::Osiris => rebuild_whole_tree(c, t, true),
+        BonsaiScheme::AgitRead | BonsaiScheme::AgitPlus => recover_agit(c, t, reenc_leaf),
     }
-
-    tel.incr("recovery_runs_total", c.scheme_name(), 1);
-    Ok(RecoveryReport {
-        nvm_reads: t.reads,
-        nvm_writes: t.writes,
-        hash_ops: t.hashes,
-        counters_fixed: t.counters_fixed,
-        nodes_fixed: t.nodes_fixed,
-        redo_writes,
-        reencryption_completed: reenc_leaf.is_some(),
-    })
 }
 
-fn dev_read<B: NvmBackend>(c: &mut BonsaiController<B>, addr: BlockAddr, t: &mut Tally) -> Block {
-    t.reads += 1;
+fn dev_read<B: NvmBackend>(
+    c: &mut BonsaiController<B>,
+    addr: BlockAddr,
+    t: &mut RecoveryReport,
+) -> Block {
+    t.nvm_reads += 1;
     c.path.domain.device_mut().read(addr)
 }
 
 /// Reads a tree node, substituting the canonical zero-state content for
 /// never-written interior nodes (see `BonsaiController::nvm_read_node`).
-fn read_node<B: NvmBackend>(c: &mut BonsaiController<B>, node: NodeId, t: &mut Tally) -> Block {
+fn read_node<B: NvmBackend>(
+    c: &mut BonsaiController<B>,
+    node: NodeId,
+    t: &mut RecoveryReport,
+) -> Block {
     let raw = dev_read(c, c.layout.node_addr(node), t);
     if node.level >= 1 && raw.is_zeroed() {
         c.canonical_node(node)
@@ -114,9 +96,9 @@ fn dev_write<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     addr: BlockAddr,
     block: Block,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
 ) {
-    t.writes += 1;
+    t.nvm_writes += 1;
     c.path.domain.device_mut().write(addr, block);
 }
 
@@ -126,7 +108,7 @@ fn dev_write<B: NvmBackend>(
 /// of sequential REDO work.
 pub(super) fn complete_reencryption<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
 ) -> Result<Option<NodeId>, RecoveryError> {
     let Some(ReencLog {
         leaf,
@@ -158,12 +140,12 @@ pub(super) fn complete_reencryption<B: NvmBackend>(
         let plaintext = if old.major() == 0 && old.minor(line) == 0 {
             Block::zeroed()
         } else {
-            t.hashes += 1;
+            t.hash_ops += 1;
             let old_iv = IvCounter::split(old.major(), old.minor(line) as u64);
             match c.path.codec.probe(dev, old_iv, &sealed) {
                 Some(pt) => pt,
                 None => {
-                    t.hashes += 1;
+                    t.hash_ops += 1;
                     if c.path.codec.probe(dev, new_iv, &sealed).is_some() {
                         continue; // already re-encrypted before the crash
                     }
@@ -171,7 +153,7 @@ pub(super) fn complete_reencryption<B: NvmBackend>(
                 }
             }
         };
-        t.hashes += 2;
+        t.hash_ops += 2;
         let resealed = c.path.codec.seal(dev, new_iv, &plaintext);
         dev_write(c, dev, resealed.ciphertext, t);
         c.path
@@ -189,7 +171,7 @@ pub(super) fn complete_reencryption<B: NvmBackend>(
 pub(super) fn fix_counter_block<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     leaf: NodeId,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
 ) -> Result<bool, RecoveryError> {
     let leaf_addr = c.layout.node_addr(leaf);
     let stale = SplitCounterBlock::from_block(&dev_read(c, leaf_addr, t));
@@ -199,50 +181,26 @@ pub(super) fn fix_counter_block<B: NvmBackend>(
         let Some(data_addr) = c.layout.line_of(leaf.index, line) else {
             break;
         };
-        let dev = c.layout.data_addr(data_addr);
-        let side_addr = c.layout.side_addr(data_addr);
-        let ciphertext = dev_read(c, dev, t);
-        let side = c.path.domain.device_mut().read(side_addr);
-        let sealed = sealed_block(ciphertext, &side);
-        let base_minor = stale.minor(line) as u64;
-        // Candidate 0: the zero state (never-written line).
-        if stale.major() == 0 && base_minor == 0 && ciphertext.is_zeroed() && side.is_zeroed() {
-            continue;
-        }
-        let mut recovered = None;
-        for gap in 0..=c.config.stop_loss as u64 {
-            let minor = base_minor + gap;
-            if minor > anubis_crypto::MINOR_MAX as u64 {
-                break; // overflow would have persisted the block
-            }
-            if stale.major() == 0 && minor == 0 {
-                continue; // zero state handled above
-            }
-            t.hashes += 1;
-            let iv = IvCounter::split(stale.major(), minor);
-            if c.path.codec.probe(dev, iv, &sealed).is_some() {
-                recovered = Some(gap as u8);
-                break;
-            }
-        }
-        match recovered {
+        match probe_line(c, &stale, data_addr, line, t) {
+            Some(0) => {}
+            // The probe loop never exceeds MINOR_MAX for a well-formed
+            // stale block, but a corrupted block can present minors that
+            // overflow when replayed — surface that as a typed error,
+            // never a panic.
             Some(gap) => {
-                if gap > 0 {
-                    // The probe loop never exceeds MINOR_MAX for a
-                    // well-formed stale block, but a corrupted block can
-                    // present minors that overflow when replayed — surface
-                    // that as a typed error, never a panic.
-                    fixed.advance_minor(line, gap).map_err(|source| {
-                        RecoveryError::StopLossExceeded {
-                            leaf: leaf.index,
-                            source,
-                        }
-                    })?;
-                    changed = true;
-                    t.counters_fixed += 1;
-                }
+                fixed.advance_minor(line, gap).map_err(|source| {
+                    RecoveryError::StopLossExceeded {
+                        leaf: leaf.index,
+                        source,
+                    }
+                })?;
+                changed = true;
+                t.counters_fixed += 1;
             }
-            None => return Err(RecoveryError::CounterNotRecovered { addr: dev }),
+            None => {
+                let addr = c.layout.data_addr(data_addr);
+                return Err(RecoveryError::CounterNotRecovered { addr });
+            }
         }
     }
     if changed {
@@ -251,18 +209,56 @@ pub(super) fn fix_counter_block<B: NvmBackend>(
     Ok(changed)
 }
 
+/// Osiris-probes one data line against its counter block's stale copy:
+/// how many updates past the stored minor the line opens under (0 for a
+/// never-written line), or `None` when no candidate within the stop-loss
+/// window opens it.
+pub(super) fn probe_line<B: NvmBackend>(
+    c: &mut BonsaiController<B>,
+    stale: &SplitCounterBlock,
+    data_addr: DataAddr,
+    line: usize,
+    t: &mut RecoveryReport,
+) -> Option<u8> {
+    let dev = c.layout.data_addr(data_addr);
+    let side_addr = c.layout.side_addr(data_addr);
+    let ciphertext = dev_read(c, dev, t);
+    let side = c.path.domain.device_mut().read(side_addr);
+    let base_minor = stale.minor(line) as u64;
+    // Candidate 0: the zero state (never-written line).
+    if stale.major() == 0 && base_minor == 0 && ciphertext.is_zeroed() && side.is_zeroed() {
+        return Some(0);
+    }
+    let sealed = sealed_block(ciphertext, &side);
+    for gap in 0..=c.config.stop_loss as u64 {
+        let minor = base_minor + gap;
+        if minor > anubis_crypto::MINOR_MAX as u64 {
+            break; // overflow would have persisted the block
+        }
+        if stale.major() == 0 && minor == 0 {
+            continue; // zero state handled above
+        }
+        t.hash_ops += 1;
+        let iv = IvCounter::split(stale.major(), minor);
+        if c.path.codec.probe(dev, iv, &sealed).is_some() {
+            return Some(gap as u8);
+        }
+    }
+    None
+}
+
 /// Recomputes one interior node from its children in NVM; the caller
 /// writes it.
 pub(super) fn compute_interior_node<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     node: NodeId,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
 ) -> Block {
     let children: Vec<NodeId> = c.layout.geometry().children(node).collect();
     let mut digests = Vec::with_capacity(children.len());
     for child in children {
         let child_block = read_node(c, child, t);
-        t.hashes += 1;
+        t.hash_ops += 1;
         digests.push(c.hasher.digest(&child_block));
     }
     t.nodes_fixed += 1;
@@ -274,7 +270,7 @@ pub(super) fn compute_interior_node<B: NvmBackend>(
 /// returned.
 fn fix_counter_blocks<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
     leaves: &[u64],
 ) -> Result<(), RecoveryError> {
     let tel = c.path.telemetry.clone();
@@ -285,7 +281,7 @@ fn fix_counter_blocks<B: NvmBackend>(
         if let Err(e) = fix_counter_block(c, NodeId::new(0, leaf), t) {
             if matches!(e, RecoveryError::StopLossExceeded { .. }) {
                 c.stop_loss_events += 1;
-                tel.incr("stop_loss_events_total", c.scheme_name(), 1);
+                tel.incr("stop_loss_events_total", c.scheme.name(), 1);
             }
             return Err(e);
         }
@@ -299,7 +295,7 @@ fn fix_counter_blocks<B: NvmBackend>(
 /// independently against parent counters).
 fn fix_node_level<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
     level: usize,
     indices: &[u64],
 ) {
@@ -318,13 +314,13 @@ fn fix_node_level<B: NvmBackend>(
 /// the on-chip register.
 fn check_root<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
 ) -> Result<(), RecoveryError> {
     let tel = c.path.telemetry.clone();
     let _span = tel.span("recovery_phase", "root_check");
     let top = c.layout.geometry().top();
     let top_block = read_node(c, top, t);
-    t.hashes += 1;
+    t.hash_ops += 1;
     let computed = Root(c.hasher.digest(&top_block));
     if computed == c.root {
         Ok(())
@@ -338,7 +334,7 @@ fn check_root<B: NvmBackend>(
 fn fix_path<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     leaf: NodeId,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
 ) -> Result<(), RecoveryError> {
     let g = c.layout.geometry().clone();
     for node in g.path_to_top(leaf) {
@@ -352,7 +348,7 @@ fn fix_path<B: NvmBackend>(
 /// rebuild every interior node bottom-up and compare the root.
 fn rebuild_whole_tree<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
     probe_counters: bool,
 ) -> Result<(), RecoveryError> {
     let g = c.layout.geometry().clone();
@@ -371,7 +367,7 @@ fn rebuild_whole_tree<B: NvmBackend>(
 /// level by level, then verify the root.
 fn recover_agit<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
     reenc_leaf: Option<NodeId>,
 ) -> Result<(), RecoveryError> {
     let g = c.layout.geometry().clone();

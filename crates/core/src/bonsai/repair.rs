@@ -1,6 +1,7 @@
-//! Degraded-mode repair hooks for the Bonsai controller family: the
-//! [`Supervised`] implementation the recovery supervisor drives when the
-//! fast path cannot restore a verified state.
+//! Degraded-mode repair for the Bonsai controller family: the two
+//! metadata rungs of [`crate::Supervised`] the recovery supervisor drives
+//! when the fast path cannot restore a verified state (the per-line rungs
+//! are the shared data path's).
 //!
 //! The rungs map onto the general-tree design like this:
 //!
@@ -18,86 +19,38 @@
 //!   counter, counting committed content as lost.
 
 use super::{recovery, BonsaiController};
-use crate::datapath::{sealed_block, Line};
-use crate::error::RecoveryError;
-use crate::layout::{DataAddr, LINES_PER_COUNTER_BLOCK};
-use crate::supervisor::{RepairSummary, Supervised};
-use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{SplitCounterBlock, MINOR_MAX};
+use crate::layout::LINES_PER_COUNTER_BLOCK;
+use crate::recovery::RecoveryReport;
+use crate::supervisor::RepairSummary;
+use anubis_crypto::SplitCounterBlock;
 use anubis_itree::bonsai::Root;
 use anubis_itree::NodeId;
-use anubis_nvm::{BlockAddr, NvmBackend};
-use anubis_telemetry::Telemetry;
+use anubis_nvm::NvmBackend;
 
-impl<B: NvmBackend> Supervised for BonsaiController<B> {
-    fn data_lines(&self) -> u64 {
-        self.layout.data_blocks()
+/// `targeted`: salvage every counter block, then rebuild the interior.
+pub(super) fn targeted<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary {
+    // The domain is already powered up (rung 1 ran `power_up`); only
+    // volatile state needs resetting before the slow rebuild.
+    c.counter_cache.invalidate_all();
+    c.tree_cache.invalidate_all();
+    c.path.reset_group();
+    // Best-effort replay of an interrupted re-encryption: if even the
+    // replay fails the log is dropped and the scrub pass deals with the
+    // affected lines individually.
+    if recovery::complete_reencryption(c, &mut RecoveryReport::default()).is_err() {
+        c.reenc_log = None;
     }
-
-    fn data_block(&self, addr: DataAddr) -> BlockAddr {
-        self.layout.data_addr(addr)
-    }
-
-    fn repair_line(&mut self, addr: DataAddr) -> Result<u32, RecoveryError> {
-        let line = self.stale_line(addr);
-        self.path.repair_line(line)
-    }
-
-    fn quarantine_line(&mut self, addr: DataAddr) -> Result<bool, RecoveryError> {
-        let line = self.stale_line(addr);
-        Ok(self.path.quarantine_line(line))
-    }
-
-    fn targeted_repair(&mut self, _err: &RecoveryError) -> Result<RepairSummary, RecoveryError> {
-        // The domain is already powered up (rung 1 ran `power_up`); only
-        // volatile state needs resetting before the slow rebuild.
-        self.counter_cache.invalidate_all();
-        self.tree_cache.invalidate_all();
-        self.path.reset_group();
-        // Best-effort replay of an interrupted re-encryption: if even the
-        // replay fails the log is dropped and the scrub pass deals with
-        // the affected lines individually.
-        let mut t = recovery::Tally::default();
-        if recovery::complete_reencryption(self, &mut t).is_err() {
-            self.reenc_log = None;
-        }
-        let mut sum = salvage_counters(self);
-        sum.absorb(rebuild_interior(self));
-        Ok(sum)
-    }
-
-    fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError> {
-        self.counter_cache.invalidate_all();
-        self.tree_cache.invalidate_all();
-        self.path.reset_group();
-        Ok(rebuild_interior(self))
-    }
-
-    fn persist_quarantine(&mut self) {
-        self.path.persist_quarantine();
-    }
-
-    fn is_line_quarantined(&self, addr: DataAddr) -> bool {
-        self.path
-            .domain
-            .device()
-            .is_quarantined(self.layout.data_addr(addr))
-    }
-
-    fn supervisor_telemetry(&self) -> Telemetry {
-        self.path.telemetry.clone()
-    }
+    let mut sum = salvage_counters(c);
+    sum.absorb(rebuild_interior(c));
+    sum
 }
 
-impl<B: NvmBackend> BonsaiController<B> {
-    /// Resolves a line under its counter block's NVM copy, unverified:
-    /// degraded mode runs with the caches down and the tree suspect.
-    fn stale_line(&mut self, addr: DataAddr) -> Line {
-        let (leaf, _) = self.layout.counter_of(addr);
-        let leaf_addr = self.layout.node_addr(leaf);
-        let stale = SplitCounterBlock::from_block(&self.path.domain.device_mut().read(leaf_addr));
-        self.line_under(addr, &stale)
-    }
+/// Re-derives the interior from the leaves after per-line repairs.
+pub(super) fn reconcile<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary {
+    c.counter_cache.invalidate_all();
+    c.tree_cache.invalidate_all();
+    c.path.reset_group();
+    rebuild_interior(c)
 }
 
 /// Osiris-salvages every counter block: whole-block probing first, then
@@ -105,7 +58,7 @@ impl<B: NvmBackend> BonsaiController<B> {
 /// individual lines that cannot be opened, instead of aborting recovery).
 fn salvage_counters<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary {
     let mut sum = RepairSummary::default();
-    let mut t = recovery::Tally::default();
+    let mut t = RecoveryReport::default();
     for leaf in 0..c.layout.geometry().num_leaves() {
         match recovery::fix_counter_block(c, NodeId::new(0, leaf), &mut t) {
             Ok(rewritten) => sum.rebuilt += u64::from(rewritten),
@@ -119,40 +72,16 @@ fn salvage_counters<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary
 /// stop-loss window advance the counter; lines that do not are retired
 /// into the spare region and zero-sealed under their final counter bits.
 fn salvage_leaf<B: NvmBackend>(c: &mut BonsaiController<B>, leaf: u64, sum: &mut RepairSummary) {
-    let leaf_node = NodeId::new(0, leaf);
-    let leaf_addr = c.layout.node_addr(leaf_node);
+    let leaf_addr = c.layout.node_addr(NodeId::new(0, leaf));
     let stale = SplitCounterBlock::from_block(&c.path.domain.device_mut().read(leaf_addr));
     let mut fixed = stale;
     let mut changed = false;
+    let mut t = RecoveryReport::default();
     for line in 0..LINES_PER_COUNTER_BLOCK as usize {
         let Some(data_addr) = c.layout.line_of(leaf, line) else {
             break;
         };
-        let dev = c.layout.data_addr(data_addr);
-        let side_addr = c.layout.side_addr(data_addr);
-        let ciphertext = c.path.domain.device_mut().read(dev);
-        let side = c.path.domain.device_mut().read(side_addr);
-        let base = stale.minor(line) as u64;
-        if stale.major() == 0 && base == 0 && ciphertext.is_zeroed() && side.is_zeroed() {
-            continue;
-        }
-        let sealed = sealed_block(ciphertext, &side);
-        let mut hit = None;
-        for gap in 0..=c.config.stop_loss as u64 {
-            let minor = base + gap;
-            if minor > MINOR_MAX as u64 {
-                break;
-            }
-            if stale.major() == 0 && minor == 0 {
-                continue;
-            }
-            let iv = IvCounter::split(stale.major(), minor);
-            if c.path.codec.probe(dev, iv, &sealed).is_some() {
-                hit = Some(gap as u8);
-                break;
-            }
-        }
-        let advanced = match hit {
+        let advanced = match recovery::probe_line(c, &stale, data_addr, line, &mut t) {
             Some(0) => true,
             Some(gap) if fixed.advance_minor(line, gap).is_ok() => {
                 changed = true;
@@ -186,7 +115,7 @@ fn salvage_leaf<B: NvmBackend>(c: &mut BonsaiController<B>, leaf: u64, sum: &mut
 fn rebuild_interior<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary {
     let g = c.layout.geometry().clone();
     let mut sum = RepairSummary::default();
-    let mut t = recovery::Tally::default();
+    let mut t = RecoveryReport::default();
     for level in 1..g.num_levels() {
         for index in 0..g.nodes_at(level) {
             let node = NodeId::new(level, index);

@@ -6,7 +6,10 @@
 //! with the ECC and MAC words in the line's side block, an atomic commit
 //! group through the persistent registers into the WPQ, verify-on-read.
 //! [`DataPath`] is that mechanism, once; a controller embeds it and
-//! supplies only the [`Policy`] hooks.
+//! supplies only the [`Policy`] hooks. A scheme *is* its policy: the
+//! public [`MemoryController`] and [`Supervised`] surfaces are one
+//! blanket implementation each over those hooks, at the end of this
+//! module, and the recovery skeleton is `crate::recovery::run`.
 //!
 //! The module owns one invariant by construction. A deferred seal is
 //! three entries that refer to each other by index — two placeholder ops
@@ -19,12 +22,15 @@
 use crate::cost::{CostAccum, OpCost};
 use crate::error::{MemError, RecoveryError};
 use crate::layout::DataAddr;
+use crate::recovery::RecoveryReport;
+use crate::supervisor::{RepairSummary, Supervised};
+use crate::MemoryController;
 use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{CryptoError, DataCodec, Key, MacCache, SealedBlock};
 use anubis_nvm::{Block, BlockAddr, Freshness, NvmBackend, PersistenceDomain, Region, WriteOp};
 use anubis_telemetry::Telemetry;
 
-/// Pending-op watermark at which [`write_batch`] flushes its accumulated
+/// Pending-op watermark at which `write_batch` flushes its accumulated
 /// commit group. One write stages at most a handful of ops (data + side +
 /// counters + an eager tree path), so flushing here keeps the group
 /// safely inside the persist queue's `PREG_CAPACITY` of 64.
@@ -73,6 +79,8 @@ pub(crate) struct DataPath<B: NvmBackend> {
     /// Volatile cache of MAC-verified line fingerprints: reads of
     /// unmodified lines skip the MAC recomputation (cleared on crash).
     mac_cache: MacCache,
+    /// The data lines' ciphertext blocks, line `i` at block `i`.
+    data: Region,
     /// The persisted bad-block remap table's home.
     qtable: Region,
     /// The commit group being staged.
@@ -95,11 +103,17 @@ pub(crate) struct DataPath<B: NvmBackend> {
 }
 
 impl<B: NvmBackend> DataPath<B> {
-    pub(crate) fn new(domain: PersistenceDomain<B>, key: Key, qtable: Region) -> Self {
+    pub(crate) fn new(
+        domain: PersistenceDomain<B>,
+        key: Key,
+        data: Region,
+        qtable: Region,
+    ) -> Self {
         DataPath {
             domain,
             codec: DataCodec::new(key),
             mac_cache: MacCache::default(),
+            data,
             qtable,
             pending: Vec::new(),
             seal_jobs: Vec::new(),
@@ -238,7 +252,7 @@ impl<B: NvmBackend> DataPath<B> {
     /// against the all-zero state if it was never written, otherwise by
     /// decrypting under its IV with ECC correction and the MAC check.
     ///
-    /// Inlined into [`read`] (like the other `#[inline]` items here): a
+    /// Inlined into `read` (like the other `#[inline]` items here): a
     /// `Result<Block, _>` crossing a call boundary is a 70-byte copy, and
     /// a cache-hit read is short enough to feel each one.
     #[inline]
@@ -432,24 +446,34 @@ pub(crate) fn publish_cache_stats(t: &Telemetry, label: &str, stats: &anubis_cac
 }
 
 // ----------------------------------------------------------------------
-// The public operations, once, over a scheme's policy hooks
+// A scheme is its policy: the public surface, once, over its hooks
 // ----------------------------------------------------------------------
 
 /// What a scheme supplies on top of the shared data path: where a line's
-/// counter lives and how it advances, and which on-chip registers ride
-/// each commit. Statically dispatched — the in-process call is a few
-/// microseconds and stays monomorphised.
-pub(crate) trait Policy {
-    type Backend: NvmBackend;
+/// counter lives and how it advances, which on-chip registers ride each
+/// commit, what a crash takes with it, and how the scheme recovers and
+/// repairs. [`MemoryController`], [`Supervised`] and the recovery
+/// skeleton are implemented once over these hooks — statically
+/// dispatched: the in-process call is a few microseconds and stays
+/// monomorphised.
+pub(crate) trait Policy: Backed {
+    /// The family's shadow-table regions, for `shadow_table_writes_total`.
+    const SHADOW_REGIONS: &'static [&'static str];
 
-    fn path(&mut self) -> &mut DataPath<Self::Backend>;
+    fn path(&self) -> &DataPath<Self::Backend>;
 
-    /// Number of data lines.
-    fn data_blocks(&self) -> u64;
+    fn path_mut(&mut self) -> &mut DataPath<Self::Backend>;
+
+    /// Scheme name for reports and telemetry labels.
+    fn name(&self) -> &'static str;
 
     /// Brings the line's counter in verified (fetching and checking the
     /// metadata path as the scheme requires) and resolves the line.
     fn line_iv(&mut self, addr: DataAddr) -> Result<Line, MemError>;
+
+    /// Resolves the line under its counter as it stands, unverified: the
+    /// repair rungs run with the metadata suspect.
+    fn unverified_line(&mut self, addr: DataAddr) -> Line;
 
     /// Body of one logical write: counter maintenance, the (deferred)
     /// data seal and the scheme's tree update. The caller owns the group
@@ -467,8 +491,38 @@ pub(crate) trait Policy {
     /// Drops the group being staged, with whatever scheme state is
     /// scoped to it.
     fn reset_group(&mut self) {
-        self.path().reset_group();
+        self.path_mut().reset_group();
     }
+
+    /// Power failure: drops the scheme's volatile state (metadata caches,
+    /// shadow interiors). The data path's own is dropped by the caller;
+    /// on-chip persistent registers survive.
+    fn drop_volatile(&mut self);
+
+    /// Resets the scheme's own metadata-cache statistics.
+    fn reset_cache_stats(&mut self);
+
+    /// Publishes the scheme's own telemetry rows beside the common ones.
+    fn publish_own(&self, t: &Telemetry);
+
+    /// The scheme's recovery algorithm, run after power-up; tallies its
+    /// work into `t`.
+    fn recover_metadata(&mut self, t: &mut RecoveryReport) -> Result<(), RecoveryError>;
+
+    /// See [`Supervised::targeted_repair`].
+    fn targeted_repair(&mut self, err: &RecoveryError) -> Result<RepairSummary, RecoveryError>;
+
+    /// See [`Supervised::reconcile_metadata`].
+    fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError>;
+}
+
+/// The storage backend a scheme's data path persists through. It is a
+/// trait of its own, public in this private module, because the public
+/// surface below names it (`MemoryController::Backend`), which a
+/// crate-private trait's type may not be.
+pub trait Backed {
+    /// The backend of the scheme's persistence domain.
+    type Backend: NvmBackend;
 }
 
 #[inline]
@@ -484,115 +538,204 @@ fn validate(addr: DataAddr, capacity_blocks: u64) -> Result<(), MemError> {
 }
 
 fn begin_op<C: Policy>(c: &mut C) {
-    c.path().cost = OpCost::zero();
+    c.path_mut().cost = OpCost::zero();
     c.reset_group();
 }
 
 fn record_op<C: Policy>(c: &mut C, is_write: bool) {
-    let path = c.path();
+    let path = c.path_mut();
     path.totals.record(is_write, path.cost);
 }
 
 /// The durable half of a fused public operation. `body` is the execute
-/// half — one of the `*_deferred` functions below: it stages, commits
-/// groups and leaves their records in the backend's pending frame — and
-/// this closes it with the operation's single durability barrier, on
-/// every exit: all commit groups the op produced — on an error, the ones
-/// it completed before failing, which the in-process persistent domain
+/// half — one of the `*_deferred` operations: it stages, commits groups
+/// and leaves their records in the backend's pending frame — and this
+/// closes it with the operation's single durability barrier, on every
+/// exit: all commit groups the op produced — on an error, the ones it
+/// completed before failing, which the in-process persistent domain
 /// already holds — land in one backend frame, and the caller acknowledges
 /// only after this returns. The op's own error wins over a barrier
 /// failure.
 ///
-/// This is the only place the two halves are joined, for both families.
+/// This is the only place the two halves are joined, for every scheme.
 /// A caller that wants them apart (a server sharing one barrier between
 /// several operations) runs the deferred half alone and takes the
 /// barrier itself; what it must then guarantee is on
-/// [`crate::MemoryController::read_deferred`].
+/// [`MemoryController::read_deferred`].
 #[inline]
-fn op<C: Policy, T>(
+fn fused<C: Policy, T>(
     c: &mut C,
     body: impl FnOnce(&mut C) -> Result<T, MemError>,
 ) -> Result<T, MemError> {
     let result = body(c);
-    let flushed = c.path().domain.barrier();
+    let flushed = c.path_mut().domain.barrier();
     let value = result?;
     flushed?;
     Ok(value)
 }
 
-#[inline]
-pub(crate) fn read_deferred<C: Policy>(c: &mut C, addr: DataAddr) -> Result<Block, MemError> {
-    validate(addr, c.data_blocks())?;
-    begin_op(c);
-    let line = c.line_iv(addr)?;
-    let opened = c.path().open_line(line);
-    // Persist the shadow/eviction traffic of the fills even when the line
-    // is refused: the cache has already let the victims go and their
-    // parents' counters have moved, so this group is the only copy.
-    let committed = c.commit();
-    let value = opened?;
-    committed?;
-    record_op(c, false);
-    Ok(value)
-}
+impl<P: Policy> MemoryController for P {
+    type Backend = P::Backend;
 
-#[inline]
-pub(crate) fn write_deferred<C: Policy>(
-    c: &mut C,
-    addr: DataAddr,
-    data: Block,
-) -> Result<(), MemError> {
-    validate(addr, c.data_blocks())?;
-    begin_op(c);
-    c.write_inner(addr, data)?;
-    c.commit()?;
-    record_op(c, true);
-    Ok(())
-}
-
-#[inline]
-pub(crate) fn write_batch_deferred<C: Policy>(
-    c: &mut C,
-    items: &[(DataAddr, Block)],
-) -> Result<(), MemError> {
-    for (addr, _) in items {
-        validate(*addr, c.data_blocks())?;
+    fn scheme_name(&self) -> &'static str {
+        self.name()
     }
-    begin_op(c);
-    for (addr, data) in items {
-        c.path().cost = OpCost::zero();
-        c.write_inner(*addr, *data)?;
-        if c.path().pending.len() >= GROUP_FLUSH_WATERMARK {
-            c.commit()?;
-        }
-        record_op(c, true);
+
+    fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
+        fused(self, |c| c.read_deferred(addr))
     }
-    c.commit()
-}
 
-pub(crate) fn read<C: Policy>(c: &mut C, addr: DataAddr) -> Result<Block, MemError> {
-    op(c, |c| read_deferred(c, addr))
-}
+    fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
+        fused(self, |c| c.write_deferred(addr, data))
+    }
 
-pub(crate) fn write<C: Policy>(c: &mut C, addr: DataAddr, data: Block) -> Result<(), MemError> {
-    op(c, |c| write_deferred(c, addr, data))
-}
+    fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
+        fused(self, |c| c.write_batch_deferred(items))
+    }
 
-pub(crate) fn write_batch<C: Policy>(
-    c: &mut C,
-    items: &[(DataAddr, Block)],
-) -> Result<(), MemError> {
-    op(c, |c| write_batch_deferred(c, items))
-}
+    #[inline]
+    fn read_deferred(&mut self, addr: DataAddr) -> Result<Block, MemError> {
+        validate(addr, self.path().data.len())?;
+        begin_op(self);
+        let line = self.line_iv(addr)?;
+        let opened = self.path_mut().open_line(line);
+        // Persist the shadow/eviction traffic of the fills even when the
+        // line is refused: the cache has already let the victims go and
+        // their parents' counters have moved, so this group is the only
+        // copy.
+        let committed = self.commit();
+        let value = opened?;
+        committed?;
+        record_op(self, false);
+        Ok(value)
+    }
 
-pub(crate) fn shutdown_flush<C: Policy>(c: &mut C) -> Result<(), MemError> {
-    op(c, |c| {
-        begin_op(c);
-        c.flush_metadata()?;
-        c.commit()?;
-        c.path().domain.drain_wpq();
+    #[inline]
+    fn write_deferred(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
+        validate(addr, self.path().data.len())?;
+        begin_op(self);
+        self.write_inner(addr, data)?;
+        self.commit()?;
+        record_op(self, true);
         Ok(())
-    })
+    }
+
+    #[inline]
+    fn write_batch_deferred(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
+        for (addr, _) in items {
+            validate(*addr, self.path().data.len())?;
+        }
+        begin_op(self);
+        for (addr, data) in items {
+            self.path_mut().cost = OpCost::zero();
+            self.write_inner(*addr, *data)?;
+            if self.path().pending.len() >= GROUP_FLUSH_WATERMARK {
+                self.commit()?;
+            }
+            record_op(self, true);
+        }
+        self.commit()
+    }
+
+    fn crash(&mut self) {
+        self.path_mut().crash();
+        self.drop_volatile();
+    }
+
+    fn recover(&mut self) -> Result<RecoveryReport, RecoveryError> {
+        crate::recovery::run(self)
+    }
+
+    fn shutdown_flush(&mut self) -> Result<(), MemError> {
+        fused(self, |c| {
+            begin_op(c);
+            c.flush_metadata()?;
+            c.commit()?;
+            c.path_mut().domain.drain_wpq();
+            Ok(())
+        })
+    }
+
+    fn domain(&self) -> &PersistenceDomain<P::Backend> {
+        &self.path().domain
+    }
+
+    fn domain_mut(&mut self) -> &mut PersistenceDomain<P::Backend> {
+        &mut self.path_mut().domain
+    }
+
+    fn last_cost(&self) -> OpCost {
+        self.path().cost
+    }
+
+    fn total_cost(&self) -> &CostAccum {
+        &self.path().totals
+    }
+
+    fn reset_costs(&mut self) {
+        self.path_mut().reset_costs();
+        self.reset_cache_stats();
+    }
+
+    fn ecc_corrections(&self) -> u64 {
+        self.path().ecc_corrections
+    }
+
+    fn set_telemetry(&mut self, t: Telemetry) {
+        self.path_mut().telemetry = t;
+    }
+
+    fn publish_telemetry(&self) {
+        if let Some(t) = self
+            .path()
+            .publish_telemetry(self.name(), P::SHADOW_REGIONS)
+        {
+            self.publish_own(t);
+        }
+    }
+}
+
+impl<P: Policy> Supervised for P {
+    fn data_lines(&self) -> u64 {
+        self.path().data.len()
+    }
+
+    fn data_block(&self, addr: DataAddr) -> BlockAddr {
+        self.path().data.nth(addr.index())
+    }
+
+    fn repair_line(&mut self, addr: DataAddr) -> Result<u32, RecoveryError> {
+        let line = self.unverified_line(addr);
+        self.path_mut().repair_line(line)
+    }
+
+    fn quarantine_line(&mut self, addr: DataAddr) -> Result<bool, RecoveryError> {
+        let line = self.unverified_line(addr);
+        Ok(self.path_mut().quarantine_line(line))
+    }
+
+    fn targeted_repair(&mut self, err: &RecoveryError) -> Result<RepairSummary, RecoveryError> {
+        Policy::targeted_repair(self, err)
+    }
+
+    fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError> {
+        Policy::reconcile_metadata(self)
+    }
+
+    fn persist_quarantine(&mut self) {
+        self.path_mut().persist_quarantine();
+    }
+
+    fn is_line_quarantined(&self, addr: DataAddr) -> bool {
+        self.path()
+            .domain
+            .device()
+            .is_quarantined(self.data_block(addr))
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        &self.path().telemetry
+    }
 }
 
 #[cfg(test)]

@@ -8,11 +8,12 @@ const KEY: Key = Key([7, 13]);
 
 fn path() -> DataPath<MemBackend> {
     let mut alloc = RegionAllocator::new();
-    alloc.alloc("data", 256);
+    let data = alloc.alloc("data", 256);
     let qtable = alloc.alloc("qtable", 4);
     DataPath::new(
         PersistenceDomain::new(alloc.total_blocks() * 64),
         KEY,
+        data,
         qtable,
     )
 }

@@ -205,6 +205,11 @@ impl BonsaiLayout {
         self.qtable.len()
     }
 
+    /// The data-line region, for the shared data path.
+    pub(crate) fn data(&self) -> Region {
+        self.data.clone()
+    }
+
     /// The remap-table region, for the shared data path.
     pub(crate) fn qtable(&self) -> Region {
         self.qtable.clone()
@@ -360,6 +365,11 @@ impl SgxLayout {
     /// Capacity of the remap-table region, in blocks.
     pub fn qtable_blocks(&self) -> u64 {
         self.qtable.len()
+    }
+
+    /// The data-line region, for the shared data path.
+    pub(crate) fn data(&self) -> Region {
+        self.data.clone()
     }
 
     /// The remap-table region, for the shared data path.

@@ -20,10 +20,13 @@
 //! | [`SgxScheme::Osiris`] | SGX-style | **impossible** (leaves don't determine tree) | §6.2 ③ |
 //! | [`SgxScheme::Asit`] | SGX-style | O(cache): integrity-protected shadow copy | §4.3 |
 //!
-//! Both controller families expose the same surface: [`MemoryController`]
-//! with `read`/`write`/`crash`/`recover`, per-operation [`OpCost`]s for
-//! the timing simulator, and honest integrity verification (tampering
-//! with NVM contents is *detected*, not assumed away).
+//! Both controller families expose the same surface, implemented once
+//! over the shared data path: [`MemoryController`] with
+//! `read`/`write`/`crash`/`recover`, per-operation [`OpCost`]s for the
+//! timing simulator, [`Supervised`] for the degraded-mode ladder, and
+//! honest integrity verification (tampering with NVM contents is
+//! *detected*, not assumed away). A family supplies only its metadata
+//! policy.
 //!
 //! # Quickstart
 //!
@@ -131,11 +134,12 @@ pub trait MemoryController {
 
     /// Writes a group of `(addr, data)` lines.
     ///
-    /// The default is the scalar loop. Controllers override this to share
+    /// The default is the scalar loop. The controller families' one
+    /// implementation, over the shared data path, overrides it to share
     /// commit groups across several writes and to push every data seal of
-    /// a group through the batch crypto path in one pass. Overrides must
-    /// leave the device in a state bit-identical to the scalar loop (the
-    /// `write_batch_equiv` suite holds them to it).
+    /// a group through the batch crypto path in one pass. An override
+    /// must leave the device in a state bit-identical to the scalar loop
+    /// (the `write_batch_equiv` suite holds it to that).
     ///
     /// # Errors
     ///
@@ -174,7 +178,8 @@ pub trait MemoryController {
     ///   frame holds whole operations in execution order.
     ///
     /// The default is the fused operation, which satisfies all of this
-    /// trivially; both controller families override it.
+    /// trivially; the controller families' one implementation, over the
+    /// shared data path, overrides it.
     ///
     /// # Errors
     ///
@@ -256,6 +261,13 @@ pub trait MemoryController {
 
     /// Resets cumulative cost counters (e.g. after cache warm-up).
     fn reset_costs(&mut self);
+
+    /// Total data words repaired by the SEC-DED decoder (correctable
+    /// bit-flip faults absorbed on the read path). The default is for a
+    /// controller without the decoder: it repairs none.
+    fn ecc_corrections(&self) -> u64 {
+        0
+    }
 
     /// Redirects the controller's observability output to `t` (controllers
     /// default to the process-global registry). Schemes without

@@ -6,9 +6,28 @@
 //! operations; for terabyte-scale capacities (Figs. 5 and 12) the
 //! [`time`] module evaluates the same counts analytically.
 
+use crate::datapath::Policy;
+use crate::error::RecoveryError;
+
 /// Cost of one recovery operation (fetch + hash/decrypt), per the paper's
 /// footnote 1.
 pub const NS_PER_RECOVERY_OP: u64 = 100;
+
+/// The recovery skeleton every scheme runs: power-up (the persistent
+/// registers REDO their group), then the scheme's own algorithm, which
+/// tallies its work into the report, inside the `recovery` span and
+/// counted in `recovery_runs_total`.
+pub(crate) fn run<P: Policy>(c: &mut P) -> Result<RecoveryReport, RecoveryError> {
+    let tel = c.path().telemetry.clone();
+    let _recovery_span = tel.span("recovery", c.name());
+    let mut report = RecoveryReport {
+        redo_writes: c.path_mut().domain.power_up() as u64,
+        ..RecoveryReport::default()
+    };
+    c.recover_metadata(&mut report)?;
+    tel.incr("recovery_runs_total", c.name(), 1);
+    Ok(report)
+}
 
 /// What a completed recovery did and what it cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -10,18 +10,14 @@
 mod recovery;
 mod repair;
 
-#[cfg(test)]
-mod tests;
-
 use crate::config::AnubisConfig;
-use crate::cost::{CostAccum, OpCost};
-use crate::datapath::{self, publish_cache_stats, DataPath, Line, Policy};
+use crate::datapath::{publish_cache_stats, Backed, DataPath, Line, Policy};
 use crate::error::{freshness_hint, IntegrityWitness, MemError, RecoveryError};
 use crate::layout::{DataAddr, SgxLayout};
 use crate::recovery::RecoveryReport;
 use crate::shadow::StEntry;
 use crate::shadow_tree::ShadowTree;
-use crate::MemoryController;
+use crate::supervisor::RepairSummary;
 use anubis_cache::MetadataCache;
 use anubis_crypto::hash::Hasher64;
 use anubis_crypto::otp::IvCounter;
@@ -169,7 +165,7 @@ impl<B: NvmBackend> SgxController<B> {
         SgxController {
             scheme,
             config: config.clone(),
-            path: DataPath::new(domain, config.key, layout.qtable()),
+            path: DataPath::new(domain, config.key, layout.data(), layout.qtable()),
             layout,
             mac_key,
             cache,
@@ -231,19 +227,9 @@ impl<B: NvmBackend> SgxController<B> {
         (c, hint)
     }
 
-    /// The scheme this controller runs.
-    pub fn scheme(&self) -> SgxScheme {
-        self.scheme
-    }
-
     /// The memory layout (for tamper experiments).
     pub fn layout(&self) -> &SgxLayout {
         &self.layout
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AnubisConfig {
-        &self.config
     }
 
     /// Combined metadata-cache statistics.
@@ -251,39 +237,9 @@ impl<B: NvmBackend> SgxController<B> {
         self.cache.stats()
     }
 
-    /// Direct access to the persistence domain (tamper API, device stats).
-    pub fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.path.domain
-    }
-
-    /// Read-only access to the persistence domain.
-    pub fn domain(&self) -> &PersistenceDomain<B> {
-        &self.path.domain
-    }
-
     /// The on-chip `SHADOW_TREE_ROOT` register (ASIT).
     pub fn shadow_root(&self) -> Root {
         self.shadow_root
-    }
-
-    /// Total data words repaired by the SEC-DED decoder (correctable
-    /// bit-flip faults absorbed on the read path).
-    pub fn ecc_corrections(&self) -> u64 {
-        self.path.ecc_corrections
-    }
-
-    /// The telemetry handle the controller records spans and counters
-    /// through (defaults to the process-global registry).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.path.telemetry
-    }
-
-    /// Publishes current device/cache/controller counters into the
-    /// telemetry registry. See [`MemoryController::publish_telemetry`].
-    pub fn publish_telemetry(&self) {
-        if let Some(t) = self.path.publish_telemetry(self.scheme.name(), &["st"]) {
-            publish_cache_stats(t, "metadata", self.cache.stats());
-        }
     }
 
     /// Test/debug hook: re-anchors `SHADOW_TREE_ROOT` (and the volatile
@@ -689,15 +645,23 @@ impl<B: NvmBackend> SgxController<B> {
     }
 }
 
-impl<B: NvmBackend> Policy for SgxController<B> {
+impl<B: NvmBackend> Backed for SgxController<B> {
     type Backend = B;
+}
 
-    fn path(&mut self) -> &mut DataPath<B> {
+impl<B: NvmBackend> Policy for SgxController<B> {
+    const SHADOW_REGIONS: &'static [&'static str] = &["st"];
+
+    fn path(&self) -> &DataPath<B> {
+        &self.path
+    }
+
+    fn path_mut(&mut self) -> &mut DataPath<B> {
         &mut self.path
     }
 
-    fn data_blocks(&self) -> u64 {
-        self.layout.data_blocks()
+    fn name(&self) -> &'static str {
+        self.scheme.name()
     }
 
     #[inline]
@@ -715,6 +679,23 @@ impl<B: NvmBackend> Policy for SgxController<B> {
                 .counter(slot)
         };
         Ok(self.line_under(addr, ctr))
+    }
+
+    /// Resolves a line under its current counter: from the resident leaf
+    /// if cached (recovered nodes live there dirty), the on-chip top node
+    /// for the degenerate single-leaf tree, or the NVM copy.
+    fn unverified_line(&mut self, addr: DataAddr) -> Line {
+        let (leaf, slot) = self.layout.leaf_of(addr);
+        if self.layout.is_on_chip(leaf) {
+            return self.line_under(addr, self.top.counter(slot));
+        }
+        let leaf_addr = self.layout.node_addr(leaf);
+        let ctr = match self.cache.peek(leaf_addr) {
+            Some(entry) => entry.node.counter(slot),
+            None => SgxCounterNode::from_block(&self.path.domain.device_mut().read(leaf_addr))
+                .counter(slot),
+        };
+        self.line_under(addr, ctr)
     }
 
     /// Counter bump, scheme-specific propagation and the (deferred)
@@ -817,49 +798,8 @@ impl<B: NvmBackend> Policy for SgxController<B> {
         }
         self.pending_shadow_root = None;
     }
-}
 
-impl<B: NvmBackend> MemoryController for SgxController<B> {
-    type Backend = B;
-
-    fn scheme_name(&self) -> &'static str {
-        self.scheme.name()
-    }
-
-    fn domain(&self) -> &PersistenceDomain<B> {
-        &self.path.domain
-    }
-
-    fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.path.domain
-    }
-
-    fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        datapath::read(self, addr)
-    }
-
-    fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        datapath::write(self, addr, data)
-    }
-
-    fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
-        datapath::write_batch(self, items)
-    }
-
-    fn read_deferred(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        datapath::read_deferred(self, addr)
-    }
-
-    fn write_deferred(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        datapath::write_deferred(self, addr, data)
-    }
-
-    fn write_batch_deferred(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
-        datapath::write_batch_deferred(self, items)
-    }
-
-    fn crash(&mut self) {
-        self.path.crash();
+    fn drop_volatile(&mut self) {
         self.pending_shadow_root = None;
         self.lost_dirty_metadata = self.cache.iter_resident().any(|(_, _, _, dirty)| dirty);
         self.cache.invalidate_all();
@@ -870,32 +810,26 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
         // `top` and `shadow_root` are on-chip persistent registers: kept.
     }
 
-    fn recover(&mut self) -> Result<RecoveryReport, RecoveryError> {
-        recovery::recover(self)
-    }
-
-    fn shutdown_flush(&mut self) -> Result<(), MemError> {
-        datapath::shutdown_flush(self)
-    }
-
-    fn last_cost(&self) -> OpCost {
-        self.path.cost
-    }
-
-    fn total_cost(&self) -> &CostAccum {
-        &self.path.totals
-    }
-
-    fn reset_costs(&mut self) {
-        self.path.reset_costs();
+    fn reset_cache_stats(&mut self) {
         self.cache.reset_stats();
     }
 
-    fn set_telemetry(&mut self, t: Telemetry) {
-        self.path.telemetry = t;
+    fn publish_own(&self, t: &Telemetry) {
+        publish_cache_stats(t, "metadata", self.cache.stats());
     }
 
-    fn publish_telemetry(&self) {
-        Self::publish_telemetry(self);
+    fn recover_metadata(&mut self, t: &mut RecoveryReport) -> Result<(), RecoveryError> {
+        recovery::recover(self, t)
+    }
+
+    fn targeted_repair(&mut self, err: &RecoveryError) -> Result<RepairSummary, RecoveryError> {
+        Ok(repair::targeted(self, err))
+    }
+
+    fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError> {
+        Ok(repair::degrade(self))
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -23,31 +23,19 @@ use crate::error::RecoveryError;
 use crate::recovery::RecoveryReport;
 use crate::shadow::StEntry;
 use crate::shadow_tree::ShadowTree;
-use crate::MemoryController;
 use anubis_crypto::{SgxCounterNode, SGX_COUNTERS_PER_NODE};
 use anubis_nvm::{BlockAddr, NvmBackend};
 use std::collections::BTreeMap;
 
-#[derive(Default)]
-struct Tally {
-    reads: u64,
-    writes: u64,
-    hashes: u64,
-    nodes_fixed: u64,
-}
-
+/// The scheme's recovery, after power-up (`crate::recovery::run`).
 pub(super) fn recover<B: NvmBackend>(
     c: &mut SgxController<B>,
-) -> Result<RecoveryReport, RecoveryError> {
-    let tel = c.path.telemetry.clone();
-    let _recovery_span = tel.span("recovery", c.scheme_name());
-    let redo_writes = c.path.domain.power_up() as u64;
-    let mut t = Tally::default();
+    t: &mut RecoveryReport,
+) -> Result<(), RecoveryError> {
     match c.scheme {
-        SgxScheme::StrictPersist => {
-            // Everything persisted eagerly; the tree in NVM plus the
-            // on-chip top node is complete and fresh.
-        }
+        // Everything persisted eagerly; the tree in NVM plus the on-chip
+        // top node is complete and fresh.
+        SgxScheme::StrictPersist => Ok(()),
         SgxScheme::WriteBack | SgxScheme::EagerWriteBack | SgxScheme::Osiris => {
             if c.lost_dirty_metadata {
                 return Err(RecoveryError::SchemeCannotRecover {
@@ -56,25 +44,16 @@ pub(super) fn recover<B: NvmBackend>(
                              (even with an eagerly-updated, perfectly fresh top node)",
                 });
             }
+            Ok(())
         }
-        SgxScheme::Asit => recover_asit(c, &mut t)?,
+        SgxScheme::Asit => recover_asit(c, t),
     }
-    tel.incr("recovery_runs_total", c.scheme_name(), 1);
-    Ok(RecoveryReport {
-        nvm_reads: t.reads,
-        nvm_writes: t.writes,
-        hash_ops: t.hashes,
-        counters_fixed: 0,
-        nodes_fixed: t.nodes_fixed,
-        redo_writes,
-        reencryption_completed: false,
-    })
 }
 
 /// Algorithm 2 (paper §4.3.2).
 fn recover_asit<B: NvmBackend>(
     c: &mut SgxController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
 ) -> Result<(), RecoveryError> {
     let tel = c.path.telemetry.clone();
     // Step 1: read the whole Shadow Table in slot order.
@@ -85,7 +64,7 @@ fn recover_asit<B: NvmBackend>(
             .map(|slot| c.path.domain.device().read(c.layout.st_slot(slot)))
             .collect::<Vec<_>>()
     };
-    t.reads += st_slots;
+    t.nvm_reads += st_slots;
 
     // Step 2: regenerate SHADOW_TREE_ROOT and verify against the on-chip
     // register.
@@ -93,7 +72,7 @@ fn recover_asit<B: NvmBackend>(
         let _span = tel.span("recovery_phase", "shadow_verify");
         ShadowTree::rebuild(c.config.key, st_blocks.clone())
     };
-    t.hashes += rebuilt.rebuild_hash_ops();
+    t.hash_ops += rebuilt.rebuild_hash_ops();
     if rebuilt.root() != c.shadow_root {
         return Err(RecoveryError::ShadowTableTampered);
     }
@@ -110,7 +89,7 @@ fn recover_asit<B: NvmBackend>(
         .items(entries.len() as u64);
     let mut recovered: Vec<(BlockAddr, SgxCounterNode)> = Vec::with_capacity(entries.len());
     for (addr, entry) in &entries {
-        t.reads += 1;
+        t.nvm_reads += 1;
         let stale = SgxCounterNode::from_block(&c.path.domain.device().read(*addr));
         let node = splice_node(&stale, entry, lsb_bits);
         let outcome = c.cache.insert(
@@ -152,13 +131,13 @@ fn recover_asit<B: NvmBackend>(
                 if let Some(entry) = c.cache.peek(p_addr) {
                     entry.node.counter(g.child_slot(id))
                 } else {
-                    t.reads += 1;
+                    t.nvm_reads += 1;
                     let b = c.path.domain.device().read(p_addr);
                     SgxCounterNode::from_block(&b).counter(g.child_slot(id))
                 }
             }
         };
-        t.hashes += 1;
+        t.hash_ops += 1;
         if !node.verify(&c.mac_key, pc) {
             tel.incr("recovery_errors_total", "node_mac_mismatch", 1);
             return Err(RecoveryError::NodeMacMismatch { addr: *addr });
@@ -180,7 +159,7 @@ fn recover_asit<B: NvmBackend>(
         .items(recovered.len() as u64);
     let lsb_mask = (1u64 << lsb_bits) - 1;
     let mut fresh_tree = ShadowTree::new(c.config.key, st_slots);
-    t.hashes += fresh_tree.rebuild_hash_ops();
+    t.hash_ops += fresh_tree.rebuild_hash_ops();
     let mut occupied = vec![false; st_slots as usize];
     for (addr, node) in &recovered {
         // Residency was established by the insert loop above; a miss here
@@ -196,7 +175,7 @@ fn recover_asit<B: NvmBackend>(
             *l = node.counter(i) & lsb_mask;
         }
         let block = StEntry::new(*addr, node.mac(), lsbs).to_block();
-        t.writes += 1;
+        t.nvm_writes += 1;
         c.path
             .domain
             .device_mut()
@@ -206,7 +185,7 @@ fn recover_asit<B: NvmBackend>(
     }
     for slot in 0..st_slots {
         if !occupied[slot as usize] && !st_blocks[slot as usize].is_zeroed() {
-            t.writes += 1;
+            t.nvm_writes += 1;
             c.path
                 .domain
                 .device_mut()

@@ -1,6 +1,7 @@
-//! Degraded-mode repair hooks for the SGX-style controller family: the
-//! [`Supervised`] implementation the recovery supervisor drives when
-//! Algorithm 2 cannot restore a verified state.
+//! Degraded-mode repair for the SGX-style controller family: the two
+//! metadata rungs of [`crate::Supervised`] the recovery supervisor drives
+//! when Algorithm 2 cannot restore a verified state (the per-line rungs
+//! are the shared data path's).
 //!
 //! SGX-style trees cannot be rebuilt bottom-up — interior version
 //! counters are not derivable from leaves — so degraded mode works
@@ -23,85 +24,27 @@
 //!   region, readable as zero under their current leaf counter.
 
 use super::{recovery, SgxController, SgxScheme};
-use crate::datapath::{Line, Policy};
+use crate::datapath::Policy;
 use crate::error::RecoveryError;
-use crate::layout::DataAddr;
 use crate::shadow_tree::ShadowTree;
-use crate::supervisor::{RepairSummary, Supervised};
+use crate::supervisor::RepairSummary;
 use crate::MemoryController;
 use anubis_crypto::SgxCounterNode;
 use anubis_itree::NodeId;
-use anubis_nvm::{Block, BlockAddr, NvmBackend};
-use anubis_telemetry::Telemetry;
+use anubis_nvm::{Block, NvmBackend};
 
-impl<B: NvmBackend> Supervised for SgxController<B> {
-    fn data_lines(&self) -> u64 {
-        self.layout.data_blocks()
+/// `targeted`: the spill splice when the verified Shadow Table outgrew
+/// the cache, then the shared degraded path.
+pub(super) fn targeted<B: NvmBackend>(
+    c: &mut SgxController<B>,
+    err: &RecoveryError,
+) -> RepairSummary {
+    let mut sum = RepairSummary::default();
+    if c.scheme == SgxScheme::Asit && matches!(err, RecoveryError::ShadowCapacityExceeded { .. }) {
+        sum.absorb(spill_splice(c));
     }
-
-    fn data_block(&self, addr: DataAddr) -> BlockAddr {
-        self.layout.data_addr(addr)
-    }
-
-    fn repair_line(&mut self, addr: DataAddr) -> Result<u32, RecoveryError> {
-        let line = self.current_line(addr);
-        self.path.repair_line(line)
-    }
-
-    fn quarantine_line(&mut self, addr: DataAddr) -> Result<bool, RecoveryError> {
-        let line = self.current_line(addr);
-        Ok(self.path.quarantine_line(line))
-    }
-
-    fn targeted_repair(&mut self, err: &RecoveryError) -> Result<RepairSummary, RecoveryError> {
-        let mut sum = RepairSummary::default();
-        if self.scheme == SgxScheme::Asit
-            && matches!(err, RecoveryError::ShadowCapacityExceeded { .. })
-        {
-            sum.absorb(spill_splice(self));
-        }
-        sum.absorb(degrade(self));
-        Ok(sum)
-    }
-
-    fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError> {
-        Ok(degrade(self))
-    }
-
-    fn persist_quarantine(&mut self) {
-        self.path.persist_quarantine();
-    }
-
-    fn is_line_quarantined(&self, addr: DataAddr) -> bool {
-        self.path
-            .domain
-            .device()
-            .is_quarantined(self.layout.data_addr(addr))
-    }
-
-    fn supervisor_telemetry(&self) -> Telemetry {
-        self.path.telemetry.clone()
-    }
-}
-
-impl<B: NvmBackend> SgxController<B> {
-    /// Resolves a line under its current counter, unverified: from the
-    /// resident leaf if cached (recovered nodes live there dirty), the
-    /// on-chip top node for the degenerate single-leaf tree, or the NVM
-    /// copy.
-    fn current_line(&mut self, addr: DataAddr) -> Line {
-        let (leaf, slot) = self.layout.leaf_of(addr);
-        if self.layout.is_on_chip(leaf) {
-            return self.line_under(addr, self.top.counter(slot));
-        }
-        let leaf_addr = self.layout.node_addr(leaf);
-        let ctr = match self.cache.peek(leaf_addr) {
-            Some(entry) => entry.node.counter(slot),
-            None => SgxCounterNode::from_block(&self.path.domain.device_mut().read(leaf_addr))
-                .counter(slot),
-        };
-        self.line_under(addr, ctr)
-    }
+    sum.absorb(degrade(c));
+    sum
 }
 
 /// Splices a verified-but-over-capacity Shadow Table straight into NVM,
@@ -117,7 +60,6 @@ fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
     if ShadowTree::rebuild(c.config.key, st_blocks.clone()).root() != c.shadow_root {
         return sum;
     }
-    let g = c.layout.geometry().clone();
     let mut entries = recovery::dedup_st_entries(c, &st_blocks);
     entries.sort_by_key(|(addr, _)| {
         std::cmp::Reverse(c.layout.node_of_addr(*addr).map(|n| n.level).unwrap_or(0))
@@ -129,16 +71,7 @@ fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
         };
         let stale = SgxCounterNode::from_block(&c.path.domain.device_mut().read(addr));
         let node = recovery::splice_node(&stale, &entry, lsb_bits);
-        let pc = match g.parent(id) {
-            None => 0,
-            Some(p) if c.layout.is_on_chip(p) => c.top.counter(g.child_slot(id)),
-            Some(p) => {
-                let p_addr = c.layout.node_addr(p);
-                SgxCounterNode::from_block(&c.path.domain.device_mut().read(p_addr))
-                    .counter(g.child_slot(id))
-            }
-        };
-        if node.verify(&c.mac_key, pc) {
+        if node.verify(&c.mac_key, stored_parent_counter(c, id)) {
             c.path.domain.device_mut().write(addr, node.to_block());
             sum.rebuilt += 1;
         }
@@ -146,10 +79,23 @@ fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
     sum
 }
 
+/// `node`'s version counter as its parent stores it on the medium, or
+/// the on-chip top node holds it: what degraded mode verifies against,
+/// with the cache out of the picture.
+fn stored_parent_counter<B: NvmBackend>(c: &SgxController<B>, node: NodeId) -> u64 {
+    let g = c.layout.geometry();
+    match g.parent(node) {
+        None => 0,
+        Some(p) if c.layout.is_on_chip(p) => c.top.counter(g.child_slot(node)),
+        Some(p) => SgxCounterNode::from_block(&c.path.domain.device().read(c.layout.node_addr(p)))
+            .counter(g.child_slot(node)),
+    }
+}
+
 /// The shared degraded-mode path: flush whatever the cache still holds,
 /// run the verify-and-reseal cascade over the whole tree, and (ASIT)
 /// reset the Shadow Table to match the now-empty cache.
-fn degrade<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
+pub(super) fn degrade<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
     // The ASIT flush path stages ST entries through the volatile shadow
     // tree; after a crash it is gone until recovery succeeds.
     if c.scheme == SgxScheme::Asit && c.shadow_tree.is_none() {
@@ -190,14 +136,7 @@ fn verify_reseal_cascade<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSumma
             let node = NodeId::new(level, index);
             let addr = c.layout.node_addr(node);
             let raw = c.path.domain.device().read(addr);
-            let pc = match g.parent(node) {
-                None => 0,
-                Some(p) if c.layout.is_on_chip(p) => c.top.counter(g.child_slot(node)),
-                Some(p) => {
-                    let parent = c.path.domain.device().read(c.layout.node_addr(p));
-                    SgxCounterNode::from_block(&parent).counter(g.child_slot(node))
-                }
-            };
+            let pc = stored_parent_counter(c, node);
             let mut val = if raw.is_zeroed() {
                 if pc == 0 {
                     // Canonical zero state verifies implicitly.

@@ -145,9 +145,11 @@ impl RepairSummary {
 }
 
 /// The per-scheme hooks the supervisor drives past `fast` (which is
-/// [`MemoryController::recover`] itself). Implemented by
-/// [`crate::BonsaiController`] and [`crate::SgxController`] (in their
-/// `repair` submodules, which have access to controller internals).
+/// [`MemoryController::recover`] itself). Implemented once, over the
+/// shared data path, for every controller family
+/// ([`crate::BonsaiController`], [`crate::SgxController`]): the per-line
+/// rungs are the data path's, and only `targeted_repair` and
+/// `reconcile_metadata` are the family's own (in its `repair` submodule).
 pub trait Supervised: MemoryController {
     /// Number of data lines the scrub pass must walk.
     fn data_lines(&self) -> u64;
@@ -196,8 +198,9 @@ pub trait Supervised: MemoryController {
     /// Whether the line's backing block is currently quarantined.
     fn is_line_quarantined(&self, addr: DataAddr) -> bool;
 
-    /// Telemetry handle for supervisor instrumentation.
-    fn supervisor_telemetry(&self) -> Telemetry;
+    /// The telemetry handle the controller records spans and counters
+    /// through (defaults to the process-global registry).
+    fn telemetry(&self) -> &Telemetry;
 }
 
 /// Runs the full ladder: `fast`, `targeted` when it fails, and the
@@ -228,7 +231,7 @@ pub fn recover<C: Supervised + ?Sized>(ctrl: &mut C) -> Result<SupervisedRecover
 fn fast<C: Supervised + ?Sized>(
     ctrl: &mut C,
 ) -> Result<(SupervisedRecovery, Option<RecoveryError>), RecoveryError> {
-    let tel = ctrl.supervisor_telemetry();
+    let tel = ctrl.telemetry().clone();
     let mut out = SupervisedRecovery {
         outcome: RecoveryOutcome::Recovered,
         report: RecoveryReport::default(),
@@ -257,7 +260,7 @@ fn climb<C: Supervised + ?Sized>(
     mut out: SupervisedRecovery,
     first_err: Option<RecoveryError>,
 ) -> Result<SupervisedRecovery, RecoveryError> {
-    let tel = ctrl.supervisor_telemetry();
+    let tel = ctrl.telemetry().clone();
     let scheme = ctrl.scheme_name();
 
     if let Some(first) = first_err {
@@ -299,7 +302,7 @@ pub fn repair_then_recover<C: Supervised + ?Sized>(
     ctrl: &mut C,
     err: &RecoveryError,
 ) -> Result<SupervisedRecovery, RecoveryError> {
-    let tel = ctrl.supervisor_telemetry();
+    let tel = ctrl.telemetry().clone();
     let scheme = ctrl.scheme_name();
     // A freshness refusal from reopen is not a corruption hint: no
     // ladder rung may repair its way into serving rolled-back or
