@@ -15,7 +15,11 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController, RecoveryError,
     SgxController, SgxScheme,
 };
-use anubis_sim::fault::{bit_flip_sweep, op_payload, power_cut_sweep, torn_write_sweep, ScriptOp};
+use anubis_nvm::FaultPlan;
+use anubis_sim::campaign::{fnv1a64, FNV1A64_EMPTY};
+use anubis_sim::fault::{
+    bit_flip_sweep, count_persist_writes, op_payload, power_cut_sweep, torn_write_sweep, ScriptOp,
+};
 
 /// The scripted workload: 32 writes and 16 reads over 300 data lines
 /// (same shape as `crash_matrix.rs`, payloads keyed by script position).
@@ -353,5 +357,114 @@ fn data_region_flip_corrected_then_detected() {
     assert!(
         err.is_detected_corruption(),
         "expected typed corruption error, got {err}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Pinned outcomes: every injection point's live results, recovery result
+// and post-recovery read-back, folded into one digest per scheme.
+// ---------------------------------------------------------------------------
+
+/// Folds `words` into the digest.
+fn fold(h: u64, words: &[u64]) -> u64 {
+    words.iter().fold(h, |h, w| fnv1a64(h, &w.to_le_bytes()))
+}
+
+/// Folds one op's result: 0 and the value read for a success, 1 and the
+/// error's text for a failure.
+fn fold_result<T>(
+    h: u64,
+    result: &Result<T, impl std::fmt::Display>,
+    ok: impl Fn(&T) -> Vec<u64>,
+) -> u64 {
+    match result {
+        Ok(v) => fold(fold(h, &[0]), &ok(v)),
+        Err(e) => fnv1a64(fold(h, &[1]), e.to_string().as_bytes()),
+    }
+}
+
+/// For every counted device write `k` of a dry run and each of a power
+/// cut, a 4-word torn write and a single-bit flip armed at `k`: runs the
+/// script until an op fails, crashes, recovers, and reads back every
+/// line the script touched, in address order. Returns the digest of all
+/// of it.
+fn outcome_digest<C: MemoryController>(make: impl Fn() -> C) -> u64 {
+    let script = script();
+    let mut touched: Vec<u64> = script.iter().map(|&(_, addr)| addr).collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let total = count_persist_writes(&make, &script);
+    let mut h = FNV1A64_EMPTY;
+    for k in 0..total {
+        for plan in [
+            FaultPlan::power_cut_after(k),
+            FaultPlan::torn_write_after(k, 4),
+            FaultPlan::bit_flip_after(k, vec![11]),
+        ] {
+            let mut ctrl = make();
+            ctrl.domain_mut().arm_fault(plan);
+            for (i, &(is_write, addr)) in script.iter().enumerate() {
+                let at = DataAddr::new(addr);
+                let failed = if is_write {
+                    let r = ctrl.write(at, op_payload(i as u64, addr));
+                    h = fold_result(h, &r, |_| Vec::new());
+                    r.is_err()
+                } else {
+                    let r = ctrl.read(at);
+                    h = fold_result(h, &r, |b| b.words().to_vec());
+                    r.is_err()
+                };
+                if failed {
+                    break;
+                }
+            }
+            ctrl.crash();
+            let recovered = ctrl.recover();
+            h = fold_result(h, &recovered, |r| {
+                vec![
+                    r.nvm_reads,
+                    r.nvm_writes,
+                    r.hash_ops,
+                    r.counters_fixed,
+                    r.nodes_fixed,
+                    r.redo_writes,
+                    u64::from(r.reencryption_completed),
+                ]
+            });
+            if recovered.is_ok() {
+                for &addr in &touched {
+                    let r = ctrl.read(DataAddr::new(addr));
+                    h = fold_result(fold(h, &[addr]), &r, |b| b.words().to_vec());
+                }
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn fault_matrix_outcomes_are_pinned() {
+    let cfg = AnubisConfig::small_test();
+    let bonsai = |scheme| outcome_digest(|| BonsaiController::new(scheme, &cfg));
+    let sgx = |scheme| outcome_digest(|| SgxController::new(scheme, &cfg));
+    let digests = [
+        bonsai(BonsaiScheme::AgitRead),
+        bonsai(BonsaiScheme::AgitPlus),
+        bonsai(BonsaiScheme::StrictPersist),
+        bonsai(BonsaiScheme::Osiris),
+        sgx(SgxScheme::Asit),
+        sgx(SgxScheme::StrictPersist),
+    ];
+    assert_eq!(
+        digests,
+        [
+            0xd516_81ba_3a2b_76bf,
+            0xf25d_c7d9_f6c1_7740,
+            0x7bd1_4476_3314_a24f,
+            0x3152_d24b_b5f1_8ac9,
+            0x51ce_3097_bd13_2b4f,
+            0x376e_9e3f_0cb8_5ad0,
+        ],
+        "fault-matrix digests are now {digests:#018x?}"
     );
 }
