@@ -143,6 +143,8 @@ pub struct MetadataCache<T> {
     sets: Vec<Vec<Option<Slot<T>>>>,
     ways: usize,
     tick: u64,
+    /// Resident blocks with the dirty bit set.
+    dirty: usize,
     stats: CacheStats,
 }
 
@@ -168,6 +170,7 @@ impl<T> MetadataCache<T> {
                 .collect(),
             ways,
             tick: 0,
+            dirty: 0,
             stats: CacheStats::default(),
         }
     }
@@ -334,6 +337,7 @@ impl<T> MetadataCache<T> {
             })
             .expect("set was full");
         if victim.dirty {
+            self.dirty -= 1;
             self.stats.dirty_evictions += 1;
         } else {
             self.stats.clean_evictions += 1;
@@ -367,6 +371,7 @@ impl<T> MetadataCache<T> {
         let first = !slot.dirty;
         slot.dirty = true;
         if first {
+            self.dirty += 1;
             self.stats.first_modifications += 1;
         }
         first
@@ -379,6 +384,7 @@ impl<T> MetadataCache<T> {
         if let Some(slot) = self.sets[set].iter_mut().flatten().find(|s| s.tag == addr) {
             let was = slot.dirty;
             slot.dirty = false;
+            self.dirty -= usize::from(was);
             was
         } else {
             false
@@ -392,6 +398,7 @@ impl<T> MetadataCache<T> {
             if entry.as_ref().is_some_and(|s| s.tag == addr) {
                 let slot = entry.take().expect("checked above");
                 if slot.dirty {
+                    self.dirty -= 1;
                     self.stats.dirty_evictions += 1;
                 } else {
                     self.stats.clean_evictions += 1;
@@ -440,6 +447,11 @@ impl<T> MetadataCache<T> {
         self.len() == 0
     }
 
+    /// Whether any resident block is dirty (constant time).
+    pub fn has_dirty(&self) -> bool {
+        self.dirty > 0
+    }
+
     /// Drops every resident block without writeback — the crash model
     /// (caches are volatile).
     pub fn invalidate_all(&mut self) {
@@ -448,6 +460,7 @@ impl<T> MetadataCache<T> {
                 *slot = None;
             }
         }
+        self.dirty = 0;
     }
 }
 
@@ -531,6 +544,31 @@ mod tests {
         assert_eq!(s.clean_evictions, 1);
         assert_eq!(s.dirty_evictions, 1);
         assert_eq!(s.clean_eviction_fraction(), Some(0.5));
+    }
+
+    #[test]
+    fn has_dirty_follows_every_way_a_dirty_bit_moves() {
+        let mut c = cache(2, 2);
+        c.insert(BlockAddr::new(1), 1);
+        c.insert(BlockAddr::new(2), 2);
+        assert!(!c.has_dirty());
+        c.mark_dirty(BlockAddr::new(1));
+        c.mark_dirty(BlockAddr::new(1));
+        c.mark_dirty(BlockAddr::new(2));
+        c.mark_clean(BlockAddr::new(2));
+        c.mark_clean(BlockAddr::new(2));
+        assert!(c.has_dirty(), "block 1 is still dirty");
+        c.insert(BlockAddr::new(1), 10); // in place: stays dirty
+        assert!(c.has_dirty());
+        c.insert(BlockAddr::new(3), 3); // evicts 2 (clean)
+        c.insert(BlockAddr::new(4), 4); // evicts 1 (dirty)
+        assert!(!c.has_dirty());
+        c.mark_dirty(BlockAddr::new(3));
+        assert!(c.evict(BlockAddr::new(3)).is_some_and(|ev| ev.dirty));
+        assert!(!c.has_dirty());
+        c.mark_dirty(BlockAddr::new(4));
+        c.invalidate_all();
+        assert!(!c.has_dirty());
     }
 
     #[test]

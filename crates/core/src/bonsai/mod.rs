@@ -12,8 +12,10 @@ mod recovery;
 mod repair;
 
 use crate::config::AnubisConfig;
-use crate::datapath::{publish_cache_stats, sealed_block, Backed, DataPath, Line, Policy};
-use crate::error::{freshness_hint, IntegrityWitness, MemError, RecoveryError};
+use crate::datapath::{
+    publish_cache_stats, reopened, sealed_block, Backed, DataPath, Line, Policy,
+};
+use crate::error::{IntegrityWitness, MemError, RecoveryError};
 use crate::layout::{BonsaiLayout, DataAddr, LINES_PER_COUNTER_BLOCK};
 use crate::recovery::RecoveryReport;
 use crate::shadow::ShadowAddrEntry;
@@ -199,19 +201,13 @@ impl BonsaiController {
     /// represented lazily: unwritten NVM reads as zeros, and the on-chip
     /// root is initialized to the digest of that all-zero tree.
     pub fn new(scheme: BonsaiScheme, config: &AnubisConfig) -> Self {
-        Self::assemble(scheme, config, |layout| {
-            PersistenceDomain::new(layout.device_bytes())
-        })
+        Self::assemble(scheme, config, MemBackend::new())
     }
 }
 
 impl<B: NvmBackend> BonsaiController<B> {
-    /// Shared construction over any persistence domain.
-    fn assemble(
-        scheme: BonsaiScheme,
-        config: &AnubisConfig,
-        make_domain: impl FnOnce(&BonsaiLayout) -> PersistenceDomain<B>,
-    ) -> Self {
+    /// Shared construction over any storage backend.
+    fn assemble(scheme: BonsaiScheme, config: &AnubisConfig, backend: B) -> Self {
         let counter_cache: MetadataCache<CtrEntry> =
             MetadataCache::new(config.counter_cache_bytes, config.counter_cache_ways);
         let tree_cache: MetadataCache<Block> =
@@ -221,13 +217,13 @@ impl<B: NvmBackend> BonsaiController<B> {
             counter_cache.num_slots() as u64,
             tree_cache.num_slots() as u64,
         );
-        let mut domain = make_domain(&layout);
+        let mut domain = PersistenceDomain::with_backend(layout.device_bytes(), backend);
         domain.device_mut().register_regions(layout.regions());
         domain.device_mut().install_spare_pool(layout.spare_pool());
         let hasher = BonsaiHasher::new(config.key);
         let (canon, edge) = Self::zero_state_contents(&hasher, &layout);
         let root = Root(hasher.digest(&edge[layout.geometry().top_level()]));
-        BonsaiController {
+        let mut c = BonsaiController {
             scheme,
             config: config.clone(),
             path: DataPath::new(domain, config.key, layout.data(), layout.qtable()),
@@ -240,7 +236,9 @@ impl<B: NvmBackend> BonsaiController<B> {
             edge,
             reenc_log: None,
             stop_loss_events: 0,
-        }
+        };
+        c.path.fresh_regs = c.reg_mirrors().to_vec();
+        c
     }
 
     /// Reopens a controller over an existing device image (e.g. a
@@ -270,29 +268,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         config: &AnubisConfig,
         backend: B,
     ) -> (Self, Option<RecoveryError>) {
-        let mut c = Self::assemble(scheme, config, move |layout| {
-            PersistenceDomain::with_backend(layout.device_bytes(), backend)
-        });
-        if let Some(b) = c.path.domain.reg(REG_ROOT) {
-            c.root = Root(b.word(0));
-        }
-        if let Some(meta) = c.path.domain.reg(REG_REENC) {
-            if meta.word(0) == 1 {
-                let old = c
-                    .path
-                    .domain
-                    .reg(REG_REENC_OLD)
-                    .unwrap_or_else(Block::zeroed);
-                c.reenc_log = Some(ReencLog {
-                    leaf: meta.word(1),
-                    old: SplitCounterBlock::from_block(&old),
-                    next_line: meta.word(2).min(LINES_PER_COUNTER_BLOCK) as u8,
-                });
-            }
-        }
-        let hint =
-            freshness_hint(c.path.domain.freshness()).or_else(|| c.path.reload_quarantine_table());
-        (c, hint)
+        reopened(Self::assemble(scheme, config, backend))
     }
 
     /// Computes the canonical zero-state node contents per level.
@@ -372,26 +348,6 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// Tree-cache statistics.
     pub fn tree_cache_stats(&self) -> &anubis_cache::CacheStats {
         self.tree_cache.stats()
-    }
-
-    /// Backend mirrors of the on-chip persistent registers, committed
-    /// with every group (and made durable in its frame, by the barrier
-    /// that closes the operation) so a restart can restore them
-    /// via [`BonsaiController::reopen`]. The mirrors ride the same
-    /// backend barrier as the group's writes: a crash before the ack
-    /// drops both together.
-    fn reg_mirrors(&self) -> [(u8, Block); 3] {
-        let mut root = Block::zeroed();
-        root.set_word(0, self.root.0);
-        let mut meta = Block::zeroed();
-        let mut old = Block::zeroed();
-        if let Some(log) = &self.reenc_log {
-            meta.set_word(0, 1);
-            meta.set_word(1, log.leaf);
-            meta.set_word(2, log.next_line as u64);
-            old = log.old.to_block();
-        }
-        [(REG_ROOT, root), (REG_REENC, meta), (REG_REENC_OLD, old)]
     }
 
     fn digest(&mut self, content: &Block) -> u64 {
@@ -953,9 +909,20 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
         Ok(())
     }
 
-    /// Commits the staged group together with the register mirrors.
-    fn commit(&mut self) -> Result<(), MemError> {
-        self.path.commit(&self.reg_mirrors())
+    type Mirrors = [(u8, Block); 3];
+
+    /// The Merkle root and the re-encryption log. They ride the same
+    /// backend barrier as the group's writes: a crash before the ack
+    /// drops both together.
+    fn reg_mirrors(&self) -> Self::Mirrors {
+        let root = Block::from_words([self.root.0, 0, 0, 0, 0, 0, 0, 0]);
+        let (meta, old) = self
+            .reenc_log
+            .map_or((Block::zeroed(), Block::zeroed()), |log| {
+                let meta = [1, log.leaf, u64::from(log.next_line), 0, 0, 0, 0, 0];
+                (Block::from_words(meta), log.old.to_block())
+            });
+        [(REG_ROOT, root), (REG_REENC, meta), (REG_REENC_OLD, old)]
     }
 
     fn flush_metadata(&mut self) -> Result<(), MemError> {
@@ -989,10 +956,17 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
         Ok(())
     }
 
-    fn drop_volatile(&mut self) {
+    fn power_on_reset(&mut self) {
         self.counter_cache.invalidate_all();
         self.tree_cache.invalidate_all();
-        // `root` and `reenc_log` are on-chip persistent registers: kept.
+        let reg = |idx| self.path.reg(idx);
+        self.root = Root(reg(REG_ROOT).word(0));
+        let log = reg(REG_REENC);
+        self.reenc_log = (log.word(0) == 1).then(|| ReencLog {
+            leaf: log.word(1),
+            old: SplitCounterBlock::from_block(&reg(REG_REENC_OLD)),
+            next_line: log.word(2).min(LINES_PER_COUNTER_BLOCK) as u8,
+        });
     }
 
     fn reset_cache_stats(&mut self) {

@@ -29,11 +29,9 @@ use anubis_nvm::NvmBackend;
 
 /// `targeted`: salvage every counter block, then rebuild the interior.
 pub(super) fn targeted<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary {
-    // The domain is already powered up (rung 1 ran `power_up`); only
-    // volatile state needs resetting before the slow rebuild.
-    c.counter_cache.invalidate_all();
-    c.tree_cache.invalidate_all();
-    c.path.reset_group();
+    // The domain is already powered up (rung 1 ran `power_up`), and the
+    // salvage works on the medium alone: the caches are dropped by the
+    // rebuild that ends it.
     // Best-effort replay of an interrupted re-encryption: if even the
     // replay fails the log is dropped and the scrub pass deals with the
     // affected lines individually.
@@ -41,11 +39,12 @@ pub(super) fn targeted<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSumm
         c.reenc_log = None;
     }
     let mut sum = salvage_counters(c);
-    sum.absorb(rebuild_interior(c));
+    sum.absorb(reconcile(c));
     sum
 }
 
-/// Re-derives the interior from the leaves after per-line repairs.
+/// Re-derives the interior from the leaves after per-line repairs, with
+/// the caches and the staged group dropped.
 pub(super) fn reconcile<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary {
     c.counter_cache.invalidate_all();
     c.tree_cache.invalidate_all();

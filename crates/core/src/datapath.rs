@@ -20,7 +20,7 @@
 //! [`DataPath::reset_group`] clears all three.
 
 use crate::cost::{CostAccum, OpCost};
-use crate::error::{MemError, RecoveryError};
+use crate::error::{freshness_hint, MemError, RecoveryError};
 use crate::layout::DataAddr;
 use crate::recovery::RecoveryReport;
 use crate::supervisor::{RepairSummary, Supervised};
@@ -100,6 +100,9 @@ pub(crate) struct DataPath<B: NvmBackend> {
     /// Words repaired by the SEC-DED decoder on the data read path.
     pub(crate) ecc_corrections: u64,
     pub(crate) telemetry: Telemetry,
+    /// A fresh controller's register mirrors: what a power-on loads for
+    /// a register the image holds no mirror of.
+    pub(crate) fresh_regs: Vec<(u8, Block)>,
 }
 
 impl<B: NvmBackend> DataPath<B> {
@@ -123,7 +126,15 @@ impl<B: NvmBackend> DataPath<B> {
             totals: CostAccum::default(),
             ecc_corrections: 0,
             telemetry: Telemetry::global(),
+            fresh_regs: Vec::new(),
         }
+    }
+
+    /// The image of register `idx` a power-on loads: its mirror in the
+    /// domain, or a fresh controller's when the image holds none.
+    pub(crate) fn reg(&self, idx: u8) -> Block {
+        let fresh = || self.fresh_regs.iter().find(|r| r.0 == idx).map(|r| r.1);
+        self.domain.reg(idx).or_else(fresh).unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -231,14 +242,6 @@ impl<B: NvmBackend> DataPath<B> {
         self.seal_slots.clear();
     }
 
-    /// Power failure: the domain keeps what ADR keeps; the staged group
-    /// and the MAC-verification cache are volatile and die with power.
-    pub(crate) fn crash(&mut self) {
-        self.domain.power_fail();
-        self.reset_group();
-        self.mac_cache.clear();
-    }
-
     pub(crate) fn reset_costs(&mut self) {
         self.totals.reset();
         self.domain.device_mut().reset_stats();
@@ -343,18 +346,15 @@ impl<B: NvmBackend> DataPath<B> {
         }
     }
 
-    /// Reloads the persisted bad-block remap table from the qtable
-    /// region; returns the corrupt-image hint on parse failure.
-    pub(crate) fn reload_quarantine_table(&mut self) -> Option<RecoveryError> {
+    /// Replaces the bad-block remap table with the one persisted in the
+    /// qtable region; returns the corrupt-image hint on parse failure,
+    /// leaving the table empty.
+    fn reload_quarantine_table(&mut self) -> Option<RecoveryError> {
         let blocks: Vec<Block> = self
             .qtable
             .iter()
             .map(|addr| self.domain.device().peek(addr))
             .collect();
-        // A fresh image never persisted a table: its header is zero.
-        if blocks.first().is_none_or(Block::is_zeroed) {
-            return None;
-        }
         self.domain
             .device_mut()
             .load_quarantine_table(&blocks)
@@ -450,12 +450,11 @@ pub(crate) fn publish_cache_stats(t: &Telemetry, label: &str, stats: &anubis_cac
 // ----------------------------------------------------------------------
 
 /// What a scheme supplies on top of the shared data path: where a line's
-/// counter lives and how it advances, which on-chip registers ride each
-/// commit, what a crash takes with it, and how the scheme recovers and
-/// repairs. [`MemoryController`], [`Supervised`] and the recovery
-/// skeleton are implemented once over these hooks — statically
-/// dispatched: the in-process call is a few microseconds and stays
-/// monomorphised.
+/// counter lives and how it advances, which on-chip registers it keeps
+/// and how they are mirrored, and how the scheme recovers and repairs.
+/// [`MemoryController`], [`Supervised`] and the recovery skeleton are
+/// implemented once over these hooks — statically dispatched: the
+/// in-process call is a few microseconds and stays monomorphised.
 pub(crate) trait Policy: Backed {
     /// The family's shadow-table regions, for `shadow_table_writes_total`.
     const SHADOW_REGIONS: &'static [&'static str];
@@ -481,8 +480,19 @@ pub(crate) trait Policy: Backed {
     /// and grouped `write_batch` share it.
     fn write_inner(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError>;
 
+    /// The register mirrors' type: a fixed list of `(slot, image)`.
+    type Mirrors: AsRef<[(u8, Block)]> + PartialEq;
+
+    /// Backend mirrors of the scheme's on-chip persistent registers: what
+    /// rides each commit group, and what [`Policy::power_on_reset`]
+    /// loads the registers from.
+    fn reg_mirrors(&self) -> Self::Mirrors;
+
     /// Commits the staged group with the scheme's register mirrors.
-    fn commit(&mut self) -> Result<(), MemError>;
+    fn commit(&mut self) -> Result<(), MemError> {
+        let regs = self.reg_mirrors();
+        self.path_mut().commit(regs.as_ref())
+    }
 
     /// Stages (and commits as it goes, if it must) every dirty metadata
     /// block for an orderly shutdown.
@@ -494,10 +504,10 @@ pub(crate) trait Policy: Backed {
         self.path_mut().reset_group();
     }
 
-    /// Power failure: drops the scheme's volatile state (metadata caches,
-    /// shadow interiors). The data path's own is dropped by the caller;
-    /// on-chip persistent registers survive.
-    fn drop_volatile(&mut self);
+    /// The scheme's share of [`power_on`]: empty metadata caches, no
+    /// shadow interior, and every on-chip register loaded from its mirror
+    /// ([`DataPath::reg`]).
+    fn power_on_reset(&mut self);
 
     /// Resets the scheme's own metadata-cache statistics.
     fn reset_cache_stats(&mut self);
@@ -535,6 +545,49 @@ fn validate(addr: DataAddr, capacity_blocks: u64) -> Result<(), MemError> {
             capacity_blocks,
         })
     }
+}
+
+/// The state every controller is in the instant power comes on over its
+/// image: no staged group, empty caches, the on-chip registers loaded
+/// from their mirrors, the bad-block table reloaded from its region. This
+/// is the one definition of what a power cut keeps — a reopen runs it
+/// over a freshly assembled controller, [`MemoryController::crash`] right
+/// after `power_fail` — so everything outside the persistence domain is
+/// rebuilt from what is inside it. Returns the corrupt-image hint of the
+/// quarantine table.
+fn power_on<P: Policy>(c: &mut P) -> Option<RecoveryError> {
+    c.reset_group();
+    c.power_on_reset();
+    let path = c.path_mut();
+    path.mac_cache.clear();
+    path.reload_quarantine_table()
+}
+
+/// A controller assembled over an existing image, powered on: the
+/// families' `reopen`. The second element is the freshness or
+/// corruption hint for [`crate::supervisor::resume`].
+pub(crate) fn reopened<P: Policy>(mut c: P) -> (P, Option<RecoveryError>) {
+    let table = power_on(&mut c);
+    let hint = freshness_hint(c.path().domain.freshness()).or(table);
+    (c, hint)
+}
+
+/// Runs `rung` — a recovery or repair step that may move an on-chip
+/// register in place, outside any commit group — and, if it moved one,
+/// stores the register mirrors: they then reach the backend with the
+/// rung's own writes, at its barrier, and a power-on loads the registers
+/// the rung left. A rung that moved nothing leaves the image as it was.
+pub(crate) fn mirrored<P: Policy, T>(c: &mut P, rung: impl FnOnce(&mut P) -> T) -> T {
+    let before = c.reg_mirrors();
+    let out = rung(c);
+    let after = c.reg_mirrors();
+    if after != before {
+        let device = c.path_mut().domain.device_mut();
+        for &(idx, block) in after.as_ref() {
+            device.set_reg(idx, block);
+        }
+    }
+    out
 }
 
 fn begin_op<C: Policy>(c: &mut C) {
@@ -638,8 +691,8 @@ impl<P: Policy> MemoryController for P {
     }
 
     fn crash(&mut self) {
-        self.path_mut().crash();
-        self.drop_volatile();
+        self.path_mut().domain.power_fail();
+        power_on(self);
     }
 
     fn recover(&mut self) -> Result<RecoveryReport, RecoveryError> {
@@ -715,11 +768,11 @@ impl<P: Policy> Supervised for P {
     }
 
     fn targeted_repair(&mut self, err: &RecoveryError) -> Result<RepairSummary, RecoveryError> {
-        Policy::targeted_repair(self, err)
+        mirrored(self, |c| Policy::targeted_repair(c, err))
     }
 
     fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError> {
-        Policy::reconcile_metadata(self)
+        mirrored(self, Policy::reconcile_metadata)
     }
 
     fn persist_quarantine(&mut self) {

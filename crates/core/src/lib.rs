@@ -222,9 +222,14 @@ pub trait MemoryController {
         Ok(self.domain_mut().barrier()?)
     }
 
-    /// Simulates a power failure: every volatile structure (caches,
-    /// shadow-tree interior, write buffers outside the WPQ) is lost; the
-    /// device, the WPQ (via ADR) and on-chip persistent registers survive.
+    /// Simulates a power failure. The persistence domain keeps what ADR
+    /// keeps — the device, the WPQ, a group caught mid-drain in the
+    /// persistent registers — and everything above it is rebuilt from it
+    /// exactly as a reopen of the image rebuilds it: no staged group,
+    /// empty caches, no shadow-tree interior, the on-chip persistent
+    /// registers loaded from their mirrors, the bad-block table reloaded
+    /// from its region. So an in-process crash and a process restart are
+    /// one model, and a crash keeps only what the image holds.
     fn crash(&mut self);
 
     /// Restores power and runs the scheme's recovery algorithm.

@@ -11,8 +11,8 @@ mod recovery;
 mod repair;
 
 use crate::config::AnubisConfig;
-use crate::datapath::{publish_cache_stats, Backed, DataPath, Line, Policy};
-use crate::error::{freshness_hint, IntegrityWitness, MemError, RecoveryError};
+use crate::datapath::{mirrored, publish_cache_stats, reopened, Backed, DataPath, Line, Policy};
+use crate::error::{IntegrityWitness, MemError, RecoveryError};
 use crate::layout::{DataAddr, SgxLayout};
 use crate::recovery::RecoveryReport;
 use crate::shadow::StEntry;
@@ -29,7 +29,9 @@ use anubis_telemetry::Telemetry;
 
 /// Backend register slot mirroring the on-chip top counter node.
 pub(crate) const REG_TOP: u8 = 0;
-/// Backend register slot mirroring `SHADOW_TREE_ROOT` (word 0).
+/// Backend register slot mirroring `SHADOW_TREE_ROOT` (word 0) and
+/// whether dirty cached metadata was at risk (word 1; see
+/// `lost_dirty_metadata`).
 pub(crate) const REG_SHADOW: u8 = 1;
 
 /// Which §6.2 scheme an [`SgxController`] runs.
@@ -124,36 +126,31 @@ pub struct SgxController<B: NvmBackend = MemBackend> {
     shadow_tree: Option<ShadowTree>,
     /// On-chip persistent register: `SHADOW_TREE_ROOT` (ASIT only).
     shadow_root: Root,
-    /// Root value to install at commit time (keeps the register update
-    /// atomic with the ST write group).
-    pending_shadow_root: Option<Root>,
-    /// Simulation oracle: whether the last crash destroyed dirty cached
-    /// metadata. Write-back and Osiris cannot recover an SGX tree in that
-    /// case (paper §3); in hardware the failure surfaces as stale or
-    /// unreadable data, which this flag stands in for (see DESIGN.md).
+    /// Simulation oracle: whether the image lacks dirty cached metadata
+    /// a power cut destroyed. Write-back and Osiris cannot recover an SGX
+    /// tree in that case (paper §3); in hardware the failure surfaces as
+    /// stale or unreadable data, which this flag stands in for (see
+    /// DESIGN.md). It comes from the image: every commit of those schemes
+    /// records in the shadow-register mirror whether their cache still
+    /// holds dirty metadata, and a power-on loads it from there. Always
+    /// false for strict persistence and ASIT.
     lost_dirty_metadata: bool,
 }
 
 impl SgxController {
     /// Builds a controller over a fresh all-zero in-memory NVM image.
     pub fn new(scheme: SgxScheme, config: &AnubisConfig) -> Self {
-        Self::assemble(scheme, config, |layout| {
-            PersistenceDomain::new(layout.device_bytes())
-        })
+        Self::assemble(scheme, config, MemBackend::new())
     }
 }
 
 impl<B: NvmBackend> SgxController<B> {
-    /// Shared construction over any persistence domain.
-    fn assemble(
-        scheme: SgxScheme,
-        config: &AnubisConfig,
-        make_domain: impl FnOnce(&SgxLayout) -> PersistenceDomain<B>,
-    ) -> Self {
+    /// Shared construction over any storage backend.
+    fn assemble(scheme: SgxScheme, config: &AnubisConfig, backend: B) -> Self {
         let cache: MetadataCache<SgxEntry> =
             MetadataCache::new(config.metadata_cache_bytes, config.metadata_cache_ways);
         let layout = SgxLayout::new(config, cache.num_slots() as u64);
-        let mut domain = make_domain(&layout);
+        let mut domain = PersistenceDomain::with_backend(layout.device_bytes(), backend);
         domain.device_mut().register_regions(layout.regions());
         domain.device_mut().install_spare_pool(layout.spare_pool());
         let mac_key = Hasher64::new(config.key.derive("sgx-mac"));
@@ -162,7 +159,7 @@ impl<B: NvmBackend> SgxController<B> {
         let shadow_tree = (scheme == SgxScheme::Asit)
             .then(|| ShadowTree::new(config.key, cache.num_slots() as u64));
         let shadow_root = shadow_tree.as_ref().map(|t| t.root()).unwrap_or_default();
-        SgxController {
+        let mut c = SgxController {
             scheme,
             config: config.clone(),
             path: DataPath::new(domain, config.key, layout.data(), layout.qtable()),
@@ -173,9 +170,10 @@ impl<B: NvmBackend> SgxController<B> {
             canonical_zero,
             shadow_tree,
             shadow_root,
-            pending_shadow_root: None,
             lost_dirty_metadata: false,
-        }
+        };
+        c.path.fresh_regs = c.reg_mirrors().to_vec();
+        c
     }
 
     /// Reopens a controller over an existing device image (e.g. a
@@ -187,12 +185,12 @@ impl<B: NvmBackend> SgxController<B> {
     /// remap table is reloaded from its persisted region. The caller must
     /// still run recovery before serving reads.
     ///
-    /// A process kill is indistinguishable from a power cut that
-    /// destroyed dirty cached metadata, so the write-back family
-    /// (write-back, eager write-back, Osiris) reopens with
-    /// `lost_dirty_metadata` set and will refuse to recover — only
-    /// strict persistence and ASIT survive an unclean restart, exactly
-    /// as across an in-process crash.
+    /// A process kill is a power cut: the write-back family (write-back,
+    /// eager write-back, Osiris) refuses to recover when its last commit
+    /// left dirty metadata in the cache — the image records that with
+    /// the register mirrors — and recovers after an orderly
+    /// `shutdown_flush`, exactly as across an in-process crash. Only
+    /// strict persistence and ASIT survive an unclean restart.
     ///
     /// A corrupt persisted quarantine table does not fail the reopen; the
     /// controller proceeds with an empty table and the second element
@@ -203,28 +201,7 @@ impl<B: NvmBackend> SgxController<B> {
         config: &AnubisConfig,
         backend: B,
     ) -> (Self, Option<RecoveryError>) {
-        let mut c = Self::assemble(scheme, config, move |layout| {
-            PersistenceDomain::with_backend(layout.device_bytes(), backend)
-        });
-        if let Some(b) = c.path.domain.reg(REG_TOP) {
-            c.top = SgxCounterNode::from_block(&b);
-        }
-        if let Some(b) = c.path.domain.reg(REG_SHADOW) {
-            c.shadow_root = Root(b.word(0));
-        }
-        // The volatile shadow-tree interior did not survive the process;
-        // ASIT recovery rebuilds it from the persisted Shadow Table and
-        // verifies it against the restored register.
-        if scheme == SgxScheme::Asit {
-            c.shadow_tree = None;
-        }
-        c.lost_dirty_metadata = matches!(
-            scheme,
-            SgxScheme::WriteBack | SgxScheme::EagerWriteBack | SgxScheme::Osiris
-        );
-        let hint =
-            freshness_hint(c.path.domain.freshness()).or_else(|| c.path.reload_quarantine_table());
-        (c, hint)
+        reopened(Self::assemble(scheme, config, backend))
     }
 
     /// The memory layout (for tamper experiments).
@@ -249,26 +226,14 @@ impl<B: NvmBackend> SgxController<B> {
     /// recovery root check.
     #[doc(hidden)]
     pub fn debug_refresh_shadow_root_from_nvm(&mut self) {
-        let st_blocks: Vec<Block> = (0..self.layout.st_slots())
-            .map(|s| self.path.domain.device().read(self.layout.st_slot(s)))
-            .collect();
-        let tree = ShadowTree::rebuild(self.config.key, st_blocks);
-        self.shadow_root = tree.root();
-        self.shadow_tree = Some(tree);
-    }
-
-    /// Backend mirrors of the on-chip persistent registers, committed
-    /// with every group (and made durable in its frame, by the barrier
-    /// that closes the operation) so a restart can restore them
-    /// via [`SgxController::reopen`]. The shadow-root mirror carries the
-    /// value the register will hold once this commit lands
-    /// (`pending_shadow_root`), keeping the durable mirror atomic with
-    /// the ST writes it protects — the same barrier acks both.
-    fn reg_mirrors(&self) -> [(u8, Block); 2] {
-        let mut shadow = Block::zeroed();
-        let root = self.pending_shadow_root.unwrap_or(self.shadow_root);
-        shadow.set_word(0, root.0);
-        [(REG_TOP, self.top.to_block()), (REG_SHADOW, shadow)]
+        mirrored(self, |c| {
+            let st_blocks: Vec<Block> = (0..c.layout.st_slots())
+                .map(|s| c.path.domain.device().read(c.layout.st_slot(s)))
+                .collect();
+            let tree = ShadowTree::rebuild(c.config.key, st_blocks);
+            c.shadow_root = tree.root();
+            c.shadow_tree = Some(tree);
+        });
     }
 
     // ------------------------------------------------------------------
@@ -740,28 +705,29 @@ impl<B: NvmBackend> Policy for SgxController<B> {
         Ok(())
     }
 
+    type Mirrors = [(u8, Block); 2];
+
+    /// The top node, and the shadow-root register with the dirty-metadata
+    /// bit.
+    fn reg_mirrors(&self) -> Self::Mirrors {
+        let write_back = !matches!(self.scheme, SgxScheme::StrictPersist | SgxScheme::Asit);
+        let lost = self.lost_dirty_metadata || (write_back && self.cache.has_dirty());
+        let shadow = Block::from_words([self.shadow_root.0, u64::from(lost), 0, 0, 0, 0, 0, 0]);
+        [(REG_TOP, self.top.to_block()), (REG_SHADOW, shadow)]
+    }
+
     fn commit(&mut self) -> Result<(), MemError> {
-        // Settle the ST writes staged since the last commit: the root
-        // they give is the one the register mirror carries.
+        // Settle the ST writes staged since the last commit: the
+        // SHADOW_TREE_ROOT register moves with the group and its mirror
+        // rides it, atomic with the ST writes from the hardware's
+        // perspective. A power cut mid-drain leaves the group in the
+        // persistent REDO registers, replayed at power-up; a group that
+        // does not land at all leaves the mirror behind, and the power-on
+        // that follows reloads the register from it.
         if let Some(root) = self.shadow_tree.as_mut().and_then(ShadowTree::settle) {
-            self.pending_shadow_root = Some(root);
+            self.shadow_root = root;
         }
-        let result = self.path.commit(&self.reg_mirrors());
-        // The SHADOW_TREE_ROOT register update rides the commit: atomic
-        // with the ST writes from the hardware's perspective. A power cut
-        // mid-drain leaves the group in the persistent REDO registers, so
-        // its ST writes are replayed at power-up — the on-chip root must
-        // move with them (a torn group that discards the REDO log instead
-        // surfaces at recovery as ShadowTableTampered).
-        match &result {
-            Ok(()) | Err(MemError::Nvm(anubis_nvm::NvmError::PowerLost)) => {
-                if let Some(root) = self.pending_shadow_root.take() {
-                    self.shadow_root = root;
-                }
-            }
-            Err(_) => {}
-        }
-        result
+        self.path.commit(&self.reg_mirrors())
     }
 
     fn flush_metadata(&mut self) -> Result<(), MemError> {
@@ -796,18 +762,18 @@ impl<B: NvmBackend> Policy for SgxController<B> {
         if let Some(tree) = self.shadow_tree.as_mut() {
             tree.settle();
         }
-        self.pending_shadow_root = None;
     }
 
-    fn drop_volatile(&mut self) {
-        self.pending_shadow_root = None;
-        self.lost_dirty_metadata = self.cache.iter_resident().any(|(_, _, _, dirty)| dirty);
+    /// The shadow-tree interior is volatile: ASIT recovery rebuilds it
+    /// from the persisted Shadow Table and verifies it against the
+    /// loaded register.
+    fn power_on_reset(&mut self) {
         self.cache.invalidate_all();
-        // Volatile shadow-tree interior is lost; rebuilt during recovery.
-        if self.scheme == SgxScheme::Asit {
-            self.shadow_tree = None;
-        }
-        // `top` and `shadow_root` are on-chip persistent registers: kept.
+        self.shadow_tree = None;
+        self.top = SgxCounterNode::from_block(&self.path.reg(REG_TOP));
+        let shadow = self.path.reg(REG_SHADOW);
+        self.shadow_root = Root(shadow.word(0));
+        self.lost_dirty_metadata = shadow.word(1) != 0;
     }
 
     fn reset_cache_stats(&mut self) {

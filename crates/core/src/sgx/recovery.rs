@@ -3,8 +3,9 @@
 //! * **Strict persistence** — nothing was lost; trivial.
 //! * **Write-back / Osiris** — structurally unrecoverable once dirty
 //!   metadata was lost: interior nodes cannot be rebuilt from leaves
-//!   (paper §3). The simulation detects the loss via the crash oracle and
-//!   reports [`RecoveryError::SchemeCannotRecover`].
+//!   (paper §3). The simulation reads the loss from the image (the
+//!   dirty-metadata bit its last commit left with the register mirrors)
+//!   and reports [`RecoveryError::SchemeCannotRecover`].
 //! * **ASIT** (Algorithm 2) — read the Shadow Table, verify it against
 //!   `SHADOW_TREE_ROOT`, splice each tracked node's counter LSBs and MAC
 //!   onto its stale NVM copy, place the recovered nodes in the metadata
@@ -195,7 +196,6 @@ fn recover_asit<B: NvmBackend>(
     fresh_tree.settle();
     c.shadow_root = fresh_tree.root();
     c.shadow_tree = Some(fresh_tree);
-    c.lost_dirty_metadata = false;
     Ok(())
 }
 

@@ -103,9 +103,12 @@ impl<B: NvmBackend> NvmDevice<B> {
 
     /// Stores one persistent-register image (controllers mirror their
     /// on-chip persistent registers here so restart recovery can restore
-    /// them). Durable at the next [`NvmDevice::flush_backend`].
+    /// them). Durable at the next [`NvmDevice::flush_backend`]. A fired
+    /// write cut drops it like any other persist.
     pub fn set_reg(&mut self, idx: u8, block: Block) {
-        self.store.store_reg(idx, block);
+        if !self.cut_drops(false) {
+            self.store.store_reg(idx, block);
+        }
     }
 
     /// Loads a persistent-register image.
@@ -176,18 +179,8 @@ impl<B: NvmBackend> NvmDevice<B> {
     /// Returns [`NvmError::OutOfRange`] if `addr` is beyond capacity.
     pub fn try_write(&mut self, addr: BlockAddr, block: Block) -> Result<(), NvmError> {
         self.check(addr)?;
-        if let Some(cut) = self.write_cut.as_mut() {
-            if cut.remaining == 0 {
-                // Power died mid-recovery: the write never reaches the
-                // cells. Reported via `write_cut_fired`, not an error —
-                // a dying platform gets no error path either. A dying
-                // platform also flushes nothing more, so durable
-                // backends stop persisting from this instant.
-                cut.fired = true;
-                self.store.suppress_flushes();
-                return Ok(());
-            }
-            cut.remaining -= 1;
+        if self.cut_drops(true) {
+            return Ok(());
         }
         let phys = self.quarantine.resolve(addr);
         let count = self.write_counts.entry(phys.index()).or_insert(0);
@@ -284,19 +277,24 @@ impl<B: NvmBackend> NvmDevice<B> {
         self.quarantine.to_blocks()
     }
 
-    /// Restores the remap table from blocks previously produced by
-    /// [`NvmDevice::quarantine_table_blocks`], keeping the installed
-    /// spare pool.
+    /// Replaces the remap table with the one in `blocks` — as produced by
+    /// [`NvmDevice::quarantine_table_blocks`] — keeping the installed
+    /// spare pool. A zero header is a region no table was ever persisted
+    /// to, and loads as an empty table.
     ///
     /// # Errors
     ///
-    /// Propagates [`QuarantineError`] for malformed input; the current
-    /// table is left untouched on error.
+    /// Propagates [`QuarantineError`] for malformed input; the table is
+    /// then empty.
     pub fn load_quarantine_table(&mut self, blocks: &[Block]) -> Result<(), QuarantineError> {
-        let mut table = RemapTable::from_blocks(blocks)?;
+        let loaded = match blocks.first() {
+            Some(header) if !header.is_zeroed() => RemapTable::from_blocks(blocks),
+            _ => Ok(RemapTable::new()),
+        };
+        let mut table = loaded.clone().unwrap_or_default();
         table.inherit_pool(&self.quarantine);
         self.quarantine = table;
-        Ok(())
+        loaded.map(drop)
     }
 
     /// Arms a power cut during recovery: the next `after` counted writes
@@ -317,6 +315,26 @@ impl<B: NvmBackend> NvmDevice<B> {
     /// Disarms the write cut; subsequent writes land normally.
     pub fn clear_write_cut(&mut self) {
         self.write_cut = None;
+    }
+
+    /// Whether an armed write cut drops this persist. Power died
+    /// mid-recovery: the persist never reaches the cells. Reported via
+    /// `write_cut_fired`, not an error — a dying platform gets no error
+    /// path either. A dying platform also flushes nothing more, so
+    /// durable backends stop persisting from this instant. A `counted`
+    /// persist (a block write) that lands uses up one of the cut's
+    /// remaining writes.
+    fn cut_drops(&mut self, counted: bool) -> bool {
+        let Some(cut) = self.write_cut.as_mut() else {
+            return false;
+        };
+        if cut.remaining == 0 {
+            cut.fired = true;
+            self.store.suppress_flushes();
+            return true;
+        }
+        cut.remaining -= u64::from(counted);
+        false
     }
 
     fn check(&self, addr: BlockAddr) -> Result<(), NvmError> {
@@ -454,6 +472,18 @@ mod tests {
         dev.clear_write_cut();
         dev.write(BlockAddr::new(2), Block::filled(5));
         assert_eq!(dev.peek(BlockAddr::new(2)), Block::filled(5));
+    }
+
+    #[test]
+    fn write_cut_drops_register_mirrors_too() {
+        let mut dev = NvmDevice::new(1 << 20);
+        dev.arm_write_cut(1);
+        dev.set_reg(0, Block::filled(1)); // lands, uses up nothing
+        dev.write(BlockAddr::new(0), Block::filled(2));
+        assert!(!dev.write_cut_fired());
+        dev.set_reg(0, Block::filled(3)); // dropped
+        assert!(dev.write_cut_fired());
+        assert_eq!(dev.reg(0), Some(Block::filled(1)));
     }
 
     #[test]

@@ -157,11 +157,16 @@ fn agit_plus_recovery_is_lane_invariant() {
 
 #[test]
 fn asit_recovery_is_lane_invariant() {
+    // Re-taken when recovery's Shadow Table rewrite began to store the
+    // `SHADOW_TREE_ROOT` mirror it moves: before, the image pinned here
+    // paired the rewritten table with the old root's mirror, which a
+    // restart then loaded. With the register mirrors left out of the
+    // fingerprint the digest is the same before and after.
     let cfg = AnubisConfig::small_test();
     pinned_matrix(
         || SgxController::new(SgxScheme::Asit, &cfg),
         "asit",
-        0xfcb2_3ef2_ad63_c551,
+        0xfea5_cb18_2c7f_aaca,
     );
 }
 
@@ -387,5 +392,7 @@ fn recovery_after_a_trace_replay_is_lane_invariant() {
         digest = fold_replay(digest, BonsaiController::new(scheme, &cfg), &trace);
     }
     digest = fold_replay(digest, SgxController::new(SgxScheme::Asit, &cfg), &trace);
-    assert_pinned(digest, 0x5f8c_1d68_4453_09c2, "milc replay");
+    // Re-taken with `asit_recovery_is_lane_invariant`, for the same
+    // register mirror.
+    assert_pinned(digest, 0x5cd8_9ec3_95f1_9b2c, "milc replay");
 }
