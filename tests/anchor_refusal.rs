@@ -13,12 +13,12 @@ use std::path::{Path, PathBuf};
 
 use anubis::telemetry::Telemetry;
 use anubis::{
-    supervisor, AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController,
+    supervisor, AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, Family, MemoryController,
     RecoveryError,
 };
 use anubis_nvm::{
     anchor_path_for, home_path_for, AnchorPolicy, Block, FileBackend, Freshness, FreshnessAnchor,
-    NvmBackend,
+    NvmBackend, HOME_SLOT_BYTES,
 };
 
 const SCHEME_LABEL: &str = "agit-plus";
@@ -277,4 +277,147 @@ fn a_first_boot_killed_inside_the_anchor_creation_boots_again() {
         b.freshness()
     );
     cleanup(&image);
+}
+
+/// The home area's attacks: slots at rest that the log does not redo.
+#[derive(Clone, Copy, Debug)]
+enum HomeAttack {
+    /// One bit flipped in a held data-line slot outside the log's reach.
+    FlipHeldSlot,
+    /// The whole home area replaced by a capture taken before the last
+    /// checkpoint; the log and the anchor stay.
+    RollBackPastCheckpoint,
+}
+
+/// Lines the home-area prefill cycles through.
+const HOME_LINES: u64 = 256;
+
+fn home_payload(round: u64, line: u64) -> Block {
+    Block::from_words([round, line, !round, !line, round ^ line, 0x40, 0, 1])
+}
+
+/// What the home-area attacks start from: an anchored image prefilled
+/// past two checkpoints, killed a few writes after the second.
+struct Prefilled {
+    /// Every acknowledged line and its value.
+    acked: std::collections::BTreeMap<u64, Block>,
+    /// The home area as the first checkpoint left it.
+    capture: Vec<u8>,
+    /// A held data-line slot no frame of the surviving log writes.
+    untracked: u64,
+}
+
+fn prefill_past_a_checkpoint(family: Family, image: &Path) -> Prefilled {
+    let boot_cfg = cfg();
+    let backend = FileBackend::open_with_anchor(image, key(), AnchorPolicy::Strict).expect("open");
+    let (mut ctrl, hint) = family.reopen(&boot_cfg, backend);
+    supervisor::resume(ctrl.as_mut(), hint.as_ref()).expect("first boot");
+    let log_bytes =
+        |c: &anubis::Reopened<FileBackend>| c.domain().device().backend().wal_stats().log_bytes;
+    let mut acked = std::collections::BTreeMap::new();
+    let (mut checkpoints, mut capture, mut after) = (0, Vec::new(), Vec::new());
+    let mut last = log_bytes(&ctrl);
+    let mut i = 0u64;
+    while checkpoints < 2 || after.len() < 3 {
+        let items: Vec<_> = (i..i + 8)
+            .map(|j| {
+                let line = j % HOME_LINES;
+                (DataAddr::new(line), home_payload(j / HOME_LINES, line))
+            })
+            .collect();
+        i += 8;
+        ctrl.write_batch(&items).expect("prefill batch");
+        acked.extend(items.iter().map(|&(addr, data)| (addr.index(), data)));
+        if checkpoints == 2 {
+            after.extend(items.iter().map(|&(addr, _)| addr.index()));
+        }
+        let now = log_bytes(&ctrl);
+        if now < last {
+            checkpoints += 1;
+            if checkpoints == 1 {
+                capture = fs::read(home_path_for(image)).expect("capture the home area");
+            }
+        }
+        last = now;
+    }
+    // Half the cycle away from the last lines written: untouched since
+    // the second checkpoint carried it home.
+    let line = (i + HOME_LINES / 2) % HOME_LINES;
+    assert!(!after.contains(&line));
+    let untracked = ctrl.data_block(DataAddr::new(line)).index();
+    drop(ctrl); // killed: no flush
+    Prefilled {
+        acked,
+        capture,
+        untracked,
+    }
+}
+
+/// Boots `image` the way a server boots a tenant, reads back every
+/// acknowledged line and then takes the fault path a failed read takes.
+/// Each read must return the acknowledged value or a typed error, and
+/// the image must end refused: by the open, by the boot's ladder or by
+/// that recovery — never served stale.
+fn boot_and_read_back(
+    family: Family,
+    image: &Path,
+    acked: &std::collections::BTreeMap<u64, Block>,
+    label: &str,
+) -> String {
+    let backend = match FileBackend::open_with_anchor(image, key(), AnchorPolicy::Strict) {
+        Ok(backend) => backend,
+        Err(e) => return format!("open: {e}"),
+    };
+    let (mut ctrl, hint) = family.reopen(&cfg(), backend);
+    if let Err(e) = supervisor::resume(ctrl.as_mut(), hint.as_ref()) {
+        assert!(
+            e.is_refusal(),
+            "{label}: the boot must refuse, not fail: {e}"
+        );
+        return format!("boot: {e}");
+    }
+    for (&line, &value) in acked {
+        if let Ok(got) = ctrl.read(DataAddr::new(line)) {
+            assert_eq!(got, value, "{label}: line {line} served stale");
+        }
+    }
+    let err = supervisor::recover(ctrl.as_mut()).expect_err("recovery over the image must refuse");
+    assert!(
+        err.is_refusal(),
+        "the recovery must refuse, not fail: {err}"
+    );
+    format!("recover: {err}")
+}
+
+#[test]
+fn a_home_area_flipped_or_rolled_back_at_rest_ends_refused_never_served_stale() {
+    for family in Family::all() {
+        let base = tmp(&format!("home-{}", family.name()));
+        cleanup(&base);
+        let prefilled = prefill_past_a_checkpoint(family, &base);
+        for attack in [HomeAttack::FlipHeldSlot, HomeAttack::RollBackPastCheckpoint] {
+            let image = tmp(&format!("home-{}-{attack:?}", family.name()));
+            cleanup(&image);
+            anubis_nvm::copy_image(&base, &image).expect("copy the image");
+            let home = home_path_for(&image);
+            let mut bytes = fs::read(&home).expect("read the home area");
+            match attack {
+                HomeAttack::FlipHeldSlot => {
+                    let at = prefilled.untracked as usize * HOME_SLOT_BYTES;
+                    assert_eq!(bytes[at], 0xB5, "the slot holds a block");
+                    bytes[at + 9] ^= 0x04;
+                }
+                HomeAttack::RollBackPastCheckpoint => {
+                    assert_ne!(bytes, prefilled.capture);
+                    bytes.clone_from(&prefilled.capture);
+                }
+            }
+            fs::write(&home, &bytes).expect("write the home area");
+            let label = format!("{} {attack:?}", family.name());
+            let how = boot_and_read_back(family, &image, &prefilled.acked, &label);
+            println!("{label}: refused at {how}");
+            cleanup(&image);
+        }
+        cleanup(&base);
+    }
 }
