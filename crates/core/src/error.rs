@@ -200,6 +200,15 @@ pub enum RecoveryError {
         /// The unverifiable epoch the image carries.
         image_epoch: u64,
     },
+    /// The home area — blocks at rest outside the log — does not hold
+    /// what its log says it held: a slot flipped, rolled back or dropped
+    /// where no frame of the log rewrites it. Checked before any rung
+    /// that re-anchors metadata to what the medium holds, which would
+    /// otherwise make such a slot verify; refused like a rollback.
+    HomeAreaMismatch {
+        /// What the backend's check found, rendered.
+        reason: String,
+    },
     /// Device failure during recovery.
     Nvm(NvmError),
 }
@@ -214,7 +223,9 @@ impl RecoveryError {
     pub fn is_refusal(&self) -> bool {
         matches!(
             self,
-            RecoveryError::RollbackDetected { .. } | RecoveryError::FreshnessAnchorViolation { .. }
+            RecoveryError::RollbackDetected { .. }
+                | RecoveryError::FreshnessAnchorViolation { .. }
+                | RecoveryError::HomeAreaMismatch { .. }
         )
     }
 }
@@ -275,6 +286,9 @@ impl fmt::Display for RecoveryError {
                     "freshness {what}: image epoch {image_epoch} cannot be verified \
                      against the sealed anchor"
                 )
+            }
+            RecoveryError::HomeAreaMismatch { reason } => {
+                write!(f, "home area refused before repair: {reason}")
             }
             RecoveryError::Nvm(e) => write!(f, "nvm error during recovery: {e}"),
         }

@@ -52,7 +52,7 @@ use crate::error::RecoveryError;
 use crate::layout::DataAddr;
 use crate::recovery::RecoveryReport;
 use crate::MemoryController;
-use anubis_nvm::BlockAddr;
+use anubis_nvm::{BlockAddr, NvmBackend};
 use anubis_telemetry::Telemetry;
 
 /// Scrub passes before the supervisor gives up on convergence. Each pass
@@ -257,6 +257,30 @@ fn fast<C: Supervised + ?Sized>(
 /// nothing: the scrub runs either way).
 fn climb<C: Supervised + ?Sized>(
     ctrl: &mut C,
+    out: SupervisedRecovery,
+    first_err: Option<RecoveryError>,
+) -> Result<SupervisedRecovery, RecoveryError> {
+    check_home(ctrl)?;
+    ladder(ctrl, out, first_err)
+}
+
+/// Holds the home area to the digest its log carries before a rung
+/// re-anchors metadata to what the medium holds: once `targeted` has, a
+/// slot flipped or rolled back at rest outside the log's reach verifies
+/// against nothing else (DESIGN §14.1). A mismatch is a refusal.
+fn check_home<C: Supervised + ?Sized>(ctrl: &C) -> Result<(), RecoveryError> {
+    let checked = ctrl.domain().device().backend().check_home();
+    checked.map_err(|e| {
+        let err = RecoveryError::HomeAreaMismatch {
+            reason: e.to_string(),
+        };
+        note_refusal(err, ctrl.telemetry(), ctrl.scheme_name())
+    })
+}
+
+/// [`climb`] past the home-area check.
+fn ladder<C: Supervised + ?Sized>(
+    ctrl: &mut C,
     mut out: SupervisedRecovery,
     first_err: Option<RecoveryError>,
 ) -> Result<SupervisedRecovery, RecoveryError> {
@@ -313,12 +337,14 @@ pub fn repair_then_recover<C: Supervised + ?Sized>(
     // Drain any REDO group left in the persistent registers before
     // repairing over the image (idempotent; `fast` repeats it).
     let _ = ctrl.domain_mut().power_up();
+    check_home(ctrl)?;
     tel.incr("supervisor_escalations_total", scheme, 1);
     let pre = {
         let _g = tel.span("supervisor_rung", "targeted");
         ctrl.targeted_repair(err)?
     };
-    let mut out = recover(ctrl)?;
+    let (out, first_err) = fast(ctrl)?;
+    let mut out = ladder(ctrl, out, first_err)?;
     out.escalations += 1;
     out.repaired_lines += pre.repaired;
     out.rebuilt_nodes += pre.rebuilt;
@@ -375,6 +401,9 @@ fn note_refusal(err: RecoveryError, tel: &Telemetry, scheme: &'static str) -> Re
         }
         RecoveryError::FreshnessAnchorViolation { .. } => {
             tel.incr("supervisor_anchor_refusals_total", scheme, 1);
+        }
+        RecoveryError::HomeAreaMismatch { .. } => {
+            tel.incr("supervisor_home_refusals_total", scheme, 1);
         }
         _ => {}
     }

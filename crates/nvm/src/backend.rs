@@ -192,7 +192,7 @@ impl Durability {
 
     /// Breaks the log without a step having failed; the first reason
     /// given stays.
-    fn abandon(&self, reason: impl FnOnce() -> String) {
+    pub(crate) fn abandon(&self, reason: impl FnOnce() -> String) {
         self.progress().broken.get_or_insert_with(reason);
         self.shared.moved.notify_all();
     }
@@ -502,6 +502,21 @@ pub trait NvmBackend: std::fmt::Debug + Send + Sync {
     /// `wal_rejected_total` telemetry counter.
     fn frames_rejected(&self) -> u64 {
         0
+    }
+
+    /// Holds the home area — blocks at rest outside the log — to the
+    /// digest its log carries: the slots no frame of the log writes must
+    /// hold what they held when the log began. Reads the whole home area,
+    /// so it is for the rungs of recovery that re-anchor metadata to what
+    /// the medium holds, not for an open. `Ok` for a backend with no home
+    /// area.
+    ///
+    /// # Errors
+    ///
+    /// [`NvmError::Backend`] when the home area does not match, cannot be
+    /// read, or holds a slot marker that is neither empty nor present.
+    fn check_home(&self) -> Result<(), NvmError> {
+        Ok(())
     }
 
     /// Log size, preallocated slack and coalesced-record count of a

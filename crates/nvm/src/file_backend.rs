@@ -17,8 +17,8 @@
 //! barriers are taken between public operations it is a whole number of
 //! operations' worth of commit groups (a 32-line batch, a whole page
 //! re-encryption, or several served writes that shared one group
-//! commit): on reopen, the home area is read and the log's records are
-//! replayed over it in append order (last write to an address wins), and
+//! commit): on reopen, the log's records are replayed over the home area
+//! in append order (last write to an address wins), and
 //! a torn tail frame — the signature of a process killed mid-append,
 //! i.e. before any operation in it was acknowledged — is discarded and
 //! truncated away. Anything else that is not a committed, tag-valid,
@@ -36,9 +36,10 @@
 //! checkpoint — before, during or after the slot writes, or a rename that
 //! power loss undoes — reopens to the same state. The checkpoint takes no
 //! epoch of its own: the new log's frame carries the epoch it
-//! checkpoints, and the anchor is not resealed. An open therefore reads
-//! the home area in one sequential read and walks at most the bound (plus
-//! the frame that crossed it), however much memory was written.
+//! checkpoints, and the anchor is not resealed. An open therefore walks
+//! at most the bound (plus the frame that crossed it), however much
+//! memory was written, and reads no home slot (below): it costs the log,
+//! not the layout.
 //!
 //! **Two halves.** The backend is split where a barrier is: the
 //! *in-memory half* — the live blocks, the register file, the few
@@ -94,23 +95,32 @@
 //! area the checkpoint left, and a priors record in each frame the sum of
 //! the tags the home area held for the addresses that frame writes first,
 //! each masked by a keyed fold of its frame's epoch and its place in the
-//! frame so that no record shows a slot tag. An open checks that the slots the log does not rewrite sum to the
-//! recorded digest less those priors, so a home slot flipped, rolled back
-//! or dropped at rest outside the log's reach is a typed refusal, while
-//! every state a kill inside a checkpoint leaves still opens: the slots a
-//! checkpoint rewrites are exactly the ones its surviving log redoes.
-//! (The integrity tree would catch such a slot only on the read path: the
-//! recovery ladder's repair rung re-anchors the root to what the medium
-//! holds, and a home area rolled back under it could serve stale.)
+//! frame so that no record shows a slot tag.
+//! [`NvmBackend::check_home`] checks that the slots the log does not
+//! rewrite sum to the recorded digest less those priors, so a home slot
+//! flipped, rolled back or dropped at rest outside the log's reach is a
+//! typed error, while every state a kill inside a checkpoint leaves still
+//! checks: the slots a checkpoint rewrites are exactly the ones its
+//! surviving log redoes. The check reads the whole home area, so it runs
+//! where its guarantee is used, not at open: the recovery ladder runs it
+//! before any rung that re-anchors the roots to what the medium holds,
+//! under which a rolled-back slot would verify. Until then such a slot is
+//! the integrity tree's to catch, as in the paper: it fails its tree or
+//! MAC check when it is first read, which sends the tenant to that
+//! ladder.
 //!
-//! **One map of blocks.** An open reads the home area straight into a
-//! dense array of slots in the home area's own layout and replays the log
-//! into it, and that array *is* the image from then on, except at the few
-//! addresses a later write has not brought back in line — a journaled
-//! record still in the WPQ, a store not yet cut — which a small side map
-//! holds. Nothing in memory is a second copy of the image. The array is
-//! as long as the highest address ever stored: a dense home area suits an
-//! address space the image fills, as the served tenants' does.
+//! **One map of blocks.** The image in memory is the home area's own
+//! layout, in units of 64 slots that are each read in with one `read_at`
+//! the first time one of their slots is touched — by a load, a store, a
+//! frame's priors or a checkpoint alike — so an open reads none of the
+//! home area and the process holds only what it touched. An open replays
+//! the log into the units it writes as they are read in; from then on the
+//! units *are* the image, except at the few addresses a later write has
+//! not brought back in line — a journaled record still in the WPQ, a
+//! store not yet cut — which a small side map holds. Nothing in memory is
+//! a second copy of the image. A unit that cannot be read, or holds a
+//! marker that is neither empty nor present, reads as empty and breaks
+//! the backend: its next barrier or settle fails, typed.
 
 use crate::addr_hash::AddrMap;
 use crate::anchor::{anchor_path_for, AnchorError, AnchorPolicy, Freshness, FreshnessAnchor};
@@ -126,7 +136,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 const TAG_WRITE: u8 = 0;
 const TAG_REG: u8 = 1;
@@ -204,64 +214,193 @@ pub fn copy_image(from: &Path, to: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Slots a unit of the home area holds: what one read brings in.
+const UNIT_SLOTS: u64 = 64;
+/// Bytes of one unit, 4 160.
+const UNIT_BYTES: usize = UNIT_SLOTS as usize * HOME_SLOT_BYTES;
+/// Units in one group of the table. A group's cells are made when one of
+/// its units is first touched, so the table stays as small as what was
+/// touched, however far the layout spans.
+const GROUP_UNITS: u64 = 256;
+
+type Unit = OnceLock<Box<[u8; UNIT_BYTES]>>;
+
 /// Blocks by address in the home area's layout: slot `i`, at byte
 /// `i × HOME_SLOT_BYTES`, holds block `i` behind a marker that says whether
-/// it was ever stored. The same bytes in memory as on disk, so an open
-/// takes the home area in as it reads it.
-#[derive(Debug, Default)]
+/// it was ever stored. Held in units of [`UNIT_SLOTS`] slots, the same
+/// bytes in memory as on disk, each read in with one `read_at` of the
+/// home area the first time one of its slots is touched — so an open
+/// reads none of it. A unit the log has records for takes them on top as
+/// it is read.
+#[derive(Debug)]
 struct Slots {
-    bytes: Vec<u8>,
-    /// Slots marked present.
-    present: usize,
+    /// The home area as the open found it, and its length. A unit not
+    /// read yet is as the open found it: a checkpoint writes only slots
+    /// whose units it has read.
+    home: Option<File>,
+    home_path: PathBuf,
+    home_len: u64,
+    /// Slots the table spans: the home area's, or up to the highest
+    /// address stored. Past it every slot is empty.
+    len: u64,
+    groups: Vec<OnceLock<Box<[Unit]>>>,
+    /// The log's last record for each address it writes, by unit: laid
+    /// over the unit as it is read. Dropped by the first checkpoint,
+    /// which reads every unit the log writes.
+    redo: AddrMap<Vec<(usize, Block)>>,
+    /// Broken by a unit that cannot be read, or holds a marker that is
+    /// neither empty nor present: such a unit reads as empty, and nothing
+    /// more becomes durable.
+    durability: Durability,
 }
 
 impl Slots {
-    /// The home area as read. A last slot cut short — the torn write of a
-    /// checkpoint the surviving log redoes — reads as zeros past the end
-    /// of the file. `Err` is the first slot whose marker is neither
-    /// empty nor present.
-    fn parse(mut bytes: Vec<u8>) -> Result<Slots, usize> {
-        bytes.resize(bytes.len().div_ceil(HOME_SLOT_BYTES) * HOME_SLOT_BYTES, 0);
-        let mut present = 0;
-        for (i, slot) in bytes.chunks_exact(HOME_SLOT_BYTES).enumerate() {
-            match slot[0] {
-                0 => {}
-                SLOT_PRESENT => present += 1,
-                _ => return Err(i),
+    /// The image over the home area at `home_path` (absent before the
+    /// first checkpoint), with `redo` — the log's last record for each
+    /// address it writes — on top.
+    fn open(
+        home_path: PathBuf,
+        redo: AddrMap<Block>,
+        durability: Durability,
+    ) -> Result<Slots, NvmError> {
+        let (home, home_len) = match File::open(&home_path) {
+            Ok(file) => {
+                let len = (file.metadata())
+                    .map_err(|e| io_err("stat", &home_path, e))?
+                    .len();
+                (Some(file), len)
             }
+            Err(e) if e.kind() == ErrorKind::NotFound => (None, 0),
+            Err(e) => return Err(io_err("open", &home_path, e)),
+        };
+        let mut slots = Slots {
+            home,
+            home_path,
+            home_len,
+            len: 0,
+            groups: Vec::new(),
+            redo: AddrMap::default(),
+            durability,
+        };
+        slots.span(home_len.div_ceil(HOME_SLOT_BYTES as u64));
+        for (phys, block) in redo {
+            slots.span(phys + 1);
+            let (unit, at) = (phys / UNIT_SLOTS, (phys % UNIT_SLOTS) as usize);
+            slots.redo.entry(unit).or_default().push((at, block));
         }
-        Ok(Slots { bytes, present })
+        Ok(slots)
     }
 
-    fn at(phys: u64) -> Option<usize> {
-        usize::try_from(phys).ok()?.checked_mul(HOME_SLOT_BYTES)
+    /// Grows the table to span `len` slots.
+    fn span(&mut self, len: u64) {
+        if len > self.len {
+            self.len = len;
+            let groups = len.div_ceil(UNIT_SLOTS * GROUP_UNITS);
+            let groups = usize::try_from(groups).expect("a table the address space can hold");
+            self.groups.resize_with(groups, OnceLock::new);
+        }
+    }
+
+    /// The unit holding `phys`, read in if it was not, and the slot's
+    /// offset in it; `None` past the table.
+    fn unit(&self, phys: u64) -> Option<(&[u8; UNIT_BYTES], usize)> {
+        if phys >= self.len {
+            return None;
+        }
+        let (unit, at) = (phys / UNIT_SLOTS, (phys % UNIT_SLOTS) as usize);
+        let group = self.groups[(unit / GROUP_UNITS) as usize]
+            .get_or_init(|| (0..GROUP_UNITS).map(|_| OnceLock::new()).collect());
+        let cell = &group[(unit % GROUP_UNITS) as usize];
+        Some((
+            cell.get_or_init(|| self.read_unit(unit)),
+            at * HOME_SLOT_BYTES,
+        ))
+    }
+
+    /// Unit `unit` as the home area holds it — zeros past its end: a last
+    /// slot cut short is the torn write of a checkpoint its log redoes —
+    /// with the log's records on top. One that cannot be read, or holds
+    /// a marker that is neither empty nor present, is empty, and breaks
+    /// the backend.
+    fn read_unit(&self, unit: u64) -> Box<[u8; UNIT_BYTES]> {
+        let mut bytes = Box::new([0; UNIT_BYTES]);
+        let at = unit * UNIT_BYTES as u64;
+        let read = match &self.home {
+            Some(home) if at < self.home_len => {
+                let len = (self.home_len - at).min(UNIT_BYTES as u64) as usize;
+                read_full(home, at, &mut bytes[..len]).map(drop)
+            }
+            _ => Ok(()),
+        };
+        let fault = match read {
+            Err(e) => Some(format!("read {}: {e}", self.home_path.display())),
+            Ok(()) => bad_marker(&bytes[..]).map(|slot| {
+                let slot = unit * UNIT_SLOTS + slot as u64;
+                corrupt_slot(&self.home_path, slot)
+            }),
+        };
+        if let Some(reason) = fault {
+            self.durability.abandon(|| reason);
+            bytes.fill(0);
+            return bytes;
+        }
+        for &(slot, block) in self.redo.get(&unit).into_iter().flatten() {
+            put(&mut bytes[..], slot * HOME_SLOT_BYTES, block);
+        }
+        bytes
     }
 
     fn get(&self, phys: u64) -> Option<Block> {
-        let at = Self::at(phys)?;
-        let slot = self.bytes.get(at..at + HOME_SLOT_BYTES)?;
-        (slot[0] == SLOT_PRESENT).then(|| block_at(slot, 1))
+        let (unit, at) = self.unit(phys)?;
+        (unit[at] == SLOT_PRESENT).then(|| block_at(&unit[..], at + 1))
     }
 
     fn set(&mut self, phys: u64, block: Block) {
-        let at = Self::at(phys).expect("a block address the home area can hold");
-        if self.bytes.len() < at + HOME_SLOT_BYTES {
-            self.bytes.resize(at + HOME_SLOT_BYTES, 0);
-        }
-        let slot = &mut self.bytes[at..at + HOME_SLOT_BYTES];
-        if slot[0] != SLOT_PRESENT {
-            slot[0] = SLOT_PRESENT;
-            self.present += 1;
-        }
-        slot[1..].copy_from_slice(block.as_bytes());
+        self.span(phys + 1);
+        let (_, at) = self.unit(phys).expect("a slot the table spans");
+        let unit = phys / UNIT_SLOTS;
+        let group = self.groups[(unit / GROUP_UNITS) as usize].get_mut();
+        let cell = group.and_then(|group| group[(unit % GROUP_UNITS) as usize].get_mut());
+        put(&mut cell.expect("a unit read in")[..], at, block);
     }
 
-    /// Every present block, by address.
+    /// Every present block, by address: reads in every unit.
     fn iter(&self) -> impl Iterator<Item = (u64, Block)> + '_ {
-        (self.bytes.chunks_exact(HOME_SLOT_BYTES).enumerate())
-            .filter(|(_, slot)| slot[0] == SLOT_PRESENT)
-            .map(|(i, slot)| (i as u64, block_at(slot, 1)))
+        (0..self.len).filter_map(|phys| Some((phys, self.get(phys)?)))
     }
+}
+
+/// Slot `at` of `bytes` marked present and holding `block`.
+fn put(bytes: &mut [u8], at: usize, block: Block) {
+    bytes[at] = SLOT_PRESENT;
+    bytes[at + 1..at + HOME_SLOT_BYTES].copy_from_slice(block.as_bytes());
+}
+
+/// The first slot of `bytes` whose marker is neither empty nor present.
+fn bad_marker(bytes: &[u8]) -> Option<usize> {
+    (bytes.chunks(HOME_SLOT_BYTES)).position(|slot| slot[0] != 0 && slot[0] != SLOT_PRESENT)
+}
+
+fn corrupt_slot(home_path: &Path, slot: u64) -> String {
+    format!(
+        "{}: corrupt home slot {slot} (bad presence marker)",
+        home_path.display()
+    )
+}
+
+/// Reads `file` from `at` into `bytes` until it is full or the file ends;
+/// how many bytes it read.
+fn read_full(file: &File, at: u64, bytes: &mut [u8]) -> std::io::Result<usize> {
+    let mut done = 0;
+    while done < bytes.len() {
+        match file.read_at(&mut bytes[done..], at + done as u64) {
+            Ok(0) => break,
+            Ok(n) => done += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(done)
 }
 
 /// The block whose 64 bytes start at `at`.
@@ -566,8 +705,8 @@ pub struct FileBackend {
 
 impl FileBackend {
     /// Opens (or creates) the image at `path` whose frames are tagged
-    /// under `key`: reads its home area, replays every committed frame of
-    /// its log over it (a torn tail frame is truncated away), and
+    /// under `key`: replays every committed frame of its log over its home
+    /// area, which it reads none of (a torn tail frame is truncated away), and
     /// verifies the log's epoch against the sealed freshness anchor
     /// beside it (`<path>.anchor`, sealed under the same key), creating
     /// the anchor for a fresh image. The verdict is reported through
@@ -581,8 +720,7 @@ impl FileBackend {
     /// # Errors
     ///
     /// Returns [`NvmError::Backend`] for I/O failures (the anchor's
-    /// included), a bad magic or version, a home slot whose marker is
-    /// neither empty nor present, and every [`crate::WalFault`]: a
+    /// included), a bad magic or version, and every [`crate::WalFault`]: a
     /// committed frame whose tag (under `key`) or epoch order fails, and
     /// bytes at the tail that are neither zero slack nor a torn append.
     pub fn open_with_anchor(
@@ -591,22 +729,7 @@ impl FileBackend {
         policy: AnchorPolicy,
     ) -> Result<Self, NvmError> {
         let path = path.as_ref().to_path_buf();
-        let home_path = home_path_for(&path);
-        let home = match std::fs::read(&home_path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err("read", &home_path, e)),
-        };
-        let mut live = Slots::parse(home).map_err(|slot| NvmError::Backend {
-            reason: format!(
-                "{}: corrupt home slot {slot} (bad presence marker)",
-                home_path.display()
-            ),
-        })?;
         let slot_key = SlotKey::new(key);
-        let read_digest = (live.iter()).fold(0u64, |d, (phys, block)| {
-            d.wrapping_add(slot_key.tag(phys, &block))
-        });
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -618,7 +741,7 @@ impl FileBackend {
         file.read_to_end(&mut bytes)
             .map_err(|e| io_err("read", &path, e))?;
 
-        let mut regs = BTreeMap::new();
+        let (mut redo, mut regs) = (AddrMap::default(), BTreeMap::new());
         let mut check = HomeCheck::new(slot_key);
         let mut epoch = 0u64;
         let mut rejected_frames = 0u64;
@@ -641,7 +764,7 @@ impl FileBackend {
                 epoch = frame.epoch;
                 let payload = frame.payload(&bytes);
                 replay_frame(
-                    &path, payload, epoch, first, &mut check, &mut live, &mut regs,
+                    &path, payload, epoch, first, &mut check, &mut redo, &mut regs,
                 )?;
             }
             let (end, torn) = (walk.logical_end() as u64, walk.torn_tail());
@@ -669,20 +792,11 @@ impl FileBackend {
             }
         };
 
-        // The slots the log does not write must hold what they held when
-        // it began: the checkpoint's digest less the priors of the slots
-        // it does write, against the same sum over the slots as read.
-        if read_digest.wrapping_sub(check.read) != check.recorded.wrapping_sub(check.priors) {
-            return Err(NvmError::Backend {
-                reason: format!(
-                    "{}: the home area is not the one its log was written over",
-                    home_path.display()
-                ),
-            });
-        }
+        let durability = Durability::at(epoch);
+        let live = Slots::open(home_path_for(&path), redo, durability.clone())?;
         // No frame and no home block: nothing a missing or torn anchor
         // could be hiding.
-        let fresh = epoch == 0 && live.present == 0;
+        let fresh = epoch == 0 && live.home_len == 0;
         let (anchor, freshness) = Self::check_anchor(&log.path, key, policy, epoch, fresh)?;
         let log_end = log.end;
 
@@ -693,7 +807,7 @@ impl FileBackend {
                     home: None,
                     anchor,
                 }),
-                durability: Durability::at(epoch),
+                durability,
             }),
             path,
             live,
@@ -1016,6 +1130,8 @@ impl FileBackend {
             Ok(())
         })?;
         (self.log_end, self.home_digest, self.priors) = (log_end, digest, 0);
+        // `home_runs` read in every unit the log wrote.
+        self.live.redo = AddrMap::default();
         Ok(())
     }
 }
@@ -1029,9 +1145,7 @@ struct HomeCheck {
     recorded: u64,
     /// The sum of the log's priors records.
     priors: u64,
-    /// The sum of the slot tags, as read, of the addresses the log writes.
-    read: u64,
-    /// Those addresses.
+    /// The addresses the log writes.
     addrs: AddrMap<()>,
 }
 
@@ -1041,7 +1155,6 @@ impl HomeCheck {
             key,
             recorded: 0,
             priors: 0,
-            read: 0,
             addrs: AddrMap::default(),
         }
     }
@@ -1100,27 +1213,28 @@ fn records(path: &Path, payload: &[u8]) -> Result<Vec<Record>, NvmError> {
     Ok(out)
 }
 
-/// Replays one frame over `live` and `regs`, first adding what it says
-/// about the home area to `check`: the slot tags of the addresses it
-/// writes for the first time, as the home area holds them, and its
-/// priors, unmasked for the frame's `epoch`. A checkpoint record belongs
-/// in the log's `first` frame only.
+/// Replays one frame into `redo` — the last record of each address —
+/// and `regs`, adding what it says about the home area to `check`: the
+/// addresses it writes and its priors, unmasked for the frame's `epoch`.
+/// A checkpoint record belongs in the log's `first` frame only.
 fn replay_frame(
     path: &Path,
     payload: &[u8],
     epoch: u64,
     first: bool,
     check: &mut HomeCheck,
-    live: &mut Slots,
+    redo: &mut AddrMap<Block>,
     regs: &mut BTreeMap<u8, Block>,
 ) -> Result<(), NvmError> {
-    let records = records(path, payload)?;
     let key = check.key;
-    for record in &records {
-        match *record {
-            Record::Write(phys, _) if check.addrs.insert(phys, ()).is_none() => {
-                let tag = live.get(phys).map_or(0, |block| key.tag(phys, &block));
-                check.read = check.read.wrapping_add(tag);
+    for record in records(path, payload)? {
+        match record {
+            Record::Write(phys, block) => {
+                check.addrs.insert(phys, ());
+                redo.insert(phys, block);
+            }
+            Record::Reg(idx, block) => {
+                regs.insert(idx, block);
             }
             Record::Checkpoint { at, masked } if first => {
                 check.recorded = masked.wrapping_sub(key.mask(epoch, at));
@@ -1137,16 +1251,6 @@ fn replay_frame(
                 let sum = masked.wrapping_sub(key.mask(epoch, at));
                 check.priors = check.priors.wrapping_add(sum);
             }
-            _ => {}
-        }
-    }
-    for record in records {
-        match record {
-            Record::Write(phys, block) => live.set(phys, block),
-            Record::Reg(idx, block) => {
-                regs.insert(idx, block);
-            }
-            _ => {}
         }
     }
     Ok(())
@@ -1171,7 +1275,7 @@ impl NvmBackend for FileBackend {
     }
 
     fn touched(&self) -> usize {
-        self.live.present
+        self.live.iter().count()
     }
 
     fn entries(&self) -> Vec<(u64, Block)> {
@@ -1215,7 +1319,19 @@ impl NvmBackend for FileBackend {
         self.sink.durability.clone()
     }
 
+    fn barrier(&mut self) -> Result<(), NvmError> {
+        match self.cut() {
+            Some(cut) => {
+                cut.commit()?;
+                self.settle()
+            }
+            // Nothing to write, but a log broken since is still news.
+            None => self.sink.durability.reached().map(drop),
+        }
+    }
+
     fn settle(&mut self) -> Result<(), NvmError> {
+        self.sink.durability.reached()?;
         if self.suppressed || !self.checkpoint_due() {
             return Ok(());
         }
@@ -1239,6 +1355,54 @@ impl NvmBackend for FileBackend {
 
     fn frames_rejected(&self) -> u64 {
         self.rejected_frames
+    }
+
+    fn check_home(&self) -> Result<(), NvmError> {
+        let _file = self.sink.file();
+        let path = home_path_for(&self.path);
+        let home = match File::open(&path) {
+            Ok(home) => Some(home),
+            Err(e) if e.kind() == ErrorKind::NotFound => None,
+            Err(e) => return Err(io_err("open", &path, e)),
+        };
+        // The slots the log does not write must hold what they held when
+        // it began: the checkpoint's digest less the priors of the slots
+        // it does write. Read a group's worth of units at a time.
+        let mut sum = 0u64;
+        if let Some(home) = home {
+            let mut bytes = vec![0; UNIT_BYTES * GROUP_UNITS as usize];
+            let mut first = 0u64;
+            loop {
+                let at = first * HOME_SLOT_BYTES as u64;
+                let read =
+                    read_full(&home, at, &mut bytes).map_err(|e| io_err("read", &path, e))?;
+                // A last slot cut short reads as zeros, as in a unit.
+                let slots = &mut bytes[..read.div_ceil(HOME_SLOT_BYTES) * HOME_SLOT_BYTES];
+                slots[read..].fill(0);
+                if let Some(slot) = bad_marker(slots) {
+                    let reason = corrupt_slot(&path, first + slot as u64);
+                    return Err(NvmError::Backend { reason });
+                }
+                for slot in slots.chunks_exact(HOME_SLOT_BYTES) {
+                    if slot[0] == SLOT_PRESENT && !self.log_addrs.contains_key(&first) {
+                        sum = sum.wrapping_add(self.slot_key.tag(first, &block_at(slot, 1)));
+                    }
+                    first += 1;
+                }
+                if read < bytes.len() {
+                    break;
+                }
+            }
+        }
+        if sum != self.home_digest.wrapping_sub(self.priors) {
+            return Err(NvmError::Backend {
+                reason: format!(
+                    "{}: the home area is not the one its log was written over",
+                    path.display()
+                ),
+            });
+        }
+        Ok(())
     }
 
     fn wal_stats(&self) -> WalStats {
@@ -2297,8 +2461,10 @@ mod tests {
         drop(b);
         let (_, frames, _) = layout(&p);
         assert_eq!(frames.len(), 1, "the log was checkpointed");
-        let home = Slots::parse(home_bytes(&p)).unwrap();
-        let blocks: Vec<_> = home.iter().collect();
+        let blocks: Vec<_> = (home_bytes(&p).chunks_exact(HOME_SLOT_BYTES).enumerate())
+            .filter(|(_, slot)| slot[0] == SLOT_PRESENT)
+            .map(|(i, slot)| (i as u64, block_at(slot, 1)))
+            .collect();
         let mut want = vec![(0, Block::filled(i as u8))];
         want.extend((1..=4).map(|phys| (phys, Block::filled(0xF0))));
         assert_eq!(blocks, want);
@@ -2448,9 +2614,14 @@ mod tests {
         let (entries, epoch) = (b.entries(), b.epoch());
         drop(b);
         let home = home_bytes(&p);
+        // The open reads no slot; the check the recovery ladder runs before
+        // it re-anchors anything does.
         let refused = |bad: &[u8]| {
             std::fs::write(home_path_for(&p), bad).unwrap();
-            let err = open(&p).expect_err("a home area its log does not match");
+            let b = open(&p).expect("an open reads no home slot");
+            let err = b
+                .check_home()
+                .expect_err("a home area its log does not match");
             assert!(err.to_string().contains("not the one its log"), "{err}");
         };
         // A bit flipped in the contents of a slot the log does not redo.
@@ -2464,13 +2635,18 @@ mod tests {
         let mut redone = home;
         redone[1..HOME_SLOT_BYTES].fill(0x5A);
         std::fs::write(home_path_for(&p), &redone).unwrap();
-        assert_eq!(state_of(&open(&p).unwrap()), (entries, epoch));
+        let b = open(&p).unwrap();
+        assert_eq!(b.check_home(), Ok(()));
+        assert_eq!(state_of(&b), (entries, epoch));
+        drop(b);
         // An earlier log with the home area it was written over is a
         // consistent pair: its staleness is the anchor's to prove.
         let (log, home) = before.unwrap();
         std::fs::write(&p, log).unwrap();
         std::fs::write(home_path_for(&p), home).unwrap();
-        let stale = open(&p).unwrap().freshness();
+        let b = open(&p).unwrap();
+        assert_eq!(b.check_home(), Ok(()));
+        let stale = b.freshness();
         assert!(matches!(stale, Freshness::RolledBack { .. }), "{stale:?}");
         cleanup(&p);
     }
@@ -2536,21 +2712,40 @@ mod tests {
             "sparse up to the slot stored"
         );
         assert!(home[..3 * HOME_SLOT_BYTES].iter().all(|&x| x == 0));
-        // Any single bit flip of the marker is typed corruption, and the
-        // open leaves the image as it found it.
+        // Any single bit flip of the marker is typed corruption — found
+        // where the slot's unit is first read, which takes no block from
+        // it and breaks the backend, or by the home-area check — and
+        // leaves the image as it found it.
         for bit in 0..8 {
             let mut bad = home.clone();
             bad[3 * HOME_SLOT_BYTES] ^= 1 << bit;
             std::fs::write(home_path_for(&p), &bad).unwrap();
-            let err = open(&p).unwrap_err().to_string();
+            let mut b = open(&p).expect("an open reads no home slot");
+            let err = b.check_home().unwrap_err().to_string();
             assert!(err.contains("corrupt home slot 3"), "bit {bit}: {err}");
+            assert_eq!(b.load(3), None, "bit {bit}");
+            let err = b.barrier().unwrap_err().to_string();
+            assert!(err.contains("corrupt home slot 3"), "bit {bit}: {err}");
+            b.store(4, Block::filled(4));
+            assert!(b.barrier().is_err() && b.settle().is_err(), "bit {bit}");
+            drop(b);
             assert_eq!(home_bytes(&p), bad);
         }
+        // A home area that cannot be read fails the same way.
+        std::fs::remove_file(home_path_for(&p)).unwrap();
+        std::fs::create_dir(home_path_for(&p)).unwrap();
+        let mut b = open(&p).expect("an open reads no home slot");
+        assert_eq!(b.load(3), None);
+        let err = b.settle().unwrap_err().to_string();
+        assert!(err.contains("read"), "{err}");
+        drop(b);
+        std::fs::remove_dir(home_path_for(&p)).unwrap();
         // A last slot cut short is zeros past the end: the torn write of a
         // checkpoint that the surviving log redoes.
         std::fs::write(home_path_for(&p), &home[..3 * HOME_SLOT_BYTES + 20]).unwrap();
         let b = open(&p).unwrap();
         assert_eq!((b.entries(), b.epoch()), (entries, epoch));
+        assert_eq!(b.check_home(), Ok(()));
         cleanup(&p);
     }
 

@@ -147,9 +147,11 @@ pub enum MutationClass {
     AnchorAttack,
     /// Attacks on the home area, which carries no tag: a bit flipped in a
     /// slot that holds a block, and every slot rolled back to the mid-run
-    /// capture's. The log and the anchor stay; the home digest in the log
-    /// refuses a flipped or rolled-back slot outside the log's reach, and
-    /// a flip inside it is redone.
+    /// capture's. The log and the anchor stay. An open reads no home
+    /// slot: a flipped or rolled-back slot outside the log's reach fails
+    /// its tree or MAC check when first read, and the recovery ladder
+    /// refuses it by the home digest in the log before any rung past
+    /// `fast`; a flip inside the log's reach is redone.
     HomeArea,
 }
 
@@ -639,9 +641,12 @@ fn plan_mutations(rng: &mut XorShift64) -> Vec<MutationSpec> {
         AnchorPolicy::Strict,
         Requirement::Accepted,
     );
-    // The home digest in the log refuses either at open unless the log
-    // redoes every slot they touch; what they must never do is serve
-    // stale silently.
+    // An open reads no home slot. A slot these touch outside the log's
+    // reach fails its tree or MAC check when first read (typed damage),
+    // or makes `fast` fail, and then the home digest in the log refuses
+    // it before any rung past `fast`; a slot no read reaches is never
+    // served, and one the log redoes may hold anything. What they must
+    // never do is serve stale silently.
     push(
         MutationClass::HomeArea,
         "home-bit-flip".into(),

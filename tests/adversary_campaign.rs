@@ -26,7 +26,15 @@
 //! to 4 500, the capture margin from 35 acks to 1 200 and the smallest
 //! kill from 45 to 1 300, so that every base image has checkpointed and
 //! its capture lies a checkpoint behind it. The first 25 verdicts are the
-//! ones pinned before.
+//! ones pinned before. Re-taken again when the home digest moved from the
+//! open to the recovery ladder, checked before any rung past `fast`: an
+//! open reads no home slot, so a home area that does not match its log
+//! is refused by the ladder when `fast` fails over it (bonsai's
+//! `home-bit-flip` and `home-rollback`, whose reasons moved), and
+//! otherwise found by the audit's first read of a rolled-back line,
+//! typed (sgx's `home-rollback`: degraded, no stale line — a served
+//! tenant takes such a read to `recover`, which refuses; pinned in
+//! `tests/anchor_refusal.rs`).
 
 use std::fs;
 use std::path::Path;
@@ -80,6 +88,7 @@ fn base_run_is_replayable(family: Family, want: [&str; 27], fnv: u64) {
 
 const R: &str = "refused";
 const F: &str = "full-recovery";
+const D: &str = "degraded";
 
 #[test]
 fn the_first_base_run_is_replayable_bonsai_agit_plus() {
@@ -88,7 +97,7 @@ fn the_first_base_run_is_replayable_bonsai_agit_plus() {
         [
             F, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, F, R, R, F, R, R,
         ],
-        0x9cc0_caad_63dd_1fb6,
+        0x92fc_ca30_eecf_b562,
     );
 }
 
@@ -97,8 +106,8 @@ fn the_first_base_run_is_replayable_sgx_asit() {
     base_run_is_replayable(
         Family::SgxAsit,
         [
-            F, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, F, R, R, F, F, R,
+            F, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, F, R, R, F, F, D,
         ],
-        0x266c_0b7d_ccf4_b78b,
+        0x496b_6ac7_dae5_b6c9,
     );
 }
