@@ -163,9 +163,12 @@ fn wal_parser_never_panics_on_mutated_images() {
         let result = panic::catch_unwind(AssertUnwindSafe(|| match open(&p) {
             Ok(b) => {
                 // An accepted image must be internally consistent enough
-                // to serve loads without panicking either.
+                // to serve loads without panicking either, and an open
+                // reads no home slot: the loads and the home-area check
+                // are where a mutated home area is parsed.
                 let _ = b.load(7);
                 let _ = b.entries().len();
+                let _ = b.check_home();
                 true
             }
             Err(e) => {

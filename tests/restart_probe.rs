@@ -27,7 +27,8 @@
 //! gives the median open, the median boot (open and the supervisor's
 //! resume, the restart a served tenant makes), the process's resident
 //! set with the last boot's controller alive and how much the boot
-//! itself grew it, and the home area's length.
+//! itself grew it, the home area's length and the log bytes the open
+//! walked.
 
 use std::fs;
 use std::path::Path;
@@ -194,7 +195,7 @@ fn restart_capacity_probe() {
             let cycles = (0, CAPACITY_CYCLES);
             grow(family, &config, &image, CAPACITY_LINES, cycles, &mut rng);
 
-            let mut open_us = Vec::with_capacity(OPENS);
+            let (mut open_us, mut walked) = (Vec::with_capacity(OPENS), 0);
             for _ in 0..OPENS {
                 let t = Instant::now();
                 let backend =
@@ -202,6 +203,7 @@ fn restart_capacity_probe() {
                         .expect("anchored open");
                 open_us.push(t.elapsed().as_secs_f64() * 1e6);
                 assert!(!backend.freshness().is_violation());
+                walked = backend.wal_stats().log_bytes;
             }
             let (mut boot_us, mut rss, mut grew) = (Vec::with_capacity(BOOTS), 0.0, 0.0);
             for _ in 0..BOOTS {
@@ -216,7 +218,7 @@ fn restart_capacity_probe() {
             println!(
                 "capacity family={} capacity_mib={mib} lines={CAPACITY_LINES} \
                  cycles={CAPACITY_CYCLES} open_us={:.0} boot_us={:.0} rss_mib={rss:.1} \
-                 boot_rss_mib={grew:.1} home_bytes={home}",
+                 boot_rss_mib={grew:.1} home_bytes={home} log_bytes={walked}",
                 family.name(),
                 median_us(open_us),
                 median_us(boot_us),
