@@ -254,36 +254,13 @@ fn fast<C: Supervised + ?Sized>(
 }
 
 /// `targeted` and `scrub`, after `fast` left `first_err` (or
-/// nothing: the scrub runs either way).
+/// nothing: the scrub runs either way), once the home area has checked.
 fn climb<C: Supervised + ?Sized>(
-    ctrl: &mut C,
-    out: SupervisedRecovery,
-    first_err: Option<RecoveryError>,
-) -> Result<SupervisedRecovery, RecoveryError> {
-    check_home(ctrl)?;
-    ladder(ctrl, out, first_err)
-}
-
-/// Holds the home area to the digest its log carries before a rung
-/// re-anchors metadata to what the medium holds: once `targeted` has, a
-/// slot flipped or rolled back at rest outside the log's reach verifies
-/// against nothing else (DESIGN §14.1). A mismatch is a refusal.
-fn check_home<C: Supervised + ?Sized>(ctrl: &C) -> Result<(), RecoveryError> {
-    let checked = ctrl.domain().device().backend().check_home();
-    checked.map_err(|e| {
-        let err = RecoveryError::HomeAreaMismatch {
-            reason: e.to_string(),
-        };
-        note_refusal(err, ctrl.telemetry(), ctrl.scheme_name())
-    })
-}
-
-/// [`climb`] past the home-area check.
-fn ladder<C: Supervised + ?Sized>(
     ctrl: &mut C,
     mut out: SupervisedRecovery,
     first_err: Option<RecoveryError>,
 ) -> Result<SupervisedRecovery, RecoveryError> {
+    check_home(ctrl)?;
     let tel = ctrl.telemetry().clone();
     let scheme = ctrl.scheme_name();
 
@@ -305,6 +282,20 @@ fn ladder<C: Supervised + ?Sized>(
     }
     out.outcome = outcome_of(&out);
     Ok(out)
+}
+
+/// Holds the home area to the digest its log carries before a rung
+/// re-anchors metadata to what the medium holds: once `targeted` has, a
+/// slot flipped or rolled back at rest outside the log's reach verifies
+/// against nothing else (DESIGN §14.1). A mismatch is a refusal.
+fn check_home<C: Supervised + ?Sized>(ctrl: &C) -> Result<(), RecoveryError> {
+    let checked = ctrl.domain().device().backend().check_home();
+    checked.map_err(|e| {
+        let err = RecoveryError::HomeAreaMismatch {
+            reason: e.to_string(),
+        };
+        note_refusal(err, ctrl.telemetry(), ctrl.scheme_name())
+    })
 }
 
 /// Enters the ladder at `targeted` with a known corruption hint,
@@ -343,8 +334,7 @@ pub fn repair_then_recover<C: Supervised + ?Sized>(
         let _g = tel.span("supervisor_rung", "targeted");
         ctrl.targeted_repair(err)?
     };
-    let (out, first_err) = fast(ctrl)?;
-    let mut out = ladder(ctrl, out, first_err)?;
+    let mut out = recover(ctrl)?;
     out.escalations += 1;
     out.repaired_lines += pre.repaired;
     out.rebuilt_nodes += pre.rebuilt;

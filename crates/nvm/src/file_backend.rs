@@ -793,6 +793,7 @@ impl FileBackend {
         };
 
         let durability = Durability::at(epoch);
+        let log_addrs = redo.keys().map(|&phys| (phys, ())).collect();
         let live = Slots::open(home_path_for(&path), redo, durability.clone())?;
         // No frame and no home block: nothing a missing or torn anchor
         // could be hiding.
@@ -813,7 +814,7 @@ impl FileBackend {
             live,
             regs,
             log_diff: AddrMap::default(),
-            log_addrs: check.addrs,
+            log_addrs,
             slot_key,
             home_digest: check.recorded,
             priors: check.priors,
@@ -1136,7 +1137,7 @@ impl FileBackend {
     }
 }
 
-/// What an open holds the home area to, gathered while the log replays.
+/// What the log says the home area held, gathered while it replays.
 struct HomeCheck {
     /// What home slots are tagged, and the records masked, under.
     key: SlotKey,
@@ -1145,8 +1146,6 @@ struct HomeCheck {
     recorded: u64,
     /// The sum of the log's priors records.
     priors: u64,
-    /// The addresses the log writes.
-    addrs: AddrMap<()>,
 }
 
 impl HomeCheck {
@@ -1155,7 +1154,6 @@ impl HomeCheck {
             key,
             recorded: 0,
             priors: 0,
-            addrs: AddrMap::default(),
         }
     }
 }
@@ -1214,8 +1212,8 @@ fn records(path: &Path, payload: &[u8]) -> Result<Vec<Record>, NvmError> {
 }
 
 /// Replays one frame into `redo` — the last record of each address —
-/// and `regs`, adding what it says about the home area to `check`: the
-/// addresses it writes and its priors, unmasked for the frame's `epoch`.
+/// and `regs`, adding what it says about the home area to `check`: its
+/// priors, unmasked for the frame's `epoch`.
 /// A checkpoint record belongs in the log's `first` frame only.
 fn replay_frame(
     path: &Path,
@@ -1230,7 +1228,6 @@ fn replay_frame(
     for record in records(path, payload)? {
         match record {
             Record::Write(phys, block) => {
-                check.addrs.insert(phys, ());
                 redo.insert(phys, block);
             }
             Record::Reg(idx, block) => {
