@@ -40,7 +40,7 @@ use anubis_nvm::{AnchorPolicy, Block, FileBackend, NvmBackend, SplitMix64};
 const PREFILLS: [u64; 2] = [4_096, 16_384];
 const CYCLES: [u64; 3] = [0, 12, 48];
 const WRITES_PER_CYCLE: usize = 300;
-const OPENS: usize = 15;
+const OPENS: usize = 45;
 
 /// The restart a served tenant makes: the anchored open, then the
 /// supervisor's resume.
