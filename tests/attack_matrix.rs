@@ -7,7 +7,8 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemError, MemoryController,
     RecoveryError, SgxController, SgxScheme,
 };
-use anubis_nvm::Block;
+use anubis_crypto::ecc::ecc_word;
+use anubis_nvm::{Block, BlockAddr, NvmBackend, NvmDevice};
 
 fn cfg() -> AnubisConfig {
     AnubisConfig::small_test()
@@ -96,6 +97,48 @@ fn side_region_tamper_corrected_then_detected() {
     // The MAC (side word 1) has no such slack: any flip is detected.
     c.domain_mut().device_mut().tamper_flip_bit(side, 64 + 5);
     assert!(c.read(DataAddr::new(6)).is_err(), "tampered MAC must fail");
+}
+
+/// A forgery that needs no key: flip bit 63 of ciphertext words 0 and 5,
+/// and XOR the check byte of that flip into side-block ECC bytes 0 and 5.
+/// Counter mode carries each ciphertext flip into the plaintext and the
+/// Hamming code is linear, so the decrypted ECC still checks: only the
+/// data MAC stands between this line and the reader.
+fn forge_bit63_pair<B: NvmBackend>(dev: &mut NvmDevice<B>, data: BlockAddr, side: BlockAddr) {
+    let check = ecc_word(1 << 63);
+    for word in [0, 5] {
+        dev.tamper_flip_bit(data, word * 64 + 63);
+        for bit in (0..8).filter(|b| check >> b & 1 == 1) {
+            dev.tamper_flip_bit(side, word * 8 + bit);
+        }
+    }
+}
+
+#[test]
+fn a_keyless_bit63_pair_forgery_is_refused_never_served() {
+    let line = DataAddr::new(3);
+    for scheme in BonsaiScheme::all() {
+        let mut c = warmed_bonsai(scheme);
+        let (data, side) = (c.layout().data_addr(line), c.layout().side_addr(line));
+        forge_bit63_pair(c.domain_mut().device_mut(), data, side);
+        let out = c.read(line);
+        assert!(
+            out.is_err(),
+            "{}: forged line served: {out:?}",
+            scheme.name()
+        );
+    }
+    for scheme in SgxScheme::all() {
+        let mut c = warmed_sgx(scheme);
+        let (data, side) = (c.layout().data_addr(line), c.layout().side_addr(line));
+        forge_bit63_pair(c.domain_mut().device_mut(), data, side);
+        let out = c.read(line);
+        assert!(
+            out.is_err(),
+            "{}: forged line served: {out:?}",
+            scheme.name()
+        );
+    }
 }
 
 #[test]
