@@ -1,7 +1,8 @@
 //! Regression guard for the zero-allocation hot path: seal, open,
-//! open_correcting (clean), probe and the cached read path must not touch
-//! the heap. These run millions of times per recovery/replay, and an
-//! allocation per op was exactly the waste the hot-path overhaul removed.
+//! open_correcting (clean), probe, the cached read path, the byte and
+//! word hashes and the data MAC must not touch the heap. These run
+//! millions of times per recovery/replay, and an allocation per op was
+//! exactly the waste the hot-path overhaul removed.
 //!
 //! Uses a counting wrapper around the system allocator — installing it as
 //! the test binary's global allocator lets plain assertions observe every
@@ -151,4 +152,22 @@ fn hash_words_is_allocation_free() {
         }
     });
     assert_eq!(n, 0, "hash_words allocated");
+}
+
+#[test]
+fn byte_hash_and_data_mac_are_allocation_free() {
+    use anubis_crypto::hash::Hasher64;
+    let h = Hasher64::new(Key([1, 2]).derive("tree-hash"));
+    let codec = DataCodec::new(Key([0xFEED, 0xF00D]));
+    let node = Block::from_words([9, 8, 7, 6, 5, 4, 3, 2]);
+    h.hash(node.as_bytes()); // warm up
+    codec.data_mac(1, &node);
+    let n = allocations_in(|| {
+        for i in 0..64u64 {
+            std::hint::black_box(h.hash(node.as_bytes()));
+            std::hint::black_box(h.hash(&node.as_bytes()[..(i % 65) as usize]));
+            std::hint::black_box(codec.data_mac(i, &node));
+        }
+    });
+    assert_eq!(n, 0, "hash(&[u8]) or the data MAC allocated");
 }

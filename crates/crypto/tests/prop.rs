@@ -178,3 +178,49 @@ fn ecc_stability() {
         assert!(ecc::check_block(&pt, c1), "case {case}");
     }
 }
+
+/// Every two-word flip pattern: words `i < j` of `n`, one bit of each
+/// from the low, middle, SGX-top (55) and top (63) positions. The top
+/// pair is the one two xor-multiply lanes let through unchanged.
+fn two_word_flips(n: usize) -> impl Iterator<Item = (usize, u32, usize, u32)> {
+    const BITS: [u32; 4] = [0, 31, 55, 63];
+    (0..n).flat_map(move |i| {
+        (i + 1..n).flat_map(move |j| {
+            BITS.iter()
+                .flat_map(move |&a| BITS.iter().map(move |&b| (i, a, j, b)))
+        })
+    })
+}
+
+/// Any two flipped words move the SGX node MAC (eight counters and the
+/// parent counter) and the data MAC.
+#[test]
+fn two_word_flips_change_the_sgx_mac_and_the_data_mac() {
+    let mac_key = anubis_crypto::hash::Hasher64::new(Key([1, 2]).derive("sgx-mac"));
+    let words: [u64; 9] = core::array::from_fn(|i| (i as u64 + 1) * 0x0101_0101_0101);
+    let node = |w: &[u64; 9]| {
+        SgxCounterNode::compute_mac(&mac_key, w[..8].try_into().expect("8 counters"), w[8])
+    };
+    let base = node(&words);
+    for (i, a, j, b) in two_word_flips(9) {
+        let mut w = words;
+        w[i] ^= 1 << a;
+        w[j] ^= 1 << b;
+        assert_ne!(
+            node(&w),
+            base,
+            "SGX MAC: word {i} bit {a}, word {j} bit {b}"
+        );
+    }
+
+    let codec = DataCodec::new(Key([3, 4]));
+    let pt: [u64; 8] = core::array::from_fn(|i| !(i as u64) << 40);
+    let base = codec.data_mac(0x7EA5, &Block::from_words(pt));
+    for (i, a, j, b) in two_word_flips(8) {
+        let mut w = pt;
+        w[i] ^= 1 << a;
+        w[j] ^= 1 << b;
+        let mac = codec.data_mac(0x7EA5, &Block::from_words(w));
+        assert_ne!(mac, base, "data MAC: word {i} bit {a}, word {j} bit {b}");
+    }
+}

@@ -242,6 +242,29 @@ mod tests {
     }
 
     #[test]
+    fn two_word_flips_change_the_digest() {
+        // Words i < j of a node, one bit of each, including the bit-63
+        // pair.
+        let h = BonsaiHasher::new(Key([1, 2]));
+        let words: [u64; 8] = core::array::from_fn(|i| (i as u64 + 1) * 0x0123_4567);
+        let base = h.digest(&Block::from_words(words));
+        const BITS: [u32; 4] = [0, 31, 55, 63];
+        for i in 0..8 {
+            for j in i + 1..8 {
+                for a in BITS {
+                    for b in BITS {
+                        let mut w = words;
+                        w[i] ^= 1 << a;
+                        w[j] ^= 1 << b;
+                        let d = h.digest(&Block::from_words(w));
+                        assert_ne!(d, base, "word {i} bit {a}, word {j} bit {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn build_and_verify() {
         let t = ReferenceTree::build(Key([1, 2]), leaves(100));
         assert_eq!(t.verify_all().unwrap(), t.root());
