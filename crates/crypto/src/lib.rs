@@ -13,8 +13,9 @@
 //!   single 64-byte counter block (paper Fig. 1).
 //! * [`SgxCounterNode`] — SGX-style nodes: eight 56-bit counters plus a
 //!   56-bit MAC per 64-byte line (paper §4.3, Fig. 3).
-//! * [`hash`] — keyed 64-bit hashes (Merkle-tree arity 8 ⇒ 8-byte child
-//!   digests) and 56-bit MACs for SGX nodes.
+//! * [`hash`] — the one MAC kernel, NH then one Speck call: keyed 64-bit
+//!   hashes (Merkle-tree arity 8 ⇒ 8-byte child digests), 56-bit MACs for
+//!   SGX nodes, and the data MAC.
 //! * [`ecc`] — SEC-DED Hamming(72,64) codes computed over *plaintext* and
 //!   stored encrypted alongside data, which is exactly the sanity check the
 //!   Osiris counter-recovery scheme relies on.
