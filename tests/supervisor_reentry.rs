@@ -260,3 +260,26 @@ fn supervisor_is_reentrant_bonsai_osiris() {
 fn supervisor_is_reentrant_sgx_asit() {
     reentry_property(|| SgxController::new(SgxScheme::Asit, &config()), 0x5A);
 }
+
+/// The REDO a power-up replays is itself a run of device writes, and a
+/// cut can land inside it: the group must then survive for the next
+/// power-up to replay, not be half applied and forgotten.
+#[test]
+fn a_write_cut_inside_the_redo_keeps_the_group_for_the_next_power_up() {
+    use anubis_nvm::{BlockAddr, NvmError, PersistenceDomain, WriteOp};
+    let mut domain = PersistenceDomain::new(1 << 20);
+    let new = |i: u64| Block::filled(i as u8 + 1);
+    domain.arm_fault(FaultPlan::power_cut_after(1));
+    let group = (0..4).map(|i| WriteOp::new(BlockAddr::new(i), new(i)));
+    assert_eq!(domain.commit_group(group), Err(NvmError::PowerLost));
+    // Power comes back and dies again one write into the REDO.
+    domain.device_mut().arm_write_cut(1);
+    domain.power_up();
+    assert!(domain.device().write_cut_fired());
+    domain.device_mut().clear_write_cut();
+    domain.power_fail();
+    domain.power_up();
+    for i in 0..4 {
+        assert_eq!(domain.device().peek(BlockAddr::new(i)), new(i), "block {i}");
+    }
+}
