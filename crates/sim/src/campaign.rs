@@ -35,7 +35,9 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use anubis::{AnubisConfig, DataAddr, Family, MemError, MemoryController, RecoveryError};
-use anubis_nvm::{anchor_path_for, home_path_for, AnchorPolicy, Block, NvmBackend, NvmError};
+use anubis_nvm::{
+    anchor_path_for, home_path_for, AnchorPolicy, Block, FaultKind, NvmBackend, NvmError,
+};
 
 use crate::engine::payload;
 
@@ -291,8 +293,11 @@ pub fn drive<C: MemoryController + ?Sized, E>(
 }
 
 /// [`drive`] for the in-process fault campaigns: builds the [`Acked`]
-/// model as writes are acknowledged (the write a power loss interrupted
-/// becomes its in-flight one) and holds every *live* read to it.
+/// model as writes are acknowledged and holds every *live* read to it.
+/// The write a power loss interrupted is owed when the domain's power
+/// cut fired — it fires only once its group is past `DONE_BIT`, so the
+/// group is redone at power-up — and in flight when a torn write took
+/// its group.
 ///
 /// # Panics
 ///
@@ -320,9 +325,13 @@ pub fn drive_checked<C: MemoryController + ?Sized>(
     });
     match &stop {
         Stop::PowerLost {
+            op_index,
             attempted: Some((addr, data)),
             ..
-        } => model.attempt(*addr, *data),
+        } => match ctrl.domain().fault_fired() {
+            Some(FaultKind::PowerCut) => model.ack(*op_index, *addr, *data),
+            _ => model.attempt(*addr, *data),
+        },
         Stop::Failed { op_index, err } if !(lenient && err.is_detected_corruption()) => {
             let kind = if script[*op_index as usize].0 {
                 "write"
