@@ -44,8 +44,9 @@ const COMMON: [&str; 22] = [
 
 /// Runs the script and returns every metric name the controller
 /// published under its own scheme label, a device-region label, or the
-/// `mac` cache label — i.e. everything except its own metadata-cache rows.
-fn published<C: MemoryController>(mut c: C, own_caches: &[&str]) -> BTreeSet<String> {
+/// `mac` cache label — i.e. everything except its own metadata-cache rows
+/// — and its `shadow_table_writes_total`.
+fn published<C: MemoryController>(mut c: C, own_caches: &[&str]) -> (BTreeSet<String>, u64) {
     let (reg, tel) = Telemetry::private();
     c.set_telemetry(tel);
     for i in 0..96u64 {
@@ -66,7 +67,8 @@ fn published<C: MemoryController>(mut c: C, own_caches: &[&str]) -> BTreeSet<Str
     let snap = reg.snapshot();
     let mut names = names_outside(&snap.counters, own_caches);
     names.append(&mut names_outside(&snap.gauges, own_caches));
-    names
+    let shadow_writes = snap.counter("shadow_table_writes_total", c.scheme_name());
+    (names, shadow_writes)
 }
 
 /// The metric names with at least one label other than `own_caches`.
@@ -84,11 +86,14 @@ fn names_outside<V>(
 #[test]
 fn both_families_publish_the_same_common_metric_names() {
     let cfg = AnubisConfig::small_test();
-    let agit = published(
+    let (agit, agit_shadow) = published(
         BonsaiController::new(BonsaiScheme::AgitPlus, &cfg),
         &["counter", "tree"],
     );
-    let asit = published(SgxController::new(SgxScheme::Asit, &cfg), &["metadata"]);
+    let (asit, asit_shadow) = published(SgxController::new(SgxScheme::Asit, &cfg), &["metadata"]);
+    // The shadow-table writes sum each family's own regions (`sct` +
+    // `smt`, `st`): pinned, so a change to which regions count moves them.
+    assert_eq!((agit_shadow, asit_shadow), (8, 96));
 
     let common: BTreeSet<String> = COMMON.iter().map(|s| s.to_string()).collect();
     let missing: Vec<_> = common.difference(&asit).collect();
