@@ -16,7 +16,7 @@ use crate::datapath::{
     publish_cache_stats, reopened, sealed_block, Backed, DataPath, Line, Policy,
 };
 use crate::error::{IntegrityWitness, MemError, RecoveryError};
-use crate::layout::{BonsaiLayout, DataAddr, LINES_PER_COUNTER_BLOCK};
+use crate::layout::{DataAddr, Layout, LINES_PER_COUNTER_BLOCK};
 use crate::recovery::RecoveryReport;
 use crate::shadow::ShadowAddrEntry;
 use crate::supervisor::RepairSummary;
@@ -24,8 +24,8 @@ use anubis_cache::{Eviction, MetadataCache};
 use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{SplitCounterBlock, MINOR_MAX};
 use anubis_itree::bonsai::{BonsaiHasher, Root};
-use anubis_itree::NodeId;
-use anubis_nvm::{Block, BlockAddr, MemBackend, NvmBackend, PersistenceDomain, PREG_CAPACITY};
+use anubis_itree::{NodeId, TreeGeometry};
+use anubis_nvm::{Block, BlockAddr, MemBackend, NvmBackend, PREG_CAPACITY};
 use anubis_telemetry::Telemetry;
 
 /// Backend register slot mirroring the on-chip Merkle-root register.
@@ -172,9 +172,8 @@ pub(crate) struct ReencLog {
 pub struct BonsaiController<B: NvmBackend = MemBackend> {
     scheme: BonsaiScheme,
     config: AnubisConfig,
-    layout: BonsaiLayout,
-    /// The shared data path: persistence domain, data codec, commit
-    /// group, cost accounting, common telemetry.
+    /// The shared data path: layout, persistence domain, data codec,
+    /// commit group, cost accounting, common telemetry.
     path: DataPath<B>,
     hasher: BonsaiHasher,
     counter_cache: MetadataCache<CtrEntry>,
@@ -212,22 +211,18 @@ impl<B: NvmBackend> BonsaiController<B> {
             MetadataCache::new(config.counter_cache_bytes, config.counter_cache_ways);
         let tree_cache: MetadataCache<Block> =
             MetadataCache::new(config.tree_cache_bytes, config.tree_cache_ways);
-        let layout = BonsaiLayout::new(
+        let layout = Layout::bonsai(
             config,
             counter_cache.num_slots() as u64,
             tree_cache.num_slots() as u64,
         );
-        let mut domain = PersistenceDomain::with_backend(layout.device_bytes(), backend);
-        domain.device_mut().register_regions(layout.regions());
-        domain.device_mut().install_spare_pool(layout.spare_pool());
         let hasher = BonsaiHasher::new(config.key);
-        let (canon, edge) = Self::zero_state_contents(&hasher, &layout);
+        let (canon, edge) = Self::zero_state_contents(&hasher, layout.geometry());
         let root = Root(hasher.digest(&edge[layout.geometry().top_level()]));
         let mut c = BonsaiController {
             scheme,
             config: config.clone(),
-            path: DataPath::new(domain, config.key, layout.data(), layout.qtable()),
-            layout,
+            path: DataPath::new(layout, config.key, backend),
             hasher,
             counter_cache,
             tree_cache,
@@ -279,11 +274,7 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// *canonical zero-state content*: the parent of 8 canonical children.
     /// All full nodes of a level share one content (`canon`); the ragged
     /// right edge differs (`edge`). O(levels) work instead of O(leaves).
-    fn zero_state_contents(
-        hasher: &BonsaiHasher,
-        layout: &BonsaiLayout,
-    ) -> (Vec<Block>, Vec<Block>) {
-        let g = layout.geometry();
+    fn zero_state_contents(hasher: &BonsaiHasher, g: &TreeGeometry) -> (Vec<Block>, Vec<Block>) {
         let mut canon = vec![Block::zeroed()];
         let mut edge = vec![Block::zeroed()];
         for level in 1..g.num_levels() {
@@ -308,7 +299,7 @@ impl<B: NvmBackend> BonsaiController<B> {
 
     /// The content a never-written node logically holds.
     fn canonical_node(&self, node: NodeId) -> Block {
-        let g = self.layout.geometry();
+        let g = self.layout().geometry();
         if node.index == g.nodes_at(node.level) - 1 {
             self.edge[node.level]
         } else {
@@ -321,7 +312,7 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// interior node is all-zero only if all eight stored digests are
     /// zero — probability ≈ 2⁻⁵¹² — so the sentinel is safe.
     fn nvm_read_node(&mut self, node: NodeId) -> Result<Block, MemError> {
-        let raw = self.path.nvm_read(self.layout.node_addr(node))?;
+        let raw = self.path.nvm_read(self.layout().node_addr(node))?;
         if node.level >= 1 && raw.is_zeroed() {
             Ok(self.canonical_node(node))
         } else {
@@ -330,8 +321,8 @@ impl<B: NvmBackend> BonsaiController<B> {
     }
 
     /// The memory layout (for experiments that tamper with NVM directly).
-    pub fn layout(&self) -> &BonsaiLayout {
-        &self.layout
+    pub fn layout(&self) -> &Layout {
+        &self.path.layout
     }
 
     /// The on-chip root register.
@@ -362,7 +353,7 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// Inserts a verified tree node, handling the displaced victim and the
     /// AGIT-Read fill hook.
     fn insert_tree_node(&mut self, node: NodeId, content: Block) {
-        let addr = self.layout.node_addr(node);
+        let addr = self.layout().node_addr(node);
         let outcome = self.tree_cache.insert(addr, content);
         if let Some(ev) = outcome.evicted {
             self.writeback_tree_victim(ev);
@@ -370,7 +361,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         if self.scheme.shadows_on_fill() {
             let slot = outcome.slot.linear(self.tree_cache.ways()) as u64;
             let entry = ShadowAddrEntry::new(node).to_block();
-            let smt = self.layout.smt_slot(slot);
+            let smt = self.layout().shadow("smt").nth(slot);
             self.path.stage(smt, entry);
         }
     }
@@ -379,7 +370,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         if ev.dirty {
             if self.scheme.is_lazy() {
                 let node = self
-                    .layout
+                    .layout()
                     .node_of_addr(ev.addr)
                     .expect("tree cache keys are node addresses");
                 self.lazy_propagate_digest(node, &ev.value)
@@ -392,14 +383,14 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// Inserts a verified counter block, handling the victim and the
     /// AGIT-Read fill hook.
     fn insert_counter(&mut self, leaf: NodeId, entry: CtrEntry) {
-        let addr = self.layout.node_addr(leaf);
+        let addr = self.layout().node_addr(leaf);
         let outcome = self.counter_cache.insert(addr, entry);
         if let Some(ev) = outcome.evicted {
             if ev.dirty {
                 let block = ev.value.ctr.to_block();
                 if self.scheme.is_lazy() {
                     let node = self
-                        .layout
+                        .layout()
                         .node_of_addr(ev.addr)
                         .expect("counter cache keys are leaf addresses");
                     self.lazy_propagate_digest(node, &block)
@@ -411,7 +402,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         if self.scheme.shadows_on_fill() {
             let slot = outcome.slot.linear(self.counter_cache.ways()) as u64;
             let block = ShadowAddrEntry::new(leaf).to_block();
-            let sct = self.layout.sct_slot(slot);
+            let sct = self.layout().shadow("sct").nth(slot);
             self.path.stage(sct, block);
         }
     }
@@ -422,7 +413,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         if !self.scheme.shadows_on_first_mod() {
             return;
         }
-        let addr = self.layout.node_addr(leaf);
+        let addr = self.layout().node_addr(leaf);
         let entry = self
             .counter_cache
             .peek_mut(addr)
@@ -437,20 +428,20 @@ impl<B: NvmBackend> BonsaiController<B> {
             .expect("resident")
             .linear(self.counter_cache.ways()) as u64;
         let block = ShadowAddrEntry::new(leaf).to_block();
-        let sct = self.layout.sct_slot(slot);
+        let sct = self.layout().shadow("sct").nth(slot);
         self.path.stage(sct, block);
     }
 
     fn track_tree_node_if_first_mod(&mut self, node: NodeId, first_mod: bool) {
         if self.scheme.shadows_on_first_mod() && first_mod {
-            let addr = self.layout.node_addr(node);
+            let addr = self.layout().node_addr(node);
             let slot = self
                 .tree_cache
                 .slot_of(addr)
                 .expect("just-modified tree node is resident")
                 .linear(self.tree_cache.ways()) as u64;
             let block = ShadowAddrEntry::new(node).to_block();
-            let smt = self.layout.smt_slot(slot);
+            let smt = self.layout().shadow("smt").nth(slot);
             self.path.stage(smt, block);
         }
     }
@@ -468,13 +459,13 @@ impl<B: NvmBackend> BonsaiController<B> {
         // thrash-retry doesn't double-count.
         if self
             .tree_cache
-            .lookup(self.layout.node_addr(node))
+            .lookup(self.layout().node_addr(node))
             .is_some()
         {
             return Ok(());
         }
         for _attempt in 0..8 {
-            if self.tree_cache.contains(self.layout.node_addr(node)) {
+            if self.tree_cache.contains(self.layout().node_addr(node)) {
                 return Ok(());
             }
             self.fetch_tree_chain(node)?;
@@ -483,12 +474,12 @@ impl<B: NvmBackend> BonsaiController<B> {
     }
 
     fn fetch_tree_chain(&mut self, node: NodeId) -> Result<(), MemError> {
-        let g = self.layout.geometry().clone();
+        let g = self.layout().geometry().clone();
         // Collect the missing suffix: node itself plus uncached ancestors.
         let mut chain = vec![node];
         let mut cur = node;
         while let Some(p) = g.parent(cur) {
-            if self.tree_cache.contains(self.layout.node_addr(p)) {
+            if self.tree_cache.contains(self.layout().node_addr(p)) {
                 break;
             }
             chain.push(p);
@@ -508,7 +499,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                     }
                 }
                 Some(p) => {
-                    let p_addr = self.layout.node_addr(p);
+                    let p_addr = self.layout().node_addr(p);
                     let stored = self
                         .tree_cache
                         .peek(p_addr)
@@ -530,7 +521,7 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// Ensures the counter block `leaf` is resident and verified.
     fn ensure_counter(&mut self, leaf: NodeId) -> Result<(), MemError> {
         debug_assert_eq!(leaf.level, 0);
-        let addr = self.layout.node_addr(leaf);
+        let addr = self.layout().node_addr(leaf);
         if self.counter_cache.lookup(addr).is_some() {
             return Ok(());
         }
@@ -540,7 +531,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             }
             let content = self.path.nvm_read(addr)?;
             let d = self.digest(&content);
-            let g = self.layout.geometry().clone();
+            let g = self.layout().geometry().clone();
             match g.parent(leaf) {
                 None => {
                     // Single-leaf tree: the leaf digest *is* the root.
@@ -555,7 +546,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                     self.ensure_tree_node(p)?;
                     let stored = self
                         .tree_cache
-                        .peek(self.layout.node_addr(p))
+                        .peek(self.layout().node_addr(p))
                         .expect("ensured above")
                         .word(g.child_slot(leaf));
                     if stored != d {
@@ -588,8 +579,8 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// on-chip root register. Under strict persistence the updated nodes
     /// are also staged for writeback.
     fn update_path(&mut self, leaf: NodeId) -> Result<(), MemError> {
-        let g = self.layout.geometry().clone();
-        let leaf_addr = self.layout.node_addr(leaf);
+        let g = self.layout().geometry().clone();
+        let leaf_addr = self.layout().node_addr(leaf);
         let leaf_block = self
             .counter_cache
             .peek(leaf_addr)
@@ -600,7 +591,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         let mut child_digest = self.digest(&leaf_block);
         while let Some(parent) = g.parent(child) {
             self.ensure_tree_node(parent)?;
-            let p_addr = self.layout.node_addr(parent);
+            let p_addr = self.layout().node_addr(parent);
             let slot = g.child_slot(child);
             {
                 let p_block = self.tree_cache.peek_mut(p_addr).expect("ensured above");
@@ -627,14 +618,14 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// top node refreshes the root register (the only time the lazy
     /// scheme's root advances).
     fn lazy_propagate_digest(&mut self, child: NodeId, content: &Block) -> Result<(), MemError> {
-        let g = self.layout.geometry().clone();
+        let g = self.layout().geometry().clone();
         let d = self.digest(content);
         let Some(parent) = g.parent(child) else {
             self.root = Root(d);
             return Ok(());
         };
         let slot = g.child_slot(child);
-        let p_addr = self.layout.node_addr(parent);
+        let p_addr = self.layout().node_addr(parent);
         if self.tree_cache.contains(p_addr) {
             self.tree_cache
                 .peek_mut(p_addr)
@@ -667,7 +658,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                     .iter_resident()
                     .filter(|(_, _, _, dirty)| *dirty)
                     .min_by_key(|(_, addr, _, _)| {
-                        self.layout
+                        self.layout()
                             .node_of_addr(*addr)
                             .map(|n| n.level)
                             .unwrap_or(usize::MAX)
@@ -675,7 +666,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                     .map(|(_, addr, block, _)| (addr, *block))
             });
             let Some((addr, block)) = next else { break };
-            let node = self.layout.node_of_addr(addr).expect("metadata address");
+            let node = self.layout().node_of_addr(addr).expect("metadata address");
             self.lazy_propagate_digest(node, &block)?;
             self.path.stage(addr, block);
             self.commit()?;
@@ -696,7 +687,7 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// counter, resets minors, persistently re-encrypts all 64 lines of
     /// the page, all crash-safely via the on-chip re-encryption log.
     fn reencrypt_page(&mut self, leaf: NodeId) -> Result<(), MemError> {
-        let leaf_addr = self.layout.node_addr(leaf);
+        let leaf_addr = self.layout().node_addr(leaf);
         let old = self
             .counter_cache
             .peek(leaf_addr)
@@ -750,11 +741,10 @@ impl<B: NvmBackend> BonsaiController<B> {
         new_major: u64,
         line: usize,
     ) -> Result<(), MemError> {
-        let Some(data_addr) = self.layout.line_of(leaf_index, line) else {
+        let Some(data_addr) = self.layout().line_of(leaf_index, line) else {
             return Ok(()); // ragged last page
         };
-        let dev = self.layout.data_addr(data_addr);
-        let side = self.layout.side_addr(data_addr);
+        let Line { dev, side, .. } = self.path.line(data_addr, None);
         let ciphertext = self.path.nvm_read(dev)?;
         let sealed = sealed_block(ciphertext, &self.path.nvm_read_free(side)?);
         let new_ctr = IvCounter::split(new_major, 0);
@@ -779,19 +769,16 @@ impl<B: NvmBackend> BonsaiController<B> {
                 }
             }
         };
-        self.path.stage_sealed(dev, side, new_ctr, plaintext);
+        self.path.stage_sealed(data_addr, new_ctr, plaintext);
         Ok(())
     }
 
     /// Resolves a data line under `ctr`, the counter block covering it.
     fn line_under(&self, addr: DataAddr, ctr: &SplitCounterBlock) -> Line {
-        let (_, slot) = self.layout.counter_of(addr);
+        let (_, slot) = self.layout().leaf_of(addr);
         let written = ctr.major() != 0 || ctr.minor(slot) != 0;
-        Line {
-            dev: self.layout.data_addr(addr),
-            side: self.layout.side_addr(addr),
-            iv: written.then(|| IvCounter::split(ctr.major(), ctr.minor(slot) as u64)),
-        }
+        let iv = written.then(|| IvCounter::split(ctr.major(), ctr.minor(slot) as u64));
+        self.path.line(addr, iv)
     }
 }
 
@@ -800,8 +787,6 @@ impl<B: NvmBackend> Backed for BonsaiController<B> {
 }
 
 impl<B: NvmBackend> Policy for BonsaiController<B> {
-    const SHADOW_REGIONS: &'static [&'static str] = &["sct", "smt"];
-
     fn path(&self) -> &DataPath<B> {
         &self.path
     }
@@ -816,9 +801,9 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
 
     #[inline]
     fn line_iv(&mut self, addr: DataAddr) -> Result<Line, MemError> {
-        let (leaf, _) = self.layout.counter_of(addr);
+        let (leaf, _) = self.layout().leaf_of(addr);
         self.ensure_counter(leaf)?;
-        let leaf_addr = self.layout.node_addr(leaf);
+        let leaf_addr = self.layout().node_addr(leaf);
         let ctr = self.counter_cache.peek(leaf_addr).expect("ensured").ctr;
         Ok(self.line_under(addr, &ctr))
     }
@@ -826,8 +811,8 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
     /// Resolves a line under its counter block's NVM copy: degraded mode
     /// runs with the caches down and the tree suspect.
     fn unverified_line(&mut self, addr: DataAddr) -> Line {
-        let (leaf, _) = self.layout.counter_of(addr);
-        let leaf_addr = self.layout.node_addr(leaf);
+        let (leaf, _) = self.layout().leaf_of(addr);
+        let leaf_addr = self.layout().node_addr(leaf);
         let stale = SplitCounterBlock::from_block(&self.path.domain.device_mut().read(leaf_addr));
         self.line_under(addr, &stale)
     }
@@ -835,9 +820,9 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
     /// Counter maintenance, overflow-driven page re-encryption, the
     /// (deferred) data seal and the tree update.
     fn write_inner(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        let (leaf, line) = self.layout.counter_of(addr);
+        let (leaf, line) = self.layout().leaf_of(addr);
         self.ensure_counter(leaf)?;
-        let leaf_addr = self.layout.node_addr(leaf);
+        let leaf_addr = self.layout().node_addr(leaf);
 
         // Track *before* any mutation so AGIT-Plus has the shadow entry
         // committed (or staged in the same group) ahead of the change.
@@ -897,9 +882,7 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
 
         // Stage the data seal; the crypto itself is deferred to commit
         // time, where the whole group goes through the batch seal path.
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-        self.path.stage_sealed(dev, side_addr, iv, data);
+        self.path.stage_sealed(addr, iv, data);
 
         // Eager tree update up to the on-chip root (lazy defers digest
         // propagation to writeback time).

@@ -84,7 +84,7 @@ fn read_node<B: NvmBackend>(
     node: NodeId,
     t: &mut RecoveryReport,
 ) -> Block {
-    let raw = dev_read(c, c.layout.node_addr(node), t);
+    let raw = dev_read(c, c.layout().node_addr(node), t);
     if node.level >= 1 && raw.is_zeroed() {
         c.canonical_node(node)
     } else {
@@ -122,17 +122,17 @@ pub(super) fn complete_reencryption<B: NvmBackend>(
     let new_major = old.major() + 1;
     // REDO the counter-block install (idempotent).
     let fresh = SplitCounterBlock::with_major(new_major);
-    let leaf_addr = c.layout.node_addr(leaf_node);
+    let leaf_addr = c.layout().node_addr(leaf_node);
     dev_write(c, leaf_addr, fresh.to_block(), t);
     // Finish the lines. Redo the boundary line defensively: a crash may
     // have landed between the line commit and the log bump.
     let start = next_line.saturating_sub(1) as usize;
     for line in start..LINES_PER_COUNTER_BLOCK as usize {
-        let Some(data_addr) = c.layout.line_of(leaf, line) else {
+        let Some(data_addr) = c.layout().line_of(leaf, line) else {
             break;
         };
-        let dev = c.layout.data_addr(data_addr);
-        let side_addr = c.layout.side_addr(data_addr);
+        let dev = c.layout().data_addr(data_addr);
+        let side_addr = c.layout().side_addr(data_addr);
         let ciphertext = dev_read(c, dev, t);
         let side = c.path.domain.device_mut().read(side_addr);
         let sealed = sealed_block(ciphertext, &side);
@@ -173,12 +173,12 @@ pub(super) fn fix_counter_block<B: NvmBackend>(
     leaf: NodeId,
     t: &mut RecoveryReport,
 ) -> Result<bool, RecoveryError> {
-    let leaf_addr = c.layout.node_addr(leaf);
+    let leaf_addr = c.layout().node_addr(leaf);
     let stale = SplitCounterBlock::from_block(&dev_read(c, leaf_addr, t));
     let mut fixed = stale;
     let mut changed = false;
     for line in 0..LINES_PER_COUNTER_BLOCK as usize {
-        let Some(data_addr) = c.layout.line_of(leaf.index, line) else {
+        let Some(data_addr) = c.layout().line_of(leaf.index, line) else {
             break;
         };
         match probe_line(c, &stale, data_addr, line, t) {
@@ -198,7 +198,7 @@ pub(super) fn fix_counter_block<B: NvmBackend>(
                 t.counters_fixed += 1;
             }
             None => {
-                let addr = c.layout.data_addr(data_addr);
+                let addr = c.layout().data_addr(data_addr);
                 return Err(RecoveryError::CounterNotRecovered { addr });
             }
         }
@@ -220,8 +220,8 @@ pub(super) fn probe_line<B: NvmBackend>(
     line: usize,
     t: &mut RecoveryReport,
 ) -> Option<u8> {
-    let dev = c.layout.data_addr(data_addr);
-    let side_addr = c.layout.side_addr(data_addr);
+    let dev = c.layout().data_addr(data_addr);
+    let side_addr = c.layout().side_addr(data_addr);
     let ciphertext = dev_read(c, dev, t);
     let side = c.path.domain.device_mut().read(side_addr);
     let base_minor = stale.minor(line) as u64;
@@ -254,7 +254,7 @@ pub(super) fn compute_interior_node<B: NvmBackend>(
     node: NodeId,
     t: &mut RecoveryReport,
 ) -> Block {
-    let children: Vec<NodeId> = c.layout.geometry().children(node).collect();
+    let children: Vec<NodeId> = c.layout().geometry().children(node).collect();
     let mut digests = Vec::with_capacity(children.len());
     for child in children {
         let child_block = read_node(c, child, t);
@@ -306,7 +306,7 @@ fn fix_node_level<B: NvmBackend>(
     for &index in indices {
         let node = NodeId::new(level, index);
         let block = compute_interior_node(c, node, t);
-        dev_write(c, c.layout.node_addr(node), block, t);
+        dev_write(c, c.layout().node_addr(node), block, t);
     }
 }
 
@@ -318,7 +318,7 @@ fn check_root<B: NvmBackend>(
 ) -> Result<(), RecoveryError> {
     let tel = c.path.telemetry.clone();
     let _span = tel.span("recovery_phase", "root_check");
-    let top = c.layout.geometry().top();
+    let top = c.layout().geometry().top();
     let top_block = read_node(c, top, t);
     t.hash_ops += 1;
     let computed = Root(c.hasher.digest(&top_block));
@@ -336,10 +336,10 @@ fn fix_path<B: NvmBackend>(
     leaf: NodeId,
     t: &mut RecoveryReport,
 ) -> Result<(), RecoveryError> {
-    let g = c.layout.geometry().clone();
+    let g = c.layout().geometry().clone();
     for node in g.path_to_top(leaf) {
         let block = compute_interior_node(c, node, t);
-        dev_write(c, c.layout.node_addr(node), block, t);
+        dev_write(c, c.layout().node_addr(node), block, t);
     }
     Ok(())
 }
@@ -351,7 +351,7 @@ fn rebuild_whole_tree<B: NvmBackend>(
     t: &mut RecoveryReport,
     probe_counters: bool,
 ) -> Result<(), RecoveryError> {
-    let g = c.layout.geometry().clone();
+    let g = c.layout().geometry().clone();
     if probe_counters {
         let leaves: Vec<u64> = (0..g.num_leaves()).collect();
         fix_counter_blocks(c, t, &leaves)?;
@@ -370,7 +370,7 @@ fn recover_agit<B: NvmBackend>(
     t: &mut RecoveryReport,
     reenc_leaf: Option<NodeId>,
 ) -> Result<(), RecoveryError> {
-    let g = c.layout.geometry().clone();
+    let g = c.layout().geometry().clone();
 
     // Scan the SCT and SMT in slot order into ordered sets.
     let tel = c.path.telemetry.clone();
@@ -378,16 +378,16 @@ fn recover_agit<B: NvmBackend>(
     let mut tracked_nodes: BTreeSet<(usize, u64)> = BTreeSet::new();
     {
         let _span = tel.span("recovery_phase", "shadow_scan");
-        for slot in 0..c.layout.sct_slots() {
-            let block = dev_read(c, c.layout.sct_slot(slot), t);
+        for slot in 0..c.layout().shadow("sct").len() {
+            let block = dev_read(c, c.layout().shadow("sct").nth(slot), t);
             if let Some(node) = ShadowAddrEntry::from_block(&block).map(|e| e.node()) {
                 if node.level == 0 && node.index < g.num_leaves() {
                     tracked_counters.insert(node.index);
                 }
             }
         }
-        for slot in 0..c.layout.smt_slots() {
-            let block = dev_read(c, c.layout.smt_slot(slot), t);
+        for slot in 0..c.layout().shadow("smt").len() {
+            let block = dev_read(c, c.layout().shadow("smt").nth(slot), t);
             if let Some(node) = ShadowAddrEntry::from_block(&block).map(|e| e.node()) {
                 if node.level >= 1
                     && node.level < g.num_levels()

@@ -58,7 +58,7 @@ pub(super) fn reconcile<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSum
 fn salvage_counters<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary {
     let mut sum = RepairSummary::default();
     let mut t = RecoveryReport::default();
-    for leaf in 0..c.layout.geometry().num_leaves() {
+    for leaf in 0..c.layout().geometry().num_leaves() {
         match recovery::fix_counter_block(c, NodeId::new(0, leaf), &mut t) {
             Ok(rewritten) => sum.rebuilt += u64::from(rewritten),
             Err(_) => salvage_leaf(c, leaf, &mut sum),
@@ -71,13 +71,13 @@ fn salvage_counters<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary
 /// stop-loss window advance the counter; lines that do not are retired
 /// into the spare region and zero-sealed under their final counter bits.
 fn salvage_leaf<B: NvmBackend>(c: &mut BonsaiController<B>, leaf: u64, sum: &mut RepairSummary) {
-    let leaf_addr = c.layout.node_addr(NodeId::new(0, leaf));
+    let leaf_addr = c.layout().node_addr(NodeId::new(0, leaf));
     let stale = SplitCounterBlock::from_block(&c.path.domain.device_mut().read(leaf_addr));
     let mut fixed = stale;
     let mut changed = false;
     let mut t = RecoveryReport::default();
     for line in 0..LINES_PER_COUNTER_BLOCK as usize {
-        let Some(data_addr) = c.layout.line_of(leaf, line) else {
+        let Some(data_addr) = c.layout().line_of(leaf, line) else {
             break;
         };
         let advanced = match recovery::probe_line(c, &stale, data_addr, line, &mut t) {
@@ -112,14 +112,14 @@ fn salvage_leaf<B: NvmBackend>(c: &mut BonsaiController<B>, leaf: u64, sum: &mut
 /// content differs from the recomputation are written — the zero-state
 /// tree stays unmaterialized — so `rebuilt` counts genuine reconstruction.
 fn rebuild_interior<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary {
-    let g = c.layout.geometry().clone();
+    let g = c.layout().geometry().clone();
     let mut sum = RepairSummary::default();
     let mut t = RecoveryReport::default();
     for level in 1..g.num_levels() {
         for index in 0..g.nodes_at(level) {
             let node = NodeId::new(level, index);
             let block = recovery::compute_interior_node(c, node, &mut t);
-            let addr = c.layout.node_addr(node);
+            let addr = c.layout().node_addr(node);
             let old = c.path.domain.device_mut().read(addr);
             let effective_old = if old.is_zeroed() {
                 c.canonical_node(node)
@@ -137,7 +137,7 @@ fn rebuild_interior<B: NvmBackend>(c: &mut BonsaiController<B>) -> RepairSummary
     // refusing service and trusting NVM contents that every per-line MAC
     // and the scrub pass still vouch for.
     let top = g.top();
-    let top_addr = c.layout.node_addr(top);
+    let top_addr = c.layout().node_addr(top);
     let raw = c.path.domain.device_mut().read(top_addr);
     let top_block = if top.level >= 1 && raw.is_zeroed() {
         c.canonical_node(top)

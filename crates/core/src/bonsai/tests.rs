@@ -99,7 +99,7 @@ fn counter_tamper_detected_via_tree() {
     // Evict everything so the next read re-fetches and re-verifies.
     c.counter_cache.invalidate_all();
     c.tree_cache.invalidate_all();
-    let (leaf, _) = c.layout().counter_of(a);
+    let (leaf, _) = c.layout().leaf_of(a);
     let ctr_addr = c.layout().node_addr(leaf);
     c.domain_mut().device_mut().tamper_flip_bit(ctr_addr, 9);
     assert!(matches!(c.read(a), Err(MemError::Integrity { .. })));
@@ -263,7 +263,7 @@ fn stop_loss_bounds_counter_drift() {
         c.write(a, pattern(i)).unwrap();
     }
     c.domain_mut().drain_wpq();
-    let (leaf, line) = c.layout().counter_of(a);
+    let (leaf, line) = c.layout().leaf_of(a);
     let nvm_ctr = SplitCounterBlock::from_block(&{
         let a = c.layout().node_addr(leaf);
         c.domain_mut().device_mut().read(a)
@@ -290,7 +290,7 @@ fn minor_overflow_reencrypts_page_and_stays_readable() {
         c.write(a, pattern(i)).unwrap();
     }
     // Major counter must have advanced.
-    let (leaf, line) = c.layout().counter_of(a);
+    let (leaf, line) = c.layout().leaf_of(a);
     let entry = c
         .counter_cache
         .peek(c.layout().node_addr(leaf))
@@ -395,9 +395,9 @@ fn tampered_sct_detected_at_root_check() {
     c.crash();
     // Overwrite every SCT entry with a bogus-but-well-formed entry so the
     // truly-dirty counters are never repaired.
-    for slot in 0..c.layout().sct_slots() {
+    for slot in 0..c.layout().shadow("sct").len() {
         let bogus = ShadowAddrEntry::new(NodeId::new(0, 99)).to_block();
-        let addr = c.layout().sct_slot(slot);
+        let addr = c.layout().shadow("sct").nth(slot);
         c.domain_mut().device_mut().poke(addr, bogus);
     }
     assert_eq!(c.recover(), Err(RecoveryError::RootMismatch));
@@ -614,7 +614,7 @@ fn recovery_completes_reencryption_interrupted_at_any_line() {
             c.write(DataAddr::new(page_base + i), pattern(i)).unwrap();
         }
         c.shutdown_flush().unwrap();
-        let (leaf, _) = c.layout().counter_of(DataAddr::new(page_base));
+        let (leaf, _) = c.layout().leaf_of(DataAddr::new(page_base));
         let leaf_addr = c.layout().node_addr(leaf);
         let old = SplitCounterBlock::from_block(&c.domain().device().peek(leaf_addr));
 

@@ -21,13 +21,13 @@
 
 use crate::cost::{CostAccum, OpCost};
 use crate::error::{freshness_hint, MemError, RecoveryError};
-use crate::layout::DataAddr;
+use crate::layout::{DataAddr, Layout};
 use crate::recovery::RecoveryReport;
 use crate::supervisor::{RepairSummary, Supervised};
 use crate::MemoryController;
 use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{CryptoError, DataCodec, Key, MacCache, SealedBlock};
-use anubis_nvm::{Block, BlockAddr, Freshness, NvmBackend, PersistenceDomain, Region, WriteOp};
+use anubis_nvm::{Block, BlockAddr, Freshness, NvmBackend, PersistenceDomain, WriteOp};
 use anubis_telemetry::Telemetry;
 
 /// Pending-op watermark at which `write_batch` flushes its accumulated
@@ -68,21 +68,18 @@ pub(crate) fn sealed_block(ciphertext: Block, side: &Block) -> SealedBlock {
     }
 }
 
-/// Everything both controller families own identically: the persistence
-/// domain, the data codec with its MAC-verification cache, the staged
-/// commit group with its deferred seals, cost accounting and the common
-/// telemetry.
+/// Everything both controller families own identically: the memory
+/// layout and the persistence domain over it, the data codec with its
+/// MAC-verification cache, the staged commit group with its deferred
+/// seals, cost accounting and the common telemetry.
 #[derive(Clone, Debug)]
 pub(crate) struct DataPath<B: NvmBackend> {
+    pub(crate) layout: Layout,
     pub(crate) domain: PersistenceDomain<B>,
     pub(crate) codec: DataCodec,
     /// Volatile cache of MAC-verified line fingerprints: reads of
     /// unmodified lines skip the MAC recomputation (cleared on crash).
     mac_cache: MacCache,
-    /// The data lines' ciphertext blocks, line `i` at block `i`.
-    data: Region,
-    /// The persisted bad-block remap table's home.
-    qtable: Region,
     /// The commit group being staged.
     pending: Vec<WriteOp>,
     /// Data seals deferred to commit time, where the whole group is
@@ -106,18 +103,19 @@ pub(crate) struct DataPath<B: NvmBackend> {
 }
 
 impl<B: NvmBackend> DataPath<B> {
-    pub(crate) fn new(
-        domain: PersistenceDomain<B>,
-        key: Key,
-        data: Region,
-        qtable: Region,
-    ) -> Self {
+    /// The data path over `backend`, laid out as `layout`: a domain of
+    /// the layout's size that attributes accesses to its regions and
+    /// remaps retired blocks into its spare pool.
+    pub(crate) fn new(layout: Layout, key: Key, backend: B) -> Self {
+        let mut domain = PersistenceDomain::with_backend(layout.device_bytes(), backend);
+        let device = domain.device_mut();
+        device.register_regions(layout.regions().clone());
+        device.install_spare_pool(layout.spare_pool());
         DataPath {
+            layout,
             domain,
             codec: DataCodec::new(key),
             mac_cache: MacCache::default(),
-            data,
-            qtable,
             pending: Vec::new(),
             seal_jobs: Vec::new(),
             seal_slots: Vec::new(),
@@ -170,24 +168,30 @@ impl<B: NvmBackend> DataPath<B> {
         self.pending.push(WriteOp::new(addr, block));
     }
 
+    /// Data line `addr` under `iv` (`None`: never written).
+    #[inline]
+    pub(crate) fn line(&self, addr: DataAddr, iv: Option<IvCounter>) -> Line {
+        Line {
+            dev: self.layout.data_addr(addr),
+            side: self.layout.side_addr(addr),
+            iv,
+        }
+    }
+
     /// Stages a data-line seal for the current commit group without
     /// computing it yet: placeholder ciphertext/side ops hold the group
     /// positions, and [`resolve_seals`](Self::resolve_seals) fills them in
     /// at commit time through the batch crypto path. This is how the write
     /// path — scalar and batched alike — routes every seal of a commit
     /// group through one `seal_batch_into` call.
-    pub(crate) fn stage_sealed(
-        &mut self,
-        dev: BlockAddr,
-        side_addr: BlockAddr,
-        iv: IvCounter,
-        data: Block,
-    ) {
+    pub(crate) fn stage_sealed(&mut self, addr: DataAddr, iv: IvCounter, data: Block) {
         self.cost.hash_ops += 2; // pad + MAC
         let data_idx = self.pending.len();
+        let dev = self.layout.data_addr(addr);
         self.stage(dev, Block::zeroed());
         // The side block rides the data block's transfer: not charged.
-        self.pending.push(WriteOp::new(side_addr, Block::zeroed()));
+        let side = self.layout.side_addr(addr);
+        self.pending.push(WriteOp::new(side, Block::zeroed()));
         self.seal_jobs.push((dev, iv, data));
         self.seal_slots.push((data_idx, data_idx + 1));
     }
@@ -341,7 +345,7 @@ impl<B: NvmBackend> DataPath<B> {
     /// Persists the device's bad-block remap table into its region.
     pub(crate) fn persist_quarantine(&mut self) {
         let blocks = self.domain.device().quarantine_table_blocks();
-        for (addr, block) in self.qtable.iter().zip(blocks) {
+        for (addr, block) in self.layout.qtable().iter().zip(blocks) {
             self.domain.device_mut().write(addr, block);
         }
     }
@@ -350,9 +354,7 @@ impl<B: NvmBackend> DataPath<B> {
     /// qtable region; returns the corrupt-image hint on parse failure,
     /// leaving the table empty.
     fn reload_quarantine_table(&mut self) -> Option<RecoveryError> {
-        let blocks: Vec<Block> = self
-            .qtable
-            .iter()
+        let blocks: Vec<Block> = (self.layout.qtable().iter())
             .map(|addr| self.domain.device().peek(addr))
             .collect();
         self.domain
@@ -369,15 +371,10 @@ impl<B: NvmBackend> DataPath<B> {
     // ------------------------------------------------------------------
 
     /// Publishes the metrics every scheme reports under the same names,
-    /// so a new one is added here once. `shadow_regions` names the
-    /// family's shadow-table regions for `shadow_table_writes_total`.
-    /// Returns the registry handle for the family's own rows, or `None`
-    /// when telemetry is off.
-    pub(crate) fn publish_telemetry(
-        &self,
-        scheme: &'static str,
-        shadow_regions: &[&str],
-    ) -> Option<&Telemetry> {
+    /// so a new one is added here once; `shadow_table_writes_total` sums
+    /// the layout's shadow tables. Returns the registry handle for the
+    /// family's own rows, or `None` when telemetry is off.
+    pub(crate) fn publish_telemetry(&self, scheme: &'static str) -> Option<&Telemetry> {
         let t = &self.telemetry;
         if !t.enabled() {
             return None;
@@ -396,7 +393,7 @@ impl<B: NvmBackend> DataPath<B> {
         let shadow = dev
             .writes_by_region
             .iter()
-            .filter(|(r, _)| shadow_regions.contains(r))
+            .filter(|(r, _)| self.layout.is_shadow(r))
             .map(|(_, n)| *n)
             .sum::<u64>();
         t.counter_set("shadow_table_writes_total", scheme, shadow);
@@ -456,9 +453,6 @@ pub(crate) fn publish_cache_stats(t: &Telemetry, label: &str, stats: &anubis_cac
 /// implemented once over these hooks — statically dispatched: the
 /// in-process call is a few microseconds and stays monomorphised.
 pub(crate) trait Policy: Backed {
-    /// The family's shadow-table regions, for `shadow_table_writes_total`.
-    const SHADOW_REGIONS: &'static [&'static str];
-
     fn path(&self) -> &DataPath<Self::Backend>;
 
     fn path_mut(&mut self) -> &mut DataPath<Self::Backend>;
@@ -648,7 +642,7 @@ impl<P: Policy> MemoryController for P {
 
     #[inline]
     fn read_deferred(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        validate(addr, self.path().data.len())?;
+        validate(addr, self.path().layout.data_blocks())?;
         begin_op(self);
         let line = self.line_iv(addr)?;
         let opened = self.path_mut().open_line(line);
@@ -665,7 +659,7 @@ impl<P: Policy> MemoryController for P {
 
     #[inline]
     fn write_deferred(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        validate(addr, self.path().data.len())?;
+        validate(addr, self.path().layout.data_blocks())?;
         begin_op(self);
         self.write_inner(addr, data)?;
         self.commit()?;
@@ -676,7 +670,7 @@ impl<P: Policy> MemoryController for P {
     #[inline]
     fn write_batch_deferred(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
         for (addr, _) in items {
-            validate(*addr, self.path().data.len())?;
+            validate(*addr, self.path().layout.data_blocks())?;
         }
         begin_op(self);
         for (addr, data) in items {
@@ -739,10 +733,7 @@ impl<P: Policy> MemoryController for P {
     }
 
     fn publish_telemetry(&self) {
-        if let Some(t) = self
-            .path()
-            .publish_telemetry(self.name(), P::SHADOW_REGIONS)
-        {
+        if let Some(t) = self.path().publish_telemetry(self.name()) {
             self.publish_own(t);
         }
     }
@@ -750,11 +741,11 @@ impl<P: Policy> MemoryController for P {
 
 impl<P: Policy> Supervised for P {
     fn data_lines(&self) -> u64 {
-        self.path().data.len()
+        self.path().layout.data_blocks()
     }
 
     fn data_block(&self, addr: DataAddr) -> BlockAddr {
-        self.path().data.nth(addr.index())
+        self.path().layout.data_addr(addr)
     }
 
     fn repair_line(&mut self, addr: DataAddr) -> Result<u32, RecoveryError> {

@@ -2,20 +2,14 @@
 //! the staged-seal mechanics, without a controller on top.
 
 use super::*;
-use anubis_nvm::{MemBackend, NvmError, RegionAllocator};
+use crate::AnubisConfig;
+use anubis_nvm::{MemBackend, NvmError};
 
 const KEY: Key = Key([7, 13]);
 
 fn path() -> DataPath<MemBackend> {
-    let mut alloc = RegionAllocator::new();
-    let data = alloc.alloc("data", 256);
-    let qtable = alloc.alloc("qtable", 4);
-    DataPath::new(
-        PersistenceDomain::new(alloc.total_blocks() * 64),
-        KEY,
-        data,
-        qtable,
-    )
+    let layout = Layout::sgx(&AnubisConfig::small_test(), 8);
+    DataPath::new(layout, KEY, MemBackend::new())
 }
 
 fn group_is_empty(p: &DataPath<MemBackend>) -> bool {
@@ -44,33 +38,34 @@ fn store_to_load_forwarding_returns_the_latest_staged_image() {
 #[test]
 fn a_group_of_deferred_seals_equals_scalar_seals_and_primes_the_mac_cache() {
     let mut p = path();
-    let lines: Vec<(Line, IvCounter, Block)> = (0..5u64)
+    let lines: Vec<(DataAddr, Line, IvCounter, Block)> = (0..5u64)
         .map(|i| {
             let iv = IvCounter::split(1, i + 1);
-            let line = Line {
-                dev: BlockAddr::new(i),
-                side: BlockAddr::new(100 + i),
-                iv: Some(iv),
-            };
-            (line, iv, Block::filled(0x40 + i as u8))
+            let addr = DataAddr::new(i);
+            (
+                addr,
+                p.line(addr, Some(iv)),
+                iv,
+                Block::filled(0x40 + i as u8),
+            )
         })
         .collect();
-    for (line, iv, data) in &lines {
+    for (addr, _, iv, data) in &lines {
         // An unrelated op between seals must not disturb the slots.
         p.stage(BlockAddr::new(200), Block::filled(0xEE));
-        p.stage_sealed(line.dev, line.side, *iv, *data);
+        p.stage_sealed(*addr, *iv, *data);
     }
     assert_eq!(p.cost.hash_ops, 10, "pad + MAC per seal");
     assert_eq!(p.cost.nvm_writes, 10, "side blocks are free");
     p.commit(&[]).expect("commit");
     assert!(group_is_empty(&p));
     let scalar = DataCodec::new(KEY);
-    for (line, iv, data) in &lines {
+    for (_, line, iv, data) in &lines {
         let want = scalar.seal(line.dev, *iv, data);
         assert_eq!(p.domain.read(line.dev).expect("read"), want.ciphertext);
         assert_eq!(p.domain.read(line.side).expect("read"), side_block(&want));
     }
-    for (line, _, data) in &lines {
+    for (_, line, _, data) in &lines {
         assert_eq!(p.open_line(*line).expect("verifies"), *data);
     }
     assert_eq!(
@@ -84,13 +79,13 @@ fn a_group_of_deferred_seals_equals_scalar_seals_and_primes_the_mac_cache() {
 fn reset_and_failed_commit_both_leave_no_group_behind() {
     let iv = IvCounter::monolithic(1);
     let mut p = path();
-    p.stage_sealed(BlockAddr::new(0), BlockAddr::new(100), iv, Block::filled(1));
+    p.stage_sealed(DataAddr::new(0), iv, Block::filled(1));
     p.stage(BlockAddr::new(5), Block::filled(2));
     assert!(!group_is_empty(&p));
     p.reset_group();
     assert!(group_is_empty(&p));
 
-    p.stage_sealed(BlockAddr::new(0), BlockAddr::new(100), iv, Block::filled(1));
+    p.stage_sealed(DataAddr::new(0), iv, Block::filled(1));
     p.domain.power_fail();
     assert!(matches!(
         p.commit(&[]),
@@ -99,7 +94,8 @@ fn reset_and_failed_commit_both_leave_no_group_behind() {
     assert!(group_is_empty(&p));
     // The next group starts from clean indices.
     p.domain.power_up();
-    p.stage_sealed(BlockAddr::new(1), BlockAddr::new(101), iv, Block::filled(3));
+    p.stage_sealed(DataAddr::new(1), iv, Block::filled(3));
     p.commit(&[]).expect("commit");
-    assert!(p.domain.read(BlockAddr::new(0)).expect("read").is_zeroed());
+    let dev = p.layout.data_addr(DataAddr::new(0));
+    assert!(p.domain.read(dev).expect("read").is_zeroed());
 }

@@ -68,7 +68,7 @@ pub use config::AnubisConfig;
 pub use cost::{CostAccum, OpCost};
 pub use error::{freshness_hint, MemError, RecoveryError};
 pub use family::{Family, Reopened};
-pub use layout::{BonsaiLayout, DataAddr, SgxLayout, LINES_PER_COUNTER_BLOCK};
+pub use layout::{DataAddr, Layout, LINES_PER_COUNTER_BLOCK};
 pub use recovery::RecoveryReport;
 pub use sgx::{SgxController, SgxScheme};
 pub use shadow::{ShadowAddrEntry, StEntry};

@@ -13,7 +13,7 @@ mod repair;
 use crate::config::AnubisConfig;
 use crate::datapath::{mirrored, publish_cache_stats, reopened, Backed, DataPath, Line, Policy};
 use crate::error::{IntegrityWitness, MemError, RecoveryError};
-use crate::layout::{DataAddr, SgxLayout};
+use crate::layout::{DataAddr, Layout};
 use crate::recovery::RecoveryReport;
 use crate::shadow::StEntry;
 use crate::shadow_tree::ShadowTree;
@@ -24,7 +24,7 @@ use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{SgxCounterNode, SGX_COUNTERS_PER_NODE};
 use anubis_itree::bonsai::Root;
 use anubis_itree::NodeId;
-use anubis_nvm::{Block, MemBackend, NvmBackend, PersistenceDomain};
+use anubis_nvm::{Block, MemBackend, NvmBackend, Region};
 use anubis_telemetry::Telemetry;
 
 /// Backend register slot mirroring the on-chip top counter node.
@@ -110,9 +110,8 @@ pub(crate) struct SgxEntry {
 pub struct SgxController<B: NvmBackend = MemBackend> {
     scheme: SgxScheme,
     config: AnubisConfig,
-    layout: SgxLayout,
-    /// The shared data path: persistence domain, data codec, commit
-    /// group, cost accounting, common telemetry.
+    /// The shared data path: layout, persistence domain, data codec,
+    /// commit group, cost accounting, common telemetry.
     path: DataPath<B>,
     mac_key: Hasher64,
     cache: MetadataCache<SgxEntry>,
@@ -149,10 +148,7 @@ impl<B: NvmBackend> SgxController<B> {
     fn assemble(scheme: SgxScheme, config: &AnubisConfig, backend: B) -> Self {
         let cache: MetadataCache<SgxEntry> =
             MetadataCache::new(config.metadata_cache_bytes, config.metadata_cache_ways);
-        let layout = SgxLayout::new(config, cache.num_slots() as u64);
-        let mut domain = PersistenceDomain::with_backend(layout.device_bytes(), backend);
-        domain.device_mut().register_regions(layout.regions());
-        domain.device_mut().install_spare_pool(layout.spare_pool());
+        let layout = Layout::sgx(config, cache.num_slots() as u64);
         let mac_key = Hasher64::new(config.key.derive("sgx-mac"));
         let mut canonical_zero = SgxCounterNode::new();
         canonical_zero.seal(&mac_key, 0);
@@ -162,8 +158,7 @@ impl<B: NvmBackend> SgxController<B> {
         let mut c = SgxController {
             scheme,
             config: config.clone(),
-            path: DataPath::new(domain, config.key, layout.data(), layout.qtable()),
-            layout,
+            path: DataPath::new(layout, config.key, backend),
             mac_key,
             cache,
             top: SgxCounterNode::new(),
@@ -205,8 +200,19 @@ impl<B: NvmBackend> SgxController<B> {
     }
 
     /// The memory layout (for tamper experiments).
-    pub fn layout(&self) -> &SgxLayout {
-        &self.layout
+    pub fn layout(&self) -> &Layout {
+        &self.path.layout
+    }
+
+    /// The ASIT Shadow Table's region.
+    fn st(&self) -> &Region {
+        self.layout().shadow("st")
+    }
+
+    /// The Shadow Table as it stands in NVM, in slot order.
+    fn st_image(&self) -> Vec<Block> {
+        let device = self.path.domain.device();
+        self.st().iter().map(|addr| device.read(addr)).collect()
     }
 
     /// Combined metadata-cache statistics.
@@ -227,10 +233,7 @@ impl<B: NvmBackend> SgxController<B> {
     #[doc(hidden)]
     pub fn debug_refresh_shadow_root_from_nvm(&mut self) {
         mirrored(self, |c| {
-            let st_blocks: Vec<Block> = (0..c.layout.st_slots())
-                .map(|s| c.path.domain.device().read(c.layout.st_slot(s)))
-                .collect();
-            let tree = ShadowTree::rebuild(c.config.key, st_blocks);
+            let tree = ShadowTree::rebuild(c.config.key, c.st_image());
             c.shadow_root = tree.root();
             c.shadow_tree = Some(tree);
         });
@@ -244,16 +247,16 @@ impl<B: NvmBackend> SgxController<B> {
     /// parent is resident, from the on-chip register for top-level
     /// children, or from NVM otherwise (charged as a read).
     fn parent_counter(&mut self, node: NodeId) -> Result<u64, MemError> {
-        let g = self.layout.geometry().clone();
+        let g = self.layout().geometry().clone();
         let Some(parent) = g.parent(node) else {
             // `node` *is* the top node: versioned by an implicit constant.
             return Ok(0);
         };
         let slot = g.child_slot(node);
-        if self.layout.is_on_chip(parent) {
+        if self.layout().is_on_chip(parent) {
             return Ok(self.top.counter(slot));
         }
-        let p_addr = self.layout.node_addr(parent);
+        let p_addr = self.layout().node_addr(parent);
         if let Some(entry) = self.cache.peek(p_addr) {
             return Ok(entry.node.counter(slot));
         }
@@ -275,16 +278,16 @@ impl<B: NvmBackend> SgxController<B> {
     /// (recursively bumping *its* parent) and written straight back —
     /// recursion is strictly upward and bounded by the tree height.
     fn bump_parent_counter(&mut self, node: NodeId) -> Result<u64, MemError> {
-        let g = self.layout.geometry().clone();
+        let g = self.layout().geometry().clone();
         let Some(parent) = g.parent(node) else {
             return Ok(0);
         };
         let slot = g.child_slot(node);
-        if self.layout.is_on_chip(parent) {
+        if self.layout().is_on_chip(parent) {
             self.top.increment(slot);
             return Ok(self.top.counter(slot));
         }
-        let p_addr = self.layout.node_addr(parent);
+        let p_addr = self.layout().node_addr(parent);
         if self.cache.contains(p_addr) {
             let new = {
                 let entry = self.cache.peek_mut(p_addr).expect("checked resident");
@@ -333,7 +336,7 @@ impl<B: NvmBackend> SgxController<B> {
                 self.maybe_persist_on_lsb_overflow(node)?;
             }
             SgxScheme::Osiris => {
-                let addr = self.layout.node_addr(node);
+                let addr = self.layout().node_addr(node);
                 let persist = {
                     let entry = self.cache.peek_mut(addr).expect("resident");
                     entry.since_persist = entry.since_persist.saturating_add(1);
@@ -357,7 +360,7 @@ impl<B: NvmBackend> SgxController<B> {
     /// shadow-protection tree (settled, and the root installed, at
     /// commit).
     fn stage_st_entry(&mut self, node: NodeId) -> Result<(), MemError> {
-        let addr = self.layout.node_addr(node);
+        let addr = self.layout().node_addr(node);
         let pc = self.parent_counter(node)?;
         let (counters, slot) = {
             let entry = self.cache.peek(addr).expect("ST entry for resident node");
@@ -377,7 +380,7 @@ impl<B: NvmBackend> SgxController<B> {
         let lsb_mask = (1u64 << self.config.st_lsb_bits) - 1;
         let lsbs = counters.map(|c| c & lsb_mask);
         let block = StEntry::new(addr, mac, lsbs).to_block();
-        self.path.stage(self.layout.st_slot(slot), block);
+        self.path.stage(self.st().nth(slot), block);
         self.stage_shadow_leaf(slot, block)
     }
 
@@ -395,7 +398,7 @@ impl<B: NvmBackend> SgxController<B> {
     /// Persists a node whose counter LSBs just wrapped past the ST field
     /// width, so recovery's MSB-splice stays correct (paper §4.3.1).
     fn maybe_persist_on_lsb_overflow(&mut self, node: NodeId) -> Result<(), MemError> {
-        let addr = self.layout.node_addr(node);
+        let addr = self.layout().node_addr(node);
         let lsb_mask = (1u64 << self.config.st_lsb_bits) - 1;
         let wrapped = {
             let entry = self.cache.peek(addr).expect("resident");
@@ -412,7 +415,7 @@ impl<B: NvmBackend> SgxController<B> {
     /// parent counter, seals, stages the write, and (ASIT) refreshes the
     /// node's ST entry so the shadow copy matches the NVM copy.
     fn writeback_node(&mut self, node: NodeId) -> Result<(), MemError> {
-        let addr = self.layout.node_addr(node);
+        let addr = self.layout().node_addr(node);
         let pc = self.bump_parent_counter(node)?;
         let sealed = {
             let entry = self
@@ -439,16 +442,16 @@ impl<B: NvmBackend> SgxController<B> {
     /// chain up to the first cached ancestor (or the on-chip top node).
     fn ensure_node(&mut self, node: NodeId) -> Result<(), MemError> {
         debug_assert!(
-            !self.layout.is_on_chip(node),
+            !self.layout().is_on_chip(node),
             "the top node is always on-chip"
         );
         // One lookup records the hit/miss; retries use `contains` so a
         // thrash-retry doesn't double-count.
-        if self.cache.lookup(self.layout.node_addr(node)).is_some() {
+        if self.cache.lookup(self.layout().node_addr(node)).is_some() {
             return Ok(());
         }
         for _attempt in 0..12 {
-            if self.cache.contains(self.layout.node_addr(node)) {
+            if self.cache.contains(self.layout().node_addr(node)) {
                 return Ok(());
             }
             self.fetch_chain(node)?;
@@ -457,18 +460,18 @@ impl<B: NvmBackend> SgxController<B> {
     }
 
     fn fetch_chain(&mut self, node: NodeId) -> Result<(), MemError> {
-        let g = self.layout.geometry().clone();
+        let g = self.layout().geometry().clone();
         let mut chain = vec![node];
         let mut cur = node;
         while let Some(p) = g.parent(cur) {
-            if self.layout.is_on_chip(p) || self.cache.contains(self.layout.node_addr(p)) {
+            if self.layout().is_on_chip(p) || self.cache.contains(self.layout().node_addr(p)) {
                 break;
             }
             chain.push(p);
             cur = p;
         }
         for n in chain.into_iter().rev() {
-            let addr = self.layout.node_addr(n);
+            let addr = self.layout().node_addr(n);
             if self.cache.contains(addr) {
                 continue; // an eviction cascade may have fetched it already
             }
@@ -497,7 +500,7 @@ impl<B: NvmBackend> SgxController<B> {
     /// propagation: dirty victims bump their parent counter, seal, write
     /// back, and refresh their ST entry).
     fn insert_node(&mut self, node: NodeId, value: SgxCounterNode) -> Result<(), MemError> {
-        let addr = self.layout.node_addr(node);
+        let addr = self.layout().node_addr(node);
         let outcome = self.cache.insert(
             addr,
             SgxEntry {
@@ -508,7 +511,7 @@ impl<B: NvmBackend> SgxController<B> {
         if let Some(ev) = outcome.evicted {
             if ev.dirty {
                 let victim = self
-                    .layout
+                    .layout()
                     .node_of_addr(ev.addr)
                     .expect("cache keys are metadata addresses");
                 // Clear the victim's ST slot *before* bumping its parent:
@@ -537,7 +540,7 @@ impl<B: NvmBackend> SgxController<B> {
     /// exist only for currently resident nodes (see DESIGN.md).
     fn clear_st_slot(&mut self, slot: u64) -> Result<(), MemError> {
         self.stage_shadow_leaf(slot, Block::zeroed())?;
-        self.path.stage(self.layout.st_slot(slot), Block::zeroed());
+        self.path.stage(self.st().nth(slot), Block::zeroed());
         Ok(())
     }
 
@@ -548,11 +551,11 @@ impl<B: NvmBackend> SgxController<B> {
     /// The strict-persistence write path: eagerly bump and persist the
     /// whole path (every node sealed against its just-bumped parent).
     fn strict_propagate(&mut self, leaf: NodeId) -> Result<(), MemError> {
-        let g = self.layout.geometry().clone();
+        let g = self.layout().geometry().clone();
         let mut node = leaf;
         loop {
             let pc = self.bump_parent_counter(node)?;
-            let addr = self.layout.node_addr(node);
+            let addr = self.layout().node_addr(node);
             let sealed = {
                 let entry = self.cache.peek_mut(addr).expect("resident");
                 entry.node.seal(&self.mac_key, pc);
@@ -562,7 +565,7 @@ impl<B: NvmBackend> SgxController<B> {
             self.path.stage(addr, sealed.to_block());
             self.cache.mark_clean(addr);
             match g.parent(node) {
-                Some(p) if !self.layout.is_on_chip(p) => {
+                Some(p) if !self.layout().is_on_chip(p) => {
                     self.ensure_node(p)?;
                     node = p;
                 }
@@ -578,11 +581,11 @@ impl<B: NvmBackend> SgxController<B> {
     /// node is always fresh — and yet a crash still loses the interior
     /// (paper §2.6: eager update is insufficient for SGX-style trees).
     fn eager_propagate(&mut self, leaf: NodeId) -> Result<(), MemError> {
-        let g = self.layout.geometry().clone();
+        let g = self.layout().geometry().clone();
         let mut node = leaf;
         loop {
             let pc = self.bump_parent_counter(node)?;
-            let addr = self.layout.node_addr(node);
+            let addr = self.layout().node_addr(node);
             {
                 let entry = self.cache.peek_mut(addr).expect("resident on the path");
                 entry.node.seal(&self.mac_key, pc);
@@ -590,7 +593,7 @@ impl<B: NvmBackend> SgxController<B> {
             self.path.cost.hash_ops += 1;
             self.cache.mark_dirty(addr);
             match g.parent(node) {
-                Some(p) if !self.layout.is_on_chip(p) => {
+                Some(p) if !self.layout().is_on_chip(p) => {
                     self.ensure_node(p)?;
                     node = p;
                 }
@@ -602,11 +605,7 @@ impl<B: NvmBackend> SgxController<B> {
 
     /// Resolves a data line under `ctr`, its current version counter.
     fn line_under(&self, addr: DataAddr, ctr: u64) -> Line {
-        Line {
-            dev: self.layout.data_addr(addr),
-            side: self.layout.side_addr(addr),
-            iv: (ctr != 0).then(|| IvCounter::monolithic(ctr)),
-        }
+        (self.path).line(addr, (ctr != 0).then(|| IvCounter::monolithic(ctr)))
     }
 }
 
@@ -615,8 +614,6 @@ impl<B: NvmBackend> Backed for SgxController<B> {
 }
 
 impl<B: NvmBackend> Policy for SgxController<B> {
-    const SHADOW_REGIONS: &'static [&'static str] = &["st"];
-
     fn path(&self) -> &DataPath<B> {
         &self.path
     }
@@ -631,14 +628,14 @@ impl<B: NvmBackend> Policy for SgxController<B> {
 
     #[inline]
     fn line_iv(&mut self, addr: DataAddr) -> Result<Line, MemError> {
-        let (leaf, slot) = self.layout.leaf_of(addr);
+        let (leaf, slot) = self.layout().leaf_of(addr);
         // Degenerate single-leaf tree: the leaf IS the on-chip top node.
-        let ctr = if self.layout.is_on_chip(leaf) {
+        let ctr = if self.layout().is_on_chip(leaf) {
             self.top.counter(slot)
         } else {
             self.ensure_node(leaf)?;
             self.cache
-                .peek(self.layout.node_addr(leaf))
+                .peek(self.layout().node_addr(leaf))
                 .expect("ensured")
                 .node
                 .counter(slot)
@@ -650,11 +647,11 @@ impl<B: NvmBackend> Policy for SgxController<B> {
     /// if cached (recovered nodes live there dirty), the on-chip top node
     /// for the degenerate single-leaf tree, or the NVM copy.
     fn unverified_line(&mut self, addr: DataAddr) -> Line {
-        let (leaf, slot) = self.layout.leaf_of(addr);
-        if self.layout.is_on_chip(leaf) {
+        let (leaf, slot) = self.layout().leaf_of(addr);
+        if self.layout().is_on_chip(leaf) {
             return self.line_under(addr, self.top.counter(slot));
         }
-        let leaf_addr = self.layout.node_addr(leaf);
+        let leaf_addr = self.layout().node_addr(leaf);
         let ctr = match self.cache.peek(leaf_addr) {
             Some(entry) => entry.node.counter(slot),
             None => SgxCounterNode::from_block(&self.path.domain.device_mut().read(leaf_addr))
@@ -672,15 +669,15 @@ impl<B: NvmBackend> Policy for SgxController<B> {
         if self.scheme == SgxScheme::Asit && self.shadow_tree.is_none() {
             return Err(MemError::RecoveryPending);
         }
-        let (leaf, slot) = self.layout.leaf_of(addr);
-        let ctr = if self.layout.is_on_chip(leaf) {
+        let (leaf, slot) = self.layout().leaf_of(addr);
+        let ctr = if self.layout().is_on_chip(leaf) {
             // Degenerate single-leaf tree: counters live in the persistent
             // on-chip register — no cache, no shadowing, no propagation.
             self.top.increment(slot);
             self.top.counter(slot)
         } else {
             self.ensure_node(leaf)?;
-            let leaf_addr = self.layout.node_addr(leaf);
+            let leaf_addr = self.layout().node_addr(leaf);
             let ctr = {
                 let entry = self.cache.peek_mut(leaf_addr).expect("ensured");
                 entry.node.increment(slot);
@@ -698,10 +695,7 @@ impl<B: NvmBackend> Policy for SgxController<B> {
         };
         // Stage the data seal; the crypto itself is deferred to commit
         // time, where the whole group goes through the batch seal path.
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-        self.path
-            .stage_sealed(dev, side_addr, IvCounter::monolithic(ctr), data);
+        (self.path).stage_sealed(addr, IvCounter::monolithic(ctr), data);
         Ok(())
     }
 
@@ -740,13 +734,13 @@ impl<B: NvmBackend> Policy for SgxController<B> {
                 .filter(|(_, _, _, dirty)| *dirty)
                 .map(|(_, addr, _, _)| addr)
                 .min_by_key(|addr| {
-                    self.layout
+                    self.layout()
                         .node_of_addr(*addr)
                         .map(|n| n.level)
                         .unwrap_or(usize::MAX)
                 });
             let Some(addr) = next else { break };
-            let node = self.layout.node_of_addr(addr).expect("metadata address");
+            let node = self.layout().node_of_addr(addr).expect("metadata address");
             self.writeback_node(node)?;
             self.commit()?;
         }

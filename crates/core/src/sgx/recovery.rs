@@ -58,12 +58,10 @@ fn recover_asit<B: NvmBackend>(
 ) -> Result<(), RecoveryError> {
     let tel = c.path.telemetry.clone();
     // Step 1: read the whole Shadow Table in slot order.
-    let st_slots = c.layout.st_slots();
+    let st_slots = c.st().len();
     let st_blocks = {
         let _span = tel.span("recovery_phase", "st_scan").items(st_slots);
-        (0..st_slots)
-            .map(|slot| c.path.domain.device().read(c.layout.st_slot(slot)))
-            .collect::<Vec<_>>()
+        c.st_image()
     };
     t.nvm_reads += st_slots;
 
@@ -118,17 +116,17 @@ fn recover_asit<B: NvmBackend>(
     // counter (recovered parent from the cache, the on-chip top node, or
     // the — necessarily current — NVM copy). Parent counters are never
     // *contents being repaired here*, so the checks need no order.
-    let g = c.layout.geometry().clone();
+    let g = c.layout().geometry().clone();
     let mac_span = tel
         .span("recovery_phase", "mac_verify")
         .items(recovered.len() as u64);
     for (addr, node) in &recovered {
-        let id = c.layout.node_of_addr(*addr).expect("validated above");
+        let id = c.layout().node_of_addr(*addr).expect("validated above");
         let pc = match g.parent(id) {
             None => 0,
-            Some(p) if c.layout.is_on_chip(p) => c.top.counter(g.child_slot(id)),
+            Some(p) if c.layout().is_on_chip(p) => c.top.counter(g.child_slot(id)),
             Some(p) => {
-                let p_addr = c.layout.node_addr(p);
+                let p_addr = c.layout().node_addr(p);
                 if let Some(entry) = c.cache.peek(p_addr) {
                     entry.node.counter(g.child_slot(id))
                 } else {
@@ -177,20 +175,16 @@ fn recover_asit<B: NvmBackend>(
         }
         let block = StEntry::new(*addr, node.mac(), lsbs).to_block();
         t.nvm_writes += 1;
-        c.path
-            .domain
-            .device_mut()
-            .write(c.layout.st_slot(slot), block);
+        let st_addr = c.st().nth(slot);
+        c.path.domain.device_mut().write(st_addr, block);
         fresh_tree.stage(slot, block);
         occupied[slot as usize] = true;
     }
     for slot in 0..st_slots {
         if !occupied[slot as usize] && !st_blocks[slot as usize].is_zeroed() {
             t.nvm_writes += 1;
-            c.path
-                .domain
-                .device_mut()
-                .write(c.layout.st_slot(slot), anubis_nvm::Block::zeroed());
+            let st_addr = c.st().nth(slot);
+            (c.path.domain.device_mut()).write(st_addr, anubis_nvm::Block::zeroed());
         }
     }
     fresh_tree.settle();
@@ -214,7 +208,7 @@ pub(super) fn dedup_st_entries<B: NvmBackend>(
         let Some(entry) = StEntry::from_block(block) else {
             continue;
         };
-        if c.layout.node_of_addr(entry.addr()).is_none() {
+        if c.layout().node_of_addr(entry.addr()).is_none() {
             continue;
         }
         by_addr

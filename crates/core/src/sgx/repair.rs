@@ -53,20 +53,18 @@ pub(super) fn targeted<B: NvmBackend>(
 /// that fail are left stale for the cascade.
 fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
     let mut sum = RepairSummary::default();
-    let st_blocks: Vec<Block> = (0..c.layout.st_slots())
-        .map(|slot| c.path.domain.device().read(c.layout.st_slot(slot)))
-        .collect();
+    let st_blocks = c.st_image();
     // Only splice from a table the on-chip root still vouches for.
     if ShadowTree::rebuild(c.config.key, st_blocks.clone()).root() != c.shadow_root {
         return sum;
     }
     let mut entries = recovery::dedup_st_entries(c, &st_blocks);
     entries.sort_by_key(|(addr, _)| {
-        std::cmp::Reverse(c.layout.node_of_addr(*addr).map(|n| n.level).unwrap_or(0))
+        std::cmp::Reverse(c.layout().node_of_addr(*addr).map(|n| n.level).unwrap_or(0))
     });
     let lsb_bits = c.config.st_lsb_bits;
     for (addr, entry) in entries {
-        let Some(id) = c.layout.node_of_addr(addr) else {
+        let Some(id) = c.layout().node_of_addr(addr) else {
             continue;
         };
         let stale = SgxCounterNode::from_block(&c.path.domain.device_mut().read(addr));
@@ -83,12 +81,14 @@ fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
 /// the on-chip top node holds it: what degraded mode verifies against,
 /// with the cache out of the picture.
 fn stored_parent_counter<B: NvmBackend>(c: &SgxController<B>, node: NodeId) -> u64 {
-    let g = c.layout.geometry();
+    let g = c.layout().geometry();
     match g.parent(node) {
         None => 0,
-        Some(p) if c.layout.is_on_chip(p) => c.top.counter(g.child_slot(node)),
-        Some(p) => SgxCounterNode::from_block(&c.path.domain.device().read(c.layout.node_addr(p)))
-            .counter(g.child_slot(node)),
+        Some(p) if c.layout().is_on_chip(p) => c.top.counter(g.child_slot(node)),
+        Some(p) => {
+            SgxCounterNode::from_block(&c.path.domain.device().read(c.layout().node_addr(p)))
+                .counter(g.child_slot(node))
+        }
     }
 }
 
@@ -99,7 +99,7 @@ pub(super) fn degrade<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary 
     // The ASIT flush path stages ST entries through the volatile shadow
     // tree; after a crash it is gone until recovery succeeds.
     if c.scheme == SgxScheme::Asit && c.shadow_tree.is_none() {
-        c.shadow_tree = Some(ShadowTree::new(c.config.key, c.layout.st_slots()));
+        c.shadow_tree = Some(ShadowTree::new(c.config.key, c.st().len()));
     }
     // Best-effort flush of dirty (possibly splice-recovered) nodes so the
     // cascade sees them in NVM; verification failures mid-flush are
@@ -110,13 +110,13 @@ pub(super) fn degrade<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary 
     let sum = verify_reseal_cascade(c);
     if c.scheme == SgxScheme::Asit {
         // ST invariant: entries exist only for resident nodes — none now.
-        for slot in 0..c.layout.st_slots() {
-            let st_addr = c.layout.st_slot(slot);
+        for slot in 0..c.st().len() {
+            let st_addr = c.st().nth(slot);
             if !c.path.domain.device_mut().read(st_addr).is_zeroed() {
                 c.path.domain.device_mut().write(st_addr, Block::zeroed());
             }
         }
-        let fresh = ShadowTree::new(c.config.key, c.layout.st_slots());
+        let fresh = ShadowTree::new(c.config.key, c.st().len());
         c.shadow_root = fresh.root();
         c.shadow_tree = Some(fresh);
     }
@@ -128,13 +128,13 @@ pub(super) fn degrade<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary 
 /// each node's MAC against its parent counter (finalized by the level
 /// above); a failure is re-sealed in place over its stored counters.
 fn verify_reseal_cascade<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
-    let g = c.layout.geometry().clone();
+    let g = c.layout().geometry().clone();
     let mut sum = RepairSummary::default();
     let top_level = g.num_levels() - 1;
     for level in (0..top_level).rev() {
         for index in 0..g.nodes_at(level) {
             let node = NodeId::new(level, index);
-            let addr = c.layout.node_addr(node);
+            let addr = c.layout().node_addr(node);
             let raw = c.path.domain.device().read(addr);
             let pc = stored_parent_counter(c, node);
             let mut val = if raw.is_zeroed() {

@@ -150,7 +150,10 @@ fn asit_crash_recovery_restores_cache_state() {
     c.crash();
     let report = c.recover().unwrap();
     assert!(report.nodes_fixed > 0, "dirty nodes must be restored");
-    assert!(report.nvm_reads >= c.layout().st_slots(), "full ST scan");
+    assert!(
+        report.nvm_reads >= c.layout().shadow("st").len(),
+        "full ST scan"
+    );
     for i in 0..80u64 {
         let addr = i * 17 % 900;
         let last = (0..80u64).filter(|j| j * 17 % 900 == addr).max().unwrap();
@@ -170,7 +173,7 @@ fn asit_recovery_is_cache_sized_not_memory_sized() {
     }
     c.crash();
     let report = c.recover().unwrap();
-    let st = c.layout().st_slots();
+    let st = c.layout().shadow("st").len();
     // Scan + shadow rebuild + per-entry work: comfortably below data size.
     assert!(report.nvm_reads < st * 4);
     assert!(report.nvm_reads < c.layout().data_blocks());
@@ -213,11 +216,11 @@ fn tampered_shadow_table_detected() {
     }
     c.crash();
     // Flip one bit anywhere in the ST region.
-    let st0 = c.layout().st_slot(0);
+    let st0 = c.layout().shadow("st").nth(0);
     // Find a nonzero slot to make the tamper meaningful; fall back to 0.
     let mut target = st0;
-    for s in 0..c.layout().st_slots() {
-        let a = c.layout().st_slot(s);
+    for s in 0..c.layout().shadow("st").len() {
+        let a = c.layout().shadow("st").nth(s);
         if !c.domain().device().peek(a).is_zeroed() {
             target = a;
             break;
@@ -503,8 +506,8 @@ fn the_shadow_root_register_matches_the_st_region_after_every_op() {
     // what a crash right then would make recovery rebuild and check.
     let mut c = controller(SgxScheme::Asit);
     let st_root = |c: &SgxController| {
-        let st = (0..c.layout.st_slots())
-            .map(|s| c.domain().read(c.layout.st_slot(s)).unwrap())
+        let st = (0..c.layout().shadow("st").len())
+            .map(|s| c.domain().read(c.layout().shadow("st").nth(s)).unwrap())
             .collect();
         ShadowTree::rebuild(c.config.key, st).root()
     };
@@ -558,18 +561,18 @@ fn a_fill_refused_mid_chain_drops_its_group_and_moves_no_shadow_root() {
         c.write(DataAddr::new(i * 37 % 4000), pattern(i)).unwrap();
     }
     c.domain_mut().drain_wpq();
-    let g = c.layout.geometry().clone();
-    let resident = |c: &SgxController, n| c.cache.contains(c.layout.node_addr(n));
-    let line = (0..c.layout.data_blocks())
+    let g = c.layout().geometry().clone();
+    let resident = |c: &SgxController, n| c.cache.contains(c.layout().node_addr(n));
+    let line = (0..c.layout().data_blocks())
         .map(DataAddr::new)
         .find(|&a| {
-            let (leaf, _) = c.layout.leaf_of(a);
+            let (leaf, _) = c.layout().leaf_of(a);
             let parent = g.parent(leaf).expect("a multi-level tree");
-            !c.layout.is_on_chip(parent) && !resident(&c, leaf) && !resident(&c, parent)
+            !c.layout().is_on_chip(parent) && !resident(&c, leaf) && !resident(&c, parent)
         })
         .expect("a line under two cold levels");
-    let (leaf, _) = c.layout.leaf_of(line);
-    let leaf_addr = c.layout.node_addr(leaf);
+    let (leaf, _) = c.layout().leaf_of(line);
+    let leaf_addr = c.layout().node_addr(leaf);
     c.domain_mut().device_mut().tamper_flip_bit(leaf_addr, 9);
 
     let (root, evicted) = (c.shadow_root(), c.cache_stats().dirty_evictions);

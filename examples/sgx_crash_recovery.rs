@@ -65,10 +65,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut victim = SgxController::new(SgxScheme::Asit, &config);
     workload(&mut victim);
     victim.crash();
-    let st0 = victim.layout().st_slot(0);
+    let st0 = victim.layout().shadow("st").nth(0);
     let mut target = st0;
-    for s in 0..victim.layout().st_slots() {
-        let a = victim.layout().st_slot(s);
+    for s in 0..victim.layout().shadow("st").len() {
+        let a = victim.layout().shadow("st").nth(s);
         if !victim.domain().device().peek(a).is_zeroed() {
             target = a;
             break;

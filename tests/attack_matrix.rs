@@ -144,7 +144,7 @@ fn a_keyless_bit63_pair_forgery_is_refused_never_served() {
 #[test]
 fn counter_region_tamper_detected_after_recovery() {
     let mut c = warmed_bonsai(BonsaiScheme::AgitPlus);
-    let (leaf, _) = c.layout().counter_of(DataAddr::new(3));
+    let (leaf, _) = c.layout().leaf_of(DataAddr::new(3));
     let addr = c.layout().node_addr(leaf);
     c.domain_mut().device_mut().tamper_flip_bit(addr, 10);
     // Either recovery notices (root mismatch) or the read's path check
@@ -262,9 +262,9 @@ fn asit_shadow_table_attacks_detected() {
     }
     // Snapshot the ST region early.
     c.domain_mut().drain_wpq();
-    let snapshot: Vec<(u64, Block)> = (0..c.layout().st_slots())
+    let snapshot: Vec<(u64, Block)> = (0..c.layout().shadow("st").len())
         .map(|s| {
-            let a = c.layout().st_slot(s);
+            let a = c.layout().shadow("st").nth(s);
             (s, c.domain().device().peek(a))
         })
         .collect();
@@ -274,7 +274,7 @@ fn asit_shadow_table_attacks_detected() {
     c.crash();
     // Replay the old ST image.
     for (s, b) in snapshot {
-        let a = c.layout().st_slot(s);
+        let a = c.layout().shadow("st").nth(s);
         c.domain_mut().device_mut().tamper_replay(a, b);
     }
     assert_eq!(c.recover(), Err(RecoveryError::ShadowTableTampered));
@@ -291,8 +291,8 @@ fn agit_shadow_table_lies_caught_by_root() {
     }
     c.crash();
     // Zero out the whole SCT: recovery will "fix" nothing.
-    for s in 0..c.layout().sct_slots() {
-        let a = c.layout().sct_slot(s);
+    for s in 0..c.layout().shadow("sct").len() {
+        let a = c.layout().shadow("sct").nth(s);
         c.domain_mut().device_mut().poke(a, Block::zeroed());
     }
     assert_eq!(c.recover(), Err(RecoveryError::RootMismatch));

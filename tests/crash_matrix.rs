@@ -269,7 +269,7 @@ fn stale_counter_beyond_stop_loss_errs_without_panic() {
     let a = DataAddr::new(9);
     c.write(a, payload(0)).unwrap();
     c.shutdown_flush().unwrap();
-    let (leaf, _) = c.layout().counter_of(a);
+    let (leaf, _) = c.layout().leaf_of(a);
     let ctr = c.layout().node_addr(leaf);
     let stale = c.domain().device().peek(ctr);
     // stop_loss + 2 more writes: the data line's minor is now further
@@ -318,7 +318,7 @@ fn shadow_capacity_exceeded_is_lane_invariant() {
     for j in 0..conflicting {
         let addr = c.layout().node_addr(NodeId::new(0, j * sets));
         let entry = StEntry::new(addr, 0, [0u64; 8]);
-        let slot = c.layout().st_slot(j);
+        let slot = c.layout().shadow("st").nth(j);
         c.domain_mut().device_mut().poke(slot, entry.to_block());
     }
     c.debug_refresh_shadow_root_from_nvm();

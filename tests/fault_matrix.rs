@@ -243,7 +243,7 @@ fn uncorrectable_counter_flip_detected_bonsai() {
     ] {
         let mut ctrl = BonsaiController::new(scheme, &cfg);
         let victim = run_script(&mut ctrl);
-        let (leaf, _) = ctrl.layout().counter_of(victim);
+        let (leaf, _) = ctrl.layout().leaf_of(victim);
         let node_addr = ctrl.layout().node_addr(leaf);
         ctrl.crash();
         // Flip high bits of the major counter: far outside any recovery
@@ -279,7 +279,7 @@ fn uncorrectable_shadow_table_flip_detected_asit() {
     ctrl.crash();
     // The shadow tree covers every ST slot, so any flip in the region must
     // break the root check.
-    let slot = ctrl.layout().st_slot(0);
+    let slot = ctrl.layout().shadow("st").nth(0);
     ctrl.domain_mut().device_mut().tamper_flip_bit(slot, 60);
     ctrl.domain_mut().device_mut().tamper_flip_bit(slot, 61);
     let err = ctrl.recover().expect_err("tampered ST must be detected");
