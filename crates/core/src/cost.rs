@@ -29,11 +29,6 @@ impl OpCost {
     pub fn zero() -> Self {
         Self::default()
     }
-
-    /// Total NVM block transfers.
-    pub fn nvm_ops(&self) -> u32 {
-        self.nvm_reads + self.nvm_writes
-    }
 }
 
 impl AddAssign for OpCost {
@@ -115,7 +110,6 @@ mod tests {
                 bg_hash_ops: 5
             }
         );
-        assert_eq!(a.nvm_ops(), 33);
         assert_eq!(OpCost::zero(), OpCost::default());
     }
 

@@ -61,11 +61,6 @@ impl ShadowAddrEntry {
             node: NodeId::new(b.word(1) as usize, b.word(2)),
         })
     }
-
-    /// An explicitly invalid slot image (used to clear entries).
-    pub fn invalid_block() -> Block {
-        Block::zeroed()
-    }
 }
 
 /// Width of the per-counter LSB field in an ST entry.
@@ -273,10 +268,6 @@ mod tests {
     fn zero_block_is_invalid() {
         assert_eq!(ShadowAddrEntry::from_block(&Block::zeroed()), None);
         assert_eq!(StEntry::from_block(&Block::zeroed()), None);
-        assert_eq!(
-            ShadowAddrEntry::from_block(&ShadowAddrEntry::invalid_block()),
-            None
-        );
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl Hasher64 {
         self.prf(sum, data.len() as u64, 0)
     }
 
-    /// Hashes arbitrary bytes to a 56-bit MAC (SGX node width).
-    pub fn mac56(&self, data: &[u8]) -> u64 {
-        self.hash(data) & MASK56
-    }
-
     /// Hashes a sequence of 64-bit words (the common case for counter and
     /// MAC material, which is always word-shaped). Bit-identical to
     /// serializing the words little-endian and calling
@@ -206,14 +201,6 @@ mod tests {
     #[test]
     fn debug_hides_the_key() {
         assert_eq!(format!("{:?}", hasher()), "Hasher64(<key>)");
-    }
-
-    #[test]
-    fn mac56_is_56_bits() {
-        let h = hasher();
-        for i in 0..64u64 {
-            assert_eq!(h.mac56(&i.to_le_bytes()) >> 56, 0);
-        }
     }
 
     #[test]

@@ -83,30 +83,9 @@ pub fn encrypt(key: Key, addr: BlockAddr, counter: IvCounter, plaintext: &Block)
     plaintext.xored(&pad(key, addr, counter))
 }
 
-/// [`encrypt`] with a precomputed key schedule.
-pub fn encrypt_with(
-    cipher: &Speck128,
-    addr: BlockAddr,
-    counter: IvCounter,
-    plaintext: &Block,
-) -> Block {
-    plaintext.xored(&pad_with(cipher, addr, counter))
-}
-
 /// Decrypts `ciphertext` in counter mode (identical to [`encrypt`]).
 pub fn decrypt(key: Key, addr: BlockAddr, counter: IvCounter, ciphertext: &Block) -> Block {
     ciphertext.xored(&pad(key, addr, counter))
-}
-
-/// [`decrypt`] with a precomputed key schedule (identical to
-/// [`encrypt_with`]).
-pub fn decrypt_with(
-    cipher: &Speck128,
-    addr: BlockAddr,
-    counter: IvCounter,
-    ciphertext: &Block,
-) -> Block {
-    ciphertext.xored(&pad_with(cipher, addr, counter))
 }
 
 /// Generates an 8-byte pad word for encrypting per-block ECC/MAC metadata
@@ -221,16 +200,6 @@ mod tests {
         let addr = BlockAddr::new(42);
         assert_eq!(pad(k, addr, ctr), pad_with(&cipher, addr, ctr));
         assert_eq!(pad_word(k, addr, ctr), pad_word_with(&cipher, addr, ctr));
-        let pt = Block::filled(0x3C);
-        assert_eq!(
-            encrypt(k, addr, ctr, &pt),
-            encrypt_with(&cipher, addr, ctr, &pt)
-        );
-        let ct = encrypt(k, addr, ctr, &pt);
-        assert_eq!(
-            decrypt(k, addr, ctr, &ct),
-            decrypt_with(&cipher, addr, ctr, &ct)
-        );
     }
 
     #[test]

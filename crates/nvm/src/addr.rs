@@ -18,9 +18,9 @@ pub const BLOCK_BYTES: usize = 64;
 ///
 /// ```
 /// use anubis_nvm::BlockAddr;
-/// let a = BlockAddr::from_byte_addr(128);
-/// assert_eq!(a, BlockAddr::new(2));
-/// assert_eq!(a.byte_addr(), 128);
+/// let a = BlockAddr::new(2);
+/// assert_eq!(a.index(), 2);
+/// assert_eq!(a.offset(3), BlockAddr::new(5));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockAddr(u64);
@@ -32,23 +32,10 @@ impl BlockAddr {
         BlockAddr(index)
     }
 
-    /// Creates a block address from a byte address (truncating to block
-    /// granularity).
-    #[inline]
-    pub const fn from_byte_addr(byte: u64) -> Self {
-        BlockAddr(byte / BLOCK_BYTES as u64)
-    }
-
     /// The block index.
     #[inline]
     pub const fn index(self) -> u64 {
         self.0
-    }
-
-    /// The byte address of the first byte of this block.
-    #[inline]
-    pub const fn byte_addr(self) -> u64 {
-        self.0 * BLOCK_BYTES as u64
     }
 
     /// Returns the address `offset` blocks after this one.
@@ -219,9 +206,7 @@ mod tests {
     #[test]
     fn block_addr_roundtrip() {
         let a = BlockAddr::new(7);
-        assert_eq!(a.byte_addr(), 7 * 64);
-        assert_eq!(BlockAddr::from_byte_addr(a.byte_addr()), a);
-        assert_eq!(BlockAddr::from_byte_addr(a.byte_addr() + 63), a);
+        assert_eq!(a.index(), 7);
         assert_eq!(u64::from(a), 7);
     }
 

@@ -137,12 +137,6 @@ impl<B: NvmBackend> NvmDevice<B> {
         self.capacity_blocks
     }
 
-    /// Number of blocks that have ever been written (the materialized
-    /// footprint).
-    pub fn touched_blocks(&self) -> usize {
-        self.store.touched()
-    }
-
     /// Checked read. Takes `&self`: reading does not logically mutate the
     /// device, and the access statistics live behind interior mutability.
     ///
@@ -358,7 +352,7 @@ mod tests {
         let dev = NvmDevice::new(1 << 20);
         assert!(dev.read(BlockAddr::new(100)).is_zeroed());
         assert_eq!(dev.stats().reads(), 1);
-        assert_eq!(dev.touched_blocks(), 0);
+        assert_eq!(dev.backend().touched(), 0);
     }
 
     #[test]
@@ -367,7 +361,7 @@ mod tests {
         let b = Block::from_words([9, 8, 7, 6, 5, 4, 3, 2]);
         dev.write(BlockAddr::new(5), b);
         assert_eq!(dev.read(BlockAddr::new(5)), b);
-        assert_eq!(dev.touched_blocks(), 1);
+        assert_eq!(dev.backend().touched(), 1);
         assert_eq!(dev.writes_to(BlockAddr::new(5)), 1);
     }
 

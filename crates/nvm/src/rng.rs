@@ -71,12 +71,6 @@ impl SplitMix64 {
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-
-    /// Forks an independent stream; the fork is decorrelated from the
-    /// parent by re-seeding through the output function.
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ 0x5851_F42D_4C95_7F2D)
-    }
 }
 
 #[cfg(test)]
@@ -137,13 +131,6 @@ mod tests {
         for c in counts {
             assert!((9_000..11_000).contains(&c), "skewed: {counts:?}");
         }
-    }
-
-    #[test]
-    fn fork_decorrelates() {
-        let mut rng = SplitMix64::new(21);
-        let mut fork = rng.fork();
-        assert_ne!(rng.next_u64(), fork.next_u64());
     }
 
     #[test]

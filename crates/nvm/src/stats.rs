@@ -77,14 +77,6 @@ impl NvmStats {
             .sum()
     }
 
-    /// Reads attributed to the region labeled `name` (0 if never seen).
-    pub fn reads_in(&self, name: &str) -> u64 {
-        self.region_names
-            .iter()
-            .position(|n| *n == name)
-            .map_or(0, |i| self.reads_by_region[i].load(Ordering::Relaxed))
-    }
-
     /// Writes attributed to the region labeled `name` (0 if never seen).
     pub fn writes_in(&self, name: &str) -> u64 {
         self.region_names
@@ -227,7 +219,7 @@ mod tests {
         s.record_write(Some(1), 5, BlockAddr::new(1));
         assert_eq!(s.reads(), 2);
         assert_eq!(s.writes(), 2);
-        assert_eq!(s.reads_in("data"), 1);
+        assert_eq!(s.snapshot().reads_by_region, vec![("data", 1)]);
         assert_eq!(s.writes_in("ctr"), 1);
         assert_eq!(s.writes_in("nope"), 0);
         assert_eq!(s.max_writes_to_one_block(), 5);
@@ -246,7 +238,7 @@ mod tests {
         shared.record_read(Some(0));
         shared.record_read(Some(0));
         assert_eq!(shared.reads(), 2);
-        assert_eq!(shared.reads_in("data"), 2);
+        assert_eq!(shared.snapshot().reads_by_region, vec![("data", 2)]);
     }
 
     #[test]
@@ -286,6 +278,6 @@ mod tests {
             }
         });
         assert_eq!(s.reads(), 1000);
-        assert_eq!(s.reads_in("data"), 1000);
+        assert_eq!(s.snapshot().reads_by_region, vec![("data", 1000)]);
     }
 }

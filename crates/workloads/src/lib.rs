@@ -29,7 +29,6 @@ mod generator;
 mod trace;
 mod zipf;
 
-pub mod io;
 pub mod spec2006;
 
 pub use generator::{TraceGenerator, WorkloadSpec};
