@@ -1,8 +1,8 @@
 //! Reusable experiment drivers for the paper's figures.
 //!
-//! Each per-figure binary in `anubis-bench` is a thin wrapper over these
-//! functions, so integration tests can exercise the same code paths at
-//! reduced scale.
+//! The `reproduce` binary in `anubis-bench` renders every figure and
+//! table from these functions; integration tests and the benchmark
+//! ledger call the same functions at their own scales.
 
 use crate::engine::{run_trace, RunResult};
 use crate::timing::TimingModel;
@@ -10,7 +10,7 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, MemError, MemoryController, SgxController,
     SgxScheme,
 };
-use anubis_workloads::{TraceGenerator, WorkloadSpec};
+use anubis_workloads::{Trace, TraceGenerator, WorkloadSpec};
 
 /// How many trace operations a figure run replays per workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,7 +26,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Full-figure scale (used by the bench binaries).
+    /// Full-figure scale (the committed `results/`).
     pub fn full() -> Self {
         Scale {
             ops: 200_000,
@@ -35,7 +35,7 @@ impl Scale {
         }
     }
 
-    /// Reduced scale for integration tests.
+    /// Reduced scale for integration tests and `results/smoke/`.
     pub fn smoke() -> Self {
         Scale {
             ops: 3_000,
@@ -45,20 +45,11 @@ impl Scale {
     }
 }
 
-/// Replays the warm-up prefix (untimed) and returns the measured suffix.
-fn split_trace(
-    trace: &anubis_workloads::Trace,
-    scale: Scale,
-) -> (anubis_workloads::Trace, anubis_workloads::Trace) {
-    let warm: anubis_workloads::Trace = anubis_workloads::Trace::new(
-        trace.name(),
-        trace.ops()[..scale.warmup_ops.min(trace.len())].to_vec(),
-    );
-    let measured = anubis_workloads::Trace::new(
-        trace.name(),
-        trace.ops()[scale.warmup_ops.min(trace.len())..].to_vec(),
-    );
-    (warm, measured)
+/// Splits a trace into its warm-up prefix and its measured suffix.
+fn split_trace(trace: &Trace, scale: Scale) -> (Trace, Trace) {
+    let (warm, measured) = trace.ops().split_at(scale.warmup_ops.min(trace.len()));
+    let part = |ops: &[_]| Trace::new(trace.name(), ops.to_vec());
+    (part(warm), part(measured))
 }
 
 /// Warms a controller on the prefix, resets its statistics, and replays
@@ -67,9 +58,9 @@ fn split_trace(
 /// # Errors
 ///
 /// Propagates controller errors.
-pub fn run_measured<C: anubis::MemoryController>(
+pub fn run_measured<C: MemoryController>(
     controller: &mut C,
-    trace: &anubis_workloads::Trace,
+    trace: &Trace,
     model: &TimingModel,
     scale: Scale,
 ) -> Result<RunResult, MemError> {
@@ -81,21 +72,40 @@ pub fn run_measured<C: anubis::MemoryController>(
     run_trace(controller, &measured, model)
 }
 
-/// One workload's results across the Bonsai schemes (Figure 10 row).
+/// One workload's results across one family's schemes: a Figure 10 row
+/// ([`bonsai_row`]) or a Figure 11 row ([`sgx_row`]).
 #[derive(Clone, Debug)]
-pub struct BonsaiRow {
+pub struct Row {
     /// Workload name.
     pub workload: String,
-    /// Results per scheme, in [`BonsaiScheme::all`] order.
+    /// Results per scheme, in [`BonsaiScheme::all`] or [`SgxScheme::all`]
+    /// order (write-back first).
     pub results: Vec<RunResult>,
 }
 
-impl BonsaiRow {
+impl Row {
     /// Normalized execution time per scheme (write-back = 1.0).
     pub fn normalized(&self) -> Vec<f64> {
         let base = &self.results[0];
         self.results.iter().map(|r| r.normalized_to(base)).collect()
     }
+}
+
+/// A measured run's trace: the warm-up prefix and the measured ops.
+fn warm_trace(spec: &WorkloadSpec, config: &AnubisConfig, scale: Scale) -> Trace {
+    TraceGenerator::new(spec.clone(), config.capacity_bytes)
+        .generate(scale.ops + scale.warmup_ops, scale.seed)
+}
+
+/// `spec`'s row from its per-scheme runs.
+fn collect_row(
+    spec: &WorkloadSpec,
+    runs: impl Iterator<Item = Result<RunResult, MemError>>,
+) -> Result<Row, MemError> {
+    Ok(Row {
+        workload: spec.name.to_string(),
+        results: runs.collect::<Result<_, _>>()?,
+    })
 }
 
 /// Runs one workload through every Bonsai scheme (one Figure 10 row).
@@ -108,35 +118,10 @@ pub fn bonsai_row(
     config: &AnubisConfig,
     model: &TimingModel,
     scale: Scale,
-) -> Result<BonsaiRow, MemError> {
-    let trace = TraceGenerator::new(spec.clone(), config.capacity_bytes)
-        .generate(scale.ops + scale.warmup_ops, scale.seed);
-    let mut results = Vec::with_capacity(5);
-    for scheme in BonsaiScheme::all() {
-        let mut ctrl = BonsaiController::new(scheme, config);
-        results.push(run_measured(&mut ctrl, &trace, model, scale)?);
-    }
-    Ok(BonsaiRow {
-        workload: spec.name.to_string(),
-        results,
-    })
-}
-
-/// One workload's results across the SGX schemes (Figure 11 row).
-#[derive(Clone, Debug)]
-pub struct SgxRow {
-    /// Workload name.
-    pub workload: String,
-    /// Results per scheme, in [`SgxScheme::all`] order.
-    pub results: Vec<RunResult>,
-}
-
-impl SgxRow {
-    /// Normalized execution time per scheme (write-back = 1.0).
-    pub fn normalized(&self) -> Vec<f64> {
-        let base = &self.results[0];
-        self.results.iter().map(|r| r.normalized_to(base)).collect()
-    }
+) -> Result<Row, MemError> {
+    let trace = warm_trace(spec, config, scale);
+    let run = |s| run_measured(&mut BonsaiController::new(s, config), &trace, model, scale);
+    collect_row(spec, BonsaiScheme::all().into_iter().map(run))
 }
 
 /// Runs one workload through every SGX scheme (one Figure 11 row).
@@ -149,18 +134,10 @@ pub fn sgx_row(
     config: &AnubisConfig,
     model: &TimingModel,
     scale: Scale,
-) -> Result<SgxRow, MemError> {
-    let trace = TraceGenerator::new(spec.clone(), config.capacity_bytes)
-        .generate(scale.ops + scale.warmup_ops, scale.seed);
-    let mut results = Vec::with_capacity(4);
-    for scheme in SgxScheme::all() {
-        let mut ctrl = SgxController::new(scheme, config);
-        results.push(run_measured(&mut ctrl, &trace, model, scale)?);
-    }
-    Ok(SgxRow {
-        workload: spec.name.to_string(),
-        results,
-    })
+) -> Result<Row, MemError> {
+    let trace = warm_trace(spec, config, scale);
+    let run = |s| run_measured(&mut SgxController::new(s, config), &trace, model, scale);
+    collect_row(spec, SgxScheme::all().into_iter().map(run))
 }
 
 /// Geometric mean of normalized overheads across rows (the "GEOMEAN" bar
@@ -182,8 +159,7 @@ pub fn clean_eviction_fraction(
     config: &AnubisConfig,
     scale: Scale,
 ) -> Result<Option<f64>, MemError> {
-    let trace = TraceGenerator::new(spec.clone(), config.capacity_bytes)
-        .generate(scale.ops + scale.warmup_ops, scale.seed);
+    let trace = warm_trace(spec, config, scale);
     let mut ctrl = BonsaiController::new(BonsaiScheme::WriteBack, config);
     run_measured(&mut ctrl, &trace, &TimingModel::paper(), scale)?;
     Ok(ctrl.counter_cache_stats().clean_eviction_fraction())
@@ -216,8 +192,7 @@ pub fn cache_sensitivity(
     let mut points = Vec::with_capacity(cache_sizes.len());
     for &bytes in cache_sizes {
         let config = base_config.clone().with_cache_bytes(bytes);
-        let trace = TraceGenerator::new(spec.clone(), config.capacity_bytes)
-            .generate(scale.ops + scale.warmup_ops, scale.seed);
+        let trace = warm_trace(spec, &config, scale);
         let mut wb = BonsaiController::new(BonsaiScheme::WriteBack, &config);
         let base = run_measured(&mut wb, &trace, model, scale)?;
         let mut normalized = Vec::new();
