@@ -1,14 +1,11 @@
-//! Shared plumbing for the per-figure harness binaries.
-//!
-//! Every binary accepts `--smoke` to run at reduced trace length for
-//! quick checks; the default is the full figure scale. Run with
-//! `--release` — the full figures replay 200 k operations per
-//! (workload, scheme) pair.
+//! Shared plumbing for the harness binaries — `reproduce` (every figure
+//! and table under `results/`), `bench_latency`, `bench_campaign` and
+//! `bench_group_commit` — and the in-tree micro-benchmarks: command-line
+//! flags, the JSON baseline format, the telemetry artifact and the host
+//! header every `BENCH_*.json` carries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use anubis_sim::experiments::Scale;
 
 /// Whether `--smoke` on the command line asks for the reduced scale.
 pub fn smoke_requested() -> bool {
@@ -39,37 +36,13 @@ fn number_flag_in(args: &[String], flag: &str) -> Result<Option<u64>, String> {
 
 /// The value of `flag` on the command line (`None` when absent). A
 /// malformed value ends the process with the usage line and exit code
-/// 2: ignoring it ran the full 200 000-op figure for `--ops abc`.
+/// 2: ignoring it would run the default scale for `--ops abc`.
 pub fn number_flag(flag: &str) -> Option<u64> {
     let args: Vec<String> = std::env::args().collect();
     number_flag_in(&args, flag).unwrap_or_else(|usage| {
         eprintln!("{usage}");
         std::process::exit(2);
     })
-}
-
-/// Resolves the run scale from CLI args: `--smoke` selects the reduced
-/// scale, `--ops N` overrides the operation count explicitly.
-pub fn scale_from_args() -> Scale {
-    let mut scale = if smoke_requested() {
-        Scale::smoke()
-    } else {
-        Scale::full()
-    };
-    if let Some(n) = number_flag("--ops") {
-        scale.ops = n as usize;
-    }
-    scale
-}
-
-/// Standard banner printed by every figure binary.
-pub fn banner(figure: &str, what: &str, scale: Scale) {
-    println!("== Anubis reproduction :: {figure} ==");
-    println!("{what}");
-    println!(
-        "(trace length: {} ops per run, seed {})\n",
-        scale.ops, scale.seed
-    );
 }
 
 /// A minimal wall-clock micro-benchmark: warm up, time `iters` calls of
@@ -559,13 +532,6 @@ pub fn out_path_from_args(default: &str) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_scale_is_full() {
-        // Cargo test harness args contain no --smoke.
-        let s = scale_from_args();
-        assert!(s.ops >= Scale::smoke().ops);
-    }
 
     #[test]
     fn a_malformed_number_flag_is_a_usage_error_not_the_default() {

@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-/// A simple aligned-column table, printed by the per-figure harness
-/// binaries in `anubis-bench`.
+/// A simple aligned-column table, as `anubis-bench`'s `reproduce`
+/// renders its figures and tables.
 ///
 /// # Example
 ///
