@@ -437,12 +437,14 @@ pub mod telemetry {
         Ok(true)
     }
 
-    /// [`write_jsonl`] with the standard naming + console note; harness
-    /// bins call this once, right before exiting.
+    /// [`write_jsonl`] with the standard naming + a note on stderr, so a
+    /// bin's stdout stays its report (`reproduce fig05 > fig05.txt` is
+    /// the results file); harness bins call this once, right before
+    /// exiting.
     pub fn finish(t: &Telemetry, out: &Path, name: &str) {
         let path = sibling_path(out, name);
         match write_jsonl(t, &path) {
-            Ok(true) => println!("telemetry: wrote {}", path.display()),
+            Ok(true) => eprintln!("telemetry: wrote {}", path.display()),
             Ok(false) => {}
             Err(e) => eprintln!("telemetry: could not write {}: {e}", path.display()),
         }
