@@ -57,7 +57,6 @@ enum Sink {
 }
 
 /// A parsed command line.
-#[derive(Debug)]
 struct Cli {
     experiments: Vec<(&'static str, Render)>,
     scale: Scale,
