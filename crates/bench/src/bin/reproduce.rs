@@ -429,6 +429,7 @@ fn libquantum_runs(config: &AnubisConfig, scale: Scale) -> Vec<SchemeRun> {
     bonsai.into_iter().chain(sgx).collect()
 }
 
+/// Replays `trace` on `c` and reads back what the §6.2 tables report.
 fn scheme_run<C: MemoryController>(c: &mut C, trace: &Trace, model: &TimingModel) -> SchemeRun {
     let result = run_trace(c, trace, model).expect("replay");
     let stats = c.domain().device().stats();
