@@ -598,8 +598,8 @@ fn ablation_stop_loss(out: &mut String, scale: Scale) -> fmt::Result {
         ctrl.crash();
         let report = ctrl.recover().expect("recovers");
         let norms = [r.normalized_to(&base), ctr_writes as f64 / writes as f64];
-        let ops = [report.total_ops(), report.counters_fixed].map(|n| n.to_string());
-        t.row([fixed3(&stop_loss.to_string(), &norms), ops.to_vec()].concat());
+        let counts = [report.total_ops(), report.counters_fixed].map(|n| n.to_string());
+        t.row([fixed3(&stop_loss.to_string(), &norms), counts.to_vec()].concat());
     }
     writeln!(
         out,
