@@ -99,3 +99,31 @@ fn reset_and_failed_commit_both_leave_no_group_behind() {
     let dev = p.layout.data_addr(DataAddr::new(0));
     assert!(p.domain.read(dev).expect("read").is_zeroed());
 }
+
+#[test]
+fn a_retired_line_counts_as_lost_when_its_media_is_not_zero() {
+    // A counter that reads as never written leaves the line no IV, but
+    // whatever sits in its data or side block is content the retirement
+    // throws away.
+    let cases = [
+        (Block::filled(0x5A), Block::zeroed(), true),
+        (Block::zeroed(), Block::filled(0x01), true),
+        (Block::zeroed(), Block::zeroed(), false),
+    ];
+    for (i, (data, side, lost)) in cases.into_iter().enumerate() {
+        let mut p = path();
+        let line = p.line(DataAddr::new(5), None);
+        p.domain.device_mut().poke(line.dev, data);
+        p.domain.device_mut().poke(line.side, side);
+        assert_eq!(p.quarantine_line(line), lost, "case {i}");
+        let device = p.domain.device();
+        assert!(device.is_quarantined(line.dev), "case {i}");
+        assert_eq!(
+            device.quarantine_table().lost_lines(),
+            u64::from(lost),
+            "case {i}"
+        );
+        assert!(device.read(line.dev).is_zeroed(), "case {i}");
+        assert!(device.read(line.side).is_zeroed(), "case {i}");
+    }
+}
