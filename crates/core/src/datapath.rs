@@ -322,20 +322,26 @@ impl<B: NvmBackend> DataPath<B> {
     /// region. A line that held content stays readable as an explicit
     /// zero under its current counter (the counter itself is untouched,
     /// so tree digests and node MACs remain valid) and is counted lost.
-    /// Returns whether committed content was lost.
+    /// A line under a never-written counter is zeroed, and counted lost
+    /// when its data or side block held anything. Returns whether
+    /// committed content was lost.
     pub(crate) fn quarantine_line(&mut self, line: Line) -> bool {
+        let device = self.domain.device();
+        let at_rest = |a| device.peek(device.quarantine_table().resolve(a));
+        let lost =
+            line.iv.is_some() || !at_rest(line.dev).is_zeroed() || !at_rest(line.side).is_zeroed();
         self.domain.device_mut().quarantine_block(line.dev);
         match line.iv {
-            Some(iv) => {
-                self.reseal_in_place(line, iv, &Block::zeroed());
-                self.domain.device_mut().record_lost_lines(1);
-            }
+            Some(iv) => self.reseal_in_place(line, iv, &Block::zeroed()),
             None => {
                 self.domain.device_mut().write(line.dev, Block::zeroed());
                 self.domain.device_mut().write(line.side, Block::zeroed());
             }
         }
-        line.iv.is_some()
+        if lost {
+            self.domain.device_mut().record_lost_lines(1);
+        }
+        lost
     }
 
     // ------------------------------------------------------------------

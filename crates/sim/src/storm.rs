@@ -344,7 +344,9 @@ mod tests {
         let make = || SgxController::new(SgxScheme::Asit, &config());
         let one = crash_storm(make, &cfg);
         assert_eq!(one.recovered + one.degraded + one.quarantined, one.runs);
-        assert_eq!(one.fingerprint, 0x19a4_552c_2819_08fe);
+        // Re-taken when a retired line with non-zero media under a
+        // never-written counter began to count as lost.
+        assert_eq!(one.fingerprint, 0x0b70_6478_8e82_9e18);
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //! used to keep the on-chip registers and the bad-block table a cut
 //! recovery had moved in place; now it keeps only the register mirrors
 //! and the table region the cut let through, as a reopen does.
+//!
+//! Nine were re-taken when a retired line under a never-written counter
+//! began to count as lost whenever its data or side block was not zero
+//! (the Osiris and ASIT family smoke ones; Osiris, AGIT-Read and ASIT of
+//! the `bench_campaign storm --smoke` set; Osiris, AGIT-Read, AGIT-Plus
+//! and ASIT exhaustive): runs that read `Degraded` with zero lost lines
+//! now read `Quarantined` with the lines counted; no run's recovered
+//! count moved.
 
 use anubis::{AnubisConfig, BonsaiController, BonsaiScheme, SgxController, SgxScheme, Supervised};
 use anubis_sim::{crash_storm, StormConfig, StormReport};
@@ -49,7 +57,7 @@ fn crash_storm_smoke_bonsai_family() {
     pinned_storm(
         || BonsaiController::new(BonsaiScheme::Osiris, &config()),
         &cfg,
-        0x88e3_ab2a_6338_3493,
+        0x63d6_8f4a_0a53_3b2c,
     );
     pinned_storm(
         || BonsaiController::new(BonsaiScheme::AgitRead, &config()),
@@ -74,7 +82,7 @@ fn crash_storm_smoke_sgx_family() {
     pinned_storm(
         || SgxController::new(SgxScheme::Asit, &config()),
         &cfg,
-        0xb3cb_8d35_5d89_72d2,
+        0x27da_80e5_9edb_f719,
     );
     pinned_storm(
         || SgxController::new(SgxScheme::StrictPersist, &config()),
@@ -113,11 +121,11 @@ fn crash_storm_smoke_fingerprints_are_pinned() {
             sgx(SgxScheme::StrictPersist, 0x55),
         ],
         [
-            0x749a_9ccc_5388_bc8a,
-            0x8fae_4931_6d4e_e68f,
+            0x56a4_0eca_c5b7_0803,
+            0x1adb_ee3b_909d_dfce,
             0x54ba_28d4_11c8_7510,
             0x7a06_11f4_b4d6_032a,
-            0x54cb_da65_2b8e_01c5,
+            0xd2fa_d6fa_285c_dff9,
             0xd7c2_bf20_bbcd_be69,
         ]
     );
@@ -141,19 +149,19 @@ fn crash_storm_exhaustive_sweep() {
     plans += pinned_storm(
         || BonsaiController::new(BonsaiScheme::Osiris, &config()),
         &cfg,
-        0x8001_6cbf_3184_b9bc,
+        0x3dbd_7855_a349_d76e,
     )
     .runs;
     plans += pinned_storm(
         || BonsaiController::new(BonsaiScheme::AgitRead, &config()),
         &cfg,
-        0x78e2_0f42_de37_90f8,
+        0x3895_b69f_24a3_bc51,
     )
     .runs;
     plans += pinned_storm(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &config()),
         &cfg,
-        0xd1a4_3e50_90dc_b39e,
+        0xb750_c1de_fb42_661b,
     )
     .runs;
     plans += pinned_storm(
@@ -165,7 +173,7 @@ fn crash_storm_exhaustive_sweep() {
     plans += pinned_storm(
         || SgxController::new(SgxScheme::Asit, &config()),
         &cfg,
-        0x4303_208b_5121_c199,
+        0xf6f1_4e94_7190_5a81,
     )
     .runs;
     plans += pinned_storm(
