@@ -649,6 +649,9 @@ pub struct FileBackend {
     path: PathBuf,
     /// The live blocks: what `load` sees, every store included.
     live: Slots,
+    /// Counted writes per address since the open (wear accounting; not
+    /// part of the image).
+    write_counts: AddrMap<u64>,
     /// The live registers. A register is never journaled, so it differs
     /// from the log as cut only while a record for it is pending.
     regs: BTreeMap<u8, Block>,
@@ -812,6 +815,7 @@ impl FileBackend {
             }),
             path,
             live,
+            write_counts: AddrMap::default(),
             regs,
             log_diff: AddrMap::default(),
             log_addrs,
@@ -1269,6 +1273,17 @@ impl NvmBackend for FileBackend {
             self.log_diff.insert(phys, logged);
         }
         self.push_write(phys, block, logged);
+    }
+
+    fn store_counted(&mut self, phys: u64, block: Block) -> u64 {
+        self.store(phys, block);
+        let count = self.write_counts.entry(phys).or_insert(0);
+        *count += 1;
+        *count
+    }
+
+    fn writes_to(&self, phys: u64) -> u64 {
+        self.write_counts.get(&phys).copied().unwrap_or(0)
     }
 
     fn touched(&self) -> usize {

@@ -72,6 +72,13 @@ impl NvmBackend for GatedBackend {
         self.buffered = true;
         self.blocks.store(phys, block);
     }
+    fn store_counted(&mut self, phys: u64, block: Block) -> u64 {
+        self.buffered = true;
+        self.blocks.store_counted(phys, block)
+    }
+    fn writes_to(&self, phys: u64) -> u64 {
+        self.blocks.writes_to(phys)
+    }
     fn touched(&self) -> usize {
         self.blocks.touched()
     }
