@@ -14,6 +14,12 @@ use std::hint::black_box;
 
 fn main() {
     let key = Key([1, 2]).derive("encryption");
+    // One scalar Speck block: code no kernel change touches, so its
+    // spread between two trees is the noise floor of the cases below.
+    let speck = Speck128::new(key);
+    time_case("speck_encrypt", 100_000, || {
+        black_box(speck.encrypt(black_box((7, 9))));
+    });
     time_case("otp_pad_64B", 100_000, || {
         black_box(otp::pad(
             black_box(key),
