@@ -325,12 +325,19 @@ impl<B: NvmBackend> DataPath<B> {
     /// A line under a never-written counter is zeroed, and counted lost
     /// when its data or side block held anything. Returns whether
     /// committed content was lost.
+    ///
+    /// A line retired in place (the spare pool used up) gets its zero in
+    /// its own cells, where it reads as data unless the remap entry marks
+    /// it: the table is persisted first, so a cut between the two never
+    /// leaves the zero without its entry.
     pub(crate) fn quarantine_line(&mut self, line: Line) -> bool {
         let device = self.domain.device();
         let at_rest = |a| device.peek(device.quarantine_table().resolve(a));
         let lost =
             line.iv.is_some() || !at_rest(line.dev).is_zeroed() || !at_rest(line.side).is_zeroed();
-        self.domain.device_mut().quarantine_block(line.dev);
+        if self.domain.device_mut().quarantine_block(line.dev) == Some(line.dev) {
+            self.persist_quarantine();
+        }
         match line.iv {
             Some(iv) => self.reseal_in_place(line, iv, &Block::zeroed()),
             None => {
