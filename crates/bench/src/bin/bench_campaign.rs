@@ -1,8 +1,8 @@
 //! The crash / restart campaigns behind one command line:
 //!
 //! ```text
-//! bench_campaign <drill|adversary|serve|storm>
-//!                [--points N] [--seed S] [--dir D] [--sweep] [--smoke] [--out PATH]
+//! bench_campaign <drill|adversary|serve>
+//!                [--points N] [--seed S] [--dir D] [--sweep] [--out PATH]
 //! ```
 //!
 //! | campaign | what it does | default `--out` | exit code 1 on |
@@ -10,14 +10,12 @@
 //! | `drill` | SIGKILLs a child serving a deterministic script over an anchored file-backed image once its anchor has sealed one of `N` randomized epochs **per family** (default 100; `--sweep`: every epoch of the script), restarts in a fresh address space over a copy of the dead image and its anchor, recovers, audits every line against the exact model of the epoch it opens at | `BENCH_drill.json` | an owed write lost, a write not owed visible, anything short of full recovery |
 //! | `adversary` | in process: drives the script over an anchored image to a seeded ack count, mutates the dead image and its anchor (bit flips, truncations, WAL splices / reorders / duplicates, rollback to a state captured on the way, cross-key swaps, anchor attacks), restarts; `N` mutated restarts **per family** rounded up to whole base runs (default 120; `--sweep`: at least 440); the report is a pure function of the seed | `BENCH_adversary.json` | a panic in the recovery path, a silent stale serve, a class that missed its verdict floor |
 //! | `serve` | in process: four tenants of the server's own boot play one seeded schedule of writes on one thread through the execute / durable seam, are killed at `N` drawn event indices (default 100; `--sweep`: every index), copied, restarted and audited line by line against the exact model; the report is a pure function of the seed apart from time-to-healthy | `BENCH_serve.json` | a durable or answered write lost, a not-durable write visible, a typed refusal, a tenant not back in full service |
-//! | `storm` | supervised recovery under randomized fault plans (power cuts, torn writes, bit flips, write cuts *during* recovery), 170 plans per scheme (`--smoke`: 6), six schemes | `BENCH_recovery_degraded.json` | nothing of its own: a plan that ends without a structured outcome, or serves wrong data after one, panics inside `crash_storm` with the plan's label (exit code 101) |
 //!
 //! `--seed S` (decimal or `0x…`) seeds scripts, schedules, kill points
 //! and mutation draws — each campaign's default is the seed its committed
 //! `BENCH_*.json` was recorded with — and `--dir D` is the scratch
 //! directory for images and logs (default: a campaign-named directory
-//! under `$TMPDIR`). `storm` runs in process and takes only `--smoke` and
-//! `--out`.
+//! under `$TMPDIR`).
 //!
 //! `drill` re-executes this binary as its victim: `--child …` is its
 //! script child (`anubis_sim::campaign::ScriptChild`), killed mid-flight
@@ -25,21 +23,17 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use anubis::{
-    AnubisConfig, BonsaiController, BonsaiScheme, Family, SgxController, SgxScheme, Supervised,
-};
+use anubis::Family;
 use anubis_bench::json::Json;
-use anubis_bench::{host_info_json, out_path_from_args, parse_number, smoke_requested};
+use anubis_bench::{host_info_json, out_path_from_args, parse_number};
 use anubis_sim::adversary::{self, AdversarySpec, FamilyAdvReport, MUTATIONS_PER_RUN};
 use anubis_sim::campaign::Verdict;
 use anubis_sim::drill::{self, DrillSpec, FamilyReport};
 use anubis_sim::serve::{self, ServeReport, ServeSpec};
-use anubis_sim::{crash_storm, StormConfig};
 
-const USAGE: &str = "usage: bench_campaign <drill|adversary|serve|storm> \
-                     [--points N] [--seed S] [--dir D] [--sweep] [--smoke] [--out PATH]";
+const USAGE: &str = "usage: bench_campaign <drill|adversary|serve> \
+                     [--points N] [--seed S] [--dir D] [--sweep] [--out PATH]";
 
 /// The flags after the campaign name.
 #[derive(Default)]
@@ -51,15 +45,11 @@ struct Flags {
 }
 
 impl Flags {
-    /// Parses `words`, refusing a flag that is unknown, malformed, or not
-    /// one of those `campaign` takes.
-    fn parse(campaign: &str, takes: &[&str], words: &[String]) -> Result<Flags, String> {
+    /// Parses `words`, refusing a flag that is unknown or malformed.
+    fn parse(campaign: &str, words: &[String]) -> Result<Flags, String> {
         let mut flags = Flags::default();
         let mut words = words.iter();
         while let Some(flag) = words.next() {
-            if !takes.contains(&flag.as_str()) {
-                return Err(format!("{campaign} does not take {flag}\n{USAGE}"));
-            }
             let mut value = || {
                 words
                     .next()
@@ -73,12 +63,11 @@ impl Flags {
                 "--seed" => flags.seed = Some(number(value()?)?),
                 "--dir" => flags.dir = Some(PathBuf::from(value()?)),
                 "--sweep" => flags.sweep = true,
-                // Read where every bench bin reads them: `out_path_from_args`
-                // and `smoke_requested`.
+                // Read where every bench bin reads it: `out_path_from_args`.
                 "--out" => {
                     value()?;
                 }
-                _ => {}
+                _ => return Err(format!("{campaign} does not take {flag}\n{USAGE}")),
             }
         }
         Ok(flags)
@@ -99,24 +88,20 @@ fn write_report(default: &str, doc: &Json) -> Result<PathBuf, String> {
     Ok(out)
 }
 
-const SCRIPT_FLAGS: [&str; 5] = ["--points", "--seed", "--dir", "--sweep", "--out"];
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let script_campaign = |campaign: &str, run: fn(&Flags) -> Result<(), String>| {
-        Flags::parse(campaign, &SCRIPT_FLAGS, &args[2..]).and_then(|flags| run(&flags))
+        Flags::parse(campaign, &args[2..]).and_then(|flags| run(&flags))
     };
-    let run =
-        match args.get(1).map(String::as_str) {
-            Some("--child") => anubis_sim::campaign::child_main(&args[2..])
-                .map_err(|e| format!("campaign child: {e}")),
-            Some("drill") => script_campaign("drill", drill_campaign),
-            Some("adversary") => script_campaign("adversary", adversary_campaign),
-            Some("serve") => script_campaign("serve", serve_campaign),
-            Some("storm") => Flags::parse("storm", &["--smoke", "--out"], &args[2..])
-                .and_then(|_| storm_campaign()),
-            _ => Err(USAGE.to_string()),
-        };
+    let run = match args.get(1).map(String::as_str) {
+        Some("--child") => {
+            anubis_sim::campaign::child_main(&args[2..]).map_err(|e| format!("campaign child: {e}"))
+        }
+        Some("drill") => script_campaign("drill", drill_campaign),
+        Some("adversary") => script_campaign("adversary", adversary_campaign),
+        Some("serve") => script_campaign("serve", serve_campaign),
+        _ => Err(USAGE.to_string()),
+    };
     match run {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -449,110 +434,6 @@ fn serve_json(r: &ServeReport, spec: &ServeSpec, sweep: bool) -> Json {
         ("time_to_healthy_p95_us", Json::Int(r.tth_p95_us)),
         ("kill_range", kill_range_json(r.kill_range)),
         ("points_detail", Json::Arr(outcomes)),
-    ])
-}
-
-// ---------------------------------------------------------------------
-// storm
-// ---------------------------------------------------------------------
-
-fn storm_campaign() -> Result<(), String> {
-    let smoke = smoke_requested();
-    let runs_per_scheme: u64 = if smoke { 6 } else { 170 };
-    let config = AnubisConfig::small_test().with_spare_blocks(256);
-
-    println!("== Anubis reproduction :: degraded-mode recovery storm ==");
-    println!("{runs_per_scheme} randomized fault plans per scheme");
-
-    let telemetry = anubis_bench::telemetry::start();
-    let bonsai = |scheme| {
-        let config = config.clone();
-        move || BonsaiController::new(scheme, &config)
-    };
-    let sgx = |scheme| {
-        let config = config.clone();
-        move || SgxController::new(scheme, &config)
-    };
-    let storm = |seed| StormConfig {
-        runs: runs_per_scheme,
-        ops: 24,
-        addr_space: 256,
-        seed,
-        recovery_faults: true,
-    };
-    let cases = vec![
-        storm_case("osiris", &storm(0x05), bonsai(BonsaiScheme::Osiris)),
-        storm_case("agit-read", &storm(0xA6), bonsai(BonsaiScheme::AgitRead)),
-        storm_case("agit-plus", &storm(0xA7), bonsai(BonsaiScheme::AgitPlus)),
-        storm_case(
-            "bonsai-strict",
-            &storm(0xB5),
-            bonsai(BonsaiScheme::StrictPersist),
-        ),
-        storm_case("asit", &storm(0x51), sgx(SgxScheme::Asit)),
-        storm_case("sgx-strict", &storm(0x55), sgx(SgxScheme::StrictPersist)),
-    ];
-    let plans_total = runs_per_scheme * cases.len() as u64;
-
-    let doc = Json::obj(vec![
-        ("benchmark", Json::Str("recovery_degraded".into())),
-        ("host", host_info_json()),
-        ("smoke", Json::Bool(smoke)),
-        (
-            "config",
-            Json::obj(vec![
-                ("runs_per_scheme", Json::Int(runs_per_scheme)),
-                ("plans_total", Json::Int(plans_total)),
-                ("ops_per_run", Json::Int(24)),
-                ("spare_blocks", Json::Int(256)),
-                ("recovery_faults", Json::Bool(true)),
-            ]),
-        ),
-        ("cases", Json::Arr(cases)),
-    ]);
-    let out = write_report("BENCH_recovery_degraded.json", &doc)?;
-    println!("wrote {}", out.display());
-    anubis_bench::telemetry::finish(&telemetry, &out, "bench_recovery_degraded");
-    println!("{plans_total} plans, every one ended in a structured outcome");
-    Ok(())
-}
-
-/// Runs one scheme's campaign and renders its report.
-fn storm_case<C, F>(name: &str, storm: &StormConfig, make: F) -> Json
-where
-    C: Supervised,
-    F: Fn() -> C,
-{
-    let t0 = Instant::now();
-    let r = crash_storm(&make, storm);
-    let wall_ns = t0.elapsed().as_nanos() as f64;
-    println!(
-        "{name:>14}: {:>4} recovered / {:>3} degraded / {:>3} quarantined, \
-         {} lost lines, {} recovery faults, fp {:016x}",
-        r.recovered,
-        r.degraded,
-        r.quarantined,
-        r.lost_lines,
-        r.recovery_faults_injected,
-        r.fingerprint,
-    );
-    Json::obj(vec![
-        ("scheme", Json::Str(name.into())),
-        ("wall_ns", Json::Num(wall_ns)),
-        ("runs", Json::Int(r.runs)),
-        ("recovered", Json::Int(r.recovered)),
-        ("degraded", Json::Int(r.degraded)),
-        ("quarantined", Json::Int(r.quarantined)),
-        ("repaired_lines", Json::Int(r.repaired_lines)),
-        ("rebuilt_nodes", Json::Int(r.rebuilt_nodes)),
-        ("quarantined_lines", Json::Int(r.quarantined_lines)),
-        ("lost_lines", Json::Int(r.lost_lines)),
-        ("escalations_total", Json::Int(r.escalations_total)),
-        (
-            "recovery_faults_injected",
-            Json::Int(r.recovery_faults_injected),
-        ),
-        ("fingerprint", Json::Str(format!("{:016x}", r.fingerprint))),
     ])
 }
 

@@ -1,9 +1,9 @@
 //! The campaign kernel: what the crash / restart harnesses share.
 //!
-//! [`crate::fault`], [`crate::storm`], [`crate::drill`],
-//! [`crate::adversary`] and [`crate::serve`] each plan faults of their
-//! own and turn what they find into verdicts of their own. Four things
-//! they all do the same way live here, once:
+//! [`crate::fault`], [`crate::drill`], [`crate::adversary`] and
+//! [`crate::serve`] each plan faults of their own and turn what they
+//! find into verdicts of their own. Four things they all do the same way
+//! live here, once:
 //!
 //! * **the script driver** — [`drive`] plays a [`ScriptOp`] script on a
 //!   controller and says how the run stopped ([`Stop`]);

@@ -27,13 +27,29 @@
 //!   happen on a live read (typed corruption error), be repaired
 //!   transparently by SEC-DED, or surface after a later crash/recovery.
 //!   Again: wrong data panics, typed errors count as detection.
+//!
+//! [`nested_sweep`] adds the one dimension a single fault leaves out:
+//! power dying again while the machine recovers. At every point `k`, for
+//! one plan of each class, the crashed machine is recovered once uncut,
+//! which makes `R` device writes; then, for every `j` in `0..R`, a copy
+//! is recovered under a write cut after `j` writes, crashed, and — down
+//! to the sweep's depth — enumerated the same way, depth-first, before a
+//! last uncut attempt is judged. Two recovery entries are cut this way,
+//! each held to its own verdict: the plain `recover()` to the rules
+//! above, and the supervised ladder ([`anubis::supervisor::recover`]) to
+//! a structured outcome with every acknowledged write committed, in
+//! flight, or an explicit zero on a line it quarantined — and to a
+//! fixpoint: a clean crash and one more ladder end `Recovered`. Nothing
+//! is sampled, so a [`NestedReport`] is a pure function of the scheme,
+//! its configuration, the script and the depth.
 
 use std::convert::Infallible;
 
-use anubis::{DataAddr, MemoryController};
+use anubis::supervisor::{self, RecoveryOutcome, SupervisedRecovery};
+use anubis::{DataAddr, MemoryController, RecoveryError, RecoveryReport, Supervised};
 use anubis_nvm::{FaultKind, FaultPlan};
 
-use crate::campaign::{drive, drive_checked, ReadBack, Stop};
+use crate::campaign::{drive, drive_checked, fnv1a64, Acked, ReadBack, Stop, FNV1A64_EMPTY};
 
 pub use crate::campaign::{op_payload, ScriptOp};
 
@@ -51,7 +67,7 @@ pub enum FaultVerdict {
 }
 
 /// Aggregate outcome of a fault campaign.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignReport {
     /// `scheme_name()` of the controller under test.
     pub scheme: String,
@@ -67,12 +83,10 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     fn new(scheme: &str) -> Self {
+        let scheme = scheme.to_string();
         CampaignReport {
-            scheme: scheme.to_string(),
-            injection_points: 0,
-            recovered: 0,
-            detected: 0,
-            not_triggered: 0,
+            scheme,
+            ..CampaignReport::default()
         }
     }
 
@@ -123,61 +137,171 @@ where
     C: MemoryController,
     F: Fn() -> C,
 {
+    match faulted(make, script, plan) {
+        None => FaultVerdict::NotTriggered,
+        Some((_, owed)) if owed.detected_live => FaultVerdict::Detected,
+        Some((mut ctrl, owed)) => {
+            let recovered = ctrl.recover();
+            owed.plain(&mut ctrl, recovered)
+                .unwrap_or_else(|refused| panic!("{refused}"))
+        }
+    }
+}
+
+/// What a faulted machine owes, and how it got there.
+struct Owed {
+    model: Acked,
+    /// Power cuts owe exact recovery; torn writes and bit flips owe
+    /// detection.
+    exact: bool,
+    /// A live op already failed with a typed corruption error: the plain
+    /// verdict is `Detected` without a recovery.
+    detected_live: bool,
+    label: String,
+}
+
+/// Runs `script` on a fresh controller with `plan` armed and crashes it:
+/// the state every recovery of one sweep point starts from. `None` when
+/// the plan never fired.
+fn faulted<C, F>(make: &F, script: &[ScriptOp], plan: FaultPlan) -> Option<(C, Owed)>
+where
+    C: MemoryController,
+    F: Fn() -> C,
+{
     // Power cuts are the *recoverable* class: the two-stage commit must
     // come back clean. Torn writes and bit flips only owe us detection.
-    let lenient = !matches!(plan.kind(), FaultKind::PowerCut);
+    let exact = matches!(plan.kind(), FaultKind::PowerCut);
     let label = format!("{plan:?}");
-
     let mut ctrl = make();
     ctrl.domain_mut().arm_fault(plan);
-    let model = match drive_checked(&mut ctrl, script, lenient, &label) {
-        (_, Stop::Failed { .. }) => return FaultVerdict::Detected,
-        (_, Stop::Completed) if ctrl.domain().fault_fired().is_none() => {
-            return FaultVerdict::NotTriggered
-        }
-        (model, _) => model,
-    };
-
-    // The machine died (power cut / torn write) or carries a latent flip:
-    // crash it and run recovery against the damaged device image.
+    let (model, stop) = drive_checked(&mut ctrl, script, !exact, &label);
+    if stop == Stop::Completed && ctrl.domain().fault_fired().is_none() {
+        return None;
+    }
+    // The machine died (power cut / torn write), carries a latent flip,
+    // or stopped on the damage it detected.
     ctrl.crash();
-    if let Err(err) = ctrl.recover() {
-        assert!(
-            lenient,
-            "[{label}] recovery after a pure power cut must succeed, got: {err}"
-        );
-        return FaultVerdict::Detected;
-    }
-    let mut verdict = FaultVerdict::Recovered;
-    let findings = model.audit(
-        &mut ctrl,
-        |c, addr| c.read(DataAddr::new(addr)),
-        |_, _, _| false,
-    );
-    for found in findings {
-        let addr = found.addr;
-        let in_flight = model.inflight_addr() == Some(addr);
-        match found.readback {
-            ReadBack::Matched | ReadBack::InFlight => {}
-            // The in-flight op's address may surface a typed error under
-            // any fault class; other addresses only under the
-            // detection-only classes.
-            ReadBack::Failed(e) if e.is_detected_corruption() && (lenient || in_flight) => {
-                verdict = FaultVerdict::Detected;
-            }
-            ReadBack::Failed(e) => {
-                panic!("[{label}] post-recovery read of addr {addr} failed unexpectedly: {e}")
-            }
-            _ if in_flight => panic!(
-                "[{label}] post-recovery read of in-flight addr {addr} returned neither the \
-                 old nor the new value"
-            ),
-            _ => panic!(
-                "[{label}] post-recovery read of acknowledged addr {addr} returned wrong data"
-            ),
+    let detected_live = matches!(stop, Stop::Failed { .. });
+    let owed = Owed {
+        model,
+        exact,
+        detected_live,
+        label,
+    };
+    Some((ctrl, owed))
+}
+
+impl Owed {
+    /// The plain rules (module docs) for `ctrl`, on which the point's
+    /// last `recover()` returned `recovered`. `Err`, with the reason, when
+    /// a power cut's recovery failed.
+    fn plain<C: MemoryController>(
+        &self,
+        ctrl: &mut C,
+        recovered: Result<RecoveryReport, RecoveryError>,
+    ) -> Result<FaultVerdict, String> {
+        let (label, lenient) = (&self.label, !self.exact);
+        if let Err(err) = recovered {
+            let refused =
+                format!("[{label}] recovery after a pure power cut must succeed, got: {err}");
+            return if lenient {
+                Ok(FaultVerdict::Detected)
+            } else {
+                Err(refused)
+            };
         }
+        let mut verdict = FaultVerdict::Recovered;
+        let findings =
+            self.model
+                .audit(ctrl, |c, addr| c.read(DataAddr::new(addr)), |_, _, _| false);
+        for found in findings {
+            let addr = found.addr;
+            let in_flight = self.model.inflight_addr() == Some(addr);
+            match found.readback {
+                ReadBack::Matched | ReadBack::InFlight => {}
+                // The in-flight op's address may surface a typed error under
+                // any fault class; other addresses only under the
+                // detection-only classes.
+                ReadBack::Failed(e) if e.is_detected_corruption() && (lenient || in_flight) => {
+                    verdict = FaultVerdict::Detected;
+                }
+                ReadBack::Failed(e) => {
+                    panic!("[{label}] post-recovery read of addr {addr} failed unexpectedly: {e}")
+                }
+                _ if in_flight => panic!(
+                    "[{label}] post-recovery read of in-flight addr {addr} returned neither the \
+                     old nor the new value"
+                ),
+                _ => panic!(
+                    "[{label}] post-recovery read of acknowledged addr {addr} returned wrong data"
+                ),
+            }
+        }
+        Ok(verdict)
     }
-    verdict
+
+    /// The ladder's verdict on `ctrl`, whose last attempt returned
+    /// `result`: a structured outcome, then every acknowledged line
+    /// committed, in flight, or a zero on a line it quarantined; then a
+    /// clean crash and one more ladder, held to the same. Panics on
+    /// anything else; counts the point into `r`, with whether either
+    /// ladder retired an acknowledged line and whether the second ended
+    /// `Recovered`.
+    fn ladder<C: Supervised>(
+        &self,
+        r: &mut NestedReport,
+        path: &[u64],
+        ctrl: &mut C,
+        result: Result<SupervisedRecovery, RecoveryError>,
+    ) {
+        let label = format!("{} cut at {path:?}", self.label);
+        let must = |r: Result<_, RecoveryError>| {
+            r.unwrap_or_else(|e| panic!("[{label}] supervised recovery must terminate, got: {e}"))
+        };
+        let sup = must(result);
+        let retired = self.retired(ctrl, &label);
+        ctrl.crash();
+        let again = must(supervisor::recover(ctrl));
+        let retired = self.retired(ctrl, &label) || retired;
+        let settled = again.outcome == RecoveryOutcome::Recovered;
+        let rank = match sup.outcome {
+            RecoveryOutcome::Recovered => 0,
+            RecoveryOutcome::Degraded { .. } => 1,
+            RecoveryOutcome::Quarantined { .. } => 2,
+        };
+        r.outcomes[rank] += 1;
+        r.lost_lines += sup.lost_lines;
+        r.escalations += u64::from(sup.escalations);
+        r.retired_after_power_cut += u64::from(self.exact && retired);
+        r.unsettled += u64::from(!settled);
+        let counts = [sup.repaired_lines, sup.rebuilt_nodes, sup.quarantined_lines];
+        let verdict = [rank as u64, sup.lost_lines, u64::from(sup.escalations)];
+        let flags = [u64::from(retired), u64::from(settled)];
+        r.fold(path, &[&verdict[..], &counts, &flags].concat());
+    }
+
+    /// Reads every acknowledged line after a ladder: committed, in
+    /// flight, or a zero on a line it quarantined — whether any was the
+    /// last. Panics on anything else.
+    fn retired<C: Supervised>(&self, ctrl: &mut C, label: &str) -> bool {
+        let mut retired = false;
+        let findings = self.model.audit(
+            ctrl,
+            |c, addr| c.read(DataAddr::new(addr)),
+            |c, addr, got| got.is_zeroed() && c.is_line_quarantined(DataAddr::new(addr)),
+        );
+        for found in findings {
+            match found.readback {
+                ReadBack::Matched | ReadBack::InFlight => {}
+                ReadBack::Excused => retired = true,
+                other => panic!(
+                    "[{label}] acknowledged addr {} after the ladder: {other:?}",
+                    found.addr
+                ),
+            }
+        }
+        retired
+    }
 }
 
 /// Exhaustively (or with `stride > 1`, sparsely) cuts power after every
@@ -275,6 +399,134 @@ where
     report
 }
 
+/// What [`nested_sweep`] found for one scheme: a pure function of the
+/// scheme, its configuration, the script and the depth.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct NestedReport {
+    /// The plain `recover()` verdicts, one per point.
+    pub plain: CampaignReport,
+    /// Power-cut points whose last plain `recover()` failed (counted as
+    /// detected in `plain`).
+    pub plain_refused: u64,
+    /// Ladder points that ended `Recovered`, `Degraded`, `Quarantined`.
+    pub outcomes: [u64; 3],
+    /// Lines the ladder counted lost, over every point.
+    pub lost_lines: u64,
+    /// Ladder escalations into `targeted`, over every point.
+    pub escalations: u64,
+    /// Power-cut points whose ladder retired an acknowledged line.
+    pub retired_after_power_cut: u64,
+    /// Ladder points after which a clean crash and one more ladder did
+    /// not end `Recovered`.
+    pub unsettled: u64,
+    /// Write cuts armed inside a recovery attempt; every one fired.
+    pub cuts: u64,
+    /// FNV-1a over every point's cut path and verdict, in enumeration
+    /// order.
+    pub digest: u64,
+}
+
+impl NestedReport {
+    /// Counts one plain point; a refusal counts as detected.
+    fn absorb_plain(&mut self, path: &[u64], verdict: Result<FaultVerdict, String>) {
+        let verdict = verdict.unwrap_or_else(|_| {
+            self.plain_refused += 1;
+            FaultVerdict::Detected
+        });
+        self.plain.absorb(verdict);
+        self.fold(path, &[verdict as u64]);
+    }
+
+    /// Folds one point into the digest. Every cut leads to exactly one
+    /// point, the uncut attempt after it, so the points with a path count
+    /// the cuts.
+    fn fold(&mut self, path: &[u64], verdict: &[u64]) {
+        self.cuts += u64::from(!path.is_empty());
+        let words = [path.len() as u64]
+            .into_iter()
+            .chain(path.iter().chain(verdict).copied());
+        self.digest = words.fold(self.digest, |h, w| fnv1a64(h, &w.to_le_bytes()));
+    }
+}
+
+/// Sweeps every counted persist write `k` of `script` with one plan of
+/// each class (power cut, a torn write of four words, bit flips 3 and
+/// 200), and cuts every recovery that follows at each of its device
+/// writes, `depth` attempts deep (module docs). Depth 0 is the plain
+/// sweep of those three classes plus the ladder's verdict on each point.
+///
+/// # Panics
+///
+/// On any contract violation of either verdict; a power cut whose plain
+/// `recover()` fails after a cut inside an earlier one, a power cut whose
+/// ladder retires an acknowledged line, and a ladder that is not a
+/// fixpoint are counted instead.
+pub fn nested_sweep<C, F>(make: F, script: &[ScriptOp], depth: u32) -> NestedReport
+where
+    C: Supervised + Clone,
+    F: Fn() -> C,
+{
+    let mut r = NestedReport {
+        plain: CampaignReport::new(make().scheme_name()),
+        digest: FNV1A64_EMPTY,
+        ..NestedReport::default()
+    };
+    for k in 0..count_persist_writes(&make, script) {
+        let plans = [
+            FaultPlan::power_cut_after(k),
+            FaultPlan::torn_write_after(k, 4),
+            FaultPlan::bit_flip_after(k, vec![3, 200]),
+        ];
+        for plan in plans {
+            let (crashed, owed) = faulted(&make, script, plan).expect("the dry run made write k");
+            if owed.detected_live {
+                r.absorb_plain(&[], Ok(FaultVerdict::Detected));
+            } else {
+                let recover = |c: &mut C| c.recover();
+                let mut judge = |path: &[u64], mut c: C, got| {
+                    r.absorb_plain(path, owed.plain(&mut c, got));
+                };
+                cut_paths(&crashed, depth, &[], recover, &mut judge);
+            }
+            let mut judge = |path: &[u64], mut c: C, got| owed.ladder(&mut r, path, &mut c, got);
+            cut_paths(&crashed, depth, &[], supervisor::recover, &mut judge);
+        }
+    }
+    r
+}
+
+/// Recovers a copy of `crashed` with `attempt` and hands it to `leaf`
+/// with what the attempt returned and the cut `path` that led there.
+/// Below `depth`, also recovers a copy under a write cut after each `j`
+/// of the `R` device writes the uncut attempt made, crashes it and
+/// recurses, depth-first.
+fn cut_paths<C: Supervised + Clone, T>(
+    crashed: &C,
+    depth: u32,
+    path: &[u64],
+    attempt: fn(&mut C) -> T,
+    leaf: &mut impl FnMut(&[u64], C, T),
+) {
+    let writes = |c: &C| c.domain().device().stats().writes();
+    let mut uncut = crashed.clone();
+    let got = attempt(&mut uncut);
+    let made = writes(&uncut) - writes(crashed);
+    leaf(path, uncut, got);
+    let cuts = if path.len() < depth as usize { made } else { 0 };
+    for j in 0..cuts {
+        let mut cut = crashed.clone();
+        cut.domain_mut().device_mut().arm_write_cut(j);
+        attempt(&mut cut);
+        assert!(
+            cut.domain().device().write_cut_fired(),
+            "cut {j} never fired"
+        );
+        cut.domain_mut().device_mut().clear_write_cut();
+        cut.crash();
+        cut_paths(&cut, depth, &[path, &[j]].concat(), attempt, leaf);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,6 +585,29 @@ mod tests {
     /// `(injection points, recovered, detected, not triggered)`.
     fn counts(r: &CampaignReport) -> (u64, u64, u64, u64) {
         (r.injection_points, r.recovered, r.detected, r.not_triggered)
+    }
+
+    /// Depth 0 cuts nothing, and its plain verdicts are the plain sweeps
+    /// of its three classes, point for point.
+    #[test]
+    fn nested_sweep_at_depth_zero_is_the_plain_sweep() {
+        let config = AnubisConfig::small_test().with_capacity(32 << 10);
+        let make = || BonsaiController::new(BonsaiScheme::AgitPlus, &config);
+        let s = script(6);
+        let nested = nested_sweep(make, &s, 0);
+        let sum = [
+            power_cut_sweep(make, &s, 1),
+            torn_write_sweep(make, &s, 1, &[4]),
+            bit_flip_sweep(make, &s, 1, &[3, 200]),
+        ]
+        .iter()
+        .map(counts)
+        .fold((0, 0, 0, 0), |a, c| {
+            (a.0 + c.0, a.1 + c.1, a.2 + c.2, a.3 + c.3)
+        });
+        assert_eq!(counts(&nested.plain), sum);
+        assert_eq!(nested.cuts, 0);
+        assert_eq!(nested.outcomes.iter().sum::<u64>(), sum.0);
     }
 
     /// The four sweeps over one fixed script, in the order power cut,

@@ -51,16 +51,14 @@ pub mod drill;
 pub mod experiments;
 pub mod fault;
 pub mod serve;
-pub mod storm;
 
 pub use endurance::EnduranceModel;
 pub use engine::{
     payload, run_trace, run_trace_latencies, LatencySummary, RunResult, OP_LATENCY_METRIC,
 };
 pub use fault::{
-    bit_flip_sweep, count_persist_writes, op_payload, power_cut_sweep, run_with_fault,
-    torn_write_sweep, CampaignReport, FaultVerdict, ScriptOp,
+    bit_flip_sweep, count_persist_writes, nested_sweep, op_payload, power_cut_sweep,
+    run_with_fault, torn_write_sweep, CampaignReport, FaultVerdict, NestedReport, ScriptOp,
 };
 pub use report::Table;
-pub use storm::{crash_storm, StormConfig, StormReport};
 pub use timing::TimingModel;
