@@ -429,6 +429,18 @@ mod tests {
     }
 
     #[test]
+    fn a_remapped_line_keeps_counting_its_writes() {
+        let mut dev = NvmDevice::new(1 << 20);
+        dev.install_spare_pool(vec![BlockAddr::new(100)]);
+        let a = BlockAddr::new(7);
+        dev.write(a, Block::filled(1));
+        dev.quarantine_block(a).expect("pool has a spare");
+        let before = dev.writes_to(a);
+        dev.write(a, Block::filled(2));
+        assert_eq!(dev.writes_to(a), before + 1);
+    }
+
+    #[test]
     fn quarantine_table_persists_and_reloads() {
         let mut dev = NvmDevice::new(1 << 20);
         dev.install_spare_pool(vec![BlockAddr::new(200), BlockAddr::new(201)]);
