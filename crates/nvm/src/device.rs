@@ -141,10 +141,17 @@ impl<B: NvmBackend> NvmDevice<B> {
     ///
     /// Returns [`NvmError::OutOfRange`] if `addr` is beyond capacity.
     pub fn try_read(&self, addr: BlockAddr) -> Result<Block, NvmError> {
-        self.check(addr)?;
-        self.stats.record_read(self.regions.region_index_of(addr));
+        self.count_read(addr)?;
         let phys = self.quarantine.resolve(addr);
         Ok(self.store.load(phys.index()).unwrap_or_default())
+    }
+
+    /// Counts a read of `addr` against its region, as [`NvmDevice::try_read`]
+    /// does, without reading it: the WPQ forwarded the block.
+    pub(crate) fn count_read(&self, addr: BlockAddr) -> Result<(), NvmError> {
+        self.check(addr)?;
+        self.stats.record_read(self.regions.region_index_of(addr));
+        Ok(())
     }
 
     /// Reads a block, counting the access.
@@ -217,10 +224,11 @@ impl<B: NvmBackend> NvmDevice<B> {
     }
 
     /// Number of times `addr` has been written (endurance tracking), as
-    /// the backend counts it per physical block: a quarantined line's
-    /// writes since its remap are counted at its spare.
+    /// the backend counts it per physical block: the block `addr`'s counted
+    /// writes land in, through the remap table — a quarantined line's
+    /// spare, which counts its writes since the remap.
     pub fn writes_to(&self, addr: BlockAddr) -> u64 {
-        self.store.writes_to(addr.index())
+        self.store.writes_to(self.quarantine.resolve(addr).index())
     }
 
     /// Access statistics.

@@ -179,7 +179,7 @@ impl<B: NvmBackend> PersistenceDomain<B> {
             // Still count it as a device access for the stats: a real
             // forwarding hit is cheaper, but the timing model charges for
             // that separately.
-            self.device.stats_read_only(addr);
+            let _ = self.device.count_read(addr);
             return Ok(b);
         }
         self.device.try_read(addr)
@@ -371,17 +371,6 @@ impl<B: NvmBackend> PersistenceDomain<B> {
     #[doc(hidden)]
     pub fn pregs_mut(&mut self) -> &mut PersistentRegisters {
         &mut self.pregs
-    }
-}
-
-impl<B: NvmBackend> NvmDevice<B> {
-    /// Records a read that was served by WPQ forwarding (still one logical
-    /// metadata access for statistics purposes).
-    pub(crate) fn stats_read_only(&self, addr: BlockAddr) {
-        // Delegate through try_read's bookkeeping without changing content:
-        // forwarding hits are rare enough that double storage is not worth
-        // a second code path.
-        let _ = self.try_read(addr);
     }
 }
 
