@@ -117,10 +117,17 @@
 //! the log into the units it writes as they are read in; from then on the
 //! units *are* the image, except at the few addresses a later write has
 //! not brought back in line — a journaled record still in the WPQ, a
-//! store not yet cut — which a small side map holds. Nothing in memory is
-//! a second copy of the image. A unit that cannot be read, or holds a
-//! marker that is neither empty nor present, reads as empty and breaks
-//! the backend: its next barrier or settle fails, typed.
+//! store not yet cut. Nothing in memory is a second copy of the image. A
+//! unit that cannot be read, or holds a marker that is neither empty nor
+//! present, reads as empty and breaks the backend: its next barrier or
+//! settle fails, typed.
+//!
+//! Beside the blocks, **one record per address** ([`AddrRecord`]) holds
+//! all the rest the in-memory half knows of it: what the image as cut
+//! replays it to where that is not the live block, where its record sits
+//! in the pending frame, whether the log holds it since the last
+//! checkpoint, and its wear. So a store, a journaled write and a cut each
+//! make one probe of one map and at most one access to the blocks.
 
 use crate::addr_hash::AddrMap;
 use crate::anchor::{anchor_path_for, AnchorError, AnchorPolicy, Freshness, FreshnessAnchor};
@@ -130,7 +137,6 @@ use crate::error::NvmError;
 use crate::wal::{
     seal_frame, SlotKey, TagKey, WalWalker, FRAME_HEADER_BYTES, HEADER_BYTES, MAGIC, VERSION,
 };
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
@@ -355,13 +361,17 @@ impl Slots {
         (unit[at] == SLOT_PRESENT).then(|| block_at(&unit[..], at + 1))
     }
 
-    fn set(&mut self, phys: u64, block: Block) {
+    /// Stores `block` at `phys`; what the slot held.
+    fn replace(&mut self, phys: u64, block: Block) -> Option<Block> {
         self.span(phys + 1);
         let (_, at) = self.unit(phys).expect("a slot the table spans");
         let unit = phys / UNIT_SLOTS;
         let group = self.groups[(unit / GROUP_UNITS) as usize].get_mut();
         let cell = group.and_then(|group| group[(unit % GROUP_UNITS) as usize].get_mut());
-        put(&mut cell.expect("a unit read in")[..], at, block);
+        let bytes = &mut cell.expect("a unit read in")[..];
+        let held = (bytes[at] == SLOT_PRESENT).then(|| block_at(bytes, at + 1));
+        put(bytes, at, block);
+        held
     }
 
     /// Every present block, by address: reads in every unit.
@@ -626,6 +636,53 @@ impl WalSink {
     }
 }
 
+/// What the in-memory half keeps for one address besides its block.
+#[derive(Clone, Copy, Debug, Default)]
+struct AddrRecord {
+    /// Where the image as cut — home area and log — does not replay the
+    /// address to the live block, what it does replay it to: its last
+    /// record in any frame cut so far or its home slot, `None` if it has
+    /// neither. `None` where the image *is* the live block. Two things
+    /// make them differ: a journaled record not yet drained —
+    /// WPQ-resident, so invisible to `load`, but in the log, which a
+    /// checkpoint must carry home and a later write coalesces against —
+    /// and a store not yet cut. A cut or a store that brings the two back
+    /// in line clears it, so while the platform lives about the WPQ's
+    /// worth of journaled lines plus one frame's stores hold one. Set at
+    /// the cut, not at the commit: coalescing consults the image as cut
+    /// for the *next* frame while this one may still be in flight, and a
+    /// frame that fails to land ends the log (the sink breaks), so no
+    /// record describes a log that goes on without it.
+    cut: Option<Option<Block>>,
+    /// Where the 64 contents bytes of the address's one record in the
+    /// pending frame sit. The frame is the atomicity unit and replay is
+    /// last-write-wins, so only the last image of an address within a
+    /// frame matters: a later record overwrites the earlier one in place.
+    pending: Option<usize>,
+    /// Whether a frame cut since the last checkpoint holds a record for
+    /// the address: a home slot the next checkpoint writes.
+    logged: bool,
+    /// Counted writes since the open (wear accounting; not part of the
+    /// image).
+    writes: u64,
+}
+
+/// The block records of a pending frame's payload: each address with
+/// where its 64 contents bytes sit.
+fn pending_writes(pending: &[u8]) -> impl Iterator<Item = (u64, usize)> + '_ {
+    let mut pos = FRAME_HEADER_BYTES;
+    std::iter::from_fn(move || loop {
+        let tag = *pending.get(pos)?;
+        let at = pos + if tag == TAG_WRITE { 9 } else { 2 };
+        let record = pos;
+        pos = at + crate::BLOCK_BYTES;
+        if tag == TAG_WRITE {
+            let phys = pending[record + 1..at].try_into().expect("8-byte slice");
+            return Some((u64::from_le_bytes(phys), at));
+        }
+    })
+}
+
 /// A durable, write-ahead-logged file backend for [`crate::NvmDevice`].
 ///
 /// Persisted bytes never reflect an unflushed commit group: records only
@@ -649,31 +706,12 @@ pub struct FileBackend {
     path: PathBuf,
     /// The live blocks: what `load` sees, every store included.
     live: Slots,
-    /// Counted writes per address since the open (wear accounting; not
-    /// part of the image).
-    write_counts: AddrMap<u64>,
+    /// Everything else the in-memory half knows of an address, one record
+    /// each: every address stored, journaled or logged since the open.
+    records: AddrMap<AddrRecord>,
     /// The live registers. A register is never journaled, so it differs
     /// from the log as cut only while a record for it is pending.
     regs: BTreeMap<u8, Block>,
-    /// The addresses where the image as cut — home area and log — does
-    /// not replay to `live`, each with what it does replay to: its last
-    /// record in any frame cut so far or its home slot, `None` if it has
-    /// neither. Everywhere else the image *is* `live`. Two things put an
-    /// address here: a journaled record not yet drained — WPQ-resident,
-    /// so invisible to `load`, but in the log, which a checkpoint must
-    /// carry home and [`FileBackend::push_write`] coalesces against — and
-    /// a store not yet cut. Empty after an open; a cut or a store that
-    /// brings the two back in line removes the address, so while the
-    /// platform lives it holds about the WPQ's worth of journaled lines
-    /// plus one frame's stores. Updated at the cut, not at the commit:
-    /// `push_write` consults the image as cut for the *next* frame while
-    /// this one may still be in flight, and a frame that fails to land
-    /// ends the log (the sink breaks), so the map never describes a log
-    /// that goes on without it.
-    log_diff: AddrMap<Option<Block>>,
-    /// The addresses of the block records in every frame cut since the
-    /// last checkpoint: the home slots the next one writes.
-    log_addrs: AddrMap<()>,
     /// What home slots are tagged under.
     slot_key: SlotKey,
     /// The digest of the home area as the log's checkpoint record has it.
@@ -685,14 +723,11 @@ pub struct FileBackend {
     /// The next frame under construction: [`FRAME_HEADER_BYTES`] reserved
     /// for the header (filled in when the frame is sealed), then the
     /// serialized records awaiting the next cut, which takes the buffer
-    /// with it.
+    /// with it. An address's record keeps where its bytes sit
+    /// ([`AddrRecord::pending`]).
     pending: Vec<u8>,
-    /// Where in `pending` the 64 contents bytes of each address's (resp.
-    /// register's) one record sit. The frame is the atomicity unit and
-    /// replay is last-write-wins, so only the last image of an address
-    /// within a frame matters: a later record overwrites the earlier one
-    /// in place. Applied to `log_diff` when the frame is cut.
-    pending_writes: AddrMap<usize>,
+    /// Where in `pending` the 64 contents bytes of each register's one
+    /// record sit, as [`AddrRecord::pending`] for an address.
     pending_regs: Vec<(u8, usize)>,
     /// Records that cost no frame bytes of their own (see [`WalStats`]).
     coalesced: u64,
@@ -796,7 +831,11 @@ impl FileBackend {
         };
 
         let durability = Durability::at(epoch);
-        let log_addrs = redo.keys().map(|&phys| (phys, ())).collect();
+        let logged = AddrRecord {
+            logged: true,
+            ..AddrRecord::default()
+        };
+        let records = redo.keys().map(|&phys| (phys, logged)).collect();
         let live = Slots::open(home_path_for(&path), redo, durability.clone())?;
         // No frame and no home block: nothing a missing or torn anchor
         // could be hiding.
@@ -815,16 +854,13 @@ impl FileBackend {
             }),
             path,
             live,
-            write_counts: AddrMap::default(),
+            records,
             regs,
-            log_diff: AddrMap::default(),
-            log_addrs,
             slot_key,
             home_digest: check.recorded,
             priors: check.priors,
             log_end,
             pending: vec![0; FRAME_HEADER_BYTES],
-            pending_writes: AddrMap::default(),
             pending_regs: Vec::new(),
             coalesced: 0,
             epoch,
@@ -925,32 +961,51 @@ impl FileBackend {
 
     /// What the image as cut replays `phys` to.
     fn logged(&self, phys: u64) -> Option<Block> {
-        match self.log_diff.get(&phys) {
-            Some(&logged) => logged,
+        match self.records.get(&phys).and_then(|record| record.cut) {
+            Some(logged) => logged,
             None => self.live.get(phys),
         }
     }
 
-    /// Adds a block record to the pending frame — unless the frame
-    /// already holds one for `phys`, which is overwritten in place, or
-    /// the image as cut already replays `phys` to exactly `block` (a
-    /// journaled write reaching `store` when the WPQ evicts it), which
-    /// needs no record at all. `logged` is what it replays to.
-    fn push_write(&mut self, phys: u64, block: Block, logged: Option<Block>) {
-        match self.pending_writes.entry(phys) {
-            Entry::Occupied(record) => {
-                let at = *record.get();
-                self.pending[at..at + crate::BLOCK_BYTES].copy_from_slice(block.as_bytes());
-                self.coalesced += 1;
+    /// Adds a block record for `phys` to the pending frame — unless the
+    /// frame already holds one, which is overwritten in place, or the
+    /// image as cut already replays `phys` to exactly `block` (a journaled
+    /// write reaching `store` when the WPQ evicts it), which needs no
+    /// record at all. `logged` says what it replays to, and is asked only
+    /// when the frame holds no record.
+    fn push_write(
+        pending: &mut Vec<u8>,
+        coalesced: &mut u64,
+        (phys, record): (u64, &mut AddrRecord),
+        block: Block,
+        logged: impl FnOnce() -> Option<Block>,
+    ) {
+        match record.pending {
+            Some(at) => {
+                pending[at..at + crate::BLOCK_BYTES].copy_from_slice(block.as_bytes());
+                *coalesced += 1;
             }
-            Entry::Vacant(_) if logged == Some(block) => self.coalesced += 1,
-            Entry::Vacant(slot) => {
-                self.pending.push(TAG_WRITE);
-                self.pending.extend_from_slice(&phys.to_le_bytes());
-                slot.insert(self.pending.len());
-                self.pending.extend_from_slice(block.as_bytes());
+            None if logged() == Some(block) => *coalesced += 1,
+            None => {
+                pending.push(TAG_WRITE);
+                pending.extend_from_slice(&phys.to_le_bytes());
+                record.pending = Some(pending.len());
+                pending.extend_from_slice(block.as_bytes());
             }
         }
+    }
+
+    /// Stores `block` at `phys` and returns its record. The image as cut
+    /// does not move: `live` differs from it at `phys` from now on unless
+    /// it already holds `block` there.
+    fn store_record(&mut self, phys: u64, block: Block) -> &mut AddrRecord {
+        let live = self.live.replace(phys, block);
+        let record = self.records.entry(phys).or_default();
+        let logged = record.cut.unwrap_or(live);
+        record.cut = (logged != Some(block)).then_some(logged);
+        let (pending, coalesced) = (&mut self.pending, &mut self.coalesced);
+        Self::push_write(pending, coalesced, (phys, record), block, || logged);
+        record
     }
 
     /// As [`FileBackend::push_write`] for a register mirror; `flushed` is
@@ -969,16 +1024,25 @@ impl FileBackend {
         }
     }
 
+    /// Whether records await the next cut.
+    fn buffered(&self) -> bool {
+        self.pending.len() > FRAME_HEADER_BYTES
+    }
+
     /// Drops the records awaiting the next cut, keeping the header
     /// reservation and the buffer's capacity.
     fn clear_pending(&mut self) {
+        for (phys, _) in pending_writes(&self.pending) {
+            if let Some(record) = self.records.get_mut(&phys) {
+                record.pending = None;
+            }
+        }
         self.pending.truncate(FRAME_HEADER_BYTES);
-        self.pending_writes.clear();
         self.pending_regs.clear();
     }
 
     /// The in-memory half of a barrier: bumps the epoch, accounts for
-    /// the pending records as part of the log (`log_diff`, `log_addrs`,
+    /// the pending records as part of the log (each address's record,
     /// `log_end`), closes the frame with a priors record when it writes
     /// for the first time since the checkpoint an address the home area
     /// holds a block for, and returns it
@@ -991,27 +1055,24 @@ impl FileBackend {
             self.clear_pending();
             return None;
         }
-        if self.pending_writes.is_empty() && self.pending_regs.is_empty() {
+        if !self.buffered() {
             return None;
         }
         self.epoch += 1;
         let mut priors = 0u64;
-        for (&phys, &at) in &self.pending_writes {
-            if self.log_addrs.insert(phys, ()).is_none() {
+        for (phys, at) in pending_writes(&self.pending) {
+            let record = self.records.get_mut(&phys).expect("a pending address's record");
+            let live = self.live.get(phys);
+            if !record.logged {
+                record.logged = true;
                 // What the image held before this frame: the home slot.
-                let home = match self.log_diff.get(&phys) {
-                    Some(&logged) => logged,
-                    None => self.live.get(phys),
-                };
+                let home = record.cut.unwrap_or(live);
                 let tag = home.map_or(0, |block| self.slot_key.tag(phys, &block));
                 priors = priors.wrapping_add(tag);
             }
             let logged = block_at(&self.pending, at);
-            if self.live.get(phys) == Some(logged) {
-                self.log_diff.remove(&phys);
-            } else {
-                self.log_diff.insert(phys, Some(logged));
-            }
+            record.cut = (live != Some(logged)).then_some(Some(logged));
+            record.pending = None;
         }
         if priors != 0 {
             // A sum of nothing, empty slots included, adds nothing.
@@ -1020,7 +1081,6 @@ impl FileBackend {
             (self.pending).extend_from_slice(&priors.wrapping_add(mask).to_le_bytes());
             self.priors = self.priors.wrapping_add(priors);
         }
-        self.pending_writes.clear();
         self.pending_regs.clear();
         // The frame's header is reserved; its commit marker is not yet.
         self.log_end += self.pending.len() as u64 + 1;
@@ -1091,17 +1151,23 @@ impl FileBackend {
     /// synced home area, and either reopens to the same state at the same
     /// epoch — also when power loss undoes the rename. The blocks
     /// journaled and still undrained go home with the rest: `logged`
-    /// reads `log_diff` over `live`. The image replays to what it did, so
-    /// `log_diff` stays as it is.
+    /// reads each record's image as cut over `live`. The image replays to
+    /// what it did, so those stay as they are.
     ///
     /// Both halves are at rest for it: `&mut self` holds the in-memory
     /// half, and the checkpoint starts only once every frame cut before
-    /// it — all of which `log_diff` already accounts for — is durable.
+    /// it — all of which the records already account for — is durable.
     /// Nothing may be buffered: `regs` is live, not the log as cut —
     /// [`NvmBackend::settle`] flushes first.
     fn checkpoint(&mut self) -> Result<(), NvmError> {
-        debug_assert!(self.pending_writes.is_empty() && self.pending_regs.is_empty());
-        let addrs: Vec<u64> = self.log_addrs.drain().map(|(phys, ())| phys).collect();
+        debug_assert!(!self.buffered());
+        let addrs: Vec<u64> = (self.records.iter_mut())
+            .filter(|(_, record)| record.logged)
+            .map(|(&phys, record)| {
+                record.logged = false;
+                phys
+            })
+            .collect();
         // The home digest moves by the logged slots' tags, old to new.
         let logged = (addrs.iter())
             .filter_map(|&phys| Some(self.slot_key.tag(phys, &self.logged(phys)?)))
@@ -1263,27 +1329,17 @@ impl NvmBackend for FileBackend {
     }
 
     fn store(&mut self, phys: u64, block: Block) {
-        // The image as cut does not move: `live` differs from it at
-        // `phys` from now on unless it already holds `block` there.
-        let logged = self.logged(phys);
-        self.live.set(phys, block);
-        if logged == Some(block) {
-            self.log_diff.remove(&phys);
-        } else {
-            self.log_diff.insert(phys, logged);
-        }
-        self.push_write(phys, block, logged);
+        self.store_record(phys, block);
     }
 
     fn store_counted(&mut self, phys: u64, block: Block) -> u64 {
-        self.store(phys, block);
-        let count = self.write_counts.entry(phys).or_insert(0);
-        *count += 1;
-        *count
+        let record = self.store_record(phys, block);
+        record.writes += 1;
+        record.writes
     }
 
     fn writes_to(&self, phys: u64) -> u64 {
-        self.write_counts.get(&phys).copied().unwrap_or(0)
+        self.records.get(&phys).map_or(0, |record| record.writes)
     }
 
     fn touched(&self) -> usize {
@@ -1308,7 +1364,10 @@ impl NvmBackend for FileBackend {
     }
 
     fn journal(&mut self, phys: u64, block: Block) {
-        self.push_write(phys, block, self.logged(phys));
+        let record = self.records.entry(phys).or_default();
+        let (cut, live) = (record.cut, &self.live);
+        let logged = || cut.unwrap_or_else(|| live.get(phys));
+        Self::push_write(&mut self.pending, &mut self.coalesced, (phys, record), block, logged);
     }
 
     fn cut(&mut self) -> Option<Cut> {
@@ -1323,8 +1382,7 @@ impl NvmBackend for FileBackend {
     }
 
     fn ticket(&self) -> u64 {
-        let buffered = !(self.pending_writes.is_empty() && self.pending_regs.is_empty());
-        self.epoch + u64::from(buffered)
+        self.epoch + u64::from(self.buffered())
     }
 
     fn durability(&self) -> Durability {
@@ -1396,7 +1454,8 @@ impl NvmBackend for FileBackend {
                     return Err(NvmError::Backend { reason });
                 }
                 for slot in slots.chunks_exact(HOME_SLOT_BYTES) {
-                    if slot[0] == SLOT_PRESENT && !self.log_addrs.contains_key(&first) {
+                    let logged = self.records.get(&first).is_some_and(|record| record.logged);
+                    if slot[0] == SLOT_PRESENT && !logged {
                         sum = sum.wrapping_add(self.slot_key.tag(first, &block_at(slot, 1)));
                     }
                     first += 1;
