@@ -10,7 +10,7 @@ use crate::pregs::{PersistentRegisters, PREG_CAPACITY};
 use crate::wpq::Wpq;
 
 /// One block write destined for NVM.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WriteOp {
     /// Destination block address.
     pub addr: BlockAddr,
@@ -256,7 +256,8 @@ impl<B: NvmBackend> PersistenceDomain<B> {
         // is one counted device-level write — the granularity at which
         // armed faults fire.
         self.pregs.set_done();
-        while let Some(mut op) = self.pregs.next_to_drain() {
+        for at in 0..self.pregs.len() {
+            let mut op = self.pregs.entries()[at];
             if let Some(plan) = &self.fault {
                 if plan.trigger_index() == self.persist_writes {
                     let kind = self.fault.take().expect("plan present").into_kind();
@@ -305,6 +306,7 @@ impl<B: NvmBackend> PersistenceDomain<B> {
             self.device.journal_write(op.addr, op.block);
             self.wpq.insert(op, &mut self.device);
         }
+        self.pregs.drained();
         self.commits += 1;
         // No backend flush here: the group is journaled, and the caller's
         // op-closing `barrier` lands it — with every other group of the
@@ -336,8 +338,8 @@ impl<B: NvmBackend> PersistenceDomain<B> {
     pub fn power_up(&mut self) -> usize {
         self.powered = true;
         self.redo.extend(self.pregs.survive_crash());
-        for op in &self.redo {
-            self.wpq.insert(op.clone(), &mut self.device);
+        for &op in &self.redo {
+            self.wpq.insert(op, &mut self.device);
         }
         self.wpq.flush(&mut self.device);
         let n = self.redo.len();

@@ -93,15 +93,27 @@ impl PersistentRegisters {
             return None;
         }
         if self.drained < self.entries.len() {
-            let op = self.entries[self.drained].clone();
+            let op = self.entries[self.drained];
             self.drained += 1;
             Some(op)
         } else {
-            self.entries.clear();
-            self.done_bit = false;
-            self.drained = 0;
+            self.drained();
             None
         }
+    }
+
+    /// The staged group, in staging order: what a drain copies into the
+    /// WPQ entry by entry, in place.
+    pub(crate) fn entries(&self) -> &[WriteOp] {
+        &self.entries
+    }
+
+    /// Ends a drain that copied every entry into the WPQ: the registers
+    /// clear themselves (keeping their storage) and `DONE_BIT` drops.
+    pub(crate) fn drained(&mut self) {
+        self.entries.clear();
+        self.done_bit = false;
+        self.drained = 0;
     }
 
     /// What a crash at this instant would observe.

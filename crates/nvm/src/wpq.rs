@@ -20,9 +20,16 @@ pub const DEFAULT_WPQ_ENTRIES: usize = 32;
 /// During normal operation entries drain to the device lazily; when the
 /// queue is full, an insertion forces the oldest entry out first (modeling
 /// the write-buffer back-pressure the timing simulator charges for).
+///
+/// The addresses sit in a ring of their own, apart from the blocks, so
+/// that finding one — which every insert and every read does — scans
+/// `capacity` words, not `capacity` whole entries.
 #[derive(Clone, Debug)]
 pub struct Wpq {
-    entries: VecDeque<WriteOp>,
+    /// The queued writes' addresses, oldest first; one entry per address.
+    addrs: VecDeque<BlockAddr>,
+    /// Their blocks, in the same order.
+    blocks: VecDeque<Block>,
     capacity: usize,
     forced_drains: u64,
 }
@@ -36,7 +43,8 @@ impl Wpq {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "WPQ capacity must be nonzero");
         Wpq {
-            entries: VecDeque::with_capacity(capacity),
+            addrs: VecDeque::with_capacity(capacity),
+            blocks: VecDeque::with_capacity(capacity),
             capacity,
             forced_drains: 0,
         }
@@ -44,12 +52,12 @@ impl Wpq {
 
     /// Number of pending entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.addrs.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.addrs.is_empty()
     }
 
     /// Queue capacity in entries.
@@ -69,34 +77,36 @@ impl Wpq {
     /// Writes to the same address coalesce onto the existing entry, as in a
     /// real write queue.
     pub fn insert<B: NvmBackend>(&mut self, op: WriteOp, device: &mut NvmDevice<B>) {
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.addr == op.addr) {
-            existing.block = op.block;
+        if let Some(at) = self.find(op.addr) {
+            self.blocks[at] = op.block;
             return;
         }
-        if self.entries.len() == self.capacity {
-            if let Some(oldest) = self.entries.pop_front() {
-                device.write(oldest.addr, oldest.block);
+        if self.addrs.len() == self.capacity {
+            if let (Some(addr), Some(block)) = (self.addrs.pop_front(), self.blocks.pop_front()) {
+                device.write(addr, block);
                 self.forced_drains += 1;
             }
         }
-        self.entries.push_back(op);
+        self.addrs.push_back(op.addr);
+        self.blocks.push_back(op.block);
     }
 
     /// Drains every pending entry to the device (ADR flush or idle drain).
     pub fn flush<B: NvmBackend>(&mut self, device: &mut NvmDevice<B>) {
-        for op in self.entries.drain(..) {
-            device.write(op.addr, op.block);
+        for (addr, block) in self.addrs.drain(..).zip(self.blocks.drain(..)) {
+            device.write(addr, block);
         }
     }
 
     /// Looks up a pending (not yet drained) write to `addr`, if any — the
     /// controller must see its own queued writes.
     pub fn pending(&self, addr: BlockAddr) -> Option<Block> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| e.addr == addr)
-            .map(|e| e.block)
+        self.find(addr).map(|at| self.blocks[at])
+    }
+
+    /// Where the queue holds `addr`.
+    fn find(&self, addr: BlockAddr) -> Option<usize> {
+        self.addrs.iter().position(|&queued| queued == addr)
     }
 }
 
