@@ -474,21 +474,23 @@ impl<B: NvmBackend> BonsaiController<B> {
     }
 
     fn fetch_tree_chain(&mut self, node: NodeId) -> Result<(), MemError> {
-        let g = self.layout().geometry().clone();
-        // Collect the missing suffix: node itself plus uncached ancestors.
-        let mut chain = vec![node];
+        // The missing suffix: node itself plus the `missing - 1` uncached
+        // ancestors above it.
+        let mut missing = 1;
         let mut cur = node;
-        while let Some(p) = g.parent(cur) {
+        while let Some(p) = self.layout().geometry().parent(cur) {
             if self.tree_cache.contains(self.layout().node_addr(p)) {
                 break;
             }
-            chain.push(p);
+            missing += 1;
             cur = p;
         }
         // Fetch and verify top-down.
-        for n in chain.into_iter().rev() {
+        for up in (0..missing).rev() {
+            let n = self.layout().geometry().ancestor(node, up);
             let content = self.nvm_read_node(n)?;
             let d = self.digest(&content);
+            let g = self.layout().geometry();
             match g.parent(n) {
                 None => {
                     if Root(d) != self.root {
@@ -531,8 +533,9 @@ impl<B: NvmBackend> BonsaiController<B> {
             }
             let content = self.path.nvm_read(addr)?;
             let d = self.digest(&content);
-            let g = self.layout().geometry().clone();
-            match g.parent(leaf) {
+            let g = self.layout().geometry();
+            let (parent, slot) = (g.parent(leaf), g.child_slot(leaf));
+            match parent {
                 None => {
                     // Single-leaf tree: the leaf digest *is* the root.
                     if Root(d) != self.root {
@@ -548,7 +551,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                         .tree_cache
                         .peek(self.layout().node_addr(p))
                         .expect("ensured above")
-                        .word(g.child_slot(leaf));
+                        .word(slot);
                     if stored != d {
                         return Err(MemError::Integrity {
                             node: leaf,
@@ -579,7 +582,6 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// on-chip root register. Under strict persistence the updated nodes
     /// are also staged for writeback.
     fn update_path(&mut self, leaf: NodeId) -> Result<(), MemError> {
-        let g = self.layout().geometry().clone();
         let leaf_addr = self.layout().node_addr(leaf);
         let leaf_block = self
             .counter_cache
@@ -589,10 +591,10 @@ impl<B: NvmBackend> BonsaiController<B> {
             .to_block();
         let mut child = leaf;
         let mut child_digest = self.digest(&leaf_block);
-        while let Some(parent) = g.parent(child) {
+        while let Some(parent) = self.layout().geometry().parent(child) {
             self.ensure_tree_node(parent)?;
             let p_addr = self.layout().node_addr(parent);
-            let slot = g.child_slot(child);
+            let slot = self.layout().geometry().child_slot(child);
             {
                 let p_block = self.tree_cache.peek_mut(p_addr).expect("ensured above");
                 p_block.set_word(slot, child_digest);
@@ -618,8 +620,8 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// top node refreshes the root register (the only time the lazy
     /// scheme's root advances).
     fn lazy_propagate_digest(&mut self, child: NodeId, content: &Block) -> Result<(), MemError> {
-        let g = self.layout().geometry().clone();
         let d = self.digest(content);
+        let g = self.layout().geometry();
         let Some(parent) = g.parent(child) else {
             self.root = Root(d);
             return Ok(());

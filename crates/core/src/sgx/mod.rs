@@ -247,7 +247,7 @@ impl<B: NvmBackend> SgxController<B> {
     /// parent is resident, from the on-chip register for top-level
     /// children, or from NVM otherwise (charged as a read).
     fn parent_counter(&mut self, node: NodeId) -> Result<u64, MemError> {
-        let g = self.layout().geometry().clone();
+        let g = self.layout().geometry();
         let Some(parent) = g.parent(node) else {
             // `node` *is* the top node: versioned by an implicit constant.
             return Ok(0);
@@ -278,7 +278,7 @@ impl<B: NvmBackend> SgxController<B> {
     /// (recursively bumping *its* parent) and written straight back —
     /// recursion is strictly upward and bounded by the tree height.
     fn bump_parent_counter(&mut self, node: NodeId) -> Result<u64, MemError> {
-        let g = self.layout().geometry().clone();
+        let g = self.layout().geometry();
         let Some(parent) = g.parent(node) else {
             return Ok(0);
         };
@@ -460,17 +460,19 @@ impl<B: NvmBackend> SgxController<B> {
     }
 
     fn fetch_chain(&mut self, node: NodeId) -> Result<(), MemError> {
-        let g = self.layout().geometry().clone();
-        let mut chain = vec![node];
+        // The missing suffix of the path: `node` and the `missing - 1`
+        // ancestors above it that are neither on chip nor cached.
+        let mut missing = 1;
         let mut cur = node;
-        while let Some(p) = g.parent(cur) {
+        while let Some(p) = self.layout().geometry().parent(cur) {
             if self.layout().is_on_chip(p) || self.cache.contains(self.layout().node_addr(p)) {
                 break;
             }
-            chain.push(p);
+            missing += 1;
             cur = p;
         }
-        for n in chain.into_iter().rev() {
+        for up in (0..missing).rev() {
+            let n = self.layout().geometry().ancestor(node, up);
             let addr = self.layout().node_addr(n);
             if self.cache.contains(addr) {
                 continue; // an eviction cascade may have fetched it already
@@ -551,7 +553,6 @@ impl<B: NvmBackend> SgxController<B> {
     /// The strict-persistence write path: eagerly bump and persist the
     /// whole path (every node sealed against its just-bumped parent).
     fn strict_propagate(&mut self, leaf: NodeId) -> Result<(), MemError> {
-        let g = self.layout().geometry().clone();
         let mut node = leaf;
         loop {
             let pc = self.bump_parent_counter(node)?;
@@ -564,7 +565,7 @@ impl<B: NvmBackend> SgxController<B> {
             self.path.cost.hash_ops += 1;
             self.path.stage(addr, sealed.to_block());
             self.cache.mark_clean(addr);
-            match g.parent(node) {
+            match self.layout().geometry().parent(node) {
                 Some(p) if !self.layout().is_on_chip(p) => {
                     self.ensure_node(p)?;
                     node = p;
@@ -581,7 +582,6 @@ impl<B: NvmBackend> SgxController<B> {
     /// node is always fresh — and yet a crash still loses the interior
     /// (paper §2.6: eager update is insufficient for SGX-style trees).
     fn eager_propagate(&mut self, leaf: NodeId) -> Result<(), MemError> {
-        let g = self.layout().geometry().clone();
         let mut node = leaf;
         loop {
             let pc = self.bump_parent_counter(node)?;
@@ -592,7 +592,7 @@ impl<B: NvmBackend> SgxController<B> {
             }
             self.path.cost.hash_ops += 1;
             self.cache.mark_dirty(addr);
-            match g.parent(node) {
+            match self.layout().geometry().parent(node) {
                 Some(p) if !self.layout().is_on_chip(p) => {
                     self.ensure_node(p)?;
                     node = p;

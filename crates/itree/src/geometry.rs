@@ -134,6 +134,16 @@ impl TreeGeometry {
         }
     }
 
+    /// The ancestor `up` levels above `node` (`node` itself for 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` does not exist in this geometry or the tree has
+    /// fewer than `up` levels above it.
+    pub fn ancestor(&self, node: NodeId, up: usize) -> NodeId {
+        (0..up).fold(node, |n, _| self.parent(n).expect("an ancestor below the top"))
+    }
+
     /// Which child slot (0..arity) `node` occupies in its parent.
     ///
     /// # Panics
@@ -274,6 +284,16 @@ mod tests {
         assert_eq!(path.len(), 3);
         assert_eq!(path.last(), Some(&g.top()));
         assert_eq!(path[0], NodeId::new(1, 63));
+    }
+
+    #[test]
+    fn ancestors_walk_the_path_to_top() {
+        let g = TreeGeometry::new(512, 8);
+        let leaf = NodeId::new(0, 511);
+        assert_eq!(g.ancestor(leaf, 0), leaf);
+        for (up, &node) in g.path_to_top(leaf).iter().enumerate() {
+            assert_eq!(g.ancestor(leaf, up + 1), node);
+        }
     }
 
     #[test]
