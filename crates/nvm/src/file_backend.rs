@@ -667,20 +667,81 @@ struct AddrRecord {
     writes: u64,
 }
 
-/// The block records of a pending frame's payload: each address with
-/// where its 64 contents bytes sit.
-fn pending_writes(pending: &[u8]) -> impl Iterator<Item = (u64, usize)> + '_ {
-    let mut pos = FRAME_HEADER_BYTES;
-    std::iter::from_fn(move || loop {
-        let tag = *pending.get(pos)?;
-        let at = pos + if tag == TAG_WRITE { 9 } else { 2 };
-        let record = pos;
-        pos = at + crate::BLOCK_BYTES;
-        if tag == TAG_WRITE {
-            let phys = pending[record + 1..at].try_into().expect("8-byte slice");
-            return Some((u64::from_le_bytes(phys), at));
+/// The next frame under construction.
+#[derive(Debug)]
+struct Pending {
+    /// [`FRAME_HEADER_BYTES`] reserved for the header (filled in when the
+    /// frame is sealed), then the serialized records awaiting the next
+    /// cut, which takes the buffer with it.
+    bytes: Vec<u8>,
+    /// The addresses with a record in `bytes`, in frame order; each
+    /// record's [`AddrRecord::pending`] says where its bytes sit.
+    addrs: Vec<u64>,
+    /// Where in `bytes` the 64 contents bytes of each register's one
+    /// record sit.
+    regs: Vec<(u8, usize)>,
+    /// Records that cost no frame bytes of their own (see [`WalStats`]).
+    coalesced: u64,
+}
+
+impl Pending {
+    /// Adds a block record for `phys` — unless the frame already holds
+    /// one, which is overwritten in place, or the image as cut already
+    /// replays `phys` to exactly `block` (a journaled write reaching
+    /// `store` when the WPQ evicts it), which needs no record at all.
+    /// `same` says whether it does, and is asked only when the frame
+    /// holds no record.
+    fn write(
+        &mut self,
+        (phys, record): (u64, &mut AddrRecord),
+        block: Block,
+        same: impl FnOnce() -> bool,
+    ) {
+        match record.pending {
+            Some(at) => {
+                self.bytes[at..at + crate::BLOCK_BYTES].copy_from_slice(block.as_bytes());
+                self.coalesced += 1;
+            }
+            None if same() => self.coalesced += 1,
+            None => {
+                self.bytes.push(TAG_WRITE);
+                self.bytes.extend_from_slice(&phys.to_le_bytes());
+                record.pending = Some(self.bytes.len());
+                self.bytes.extend_from_slice(block.as_bytes());
+                self.addrs.push(phys);
+            }
         }
-    })
+    }
+
+    /// As [`Pending::write`] for a register mirror; `flushed` is the
+    /// image the log yields for `idx` when no record is pending.
+    fn reg(&mut self, idx: u8, block: Block, flushed: Option<Block>) {
+        if let Some(&(_, at)) = self.regs.iter().find(|&&(i, _)| i == idx) {
+            self.bytes[at..at + crate::BLOCK_BYTES].copy_from_slice(block.as_bytes());
+            self.coalesced += 1;
+        } else if flushed == Some(block) {
+            self.coalesced += 1;
+        } else {
+            self.bytes.push(TAG_REG);
+            self.bytes.push(idx);
+            self.regs.push((idx, self.bytes.len()));
+            self.bytes.extend_from_slice(block.as_bytes());
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.bytes.len() == FRAME_HEADER_BYTES
+    }
+
+    /// Takes the frame, leaving an empty one behind with room for as many
+    /// bytes, so that a run of like frames grows no buffer.
+    fn take(&mut self) -> Vec<u8> {
+        self.addrs.clear();
+        self.regs.clear();
+        let mut next = Vec::with_capacity(self.bytes.len());
+        next.resize(FRAME_HEADER_BYTES, 0);
+        std::mem::replace(&mut self.bytes, next)
+    }
 }
 
 /// A durable, write-ahead-logged file backend for [`crate::NvmDevice`].
@@ -720,17 +781,7 @@ pub struct FileBackend {
     priors: u64,
     /// The log's logical end once every frame cut so far has landed.
     log_end: u64,
-    /// The next frame under construction: [`FRAME_HEADER_BYTES`] reserved
-    /// for the header (filled in when the frame is sealed), then the
-    /// serialized records awaiting the next cut, which takes the buffer
-    /// with it. An address's record keeps where its bytes sit
-    /// ([`AddrRecord::pending`]).
-    pending: Vec<u8>,
-    /// Where in `pending` the 64 contents bytes of each register's one
-    /// record sit, as [`AddrRecord::pending`] for an address.
-    pending_regs: Vec<(u8, usize)>,
-    /// Records that cost no frame bytes of their own (see [`WalStats`]).
-    coalesced: u64,
+    pending: Pending,
     /// Current freshness epoch: that of the image's last intact frame at
     /// open, bumped by each cut.
     epoch: u64,
@@ -860,9 +911,12 @@ impl FileBackend {
             home_digest: check.recorded,
             priors: check.priors,
             log_end,
-            pending: vec![0; FRAME_HEADER_BYTES],
-            pending_regs: Vec::new(),
-            coalesced: 0,
+            pending: Pending {
+                bytes: vec![0; FRAME_HEADER_BYTES],
+                addrs: Vec::new(),
+                regs: Vec::new(),
+                coalesced: 0,
+            },
             epoch,
             freshness,
             rejected_frames,
@@ -967,34 +1021,6 @@ impl FileBackend {
         }
     }
 
-    /// Adds a block record for `phys` to the pending frame — unless the
-    /// frame already holds one, which is overwritten in place, or the
-    /// image as cut already replays `phys` to exactly `block` (a journaled
-    /// write reaching `store` when the WPQ evicts it), which needs no
-    /// record at all. `logged` says what it replays to, and is asked only
-    /// when the frame holds no record.
-    fn push_write(
-        pending: &mut Vec<u8>,
-        coalesced: &mut u64,
-        (phys, record): (u64, &mut AddrRecord),
-        block: Block,
-        logged: impl FnOnce() -> Option<Block>,
-    ) {
-        match record.pending {
-            Some(at) => {
-                pending[at..at + crate::BLOCK_BYTES].copy_from_slice(block.as_bytes());
-                *coalesced += 1;
-            }
-            None if logged() == Some(block) => *coalesced += 1,
-            None => {
-                pending.push(TAG_WRITE);
-                pending.extend_from_slice(&phys.to_le_bytes());
-                record.pending = Some(pending.len());
-                pending.extend_from_slice(block.as_bytes());
-            }
-        }
-    }
-
     /// Stores `block` at `phys` and returns its record. The image as cut
     /// does not move: `live` differs from it at `phys` from now on unless
     /// it already holds `block` there.
@@ -1003,42 +1029,21 @@ impl FileBackend {
         let record = self.records.entry(phys).or_default();
         let logged = record.cut.unwrap_or(live);
         record.cut = (logged != Some(block)).then_some(logged);
-        let (pending, coalesced) = (&mut self.pending, &mut self.coalesced);
-        Self::push_write(pending, coalesced, (phys, record), block, || logged);
+        self.pending
+            .write((phys, record), block, || logged == Some(block));
         record
-    }
-
-    /// As [`FileBackend::push_write`] for a register mirror; `flushed` is
-    /// the image the log yields for `idx` when no record is pending.
-    fn push_reg(&mut self, idx: u8, block: Block, flushed: Option<Block>) {
-        if let Some(&(_, at)) = self.pending_regs.iter().find(|&&(i, _)| i == idx) {
-            self.pending[at..at + crate::BLOCK_BYTES].copy_from_slice(block.as_bytes());
-            self.coalesced += 1;
-        } else if flushed == Some(block) {
-            self.coalesced += 1;
-        } else {
-            self.pending.push(TAG_REG);
-            self.pending.push(idx);
-            self.pending_regs.push((idx, self.pending.len()));
-            self.pending.extend_from_slice(block.as_bytes());
-        }
-    }
-
-    /// Whether records await the next cut.
-    fn buffered(&self) -> bool {
-        self.pending.len() > FRAME_HEADER_BYTES
     }
 
     /// Drops the records awaiting the next cut, keeping the header
     /// reservation and the buffer's capacity.
     fn clear_pending(&mut self) {
-        for (phys, _) in pending_writes(&self.pending) {
+        for phys in self.pending.addrs.drain(..) {
             if let Some(record) = self.records.get_mut(&phys) {
                 record.pending = None;
             }
         }
-        self.pending.truncate(FRAME_HEADER_BYTES);
-        self.pending_regs.clear();
+        self.pending.bytes.truncate(FRAME_HEADER_BYTES);
+        self.pending.regs.clear();
     }
 
     /// The in-memory half of a barrier: bumps the epoch, accounts for
@@ -1055,13 +1060,17 @@ impl FileBackend {
             self.clear_pending();
             return None;
         }
-        if !self.buffered() {
+        if self.pending.is_empty() {
             return None;
         }
         self.epoch += 1;
         let mut priors = 0u64;
-        for (phys, at) in pending_writes(&self.pending) {
-            let record = self.records.get_mut(&phys).expect("a pending address's record");
+        for &phys in &self.pending.addrs {
+            let record = self
+                .records
+                .get_mut(&phys)
+                .expect("a pending address's record");
+            let at = record.pending.take().expect("a pending record");
             let live = self.live.get(phys);
             if !record.logged {
                 record.logged = true;
@@ -1070,24 +1079,20 @@ impl FileBackend {
                 let tag = home.map_or(0, |block| self.slot_key.tag(phys, &block));
                 priors = priors.wrapping_add(tag);
             }
-            let logged = block_at(&self.pending, at);
+            let logged = block_at(&self.pending.bytes, at);
             record.cut = (live != Some(logged)).then_some(Some(logged));
-            record.pending = None;
         }
         if priors != 0 {
             // A sum of nothing, empty slots included, adds nothing.
-            let mask = (self.slot_key).mask(self.epoch, self.pending.len() - FRAME_HEADER_BYTES);
-            self.pending.push(TAG_PRIORS);
-            (self.pending).extend_from_slice(&priors.wrapping_add(mask).to_le_bytes());
+            let bytes = &mut self.pending.bytes;
+            let mask = (self.slot_key).mask(self.epoch, bytes.len() - FRAME_HEADER_BYTES);
+            bytes.push(TAG_PRIORS);
+            bytes.extend_from_slice(&priors.wrapping_add(mask).to_le_bytes());
             self.priors = self.priors.wrapping_add(priors);
         }
-        self.pending_regs.clear();
         // The frame's header is reserved; its commit marker is not yet.
-        self.log_end += self.pending.len() as u64 + 1;
-        Some(std::mem::replace(
-            &mut self.pending,
-            vec![0; FRAME_HEADER_BYTES],
-        ))
+        self.log_end += self.pending.bytes.len() as u64 + 1;
+        Some(self.pending.take())
     }
 
     /// Cut and commit back to back, for the paths that hold `&mut self`
@@ -1160,7 +1165,7 @@ impl FileBackend {
     /// Nothing may be buffered: `regs` is live, not the log as cut —
     /// [`NvmBackend::settle`] flushes first.
     fn checkpoint(&mut self) -> Result<(), NvmError> {
-        debug_assert!(!self.buffered());
+        debug_assert!(self.pending.is_empty());
         let addrs: Vec<u64> = (self.records.iter_mut())
             .filter(|(_, record)| record.logged)
             .map(|(&phys, record)| {
@@ -1352,7 +1357,7 @@ impl NvmBackend for FileBackend {
 
     fn store_reg(&mut self, idx: u8, block: Block) {
         let previous = self.regs.insert(idx, block);
-        self.push_reg(idx, block, previous);
+        self.pending.reg(idx, block, previous);
     }
 
     fn reg(&self, idx: u8) -> Option<Block> {
@@ -1366,8 +1371,8 @@ impl NvmBackend for FileBackend {
     fn journal(&mut self, phys: u64, block: Block) {
         let record = self.records.entry(phys).or_default();
         let (cut, live) = (record.cut, &self.live);
-        let logged = || cut.unwrap_or_else(|| live.get(phys));
-        Self::push_write(&mut self.pending, &mut self.coalesced, (phys, record), block, logged);
+        let same = || cut.unwrap_or_else(|| live.get(phys)) == Some(block);
+        self.pending.write((phys, record), block, same);
     }
 
     fn cut(&mut self) -> Option<Cut> {
@@ -1382,7 +1387,7 @@ impl NvmBackend for FileBackend {
     }
 
     fn ticket(&self) -> u64 {
-        self.epoch + u64::from(self.buffered())
+        self.epoch + u64::from(!self.pending.is_empty())
     }
 
     fn durability(&self) -> Durability {
@@ -1481,7 +1486,7 @@ impl NvmBackend for FileBackend {
         WalStats {
             log_bytes: file.log.end,
             slack_bytes: file.log.len - file.log.end,
-            records_coalesced: self.coalesced,
+            records_coalesced: self.pending.coalesced,
         }
     }
 }
