@@ -140,6 +140,7 @@ use crate::wal::{
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
+use std::num::NonZeroUsize;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -636,14 +637,14 @@ impl WalSink {
     }
 }
 
-/// What the in-memory half keeps for one address besides its block.
+/// What the in-memory half keeps for one address besides its block: 32
+/// bytes, so that the map of them stays in cache.
 #[derive(Clone, Copy, Debug, Default)]
 struct AddrRecord {
     /// Where the image as cut — home area and log — does not replay the
-    /// address to the live block, what it does replay it to: its last
-    /// record in any frame cut so far or its home slot, `None` if it has
-    /// neither. `None` where the image *is* the live block. Two things
-    /// make them differ: a journaled record not yet drained —
+    /// address to the live block, which of the [`Cuts`] holds what it
+    /// does replay it to. `None` where the image *is* the live block. Two
+    /// things make them differ: a journaled record not yet drained —
     /// WPQ-resident, so invisible to `load`, but in the log, which a
     /// checkpoint must carry home and a later write coalesces against —
     /// and a store not yet cut. A cut or a store that brings the two back
@@ -653,18 +654,54 @@ struct AddrRecord {
     /// for the *next* frame while this one may still be in flight, and a
     /// frame that fails to land ends the log (the sink breaks), so no
     /// record describes a log that goes on without it.
-    cut: Option<Option<Block>>,
+    cut: Option<u32>,
     /// Where the 64 contents bytes of the address's one record in the
     /// pending frame sit. The frame is the atomicity unit and replay is
     /// last-write-wins, so only the last image of an address within a
     /// frame matters: a later record overwrites the earlier one in place.
-    pending: Option<usize>,
+    pending: Option<NonZeroUsize>,
     /// Whether a frame cut since the last checkpoint holds a record for
     /// the address: a home slot the next checkpoint writes.
     logged: bool,
     /// Counted writes since the open (wear accounting; not part of the
     /// image).
     writes: u64,
+}
+
+/// What the image as cut replays an address to where that is not its
+/// live block — its last record in a frame cut so far or its home slot,
+/// `None` if it has neither — one cell per [`AddrRecord::cut`], with the
+/// cells no record holds.
+#[derive(Debug, Default)]
+struct Cuts {
+    cells: Vec<Option<Block>>,
+    free: Vec<u32>,
+}
+
+impl Cuts {
+    fn get(&self, cell: Option<u32>) -> Option<Option<Block>> {
+        cell.map(|cell| self.cells[cell as usize])
+    }
+
+    /// Points `cell` at `cut`, or frees it for `None`.
+    fn set(&mut self, cell: &mut Option<u32>, cut: Option<Option<Block>>) {
+        match (cut, *cell) {
+            (Some(block), Some(at)) => self.cells[at as usize] = block,
+            (Some(block), None) => {
+                let at = self.free.pop().unwrap_or_else(|| {
+                    self.cells.push(None);
+                    u32::try_from(self.cells.len() - 1).expect("under 2^32 blocks differ")
+                });
+                self.cells[at as usize] = block;
+                *cell = Some(at);
+            }
+            (None, Some(at)) => {
+                self.free.push(at);
+                *cell = None;
+            }
+            (None, None) => {}
+        }
+    }
 }
 
 /// The next frame under construction.
@@ -699,6 +736,7 @@ impl Pending {
     ) {
         match record.pending {
             Some(at) => {
+                let at = at.get();
                 self.bytes[at..at + crate::BLOCK_BYTES].copy_from_slice(block.as_bytes());
                 self.coalesced += 1;
             }
@@ -706,7 +744,7 @@ impl Pending {
             None => {
                 self.bytes.push(TAG_WRITE);
                 self.bytes.extend_from_slice(&phys.to_le_bytes());
-                record.pending = Some(self.bytes.len());
+                record.pending = NonZeroUsize::new(self.bytes.len());
                 self.bytes.extend_from_slice(block.as_bytes());
                 self.addrs.push(phys);
             }
@@ -770,6 +808,7 @@ pub struct FileBackend {
     /// Everything else the in-memory half knows of an address, one record
     /// each: every address stored, journaled or logged since the open.
     records: AddrMap<AddrRecord>,
+    cuts: Cuts,
     /// The live registers. A register is never journaled, so it differs
     /// from the log as cut only while a record for it is pending.
     regs: BTreeMap<u8, Block>,
@@ -906,6 +945,7 @@ impl FileBackend {
             path,
             live,
             records,
+            cuts: Cuts::default(),
             regs,
             slot_key,
             home_digest: check.recorded,
@@ -1015,7 +1055,10 @@ impl FileBackend {
 
     /// What the image as cut replays `phys` to.
     fn logged(&self, phys: u64) -> Option<Block> {
-        match self.records.get(&phys).and_then(|record| record.cut) {
+        match self
+            .cuts
+            .get(self.records.get(&phys).and_then(|record| record.cut))
+        {
             Some(logged) => logged,
             None => self.live.get(phys),
         }
@@ -1027,8 +1070,8 @@ impl FileBackend {
     fn store_record(&mut self, phys: u64, block: Block) -> &mut AddrRecord {
         let live = self.live.replace(phys, block);
         let record = self.records.entry(phys).or_default();
-        let logged = record.cut.unwrap_or(live);
-        record.cut = (logged != Some(block)).then_some(logged);
+        let logged = self.cuts.get(record.cut).unwrap_or(live);
+        (self.cuts).set(&mut record.cut, (logged != Some(block)).then_some(logged));
         self.pending
             .write((phys, record), block, || logged == Some(block));
         record
@@ -1070,17 +1113,18 @@ impl FileBackend {
                 .records
                 .get_mut(&phys)
                 .expect("a pending address's record");
-            let at = record.pending.take().expect("a pending record");
+            let at = record.pending.take().expect("a pending record").get();
             let live = self.live.get(phys);
             if !record.logged {
                 record.logged = true;
                 // What the image held before this frame: the home slot.
-                let home = record.cut.unwrap_or(live);
+                let home = self.cuts.get(record.cut).unwrap_or(live);
                 let tag = home.map_or(0, |block| self.slot_key.tag(phys, &block));
                 priors = priors.wrapping_add(tag);
             }
             let logged = block_at(&self.pending.bytes, at);
-            record.cut = (live != Some(logged)).then_some(Some(logged));
+            let cut = (live != Some(logged)).then_some(Some(logged));
+            self.cuts.set(&mut record.cut, cut);
         }
         if priors != 0 {
             // A sum of nothing, empty slots included, adds nothing.
@@ -1370,8 +1414,8 @@ impl NvmBackend for FileBackend {
 
     fn journal(&mut self, phys: u64, block: Block) {
         let record = self.records.entry(phys).or_default();
-        let (cut, live) = (record.cut, &self.live);
-        let same = || cut.unwrap_or_else(|| live.get(phys)) == Some(block);
+        let (cut, cuts, live) = (record.cut, &self.cuts, &self.live);
+        let same = || cuts.get(cut).unwrap_or_else(|| live.get(phys)) == Some(block);
         self.pending.write((phys, record), block, same);
     }
 
@@ -1548,6 +1592,11 @@ mod tests {
     /// its first checkpoint.
     fn home_bytes(p: &Path) -> Vec<u8> {
         std::fs::read(home_path_for(p)).unwrap_or_default()
+    }
+
+    #[test]
+    fn an_address_record_takes_32_bytes() {
+        assert_eq!(std::mem::size_of::<AddrRecord>(), 32);
     }
 
     #[test]
