@@ -185,12 +185,13 @@ impl RegionAllocator {
     /// Index (allocation order) of the region containing `addr`, if any.
     ///
     /// Regions are handed out sequentially, so their bases are sorted:
-    /// a binary search replaces the linear scan that used to run on every
-    /// counted device access.
+    /// the regions starting at or before `addr` are a prefix, counted in
+    /// one pass without a branch to mispredict — there are a handful, and
+    /// every counted device access asks.
     pub fn region_index_of(&self, addr: BlockAddr) -> Option<usize> {
-        let n = self
-            .regions
-            .partition_point(|r| r.base().index() <= addr.index());
+        let n = (self.regions.iter())
+            .filter(|r| r.base().index() <= addr.index())
+            .count();
         // Candidate: the last region starting at or before `addr`. Empty
         // regions share their base with the next region but sort before
         // it and contain nothing, so the last candidate is the right one.

@@ -5,7 +5,6 @@ use crate::backend::NvmBackend;
 use crate::block::Block;
 use crate::device::NvmDevice;
 use crate::domain::WriteOp;
-use std::collections::VecDeque;
 
 /// Default number of WPQ entries — "tens of entries" per the paper (§2.7);
 /// we use 32 as a representative value.
@@ -26,13 +25,19 @@ pub const DEFAULT_WPQ_ENTRIES: usize = 32;
 /// `capacity` words, not `capacity` whole entries.
 #[derive(Clone, Debug)]
 pub struct Wpq {
-    /// The queued writes' addresses, oldest first; one entry per address.
-    addrs: VecDeque<BlockAddr>,
-    /// Their blocks, in the same order.
-    blocks: VecDeque<Block>,
-    capacity: usize,
+    /// The queued writes' addresses, a ring of `capacity` slots whose
+    /// oldest entry is at `head`; a free slot holds [`FREE`]. One entry
+    /// per address.
+    addrs: Box<[u64]>,
+    /// Their blocks, slot for slot.
+    blocks: Box<[Block]>,
+    head: usize,
+    len: usize,
     forced_drains: u64,
 }
+
+/// A ring slot no write holds: past every device's capacity.
+const FREE: u64 = u64::MAX;
 
 impl Wpq {
     /// Creates a WPQ with `capacity` entries.
@@ -43,26 +48,27 @@ impl Wpq {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "WPQ capacity must be nonzero");
         Wpq {
-            addrs: VecDeque::with_capacity(capacity),
-            blocks: VecDeque::with_capacity(capacity),
-            capacity,
+            addrs: vec![FREE; capacity].into(),
+            blocks: vec![Block::zeroed(); capacity].into(),
+            head: 0,
+            len: 0,
             forced_drains: 0,
         }
     }
 
     /// Number of pending entries.
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.len
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.len == 0
     }
 
     /// Queue capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.addrs.len()
     }
 
     /// How many insertions had to evict the oldest entry to the device
@@ -81,21 +87,28 @@ impl Wpq {
             self.blocks[at] = op.block;
             return;
         }
-        if self.addrs.len() == self.capacity {
-            if let (Some(addr), Some(block)) = (self.addrs.pop_front(), self.blocks.pop_front()) {
-                device.write(addr, block);
-                self.forced_drains += 1;
-            }
+        if self.len == self.addrs.len() {
+            self.drain_oldest(device);
+            self.forced_drains += 1;
         }
-        self.addrs.push_back(op.addr);
-        self.blocks.push_back(op.block);
+        let at = (self.head + self.len) % self.addrs.len();
+        (self.addrs[at], self.blocks[at]) = (op.addr.index(), op.block);
+        self.len += 1;
     }
 
     /// Drains every pending entry to the device (ADR flush or idle drain).
     pub fn flush<B: NvmBackend>(&mut self, device: &mut NvmDevice<B>) {
-        for (addr, block) in self.addrs.drain(..).zip(self.blocks.drain(..)) {
-            device.write(addr, block);
+        while self.len > 0 {
+            self.drain_oldest(device);
         }
+    }
+
+    /// Writes the oldest entry to the device and frees its slot.
+    fn drain_oldest<B: NvmBackend>(&mut self, device: &mut NvmDevice<B>) {
+        let at = self.head;
+        device.write(BlockAddr::new(self.addrs[at]), self.blocks[at]);
+        self.addrs[at] = FREE;
+        (self.head, self.len) = ((at + 1) % self.addrs.len(), self.len - 1);
     }
 
     /// Looks up a pending (not yet drained) write to `addr`, if any — the
@@ -104,9 +117,12 @@ impl Wpq {
         self.find(addr).map(|at| self.blocks[at])
     }
 
-    /// Where the queue holds `addr`.
+    /// The slot that holds `addr`: every slot looked at, free ones too,
+    /// with no branch to mispredict.
     fn find(&self, addr: BlockAddr) -> Option<usize> {
-        self.addrs.iter().position(|&queued| queued == addr)
+        let hit = |at, (slot, &queued)| if queued == addr.index() { slot } else { at };
+        let at = self.addrs.iter().enumerate().fold(usize::MAX, hit);
+        (at != usize::MAX).then_some(at)
     }
 }
 
