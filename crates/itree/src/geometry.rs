@@ -141,9 +141,7 @@ impl TreeGeometry {
     /// Panics if `node` does not exist in this geometry or the tree has
     /// fewer than `up` levels above it.
     pub fn ancestor(&self, node: NodeId, up: usize) -> NodeId {
-        (0..up).fold(node, |n, _| {
-            self.parent(n).expect("an ancestor below the top")
-        })
+        (0..up).fold(node, |n, _| self.parent(n).expect("below the top"))
     }
 
     /// Which child slot (0..arity) `node` occupies in its parent.

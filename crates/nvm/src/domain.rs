@@ -236,7 +236,7 @@ impl<B: NvmBackend> PersistenceDomain<B> {
         for op in ops {
             if !self.pregs.stage(op) {
                 // Roll the oversized group back out of the registers.
-                let _ = self.pregs.survive_crash_discard_staging();
+                self.pregs.clear();
                 return Err(NvmError::CommitGroupTooLarge {
                     group_len: staged + 1,
                     capacity: PREG_CAPACITY,
@@ -282,7 +282,7 @@ impl<B: NvmBackend> PersistenceDomain<B> {
                             let torn = tear_block(&old, &op.block, words);
                             self.persist_writes += 1;
                             self.device.try_write(op.addr, torn)?;
-                            self.pregs.torn_discard();
+                            self.pregs.clear();
                             self.wpq.flush(&mut self.device);
                             self.powered = false;
                             let _ = self.device.flush_backend();
@@ -306,7 +306,7 @@ impl<B: NvmBackend> PersistenceDomain<B> {
             self.device.journal_write(op.addr, op.block);
             self.wpq.insert(op, &mut self.device);
         }
-        self.pregs.drained();
+        self.pregs.clear();
         self.commits += 1;
         // No backend flush here: the group is journaled, and the caller's
         // op-closing `barrier` lands it — with every other group of the
@@ -373,15 +373,6 @@ impl<B: NvmBackend> PersistenceDomain<B> {
     #[doc(hidden)]
     pub fn pregs_mut(&mut self) -> &mut PersistentRegisters {
         &mut self.pregs
-    }
-}
-
-impl PersistentRegisters {
-    /// Discards a partially staged group (oversized-commit rollback).
-    pub(crate) fn survive_crash_discard_staging(&mut self) -> usize {
-        let n = self.len();
-        let _ = self.survive_crash();
-        n
     }
 }
 
@@ -463,8 +454,7 @@ mod tests {
         let mut d = PersistenceDomain::new(1 << 20);
         d.pregs_mut().stage(op(1, 0xAA));
         d.pregs_mut().stage(op(2, 0xBB));
-        d.pregs_mut().set_done();
-        let _ = d.pregs_mut().next_to_drain(); // crash mid-drain
+        d.pregs_mut().set_done(); // crash mid-drain
         d.power_fail();
         let redone = d.power_up();
         assert_eq!(redone, 2);

@@ -685,27 +685,20 @@ impl Cuts {
 
     /// Points `cell` at `cut`, or frees it for `None`.
     fn set(&mut self, cell: &mut Option<u32>, cut: Option<Option<Block>>) {
-        match (cut, *cell) {
-            (Some(block), Some(at)) => self.cells[at as usize] = block,
-            (Some(block), None) => {
-                let at = self.free.pop().unwrap_or_else(|| {
-                    self.cells.push(None);
-                    u32::try_from(self.cells.len() - 1).expect("under 2^32 blocks differ")
-                });
-                self.cells[at as usize] = block;
-                *cell = Some(at);
-            }
-            (None, Some(at)) => {
-                self.free.push(at);
-                *cell = None;
-            }
-            (None, None) => {}
+        self.free.extend(cell.take());
+        if let Some(block) = cut {
+            let at = self.free.pop().unwrap_or_else(|| {
+                self.cells.push(None);
+                u32::try_from(self.cells.len() - 1).expect("under 2^32 blocks differ")
+            });
+            self.cells[at as usize] = block;
+            *cell = Some(at);
         }
     }
 }
 
 /// The next frame under construction.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Pending {
     /// [`FRAME_HEADER_BYTES`] reserved for the header (filled in when the
     /// frame is sealed), then the serialized records awaiting the next
@@ -726,21 +719,16 @@ impl Pending {
     /// one, which is overwritten in place, or the image as cut already
     /// replays `phys` to exactly `block` (a journaled write reaching
     /// `store` when the WPQ evicts it), which needs no record at all.
-    /// `same` says whether it does, and is asked only when the frame
-    /// holds no record.
-    fn write(
-        &mut self,
-        (phys, record): (u64, &mut AddrRecord),
-        block: Block,
-        same: impl FnOnce() -> bool,
-    ) {
+    /// `same` says whether it does; it need not be right where the frame
+    /// holds a record.
+    fn write(&mut self, phys: u64, record: &mut AddrRecord, block: Block, same: bool) {
         match record.pending {
             Some(at) => {
                 let at = at.get();
                 self.bytes[at..at + crate::BLOCK_BYTES].copy_from_slice(block.as_bytes());
                 self.coalesced += 1;
             }
-            None if same() => self.coalesced += 1,
+            None if same => self.coalesced += 1,
             None => {
                 self.bytes.push(TAG_WRITE);
                 self.bytes.extend_from_slice(&phys.to_le_bytes());
@@ -953,9 +941,7 @@ impl FileBackend {
             log_end,
             pending: Pending {
                 bytes: vec![0; FRAME_HEADER_BYTES],
-                addrs: Vec::new(),
-                regs: Vec::new(),
-                coalesced: 0,
+                ..Pending::default()
             },
             epoch,
             freshness,
@@ -1055,13 +1041,8 @@ impl FileBackend {
 
     /// What the image as cut replays `phys` to.
     fn logged(&self, phys: u64) -> Option<Block> {
-        match self
-            .cuts
-            .get(self.records.get(&phys).and_then(|record| record.cut))
-        {
-            Some(logged) => logged,
-            None => self.live.get(phys),
-        }
+        let cell = self.records.get(&phys).and_then(|record| record.cut);
+        (self.cuts.get(cell)).unwrap_or_else(|| self.live.get(phys))
     }
 
     /// Stores `block` at `phys` and returns its record. The image as cut
@@ -1072,21 +1053,18 @@ impl FileBackend {
         let record = self.records.entry(phys).or_default();
         let logged = self.cuts.get(record.cut).unwrap_or(live);
         (self.cuts).set(&mut record.cut, (logged != Some(block)).then_some(logged));
-        self.pending
-            .write((phys, record), block, || logged == Some(block));
+        let same = logged == Some(block);
+        self.pending.write(phys, record, block, same);
         record
     }
 
-    /// Drops the records awaiting the next cut, keeping the header
-    /// reservation and the buffer's capacity.
+    /// Drops the records awaiting the next cut.
     fn clear_pending(&mut self) {
-        for phys in self.pending.addrs.drain(..) {
-            if let Some(record) = self.records.get_mut(&phys) {
-                record.pending = None;
-            }
+        for phys in &self.pending.addrs {
+            let record = self.records.get_mut(phys).expect("a pending record");
+            record.pending = None;
         }
-        self.pending.bytes.truncate(FRAME_HEADER_BYTES);
-        self.pending.regs.clear();
+        self.pending.take();
     }
 
     /// The in-memory half of a barrier: bumps the epoch, accounts for
@@ -1109,10 +1087,7 @@ impl FileBackend {
         self.epoch += 1;
         let mut priors = 0u64;
         for &phys in &self.pending.addrs {
-            let record = self
-                .records
-                .get_mut(&phys)
-                .expect("a pending address's record");
+            let record = self.records.get_mut(&phys).expect("a pending record");
             let at = record.pending.take().expect("a pending record").get();
             let live = self.live.get(phys);
             if !record.logged {
@@ -1211,11 +1186,7 @@ impl FileBackend {
     fn checkpoint(&mut self) -> Result<(), NvmError> {
         debug_assert!(self.pending.is_empty());
         let addrs: Vec<u64> = (self.records.iter_mut())
-            .filter(|(_, record)| record.logged)
-            .map(|(&phys, record)| {
-                record.logged = false;
-                phys
-            })
+            .filter_map(|(&phys, record)| std::mem::take(&mut record.logged).then_some(phys))
             .collect();
         // The home digest moves by the logged slots' tags, old to new.
         let logged = (addrs.iter())
@@ -1414,9 +1385,12 @@ impl NvmBackend for FileBackend {
 
     fn journal(&mut self, phys: u64, block: Block) {
         let record = self.records.entry(phys).or_default();
-        let (cut, cuts, live) = (record.cut, &self.cuts, &self.live);
-        let same = || cuts.get(cut).unwrap_or_else(|| live.get(phys)) == Some(block);
-        self.pending.write((phys, record), block, same);
+        // Where the frame holds a record, what the image as cut holds
+        // does not matter: it is not read.
+        let (cuts, live) = (&self.cuts, &self.live);
+        let logged = || cuts.get(record.cut).unwrap_or_else(|| live.get(phys));
+        let same = record.pending.is_none() && logged() == Some(block);
+        self.pending.write(phys, record, block, same);
     }
 
     fn cut(&mut self) -> Option<Cut> {

@@ -39,7 +39,6 @@ pub enum CommitPhase {
 pub struct PersistentRegisters {
     entries: Vec<WriteOp>,
     done_bit: bool,
-    drained: usize,
 }
 
 impl PersistentRegisters {
@@ -82,38 +81,22 @@ impl PersistentRegisters {
     /// Sets `DONE_BIT`: the staged group is now in the persistent domain.
     pub fn set_done(&mut self) {
         self.done_bit = true;
-        self.drained = 0;
-    }
-
-    /// Takes the next entry to copy into the WPQ, or `None` when the group
-    /// has fully drained (in which case the registers clear themselves and
-    /// `DONE_BIT` drops).
-    pub fn next_to_drain(&mut self) -> Option<WriteOp> {
-        if !self.done_bit {
-            return None;
-        }
-        if self.drained < self.entries.len() {
-            let op = self.entries[self.drained];
-            self.drained += 1;
-            Some(op)
-        } else {
-            self.drained();
-            None
-        }
     }
 
     /// The staged group, in staging order: what a drain copies into the
     /// WPQ entry by entry, in place.
-    pub(crate) fn entries(&self) -> &[WriteOp] {
+    pub fn entries(&self) -> &[WriteOp] {
         &self.entries
     }
 
-    /// Ends a drain that copied every entry into the WPQ: the registers
-    /// clear themselves (keeping their storage) and `DONE_BIT` drops.
-    pub(crate) fn drained(&mut self) {
+    /// Wipes the register file, keeping its storage, and drops `DONE_BIT`:
+    /// a drain that copied every entry into the WPQ ends here, and so does
+    /// a group a torn write loses with the rest of it (the REDO log is
+    /// gone, so the partial persist becomes observable), or an oversized
+    /// one rolled back while staging.
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.done_bit = false;
-        self.drained = 0;
     }
 
     /// What a crash at this instant would observe.
@@ -125,15 +108,6 @@ impl PersistentRegisters {
         } else {
             CommitPhase::Staging
         }
-    }
-
-    /// Wipes the register file unconditionally — used by torn-write fault
-    /// injection to model the group being lost after the tear (the REDO
-    /// log is gone, so the partial persist becomes observable).
-    pub(crate) fn torn_discard(&mut self) {
-        self.entries.clear();
-        self.done_bit = false;
-        self.drained = 0;
     }
 
     /// Applies crash semantics: a staging group (no `DONE_BIT`) is lost;
@@ -152,7 +126,6 @@ impl PersistentRegisters {
                 // same value are idempotent.
                 let ops = std::mem::take(&mut self.entries);
                 self.done_bit = false;
-                self.drained = 0;
                 ops
             }
         }
@@ -177,9 +150,8 @@ mod tests {
         assert_eq!(regs.phase(), CommitPhase::Staging);
         regs.set_done();
         assert_eq!(regs.phase(), CommitPhase::Draining);
-        assert_eq!(regs.next_to_drain(), Some(op(1)));
-        assert_eq!(regs.next_to_drain(), Some(op(2)));
-        assert_eq!(regs.next_to_drain(), None);
+        assert_eq!(regs.entries(), [op(1), op(2)]);
+        regs.clear();
         assert_eq!(regs.phase(), CommitPhase::Idle);
         assert!(!regs.done_bit());
     }
@@ -199,7 +171,8 @@ mod tests {
         regs.stage(op(1));
         regs.stage(op(2));
         regs.set_done();
-        let _ = regs.next_to_drain(); // one entry copied, then power fails
+        // Power fails with one entry copied into the WPQ or none: the
+        // registers cannot tell, and redo the whole group.
         let redo = regs.survive_crash();
         assert_eq!(redo, vec![op(1), op(2)]);
         assert_eq!(regs.phase(), CommitPhase::Idle);

@@ -117,12 +117,9 @@ impl Wpq {
         self.find(addr).map(|at| self.blocks[at])
     }
 
-    /// The slot that holds `addr`: every slot looked at, free ones too,
-    /// with no branch to mispredict.
+    /// The slot that holds `addr`.
     fn find(&self, addr: BlockAddr) -> Option<usize> {
-        let hit = |at, (slot, &queued)| if queued == addr.index() { slot } else { at };
-        let at = self.addrs.iter().enumerate().fold(usize::MAX, hit);
-        (at != usize::MAX).then_some(at)
+        self.addrs.iter().position(|&queued| queued == addr.index())
     }
 }
 

@@ -72,11 +72,11 @@ fn in_flight_groups_all_or_nothing() {
         }
         if set_done {
             domain.pregs_mut().set_done();
-            for _ in 0..drained_before_crash.min(group.len()) {
-                if let Some(op) = domain.pregs_mut().next_to_drain() {
-                    // Simulate partial WPQ insertion by writing directly.
-                    domain.device_mut().write(op.addr, op.block);
-                }
+            let drained =
+                domain.pregs_mut().entries()[..drained_before_crash.min(group.len())].to_vec();
+            for op in drained {
+                // Simulate partial WPQ insertion by writing directly.
+                domain.device_mut().write(op.addr, op.block);
             }
         }
         domain.power_fail();
