@@ -797,6 +797,8 @@ pub struct FileBackend {
     /// each: every address stored, journaled or logged since the open.
     records: AddrMap<AddrRecord>,
     cuts: Cuts,
+    /// The addresses whose records are [`AddrRecord::logged`].
+    logged: Vec<u64>,
     /// The live registers. A register is never journaled, so it differs
     /// from the log as cut only while a record for it is pending.
     regs: BTreeMap<u8, Block>,
@@ -909,11 +911,11 @@ impl FileBackend {
         };
 
         let durability = Durability::at(epoch);
-        let logged = AddrRecord {
-            logged: true,
-            ..AddrRecord::default()
-        };
-        let records = redo.keys().map(|&phys| (phys, logged)).collect();
+        let logged: Vec<u64> = redo.keys().copied().collect();
+        let mut records: AddrMap<AddrRecord> = AddrMap::default();
+        for &phys in &logged {
+            records.entry(phys).or_default().logged = true;
+        }
         let live = Slots::open(home_path_for(&path), redo, durability.clone())?;
         // No frame and no home block: nothing a missing or torn anchor
         // could be hiding.
@@ -934,6 +936,7 @@ impl FileBackend {
             live,
             records,
             cuts: Cuts::default(),
+            logged,
             regs,
             slot_key,
             home_digest: check.recorded,
@@ -1092,6 +1095,7 @@ impl FileBackend {
             let live = self.live.get(phys);
             if !record.logged {
                 record.logged = true;
+                self.logged.push(phys);
                 // What the image held before this frame: the home slot.
                 let home = self.cuts.get(record.cut).unwrap_or(live);
                 let tag = home.map_or(0, |block| self.slot_key.tag(phys, &block));
@@ -1185,9 +1189,10 @@ impl FileBackend {
     /// [`NvmBackend::settle`] flushes first.
     fn checkpoint(&mut self) -> Result<(), NvmError> {
         debug_assert!(self.pending.is_empty());
-        let addrs: Vec<u64> = (self.records.iter_mut())
-            .filter_map(|(&phys, record)| std::mem::take(&mut record.logged).then_some(phys))
-            .collect();
+        let addrs = std::mem::take(&mut self.logged);
+        for phys in &addrs {
+            self.records.get_mut(phys).expect("a logged record").logged = false;
+        }
         // The home digest moves by the logged slots' tags, old to new.
         let logged = (addrs.iter())
             .filter_map(|&phys| Some(self.slot_key.tag(phys, &self.logged(phys)?)))

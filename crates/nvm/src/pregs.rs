@@ -112,23 +112,13 @@ impl PersistentRegisters {
 
     /// Applies crash semantics: a staging group (no `DONE_BIT`) is lost;
     /// a draining group survives in the NVM-backed registers and is
-    /// returned for REDO.
+    /// returned for REDO — the *whole* group: re-inserting already-drained
+    /// entries is idempotent because WPQ/device writes of the same value
+    /// are idempotent.
     pub fn survive_crash(&mut self) -> Vec<WriteOp> {
-        match self.phase() {
-            CommitPhase::Idle => Vec::new(),
-            CommitPhase::Staging => {
-                self.entries.clear();
-                Vec::new()
-            }
-            CommitPhase::Draining => {
-                // REDO the *whole* group: re-inserting already-drained
-                // entries is idempotent because WPQ/device writes of the
-                // same value are idempotent.
-                let ops = std::mem::take(&mut self.entries);
-                self.done_bit = false;
-                ops
-            }
-        }
+        let (done, ops) = (self.done_bit, std::mem::take(&mut self.entries));
+        self.clear();
+        done.then_some(ops).unwrap_or_default()
     }
 }
 
