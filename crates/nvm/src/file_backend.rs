@@ -122,7 +122,7 @@
 //! present, reads as empty and breaks the backend: its next barrier or
 //! settle fails, typed.
 //!
-//! Beside the blocks, **one record per address** ([`AddrRecord`]) holds
+//! Beside the blocks, **one record per address** (`AddrRecord`) holds
 //! all the rest the in-memory half knows of it: what the image as cut
 //! replays it to where that is not the live block, where its record sits
 //! in the pending frame, whether the log holds it since the last
@@ -912,10 +912,11 @@ impl FileBackend {
 
         let durability = Durability::at(epoch);
         let logged: Vec<u64> = redo.keys().copied().collect();
-        let mut records: AddrMap<AddrRecord> = AddrMap::default();
-        for &phys in &logged {
-            records.entry(phys).or_default().logged = true;
-        }
+        let record = AddrRecord {
+            logged: true,
+            ..AddrRecord::default()
+        };
+        let records = logged.iter().map(|&phys| (phys, record)).collect();
         let live = Slots::open(home_path_for(&path), redo, durability.clone())?;
         // No frame and no home block: nothing a missing or torn anchor
         // could be hiding.
