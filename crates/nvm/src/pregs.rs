@@ -116,9 +116,11 @@ impl PersistentRegisters {
     /// entries is idempotent because WPQ/device writes of the same value
     /// are idempotent.
     pub fn survive_crash(&mut self) -> Vec<WriteOp> {
-        let (done, ops) = (self.done_bit, std::mem::take(&mut self.entries));
-        self.clear();
-        done.then_some(ops).unwrap_or_default()
+        if !self.done_bit {
+            self.entries.clear();
+        }
+        self.done_bit = false;
+        std::mem::take(&mut self.entries)
     }
 }
 
