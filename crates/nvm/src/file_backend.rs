@@ -698,7 +698,7 @@ impl Cuts {
 }
 
 /// The next frame under construction.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Pending {
     /// [`FRAME_HEADER_BYTES`] reserved for the header (filled in when the
     /// frame is sealed), then the serialized records awaiting the next
@@ -945,7 +945,9 @@ impl FileBackend {
             log_end,
             pending: Pending {
                 bytes: vec![0; FRAME_HEADER_BYTES],
-                ..Pending::default()
+                addrs: Vec::new(),
+                regs: Vec::new(),
+                coalesced: 0,
             },
             epoch,
             freshness,
