@@ -490,8 +490,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             let n = self.layout().geometry().ancestor(node, up);
             let content = self.nvm_read_node(n)?;
             let d = self.digest(&content);
-            let g = self.layout().geometry();
-            match g.parent(n) {
+            match self.layout().geometry().parent(n) {
                 None => {
                     if Root(d) != self.root {
                         return Err(MemError::Integrity {
@@ -506,7 +505,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                         .tree_cache
                         .peek(p_addr)
                         .expect("parent fetched before child")
-                        .word(g.child_slot(n));
+                        .word(self.layout().geometry().child_slot(n));
                     if stored != d {
                         return Err(MemError::Integrity {
                             node: n,
@@ -533,9 +532,8 @@ impl<B: NvmBackend> BonsaiController<B> {
             }
             let content = self.path.nvm_read(addr)?;
             let d = self.digest(&content);
-            let g = self.layout().geometry();
-            let (parent, slot) = (g.parent(leaf), g.child_slot(leaf));
-            match parent {
+            let slot = self.layout().geometry().child_slot(leaf);
+            match self.layout().geometry().parent(leaf) {
                 None => {
                     // Single-leaf tree: the leaf digest *is* the root.
                     if Root(d) != self.root {

@@ -660,9 +660,10 @@ struct AddrRecord {
     /// last-write-wins, so only the last image of an address within a
     /// frame matters: a later record overwrites the earlier one in place.
     pending: Option<NonZeroUsize>,
-    /// Whether a frame cut since the last checkpoint holds a record for
-    /// the address: a home slot the next checkpoint writes.
-    logged: bool,
+    /// The log generation ([`FileBackend::generation`]) a frame cut last
+    /// held a record for the address in: while it is the current one, the
+    /// address is a home slot the next checkpoint writes.
+    logged_in: u64,
     /// Counted writes since the open (wear accounting; not part of the
     /// image).
     writes: u64,
@@ -670,28 +671,36 @@ struct AddrRecord {
 
 /// What the image as cut replays an address to where that is not its
 /// live block — its last record in a frame cut so far or its home slot,
-/// `None` if it has neither — one cell per [`AddrRecord::cut`], with the
-/// cells no record holds.
+/// `None` if it has neither — one cell per [`AddrRecord::cut`], each
+/// with its address, and the cells no record holds, whose address is
+/// [`VACANT`]: a checkpoint reads every address that differs here,
+/// without a probe of the records per slot it writes.
 #[derive(Debug, Default)]
 struct Cuts {
-    cells: Vec<Option<Block>>,
+    cells: Vec<(u64, Option<Block>)>,
     free: Vec<u32>,
 }
 
+/// The address of a cell no record holds: past every device's capacity.
+const VACANT: u64 = u64::MAX;
+
 impl Cuts {
     fn get(&self, cell: Option<u32>) -> Option<Option<Block>> {
-        cell.map(|cell| self.cells[cell as usize])
+        cell.map(|cell| self.cells[cell as usize].1)
     }
 
-    /// Points `cell` at `cut`, or frees it for `None`.
-    fn set(&mut self, cell: &mut Option<u32>, cut: Option<Option<Block>>) {
-        self.free.extend(cell.take());
+    /// Points `phys`'s `cell` at `cut`, or frees it for `None`.
+    fn set(&mut self, phys: u64, cell: &mut Option<u32>, cut: Option<Option<Block>>) {
+        if let Some(at) = cell.take() {
+            self.cells[at as usize].0 = VACANT;
+            self.free.push(at);
+        }
         if let Some(block) = cut {
             let at = self.free.pop().unwrap_or_else(|| {
-                self.cells.push(None);
+                self.cells.push((VACANT, None));
                 u32::try_from(self.cells.len() - 1).expect("under 2^32 blocks differ")
             });
-            self.cells[at as usize] = block;
+            self.cells[at as usize] = (phys, block);
             *cell = Some(at);
         }
     }
@@ -797,8 +806,10 @@ pub struct FileBackend {
     /// each: every address stored, journaled or logged since the open.
     records: AddrMap<AddrRecord>,
     cuts: Cuts,
-    /// The addresses whose records are [`AddrRecord::logged`].
+    /// The addresses logged in the current generation.
     logged: Vec<u64>,
+    /// The log generation: one more than the checkpoints since the open.
+    generation: u64,
     /// The live registers. A register is never journaled, so it differs
     /// from the log as cut only while a record for it is pending.
     regs: BTreeMap<u8, Block>,
@@ -913,7 +924,7 @@ impl FileBackend {
         let durability = Durability::at(epoch);
         let logged: Vec<u64> = redo.keys().copied().collect();
         let record = AddrRecord {
-            logged: true,
+            logged_in: 1,
             ..AddrRecord::default()
         };
         let records = logged.iter().map(|&phys| (phys, record)).collect();
@@ -938,6 +949,7 @@ impl FileBackend {
             records,
             cuts: Cuts::default(),
             logged,
+            generation: 1,
             regs,
             slot_key,
             home_digest: check.recorded,
@@ -1045,12 +1057,6 @@ impl FileBackend {
         self.suppressed
     }
 
-    /// What the image as cut replays `phys` to.
-    fn logged(&self, phys: u64) -> Option<Block> {
-        let cell = self.records.get(&phys).and_then(|record| record.cut);
-        (self.cuts.get(cell)).unwrap_or_else(|| self.live.get(phys))
-    }
-
     /// Stores `block` at `phys` and returns its record. The image as cut
     /// does not move: `live` differs from it at `phys` from now on unless
     /// it already holds `block` there.
@@ -1058,7 +1064,8 @@ impl FileBackend {
         let live = self.live.replace(phys, block);
         let record = self.records.entry(phys).or_default();
         let logged = self.cuts.get(record.cut).unwrap_or(live);
-        (self.cuts).set(&mut record.cut, (logged != Some(block)).then_some(logged));
+        let cut = (logged != Some(block)).then_some(logged);
+        self.cuts.set(phys, &mut record.cut, cut);
         let same = logged == Some(block);
         self.pending.write(phys, record, block, same);
         record
@@ -1096,8 +1103,8 @@ impl FileBackend {
             let record = self.records.get_mut(&phys).expect("a pending record");
             let at = record.pending.take().expect("a pending record").get();
             let live = self.live.get(phys);
-            if !record.logged {
-                record.logged = true;
+            if record.logged_in != self.generation {
+                record.logged_in = self.generation;
                 self.logged.push(phys);
                 // What the image held before this frame: the home slot.
                 let home = self.cuts.get(record.cut).unwrap_or(live);
@@ -1106,7 +1113,7 @@ impl FileBackend {
             }
             let logged = block_at(&self.pending.bytes, at);
             let cut = (live != Some(logged)).then_some(Some(logged));
-            self.cuts.set(&mut record.cut, cut);
+            self.cuts.set(phys, &mut record.cut, cut);
         }
         if priors != 0 {
             // A sum of nothing, empty slots included, adds nothing.
@@ -1131,6 +1138,15 @@ impl FileBackend {
         (sink.durability).in_turn(epoch, || sink.write(epoch, &mut frame))
     }
 
+    /// What the image as cut replays each address to: the few addresses
+    /// where it is not `live` are the cut cells in use, read once here so
+    /// that a checkpoint probes no record per slot it writes.
+    fn image(&self) -> impl Fn(u64) -> Option<Block> + '_ {
+        let cuts = self.cuts.cells.iter().filter(|&&(phys, _)| phys != VACANT);
+        let cuts: AddrMap<Option<Block>> = cuts.copied().collect();
+        move |phys| (cuts.get(&phys).copied()).unwrap_or_else(|| self.live.get(phys))
+    }
+
     fn checkpoint_due(&self) -> bool {
         self.log_end > HEADER_BYTES as u64 + CHECKPOINT_BYTES
     }
@@ -1143,6 +1159,7 @@ impl FileBackend {
     /// slot between two logged addresses is what the home area holds
     /// already.
     fn home_runs(&self, mut addrs: Vec<u64>) -> Vec<(u64, Vec<u8>)> {
+        let image = self.image();
         let page = |phys: u64, byte: u64| (phys * HOME_SLOT_BYTES as u64 + byte) / PAGE_BYTES;
         addrs.sort_unstable();
         addrs.dedup();
@@ -1159,7 +1176,7 @@ impl FileBackend {
             .map(|(first, last)| {
                 let mut bytes = Vec::with_capacity((last - first + 1) as usize * HOME_SLOT_BYTES);
                 for phys in first..=last {
-                    match self.logged(phys) {
+                    match image(phys) {
                         Some(block) => {
                             bytes.push(SLOT_PRESENT);
                             bytes.extend_from_slice(block.as_bytes());
@@ -1193,13 +1210,13 @@ impl FileBackend {
     fn checkpoint(&mut self) -> Result<(), NvmError> {
         debug_assert!(self.pending.is_empty());
         let addrs = std::mem::take(&mut self.logged);
-        for phys in &addrs {
-            self.records.get_mut(phys).expect("a logged record").logged = false;
-        }
+        self.generation += 1;
+        let image = self.image();
         // The home digest moves by the logged slots' tags, old to new.
         let logged = (addrs.iter())
-            .filter_map(|&phys| Some(self.slot_key.tag(phys, &self.logged(phys)?)))
+            .filter_map(|&phys| Some(self.slot_key.tag(phys, &image(phys)?)))
             .fold(0u64, u64::wrapping_add);
+        drop(image);
         let digest = (self.home_digest.wrapping_sub(self.priors)).wrapping_add(logged);
         let runs = self.home_runs(addrs);
         let mut regs = Vec::with_capacity(self.regs.len() * 66);
@@ -1485,8 +1502,8 @@ impl NvmBackend for FileBackend {
                     return Err(NvmError::Backend { reason });
                 }
                 for slot in slots.chunks_exact(HOME_SLOT_BYTES) {
-                    let logged = self.records.get(&first).is_some_and(|record| record.logged);
-                    if slot[0] == SLOT_PRESENT && !logged {
+                    let logged_in = self.records.get(&first).map(|r| r.logged_in);
+                    if slot[0] == SLOT_PRESENT && logged_in != Some(self.generation) {
                         sum = sum.wrapping_add(self.slot_key.tag(first, &block_at(slot, 1)));
                     }
                     first += 1;
@@ -2670,7 +2687,9 @@ mod tests {
         // What a restart must find: the image as cut, WPQ-resident journal
         // records included.
         let mut entries = b.entries();
-        entries.extend((1_000..1_003).map(|phys| (phys, b.logged(phys).unwrap())));
+        let image = b.image();
+        entries.extend((1_000..1_003).map(|phys| (phys, image(phys).unwrap())));
+        drop(image);
         let (epoch, stats) = (b.epoch(), b.wal_stats());
         drop(b); // killed before any further barrier
         assert!(!p.with_extension("checkpoint-tmp").exists());

@@ -5,6 +5,7 @@ use crate::backend::NvmBackend;
 use crate::block::Block;
 use crate::device::NvmDevice;
 use crate::domain::WriteOp;
+use std::collections::VecDeque;
 
 /// Default number of WPQ entries — "tens of entries" per the paper (§2.7);
 /// we use 32 as a representative value.
@@ -25,19 +26,13 @@ pub const DEFAULT_WPQ_ENTRIES: usize = 32;
 /// `capacity` words, not `capacity` whole entries.
 #[derive(Clone, Debug)]
 pub struct Wpq {
-    /// The queued writes' addresses, a ring of `capacity` slots whose
-    /// oldest entry is at `head`; a free slot holds [`FREE`]. One entry
-    /// per address.
-    addrs: Box<[u64]>,
-    /// Their blocks, slot for slot.
-    blocks: Box<[Block]>,
-    head: usize,
-    len: usize,
+    /// The queued writes' addresses, oldest first; one entry per address.
+    addrs: VecDeque<BlockAddr>,
+    /// Their blocks, in the same order.
+    blocks: VecDeque<Block>,
+    capacity: usize,
     forced_drains: u64,
 }
-
-/// A ring slot no write holds: past every device's capacity.
-const FREE: u64 = u64::MAX;
 
 impl Wpq {
     /// Creates a WPQ with `capacity` entries.
@@ -48,27 +43,26 @@ impl Wpq {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "WPQ capacity must be nonzero");
         Wpq {
-            addrs: vec![FREE; capacity].into(),
-            blocks: vec![Block::zeroed(); capacity].into(),
-            head: 0,
-            len: 0,
+            addrs: VecDeque::with_capacity(capacity),
+            blocks: VecDeque::with_capacity(capacity),
+            capacity,
             forced_drains: 0,
         }
     }
 
     /// Number of pending entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.addrs.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.addrs.is_empty()
     }
 
     /// Queue capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.addrs.len()
+        self.capacity
     }
 
     /// How many insertions had to evict the oldest entry to the device
@@ -87,28 +81,21 @@ impl Wpq {
             self.blocks[at] = op.block;
             return;
         }
-        if self.len == self.addrs.len() {
-            self.drain_oldest(device);
-            self.forced_drains += 1;
+        if self.addrs.len() == self.capacity {
+            if let (Some(addr), Some(block)) = (self.addrs.pop_front(), self.blocks.pop_front()) {
+                device.write(addr, block);
+                self.forced_drains += 1;
+            }
         }
-        let at = (self.head + self.len) % self.addrs.len();
-        (self.addrs[at], self.blocks[at]) = (op.addr.index(), op.block);
-        self.len += 1;
+        self.addrs.push_back(op.addr);
+        self.blocks.push_back(op.block);
     }
 
     /// Drains every pending entry to the device (ADR flush or idle drain).
     pub fn flush<B: NvmBackend>(&mut self, device: &mut NvmDevice<B>) {
-        while self.len > 0 {
-            self.drain_oldest(device);
+        for (addr, block) in self.addrs.drain(..).zip(self.blocks.drain(..)) {
+            device.write(addr, block);
         }
-    }
-
-    /// Writes the oldest entry to the device and frees its slot.
-    fn drain_oldest<B: NvmBackend>(&mut self, device: &mut NvmDevice<B>) {
-        let at = self.head;
-        device.write(BlockAddr::new(self.addrs[at]), self.blocks[at]);
-        self.addrs[at] = FREE;
-        (self.head, self.len) = ((at + 1) % self.addrs.len(), self.len - 1);
     }
 
     /// Looks up a pending (not yet drained) write to `addr`, if any — the
@@ -117,9 +104,9 @@ impl Wpq {
         self.find(addr).map(|at| self.blocks[at])
     }
 
-    /// The slot that holds `addr`.
+    /// Where the queue holds `addr`.
     fn find(&self, addr: BlockAddr) -> Option<usize> {
-        self.addrs.iter().position(|&queued| queued == addr.index())
+        self.addrs.iter().position(|&queued| queued == addr)
     }
 }
 
