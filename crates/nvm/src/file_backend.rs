@@ -124,10 +124,13 @@
 //!
 //! Beside the blocks, **one record per address** (`AddrRecord`) holds
 //! all the rest the in-memory half knows of it: what the image as cut
-//! replays it to where that is not the live block, where its record sits
-//! in the pending frame, whether the log holds it since the last
-//! checkpoint, and its wear. So a store, a journaled write and a cut each
-//! make one probe of one map and at most one access to the blocks.
+//! replays it to where that is not the live block (a cell in a small
+//! pool), where its record sits in the pending frame, the log generation
+//! it was last logged in, and its wear. So a store, a journaled write and
+//! a cut each make one probe of one map and at most one access to the
+//! blocks, and a checkpoint, which reads the few differing blocks from
+//! the pool and ends a generation with a counter, probes no record per
+//! slot it writes.
 
 use crate::addr_hash::AddrMap;
 use crate::anchor::{anchor_path_for, AnchorError, AnchorPolicy, Freshness, FreshnessAnchor};
