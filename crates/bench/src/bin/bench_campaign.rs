@@ -26,7 +26,7 @@ use std::process::ExitCode;
 
 use anubis::Family;
 use anubis_bench::json::Json;
-use anubis_bench::{host_info_json, out_path_from_args, parse_number};
+use anubis_bench::{host_info_json, parse_number};
 use anubis_sim::adversary::{self, AdversarySpec, FamilyAdvReport, MUTATIONS_PER_RUN};
 use anubis_sim::campaign::Verdict;
 use anubis_sim::drill::{self, DrillSpec, FamilyReport};
@@ -36,12 +36,13 @@ const USAGE: &str = "usage: bench_campaign <drill|adversary|serve> \
                      [--points N] [--seed S] [--dir D] [--sweep] [--out PATH]";
 
 /// The flags after the campaign name.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Flags {
     points: Option<u64>,
     seed: Option<u64>,
     dir: Option<PathBuf>,
     sweep: bool,
+    out: Option<PathBuf>,
 }
 
 impl Flags {
@@ -63,10 +64,7 @@ impl Flags {
                 "--seed" => flags.seed = Some(number(value()?)?),
                 "--dir" => flags.dir = Some(PathBuf::from(value()?)),
                 "--sweep" => flags.sweep = true,
-                // Read where every bench bin reads it: `out_path_from_args`.
-                "--out" => {
-                    value()?;
-                }
+                "--out" => flags.out = Some(PathBuf::from(value()?)),
                 _ => return Err(format!("{campaign} does not take {flag}\n{USAGE}")),
             }
         }
@@ -78,14 +76,14 @@ impl Flags {
             .clone()
             .unwrap_or_else(|| std::env::temp_dir().join(name))
     }
-}
 
-/// Writes the report to `--out` (or `default`) and returns the path.
-fn write_report(default: &str, doc: &Json) -> Result<PathBuf, String> {
-    let out = out_path_from_args(default);
-    std::fs::write(&out, doc.render())
-        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    Ok(out)
+    /// Writes the report to `--out` (or `default`) and returns the path.
+    fn write_report(&self, default: &str, doc: &Json) -> Result<PathBuf, String> {
+        let out = self.out.clone().unwrap_or_else(|| PathBuf::from(default));
+        std::fs::write(&out, doc.render())
+            .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+        Ok(out)
+    }
 }
 
 fn main() -> ExitCode {
@@ -173,7 +171,7 @@ fn drill_campaign(flags: &Flags) -> Result<(), String> {
         ("not_owed_writes_visible", Json::Int(0)),
         ("families", Json::Arr(families)),
     ]);
-    let out = write_report("BENCH_drill.json", &doc)?;
+    let out = flags.write_report("BENCH_drill.json", &doc)?;
     println!(
         "{total_points} kill points, {total_owed} owed writes verified, zero lost, \
          none visible that was not owed -> {}",
@@ -276,7 +274,7 @@ fn adversary_campaign(flags: &Flags) -> Result<(), String> {
         ("requirement_misses", Json::Int(0)),
         ("families", Json::Arr(families)),
     ]);
-    let out = write_report("BENCH_adversary.json", &doc)?;
+    let out = flags.write_report("BENCH_adversary.json", &doc)?;
     println!(
         "{total_points} mutated restarts, {total_audited} acked reads audited, \
          zero silent-stale, zero panics -> {}",
@@ -378,7 +376,7 @@ fn serve_campaign(flags: &Flags) -> Result<(), String> {
         report.tth_p95_us
     );
 
-    let out = write_report("BENCH_serve.json", &serve_json(&report, &spec, sweep))?;
+    let out = flags.write_report("BENCH_serve.json", &serve_json(&report, &spec, sweep))?;
     println!(
         "{} kill points, zero durable or answered writes lost, no not-durable write \
          visible, every tenant back in full service -> {}",
@@ -440,7 +438,18 @@ fn serve_json(r: &ServeReport, spec: &ServeSpec, sweep: bool) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anubis_bench::json;
+
+    #[test]
+    fn out_is_read_with_the_other_flags() {
+        let words = |w: &[&str]| w.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        let flags =
+            Flags::parse("serve", &words(&["--points", "3", "--out", "r.json"])).expect("parses");
+        assert_eq!(flags.out, Some(PathBuf::from("r.json")));
+        assert_eq!(flags.points, Some(3));
+        assert_eq!(Flags::parse("serve", &[]).expect("parses").out, None);
+        let err = Flags::parse("serve", &words(&["--out"])).expect_err("--out needs a path");
+        assert!(err.starts_with("--out needs a value"), "{err}");
+    }
 
     /// One rendered point with the scratch root its reason may name cut
     /// off, down to the base run's own directory.
@@ -453,29 +462,48 @@ mod tests {
         format!("{}{}", &point[..root], &point[at + 1..])
     }
 
+    /// The first base run's point objects of `family` in `report`, a
+    /// campaign report rendered by [`Json::render`], each unrooted. A
+    /// family object sits at depth 2 of the report, so its points open
+    /// at eight spaces and their array closes at six.
+    fn first_run(report: &str, family: &str) -> Vec<String> {
+        let section = report
+            .split_once(&format!("\"family\": \"{family}\""))
+            .expect("the family's section")
+            .1;
+        let points = section
+            .split_once("\"points_detail\": [")
+            .expect("its points")
+            .1;
+        let points = points.split_once("\n      ]").expect("their end").0;
+        (points.split("\n        {").skip(1))
+            .take(MUTATIONS_PER_RUN as usize)
+            .map(|p| unrooted(p.trim_end_matches(','), family))
+            .collect()
+    }
+
     /// The committed `BENCH_adversary.json` is what this binary writes:
     /// the first base run of each family in it is, point for point, a
-    /// fresh run of the default spec.
+    /// fresh run of the default spec, rendered at the same depth.
     #[test]
     fn the_committed_adversary_report_starts_with_a_fresh_base_run() {
         let path =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adversary.json");
-        let text = std::fs::read_to_string(&path).expect("the committed report");
-        let committed = json::parse(&text).expect("it parses");
-        let families = committed.get("families").and_then(Json::as_arr);
+        let committed = std::fs::read_to_string(&path).expect("the committed report");
         let dir = std::env::temp_dir().join(format!("anubis-bench-adv-{}", std::process::id()));
-        for (family, recorded) in Family::all().into_iter().zip(families.expect("families")) {
+        for family in Family::all() {
             let fresh = adversary::run_campaign(family, &AdversarySpec::default(), &dir, 1)
                 .map(|report| adversary_family_json(&report))
                 .expect("a fresh base run");
-            let first_run = |doc: &Json| -> Vec<String> {
-                let points = doc.get("points_detail").and_then(Json::as_arr);
-                (points.expect("points_detail").iter())
-                    .take(MUTATIONS_PER_RUN as usize)
-                    .map(|p| unrooted(&p.render(), family.name()))
-                    .collect()
-            };
-            assert_eq!(first_run(&fresh), first_run(recorded), "{}", family.name());
+            let fresh = Json::obj(vec![("families", Json::Arr(vec![fresh]))]).render();
+            let fresh = first_run(&fresh, family.name());
+            assert_eq!(fresh.len() as u64, MUTATIONS_PER_RUN, "{}", family.name());
+            assert_eq!(
+                fresh,
+                first_run(&committed, family.name()),
+                "{}",
+                family.name()
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -8,9 +8,10 @@
 //! writes `DIR/<name>.txt`, and `--check DIR` compares every byte with
 //! `DIR/<name>.txt` and exits 1 naming the first differing line of each
 //! file that differs. `--smoke` replays 3 000 ops per run instead of
-//! 200 000 (`results/smoke/` holds that scale). Every number is
-//! simulated, so the check is exact on any host. Run with `--release`:
-//! the full `all` takes about 4 minutes on a 2-core VM.
+//! 200 000 (`results/smoke/` holds that scale); `fig05` and `latency`
+//! have one scale and ignore it. Every number is simulated, so the check
+//! is exact on any host. Run with `--release`: the full `all` takes
+//! about 4 minutes on a 2-core VM.
 
 use std::fmt::{self, Write};
 use std::path::{Path, PathBuf};
@@ -31,7 +32,7 @@ use anubis_workloads::{spec2006, Trace, TraceGenerator, WorkloadSpec};
 type Render = fn(&mut String, Scale) -> fmt::Result;
 
 /// Every experiment, named after its file under `results/`.
-const EXPERIMENTS: [(&str, Render); 12] = [
+const EXPERIMENTS: [(&str, Render); 13] = [
     ("fig05", fig05),
     ("fig07", fig07),
     ("fig10", fig10),
@@ -41,6 +42,7 @@ const EXPERIMENTS: [(&str, Render); 12] = [
     ("write_amp", write_amp),
     ("table_endurance", table_endurance),
     ("workload_report", workload_report),
+    ("latency", latency),
     ("ablation_shadow_policy", ablation_shadow_policy),
     ("ablation_stop_loss", ablation_stop_loss),
     ("ablation_timing_model", ablation_timing_model),
@@ -125,7 +127,7 @@ fn main() {
             Sink::Check(dir) => failures.extend(check(dir, name, &text).err()),
         }
     }
-    anubis_bench::telemetry::finish(&telemetry, Path::new("."), "reproduce");
+    anubis_bench::telemetry::finish(&telemetry, "reproduce");
     if let Sink::Check(dir) = &cli.sink {
         for f in &failures {
             eprintln!("{f}");
@@ -553,7 +555,58 @@ fn workload_report(out: &mut String, scale: Scale) -> fmt::Result {
         out,
         "{t}\nLatency columns are per-op simulated ns on the write-back baseline;\n\
          the p99/p50 spread shows how much queueing each profile induces\n\
-         beyond its mean (bench_latency breaks this down per scheme)."
+         beyond its mean (reproduce latency breaks this down per scheme)."
+    )
+}
+
+/// The latency table's one scale. Like Figure 5 it ignores `--smoke`, so
+/// `results/latency.txt` and `results/smoke/latency.txt` hold the same
+/// bytes and the smoke check is as strict as the full one.
+const LATENCY_SCALE: Scale = Scale {
+    ops: 40_000,
+    warmup_ops: 4_000,
+    seed: 1907,
+};
+
+/// The per-operation latency distribution of every Bonsai and SGX scheme
+/// over milc on an 8 MiB memory, with each run's totals, in the simulated
+/// ns the event engine records.
+fn latency(out: &mut String, _scale: Scale) -> fmt::Result {
+    let scale = LATENCY_SCALE;
+    let what = format!(
+        "Per-op latency per scheme, milc on 8 MiB, after {} warm-up ops (simulated ns)",
+        scale.warmup_ops
+    );
+    banner(out, "Per-op latency distribution", &what, scale)?;
+    let spec = spec2006::milc();
+    let config = AnubisConfig::small_test().with_capacity(8 << 20);
+    let model = TimingModel::paper();
+    let bonsai = bonsai_row(&spec, &config, &model, scale).expect("bonsai replay");
+    let sgx = sgx_row(&spec, &config, &model, scale).expect("sgx replay");
+    let mut t = table(
+        "scheme|ops|mean ns|p50 ns|p95 ns|p99 ns|max ns|total ns|read stall ns|write stall ns",
+    );
+    for r in bonsai.results.iter().chain(&sgx.results) {
+        let l = r.latency;
+        t.row(vec![
+            r.scheme.to_string(),
+            l.count.to_string(),
+            format!("{:?}", l.mean_ns),
+            l.p50_ns.to_string(),
+            l.p95_ns.to_string(),
+            l.p99_ns.to_string(),
+            l.max_ns.to_string(),
+            r.total_ns.to_string(),
+            r.read_stall_ns.to_string(),
+            r.write_stall_ns.to_string(),
+        ]);
+    }
+    writeln!(
+        out,
+        "{t}\nmean .. max ns are per op; total ns is the run's simulated time, and the stalls\n\
+         are the part of it the CPU waited on reads and on write-queue back-pressure.\n\
+         expected shape: Osiris tracks write-back at every percentile; the shadow\n\
+         writes of AGIT and ASIT surface at p95 and p99, behind data writes in the WPQ."
     )
 }
 
@@ -706,6 +759,12 @@ mod tests {
         assert_eq!(names.len(), EXPERIMENTS.len(), "experiment names repeat");
         assert_eq!(stems(&results_dir()), names);
         assert_eq!(stems(&results_dir().join("smoke")), names);
+    }
+
+    #[test]
+    fn the_latency_table_is_the_same_at_both_scales() {
+        let read = |dir: PathBuf| std::fs::read(dir.join("latency.txt")).expect("latency.txt");
+        assert_eq!(read(results_dir()), read(results_dir().join("smoke")));
     }
 
     #[test]

@@ -1,16 +1,11 @@
 //! Shared plumbing for the harness binaries — `reproduce` (every figure
-//! and table under `results/`), `bench_latency`, `bench_campaign` and
-//! `bench_group_commit` — and the in-tree micro-benchmarks: command-line
-//! flags, the JSON baseline format, the telemetry artifact and the host
-//! header every `BENCH_*.json` carries.
+//! and table under `results/`), `bench_campaign` and `bench_group_commit`
+//! — and the in-tree micro-benchmarks: command-line numbers, the JSON
+//! report format, the telemetry artifact and the host header every
+//! `BENCH_*.json` carries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-/// Whether `--smoke` on the command line asks for the reduced scale.
-pub fn smoke_requested() -> bool {
-    std::env::args().any(|a| a == "--smoke")
-}
 
 /// A command-line number: decimal, or hexadecimal after `0x`.
 pub fn parse_number(text: &str) -> Option<u64> {
@@ -18,31 +13,6 @@ pub fn parse_number(text: &str) -> Option<u64> {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
         None => text.parse().ok(),
     }
-}
-
-/// [`number_flag`] over `args`; `Err` is the usage line for a flag that
-/// is last on the line or whose value [`parse_number`] refuses.
-fn number_flag_in(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    match args.get(pos + 1) {
-        None => Err(format!("usage: {flag} N ({flag} needs a value)")),
-        Some(v) => parse_number(v)
-            .map(Some)
-            .ok_or_else(|| format!("usage: {flag} N ({v:?} is not a number)")),
-    }
-}
-
-/// The value of `flag` on the command line (`None` when absent). A
-/// malformed value ends the process with the usage line and exit code
-/// 2: ignoring it would run the default scale for `--ops abc`.
-pub fn number_flag(flag: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    number_flag_in(&args, flag).unwrap_or_else(|usage| {
-        eprintln!("{usage}");
-        std::process::exit(2);
-    })
 }
 
 /// A minimal wall-clock micro-benchmark: warm up, time `iters` calls of
@@ -87,26 +57,17 @@ pub fn time_case_batched<S>(
     println!("{name:<32} {ns:>12.1} ns/op");
 }
 
-/// Minimal JSON document builder for the machine-readable baseline files
-/// (`BENCH_latency.json` and the campaign reports). The workspace builds
-/// offline, so no serde — this covers exactly the shapes the harnesses
-/// emit.
+/// Minimal JSON document builder for the campaign reports. The
+/// workspace builds offline, so no serde — this covers exactly the
+/// shapes the harnesses emit, and only renders them.
 pub mod json {
     /// A JSON value.
-    ///
-    /// Besides rendering, the module also parses the documents it emits
-    /// (see [`parse`]) so harnesses can diff a fresh run against a
-    /// committed baseline — the `bench_latency --check` gate.
     #[derive(Clone, Debug)]
     pub enum Json {
-        /// `null`.
-        Null,
         /// A boolean.
         Bool(bool),
         /// An integer (emitted without a decimal point).
         Int(u64),
-        /// A float (emitted with enough digits to round-trip).
-        Num(f64),
         /// A string (escaped on render).
         Str(String),
         /// An array.
@@ -133,18 +94,8 @@ pub mod json {
             let pad = "  ".repeat(depth + 1);
             let close = "  ".repeat(depth);
             match self {
-                Json::Null => out.push_str("null"),
                 Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
                 Json::Int(n) => out.push_str(&n.to_string()),
-                Json::Num(x) => {
-                    if x.is_finite() {
-                        // `{:?}` prints the shortest representation that
-                        // round-trips, and always includes a decimal point.
-                        out.push_str(&format!("{x:?}"));
-                    } else {
-                        out.push_str("null");
-                    }
-                }
                 Json::Str(s) => {
                     out.push('"');
                     for c in s.chars() {
@@ -193,209 +144,13 @@ pub mod json {
                 }
             }
         }
-
-        /// Object field lookup (`None` for non-objects / missing keys).
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// The array items, if this is an array.
-        pub fn as_arr(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// The string value, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The numeric value (`Int` or `Num`), if any.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Json::Int(n) => Some(*n as f64),
-                Json::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses a JSON document (the subset [`Json`] renders: no scientific
-    /// notation is produced by the writer, but the parser accepts it).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message naming the byte offset of the problem.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {pos}", c as char))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("unexpected end of input".into()),
-            Some(b'{') => {
-                *pos += 1;
-                let mut pairs = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = parse_string(b, pos)?;
-                    skip_ws(b, pos);
-                    expect(b, pos, b':')?;
-                    let value = parse_value(b, pos)?;
-                    pairs.push((key, value));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Json::Obj(pairs));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(parse_value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Json::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Json::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Json::Null)
-            }
-            Some(_) => parse_number(b, pos),
-        }
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let mut s = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {pos}")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar from the source text.
-                    let rest = &b[*pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = text.chars().next().expect("non-empty");
-                    s.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&b[start..*pos]).expect("ascii digits");
-        if !text.contains(['.', 'e', 'E']) {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Json::Int(n));
-            }
-        }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
     }
 }
 
-/// Telemetry plumbing shared by the harness binaries: every bin enables
-/// the process-global registry, runs its experiment (controllers publish
-/// into the registry by default), and drops a `TELEMETRY_<name>.jsonl`
-/// artifact next to its JSON/console output.
+/// Telemetry plumbing for `reproduce`: it enables the process-global
+/// registry, runs its experiments (controllers publish into the registry
+/// by default), and drops a `TELEMETRY_<name>.jsonl` artifact in its
+/// working directory.
 pub mod telemetry {
     use anubis::telemetry::{Registry, Telemetry, TELEMETRY_ENV};
     use std::path::{Path, PathBuf};
@@ -404,7 +159,7 @@ pub mod telemetry {
     /// returns the handle controllers default to. `ANUBIS_TELEMETRY=0`
     /// opts out explicitly (e.g. to time an uninstrumented run); any
     /// other value — including unset — records, because emitting the
-    /// telemetry artifact is part of every bin's contract.
+    /// telemetry artifact is part of the bin's contract.
     pub fn start() -> Telemetry {
         let opted_out = std::env::var(TELEMETRY_ENV)
             .map(|v| v == "0")
@@ -414,13 +169,6 @@ pub mod telemetry {
         }
         Registry::global().set_enabled(true);
         Telemetry::global()
-    }
-
-    /// `TELEMETRY_<name>.jsonl` in the same directory as `out` (the bin's
-    /// `BENCH_*.json` path), so artifacts travel together.
-    pub fn sibling_path(out: &Path, name: &str) -> PathBuf {
-        let dir = out.parent().unwrap_or_else(|| Path::new("."));
-        dir.join(format!("TELEMETRY_{name}.jsonl"))
     }
 
     /// Takes a final snapshot and writes it plus every completed span as
@@ -437,12 +185,12 @@ pub mod telemetry {
         Ok(true)
     }
 
-    /// [`write_jsonl`] with the standard naming + a note on stderr, so a
-    /// bin's stdout stays its report (`reproduce fig05 > fig05.txt` is
-    /// the results file); harness bins call this once, right before
-    /// exiting.
-    pub fn finish(t: &Telemetry, out: &Path, name: &str) {
-        let path = sibling_path(out, name);
+    /// [`write_jsonl`] to `TELEMETRY_<name>.jsonl` in the working
+    /// directory, with a note on stderr, so a bin's stdout stays its
+    /// report (`reproduce fig05 > fig05.txt` is the results file); called
+    /// once, right before exiting.
+    pub fn finish(t: &Telemetry, name: &str) {
+        let path = PathBuf::from(format!("TELEMETRY_{name}.jsonl"));
         match write_jsonl(t, &path) {
             Ok(true) => eprintln!("telemetry: wrote {}", path.display()),
             Ok(false) => {}
@@ -520,91 +268,24 @@ pub fn host_info_json() -> json::Json {
     ])
 }
 
-/// Parses `--out PATH` from the CLI, defaulting to `default` in the
-/// current directory.
-pub fn out_path_from_args(default: &str) -> std::path::PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|pos| args.get(pos + 1))
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from(default))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn a_malformed_number_flag_is_a_usage_error_not_the_default() {
-        let args = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
-        assert_eq!(number_flag_in(&args(&["bin"]), "--ops"), Ok(None));
-        assert_eq!(
-            number_flag_in(&args(&["bin", "--ops", "500"]), "--ops"),
-            Ok(Some(500))
-        );
-        assert_eq!(
-            number_flag_in(&args(&["bin", "--seed", "0x773"]), "--seed"),
-            Ok(Some(1907))
-        );
-        for bad in [&["bin", "--ops", "abc"][..], &["bin", "--ops"][..]] {
-            let usage = number_flag_in(&args(bad), "--ops").expect_err("must be refused");
-            assert!(usage.starts_with("usage: --ops N"), "{usage}");
-        }
-    }
-
-    #[test]
-    fn json_parse_roundtrips_rendered_documents() {
-        use json::Json;
-        let doc = Json::obj(vec![
-            ("name", Json::Str("hotpath \"x\"\n".into())),
-            ("count", Json::Int(42)),
-            ("ns", Json::Num(17.25)),
-            ("neg", Json::Num(-0.5)),
-            ("on", Json::Bool(true)),
-            ("off", Json::Bool(false)),
-            ("nothing", Json::Null),
-            ("empty_arr", Json::Arr(vec![])),
-            ("empty_obj", Json::obj(vec![])),
-            (
-                "rows",
-                Json::Arr(vec![
-                    Json::obj(vec![("a", Json::Int(1))]),
-                    Json::obj(vec![("a", Json::Num(2.5))]),
-                ]),
-            ),
-        ]);
-        let parsed = json::parse(&doc.render()).expect("parse own output");
-        assert_eq!(
-            parsed.get("name").and_then(Json::as_str),
-            Some("hotpath \"x\"\n")
-        );
-        assert_eq!(parsed.get("count").and_then(Json::as_f64), Some(42.0));
-        assert_eq!(parsed.get("ns").and_then(Json::as_f64), Some(17.25));
-        assert_eq!(parsed.get("neg").and_then(Json::as_f64), Some(-0.5));
-        let rows = parsed.get("rows").and_then(Json::as_arr).expect("rows");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1].get("a").and_then(Json::as_f64), Some(2.5));
-        // Render → parse → render is a fixed point.
-        assert_eq!(parsed.render(), doc.render());
-    }
-
-    #[test]
-    fn json_parse_rejects_garbage() {
-        assert!(json::parse("{\"a\": }").is_err());
-        assert!(json::parse("[1, 2").is_err());
-        assert!(json::parse("{} trailing").is_err());
-        assert!(json::parse("\"unterminated").is_err());
-    }
-
-    #[test]
     fn host_info_has_all_fields() {
-        let info = host_info_json();
-        assert!(info.get("rustc").and_then(json::Json::as_str).is_some());
-        assert!(info.get("cpu_model").and_then(json::Json::as_str).is_some());
-        assert!(info.get("cores").and_then(json::Json::as_f64).unwrap() >= 1.0);
-        let revision = info.get("revision").and_then(json::Json::as_str).unwrap();
-        assert!(!revision.is_empty());
+        let json::Json::Obj(fields) = host_info_json() else {
+            panic!("the host header is an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["rustc", "cpu_model", "cores", "revision"]);
+        for (key, value) in &fields {
+            match value {
+                json::Json::Str(s) => assert!(!s.is_empty(), "{key}"),
+                json::Json::Int(cores) => assert!(*cores >= 1, "{key}"),
+                other => panic!("{key}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -613,14 +294,12 @@ mod tests {
         let doc = Json::obj(vec![
             ("name", Json::Str("osiris \"sweep\"".into())),
             ("lanes", Json::Int(4)),
-            ("speedup", Json::Num(1.5)),
             ("identical", Json::Bool(true)),
             ("empty", Json::Arr(vec![])),
             ("list", Json::Arr(vec![Json::Int(1), Json::Int(2)])),
         ]);
         let text = doc.render();
         assert!(text.contains("\"name\": \"osiris \\\"sweep\\\"\""));
-        assert!(text.contains("\"speedup\": 1.5"));
         assert!(text.contains("\"empty\": []"));
         assert!(text.ends_with("}\n"));
         assert_eq!(text.matches('{').count(), text.matches('}').count());

@@ -13,10 +13,8 @@
 //! A disabled handle ([`Telemetry::off`], the default for controllers)
 //! costs one branch on an `Option`; the process-wide [`Telemetry::global`]
 //! handle additionally costs one relaxed atomic load while the global
-//! registry stays disabled. Building with `--no-default-features`
-//! (dropping the `enabled` feature) turns every recording call into a
-//! compile-time `None` that the optimizer folds away entirely — the
-//! zero-cost guarantee documented in DESIGN.md §8.
+//! registry stays disabled — the zero-cost guarantee documented in
+//! DESIGN.md §8.
 //!
 //! # Determinism
 //!
@@ -33,8 +31,6 @@
 //!   by the bench binaries.
 //! * [`Registry::spans_jsonl`] — one `{"type":"span",...}` line per
 //!   completed span.
-//! * [`Registry::prometheus`] — Prometheus text exposition of the current
-//!   counter/gauge/histogram state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -333,54 +329,6 @@ impl Registry {
         out
     }
 
-    /// Renders the current state in the Prometheus text exposition
-    /// format (counters, gauges, and histogram `_count`/`_sum`/`le`
-    /// buckets under an `anubis_` prefix).
-    pub fn prometheus(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::new();
-        for (name, by_label) in &inner.counters {
-            out.push_str(&format!("# TYPE anubis_{name} counter\n"));
-            for (label, v) in by_label {
-                out.push_str(&format!("anubis_{name}{{scheme=\"{label}\"}} {v}\n"));
-            }
-        }
-        for (name, by_label) in &inner.gauges {
-            out.push_str(&format!("# TYPE anubis_{name} gauge\n"));
-            for (label, v) in by_label {
-                out.push_str(&format!("anubis_{name}{{scheme=\"{label}\"}} {v}\n"));
-            }
-        }
-        for (name, by_label) in &inner.histograms {
-            out.push_str(&format!("# TYPE anubis_{name} histogram\n"));
-            for (label, h) in by_label {
-                let mut cum = 0u64;
-                for (i, b) in h.buckets.iter().enumerate() {
-                    cum += b;
-                    if *b > 0 || i == HISTOGRAM_BUCKETS - 1 {
-                        let le = if i == HISTOGRAM_BUCKETS - 1 {
-                            "+Inf".to_string()
-                        } else {
-                            (1u64 << i).to_string()
-                        };
-                        out.push_str(&format!(
-                            "anubis_{name}_bucket{{scheme=\"{label}\",le=\"{le}\"}} {cum}\n"
-                        ));
-                    }
-                }
-                out.push_str(&format!(
-                    "anubis_{name}_sum{{scheme=\"{label}\"}} {}\n",
-                    h.sum
-                ));
-                out.push_str(&format!(
-                    "anubis_{name}_count{{scheme=\"{label}\"}} {}\n",
-                    h.count
-                ));
-            }
-        }
-        out
-    }
-
     /// The process-wide registry. Starts **disabled** unless
     /// [`TELEMETRY_ENV`]`=1`; controllers default to publishing here, so
     /// enabling it lights up telemetry without any plumbing.
@@ -547,10 +495,6 @@ fn escape(s: &str) -> String {
 
 /// A cheap, cloneable handle to a registry — the only telemetry type
 /// threaded through the controllers and the simulator.
-///
-/// The handle is the compile-out point: without the `enabled` cargo
-/// feature, [`Telemetry::registry`] is a compile-time `None` and every
-/// recording call behind it folds away.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
     sink: Sink,
@@ -592,13 +536,9 @@ impl Telemetry {
     }
 
     /// The registry behind the handle, if any — `None` when the handle is
-    /// off, the registry is disabled, or the `enabled` feature is
-    /// compiled out.
+    /// off or the registry is disabled.
     #[inline]
     pub fn registry(&self) -> Option<&Registry> {
-        if cfg!(not(feature = "enabled")) {
-            return None;
-        }
         let reg = match &self.sink {
             Sink::Off => return None,
             Sink::Global => Registry::global(),
@@ -807,21 +747,6 @@ mod tests {
         let spans = reg.spans_jsonl();
         assert!(spans.starts_with("{\"type\":\"span\",\"name\":\"recovery\""));
         assert_eq!(spans.lines().count(), 1);
-    }
-
-    #[test]
-    fn prometheus_export_has_all_families() {
-        let reg = Registry::new();
-        reg.incr("events_total", "osiris", 2);
-        reg.gauge_set("occupancy", "osiris", 0.5);
-        reg.observe("latency_ns", "osiris", 3.0);
-        let text = reg.prometheus();
-        assert!(text.contains("# TYPE anubis_events_total counter"));
-        assert!(text.contains("anubis_events_total{scheme=\"osiris\"} 2"));
-        assert!(text.contains("# TYPE anubis_occupancy gauge"));
-        assert!(text.contains("# TYPE anubis_latency_ns histogram"));
-        assert!(text.contains("le=\"+Inf\"} 1"));
-        assert!(text.contains("anubis_latency_ns_count{scheme=\"osiris\"} 1"));
     }
 
     #[test]

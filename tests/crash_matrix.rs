@@ -300,12 +300,10 @@ fn stale_counter_beyond_stop_loss_errs_without_panic() {
 }
 
 #[test]
-fn shadow_capacity_exceeded_is_lane_invariant() {
+fn an_overfull_shadow_table_fails_asit_recovery_with_shadow_capacity_exceeded() {
     // A verified Shadow Table tracking more same-set nodes than the
     // metadata cache's associativity can hold must fail ASIT recovery
-    // with `ShadowCapacityExceeded`, naming the offending address. (The
-    // test keeps the name the tier-1 floor lists it under; see
-    // `parallel_equiv.rs` for what "lane" was.)
+    // with `ShadowCapacityExceeded`, naming the offending address.
     use anubis::StEntry;
     use anubis_itree::NodeId;
 
