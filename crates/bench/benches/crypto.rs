@@ -5,10 +5,8 @@
 //! Ungated: nothing compares these numbers to a baseline. The gated
 //! host-time rows are the ledger's (`benchmark/`, `crypto.*` probes).
 
-use anubis_bench::{time_case, time_case_per_op};
-use anubis_crypto::{
-    ecc, hash::Hasher64, otp, DataCodec, Key, MacCache, SealedBlock, Speck128, SplitCounterBlock,
-};
+use anubis_bench::time_case;
+use anubis_crypto::{ecc, hash::Hasher64, otp, DataCodec, Key, Speck128, SplitCounterBlock};
 use anubis_nvm::{Block, BlockAddr};
 use std::hint::black_box;
 
@@ -54,8 +52,7 @@ fn main() {
         black_box(codec.probe(addr, otp::IvCounter::split(1, 4), black_box(&sealed)));
     });
 
-    // The codec's stages one by one, and its variants (correcting open,
-    // MAC-cache hit, commit-group-sized batches).
+    // The codec's stages one by one, and the correcting open.
     let key = Key([0xFEED, 0xF00D]);
     let codec = DataCodec::new(key);
     let enc = Speck128::new(key.derive("data-otp"));
@@ -76,40 +73,6 @@ fn main() {
                 .open_correcting(addr, ctr, black_box(&sealed))
                 .unwrap(),
         );
-    });
-    let mut macs = MacCache::default();
-    codec
-        .open_correcting_cached(&mut macs, addr, ctr, &sealed)
-        .unwrap();
-    time_case("open_cached_hit", 100_000, || {
-        black_box(
-            codec
-                .open_correcting_cached(&mut macs, addr, ctr, black_box(&sealed))
-                .unwrap(),
-        );
-    });
-    let items: Vec<(BlockAddr, otp::IvCounter, Block)> = (0..64u64)
-        .map(|i| {
-            (
-                BlockAddr::new(i),
-                otp::IvCounter::split(2, i),
-                Block::filled(i as u8),
-            )
-        })
-        .collect();
-    let mut sealed_batch = Vec::new();
-    codec.seal_batch_into(&items, &mut sealed_batch);
-    let to_open: Vec<(BlockAddr, otp::IvCounter, SealedBlock)> = items
-        .iter()
-        .zip(&sealed_batch)
-        .map(|((a, c, _), s)| (*a, *c, *s))
-        .collect();
-    let mut opened = Vec::new();
-    time_case_per_op("seal_batch64_per_op", 2_000, 64, || {
-        codec.seal_batch_into(black_box(&items), &mut sealed_batch);
-    });
-    time_case_per_op("open_batch64_per_op", 2_000, 64, || {
-        codec.open_batch_into(black_box(&to_open), &mut opened);
     });
 
     let mut ctr_block = SplitCounterBlock::new();

@@ -18,13 +18,7 @@ pub fn parse_number(text: &str) -> Option<u64> {
 /// A minimal wall-clock micro-benchmark: warm up, time `iters` calls of
 /// `f`, and print ns/op. Used by the `benches/` targets so the workspace
 /// needs no external benchmark framework (the repo must build offline).
-pub fn time_case(name: &str, iters: u32, f: impl FnMut()) {
-    time_case_per_op(name, iters, 1, f);
-}
-
-/// [`time_case`] for an `f` that performs `ops_per_call` operations per
-/// call (a batch): the printed figure is per operation.
-pub fn time_case_per_op(name: &str, iters: u32, ops_per_call: u32, mut f: impl FnMut()) {
+pub fn time_case(name: &str, iters: u32, mut f: impl FnMut()) {
     for _ in 0..iters / 10 {
         f();
     }
@@ -32,8 +26,7 @@ pub fn time_case_per_op(name: &str, iters: u32, ops_per_call: u32, mut f: impl F
     for _ in 0..iters {
         f();
     }
-    let ops = f64::from(iters.max(1)) * f64::from(ops_per_call.max(1));
-    let ns = start.elapsed().as_nanos() as f64 / ops;
+    let ns = start.elapsed().as_nanos() as f64 / f64::from(iters.max(1));
     println!("{name:<32} {ns:>12.1} ns/op");
 }
 

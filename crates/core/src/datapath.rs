@@ -10,14 +10,6 @@
 //! public [`MemoryController`] and [`Supervised`] surfaces are one
 //! blanket implementation each over those hooks, at the end of this
 //! module, and the recovery skeleton is `crate::recovery::run`.
-//!
-//! The module owns one invariant by construction. A deferred seal is
-//! three entries that refer to each other by index — two placeholder ops
-//! in `pending`, one `seal_jobs` entry and one `seal_slots` entry — so
-//! the three buffers are private here and only ever move together:
-//! [`DataPath::stage_sealed`] pushes to all three, [`DataPath::commit`]
-//! resolves and drains all three on every exit, and
-//! [`DataPath::reset_group`] clears all three.
 
 use crate::cost::{CostAccum, OpCost};
 use crate::error::{freshness_hint, MemError, RecoveryError};
@@ -26,7 +18,7 @@ use crate::recovery::RecoveryReport;
 use crate::supervisor::{RepairSummary, Supervised};
 use crate::MemoryController;
 use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{CryptoError, DataCodec, Key, MacCache, SealedBlock};
+use anubis_crypto::{CryptoError, DataCodec, Key, SealedBlock};
 use anubis_nvm::{Block, BlockAddr, Freshness, NvmBackend, PersistenceDomain, WriteOp};
 use anubis_telemetry::Telemetry;
 
@@ -69,28 +61,15 @@ pub(crate) fn sealed_block(ciphertext: Block, side: &Block) -> SealedBlock {
 }
 
 /// Everything both controller families own identically: the memory
-/// layout and the persistence domain over it, the data codec with its
-/// MAC-verification cache, the staged commit group with its deferred
-/// seals, cost accounting and the common telemetry.
+/// layout and the persistence domain over it, the data codec, the
+/// staged commit group, cost accounting and the common telemetry.
 #[derive(Clone, Debug)]
 pub(crate) struct DataPath<B: NvmBackend> {
     pub(crate) layout: Layout,
     pub(crate) domain: PersistenceDomain<B>,
     pub(crate) codec: DataCodec,
-    /// Volatile cache of MAC-verified line fingerprints: reads of
-    /// unmodified lines skip the MAC recomputation (cleared on crash).
-    mac_cache: MacCache,
     /// The commit group being staged.
     pending: Vec<WriteOp>,
-    /// Data seals deferred to commit time, where the whole group is
-    /// sealed through the batch crypto path: `(addr, iv, plaintext)`.
-    seal_jobs: Vec<(BlockAddr, IvCounter, Block)>,
-    /// Indices into `pending` of the placeholder (ciphertext, side) ops
-    /// each seal job fills in, parallel to `seal_jobs`.
-    seal_slots: Vec<(usize, usize)>,
-    /// Reused output buffer for the batch seal (allocation-free steady
-    /// state).
-    seal_out: Vec<SealedBlock>,
     /// Cost of the operation in flight (or the last one completed).
     pub(crate) cost: OpCost,
     pub(crate) totals: CostAccum,
@@ -115,11 +94,7 @@ impl<B: NvmBackend> DataPath<B> {
             layout,
             domain,
             codec: DataCodec::new(key),
-            mac_cache: MacCache::default(),
             pending: Vec::new(),
-            seal_jobs: Vec::new(),
-            seal_slots: Vec::new(),
-            seal_out: Vec::new(),
             cost: OpCost::zero(),
             totals: CostAccum::default(),
             ecc_corrections: 0,
@@ -178,58 +153,27 @@ impl<B: NvmBackend> DataPath<B> {
         }
     }
 
-    /// Stages a data-line seal for the current commit group without
-    /// computing it yet: placeholder ciphertext/side ops hold the group
-    /// positions, and [`resolve_seals`](Self::resolve_seals) fills them in
-    /// at commit time through the batch crypto path. This is how the write
-    /// path — scalar and batched alike — routes every seal of a commit
-    /// group through one `seal_batch_into` call.
+    /// Seals data line `addr` under `iv` and stages its ciphertext and
+    /// side block in the current commit group.
     pub(crate) fn stage_sealed(&mut self, addr: DataAddr, iv: IvCounter, data: Block) {
         self.cost.hash_ops += 2; // pad + MAC
-        let data_idx = self.pending.len();
         let dev = self.layout.data_addr(addr);
-        self.stage(dev, Block::zeroed());
+        let sealed = self.codec.seal(dev, iv, &data);
+        self.stage(dev, sealed.ciphertext);
         // The side block rides the data block's transfer: not charged.
         let side = self.layout.side_addr(addr);
-        self.pending.push(WriteOp::new(side, Block::zeroed()));
-        self.seal_jobs.push((dev, iv, data));
-        self.seal_slots.push((data_idx, data_idx + 1));
-    }
-
-    /// Seals every deferred data line of the current group in one batch
-    /// and patches the placeholder ops. Also primes the MAC cache: a
-    /// freshly sealed line is by construction MAC-verified.
-    fn resolve_seals(&mut self) {
-        if self.seal_jobs.is_empty() {
-            return;
-        }
-        self.codec
-            .seal_batch_into(&self.seal_jobs, &mut self.seal_out);
-        for (((dev, iv, _), (data_idx, side_idx)), sealed) in self
-            .seal_jobs
-            .iter()
-            .zip(&self.seal_slots)
-            .zip(&self.seal_out)
-        {
-            self.pending[*data_idx].block = sealed.ciphertext;
-            self.pending[*side_idx].block = side_block(sealed);
-            self.codec
-                .note_sealed(&mut self.mac_cache, *dev, *iv, sealed);
-        }
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
+        self.pending.push(WriteOp::new(side, side_block(&sealed)));
     }
 
     /// Commits the staged group atomically with `regs`, the backend
-    /// mirrors of the family's on-chip persistent registers. The group
-    /// buffers are empty afterwards whatever the outcome: a group the
-    /// domain refused or lost to a power cut is not retried.
+    /// mirrors of the family's on-chip persistent registers. The group is
+    /// empty afterwards whatever the outcome: a group the domain refused
+    /// or lost to a power cut is not retried.
     ///
     /// What the registers hold, and what happens to them once the group
     /// has landed, is policy — so the controller's own `commit` builds
     /// `regs` and wraps this call.
     pub(crate) fn commit(&mut self, regs: &[(u8, Block)]) -> Result<(), MemError> {
-        self.resolve_seals();
         if self.pending.is_empty() {
             return Ok(());
         }
@@ -238,12 +182,9 @@ impl<B: NvmBackend> DataPath<B> {
             .commit_group_with_regs(self.pending.drain(..), regs)?)
     }
 
-    /// Drops the group being staged: the ops and the deferred seals that
-    /// index into them, together.
+    /// Drops the group being staged.
     pub(crate) fn reset_group(&mut self) {
         self.pending.clear();
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
     }
 
     pub(crate) fn reset_costs(&mut self) {
@@ -261,7 +202,8 @@ impl<B: NvmBackend> DataPath<B> {
     ///
     /// Inlined into `read` (like the other `#[inline]` items here): a
     /// `Result<Block, _>` crossing a call boundary is a 70-byte copy, and
-    /// a cache-hit read is short enough to feel each one.
+    /// a read that hits the counter cache is short enough to feel each
+    /// one.
     #[inline]
     fn open_line(&mut self, line: Line) -> Result<Block, MemError> {
         let stored = self.nvm_read(line.dev)?;
@@ -275,9 +217,7 @@ impl<B: NvmBackend> DataPath<B> {
         };
         self.cost.hash_ops += 2; // pad + MAC verify
         let sealed = sealed_block(stored, &side);
-        let (plaintext, fixed) =
-            self.codec
-                .open_correcting_cached(&mut self.mac_cache, line.dev, iv, &sealed)?;
+        let (plaintext, fixed) = self.codec.open_correcting(line.dev, iv, &sealed)?;
         self.ecc_corrections += u64::from(fixed);
         Ok(plaintext)
     }
@@ -424,8 +364,6 @@ impl<B: NvmBackend> DataPath<B> {
         t.counter_set("wal_records_coalesced_total", scheme, wal.records_coalesced);
         t.counter_set("wal_rejected_total", scheme, backend.frames_rejected());
         t.counter_set("ecc_corrections_total", scheme, self.ecc_corrections);
-        t.counter_set("cache_hits_total", "mac", self.mac_cache.hits());
-        t.counter_set("cache_misses_total", "mac", self.mac_cache.misses());
         let quarantine = self.domain.device().quarantine_table();
         t.gauge_set("quarantined_blocks", scheme, quarantine.len() as f64);
         t.gauge_set(
@@ -481,10 +419,10 @@ pub(crate) trait Policy: Backed {
     /// repair rungs run with the metadata suspect.
     fn unverified_line(&mut self, addr: DataAddr) -> Line;
 
-    /// Body of one logical write: counter maintenance, the (deferred)
-    /// data seal and the scheme's tree update. The caller owns the group
-    /// reset, the final commit and the cost recording, so scalar `write`
-    /// and grouped `write_batch` share it.
+    /// Body of one logical write: counter maintenance, the data seal and
+    /// the scheme's tree update. The caller owns the group reset, the
+    /// final commit and the cost recording, so scalar `write` and grouped
+    /// `write_batch` share it.
     fn write_inner(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError>;
 
     /// The register mirrors' type: a fixed list of `(slot, image)`.
@@ -565,9 +503,7 @@ fn validate(addr: DataAddr, capacity_blocks: u64) -> Result<(), MemError> {
 fn power_on<P: Policy>(c: &mut P) -> Option<RecoveryError> {
     c.reset_group();
     c.power_on_reset();
-    let path = c.path_mut();
-    path.mac_cache.clear();
-    path.reload_quarantine_table()
+    c.path_mut().reload_quarantine_table()
 }
 
 /// A controller assembled over an existing image, powered on: the

@@ -136,10 +136,9 @@ pub trait MemoryController {
     ///
     /// The default is the scalar loop. The controller families' one
     /// implementation, over the shared data path, overrides it to share
-    /// commit groups across several writes and to push every data seal of
-    /// a group through the batch crypto path in one pass. An override
-    /// must leave the device in a state bit-identical to the scalar loop
-    /// (the `write_batch_equiv` suite holds it to that).
+    /// commit groups across several writes. An override must leave the
+    /// device in a state bit-identical to the scalar loop (the
+    /// `write_batch_equiv` suite holds it to that).
     ///
     /// # Errors
     ///

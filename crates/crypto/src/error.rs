@@ -13,12 +13,6 @@ pub enum CryptoError {
     /// The data MAC over (plaintext, counter, address) did not verify —
     /// tampering or a replayed counter.
     DataMacMismatch,
-    /// Osiris exhausted its stop-loss trial budget without finding a
-    /// counter whose decryption passes the ECC check.
-    CounterNotRecovered {
-        /// Number of candidate counters tried.
-        trials: u32,
-    },
     /// The SEC-DED decoder found a multi-bit error it cannot repair —
     /// the stored block is corrupted beyond the code's reach and must
     /// not be served as data.
@@ -30,12 +24,6 @@ impl fmt::Display for CryptoError {
         match self {
             CryptoError::EccMismatch => write!(f, "plaintext failed ECC sanity check"),
             CryptoError::DataMacMismatch => write!(f, "data MAC verification failed"),
-            CryptoError::CounterNotRecovered { trials } => {
-                write!(
-                    f,
-                    "no counter candidate passed the ECC check after {trials} trials"
-                )
-            }
             CryptoError::UncorrectableEcc => {
                 write!(f, "multi-bit corruption beyond SEC-DED correction")
             }
@@ -53,9 +41,6 @@ mod tests {
     fn display_is_informative() {
         assert!(CryptoError::EccMismatch.to_string().contains("ECC"));
         assert!(CryptoError::DataMacMismatch.to_string().contains("MAC"));
-        assert!(CryptoError::CounterNotRecovered { trials: 4 }
-            .to_string()
-            .contains('4'));
         assert!(CryptoError::UncorrectableEcc
             .to_string()
             .contains("SEC-DED"));

@@ -8,8 +8,7 @@
 //! * **56-bit MACs** for SGX-style nodes (one 56-bit MAC co-located with
 //!   eight 56-bit counters per 64-byte line, paper §4.3);
 //! * the **data MAC** of every sealed line, with the line's tweak in the
-//!   PRF input, and the unfinalized NH sum as the line fingerprint of the
-//!   MAC cache ([`DataCodec`](crate::DataCodec)).
+//!   PRF input ([`DataCodec`](crate::DataCodec)).
 //!
 //! These are simulation-grade primitives standing in for the SHA/Carter-
 //! Wegman hardware of a real memory encryption engine.

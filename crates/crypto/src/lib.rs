@@ -35,7 +35,7 @@ mod error;
 mod sgx;
 mod speck;
 
-pub use codec::{DataCodec, MacCache, SealedBlock};
+pub use codec::{DataCodec, SealedBlock};
 pub use counter::{
     CounterError, CounterIncrement, SplitCounterBlock, MINOR_COUNTERS_PER_BLOCK, MINOR_MAX,
 };

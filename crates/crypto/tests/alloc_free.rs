@@ -1,8 +1,8 @@
 //! Regression guard for the zero-allocation hot path: seal, open,
-//! open_correcting (clean), probe, the cached read path, the byte and
-//! word hashes and the data MAC must not touch the heap. These run
-//! millions of times per recovery/replay, and an allocation per op was
-//! exactly the waste the hot-path overhaul removed.
+//! open_correcting (clean), probe, the byte and word hashes and the data
+//! MAC must not touch the heap. These run millions of times per
+//! recovery/replay, and an allocation per op was exactly the waste the
+//! hot-path overhaul removed.
 //!
 //! Uses a counting wrapper around the system allocator — installing it as
 //! the test binary's global allocator lets plain assertions observe every
@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{DataCodec, Key, MacCache};
+use anubis_crypto::{DataCodec, Key};
 use anubis_nvm::{Block, BlockAddr};
 
 struct CountingAlloc;
@@ -72,14 +72,10 @@ fn scalar_hot_path_is_allocation_free() {
     let ctr = IvCounter::split(3, 17);
     let pt = Block::from_words([1, 2, 3, 4, 5, 6, 7, 8]);
     let sealed = codec.seal(addr, ctr, &pt);
-    let mut cache = MacCache::new(64);
 
     // Warm up every path once so lazy runtime setup is paid for.
     codec.open(addr, ctr, &sealed).unwrap();
     codec.open_correcting(addr, ctr, &sealed).unwrap();
-    codec
-        .open_correcting_cached(&mut cache, addr, ctr, &sealed)
-        .unwrap();
     codec.probe(addr, ctr, &sealed).unwrap();
 
     let n = allocations_in(|| {
@@ -92,52 +88,6 @@ fn scalar_hot_path_is_allocation_free() {
         }
     });
     assert_eq!(n, 0, "scalar seal/open/open_correcting/probe allocated");
-
-    let n = allocations_in(|| {
-        for _ in 0..64 {
-            codec
-                .open_correcting_cached(&mut cache, addr, ctr, &sealed)
-                .unwrap();
-        }
-    });
-    assert_eq!(n, 0, "cached clean-read fast path allocated");
-    assert!(cache.hits() >= 64);
-}
-
-#[test]
-fn batch_hot_path_is_allocation_free_with_reused_buffers() {
-    let codec = DataCodec::new(Key([0xFEED, 0xF00D]));
-    let items: Vec<(BlockAddr, IvCounter, Block)> = (0..64u64)
-        .map(|i| {
-            (
-                BlockAddr::new(i),
-                IvCounter::split(1, i),
-                Block::filled(i as u8),
-            )
-        })
-        .collect();
-    let mut sealed = Vec::new();
-    let mut opened = Vec::new();
-
-    // First pass sizes the reusable buffers.
-    codec.seal_batch_into(&items, &mut sealed);
-    let to_open: Vec<_> = items
-        .iter()
-        .zip(&sealed)
-        .map(|((a, c, _), s)| (*a, *c, *s))
-        .collect();
-    codec.open_batch_into(&to_open, &mut opened);
-
-    let n = allocations_in(|| {
-        for _ in 0..16 {
-            codec.seal_batch_into(&items, &mut sealed);
-            codec.open_batch_into(&to_open, &mut opened);
-        }
-    });
-    assert_eq!(n, 0, "steady-state batch seal/open allocated");
-    for (res, (_, _, pt)) in opened.iter().zip(&items) {
-        assert_eq!(res.as_ref().unwrap(), pt);
-    }
 }
 
 #[test]

@@ -43,26 +43,6 @@ fn wrong_minor_fails_probe() {
     }
 }
 
-/// The Osiris trial loop recovers the true counter whenever it lies
-/// inside the candidate window.
-#[test]
-fn osiris_recovers_within_window() {
-    for seed in 0..64u64 {
-        let mut rng = SplitMix64::new(seed ^ 0x0517);
-        let base = rng.gen_range(0..100);
-        let gap = rng.gen_range(0..4);
-        let pt = rand_block(&mut rng);
-        let codec = DataCodec::new(Key([5, 9]));
-        let addr = BlockAddr::new(77);
-        let truth = IvCounter::split(1, base + gap);
-        let sealed = codec.seal(addr, truth, &pt);
-        let candidates = (0..=4u64).map(|g| IvCounter::split(1, base + g));
-        let (idx, recovered) = codec.osiris_recover(addr, candidates, &sealed).unwrap();
-        assert_eq!(idx as u64, gap, "seed {seed}");
-        assert_eq!(recovered, pt, "seed {seed}");
-    }
-}
-
 /// Split-counter serialization round-trips for every counter state.
 #[test]
 fn split_counter_roundtrip() {

@@ -33,6 +33,7 @@
 //! in-model and yields a typed violation, resolvable only by the explicit
 //! operator override policy.
 
+use crate::backend::{fnv1a64, FNV1A64_EMPTY};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -162,7 +163,7 @@ fn seal_mac(key: [u64; 2], epoch: u64) -> u64 {
     buf[8..16].copy_from_slice(&epoch.to_le_bytes());
     buf[16..24].copy_from_slice(&key[1].to_le_bytes());
     buf[24..32].copy_from_slice(&key[0].rotate_left(17).to_le_bytes());
-    crate::backend::fnv1a64(&buf)
+    fnv1a64(FNV1A64_EMPTY, &buf)
 }
 
 /// The standard anchor path for a WAL image: `<image>.anchor`.

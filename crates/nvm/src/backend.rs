@@ -23,10 +23,15 @@ use crate::error::NvmError;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// FNV-1a 64-bit checksum — the in-tree checksum under the anchor's seal
-/// (no external dependencies).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+/// The FNV-1a offset basis: the digest of nothing, where [`fnv1a64`]
+/// starts.
+pub const FNV1A64_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64: folds `bytes` into the digest `h`. The workspace's one
+/// unkeyed checksum — under the anchor's seal, on the wire frames, in
+/// the campaign digests and the trace seeds.
+pub fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
@@ -628,9 +633,13 @@ mod tests {
 
     #[test]
     fn fnv_vectors() {
-        // Known FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a64(b"abc"), fnv1a64(b"acb"));
+        // Known FNV-1a 64 test vectors, one shot and folded.
+        assert_eq!(fnv1a64(FNV1A64_EMPTY, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(FNV1A64_EMPTY, b"a"), 0xaf63_dc4c_8601_ec8c);
+        let abc = fnv1a64(FNV1A64_EMPTY, b"abc");
+        assert_ne!(abc, fnv1a64(FNV1A64_EMPTY, b"acb"));
+        let folded = fnv1a64(fnv1a64(FNV1A64_EMPTY, b"foo"), b"bar");
+        assert_eq!(folded, fnv1a64(FNV1A64_EMPTY, b"foobar"));
+        assert_eq!(folded, 0x8594_4171_f739_67e8);
     }
 }

@@ -1997,7 +1997,7 @@ mod tests {
             }
         }
         assert!(checkpointed >= 2, "{checkpointed} checkpoints");
-        let pin = crate::backend::fnv1a64(&pinned);
+        let pin = crate::fnv1a64(crate::FNV1A64_EMPTY, &pinned);
         assert_eq!(
             pin, 0x10de_0d5b_318a_0950,
             "coalescing moved: the digest is now {pin:#018x}"
@@ -2054,7 +2054,7 @@ mod tests {
         let (entries, epoch) = (b.entries(), b.epoch());
         drop(b);
         let (log, home) = (std::fs::read(&p).unwrap(), home_bytes(&p));
-        let digest = crate::backend::fnv1a64(&[&log[..], &home[..]].concat());
+        let digest = crate::fnv1a64(crate::FNV1A64_EMPTY, &[&log[..], &home[..]].concat());
         assert_eq!(
             (digest, log.len(), home.len(), epoch),
             (0xd43e_fb3f_38e6_16a4, 327_920, 1_040, 3_777),
@@ -2244,7 +2244,7 @@ mod tests {
         let mut summed = 1u64.to_le_bytes().to_vec();
         summed.extend_from_slice(&payload);
         img.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        img.extend_from_slice(&crate::backend::fnv1a64(&summed).to_le_bytes());
+        img.extend_from_slice(&crate::fnv1a64(crate::FNV1A64_EMPTY, &summed).to_le_bytes());
         img.extend_from_slice(&1u64.to_le_bytes());
         img.extend_from_slice(&payload);
         img.push(0xC3);

@@ -56,7 +56,9 @@ mod wpq;
 
 pub use addr::{BlockAddr, Region, RegionAllocator, BLOCK_BYTES};
 pub use anchor::{anchor_path_for, AnchorError, AnchorPolicy, Freshness, FreshnessAnchor};
-pub use backend::{Cut, Durability, Lead, MemBackend, NvmBackend, WalStats};
+pub use backend::{
+    fnv1a64, Cut, Durability, Lead, MemBackend, NvmBackend, WalStats, FNV1A64_EMPTY,
+};
 pub use block::Block;
 pub use device::NvmDevice;
 pub use domain::{PersistenceDomain, WriteOp};

@@ -18,6 +18,7 @@
 //! endian encoding over `std::net::TcpStream`, matching the rest of the
 //! workspace.
 
+use anubis_nvm::{fnv1a64, FNV1A64_EMPTY};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -36,22 +37,10 @@ pub const HEADER_BYTES: usize = 8;
 /// Checksum trailer bytes on the wire.
 pub const TRAILER_BYTES: usize = 8;
 
-/// FNV-1a over arbitrary bytes — the frame checksum (same constants as
-/// the NVM crate's anchor-seal checksum; the protocol is an external
-/// observer, not part of the device image).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Hashes a session token for the handshake: tokens travel and are
 /// stored only as FNV-1a digests.
 pub fn token_hash(token: &str) -> u64 {
-    fnv1a64(token.as_bytes())
+    fnv1a64(FNV1A64_EMPTY, token.as_bytes())
 }
 
 /// A typed frame/codec failure. Every connection-layer fault a peer can
@@ -804,7 +793,7 @@ pub fn send_frame(
         )
     })?;
     tx[4..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
-    let crc = fnv1a64(&tx[HEADER_BYTES..]);
+    let crc = fnv1a64(FNV1A64_EMPTY, &tx[HEADER_BYTES..]);
     tx.extend_from_slice(&crc.to_le_bytes());
     w.write_all(tx)?;
     w.flush()
@@ -948,7 +937,7 @@ impl FrameReader {
                     let mut crc = [0u8; TRAILER_BYTES];
                     crc.copy_from_slice(&self.buf[payload.end..self.start + need]);
                     let got = u64::from_le_bytes(crc);
-                    let want = fnv1a64(&self.buf[payload.clone()]);
+                    let want = fnv1a64(FNV1A64_EMPTY, &self.buf[payload.clone()]);
                     if got != want {
                         return Err(ProtoError::BadChecksum { got, want });
                     }
@@ -1475,7 +1464,7 @@ mod tests {
                 &MAGIC.to_le_bytes()[..],
                 &(payload.len() as u32).to_le_bytes(),
                 &payload,
-                &fnv1a64(&payload).to_le_bytes(),
+                &fnv1a64(FNV1A64_EMPTY, &payload).to_le_bytes(),
             ]
             .concat();
 

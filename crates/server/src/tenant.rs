@@ -693,31 +693,51 @@ impl<B: NvmBackend + 'static> Tenant<B> {
         threads: &ThreadReg,
     ) -> Executed {
         self.tel.incr("serve_requests_total", &self.name, 1);
-        match req {
-            Request::Read { addr, deadline_ms } => {
-                self.exec_read(*addr, *deadline_ms, received, cfg, threads)
+        let deadline_ms = match req {
+            Request::Read { deadline_ms, .. }
+            | Request::Write { deadline_ms, .. }
+            | Request::WriteBatch { deadline_ms, .. } => *deadline_ms,
+            Request::Flush => return Executed::answered(self.op_flush()),
+            Request::Recover => return Executed::answered(self.op_recover(threads)),
+            Request::Stats => return Executed::answered(Response::StatsOk(self.stats_snapshot())),
+            Request::Hello { .. } => {
+                return Executed::answered(Response::Err(ServeError::BadRequest {
+                    detail: "duplicate handshake".to_string(),
+                }))
             }
-            Request::Write {
-                addr,
-                deadline_ms,
-                data,
-            } => {
-                let items = vec![(DataAddr::new(*addr), block_from_bytes(data))];
-                self.exec_write(items, false, *deadline_ms, received, cfg, threads)
+        };
+        let permit = match self.permit() {
+            Ok(permit) => permit,
+            Err(e) => return Executed::answered(Response::Err(e)),
+        };
+        let deadline = cfg.effective_deadline(deadline_ms);
+        let write = |items: Vec<(DataAddr, Block)>, batch| match self
+            .write_lines(&items, deadline, received, threads)
+        {
+            Ok((ticket, seq)) => Awaiting::Write {
+                ticket,
+                seq,
+                items,
+                batch,
+            },
+            Err(e) => Awaiting::Nothing(Response::Err(e)),
+        };
+        let state = match req {
+            Request::Read { addr, .. } => self.read_line(*addr, deadline, received, threads),
+            Request::Write { addr, data, .. } => {
+                write(vec![(DataAddr::new(*addr), block_from_bytes(data))], false)
             }
-            Request::WriteBatch { deadline_ms, items } => {
+            Request::WriteBatch { items, .. } => {
                 let items = items
                     .iter()
-                    .map(|(a, d)| (DataAddr::new(*a), block_from_bytes(d)))
-                    .collect();
-                self.exec_write(items, true, *deadline_ms, received, cfg, threads)
+                    .map(|(a, d)| (DataAddr::new(*a), block_from_bytes(d)));
+                write(items.collect(), true)
             }
-            Request::Flush => Executed::answered(self.op_flush()),
-            Request::Recover => Executed::answered(self.op_recover(threads)),
-            Request::Stats => Executed::answered(Response::StatsOk(self.stats_snapshot())),
-            Request::Hello { .. } => Executed::answered(Response::Err(ServeError::BadRequest {
-                detail: "duplicate handshake".to_string(),
-            })),
+            _ => unreachable!("answered without admission above"),
+        };
+        Executed {
+            _permit: Some(permit),
+            state,
         }
     }
 
@@ -832,26 +852,6 @@ impl<B: NvmBackend + 'static> Tenant<B> {
         })
     }
 
-    fn exec_read(
-        self: &Arc<Self>,
-        addr: u64,
-        deadline_ms: u32,
-        received: Instant,
-        cfg: &ServeConfig,
-        threads: &ThreadReg,
-    ) -> Executed {
-        let permit = match self.permit() {
-            Ok(permit) => permit,
-            Err(e) => return Executed::answered(Response::Err(e)),
-        };
-        let deadline = cfg.effective_deadline(deadline_ms);
-        let state = self.read_line(addr, deadline, received, threads);
-        Executed {
-            _permit: Some(permit),
-            state,
-        }
-    }
-
     fn read_line(
         self: &Arc<Self>,
         addr: u64,
@@ -950,35 +950,6 @@ impl<B: NvmBackend + 'static> Tenant<B> {
         self.spawn_recovery(core, Entry::Fault, threads);
         ServeError::Integrity {
             detail: e.to_string(),
-        }
-    }
-
-    fn exec_write(
-        self: &Arc<Self>,
-        items: Vec<(DataAddr, Block)>,
-        batch: bool,
-        deadline_ms: u32,
-        received: Instant,
-        cfg: &ServeConfig,
-        threads: &ThreadReg,
-    ) -> Executed {
-        let permit = match self.permit() {
-            Ok(permit) => permit,
-            Err(e) => return Executed::answered(Response::Err(e)),
-        };
-        let deadline = cfg.effective_deadline(deadline_ms);
-        let state = match self.write_lines(&items, deadline, received, threads) {
-            Ok((ticket, seq)) => Awaiting::Write {
-                ticket,
-                seq,
-                items,
-                batch,
-            },
-            Err(e) => Awaiting::Nothing(Response::Err(e)),
-        };
-        Executed {
-            _permit: Some(permit),
-            state,
         }
     }
 

@@ -59,18 +59,8 @@ pub fn op_payload(op_index: u64, addr: u64) -> Block {
     payload(op_index * 1009 + addr)
 }
 
-/// The FNV-1a offset basis: the digest of nothing, where [`fnv1a64`]
-/// starts.
-pub const FNV1A64_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a: folds `bytes` into the digest `h` (same constants as the NVM
-/// crate's anchor-seal checksum; kept apart because a campaign is an
-/// external observer of the image, not part of it).
-pub fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+/// The campaign digests' checksum, re-exported where the pins import it.
+pub use anubis_nvm::{fnv1a64, FNV1A64_EMPTY};
 
 /// xorshift64\* — deterministic, dependency-free randomness for scripts,
 /// schedules, kill points and mutation draws.

@@ -2,7 +2,7 @@
 
 use crate::trace::{MemOp, OpKind, Trace};
 use crate::zipf::Zipf;
-use anubis_nvm::{BlockAddr, SplitMix64};
+use anubis_nvm::{fnv1a64, BlockAddr, SplitMix64, FNV1A64_EMPTY};
 
 /// Lines per 4 KiB page.
 const LINES_PER_PAGE: u64 = 64;
@@ -122,7 +122,7 @@ impl TraceGenerator {
 
     /// Generates `n_ops` operations deterministically from `seed`.
     pub fn generate(&self, n_ops: usize, seed: u64) -> Trace {
-        let mut rng = SplitMix64::new(seed ^ fxhash(self.spec.name));
+        let mut rng = SplitMix64::new(seed ^ fnv1a64(FNV1A64_EMPTY, self.spec.name.as_bytes()));
         let footprint = self.effective_footprint();
         let n_pages = (footprint / LINES_PER_PAGE).max(1);
         let zipf = Zipf::new(n_pages, self.spec.zipf_exponent);
@@ -163,15 +163,6 @@ impl TraceGenerator {
         }
         Trace::new(self.spec.name, ops)
     }
-}
-
-/// Tiny stable string hash for seed mixing (FxHash-style).
-fn fxhash(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h = (h ^ *b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -14,9 +14,7 @@ use anubis_nvm::Block;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The names every scheme reports, whatever its metadata policy.
-const COMMON: [&str; 22] = [
-    "cache_hits_total",
-    "cache_misses_total",
+const COMMON: [&str; 20] = [
     "commit_groups_total",
     "ecc_corrections_total",
     "nvm_max_writes_to_one_block",
@@ -43,9 +41,9 @@ const COMMON: [&str; 22] = [
 ];
 
 /// Runs the script and returns every metric name the controller
-/// published under its own scheme label, a device-region label, or the
-/// `mac` cache label — i.e. everything except its own metadata-cache rows
-/// — and its `shadow_table_writes_total`.
+/// published under its own scheme label or a device-region label — i.e.
+/// everything except its own metadata-cache rows — and its
+/// `shadow_table_writes_total`.
 fn published<C: MemoryController>(mut c: C, own_caches: &[&str]) -> (BTreeSet<String>, u64) {
     let (reg, tel) = Telemetry::private();
     c.set_telemetry(tel);

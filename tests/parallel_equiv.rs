@@ -280,10 +280,8 @@ fn telemetry_snapshot_is_lane_invariant() {
         strs(&values),
         [
             "cache_hits_total{counter}=43",
-            "cache_hits_total{mac}=0",
             "cache_hits_total{tree}=100",
             "cache_misses_total{counter}=5",
-            "cache_misses_total{mac}=0",
             "cache_misses_total{tree}=1",
             "commit_groups_total{osiris}=32",
             "ecc_corrections_total{osiris}=0",
@@ -334,9 +332,7 @@ fn sgx_telemetry_snapshot_is_lane_invariant() {
     assert_eq!(
         strs(&values),
         [
-            "cache_hits_total{mac}=0",
             "cache_hits_total{metadata}=20",
-            "cache_misses_total{mac}=0",
             "cache_misses_total{metadata}=28",
             "commit_groups_total{asit}=32",
             "ecc_corrections_total{asit}=0",

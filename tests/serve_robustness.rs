@@ -441,7 +441,7 @@ fn frame_faults_are_typed_and_never_hang() {
         frame.extend_from_slice(&anubis_server::protocol::MAGIC.to_le_bytes());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&payload);
-        let crc = anubis_server::protocol::fnv1a64(&payload) ^ 1;
+        let crc = anubis_nvm::fnv1a64(anubis_nvm::FNV1A64_EMPTY, &payload) ^ 1;
         frame.extend_from_slice(&crc.to_le_bytes());
         raw.write_all(&frame).expect("bad crc");
         raw.flush().expect("flush");
