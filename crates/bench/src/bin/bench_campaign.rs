@@ -27,9 +27,9 @@ use std::process::ExitCode;
 use anubis::Family;
 use anubis_bench::json::Json;
 use anubis_bench::{host_info_json, parse_number};
-use anubis_sim::adversary::{self, AdversarySpec, FamilyAdvReport, MUTATIONS_PER_RUN};
-use anubis_sim::campaign::Verdict;
-use anubis_sim::drill::{self, DrillSpec, FamilyReport};
+use anubis_sim::adversary::{self, FamilyAdvReport, MUTATIONS_PER_RUN};
+use anubis_sim::campaign::{ScriptSpec, Verdict};
+use anubis_sim::drill::{self, FamilyReport};
 use anubis_sim::serve::{self, ServeReport, ServeSpec};
 
 const USAGE: &str = "usage: bench_campaign <drill|adversary|serve> \
@@ -109,8 +109,10 @@ fn main() -> ExitCode {
     }
 }
 
-fn kill_range_json(range: (u64, u64)) -> Json {
-    Json::Arr(vec![Json::Int(range.0), Json::Int(range.1)])
+/// The smallest and largest of `kills`, `[0, 0]` when there are none.
+fn kill_range_json(kills: impl Iterator<Item = u64> + Clone) -> Json {
+    let (lo, hi) = (kills.clone().min(), kills.max());
+    Json::Arr(vec![Json::Int(lo.unwrap_or(0)), Json::Int(hi.unwrap_or(0))])
 }
 
 // ---------------------------------------------------------------------
@@ -121,8 +123,8 @@ fn drill_campaign(flags: &Flags) -> Result<(), String> {
     // The drill's victim is this binary, re-executed as `--child`.
     let exe =
         std::env::current_exe().map_err(|e| format!("drill: cannot locate own executable: {e}"))?;
-    let defaults = DrillSpec::default();
-    let spec = DrillSpec {
+    let defaults = ScriptSpec::drill();
+    let spec = ScriptSpec {
         seed: flags.seed.unwrap_or(defaults.seed),
         ..defaults
     };
@@ -201,7 +203,10 @@ fn drill_family_json(r: &FamilyReport) -> Json {
         ("completed_runs", Json::Int(r.completed_runs)),
         ("owed_total", Json::Int(r.owed_total)),
         ("anchor_behind", Json::Int(r.anchor_behind)),
-        ("kill_range", kill_range_json(r.kill_range)),
+        (
+            "kill_range",
+            kill_range_json(r.outcomes.iter().map(|o| o.kill_at)),
+        ),
         ("points_detail", Json::Arr(outcomes)),
     ])
 }
@@ -211,8 +216,8 @@ fn drill_family_json(r: &FamilyReport) -> Json {
 // ---------------------------------------------------------------------
 
 fn adversary_campaign(flags: &Flags) -> Result<(), String> {
-    let defaults = AdversarySpec::default();
-    let spec = AdversarySpec {
+    let defaults = ScriptSpec::adversary();
+    let spec = ScriptSpec {
         seed: flags.seed.unwrap_or(defaults.seed),
         ..defaults
     };
@@ -328,7 +333,10 @@ fn adversary_family_json(r: &FamilyAdvReport) -> Json {
         ("base_runs", Json::Int(r.base_runs)),
         ("points", Json::Int(r.points)),
         ("audited_reads", Json::Int(r.audited_reads)),
-        ("kill_range", kill_range_json(r.kill_range)),
+        (
+            "kill_range",
+            kill_range_json(r.outcomes.iter().map(|o| o.kill_after_acks)),
+        ),
         ("foreign_epoch", Json::Int(r.foreign_epoch)),
         ("classes", Json::Arr(classes)),
         ("points_detail", Json::Arr(outcomes)),
@@ -430,7 +438,10 @@ fn serve_json(r: &ServeReport, spec: &ServeSpec, sweep: bool) -> Json {
         ),
         ("time_to_healthy_p50_us", Json::Int(r.tth_p50_us)),
         ("time_to_healthy_p95_us", Json::Int(r.tth_p95_us)),
-        ("kill_range", kill_range_json(r.kill_range)),
+        (
+            "kill_range",
+            kill_range_json(r.outcomes.iter().map(|o| o.kill_at)),
+        ),
         ("points_detail", Json::Arr(outcomes)),
     ])
 }
@@ -492,7 +503,7 @@ mod tests {
         let committed = std::fs::read_to_string(&path).expect("the committed report");
         let dir = std::env::temp_dir().join(format!("anubis-bench-adv-{}", std::process::id()));
         for family in Family::all() {
-            let fresh = adversary::run_campaign(family, &AdversarySpec::default(), &dir, 1)
+            let fresh = adversary::run_campaign(family, &ScriptSpec::adversary(), &dir, 1)
                 .map(|report| adversary_family_json(&report))
                 .expect("a fresh base run");
             let fresh = Json::obj(vec![("families", Json::Arr(vec![fresh]))]).render();

@@ -26,6 +26,13 @@
 //! campaign therefore certifies: zero panics, zero silent staleness,
 //! and 100 % detection of image rollback.
 //!
+//! Both findings are [`CampaignError::Breach`], named for the mutation;
+//! a verdict below its class's floor is [`CampaignError::Short`]. A
+//! mutation the image offers nothing to apply to is a bad spec
+//! ([`HarnessError::Spec`]), not a finding. A failing base run keeps its
+//! directory, `<family>-r<run>`: the base image, the capture and one
+//! `m<i>-<label>` directory per mutation staged so far.
+//!
 //! The dead images are made in process: the script is driven over a
 //! fresh anchored image and stopped at an exact ack count, where image
 //! and anchor are what a kill there leaves, and the model of what was
@@ -61,8 +68,8 @@ use anubis_nvm::{
 };
 
 use crate::campaign::{
-    drill_script, drive_anchored, io_ctx, judge, op_payload, remove_image, restart, Acked, Breach,
-    HarnessError, Verdict, XorShift64,
+    drive_anchored, io_ctx, judge, op_payload, remove_image, restart, run_points, Acked,
+    CampaignError, HarnessError, ScriptOp, ScriptSpec, Verdict, XorShift64,
 };
 
 /// The forger's key: the one a format-aware adversary frames under. It is
@@ -87,27 +94,6 @@ const MIN_KILL_ACKS: u64 = 1_300;
 /// Mutations evaluated per base kill point (including the unmutated
 /// control), across all classes in [`MutationClass::all`].
 pub const MUTATIONS_PER_RUN: u64 = 27;
-
-/// Campaign parameters besides the family.
-#[derive(Debug, Clone)]
-pub struct AdversarySpec {
-    /// Script length in operations (reads and writes).
-    pub script_len: usize,
-    /// Data-line address range the script touches.
-    pub lines: u64,
-    /// Seed for the script, kill points, and mutation draws.
-    pub seed: u64,
-}
-
-impl Default for AdversarySpec {
-    fn default() -> Self {
-        AdversarySpec {
-            script_len: 4_500,
-            lines: 220,
-            seed: 0xAD7E_5A21,
-        }
-    }
-}
 
 /// The mutation classes the adversary draws from. Every class carries a
 /// *required verdict floor* — the weakest verdict the campaign accepts
@@ -232,118 +218,6 @@ impl Requirement {
     }
 }
 
-/// An adversary-campaign failure. Every variant is typed and campaign
-/// stopping; a completed campaign means every requirement in every
-/// class was met with zero panics and zero silent-stale serves.
-#[derive(Debug)]
-pub enum AdversaryError {
-    /// The harness itself failed — its filesystem, the drive that makes
-    /// the base and capture images (an open or a script op), the foreign
-    /// donor's image — infrastructure, not a finding.
-    Harness(HarnessError),
-    /// A mutation could not be applied (e.g. too few frames to splice);
-    /// indicates a bad spec, not a finding.
-    Mutation {
-        /// The mutation's label.
-        label: String,
-        /// Why it could not be applied.
-        detail: String,
-    },
-    /// THE FINDING: a mutated restart served an acknowledged line wrong
-    /// with no typed error and no declared quarantine loss, or panicked.
-    Breach {
-        /// The mutation class that slipped through.
-        class: &'static str,
-        /// The specific mutation label.
-        label: String,
-        /// What the restart did.
-        breach: Breach,
-    },
-    /// THE FINDING: the point terminated in a typed verdict, but not
-    /// the one its class requires (e.g. a WAL rollback that was not
-    /// refused as rollback).
-    MissedRequirement {
-        /// The mutation class.
-        class: &'static str,
-        /// The specific mutation label.
-        label: String,
-        /// The required verdict floor.
-        want: &'static str,
-        /// The verdict actually reached, rendered.
-        got: String,
-    },
-    /// A campaign point failed; wraps the underlying error with its
-    /// scratch dir (preserved for post-mortem).
-    Point {
-        /// The drilled family.
-        family: &'static str,
-        /// Base-run index in campaign order.
-        run: u64,
-        /// Scratch directory preserved for post-mortem.
-        dir: PathBuf,
-        /// The underlying failure.
-        source: Box<AdversaryError>,
-    },
-}
-
-impl std::fmt::Display for AdversaryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AdversaryError::Harness(HarnessError::Io { op, path, source }) => {
-                write!(
-                    f,
-                    "adversary harness I/O: {op} {}: {source}",
-                    path.display()
-                )
-            }
-            AdversaryError::Harness(e) => write!(f, "adversary harness failed: {e}"),
-            AdversaryError::Mutation { label, detail } => {
-                write!(f, "mutation {label} could not be applied: {detail}")
-            }
-            AdversaryError::Breach {
-                class,
-                label,
-                breach,
-            } => write!(f, "class {class} ({label}): {breach}"),
-            AdversaryError::MissedRequirement {
-                class,
-                label,
-                want,
-                got,
-            } => write!(
-                f,
-                "requirement missed: class {class} ({label}) requires {want}, got {got}"
-            ),
-            AdversaryError::Point {
-                family,
-                run,
-                dir,
-                source,
-            } => write!(
-                f,
-                "{family} base run {run} (artifacts in {}): {source}",
-                dir.display()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for AdversaryError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AdversaryError::Harness(e) => Some(e),
-            AdversaryError::Point { source, .. } => Some(source.as_ref()),
-            _ => None,
-        }
-    }
-}
-
-impl From<HarnessError> for AdversaryError {
-    fn from(e: HarnessError) -> Self {
-        AdversaryError::Harness(e)
-    }
-}
-
 /// The key every image the campaign attacks is written under: the device
 /// key of [`AnubisConfig::small_test`], which its script is served with.
 fn device_key() -> [u64; 2] {
@@ -359,12 +233,16 @@ struct LogView {
     end: usize,
 }
 
+/// A mutation the spec asks for that the image offers nothing to apply
+/// to: a bad spec, not a finding.
+fn unappliable(label: &str, detail: impl std::fmt::Display) -> HarnessError {
+    let what = format!("mutation {label} could not be applied: {detail}");
+    HarnessError::Spec { what }
+}
+
 /// Walks a dead image before it is mutated.
-fn log_view(label: &str, bytes: &[u8]) -> Result<LogView, AdversaryError> {
-    let fault = |e: anubis_nvm::WalFault| AdversaryError::Mutation {
-        label: label.to_string(),
-        detail: format!("dead image is not a log: {e}"),
-    };
+fn log_view(label: &str, bytes: &[u8]) -> Result<LogView, HarnessError> {
+    let fault = |e| unappliable(label, format_args!("dead image is not a log: {e}"));
     let mut walk = WalWalker::new(bytes, device_key()).map_err(fault)?;
     let frames = walk
         .by_ref()
@@ -386,12 +264,10 @@ fn write_at(bytes: &mut Vec<u8>, at: usize, data: &[u8]) {
 }
 
 /// The home area at `path`: empty before the image's first checkpoint.
-fn read_home(path: &Path) -> Result<Vec<u8>, AdversaryError> {
+fn read_home(path: &Path) -> Result<Vec<u8>, HarnessError> {
     match fs::read(path) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        read => read
-            .map_err(io_ctx("read home area", path))
-            .map_err(Into::into),
+        read => read.map_err(io_ctx("read home area", path)),
     }
 }
 
@@ -675,8 +551,8 @@ fn plan_mutations(rng: &mut XorShift64) -> Vec<MutationSpec> {
 fn build_foreign(
     family: Family,
     dir: &Path,
-    spec: &AdversarySpec,
-) -> Result<(PathBuf, u64), AdversaryError> {
+    spec: &ScriptSpec,
+) -> Result<(PathBuf, u64), HarnessError> {
     fs::create_dir_all(dir).map_err(io_ctx("create foreign dir", dir))?;
     let image = dir.join("foreign.wal");
     remove_image(&image);
@@ -789,11 +665,10 @@ fn stage_mutation(
     spec: &MutationSpec,
     ctx: &PointCtx<'_>,
     dir: &Path,
-) -> Result<PathBuf, AdversaryError> {
+) -> Result<PathBuf, HarnessError> {
     fs::create_dir_all(dir).map_err(io_ctx("create mutation dir", dir))?;
     let work = dir.join("image.wal");
     let work_anchor = anchor_path_for(&work);
-    remove_image(&work);
     // The image to copy, and the image whose anchor goes beside it.
     let (src_image, src_anchor) = match &spec.op {
         MutationOp::SubstituteCapturedImage => (ctx.capture, Some(ctx.base)),
@@ -810,10 +685,7 @@ fn stage_mutation(
         None => fs::remove_file(&work_anchor).map_err(io_ctx("remove anchor", &work_anchor))?,
     }
 
-    let bad = |label: &str, detail: String| AdversaryError::Mutation {
-        label: label.to_string(),
-        detail,
-    };
+    let bad = |detail: &str| unappliable(&spec.label, detail);
     match &spec.op {
         MutationOp::Noop
         | MutationOp::SubstituteCapturedImage
@@ -822,7 +694,7 @@ fn stage_mutation(
         MutationOp::FlipHomeBit { draw } => {
             let home = home_path_for(&work);
             let mut bytes = read_home(&home)?;
-            flip_home_bit(&mut bytes, *draw).map_err(|detail| bad(&spec.label, detail))?;
+            flip_home_bit(&mut bytes, *draw).map_err(|detail| bad(&detail))?;
             fs::write(&home, &bytes).map_err(io_ctx("write home area", &home))?;
         }
         MutationOp::RollBackHome => {
@@ -841,7 +713,7 @@ fn stage_mutation(
         | MutationOp::SpliceReplay { .. } => {
             let mut bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
             let log = log_view(&spec.label, &bytes)?;
-            mutate_log(&spec.op, &mut bytes, &log).map_err(|detail| bad(&spec.label, detail))?;
+            mutate_log(&spec.op, &mut bytes, &log).map_err(|detail| bad(&detail))?;
             fs::write(&work, &bytes).map_err(io_ctx("write image", &work))?;
         }
         MutationOp::CorruptAnchor => {
@@ -860,38 +732,36 @@ fn stage_mutation(
         MutationOp::LagAnchorByOne => {
             let bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
             let Some(last) = log_view(&spec.label, &bytes)?.frames.last().copied() else {
-                return Err(bad(&spec.label, "no frames; cannot derive epoch".into()));
+                return Err(bad("no frames; cannot derive epoch"));
             };
             if last.epoch == 0 {
-                return Err(bad(&spec.label, "image at epoch 0; cannot lag".into()));
+                return Err(bad("image at epoch 0; cannot lag"));
             }
             fs::remove_file(&work_anchor).map_err(io_ctx("remove anchor", &work_anchor))?;
-            FreshnessAnchor::create(work_anchor, device_key(), last.epoch - 1).map_err(|e| {
-                AdversaryError::Mutation {
-                    label: spec.label.clone(),
-                    detail: format!("reseal lagged anchor: {e}"),
-                }
-            })?;
+            FreshnessAnchor::create(work_anchor, device_key(), last.epoch - 1)
+                .map_err(|e| unappliable(&spec.label, format_args!("reseal lagged anchor: {e}")))?;
         }
     }
     Ok(work)
 }
 
-/// [`judge`] with what stops a campaign typed for the mutation that
-/// found it: a silent stale serve, or a panic anywhere in the restart.
+/// [`judge`] with what stops a campaign named for the mutation that
+/// found it, `at`: a silent stale serve, or a panic anywhere in the
+/// restart.
 fn judge_mutation(
-    class: MutationClass,
-    label: &str,
+    at: String,
     family: Family,
     image: &Path,
     policy: AnchorPolicy,
     model: &Acked,
-) -> Result<Verdict, AdversaryError> {
-    judge(family, image, policy, |_| model.clone()).map_err(|breach| AdversaryError::Breach {
-        class: class.name(),
-        label: label.to_string(),
-        breach,
-    })
+) -> Result<Verdict, CampaignError> {
+    judge(family, image, policy, |_| model.clone())
+        .map_err(|breach| CampaignError::Breach { at, breach })
+}
+
+/// How a finding names a mutation.
+fn mutation_at(class: MutationClass, label: &str) -> String {
+    format!("class {} ({label})", class.name())
 }
 
 /// Every payload-bearing frame of `image` but its last re-framed under
@@ -903,7 +773,7 @@ fn splice_every_donor(
     image: &Path,
     work: &Path,
     model: &Acked,
-) -> Result<Vec<SplicePoint>, AdversaryError> {
+) -> Result<Vec<SplicePoint>, HarnessError> {
     let (anchor, work_anchor) = (anchor_path_for(image), anchor_path_for(work));
     let bytes = fs::read(image).map_err(io_ctx("read image", image))?;
     let seal = fs::read(&anchor).map_err(io_ctx("read anchor", &anchor))?;
@@ -921,14 +791,8 @@ fn splice_every_donor(
         fs::write(work, &spliced).map_err(io_ctx("write image", work))?;
         fs::write(&work_anchor, &seal).map_err(io_ctx("write anchor", &work_anchor))?;
         let label = format!("replay-splice-slack-1-e{}-d{}", last.epoch, donor.epoch);
-        let verdict = judge_mutation(
-            MutationClass::ReplaySplice,
-            &label,
-            family,
-            work,
-            AnchorPolicy::Strict,
-            model,
-        );
+        let at = mutation_at(MutationClass::ReplaySplice, &label);
+        let verdict = judge_mutation(at, family, work, AnchorPolicy::Strict, model);
         points.push(SplicePoint {
             epoch: last.epoch,
             donor: donor.epoch,
@@ -949,7 +813,7 @@ pub struct SplicePoint {
     pub donor: u64,
     /// How the restart over the spliced copy ended, or the finding it
     /// made instead.
-    pub verdict: Result<Verdict, AdversaryError>,
+    pub verdict: Result<Verdict, CampaignError>,
 }
 
 /// The one-epoch replay splice, every donor. Drives `spec`'s script over
@@ -967,23 +831,22 @@ pub struct SplicePoint {
 /// restart found is its point's `verdict`.
 pub fn splice_sweep(
     family: Family,
-    spec: &AdversarySpec,
+    spec: &ScriptSpec,
     drops: std::ops::Range<u64>,
     forger: [u64; 2],
     dir: &Path,
-) -> Result<Vec<SplicePoint>, AdversaryError> {
+) -> Result<Vec<SplicePoint>, HarnessError> {
     fs::create_dir_all(dir).map_err(io_ctx("create sweep dir", dir))?;
     let (image, work) = (dir.join("image.wal"), dir.join("spliced.wal"));
-    let script = drill_script(spec.script_len, spec.lines, spec.seed);
     let (mut points, mut sealed) = (Vec::new(), 0);
-    drive_anchored(family, &script, &image, |model, _, (_, epoch)| {
+    drive_anchored(family, &spec.script(), &image, |model, _, (_, epoch)| {
         if epoch >= drops.end {
             return Ok(ControlFlow::Break(()));
         }
         if std::mem::replace(&mut sealed, epoch) != epoch && drops.contains(&epoch) {
             points.extend(splice_every_donor(family, forger, &image, &work, model)?);
         }
-        Ok::<_, AdversaryError>(ControlFlow::Continue(()))
+        Ok::<_, HarnessError>(ControlFlow::Continue(()))
     })?;
     Ok(points)
 }
@@ -1029,8 +892,6 @@ pub struct FamilyAdvReport {
     pub points: u64,
     /// Acked writes audited across all points.
     pub audited_reads: u64,
-    /// Smallest and largest kill thresholds drawn.
-    pub kill_range: (u64, u64),
     /// The cross-swap donor's final epoch.
     pub foreign_epoch: u64,
     /// Per-class verdict tallies, in [`MutationClass::all`] order.
@@ -1040,21 +901,23 @@ pub struct FamilyAdvReport {
 }
 
 /// Runs one family's full adversary campaign: `base_runs` randomized
-/// kill points, each mutated [`MUTATIONS_PER_RUN`] ways and driven to a
-/// verdict. A pure function of `spec` and `base_runs`.
+/// kill points, base run `r` in `dir/<family>-r<r>`, each mutated
+/// [`MUTATIONS_PER_RUN`] ways and driven to a verdict. A pure function
+/// of `spec` and `base_runs`.
 ///
 /// # Errors
 ///
-/// Stops at the first [`AdversaryError`]. A completed campaign means:
-/// every point reached a typed verdict meeting its class requirement,
-/// zero panics, zero silent-stale serves, and 100 % rollback detection.
+/// Stops at the first failing base run ([`CampaignError::Point`]). A
+/// completed campaign means: every point reached a typed verdict meeting
+/// its class requirement, zero panics, zero silent-stale serves, and
+/// 100 % rollback detection.
 pub fn run_campaign(
     family: Family,
-    spec: &AdversarySpec,
+    spec: &ScriptSpec,
     dir: &Path,
     base_runs: u64,
-) -> Result<FamilyAdvReport, AdversaryError> {
-    let script = drill_script(spec.script_len, spec.lines, spec.seed);
+) -> Result<FamilyAdvReport, CampaignError> {
+    let script = spec.script();
     let max_acks = script.iter().filter(|op| op.0).count() as u64;
     let foreign_dir = dir.join(format!("{}-foreign", family.name()));
     let (foreign, foreign_epoch) = build_foreign(family, &foreign_dir, spec)?;
@@ -1065,80 +928,72 @@ pub fn run_campaign(
     let lo = MIN_KILL_ACKS.max(foreign_epoch + 2);
     let hi = max_acks.saturating_mul(3) / 4;
     if hi <= lo {
-        return Err(AdversaryError::Mutation {
-            label: "campaign".into(),
-            detail: format!("script too short: kill window [{lo}, {hi}) is empty"),
-        });
+        let what = format!("script too short: kill window [{lo}, {hi}) is empty");
+        return Err(HarnessError::Spec { what }.into());
     }
 
     let mut rng = XorShift64::for_family(spec.seed, family);
-    let mut report = FamilyAdvReport {
-        family,
-        base_runs: 0,
-        points: 0,
-        audited_reads: 0,
-        kill_range: (u64::MAX, 0),
-        foreign_epoch,
-        classes: (MutationClass::all().into_iter())
-            .map(|c| (c, ClassStats::default()))
-            .collect(),
-        outcomes: Vec::new(),
-    };
-
-    for run in 0..base_runs {
-        let rdir = dir.join(format!("{}-r{run}", family.name()));
+    let name = family.name();
+    let run = |r| (format!("{name}-r{r}"), format!("{name} base run {r}"), ());
+    // Each run draws its kill, then its mutation plan.
+    let runs = run_points(dir, (0..base_runs).map(run), |(), rdir| {
         let kill_after = lo + rng.next_star() % (hi - lo);
-        let result = run_base_point(
-            family,
-            spec,
-            &rdir,
-            kill_after,
-            &foreign,
-            &mut rng,
-            &mut report,
-        );
-        match result {
-            Ok(()) => {
-                let _ = fs::remove_dir_all(&rdir);
-            }
-            Err(source) => {
-                return Err(AdversaryError::Point {
-                    family: family.name(),
-                    run,
-                    dir: rdir,
-                    source: Box::new(source),
-                })
+        run_base_point(family, &script, rdir, kill_after, &foreign, &mut rng)
+    })?;
+    let _ = fs::remove_dir_all(&foreign_dir);
+
+    let audited_reads = (runs.iter())
+        .map(|(acked, run)| acked * run.len() as u64)
+        .sum();
+    let outcomes: Vec<MutationOutcome> = runs.into_iter().flat_map(|(_, run)| run).collect();
+    let mut classes: Vec<_> = (MutationClass::all().into_iter())
+        .map(|c| (c, ClassStats::default()))
+        .collect();
+    for o in &outcomes {
+        // `classes` is in declaration order.
+        let s = &mut classes[o.class as usize].1;
+        s.points += 1;
+        match &o.verdict {
+            Verdict::FullRecovery => s.full += 1,
+            Verdict::Degraded { .. } => s.degraded += 1,
+            Verdict::Refused { rollback, .. } => {
+                s.refused += 1;
+                s.rollback_refusals += u64::from(*rollback);
             }
         }
-        report.base_runs += 1;
     }
-    let _ = fs::remove_dir_all(&foreign_dir);
-    Ok(report)
+    Ok(FamilyAdvReport {
+        family,
+        base_runs,
+        points: outcomes.len() as u64,
+        audited_reads,
+        foreign_epoch,
+        classes,
+        outcomes,
+    })
 }
 
-/// One base kill point: one drive, which copies the image and its anchor
-/// aside as the capture [`CAPTURE_MARGIN_ACKS`] acks before it stops at
-/// exactly `kill_after`, then every planned mutation staged and
-/// evaluated.
+/// One base kill point in the empty directory `rdir`: one drive, which
+/// copies the image and its anchor aside as the capture
+/// [`CAPTURE_MARGIN_ACKS`] acks before it stops at exactly `kill_after`,
+/// then every planned mutation staged and evaluated. Returns the acked
+/// addresses each point audited, and the points.
 fn run_base_point(
     family: Family,
-    spec: &AdversarySpec,
+    script: &[ScriptOp],
     rdir: &Path,
     kill_after: u64,
     foreign: &Path,
     rng: &mut XorShift64,
-    report: &mut FamilyAdvReport,
-) -> Result<(), AdversaryError> {
-    fs::create_dir_all(rdir).map_err(io_ctx("create scratch dir", rdir))?;
+) -> Result<(u64, Vec<MutationOutcome>), CampaignError> {
     let (base, capture) = (rdir.join("base.wal"), rdir.join("capture.wal"));
-    let script = drill_script(spec.script_len, spec.lines, spec.seed);
     let mut captured = false;
-    let model = drive_anchored(family, &script, &base, |_, acks, _| {
+    let model = drive_anchored(family, script, &base, |_, acks, _| {
         if acks == kill_after - CAPTURE_MARGIN_ACKS && !captured {
             copy_image(&base, &capture).map_err(io_ctx("copy image to", &capture))?;
             captured = true;
         }
-        Ok::<_, AdversaryError>(if acks == kill_after {
+        Ok::<_, HarnessError>(if acks == kill_after {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
@@ -1149,34 +1004,20 @@ fn run_base_point(
         capture: &capture,
         foreign,
     };
+    let mut outcomes = Vec::with_capacity(MUTATIONS_PER_RUN as usize);
     for (mi, m) in plan_mutations(rng).into_iter().enumerate() {
         let mdir = rdir.join(format!("m{mi}-{}", m.label));
         let image = stage_mutation(&m, &ctx, &mdir)?;
-        let verdict = judge_mutation(m.class, &m.label, family, &image, m.policy, &model)?;
+        let at = mutation_at(m.class, &m.label);
+        let verdict = judge_mutation(at.clone(), family, &image, m.policy, &model)?;
         if !m.requirement.met(&verdict) {
-            return Err(AdversaryError::MissedRequirement {
-                class: m.class.name(),
-                label: m.label,
-                want: m.requirement.name(),
-                got: format!("{} ({:?})", verdict.name(), verdict),
-            });
+            let (want, got) = (
+                m.requirement.name(),
+                format!("{} ({verdict:?})", verdict.name()),
+            );
+            return Err(CampaignError::Short { at, want, got });
         }
-        // `classes` is in declaration order.
-        let s = &mut report.classes[m.class as usize].1;
-        s.points += 1;
-        match &verdict {
-            Verdict::FullRecovery => s.full += 1,
-            Verdict::Degraded { .. } => s.degraded += 1,
-            Verdict::Refused { rollback, .. } => {
-                s.refused += 1;
-                s.rollback_refusals += u64::from(*rollback);
-            }
-        }
-        report.points += 1;
-        report.audited_reads += model.len() as u64;
-        report.kill_range.0 = report.kill_range.0.min(kill_after);
-        report.kill_range.1 = report.kill_range.1.max(kill_after);
-        report.outcomes.push(MutationOutcome {
+        outcomes.push(MutationOutcome {
             class: m.class,
             label: m.label,
             kill_after_acks: kill_after,
@@ -1184,12 +1025,13 @@ fn run_base_point(
             verdict,
         });
     }
-    Ok(())
+    Ok((model.len() as u64, outcomes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Breach;
 
     /// The committed `BENCH_adversary.json` is reproducible from its seed
     /// only while the first base run of each family kills where it did
@@ -1197,8 +1039,8 @@ mod tests {
     /// [`MIN_KILL_ACKS`]) and draws the mutations it did.
     #[test]
     fn committed_seed_produces_the_recorded_kill_points_and_mutations() {
-        let spec = AdversarySpec::default();
-        let script = drill_script(spec.script_len, spec.lines, spec.seed);
+        let spec = ScriptSpec::adversary();
+        let script = spec.script();
         let max_acks = script.iter().filter(|op| op.0).count() as u64;
         let (lo, hi) = (MIN_KILL_ACKS.max(8 + 2), max_acks * 3 / 4);
         for (family, kill, rollbacks) in [
@@ -1254,9 +1096,9 @@ mod tests {
     /// is refused at every donor.
     #[test]
     fn a_forger_with_the_device_key_is_past_the_wal() {
-        let spec = AdversarySpec {
+        let spec = ScriptSpec {
             script_len: 400,
-            ..AdversarySpec::default()
+            ..ScriptSpec::adversary()
         };
         let dir = std::env::temp_dir().join(format!("anubis-keyed-forger-{}", std::process::id()));
         let family = Family::BonsaiAgitPlus;
@@ -1270,7 +1112,7 @@ mod tests {
         for p in &keyed {
             let stale = matches!(
                 p.verdict,
-                Err(AdversaryError::Breach {
+                Err(CampaignError::Breach {
                     breach: Breach::SilentStale { .. },
                     ..
                 })

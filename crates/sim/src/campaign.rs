@@ -21,16 +21,19 @@
 //!   SIGKILLed and reaped on every path, and [`ScriptChild`], the one
 //!   child, which serves a script over an anchored file-backed image.
 //!
-//! The kernel classifies and reports; what a finding *means* — a panic
-//! with the plan label, a verdict below a mutation's floor, a drill point
-//! short of full recovery — stays with the harness that asked
-//! (`DESIGN.md`, "Campaign kernel").
+//! The restart campaigns ([`crate::drill`], [`crate::adversary`],
+//! [`crate::serve`]) also share one finding, [`CampaignError`], and one
+//! point loop, [`run_points`]. The kernel classifies and reports; what a
+//! finding *means* — a panic with the plan label, a verdict below a
+//! mutation's floor, a drill point short of full recovery — stays with
+//! the harness that asked (`DESIGN.md`, "Campaign kernel").
 
 mod oracle;
 mod restart;
 mod victim;
 
 use std::convert::Infallible;
+use std::fs;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
@@ -110,9 +113,48 @@ pub fn drill_script(len: usize, lines: u64, seed: u64) -> Vec<ScriptOp> {
         .collect()
 }
 
+/// The script of a drive: `script_len` ops over `lines` data lines,
+/// drawn from `seed` ([`drill_script`]); the seed also draws the kill
+/// points.
+#[derive(Clone, Copy, Debug)]
+pub struct ScriptSpec {
+    /// Script length in operations (reads and writes).
+    pub script_len: usize,
+    /// Data-line address range the script touches.
+    pub lines: u64,
+    /// Seed for the script, the kill points and the mutation draws.
+    pub seed: u64,
+}
+
+impl ScriptSpec {
+    /// The drill's spec, the one `BENCH_drill.json` was recorded with.
+    pub fn drill() -> Self {
+        ScriptSpec {
+            script_len: 1_200,
+            lines: 300,
+            seed: 0xA17B_05E7,
+        }
+    }
+
+    /// The adversary's spec, the one `BENCH_adversary.json` was recorded
+    /// with.
+    pub fn adversary() -> Self {
+        ScriptSpec {
+            script_len: 4_500,
+            lines: 220,
+            seed: 0xAD7E_5A21,
+        }
+    }
+
+    /// The script this spec draws.
+    pub fn script(&self) -> Vec<ScriptOp> {
+        drill_script(self.script_len, self.lines, self.seed)
+    }
+}
+
 /// A failure of the harness machinery itself — filesystem, process
-/// control, the script child — as opposed to a finding about the system
-/// under test. Each harness wraps it (`From`) beside its own findings.
+/// control, the script child, a spec it cannot run — as opposed to a
+/// finding about the system under test.
 #[derive(Debug)]
 pub enum HarnessError {
     /// Filesystem or process-control failure, annotated with the
@@ -150,6 +192,12 @@ pub enum HarnessError {
         /// The controller error.
         err: MemError,
     },
+    /// The spec asks for what cannot be run: an empty kill window, a
+    /// mutation with nothing in the image to apply it to.
+    Spec {
+        /// What cannot be run, and why.
+        what: String,
+    },
 }
 
 impl std::fmt::Display for HarnessError {
@@ -171,6 +219,7 @@ impl std::fmt::Display for HarnessError {
             HarnessError::Serve { op_index, err } => {
                 write!(f, "script serve loop failed at op {op_index}: {err}")
             }
+            HarnessError::Spec { what } => write!(f, "bad campaign spec: {what}"),
         }
     }
 }
@@ -194,6 +243,108 @@ impl From<RecoveryError> for HarnessError {
     fn from(e: RecoveryError) -> Self {
         HarnessError::Recovery(e)
     }
+}
+
+/// What stops a restart campaign: a finding about the system under test,
+/// or a failure of the harness. Each campaign decides which verdict it
+/// requires of a restart; the kernel only names what fell short.
+#[derive(Debug)]
+pub enum CampaignError {
+    /// The harness itself failed: infrastructure, not a finding.
+    Harness(HarnessError),
+    /// A restart served stale with nothing typed, or panicked.
+    Breach {
+        /// What was restarted: the mutation, the tenant.
+        at: String,
+        /// What it did.
+        breach: Breach,
+    },
+    /// A restart ended in a typed outcome below what the campaign
+    /// requires of it.
+    Short {
+        /// What was restarted.
+        at: String,
+        /// The outcome required.
+        want: &'static str,
+        /// The outcome reached, rendered.
+        got: String,
+    },
+    /// A point of the campaign failed; its scratch directory is kept.
+    Point {
+        /// The point, as the campaign names it.
+        point: String,
+        /// Scratch directory preserved for post-mortem.
+        dir: PathBuf,
+        /// The underlying failure.
+        source: Box<CampaignError>,
+    },
+}
+
+impl std::fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CampaignError::Harness(e) => write!(f, "{e}"),
+            CampaignError::Breach { at, breach } => write!(f, "{at}: {breach}"),
+            CampaignError::Short { at, want, got } => write!(f, "{at} requires {want}, got {got}"),
+            CampaignError::Point { point, dir, source } => {
+                write!(f, "{point} (artifacts in {}): {source}", dir.display())
+            }
+        }
+    }
+}
+
+impl std::error::Error for CampaignError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CampaignError::Harness(e) => Some(e),
+            CampaignError::Point { source, .. } => Some(source.as_ref()),
+            _ => None,
+        }
+    }
+}
+
+impl<E: Into<HarnessError>> From<E> for CampaignError {
+    fn from(e: E) -> Self {
+        CampaignError::Harness(e.into())
+    }
+}
+
+/// Runs a campaign's points in order. `points` yields `(name, label,
+/// point)`: point `p` runs as `run(p, dir/name)` in that directory,
+/// cleared and created first, and removed once the point passes. The
+/// first failure stops the campaign as [`CampaignError::Point`] named
+/// `label`, with the directory kept for post-mortem. Returns what each
+/// point returned, in order.
+///
+/// # Errors
+///
+/// The first failing point, wrapped.
+pub fn run_points<P, T>(
+    dir: &Path,
+    points: impl IntoIterator<Item = (String, String, P)>,
+    mut run: impl FnMut(P, &Path) -> Result<T, CampaignError>,
+) -> Result<Vec<T>, CampaignError> {
+    let mut outcomes = Vec::new();
+    for (name, label, point) in points {
+        let pdir = dir.join(name);
+        let _ = fs::remove_dir_all(&pdir);
+        let created = fs::create_dir_all(&pdir).map_err(io_ctx("create scratch dir", &pdir));
+        match created
+            .map_err(CampaignError::from)
+            .and_then(|()| run(point, &pdir))
+        {
+            Ok(out) => outcomes.push(out),
+            Err(source) => {
+                return Err(CampaignError::Point {
+                    point: label,
+                    dir: pdir,
+                    source: Box::new(source),
+                })
+            }
+        }
+        let _ = fs::remove_dir_all(&pdir);
+    }
+    Ok(outcomes)
 }
 
 /// Builds a [`HarnessError::Io`] mapper that stamps `op` and `path` onto
@@ -340,7 +491,7 @@ pub fn drive_checked<C: MemoryController + ?Sized>(
 /// others.
 pub fn remove_image(image: &Path) {
     for stale in [image, &home_path_for(image), &anchor_path_for(image)] {
-        let _ = std::fs::remove_file(stale);
+        let _ = fs::remove_file(stale);
     }
 }
 

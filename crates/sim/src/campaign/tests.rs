@@ -229,6 +229,58 @@ fn drive_stops_at_the_first_power_loss_and_reports_the_attempted_write() {
 }
 
 // ---------------------------------------------------------------------
+// Point loop
+// ---------------------------------------------------------------------
+
+/// Points run in order, each in a directory of its own, cleared first. A
+/// point that passes leaves nothing; the first that fails keeps its
+/// directory, and nothing runs after it.
+#[test]
+fn run_points_keeps_the_failing_points_artifacts_and_runs_nothing_after_it() {
+    let dir = scratch("points");
+    let stale = dir.join("p1").join("stale");
+    fs::create_dir_all(dir.join("p1")).expect("pre-seed p1");
+    fs::write(&stale, b"left by an earlier run").expect("stale file");
+    let points = (0..3u64).map(|i| (format!("p{i}"), format!("point {i}"), i));
+    let mut ran = Vec::new();
+    let err = run_points(&dir, points, |i, pdir| {
+        ran.push(i);
+        let empty = fs::read_dir(pdir).expect("created").next().is_none();
+        assert!(empty, "point {i} starts in an empty directory");
+        let evidence = pdir.join("evidence");
+        fs::write(&evidence, b"dead image").map_err(io_ctx("write", &evidence))?;
+        if i != 1 {
+            return Ok(i);
+        }
+        let breach = Breach::SilentStale {
+            addr: 7,
+            owed: 3,
+            got: 0,
+        };
+        let at = "restart".to_string();
+        Err(CampaignError::Breach { at, breach })
+    })
+    .expect_err("point 1 fails");
+
+    assert_eq!(ran, [0, 1], "the third point never runs");
+    assert!(!dir.join("p0").exists(), "a passing point leaves nothing");
+    assert!(!stale.exists(), "a point's directory is cleared first");
+    let kept = dir.join("p1");
+    let evidence = fs::read(kept.join("evidence")).expect("the failing point's file");
+    assert_eq!(evidence, b"dead image");
+    assert!(!dir.join("p2").exists());
+    let CampaignError::Point { point, dir: at, .. } = &err else {
+        panic!("expected a failed point, got {err:?}");
+    };
+    assert_eq!((point.as_str(), at), ("point 1", &kept));
+    let shown = err.to_string();
+    for names in ["point 1", &kept.display().to_string(), "SILENT STALE SERVE"] {
+        assert!(shown.contains(names), "{shown}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
 // Victim and script child
 // ---------------------------------------------------------------------
 

@@ -28,108 +28,26 @@
 //! *acknowledged ⇒ durable*, held from the durable side.
 //!
 //! Every point is restarted and audited once, over a copy: the dead image
-//! and its anchor are the evidence a failing point keeps.
+//! and its anchor are the evidence a failing point keeps. A point fails
+//! the campaign as a [`CampaignError`]: a `Breach` when a line reads other
+//! than the model owes with nothing typed (an owed write lost, a write not
+//! owed visible) or the restart panics, `Short` for a typed verdict below
+//! full recovery. [`run_points`] keeps that point's directory,
+//! `<family>-p<i>`, with the dead image and its anchor in it.
 
 use std::fs;
 use std::ops::ControlFlow;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use anubis::{AnubisConfig, Family};
 use anubis_nvm::{anchor_path_for, copy_image, AnchorPolicy, Freshness, FreshnessAnchor};
 
 use crate::campaign::{
-    drive_anchored, io_ctx, judge, op_payload, remove_image, Acked, Breach, HarnessError,
-    ScriptChild, ScriptOp, Verdict, XorShift64,
+    drive_anchored, io_ctx, judge, op_payload, remove_image, run_points, Acked, CampaignError,
+    ScriptChild, ScriptOp, ScriptSpec, Verdict, XorShift64,
 };
 
 pub use crate::campaign::drill_script;
-
-/// Everything a drill campaign needs besides the family.
-#[derive(Debug, Clone)]
-pub struct DrillSpec {
-    /// Script length in operations (reads and writes).
-    pub script_len: usize,
-    /// Data-line address range the script touches; the audit reads all
-    /// of them.
-    pub lines: u64,
-    /// Seed for the script and for the kill-point sequence.
-    pub seed: u64,
-}
-
-impl Default for DrillSpec {
-    fn default() -> Self {
-        DrillSpec {
-            script_len: 1_200,
-            lines: 300,
-            seed: 0xA17B_05E7,
-        }
-    }
-}
-
-/// A drill failure. Every variant is a campaign-stopping finding (or an
-/// environmental error the caller should surface), never a panic.
-#[derive(Debug)]
-pub enum DrillError {
-    /// The harness itself failed: filesystem, process control, the child
-    /// before its kill, the dry run.
-    Harness(HarnessError),
-    /// The restart of a dead image served a line other than the exact
-    /// model owes with nothing typed — an owed write lost, or a write not
-    /// owed visible — or panicked.
-    Breach(Breach),
-    /// The restart ended in a typed verdict short of full recovery.
-    NotRecovered(Verdict),
-    /// A campaign point failed; wraps the underlying error with enough
-    /// context to reproduce it (the point's scratch dir is kept).
-    Point {
-        /// Index of the failing point in campaign order.
-        index: u64,
-        /// The point's kill threshold (a sealed epoch).
-        kill_at: u64,
-        /// Scratch directory preserved for post-mortem.
-        dir: PathBuf,
-        /// The underlying failure.
-        source: Box<DrillError>,
-    },
-}
-
-impl std::fmt::Display for DrillError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DrillError::Harness(e) => write!(f, "drill: {e}"),
-            DrillError::Breach(breach) => write!(f, "{breach}"),
-            DrillError::NotRecovered(verdict) => {
-                write!(f, "restart ended {}: {verdict:?}", verdict.name())
-            }
-            DrillError::Point {
-                index,
-                kill_at,
-                dir,
-                source,
-            } => write!(
-                f,
-                "point {index} (kill at sealed epoch {kill_at}, artifacts in {}): {source}",
-                dir.display()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DrillError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DrillError::Harness(e) => Some(e),
-            DrillError::Point { source, .. } => Some(source.as_ref()),
-            _ => None,
-        }
-    }
-}
-
-impl<E: Into<HarnessError>> From<E> for DrillError {
-    fn from(e: E) -> Self {
-        DrillError::Harness(e.into())
-    }
-}
 
 /// Where every write of a script lands when the script is served from a
 /// fresh anchored image: the epoch of its frame. A pure function of the
@@ -150,20 +68,20 @@ impl EpochTable {
     ///
     /// # Errors
     ///
-    /// [`DrillError::Harness`] when the image does not open or an op
+    /// [`CampaignError::Harness`] when the image does not open or an op
     /// fails.
     pub fn dry_run(
         family: Family,
         script: &[ScriptOp],
         image: &Path,
-    ) -> Result<EpochTable, DrillError> {
+    ) -> Result<EpochTable, CampaignError> {
         let (mut frames, mut final_epoch) = (Vec::new(), 0);
         drive_anchored(family, script, image, |_, acks, (before, sealed)| {
             if acks > frames.len() as u64 {
                 frames.push(before + 1);
             }
             final_epoch = sealed;
-            Ok::<_, DrillError>(ControlFlow::Continue(()))
+            Ok::<_, CampaignError>(ControlFlow::Continue(()))
         })?;
         remove_image(image);
         let writes = (0..).zip(script).filter(|(_, op)| op.0);
@@ -224,13 +142,15 @@ pub struct PointOutcome {
 ///
 /// # Errors
 ///
-/// [`DrillError::Breach`] or [`DrillError::NotRecovered`] for anything
-/// short of full recovery against the model; harness I/O.
+/// For anything short of full recovery against the model,
+/// [`CampaignError::Breach`] (an owed write lost, a write not owed
+/// visible, a panic) or [`CampaignError::Short`] (a typed verdict below
+/// full recovery); harness I/O.
 pub fn verify_dead_image(
     family: Family,
     image: &Path,
     model: impl FnOnce(u64) -> Acked,
-) -> Result<(u64, bool), DrillError> {
+) -> Result<(u64, bool), CampaignError> {
     let copy = image.with_extension("restart.wal");
     copy_image(image, &copy).map_err(io_ctx("copy image to", &copy))?;
     let sealed = FreshnessAnchor::probe(&anchor_path_for(&copy), AnubisConfig::small_test().key.0);
@@ -244,28 +164,32 @@ pub fn verify_dead_image(
         model(epoch)
     });
     remove_image(&copy);
+    let at = "restart".to_string();
     match verdict {
         Ok(Verdict::FullRecovery) => {}
-        Ok(verdict) => return Err(DrillError::NotRecovered(verdict)),
-        Err(breach) => return Err(DrillError::Breach(breach)),
+        Ok(verdict) => {
+            let (want, got) = (Verdict::FullRecovery.name(), format!("{verdict:?}"));
+            return Err(CampaignError::Short { at, want, got });
+        }
+        Err(breach) => return Err(CampaignError::Breach { at, breach }),
     }
     let behind = matches!(sealed, Ok(Some(epoch)) if epoch < image_epoch);
     Ok((image_epoch, behind))
 }
 
-/// Runs one kill point: spawn the script child over a fresh image,
-/// SIGKILL it once its anchor has sealed `kill_at`, then verify the dead
-/// image against `table`. `exe` is the campaign binary itself (see
-/// [`ScriptChild`] for the child's command line).
+/// Runs one kill point in the empty directory `dir`: spawn the script
+/// child over a fresh image, SIGKILL it once its anchor has sealed
+/// `kill_at`, then verify the dead image against `table`. `exe` is the
+/// campaign binary itself (see [`ScriptChild`] for the child's command
+/// line).
 fn run_point(
     exe: &Path,
     family: Family,
-    spec: &DrillSpec,
+    spec: &ScriptSpec,
     table: &EpochTable,
     dir: &Path,
     kill_at: u64,
-) -> Result<PointOutcome, DrillError> {
-    fs::create_dir_all(dir).map_err(io_ctx("create scratch dir", dir))?;
+) -> Result<PointOutcome, CampaignError> {
     let child = ScriptChild {
         family,
         image: dir.join("image.wal"),
@@ -273,7 +197,6 @@ fn run_point(
         lines: spec.lines,
         seed: spec.seed,
     };
-    remove_image(&child.image);
     let completed = child.run_killed(exe, kill_at)?;
     let (image_epoch, anchor_behind) =
         verify_dead_image(family, &child.image, |epoch| table.model(epoch, spec.lines))?;
@@ -301,8 +224,6 @@ pub struct FamilyReport {
     pub owed_total: u64,
     /// Points whose anchor was one frame behind the image.
     pub anchor_behind: u64,
-    /// Smallest and largest kill thresholds drawn.
-    pub kill_range: (u64, u64),
     /// Per-point outcomes (in execution order).
     pub outcomes: Vec<PointOutcome>,
 }
@@ -312,7 +233,7 @@ pub struct FamilyReport {
 /// `1..=final_epoch`, or every one of them when `sweep` is set.
 fn planned_kills(
     family: Family,
-    spec: &DrillSpec,
+    spec: &ScriptSpec,
     final_epoch: u64,
     points: u64,
     sweep: bool,
@@ -328,69 +249,52 @@ fn planned_kills(
 
 /// Runs a family's full campaign: one dry run for the epoch table, then
 /// `points` randomized kill thresholds (or, when `sweep` is set, one
-/// point per sealed epoch — the exhaustive nightly mode).
+/// point per sealed epoch — the exhaustive nightly mode), point `i` in
+/// `dir/<family>-p<i>`.
 ///
 /// # Errors
 ///
-/// Stops at the first [`DrillError`]; a completed campaign means full
-/// recovery against the exact model at every point.
+/// Stops at the first failing point ([`CampaignError::Point`]); a
+/// completed campaign means full recovery against the exact model at
+/// every point.
 pub fn run_campaign(
     exe: &Path,
     family: Family,
-    spec: &DrillSpec,
+    spec: &ScriptSpec,
     dir: &Path,
     points: u64,
     sweep: bool,
-) -> Result<FamilyReport, DrillError> {
+) -> Result<FamilyReport, CampaignError> {
     fs::create_dir_all(dir).map_err(io_ctx("create scratch dir", dir))?;
-    let script = drill_script(spec.script_len, spec.lines, spec.seed);
     let dry = dir.join(format!("{}-dry.wal", family.name()));
-    let table = EpochTable::dry_run(family, &script, &dry)?;
+    let table = EpochTable::dry_run(family, &spec.script(), &dry)?;
     let planned = planned_kills(family, spec, table.final_epoch, points, sweep);
-    let mut report = FamilyReport {
+    let points = (0..).zip(planned).map(|(i, kill_at)| {
+        let label = format!("point {i}, kill at sealed epoch {kill_at}");
+        (format!("{}-p{i}", family.name()), label, kill_at)
+    });
+    let outcomes = run_points(dir, points, |kill_at, pdir| {
+        run_point(exe, family, spec, &table, pdir, kill_at)
+    })?;
+    Ok(FamilyReport {
         family,
         final_epoch: table.final_epoch,
-        completed_runs: 0,
-        owed_total: 0,
-        anchor_behind: 0,
-        kill_range: (
-            planned.iter().copied().min().unwrap_or(0),
-            planned.iter().copied().max().unwrap_or(0),
-        ),
-        outcomes: Vec::with_capacity(planned.len()),
-    };
-    for (i, &kill_at) in planned.iter().enumerate() {
-        let pdir = dir.join(format!("{}-p{i}", family.name()));
-        let out = match run_point(exe, family, spec, &table, &pdir, kill_at) {
-            Ok(out) => {
-                let _ = fs::remove_dir_all(&pdir);
-                out
-            }
-            // Keep the point's image and anchor for post-mortem.
-            Err(source) => {
-                return Err(DrillError::Point {
-                    index: i as u64,
-                    kill_at,
-                    dir: pdir,
-                    source: Box::new(source),
-                })
-            }
-        };
-        report.completed_runs += u64::from(out.completed);
-        report.owed_total += out.owed;
-        report.anchor_behind += u64::from(out.anchor_behind);
-        report.outcomes.push(out);
-    }
-    Ok(report)
+        completed_runs: outcomes.iter().filter(|o| o.completed).count() as u64,
+        owed_total: outcomes.iter().map(|o| o.owed).sum(),
+        anchor_behind: outcomes.iter().filter(|o| o.anchor_behind).count() as u64,
+        outcomes,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Breach;
     use crate::campaign::{drive, fnv1a64, restart, Stop, FNV1A64_EMPTY};
     use anubis::DataAddr;
     use anubis_nvm::{home_path_for, NvmBackend};
     use std::convert::Infallible;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("anubis-drill-{}-{name}", std::process::id()));
@@ -400,7 +304,7 @@ mod tests {
     }
 
     /// Copies an image: what a kill there leaves.
-    fn copy(from: &Path, to: &Path) -> Result<(), DrillError> {
+    fn copy(from: &Path, to: &Path) -> Result<(), CampaignError> {
         copy_image(from, to).map_err(io_ctx("copy image to", to))?;
         Ok(())
     }
@@ -424,7 +328,7 @@ mod tests {
                 }
                 _ => {}
             }
-            Ok::<_, DrillError>(ControlFlow::Continue(()))
+            Ok::<_, CampaignError>(ControlFlow::Continue(()))
         })
         .expect("drive to the tenth write");
         (table.clone(), table.writes[9])
@@ -450,7 +354,11 @@ mod tests {
         );
 
         let found = verify_dead_image(family, &at, |epoch| table.model(epoch - 1, LINES));
-        let Err(DrillError::Breach(Breach::SilentStale { addr: a, owed, got })) = found else {
+        let Err(CampaignError::Breach {
+            breach: Breach::SilentStale { addr: a, owed, got },
+            ..
+        }) = found
+        else {
             panic!("a write the model does not owe must show: {found:?}");
         };
         assert_eq!((a, got), (addr, op_payload(op, addr).word(0)));
@@ -468,7 +376,11 @@ mod tests {
         let found = verify_dead_image(Family::BonsaiAgitPlus, &early, |epoch| {
             table.model(epoch + 1, LINES)
         });
-        let Err(DrillError::Breach(Breach::SilentStale { addr: a, owed, got })) = found else {
+        let Err(CampaignError::Breach {
+            breach: Breach::SilentStale { addr: a, owed, got },
+            ..
+        }) = found
+        else {
             panic!("the write of the next frame must be missing: {found:?}");
         };
         assert_eq!((a, owed), (addr, op));
@@ -496,7 +408,7 @@ mod tests {
                 checkpointing = Some(table.writes[acks as usize - 1]);
                 return Ok(ControlFlow::Break(()));
             }
-            Ok::<_, DrillError>(ControlFlow::Continue(()))
+            Ok::<_, CampaignError>(ControlFlow::Continue(()))
         })
         .expect("drive to a checkpoint");
         let (op, addr, frame) = checkpointing.expect("the script checkpoints");
@@ -527,7 +439,7 @@ mod tests {
         );
         let after_the_op = verify_dead_image(family, &image, |epoch| table.model(epoch - 1, lines));
         assert!(
-            matches!(after_the_op, Err(DrillError::Breach(Breach::SilentStale { addr: a, .. })) if a == addr),
+            matches!(after_the_op, Err(CampaignError::Breach { breach: Breach::SilentStale { addr: a, .. }, .. }) if a == addr),
             "{after_the_op:?}"
         );
         let _ = fs::remove_dir_all(&dir);
@@ -544,7 +456,7 @@ mod tests {
         let image = dir.join("image.wal");
         let anchor = anchor_path_for(&image);
         let whole = drive_anchored(family, &script, &image, |_, _, _| {
-            Ok::<_, DrillError>(ControlFlow::Continue(()))
+            Ok::<_, CampaignError>(ControlFlow::Continue(()))
         })
         .expect("the whole script");
         let dead = || {
@@ -589,7 +501,7 @@ mod tests {
     /// draw stay what they were.
     #[test]
     fn committed_seed_produces_the_recorded_script_and_kill_points() {
-        let spec = DrillSpec::default();
+        let spec = ScriptSpec::drill();
         let script = drill_script(1_200, 300, 0xA17B_05E7);
         assert_eq!(
             script[..6],

@@ -25,8 +25,14 @@
 //!    path against the exact [`Acked`] model: the last payload that was
 //!    durable or answered, in execution order, or zeros. A durable write
 //!    that does not read back, answered or not, and a write that was not
-//!    durable yet but shows, both fail the campaign. Nothing is tolerated
-//!    as in flight.
+//!    durable yet but shows, both fail the campaign as a
+//!    [`CampaignError::Breach`] (`SilentStale`, naming the tenant and the
+//!    owed op). Nothing is tolerated as in flight. A tenant short of full
+//!    service, or a refusal where service was needed, is
+//!    [`CampaignError::Short`].
+//!
+//! A failing point keeps its directory, `point-<i>`: `live` holds the
+//! images as the kill left them, `dead` the copies the restart opened.
 //!
 //! Admission is lifted out of the way as the ledger does and one thread
 //! plays every event, so apart from time-to-healthy the report is a pure
@@ -38,7 +44,7 @@
 
 use std::collections::VecDeque;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
@@ -47,7 +53,9 @@ use anubis::Family;
 use anubis_nvm::{copy_image, Block};
 use anubis_server::{Request, Response, ServeConfig, ServeMode, Tenant, TenantSpec, ThreadReg};
 
-use crate::campaign::{io_ctx, op_payload, Acked, HarnessError, ReadBack, XorShift64};
+use crate::campaign::{
+    io_ctx, op_payload, run_points, Acked, Breach, CampaignError, ReadBack, XorShift64,
+};
 
 /// Campaign geometry.
 #[derive(Clone, Debug)]
@@ -70,105 +78,6 @@ impl Default for ServeSpec {
             lines: 48,
             script_len: 24,
         }
-    }
-}
-
-/// A campaign failure; every variant names the tenant it concerns.
-#[derive(Debug)]
-pub enum ServeCampaignError {
-    /// Filesystem failure, with operation and path, or an image that did
-    /// not open.
-    Harness(HarnessError),
-    /// After the restart a line read back something other than what the
-    /// model owes: a durable or answered write lost, or a write that was
-    /// not durable yet showing.
-    AckedWriteLost {
-        /// The tenant.
-        tenant: String,
-        /// The data-line address.
-        addr: u64,
-        /// First word of the payload the model owes (zero: no write).
-        want: u64,
-        /// First word of what was read back.
-        got: u64,
-    },
-    /// A tenant was not in full service once its ladder was joined.
-    NotHealthy {
-        /// The tenant.
-        tenant: String,
-        /// Its last ladder outcome, as its stats render it.
-        outcome: String,
-    },
-    /// A typed refusal, or a reply of the wrong kind, where the schedule
-    /// or the audit needed service: nothing is retried.
-    Verify {
-        /// The tenant.
-        tenant: String,
-        /// What was asked and what came back.
-        detail: String,
-    },
-    /// A campaign point failed; its scratch directory is kept.
-    Point {
-        /// Index of the point in campaign order.
-        index: u64,
-        /// Events played before the kill.
-        kill_at: u64,
-        /// Scratch directory preserved for post-mortem: `live` holds the
-        /// images as the kill left them.
-        dir: PathBuf,
-        /// The underlying failure.
-        source: Box<ServeCampaignError>,
-    },
-}
-
-impl std::fmt::Display for ServeCampaignError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeCampaignError::Harness(e) => write!(f, "{e}"),
-            ServeCampaignError::AckedWriteLost {
-                tenant,
-                addr,
-                want,
-                got,
-            } => write!(
-                f,
-                "WRITE LOST OR NOT-DURABLE WRITE VISIBLE: tenant {tenant} line {addr} \
-                 want {want:#018x} got {got:#018x}"
-            ),
-            ServeCampaignError::NotHealthy { tenant, outcome } => write!(
-                f,
-                "tenant {tenant} not back to full service (last outcome {outcome:?})"
-            ),
-            ServeCampaignError::Verify { tenant, detail } => {
-                write!(f, "tenant {tenant} refused service: {detail}")
-            }
-            ServeCampaignError::Point {
-                index,
-                kill_at,
-                dir,
-                source,
-            } => write!(
-                f,
-                "point {index} (kill after {kill_at} events, artifacts in {}): {source}",
-                dir.display()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ServeCampaignError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ServeCampaignError::Harness(e) => Some(e),
-            ServeCampaignError::Point { source, .. } => Some(source.as_ref()),
-            _ => None,
-        }
-    }
-}
-
-impl<E: Into<HarnessError>> From<E> for ServeCampaignError {
-    fn from(e: E) -> Self {
-        ServeCampaignError::Harness(e.into())
     }
 }
 
@@ -217,8 +126,6 @@ pub struct ServeReport {
     pub tth_p50_us: u64,
     /// 95th-percentile time-to-healthy across points, microseconds.
     pub tth_p95_us: u64,
-    /// Kill indices exercised, smallest and largest.
-    pub kill_range: (u64, u64),
     /// Per-point detail, in campaign order.
     pub outcomes: Vec<PointOutcome>,
 }
@@ -306,7 +213,7 @@ impl Fleet {
     /// Opens every tenant over `dir` as the server boots them and joins
     /// their ladders. Returns the fleet and the microseconds from the
     /// first open until every tenant was `Full`.
-    fn boot(spec: &ServeSpec, dir: &Path) -> Result<(Fleet, u64), ServeCampaignError> {
+    fn boot(spec: &ServeSpec, dir: &Path) -> Result<(Fleet, u64), CampaignError> {
         fs::create_dir_all(dir).map_err(io_ctx("create data dir", dir))?;
         let (cfg, threads) = (config(spec, dir), ThreadReg::default());
         let started = Instant::now();
@@ -329,8 +236,9 @@ impl Fleet {
                     Response::StatsOk(stats) => stats.last_outcome,
                     other => format!("{other:?}"),
                 };
-                let tenant = tenant.name().to_string();
-                return Err(ServeCampaignError::NotHealthy { tenant, outcome });
+                let (at, want) = (tenant.name().to_string(), "full service");
+                let got = format!("last outcome {outcome:?}");
+                return Err(CampaignError::Short { at, want, got });
             }
         }
         Ok((fleet, started.elapsed().as_micros() as u64))
@@ -342,9 +250,11 @@ impl Fleet {
     }
 }
 
-fn refused(tenant: &Tenant, detail: String) -> ServeCampaignError {
-    let tenant = tenant.name().to_string();
-    ServeCampaignError::Verify { tenant, detail }
+/// A typed refusal, or a reply of the wrong kind, where the schedule or
+/// the audit needed service: nothing is retried.
+fn refused(tenant: &Tenant, got: String) -> CampaignError {
+    let (at, want) = (tenant.name().to_string(), "service");
+    CampaignError::Short { at, want, got }
 }
 
 /// One executed write, as the audit knows it.
@@ -398,7 +308,7 @@ fn play(
     events: &[Event],
     live: &Path,
     dead: &Path,
-) -> Result<Vec<AtKill>, ServeCampaignError> {
+) -> Result<Vec<AtKill>, CampaignError> {
     let (fleet, _) = Fleet::boot(spec, live)?;
     let scripts: Vec<Vec<u64>> = (0..spec.tenants).map(|t| script(spec, t)).collect();
     let mut executed: Vec<Vec<Write>> = vec![Vec::new(); spec.tenants];
@@ -469,7 +379,7 @@ fn restart(
     spec: &ServeSpec,
     dead: &Path,
     models: &[Acked],
-) -> Result<(u64, Vec<u64>), ServeCampaignError> {
+) -> Result<(u64, Vec<u64>), CampaignError> {
     let (fleet, time_to_healthy_us) = Fleet::boot(spec, dead)?;
     let mut verified = Vec::with_capacity(models.len());
     for (tenant, model) in fleet.tenants.iter().zip(models) {
@@ -492,12 +402,11 @@ fn restart(
                 ReadBack::Matched => lines += 1,
                 ReadBack::Failed(detail) => return Err(refused(tenant, detail)),
                 ReadBack::Wrong { got } => {
-                    return Err(ServeCampaignError::AckedWriteLost {
-                        tenant: tenant.name().to_string(),
-                        addr: found.addr,
-                        want: found.want.word(0),
-                        got: got.word(0),
-                    })
+                    let (addr, owed, got) = (found.addr, found.op_index, got.word(0));
+                    return Err(CampaignError::Breach {
+                        at: tenant.name().to_string(),
+                        breach: Breach::SilentStale { addr, owed, got },
+                    });
                 }
                 ReadBack::InFlight | ReadBack::Excused => {
                     unreachable!("the exact model has nothing in flight and excuses nothing")
@@ -515,7 +424,7 @@ fn run_point(
     events: &[Event],
     dir: &Path,
     kill_at: u64,
-) -> Result<PointOutcome, ServeCampaignError> {
+) -> Result<PointOutcome, CampaignError> {
     let (live, dead) = (dir.join("live"), dir.join("dead"));
     let at_kill = play(spec, &events[..kill_at as usize], &live, &dead)?;
     let (time_to_healthy_us, verified) = restart(spec, &dead, &exact_models(spec, &at_kill))?;
@@ -531,11 +440,12 @@ fn run_point(
 }
 
 /// Runs `points` kill points of the seed's schedule (or, `sweep`, one
-/// at every event index).
+/// at every event index), point `i` in `dir/point-<i>`; a failing
+/// point's `live` holds the images as the kill left them.
 ///
 /// # Errors
 ///
-/// The first point's failure, as [`ServeCampaignError::Point`]; a clean
+/// The first point's failure, as [`CampaignError::Point`]; a clean
 /// return means every durable or answered write read back, no write that
 /// was not durable showed, and every tenant was back in full service, at
 /// every point.
@@ -544,25 +454,15 @@ pub fn run_campaign(
     dir: &Path,
     points: u64,
     sweep: bool,
-) -> Result<ServeReport, ServeCampaignError> {
+) -> Result<ServeReport, CampaignError> {
     let (events, kills) = plan(spec, points, sweep);
-    let mut outcomes = Vec::with_capacity(kills.len());
-    for (index, &kill_at) in (0..).zip(&kills) {
-        let pdir = dir.join(format!("point-{index}"));
-        let _ = fs::remove_dir_all(&pdir);
-        match run_point(spec, &events, &pdir, kill_at) {
-            Ok(out) => outcomes.push(out),
-            Err(source) => {
-                return Err(ServeCampaignError::Point {
-                    index,
-                    kill_at,
-                    dir: pdir,
-                    source: Box::new(source),
-                })
-            }
-        }
-        let _ = fs::remove_dir_all(&pdir);
-    }
+    let points = (0..).zip(kills).map(|(i, kill_at)| {
+        let label = format!("point {i}, kill after {kill_at} events");
+        (format!("point-{i}"), label, kill_at)
+    });
+    let outcomes = run_points(dir, points, |kill_at, pdir| {
+        run_point(spec, &events, pdir, kill_at)
+    })?;
     let total = |field: fn(&TenantOutcome) -> u64| -> u64 {
         outcomes.iter().flat_map(|o| &o.tenants).map(field).sum()
     };
@@ -576,10 +476,6 @@ pub fn run_campaign(
         verified_total: total(|t| t.verified_lines),
         tth_p50_us: percentile_of_sorted(&tth, 0.50),
         tth_p95_us: percentile_of_sorted(&tth, 0.95),
-        kill_range: (
-            kills.iter().copied().min().unwrap_or(0),
-            kills.iter().copied().max().unwrap_or(0),
-        ),
         outcomes,
     })
 }
@@ -588,6 +484,7 @@ pub fn run_campaign(
 mod tests {
     use super::*;
     use crate::campaign::Judged;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("anubis-serve-{}-{name}", std::process::id()));
@@ -595,8 +492,14 @@ mod tests {
         dir
     }
 
-    fn is_lost(audit: Result<(u64, Vec<u64>), ServeCampaignError>) -> bool {
-        matches!(audit, Err(ServeCampaignError::AckedWriteLost { .. }))
+    fn is_lost(audit: Result<(u64, Vec<u64>), CampaignError>) -> bool {
+        matches!(
+            audit,
+            Err(CampaignError::Breach {
+                breach: Breach::SilentStale { .. },
+                ..
+            })
+        )
     }
 
     /// The capture taken before the frame that made a write durable,
@@ -651,8 +554,8 @@ mod tests {
         models[t] = at.model(at.durable_epoch + 1, spec.lines);
         let folded = restart(&spec, &dir.join("dead"), &models);
         assert!(
-            matches!(&folded, Err(ServeCampaignError::AckedWriteLost { tenant, .. })
-                if *tenant == format!("tenant-{t}")),
+            matches!(&folded, Err(CampaignError::Breach { at, breach: Breach::SilentStale { .. } })
+                if *at == format!("tenant-{t}")),
             "{folded:?}"
         );
         let _ = fs::remove_dir_all(&dir);

@@ -40,8 +40,8 @@ use std::fs;
 use std::path::Path;
 
 use anubis::Family;
-use anubis_sim::adversary::{run_campaign, AdversarySpec, MutationOutcome};
-use anubis_sim::campaign::{fnv1a64, Verdict, FNV1A64_EMPTY};
+use anubis_sim::adversary::{run_campaign, MutationOutcome};
+use anubis_sim::campaign::{fnv1a64, ScriptSpec, Verdict, FNV1A64_EMPTY};
 
 /// One point as the pin sees it: label, verdict, reason (the refusal's,
 /// or the degraded outcome), damage. The scratch directory a reason
@@ -65,7 +65,7 @@ fn base_run_is_replayable(family: Family, want: [&str; 27], fnv: u64) {
         family.name()
     ));
     let run = || {
-        let report = run_campaign(family, &AdversarySpec::default(), &dir, 1)
+        let report = run_campaign(family, &ScriptSpec::adversary(), &dir, 1)
             .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
         (report.outcomes.iter())
             .map(|o| point(o, &dir))

@@ -24,8 +24,8 @@ use anubis::Family;
 use anubis_nvm::{
     copy_image, AnchorPolicy, Block, FileBackend, Freshness, NvmBackend, WalFrame, WalWalker,
 };
-use anubis_sim::adversary::{splice_sweep, AdversarySpec, PUBLIC_WAL_KEY};
-use anubis_sim::campaign::Verdict;
+use anubis_sim::adversary::{splice_sweep, PUBLIC_WAL_KEY};
+use anubis_sim::campaign::{ScriptSpec, Verdict};
 
 /// A device key, for the histories built here by hand.
 const KEY: [u64; 2] = [0x5EED_0000_0000_0022, 0x0000_5A1C_E000_0022];
@@ -41,9 +41,9 @@ fn scratch(name: &str) -> PathBuf {
 /// it knows, and demands a refusal at open for every (epoch, donor) pair.
 /// `pairs` pins how many there are, so the sweep cannot go vacuous.
 fn every_pair_is_refused(family: Family, drops: std::ops::Range<u64>, pairs: usize) {
-    let spec = AdversarySpec {
+    let spec = ScriptSpec {
         script_len: 400,
-        ..AdversarySpec::default()
+        ..ScriptSpec::adversary()
     };
     let dir = scratch(family.name());
     let points = splice_sweep(family, &spec, drops.clone(), PUBLIC_WAL_KEY, &dir)
