@@ -353,6 +353,30 @@ impl<T> MetadataCache<T> {
         }
     }
 
+    /// Inserts `addr` (clean) into the slot whose linear index is `slot`,
+    /// which must be an empty way of `addr`'s own set — how a recovery
+    /// puts a block back where a shadow table says it was. Returns `None`,
+    /// and changes nothing, if the slot is in another set or taken, or
+    /// `addr` is already resident.
+    pub fn insert_at(&mut self, addr: BlockAddr, slot: usize, value: T) -> Option<SlotId> {
+        let (set, way) = (slot / self.ways, slot % self.ways);
+        if set != self.set_index(addr) || self.contains(addr) || self.sets[set][way].is_some() {
+            return None;
+        }
+        self.tick += 1;
+        self.stats.fills += 1;
+        self.sets[set][way] = Some(Slot {
+            tag: addr,
+            value,
+            dirty: false,
+            last_use: self.tick,
+        });
+        Some(SlotId {
+            set: set as u32,
+            way: way as u32,
+        })
+    }
+
     /// Marks a resident block dirty, returning `true` if this was its
     /// *first* modification since insertion (the AGIT-Plus trigger).
     ///
@@ -643,6 +667,24 @@ mod tests {
             assert!(seen.insert(lin), "duplicate linear slot {lin}");
         }
         assert_eq!(seen.len(), 16);
+    }
+
+    #[test]
+    fn insert_at_fills_only_an_empty_way_of_the_blocks_own_set() {
+        let mut c = cache(8, 2); // 4 sets: block k lives in set k % 4
+        let a = BlockAddr::new(5); // set 1: slots 2 and 3
+        assert_eq!(c.insert_at(a, 0, 1), None, "a slot of another set");
+        assert_eq!(c.insert_at(a, 8, 1), None, "past the last slot");
+        c.insert_at(BlockAddr::new(9), 2, 9).expect("an empty way");
+        assert_eq!(c.insert_at(a, 2, 1), None, "a taken way");
+        let slot = c.insert_at(a, 3, 1).expect("the other way");
+        assert_eq!(c.slot_of(a), Some(slot));
+        assert_eq!(slot.linear(c.ways()), 3);
+        c.evict(BlockAddr::new(9));
+        assert_eq!(c.insert_at(a, 2, 1), None, "resident elsewhere");
+        assert_eq!(c.slot_of(a).map(|s| s.linear(c.ways())), Some(3));
+        assert_eq!(c.peek(a), Some(&1));
+        assert_eq!(c.is_dirty(a), Some(false));
     }
 
     #[test]

@@ -732,8 +732,9 @@ impl<B: NvmBackend> BonsaiController<B> {
     }
 
     /// Re-encrypts one line of a page from its old counter to
-    /// `(new_major, 0)`. Also used by recovery to finish an interrupted
-    /// re-encryption (where the "already done" probe matters).
+    /// `(new_major, 0)`, staged in the op's commit group. Recovery finishes
+    /// an interrupted re-encryption with its own copy of this loop,
+    /// `recovery::complete_reencryption`.
     fn reencrypt_line(
         &mut self,
         leaf_index: u64,

@@ -106,6 +106,13 @@ fn dev_write<B: NvmBackend>(
 /// (counter block first, then the remaining lines). Returns the affected
 /// leaf so tree recovery can repair its path. At most one page (64 lines)
 /// of sequential REDO work.
+///
+/// This is a copy of the run-time loop (`BonsaiController::reencrypt_line`)
+/// on purpose: it writes straight to the device and clears the log last,
+/// so a write cut anywhere in it leaves the log set and the next power-on
+/// redoes the page, which is idempotent. Staged in commit groups, a
+/// group's register mirrors would land when it is staged while a cut
+/// still drops its writes from the queue.
 pub(super) fn complete_reencryption<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     t: &mut RecoveryReport,

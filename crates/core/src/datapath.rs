@@ -515,11 +515,15 @@ pub(crate) fn reopened<P: Policy>(mut c: P) -> (P, Option<RecoveryError>) {
     (c, hint)
 }
 
-/// Runs `rung` — a recovery or repair step that may move an on-chip
-/// register in place, outside any commit group — and, if it moved one,
-/// stores the register mirrors: they then reach the backend with the
-/// rung's own writes, at its barrier, and a power-on loads the registers
-/// the rung left. A rung that moved nothing leaves the image as it was.
+/// Runs `rung` — a step that may move an on-chip register in place,
+/// outside any commit group — and, if it moved one, stores the register
+/// mirrors: they then reach the backend with the rung's own writes, at
+/// its barrier, and a power-on loads the registers the rung left. A rung
+/// that moved nothing leaves the image as it was. Its callers are the two
+/// degraded-mode repair rungs, [`Supervised::targeted_repair`] and
+/// [`Supervised::reconcile_metadata`] (Bonsai re-anchors its root, SGX
+/// resets `SHADOW_TREE_ROOT` with the table), and ASIT's
+/// `debug_refresh_shadow_root_from_nvm` hook.
 pub(crate) fn mirrored<P: Policy, T>(c: &mut P, rung: impl FnOnce(&mut P) -> T) -> T {
     let before = c.reg_mirrors();
     let out = rung(c);

@@ -6,7 +6,7 @@
 //! operations; for terabyte-scale capacities (Figs. 5 and 12) the
 //! [`time`] module evaluates the same counts analytically.
 
-use crate::datapath::{mirrored, Policy};
+use crate::datapath::Policy;
 use crate::error::RecoveryError;
 
 /// Cost of one recovery operation (fetch + hash/decrypt), per the paper's
@@ -16,8 +16,13 @@ pub const NS_PER_RECOVERY_OP: u64 = 100;
 /// The recovery skeleton every scheme runs: power-up (the persistent
 /// registers REDO their group), then the scheme's own algorithm, which
 /// tallies its work into the report, inside the `recovery` span and
-/// counted in `recovery_runs_total`. Whatever registers the algorithm
-/// moved reach their mirrors, on success and on failure alike.
+/// counted in `recovery_runs_total`.
+///
+/// No algorithm moves a register its image must keep. ASIT's writes
+/// nothing. The one register a Bonsai recovery moves is the
+/// re-encryption log it clears once the page is done; its mirror keeps
+/// the log until the next commit group, and a power-on that still finds
+/// it redoes the page, which is idempotent.
 pub(crate) fn run<P: Policy>(c: &mut P) -> Result<RecoveryReport, RecoveryError> {
     let tel = c.path().telemetry.clone();
     let _recovery_span = tel.span("recovery", c.name());
@@ -25,7 +30,7 @@ pub(crate) fn run<P: Policy>(c: &mut P) -> Result<RecoveryReport, RecoveryError>
         redo_writes: c.path_mut().domain.power_up() as u64,
         ..RecoveryReport::default()
     };
-    mirrored(c, |c| c.recover_metadata(&mut report))?;
+    c.recover_metadata(&mut report)?;
     tel.incr("recovery_runs_total", c.name(), 1);
     Ok(report)
 }

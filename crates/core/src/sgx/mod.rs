@@ -412,8 +412,9 @@ impl<B: NvmBackend> SgxController<B> {
     }
 
     /// Writes a resident node back to NVM without evicting it: bumps the
-    /// parent counter, seals, stages the write, and (ASIT) refreshes the
-    /// node's ST entry so the shadow copy matches the NVM copy.
+    /// parent counter, seals, stages the write, and (ASIT) clears the
+    /// node's ST slot — the node is clean now, and an entry left for it
+    /// would outlive its residency (see [`Self::clear_st_slot`]).
     fn writeback_node(&mut self, node: NodeId) -> Result<(), MemError> {
         let addr = self.layout().node_addr(node);
         let pc = self.bump_parent_counter(node)?;
@@ -429,7 +430,8 @@ impl<B: NvmBackend> SgxController<B> {
         self.path.stage(addr, sealed.to_block());
         self.cache.mark_clean(addr);
         if self.scheme == SgxScheme::Asit {
-            self.stage_st_entry(node)?;
+            let slot = self.cache.slot_of(addr).expect("resident");
+            self.clear_st_slot(slot.linear(self.cache.ways()) as u64)?;
         }
         Ok(())
     }
@@ -499,8 +501,8 @@ impl<B: NvmBackend> SgxController<B> {
     }
 
     /// Inserts a verified node, handling the displaced victim (lazy
-    /// propagation: dirty victims bump their parent counter, seal, write
-    /// back, and refresh their ST entry).
+    /// propagation: dirty victims clear their ST slot, bump their parent
+    /// counter, seal and write back).
     fn insert_node(&mut self, node: NodeId, value: SgxCounterNode) -> Result<(), MemError> {
         let addr = self.layout().node_addr(node);
         let outcome = self.cache.insert(
@@ -535,11 +537,13 @@ impl<B: NvmBackend> SgxController<B> {
         Ok(())
     }
 
-    /// Clears the ST slot of an evicted dirty node. The eviction writeback
-    /// makes the NVM copy current, so the entry is no longer needed — and
-    /// keeping it would let a later *non-resident* writeback (the upward
-    /// counter cascade) silently invalidate its MAC. Invariant: ST entries
-    /// exist only for currently resident nodes (see DESIGN.md).
+    /// Clears the ST slot of a node just written back, whether the
+    /// writeback evicted it or left it resident and clean. The NVM copy is
+    /// current, so the entry is no longer needed — and keeping it would
+    /// let a later *non-resident* writeback (the upward counter cascade)
+    /// silently invalidate its MAC, or outlive a later clean eviction for
+    /// a recovery to splice back. Invariant: ST entries exist only for
+    /// dirty resident nodes (see DESIGN.md).
     fn clear_st_slot(&mut self, slot: u64) -> Result<(), MemError> {
         self.stage_shadow_leaf(slot, Block::zeroed())?;
         self.path.stage(self.st().nth(slot), Block::zeroed());

@@ -26,12 +26,14 @@
 use super::{recovery, SgxController, SgxScheme};
 use crate::datapath::Policy;
 use crate::error::RecoveryError;
+use crate::shadow::StEntry;
 use crate::shadow_tree::ShadowTree;
 use crate::supervisor::RepairSummary;
 use crate::MemoryController;
 use anubis_crypto::SgxCounterNode;
 use anubis_itree::NodeId;
-use anubis_nvm::{Block, NvmBackend};
+use anubis_nvm::{Block, BlockAddr, NvmBackend};
+use std::collections::BTreeMap;
 
 /// `targeted`: the spill splice when the verified Shadow Table outgrew
 /// the cache, then the shared degraded path.
@@ -58,7 +60,7 @@ fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
     if ShadowTree::rebuild(c.config.key, st_blocks.clone()).root() != c.shadow_root {
         return sum;
     }
-    let mut entries = recovery::dedup_st_entries(c, &st_blocks);
+    let mut entries = dedup_st_entries(c, &st_blocks);
     entries.sort_by_key(|(addr, _)| {
         std::cmp::Reverse(c.layout().node_of_addr(*addr).map(|n| n.level).unwrap_or(0))
     });
@@ -75,6 +77,40 @@ fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
         }
     }
     sum
+}
+
+/// Parses an ST image into deduplicated `(address, entry)` pairs in
+/// node-address order, keeping the freshest duplicate (componentwise-
+/// largest counters — counters only ever grow, and a stale duplicate
+/// always equals the NVM copy; see DESIGN.md). Entries pointing outside
+/// the metadata regions are dropped — possible only through tampering
+/// that also defeated the shadow root, but stay defensive.
+fn dedup_st_entries<B: NvmBackend>(
+    c: &SgxController<B>,
+    st_blocks: &[Block],
+) -> Vec<(BlockAddr, StEntry)> {
+    let mut by_addr: BTreeMap<BlockAddr, StEntry> = BTreeMap::new();
+    for block in st_blocks {
+        let Some(entry) = StEntry::from_block(block) else {
+            continue;
+        };
+        if c.layout().node_of_addr(entry.addr()).is_none() {
+            continue;
+        }
+        by_addr
+            .entry(entry.addr())
+            .and_modify(|existing| {
+                if lsb_sum(&entry) > lsb_sum(existing) {
+                    *existing = entry;
+                }
+            })
+            .or_insert(entry);
+    }
+    by_addr.into_iter().collect()
+}
+
+fn lsb_sum(e: &StEntry) -> u128 {
+    e.lsbs().iter().map(|&v| v as u128).sum()
 }
 
 /// `node`'s version counter as its parent stores it on the medium, or

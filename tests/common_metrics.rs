@@ -91,7 +91,7 @@ fn both_families_publish_the_same_common_metric_names() {
     let (asit, asit_shadow) = published(SgxController::new(SgxScheme::Asit, &cfg), &["metadata"]);
     // The shadow-table writes sum each family's own regions (`sct` +
     // `smt`, `st`): pinned, so a change to which regions count moves them.
-    assert_eq!((agit_shadow, asit_shadow), (8, 96));
+    assert_eq!((agit_shadow, asit_shadow), (8, 53));
 
     let common: BTreeSet<String> = COMMON.iter().map(|s| s.to_string()).collect();
     let missing: Vec<_> = common.difference(&asit).collect();
@@ -209,7 +209,6 @@ fn recovery_spans_of_both_families_are_pinned() {
             "shadow_verify x 0",
             "splice x 38",
             "mac_verify x 38",
-            "st_rewrite x 38",
         ]
     );
     assert_eq!(asit.runs, 1);

@@ -346,8 +346,8 @@ fn post_recovery_image_reopens_to_its_pinned_state_bonsai_agit_plus() {
 fn post_recovery_image_reopens_to_its_pinned_state_sgx_asit() {
     post_recovery_image_reopens(
         Family::SgxAsit,
-        0x8028_a41f_6e98_8490,
-        0xd17c_ae35_3537_bfc9,
+        0x3e7b_e789_2b5f_e3ec,
+        0xdf0d_d1c8_4534_00f7,
     );
 }
 

@@ -462,7 +462,7 @@ fn fault_matrix_outcomes_are_pinned() {
             0xf25d_c7d9_f6c1_7740,
             0x7bd1_4476_3314_a24f,
             0x3152_d24b_b5f1_8ac9,
-            0x51ce_3097_bd13_2b4f,
+            0x9964_dc7c_6929_c048,
             0x376e_9e3f_0cb8_5ad0,
         ],
         "fault-matrix digests are now {digests:#018x?}"

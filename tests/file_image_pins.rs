@@ -139,5 +139,5 @@ fn agit_plus_image_is_pinned() {
 
 #[test]
 fn asit_image_is_pinned() {
-    assert_eq!(image_digest(Family::SgxAsit), 1_933_962_273_442_051_752);
+    assert_eq!(image_digest(Family::SgxAsit), 3_462_808_181_422_110_043);
 }
