@@ -56,9 +56,6 @@ pub use endurance::EnduranceModel;
 pub use engine::{
     payload, run_trace, run_trace_latencies, LatencySummary, RunResult, OP_LATENCY_METRIC,
 };
-pub use fault::{
-    bit_flip_sweep, count_persist_writes, nested_sweep, op_payload, power_cut_sweep,
-    run_with_fault, torn_write_sweep, CampaignReport, FaultVerdict, NestedReport, ScriptOp,
-};
+pub use fault::{count_persist_writes, nested_sweep, op_payload, NestedReport, ScriptOp};
 pub use report::Table;
 pub use timing::TimingModel;

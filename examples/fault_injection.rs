@@ -8,7 +8,7 @@
 
 use anubis::{AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController};
 use anubis_nvm::{Block, FaultPlan};
-use anubis_sim::{power_cut_sweep, run_with_fault};
+use anubis_sim::nested_sweep;
 
 fn main() {
     let cfg = AnubisConfig::small_test();
@@ -44,7 +44,8 @@ fn main() {
         BonsaiScheme::AgitRead,
         BonsaiScheme::AgitPlus,
     ] {
-        let r = power_cut_sweep(|| BonsaiController::new(scheme, &cfg), &script, 1);
+        let make = || BonsaiController::new(scheme, &cfg);
+        let r = nested_sweep(make, &script, 0, 1, |k| vec![FaultPlan::power_cut_after(k)]);
         println!(
             "{:>16}: {} intra-op crash points, {} recovered, {} detected",
             r.scheme, r.injection_points, r.recovered, r.detected
@@ -52,12 +53,23 @@ fn main() {
     }
 
     // --- 3. Torn write: detection-only territory. -----------------------
-    let verdict = run_with_fault(
-        &|| BonsaiController::new(BonsaiScheme::AgitPlus, &cfg),
+    // A one-point sweep: the plan only at device write 40.
+    let r = nested_sweep(
+        || BonsaiController::new(BonsaiScheme::AgitPlus, &cfg),
         &script,
-        FaultPlan::torn_write_after(40, 3),
+        0,
+        1,
+        |k| match k {
+            40 => vec![FaultPlan::torn_write_after(40, 3)],
+            _ => Vec::new(),
+        },
     );
-    println!("\ntorn write at index 40      : {verdict:?} (recovered clean or typed error)");
+    let verdict = if r.recovered == 1 {
+        "Recovered"
+    } else {
+        "Detected"
+    };
+    println!("\ntorn write at index 40      : {verdict} (recovered clean or typed error)");
 
     // --- 4. Bit flips: SEC-DED repairs one, reports two. ----------------
     let mut mem = BonsaiController::new(BonsaiScheme::Osiris, &cfg);

@@ -224,25 +224,28 @@ fn crash_during_page_reencryption_recovers() {
 #[test]
 fn intra_op_sweep_mode() {
     // Sweep mode: instead of crashing at op boundaries, cut power after
-    // individual device-level writes *inside* operations, via the
-    // fault-injection campaigns in `anubis_sim::fault`. A strided subset
-    // keeps this cheap next to the matrices above; set
-    // `ANUBIS_CRASH_SWEEP=1` for every injection point (the full sweep
-    // also runs, per scheme, in `tests/fault_matrix.rs`).
-    let stride = if std::env::var_os("ANUBIS_CRASH_SWEEP").is_some() {
-        1
-    } else {
-        7
-    };
+    // individual device-level writes *inside* operations, with depth 0 of
+    // `anubis_sim::nested_sweep`. Every 7th injection point keeps this
+    // cheap next to the matrices above; the full sweep runs, per scheme,
+    // in `tests/fault_matrix.rs`.
     let cfg = AnubisConfig::small_test();
     let ops = script(48);
+    let power_cut = |k| vec![anubis_nvm::FaultPlan::power_cut_after(k)];
     for report in [
-        anubis_sim::power_cut_sweep(
+        anubis_sim::nested_sweep(
             || BonsaiController::new(BonsaiScheme::AgitPlus, &cfg),
             &ops,
-            stride,
+            0,
+            7,
+            power_cut,
         ),
-        anubis_sim::power_cut_sweep(|| SgxController::new(SgxScheme::Asit, &cfg), &ops, stride),
+        anubis_sim::nested_sweep(
+            || SgxController::new(SgxScheme::Asit, &cfg),
+            &ops,
+            0,
+            7,
+            power_cut,
+        ),
     ] {
         assert!(
             report.injection_points > 0,

@@ -2,24 +2,19 @@
 //!
 //! Where `crash_matrix.rs` crashes *between* operations, this harness
 //! crashes *inside* them: a [`anubis_nvm::FaultPlan`] fires on the k-th
-//! counted device-level write since controller construction, and the
-//! sweeps in `anubis_sim::fault` walk k across every persist the scripted
+//! counted device-level write since controller construction, and depth 0
+//! of `anubis_sim::nested_sweep` walks k across every persist the scripted
 //! workload performs. The contract checked at every injection point:
 //! recovery either restores all acknowledged writes, or fails with a
 //! *typed* integrity/corruption error — never silent wrong data.
-//!
-//! Set `ANUBIS_FAULT_SMOKE=1` to run a strided subset (CI quick job); the
-//! default is the exhaustive sweep.
 
 use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController, RecoveryError,
-    SgxController, SgxScheme,
+    SgxController, SgxScheme, Supervised,
 };
 use anubis_nvm::FaultPlan;
 use anubis_sim::campaign::{fnv1a64, FNV1A64_EMPTY};
-use anubis_sim::fault::{
-    bit_flip_sweep, count_persist_writes, op_payload, power_cut_sweep, torn_write_sweep, ScriptOp,
-};
+use anubis_sim::fault::{count_persist_writes, nested_sweep, op_payload, NestedReport, ScriptOp};
 
 /// The scripted workload: 32 writes and 16 reads over 300 data lines
 /// (same shape as `crash_matrix.rs`, payloads keyed by script position).
@@ -27,19 +22,34 @@ fn script() -> Vec<ScriptOp> {
     (0..48u64).map(|i| (i % 3 != 2, (i * 37) % 300)).collect()
 }
 
-/// Exhaustive by default; `ANUBIS_FAULT_SMOKE` selects a strided subset
-/// for quick CI runs.
-fn stride() -> u64 {
-    if std::env::var_os("ANUBIS_FAULT_SMOKE").is_some() {
-        23
-    } else {
-        1
-    }
+/// Depth 0 of the sweep engine over the script: every `stride`-th counted
+/// device write `k`, each plan of `plans_at(k)`, the plain verdict only.
+/// It panics on silent wrong data.
+fn sweep<C: Supervised + Clone>(
+    make: impl Fn() -> C,
+    stride: u64,
+    plans_at: impl Fn(u64) -> Vec<FaultPlan>,
+) -> NestedReport {
+    nested_sweep(make, &script(), 0, stride, plans_at)
 }
 
-fn assert_full_recovery(report: &anubis_sim::CampaignReport) {
+fn power_cut(k: u64) -> Vec<FaultPlan> {
+    vec![FaultPlan::power_cut_after(k)]
+}
+
+fn torn_writes(k: u64) -> Vec<FaultPlan> {
+    [1, 4, 7]
+        .map(|words| FaultPlan::torn_write_after(k, words))
+        .to_vec()
+}
+
+fn bit_flip(bits: &[usize]) -> impl Fn(u64) -> Vec<FaultPlan> + '_ {
+    move |k| vec![FaultPlan::bit_flip_after(k, bits.to_vec())]
+}
+
+fn assert_full_recovery(report: &NestedReport) {
     assert!(
-        report.injection_points > 48 / stride(),
+        report.injection_points > 48,
         "{}: expected more intra-op injection points than ops, got {}",
         report.scheme,
         report.injection_points
@@ -63,10 +73,10 @@ fn assert_full_recovery(report: &anubis_sim::CampaignReport) {
 #[test]
 fn power_cut_every_device_write_agit_read() {
     let cfg = AnubisConfig::small_test();
-    let report = power_cut_sweep(
+    let report = sweep(
         || BonsaiController::new(BonsaiScheme::AgitRead, &cfg),
-        &script(),
-        stride(),
+        1,
+        power_cut,
     );
     assert_full_recovery(&report);
 }
@@ -74,10 +84,10 @@ fn power_cut_every_device_write_agit_read() {
 #[test]
 fn power_cut_every_device_write_agit_plus() {
     let cfg = AnubisConfig::small_test();
-    let report = power_cut_sweep(
+    let report = sweep(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &cfg),
-        &script(),
-        stride(),
+        1,
+        power_cut,
     );
     assert_full_recovery(&report);
 }
@@ -85,10 +95,10 @@ fn power_cut_every_device_write_agit_plus() {
 #[test]
 fn power_cut_every_device_write_strict_persist() {
     let cfg = AnubisConfig::small_test();
-    let report = power_cut_sweep(
+    let report = sweep(
         || BonsaiController::new(BonsaiScheme::StrictPersist, &cfg),
-        &script(),
-        stride(),
+        1,
+        power_cut,
     );
     assert_full_recovery(&report);
 }
@@ -96,11 +106,7 @@ fn power_cut_every_device_write_strict_persist() {
 #[test]
 fn power_cut_every_device_write_asit() {
     let cfg = AnubisConfig::small_test();
-    let report = power_cut_sweep(
-        || SgxController::new(SgxScheme::Asit, &cfg),
-        &script(),
-        stride(),
-    );
+    let report = sweep(|| SgxController::new(SgxScheme::Asit, &cfg), 1, power_cut);
     assert_full_recovery(&report);
 }
 
@@ -108,13 +114,13 @@ fn power_cut_every_device_write_asit() {
 // Torn block writes: recovery may fail, but only with a typed error.
 // ---------------------------------------------------------------------------
 
-fn assert_no_silent_corruption(report: &anubis_sim::CampaignReport) {
+fn assert_no_silent_corruption(report: &NestedReport) {
     assert!(
         report.injection_points > 0,
         "{}: no faults fired",
         report.scheme
     );
-    // run_with_fault panics on silent wrong data; reaching here means every
+    // The sweep panics on silent wrong data; reaching here means every
     // injection resolved as clean recovery or typed detection.
     assert_eq!(
         report.recovered + report.detected,
@@ -127,11 +133,10 @@ fn assert_no_silent_corruption(report: &anubis_sim::CampaignReport) {
 #[test]
 fn torn_writes_recover_or_detect_agit_plus() {
     let cfg = AnubisConfig::small_test();
-    let report = torn_write_sweep(
+    let report = sweep(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &cfg),
-        &script(),
-        3 * stride(),
-        &[1, 4, 7],
+        3,
+        torn_writes,
     );
     assert_no_silent_corruption(&report);
 }
@@ -139,11 +144,10 @@ fn torn_writes_recover_or_detect_agit_plus() {
 #[test]
 fn torn_writes_recover_or_detect_strict_persist() {
     let cfg = AnubisConfig::small_test();
-    let report = torn_write_sweep(
+    let report = sweep(
         || BonsaiController::new(BonsaiScheme::StrictPersist, &cfg),
-        &script(),
-        3 * stride(),
-        &[1, 4, 7],
+        3,
+        torn_writes,
     );
     assert_no_silent_corruption(&report);
 }
@@ -151,12 +155,7 @@ fn torn_writes_recover_or_detect_strict_persist() {
 #[test]
 fn torn_writes_recover_or_detect_asit() {
     let cfg = AnubisConfig::small_test();
-    let report = torn_write_sweep(
-        || SgxController::new(SgxScheme::Asit, &cfg),
-        &script(),
-        3 * stride(),
-        &[1, 4, 7],
-    );
+    let report = sweep(|| SgxController::new(SgxScheme::Asit, &cfg), 3, torn_writes);
     assert_no_silent_corruption(&report);
 }
 
@@ -167,11 +166,10 @@ fn torn_writes_recover_or_detect_asit() {
 #[test]
 fn single_bit_flips_corrected_or_detected_agit_plus() {
     let cfg = AnubisConfig::small_test();
-    let report = bit_flip_sweep(
+    let report = sweep(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &cfg),
-        &script(),
-        2 * stride(),
-        &[11],
+        2,
+        bit_flip(&[11]),
     );
     assert_no_silent_corruption(&report);
 }
@@ -179,11 +177,10 @@ fn single_bit_flips_corrected_or_detected_agit_plus() {
 #[test]
 fn single_bit_flips_corrected_or_detected_asit() {
     let cfg = AnubisConfig::small_test();
-    let report = bit_flip_sweep(
+    let report = sweep(
         || SgxController::new(SgxScheme::Asit, &cfg),
-        &script(),
-        2 * stride(),
-        &[11],
+        2,
+        bit_flip(&[11]),
     );
     assert_no_silent_corruption(&report);
 }
@@ -195,19 +192,13 @@ fn double_bit_flips_never_serve_wrong_data() {
     // errors (or is harmlessly overwritten), never as wrong data.
     let cfg = AnubisConfig::small_test();
     for scheme in [BonsaiScheme::AgitRead, BonsaiScheme::Osiris] {
-        let report = bit_flip_sweep(
-            || BonsaiController::new(scheme, &cfg),
-            &script(),
-            4 * stride(),
-            &[3, 4],
-        );
+        let report = sweep(|| BonsaiController::new(scheme, &cfg), 4, bit_flip(&[3, 4]));
         assert_no_silent_corruption(&report);
     }
-    let report = bit_flip_sweep(
+    let report = sweep(
         || SgxController::new(SgxScheme::StrictPersist, &cfg),
-        &script(),
-        4 * stride(),
-        &[3, 4],
+        4,
+        bit_flip(&[3, 4]),
     );
     assert_no_silent_corruption(&report);
 }
