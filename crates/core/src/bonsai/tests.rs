@@ -821,3 +821,66 @@ fn all_with_extras_lists_seven_bonsai_schemes() {
     names.dedup();
     assert_eq!(names.len(), 7);
 }
+
+#[test]
+fn a_fill_refused_mid_chain_commits_its_group_and_loses_no_acknowledged_line() {
+    // The Bonsai twin of the SGX test: the parent tree node is fetched
+    // and inserted (evicting dirty metadata, whose writebacks and shadow
+    // entries are staged) before the damaged counter block under it is
+    // refused. The group commits, so every acknowledged line not under
+    // that block reads back. Two-set caches keep the tree cache full of
+    // dirty nodes.
+    let mut c = BonsaiController::new(BonsaiScheme::AgitRead, &cfg().with_cache_bytes(512));
+    let written: Vec<_> = (0..400u64)
+        .map(|i| (DataAddr::new(i * 37 % 4000), pattern(i)))
+        .collect();
+    for &(addr, value) in &written {
+        c.write(addr, value).unwrap();
+    }
+    c.domain_mut().drain_wpq();
+    let g = c.layout().geometry().clone();
+    let line = (0..c.layout().data_blocks())
+        .map(DataAddr::new)
+        .find(|&a| {
+            let (leaf, _) = c.layout().leaf_of(a);
+            let parent = g.parent(leaf).expect("a multi-level tree");
+            !c.layout().is_on_chip(parent)
+                && !c.counter_cache.contains(c.layout().node_addr(leaf))
+                && !c.tree_cache.contains(c.layout().node_addr(parent))
+        })
+        .expect("a line under two cold levels");
+    let (leaf, _) = c.layout().leaf_of(line);
+    let leaf_addr = c.layout().node_addr(leaf);
+    c.domain_mut().device_mut().tamper_flip_bit(leaf_addr, 9);
+
+    let dirty = |c: &BonsaiController| {
+        c.counter_cache_stats().dirty_evictions + c.tree_cache_stats().dirty_evictions
+    };
+    let evicted = dirty(&c);
+    assert!(matches!(c.read(line), Err(MemError::Integrity { .. })));
+    assert!(
+        dirty(&c) > evicted,
+        "the parent's fetch evicted dirty metadata"
+    );
+    for &(addr, value) in &written {
+        if c.layout().leaf_of(addr).0 != leaf {
+            assert_eq!(c.read(addr), Ok(value), "line {}", addr.index());
+        }
+    }
+    // Recovery rebuilds the damaged block's tracked parent from it, so
+    // after a crash its whole subtree reads typed errors; every other
+    // line reads back.
+    c.crash();
+    c.recover().expect("the refused read's group was committed");
+    let parent = g.parent(leaf);
+    for &(addr, value) in &written {
+        match c.read(addr) {
+            Ok(got) => assert_eq!(got, value, "line {}", addr.index()),
+            Err(e) => assert!(
+                g.parent(c.layout().leaf_of(addr).0) == parent && e.is_detected_corruption(),
+                "line {}: {e}",
+                addr.index()
+            ),
+        }
+    }
+}

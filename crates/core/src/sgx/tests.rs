@@ -573,14 +573,19 @@ fn the_shadow_root_register_matches_the_st_region_after_every_op() {
 }
 
 #[test]
-fn a_fill_refused_mid_chain_drops_its_group_and_moves_no_shadow_root() {
+fn a_fill_refused_mid_chain_commits_its_group_and_loses_no_acknowledged_line() {
     // The parent is fetched and inserted (evicting dirty metadata, which
-    // stages ST writes) before the damaged leaf under it is refused. The
-    // next op drops that group; its ST writes stay in the volatile tree,
-    // but a commit that stages none must not install a root for them.
+    // stages the victims' writebacks, their parents' counter bumps and
+    // ST writes) before the damaged leaf under it is refused. That group
+    // is the only copy of what the cache let go, so it commits: every
+    // acknowledged line not under the damaged leaf reads back, before and
+    // after a crash.
     let mut c = controller(SgxScheme::Asit);
-    for i in 0..400u64 {
-        c.write(DataAddr::new(i * 37 % 4000), pattern(i)).unwrap();
+    let written: Vec<_> = (0..400u64)
+        .map(|i| (DataAddr::new(i * 37 % 4000), pattern(i)))
+        .collect();
+    for &(addr, value) in &written {
+        c.write(addr, value).unwrap();
     }
     c.domain_mut().drain_wpq();
     let g = c.layout().geometry().clone();
@@ -597,14 +602,21 @@ fn a_fill_refused_mid_chain_drops_its_group_and_moves_no_shadow_root() {
     let leaf_addr = c.layout().node_addr(leaf);
     c.domain_mut().device_mut().tamper_flip_bit(leaf_addr, 9);
 
-    let (root, evicted) = (c.shadow_root(), c.cache_stats().dirty_evictions);
+    let evicted = c.cache_stats().dirty_evictions;
     assert!(matches!(c.read(line), Err(MemError::Integrity { .. })));
     assert!(
         c.cache_stats().dirty_evictions > evicted,
         "the parent's fetch evicted dirty metadata"
     );
-    assert_eq!(c.shadow_root(), root, "the refused group did not commit");
-    let hot = DataAddr::new(399 * 37 % 4000);
-    assert_eq!(c.read(hot).unwrap(), pattern(399));
-    assert_eq!(c.shadow_root(), root, "a commit with no ST write");
+    let intact = |c: &mut SgxController| {
+        for &(addr, value) in &written {
+            if c.layout().leaf_of(addr).0 != leaf {
+                assert_eq!(c.read(addr), Ok(value), "line {}", addr.index());
+            }
+        }
+    };
+    intact(&mut c);
+    c.crash();
+    c.recover().expect("the refused read's group was committed");
+    intact(&mut c);
 }
