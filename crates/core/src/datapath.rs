@@ -597,12 +597,13 @@ impl<P: Policy> MemoryController for P {
     fn read_deferred(&mut self, addr: DataAddr) -> Result<Block, MemError> {
         validate(addr, self.path().layout.data_blocks())?;
         begin_op(self);
-        let line = self.line_iv(addr)?;
-        let opened = self.path_mut().open_line(line);
+        let opened = self
+            .line_iv(addr)
+            .and_then(|line| self.path_mut().open_line(line));
         // Persist the shadow/eviction traffic of the fills even when the
-        // line is refused: the cache has already let the victims go and
-        // their parents' counters have moved, so this group is the only
-        // copy.
+        // line or its counter chain is refused: the cache has already let
+        // the victims go and their parents' counters have moved, so this
+        // group is the only copy.
         let committed = self.commit();
         let value = opened?;
         committed?;
