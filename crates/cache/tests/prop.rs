@@ -110,8 +110,8 @@ fn agrees_with_reference_model() {
                     }
                 }
                 Op::MarkDirty(a) => {
-                    if cache.contains(BlockAddr::new(a)) {
-                        cache.mark_dirty(BlockAddr::new(a));
+                    if let Some(slot) = cache.slot_of(BlockAddr::new(a)) {
+                        cache.mark_dirty_at(slot);
                         model.mark_dirty(a);
                     }
                 }
@@ -148,8 +148,8 @@ fn slots_are_stable_for_residents() {
                     }
                 }
                 Op::MarkDirty(a) => {
-                    if cache.contains(BlockAddr::new(a)) {
-                        cache.mark_dirty(BlockAddr::new(a));
+                    if let Some(slot) = cache.slot_of(BlockAddr::new(a)) {
+                        cache.mark_dirty_at(slot);
                     }
                 }
             }
@@ -179,14 +179,14 @@ fn eviction_accounting_balances() {
                     let _ = cache.lookup(BlockAddr::new(a));
                 }
                 Op::Insert(a, v) => {
-                    if !cache.contains(BlockAddr::new(a)) {
+                    if cache.slot_of(BlockAddr::new(a)).is_none() {
                         distinct_fills += 1;
                     }
                     let _ = cache.insert(BlockAddr::new(a), v);
                 }
                 Op::MarkDirty(a) => {
-                    if cache.contains(BlockAddr::new(a)) {
-                        cache.mark_dirty(BlockAddr::new(a));
+                    if let Some(slot) = cache.slot_of(BlockAddr::new(a)) {
+                        cache.mark_dirty_at(slot);
                     }
                 }
             }

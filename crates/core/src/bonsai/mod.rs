@@ -20,7 +20,7 @@ use crate::layout::{DataAddr, Layout, LINES_PER_COUNTER_BLOCK};
 use crate::recovery::RecoveryReport;
 use crate::shadow::ShadowAddrEntry;
 use crate::supervisor::RepairSummary;
-use anubis_cache::{Eviction, MetadataCache};
+use anubis_cache::{Eviction, MetadataCache, SlotId};
 use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{SplitCounterBlock, MINOR_MAX};
 use anubis_itree::bonsai::{BonsaiHasher, Root};
@@ -351,8 +351,8 @@ impl<B: NvmBackend> BonsaiController<B> {
     // ------------------------------------------------------------------
 
     /// Inserts a verified tree node, handling the displaced victim and the
-    /// AGIT-Read fill hook.
-    fn insert_tree_node(&mut self, node: NodeId, content: Block) {
+    /// AGIT-Read fill hook. Returns the node's slot.
+    fn insert_tree_node(&mut self, node: NodeId, content: Block) -> SlotId {
         let addr = self.layout().node_addr(node);
         let outcome = self.tree_cache.insert(addr, content);
         if let Some(ev) = outcome.evicted {
@@ -364,6 +364,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             let smt = self.layout().shadow("smt").nth(slot);
             self.path.stage(smt, entry);
         }
+        outcome.slot
     }
 
     fn writeback_tree_victim(&mut self, ev: Eviction<Block>) {
@@ -381,8 +382,8 @@ impl<B: NvmBackend> BonsaiController<B> {
     }
 
     /// Inserts a verified counter block, handling the victim and the
-    /// AGIT-Read fill hook.
-    fn insert_counter(&mut self, leaf: NodeId, entry: CtrEntry) {
+    /// AGIT-Read fill hook. Returns the block's slot.
+    fn insert_counter(&mut self, leaf: NodeId, entry: CtrEntry) -> SlotId {
         let addr = self.layout().node_addr(leaf);
         let outcome = self.counter_cache.insert(addr, entry);
         if let Some(ev) = outcome.evicted {
@@ -405,41 +406,29 @@ impl<B: NvmBackend> BonsaiController<B> {
             let sct = self.layout().shadow("sct").nth(slot);
             self.path.stage(sct, block);
         }
+        outcome.slot
     }
 
-    /// AGIT-Plus hook: stage the shadow entry for a counter block the
-    /// first time it is modified during its residency.
-    fn track_counter_if_first_mod(&mut self, leaf: NodeId) {
+    /// AGIT-Plus hook: stage the shadow entry for the counter block in
+    /// `slot` the first time it is modified during its residency.
+    fn track_counter_if_first_mod(&mut self, leaf: NodeId, slot: SlotId) {
         if !self.scheme.shadows_on_first_mod() {
             return;
         }
-        let addr = self.layout().node_addr(leaf);
-        let entry = self
-            .counter_cache
-            .peek_mut(addr)
-            .expect("just-modified counter block is resident");
+        let entry = self.counter_cache.at_mut(slot);
         if entry.tracked {
             return;
         }
         entry.tracked = true;
-        let slot = self
-            .counter_cache
-            .slot_of(addr)
-            .expect("resident")
-            .linear(self.counter_cache.ways()) as u64;
+        let slot = slot.linear(self.counter_cache.ways()) as u64;
         let block = ShadowAddrEntry::new(leaf).to_block();
         let sct = self.layout().shadow("sct").nth(slot);
         self.path.stage(sct, block);
     }
 
-    fn track_tree_node_if_first_mod(&mut self, node: NodeId, first_mod: bool) {
+    fn track_tree_node_if_first_mod(&mut self, node: NodeId, slot: SlotId, first_mod: bool) {
         if self.scheme.shadows_on_first_mod() && first_mod {
-            let addr = self.layout().node_addr(node);
-            let slot = self
-                .tree_cache
-                .slot_of(addr)
-                .expect("just-modified tree node is resident")
-                .linear(self.tree_cache.ways()) as u64;
+            let slot = slot.linear(self.tree_cache.ways()) as u64;
             let block = ShadowAddrEntry::new(node).to_block();
             let smt = self.layout().shadow("smt").nth(slot);
             self.path.stage(smt, block);
@@ -450,47 +439,40 @@ impl<B: NvmBackend> BonsaiController<B> {
     // Verified fetch paths
     // ------------------------------------------------------------------
 
-    /// Ensures an interior node is resident and verified. Fetches the
-    /// missing suffix of the path to the first cached ancestor (or the
-    /// root register) and verifies top-down.
-    fn ensure_tree_node(&mut self, node: NodeId) -> Result<(), MemError> {
+    /// Ensures an interior node is resident and verified, returning its
+    /// slot. Fetches the missing suffix of the path to the first cached
+    /// ancestor (or the root register) and verifies top-down.
+    fn ensure_tree_node(&mut self, node: NodeId) -> Result<SlotId, MemError> {
         debug_assert!(node.level >= 1, "counter blocks use ensure_counter");
-        // One lookup records the hit/miss; retries use `contains` so a
-        // thrash-retry doesn't double-count.
-        if self
-            .tree_cache
-            .lookup(self.layout().node_addr(node))
-            .is_some()
-        {
-            return Ok(());
+        // One lookup records the hit/miss; a miss fetches the chain, whose
+        // last insert is `node` itself.
+        match self.tree_cache.lookup_slot(self.layout().node_addr(node)) {
+            Some(slot) => Ok(slot),
+            None => self.fetch_tree_chain(node),
         }
-        for _attempt in 0..8 {
-            if self.tree_cache.contains(self.layout().node_addr(node)) {
-                return Ok(());
-            }
-            self.fetch_tree_chain(node)?;
-        }
-        panic!("tree cache thrashing: cannot keep path for {node} resident");
     }
 
-    fn fetch_tree_chain(&mut self, node: NodeId) -> Result<(), MemError> {
+    fn fetch_tree_chain(&mut self, node: NodeId) -> Result<SlotId, MemError> {
         // The missing suffix: node itself plus the `missing - 1` uncached
-        // ancestors above it.
+        // ancestors above it, and the slot of the cached one above those.
         let mut missing = 1;
         let mut cur = node;
+        let mut above = None;
         while let Some(p) = self.layout().geometry().parent(cur) {
-            if self.tree_cache.contains(self.layout().node_addr(p)) {
+            above = self.tree_cache.slot_of(self.layout().node_addr(p));
+            if above.is_some() {
                 break;
             }
             missing += 1;
             cur = p;
         }
-        // Fetch and verify top-down.
+        // Fetch and verify top-down; each node's parent is the one
+        // inserted just before it, so its slot is still the parent's.
         for up in (0..missing).rev() {
             let n = self.layout().geometry().ancestor(node, up);
             let content = self.nvm_read_node(n)?;
             let d = self.digest(&content);
-            match self.layout().geometry().parent(n) {
+            match above {
                 None => {
                     if Root(d) != self.root {
                         return Err(MemError::Integrity {
@@ -499,13 +481,9 @@ impl<B: NvmBackend> BonsaiController<B> {
                         });
                     }
                 }
-                Some(p) => {
-                    let p_addr = self.layout().node_addr(p);
-                    let stored = self
-                        .tree_cache
-                        .peek(p_addr)
-                        .expect("parent fetched before child")
-                        .word(self.layout().geometry().child_slot(n));
+                Some(p_slot) => {
+                    let stored =
+                        (self.tree_cache.at(p_slot)).word(self.layout().geometry().child_slot(n));
                     if stored != d {
                         return Err(MemError::Integrity {
                             node: n,
@@ -514,95 +492,73 @@ impl<B: NvmBackend> BonsaiController<B> {
                     }
                 }
             }
-            self.insert_tree_node(n, content);
+            above = Some(self.insert_tree_node(n, content));
         }
-        Ok(())
+        Ok(above.expect("the chain ends at `node`"))
     }
 
-    /// Ensures the counter block `leaf` is resident and verified.
-    fn ensure_counter(&mut self, leaf: NodeId) -> Result<(), MemError> {
+    /// Ensures the counter block `leaf` is resident and verified,
+    /// returning its slot.
+    fn ensure_counter(&mut self, leaf: NodeId) -> Result<SlotId, MemError> {
         debug_assert_eq!(leaf.level, 0);
         let addr = self.layout().node_addr(leaf);
-        if self.counter_cache.lookup(addr).is_some() {
-            return Ok(());
+        if let Some(slot) = self.counter_cache.lookup_slot(addr) {
+            return Ok(slot);
         }
-        for _attempt in 0..8 {
-            if self.counter_cache.contains(addr) {
-                return Ok(());
-            }
-            let content = self.path.nvm_read(addr)?;
-            let d = self.digest(&content);
-            let slot = self.layout().geometry().child_slot(leaf);
-            match self.layout().geometry().parent(leaf) {
-                None => {
-                    // Single-leaf tree: the leaf digest *is* the root.
-                    if Root(d) != self.root {
-                        return Err(MemError::Integrity {
-                            node: leaf,
-                            against: IntegrityWitness::RootRegister,
-                        });
-                    }
-                }
-                Some(p) => {
-                    self.ensure_tree_node(p)?;
-                    let stored = self
-                        .tree_cache
-                        .peek(self.layout().node_addr(p))
-                        .expect("ensured above")
-                        .word(slot);
-                    if stored != d {
-                        return Err(MemError::Integrity {
-                            node: leaf,
-                            against: IntegrityWitness::ParentDigest,
-                        });
-                    }
+        let content = self.path.nvm_read(addr)?;
+        let d = self.digest(&content);
+        match self.layout().geometry().parent(leaf) {
+            None => {
+                // Single-leaf tree: the leaf digest *is* the root.
+                if Root(d) != self.root {
+                    return Err(MemError::Integrity {
+                        node: leaf,
+                        against: IntegrityWitness::RootRegister,
+                    });
                 }
             }
-            let entry = CtrEntry {
-                ctr: SplitCounterBlock::from_block(&content),
-                since_persist: 0,
-                tracked: false,
-            };
-            self.insert_counter(leaf, entry);
+            Some(p) => {
+                let p_slot = self.ensure_tree_node(p)?;
+                let stored =
+                    (self.tree_cache.at(p_slot)).word(self.layout().geometry().child_slot(leaf));
+                if stored != d {
+                    return Err(MemError::Integrity {
+                        node: leaf,
+                        against: IntegrityWitness::ParentDigest,
+                    });
+                }
+            }
         }
-        if self.counter_cache.contains(addr) {
-            return Ok(());
-        }
-        panic!("counter cache thrashing: cannot keep {leaf} resident");
+        let entry = CtrEntry {
+            ctr: SplitCounterBlock::from_block(&content),
+            since_persist: 0,
+            tracked: false,
+        };
+        Ok(self.insert_counter(leaf, entry))
     }
 
     // ------------------------------------------------------------------
     // Eager tree update
     // ------------------------------------------------------------------
 
-    /// Propagates a changed counter block up the tree (eager scheme):
-    /// updates every ancestor's stored digest in the cache and finally the
-    /// on-chip root register. Under strict persistence the updated nodes
-    /// are also staged for writeback.
-    fn update_path(&mut self, leaf: NodeId) -> Result<(), MemError> {
-        let leaf_addr = self.layout().node_addr(leaf);
-        let leaf_block = self
-            .counter_cache
-            .peek(leaf_addr)
-            .expect("leaf resident during path update")
-            .ctr
-            .to_block();
+    /// Propagates a changed counter block, resident in `leaf_slot`, up the
+    /// tree (eager scheme): updates every ancestor's stored digest in the
+    /// cache and finally the on-chip root register. Under strict
+    /// persistence the updated nodes are also staged for writeback.
+    fn update_path(&mut self, leaf: NodeId, leaf_slot: SlotId) -> Result<(), MemError> {
+        let leaf_block = self.counter_cache.at(leaf_slot).ctr.to_block();
         let mut child = leaf;
         let mut child_digest = self.digest(&leaf_block);
         while let Some(parent) = self.layout().geometry().parent(child) {
-            self.ensure_tree_node(parent)?;
-            let p_addr = self.layout().node_addr(parent);
+            let p_slot = self.ensure_tree_node(parent)?;
             let slot = self.layout().geometry().child_slot(child);
-            {
-                let p_block = self.tree_cache.peek_mut(p_addr).expect("ensured above");
-                p_block.set_word(slot, child_digest);
-            }
-            let first_mod = self.tree_cache.mark_dirty(p_addr);
-            self.track_tree_node_if_first_mod(parent, first_mod);
-            let updated = *self.tree_cache.peek(p_addr).expect("still resident");
+            self.tree_cache.at_mut(p_slot).set_word(slot, child_digest);
+            let first_mod = self.tree_cache.mark_dirty_at(p_slot);
+            self.track_tree_node_if_first_mod(parent, p_slot, first_mod);
+            let updated = *self.tree_cache.at(p_slot);
             if self.scheme == BonsaiScheme::StrictPersist {
-                self.path.stage(p_addr, updated);
-                self.tree_cache.mark_clean(p_addr);
+                self.path.stage(self.layout().node_addr(parent), updated);
+                self.tree_cache.mark_clean_at(p_slot);
             }
             child_digest = self.digest(&updated);
             child = parent;
@@ -626,12 +582,9 @@ impl<B: NvmBackend> BonsaiController<B> {
         };
         let slot = g.child_slot(child);
         let p_addr = self.layout().node_addr(parent);
-        if self.tree_cache.contains(p_addr) {
-            self.tree_cache
-                .peek_mut(p_addr)
-                .expect("checked resident")
-                .set_word(slot, d);
-            self.tree_cache.mark_dirty(p_addr);
+        if let Some(p_slot) = self.tree_cache.slot_of(p_addr) {
+            self.tree_cache.at_mut(p_slot).set_word(slot, d);
+            self.tree_cache.mark_dirty_at(p_slot);
             return Ok(());
         }
         let mut p_block = self.nvm_read_node(parent)?;
@@ -652,7 +605,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                 .counter_cache
                 .iter_resident()
                 .find(|(_, _, _, dirty)| *dirty)
-                .map(|(_, addr, entry, _)| (addr, entry.ctr.to_block()));
+                .map(|(slot, addr, entry, _)| (slot, addr, entry.ctr.to_block()));
             let next = next_counter.or_else(|| {
                 self.tree_cache
                     .iter_resident()
@@ -663,17 +616,21 @@ impl<B: NvmBackend> BonsaiController<B> {
                             .map(|n| n.level)
                             .unwrap_or(usize::MAX)
                     })
-                    .map(|(_, addr, block, _)| (addr, *block))
+                    .map(|(slot, addr, block, _)| (slot, addr, *block))
             });
-            let Some((addr, block)) = next else { break };
+            let Some((slot, addr, block)) = next else {
+                break;
+            };
             let node = self.layout().node_of_addr(addr).expect("metadata address");
+            // Propagation dirties the node's parent in place; no insert
+            // moves the node out of `slot`.
             self.lazy_propagate_digest(node, &block)?;
             self.path.stage(addr, block);
             self.commit()?;
             if node.level == 0 {
-                self.counter_cache.mark_clean(addr);
+                self.counter_cache.mark_clean_at(slot);
             } else {
-                self.tree_cache.mark_clean(addr);
+                self.tree_cache.mark_clean_at(slot);
             }
         }
         Ok(())
@@ -683,16 +640,13 @@ impl<B: NvmBackend> BonsaiController<B> {
     // Page re-encryption (minor-counter overflow)
     // ------------------------------------------------------------------
 
-    /// Handles a minor-counter overflow for `leaf`: bumps the major
-    /// counter, resets minors, persistently re-encrypts all 64 lines of
-    /// the page, all crash-safely via the on-chip re-encryption log.
-    fn reencrypt_page(&mut self, leaf: NodeId) -> Result<(), MemError> {
+    /// Handles a minor-counter overflow for `leaf`, resident in `slot`:
+    /// bumps the major counter, resets minors, persistently re-encrypts
+    /// all 64 lines of the page, all crash-safely via the on-chip
+    /// re-encryption log.
+    fn reencrypt_page(&mut self, leaf: NodeId, slot: SlotId) -> Result<(), MemError> {
         let leaf_addr = self.layout().node_addr(leaf);
-        let old = self
-            .counter_cache
-            .peek(leaf_addr)
-            .expect("leaf resident before re-encryption")
-            .ctr;
+        let old = self.counter_cache.at(slot).ctr;
         // Step 1+2 (atomic from recovery's view): activate the log and
         // install the new counter state, root included, persisting the new
         // counter block. If the commit group is lost, recovery REDOes it
@@ -703,19 +657,14 @@ impl<B: NvmBackend> BonsaiController<B> {
             old,
             next_line: 0,
         });
-        {
-            let entry = self
-                .counter_cache
-                .peek_mut(leaf_addr)
-                .expect("leaf resident");
-            entry.ctr = fresh;
-            entry.since_persist = 0;
-        }
-        self.counter_cache.mark_dirty(leaf_addr);
-        self.track_counter_if_first_mod(leaf);
+        let entry = self.counter_cache.at_mut(slot);
+        entry.ctr = fresh;
+        entry.since_persist = 0;
+        self.counter_cache.mark_dirty_at(slot);
+        self.track_counter_if_first_mod(leaf, slot);
         self.path.stage(leaf_addr, fresh.to_block());
-        self.counter_cache.mark_clean(leaf_addr);
-        self.update_path(leaf)?;
+        self.counter_cache.mark_clean_at(slot);
+        self.update_path(leaf, slot)?;
         self.commit()?;
         // Step 3: re-encrypt lines one by one; the log's next_line tracks
         // progress so a crash resumes exactly where it stopped.
@@ -803,9 +752,8 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
     #[inline]
     fn line_iv(&mut self, addr: DataAddr) -> Result<Line, MemError> {
         let (leaf, _) = self.layout().leaf_of(addr);
-        self.ensure_counter(leaf)?;
-        let leaf_addr = self.layout().node_addr(leaf);
-        let ctr = self.counter_cache.peek(leaf_addr).expect("ensured").ctr;
+        let slot = self.ensure_counter(leaf)?;
+        let ctr = self.counter_cache.at(slot).ctr;
         Ok(self.line_under(addr, &ctr))
     }
 
@@ -822,63 +770,42 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
     /// (deferred) data seal and the tree update.
     fn write_inner(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
         let (leaf, line) = self.layout().leaf_of(addr);
-        self.ensure_counter(leaf)?;
+        // Only `ensure_counter` inserts into the counter cache: `slot`
+        // holds the leaf for the rest of the write.
+        let slot = self.ensure_counter(leaf)?;
         let leaf_addr = self.layout().node_addr(leaf);
 
         // Track *before* any mutation so AGIT-Plus has the shadow entry
         // committed (or staged in the same group) ahead of the change.
-        self.counter_cache.mark_dirty(leaf_addr);
-        self.track_counter_if_first_mod(leaf);
+        self.counter_cache.mark_dirty_at(slot);
+        self.track_counter_if_first_mod(leaf, slot);
 
         // Minor-counter overflow → crash-safe page re-encryption.
-        let would_overflow = {
-            let entry = self.counter_cache.peek(leaf_addr).expect("ensured");
-            entry.ctr.minor(line) == MINOR_MAX
-        };
-        if would_overflow {
+        if self.counter_cache.at(slot).ctr.minor(line) == MINOR_MAX {
             self.commit()?; // don't mix the tracking entry into reenc groups
-            self.reencrypt_page(leaf)?;
+            self.reencrypt_page(leaf, slot)?;
         }
 
         // Increment the counter.
-        let (iv, persist_now) = {
-            let entry = self.counter_cache.peek_mut(leaf_addr).expect("resident");
-            let outcome = entry.ctr.increment(line);
-            debug_assert_eq!(outcome, anubis_crypto::CounterIncrement::Minor);
-            entry.since_persist = entry.since_persist.saturating_add(1);
-            let persist =
-                self.scheme.uses_stop_loss() && entry.since_persist >= self.config.stop_loss;
-            if persist {
-                entry.since_persist = 0;
-            }
-            (
-                IvCounter::split(entry.ctr.major(), entry.ctr.minor(line) as u64),
-                persist,
-            )
-        };
-        self.counter_cache.mark_dirty(leaf_addr);
+        let entry = self.counter_cache.at_mut(slot);
+        let outcome = entry.ctr.increment(line);
+        debug_assert_eq!(outcome, anubis_crypto::CounterIncrement::Minor);
+        entry.since_persist = entry.since_persist.saturating_add(1);
+        let persist_now =
+            self.scheme.uses_stop_loss() && entry.since_persist >= self.config.stop_loss;
         if persist_now {
-            let block = self
-                .counter_cache
-                .peek(leaf_addr)
-                .expect("resident")
-                .ctr
-                .to_block();
-            self.path.stage(leaf_addr, block);
-            self.counter_cache.mark_clean(leaf_addr);
+            entry.since_persist = 0;
         }
-        if matches!(
+        let iv = IvCounter::split(entry.ctr.major(), entry.ctr.minor(line) as u64);
+        self.counter_cache.mark_dirty_at(slot);
+        let write_through = matches!(
             self.scheme,
             BonsaiScheme::StrictPersist | BonsaiScheme::CounterWriteThrough
-        ) {
-            let block = self
-                .counter_cache
-                .peek(leaf_addr)
-                .expect("resident")
-                .ctr
-                .to_block();
+        );
+        if persist_now || write_through {
+            let block = self.counter_cache.at(slot).ctr.to_block();
             self.path.stage(leaf_addr, block);
-            self.counter_cache.mark_clean(leaf_addr);
+            self.counter_cache.mark_clean_at(slot);
         }
 
         // Stage the data seal; the crypto itself is deferred to commit
@@ -888,7 +815,7 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
         // Eager tree update up to the on-chip root (lazy defers digest
         // propagation to writeback time).
         if !self.scheme.is_lazy() {
-            self.update_path(leaf)?;
+            self.update_path(leaf, slot)?;
         }
         Ok(())
     }
@@ -919,21 +846,21 @@ impl<B: NvmBackend> Policy for BonsaiController<B> {
         // leaves it for the next one.
         let dirty_ctrs = (self.counter_cache.iter_resident())
             .filter(|(_, _, _, dirty)| *dirty)
-            .map(|(_, addr, entry, _)| (addr, entry.ctr.to_block(), true));
+            .map(|(slot, addr, entry, _)| (slot, addr, entry.ctr.to_block(), true));
         let dirty_nodes = (self.tree_cache.iter_resident())
             .filter(|(_, _, _, dirty)| *dirty)
-            .map(|(_, addr, block, _)| (addr, *block, false));
-        let dirty: Vec<(BlockAddr, Block, bool)> = dirty_ctrs.chain(dirty_nodes).collect();
+            .map(|(slot, addr, block, _)| (slot, addr, *block, false));
+        let dirty: Vec<(SlotId, BlockAddr, Block, bool)> = dirty_ctrs.chain(dirty_nodes).collect();
         for group in dirty.chunks(PREG_CAPACITY) {
-            for &(addr, block, _) in group {
+            for &(_, addr, block, _) in group {
                 self.path.stage(addr, block);
             }
             self.commit()?;
-            for &(addr, _, counter) in group {
+            for &(slot, _, _, counter) in group {
                 if counter {
-                    self.counter_cache.mark_clean(addr);
+                    self.counter_cache.mark_clean_at(slot);
                 } else {
-                    self.tree_cache.mark_clean(addr);
+                    self.tree_cache.mark_clean_at(slot);
                 }
             }
         }

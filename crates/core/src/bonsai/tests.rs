@@ -268,11 +268,8 @@ fn stop_loss_bounds_counter_drift() {
         let a = c.layout().node_addr(leaf);
         c.domain_mut().device_mut().read(a)
     });
-    let cached = c
-        .counter_cache
-        .peek(c.layout().node_addr(leaf))
-        .expect("resident")
-        .ctr;
+    let slot = (c.counter_cache.slot_of(c.layout().node_addr(leaf))).expect("resident");
+    let cached = c.counter_cache.at(slot).ctr;
     let drift = cached.minor(line) - nvm_ctr.minor(line);
     assert!(
         drift < cfg().stop_loss,
@@ -291,10 +288,8 @@ fn minor_overflow_reencrypts_page_and_stays_readable() {
     }
     // Major counter must have advanced.
     let (leaf, line) = c.layout().leaf_of(a);
-    let entry = c
-        .counter_cache
-        .peek(c.layout().node_addr(leaf))
-        .expect("resident");
+    let slot = (c.counter_cache.slot_of(c.layout().node_addr(leaf))).expect("resident");
+    let entry = c.counter_cache.at(slot);
     assert_eq!(entry.ctr.major(), 1, "major bumped after overflow");
     assert!(entry.ctr.minor(line) >= 1);
     // Both the hot line and its neighbor survive re-encryption.
@@ -619,23 +614,21 @@ fn recovery_completes_reencryption_interrupted_at_any_line() {
         let old = SplitCounterBlock::from_block(&c.domain().device().peek(leaf_addr));
 
         // --- faithful replay of reencrypt_page steps 1–2 ---
-        c.ensure_counter(leaf).unwrap();
+        let slot = c.ensure_counter(leaf).unwrap();
         let fresh = SplitCounterBlock::with_major(old.major() + 1);
         c.reenc_log = Some(ReencLog {
             leaf: leaf.index,
             old,
             next_line: 0,
         });
-        {
-            let entry = c.counter_cache.peek_mut(leaf_addr).unwrap();
-            entry.ctr = fresh;
-            entry.since_persist = 0;
-        }
-        c.counter_cache.mark_dirty(leaf_addr);
-        c.track_counter_if_first_mod(leaf);
+        let entry = c.counter_cache.at_mut(slot);
+        entry.ctr = fresh;
+        entry.since_persist = 0;
+        c.counter_cache.mark_dirty_at(slot);
+        c.track_counter_if_first_mod(leaf, slot);
         c.path.stage(leaf_addr, fresh.to_block());
-        c.counter_cache.mark_clean(leaf_addr);
-        c.update_path(leaf).unwrap();
+        c.counter_cache.mark_clean_at(slot);
+        c.update_path(leaf, slot).unwrap();
         c.commit().unwrap();
         // --- step 3, interrupted after k lines ---
         for line in 0..k {
@@ -845,8 +838,10 @@ fn a_fill_refused_mid_chain_commits_its_group_and_loses_no_acknowledged_line() {
             let (leaf, _) = c.layout().leaf_of(a);
             let parent = g.parent(leaf).expect("a multi-level tree");
             !c.layout().is_on_chip(parent)
-                && !c.counter_cache.contains(c.layout().node_addr(leaf))
-                && !c.tree_cache.contains(c.layout().node_addr(parent))
+                && c.counter_cache
+                    .slot_of(c.layout().node_addr(leaf))
+                    .is_none()
+                && c.tree_cache.slot_of(c.layout().node_addr(parent)).is_none()
         })
         .expect("a line under two cold levels");
     let (leaf, _) = c.layout().leaf_of(line);

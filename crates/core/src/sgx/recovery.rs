@@ -108,11 +108,11 @@ fn recover_asit<B: NvmBackend>(
         // An entry in a slot of another set, or naming a node another
         // slot already holds, describes no cache the geometry allows:
         // corruption, reported as a typed error rather than a panic.
-        if c.cache.insert_at(addr, *slot, value).is_none() {
+        let Some(resident) = c.cache.insert_at(addr, *slot, value) else {
             tel.incr("recovery_errors_total", "shadow_capacity", 1);
             return Err(RecoveryError::ShadowCapacityExceeded { addr });
-        }
-        c.cache.mark_dirty(addr);
+        };
+        c.cache.mark_dirty_at(resident);
         t.nodes_fixed += 1;
         recovered.push((addr, node));
     }
@@ -133,8 +133,8 @@ fn recover_asit<B: NvmBackend>(
             Some(p) if c.layout().is_on_chip(p) => c.top.counter(g.child_slot(id)),
             Some(p) => {
                 let p_addr = c.layout().node_addr(p);
-                if let Some(entry) = c.cache.peek(p_addr) {
-                    entry.node.counter(g.child_slot(id))
+                if let Some(resident) = c.cache.slot_of(p_addr) {
+                    c.cache.at(resident).node.counter(g.child_slot(id))
                 } else {
                     t.nvm_reads += 1;
                     let b = c.path.domain.device().read(p_addr);

@@ -589,7 +589,7 @@ fn a_fill_refused_mid_chain_commits_its_group_and_loses_no_acknowledged_line() {
     }
     c.domain_mut().drain_wpq();
     let g = c.layout().geometry().clone();
-    let resident = |c: &SgxController, n| c.cache.contains(c.layout().node_addr(n));
+    let resident = |c: &SgxController, n| c.cache.slot_of(c.layout().node_addr(n)).is_some();
     let line = (0..c.layout().data_blocks())
         .map(DataAddr::new)
         .find(|&a| {

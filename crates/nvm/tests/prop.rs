@@ -6,7 +6,10 @@
 //! checked over many independently seeded random cases, and every failure
 //! message carries the seed for exact reproduction.
 
-use anubis_nvm::{Block, BlockAddr, NvmDevice, PersistenceDomain, SplitMix64, Wpq, WriteOp};
+use anubis_nvm::{
+    Block, BlockAddr, MemBackend, NvmBackend, NvmDevice, PersistenceDomain, SplitMix64, Wpq,
+    WriteOp,
+};
 use std::collections::HashMap;
 
 fn rand_block(rng: &mut SplitMix64) -> Block {
@@ -178,6 +181,177 @@ fn wpq_adr_guarantee_under_random_sequences() {
         if capacity == 1 && n_ops > 40 {
             assert!(wpq.forced_drains() > 0, "no forced drain, seed {seed}");
         }
+    }
+}
+
+/// A backend that logs every counted store in order — the writes a WPQ
+/// drains into its device.
+#[derive(Debug, Default)]
+struct DrainLog {
+    inner: MemBackend,
+    drained: Vec<(u64, Block)>,
+}
+
+impl NvmBackend for DrainLog {
+    fn load(&self, phys: u64) -> Option<Block> {
+        self.inner.load(phys)
+    }
+    fn store(&mut self, phys: u64, block: Block) {
+        self.inner.store(phys, block);
+    }
+    fn store_counted(&mut self, phys: u64, block: Block) -> u64 {
+        self.drained.push((phys, block));
+        self.inner.store_counted(phys, block)
+    }
+    fn writes_to(&self, phys: u64) -> u64 {
+        self.inner.writes_to(phys)
+    }
+    fn touched(&self) -> usize {
+        self.inner.touched()
+    }
+    fn entries(&self) -> Vec<(u64, Block)> {
+        self.inner.entries()
+    }
+    fn store_reg(&mut self, idx: u8, block: Block) {
+        self.inner.store_reg(idx, block);
+    }
+    fn reg(&self, idx: u8) -> Option<Block> {
+        self.inner.reg(idx)
+    }
+    fn regs(&self) -> Vec<(u8, Block)> {
+        self.inner.regs()
+    }
+}
+
+/// The queue the WPQ must behave as: a `Vec`, oldest first, scanned on
+/// every probe.
+struct NaiveWpq {
+    entries: Vec<(u64, Block)>,
+    capacity: usize,
+    forced_drains: u64,
+    drained: Vec<(u64, Block)>,
+}
+
+impl NaiveWpq {
+    fn insert(&mut self, addr: u64, block: Block) {
+        if let Some(entry) = self.entries.iter_mut().find(|(a, _)| *a == addr) {
+            entry.1 = block;
+            return;
+        }
+        if self.entries.len() == self.capacity {
+            self.drained.push(self.entries.remove(0));
+            self.forced_drains += 1;
+        }
+        self.entries.push((addr, block));
+    }
+
+    fn flush(&mut self) {
+        self.drained.append(&mut self.entries);
+    }
+
+    fn pending(&self, addr: u64) -> Option<Block> {
+        (self.entries.iter())
+            .find(|(a, _)| *a == addr)
+            .map(|&(_, b)| b)
+    }
+}
+
+/// The WPQ against [`NaiveWpq`] over seeded runs of fresh inserts,
+/// coalescing inserts, forced drains and flushes: after every step the
+/// two agree on `len`, `forced_drains`, the writes drained so far (in
+/// order) and `pending` for an arbitrary address and a queued one (every
+/// queued one each eighth step). The
+/// capacities run from one entry to 300, more than a `u8` per index
+/// bucket could count; addresses come at strides of 1, 64 and 4 096
+/// blocks, so they share index buckets in every pattern.
+#[test]
+fn wpq_agrees_with_a_naive_queue() {
+    for capacity in [1usize, 32, 300] {
+        let (mut runs_flushed, mut runs_forced) = (0, 0);
+        for seed in 0..16u64 {
+            let mut rng = SplitMix64::new(seed ^ 0x3A9 ^ ((capacity as u64) << 24));
+            let mut dev = NvmDevice::with_backend(1 << 40, DrainLog::default());
+            let mut wpq = Wpq::new(capacity);
+            let mut naive = NaiveWpq {
+                entries: Vec::new(),
+                capacity,
+                forced_drains: 0,
+                drained: Vec::new(),
+            };
+            let stride = [1, 64, 4096][rng.gen_range(0..3) as usize];
+            let space = 2 * capacity as u64 + 8;
+            let at = |what: &str| format!("capacity {capacity}, seed {seed}: {what}");
+            let mut flushes = 0;
+            for step in 0..6 * capacity + 64 {
+                // About one flush per three queue lengths of inserts.
+                if rng.gen_range(0..3 * capacity as u64 + 16) == 0 {
+                    wpq.flush(&mut dev);
+                    naive.flush();
+                    flushes += 1;
+                } else {
+                    let block = rand_block(&mut rng);
+                    let addr = if rng.gen_bool(0.3) && !naive.entries.is_empty() {
+                        let i = rng.gen_range(0..naive.entries.len() as u64) as usize;
+                        naive.entries[i].0 // coalesces
+                    } else {
+                        rng.gen_range(0..space) * stride
+                    };
+                    wpq.insert(WriteOp::new(BlockAddr::new(addr), block), &mut dev);
+                    naive.insert(addr, block);
+                }
+                assert_eq!(wpq.len(), naive.entries.len(), "{}", at("len"));
+                assert_eq!(wpq.forced_drains(), naive.forced_drains, "{}", at("drains"));
+                assert_eq!(
+                    dev.backend().drained.len(),
+                    naive.drained.len(),
+                    "{}",
+                    at("drained count")
+                );
+                assert_eq!(
+                    dev.backend().drained.last(),
+                    naive.drained.last(),
+                    "{}",
+                    at("last drained write")
+                );
+                // Every eighth step, every queued address; otherwise one.
+                let queued: Vec<u64> = if step % 8 == 0 {
+                    naive.entries.iter().map(|&(a, _)| a).collect()
+                } else {
+                    let i = rng.gen_range(0..naive.entries.len().max(1) as u64) as usize;
+                    naive.entries.get(i).map(|&(a, _)| a).into_iter().collect()
+                };
+                let probe = rng.gen_range(0..space) * stride;
+                for addr in queued.into_iter().chain([probe]) {
+                    assert_eq!(
+                        wpq.pending(BlockAddr::new(addr)),
+                        naive.pending(addr),
+                        "{}",
+                        at(&format!("pending({addr})"))
+                    );
+                }
+            }
+            wpq.flush(&mut dev);
+            naive.flush();
+            assert!(wpq.is_empty(), "{}", at("flushed"));
+            assert_eq!(
+                dev.backend().drained,
+                naive.drained,
+                "{}",
+                at("drain order")
+            );
+            runs_flushed += u64::from(flushes > 0);
+            runs_forced += u64::from(naive.forced_drains > 0);
+        }
+        // Guards against a vacuous run: most runs both fill the queue and
+        // flush it mid-run.
+        assert!(
+            runs_flushed >= 8,
+            "capacity {capacity}: {runs_flushed} runs flushed"
+        );
+        assert!(
+            runs_forced >= 8,
+            "capacity {capacity}: {runs_forced} runs drained"
+        );
     }
 }
 
