@@ -119,6 +119,15 @@ pub enum RecoveryError {
     /// The rebuilt tree's root does not match the on-chip register
     /// (Algorithm 1 line 20 / write-back loss detection).
     RootMismatch,
+    /// A block AGIT recovery repaired or rebuilt does not match the
+    /// digest its parent — one recovery did not rebuild — stores: damage
+    /// at the edge of the tracked set, which the root check cannot see.
+    EdgeMismatch {
+        /// The repaired counter block or rebuilt node.
+        node: NodeId,
+        /// Its untracked parent.
+        parent: NodeId,
+    },
     /// The Shadow Table failed its own integrity tree check
     /// (Algorithm 2 line 2): tampered or corrupted shadow region.
     ShadowTableTampered,
@@ -237,6 +246,13 @@ impl fmt::Display for RecoveryError {
                 write!(
                     f,
                     "rebuilt tree root does not match the on-chip root register"
+                )
+            }
+            RecoveryError::EdgeMismatch { node, parent } => {
+                write!(
+                    f,
+                    "rebuilt node {node} does not match the digest its untracked parent \
+                     {parent} stores"
                 )
             }
             RecoveryError::ShadowTableTampered => {
