@@ -264,17 +264,20 @@ impl<B: NvmBackend> DataPath<B> {
     /// so tree digests and node MACs remain valid) and is counted lost.
     /// A line under a never-written counter is zeroed, and counted lost
     /// when its data or side block held anything. Returns whether
-    /// committed content was lost.
+    /// committed content was lost. When `counter_trusted` is false the
+    /// counter failed its own check, so its bits do not say the line was
+    /// written: only content at rest counts.
     ///
     /// A line retired in place (the spare pool used up) gets its zero in
     /// its own cells, where it reads as data unless the remap entry marks
     /// it: the table is persisted first, so a cut between the two never
     /// leaves the zero without its entry.
-    pub(crate) fn quarantine_line(&mut self, line: Line) -> bool {
+    pub(crate) fn quarantine_line(&mut self, line: Line, counter_trusted: bool) -> bool {
         let device = self.domain.device();
         let at_rest = |a| device.peek(device.quarantine_table().resolve(a));
-        let lost =
-            line.iv.is_some() || !at_rest(line.dev).is_zeroed() || !at_rest(line.side).is_zeroed();
+        let lost = (counter_trusted && line.iv.is_some())
+            || !at_rest(line.dev).is_zeroed()
+            || !at_rest(line.side).is_zeroed();
         if self.domain.device_mut().quarantine_block(line.dev) == Some(line.dev) {
             self.persist_quarantine();
         }
@@ -709,7 +712,7 @@ impl<P: Policy> Supervised for P {
 
     fn quarantine_line(&mut self, addr: DataAddr) -> Result<bool, RecoveryError> {
         let line = self.unverified_line(addr);
-        Ok(self.path_mut().quarantine_line(line))
+        Ok(self.path_mut().quarantine_line(line, true))
     }
 
     fn targeted_repair(&mut self, err: &RecoveryError) -> Result<RepairSummary, RecoveryError> {

@@ -114,7 +114,7 @@ fn a_retired_line_counts_as_lost_when_its_media_is_not_zero() {
         let line = p.line(DataAddr::new(5), None);
         p.domain.device_mut().poke(line.dev, data);
         p.domain.device_mut().poke(line.side, side);
-        assert_eq!(p.quarantine_line(line), lost, "case {i}");
+        assert_eq!(p.quarantine_line(line, true), lost, "case {i}");
         let device = p.domain.device();
         assert!(device.is_quarantined(line.dev), "case {i}");
         assert_eq!(
