@@ -8,7 +8,7 @@
 //! | campaign | what it does | default `--out` | exit code 1 on |
 //! |---|---|---|---|
 //! | `drill` | SIGKILLs a child serving a deterministic script over an anchored file-backed image once its anchor has sealed one of `N` randomized epochs **per family** (default 100; `--sweep`: every epoch of the script), restarts in a fresh address space over a copy of the dead image and its anchor, recovers, audits every line against the exact model of the epoch it opens at | `BENCH_drill.json` | an owed write lost, a write not owed visible, anything short of full recovery |
-//! | `adversary` | in process: drives the script over an anchored image to a seeded ack count, mutates the dead image and its anchor (bit flips, truncations, WAL splices / reorders / duplicates, rollback to a state captured on the way, cross-key swaps, anchor attacks), restarts; `N` mutated restarts **per family** rounded up to whole base runs (default 120; `--sweep`: at least 440); the report is a pure function of the seed | `BENCH_adversary.json` | a panic in the recovery path, a silent stale serve, a class that missed its verdict floor |
+//! | `adversary` | in process: kills the serve campaign's bonsai and sgx tenants at a seeded event of one served schedule (a capture copied aside on the way), restarts them served and audits them, then mutates each dead image and its anchor (bit flips, truncations, WAL splices / reorders / duplicates, rollback to the capture, cross-key swaps, anchor and home-area attacks) and restarts each copy; `N` mutated restarts **per family** rounded up to whole kill points of 27 each (default 120; `--sweep`: at least 440); the report is a pure function of the seed | `BENCH_adversary.json` | a panic in the recovery path, a silent stale serve, a class that missed its verdict floor, a served restart short of full service |
 //! | `serve` | in process: four tenants of the server's own boot play one seeded schedule of writes on one thread through the execute / durable seam, are killed at `N` drawn event indices (default 100; `--sweep`: every index), copied, restarted and audited line by line against the exact model; the report is a pure function of the seed apart from time-to-healthy | `BENCH_serve.json` | a durable or answered write lost, a not-durable write visible, a typed refusal, a tenant not back in full service |
 //!
 //! `--seed S` (decimal or `0x…`) seeds scripts, schedules, kill points
@@ -216,32 +216,32 @@ fn drill_family_json(r: &FamilyReport) -> Json {
 // ---------------------------------------------------------------------
 
 fn adversary_campaign(flags: &Flags) -> Result<(), String> {
-    let defaults = ScriptSpec::adversary();
-    let spec = ScriptSpec {
+    let defaults = ServeSpec::adversary();
+    let spec = ServeSpec {
         seed: flags.seed.unwrap_or(defaults.seed),
         ..defaults
     };
     let (sweep, seed) = (flags.sweep, spec.seed);
     let points = flags.points.unwrap_or(120).max(if sweep { 440 } else { 0 });
-    let base_runs = points.div_ceil(MUTATIONS_PER_RUN).max(1);
+    let kill_points = points.div_ceil(MUTATIONS_PER_RUN).max(1);
     let dir = flags.scratch("anubis-adversary");
 
     println!("== Anubis reproduction :: restart-time adversary drill ==");
     println!(
-        "{} mutated-restart points/family ({base_runs} base runs x {MUTATIONS_PER_RUN} mutations){}, \
-         seed {seed:#x}, scratch {}",
-        base_runs * MUTATIONS_PER_RUN,
+        "{} mutated-restart points/family ({kill_points} served kill points x {MUTATIONS_PER_RUN} \
+         mutations){}, seed {seed:#x}, scratch {}",
+        kill_points * MUTATIONS_PER_RUN,
         if sweep { " (nightly sweep)" } else { "" },
         dir.display()
     );
 
+    let reports = adversary::run_campaign(&spec, &dir, kill_points)
+        .map_err(|e| format!("adversary campaign FAILED: {e}"))?;
     let mut families = Vec::new();
     let mut total_points = 0u64;
     let mut total_audited = 0u64;
     let mut total_rollback_refusals = 0u64;
-    for family in Family::all() {
-        let report = adversary::run_campaign(family, &spec, &dir, base_runs)
-            .map_err(|e| format!("adversary campaign FAILED for {}: {e}", family.name()))?;
+    for report in &reports {
         let rb: u64 = report
             .classes
             .iter()
@@ -249,15 +249,15 @@ fn adversary_campaign(flags: &Flags) -> Result<(), String> {
             .sum();
         println!(
             "  {:<18} {:>4} points, {:>7} acked reads audited, {} rollback refusals",
-            family.name(),
-            report.points,
+            report.family.name(),
+            report.outcomes.len(),
             report.audited_reads,
             rb,
         );
-        total_points += report.points;
+        total_points += report.outcomes.len() as u64;
         total_audited += report.audited_reads;
         total_rollback_refusals += rb;
-        families.push(adversary_family_json(&report));
+        families.push(adversary_family_json(report));
     }
 
     let doc = Json::obj(vec![
@@ -265,7 +265,7 @@ fn adversary_campaign(flags: &Flags) -> Result<(), String> {
         ("host", host_info_json()),
         ("seed", Json::Int(seed)),
         ("sweep", Json::Bool(sweep)),
-        ("script_len", Json::Int(spec.script_len as u64)),
+        ("script_len", Json::Int(spec.script_len)),
         ("lines", Json::Int(spec.lines)),
         ("mutations_per_run", Json::Int(MUTATIONS_PER_RUN)),
         ("total_points", Json::Int(total_points)),
@@ -330,8 +330,8 @@ fn adversary_family_json(r: &FamilyAdvReport) -> Json {
         .collect();
     Json::obj(vec![
         ("family", Json::Str(r.family.name().into())),
-        ("base_runs", Json::Int(r.base_runs)),
-        ("points", Json::Int(r.points)),
+        ("base_runs", Json::Int(r.kills.len() as u64)),
+        ("points", Json::Int(r.outcomes.len() as u64)),
         ("audited_reads", Json::Int(r.audited_reads)),
         (
             "kill_range",
@@ -463,17 +463,17 @@ mod tests {
     }
 
     /// One rendered point with the scratch root its reason may name cut
-    /// off, down to the base run's own directory.
-    fn unrooted(point: &str, family: &str) -> String {
-        let run = format!("/{family}-r0/");
-        let Some(at) = point.find(&run) else {
+    /// off, down to the kill point's own directory.
+    fn unrooted(point: &str) -> String {
+        let run = "/r0/";
+        let Some(at) = point.find(run) else {
             return point.to_string();
         };
         let root = point[..at].rfind(' ').map_or(0, |space| space + 1);
         format!("{}{}", &point[..root], &point[at + 1..])
     }
 
-    /// The first base run's point objects of `family` in `report`, a
+    /// The first kill point's point objects of `family` in `report`, a
     /// campaign report rendered by [`Json::render`], each unrooted. A
     /// family object sits at depth 2 of the report, so its points open
     /// at eight spaces and their array closes at six.
@@ -489,12 +489,12 @@ mod tests {
         let points = points.split_once("\n      ]").expect("their end").0;
         (points.split("\n        {").skip(1))
             .take(MUTATIONS_PER_RUN as usize)
-            .map(|p| unrooted(p.trim_end_matches(','), family))
+            .map(|p| unrooted(p.trim_end_matches(',')))
             .collect()
     }
 
     /// The committed `BENCH_adversary.json` is what this binary writes:
-    /// the first base run of each family in it is, point for point, a
+    /// the first kill point of each family in it is, point for point, a
     /// fresh run of the default spec, rendered at the same depth.
     #[test]
     fn the_committed_adversary_report_starts_with_a_fresh_base_run() {
@@ -502,20 +502,17 @@ mod tests {
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adversary.json");
         let committed = std::fs::read_to_string(&path).expect("the committed report");
         let dir = std::env::temp_dir().join(format!("anubis-bench-adv-{}", std::process::id()));
-        for family in Family::all() {
-            let fresh = adversary::run_campaign(family, &ScriptSpec::adversary(), &dir, 1)
-                .map(|report| adversary_family_json(&report))
-                .expect("a fresh base run");
-            let fresh = Json::obj(vec![("families", Json::Arr(vec![fresh]))]).render();
-            let fresh = first_run(&fresh, family.name());
-            assert_eq!(fresh.len() as u64, MUTATIONS_PER_RUN, "{}", family.name());
-            assert_eq!(
-                fresh,
-                first_run(&committed, family.name()),
-                "{}",
-                family.name()
-            );
-        }
+        let reports =
+            adversary::run_campaign(&ServeSpec::adversary(), &dir, 1).expect("a fresh kill point");
         let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(reports.len(), 2);
+        for report in &reports {
+            let family = report.family.name();
+            let fresh = adversary_family_json(report);
+            let fresh = Json::obj(vec![("families", Json::Arr(vec![fresh]))]).render();
+            let fresh = first_run(&fresh, family);
+            assert_eq!(fresh.len() as u64, MUTATIONS_PER_RUN, "{family}");
+            assert_eq!(fresh, first_run(&committed, family), "{family}");
+        }
     }
 }

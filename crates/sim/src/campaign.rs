@@ -122,7 +122,7 @@ pub struct ScriptSpec {
     pub script_len: usize,
     /// Data-line address range the script touches.
     pub lines: u64,
-    /// Seed for the script, the kill points and the mutation draws.
+    /// Seed for the script and the kill points.
     pub seed: u64,
 }
 
@@ -133,16 +133,6 @@ impl ScriptSpec {
             script_len: 1_200,
             lines: 300,
             seed: 0xA17B_05E7,
-        }
-    }
-
-    /// The adversary's spec, the one `BENCH_adversary.json` was recorded
-    /// with.
-    pub fn adversary() -> Self {
-        ScriptSpec {
-            script_len: 4_500,
-            lines: 220,
-            seed: 0xAD7E_5A21,
         }
     }
 
@@ -495,9 +485,10 @@ pub fn remove_image(image: &Path) {
     }
 }
 
-/// The one way the in-process campaigns make a dead image: drives
-/// `script` over a fresh anchored image at `image` and builds the exact
-/// model as writes are acknowledged. After every op, `after(model, acks,
+/// The drill's dry run and [`crate::adversary::splice_sweep`] make their
+/// dead images this way, one write per frame: drives `script` over a
+/// fresh anchored image at `image` and builds the exact model as writes
+/// are acknowledged. After every op, `after(model, acks,
 /// (before, sealed))` sees that model, the writes acknowledged so far and
 /// the epochs the backend had sealed before the op and has sealed after
 /// it; the image and its anchor are then exactly what a kill there

@@ -36,7 +36,9 @@
 //!
 //! Admission is lifted out of the way as the ledger does and one thread
 //! plays every event, so apart from time-to-healthy the report is a pure
-//! function of the seed. What the campaign does not reach is covered
+//! function of the seed. [`crate::adversary`] plays its own fleet
+//! ([`ServeSpec::adversary`]) the same way and mutates the dead images
+//! before it restarts them. What the campaign does not reach is covered
 //! elsewhere: a kill inside `sync_data` by the drill's real SIGKILL and
 //! the torn-frame tests, the wire and its connection faults by
 //! `tests/serve_robustness.rs`, the frame-layer tests of
@@ -44,7 +46,7 @@
 
 use std::collections::VecDeque;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
@@ -77,6 +79,20 @@ impl Default for ServeSpec {
             tenants: 4,
             lines: 48,
             script_len: 24,
+        }
+    }
+}
+
+impl ServeSpec {
+    /// The fleet [`crate::adversary`] kills, the one
+    /// `BENCH_adversary.json` was recorded with: a bonsai and an sgx
+    /// tenant, long enough that both checkpoint well before the kill.
+    pub fn adversary() -> Self {
+        ServeSpec {
+            seed: 0xAD7E_5A21,
+            tenants: 2,
+            lines: 220,
+            script_len: 3_170,
         }
     }
 }
@@ -133,9 +149,10 @@ pub struct ServeReport {
 /// One event of the schedule: `(tenant, begins)` — `true` begins the
 /// tenant's next scripted write, `false` finishes its oldest outstanding
 /// one.
-type Event = (usize, bool);
+pub(crate) type Event = (usize, bool);
 
-fn family(tenant: usize) -> Family {
+/// Tenant `tenant`'s family: bonsai and sgx alternate.
+pub(crate) fn family(tenant: usize) -> Family {
     if tenant.is_multiple_of(2) {
         Family::BonsaiAgitPlus
     } else {
@@ -167,9 +184,14 @@ fn script(spec: &ServeSpec, t: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The seed's schedule, then `points` kill indices in `1..=events` drawn
-/// from the same generator — or, `sweep`, every one of them.
-fn plan(spec: &ServeSpec, points: u64, sweep: bool) -> (Vec<Event>, Vec<u64>) {
+/// Tenant `tenant`'s image in the data directory `dir`.
+pub(crate) fn image_path(spec: &ServeSpec, dir: &Path, tenant: usize) -> PathBuf {
+    config(spec, dir).image_path(&format!("tenant-{tenant}"))
+}
+
+/// The seed's schedule, and the generator, which goes on to draw the
+/// kill points.
+pub(crate) fn schedule(spec: &ServeSpec) -> (Vec<Event>, XorShift64) {
     let mut rng = XorShift64::new(spec.seed);
     let (mut begun, mut open) = (vec![0u64; spec.tenants], vec![0u8; spec.tenants]);
     let mut events = Vec::new();
@@ -191,6 +213,13 @@ fn plan(spec: &ServeSpec, points: u64, sweep: bool) -> (Vec<Event>, Vec<u64>) {
         }
         events.push((t, begins));
     }
+    (events, rng)
+}
+
+/// The seed's schedule, then `points` kill indices in `1..=events` drawn
+/// from the same generator — or, `sweep`, every one of them.
+fn plan(spec: &ServeSpec, points: u64, sweep: bool) -> (Vec<Event>, Vec<u64>) {
+    let (events, mut rng) = schedule(spec);
     let n = events.len() as u64;
     let kills = if sweep {
         (1..=n).collect()
@@ -259,19 +288,20 @@ fn refused(tenant: &Tenant, got: String) -> CampaignError {
 
 /// One executed write, as the audit knows it.
 #[derive(Clone, Copy, Debug)]
-struct Write {
+pub(crate) struct Write {
     op: u64,
     line: u64,
-    ticket: u64,
+    /// The epoch of the frame that makes it durable.
+    pub(crate) ticket: u64,
     answered: bool,
 }
 
 /// One tenant at the kill: its durable epoch, and every write it
 /// executed, in execution order.
 #[derive(Debug)]
-struct AtKill {
-    durable_epoch: u64,
-    writes: Vec<Write>,
+pub(crate) struct AtKill {
+    pub(crate) durable_epoch: u64,
+    pub(crate) writes: Vec<Write>,
 }
 
 impl AtKill {
@@ -286,7 +316,7 @@ impl AtKill {
         model
     }
 
-    fn outcome(&self, verified_lines: u64) -> TenantOutcome {
+    pub(crate) fn outcome(&self, verified_lines: u64) -> TenantOutcome {
         let durable = (self.writes.iter())
             .filter(|w| w.ticket <= self.durable_epoch)
             .count() as u64;
@@ -300,20 +330,36 @@ impl AtKill {
     }
 }
 
+/// Copies every tenant's image and anchor from the data directory `from`
+/// into `to`: between two events, what a kill there leaves.
+pub(crate) fn copy_fleet(spec: &ServeSpec, from: &Path, to: &Path) -> Result<(), CampaignError> {
+    fs::create_dir_all(to).map_err(io_ctx("create kill dir", to))?;
+    for t in 0..spec.tenants {
+        let (from, to) = (image_path(spec, from, t), image_path(spec, to, t));
+        copy_image(&from, &to).map_err(io_ctx("copy a killed image to", &to))?;
+    }
+    Ok(())
+}
+
 /// Boots the tenants over `live`, plays `events` on this thread and
 /// copies every image and anchor into `dead`: what a kill after the last
-/// event leaves.
-fn play(
+/// event leaves. With `capture = Some((at, dir))` the fleet is also
+/// copied into `dir` after the first `at` events.
+pub(crate) fn play(
     spec: &ServeSpec,
     events: &[Event],
     live: &Path,
     dead: &Path,
+    capture: Option<(usize, &Path)>,
 ) -> Result<Vec<AtKill>, CampaignError> {
     let (fleet, _) = Fleet::boot(spec, live)?;
     let scripts: Vec<Vec<u64>> = (0..spec.tenants).map(|t| script(spec, t)).collect();
     let mut executed: Vec<Vec<Write>> = vec![Vec::new(); spec.tenants];
     let mut outstanding: Vec<VecDeque<_>> = (0..spec.tenants).map(|_| VecDeque::new()).collect();
-    for &(t, begins) in events {
+    for (i, &(t, begins)) in events.iter().enumerate() {
+        if let Some((_, dir)) = capture.filter(|&(at, _)| at == i) {
+            copy_fleet(spec, live, dir)?;
+        }
         let (tenant, writes) = (&fleet.tenants[t], &mut executed[t]);
         if begins {
             let k = writes.len();
@@ -348,12 +394,8 @@ fn play(
             }
         }
     }
-    fs::create_dir_all(dead).map_err(io_ctx("create kill dir", dead))?;
-    let dead_cfg = config(spec, dead);
+    copy_fleet(spec, live, dead)?;
     let kill = |(tenant, writes): (&Arc<Tenant>, Vec<Write>)| {
-        let name = tenant.name();
-        let (from, to) = (fleet.cfg.image_path(name), dead_cfg.image_path(name));
-        copy_image(&from, &to).map_err(io_ctx("copy a killed image to", &to))?;
         let epochs = tenant.epochs();
         let (_, durable_epoch) =
             epochs.ok_or_else(|| refused(tenant, "no durable epoch".into()))?;
@@ -366,7 +408,7 @@ fn play(
 }
 
 /// The exact model of every tenant at its kill.
-fn exact_models(spec: &ServeSpec, at_kill: &[AtKill]) -> Vec<Acked> {
+pub(crate) fn exact_models(spec: &ServeSpec, at_kill: &[AtKill]) -> Vec<Acked> {
     (at_kill.iter())
         .map(|t| t.model(t.durable_epoch, spec.lines))
         .collect()
@@ -375,7 +417,7 @@ fn exact_models(spec: &ServeSpec, at_kill: &[AtKill]) -> Vec<Acked> {
 /// Boots the tenants over the copies in `dead` and audits every line of
 /// each against its model. Returns the time to healthy and the lines
 /// verified per tenant.
-fn restart(
+pub(crate) fn restart(
     spec: &ServeSpec,
     dead: &Path,
     models: &[Acked],
@@ -426,7 +468,7 @@ fn run_point(
     kill_at: u64,
 ) -> Result<PointOutcome, CampaignError> {
     let (live, dead) = (dir.join("live"), dir.join("dead"));
-    let at_kill = play(spec, &events[..kill_at as usize], &live, &dead)?;
+    let at_kill = play(spec, &events[..kill_at as usize], &live, &dead, None)?;
     let (time_to_healthy_us, verified) = restart(spec, &dead, &exact_models(spec, &at_kill))?;
     Ok(PointOutcome {
         kill_at,
@@ -516,11 +558,23 @@ mod tests {
             .position(|&(_, begins)| !begins)
             .expect("a finish");
         let dir = scratch("early");
-        let at_kill = play(&spec, &events[..kill], &dir.join("live"), &dir.join("dead"))
-            .expect("play to the kill");
+        let at_kill = play(
+            &spec,
+            &events[..kill],
+            &dir.join("live"),
+            &dir.join("dead"),
+            None,
+        )
+        .expect("play to the kill");
         let early = dir.join("early");
-        let before = play(&spec, &events[..kill - 1], &dir.join("live-early"), &early)
-            .expect("play to one event before");
+        let before = play(
+            &spec,
+            &events[..kill - 1],
+            &dir.join("live-early"),
+            &early,
+            None,
+        )
+        .expect("play to one event before");
         let models = exact_models(&spec, &at_kill);
         let t = events[kill - 1].0;
         let durable = |at: &AtKill| at.outcome(0).durable;
@@ -545,8 +599,14 @@ mod tests {
         let (t, begins) = events[0];
         assert!(begins);
         let dir = scratch("folded");
-        let at_kill = play(&spec, &events[..1], &dir.join("live"), &dir.join("dead"))
-            .expect("play one event");
+        let at_kill = play(
+            &spec,
+            &events[..1],
+            &dir.join("live"),
+            &dir.join("dead"),
+            None,
+        )
+        .expect("play one event");
         let at = &at_kill[t];
         assert_eq!((at.outcome(0).durable, at.outcome(0).not_durable), (0, 1));
 
@@ -582,8 +642,14 @@ mod tests {
         let t = events[kill - 1].0;
 
         let dir = scratch("unanswered");
-        let at_kill = play(&spec, &events[..kill], &dir.join("live"), &dir.join("dead"))
-            .expect("play to the kill");
+        let at_kill = play(
+            &spec,
+            &events[..kill],
+            &dir.join("live"),
+            &dir.join("dead"),
+            None,
+        )
+        .expect("play to the kill");
         let at = &at_kill[t];
         let unanswered: Vec<&Write> = (at.writes.iter())
             .filter(|w| !w.answered && w.ticket <= at.durable_epoch)

@@ -1,15 +1,21 @@
-//! `bench_campaign adversary`'s first base run, pinned in tier 1.
+//! `bench_campaign adversary`'s first kill point, pinned in tier 1.
 //!
-//! The dead image of a base run is made in process: the script is served
-//! against the anchored device and stopped at a seeded ack count, with an
-//! earlier image captured on the way. Its durable artifacts are then
-//! mutated (bit flips, truncations, WAL splices / reorders, rollback to
-//! the captured image, cross-domain swaps, anchor attacks, a flipped bit
-//! in a home slot and a home area rolled back to the capture's) and each
-//! mutation is restarted and judged. Every WAL splice must be refused —
-//! the one-epoch replay splice (`replay-splice-slack-1`) inside the
-//! anchor's heal window included, since WAL frames carry a keyed, chained
-//! tag the adversary cannot compute (DESIGN.md §14.1;
+//! The dead images are the serve campaign's: a bonsai (AGIT-Plus) and an
+//! sgx (ASIT) tenant of the server's own boot play one seeded schedule of
+//! writes through `Tenant::begin` / `Tenant::finish`, so two writes share
+//! a group commit, and are killed between two events where both have
+//! answered enough writes to have checkpointed; the same play copies the
+//! fleet aside a margin of acks earlier as the capture. The kill point is
+//! first an ordinary serve point — a served restart of both tenants,
+//! audited line by line — and then each tenant's dead image and anchor
+//! are mutated (bit flips, truncations, WAL splices / reorders, rollback
+//! to the capture, cross-domain swaps, anchor attacks, a flipped bit in a
+//! home slot and a home area rolled back to the capture's), each on a
+//! fresh copy, and each mutation is restarted and judged against that
+//! tenant's exact model of what was durable or answered. Every WAL splice
+//! must be refused — the one-epoch replay splice (`replay-splice-slack-1`)
+//! inside the anchor's heal window included, since WAL frames carry a
+//! keyed, chained tag the adversary cannot compute (DESIGN.md §14.1;
 //! `tests/replay_splice.rs` sweeps every such splice). `run_campaign`
 //! fails on any silent stale serve, any panic in the recovery path, and
 //! any mutation class that missed its required verdict — e.g. a rollback
@@ -18,35 +24,35 @@
 //! surviving image is audited line by line.
 //!
 //! Nothing in it moves with timing, so two runs give the same verdicts,
-//! and the 27 of each family are pinned here. Re-taken when the image
-//! gained a home area (WAL format 5): two mutations aimed at it joined
-//! the plan (`home-bit-flip`, `home-rollback`: never a silent stale
-//! serve; the home area's digest in the log refuses both unless the
-//! flipped slot is one the log redoes), and the script grew from 900 ops
-//! to 4 500, the capture margin from 35 acks to 1 200 and the smallest
-//! kill from 45 to 1 300, so that every base image has checkpointed and
-//! its capture lies a checkpoint behind it. The first 25 verdicts are the
-//! ones pinned before. Re-taken again when the home digest moved from the
-//! open to the recovery ladder, checked before any rung past `fast`: an
-//! open reads no home slot, so a home area that does not match its log
-//! is refused by the ladder when `fast` fails over it (bonsai's
-//! `home-bit-flip` and `home-rollback`, whose reasons moved), and
-//! otherwise found by the audit's first read of a rolled-back line,
-//! typed (sgx's `home-rollback`: degraded, no stale line — a served
-//! tenant takes such a read to `recover`, which refuses; pinned in
+//! and the 27 of each tenant are pinned here, with the two shapes that
+//! make the served images worth mutating: a durable frame shared by two
+//! writes, and a home area that holds slots. Re-taken when the adversary
+//! stopped driving a script of its own, one write per frame, and took the
+//! serve campaign's dead images instead: the kill and the mutation draws
+//! moved, and bonsai's `home-bit-flip` now lands on a slot the log redoes
+//! (full recovery). Every other verdict is the one pinned before; sgx's
+//! `home-rollback` is still degraded with no stale line — a served tenant
+//! takes such a read to `recover`, which refuses (pinned in
 //! `tests/anchor_refusal.rs`).
 
 use std::fs;
 use std::path::Path;
+use std::sync::OnceLock;
 
 use anubis::Family;
-use anubis_sim::adversary::{run_campaign, MutationOutcome};
-use anubis_sim::campaign::{fnv1a64, ScriptSpec, Verdict, FNV1A64_EMPTY};
+use anubis_sim::adversary::{run_campaign, FamilyAdvReport, MutationOutcome};
+use anubis_sim::campaign::{fnv1a64, Verdict, FNV1A64_EMPTY};
+use anubis_sim::serve::ServeSpec;
 
 /// One point as the pin sees it: label, verdict, reason (the refusal's,
 /// or the degraded outcome), damage. The scratch directory a reason
 /// names is cut out.
-fn point(o: &MutationOutcome, dir: &Path) -> (String, &'static str, String, u64) {
+type Point = (String, &'static str, String, u64);
+
+/// One run of the campaign: its reports, and every tenant's points.
+type Run = (Vec<FamilyAdvReport>, Vec<Vec<Point>>);
+
+fn point(o: &MutationOutcome, dir: &Path) -> Point {
     let (reason, damage) = match &o.verdict {
         Verdict::FullRecovery => (String::new(), 0),
         Verdict::Degraded { damage, outcome } => (outcome.clone(), *damage),
@@ -56,34 +62,50 @@ fn point(o: &MutationOutcome, dir: &Path) -> (String, &'static str, String, u64)
     (o.label.clone(), o.verdict.name(), reason, damage)
 }
 
-/// Runs base run 0 of `family` twice and demands the same outcome at
-/// every point, the verdicts `want` and the digest `fnv` over them.
-fn base_run_is_replayable(family: Family, want: [&str; 27], fnv: u64) {
-    let dir = std::env::temp_dir().join(format!(
-        "anubis-adversary-pin-{}-{}",
-        std::process::id(),
-        family.name()
-    ));
-    let run = || {
-        let report = run_campaign(family, &ScriptSpec::adversary(), &dir, 1)
-            .unwrap_or_else(|e| panic!("{}: {e}", family.name()));
-        (report.outcomes.iter())
-            .map(|o| point(o, &dir))
-            .collect::<Vec<_>>()
-    };
-    let (first, second) = (run(), run());
-    let _ = fs::remove_dir_all(&dir);
-    assert_eq!(first, second, "{}: two runs of one seed", family.name());
-    let verdicts: Vec<&str> = first.iter().map(|p| p.1).collect();
-    assert_eq!(verdicts, want, "{}", family.name());
+/// The first kill point, run twice (once for both tests of this file):
+/// each run's reports, with every tenant's points as the pin sees them.
+fn twice() -> &'static [Run; 2] {
+    static RUNS: OnceLock<[Run; 2]> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("anubis-adversary-pin-{}", std::process::id()));
+        let run = || {
+            let reports = run_campaign(&ServeSpec::adversary(), &dir, 1)
+                .unwrap_or_else(|e| panic!("kill point 0: {e}"));
+            let points = (reports.iter())
+                .map(|r| r.outcomes.iter().map(|o| point(o, &dir)).collect())
+                .collect();
+            (reports, points)
+        };
+        let runs = [run(), run()];
+        let _ = fs::remove_dir_all(&dir);
+        runs
+    })
+}
+
+/// Demands the same outcome of `family`'s tenant at every point of both
+/// runs, the verdicts `want`, the digest `fnv` over them, a durable frame
+/// shared by two writes and a home area that holds slots.
+fn first_kill_point_is_replayable(family: Family, want: [&str; 27], fnv: u64) {
+    let [(reports, first), (_, second)] = twice();
+    let t = (reports.iter())
+        .position(|r| r.family == family)
+        .expect("a tenant of the family");
+    let name = family.name();
+    assert_eq!(first[t], second[t], "{name}: two runs of one seed");
+    let verdicts: Vec<&str> = first[t].iter().map(|p| p.1).collect();
+    assert_eq!(verdicts, want, "{name}");
     let mut h = FNV1A64_EMPTY;
-    for (label, verdict, reason, damage) in &first {
+    for (label, verdict, reason, damage) in &first[t] {
         for field in [label.as_bytes(), verdict.as_bytes(), reason.as_bytes()] {
             h = fnv1a64(fnv1a64(h, field), b"|");
         }
         h = fnv1a64(h, &damage.to_le_bytes());
     }
-    assert_eq!(h, fnv, "{}: digest {h:#018x}", family.name());
+    assert_eq!(h, fnv, "{name}: digest {h:#018x}");
+    let kill = reports[t].kills[0];
+    println!("{name}: {kill:?} at the kill");
+    assert!(kill.shared_frames > 0, "{name}: no frame holds two writes");
+    assert!(kill.home_slots > 0, "{name}: the image never checkpointed");
 }
 
 const R: &str = "refused";
@@ -92,22 +114,22 @@ const D: &str = "degraded";
 
 #[test]
 fn the_first_base_run_is_replayable_bonsai_agit_plus() {
-    base_run_is_replayable(
+    first_kill_point_is_replayable(
         Family::BonsaiAgitPlus,
         [
-            F, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, F, R, R, F, R, R,
+            F, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, F, R, R, F, F, R,
         ],
-        0x92fc_ca30_eecf_b562,
+        0xba25_16ee_2e8f_0599,
     );
 }
 
 #[test]
 fn the_first_base_run_is_replayable_sgx_asit() {
-    base_run_is_replayable(
+    first_kill_point_is_replayable(
         Family::SgxAsit,
         [
             F, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, R, F, R, R, F, F, D,
         ],
-        0x496b_6ac7_dae5_b6c9,
+        0xc5a5_fb9b_802b_27d7,
     );
 }
